@@ -7,16 +7,15 @@ file that silently started a fresh trajectory would erase the history
 the whole scheme exists to keep.
 
 Current baselines (see docs/TESTING.md for the gate each enforces):
-``BENCH_query_engine.json``, ``BENCH_aggregations.json``,
 ``BENCH_resilience.json``, ``BENCH_diagnosis.json``,
-``BENCH_ingest.json`` (vectorized ingest), ``BENCH_storage.json``
-(segment-store cold start and footprint), and ``BENCH_sharding.json``
-(scatter-gather scaling curve across shard counts).
+``BENCH_storage.json`` (segment-store cold start and footprint),
+``BENCH_sharding.json`` (scatter-gather scaling curve across shard
+counts), and ``BENCH_uring.json`` (io_uring blind spot).
 
 Trajectories are *lists*: every run appends an entry, so a file grows
 one row per benchmark invocation.  ``render_trajectory`` turns the
 whole history into an aligned text table (run it directly:
-``python benchmarks/_baseline.py BENCH_ingest.json``) — entries may
+``python benchmarks/_baseline.py BENCH_storage.json``) — entries may
 have differing keys across PRs as benchmarks evolve; the renderer
 takes the union of columns instead of assuming a single entry shape.
 """

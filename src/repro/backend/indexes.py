@@ -195,15 +195,6 @@ class FieldIndex:
         if old is not _MISSING:
             self._drop_value(doc_id, old)
 
-    def churn(self, doc_id: str, value: Any) -> None:
-        """Non-delta reindex: unconditional remove-then-add.
-
-        This is the pre-planner write path, kept so benchmarks can
-        reproduce the legacy cost model faithfully.
-        """
-        self.remove(doc_id)
-        self.update(doc_id, value)
-
     def _drop_value(self, doc_id: str, old: Any) -> None:
         ids = self.postings.get(old)
         if ids is not None:

@@ -1,7 +1,7 @@
 """Reference implementations of the pre-planner read/correlate paths.
 
-These are deliberately kept verbatim-shaped so the query-engine
-benchmarks and equivalence tests have an honest baseline:
+These are deliberately kept verbatim-shaped so the equivalence tests
+have an honest oracle:
 
 - :func:`naive_scan` — compile-and-filter over every document, no index
   help at all.  The oracle for planner-equivalence property tests.
@@ -11,10 +11,8 @@ benchmarks and equivalence tests have an honest baseline:
   no cache anywhere in the path.
 - :func:`legacy_correlate` — the original §II-C flow: a sorted search
   to build the tag -> path mapping, one ``update_by_query`` per tag,
-  then two counting queries for the fidelity tallies.  Run it against a
-  ``DocumentStore(plan_mode="legacy")`` to reproduce the pre-planner
-  cost model (smallest-posting-list candidate heuristic, full reindex
-  on every put); run it against a planner store to cross-check results.
+  then two counting queries for the fidelity tallies.  The oracle the
+  single-pass correlator is cross-checked against.
 """
 
 from __future__ import annotations

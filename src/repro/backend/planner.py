@@ -15,11 +15,6 @@ result is a :class:`QueryPlan`:
 The planner only marks a plan exact for clause shapes it has fully
 validated; malformed queries come back non-exact so the compile path
 raises its usual :class:`~repro.backend.query.QueryError`.
-
-``plan_legacy`` reproduces the pre-planner heuristic — union postings
-per term clause, keep the single smallest set, always re-check the
-predicate — and exists so benchmarks can hold the new engine against
-the old cost model.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.backend.indexes import FieldIndex, is_indexable
-from repro.backend.query import term_candidates
 
 #: Plan modes, in decreasing order of help from the indexes.
 PLAN_EXACT = "exact"
@@ -283,22 +277,3 @@ def _collect_constraints(query: Any, out: list) -> None:
             return
         for clause in _clauses(body, "must") + _clauses(body, "filter"):
             _collect_constraints(clause, out)
-
-
-def plan_legacy(query: Optional[dict], lookup: FieldLookup) -> QueryPlan:
-    """Pre-planner candidate heuristic (kept as the benchmark baseline).
-
-    Extracts only top-level/``bool.must``/``bool.filter`` term clauses,
-    takes the single smallest posting union, and never trusts it enough
-    to skip the predicate.
-    """
-    pairs = term_candidates(query)
-    if not pairs:
-        return QueryPlan(None, False)
-    best: Optional[set[str]] = None
-    for field, values in pairs:
-        ids = lookup(field).term_ids(
-            value for value in values if is_indexable(value))
-        if best is None or len(ids) < len(best):
-            best = ids
-    return QueryPlan(best, False)

@@ -164,36 +164,3 @@ def compile_query(query: Optional[dict]) -> Predicate:
         return bool_predicate
 
     raise QueryError(f"unknown query kind {kind!r}")
-
-
-def term_candidates(query: Optional[dict]) -> Optional[list[tuple[str, list]]]:
-    """Extract ``(field, values)`` pairs usable for inverted-index pruning.
-
-    Returns pairs such that any matching document *must* carry one of
-    ``values`` in ``field`` — i.e. term/terms clauses at the top level
-    or inside ``bool.must``/``bool.filter``.  ``None`` means no pruning
-    is possible.
-    """
-    if not isinstance(query, dict) or len(query) != 1:
-        return None
-    kind, body = next(iter(query.items()))
-    if kind == "term":
-        field, value = _single_entry(body, "term")
-        if isinstance(value, dict) and "value" in value:
-            value = value["value"]
-        return [(field, [value])]
-    if kind == "terms":
-        field, values = _single_entry(body, "terms")
-        return [(field, list(values))]
-    if kind == "bool":
-        pairs: list[tuple[str, list]] = []
-        for section in ("must", "filter"):
-            clauses = body.get(section, [])
-            if isinstance(clauses, dict):
-                clauses = [clauses]
-            for clause in clauses:
-                sub = term_candidates(clause)
-                if sub:
-                    pairs.extend(sub)
-        return pairs or None
-    return None

@@ -24,7 +24,7 @@ own segment directory — and a thin coordinator that:
   is literally today's ``DocumentStore``, and for any shard count the
   documents, query results, aggregations, correlation output, and
   diagnosis reports are identical to the single-store run — the same
-  differential-oracle pattern as ``ingest_mode``/``storage_mode``.
+  differential-oracle pattern as ``storage_mode``.
 
 Hash routing uses ``zlib.crc32`` over a normalised value token — never
 Python ``hash()``, which is randomised per process for strings.  The
@@ -49,9 +49,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.backend.aggregations import (_field_values, _numeric_values,
                                         percentile, run_aggregations)
 from repro.backend.query import get_field
-from repro.backend.store import (AGG_CACHE_SIZE, AGG_MODES, PLAN_MODES,
-                                 DocumentStore, Index, StoreError, _response,
-                                 _sort_key)
+from repro.backend.store import (AGG_CACHE_SIZE, DocumentStore, Index,
+                                 StoreError, _response, _sort_key)
 
 #: Supported shard keys (``TracerConfig.shard_key``).
 SHARD_KEYS = ("file_tag", "pid", "time_window")
@@ -141,8 +140,6 @@ class ShardedDocumentStore:
 
     def __init__(self, shard_count: int = 2, shard_key: str = "pid",
                  time_window_ns: int = DEFAULT_TIME_WINDOW_NS,
-                 plan_mode: str = "planner",
-                 agg_mode: Optional[str] = None,
                  parallel: bool = True) -> None:
         if not isinstance(shard_count, int) or shard_count < 1:
             raise StoreError(f"shard_count must be a positive int: "
@@ -153,23 +150,14 @@ class ShardedDocumentStore:
         if time_window_ns <= 0:
             raise StoreError(f"time_window_ns must be positive: "
                              f"{time_window_ns}")
-        if plan_mode not in PLAN_MODES:
-            raise StoreError(f"unknown plan mode {plan_mode!r}")
-        if agg_mode is None:
-            agg_mode = "columnar" if plan_mode == "planner" else "legacy"
-        if agg_mode not in AGG_MODES:
-            raise StoreError(f"unknown agg mode {agg_mode!r}")
         self.shard_count = shard_count
         self.shard_key = shard_key
         self.time_window_ns = time_window_ns
-        self.plan_mode = plan_mode
-        self.agg_mode = agg_mode
         self.parallel = parallel
         #: The document field the shard key reads.
         self.route_field = {"file_tag": "file_tag", "pid": "pid",
                             "time_window": "time"}[shard_key]
-        self.shards = [DocumentStore(plan_mode=plan_mode, agg_mode=agg_mode)
-                       for _ in range(shard_count)]
+        self.shards = [DocumentStore() for _ in range(shard_count)]
         self._states: dict[str, _IndexState] = {}
         self._indexed_fields: dict[str, Optional[tuple]] = {}
         #: Per index: can queries on the shard key still be routed to a
@@ -361,7 +349,7 @@ class ShardedDocumentStore:
         not write back; sources are shared by reference.
         """
         self._state(name)
-        view = Index(name, plan_mode="legacy", agg_mode="legacy")
+        view = Index(name)
         for doc_id, source in self.scan(name, None):
             view.put(source, doc_id)
         return view
@@ -604,7 +592,7 @@ class ShardedDocumentStore:
         aggregations = None
         total: Optional[int] = None
         cache_key = cacheable = None
-        if aggs is not None and not sort and self.agg_mode == "columnar":
+        if aggs is not None and not sort:
             cache_key = self._coordinator_cache_key(index, query, aggs, shards)
             cacheable = cache_key is not None
             if cacheable:
@@ -636,7 +624,7 @@ class ShardedDocumentStore:
             total = len(matches)
             if aggs is not None and aggregations is None:
                 merged = None
-                if not sort and self.agg_mode == "columnar":
+                if not sort:
                     merged = self._try_partial_merge(index, query, aggs,
                                                      shards)
                 if merged is not None:
@@ -699,13 +687,12 @@ class ShardedDocumentStore:
     def _scatter_aggs(self, index: str, query, aggs, shards: list[int],
                       state: _IndexState) -> tuple[int, dict]:
         """(total, aggregations) for the aggregate-only path."""
-        if self.agg_mode == "columnar":
-            merged = self._try_partial_merge(index, query, aggs, shards,
-                                             want_total=True)
-            if merged is not None:
-                total, aggregations = merged
-                self.agg_merges += 1
-                return total, aggregations
+        merged = self._try_partial_merge(index, query, aggs, shards,
+                                         want_total=True)
+        if merged is not None:
+            total, aggregations = merged
+            self.agg_merges += 1
+            return total, aggregations
         parts = self._map_shards(shards,
                                  lambda shard: shard.scan(index, query))
         matches = self._merge_by_rank(parts, state)
@@ -818,9 +805,7 @@ class ShardedDocumentStore:
         old_owner = {name: dict(state.owner)
                      for name, state in self._states.items()}
         self.shard_count = new_count
-        self.shards = [DocumentStore(plan_mode=self.plan_mode,
-                                     agg_mode=self.agg_mode)
-                       for _ in range(new_count)]
+        self.shards = [DocumentStore() for _ in range(new_count)]
         moved = 0
         for name, docs in snapshots.items():
             state = self._states[name]
@@ -918,8 +903,7 @@ class ShardedDocumentStore:
         """
         if not 0 <= shard < self.shard_count:
             raise StoreError(f"no such shard {shard}")
-        replacement = DocumentStore(plan_mode=self.plan_mode,
-                                    agg_mode=self.agg_mode)
+        replacement = DocumentStore()
         for name, fields in self._indexed_fields.items():
             replacement.ensure_index(name, fields)
         self.shards[shard] = replacement
@@ -1055,8 +1039,8 @@ class ShardedDocumentStore:
             shard.agg_pushdowns for shard in self.shards))
         registry.counter(
             "dio_store_agg_fallback_total",
-            "Aggregation requests served by the legacy dict-walking "
-            "path (unsupported shape or agg_mode=legacy).",
+            "Aggregation requests served by the dict-walking path "
+            "(a shape the columnar kernels do not support).",
         ).set_function(lambda: self.agg_gathers + sum(
             shard.agg_fallbacks for shard in self.shards))
         registry.counter(
@@ -1212,13 +1196,12 @@ def _shard_partial(shard: DocumentStore, index: str, query, aggs,
         return {"total": 0, "aggs": {name: _EMPTY_PARTIALS[kind](body)
                                      for name, kind, body in plan}}, False
     key = None
-    if target.agg_mode == "columnar":
-        raw = target.agg_cache_key(query, aggs)
-        if raw is not None:
-            key = raw + ("__shard_partial__",)
-            cached = target.agg_cache_get(key)
-            if cached is not None:
-                return cached, True
+    raw = target.agg_cache_key(query, aggs)
+    if raw is not None:
+        key = raw + ("__shard_partial__",)
+        cached = target.agg_cache_get(key)
+        if cached is not None:
+            return cached, True
     try:
         partial = _compute_partial(shard, target, query, plan)
     except Exception:
@@ -1260,13 +1243,10 @@ def _compute_partial(shard: DocumentStore, target: Index, query,
     aggs).  A ``None`` return asks the coordinator to gather.
     """
     plan_q = shard._plan(target, query)
-    rows = None
-    total = None
-    if target.agg_mode == "columnar":
-        try:
-            rows, total = target.matching_rows(query, plan_q)
-        except Exception:
-            rows = None
+    try:
+        rows, total = target.matching_rows(query, plan_q)
+    except Exception:
+        rows = None
     sources = None
     if rows is None:
         matches = target.scan(query, plan_q)
@@ -1490,15 +1470,12 @@ def _merge_one(kind: str, body: dict, parts: list):
 def create_store(config=None, *, shard_count: Optional[int] = None,
                  shard_key: Optional[str] = None,
                  time_window_ns: Optional[int] = None,
-                 plan_mode: str = "planner",
-                 agg_mode: Optional[str] = None,
                  parallel: bool = True):
     """Build the backend a ``TracerConfig [sharding]`` block asks for.
 
     ``shard_count=1`` returns a plain :class:`DocumentStore` — not a
     one-shard router — so the default configuration is *literally*
-    today's store: the differential oracle for every sharded run, the
-    same pattern ``ingest_mode``/``storage_mode`` use.
+    today's store: the differential oracle for every sharded run.
     """
     if config is not None:
         if shard_count is None:
@@ -1513,9 +1490,9 @@ def create_store(config=None, *, shard_count: Optional[int] = None,
         raise StoreError(f"shard_count must be a positive int: "
                          f"{shard_count!r}")
     if shard_count == 1:
-        return DocumentStore(plan_mode=plan_mode, agg_mode=agg_mode)
+        return DocumentStore()
     return ShardedDocumentStore(
         shard_count=shard_count,
         shard_key=shard_key or "pid",
         time_window_ns=time_window_ns or DEFAULT_TIME_WINDOW_NS,
-        plan_mode=plan_mode, agg_mode=agg_mode, parallel=parallel)
+        parallel=parallel)

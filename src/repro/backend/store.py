@@ -18,20 +18,18 @@ pruning-ratio gauge.
 Writes are delta-aware: re-indexing a document only touches the fields
 whose values actually changed, so the correlator's per-document
 ``file_path`` updates no longer rebuild postings for every indexed
-field.  ``plan_mode="legacy"`` preserves the pre-planner behaviour
-(smallest-posting-list heuristic, full reindex on every put) as the
-baseline the benchmarks measure against.
+field.
 
 Aggregations are *pushed down* to a columnar execution layer
 (:mod:`repro.backend.columns`): when a search carries ``aggs`` and no
 ``sort``, the planner's candidate set is translated to row numbers and
 evaluated by typed-array kernels without ever materialising ``_source``
 dicts — the dominant cost of the dashboard path.  Results are cached
-per ``(index epoch, query, aggs)`` and invalidated by any mutation;
-``agg_mode="legacy"`` disables both pushdown and cache so benchmarks
-can measure the dict-walking baseline.  Every decision is counted and
-exposed as ``dio_store_agg_{pushdown,fallback,cache_hits,cache_misses}``
-plus a kernel-duration histogram.
+per ``(index epoch, query, aggs)`` and invalidated by any mutation.
+Shapes the kernels do not support fall back to the dict-walking
+:func:`run_aggregations`.  Every decision is counted and exposed as
+``dio_store_agg_{pushdown,fallback,cache_hits,cache_misses}`` plus a
+kernel-duration histogram.
 """
 
 from __future__ import annotations
@@ -45,14 +43,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import ColumnarUnsupported, ColumnSet
 from repro.backend.indexes import FieldIndex
-from repro.backend.planner import QueryPlan, plan_legacy, plan_query
+from repro.backend.planner import QueryPlan, plan_query
 from repro.backend.query import compile_query, get_field
-
-#: Supported Index planning modes.
-PLAN_MODES = ("planner", "legacy")
-
-#: Supported aggregation execution modes.
-AGG_MODES = ("columnar", "legacy")
 
 #: Cached aggregation results kept per index (LRU).
 AGG_CACHE_SIZE = 64
@@ -65,17 +57,9 @@ class StoreError(Exception):
 class Index:
     """A named collection of JSON documents with secondary indexes."""
 
-    def __init__(self, name: str, indexed_fields: Optional[Iterable[str]] = None,
-                 plan_mode: str = "planner", agg_mode: Optional[str] = None):
-        if plan_mode not in PLAN_MODES:
-            raise StoreError(f"unknown plan mode {plan_mode!r}")
-        if agg_mode is None:
-            agg_mode = "columnar" if plan_mode == "planner" else "legacy"
-        if agg_mode not in AGG_MODES:
-            raise StoreError(f"unknown agg mode {agg_mode!r}")
+    def __init__(self, name: str,
+                 indexed_fields: Optional[Iterable[str]] = None):
         self.name = name
-        self.plan_mode = plan_mode
-        self.agg_mode = agg_mode
         self._docs: dict[str, dict] = {}
         self._next_id = 1
         #: doc id -> insertion rank; lets index-accelerated scans return
@@ -88,7 +72,7 @@ class Index:
         for field in indexed_fields or ():
             self._fields[field] = FieldIndex(field)
         #: Typed per-field columns for aggregation pushdown, maintained
-        #: incrementally alongside the field indexes (columnar mode).
+        #: incrementally alongside the field indexes.
         self.columns = ColumnSet()
         #: Mutation epoch — any put/delete/refresh bumps it, which is
         #: what keys cached aggregation results out of existence.
@@ -194,8 +178,7 @@ class Index:
         self.epoch += n
         if self._fields:
             self._lane_backlog.append((doc_ids, batch))
-        if self.agg_mode == "columnar":
-            self.columns.extend_new(doc_ids, batch.values_for)
+        self.columns.extend_new(doc_ids, batch.values_for)
         self._pending.append((doc_ids, batch))
         self._pending_count += n
         return n
@@ -282,14 +265,9 @@ class Index:
                 self._next_rank = max(self._next_rank, rank + 1)
         self._docs[doc_id] = source
         self.epoch += 1
-        if self.plan_mode == "planner":
-            for field, index in self._fields.items():
-                index.update(doc_id, get_field(source, field))
-        else:
-            for field, index in self._fields.items():
-                index.churn(doc_id, get_field(source, field))
-        if self.agg_mode == "columnar":
-            self.columns.note_put(doc_id, source)
+        for field, index in self._fields.items():
+            index.update(doc_id, get_field(source, field))
+        self.columns.note_put(doc_id, source)
         return doc_id
 
     def delete(self, doc_id: str) -> bool:
@@ -304,8 +282,7 @@ class Index:
         self.epoch += 1
         for index in self._fields.values():
             index.remove(doc_id)
-        if self.agg_mode == "columnar":
-            self.columns.note_delete(doc_id)
+        self.columns.note_delete(doc_id)
         return True
 
     def get(self, doc_id: str) -> Optional[dict]:
@@ -363,17 +340,8 @@ class Index:
         self._hydrate()
         if self._lane_backlog:
             self._flush_all_lanes()
-        if self.plan_mode != "planner":
-            for doc_id in doc_ids:
-                source = self._docs.get(doc_id)
-                if source is not None:
-                    self.put(source, doc_id)
-            return
         self.epoch += 1
         affected = self._affected_fields(fields)
-        columnar = self.agg_mode == "columnar"
-        if not affected and not columnar:
-            return
         docs = self._docs
         fields = tuple(fields) if fields is not None else None
         for doc_id in doc_ids:
@@ -382,16 +350,13 @@ class Index:
                 continue
             for index in affected:
                 index.update(doc_id, get_field(source, index.field))
-            if columnar:
-                self.columns.note_refresh(doc_id, source, fields)
+            self.columns.note_refresh(doc_id, source, fields)
 
     # ------------------------------------------------------------------
     # Read path
 
     def plan(self, query: Optional[dict]) -> QueryPlan:
         """Plan ``query`` against this index's secondary indexes."""
-        if self.plan_mode == "legacy":
-            return plan_legacy(query, self.ensure_indexed)
         return plan_query(query, self.ensure_indexed)
 
     def scan(self, query: Optional[dict],
@@ -464,8 +429,6 @@ class Index:
 
         The aggregate-only read path: no ``(id, source)`` tuples, no
         hit dicts — just the row-id set the columnar kernels consume.
-        Only valid in columnar agg mode (rows are not tracked
-        otherwise).
         """
         predicate = compile_query(query)   # validates even when exact
         if plan is None:
@@ -574,23 +537,14 @@ class _DocsView:
 class DocumentStore:
     """A collection of named indices — the in-process "Elasticsearch"."""
 
-    def __init__(self, plan_mode: str = "planner",
-                 agg_mode: Optional[str] = None) -> None:
-        if plan_mode not in PLAN_MODES:
-            raise StoreError(f"unknown plan mode {plan_mode!r}")
-        if agg_mode is None:
-            agg_mode = "columnar" if plan_mode == "planner" else "legacy"
-        if agg_mode not in AGG_MODES:
-            raise StoreError(f"unknown agg mode {agg_mode!r}")
-        self.plan_mode = plan_mode
-        self.agg_mode = agg_mode
+    def __init__(self) -> None:
         self._indices: dict[str, Index] = {}
         self.bulk_requests = 0
         self.documents_indexed = 0
         #: Bulk requests served by the vectorized lane path.
         self.columnar_bulks = 0
         self.queries = 0
-        #: Query-planner decisions, by plan mode.
+        #: Query-planner decisions, by plan kind.
         self.plan_counts = {"exact": 0, "pruned": 0, "fullscan": 0}
         #: Documents the executed plans had to examine vs. were stored.
         self.docs_examined = 0
@@ -663,8 +617,8 @@ class DocumentStore:
         ).set_function(lambda: self.agg_pushdowns)
         registry.counter(
             "dio_store_agg_fallback_total",
-            "Aggregation requests served by the legacy dict-walking "
-            "path (unsupported shape or agg_mode=legacy).",
+            "Aggregation requests served by the dict-walking path "
+            "(a shape the columnar kernels do not support).",
         ).set_function(lambda: self.agg_fallbacks)
         registry.counter(
             "dio_store_agg_cache_hits_total",
@@ -745,8 +699,7 @@ class DocumentStore:
         """Create an index; error if it exists."""
         if name in self._indices:
             raise StoreError(f"index {name!r} already exists")
-        index = Index(name, indexed_fields, plan_mode=self.plan_mode,
-                      agg_mode=self.agg_mode)
+        index = Index(name, indexed_fields)
         self._indices[name] = index
         return index
 
@@ -928,7 +881,7 @@ class DocumentStore:
         aggregations = None
         total: Optional[int] = None
         cache_key = cacheable = None
-        if aggs is not None and not sort and target.agg_mode == "columnar":
+        if aggs is not None and not sort:
             cache_key = target.agg_cache_key(query, aggs)
             cacheable = cache_key is not None
             if cacheable:
@@ -949,7 +902,6 @@ class DocumentStore:
 
         plan = self._plan(target, query)
         pushdown = (aggs is not None and aggregations is None and not sort
-                    and target.agg_mode == "columnar"
                     and target.columns.supports(aggs, target.docs_view()))
 
         matches = window = None

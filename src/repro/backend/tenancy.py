@@ -105,8 +105,6 @@ class TenantBackend:
     def __init__(self, shards_per_tenant: int = 2, shard_key: str = "pid",
                  time_window_ns: Optional[int] = None,
                  default_quota_docs: Optional[int] = None,
-                 plan_mode: str = "planner",
-                 agg_mode: Optional[str] = None,
                  parallel: bool = True) -> None:
         if not isinstance(shards_per_tenant, int) or shards_per_tenant < 1:
             raise StoreError(f"shards_per_tenant must be a positive int: "
@@ -115,8 +113,6 @@ class TenantBackend:
         self.shard_key = shard_key
         self.time_window_ns = time_window_ns
         self.default_quota_docs = default_quota_docs
-        self.plan_mode = plan_mode
-        self.agg_mode = agg_mode
         self.parallel = parallel
         self._tenants: dict[str, TenantStore] = {}
 
@@ -130,7 +126,6 @@ class TenantBackend:
                          else shard_count),
             shard_key=self.shard_key,
             time_window_ns=self.time_window_ns,
-            plan_mode=self.plan_mode, agg_mode=self.agg_mode,
             parallel=self.parallel)
         tenant = TenantStore(
             name, inner,

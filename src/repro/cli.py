@@ -648,12 +648,9 @@ def _cmd_dst_repro(args) -> int:
         print(f"dst: replaying scenario file {args.scenario}")
     else:
         scenario = generate(args.seed)
-    if (args.ingest_mode or args.storage_mode or args.shard_count
-            or args.ring_mode):
+    if args.storage_mode or args.shard_count or args.ring_mode:
         import dataclasses
         overrides = {}
-        if args.ingest_mode:
-            overrides["ingest_mode"] = args.ingest_mode
         if args.storage_mode:
             overrides["storage_mode"] = args.storage_mode
         if args.shard_count:
@@ -900,11 +897,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="minimise the scenario if it fails")
     p_dst_repro.add_argument("--shrink-budget", type=int, default=64,
                              help="max harness runs while shrinking")
-    p_dst_repro.add_argument("--ingest-mode",
-                             choices=("vectorized", "legacy"),
-                             help="override the scenario's ingest axis "
-                                  "(e.g. to bisect a vectorized-only "
-                                  "failure)")
     p_dst_repro.add_argument("--storage-mode",
                              choices=("segments", "jsonl"),
                              help="override the scenario's storage axis "

@@ -99,10 +99,11 @@ class CrashingStore:
 
         Shares the bulk ordinal counter with :meth:`bulk`, so a crash
         scheduled "after k bulks" fires at the same point whichever
-        ingest mode the consumer runs — what lets the legacy twin act
-        as the oracle for crash scenarios.  The journal line needs
-        JSON-able docs, so the batch materialises here; that is the
-        durability contract's price, not the ingest path's.
+        endpoint the consumer ships through — what lets the
+        ``bulk``-only twin act as the oracle for crash scenarios.  The
+        journal line needs JSON-able docs, so the batch materialises
+        here; that is the durability contract's price, not the ingest
+        path's.
         """
         self._bulk_calls += 1
         self._accept_bulk(json.dumps(

@@ -10,8 +10,8 @@ Two layers of comparison, both running on every scenario:
    query-engine bug.
 
 2. **Twin-run comparison** — the runner executes the whole pipeline a
-   second time on a ``plan_mode="legacy"``/``agg_mode="legacy"`` store
-   with :func:`~repro.backend.naive.legacy_correlate` instead of the
+   second time through a ``bulk``-only store facade with
+   :func:`~repro.backend.naive.legacy_correlate` instead of the
    grouped-pass correlator.  The stores' final contents (documents,
    ids, resolved paths) and the correlation reports must be identical:
    the optimised pipeline may be faster, never different.

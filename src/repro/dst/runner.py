@@ -4,15 +4,15 @@
 
 1. **fast run** — the full pipeline (apps → kernel → tracer →
    consumer/spill → store → correlation) on the production paths
-   (``plan_mode="planner"``, ``agg_mode="columnar"``, grouped-pass
-   correlator), with the scenario's fault plan, consumer kills, and
-   store crashes applied on the virtual clock;
+   (``bulk_columnar`` ingest, grouped-pass correlator), with the
+   scenario's fault plan, consumer kills, and store crashes applied on
+   the virtual clock;
 2. **invariants** — the :mod:`repro.dst.invariants` library over the
    run's final state and telemetry;
 3. **differential battery** — planner/columnar answers vs. the naive
    oracles on the fast store, plus dashboard renders;
-4. **oracle twin run** — the same scenario again on
-   ``plan_mode="legacy"``/``agg_mode="legacy"`` with
+4. **oracle twin run** — the same scenario again on one store whose
+   tracer-facing layer exposes only per-document ``bulk``, with
    :func:`~repro.backend.naive.legacy_correlate`; final stores and
    correlation reports must match exactly.  Ring-aware scenarios add a
    **classic twin** (:func:`ring_twin_checks`): the same apps under a
@@ -282,6 +282,19 @@ def _run_uring_op(kernel, task, state: _ProcState, op: dict):
 # ----------------------------------------------------------------------
 # Pipeline execution
 
+class _BulkOnly:
+    """Store facade without ``bulk_columnar``: the tracer's capability
+    probe then ships ``RecordBatch.to_docs()`` through ``bulk``."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def __getattr__(self, name: str):
+        if name == "bulk_columnar":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
 class PipelineRun:
     """Final state of one pipeline execution."""
 
@@ -296,18 +309,16 @@ class PipelineRun:
                       key=lambda pair: int(pair[0]))
 
 
-def execute_pipeline(scenario: Scenario, *, plan_mode: str = "planner",
-                     agg_mode: str = "columnar",
-                     fast_correlator: bool = True,
-                     ingest_mode: Optional[str] = None,
+def execute_pipeline(scenario: Scenario, *, oracle: bool = False,
                      shard_count: Optional[int] = None,
                      ring_mode: Optional[str] = None) -> PipelineRun:
     """Run the whole pipeline once for ``scenario``.
 
-    ``ingest_mode`` and ``shard_count`` override the scenario's axes —
-    the oracle twin forces ``"legacy"``/``1`` so vectorized ingest and
-    the scatter-gather router are differentially checked against the
-    per-event single-store path on every seed.  ``ring_mode`` likewise
+    ``oracle`` runs the reference twin: the tracer sees a ``bulk``-only
+    store and correlation is :func:`legacy_correlate`.  With
+    ``shard_count`` forced to ``1`` it checks ``bulk_columnar``, lazy
+    hydration, the router and the grouped-pass correlator against the
+    per-document single-store path on every seed.  ``ring_mode``
     overrides the tracer's ring mode — the classic-twin stage forces
     ``"classic"`` on ring-aware scenarios to pin the blind spot.
     """
@@ -335,8 +346,7 @@ def execute_pipeline(scenario: Scenario, *, plan_mode: str = "planner",
             traced_pids.add(kproc.pid)
 
     shards = scenario.shard_count if shard_count is None else shard_count
-    inner = create_store(shard_count=shards, shard_key="pid",
-                         plan_mode=plan_mode, agg_mode=agg_mode)
+    inner = create_store(shard_count=shards, shard_key="pid")
     layer = inner
     crashing = None
     if scenario.store_crashes:
@@ -358,11 +368,11 @@ def execute_pipeline(scenario: Scenario, *, plan_mode: str = "planner",
         max_inflight_events=scenario.max_inflight_events,
         backpressure_policy=scenario.backpressure_policy,
         resilience_seed=scenario.seed,
-        correlate_on_stop=fast_correlator,
-        ingest_mode=ingest_mode or scenario.ingest_mode,
+        correlate_on_stop=not oracle,
         ring_mode=ring_mode or scenario.ring_mode,
     )
-    tracer = DIOTracer(env, kernel, faulty, config)
+    tracer = DIOTracer(env, kernel,
+                       _BulkOnly(faulty) if oracle else faulty, config)
     tracer.attach()
 
     def app(kproc, spec):
@@ -418,7 +428,7 @@ def execute_pipeline(scenario: Scenario, *, plan_mode: str = "planner",
     run.session = session
     run.traced_pids = traced_pids
     run.report = tracer.correlation_report
-    if not fast_correlator:
+    if oracle:
         run.report = legacy_correlate(inner, DST_INDEX, session=session)
     run.docs = run.snapshot_docs()
     return run
@@ -927,11 +937,7 @@ def run_scenario(scenario: Scenario, *, check_determinism: bool = True,
     digest = run_digest(fast, battery_results, dashboards)
 
     if check_oracle:
-        oracle = execute_pipeline(scenario, plan_mode="legacy",
-                                  agg_mode="legacy",
-                                  fast_correlator=False,
-                                  ingest_mode="legacy",
-                                  shard_count=1)
+        oracle = execute_pipeline(scenario, oracle=True, shard_count=1)
         failures += differential.compare_twin_runs(
             fast.docs, oracle.docs, fast.report, oracle.report)
         failures += ring_twin_checks(fast, scenario)

@@ -89,11 +89,6 @@ class Scenario:
     max_inflight_events: int = 256
     poll_interval_ns: int = 200_000
     ship_max_retries: int = 3
-    #: Consumer ingest path: "vectorized" (lane decode + bulk_columnar,
-    #: the production default) or "legacy" (per-event Event/dict, the
-    #: differential oracle).  Corpus files predating this axis default
-    #: to the production path.
-    ingest_mode: str = "vectorized"
     #: On-disk format exercised by the post-run storage checks:
     #: "segments" (WAL + columnar segment files, docs/STORAGE.md) or
     #: "jsonl" (the oracle export).  Corpus files predating this axis
@@ -176,7 +171,6 @@ class Scenario:
                 f"ring={self.ring_policy} faults={len(self.fault_windows)} "
                 f"ckills={len(self.consumer_crashes)} "
                 f"scrashes={len(self.store_crashes)} "
-                f"ingest={self.ingest_mode} "
                 f"storage={self.storage_mode} "
                 f"shards={self.shard_count} "
                 f"uring={self.ring_mode}")
@@ -441,11 +435,9 @@ def generate(seed: int, scale: float = 1.0) -> Scenario:
                 "torn_frac": round(rng.uniform(0.05, 0.95), 3),
             })
 
-    # Drawn from a separate derived rng so adding this axis kept every
-    # existing seed's other draws (and thus every corpus scenario)
-    # byte-identical.  Weighted toward the production path; the legacy
-    # twin still runs as the oracle either way.
-    ingest_rng = random.Random(f"dio-dst-ingest-{seed}")
+    # Each later axis draws from its own derived rng so adding it kept
+    # every existing seed's other draws (and thus every corpus
+    # scenario) byte-identical.
     storage_rng = random.Random(f"dio-dst-storage-mode-{seed}")
     shard_rng = random.Random(f"dio-dst-shards-{seed}")
 
@@ -482,8 +474,6 @@ def generate(seed: int, scale: float = 1.0) -> Scenario:
         consumer_restart_delay_ns=rng.choice((500_000, 1_500_000,
                                               4_000_000)),
         store_crashes=store_crashes,
-        ingest_mode=ingest_rng.choice(("vectorized", "vectorized",
-                                       "legacy")),
         storage_mode=storage_rng.choice(("segments", "segments", "jsonl")),
         shard_count=shard_rng.choice((1, 1, 2, 3)),
         ring_mode=ring_mode,

@@ -44,9 +44,7 @@ _SECTIONS = (
     ("dio_ingest_", "Vectorized ingest",
      "The columnar bulk-ingest path: ring batches decoded straight "
      "into RecordBatch lanes and appended via ``bulk_columnar`` with "
-     "lazily materialised ``_source`` dicts.  ``ingest_mode=legacy`` "
-     "routes through the per-event path instead (the differential "
-     "oracle)."),
+     "lazily materialised ``_source`` dicts."),
     ("dio_breaker_", "Circuit breaker",
      "Protects a degraded backend from retry storms; state 0=closed, "
      "1=half-open, 2=open."),

@@ -19,7 +19,7 @@ Public entry points:
 """
 
 from repro.tracer.batch import RecordBatch
-from repro.tracer.config import INGEST_MODES, TracerConfig
+from repro.tracer.config import TracerConfig
 from repro.tracer.events import Event, estimate_record_size
 from repro.tracer.filters import KernelFilter
 from repro.tracer.enrichment import Enricher
@@ -31,7 +31,6 @@ from repro.tracer.replay import ReplayReport, TraceReplayer
 
 __all__ = [
     "TracerConfig",
-    "INGEST_MODES",
     "RecordBatch",
     "Event",
     "estimate_record_size",

@@ -1,9 +1,9 @@
 """Columnar decode of ring-buffer record batches (vectorized ingest).
 
-The legacy consumer path materialises one ``Event`` plus one ``dict``
-per record before anything reaches the backend — at 1M events that is
-2M short-lived Python objects on the hot path.  :class:`RecordBatch`
-instead decodes a whole ring-buffer batch into *lanes*:
+One ``Event`` plus one ``dict`` per record (``Event.to_doc``, the
+reference this module is tested against) is 2M short-lived Python
+objects per 1M events on the hot path.  :class:`RecordBatch` instead
+decodes a whole ring-buffer batch into *lanes*:
 
 - dictionary-coded lanes for the low-cardinality string/int fields
   (``syscall``, ``proc_name``, ``pid``, ``tid``, ``file_type``,
@@ -15,7 +15,7 @@ instead decodes a whole ring-buffer batch into *lanes*:
   sanitisation is deferred until a query actually asks for ``args``
   (the backend's default indexed fields never do).
 
-``to_docs()`` materialises the exact documents the legacy path would
+``to_docs()`` materialises the exact documents ``Event.to_doc`` would
 have produced — same key order, same sparsity, same value objects —
 and memoises them, so the lazy path is byte-identical whenever it is
 actually observed.  The lanes degrade gracefully: any value whose
@@ -34,7 +34,7 @@ from repro.tracer.events import _sanitize_args
 
 #: Value classes safe to group by identity of *value*: no cross-type
 #: equality surprises (``bool``/``float`` compare equal to ``int``, so
-#: grouping them could merge rows the legacy path keeps distinct-typed).
+#: grouping them could merge rows ``Event.to_doc`` keeps distinct-typed).
 _GROUP_SAFE = frozenset((str, int, type(None)))
 
 
@@ -76,7 +76,7 @@ def _make_lane(values: list):
 
     Only exact ``str``/``int`` values are grouped: ``bool`` and
     ``float`` compare equal across types (``True == 1``, ``1.0 == 1``),
-    so grouping them could merge rows the legacy path treats as
+    so grouping them could merge rows ``Event.to_doc`` treats as
     distinct and break the byte-identity contract.  The class check is
     one C-speed pass (``set(map(type, ...))``), not a per-row branch.
     """
@@ -125,7 +125,7 @@ class RecordBatch:
     """One ring-buffer batch decoded into columnar lanes.
 
     Build with :meth:`decode`; ``len()`` is the record count.  The
-    batch iterates as the documents the legacy path would have built,
+    batch iterates as the documents ``Event.to_doc`` would have built,
     so existing batch consumers (``DiagnosisTap``, spill WALs) can
     treat it as a document sequence when they must.
     """
@@ -253,7 +253,7 @@ class RecordBatch:
 
     def values_for(self, field: str) -> list:
         """One value per row for ``field``, exactly as ``get_field``
-        would read it off the legacy documents (memoised)."""
+        would read it off the ``to_docs()`` documents (memoised)."""
         cached = self._cache.get(field)
         if cached is not None:
             return cached
@@ -288,7 +288,7 @@ class RecordBatch:
         return out
 
     def to_docs(self) -> list[dict]:
-        """Materialise the legacy documents for this batch (memoised).
+        """Materialise this batch's documents (memoised).
 
         Key order and sparsity replicate ``Event.to_doc`` exactly:
         syscall, args, ret, pid, tid, proc_name, time, time_exit,

@@ -14,12 +14,6 @@ from typing import Optional
 
 from repro.kernel.syscalls import ALL_SYSCALLS
 
-#: Supported consumer ingest paths: "vectorized" decodes ring batches
-#: into columnar RecordBatch lanes shipped via ``bulk_columnar``;
-#: "legacy" materialises one Event + doc dict per record (the
-#: differential oracle, same pattern as plan_mode/agg_mode).
-INGEST_MODES = ("vectorized", "legacy")
-
 #: On-disk layouts for local persistence (``storage_dir``): "segments"
 #: streams acknowledged events through a WAL into immutable columnar
 #: segment files (docs/STORAGE.md); "jsonl" exports one JSON-lines
@@ -85,9 +79,8 @@ class TracerConfig:
 
     # -- backend sharding (scatter-gather coordinator) -------------------
     #: Number of backend shards.  ``1`` (default) serves everything
-    #: from a single ``DocumentStore`` — the differential oracle, same
-    #: pattern as ``ingest_mode``/``storage_mode``.  ``> 1`` routes
-    #: through ``repro.backend.router.ShardedDocumentStore``.
+    #: from a single ``DocumentStore`` — the differential oracle.
+    #: ``> 1`` routes through ``repro.backend.router.ShardedDocumentStore``.
     shard_count: int = 1
     #: Deterministic routing key: "file_tag", "pid", or "time_window".
     shard_key: str = "pid"
@@ -103,10 +96,6 @@ class TracerConfig:
     # -- user-space consumer / shipper ----------------------------------
     #: Events per bulk request to the backend.
     batch_size: int = 512
-    #: How the consumer turns raw ring records into indexed documents:
-    #: "vectorized" (columnar RecordBatch lanes, lazy _source dicts)
-    #: or "legacy" (per-event Event + dict, the differential oracle).
-    ingest_mode: str = "vectorized"
     #: Consumer poll interval when the ring buffers are empty (ns).
     poll_interval_ns: int = 200_000
     #: User-space cost to parse one raw record into a JSON event (ns).
@@ -189,10 +178,6 @@ class TracerConfig:
             raise ValueError(f"unknown ring policy {self.ring_policy!r}")
         if self.batch_size <= 0:
             raise ValueError("batch size must be positive")
-        if self.ingest_mode not in INGEST_MODES:
-            raise ValueError(
-                f"unknown ingest mode {self.ingest_mode!r};"
-                " pick 'vectorized' or 'legacy'")
         if self.storage_mode not in STORAGE_MODES:
             raise ValueError(
                 f"unknown storage mode {self.storage_mode!r};"
@@ -268,70 +253,74 @@ class TracerConfig:
             shard_count = 4
             shard_key = "pid"
             time_window_ns = 1000000000
+
+        A section or key this parser does not read raises
+        ``ValueError`` naming it.
         """
         data = tomllib.loads(text)
-        tracer = data.get("tracer", {})
-        ring = data.get("ring_buffer", {})
-        backend = data.get("backend", {})
         kwargs: dict = {}
-        if "syscalls" in tracer:
-            kwargs["syscalls"] = frozenset(tracer["syscalls"])
-        if "pids" in tracer:
-            kwargs["pids"] = frozenset(tracer["pids"])
-        if "tids" in tracer:
-            kwargs["tids"] = frozenset(tracer["tids"])
-        if "paths" in tracer:
-            kwargs["paths"] = tuple(tracer["paths"])
-        if "session_name" in tracer:
-            kwargs["session_name"] = tracer["session_name"]
-        if "ring_mode" in tracer:
-            kwargs["ring_mode"] = str(tracer["ring_mode"])
-        if "capacity_mib_per_cpu" in ring:
-            kwargs["ring_capacity_bytes_per_cpu"] = (
-                int(ring["capacity_mib_per_cpu"]) * 1024 * 1024)
-        if "policy" in ring:
-            kwargs["ring_policy"] = ring["policy"]
-        if "index" in backend:
-            kwargs["index"] = backend["index"]
-        if "batch_size" in backend:
-            kwargs["batch_size"] = int(backend["batch_size"])
-        if "ingest_mode" in backend:
-            kwargs["ingest_mode"] = str(backend["ingest_mode"])
-        if "correlate_on_stop" in backend:
-            kwargs["correlate_on_stop"] = bool(backend["correlate_on_stop"])
-        storage = data.get("storage", {})
-        if "dir" in storage:
-            kwargs["storage_dir"] = str(storage["dir"])
-        if "mode" in storage:
-            kwargs["storage_mode"] = str(storage["mode"])
-        if "flush_events" in storage:
-            kwargs["storage_flush_events"] = int(storage["flush_events"])
-        sharding = data.get("sharding", {})
-        if "shard_count" in sharding:
-            kwargs["shard_count"] = int(sharding["shard_count"])
-        if "shard_key" in sharding:
-            kwargs["shard_key"] = str(sharding["shard_key"])
-        if "time_window_ns" in sharding:
-            kwargs["shard_time_window_ns"] = int(sharding["time_window_ns"])
-        telemetry = data.get("telemetry", {})
-        if "enabled" in telemetry:
-            kwargs["telemetry_enabled"] = bool(telemetry["enabled"])
-        resilience = data.get("resilience", {})
-        for key, cast in (("backoff_cap_ns", int),
-                          ("resilience_seed", int),
-                          ("breaker_failure_threshold", int),
-                          ("breaker_recovery_ns", int),
-                          ("max_inflight_events", int),
-                          ("backpressure_policy", str),
-                          ("batch_min_size", int),
-                          ("spill_enabled", bool),
-                          ("spill_write_ns_per_event", int),
-                          ("spill_replay_failure_budget", int)):
-            if key in resilience:
-                kwargs[key] = cast(resilience[key])
-        if "ship_max_retries" in resilience:
-            kwargs["ship_max_retries"] = int(resilience["ship_max_retries"])
-        if "ship_retry_backoff_ns" in resilience:
-            kwargs["ship_retry_backoff_ns"] = int(
-                resilience["ship_retry_backoff_ns"])
+        for section, entries in data.items():
+            known = _TOML_KEYS.get(section)
+            if known is None or not isinstance(entries, dict):
+                raise ValueError(f"unknown config section [{section}]")
+            for key, value in entries.items():
+                if key not in known:
+                    raise ValueError(
+                        f"unknown config key {key!r} in [{section}]")
+                field, cast = known[key]
+                kwargs[field] = value if cast is None else cast(value)
         return cls(**kwargs)
+
+
+def _mib(value) -> int:
+    return int(value) * 1024 * 1024
+
+
+#: Every ``[section] key`` :meth:`TracerConfig.from_toml` reads, with
+#: the config field it sets and the cast applied (``None``: as parsed).
+#: Anything else in the document is rejected by name.
+_TOML_KEYS: dict[str, dict[str, tuple]] = {
+    "tracer": {
+        "syscalls": ("syscalls", frozenset),
+        "pids": ("pids", frozenset),
+        "tids": ("tids", frozenset),
+        "paths": ("paths", tuple),
+        "session_name": ("session_name", None),
+        "ring_mode": ("ring_mode", str),
+    },
+    "ring_buffer": {
+        "capacity_mib_per_cpu": ("ring_capacity_bytes_per_cpu", _mib),
+        "policy": ("ring_policy", None),
+    },
+    "backend": {
+        "index": ("index", None),
+        "batch_size": ("batch_size", int),
+        "correlate_on_stop": ("correlate_on_stop", bool),
+    },
+    "storage": {
+        "dir": ("storage_dir", str),
+        "mode": ("storage_mode", str),
+        "flush_events": ("storage_flush_events", int),
+    },
+    "sharding": {
+        "shard_count": ("shard_count", int),
+        "shard_key": ("shard_key", str),
+        "time_window_ns": ("shard_time_window_ns", int),
+    },
+    "telemetry": {"enabled": ("telemetry_enabled", bool)},
+    "resilience": {
+        key: (key, cast) for key, cast in (
+            ("backoff_cap_ns", int),
+            ("resilience_seed", int),
+            ("breaker_failure_threshold", int),
+            ("breaker_recovery_ns", int),
+            ("max_inflight_events", int),
+            ("backpressure_policy", str),
+            ("batch_min_size", int),
+            ("spill_enabled", bool),
+            ("spill_write_ns_per_event", int),
+            ("spill_replay_failure_budget", int),
+            ("ship_max_retries", int),
+            ("ship_retry_backoff_ns", int))
+    },
+}

@@ -45,7 +45,7 @@ from repro.telemetry import Telemetry
 from repro.tracer.batch import RecordBatch
 from repro.tracer.config import TracerConfig
 from repro.tracer.enrichment import ENRICHMENT_COST_NS, Enricher
-from repro.tracer.events import Event, estimate_record_size
+from repro.tracer.events import estimate_record_size
 from repro.tracer.filters import KernelFilter
 from repro.tracer.resilience import (AdaptiveBatcher, BREAKER_OPEN,
                                      CircuitBreaker,
@@ -58,7 +58,7 @@ class _StagedBatch:
 
     __slots__ = ("docs", "attempts")
 
-    def __init__(self, docs: list):
+    def __init__(self, docs: RecordBatch):
         self.docs = docs
         self.attempts = 0
 
@@ -230,18 +230,14 @@ class DIOTracer:
             "dio_consumer_crash_lost_total",
             "Parsed events lost from user-space staging when the "
             "consumer process crashed before shipping them.")
-        # Ingest-path accounting.  The labelled child is resolved once
-        # here so the consumer pays a single counter add per batch —
-        # not a labels() lookup (let alone an add) per event.
+        # Ingest-path accounting: one counter add per batch, never
+        # per event.
         self._m_ingest_batches = registry.counter(
             "dio_ingest_batches_total",
-            "Ring-buffer batches decoded by the consumer, by ingest "
-            "path.", labelnames=("mode",)).labels(
-                mode=self.config.ingest_mode)
+            "Ring-buffer batches decoded by the consumer.")
         self._m_ingest_events = registry.counter(
             "dio_ingest_events_total",
-            "Events decoded by the consumer, by ingest path.",
-            labelnames=("mode",)).labels(mode=self.config.ingest_mode)
+            "Events decoded by the consumer.")
         # io_uring visibility.  The kernel-side lifecycle counters are
         # bound unconditionally (they read the kernel's own tallies);
         # the observed counter only moves in ring-aware mode — the gap
@@ -572,22 +568,6 @@ class DIOTracer:
         self._consume_cursor = (self._consume_cursor + 1) % ncpus
         return batch
 
-    def _parse(self, record: dict) -> Event:
-        return Event(
-            syscall=record["syscall"],
-            args=record["args"],
-            ret=record["ret"],
-            pid=record["pid"],
-            tid=record["tid"],
-            proc_name=record["comm"],
-            time=record["enter_ns"],
-            time_exit=record["exit_ns"],
-            file_type=record.get("file_type"),
-            offset=record.get("offset"),
-            file_tag=record.get("file_tag"),
-            session=self.config.session_name,
-        )
-
     def _bulk(self, docs, nominal_ns: int) -> None:
         if isinstance(docs, RecordBatch):
             if not self._store_bulk_columnar:
@@ -667,11 +647,9 @@ class DIOTracer:
                     write_ns = config.spill_write_ns_per_event * len(docs)
                     if write_ns:
                         yield self.env.timeout(write_ns)
-                    # The WAL needs JSON-able records: a RecordBatch
+                    # The WAL needs JSON-able records: the batch
                     # materialises its docs on the way down.
-                    payload = (docs.to_docs()
-                               if isinstance(docs, RecordBatch) else docs)
-                    self._spill.append(payload, self.env.now)
+                    self._spill.append(docs.to_docs(), self.env.now)
                     self._staged.popleft()
                     self._staged_events -= len(docs)
                 return
@@ -743,21 +721,13 @@ class DIOTracer:
             batch = batch[:keep]
             if not batch:
                 return True
-        vectorized = config.ingest_mode == "vectorized"
         with self.telemetry.span("consumer.batch"):
-            # Parse raw records into the staged representation — lanes
-            # or per-event docs, same virtual CPU cost either way (the
-            # modes must interleave identically; wall-clock is where
-            # the vectorized path wins).
+            # Parse raw records into columnar lanes.
             with self.telemetry.span("consumer.parse"):
                 yield self.env.timeout(
                     config.parse_ns_per_event * len(batch))
-                if vectorized:
-                    payload = RecordBatch.decode(
-                        batch, session=config.session_name)
-                else:
-                    payload = [self._parse(record).to_doc()
-                               for record in batch]
+                payload = RecordBatch.decode(
+                    batch, session=config.session_name)
             count = len(payload)
             self._m_parsed.inc(count)
             self._m_ingest_batches.inc()

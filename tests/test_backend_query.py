@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.backend.query import (QueryError, compile_query, get_field,
-                                 term_candidates)
+from repro.backend.query import QueryError, compile_query, get_field
 
 DOC = {
     "syscall": "write",
@@ -150,27 +149,3 @@ class TestErrors:
     def test_unknown_bool_section(self):
         with pytest.raises(QueryError):
             compile_query({"bool": {"must_never": []}})
-
-
-class TestTermCandidates:
-    def test_term_extraction(self):
-        assert term_candidates({"term": {"syscall": "read"}}) == [
-            ("syscall", ["read"])]
-
-    def test_terms_extraction(self):
-        assert term_candidates({"terms": {"syscall": ["a", "b"]}}) == [
-            ("syscall", ["a", "b"])]
-
-    def test_bool_must_extraction(self):
-        query = {"bool": {"must": [
-            {"term": {"session": "s1"}},
-            {"range": {"time": {"gte": 0}}},
-        ]}}
-        assert term_candidates(query) == [("session", ["s1"])]
-
-    def test_no_candidates_for_range(self):
-        assert term_candidates({"range": {"t": {"gte": 0}}}) is None
-
-    def test_should_not_usable_for_pruning(self):
-        assert term_candidates({"bool": {"should": [
-            {"term": {"a": 1}}]}}) is None

@@ -116,7 +116,7 @@ def test_repo_baselines_render(baseline):
 
 def test_bench_files_use_the_shared_loader():
     bench_dir = _MODULE_PATH.parent
-    for name in ("test_query_engine.py", "test_aggregations.py",
+    for name in ("test_storage.py", "test_sharding.py",
                  "test_resilience_pipeline.py"):
         text = (bench_dir / name).read_text(encoding="utf-8")
         assert "from _baseline import append_trajectory" in text, name

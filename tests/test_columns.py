@@ -383,20 +383,6 @@ class TestAggCache:
         stats = store.agg_stats()
         assert stats["cache_hits"] == 0 and stats["cache_misses"] == 0
 
-    def test_legacy_agg_mode_skips_columns_and_cache(self):
-        legacy = DocumentStore(agg_mode="legacy")
-        legacy.bulk("ev", [{"p": "a"}])
-        legacy.search("ev", size=0, aggs=self.AGGS)
-        legacy.search("ev", size=0, aggs=self.AGGS)
-        stats = legacy.agg_stats()
-        assert stats["pushdowns"] == 0 and stats["fallbacks"] == 2
-        assert stats["cache_misses"] == 0
-        assert not legacy._index("ev").columns._columns
-
-    def test_agg_mode_validated(self):
-        with pytest.raises(StoreError):
-            DocumentStore(agg_mode="mystery")
-
 
 # ---------------------------------------------------------------------------
 # size=0 never materialises hits

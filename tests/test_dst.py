@@ -122,8 +122,7 @@ def _sequential_writer_scenario() -> Scenario:
 def _restore_bulk():
     # Mutation tests patch ``DocumentStore.bulk`` with an injected bug.
     # Route the vectorized endpoint through the (patched) dict path for
-    # the fixture's lifetime, so the bug fires whichever ingest_mode
-    # the scenario generator picked.
+    # the fixture's lifetime, so the bug fires on the fast run too.
     real = DocumentStore.bulk
     real_columnar = DocumentStore.bulk_columnar
     DocumentStore.bulk_columnar = (
@@ -204,6 +203,32 @@ def test_shrinker_minimises_a_failing_scenario(_restore_bulk):
     # sharded fast run the drop bug may only be visible as a divergence
     # from the single-shard oracle, not as an invariant violation.
     assert not run_scenario(outcome.scenario, check_determinism=False).ok
+
+
+@pytest.mark.parametrize("sabotage", ["drop", "corrupt"])
+def test_bulk_only_twin_catches_sabotaged_bulk_columnar(monkeypatch,
+                                                        sabotage):
+    # The oracle twin's tracer never sees ``bulk_columnar``, so a bug
+    # confined to the vectorized endpoint makes the two runs diverge.
+    real_columnar = DocumentStore.bulk_columnar
+
+    def buggy_columnar(self, index, batch, *args, **kwargs):
+        if sabotage == "drop":
+            batch = batch.take(list(range(len(batch) - 1)))
+        else:
+            batch = batch.take(list(range(len(batch))))
+            batch._time_exit[0] += 1
+        return real_columnar(self, index, batch, *args, **kwargs)
+
+    monkeypatch.setattr(DocumentStore, "bulk_columnar", buggy_columnar)
+    scenario = _sequential_writer_scenario()
+    result = run_scenario(scenario, check_determinism=False)
+    assert any(f.startswith("twin-run") for f in result.failures)
+    if sabotage == "corrupt":
+        # No invariant sees an exit timestamp off by 1 ns: without
+        # the twin this bug would pass.
+        assert run_scenario(scenario, check_determinism=False,
+                            check_oracle=False).ok
 
 
 def test_shrink_of_passing_scenario_reports_not_failing():

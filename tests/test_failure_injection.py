@@ -11,9 +11,8 @@ from repro.tracer import DIOTracer, TracerConfig
 class FlakyStore(DocumentStore):
     """A backend that fails the first N bulk requests.
 
-    Both bulk entry points count against the same budget, so the
-    injection is ingest-mode agnostic (the vectorized consumer ships
-    via ``bulk_columnar``, the legacy oracle via ``bulk``).
+    Both bulk entry points count against the same budget (the
+    consumer ships via ``bulk_columnar``, spill replay via ``bulk``).
     """
 
     def __init__(self, failures: int):

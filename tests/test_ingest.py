@@ -1,11 +1,12 @@
 """Vectorized ingest: RecordBatch lanes, bulk_columnar, lazy hydration.
 
-The fast path's contract is *byte-identity with the legacy path
-whenever it is observed*: documents a query returns, index structures,
-counters, and diagnosis output must all match what per-event ``Event``
-materialisation would have produced.  These are the unit-level checks;
-``tests/test_ingest_differential.py`` generalises them with Hypothesis
-and the DST harness runs the legacy twin as an oracle on every seed.
+The fast path's contract is *byte-identity with per-event
+materialisation whenever it is observed*: documents a query returns,
+index structures, counters, and diagnosis output must all match what
+``Event.to_doc`` + per-document ``bulk`` would have produced.  These
+are the unit-level checks; ``tests/test_ingest_differential.py``
+generalises them with Hypothesis and the DST harness runs a
+``bulk``-only twin as an oracle on every seed.
 """
 
 import json
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from repro.backend import DocumentStore
+from repro.dst.runner import _BulkOnly
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
 from repro.tracer import DIOTracer, RecordBatch, TracerConfig
@@ -304,15 +306,21 @@ class TestBulkColumnar:
 
 
 # ----------------------------------------------------------------------
-# The consumer: mode equivalence + batched counter updates
+# The consumer: endpoint equivalence + batched counter updates
 
-def run_pipeline(ingest_mode, hook=None):
-    """Trace a small workload end-to-end under ``ingest_mode``."""
+def run_pipeline(bulk_only, hook=None):
+    """Trace a small workload end-to-end.
+
+    ``bulk_only`` hides ``bulk_columnar`` from the tracer, so every
+    batch ships as ``RecordBatch.to_docs()`` through per-document
+    ``bulk`` — the reference the vectorized endpoint must match.
+    """
     env = Environment()
     kernel = Kernel(env, ncpus=2)
     store = DocumentStore()
-    tracer = DIOTracer(env, kernel, store,
-                       TracerConfig(ingest_mode=ingest_mode))
+    tracer = DIOTracer(env, kernel,
+                       _BulkOnly(store) if bulk_only else store,
+                       TracerConfig())
     if hook is not None:
         hook(tracer)
     task = kernel.spawn_process("app").threads[0]
@@ -333,34 +341,36 @@ def run_pipeline(ingest_mode, hook=None):
 
 class TestConsumerModes:
     def test_modes_store_identical_documents(self):
-        stores = {}
-        for mode in ("vectorized", "legacy"):
-            store, _ = run_pipeline(mode)
-            stores[mode] = list(store.scan("dio_trace", {"match_all": {}}))
-        assert stores["vectorized"] == stores["legacy"]
+        stores = []
+        for bulk_only in (False, True):
+            store, _ = run_pipeline(bulk_only)
+            stores.append(list(store.scan("dio_trace", {"match_all": {}})))
+            assert store.columnar_bulks == (0 if bulk_only
+                                            else store.bulk_requests)
+        assert stores[0] == stores[1]
+        assert json.dumps(stores[0]) == json.dumps(stores[1])
 
     def test_modes_agree_on_shared_counters(self):
-        values = {}
-        for mode in ("vectorized", "legacy"):
-            _, tracer = run_pipeline(mode)
+        values = []
+        for bulk_only in (False, True):
+            _, tracer = run_pipeline(bulk_only)
             registry = tracer.telemetry.registry
-            values[mode] = {
+            values.append({
                 name: registry.value(name)
                 for name in ("dio_consumer_events_parsed_total",
                              "dio_consumer_batches_total",
-                             "dio_shipper_events_total")
-            }
-            values[mode]["ingest_events"] = registry.value(
-                "dio_ingest_events_total", {"mode": mode})
-            values[mode]["ingest_batches"] = registry.value(
-                "dio_ingest_batches_total", {"mode": mode})
-        lhs, rhs = values["vectorized"], values["legacy"]
-        assert lhs == {**rhs, **{}}  # identical counter readings
-        assert lhs["ingest_events"] == lhs[
+                             "dio_shipper_events_total",
+                             "dio_ingest_events_total",
+                             "dio_ingest_batches_total")
+            })
+        lhs, rhs = values
+        assert lhs == rhs  # identical counter readings
+        assert lhs["dio_ingest_events_total"] == lhs[
             "dio_consumer_events_parsed_total"]
 
-    @pytest.mark.parametrize("mode", ["vectorized", "legacy"])
-    def test_counter_updates_are_batched(self, mode):
+    @pytest.mark.parametrize("bulk_only", [False, True],
+                             ids=["vectorized", "legacy"])
+    def test_counter_updates_are_batched(self, bulk_only):
         # One registry add per batch, not per event: the parsed-events
         # counter and both ingest counters must each be incremented
         # exactly as many times as there were batches.
@@ -381,7 +391,7 @@ class TestConsumerModes:
             tracer._m_ingest_batches = CountingProxy(
                 tracer._m_ingest_batches, "batches")
 
-        _, tracer = run_pipeline(mode, hook=hook)
+        _, tracer = run_pipeline(bulk_only, hook=hook)
         registry = tracer.telemetry.registry
         batches = registry.value("dio_consumer_batches_total")
         parsed = registry.value("dio_consumer_events_parsed_total")
@@ -393,15 +403,6 @@ class TestConsumerModes:
 
 
 class TestIngestConfig:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            TracerConfig(ingest_mode="simd")
-
-    def test_from_toml_reads_ingest_mode(self):
-        config = TracerConfig.from_toml(
-            "[backend]\ningest_mode = 'legacy'\n")
-        assert config.ingest_mode == "legacy"
-
     def test_store_without_bulk_columnar_degrades(self):
         # A backend predating the vectorized endpoint still works: the
         # consumer materialises the batch and ships a dict bulk.

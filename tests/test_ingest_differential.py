@@ -11,12 +11,17 @@ under subsequent mutations.
 """
 
 import json
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore
-from repro.tracer import RecordBatch
+from repro.dst import Scenario, generate
+from repro.dst.runner import execute_pipeline
+from repro.tracer import DIOTracer, RecordBatch
 from repro.tracer.events import Event
+from tests.test_ingest import legacy_docs
 
 SESSION = "diff-test"
 
@@ -190,3 +195,39 @@ class TestDifferentialIngest:
         assert list(decoded) == expected
         assert [list(doc) for doc in decoded] == [
             list(doc) for doc in expected]
+
+
+# --- decode differential over the DST syscall surface -----------------------
+#
+# The DST oracle twin ships ``RecordBatch.to_docs()`` through ``bulk``,
+# so it no longer runs ``Event.to_doc`` end to end.  This pins the
+# decode itself against it on everything the DST apps can emit
+# (metadata storms, xattrs, unicode paths, io_uring ops, failed calls).
+
+_SCENARIOS = (
+    [pytest.param(path, id=path.stem) for path in
+     sorted((Path(__file__).parent / "corpus").glob("*.json"))]
+    + [pytest.param(seed, id=f"seed-{seed}")
+       for seed in (1, 3, 5, 8, 12, 78)])
+
+
+@pytest.mark.parametrize("source", _SCENARIOS)
+def test_decode_matches_event_to_doc_on_dst_surface(source, monkeypatch):
+    scenario = (generate(source) if isinstance(source, int)
+                else Scenario.load(source))
+    drained = []
+    take_batch = DIOTracer._take_batch
+
+    def spy(self, limit=None):
+        batch = take_batch(self, limit)
+        if batch:
+            drained.append((self.config.session_name, list(batch)))
+        return batch
+
+    monkeypatch.setattr(DIOTracer, "_take_batch", spy)
+    execute_pipeline(scenario)
+    assert drained
+    for session, batch in drained:
+        decoded = RecordBatch.decode(batch, session=session).to_docs()
+        assert json.dumps(decoded) == json.dumps(
+            legacy_docs(batch, session=session))

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.backend import DocumentStore, FieldIndex, QueryPlan
-from repro.backend.store import Index, StoreError
 
 
 class TestFieldIndex:
@@ -225,21 +224,6 @@ class TestStorePlanTelemetry:
         store.search("idx", query={"term": {"k": 1}})
         assert registry.value("dio_store_plan_exact_total") == 1
         assert registry.value("dio_store_plan_pruning_ratio") == pytest.approx(0.9)
-
-    def test_legacy_mode_never_exact(self):
-        store = DocumentStore(plan_mode="legacy")
-        store.bulk("idx", [{"k": i} for i in range(5)])
-        store.search("idx", query={"term": {"k": 2}})
-        store.search("idx", query={"range": {"k": {"gte": 3}}})
-        assert store.plan_counts["exact"] == 0
-        assert store.plan_counts["pruned"] == 1
-        assert store.plan_counts["fullscan"] == 1
-
-    def test_unknown_plan_mode_rejected(self):
-        with pytest.raises(StoreError):
-            DocumentStore(plan_mode="psychic")
-        with pytest.raises(StoreError):
-            Index("idx", plan_mode="psychic")
 
 
 class TestScanSemantics:

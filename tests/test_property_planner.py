@@ -81,8 +81,8 @@ def _bool_of(children):
 queries = st.recursive(leaf_queries, _bool_of, max_leaves=8)
 
 
-def _loaded(docs, plan_mode):
-    store = DocumentStore(plan_mode=plan_mode)
+def _loaded(docs):
+    store = DocumentStore()
     store.ensure_index("events", indexed_fields=("syscall", "time", "path"))
     store.bulk("events", [dict(doc) for doc in docs])
     return store
@@ -92,24 +92,17 @@ class TestPlannerEquivalence:
     @given(docs=st.lists(documents, max_size=30), query=queries)
     @settings(max_examples=250, deadline=None)
     def test_planner_scan_matches_naive_scan(self, docs, query):
-        store = _loaded(docs, "planner")
+        store = _loaded(docs)
         oracle = naive_scan(store._index("events"), query)
         assert store.scan("events", query) == oracle
         assert store.count("events", query) == len(oracle)
         assert sorted(store.stream("events", query)) == sorted(oracle)
 
-    @given(docs=st.lists(documents, max_size=30), query=queries)
-    @settings(max_examples=100, deadline=None)
-    def test_legacy_scan_matches_naive_scan(self, docs, query):
-        store = _loaded(docs, "legacy")
-        oracle = naive_scan(store._index("events"), query)
-        assert store.scan("events", query) == oracle
-
     @given(docs=st.lists(documents, max_size=25), query=queries,
            data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_equivalence_survives_updates_and_deletes(self, docs, query, data):
-        store = _loaded(docs, "planner")
+        store = _loaded(docs)
         index = store._index("events")
         if docs:
             victim = str(data.draw(st.integers(1, len(docs))))

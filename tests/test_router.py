@@ -305,8 +305,8 @@ class TestFactory:
     def test_create_store_single_is_plain(self):
         assert type(create_store(shard_count=1)) is DocumentStore
 
-    def test_create_store_sharded_passes_modes(self):
-        store = create_store(shard_count=2, shard_key="file_tag",
-                             plan_mode="legacy")
+    def test_create_store_sharded_is_router(self):
+        store = create_store(shard_count=2, shard_key="file_tag")
         assert isinstance(store, ShardedDocumentStore)
-        assert all(s.plan_mode == "legacy" for s in store.shards)
+        assert (store.shard_count, store.shard_key) == (2, "file_tag")
+        assert all(type(s) is DocumentStore for s in store.shards)

@@ -366,6 +366,19 @@ class TestConfig:
         assert config.batch_size == 128
         assert config.correlate_on_stop is False
 
+    def test_from_toml_rejects_what_it_does_not_read(self):
+        for text, named in [
+            ("[backend]\nbatchsize = 4\n", "'batchsize' in [backend]"),
+            ("[storge]\ndir = '/tmp/x'\n", "[storge]"),
+            # Retired with the per-event consumer path: rejected by
+            # name, not silently parsed to defaults.
+            ("[backend]\ningest_mode = 'legacy'\n",
+             "'ingest_mode' in [backend]"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                TracerConfig.from_toml(text)
+            assert named in str(excinfo.value)
+
     def test_default_enables_all_42(self):
         # The 42 classic syscalls of Table I plus the three io_uring
         # control syscalls.
