@@ -39,7 +39,7 @@ package is an in-process substitute exposing the same operations:
 """
 
 from repro.backend.store import DocumentStore, Index, StoreError
-from repro.backend.columns import Column, ColumnSet, ColumnarUnsupported
+from repro.backend.columns import Column, ColumnSet
 from repro.backend.query import compile_query, QueryError
 from repro.backend.planner import QueryPlan, plan_query
 from repro.backend.indexes import FieldIndex
@@ -64,7 +64,6 @@ __all__ = [
     "StoreError",
     "Column",
     "ColumnSet",
-    "ColumnarUnsupported",
     "compile_query",
     "QueryError",
     "QueryPlan",

@@ -26,10 +26,17 @@ The kernels are written to be *byte-identical* with the legacy
 dict-walking path: they iterate rows in insertion order, perform the
 same arithmetic in the same order (float sums are order-sensitive),
 key buckets exactly the way a dict over the original values would, and
-raise :class:`ColumnarUnsupported` for any shape where fidelity cannot
-be guaranteed (value-equal keys of different types, unhashable values,
-NaN-ish cardinality inputs) so the store falls back to the legacy
-oracle.  ``supports()`` makes that decision *before* any work is done.
+decline any shape where fidelity cannot be guaranteed (value-equal keys
+of different types, unhashable values, NaN-ish cardinality inputs) so
+the store falls back to the legacy oracle.  ``supports()`` makes that
+decision *before* any work is done.
+
+This module is the only place that knows how an aggregation is
+validated, computed and finished.  The kernels return *mergeable
+partials* (:meth:`ColumnSet.partial`) and one :meth:`ColumnSet.merge`
+finishes them, whether there is one partial (``DocumentStore.search``,
+via :meth:`ColumnSet.run`) or one per shard (the scatter-gather
+coordinator in :mod:`repro.backend.router`).
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
@@ -56,23 +65,15 @@ METRIC_KINDS = ("percentiles", "stats", "avg", "min", "max", "sum",
                 "value_count", "cardinality")
 
 
-class ColumnarUnsupported(Exception):
-    """The columnar engine cannot guarantee fidelity for this request.
-
-    Raised (or signalled via :meth:`ColumnSet.supports`) to route the
-    request to the legacy dict-walking path, which is always correct.
-    """
-
-
 class Column:
     """One field's typed storage across all rows.
 
     Two representations are maintained together:
 
     - ``codes``/``table`` — dictionary encoding over every *indexable*
-      value (str, int, float, bool, tuple).  Codes key on
-      ``(type, value)`` so ``1``, ``1.0`` and ``True`` get distinct
-      codes even though they are ``==``; when such value-equal codes
+      value (str, int, float, bool, tuple).  Codes key on type, then
+      value, so ``1``, ``1.0`` and ``True`` get distinct codes even
+      though they are ``==``; when such value-equal codes
       coexist the ``collisions`` flag is raised and terms pushdown is
       refused (a dict over the raw values would merge them under the
       first-seen key, which code-level grouping cannot reproduce).
@@ -83,7 +84,7 @@ class Column:
       original Python objects in the int and float cases too.
     """
 
-    __slots__ = ("field", "codes", "table", "_code_of", "_eq_code",
+    __slots__ = ("field", "codes", "table", "_code_of",
                  "collisions", "unencodable", "nonnull",
                  "num_kind", "nums", "numeric", "numeric_count", "simple",
                  "num_sorted", "_hi_row", "_num_hi",
@@ -93,9 +94,10 @@ class Column:
         self.field = field
         self.codes = array("i")
         self.table: list = []
-        self._code_of: dict = {}
-        #: value -> first code, for cross-type collision detection.
-        self._eq_code: dict = {}
+        #: value class -> {value -> code}: one table per class costs no
+        #: key tuple per distinct value, and a value found in another
+        #: class's table *is* the cross-type collision.
+        self._code_of: dict[type, dict] = {}
         self.collisions = False
         #: rows holding values the code table cannot key (list/dict).
         self.unencodable = 0
@@ -176,18 +178,20 @@ class Column:
             self.codes[row] = -1
             return
         try:
-            key = (value.__class__, value)
-            code = self._code_of.get(key)
+            codes_of = self._code_of.get(value.__class__)
+            if codes_of is None:
+                hash(value)               # unhashable: no table for it
+                codes_of = self._code_of[value.__class__] = {}
+            code = codes_of.get(value)
             if code is None:
                 code = len(self.table)
-                self._code_of[key] = code
+                codes_of[value] = code
                 self.table.append(value)
-                first = self._eq_code.get(value)
-                if first is None:
-                    self._eq_code[value] = code
-                else:
-                    # 1 vs 1.0 vs True: a dict over raw values would
-                    # merge these; code-level grouping cannot.
+                # 1 vs 1.0 vs True: a dict over raw values would
+                # merge these; code-level grouping cannot.
+                if len(self._code_of) > 1 and any(
+                        value in other for other in self._code_of.values()
+                        if other is not codes_of):
                     self.collisions = True
             elif (isinstance(value, float) and value == 0.0
                     and repr(value) != repr(self.table[code])):
@@ -473,35 +477,58 @@ class ColumnSet:
         return True
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: partial kernels, then one merge for 1 or N partials
 
     def run(self, aggs: dict, rows: Sequence[int]) -> dict:
         """Evaluate ``aggs`` over ``rows`` — columnar twin of
         :func:`repro.backend.aggregations.run_aggregations`.
 
+        The one-shard case of :meth:`merge`: a single partial, which
+        can never be ambiguous.
+        """
+        return self.merge(aggs, [self.partial(aggs, rows)])
+
+    def partial(self, aggs: dict, rows: Sequence[int]) -> dict:
+        """Evaluate ``aggs`` over ``rows`` into a *mergeable partial*.
+
         ``rows`` must be ascending (insertion order); callers obtain it
         from :meth:`all_rows` / :meth:`rows_for_ids` or a per-bucket
         partition.  Assumes :meth:`supports` answered ``True``.
+
+        One entry per aggregation name, shaped by kind so that partials
+        over disjoint row sets (shards) combine in :meth:`merge`:
+
+        - bucket kinds: an insertion-ordered ``key -> (doc_count, child
+          partial or None)`` map keyed by the original *values* (codes
+          are local to one column), recursive for nested requests;
+        - ``value_count``: an int; ``cardinality``: the set of value
+          ``repr`` strings;
+        - ``percentiles``: ``(values, int_only)``; ``stats``/``avg``/
+          ``min``/``max``/``sum``: ``(count, min, max, sum, int_only)``.
+
+        A partial may alias column storage and may sit in a cache:
+        never mutate one.
         """
-        results: dict[str, Any] = {}
+        out: dict[str, Any] = {}
         for name, spec in aggs.items():
-            nested = spec.get("aggs") or spec.get("aggregations")
-            kind = next(k for k in spec if k not in ("aggs", "aggregations"))
-            body = spec[kind]
+            kind, body, nested = _parse(spec)
             column = self._columns[body["field"]]
             if kind == "terms":
-                results[name] = self._terms(column, body, rows, nested)
+                out[name] = self._terms(column, rows, nested)
             elif kind in ("histogram", "date_histogram"):
-                results[name] = self._histogram(column, body, rows, nested)
+                out[name] = self._histogram(column, body, rows, nested)
             else:
-                results[name] = self._metric(kind, column, body, rows)
-        return results
+                out[name] = self._metric(kind, column, rows)
+        return out
 
-    def _terms(self, column: Column, body: dict, rows: Sequence[int],
+    def _terms(self, column: Column, rows: Sequence[int],
                nested: Optional[dict]) -> dict:
         codes = column.code_list()
         table = column.table
         contiguous = type(rows) is range and rows.step == 1
+        # Either way dict insertion order is first-seen order within
+        # the row subset, which is exactly the legacy buckets-dict
+        # order — the stable sort in ``merge`` tie-breaks identically.
         if nested:
             partitions: dict[int, list[int]] = {}
             get_part = partitions.get
@@ -523,38 +550,24 @@ class ColumnSet:
                             partitions[code] = [row]
                         else:
                             part.append(row)
-            counted = [(code, len(part)) for code, part in partitions.items()]
+            return {table[code]: (len(part), self.partial(nested, part))
+                    for code, part in partitions.items()}
+        # C-level count; popping the missing/unencodable sentinels
+        # afterwards leaves first-seen order for the valid codes.
+        if contiguous:
+            counts = Counter(codes[rows.start:rows.stop])
         else:
-            # C-level count; popping the missing/unencodable sentinels
-            # afterwards leaves first-seen order for the valid codes.
-            if contiguous:
-                counts = Counter(codes[rows.start:rows.stop])
-            else:
-                counts = Counter(map(codes.__getitem__, rows))
-            counts.pop(-1, None)
-            counts.pop(-2, None)
-            counted = list(counts.items())
-        # Dict insertion order is first-seen order within the row
-        # subset, which is exactly the legacy buckets-dict order — the
-        # stable sort therefore tie-breaks identically.
-        counted.sort(key=lambda item: (-item[1], str(table[item[0]])))
-        size = body.get("size", 10)
-        out = []
-        for code, doc_count in counted[:size]:
-            bucket: dict[str, Any] = {"key": table[code],
-                                      "doc_count": doc_count}
-            if nested:
-                bucket.update(self.run(nested, partitions[code]))
-            out.append(bucket)
-        return {"buckets": out}
+            counts = Counter(map(codes.__getitem__, rows))
+        counts.pop(-1, None)
+        counts.pop(-2, None)
+        return {table[code]: (count, None) for code, count in counts.items()}
 
     def _histogram(self, column: Column, body: dict, rows: Sequence[int],
                    nested: Optional[dict]) -> dict:
         interval = body.get("interval") or body.get("fixed_interval")
         nums = column.num_list()
-        out: list = []
         if nums is None:
-            return {"buckets": out}
+            return {}
         numeric = column.numeric
         # ``int // int`` is already an int, so the legacy ``int()``
         # coercion is a no-op for pure-int columns with an int interval.
@@ -564,22 +577,17 @@ class ColumnSet:
             # Sorted dense int column (trace timestamps): bucket
             # boundaries fall out of bisection and each bucket is a
             # contiguous slice of ``rows`` — no per-row Python work.
-            for key, part in self._sorted_buckets(nums, rows, interval):
-                bucket = {"key": key, "doc_count": len(part)}
-                if nested:
-                    bucket.update(self.run(nested, part))
-                out.append(bucket)
-            return {"buckets": out}
-        if nested:
-            partitions: dict[Any, list[int]] = {}
-            get_part = partitions.get
+            partitions = self._sorted_buckets(nums, rows, interval)
+        elif nested:
+            grouped: dict[Any, list[int]] = {}
+            get_part = grouped.get
             if fast:
                 for row in rows:
                     if numeric[row]:
                         key = nums[row] // interval * interval
                         part = get_part(key)
                         if part is None:
-                            partitions[key] = [row]
+                            grouped[key] = [row]
                         else:
                             part.append(row)
             else:
@@ -588,13 +596,10 @@ class ColumnSet:
                         key = int(nums[row] // interval) * interval
                         part = get_part(key)
                         if part is None:
-                            partitions[key] = [row]
+                            grouped[key] = [row]
                         else:
                             part.append(row)
-            for key, part in sorted(partitions.items()):
-                bucket: dict[str, Any] = {"key": key, "doc_count": len(part)}
-                bucket.update(self.run(nested, part))
-                out.append(bucket)
+            partitions = grouped.items()
         else:
             if fast:
                 counts = Counter(nums[row] // interval * interval
@@ -602,9 +607,11 @@ class ColumnSet:
             else:
                 counts = Counter(int(nums[row] // interval) * interval
                                  for row in rows if numeric[row])
-            for key, doc_count in sorted(counts.items()):
-                out.append({"key": key, "doc_count": doc_count})
-        return {"buckets": out}
+            return {key: (count, None) for key, count in counts.items()}
+        if nested:
+            return {key: (len(part), self.partial(nested, part))
+                    for key, part in partitions}
+        return {key: (len(part), None) for key, part in partitions}
 
     @staticmethod
     def _sorted_buckets(nums: list, rows: Sequence[int],
@@ -630,14 +637,13 @@ class ColumnSet:
             i = j
         return out
 
-    def _metric(self, kind: str, column: Column, body: dict,
-                rows: Sequence[int]) -> dict:
+    def _metric(self, kind: str, column: Column, rows: Sequence[int]):
         contiguous = type(rows) is range and rows.step == 1
         if kind == "value_count":
             nonnull = column.nonnull
             if contiguous:
-                return {"value": sum(nonnull[rows.start:rows.stop])}
-            return {"value": sum(map(nonnull.__getitem__, rows))}
+                return sum(nonnull[rows.start:rows.stop])
+            return sum(map(nonnull.__getitem__, rows))
         if kind == "cardinality":
             codes = column.code_list()
             if contiguous:
@@ -646,30 +652,143 @@ class ColumnSet:
                 seen = set(map(codes.__getitem__, rows))
             seen.discard(-1)
             seen.discard(-2)
-            return {"value": len(seen)}
+            # ``supports`` admitted only str/int/bool values, whose
+            # ``repr`` distinguishes exactly what distinct codes do.
+            table = column.table
+            return {repr(table[code]) for code in seen}
         values = column.gather_numeric(rows)
+        if column.num_kind == "q" or not values:
+            int_only = True
+        elif column.num_kind == "d":
+            int_only = False
+        else:
+            int_only = all(type(v) is int for v in values)
         if kind == "percentiles":
-            percents = body.get("percents", [1, 5, 25, 50, 75, 95, 99])
-            ordered = sorted(values)
-            return {"values": {f"{p:g}": percentile(ordered, p)
-                               for p in percents}}
-        if kind == "stats":
-            if not values:
-                return {"count": 0, "min": None, "max": None,
-                        "avg": None, "sum": 0}
-            return {
-                "count": len(values),
-                "min": min(values),
-                "max": max(values),
-                "avg": sum(values) / len(values),
-                "sum": sum(values),
-            }
+            return values, int_only
         if not values:
-            return {"value": None if kind != "sum" else 0}
-        if kind == "avg":
-            return {"value": sum(values) / len(values)}
-        if kind == "min":
-            return {"value": min(values)}
-        if kind == "max":
-            return {"value": max(values)}
-        return {"value": sum(values)}          # sum
+            return 0, None, None, 0, int_only
+        return len(values), min(values), max(values), sum(values), int_only
+
+    # ------------------------------------------------------------------
+    # Merge
+
+    @staticmethod
+    def merge(aggs: dict, partials: list[dict]) -> Optional[dict]:
+        """Finish :meth:`partial` results into the response dict.
+
+        ``partials`` (at least one) are listed in shard order and cover
+        disjoint documents.  Answers ``None`` where the single-store
+        bytes depend on cross-shard *document* order, which partials do
+        not carry:
+        equal-but-distinguishable bucket keys (``1``/``1.0``/``True``,
+        ``0.0``/``-0.0``) arriving from different partials, terms ties
+        on ``(count, str(key))``, float reductions, NaN percentiles.
+        None of these can arise with one partial, so :meth:`run` never
+        sees ``None``; a multi-shard caller gathers instead.
+        """
+        out: dict[str, Any] = {}
+        for name, spec in aggs.items():
+            kind, body, nested = _parse(spec)
+            parts = [partial[name] for partial in partials]
+            if kind in BUCKET_KINDS:
+                finished = _finish_buckets(kind, body, nested, parts)
+            else:
+                finished = _finish_metric(kind, body, parts)
+            if finished is None:
+                return None
+            out[name] = finished
+        return out
+
+
+def _parse(spec: dict) -> tuple[str, dict, Optional[dict]]:
+    """``(kind, body, nested)`` of one spec :meth:`supports` admitted."""
+    nested = spec.get("aggs") or spec.get("aggregations")
+    kind = next(k for k in spec if k not in ("aggs", "aggregations"))
+    return kind, spec[kind], nested
+
+
+def _finish_buckets(kind: str, body: dict, nested: Optional[dict],
+                    parts: list[dict]) -> Optional[dict]:
+    #: first-seen key, summed doc_count, child partials — per bucket.
+    merged = {key: [key, count, [child]]
+              for key, (count, child) in parts[0].items()}
+    for part in parts[1:]:
+        for key, (count, child) in part.items():
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [key, count, [child]]
+                continue
+            seen = entry[0]
+            if type(key) is not type(seen) or repr(key) != repr(seen):
+                # A dict over the raw values would keep whichever of
+                # the two the *documents* showed first.
+                return None
+            entry[1] += count
+            entry[2].append(child)
+    entries = list(merged.values())
+    if kind == "terms":
+        # Ties on the legacy sort key are broken by first-seen document
+        # order; across partials only first-seen *shard* order is known.
+        if len(parts) > 1 and len(entries) != len(
+                {(count, str(key)) for key, count, _ in entries}):
+            return None
+        entries.sort(key=lambda entry: (-entry[1], str(entry[0])))
+        entries = entries[:body.get("size", 10)]
+    else:
+        entries.sort(key=itemgetter(0))
+    buckets = []
+    for key, count, children in entries:
+        bucket: dict[str, Any] = {"key": key, "doc_count": count}
+        if nested:
+            finished = ColumnSet.merge(nested, children)
+            if finished is None:
+                return None
+            bucket.update(finished)
+        buckets.append(bucket)
+    return {"buckets": buckets}
+
+
+def _finish_metric(kind: str, body: dict, parts: list) -> Optional[dict]:
+    if kind == "value_count":
+        return {"value": sum(parts)}
+    if kind == "cardinality":
+        return {"value": len(set().union(*parts))}
+    if kind == "percentiles":
+        values = parts[0][0]
+        if len(parts) > 1:
+            values = list(chain.from_iterable(part[0] for part in parts))
+            # NaNs make ``sorted`` input-order-dependent.
+            if (not all(part[1] for part in parts)
+                    and any(v != v for v in values)):
+                return None
+        ordered = sorted(values)
+        percents = body.get("percents", [1, 5, 25, 50, 75, 95, 99])
+        return {"values": {f"{p:g}": percentile(ordered, p)
+                           for p in percents}}
+    # stats / avg / min / max / sum: across partials exact only over
+    # pure ints, where the reductions are order-free.
+    if len(parts) > 1 and not all(part[4] for part in parts):
+        return None
+    live = [part for part in parts if part[0]]
+    if not live:
+        if kind == "stats":
+            return {"count": 0, "min": None, "max": None,
+                    "avg": None, "sum": 0}
+        return {"value": 0 if kind == "sum" else None}
+    count = sum(part[0] for part in live)
+    total = sum(part[3] for part in live)
+    if kind == "stats":
+        return {
+            "count": count,
+            "min": min(part[1] for part in live),
+            "max": max(part[2] for part in live),
+            "avg": total / count,
+            "sum": total,
+        }
+    if kind == "avg":
+        return {"value": total / count}
+    if kind == "min":
+        return {"value": min(part[1] for part in live)}
+    if kind == "max":
+        return {"value": max(part[2] for part in live)}
+    return {"value": total}          # sum

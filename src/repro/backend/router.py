@@ -16,10 +16,12 @@ own segment directory — and a thin coordinator that:
   document is ever materialised on the ingest path;
 - **fans out reads** over ``concurrent.futures`` and merges at the
   coordinator: a k-way heap merge by global rank (or by the search
-  sort key) for hits, a kernel-partial merge for aggregations that
-  reuses each shard's columnar partials and epoch-keyed caches, and a
-  rank-ordered gather fallback that reproduces the single-store bytes
-  whenever a partial merge cannot be proven identical;
+  sort key) for hits; for aggregations, each shard's columnar partial
+  (:meth:`ColumnSet.partial`, cached per shard epoch) handed to the
+  same :meth:`ColumnSet.merge` that finishes a single store's answer —
+  no aggregation is validated, computed or finished in this module —
+  and a rank-ordered gather fallback that reproduces the single-store
+  bytes whenever a shard declines or the merge answers ``None``;
 - **stays byte-identical**: ``shard_count=1`` (via :func:`create_store`)
   is literally today's ``DocumentStore``, and for any shard count the
   documents, query results, aggregations, correlation output, and
@@ -40,26 +42,24 @@ import json
 import threading
 import time
 import zlib
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from heapq import merge as heap_merge
-from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.backend.aggregations import (_field_values, _numeric_values,
-                                        percentile, run_aggregations)
+from repro.backend.aggregations import run_aggregations
+from repro.backend.columns import ColumnSet
 from repro.backend.query import get_field
 from repro.backend.store import (AGG_CACHE_SIZE, DocumentStore, Index,
-                                 StoreError, _response, _sort_key)
+                                 StoreError, _response, _sort_key,
+                                 bind_store_telemetry, observe_span,
+                                 span_start)
 
 #: Supported shard keys (``TracerConfig.shard_key``).
 SHARD_KEYS = ("file_tag", "pid", "time_window")
 
 #: Default time-window width for ``shard_key="time_window"`` (1 s).
 DEFAULT_TIME_WINDOW_NS = 1_000_000_000
-
-_BUCKET_KINDS = ("terms", "histogram", "date_histogram")
-_REDUCED_KINDS = ("stats", "avg", "min", "max", "sum")
 
 _EXECUTOR: Optional[ThreadPoolExecutor] = None
 _EXECUTOR_LOCK = threading.Lock()
@@ -405,7 +405,7 @@ class ShardedDocumentStore:
         return doc_ids, ranks
 
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
-        start = self._span_start()
+        start = span_start(self._telemetry)
         self.ensure_index(index)
         state = self._states[index]
         sources = list(sources)
@@ -430,7 +430,7 @@ class ShardedDocumentStore:
         self.bulk_partitions += len(calls)
         if self._telemetry is not None:
             self._telemetry["bulk_docs"].observe(n)
-            self._observe_span("store.bulk", start)
+            observe_span(self._telemetry, "store.bulk", start)
         return n
 
     def _dispatch_bulks(self, calls: list[tuple[int, Callable]]) -> None:
@@ -452,7 +452,7 @@ class ShardedDocumentStore:
         or a single-pid batch under pid sharding) lands every row on
         one shard, which skips :meth:`RecordBatch.take` entirely.
         """
-        start = self._span_start()
+        start = span_start(self._telemetry)
         self.ensure_index(index)
         state = self._states[index]
         n = len(batch)
@@ -461,7 +461,7 @@ class ShardedDocumentStore:
             self.columnar_bulks += 1
             if self._telemetry is not None:
                 self._telemetry["bulk_docs"].observe(0)
-                self._observe_span("store.bulk", start)
+                observe_span(self._telemetry, "store.bulk", start)
             return 0
         doc_ids, ranks = self._assign(state, n)
         route = self._route_value
@@ -495,7 +495,7 @@ class ShardedDocumentStore:
         self.bulk_partitions += len(calls)
         if self._telemetry is not None:
             self._telemetry["bulk_docs"].observe(n)
-            self._observe_span("store.bulk", start)
+            observe_span(self._telemetry, "store.bulk", start)
         return n
 
     # ------------------------------------------------------------------
@@ -576,15 +576,15 @@ class ShardedDocumentStore:
         key with a rank tie-break, which reproduces the single store's
         stable multi-pass sort exactly).  Aggregations try the partial
         merge first — per-shard columnar partials, each cached in its
-        shard's epoch-keyed LRU, combined by exact merge rules — and
-        otherwise gather rank-ordered sources through the legacy
+        shard's epoch-keyed LRU, finished by :meth:`ColumnSet.merge` —
+        and otherwise gather rank-ordered sources through the legacy
         :func:`run_aggregations`, which is identical by construction.
         """
         if from_ < 0:
             raise StoreError(f"from_ must be non-negative: {from_}")
         if size is not None and size < 0:
             raise StoreError(f"size must be non-negative or None: {size}")
-        start = self._span_start()
+        start = span_start(self._telemetry)
         self.queries += 1
         state = self._state(index)
         shards = self._query_shards(index, query)
@@ -607,7 +607,7 @@ class ShardedDocumentStore:
         if aggregations is not None and size == 0:
             if self._telemetry is not None:
                 self._telemetry["query_hits"].observe(total)
-                self._observe_span("store.query", start)
+                observe_span(self._telemetry, "store.query", start)
             return _response(index, total, [], aggregations)
 
         window = None
@@ -639,7 +639,7 @@ class ShardedDocumentStore:
 
         if self._telemetry is not None:
             self._telemetry["query_hits"].observe(total)
-            self._observe_span("store.query", start)
+            observe_span(self._telemetry, "store.query", start)
         if cacheable and aggregations is not None:
             self._cache_put(cache_key, (total, copy.deepcopy(aggregations)))
         return _response(index, total, window, aggregations)
@@ -704,29 +704,28 @@ class ShardedDocumentStore:
                            shards: list[int], want_total: bool = False):
         """Merged aggregations via per-shard partials, or ``None``.
 
-        ``None`` means "cannot be proven byte-identical" — unsupported
-        shape, a partial failed, or a merge-order ambiguity (key-type
-        unification, tie-break on equal ``(count, str(key))``) was
-        detected; the caller gathers instead.
+        ``None`` means "cannot be proven byte-identical": a shard's
+        columns declined the request (as the single store's would) or
+        :meth:`ColumnSet.merge` met an answer that depends on
+        cross-shard document order; the caller gathers instead.
         """
-        plan = _merge_plan(aggs)
-        if plan is None:
-            return None
         kernel_start = time.perf_counter_ns()
         results = self._map_shards(
-            shards, lambda shard: _shard_partial(shard, index, query,
-                                                 aggs, plan))
-        partials = []
-        for partial, hit in results:
+            shards, lambda shard: _shard_partial(shard, index, query, aggs))
+        totals, partials = [], []
+        for entry, hit in results:
             if hit:
                 self.partial_cache_hits += 1
             else:
                 self.partial_cache_misses += 1
-            if partial is None:
+            if entry is None:
                 return None
-            partials.append(partial)
+            totals.append(entry[0])
+            partials.append(entry[1])
+        if not partials:          # the query is confined to no shard
+            return None
         try:
-            merged = _merge_partials(plan, partials)
+            merged = ColumnSet.merge(aggs, partials)
         except Exception:
             return None
         if merged is None:
@@ -736,7 +735,7 @@ class ShardedDocumentStore:
         if self._telemetry is not None:
             self._telemetry["agg_kernel"].observe(elapsed)
         if want_total:
-            return sum(p["total"] for p in partials), merged
+            return sum(totals), merged
         return merged
 
     # ------------------------------------------------------------------
@@ -937,17 +936,6 @@ class ShardedDocumentStore:
     # ------------------------------------------------------------------
     # Telemetry
 
-    def _span_start(self) -> Optional[int]:
-        if self._telemetry is None or self._telemetry["clock"] is None:
-            return None
-        return self._telemetry["clock"]()
-
-    def _observe_span(self, name: str, start_ns: Optional[int]) -> None:
-        if start_ns is None:
-            return
-        clock = self._telemetry["clock"]
-        self._telemetry["span"].labels(span=name).observe(clock() - start_ns)
-
     def _shard_docs(self, shard: int) -> int:
         if shard >= len(self.shards):
             return 0
@@ -986,77 +974,32 @@ class ShardedDocumentStore:
         """Register the ``dio_store_*``/``dio_ingest_*`` families the
         single store exposes (coordinator counters, shard sums) plus
         the ``dio_shard_*`` scatter-gather section."""
-        from repro.telemetry.spans import SPAN_HISTOGRAM
+        def indices() -> Iterator[Index]:
+            return (index for shard in self.shards
+                    for index in shard._indices.values())
 
-        shards = self.shards
-        registry.counter(
-            "dio_store_bulk_requests_total",
-            "Bulk indexing requests received by the document store.",
-        ).set_function(lambda: self.bulk_requests)
-        registry.counter(
-            "dio_store_documents_indexed_total",
-            "Documents indexed across all indices.",
-        ).set_function(lambda: self.documents_indexed)
-        registry.counter(
-            "dio_store_queries_total",
-            "Search and count requests served.",
-        ).set_function(lambda: self.queries)
-        registry.counter(
-            "dio_ingest_columnar_bulks_total",
-            "Bulk requests ingested lane-wise by bulk_columnar "
-            "(no per-event _source materialisation).",
-        ).set_function(lambda: self.columnar_bulks)
-        registry.counter(
-            "dio_ingest_docs_hydrated_total",
-            "Vectorized-ingested documents whose _source dicts were "
-            "lazily materialised because a reader asked for them.",
-        ).set_function(lambda: sum(
-            index.hydrated_docs_total
-            for shard in self.shards for index in shard._indices.values()))
-        registry.gauge(
-            "dio_ingest_pending_docs",
-            "Vectorized-ingested documents currently awaiting lazy "
-            "_source materialisation.",
-        ).set_function(lambda: sum(
-            index.pending_docs
-            for shard in self.shards for index in shard._indices.values()))
-        for mode in ("exact", "pruned", "fullscan"):
-            registry.counter(
-                f"dio_store_plan_{mode}_total",
-                f"Queries the planner resolved as {mode}.",
-            ).set_function(lambda mode=mode: sum(
-                shard.plan_counts[mode] for shard in self.shards))
-        registry.gauge(
-            "dio_store_plan_pruning_ratio",
-            "Cumulative fraction of stored documents the planner's "
-            "candidate sets skipped (1.0 = nothing scanned).",
-        ).set_function(self.pruning_ratio)
-        registry.counter(
-            "dio_store_agg_pushdown_total",
-            "Aggregation requests served by the columnar kernels "
-            "(typed columns, no _source materialisation).",
-        ).set_function(lambda: self.agg_merges + sum(
-            shard.agg_pushdowns for shard in self.shards))
-        registry.counter(
-            "dio_store_agg_fallback_total",
-            "Aggregation requests served by the dict-walking path "
-            "(a shape the columnar kernels do not support).",
-        ).set_function(lambda: self.agg_gathers + sum(
-            shard.agg_fallbacks for shard in self.shards))
-        registry.counter(
-            "dio_store_agg_cache_hits_total",
-            "Aggregation requests answered from the (epoch, query, "
-            "aggs) result cache.",
-        ).set_function(lambda: self.agg_cache_hits)
-        registry.counter(
-            "dio_store_agg_cache_misses_total",
-            "Cacheable aggregation requests that had to be computed.",
-        ).set_function(lambda: self.agg_cache_misses)
-        registry.gauge(
-            "dio_store_agg_cache_hit_rate",
-            "Fraction of cacheable aggregation requests served from "
-            "the result cache.",
-        ).set_function(self.agg_cache_hit_rate)
+        def plan_count(mode: str) -> Callable[[], int]:
+            return lambda: sum(s.plan_counts[mode] for s in self.shards)
+
+        self._telemetry = bind_store_telemetry(registry, clock, {
+            "bulk_requests": lambda: self.bulk_requests,
+            "documents_indexed": lambda: self.documents_indexed,
+            "queries": lambda: self.queries,
+            "columnar_bulks": lambda: self.columnar_bulks,
+            "docs_hydrated": lambda: sum(
+                index.hydrated_docs_total for index in indices()),
+            "pending_docs": lambda: sum(
+                index.pending_docs for index in indices()),
+            "plan_exact": plan_count("exact"),
+            "plan_pruned": plan_count("pruned"),
+            "plan_fullscan": plan_count("fullscan"),
+            "pruning_ratio": self.pruning_ratio,
+            "agg_pushdowns": lambda: self.agg_stats()["pushdowns"],
+            "agg_fallbacks": lambda: self.agg_stats()["fallbacks"],
+            "agg_cache_hits": lambda: self.agg_cache_hits,
+            "agg_cache_misses": lambda: self.agg_cache_misses,
+            "agg_cache_hit_rate": self.agg_cache_hit_rate,
+        })
         # Scatter-gather section.
         registry.gauge(
             "dio_shard_count",
@@ -1065,7 +1008,7 @@ class ShardedDocumentStore:
         docs_family = registry.gauge(
             "dio_shard_docs",
             "Documents held per shard.", labelnames=("shard",))
-        for i in range(len(shards)):
+        for i in range(len(self.shards)):
             docs_family.labels(shard=str(i)).set_function(
                 lambda i=i: self._shard_docs(i))
         registry.counter(
@@ -1084,9 +1027,10 @@ class ShardedDocumentStore:
         ).set_function(lambda: self.agg_merges)
         registry.counter(
             "dio_shard_agg_gather_total",
-            "Aggregation requests that fell back to a rank-ordered "
-            "gather of shard matches (byte-identity could not be "
-            "proven for a partial merge).",
+            "Aggregation requests served by a rank-ordered gather of "
+            "shard matches: sorted requests, shapes a shard's columns "
+            "decline, and merges whose bytes would depend on "
+            "cross-shard document order.",
         ).set_function(lambda: self.agg_gathers)
         registry.counter(
             "dio_shard_partial_cache_hits_total",
@@ -1109,358 +1053,45 @@ class ShardedDocumentStore:
             "dio_shard_kills_total",
             "Shards dropped by the kill/restore lifecycle.",
         ).set_function(lambda: self.shard_kills)
-        self._telemetry = {
-            "clock": clock,
-            "bulk_docs": registry.histogram(
-                "dio_store_bulk_docs",
-                "Documents per bulk request.",
-                buckets=(0, 1, 8, 32, 128, 512, 2048, 8192)),
-            "query_hits": registry.histogram(
-                "dio_store_query_hits",
-                "Matching documents per search request.",
-                buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000)),
-            "span": registry.histogram(
-                SPAN_HISTOGRAM,
-                "Duration of pipeline stage spans "
-                "(virtual nanoseconds).", labelnames=("span",)),
-            "agg_kernel": registry.histogram(
-                "dio_store_agg_kernel_ns",
-                "Wall-clock duration of one columnar aggregation "
-                "kernel run (real nanoseconds).",
-                buckets=(0, 10_000, 100_000, 1_000_000, 10_000_000,
-                         100_000_000, 1_000_000_000)),
-        }
 
 
 # ----------------------------------------------------------------------
-# Aggregation partials
+# Per-shard aggregation partials
 
 
-def _merge_plan(aggs) -> Optional[list[tuple[str, str, dict]]]:
-    """``[(name, kind, body)]`` when every agg is shard-mergeable.
+def _shard_partial(shard: DocumentStore, index: str, query,
+                   aggs) -> tuple[Optional[tuple[int, dict]], bool]:
+    """One shard's ``((total, partial), cache_hit)``.
 
-    ``None`` routes to the gather fallback: nested aggs (per-bucket
-    doc sets are not in the partials), malformed specs (the gather
-    reproduces the legacy error behaviour), or unknown kinds.
-    """
-    if not isinstance(aggs, dict) or not aggs:
-        return None
-    plan = []
-    for name, spec in aggs.items():
-        if not isinstance(spec, dict):
-            return None
-        if spec.get("aggs") or spec.get("aggregations"):
-            return None
-        kinds = [k for k in spec if k not in ("aggs", "aggregations")]
-        if len(kinds) != 1:
-            return None
-        kind = kinds[0]
-        body = spec[kind]
-        if not isinstance(body, dict):
-            return None
-        field = body.get("field")
-        if not isinstance(field, str) or not field:
-            return None
-        if kind == "terms":
-            size = body.get("size", 10)
-            if not isinstance(size, int) or isinstance(size, bool):
-                return None
-        elif kind in ("histogram", "date_histogram"):
-            interval = body.get("interval") or body.get("fixed_interval")
-            if (not isinstance(interval, (int, float))
-                    or isinstance(interval, bool) or interval <= 0):
-                return None
-        elif kind == "percentiles":
-            percents = body.get("percents", [1, 5, 25, 50, 75, 95, 99])
-            if not isinstance(percents, (list, tuple)) or not all(
-                    isinstance(p, (int, float)) and not isinstance(p, bool)
-                    for p in percents):
-                return None
-        elif kind not in ("stats", "avg", "min", "max", "sum",
-                          "value_count", "cardinality"):
-            return None
-        plan.append((name, kind, body))
-    return plan
-
-
-def _shard_partial(shard: DocumentStore, index: str, query, aggs,
-                   plan) -> tuple[Optional[dict], bool]:
-    """One shard's ``(partial, cache_hit)``; partial ``None`` on any
-    doubt (the coordinator then gathers).
+    The entry is ``None`` when the shard's columns decline the request
+    or the kernels raise — the coordinator then gathers, exactly as the
+    single store falls back to :func:`run_aggregations`.  The entry is
+    cached in the shard's epoch-keyed LRU and shared by reference:
+    :meth:`ColumnSet.merge` does not mutate it.
 
     Runs on a pool thread: touches only this shard's state and returns
-    counter deltas instead of mutating coordinator counters.
+    the cache outcome instead of mutating coordinator counters.
     """
     target = shard._indices.get(index)
     if target is None:
-        return {"total": 0, "aggs": {name: _EMPTY_PARTIALS[kind](body)
-                                     for name, kind, body in plan}}, False
-    key = None
-    raw = target.agg_cache_key(query, aggs)
-    if raw is not None:
-        key = raw + ("__shard_partial__",)
+        return None, False
+    key = target.agg_cache_key(query, aggs)
+    if key is not None:
+        key += ("__shard_partial__",)
         cached = target.agg_cache_get(key)
         if cached is not None:
             return cached, True
     try:
-        partial = _compute_partial(shard, target, query, plan)
+        if not target.columns.supports(aggs, target.docs_view()):
+            return None, False
+        rows, total = target.matching_rows(query,
+                                           shard._plan(target, query))
+        entry = (total, target.columns.partial(aggs, rows))
     except Exception:
-        partial = None
-    if key is not None and partial is not None:
-        target.agg_cache_put(key, partial)
-    return partial, False
-
-
-def _empty_buckets(body):
-    return ("buckets", {})
-
-
-def _empty_reduced(body):
-    return ("reduced", 0, None, None, 0, True)
-
-
-_EMPTY_PARTIALS = {
-    "terms": _empty_buckets,
-    "histogram": _empty_buckets,
-    "date_histogram": _empty_buckets,
-    "value_count": lambda body: ("value_count", 0),
-    "cardinality": lambda body: ("reprs", set()),
-    "percentiles": lambda body: ("values", [], True),
-    "stats": _empty_reduced,
-    "avg": _empty_reduced,
-    "min": _empty_reduced,
-    "max": _empty_reduced,
-    "sum": _empty_reduced,
-}
-
-
-def _compute_partial(shard: DocumentStore, target: Index, query,
-                     plan) -> Optional[dict]:
-    """Evaluate every planned agg over one shard's matches.
-
-    Columnar row-sets first; any agg the columns cannot serve exactly
-    falls back to the shard's sources (one scan, shared by all such
-    aggs).  A ``None`` return asks the coordinator to gather.
-    """
-    plan_q = shard._plan(target, query)
-    try:
-        rows, total = target.matching_rows(query, plan_q)
-    except Exception:
-        rows = None
-    sources = None
-    if rows is None:
-        matches = target.scan(query, plan_q)
-        sources = [source for _, source in matches]
-        total = len(matches)
-
-    def materialised() -> list[dict]:
-        nonlocal sources
-        if sources is None:
-            sources = [source for _, source
-                       in target.scan(query, plan_q)]
-        return sources
-
-    out = {}
-    for name, kind, body in plan:
-        part = None
-        if rows is not None and sources is None:
-            column = target.columns.ensure_column(body["field"],
-                                                  target.docs_view())
-            part = _column_partial(kind, body, column, rows)
-        if part is None:
-            part = _source_partial(kind, body, materialised())
-        if part is None:
-            return None
-        out[name] = part
-    return {"total": total, "aggs": out}
-
-
-def _column_partial(kind: str, body: dict, column, rows):
-    """A partial straight off the typed column, or ``None``."""
-    contiguous = type(rows) is range and rows.step == 1
-    if kind == "terms":
-        if column.unencodable or column.collisions:
-            return None
-        codes = column.code_list()
-        if contiguous:
-            counts = Counter(codes[rows.start:rows.stop])
-        else:
-            counts = Counter(map(codes.__getitem__, rows))
-        counts.pop(-1, None)
-        table = column.table
-        return ("buckets", {table[code]: count
-                            for code, count in counts.items()})
-    if kind in ("histogram", "date_histogram"):
-        if column.num_kind == "obj":
-            return None
-        counts: dict = {}
-        if column.num_kind is not None:
-            nums = column.num_list()
-            numeric = column.numeric
-            interval = body.get("interval") or body.get("fixed_interval")
-            if column.num_kind == "q" and type(interval) is int:
-                for row in rows:
-                    if numeric[row]:
-                        key = nums[row] // interval * interval
-                        counts[key] = counts.get(key, 0) + 1
-            else:
-                for row in rows:
-                    if numeric[row]:
-                        key = int(nums[row] // interval) * interval
-                        counts[key] = counts.get(key, 0) + 1
-        return ("buckets", counts)
-    if kind == "value_count":
-        codes = column.code_list()
-        if contiguous:
-            span = codes[rows.start:rows.stop]
-            return ("value_count", len(span) - span.count(-1))
-        return ("value_count",
-                sum(1 for row in rows if codes[row] != -1))
-    if kind == "cardinality":
-        if column.unencodable:
-            return None
-        codes = column.code_list()
-        if contiguous:
-            used = set(codes[rows.start:rows.stop])
-        else:
-            used = set(map(codes.__getitem__, rows))
-        used.discard(-1)
-        table = column.table
-        return ("reprs", {repr(table[code]) for code in used})
-    # Numeric metrics.
-    values = column.gather_numeric(rows)
-    if column.num_kind == "q" or not values:
-        int_only = True
-    elif column.num_kind == "d":
-        int_only = False
-    else:
-        int_only = all(type(v) is int for v in values)
-    if kind == "percentiles":
-        return ("values", values, int_only)
-    if not values:
-        return ("reduced", 0, None, None, 0, int_only)
-    return ("reduced", len(values), min(values), max(values), sum(values),
-            int_only)
-
-
-def _source_partial(kind: str, body: dict, sources: list[dict]):
-    """A partial from materialised sources (legacy-shaped walks)."""
-    field = body["field"]
-    if kind == "terms":
-        counts: dict = {}
-        for source in sources:
-            key = get_field(source, field)
-            if key is None:
-                continue
-            counts[key] = counts.get(key, 0) + 1
-        return ("buckets", counts)
-    if kind in ("histogram", "date_histogram"):
-        interval = body.get("interval") or body.get("fixed_interval")
-        counts = {}
-        for source in sources:
-            value = get_field(source, field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            key = int(value // interval) * interval
-            counts[key] = counts.get(key, 0) + 1
-        return ("buckets", counts)
-    if kind == "value_count":
-        return ("value_count", len(_field_values(sources, field)))
-    if kind == "cardinality":
-        return ("reprs", set(map(repr, _field_values(sources, field))))
-    values = _numeric_values(sources, field)
-    int_only = all(type(v) is int for v in values)
-    if kind == "percentiles":
-        return ("values", values, int_only)
-    if not values:
-        return ("reduced", 0, None, None, 0, int_only)
-    return ("reduced", len(values), min(values), max(values), sum(values),
-            int_only)
-
-
-def _merge_partials(plan, partials: list[dict]) -> Optional[dict]:
-    """Combine per-shard partials; ``None`` on any ambiguity."""
-    out = {}
-    for name, kind, body in plan:
-        parts = [partial["aggs"][name] for partial in partials]
-        merged = _merge_one(kind, body, parts)
-        if merged is None:
-            return None
-        out[name] = merged
-    return out
-
-
-def _merge_one(kind: str, body: dict, parts: list):
-    if kind in _BUCKET_KINDS:
-        counts: dict = {}
-        first: dict = {}
-        for _, data in parts:
-            for key, count in data.items():
-                if key in counts:
-                    seen = first[key]
-                    # Equal-but-distinguishable keys (1 vs 1.0 vs True,
-                    # 0.0 vs -0.0) unify in first-seen order, which is
-                    # shard order here but document order in the single
-                    # store — undecidable, so gather.
-                    if type(key) is not type(seen) or repr(key) != repr(seen):
-                        return None
-                    counts[key] += count
-                else:
-                    counts[key] = count
-                    first[key] = key
-        if kind == "terms":
-            items = list(counts.items())
-            # Ties on the legacy sort key are broken by first-seen
-            # document order, which the partials do not carry.
-            if len({(count, str(key)) for key, count in items}) != len(items):
-                return None
-            items.sort(key=lambda kv: (-kv[1], str(kv[0])))
-            items = items[:body.get("size", 10)]
-        else:
-            items = sorted(counts.items())
-        return {"buckets": [{"key": key, "doc_count": count}
-                            for key, count in items]}
-    if kind == "value_count":
-        return {"value": sum(part[1] for part in parts)}
-    if kind == "cardinality":
-        reprs: set = set()
-        for part in parts:
-            reprs |= part[1]
-        return {"value": len(reprs)}
-    if kind == "percentiles":
-        values = list(chain.from_iterable(part[1] for part in parts))
-        if not all(part[2] for part in parts):
-            # Floats: NaNs would make the merged sort order (and the
-            # legacy sorted() order) input-order-dependent.
-            if any(v != v for v in values):
-                return None
-        ordered = sorted(values)
-        percents = body.get("percents", [1, 5, 25, 50, 75, 95, 99])
-        return {"values": {f"{p:g}": percentile(ordered, p)
-                           for p in percents}}
-    # stats / avg / min / max / sum — exact only over pure ints, where
-    # the reductions are order-free.
-    if not all(part[5] for part in parts):
-        return None
-    count = sum(part[1] for part in parts)
-    total = sum(part[4] for part in parts)
-    mins = [part[2] for part in parts if part[1]]
-    maxs = [part[3] for part in parts if part[1]]
-    if kind == "stats":
-        if not count:
-            return {"count": 0, "min": None, "max": None, "avg": None,
-                    "sum": 0}
-        return {"count": count, "min": min(mins), "max": max(maxs),
-                "avg": total / count, "sum": total}
-    if not count:
-        return {"value": None if kind != "sum" else 0}
-    if kind == "avg":
-        return {"value": total / count}
-    if kind == "min":
-        return {"value": min(mins)}
-    if kind == "max":
-        return {"value": max(maxs)}
-    return {"value": total}
+        return None, False
+    if key is not None:
+        target.agg_cache_put(key, entry)
+    return entry, False
 
 
 # ----------------------------------------------------------------------

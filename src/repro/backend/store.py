@@ -41,7 +41,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.backend.aggregations import run_aggregations
-from repro.backend.columns import ColumnarUnsupported, ColumnSet
+from repro.backend.columns import ColumnSet
 from repro.backend.indexes import FieldIndex
 from repro.backend.planner import QueryPlan, plan_query
 from repro.backend.query import compile_query, get_field
@@ -534,6 +534,104 @@ class _DocsView:
         return self._index._docs.items()
 
 
+#: The ``dio_store_*``/``dio_ingest_*`` counter and gauge families:
+#: (registry constructor, family name, reader key, help text).
+_STORE_FAMILIES = (
+    ("counter", "dio_store_bulk_requests_total", "bulk_requests",
+     "Bulk indexing requests received by the document store."),
+    ("counter", "dio_store_documents_indexed_total", "documents_indexed",
+     "Documents indexed across all indices."),
+    ("counter", "dio_store_queries_total", "queries",
+     "Search and count requests served."),
+    ("counter", "dio_ingest_columnar_bulks_total", "columnar_bulks",
+     "Bulk requests ingested lane-wise by bulk_columnar "
+     "(no per-event _source materialisation)."),
+    ("counter", "dio_ingest_docs_hydrated_total", "docs_hydrated",
+     "Vectorized-ingested documents whose _source dicts were "
+     "lazily materialised because a reader asked for them."),
+    ("gauge", "dio_ingest_pending_docs", "pending_docs",
+     "Vectorized-ingested documents currently awaiting lazy "
+     "_source materialisation."),
+    ("counter", "dio_store_plan_exact_total", "plan_exact",
+     "Queries the planner resolved as exact."),
+    ("counter", "dio_store_plan_pruned_total", "plan_pruned",
+     "Queries the planner resolved as pruned."),
+    ("counter", "dio_store_plan_fullscan_total", "plan_fullscan",
+     "Queries the planner resolved as fullscan."),
+    ("gauge", "dio_store_plan_pruning_ratio", "pruning_ratio",
+     "Cumulative fraction of stored documents the planner's "
+     "candidate sets skipped (1.0 = nothing scanned)."),
+    ("counter", "dio_store_agg_pushdown_total", "agg_pushdowns",
+     "Aggregation requests served by the columnar kernels "
+     "(typed columns, no _source materialisation)."),
+    ("counter", "dio_store_agg_fallback_total", "agg_fallbacks",
+     "Aggregation requests served by the dict-walking path "
+     "(a shape the columnar kernels do not support)."),
+    ("counter", "dio_store_agg_cache_hits_total", "agg_cache_hits",
+     "Aggregation requests answered from the (epoch, query, "
+     "aggs) result cache."),
+    ("counter", "dio_store_agg_cache_misses_total", "agg_cache_misses",
+     "Cacheable aggregation requests that had to be computed."),
+    ("gauge", "dio_store_agg_cache_hit_rate", "agg_cache_hit_rate",
+     "Fraction of cacheable aggregation requests served from "
+     "the result cache."),
+)
+
+
+def bind_store_telemetry(registry, clock,
+                         readers: dict[str, Callable[[], Any]]) -> dict:
+    """Register the store families once, whoever owns the numbers.
+
+    ``readers`` maps every reader key in :data:`_STORE_FAMILIES` to a
+    zero-argument callable: :class:`DocumentStore` reads its own
+    counters, the shard coordinator its counters and shard sums.
+    Returns what the bulk and query paths observe into — the clock
+    (for :func:`span_start`/:func:`observe_span`) and the four
+    histograms.
+    """
+    from repro.telemetry.spans import SPAN_HISTOGRAM
+
+    for kind, name, key, help_text in _STORE_FAMILIES:
+        getattr(registry, kind)(name, help_text).set_function(readers[key])
+    return {
+        "clock": clock,
+        "bulk_docs": registry.histogram(
+            "dio_store_bulk_docs",
+            "Documents per bulk request.",
+            buckets=(0, 1, 8, 32, 128, 512, 2048, 8192)),
+        "query_hits": registry.histogram(
+            "dio_store_query_hits",
+            "Matching documents per search request.",
+            buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000)),
+        "span": registry.histogram(
+            SPAN_HISTOGRAM,
+            "Duration of pipeline stage spans "
+            "(virtual nanoseconds).", labelnames=("span",)),
+        "agg_kernel": registry.histogram(
+            "dio_store_agg_kernel_ns",
+            "Wall-clock duration of one columnar aggregation "
+            "kernel run (real nanoseconds).",
+            buckets=(0, 10_000, 100_000, 1_000_000, 10_000_000,
+                     100_000_000, 1_000_000_000)),
+    }
+
+
+def span_start(telemetry: Optional[dict]) -> Optional[int]:
+    """Clock reading that opens a span, or ``None`` when unbound."""
+    if telemetry is None or telemetry["clock"] is None:
+        return None
+    return telemetry["clock"]()
+
+
+def observe_span(telemetry: Optional[dict], name: str,
+                 start_ns: Optional[int]) -> None:
+    """Close the span :func:`span_start` opened (no-op for ``None``)."""
+    if start_ns is None:
+        return
+    telemetry["span"].labels(span=name).observe(
+        telemetry["clock"]() - start_ns)
+
+
 class DocumentStore:
     """A collection of named indices — the in-process "Elasticsearch"."""
 
@@ -569,103 +667,26 @@ class DocumentStore:
         the tracer's shipper span is where bulk round-trip latency
         shows up.
         """
-        from repro.telemetry.spans import SPAN_HISTOGRAM
-
-        registry.counter(
-            "dio_store_bulk_requests_total",
-            "Bulk indexing requests received by the document store.",
-        ).set_function(lambda: self.bulk_requests)
-        registry.counter(
-            "dio_store_documents_indexed_total",
-            "Documents indexed across all indices.",
-        ).set_function(lambda: self.documents_indexed)
-        registry.counter(
-            "dio_store_queries_total",
-            "Search and count requests served.",
-        ).set_function(lambda: self.queries)
-        registry.counter(
-            "dio_ingest_columnar_bulks_total",
-            "Bulk requests ingested lane-wise by bulk_columnar "
-            "(no per-event _source materialisation).",
-        ).set_function(lambda: self.columnar_bulks)
-        registry.counter(
-            "dio_ingest_docs_hydrated_total",
-            "Vectorized-ingested documents whose _source dicts were "
-            "lazily materialised because a reader asked for them.",
-        ).set_function(lambda: sum(
-            index.hydrated_docs_total for index in self._indices.values()))
-        registry.gauge(
-            "dio_ingest_pending_docs",
-            "Vectorized-ingested documents currently awaiting lazy "
-            "_source materialisation.",
-        ).set_function(lambda: sum(
-            index.pending_docs for index in self._indices.values()))
-        for mode in ("exact", "pruned", "fullscan"):
-            registry.counter(
-                f"dio_store_plan_{mode}_total",
-                f"Queries the planner resolved as {mode}.",
-            ).set_function(lambda mode=mode: self.plan_counts[mode])
-        registry.gauge(
-            "dio_store_plan_pruning_ratio",
-            "Cumulative fraction of stored documents the planner's "
-            "candidate sets skipped (1.0 = nothing scanned).",
-        ).set_function(self.pruning_ratio)
-        registry.counter(
-            "dio_store_agg_pushdown_total",
-            "Aggregation requests served by the columnar kernels "
-            "(typed columns, no _source materialisation).",
-        ).set_function(lambda: self.agg_pushdowns)
-        registry.counter(
-            "dio_store_agg_fallback_total",
-            "Aggregation requests served by the dict-walking path "
-            "(a shape the columnar kernels do not support).",
-        ).set_function(lambda: self.agg_fallbacks)
-        registry.counter(
-            "dio_store_agg_cache_hits_total",
-            "Aggregation requests answered from the (epoch, query, "
-            "aggs) result cache.",
-        ).set_function(lambda: self.agg_cache_hits)
-        registry.counter(
-            "dio_store_agg_cache_misses_total",
-            "Cacheable aggregation requests that had to be computed.",
-        ).set_function(lambda: self.agg_cache_misses)
-        registry.gauge(
-            "dio_store_agg_cache_hit_rate",
-            "Fraction of cacheable aggregation requests served from "
-            "the result cache.",
-        ).set_function(self.agg_cache_hit_rate)
-        self._telemetry = {
-            "clock": clock,
-            "bulk_docs": registry.histogram(
-                "dio_store_bulk_docs",
-                "Documents per bulk request.",
-                buckets=(0, 1, 8, 32, 128, 512, 2048, 8192)),
-            "query_hits": registry.histogram(
-                "dio_store_query_hits",
-                "Matching documents per search request.",
-                buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000)),
-            "span": registry.histogram(
-                SPAN_HISTOGRAM,
-                "Duration of pipeline stage spans "
-                "(virtual nanoseconds).", labelnames=("span",)),
-            "agg_kernel": registry.histogram(
-                "dio_store_agg_kernel_ns",
-                "Wall-clock duration of one columnar aggregation "
-                "kernel run (real nanoseconds).",
-                buckets=(0, 10_000, 100_000, 1_000_000, 10_000_000,
-                         100_000_000, 1_000_000_000)),
-        }
-
-    def _observe_span(self, name: str, start_ns: Optional[int]) -> None:
-        if start_ns is None:
-            return
-        clock = self._telemetry["clock"]
-        self._telemetry["span"].labels(span=name).observe(clock() - start_ns)
-
-    def _span_start(self) -> Optional[int]:
-        if self._telemetry is None or self._telemetry["clock"] is None:
-            return None
-        return self._telemetry["clock"]()
+        self._telemetry = bind_store_telemetry(registry, clock, {
+            "bulk_requests": lambda: self.bulk_requests,
+            "documents_indexed": lambda: self.documents_indexed,
+            "queries": lambda: self.queries,
+            "columnar_bulks": lambda: self.columnar_bulks,
+            "docs_hydrated": lambda: sum(
+                index.hydrated_docs_total
+                for index in self._indices.values()),
+            "pending_docs": lambda: sum(
+                index.pending_docs for index in self._indices.values()),
+            "plan_exact": lambda: self.plan_counts["exact"],
+            "plan_pruned": lambda: self.plan_counts["pruned"],
+            "plan_fullscan": lambda: self.plan_counts["fullscan"],
+            "pruning_ratio": self.pruning_ratio,
+            "agg_pushdowns": lambda: self.agg_pushdowns,
+            "agg_fallbacks": lambda: self.agg_fallbacks,
+            "agg_cache_hits": lambda: self.agg_cache_hits,
+            "agg_cache_misses": lambda: self.agg_cache_misses,
+            "agg_cache_hit_rate": self.agg_cache_hit_rate,
+        })
 
     def pruning_ratio(self) -> float:
         """1 - (docs examined / docs stored), cumulative over queries."""
@@ -769,7 +790,7 @@ class DocumentStore:
         ``doc_ids``/``ranks`` are the coordinator passthrough (see
         :meth:`Index.put`); plain callers leave them unset.
         """
-        start = self._span_start()
+        start = span_start(self._telemetry)
         target = self.ensure_index(index)
         count = 0
         if doc_ids is None:
@@ -790,7 +811,7 @@ class DocumentStore:
         self.documents_indexed += count
         if self._telemetry is not None:
             self._telemetry["bulk_docs"].observe(count)
-            self._observe_span("store.bulk", start)
+            observe_span(self._telemetry, "store.bulk", start)
         return count
 
     def bulk_columnar(self, index: str, batch,
@@ -804,7 +825,7 @@ class DocumentStore:
         and span semantics match :meth:`bulk` exactly, so either path
         satisfies the same telemetry invariants.
         """
-        start = self._span_start()
+        start = span_start(self._telemetry)
         target = self.ensure_index(index)
         count = target.bulk_append(batch, doc_ids, ranks)
         self.bulk_requests += 1
@@ -812,7 +833,7 @@ class DocumentStore:
         self.documents_indexed += count
         if self._telemetry is not None:
             self._telemetry["bulk_docs"].observe(count)
-            self._observe_span("store.bulk", start)
+            observe_span(self._telemetry, "store.bulk", start)
         return count
 
     # ------------------------------------------------------------------
@@ -836,14 +857,10 @@ class DocumentStore:
         target = self._index(index)
         return target.iter_matches(query, self._plan(target, query))
 
-    def _run_kernels(self, target: Index, aggs: dict,
-                     rows) -> Optional[dict]:
-        """One timed columnar kernel run; ``None`` routes to fallback."""
+    def _run_kernels(self, target: Index, aggs: dict, rows) -> dict:
+        """One timed columnar kernel run (``supports`` said yes)."""
         kernel_start = time.perf_counter_ns()
-        try:
-            result = target.columns.run(aggs, rows)
-        except ColumnarUnsupported:
-            return None
+        result = target.columns.run(aggs, rows)
         elapsed = time.perf_counter_ns() - kernel_start
         self.agg_pushdowns += 1
         self.agg_kernel_ns += elapsed
@@ -874,7 +891,7 @@ class DocumentStore:
             raise StoreError(f"from_ must be non-negative: {from_}")
         if size is not None and size < 0:
             raise StoreError(f"size must be non-negative or None: {size}")
-        start = self._span_start()
+        start = span_start(self._telemetry)
         self.queries += 1
         target = self._index(index)
 
@@ -897,7 +914,7 @@ class DocumentStore:
             # Fully served from cache: no planning, no scan, no hits.
             if self._telemetry is not None:
                 self._telemetry["query_hits"].observe(total)
-                self._observe_span("store.query", start)
+                observe_span(self._telemetry, "store.query", start)
             return _response(index, total, [], aggregations)
 
         plan = self._plan(target, query)
@@ -916,7 +933,7 @@ class DocumentStore:
                 if pushdown:
                     rows, total = target.matching_rows(query, plan)
                     aggregations = self._run_kernels(target, aggs, rows)
-                if aggregations is None:
+                else:
                     matches = target.scan(query, plan)
                     total = len(matches)
                     aggregations = run_aggregations(
@@ -944,7 +961,7 @@ class DocumentStore:
                     rows = target.columns.rows_for_ids(
                         doc_id for doc_id, _ in matches)
                     aggregations = self._run_kernels(target, aggs, rows)
-                if aggregations is None:
+                else:
                     aggregations = run_aggregations(
                         aggs, [src for _, src in matches])
                     self.agg_fallbacks += 1
@@ -953,7 +970,7 @@ class DocumentStore:
 
         if self._telemetry is not None:
             self._telemetry["query_hits"].observe(total)
-            self._observe_span("store.query", start)
+            observe_span(self._telemetry, "store.query", start)
         if cacheable and aggregations is not None:
             target.agg_cache_put(cache_key,
                                  (total, copy.deepcopy(aggregations)))

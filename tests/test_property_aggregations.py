@@ -11,6 +11,11 @@ float arithmetic, or missing-value handling.
 Documents deliberately mix types per field (ints, floats, strings,
 bools, None, absent, lists), values go negative (histogram keys floor
 toward -inf), and nested aggregations stack buckets inside buckets.
+
+The same strategies then run against :class:`ShardedDocumentStore` at
+2-3 shards under every shard key: the coordinator merges per-shard
+partials through the same ``ColumnSet.merge`` the single store uses
+(or gathers when the merge declines), and must equal the oracle too.
 """
 
 import json
@@ -18,7 +23,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import DocumentStore, naive_aggregate
+from repro.backend import (DocumentStore, ShardedDocumentStore,
+                           naive_aggregate)
+from repro.backend.router import SHARD_KEYS
 
 # --- document strategies ----------------------------------------------------
 
@@ -123,8 +130,11 @@ def _assert_equivalent(store, query, aggs):
     which it does by declining pushdown and falling back.  Returns the
     response (or ``None`` when both raised).
     """
+    oracle = (store.oracle_index("ev")
+              if isinstance(store, ShardedDocumentStore)
+              else store._index("ev"))
     try:
-        expected = naive_aggregate(store._index("ev"), query, aggs)
+        expected = naive_aggregate(oracle, query, aggs)
     except Exception as exc:
         with pytest.raises(type(exc)):
             store.search("ev", query=query, size=0, aggs=aggs)
@@ -187,3 +197,64 @@ class TestColumnarEquivalence:
         if response is not None:
             again = store.search("ev", size=0, aggs=aggs)
             assert canon(response) == canon(again)
+
+
+# --- the same requests through the shard coordinator ------------------------
+
+#: Routing fields on top of the messy documents, so every shard key
+#: spreads them: ``pid`` and ``file_tag`` may be absent (shard 0) and
+#: ``time`` already ranges over twenty 1000-wide windows.
+routed_documents = st.builds(
+    lambda doc, routing: {**doc, **routing},
+    documents,
+    st.fixed_dictionaries({}, optional={
+        "pid": st.integers(min_value=1, max_value=6),
+        "file_tag": st.sampled_from(["/a", "/b", "/c", "/d"]),
+    }))
+
+layouts = st.tuples(st.sampled_from([2, 3]), st.sampled_from(SHARD_KEYS))
+
+
+def _sharded(docs, layout):
+    shard_count, shard_key = layout
+    store = ShardedDocumentStore(shard_count=shard_count,
+                                 shard_key=shard_key, time_window_ns=1_000)
+    store.ensure_index("ev")
+    store.bulk("ev", [dict(d) for d in docs])
+    return store
+
+
+class TestShardedEquivalence:
+    @given(docs=st.lists(routed_documents, max_size=60),
+           aggs=simple_requests, layout=layouts)
+    @settings(max_examples=120, deadline=None)
+    def test_single_level_matches_oracle(self, docs, aggs, layout):
+        _assert_equivalent(_sharded(docs, layout), None, aggs)
+
+    @given(docs=st.lists(routed_documents, max_size=40),
+           aggs=aggs_requests, layout=layouts)
+    @settings(max_examples=120, deadline=None)
+    def test_nested_matches_oracle(self, docs, aggs, layout):
+        _assert_equivalent(_sharded(docs, layout), None, aggs)
+
+    @given(docs=st.lists(routed_documents, max_size=60),
+           aggs=simple_requests, layout=layouts,
+           lo=st.integers(min_value=-5_000, max_value=5_000),
+           span=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_requests_match_oracle(self, docs, aggs, layout,
+                                            lo, span):
+        query = {"range": {"time": {"gte": lo, "lt": lo + span}}}
+        _assert_equivalent(_sharded(docs, layout), query, aggs)
+
+    @given(docs=st.lists(routed_documents, min_size=1, max_size=40),
+           aggs=aggs_requests, layout=layouts, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equivalence_survives_a_write_between_repeats(
+            self, docs, aggs, layout, data):
+        """Per-shard partials cached by the first request serve the
+        second for every shard the write did not touch."""
+        store = _sharded(docs, layout)
+        _assert_equivalent(store, None, aggs)
+        store.bulk("ev", [dict(data.draw(routed_documents))])
+        _assert_equivalent(store, None, aggs)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.backend import (DocumentStore, ShardedDocumentStore,
                            TenantBackend, TenantQuotaExceeded, TenantStore,
-                           create_store)
+                           create_store, naive_aggregate)
 from repro.backend.store import StoreError
 from repro.telemetry import MetricsRegistry
 
@@ -35,6 +35,25 @@ def sharded(count=3, key="pid", **kwargs):
                                  time_window_ns=1_000, **kwargs)
     store.ensure_index(INDEX, indexed_fields=INDEXED)
     return store
+
+
+def single(docs):
+    store = DocumentStore()
+    store.ensure_index(INDEX, indexed_fields=INDEXED)
+    store.bulk(INDEX, [dict(doc) for doc in docs])
+    return store
+
+
+def fig4(window_ns, field="syscall"):
+    """The paper's Fig. 4 panel: ``date_histogram`` ▸ ``terms``."""
+    return {"over_time": {
+        "date_histogram": {"field": "time", "fixed_interval": window_ns},
+        "aggs": {"by_thread": {"terms": {"field": field, "size": 50}}}}}
+
+
+def aggregations(store, aggs, **kwargs):
+    response = store.search(INDEX, size=0, aggs=aggs, **kwargs)
+    return json.dumps(response["aggregations"], sort_keys=True)
 
 
 class TestRouting:
@@ -120,6 +139,86 @@ class TestMerges:
             "per": {"terms": {"field": "syscall", "size": 5}},
             "lat": {"stats": {"field": "duration_ns"}}})
         assert store.agg_merges == before + 1
+
+    def test_fig4_shape_is_served_by_partial_merge(self):
+        """The ``live_tail_sharded`` refresh sequence: a batch, then the
+        nested Fig. 4 request — merged every time, never gathered."""
+        docs = make_docs(120)
+        store = sharded(count=4, key="time_window")
+        query = {"term": {"session": "s"}}
+        for start in range(0, 120, 30):
+            store.bulk(INDEX, docs[start:start + 30])
+            merges, gathers = store.agg_merges, store.agg_gathers
+            got = aggregations(store, fig4(2_000), query=query)
+            assert (store.agg_merges, store.agg_gathers) == (merges + 1,
+                                                             gathers)
+            assert got == aggregations(single(docs[:start + 30]),
+                                       fig4(2_000), query=query)
+
+    @pytest.mark.parametrize("docs, aggs", [
+        # "1" then 1 tie on (count, str(key)) inside one Fig. 4 bucket.
+        ([{"pid": 1, "time": 5, "g": "1"}, {"pid": 2, "time": 7, "g": 1}],
+         fig4(1_000, field="g")),
+        # 1.0 then 1: a dict over the values keeps the first-seen key.
+        ([{"pid": 1, "g": 1.0}, {"pid": 2, "g": 1}],
+         {"t": {"terms": {"field": "g"}}}),
+        # Float addition does not associate.
+        ([{"pid": 1, "g": 1e16}, {"pid": 2, "g": 1.0}, {"pid": 1, "g": -1e16}],
+         {"s": {"sum": {"field": "g"}}}),
+        # sorted() over NaN depends on the input order.
+        ([{"pid": 1, "g": 2.0}, {"pid": 2, "g": float("nan")},
+          {"pid": 1, "g": 1.0}],
+         {"p": {"percentiles": {"field": "g", "percents": [0, 50, 100]}}}),
+    ], ids=["nested-terms-tie", "equal-keys", "float-sum", "nan-percentiles"])
+    def test_document_order_dependent_merges_gather(self, docs, aggs):
+        """Shard order (pid 2, then pid 1) is not document order, and
+        each answer depends on document order — a merge of the two
+        partials would say ``1``-first, ``1``, ``1.0`` and a leading
+        NaN: the merge must decline and the gather must equal the
+        single store byte for byte."""
+        store = sharded(count=2)
+        store.bulk(INDEX, [dict(doc) for doc in docs])
+        gathers = store.agg_gathers
+        got = aggregations(store, aggs)
+        assert store.agg_gathers == gathers + 1
+        assert got == aggregations(single(docs), aggs)
+        assert got == json.dumps(naive_aggregate(
+            single(docs)._index(INDEX), None, aggs), sort_keys=True)
+
+    def test_merge_does_not_mutate_a_cached_shard_partial(self):
+        docs = make_docs(60)
+        store = sharded(count=2)
+        store.bulk(INDEX, docs)
+        first = aggregations(store, fig4(2_000))
+        assert first == aggregations(single(docs), fig4(2_000))
+        # A write to pid 2's shard only: pid 1's shard keeps its epoch,
+        # so its partial comes from the cache and is merged a second time.
+        extra = {**docs[1], "time": 0}
+        assert extra["pid"] == 2
+        store.bulk(INDEX, [extra])
+        hits = store.partial_cache_hits
+        second = aggregations(store, fig4(2_000))
+        assert store.partial_cache_hits == hits + 1
+        assert second == aggregations(single(docs + [extra]), fig4(2_000))
+        assert second != first
+
+    def test_cardinality_agrees_when_a_shard_holds_both_zeros(self):
+        """``0.0`` and ``-0.0`` share a dictionary code but not a
+        ``repr``: the shard's columns must decline, as the single
+        store's do, instead of counting codes."""
+        docs = [{"pid": 1, "g": 0.0}, {"pid": 1, "g": -0.0},
+                {"pid": 2, "g": 5}]
+        aggs = {"c": {"cardinality": {"field": "g"}}}
+        store = create_store(shard_count=2, shard_key="pid")
+        store.ensure_index(INDEX)
+        store.bulk(INDEX, [dict(doc) for doc in docs])
+        plain = single(docs)
+        expected = naive_aggregate(plain._index(INDEX), None, aggs)
+        assert expected == {"c": {"value": 3}}
+        assert plain.search(INDEX, size=0,
+                            aggs=aggs)["aggregations"] == expected
+        assert store.search(INDEX, size=0,
+                            aggs=aggs)["aggregations"] == expected
 
     def test_sorted_agg_requests_fall_back_to_gather(self):
         store = sharded()
