@@ -8,9 +8,12 @@
 - :mod:`repro.analysis.patterns` — I/O access-pattern classifiers over
   traced events (sequential vs. random, small requests, and the
   stale-offset-resume signature behind the Fluent Bit data loss).
+- :mod:`repro.analysis.session` — the one time-ordered read of a
+  stored session that the post-mortem analyses share.
 """
 
 from repro.analysis.latency import LatencyPoint, percentile_series, spikes
+from repro.analysis.session import SessionEvents
 from repro.analysis.contention import (ContentionReport, detect_contention,
                                        syscall_counts_by_thread)
 from repro.analysis.patterns import (AccessPattern, classify_file_accesses,
@@ -35,6 +38,7 @@ __all__ = [
     "LatencyPoint",
     "percentile_series",
     "spikes",
+    "SessionEvents",
     "ContentionReport",
     "detect_contention",
     "syscall_counts_by_thread",

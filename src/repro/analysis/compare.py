@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from repro.analysis.session import SessionEvents
 from repro.backend.store import DocumentStore
 
 
@@ -83,11 +84,10 @@ class SessionComparison(NamedTuple):
 
 def _sequence(store: DocumentStore, session: str, index: str,
               procs: Optional[list[str]]) -> list[dict]:
-    query: dict = {"bool": {"must": [{"term": {"session": session}}]}}
-    if procs:
-        query["bool"]["must"].append({"terms": {"proc_name": procs}})
-    response = store.search(index, query=query, sort=["time"], size=None)
-    return [hit["_source"] for hit in response["hits"]["hits"]]
+    wanted = set(procs or ())
+    return [source
+            for _, source in SessionEvents(store, index, session).events
+            if not wanted or source.get("proc_name") in wanted]
 
 
 def _normalize(events: list[dict]) -> list[tuple]:

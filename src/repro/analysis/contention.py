@@ -90,10 +90,13 @@ class ContentionReport(NamedTuple):
 def detect_contention(store: DocumentStore, index: str, window_ns: int,
                       min_compaction_threads: int = 5,
                       client_comm: str = "db_bench",
-                      session: Optional[str] = None) -> ContentionReport:
+                      session: Optional[str] = None,
+                      background_prefix: str = "rocksdb:low"
+                      ) -> ContentionReport:
     """Classify windows by compaction concurrency; compare client rates."""
     by_thread = syscall_counts_by_thread(store, index, window_ns, session)
     active = active_compaction_threads(store, index, window_ns,
+                                       prefix=background_prefix,
                                        session=session)
     contended, calm = [], []
     contended_rates, calm_rates = [], []

@@ -19,6 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 from repro.analysis.contention import detect_contention
 from repro.analysis.patterns import (classify_file_accesses,
                                      find_stale_offset_resumes)
+from repro.analysis.session import Event, SessionEvents
+from repro.backend.query import compile_query
 from repro.backend.store import DocumentStore
 from repro.kernel.errno import Errno
 
@@ -71,6 +73,15 @@ def make_evidence(event_ids: Sequence[str] = (),
     return evidence
 
 
+def events_evidence(events: Sequence[Event]) -> dict:
+    """Evidence (capped ids + time window) for ``events`` in time order."""
+    times = [source.get("time", 0) for _, source in events]
+    return make_evidence([event_id for event_id, _
+                          in events[:EVIDENCE_ID_CAP]],
+                         min(times) if times else None,
+                         max(times) if times else None)
+
+
 class Detector:
     """Base class: a named correlation over one session's events."""
 
@@ -80,29 +91,23 @@ class Detector:
     description = ""
 
     def run(self, store: DocumentStore, index: str,
-            session: Optional[str] = None) -> list[Finding]:
-        """Return findings for ``session`` (or the whole index)."""
+            session: Optional[str] = None,
+            view: Optional[SessionEvents] = None) -> list[Finding]:
+        """Return findings for ``session`` (or the whole index).
+
+        ``view`` is a caller's read of the same session, shared by a
+        battery; without one the detector reads the session itself.
+        """
+        return self.detect(view or SessionEvents(store, index, session))
+
+    def detect(self, view: SessionEvents) -> list[Finding]:
+        """The correlation itself.
+
+        Derive event-shaped inputs and evidence from ``view``;
+        ``size=0`` aggregations go to ``view.store``.  Never send a
+        ``size=None`` search per finding (docs/ARCHITECTURE.md).
+        """
         raise NotImplementedError
-
-    def _session_query(self, session: Optional[str],
-                       extra: Optional[list] = None) -> dict:
-        must: list = list(extra or [])
-        if session:
-            must.append({"term": {"session": session}})
-        return {"bool": {"must": must}} if must else {"match_all": {}}
-
-    def _collect_evidence(self, store: DocumentStore, index: str,
-                          session: Optional[str],
-                          extra: list) -> dict:
-        """Evidence (event ids + time window) for the matching events."""
-        response = store.search(
-            index, query=self._session_query(session, extra),
-            sort=["time"], size=None)
-        hits = response["hits"]["hits"]
-        times = [hit["_source"].get("time", 0) for hit in hits]
-        return make_evidence([hit["_id"] for hit in hits],
-                             min(times) if times else None,
-                             max(times) if times else None)
 
 
 class StaleOffsetDetector(Detector):
@@ -112,9 +117,10 @@ class StaleOffsetDetector(Detector):
     description = ("first read of a fresh file starts past offset 0 and "
                    "returns no data: a stale position was applied")
 
-    def run(self, store, index, session=None):
+    def detect(self, view):
         findings = []
-        for resume in find_stale_offset_resumes(store, index, session):
+        for resume in find_stale_offset_resumes(
+                view.store, view.index, view.session, view):
             findings.append(Finding(
                 detector=self.name,
                 severity="critical",
@@ -126,9 +132,8 @@ class StaleOffsetDetector(Detector):
                          "file_path": resume.file_path,
                          "offset": resume.offset,
                          "time": resume.time},
-                evidence=self._collect_evidence(
-                    store, index, session,
-                    [{"term": {"file_tag": resume.file_tag}}]),
+                evidence=events_evidence(
+                    view.by_file_tag[resume.file_tag]),
             ))
         return findings
 
@@ -143,9 +148,10 @@ class SmallIODetector(Detector):
         self.threshold_bytes = threshold_bytes
         self.min_requests = min_requests
 
-    def run(self, store, index, session=None):
+    def detect(self, view):
         findings = []
-        for pattern in classify_file_accesses(store, index, session):
+        for pattern in classify_file_accesses(
+                view.store, view.index, view.session, view):
             requests = pattern.reads + pattern.writes
             if requests < self.min_requests:
                 continue
@@ -161,9 +167,8 @@ class SmallIODetector(Detector):
                     details={"file_tag": pattern.file_tag,
                              "requests": requests,
                              "mean_bytes": relevant},
-                    evidence=self._collect_evidence(
-                        store, index, session,
-                        [{"term": {"file_tag": pattern.file_tag}}]),
+                    evidence=events_evidence(
+                        view.by_file_tag[pattern.file_tag]),
                 ))
         return findings
 
@@ -179,9 +184,10 @@ class RandomAccessDetector(Detector):
         self.max_sequential_fraction = max_sequential_fraction
         self.min_reads = min_reads
 
-    def run(self, store, index, session=None):
+    def detect(self, view):
         findings = []
-        for pattern in classify_file_accesses(store, index, session):
+        for pattern in classify_file_accesses(
+                view.store, view.index, view.session, view):
             if (pattern.reads >= self.min_reads
                     and pattern.sequential_fraction
                     <= self.max_sequential_fraction):
@@ -196,9 +202,8 @@ class RandomAccessDetector(Detector):
                              "reads": pattern.reads,
                              "sequential_fraction":
                                  pattern.sequential_fraction},
-                    evidence=self._collect_evidence(
-                        store, index, session,
-                        [{"term": {"file_tag": pattern.file_tag}}]),
+                    evidence=events_evidence(
+                        view.by_file_tag[pattern.file_tag]),
                 ))
         return findings
 
@@ -212,11 +217,10 @@ class FailedSyscallDetector(Detector):
     def __init__(self, min_failures: int = 3):
         self.min_failures = min_failures
 
-    def run(self, store, index, session=None):
-        query = self._session_query(session,
-                                    [{"range": {"ret": {"lt": 0}}}])
-        response = store.search(index, query=query, sort=["time"],
-                                size=None)
+    def detect(self, view):
+        response = view.store.search(
+            view.index, query=view.query([{"range": {"ret": {"lt": 0}}}]),
+            sort=["time"], size=None)
         clusters: dict[tuple[str, int], list] = {}
         for hit in response["hits"]["hits"]:
             source = hit["_source"]
@@ -253,14 +257,13 @@ class FdLeakDetector(Detector):
     def __init__(self, min_unclosed: int = 4):
         self.min_unclosed = min_unclosed
 
-    def run(self, store, index, session=None):
-        response = store.search(
-            index,
-            query=self._session_query(
-                session,
-                [{"terms": {"syscall": ["open", "openat", "creat", "close"]}},
-                 {"range": {"ret": {"gte": 0}}}]),
-            size=0,
+    def detect(self, view):
+        succeeded = [
+            {"terms": {"syscall": ["open", "openat", "creat", "close"]}},
+            {"range": {"ret": {"gte": 0}}}]
+        matches = compile_query({"bool": {"must": succeeded}})
+        response = view.store.search(
+            view.index, query=view.query(succeeded), size=0,
             aggs={"by_pid": {
                 "terms": {"field": "pid", "size": 500},
                 "aggs": {"by_syscall": {"terms": {"field": "syscall",
@@ -282,12 +285,9 @@ class FdLeakDetector(Detector):
                            f"({opens - closes} descriptors left open)"),
                     details={"pid": bucket["key"], "opens": opens,
                              "closes": closes},
-                    evidence=self._collect_evidence(
-                        store, index, session,
-                        [{"term": {"pid": bucket["key"]}},
-                         {"terms": {"syscall": ["open", "openat", "creat",
-                                                "close"]}},
-                         {"range": {"ret": {"gte": 0}}}]),
+                    evidence=events_evidence(
+                        [event for event in view.by_pid[bucket["key"]]
+                         if matches(event[1])]),
                 ))
         return findings
 
@@ -302,12 +302,12 @@ class ShortLivedFileDetector(Detector):
         self.min_bytes = min_bytes
         self.min_files = min_files
 
-    def run(self, store, index, session=None):
+    def detect(self, view):
+        store, index = view.store, view.index
         unlinked = store.search(
             index,
-            query=self._session_query(
-                session, [{"terms": {"syscall": ["unlink", "unlinkat"]}},
-                          {"term": {"ret": 0}}]),
+            query=view.query([{"terms": {"syscall": ["unlink", "unlinkat"]}},
+                              {"term": {"ret": 0}}]),
             size=None)
         deleted_paths = {hit["_source"].get("args", {}).get("path")
                          for hit in unlinked["hits"]["hits"]}
@@ -317,8 +317,7 @@ class ShortLivedFileDetector(Detector):
 
         writes = store.search(
             index,
-            query=self._session_query(
-                session,
+            query=view.query(
                 [{"terms": {"syscall": ["write", "pwrite64", "writev"]}},
                  {"exists": {"field": "file_path"}},
                  {"range": {"ret": {"gt": 0}}}]),
@@ -369,11 +368,12 @@ class ContentionDetector(Detector):
         self.client_comm = client_comm
         self.background_prefix = background_prefix
 
-    def run(self, store, index, session=None):
-        report = detect_contention(store, index, self.window_ns,
+    def detect(self, view):
+        report = detect_contention(view.store, view.index, self.window_ns,
                                    min_compaction_threads=self.min_threads,
                                    client_comm=self.client_comm,
-                                   session=session)
+                                   session=view.session,
+                                   background_prefix=self.background_prefix)
         if not report.contended_windows or not report.calm_windows:
             return []
         if report.client_slowdown < self.min_slowdown:
@@ -410,12 +410,17 @@ _SEVERITY_ORDER = {"critical": 0, "warning": 1, "info": 2}
 
 def run_detectors(store: DocumentStore, index: str = "dio_trace",
                   session: Optional[str] = None,
-                  detectors: Sequence[Detector] = DEFAULT_DETECTORS
-                  ) -> list[Finding]:
-    """Run a battery of detectors; findings sorted by severity."""
+                  detectors: Sequence[Detector] = DEFAULT_DETECTORS,
+                  view: Optional[SessionEvents] = None) -> list[Finding]:
+    """Run a battery of detectors; findings sorted by severity.
+
+    The whole battery shares one read of the session (``view``, or a
+    fresh one).
+    """
+    view = view or SessionEvents(store, index, session)
     findings: list[Finding] = []
     for detector in detectors:
-        findings.extend(detector.run(store, index, session))
+        findings.extend(detector.detect(view))
     findings.sort(key=lambda f: (_SEVERITY_ORDER.get(f.severity, 9),
                                  f.detector, f.title))
     return findings

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
+from repro.analysis.session import SessionEvents
 from repro.backend.store import DocumentStore
 
 #: Start-of-stream pseudo-node (the classic DFG source marker).
@@ -202,26 +203,20 @@ class DirectlyFollowsGraph:
 # ----------------------------------------------------------------------
 # Mining from the backend
 
-def _session_events(store: DocumentStore, index: str,
-                    session: Optional[str]) -> list[tuple[str, dict]]:
-    query: dict = ({"term": {"session": session}} if session
-                   else {"match_all": {}})
-    response = store.search(index, query=query, sort=["time"], size=None)
-    return [(hit["_id"], hit["_source"])
-            for hit in response["hits"]["hits"]]
-
-
 def mine_dfgs(store: DocumentStore, index: str = "dio_trace",
               session: Optional[str] = None,
               per_thread: bool = False,
-              node_mode: str = "syscall") -> dict[str, DirectlyFollowsGraph]:
+              node_mode: str = "syscall",
+              view: Optional[SessionEvents] = None
+              ) -> dict[str, DirectlyFollowsGraph]:
     """Mine one DFG per process (or per thread) from stored events.
 
     Keys are ``proc_name`` (or ``proc_name/tid``), sorted on return, so
-    downstream rendering is deterministic.
+    downstream rendering is deterministic.  ``view`` (here and below)
+    is a caller's read of the same session, to share it.
     """
     graphs: dict[str, DirectlyFollowsGraph] = {}
-    for _, source in _session_events(store, index, session):
+    for _, source in (view or SessionEvents(store, index, session)).events:
         key = source["proc_name"]
         if per_thread:
             key = f"{key}/{source['tid']}"
@@ -327,10 +322,12 @@ def mine_phases(store: DocumentStore, index: str = "dio_trace",
                 proc_name: Optional[str] = None,
                 window_events: int = 64,
                 drift_threshold: float = 0.4,
-                node_mode: str = "syscall") -> list[Phase]:
+                node_mode: str = "syscall",
+                view: Optional[SessionEvents] = None) -> list[Phase]:
     """Phase-segment one session's (optionally one process's) stream."""
-    stream = [source for _, source in _session_events(store, index, session)
-              if proc_name is None or source["proc_name"] == proc_name]
+    view = view or SessionEvents(store, index, session)
+    stream = (source for _, source in view.events
+              if proc_name is None or source["proc_name"] == proc_name)
     return segment_phases(stream, window_events, drift_threshold,
                           node_mode, name=proc_name or session or index)
 
@@ -358,7 +355,9 @@ class DFGComparison(NamedTuple):
 
 
 def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
-               node_mode: str = "syscall") -> DirectlyFollowsGraph:
+               node_mode: str = "syscall",
+               view: Optional[SessionEvents] = None
+               ) -> DirectlyFollowsGraph:
     """One whole-session DFG (streams interleaved by time, per thread).
 
     Transitions are tracked per thread — interleaving two threads'
@@ -367,7 +366,7 @@ def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
     """
     merged = DirectlyFollowsGraph(session or index, node_mode)
     per_thread: dict[int, DirectlyFollowsGraph] = {}
-    for _, source in _session_events(store, index, session):
+    for _, source in (view or SessionEvents(store, index, session)).events:
         tid = source["tid"]
         graph = per_thread.get(tid)
         if graph is None:

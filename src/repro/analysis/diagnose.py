@@ -21,13 +21,16 @@ same events in, byte-identical report out (pinned by the DST digest).
 
 from __future__ import annotations
 
+import heapq
 import json
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 from repro.analysis.detectors import (DEFAULT_DETECTORS, Detector, Finding,
                                       run_detectors)
 from repro.analysis.dfg import (DirectlyFollowsGraph, Phase, merged_dfg,
                                 segment_phases)
+from repro.analysis.session import SessionEvents
 from repro.analysis.streaming import DiagnosisTap
 from repro.backend.store import DocumentStore
 
@@ -181,76 +184,58 @@ def _merge(batch: Sequence[Finding],
     return ranked
 
 
+def _feed_time(item: tuple) -> int:
+    return item[2].get("time", 0) if item[0] == "event" else item[1]
+
+
 def _merged_feed(events: Sequence[tuple[str, dict]],
-                 latency_records: Optional[Sequence]) -> list[tuple]:
-    """Interleave events and latency records by time (stable).
+                 latency_records: Optional[Sequence]) -> Iterator[tuple]:
+    """Interleave events and latency records by time, lazily.
 
     Feeding them merged — the way a live deployment would see them —
     keeps the windowed detectors' background-activity state alive when
     a latency record closes its window, so spikes attribute correctly.
+    ``events`` arrive in time order; the records are put in start order
+    here.  ``heapq.merge`` keeps each side's own order and, on a tie,
+    takes from the earlier iterable: an event precedes a record of the
+    same time.
     """
-    feed = [(source.get("time", 0), 0, index, ("event", event_id, source))
-            for index, (event_id, source) in enumerate(events)]
-    feed += [(record[0], 1, index, ("latency", record[0], record[1]))
-             for index, record in enumerate(latency_records or ())]
-    feed.sort(key=lambda item: item[:3])
-    return [item[3] for item in feed]
-
-
-def replay_through_tap(store: DocumentStore, index: str,
-                       session: Optional[str],
-                       tap: Optional[DiagnosisTap] = None,
-                       latency_records: Optional[Sequence] = None
-                       ) -> DiagnosisTap:
-    """Feed a stored session through a (fresh) streaming tap.
-
-    Post-mortem equivalent of riding the consumer path live — with the
-    bonus that stored events carry backend ids, so the streaming
-    findings get real evidence links.
-    """
-    from repro.analysis.dfg import _session_events
-
-    if tap is None:
-        tap = DiagnosisTap()
-    for item in _merged_feed(_session_events(store, index, session),
-                             latency_records):
-        if item[0] == "event":
-            tap.observe(item[2], item[1])
-        else:
-            tap.observe_latency(item[1], item[2])
-    tap.finalize()
-    return tap
+    return heapq.merge(
+        (("event", event_id, source) for event_id, source in events),
+        (("latency", record[0], record[1])
+         for record in sorted(latency_records or (), key=itemgetter(0))),
+        key=_feed_time)
 
 
 def follow_session(store: DocumentStore, index: str,
                    session: Optional[str],
                    tap: Optional[DiagnosisTap] = None,
                    latency_records: Optional[Sequence] = None,
-                   emit=None) -> DiagnosisTap:
-    """Replay a stored session, surfacing findings *as they emerge*.
+                   emit=None,
+                   view: Optional[SessionEvents] = None) -> DiagnosisTap:
+    """Feed a stored session through a (fresh) streaming tap.
 
-    The ``--follow`` mode of ``dio diagnose``: ``emit(emit_ns,
-    finding)`` is called for every incremental finding in stream order,
-    including those flushed by the final watermark close.
+    Post-mortem equivalent of riding the consumer path live — with the
+    bonus that stored events carry backend ids, so the streaming
+    findings get real evidence links.  With ``emit`` it is the
+    ``--follow`` mode of ``dio diagnose``: ``emit(emit_ns, finding)``
+    is called for every incremental finding in stream order, including
+    those flushed by the final watermark close.
     """
-    from repro.analysis.dfg import _session_events
-
     if tap is None:
         tap = DiagnosisTap()
 
     def drain() -> None:
-        if emit is None:
-            tap.drain_new()
-            return
-        for emit_ns, finding in tap.drain_new():
-            emit(emit_ns, finding)
+        if emit is not None:
+            for emit_ns, finding in tap.drain_new():
+                emit(emit_ns, finding)
 
-    for item in _merged_feed(_session_events(store, index, session),
-                             latency_records):
-        if item[0] == "event":
-            tap.observe(item[2], item[1])
+    view = view or SessionEvents(store, index, session)
+    for kind, first, second in _merged_feed(view.events, latency_records):
+        if kind == "event":
+            tap.observe(second, first)
         else:
-            tap.observe_latency(item[1], item[2])
+            tap.observe_latency(first, second)
         drain()
     tap.finalize()
     drain()
@@ -271,11 +256,15 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
     path); when omitted, the stored events are replayed through a fresh
     one.  ``latency_records`` (``(start_ns, latency_ns, ...)`` tuples,
     e.g. ``bench.records()``) additionally feed the spike attributor.
+
+    The session is read from the store once: the detectors, the replay,
+    the DFG and the phases all derive from one :class:`SessionEvents`.
     """
-    batch = run_detectors(store, index, session, detectors)
+    view = SessionEvents(store, index, session)
+    batch = run_detectors(store, index, session, detectors, view)
     if tap is None:
-        tap = replay_through_tap(store, index, session,
-                                 latency_records=latency_records)
+        tap = follow_session(store, index, session,
+                             latency_records=latency_records, view=view)
     else:
         if latency_records:
             # A live tap saw the syscalls during the run; the latency
@@ -284,18 +273,14 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
             for record in sorted(latency_records, key=lambda r: r[0]):
                 tap.observe_latency(record[0], record[1])
         tap.finalize()
-    graph = merged_dfg(store, index, session, node_mode)
-    from repro.analysis.dfg import _session_events
-
-    stream = [source for _, source in _session_events(store, index, session)]
-    phases = segment_phases(stream, window_events, drift_threshold,
-                            node_mode, name=session or index)
     return DiagnosisReport(
         session=session,
         findings=_merge(batch, tap.findings()),
-        dfg=graph,
-        phases=phases,
-        events=len(stream),
+        dfg=merged_dfg(store, index, session, node_mode, view),
+        phases=segment_phases((source for _, source in view.events),
+                              window_events, drift_threshold, node_mode,
+                              name=session or index),
+        events=len(view.events),
     )
 
 

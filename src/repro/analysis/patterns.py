@@ -9,12 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from repro.analysis.session import READS as _READS, SessionEvents
 from repro.backend.store import DocumentStore
-
-#: Syscalls that read file data.
-_READS = ("read", "pread64", "readv")
-#: Syscalls that write file data.
-_WRITES = ("write", "pwrite64", "writev")
 
 
 class AccessPattern(NamedTuple):
@@ -31,28 +27,17 @@ class AccessPattern(NamedTuple):
     mean_read_bytes: float
 
 
-def _data_events(store: DocumentStore, index: str,
-                 session: Optional[str] = None) -> list[dict]:
-    query: dict = {"bool": {"must": [
-        {"terms": {"syscall": list(_READS + _WRITES)}},
-        {"exists": {"field": "file_tag"}},
-    ]}}
-    if session:
-        query["bool"]["must"].append({"term": {"session": session}})
-    response = store.search(index, query=query, sort=["time"], size=None)
-    return [hit["_source"] for hit in response["hits"]["hits"]]
-
-
 def classify_file_accesses(store: DocumentStore, index: str,
-                           session: Optional[str] = None) -> list[AccessPattern]:
+                           session: Optional[str] = None,
+                           view: Optional[SessionEvents] = None
+                           ) -> list[AccessPattern]:
     """Characterize each file's access pattern from its data syscalls.
 
     An access is *sequential* when it starts exactly where the previous
-    access on the same file ended.
+    access on the same file ended.  ``view`` is a caller's
+    :class:`SessionEvents` of the same session, to share its one read.
     """
-    per_file: dict[str, list[dict]] = {}
-    for event in _data_events(store, index, session):
-        per_file.setdefault(event["file_tag"], []).append(event)
+    per_file = (view or SessionEvents(store, index, session)).data_by_file
 
     patterns = []
     for tag, events in sorted(per_file.items()):
@@ -114,7 +99,8 @@ class StaleOffsetResume(NamedTuple):
 
 
 def find_stale_offset_resumes(store: DocumentStore, index: str,
-                              session: Optional[str] = None
+                              session: Optional[str] = None,
+                              view: Optional[SessionEvents] = None
                               ) -> list[StaleOffsetResume]:
     """Detect the Fluent Bit signature (§III-B, Fig. 2a step 5).
 
@@ -125,9 +111,7 @@ def find_stale_offset_resumes(store: DocumentStore, index: str,
     clear the suspicion; a tag whose reads never returned data past
     that offset is flagged.
     """
-    per_file: dict[str, list[dict]] = {}
-    for event in _data_events(store, index, session):
-        per_file.setdefault(event["file_tag"], []).append(event)
+    per_file = (view or SessionEvents(store, index, session)).data_by_file
 
     findings = []
     for tag, events in sorted(per_file.items()):

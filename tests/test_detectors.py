@@ -137,27 +137,41 @@ class TestShortLivedFileDetector:
         assert ShortLivedFileDetector().run(store, "t") == []
 
 
+def contended_docs(prefix="rocksdb:low"):
+    docs = []
+    for i in range(40):
+        docs.append({"syscall": "read", "proc_name": "db_bench",
+                     "tid": 100 + (i % 8), "pid": 1,
+                     "time": i * 200_000, "ret": 512})
+    for t in range(5):
+        for i in range(10):
+            docs.append({"syscall": "pread64",
+                         "proc_name": f"{prefix}{t}", "pid": 1,
+                         "tid": 200 + t, "time": 10 * MS + i * 500_000,
+                         "ret": 262144})
+    for i in range(4):
+        docs.append({"syscall": "read", "proc_name": "db_bench",
+                     "tid": 100 + i, "pid": 1, "time": 10 * MS + i * MS,
+                     "ret": 512})
+    return docs
+
+
 class TestContentionDetectorWrapper:
     def test_fires_on_contended_trace(self, store):
-        docs = []
-        for i in range(40):
-            docs.append({"syscall": "read", "proc_name": "db_bench",
-                         "tid": 100 + (i % 8), "pid": 1,
-                         "time": i * 200_000, "ret": 512})
-        for t in range(5):
-            for i in range(10):
-                docs.append({"syscall": "pread64",
-                             "proc_name": f"rocksdb:low{t}", "pid": 1,
-                             "tid": 200 + t, "time": 10 * MS + i * 500_000,
-                             "ret": 262144})
-        for i in range(4):
-            docs.append({"syscall": "read", "proc_name": "db_bench",
-                         "tid": 100 + i, "pid": 1, "time": 10 * MS + i * MS,
-                         "ret": 512})
-        store.bulk("t", docs)
+        store.bulk("t", contended_docs())
         findings = ContentionDetector(window_ns=10 * MS).run(store, "t")
         assert len(findings) == 1
         assert "client syscall rate drops" in findings[0].title
+
+    def test_background_prefix_reaches_the_query(self, store):
+        # Not only the title: threads named otherwise must be found,
+        # and the default prefix must then find nothing.
+        store.bulk("t", contended_docs("compactor-"))
+        findings = ContentionDetector(
+            window_ns=10 * MS, background_prefix="compactor-").run(store, "t")
+        assert len(findings) == 1
+        assert "compactor-* threads" in findings[0].title
+        assert ContentionDetector(window_ns=10 * MS).run(store, "t") == []
 
 
 class TestRunDetectors:
