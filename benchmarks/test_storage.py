@@ -1,7 +1,7 @@
 """Segment-storage trajectory benchmark: cold start and footprint.
 
-Persists the same synthetic session both ways — `storage_mode="jsonl"`
-(one JSON-lines file, the oracle format) and `storage_mode="segments"`
+Persists the same synthetic session both ways — `export_session` (one
+JSON-lines file, the interchange and oracle format) and `save_session`
 (WAL + immutable columnar segment files, docs/STORAGE.md) — and
 measures what the engine was built for:
 
@@ -27,8 +27,8 @@ import time
 from pathlib import Path
 
 from repro.backend import DocumentStore, SegmentStorage
-from repro.backend.persistence import (import_session, load_session,
-                                       save_session)
+from repro.backend.persistence import (export_session, import_session,
+                                       load_session, save_session)
 
 N_EVENTS = int(os.environ.get("DIO_BENCH_EVENTS", "1000000"))
 ROUNDS = 1 if N_EVENTS >= 500_000 else 3
@@ -154,11 +154,10 @@ def test_storage_trajectory(tmp_path):
     jsonl_path = tmp_path / "session.jsonl"
     start = time.perf_counter()
     save_session(store, SESSION, seg_root, index=INDEX,
-                 storage_mode="segments", flush_events=FLUSH_EVENTS)
+                 flush_events=FLUSH_EVENTS)
     seg_save_s = time.perf_counter() - start
     start = time.perf_counter()
-    save_session(store, SESSION, jsonl_path, index=INDEX,
-                 storage_mode="jsonl")
+    export_session(store, SESSION, jsonl_path, index=INDEX)
     jsonl_save_s = time.perf_counter() - start
 
     # A window the width of roughly one segment, in the middle.

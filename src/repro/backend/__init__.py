@@ -26,12 +26,16 @@ package is an in-process substitute exposing the same operations:
 - :mod:`repro.backend.correlation` — the paper's custom file-path
   correlation algorithm, translating file tags into accessed paths.
 - :mod:`repro.backend.segments` + :mod:`repro.backend.wal` — the
-  segment storage engine: immutable columnar segment files with zone
-  maps and checksummed footers behind a write-ahead log (the
-  ``storage_mode="segments"`` axis; byte layout in docs/STORAGE.md).
+  storage engine: immutable columnar segment files with zone maps and
+  checksummed footers behind a write-ahead log, and the one
+  ``len | crc32 | payload`` record-frame codec every append-only log
+  in the repository uses (byte layout in docs/STORAGE.md).
+- :mod:`repro.backend.persistence` — sessions on disk:
+  ``save_session``/``load_session`` over the segment engine, and the
+  JSON-lines ``export_session``/``import_session`` interchange format.
 - :mod:`repro.backend.router` — the scatter-gather coordinator:
-  deterministic shard routing, parallel fan-out, top-k heap merge for
-  search and kernel-partial merge for aggregations (the
+  deterministic shard routing, shard-by-shard fan-out, top-k heap
+  merge for search and kernel-partial merge for aggregations (the
   ``shard_count`` axis; ``shard_count=1`` is the oracle).
 - :mod:`repro.backend.tenancy` — tenant/session isolation on top of
   the router: per-tenant stores on disjoint shard sets with document
@@ -46,11 +50,10 @@ from repro.backend.indexes import FieldIndex
 from repro.backend.naive import legacy_correlate, naive_aggregate, naive_scan
 from repro.backend.aggregations import run_aggregations, AggregationError
 from repro.backend.correlation import FilePathCorrelator, CorrelationReport
-from repro.backend.persistence import (STORAGE_MODES, SessionError,
-                                       delete_session, export_session,
-                                       import_session, list_sessions,
-                                       load_session, recover_session,
-                                       save_session, storage_mode_of)
+from repro.backend.persistence import (SessionError, delete_session,
+                                       export_session, import_session,
+                                       list_sessions, load_session,
+                                       recover_session, save_session)
 from repro.backend.segments import Segment, SegmentError, SegmentStorage
 from repro.backend.wal import WALError, WriteAheadLog
 from repro.backend.router import (SHARD_KEYS, ShardedDocumentStore,
@@ -77,7 +80,6 @@ __all__ = [
     "FilePathCorrelator",
     "CorrelationReport",
     "SessionError",
-    "STORAGE_MODES",
     "delete_session",
     "export_session",
     "import_session",
@@ -85,7 +87,6 @@ __all__ = [
     "load_session",
     "recover_session",
     "save_session",
-    "storage_mode_of",
     "Segment",
     "SegmentError",
     "SegmentStorage",

@@ -3,24 +3,23 @@
 *"DIO allows storing different tracing executions from the same or
 different applications and posteriorly analyzing and comparing them."*
 
-Sessions are exported as JSON-lines files (one event document per
-line, plus a header line with session metadata) and can be re-imported
-into any :class:`~repro.backend.store.DocumentStore` — on this machine,
-on another one, or months later.
+There is one storage engine and one interchange format:
 
-Two on-disk formats live behind the ``storage_mode`` axis:
+* :func:`save_session` persists a session as a directory managed by
+  :class:`repro.backend.segments.SegmentStorage` — immutable columnar
+  segment files with zone maps and checksummed footers behind a
+  write-ahead log (see ``docs/STORAGE.md``), giving O(segment-index)
+  cold start instead of O(re-parse everything);
+* :func:`export_session` / :func:`import_session` write and read a
+  single JSON-lines file (a header line with session metadata, then
+  one event document per line) — what you hand to another tool or
+  another machine, and the always-correct differential oracle the
+  segment engine is tested against.  :func:`recover_session` is the
+  tolerant reader for a file a crash or a partial copy damaged.
 
-* ``"jsonl"`` — the original single-file JSON-lines layout, kept as
-  the always-correct differential oracle;
-* ``"segments"`` — a directory managed by
-  :class:`repro.backend.segments.SegmentStorage`: immutable columnar
-  segment files with zone maps and checksummed footers (see
-  ``docs/STORAGE.md``), giving O(segment-index) cold start instead of
-  O(re-parse everything).
-
-:func:`save_session` / :func:`load_session` dispatch on the axis;
-loading auto-detects the format from what is actually on disk, so a
-reader never has to know how a capture was written.
+:func:`load_session` takes either: a directory is a segment store, a
+file is an export, so a reader never has to know how a capture was
+written.
 """
 
 from __future__ import annotations
@@ -34,8 +33,9 @@ from repro.backend.store import DocumentStore
 #: Format marker written in the header line.
 FORMAT = "dio-session-v1"
 
-#: Supported on-disk session layouts (the ``storage_mode`` config axis).
-STORAGE_MODES = ("jsonl", "segments")
+#: Secondary indexes every loaded session index is created with.
+_INDEXED_FIELDS = ("syscall", "proc_name", "pid", "tid", "file_tag",
+                   "session", "time")
 
 
 class SessionError(Exception):
@@ -100,70 +100,99 @@ def export_session(store: DocumentStore, session: str, path: str | Path,
     return len(hits)
 
 
+def _read_session_file(path: Path, errors: str
+                       ) -> tuple[Optional[dict], list[dict], list[str]]:
+    """The one parser of a session file: ``(header, docs, corrupt)``.
+
+    ``header`` is the first line's JSON object (``None`` when it is
+    not one); ``docs`` are the data lines that are event documents, in
+    file order — none are read under a foreign format marker.  A torn
+    write (crash mid-export, partial copy) leaves a truncated final
+    line: every such line is left out of ``docs`` and described in
+    ``corrupt``.  ``errors`` is the UTF-8 decoding policy.
+    """
+    lines = path.read_text(encoding="utf-8", errors=errors).split("\n")
+    docs: list[dict] = []
+    corrupt: list[str] = []
+    try:
+        header = json.loads(lines[0])
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        return None, docs, corrupt
+    if header.get("format") != FORMAT:
+        return header, docs, corrupt
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            corrupt.append(f"corrupt data line {lineno} (truncated export?)")
+            continue
+        if isinstance(doc, dict):
+            docs.append(doc)
+        else:
+            corrupt.append(f"data line {lineno} is not an event document")
+    return header, docs, corrupt
+
+
+def _index_docs(store: DocumentStore, index: str, session: str,
+                docs: list[dict]) -> None:
+    for doc in docs:
+        doc["session"] = session
+    store.ensure_index(index, indexed_fields=_INDEXED_FIELDS)
+    store.bulk(index, docs)
+
+
 def import_session(store: DocumentStore, path: str | Path,
                    index: str = "dio_trace",
                    rename_to: Optional[str] = None) -> str:
     """Load a session file into ``index``; returns the session name.
 
-    ``rename_to`` re-labels the session on import, so the same capture
-    can be loaded twice side by side (e.g. for before/after diffing).
+    Strict: a corrupt or non-document data line, or an event count
+    that disagrees with the header, raises :class:`SessionError` (not
+    a raw ``JSONDecodeError`` leaking parser internals) and imports
+    nothing.  ``rename_to`` re-labels the session on import, so the
+    same capture can be loaded twice side by side (e.g. for
+    before/after diffing).
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise SessionError(f"{path} is not a session file") from exc
-        if header.get("format") != FORMAT:
-            raise SessionError(
-                f"{path}: unsupported format {header.get('format')!r}")
-        session = rename_to or header["session"]
-        docs = []
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            # A torn write (crash mid-export, partial copy) leaves a
-            # truncated final line; surface it as a SessionError, not a
-            # raw JSONDecodeError leaking parser internals.
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SessionError(
-                    f"{path}: corrupt data line {lineno} "
-                    f"(truncated export?)") from exc
-            if not isinstance(doc, dict):
-                raise SessionError(
-                    f"{path}: data line {lineno} is not an event document")
-            doc["session"] = session
-            docs.append(doc)
+    header, docs, corrupt = _read_session_file(path, errors="strict")
+    if header is None:
+        raise SessionError(f"{path} is not a session file")
+    if header.get("format") != FORMAT:
+        raise SessionError(
+            f"{path}: unsupported format {header.get('format')!r}")
+    if corrupt:
+        raise SessionError(f"{path}: {corrupt[0]}")
     if len(docs) != header.get("events"):
         raise SessionError(
             f"{path}: header claims {header.get('events')} events, "
             f"found {len(docs)}")
-    store.ensure_index(index, indexed_fields=("syscall", "proc_name", "pid",
-                                              "tid", "file_tag", "session",
-                                              "time"))
-    store.bulk(index, docs)
+    session = rename_to or header["session"]
+    _index_docs(store, index, session, docs)
     return session
 
 
 def save_session(store: DocumentStore, session: str, path: str | Path,
-                 index: str = "dio_trace", storage_mode: str = "jsonl",
+                 index: str = "dio_trace", storage_mode: str = "segments",
                  flush_events: int = 100_000) -> int:
-    """Persist one session under the chosen ``storage_mode``.
+    """Persist one session as a segment store; returns the event count.
 
-    ``"jsonl"`` delegates to :func:`export_session` (one file);
-    ``"segments"`` writes a :class:`~repro.backend.segments.
-    SegmentStorage` directory at ``path``, chunking the time-sorted
-    events into ``flush_events``-sized immutable segments.  Both paths
-    reload into byte-identical stores.  Returns the event count.
+    Writes a :class:`~repro.backend.segments.SegmentStorage` directory
+    at ``path``, chunking the time-sorted events into
+    ``flush_events``-sized immutable segments; :func:`load_session`
+    rebuilds a store byte-identical to importing an export of the same
+    session.  ``storage_mode`` selects nothing: the parameter is kept
+    because a positional caller (the end-to-end benchmark) still names
+    the layout in that slot, and any value other than ``"segments"``
+    is refused — a JSON-lines file is :func:`export_session`'s job.
     """
-    if storage_mode not in STORAGE_MODES:
-        raise SessionError(f"unknown storage mode {storage_mode!r}; "
-                           f"pick one of {STORAGE_MODES}")
-    if storage_mode == "jsonl":
-        return export_session(store, session, path, index=index)
+    if storage_mode != "segments":
+        raise SessionError(
+            f"save_session always writes a segment store, not "
+            f"{storage_mode!r}; use export_session for a JSON-lines file")
     from repro.backend.segments import SegmentError, SegmentStorage
     response = store.search(index, query={"term": {"session": session}},
                             sort=["time"], size=None)
@@ -184,35 +213,19 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
     return count
 
 
-def storage_mode_of(path: str | Path) -> str:
-    """Which on-disk layout lives at ``path`` (``jsonl``/``segments``).
-
-    A directory holding a segment manifest is ``"segments"``;
-    anything else is assumed to be a JSON-lines file (whose own header
-    validation runs at import time).
-    """
-    from repro.backend.segments import MANIFEST_NAME
-    path = Path(path)
-    if path.is_dir():
-        if (path / MANIFEST_NAME).exists():
-            return "segments"
-        raise SessionError(f"{path} is a directory but holds no "
-                           "segment manifest")
-    return "jsonl"
-
-
 def load_session(store: DocumentStore, path: str | Path,
                  index: str = "dio_trace",
                  rename_to: Optional[str] = None) -> str:
-    """Load a persisted session, whatever its on-disk format.
+    """Load a persisted session: a segment store or an export file.
 
-    The ``segments`` path costs O(segment index) to open and then
-    bulk-loads in global time order — the same document order
-    :func:`import_session` produces from a sorted export, so either
-    format rebuilds an indistinguishable store.  Returns the session
-    name.
+    A directory is opened as a segment store, which costs O(segment
+    index) and then bulk-loads in global time order — the same
+    document order :func:`import_session` produces from a sorted
+    export, so either rebuilds an indistinguishable store; anything
+    else is read as a JSON-lines export (whose own header validation
+    runs at import time).  Returns the session name.
     """
-    if storage_mode_of(path) == "jsonl":
+    if not Path(path).is_dir():
         return import_session(store, path, index=index, rename_to=rename_to)
     from repro.backend.segments import SegmentError, SegmentStorage
     try:
@@ -262,51 +275,26 @@ def recover_session(store: DocumentStore, path: str | Path,
               "dropped_duplicates": 0, "header_ok": False,
               "count_mismatch": False}
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        header, docs, corrupt = _read_session_file(path, errors="replace")
     except OSError as exc:
         raise SessionError(f"cannot read {path}") from exc
-    lines = text.split("\n")
-    header = None
-    if lines and lines[0].strip():
-        try:
-            parsed = json.loads(lines[0])
-            if isinstance(parsed, dict) and parsed.get("format") == FORMAT:
-                header = parsed
-        except ValueError:
-            pass
-    if header is None:
+    if header is None or header.get("format") != FORMAT:
         return report
     report["header_ok"] = True
+    report["dropped_corrupt"] = len(corrupt)
     session = rename_to or header.get("session") or path.stem
     report["session"] = session
-    docs = []
-    seen_keys: set[tuple] = set()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            if not isinstance(doc, dict):
-                raise ValueError("not an event document")
-        except ValueError:
-            report["dropped_corrupt"] += 1
-            continue
-        key = tuple(doc.get(field) for field in _EVENT_KEY)
-        if key in seen_keys:
-            report["dropped_duplicates"] += 1
-            continue
-        seen_keys.add(key)
-        doc["session"] = session
-        docs.append(doc)
+    first_by_key: dict[tuple, dict] = {}
+    for doc in docs:
+        first_by_key.setdefault(
+            tuple(doc.get(field) for field in _EVENT_KEY), doc)
+    report["dropped_duplicates"] = len(docs) - len(first_by_key)
     expected = header.get("events")
-    if isinstance(expected, int) and expected != len(docs):
+    if isinstance(expected, int) and expected != len(first_by_key):
         report["count_mismatch"] = True
-    if docs:
-        store.ensure_index(index, indexed_fields=("syscall", "proc_name",
-                                                  "pid", "tid", "file_tag",
-                                                  "session", "time"))
-        store.bulk(index, docs)
-    report["imported"] = len(docs)
+    if first_by_key:
+        _index_docs(store, index, session, list(first_by_key.values()))
+    report["imported"] = len(first_by_key)
     return report
 
 

@@ -14,7 +14,8 @@ own segment directory — and a thin coordinator that:
   :class:`~repro.tracer.batch.RecordBatch` is split by shard key with
   :meth:`RecordBatch.take` before ``bulk_columnar`` — no per-event
   document is ever materialised on the ingest path;
-- **fans out reads** over ``concurrent.futures`` and merges at the
+- **fans out reads** shard by shard (serially: the speed-up is the
+  smaller per-shard working set, not threads) and merges at the
   coordinator: a k-way heap merge by global rank (or by the search
   sort key) for hits; for aggregations, each shard's columnar partial
   (:meth:`ColumnSet.partial`, cached per shard epoch) handed to the
@@ -25,8 +26,7 @@ own segment directory — and a thin coordinator that:
 - **stays byte-identical**: ``shard_count=1`` (via :func:`create_store`)
   is literally today's ``DocumentStore``, and for any shard count the
   documents, query results, aggregations, correlation output, and
-  diagnosis reports are identical to the single-store run — the same
-  differential-oracle pattern as ``storage_mode``.
+  diagnosis reports are identical to the single-store run.
 
 Hash routing uses ``zlib.crc32`` over a normalised value token — never
 Python ``hash()``, which is randomised per process for strings.  The
@@ -39,11 +39,9 @@ from __future__ import annotations
 
 import copy
 import json
-import threading
 import time
 import zlib
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from heapq import merge as heap_merge
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -54,6 +52,7 @@ from repro.backend.store import (AGG_CACHE_SIZE, DocumentStore, Index,
                                  StoreError, _response, _sort_key,
                                  bind_store_telemetry, observe_span,
                                  span_start)
+from repro.backend.wal import frame_record, recover_log
 
 #: Supported shard keys (``TracerConfig.shard_key``).
 SHARD_KEYS = ("file_tag", "pid", "time_window")
@@ -61,26 +60,19 @@ SHARD_KEYS = ("file_tag", "pid", "time_window")
 #: Default time-window width for ``shard_key="time_window"`` (1 s).
 DEFAULT_TIME_WINDOW_NS = 1_000_000_000
 
-_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_EXECUTOR_LOCK = threading.Lock()
+#: Shard recovery image (``shard-NN/router.bin``): magic, then one
+#: ``[index, id, rank, source]`` record frame per document.
+SHARD_IMAGE_MAGIC = b"DIOSHD01"
+SHARD_IMAGE_NAME = "router.bin"
 
 
-def _executor() -> ThreadPoolExecutor:
-    """The process-wide fan-out pool, shared by every router.
-
-    Shared so test suites that build hundreds of routers do not leak a
-    thread pool each; shard tasks never submit nested work, so sharing
-    cannot deadlock.
-    """
-    global _EXECUTOR
-    if _EXECUTOR is None:
-        with _EXECUTOR_LOCK:
-            if _EXECUTOR is None:
-                import os
-                _EXECUTOR = ThreadPoolExecutor(
-                    max_workers=max(2, min(8, os.cpu_count() or 2)),
-                    thread_name_prefix="dio-shard")
-    return _EXECUTOR
+def _image_record(entry) -> tuple[str, str, int, dict]:
+    """One shard-image payload; ``ValueError`` if it is not one."""
+    name, doc_id, rank, source = entry
+    if not (isinstance(name, str) and isinstance(doc_id, str)
+            and isinstance(rank, int) and isinstance(source, dict)):
+        raise ValueError("not a shard image record")
+    return name, doc_id, rank, source
 
 
 def _route_token(value: Any) -> str:
@@ -139,8 +131,7 @@ class ShardedDocumentStore:
     """
 
     def __init__(self, shard_count: int = 2, shard_key: str = "pid",
-                 time_window_ns: int = DEFAULT_TIME_WINDOW_NS,
-                 parallel: bool = True) -> None:
+                 time_window_ns: int = DEFAULT_TIME_WINDOW_NS) -> None:
         if not isinstance(shard_count, int) or shard_count < 1:
             raise StoreError(f"shard_count must be a positive int: "
                              f"{shard_count!r}")
@@ -153,7 +144,6 @@ class ShardedDocumentStore:
         self.shard_count = shard_count
         self.shard_key = shard_key
         self.time_window_ns = time_window_ns
-        self.parallel = parallel
         #: The document field the shard key reads.
         self.route_field = {"file_tag": "file_tag", "pid": "pid",
                             "time_window": "time"}[shard_key]
@@ -166,7 +156,7 @@ class ShardedDocumentStore:
         #: its owner shard, so key-based routing would miss it).
         self._routing_exact: dict[str, bool] = {}
         # Coordinator-level counters (same names as DocumentStore where
-        # the concept matches; incremented only from the caller thread).
+        # the concept matches).
         self.bulk_requests = 0
         self.documents_indexed = 0
         self.columnar_bulks = 0
@@ -184,6 +174,9 @@ class ShardedDocumentStore:
         self.bulk_partitions = 0      # per-shard sub-bulks dispatched
         self.rebalances = 0
         self.shard_kills = 0
+        #: Scan report of the last :meth:`restore_shard` (``header_ok``,
+        #: ``records_recovered``, ``torn_bytes_dropped``).
+        self.shard_restore_report: Optional[dict] = None
         #: Coordinator aggregation-result cache, keyed by (per-shard
         #: epochs, canonical request) — the cross-shard twin of the
         #: per-Index cache.
@@ -291,15 +284,12 @@ class ShardedDocumentStore:
                     fn: Callable[[DocumentStore], Any]) -> list[Any]:
         """``fn`` per shard, results in shard-id order.
 
-        Parallel via the shared pool when more than one shard is
-        involved; each task touches exactly one shard, so per-shard
-        state needs no locks and results are deterministic.
+        One shard after the other on the caller's thread: a thread
+        pool over pure-Python shards under the GIL measured no faster
+        than this loop (docs/ARCHITECTURE.md), so what the router buys
+        is smaller, cache-local shards, not concurrency.
         """
-        if not self.parallel or len(shard_ids) <= 1:
-            return [fn(self.shards[i]) for i in shard_ids]
-        pool = _executor()
-        futures = [pool.submit(fn, self.shards[i]) for i in shard_ids]
-        return [future.result() for future in futures]
+        return [fn(self.shards[i]) for i in shard_ids]
 
     # ------------------------------------------------------------------
     # Index management
@@ -421,29 +411,15 @@ class ShardedDocumentStore:
             group[0].append(source)
             group[1].append(doc_id)
             group[2].append(rank)
-        calls = sorted(groups.items())
-        self._dispatch_bulks(
-            [(code, lambda s, g=group: s.bulk(index, g[0], g[1], g[2]))
-             for code, group in calls])
+        for code, group in sorted(groups.items()):
+            self.shards[code].bulk(index, group[0], group[1], group[2])
         self.bulk_requests += 1
         self.documents_indexed += n
-        self.bulk_partitions += len(calls)
+        self.bulk_partitions += len(groups)
         if self._telemetry is not None:
             self._telemetry["bulk_docs"].observe(n)
             observe_span(self._telemetry, "store.bulk", start)
         return n
-
-    def _dispatch_bulks(self, calls: list[tuple[int, Callable]]) -> None:
-        """Run per-shard bulk thunks, in parallel when possible."""
-        if not self.parallel or len(calls) <= 1:
-            for code, thunk in calls:
-                thunk(self.shards[code])
-            return
-        pool = _executor()
-        futures = [pool.submit(thunk, self.shards[code])
-                   for code, thunk in calls]
-        for future in futures:
-            future.result()
 
     def bulk_columnar(self, index: str, batch) -> int:
         """Partition one decoded batch by shard key, lane-wise.
@@ -466,14 +442,13 @@ class ShardedDocumentStore:
         doc_ids, ranks = self._assign(state, n)
         route = self._route_value
         codes = list(map(route, batch.values_for(self.route_field)))
+        state.owner.update(zip(doc_ids, codes))
         first = codes[0]
-        calls: list[tuple[int, Callable]] = []
+        partitions = 1
         if all(code == first for code in codes):
-            state.owner.update(zip(doc_ids, codes))
-            calls.append((first, lambda s: s.bulk_columnar(
-                index, batch, doc_ids, list(ranks))))
+            self.shards[first].bulk_columnar(index, batch, doc_ids,
+                                             list(ranks))
         else:
-            state.owner.update(zip(doc_ids, codes))
             rows_by_shard: dict[int, list[int]] = {}
             for row, code in enumerate(codes):
                 rows = rows_by_shard.get(code)
@@ -483,16 +458,15 @@ class ShardedDocumentStore:
                     rows.append(row)
             rank_start = ranks.start
             for code, rows in sorted(rows_by_shard.items()):
-                sub = batch.take(rows)
-                sub_ids = [doc_ids[row] for row in rows]
-                sub_ranks = [rank_start + row for row in rows]
-                calls.append((code, lambda s, b=sub, i=sub_ids, r=sub_ranks:
-                              s.bulk_columnar(index, b, i, r)))
-        self._dispatch_bulks(calls)
+                self.shards[code].bulk_columnar(
+                    index, batch.take(rows),
+                    [doc_ids[row] for row in rows],
+                    [rank_start + row for row in rows])
+            partitions = len(rows_by_shard)
         self.bulk_requests += 1
         self.columnar_bulks += 1
         self.documents_indexed += n
-        self.bulk_partitions += len(calls)
+        self.bulk_partitions += partitions
         if self._telemetry is not None:
             self._telemetry["bulk_docs"].observe(n)
             observe_span(self._telemetry, "store.bulk", start)
@@ -839,10 +813,11 @@ class ShardedDocumentStore:
     def save_shards(self, root) -> None:
         """Write a per-shard recovery image under ``root``.
 
-        ``shard-NN/router.jsonl`` holds one ``[index, id, rank,
-        source]`` line per document in shard scan order — the session
-        export format cannot be used here because it drops doc ids,
-        which the coordinator's rank/owner maps are keyed by.
+        ``shard-NN/router.bin`` holds one ``[index, id, rank,
+        source]`` record frame per document in shard scan order (the
+        codec of :mod:`repro.backend.wal`, layout in docs/STORAGE.md) —
+        the session export format cannot be used here because it drops
+        doc ids, which the coordinator's rank/owner maps are keyed by.
         """
         from pathlib import Path
         root = Path(root)
@@ -856,21 +831,19 @@ class ShardedDocumentStore:
         for i, shard in enumerate(self.shards):
             shard_dir = root / f"shard-{i:02d}"
             shard_dir.mkdir(parents=True, exist_ok=True)
-            lines = []
+            frames = [SHARD_IMAGE_MAGIC]
             for name in sorted(shard._indices):
                 target = shard._indices[name]
                 for doc_id, source in target.documents():
-                    lines.append(json.dumps(
+                    frames.append(frame_record(
                         [name, doc_id, target._rank[doc_id], source],
-                        separators=(",", ":"), default=repr))
-            (shard_dir / "router.jsonl").write_text(
-                "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+                        default=repr))
+            (shard_dir / SHARD_IMAGE_NAME).write_bytes(b"".join(frames))
 
     def save_shard_segments(self, root, session: str,
-                            index: str = "dio_trace",
-                            storage_mode: str = "segments") -> list:
+                            index: str = "dio_trace") -> list:
         """Persist each shard's slice of ``session`` into its own
-        storage directory (``shard-NN/``) — segment files by default.
+        segment storage directory (``shard-NN/``).
 
         Operator-facing persistence: each shard owns its directory, so
         retention/compaction can run per shard.  Returns the per-shard
@@ -887,8 +860,7 @@ class ShardedDocumentStore:
             if shard.count(index, {"term": {"session": session}}) == 0:
                 continue
             shard_dir = root / f"shard-{i:02d}"
-            save_session(shard, session, shard_dir, index=index,
-                         storage_mode=storage_mode)
+            save_session(shard, session, shard_dir, index=index)
             written.append(shard_dir)
         return written
 
@@ -909,28 +881,31 @@ class ShardedDocumentStore:
         self.shard_kills += 1
 
     def restore_shard(self, shard: int, root) -> int:
-        """Reload one shard from a :meth:`save_shards` image."""
+        """Reload one shard from a :meth:`save_shards` image.
+
+        A truncated or damaged image restores exactly its intact frame
+        prefix and never raises a parser error: the whole image is
+        scanned before the first document is applied, and the scan's
+        report is left in :attr:`shard_restore_report`.  Returns the
+        number of documents restored.
+        """
         from pathlib import Path
         if not 0 <= shard < self.shard_count:
             raise StoreError(f"no such shard {shard}")
-        path = Path(root) / f"shard-{shard:02d}" / "router.jsonl"
+        path = Path(root) / f"shard-{shard:02d}" / SHARD_IMAGE_NAME
+        blob = path.read_bytes() if path.exists() else b""
+        records, self.shard_restore_report = recover_log(
+            blob, SHARD_IMAGE_MAGIC, _image_record)
         target_store = self.shards[shard]
         restored = 0
-        if not path.exists():
-            return 0
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                name, doc_id, rank, source = json.loads(line)
-                state = self._states.get(name)
-                if state is None:
-                    continue
-                target_store.index_doc(name, source, doc_id, rank=rank)
-                state.rank.setdefault(doc_id, rank)
-                state.owner[doc_id] = shard
-                restored += 1
+        for name, doc_id, rank, source in records:
+            state = self._states.get(name)
+            if state is None:
+                continue
+            target_store.index_doc(name, source, doc_id, rank=rank)
+            state.rank.setdefault(doc_id, rank)
+            state.owner[doc_id] = shard
+            restored += 1
         return restored
 
     # ------------------------------------------------------------------
@@ -1069,8 +1044,8 @@ def _shard_partial(shard: DocumentStore, index: str, query,
     cached in the shard's epoch-keyed LRU and shared by reference:
     :meth:`ColumnSet.merge` does not mutate it.
 
-    Runs on a pool thread: touches only this shard's state and returns
-    the cache outcome instead of mutating coordinator counters.
+    Touches only this shard's state and returns the cache outcome
+    instead of mutating coordinator counters.
     """
     target = shard._indices.get(index)
     if target is None:
@@ -1100,8 +1075,7 @@ def _shard_partial(shard: DocumentStore, index: str, query,
 
 def create_store(config=None, *, shard_count: Optional[int] = None,
                  shard_key: Optional[str] = None,
-                 time_window_ns: Optional[int] = None,
-                 parallel: bool = True):
+                 time_window_ns: Optional[int] = None):
     """Build the backend a ``TracerConfig [sharding]`` block asks for.
 
     ``shard_count=1`` returns a plain :class:`DocumentStore` — not a
@@ -1125,5 +1099,4 @@ def create_store(config=None, *, shard_count: Optional[int] = None,
     return ShardedDocumentStore(
         shard_count=shard_count,
         shard_key=shard_key or "pid",
-        time_window_ns=time_window_ns or DEFAULT_TIME_WINDOW_NS,
-        parallel=parallel)
+        time_window_ns=time_window_ns or DEFAULT_TIME_WINDOW_NS)

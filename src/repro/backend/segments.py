@@ -28,8 +28,8 @@ from a query are checked against each segment's per-field min/max
 before any block is decoded, so a narrow time-range query on a week of
 traces touches one segment, not fifty.
 
-JSON-lines stays as the differential oracle: a session saved with
-``storage_mode="segments"`` reloads into a byte-identical store (same
+JSON-lines stays as the differential oracle: a session saved here
+reloads into a store byte-identical to importing its export (same
 documents, same order — rows are sorted with the search path's own
 :func:`repro.backend.store.sort_key`).  Torn-write durability at any
 byte is proven by the DST harness: a truncated segment fails its

@@ -104,8 +104,7 @@ class TenantBackend:
 
     def __init__(self, shards_per_tenant: int = 2, shard_key: str = "pid",
                  time_window_ns: Optional[int] = None,
-                 default_quota_docs: Optional[int] = None,
-                 parallel: bool = True) -> None:
+                 default_quota_docs: Optional[int] = None) -> None:
         if not isinstance(shards_per_tenant, int) or shards_per_tenant < 1:
             raise StoreError(f"shards_per_tenant must be a positive int: "
                              f"{shards_per_tenant!r}")
@@ -113,7 +112,6 @@ class TenantBackend:
         self.shard_key = shard_key
         self.time_window_ns = time_window_ns
         self.default_quota_docs = default_quota_docs
-        self.parallel = parallel
         self._tenants: dict[str, TenantStore] = {}
 
     def register(self, name: str, shard_count: Optional[int] = None,
@@ -125,8 +123,7 @@ class TenantBackend:
             shard_count=(self.shards_per_tenant if shard_count is None
                          else shard_count),
             shard_key=self.shard_key,
-            time_window_ns=self.time_window_ns,
-            parallel=self.parallel)
+            time_window_ns=self.time_window_ns)
         tenant = TenantStore(
             name, inner,
             self.default_quota_docs if quota_docs is None else quota_docs)

@@ -1,19 +1,31 @@
-"""Binary write-ahead log for the segment storage engine.
+"""The record-frame codec and the segment engine's write-ahead log.
 
-The WAL covers the *unflushed tail* of a :class:`~repro.backend.
+Every append-only record log in the repository is the same thing on
+disk (byte-level spec in ``docs/STORAGE.md``): an 8-byte magic (name +
+version in one token), then zero or more self-delimiting frames, each
+``u32 payload length | u32 CRC-32 of payload | payload`` with a
+compact UTF-8 JSON payload.  :func:`encode_frame` and
+:func:`scan_frames` are the only code that packs or walks that frame;
+:func:`frame_record` and :func:`recover_log` add the JSON payload, the
+magic check and the recovery report, and are what the four logs share — this module's ``DIOWAL01`` storage WAL,
+the tracer's spill image (:mod:`repro.tracer.spill`), the shard
+recovery image (:mod:`repro.backend.router`) and the DST store journal
+(:mod:`repro.dst.crash`).
+
+Recovery is one rule for all of them: walk frames from the front and
+stop at the first whose length overruns the image, whose CRC does not
+match, or whose payload is not the log's record shape — everything
+before that point is kept, everything from it on is reported as
+``torn_bytes_dropped``, and nothing raises.  A record is therefore
+durable as soon as its last payload byte hit the disk, and never
+before; a strict prefix of a frame can never be mistaken for one.
+
+The WAL itself covers the *unflushed tail* of a :class:`~repro.backend.
 segments.SegmentStorage`: documents that have been acknowledged by the
 backend (or handed to ``save_session``) but not yet sealed into an
 immutable segment file.  On restart the log is replayed into the
-in-memory buffer, so a crash between two flushes loses nothing.
-
-The format is deliberately tiny (see ``docs/STORAGE.md`` for the
-byte-level spec):
-
-* an 8-byte file magic ``DIOWAL01`` (name + version in one token);
-* then zero or more self-delimiting records, each
-  ``u32 payload length | u32 CRC-32 of payload | payload``, where the
-  payload is a compact UTF-8 JSON array
-  ``[session, [doc, ...], record_id]``.
+in-memory buffer, so a crash between two flushes loses nothing.  Its
+payload is ``[session, [doc, ...], record_id]``.
 
 ``record_id`` is assigned by the writer, starts at 1 and increases
 monotonically for the life of the *store* — a :meth:`WriteAheadLog.
@@ -24,13 +36,6 @@ but before the WAL was truncated leaves the sealed records in the log,
 and the next open can prove they are already covered and skip them
 instead of duplicating every row.  A payload with no third element
 (or id 0) is treated as "unknown id": always replayed, never skipped.
-
-Torn-write tolerance mirrors :meth:`repro.tracer.spill.SpillWAL.recover`:
-recovery walks records from the front and stops at the first frame
-whose length overruns the file or whose CRC does not match — everything
-before the tear is kept, the tear itself is truncated away, and the
-report says exactly what was dropped.  A record is therefore durable
-as soon as its last payload byte hit the disk, and never before.
 """
 
 from __future__ import annotations
@@ -40,12 +45,12 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 #: File magic; the trailing ``01`` is the format version.
 WAL_MAGIC = b"DIOWAL01"
 
-#: Per-record frame: payload length, CRC-32 of the payload.
+#: Frame header: payload length, CRC-32 of the payload.
 _FRAME = struct.Struct("<II")
 
 
@@ -53,58 +58,97 @@ class WALError(Exception):
     """The write-ahead log cannot be opened or appended to."""
 
 
+def encode_frame(payload: bytes) -> bytes:
+    """One record frame: ``length | crc32 | payload``."""
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def scan_frames(blob: bytes, start: int = 0,
+                parse: Optional[Callable] = None) -> tuple[list, int]:
+    """Walk whole frames from ``start``; returns ``(payloads, end)``.
+
+    Stops — without raising — at the first frame whose header or
+    payload overruns ``blob`` or whose CRC does not match; ``end`` is
+    the offset just past the last good frame.  With ``parse``, each
+    payload is replaced by ``parse(payload)``, and a payload it rejects
+    (``ValueError``, ``TypeError`` or ``LookupError``: checksum fine but
+    not the caller's record) ends the scan the same way.
+    """
+    items: list = []
+    pos = start
+    while pos + _FRAME.size <= len(blob):
+        length, crc = _FRAME.unpack_from(blob, pos)
+        body = pos + _FRAME.size
+        payload = blob[body:body + length]
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            break                       # torn or damaged: stop here
+        if parse is not None:
+            try:
+                payload = parse(payload)
+            except (ValueError, TypeError, LookupError):
+                break                   # CRC ok but not ours: stop
+        items.append(payload)
+        pos = body + length
+    return items, pos
+
+
+def recover_log(blob: bytes, magic: bytes,
+                record: Callable) -> tuple[list, dict]:
+    """Recover the records of one ``magic``-prefixed frame log.
+
+    ``record`` turns one JSON-decoded payload into the log's record and
+    raises ``ValueError``/``TypeError``/``LookupError`` for a payload
+    of the wrong shape.  Tolerant by design: a foreign or missing magic
+    recovers nothing, and a torn tail or a damaged interior frame ends
+    recovery there.  Returns ``(records, report)``; the report carries
+    ``header_ok``, ``records_recovered`` and ``torn_bytes_dropped``
+    (every byte not accounted for by the magic and the kept frames).
+    """
+    header_ok = blob[:len(magic)] == magic
+    records, end = scan_frames(
+        blob, len(magic),
+        lambda payload: record(json.loads(payload))) if header_ok else ([], 0)
+    return records, {"header_ok": header_ok,
+                     "records_recovered": len(records),
+                     "torn_bytes_dropped": len(blob) - end}
+
+
+def frame_record(record, default: Optional[Callable] = None) -> bytes:
+    """``record`` as one frame — the write half of :func:`recover_log`.
+
+    The payload is compact UTF-8 JSON; ``default`` is ``json.dumps``'s
+    hook for values JSON cannot carry.
+    """
+    return encode_frame(json.dumps(record, separators=(",", ":"),
+                                   default=default).encode("utf-8"))
+
+
+def _wal_entry(entry) -> tuple[int, str, list[dict]]:
+    session, docs = entry[0], entry[1]
+    rec_id = entry[2] if len(entry) > 2 else 0
+    if not isinstance(docs, list):
+        raise ValueError("docs is not a list")
+    if not isinstance(rec_id, int) or isinstance(rec_id, bool):
+        raise ValueError("record id is not an int")
+    return rec_id, session, docs
+
+
 def recover_bytes(blob: bytes) -> tuple[list[tuple[int, str, list[dict]]],
                                         dict]:
     """Recover ``(record_id, session, docs)`` entries from a WAL image.
 
-    Tolerant by design: any torn tail — a half-written frame header, a
-    payload cut short, a CRC mismatch from a partial page write — ends
-    the scan without raising.  Returns ``(entries, report)`` where the
-    report carries ``header_ok``, ``records_recovered``,
-    ``docs_recovered`` and ``torn_bytes_dropped``.  A two-element
-    payload yields record id 0 ("unknown"; owners must always replay
-    such records).
+    :func:`recover_log` over ``DIOWAL01``; the report additionally
+    carries ``docs_recovered``.  A two-element payload yields record
+    id 0 ("unknown"; owners must always replay such records).
     """
-    report = {"header_ok": False, "records_recovered": 0,
-              "docs_recovered": 0, "torn_bytes_dropped": 0}
-    entries: list[tuple[int, str, list[dict]]] = []
-    if len(blob) < len(WAL_MAGIC) or blob[:len(WAL_MAGIC)] != WAL_MAGIC:
-        report["torn_bytes_dropped"] = len(blob)
-        return entries, report
-    report["header_ok"] = True
-    pos = len(WAL_MAGIC)
-    end = len(blob)
-    while pos + _FRAME.size <= end:
-        length, crc = _FRAME.unpack_from(blob, pos)
-        body_start = pos + _FRAME.size
-        if body_start + length > end:
-            break                       # frame overruns the file: torn
-        payload = blob[body_start:body_start + length]
-        if zlib.crc32(payload) != crc:
-            break                       # payload damaged: stop here
-        try:
-            entry = json.loads(payload.decode("utf-8"))
-            session, docs = entry[0], entry[1]
-            rec_id = entry[2] if len(entry) > 2 else 0
-            if not isinstance(docs, list):
-                raise ValueError("docs is not a list")
-            if not isinstance(rec_id, int) or isinstance(rec_id, bool):
-                raise ValueError("record id is not an int")
-        except (ValueError, UnicodeDecodeError, IndexError, TypeError):
-            break                       # CRC ok but not ours: stop
-        entries.append((rec_id, session, docs))
-        report["records_recovered"] += 1
-        report["docs_recovered"] += len(docs)
-        pos = body_start + length
-    report["torn_bytes_dropped"] = end - pos
+    entries, report = recover_log(blob, WAL_MAGIC, _wal_entry)
+    report["docs_recovered"] = sum(len(docs) for _, _, docs in entries)
     return entries, report
 
 
 def encode_record(session: str, docs: list[dict], rec_id: int = 0) -> bytes:
     """One framed WAL record (length | crc | payload) as bytes."""
-    payload = json.dumps([session, docs, rec_id],
-                         separators=(",", ":")).encode("utf-8")
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+    return frame_record([session, docs, rec_id])
 
 
 class WriteAheadLog:
@@ -136,46 +180,33 @@ class WriteAheadLog:
         destroys evidence.
         """
         self._read_only = read_only
-        entries: list[tuple[int, str, list[dict]]] = []
-        if self.path.exists():
-            try:
-                blob = self.path.read_bytes()
-            except OSError as exc:
-                raise WALError(f"cannot read WAL {self.path}") from exc
-            entries, self.report = recover_bytes(blob)
-            if read_only:
-                self._size = len(blob)
-                return entries
+        try:
+            blob = self.path.read_bytes() if self.path.exists() else None
+        except OSError as exc:
+            raise WALError(f"cannot read WAL {self.path}") from exc
+        # A log nobody wrote yet is an empty log, not a foreign file.
+        entries, self.report = recover_bytes(
+            WAL_MAGIC if blob is None else blob)
+        if read_only:
+            self._size = len(blob or b"")
+            return entries
+        keep = 0                        # missing or foreign: start over
+        if blob is not None and self.report["header_ok"]:
             keep = len(blob) - self.report["torn_bytes_dropped"]
-            if not self.report["header_ok"]:
-                keep = 0                # foreign file: start over
-            try:
-                self._handle = self.path.open("r+b" if keep else "wb")
-                if keep:
-                    self._handle.truncate(keep)
-                    self._handle.seek(keep)
-                else:
-                    self._handle.write(WAL_MAGIC)
-                    self._handle.flush()
-                    keep = len(WAL_MAGIC)
-            except OSError as exc:
-                raise WALError(f"cannot open WAL {self.path}") from exc
-            self._size = keep
-            self._next_id = max((rec_id for rec_id, _, _ in entries),
-                                default=0) + 1
-        else:
-            self.report = {"header_ok": True, "records_recovered": 0,
-                           "docs_recovered": 0, "torn_bytes_dropped": 0}
-            if read_only:
-                self._size = 0
-                return entries
-            try:
-                self._handle = self.path.open("wb")
+        try:
+            self._handle = self.path.open("r+b" if keep else "wb")
+            if keep:
+                self._handle.truncate(keep)
+                self._handle.seek(keep)
+            else:
                 self._handle.write(WAL_MAGIC)
                 self._handle.flush()
-            except OSError as exc:
-                raise WALError(f"cannot create WAL {self.path}") from exc
-            self._size = len(WAL_MAGIC)
+                keep = len(WAL_MAGIC)
+        except OSError as exc:
+            raise WALError(f"cannot open WAL {self.path}") from exc
+        self._size = keep
+        self._next_id = max((rec_id for rec_id, _, _ in entries),
+                            default=0) + 1
         return entries
 
     def ensure_next_id(self, floor: int) -> None:

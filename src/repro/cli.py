@@ -648,11 +648,9 @@ def _cmd_dst_repro(args) -> int:
         print(f"dst: replaying scenario file {args.scenario}")
     else:
         scenario = generate(args.seed)
-    if args.storage_mode or args.shard_count or args.ring_mode:
+    if args.shard_count or args.ring_mode:
         import dataclasses
         overrides = {}
-        if args.storage_mode:
-            overrides["storage_mode"] = args.storage_mode
         if args.shard_count:
             overrides["shard_count"] = args.shard_count
         if args.ring_mode:
@@ -897,11 +895,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="minimise the scenario if it fails")
     p_dst_repro.add_argument("--shrink-budget", type=int, default=64,
                              help="max harness runs while shrinking")
-    p_dst_repro.add_argument("--storage-mode",
-                             choices=("segments", "jsonl"),
-                             help="override the scenario's storage axis "
-                                  "(segments adds the segment-engine "
-                                  "recovery checks)")
     p_dst_repro.add_argument("--shard-count", type=int,
                              help="override the scenario's shard axis "
                                   "(>1 serves the fast run from the "

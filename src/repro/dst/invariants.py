@@ -352,9 +352,13 @@ def check_store_recovery(ctx: RunContext) -> list[str]:
                 f"store crash #{i + 1} at t={report['at_ns']}: WAL "
                 f"rebuild diverged from pre-crash state "
                 f"(replayed {report['replayed_docs']} docs, "
-                f"{report['torn_lines']} torn lines)")
-        if report["torn_lines"] != 1:
+                f"{report['torn_bytes_dropped']} torn bytes)")
+        # The only damage a crash leaves is a strict prefix of the one
+        # in-flight frame.
+        if not (0 <= report["torn_bytes_dropped"]
+                < report["inflight_frame_bytes"]):
             failures.append(
-                f"store crash #{i + 1}: expected exactly 1 torn WAL "
-                f"line, found {report['torn_lines']}")
+                f"store crash #{i + 1}: {report['torn_bytes_dropped']} "
+                f"torn WAL bytes, outside a strict prefix of the "
+                f"{report['inflight_frame_bytes']}-byte in-flight frame")
     return failures

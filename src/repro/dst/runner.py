@@ -22,12 +22,13 @@
 5. **determinism** — a byte-identical digest check against a third,
    fresh execution of the fast run;
 6. **storage recovery** — the session export is torn at a seed-chosen
-   byte and recovered; the spill WAL image likewise.  Data loss beyond
-   the torn tail, duplicates after replay, or a crash fail the seed.
-   Scenarios on the ``storage_mode="segments"`` axis additionally run
-   :func:`segment_storage_checks`: the segment store is diffed against
-   the JSON-lines oracle, a segment file and the storage WAL are torn
-   at arbitrary bytes, and a crash is injected mid-compaction.
+   byte and recovered; the spill WAL image likewise, frame-exactly.
+   Data loss beyond the torn tail, duplicates after replay, or a crash
+   fail the seed.  Every seed then runs :func:`segment_storage_checks`:
+   the segment store is diffed against the JSON-lines export, a
+   segment file and the storage WAL are torn at arbitrary bytes, and a
+   crash is injected mid-compaction.  Sharded seeds finish with
+   :func:`shard_lifecycle_checks`, which also tears a shard image.
 
 Every stage is deterministic, so a failing seed reproduces with
 ``dio dst repro <seed>`` forever (or from its saved scenario JSON).
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from typing import Optional
@@ -571,38 +573,41 @@ def storage_recovery_checks(run: PipelineRun, scenario: Scenario,
             f"duplicate-replay baseline import lost events: "
             f"{first['imported']} != {exported}")
 
-    # Spill WAL image: serialize, tear, recover; the complete segments
-    # of the prefix must survive byte-identically.
+    # Spill WAL image: serialize, tear, recover; exactly the complete
+    # frames of the prefix must survive, byte-identically.
     from repro.tracer.spill import SpillWAL
     wal = SpillWAL()
     batch = [source for _, source in run.docs[:8]] or [{"x": 1}]
     wal.append(batch, now_ns=1)
+    # An append-only image grows by whole frames: its length after one
+    # append is where the second segment's frame begins.
+    ends = [len(wal.to_bytes())]
     wal.append(batch[:3] or [{"y": 2}], now_ns=2, reason="dst")
     image = wal.to_bytes()
+    ends.append(len(image))
+    full_wal, _ = SpillWAL.recover(image)
+    if list(full_wal._segments) != list(wal._segments):
+        failures.append("spill WAL round-trip lost or mutated segments")
     cut = rng.randrange(1, len(image))
+    complete = sum(1 for end in ends if end <= cut)
     recovered_wal, wal_report = SpillWAL.recover(image[:cut])
-    full_wal, full_report = SpillWAL.recover(image)
-    if full_report["segments_recovered"] != 2:
+    if (list(recovered_wal._segments) != list(wal._segments)[:complete]
+            or (complete and wal_report["torn_bytes_dropped"]
+                != cut - ends[complete - 1])):
         failures.append(
-            f"spill WAL round-trip lost segments: "
-            f"{full_report['segments_recovered']} != 2")
-    elif [s.docs for s in full_wal._segments] != [s.docs for s
-                                                  in wal._segments]:
-        failures.append("spill WAL round-trip mutated segment payloads")
-    if wal_report["segments_recovered"] > 2:
-        failures.append("torn spill WAL recovered phantom segments")
+            f"torn spill WAL: the cut at byte {cut} leaves {complete} "
+            f"complete frames, recovery reported {wal_report}")
 
-    if scenario.storage_mode == "segments":
-        failures += segment_storage_checks(run, scenario, tmp_dir)
+    failures += segment_storage_checks(run, scenario, tmp_dir)
     return failures
 
 
 def segment_storage_checks(run: PipelineRun, scenario: Scenario,
                            tmp_dir) -> list[str]:
-    """Segment-engine recovery checks (``storage_mode="segments"``).
+    """Segment-engine recovery checks, on every seed.
 
     Five stages, all seeded from the scenario: the segment store must
-    load identically to the JSON-lines oracle; a segment file torn at
+    load identically to the JSON-lines export; a segment file torn at
     an arbitrary byte must be rejected whole without touching its
     neighbours; a torn storage WAL must recover exactly the complete
     frames of the prefix; a crash injected mid-compaction must leave a
@@ -630,7 +635,7 @@ def segment_storage_checks(run: PipelineRun, scenario: Scenario,
     # back with identical contents.
     seg_root = tmp_dir / "segstore"
     save_session(run.inner_store, run.session, seg_root, index=DST_INDEX,
-                 storage_mode="segments", flush_events=flush)
+                 flush_events=flush)
     via_segments = DocumentStore()
     load_session(via_segments, seg_root, index=DST_INDEX,
                  rename_to="segcheck")
@@ -867,12 +872,18 @@ def shard_lifecycle_checks(run: PipelineRun, scenario: Scenario,
 
     Runs last — it mutates the fast store, after every digest and
     oracle comparison has been taken.  A seed-chosen shard is killed
-    and restored from a saved shard image, then the store is
-    rebalanced to a different shard count; documents, global order,
-    and the dashboard aggregation must come through both transitions
-    byte-identically.
+    and restored from a saved shard image — first, into a scratch
+    router, from a copy of that image torn at a seed-chosen byte, which
+    must restore exactly the frames wholly inside the prefix — then the
+    store is rebalanced to a different shard count; documents, global
+    order, and the dashboard aggregation must come through both
+    transitions byte-identically.
     """
     import pathlib
+
+    from repro.backend.router import (SHARD_IMAGE_MAGIC, SHARD_IMAGE_NAME,
+                                      ShardedDocumentStore)
+    from repro.backend.wal import encode_frame, scan_frames
 
     failures: list[str] = []
     store = run.inner_store
@@ -893,6 +904,36 @@ def shard_lifecycle_checks(run: PipelineRun, scenario: Scenario,
     survivors = {doc_id for doc_id, _ in before_scan} - after_kill
     if after_kill - {doc_id for doc_id, _ in before_scan}:
         failures.append("shard kill: surviving shards invented documents")
+
+    # Torn shard image.  The cut comes from its own derived stream so
+    # the victim and rebalance draws of every seed stay what they were.
+    image_rng = random.Random(f"dio-dst-shard-image-{scenario.seed}")
+    shard_dir = f"shard-{victim:02d}"
+    image = (root / shard_dir / SHARD_IMAGE_NAME).read_bytes()
+    cut = image_rng.randrange(len(image) + 1)
+    payloads, _ = scan_frames(image, len(SHARD_IMAGE_MAGIC))
+    ends = list(itertools.accumulate(
+        (len(encode_frame(payload)) for payload in payloads),
+        initial=len(SHARD_IMAGE_MAGIC)))
+    complete = sum(1 for end in ends[1:] if end <= cut)
+    torn = cut - ends[complete] if cut >= ends[0] else cut
+    expected = [(doc_id, source) for name, doc_id, _, source
+                in map(json.loads, payloads[:complete]) if name == DST_INDEX]
+    torn_root = pathlib.Path(tmp_dir) / "shards-torn"
+    (torn_root / shard_dir).mkdir(parents=True, exist_ok=True)
+    (torn_root / shard_dir / SHARD_IMAGE_NAME).write_bytes(image[:cut])
+    scratch = ShardedDocumentStore(shard_count=store.shard_count,
+                                   shard_key=store.shard_key)
+    scratch.ensure_index(DST_INDEX)
+    scratch.restore_shard(victim, torn_root)
+    if (scratch.scan(DST_INDEX, {"match_all": {}}) != expected
+            or scratch.shard_restore_report["torn_bytes_dropped"] != torn):
+        failures.append(
+            f"torn shard image: cut at byte {cut} of {len(image)} keeps "
+            f"{complete} whole frames and {torn} torn bytes, restore "
+            f"applied {scratch.count(DST_INDEX)} documents and reported "
+            f"{scratch.shard_restore_report}")
+
     store.restore_shard(victim, root)
     if store.scan(DST_INDEX, {"match_all": {}}) != before_scan:
         failures.append(

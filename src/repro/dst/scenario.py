@@ -89,11 +89,6 @@ class Scenario:
     max_inflight_events: int = 256
     poll_interval_ns: int = 200_000
     ship_max_retries: int = 3
-    #: On-disk format exercised by the post-run storage checks:
-    #: "segments" (WAL + columnar segment files, docs/STORAGE.md) or
-    #: "jsonl" (the oracle export).  Corpus files predating this axis
-    #: default to the original JSON-lines checks.
-    storage_mode: str = "jsonl"
     #: Backend shards the fast run serves from (the oracle twin always
     #: forces 1).  ``> 1`` also arms the post-run shard-kill/rebalance
     #: stage.  Corpus files predating this axis default to the single
@@ -171,7 +166,6 @@ class Scenario:
                 f"ring={self.ring_policy} faults={len(self.fault_windows)} "
                 f"ckills={len(self.consumer_crashes)} "
                 f"scrashes={len(self.store_crashes)} "
-                f"storage={self.storage_mode} "
                 f"shards={self.shard_count} "
                 f"uring={self.ring_mode}")
 
@@ -438,7 +432,6 @@ def generate(seed: int, scale: float = 1.0) -> Scenario:
     # Each later axis draws from its own derived rng so adding it kept
     # every existing seed's other draws (and thus every corpus
     # scenario) byte-identical.
-    storage_rng = random.Random(f"dio-dst-storage-mode-{seed}")
     shard_rng = random.Random(f"dio-dst-shards-{seed}")
 
     # The io_uring axis draws from its own derived stream too.  Half
@@ -474,7 +467,6 @@ def generate(seed: int, scale: float = 1.0) -> Scenario:
         consumer_restart_delay_ns=rng.choice((500_000, 1_500_000,
                                               4_000_000)),
         store_crashes=store_crashes,
-        storage_mode=storage_rng.choice(("segments", "segments", "jsonl")),
         shard_count=shard_rng.choice((1, 1, 2, 3)),
         ring_mode=ring_mode,
         processes=processes,

@@ -63,7 +63,7 @@ _SECTIONS = (
      "The simulated Elasticsearch-like backend."),
     ("dio_shard_", "Scatter-gather shard router",
      "The sharded backend (``repro.backend.router``): deterministic "
-     "key-based routing over N document-store shards, parallel "
+     "key-based routing over N document-store shards, shard-by-shard "
      "scatter-gather reads, and partial-merge aggregation.  Present "
      "when the ``TracerConfig [sharding]`` section asks for "
      "``shard_count > 1``."),
@@ -139,8 +139,7 @@ def build_reference_registry() -> MetricsRegistry:
     with tempfile.TemporaryDirectory() as storage_dir:
         tracer = DIOTracer(env, kernel, faulty,
                            TracerConfig(session_name="reference",
-                                        storage_dir=storage_dir,
-                                        storage_mode="segments"),
+                                        storage_dir=storage_dir),
                            tap=DiagnosisTap())
         task = kernel.spawn_process("ref").threads[0]
         tracer.attach()

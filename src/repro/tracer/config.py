@@ -14,15 +14,6 @@ from typing import Optional
 
 from repro.kernel.syscalls import ALL_SYSCALLS
 
-#: On-disk layouts for local persistence (``storage_dir``): "segments"
-#: streams acknowledged events through a WAL into immutable columnar
-#: segment files (docs/STORAGE.md); "jsonl" exports one JSON-lines
-#: file per session at shutdown (the differential oracle).  Kept in
-#: sync with ``repro.backend.persistence.STORAGE_MODES`` (asserted in
-#: tests) — importing it here would pull the whole backend into every
-#: config parse.
-STORAGE_MODES = ("segments", "jsonl")
-
 #: Deterministic shard-routing keys for the sharded backend
 #: (``shard_count > 1``): route by file tag, by pid, or by time
 #: window.  Kept in sync with ``repro.backend.router.SHARD_KEYS``
@@ -67,14 +58,12 @@ class TracerConfig:
     correlate_on_stop: bool = True
 
     # -- local persistence (segment storage engine) ---------------------
-    #: Directory for local durable storage of acknowledged events.
-    #: ``None`` disables local persistence (backend-only, the default).
+    #: Directory for local durable storage of acknowledged events:
+    #: they stream through a WAL into immutable columnar segment files
+    #: (docs/STORAGE.md).  ``None`` disables local persistence
+    #: (backend-only, the default).
     storage_dir: Optional[str] = None
-    #: On-disk layout under ``storage_dir``: "segments" (WAL + immutable
-    #: columnar segments, see docs/STORAGE.md) or "jsonl" (one
-    #: JSON-lines export written at shutdown — the oracle format).
-    storage_mode: str = "segments"
-    #: Buffered events that trigger sealing a segment (segments mode).
+    #: Buffered events that trigger sealing a segment.
     storage_flush_events: int = 4096
 
     # -- backend sharding (scatter-gather coordinator) -------------------
@@ -178,10 +167,6 @@ class TracerConfig:
             raise ValueError(f"unknown ring policy {self.ring_policy!r}")
         if self.batch_size <= 0:
             raise ValueError("batch size must be positive")
-        if self.storage_mode not in STORAGE_MODES:
-            raise ValueError(
-                f"unknown storage mode {self.storage_mode!r};"
-                " pick 'segments' or 'jsonl'")
         if self.storage_flush_events < 1:
             raise ValueError("storage flush threshold must be >= 1")
         if not isinstance(self.shard_count, int) or self.shard_count < 1:
@@ -246,7 +231,6 @@ class TracerConfig:
 
             [storage]
             dir = "/var/lib/dio/run-42"
-            mode = "segments"
             flush_events = 4096
 
             [sharding]
@@ -299,7 +283,6 @@ _TOML_KEYS: dict[str, dict[str, tuple]] = {
     },
     "storage": {
         "dir": ("storage_dir", str),
-        "mode": ("storage_mode", str),
         "flush_events": ("storage_flush_events", int),
     },
     "sharding": {

@@ -16,16 +16,24 @@ Replay is oldest-first and at-least-once-attempted / exactly-once-
 applied: a segment leaves the log only after the backend accepted
 it, and since a failed bulk request never partially indexes (see
 :mod:`repro.faults`), a record can neither be lost nor duplicated.
+
+Its durable image (:meth:`SpillWAL.to_bytes` / :meth:`SpillWAL.recover`)
+is the repository's one record-log format — ``DIOSPL01`` then
+``len | crc32 | payload`` frames, the codec :mod:`repro.backend.wal`
+owns and ``docs/STORAGE.md`` specifies — so it tears like the storage
+WAL does: recovery keeps the intact frame prefix and stops at the
+first torn or damaged frame.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import NamedTuple, Optional, Sequence
 
-#: Format marker written in the serialized WAL header line.
-WAL_FORMAT = "dio-spill-v1"
+from repro.backend.wal import frame_record, recover_log
+
+#: Image magic; the trailing ``01`` is the format version.
+SPILL_MAGIC = b"DIOSPL01"
 
 
 class SpillSegment(NamedTuple):
@@ -35,6 +43,15 @@ class SpillSegment(NamedTuple):
     docs: tuple
     spilled_at_ns: int
     reason: str
+
+
+def _segment(entry) -> SpillSegment:
+    """One image payload as a segment; ``ValueError`` if it is not one."""
+    seq, spilled_at_ns, reason, docs = entry
+    if not isinstance(docs, list) or not docs:
+        raise ValueError("bad docs payload")
+    return SpillSegment(seq=int(seq), docs=tuple(docs),
+                        spilled_at_ns=int(spilled_at_ns), reason=str(reason))
 
 
 class SpillWAL:
@@ -87,85 +104,52 @@ class SpillWAL:
     # The in-memory WAL models an on-disk append-only file; these two
     # methods are the serialization boundary the crash tests exercise:
     # a crash may tear the file at *any byte*, and recovery must keep
-    # every fully-written segment while dropping only the torn tail.
+    # every fully-written segment before the tear and nothing after.
 
     def to_bytes(self) -> bytes:
-        """Serialize the pending segments as a JSON-lines WAL file.
+        """Serialize the pending segments as a framed log image.
 
-        One header line (format marker + segment count) followed by one
-        compact line per pending segment, oldest first.  Lifetime
+        ``DIOSPL01`` followed by one record frame per pending segment,
+        oldest first (the codec of :mod:`repro.backend.wal`; payload
+        ``[seq, spilled_at_ns, reason, [doc, ...]]``).  Lifetime
         counters are *not* serialized — they belong to the consumer
         process, not the log.
         """
-        lines = [json.dumps({"format": WAL_FORMAT,
-                             "segments": len(self._segments)},
-                            sort_keys=True)]
-        for segment in self._segments:
-            lines.append(json.dumps(
-                {"seq": segment.seq, "spilled_at_ns": segment.spilled_at_ns,
-                 "reason": segment.reason, "docs": list(segment.docs)},
-                separators=(",", ":"), sort_keys=True))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return SPILL_MAGIC + b"".join(
+            frame_record([segment.seq, segment.spilled_at_ns,
+                          segment.reason, list(segment.docs)])
+            for segment in self._segments)
 
     @classmethod
     def recover(cls, data: bytes) -> tuple["SpillWAL", dict]:
         """Rebuild a WAL from possibly-torn serialized bytes.
 
         Tolerant by design — a crash can leave the file empty, truncate
-        it mid-record, or duplicate a segment if an append was retried
+        it mid-frame, or duplicate a segment if an append was retried
         after an unacknowledged write.  Recovery never raises: it keeps
-        every parseable, non-duplicate segment (in order), drops the
-        torn tail, and reports what it did::
+        the non-duplicate segments of the intact frame prefix (in
+        order), drops everything from the first torn or damaged frame
+        on, and reports what it did::
 
             wal, report = SpillWAL.recover(blob)
 
-        ``report`` keys: ``header_ok``, ``segments_recovered``,
-        ``records_recovered``, ``torn_lines_dropped``,
-        ``duplicates_dropped``.
+        ``report`` is :func:`~repro.backend.wal.recover_log`'s
+        (``header_ok``, ``records_recovered``, ``torn_bytes_dropped``)
+        plus ``segments_recovered``, ``docs_recovered`` and
+        ``duplicates_dropped``.  A foreign or corrupt magic recovers an
+        empty (but usable) WAL: nothing after it can be trusted to be
+        a segment of ours.
         """
         wal = cls()
-        report = {"header_ok": False, "segments_recovered": 0,
-                  "records_recovered": 0, "torn_lines_dropped": 0,
-                  "duplicates_dropped": 0}
-        lines = data.decode("utf-8", errors="replace").split("\n")
-        if lines and lines[0].strip():
-            try:
-                header = json.loads(lines[0])
-                report["header_ok"] = (isinstance(header, dict)
-                                       and header.get("format") == WAL_FORMAT)
-            except ValueError:
-                pass
-        if not report["header_ok"]:
-            # Nothing after a corrupt header can be trusted to be a
-            # segment of ours; recover to an empty (but usable) WAL.
-            return wal, report
-        seen_seqs: set[int] = set()
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                seq = int(entry["seq"])
-                docs = entry["docs"]
-                if not isinstance(docs, list) or not docs:
-                    raise ValueError("bad docs payload")
-                segment = SpillSegment(
-                    seq=seq, docs=tuple(docs),
-                    spilled_at_ns=int(entry["spilled_at_ns"]),
-                    reason=str(entry.get("reason", "recovered")))
-            except (ValueError, KeyError, TypeError):
-                # Torn or corrupt line — a real appender fsyncs per
-                # segment, so only the tail can tear; drop and count.
-                report["torn_lines_dropped"] += 1
-                continue
-            if seq in seen_seqs:
-                report["duplicates_dropped"] += 1
-                continue
-            seen_seqs.add(seq)
-            wal._segments.append(segment)
-            report["segments_recovered"] += 1
-            report["records_recovered"] += len(segment.docs)
-        wal._next_seq = max(seen_seqs) + 1 if seen_seqs else 0
+        segments, report = recover_log(data, SPILL_MAGIC, _segment)
+        first_by_seq: dict[int, SpillSegment] = {}
+        for segment in segments:
+            first_by_seq.setdefault(segment.seq, segment)
+        wal._segments.extend(first_by_seq.values())
+        wal._next_seq = max(first_by_seq, default=-1) + 1
+        report["segments_recovered"] = len(first_by_seq)
+        report["docs_recovered"] = wal.pending_records
+        report["duplicates_dropped"] = len(segments) - len(first_by_seq)
         return wal, report
 
     # ------------------------------------------------------------------

@@ -290,10 +290,8 @@ class DIOTracer:
         #: right after the backend acknowledges it — WAL first, sealed
         #: into an immutable segment at the flush threshold — so a
         #: host can rebuild its trace history without the backend.
-        #: ``storage_mode="jsonl"`` defers to one export at shutdown.
         self.storage = None
-        if (self.config.storage_dir is not None
-                and self.config.storage_mode == "segments"):
+        if self.config.storage_dir is not None:
             from repro.backend.segments import SegmentStorage
             self.storage = SegmentStorage(
                 self.config.storage_dir,
@@ -468,23 +466,9 @@ class DIOTracer:
         if self.storage is not None:
             # Seal the unflushed tail into a final segment.  The local
             # store mirrors events *as acknowledged* (pre-correlation);
-            # `dio sessions export --storage-mode segments` persists
-            # the annotated post-correlation state instead.
+            # `save_session` on the backend store persists the
+            # annotated post-correlation state instead.
             self.storage.seal()
-        elif self.config.storage_dir is not None:
-            from pathlib import Path
-
-            from repro.backend.persistence import (SessionError,
-                                                   export_session)
-            directory = Path(self.config.storage_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            try:
-                export_session(
-                    self.store, self.config.session_name,
-                    directory / f"{self.config.session_name}.jsonl",
-                    index=self.config.index)
-            except SessionError:
-                pass    # nothing reached the backend: nothing to keep
 
     # ------------------------------------------------------------------
     # Kernel space (eBPF programs)

@@ -4,7 +4,10 @@ Unit-level counterparts to the DST harness's torn-file checks: the
 spill WAL (:mod:`repro.tracer.spill`) and the session files
 (:mod:`repro.backend.persistence`) must survive truncation at
 arbitrary byte boundaries, duplicate replay, and corrupt headers —
-keeping every complete record and dropping only the torn tail.
+keeping every complete record before the tear.  What any cut or bit
+flip does to a framed log is one property over all four logs in
+``tests/test_record_logs.py``; the spill tests here pin what is the
+spill WAL's own (``seq`` de-duplication, a usable WAL after garbage).
 """
 
 import json
@@ -14,21 +17,30 @@ import pytest
 from repro.backend import DocumentStore
 from repro.backend.persistence import (SessionError, export_session,
                                        import_session, recover_session)
+from repro.backend.wal import scan_frames
 from repro.dst import Scenario, generate
+from repro.dst.crash import JOURNAL_MAGIC
 from repro.dst.runner import execute_pipeline
-from repro.tracer.spill import WAL_FORMAT, SpillWAL
+from repro.tracer.spill import SPILL_MAGIC, SpillWAL
 
 # ----------------------------------------------------------------------
 # Spill WAL durability
 
 
-def _wal_with_segments() -> SpillWAL:
+def _wal_with_segments(count: int = 2) -> SpillWAL:
     wal = SpillWAL()
     wal.append([{"syscall": "write", "tid": 1, "time": 10}], now_ns=100)
-    wal.append([{"syscall": "read", "tid": 2, "time": 20},
-                {"syscall": "close", "tid": 2, "time": 30}],
-               now_ns=200, reason="breaker-open")
+    if count > 1:
+        wal.append([{"syscall": "read", "tid": 2, "time": 20},
+                    {"syscall": "close", "tid": 2, "time": 30}],
+                   now_ns=200, reason="breaker-open")
     return wal
+
+
+def _first_frame_end() -> int:
+    """Where the second segment's frame starts: an append-only image
+    grows by whole frames."""
+    return len(_wal_with_segments(1).to_bytes())
 
 
 def test_spill_wal_round_trips():
@@ -36,10 +48,9 @@ def test_spill_wal_round_trips():
     recovered, report = SpillWAL.recover(wal.to_bytes())
     assert report["header_ok"]
     assert report["segments_recovered"] == 2
-    assert report["records_recovered"] == 3
-    assert report["torn_lines_dropped"] == 0
-    assert [s.docs for s in recovered._segments] == \
-        [s.docs for s in wal._segments]
+    assert report["docs_recovered"] == 3
+    assert report["torn_bytes_dropped"] == 0
+    assert list(recovered._segments) == list(wal._segments)
     assert [s.reason for s in recovered._segments] == \
         ["retries-exhausted", "breaker-open"]
     # Sequence numbering continues where the old WAL left off.
@@ -48,37 +59,41 @@ def test_spill_wal_round_trips():
 
 @pytest.mark.parametrize("cut_back", range(1, 40))
 def test_spill_wal_survives_any_truncation(cut_back):
-    blob = _wal_with_segments().to_bytes()
-    if cut_back >= len(blob):
-        pytest.skip("cut longer than file")
-    recovered, report = SpillWAL.recover(blob[:-cut_back])
-    # Recovery never raises and never invents segments.
-    assert report["segments_recovered"] <= 2
-    assert recovered.pending_batches == report["segments_recovered"]
-    for segment in recovered._segments:
-        assert segment.docs  # no empty/garbled segment survives
+    """The last 39 cut points of the image, pinned one by one (the
+    shared property in test_record_logs.py samples the rest)."""
+    wal = _wal_with_segments()
+    blob = wal.to_bytes()
+    boundaries = [_first_frame_end(), len(blob)]
+    cut = len(blob) - cut_back
+    recovered, report = SpillWAL.recover(blob[:cut])
+    complete = sum(1 for boundary in boundaries if boundary <= cut)
+    # Exactly the frames wholly inside the prefix, never an invention.
+    assert list(recovered._segments) == list(wal._segments)[:complete]
+    assert report["segments_recovered"] == complete
+    if complete:
+        assert report["torn_bytes_dropped"] == cut - boundaries[complete - 1]
 
 
 def test_spill_wal_mid_record_truncation_drops_only_tail():
     blob = _wal_with_segments().to_bytes()
-    lines = blob.decode("utf-8").rstrip("\n").split("\n")
-    # Cut into the middle of the second segment's line.
-    keep = "\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2]
-    recovered, report = SpillWAL.recover(keep.encode("utf-8"))
+    # Cut into the middle of the second segment's frame.
+    cut = (_first_frame_end() + len(blob)) // 2
+    recovered, report = SpillWAL.recover(blob[:cut])
     assert report["segments_recovered"] == 1
-    assert report["torn_lines_dropped"] == 1
+    assert report["torn_bytes_dropped"] == cut - _first_frame_end()
     assert recovered._segments[0].docs[0]["syscall"] == "write"
 
 
 def test_spill_wal_duplicate_replay_applies_once():
     blob = _wal_with_segments().to_bytes()
-    lines = blob.decode("utf-8").rstrip("\n").split("\n")
     # A crashed appender may rewrite the last segment on restart.
-    doubled = "\n".join(lines + [lines[-1]]) + "\n"
-    recovered, report = SpillWAL.recover(doubled.encode("utf-8"))
+    doubled = blob + blob[_first_frame_end():]
+    recovered, report = SpillWAL.recover(doubled)
+    assert report["records_recovered"] == 3
     assert report["segments_recovered"] == 2
     assert report["duplicates_dropped"] == 1
     assert recovered.pending_records == 3
+    assert recovered._next_seq == 2
 
 
 def test_spill_wal_recovers_empty_file():
@@ -93,10 +108,12 @@ def test_spill_wal_recovers_empty_file():
 def test_spill_wal_rejects_corrupt_header():
     wal = _wal_with_segments()
     blob = wal.to_bytes()
-    # Flip the header's format marker: nothing after it is trusted.
-    bad = blob.replace(WAL_FORMAT.encode(), b"not-a-spill-wal", 1)
+    # A foreign magic (here: the store journal's): nothing after it is
+    # trusted, however well-framed.
+    bad = JOURNAL_MAGIC + blob[len(SPILL_MAGIC):]
     recovered, report = SpillWAL.recover(bad)
     assert not report["header_ok"]
+    assert report["torn_bytes_dropped"] == len(bad)
     assert recovered.pending_batches == 0
 
 
@@ -104,6 +121,8 @@ def test_spill_wal_header_only_garbage():
     recovered, report = SpillWAL.recover(b"\x00\xff garbage \x7f")
     assert not report["header_ok"]
     assert recovered.pending_batches == 0
+    recovered.append([{"x": 1}], now_ns=0)
+    assert recovered.pending_records == 1
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +292,9 @@ def test_dst_seed_with_consumer_and_store_crashes_is_clean():
 def test_store_wal_contains_exactly_stored_docs():
     scenario = generate(18)
     run = execute_pipeline(scenario)
-    journal_docs = sum(
-        len(json.loads(line)["docs"]) for line in run.crashing._journal)
+    payloads, end = scan_frames(run.crashing.journal_bytes(),
+                                len(JOURNAL_MAGIC))
+    assert end == len(run.crashing.journal_bytes())
+    journal_docs = sum(len(json.loads(payload)[1]) for payload in payloads)
     # Every accepted bulk is journaled before being acknowledged.
     assert journal_docs == len(run.docs)

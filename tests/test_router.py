@@ -280,6 +280,37 @@ class TestLifecycle:
         assert store.restore_shard(0, tmp_path / "empty") == 0
         assert store.count(INDEX) == before
 
+    @pytest.mark.parametrize("damage", ["cut-15-short", "flipped-byte"])
+    def test_restore_from_damaged_image_keeps_the_intact_prefix(
+            self, tmp_path, damage):
+        store = sharded()
+        store.bulk(INDEX, make_docs(45))
+        store.save_shards(tmp_path)
+        victim = max(range(3), key=store._shard_docs)
+        held = list(store.shards[victim].scan(INDEX))
+        image_path = tmp_path / f"shard-{victim:02d}" / "router.bin"
+        image = image_path.read_bytes()
+        if damage == "cut-15-short":
+            image_path.write_bytes(image[:-15])     # tears the last record
+        else:
+            middle = len(image) // 2                # inside some record
+            image_path.write_bytes(image[:middle]
+                                   + bytes([image[middle] ^ 0x01])
+                                   + image[middle + 1:])
+        store.kill_shard(victim)
+        # Never a parser error, never part of a record: the frames
+        # before the damage come back byte-exact, nothing after them.
+        restored = store.restore_shard(victim, tmp_path)
+        assert list(store.shards[victim].scan(INDEX)) == held[:restored]
+        if damage == "cut-15-short":
+            assert restored == len(held) - 1
+        else:
+            assert 0 < restored < len(held) - 1
+        report = store.shard_restore_report
+        assert report["header_ok"]
+        assert report["records_recovered"] == restored
+        assert report["torn_bytes_dropped"] > 0
+
     def test_rebalance_changes_count_and_keeps_answers(self):
         store = sharded(count=2)
         store.bulk(INDEX, make_docs(48))

@@ -1,12 +1,13 @@
 """Segment storage engine: WAL, segment files, engine lifecycle.
 
-Covers the durability contract byte by byte (a WAL or segment torn at
-*any* byte recovers exactly the intact prefix / is rejected whole),
-the maintenance paths (flush, compaction, retention, snapshot and
+Covers the durability contract byte by byte (a segment torn at *any*
+byte is rejected whole; what any cut or bit flip does to the WAL is
+the shared record-log property in ``tests/test_record_logs.py``), the
+maintenance paths (flush, compaction, retention, snapshot and
 restore), zone-map pruning against the query semantics, and the
-persistence facade that routes ``storage_mode``.  The adversarial
-round-trip against the JSON-lines oracle lives at the bottom as a
-Hypothesis property.
+persistence facade over the engine.  The adversarial round-trip
+against the JSON-lines oracle lives at the bottom as a Hypothesis
+property.
 """
 
 import json
@@ -17,10 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore
-from repro.backend.persistence import (STORAGE_MODES, SessionError,
-                                       export_session, import_session,
-                                       load_session, save_session,
-                                       storage_mode_of)
+from repro.backend.persistence import (SessionError, export_session,
+                                       import_session, load_session,
+                                       save_session)
 from repro.backend.planner import prune_constraints
 from repro.backend.query import compile_query
 from repro.backend.segments import (MANIFEST_NAME, WAL_NAME, Segment,
@@ -60,29 +60,6 @@ class TestWAL:
         assert reopened.report["docs_recovered"] == len(DOCS)
         assert reopened.report["torn_bytes_dropped"] == 0
         reopened.close()
-
-    def test_torn_at_every_byte_recovers_whole_frame_prefix(self, tmp_path):
-        image = WAL_MAGIC
-        frames = [encode_record("s", [d], i + 1)
-                  for i, d in enumerate(DOCS)]
-        boundaries = [len(image)]
-        for frame in frames:
-            image += frame
-            boundaries.append(len(image))
-        for cut in range(len(image) + 1):
-            entries, report = recover_bytes(image[:cut])
-            if cut < len(WAL_MAGIC):
-                assert entries == []
-                assert not report["header_ok"]
-                continue
-            complete = sum(1 for b in boundaries[1:] if b <= cut)
-            assert len(entries) == complete, f"cut at byte {cut}"
-            assert [docs for _, _, docs in entries] == \
-                [[d] for d in DOCS[:complete]]
-            assert [rec_id for rec_id, _, _ in entries] == \
-                list(range(1, complete + 1))
-            assert report["torn_bytes_dropped"] == \
-                cut - boundaries[complete]
 
     def test_open_truncates_torn_tail_in_place(self, tmp_path):
         path = tmp_path / "wal.bin"
@@ -531,8 +508,7 @@ class TestSegmentStorage:
             store.index_doc("dio_trace", dict(doc, session="orig"))
 
         seg_root = tmp_path / "segstore"
-        save_session(store, "orig", seg_root, storage_mode="segments",
-                     flush_events=2)
+        save_session(store, "orig", seg_root, flush_events=2)
         jsonl = tmp_path / "orig.jsonl"
         export_session(store, "orig", jsonl)
 
@@ -544,16 +520,29 @@ class TestSegmentStorage:
         assert dumps(a) == dumps(b)
 
     def test_storage_mode_autodetect(self, tmp_path):
+        """``load_session`` tells a segment store from an export by
+        what is on disk; ``save_session`` writes only the former."""
         store = DocumentStore()
         store.index_doc("dio_trace", {"time": 1, "session": "s"})
         seg_root = tmp_path / "segstore"
-        save_session(store, "s", seg_root, storage_mode="segments")
+        save_session(store, "s", seg_root)          # segments by default
+        assert (seg_root / MANIFEST_NAME).exists()
         jsonl = tmp_path / "s.jsonl"
-        save_session(store, "s", jsonl, storage_mode="jsonl")
-        assert storage_mode_of(seg_root) == "segments"
-        assert storage_mode_of(jsonl) == "jsonl"
+        export_session(store, "s", jsonl)
+        for saved in (seg_root, jsonl):
+            loaded = DocumentStore()
+            assert load_session(loaded, saved) == "s"
+            assert loaded.count("dio_trace") == 1
         with pytest.raises(SessionError):
-            storage_mode_of(tmp_path)     # a directory, but no manifest
+            # a directory, but no segment store
+            load_session(DocumentStore(), tmp_path)
+        # The layout argument survives for positional callers and
+        # accepts exactly one value; the export has its own function.
+        save_session(store, "s", tmp_path / "again", "dio_trace", "segments")
+        with pytest.raises(SessionError, match="export_session"):
+            save_session(store, "s", tmp_path / "s2.jsonl", "dio_trace",
+                         "jsonl")
+        assert not (tmp_path / "s2.jsonl").exists()
 
     def test_telemetry_gauges_track_state(self, tmp_path):
         from repro.telemetry.registry import MetricsRegistry
@@ -590,12 +579,7 @@ class TestPruneConstraints:
 
 
 # ---------------------------------------------------------------------------
-# Config axis stays in sync across layers
-
-
-def test_storage_modes_constants_agree():
-    from repro.tracer.config import STORAGE_MODES as tracer_modes
-    assert set(tracer_modes) == set(STORAGE_MODES)
+# The tracer's local mirror
 
 
 def test_tracer_persists_acknowledged_batches(tmp_path):
@@ -609,7 +593,6 @@ def test_tracer_persists_acknowledged_batches(tmp_path):
     tracer = DIOTracer(env, kernel, store,
                        TracerConfig(session_name="persisted",
                                     storage_dir=str(tmp_path / "store"),
-                                    storage_mode="segments",
                                     storage_flush_events=8))
     task = kernel.spawn_process("app").threads[0]
     tracer.attach()
@@ -632,34 +615,18 @@ def test_tracer_persists_acknowledged_batches(tmp_path):
     engine.close()
 
 
-def test_tracer_jsonl_mode_exports_at_shutdown(tmp_path):
-    from repro.kernel import O_CREAT, O_WRONLY, Kernel
-    from repro.sim import Environment
-    from repro.tracer import DIOTracer, TracerConfig
+def test_tracer_config_rejects_the_retired_storage_mode():
+    """No second engine behind a knob: the field and its TOML key are
+    gone, and asking for either fails by name."""
+    from repro.tracer import TracerConfig
 
-    env = Environment()
-    kernel = Kernel(env, ncpus=1)
-    store = DocumentStore()
-    tracer = DIOTracer(env, kernel, store,
-                       TracerConfig(session_name="jl",
-                                    storage_dir=str(tmp_path / "out"),
-                                    storage_mode="jsonl"))
-    task = kernel.spawn_process("app").threads[0]
-    tracer.attach()
-
-    def main():
-        fd = yield from kernel.syscall(task, "open", path="/f",
-                                       flags=O_CREAT | O_WRONLY)
-        yield from kernel.syscall(task, "write", fd=fd, data=b"y")
-        yield from kernel.syscall(task, "close", fd=fd)
-        yield from tracer.shutdown()
-
-    env.run(until=env.process(main()))
-    exported = tmp_path / "out" / "jl.jsonl"
-    assert exported.exists()
-    loaded = DocumentStore()
-    import_session(loaded, exported, rename_to="check")
-    assert loaded.count("dio_trace") == store.count("dio_trace")
+    with pytest.raises(TypeError, match="storage_mode"):
+        TracerConfig(storage_dir="/tmp/x", storage_mode="jsonl")
+    with pytest.raises(ValueError, match=r"'mode' in \[storage\]"):
+        TracerConfig.from_toml('[storage]\ndir = "/tmp/x"\nmode = "jsonl"\n')
+    config = TracerConfig.from_toml(
+        '[storage]\ndir = "/tmp/x"\nflush_events = 16\n')
+    assert (config.storage_dir, config.storage_flush_events) == ("/tmp/x", 16)
 
 
 # ---------------------------------------------------------------------------
@@ -699,18 +666,3 @@ class TestRoundTripOracle:
         # then the export's stable time sort.
         oracle = sort_docs([json.loads(json.dumps(d)) for d in docs])
         assert dumps(loaded) == dumps(oracle)
-
-    @given(docs=st.lists(adversarial_doc, max_size=16),
-           cut_frac=st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=40, deadline=None)
-    def test_wal_torn_anywhere_recovers_prefix(self, docs, cut_frac):
-        image = WAL_MAGIC + b"".join(
-            encode_record("s", [json.loads(json.dumps(d))], i + 1)
-            for i, d in enumerate(docs))
-        cut = int(len(image) * cut_frac)
-        entries, report = recover_bytes(image[:cut])
-        recovered = [doc for _, _, batch in entries for doc in batch]
-        assert dumps(recovered) == \
-            dumps([json.loads(json.dumps(d))
-                   for d in docs[:len(recovered)]])
-        assert report["torn_bytes_dropped"] <= cut or not entries

@@ -2,9 +2,10 @@
 
 These tests read the offset tables out of the markdown document and
 use *only what the document says* — offsets, sizes, ``struct`` format
-strings, and magic values — to decode a segment file and a WAL that
-the implementation wrote.  If the code changes the byte layout without
-updating the spec (or vice versa), the parse here diverges and fails.
+strings, and magic values — to decode a segment file, a WAL, and an
+image of every other record log that the implementation wrote.  If the
+code changes the byte layout without updating the spec (or vice
+versa), the parse here diverges and fails.
 """
 
 import json
@@ -207,27 +208,42 @@ def _value_tag_rows() -> list[dict]:
     return rows
 
 
+def _log_magic(log: str) -> bytes:
+    """The magic the spec's ``Log magics`` table gives for ``log``."""
+    for line in _section("Log magics").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if cells[0] == log:
+            return cells[1].strip("`").encode("ascii")
+    raise AssertionError(f"STORAGE.md names no magic for the {log}")
+
+
+def _records_per_tables(blob: bytes, log: str) -> list:
+    """Decode a record log using only the magic and frame tables."""
+    magic = _log_magic(log)
+    assert blob[:len(magic)] == magic
+    frame_rows = _offset_table("Record frame")
+    fixed = sum(r["size"] for r in frame_rows if r["size"])
+    pos = len(magic)
+    records = []
+    while pos < len(blob):
+        frame = _unpack(frame_rows, blob, base=pos)
+        payload = blob[pos + fixed:pos + fixed + frame["length"]]
+        assert len(payload) == frame["length"]
+        assert zlib.crc32(payload) == frame["crc32"]
+        records.append(json.loads(payload.decode("utf-8")))
+        pos += fixed + frame["length"]
+    return records
+
+
 class TestWALFromSpec:
     def test_wal_parses_per_tables(self, store_dir):
-        header_rows = _offset_table("WAL header")
-        record_rows = _offset_table("WAL record")
         blob = (store_dir / "wal.bin").read_bytes()
-        magic = _literal(header_rows, "magic").encode("ascii")
-        assert blob[:len(magic)] == magic
-
-        pos = len(magic)
-        records = []
-        fixed = sum(r["size"] for r in record_rows if r["size"])
-        while pos + fixed <= len(blob):
-            frame = _unpack(record_rows, blob, base=pos)
-            payload = blob[pos + fixed:pos + fixed + frame["length"]]
-            assert zlib.crc32(payload) == frame["crc32"]
-            session, docs, rec_id = json.loads(payload.decode("utf-8"))
-            records.append((session, docs, rec_id))
-            pos += fixed + frame["length"]
-        assert records == [("spec-session",
-                            [{"time": 100, "syscall": "close", "ret": 0}],
-                            1)]
+        header_rows = _offset_table("WAL header")
+        assert (_literal(header_rows, "magic").encode("ascii")
+                == _log_magic("storage WAL"))
+        assert _records_per_tables(blob, "storage WAL") == [
+            ["spec-session",
+             [{"time": 100, "syscall": "close", "ret": 0}], 1]]
 
     def test_manifest_matches_spec_shape(self, store_dir):
         manifest = json.loads(
@@ -240,3 +256,44 @@ class TestWALFromSpec:
         for name in manifest["segments"]:
             assert re.fullmatch(r"seg-\d{6}\.dseg", name)
             assert (store_dir / name).exists()
+
+
+class TestOtherLogsFromSpec:
+    """The spill image, shard image and store journal are the same
+    frame behind their own magic; payload shapes per the spec."""
+
+    DOCS = [{"time": 5, "syscall": "open", "pid": 7, "path": "/журнал"},
+            {"time": 9, "syscall": "close", "pid": 7}]
+
+    def test_spill_image_parses_per_tables(self):
+        from repro.tracer.spill import SpillWAL
+        wal = SpillWAL()
+        wal.append(self.DOCS[:1], now_ns=11)
+        wal.append(self.DOCS, now_ns=22, reason="breaker-open")
+        assert _records_per_tables(wal.to_bytes(), "spill image") == [
+            [0, 11, "retries-exhausted", self.DOCS[:1]],
+            [1, 22, "breaker-open", self.DOCS]]
+
+    def test_shard_image_parses_per_tables(self, tmp_path):
+        from repro.backend.router import ShardedDocumentStore
+        store = ShardedDocumentStore(shard_count=2, shard_key="pid")
+        store.bulk("dio_trace", [dict(d) for d in self.DOCS])
+        store.save_shards(tmp_path)
+        images = [_records_per_tables(
+            (tmp_path / f"shard-{i:02d}" / "router.bin").read_bytes(),
+            "shard image") for i in range(2)]
+        # pid 7 routes both documents to one shard; the other image is
+        # the bare magic.
+        assert sorted(images, key=len) == [[], [
+            ["dio_trace", "1", 0, self.DOCS[0]],
+            ["dio_trace", "2", 1, self.DOCS[1]]]]
+
+    def test_store_journal_parses_per_tables(self):
+        from repro.backend.store import DocumentStore
+        from repro.dst.crash import CrashingStore
+        crashing = CrashingStore(DocumentStore(), [])
+        crashing.bulk("idx", [dict(d) for d in self.DOCS])
+        crashing.bulk("idx", [{"k": "v"}])
+        assert _records_per_tables(
+            crashing.journal_bytes(), "store journal") == [
+                ["idx", self.DOCS], ["idx", [{"k": "v"}]]]
