@@ -5,15 +5,23 @@ JSON-lines file, the interchange and oracle format) and `save_session`
 (WAL + immutable columnar segment files, docs/STORAGE.md) — and
 measures what the engine was built for:
 
-- **cold start**: time from nothing-in-memory to answering a narrow
-  time-window count.  The segment store opens footer-first and
-  zone-prunes to the one segment that overlaps the window; JSON-lines
-  has to re-parse the whole session first.
+- **cold start, engine only** (``segments_cold_s``): *open +
+  zone-pruned count* — time from nothing-in-memory to answering a
+  narrow time-window count from the engine itself.  The segment store
+  opens footer-first and zone-prunes to the one segment that overlaps
+  the window; JSON-lines has to re-parse the whole session first.  No
+  store is loaded, so this is not what ``dio diagnose --session`` or
+  ``dio compare`` wait for.
+- **cold open, ready to serve a panel** (``load_first_panel_s`` /
+  ``load_events_per_s``): what the analyst pays — ``load_session`` of
+  the whole segment store into a fresh ``DocumentStore``, then the
+  Fig. 4 ``date_histogram`` + ``terms`` request answered from it.
 - **footprint**: bytes on disk per stored event.
 
 The headline gates only bind at full scale (1M events): cold start
 **≥5x** faster than the JSON-lines re-parse and **≥2x** smaller on
-disk.  The regression gate holds cold-start throughput to within 20%
+disk.  The regression gate holds both cold-start throughputs
+(``segments_cold_events_per_s``, ``load_events_per_s``) to within 20%
 of the best same-size entry in ``BENCH_storage.json``.  A differential
 stage loads the session back from both formats and requires identical
 documents, query counts, aggregations, and diagnosis — the binary
@@ -26,12 +34,17 @@ import random
 import time
 from pathlib import Path
 
+from repro.analysis.contention import syscall_counts_by_thread
 from repro.backend import DocumentStore, SegmentStorage
 from repro.backend.persistence import (export_session, import_session,
                                        load_session, save_session)
 
 N_EVENTS = int(os.environ.get("DIO_BENCH_EVENTS", "1000000"))
 ROUNDS = 1 if N_EVENTS >= 500_000 else 3
+#: The segment-side cold starts are milliseconds at smoke sizes, where
+#: one scheduler hiccup is a third of the reading: best of more tries
+#: (they cost next to nothing beside one JSON-lines re-parse).
+SEGMENT_ROUNDS = ROUNDS if N_EVENTS >= 500_000 else 15
 INDEX = "dio_trace"
 SESSION = "bench-storage"
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
@@ -92,6 +105,16 @@ def _cold_start_jsonl(path: Path, window: dict):
     return elapsed, hits
 
 
+def _load_first_panel(root: Path, window_ns: int):
+    """``load_session`` into a fresh store, then the Fig. 4 panel."""
+    start = time.perf_counter()
+    store = DocumentStore()
+    load_session(store, root, index=INDEX)
+    panel = syscall_counts_by_thread(store, INDEX, window_ns, SESSION)
+    elapsed = time.perf_counter() - start
+    return elapsed, panel
+
+
 def _differential_gate(seg_root: Path, jsonl_path: Path) -> None:
     """Identical stores back from both formats: docs, queries, aggs,
     diagnosis."""
@@ -129,20 +152,24 @@ def _differential_gate(seg_root: Path, jsonl_path: Path) -> None:
 
 
 def _regression_gate(entry: dict) -> None:
-    """Fail on >20% cold-start regression vs the best same-size run."""
+    """Fail on >20% cold-start regression vs the best same-size run.
+
+    Applied to both cold-start throughputs; entries written before a
+    metric existed simply do not vote on it.
+    """
     from _baseline import load_trajectory
 
     history = [e for e in load_trajectory(ARTIFACT)
                if e.get("benchmark") == "segment_storage"
                and e.get("events") == entry["events"]]
-    if not history:
-        return
-    best = max(e["segments_cold_events_per_s"] for e in history)
-    floor = 0.8 * best
-    assert entry["segments_cold_events_per_s"] >= floor, (
-        f"segment cold start regressed: "
-        f"{entry['segments_cold_events_per_s']:.0f} events/s vs "
-        f"baseline best {best:.0f} (floor {floor:.0f})")
+    for metric in ("segments_cold_events_per_s", "load_events_per_s"):
+        seen = [e[metric] for e in history if metric in e]
+        if not seen:
+            continue
+        floor = 0.8 * max(seen)
+        assert entry[metric] >= floor, (
+            f"{metric} regressed: {entry[metric]:.0f} events/s vs "
+            f"baseline best {max(seen):.0f} (floor {floor:.0f})")
 
 
 def test_storage_trajectory(tmp_path):
@@ -169,14 +196,23 @@ def test_storage_trajectory(tmp_path):
 
     seg_cold = jsonl_cold = float("inf")
     seg_hits = jsonl_hits = None
-    for _ in range(ROUNDS):
+    for _ in range(SEGMENT_ROUNDS):
         elapsed, hits = _cold_start_segments(seg_root, window)
         if elapsed < seg_cold:
             seg_cold, seg_hits = elapsed, hits
+    for _ in range(ROUNDS):
         elapsed, hits = _cold_start_jsonl(jsonl_path, window)
         if elapsed < jsonl_cold:
             jsonl_cold, jsonl_hits = elapsed, hits
     assert seg_hits == jsonl_hits and seg_hits > 0
+
+    panel_window_ns = max(1, span // 100)
+    load_panel_s = float("inf")
+    for _ in range(SEGMENT_ROUNDS):
+        elapsed, panel = _load_first_panel(seg_root, panel_window_ns)
+        load_panel_s = min(load_panel_s, elapsed)
+    assert sum(sum(threads.values())
+               for threads in panel.values()) == N_EVENTS
 
     seg_bytes = SegmentStorage(seg_root, create=False).disk_bytes()
     jsonl_bytes = jsonl_path.stat().st_size
@@ -189,6 +225,7 @@ def test_storage_trajectory(tmp_path):
         "benchmark": "segment_storage",
         "events": N_EVENTS,
         "rounds": ROUNDS,
+        "segment_rounds": SEGMENT_ROUNDS,
         "flush_events": FLUSH_EVENTS,
         "segments_save_s": round(seg_save_s, 4),
         "jsonl_save_s": round(jsonl_save_s, 4),
@@ -197,6 +234,8 @@ def test_storage_trajectory(tmp_path):
         "segments_cold_events_per_s": round(N_EVENTS / seg_cold, 1),
         "jsonl_cold_events_per_s": round(N_EVENTS / jsonl_cold, 1),
         "cold_speedup": round(speedup, 3),
+        "load_first_panel_s": round(load_panel_s, 4),
+        "load_events_per_s": round(N_EVENTS / load_panel_s, 1),
         "segments_bytes": seg_bytes,
         "jsonl_bytes": jsonl_bytes,
         "segments_bytes_per_event": round(seg_bytes / N_EVENTS, 2),
@@ -207,6 +246,10 @@ def test_storage_trajectory(tmp_path):
 
     from _baseline import append_trajectory
     append_trajectory(ARTIFACT, entry)
+    print(f"\nopen + zone-pruned count: {seg_cold:.4f} s "
+          f"({entry['segments_cold_events_per_s']:,.0f} events/s)")
+    print(f"ready to serve a panel:   {load_panel_s:.4f} s "
+          f"({entry['load_events_per_s']:,.0f} events/s)")
 
     # Headline acceptance gates bind at full scale; smoke runs are
     # dominated by fixed costs, so they only sanity-check direction.

@@ -42,7 +42,8 @@ package is an in-process substitute exposing the same operations:
   quotas and ``dio_tenant_*`` telemetry.
 """
 
-from repro.backend.store import DocumentStore, Index, StoreError
+from repro.backend.store import (INDEXED_EVENT_FIELDS, DocumentStore, Index,
+                                 LaneBatch, StoreError)
 from repro.backend.columns import Column, ColumnSet
 from repro.backend.query import compile_query, QueryError
 from repro.backend.planner import QueryPlan, plan_query
@@ -54,7 +55,8 @@ from repro.backend.persistence import (SessionError, delete_session,
                                        export_session, import_session,
                                        list_sessions, load_session,
                                        recover_session, save_session)
-from repro.backend.segments import Segment, SegmentError, SegmentStorage
+from repro.backend.segments import (Segment, SegmentBatch, SegmentError,
+                                    SegmentStorage)
 from repro.backend.wal import WALError, WriteAheadLog
 from repro.backend.router import (SHARD_KEYS, ShardedDocumentStore,
                                   create_store)
@@ -62,8 +64,10 @@ from repro.backend.tenancy import (TenantBackend, TenantQuotaExceeded,
                                    TenantStore)
 
 __all__ = [
+    "INDEXED_EVENT_FIELDS",
     "DocumentStore",
     "Index",
+    "LaneBatch",
     "StoreError",
     "Column",
     "ColumnSet",
@@ -88,6 +92,7 @@ __all__ = [
     "recover_session",
     "save_session",
     "Segment",
+    "SegmentBatch",
     "SegmentError",
     "SegmentStorage",
     "WALError",

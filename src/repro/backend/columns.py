@@ -44,8 +44,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import is_not, itemgetter, le
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
@@ -136,21 +136,89 @@ class Column:
         self.set(len(self.codes) - 1, value)
 
     def extend(self, values: Iterable[Any]) -> None:
-        """Append one row per value (bulk twin of :meth:`append`)."""
+        """Append one row per value — :meth:`append` in a loop, lane-wise.
+
+        One class probe selects a C-speed pass for the two lane shapes
+        trace events are made of — exact ``int`` within int64 and exact
+        ``str``/``None`` — when the column holds no other value class
+        yet (so there is no cross-class collision to look for).  Every
+        slot ends up exactly as per-row ``append`` leaves it; any other
+        lane (bool, float, tuple, unhashable, out-of-range, mixed)
+        takes the per-row loop.
+        """
+        if not isinstance(values, list):
+            values = list(values)
+        classes = set(map(type, values))
+        if classes == {int} and self._code_of.keys() <= {int} \
+                and self.num_kind in (None, "q"):
+            try:
+                lane = array("q", values)
+            except OverflowError:
+                pass                      # beyond int64: promote per row
+            else:
+                self._extend_int(values, lane)
+                return
+        elif classes and classes <= {str, type(None)} \
+                and self._code_of.keys() <= {str}:
+            self._extend_str(values)
+            return
         for value in values:
             self.append(value)
 
-    def grow_to(self, n_rows: int) -> None:
-        """Extend with missing rows up to ``n_rows`` (bulk build)."""
-        missing = n_rows - len(self.codes)
-        if missing <= 0:
-            return
-        self.codes.extend([-1] * missing)
-        self.nonnull.extend(b"\x00" * missing)
-        self.numeric.extend(b"\x00" * missing)
-        if self.nums is not None:
-            self.nums.extend([0] * missing)
+    def _encode_lane(self, cls: type, values: list) -> None:
+        """Append ``values``' codes; first-seen order numbers new ones.
+
+        ``None`` is in no code table, so it reads back as ``-1``.
+        """
+        distinct = dict.fromkeys(values)
+        distinct.pop(None, None)
+        if distinct:
+            codes_of = self._code_of.setdefault(cls, {})
+            fresh = [v for v in distinct if v not in codes_of] \
+                if codes_of else distinct
+            start = len(self.table)
+            codes_of.update(zip(fresh, range(start, start + len(fresh))))
+            self.table.extend(fresh)
+            self.codes.extend(map(codes_of.get, values, repeat(-1)))
+        else:
+            self.codes.extend(repeat(-1, len(values)))
         self._codes_view = self._nums_view = None
+
+    def _extend_int(self, values: list, lane: array) -> None:
+        """``extend`` for exact in-range ints onto an int-only column."""
+        base = len(self.codes)
+        n = len(values)
+        self._encode_lane(int, values)
+        self.nonnull.extend(b"\x01" * n)
+        self.numeric.extend(b"\x01" * n)
+        self.numeric_count += n
+        if self.nums is None:
+            self.nums = array("q", bytes(8 * base))
+            self.num_kind = "q"
+        self.nums.extend(lane)
+        if not self.num_sorted:
+            return
+        hi = self._num_hi
+        if (hi is None or hi <= values[0]) and all(
+                map(le, values, islice(values, 1, None))):
+            self._hi_row = base + n - 1
+            self._num_hi = values[-1]
+            return
+        # The frontier stops at the last row before the first decrease.
+        for row, value in enumerate(values, base):
+            if hi is not None and value < hi:
+                self.num_sorted = False
+                return
+            hi = self._num_hi = value
+            self._hi_row = row
+
+    def _extend_str(self, values: list) -> None:
+        """``extend`` for exact ``str``/``None`` onto a str-only column."""
+        self._encode_lane(str, values)
+        self.nonnull.extend(bytes(map(is_not, values, repeat(None))))
+        # No numeric lane to pad: a numeric value would have opened an
+        # int/float code table, and this column has none.
+        self.numeric.extend(bytes(len(values)))
 
     def set(self, row: int, value: Any) -> None:
         """(Re)assign one row's value."""
@@ -379,15 +447,29 @@ class ColumnSet:
                 continue
             column.set(row, get_field(source, field))
 
-    def ensure_column(self, field: str, docs: dict[str, dict]) -> Column:
-        """Build (or fetch) the column for ``field`` from ``docs``."""
+    def ensure_column(self, field: str, docs: dict[str, dict],
+                      pending: Sequence[Any] = ()) -> Column:
+        """Build (or fetch) the column for ``field``.
+
+        ``docs`` are the materialised documents and ``pending`` the
+        lane-appended batches (:class:`repro.backend.store.LaneBatch`)
+        whose rows follow them: hydration is all-or-nothing, so rows
+        are always "hydrated prefix, pending suffix" and the suffix is
+        read straight off the batches' lanes — building a column
+        hydrates nothing.
+        """
         column = self._columns.get(field)
         if column is None:
             column = Column(field)
-            column.grow_to(len(self._doc_ids))
+            lanes = [batch.values_for(field) for batch in pending]
+            # Rows of deleted documents stay missing (``None``).
+            values = [None] * (len(self._doc_ids) - sum(map(len, lanes)))
             row_of = self._row_of
             for doc_id, source in docs.items():
-                column.set(row_of[doc_id], get_field(source, field))
+                values[row_of[doc_id]] = get_field(source, field)
+            column.extend(values)
+            for lane in lanes:
+                column.extend(lane)
             self._columns[field] = column
         return column
 
@@ -406,21 +488,24 @@ class ColumnSet:
     # ------------------------------------------------------------------
     # Pushdown decision
 
-    def supports(self, aggs: Any, docs: dict[str, dict]) -> bool:
+    def supports(self, aggs: Any, docs: dict[str, dict],
+                 pending: Sequence[Any] = ()) -> bool:
         """True when every aggregation in ``aggs`` can run columnar.
 
         Conservative and exception-safe: any doubt — malformed spec,
         unknown kind, unencodable values, value-equal code collisions,
         non-repr-safe cardinality input — answers ``False`` and the
         caller uses the legacy path (which also reproduces the legacy
-        error behaviour for malformed requests).
+        error behaviour for malformed requests).  ``docs``/``pending``
+        are what :meth:`ensure_column` builds a missing column from.
         """
         try:
-            return self._supports(aggs, docs)
+            return self._supports(aggs, docs, pending)
         except Exception:
             return False
 
-    def _supports(self, aggs: Any, docs: dict[str, dict]) -> bool:
+    def _supports(self, aggs: Any, docs: dict[str, dict],
+                  pending: Sequence[Any]) -> bool:
         if not isinstance(aggs, dict) or not aggs:
             return False
         for name, spec in aggs.items():
@@ -438,7 +523,7 @@ class ColumnSet:
             if not isinstance(field, str) or not field:
                 return False
             if kind in BUCKET_KINDS:
-                column = self.ensure_column(field, docs)
+                column = self.ensure_column(field, docs, pending)
                 if kind == "terms":
                     if column.unencodable or column.collisions:
                         return False
@@ -458,12 +543,13 @@ class ColumnSet:
                         # pre-checked cheaply, so stay on this path
                         # only for pure typed columns.
                         return False
-                if nested is not None and not self._supports(nested, docs):
+                if nested is not None and not self._supports(
+                        nested, docs, pending):
                     return False
             elif kind in METRIC_KINDS:
                 if nested:
                     return False
-                column = self.ensure_column(field, docs)
+                column = self.ensure_column(field, docs, pending)
                 if kind == "cardinality" and (
                         not column.simple or column.unencodable):
                     return False

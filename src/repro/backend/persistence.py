@@ -28,14 +28,10 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from repro.backend.store import DocumentStore
+from repro.backend.store import INDEXED_EVENT_FIELDS, DocumentStore
 
 #: Format marker written in the header line.
 FORMAT = "dio-session-v1"
-
-#: Secondary indexes every loaded session index is created with.
-_INDEXED_FIELDS = ("syscall", "proc_name", "pid", "tid", "file_tag",
-                   "session", "time")
 
 
 class SessionError(Exception):
@@ -141,7 +137,7 @@ def _index_docs(store: DocumentStore, index: str, session: str,
                 docs: list[dict]) -> None:
     for doc in docs:
         doc["session"] = session
-    store.ensure_index(index, indexed_fields=_INDEXED_FIELDS)
+    store.ensure_index(index, indexed_fields=INDEXED_EVENT_FIELDS)
     store.bulk(index, docs)
 
 
@@ -219,11 +215,15 @@ def load_session(store: DocumentStore, path: str | Path,
     """Load a persisted session: a segment store or an export file.
 
     A directory is opened as a segment store, which costs O(segment
-    index) and then bulk-loads in global time order — the same
-    document order :func:`import_session` produces from a sorted
-    export, so either rebuilds an indistinguishable store; anything
-    else is read as a JSON-lines export (whose own header validation
-    runs at import time).  Returns the session name.
+    index); its blocks are then verified, decoded and handed to the
+    store as lanes, rows in stable time order (see
+    :meth:`SegmentStorage.load_into`) — the same document order
+    :func:`import_session` produces from a sorted export, so either
+    rebuilds an indistinguishable store, except that here documents
+    are only assembled when a request returns one.  A damaged block
+    still fails this call.  Anything else is read as a JSON-lines
+    export (whose own header validation runs at import time).
+    Returns the session name.
     """
     if not Path(path).is_dir():
         return import_session(store, path, index=index, rename_to=rename_to)

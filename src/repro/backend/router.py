@@ -1057,7 +1057,8 @@ def _shard_partial(shard: DocumentStore, index: str, query,
         if cached is not None:
             return cached, True
     try:
-        if not target.columns.supports(aggs, target.docs_view()):
+        if not target.columns.supports(aggs,
+                                       *target.column_sources()):
             return None, False
         rows, total = target.matching_rows(query,
                                            shard._plan(target, query))

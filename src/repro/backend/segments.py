@@ -51,12 +51,16 @@ import sys
 import zipfile
 import zlib
 from array import array
+from itertools import compress, groupby, islice
+from operator import le
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.backend.columns import INT64_MAX, INT64_MIN
 from repro.backend.planner import prune_constraints
 from repro.backend.query import compile_query, get_field
+from repro.backend.store import (GROUP_SAFE, INDEXED_EVENT_FIELDS,
+                                 sort_key)
 from repro.backend.wal import WriteAheadLog, wal_file_size
 
 #: Segment file magic (offset 0) and format version.
@@ -102,7 +106,6 @@ class SegmentError(Exception):
 
 
 def _sort_key_of(doc: dict):
-    from repro.backend.store import sort_key
     return sort_key(doc.get("time"))
 
 
@@ -242,8 +245,32 @@ def _encode_field(present: list[int], values: list[Any]) -> tuple[bytes, Optiona
     return _BLOCK_HEAD.pack(kind, flags, len(payload)) + body, zone
 
 
-def _decode_block(blob: bytes, rows: int) -> tuple[list[int], list[Any]]:
-    """Inverse of :func:`_encode_field`: ``(present, values)``."""
+class _Lane(NamedTuple):
+    """One field over a run of rows — what a block is once decoded.
+
+    ``dense_int`` and ``grouped`` are what a
+    :class:`~repro.backend.store.LaneBatch` may promise about the
+    lane without looking at a row: a fully-present ``K_I64`` block is
+    all exact ints, and a ``K_DICT`` block whose table holds only exact
+    ``str``/``int``/``None`` has no ``True == 1 == 1.0`` to merge.
+    """
+
+    values: list                # one per row; None where the row lacks it
+    present: Optional[bytes]    # 0/1 per row; None = every row has it
+    dense_int: bool
+    grouped: bool
+
+
+def _lane_of(values: list) -> _Lane:
+    """The :class:`_Lane` of a field every row carries (a WAL-tail run)."""
+    classes = set(map(type, values))
+    dense_int = classes == {int}
+    return _Lane(values, None, dense_int,
+                 not dense_int and classes <= GROUP_SAFE)
+
+
+def _decode_block(blob: bytes, rows: int) -> _Lane:
+    """Inverse of :func:`_encode_field`, checked against ``rows``."""
     if len(blob) < _BLOCK_HEAD.size:
         raise SegmentError("block shorter than its header")
     kind, flags, raw_len = _BLOCK_HEAD.unpack_from(blob, 0)
@@ -257,15 +284,15 @@ def _decode_block(blob: bytes, rows: int) -> tuple[list[int], list[Any]]:
         raise SegmentError(
             f"block payload is {len(payload)}B, header says {raw_len}B")
     if kind == K_I64 or kind == K_F64:
-        typecode = "q" if kind == K_I64 else "d"
-        width = 8
-        if len(payload) != rows + rows * width:
+        if len(payload) != rows + rows * 8:
             raise SegmentError("numeric block size mismatch")
-        present = list(payload[:rows])
-        lane = _lane_from(typecode, payload[rows:])
-        values = lane.tolist()
-        return present, [v if p else None
-                         for p, v in zip(present, values)]
+        present = payload[:rows]
+        values = _lane_from("q" if kind == K_I64 else "d",
+                            payload[rows:]).tolist()
+        if 0 not in present:
+            return _Lane(values, None, kind == K_I64, False)
+        return _Lane([v if p else None for p, v in zip(present, values)],
+                     present, False, False)
     if kind != K_DICT:
         raise SegmentError(f"unknown block kind {kind}")
     (n_table,) = _U32.unpack_from(payload, 0)
@@ -280,9 +307,43 @@ def _decode_block(blob: bytes, rows: int) -> tuple[list[int], list[Any]]:
     codes = _lane_from(_I32_CODE, payload[pos:])
     if len(codes) != rows:
         raise SegmentError("dictionary code lane length mismatch")
-    present = [0 if code < 0 else 1 for code in codes]
-    values = [table[code] if code >= 0 else None for code in codes]
-    return present, values
+    grouped = set(map(type, table)) <= GROUP_SAFE
+    table.append(None)                  # code -1 (absent) reads the end
+    values = list(map(table.__getitem__, codes))
+    if not rows or min(codes) >= 0:
+        return _Lane(values, None, False, grouped)
+    return _Lane(values, bytes(map((-1).__lt__, codes)), False, grouped)
+
+
+def _assemble_rows(rows: int, columns: list[tuple[str, list,
+                                                  Optional[bytes]]]
+                   ) -> list[dict]:
+    """One document per row from ``(name, values, present)`` columns.
+
+    The one row assembler (``Segment.docs`` and
+    ``SegmentBatch.to_docs``): keys in column order, an explicit
+    ``None`` kept, a field whose ``present`` flag is 0 left out.  The
+    leading fully-present columns zip into dicts at C speed; each later
+    column then lands one field at a time, which keeps key order.
+    """
+    dense = 0
+    while dense < len(columns) and columns[dense][2] is None:
+        dense += 1
+    if dense:
+        names = [name for name, _, _ in columns[:dense]]
+        docs = [dict(zip(names, row))
+                for row in zip(*(values for _, values, _ in columns[:dense]))]
+    else:
+        docs = [{} for _ in range(rows)]
+    for name, values, present in columns[dense:]:
+        if present is not None:
+            holders = compress(docs, present)
+            values = compress(values, present)
+        else:
+            holders = docs
+        for doc, value in zip(holders, values):
+            doc[name] = value
+    return docs
 
 
 def _encode_zone(zone: Optional[tuple]) -> bytes:
@@ -299,6 +360,20 @@ def _encode_zone(zone: Optional[tuple]) -> bytes:
 # ---------------------------------------------------------------------------
 # segment write
 
+def _transpose(docs: list[dict]) -> Iterable[tuple[str, list[int], list]]:
+    """Rows to lanes: ``(field, present, values)`` per field.
+
+    Fields come in first-seen key order (the segment's schema);
+    ``present[i]`` is 1 where row ``i`` carries the field — an explicit
+    ``None`` is present — and ``values[i]`` is ``None`` where it does
+    not.
+    """
+    schema = dict.fromkeys(field for doc in docs for field in doc)
+    for field in schema:
+        yield (field, [1 if field in doc else 0 for doc in docs],
+               [doc.get(field) for doc in docs])
+
+
 def write_segment(path: str | Path, docs: list[dict], *, session: str,
                   seq: int, created_ns: int = 0) -> dict:
     """Write one immutable segment file; returns its meta summary.
@@ -312,33 +387,13 @@ def write_segment(path: str | Path, docs: list[dict], *, session: str,
     path = Path(path)
     docs = sort_docs(docs)
     rows = len(docs)
-    schema: list[str] = []
-    seen: set[str] = set()
-    for doc in docs:
-        for field in doc:
-            if field not in seen:
-                seen.add(field)
-                schema.append(field)
-
     chunks: list[bytes] = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION,
                                         0, rows)]
     offset = _HEADER.size
     entries: list[bytes] = []
-    zones: dict[str, tuple] = {}
-    for field in schema:
-        present: list[int] = []
-        values: list[Any] = []
-        for doc in docs:
-            if field in doc:
-                present.append(1)
-                values.append(doc[field])
-            else:
-                present.append(0)
-                values.append(None)
+    for field, present, values in _transpose(docs):
         block, zone = _encode_field(present, values)
         chunks.append(block)
-        if zone is not None:
-            zones[field] = zone
         name = field.encode("utf-8")
         entries.append(b"".join((
             _U16.pack(len(name)), name,
@@ -348,7 +403,7 @@ def write_segment(path: str | Path, docs: list[dict], *, session: str,
 
     session_blob = session.encode("utf-8")
     footer = b"".join((
-        _U32.pack(len(schema)), *entries,
+        _U32.pack(len(entries)), *entries,
         _U16.pack(len(session_blob)), session_blob,
         struct.pack("<IQ", seq, created_ns)))
     trailer = _TRAILER.pack(offset, len(footer), zlib.crc32(footer),
@@ -374,7 +429,8 @@ class Segment:
 
     Construction reads *only* the trailer and footer (plus their
     checksums) — a few hundred bytes however large the segment is.
-    Blocks decode lazily on first access and are memoised.  Any
+    Blocks decode on demand (:meth:`lanes`); only the row view
+    (:meth:`docs`) is memoised.  Any
     truncation or bit-rot that touched the trailer or footer raises
     :class:`SegmentError` right here, which is how a torn flush is
     detected and the file rejected whole.
@@ -383,7 +439,6 @@ class Segment:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fields: dict[str, tuple[int, int, int, Optional[tuple]]] = {}
-        self._cache: dict[str, tuple[list[int], list[Any]]] = {}
         self._docs: Optional[list[dict]] = None
         try:
             blob = self.path.read_bytes()
@@ -464,39 +519,28 @@ class Segment:
             return zone[1], zone[2]
         return None
 
-    def field(self, name: str) -> tuple[list[int], list[Any]]:
-        """``(present, values)`` for one field (decoded, memoised)."""
-        cached = self._cache.get(name)
-        if cached is not None:
-            return cached
-        entry = self._fields.get(name)
-        if entry is None:
-            empty = ([0] * self.rows, [None] * self.rows)
-            self._cache[name] = empty
-            return empty
-        off, length, crc = entry[:3]
-        block = self._blob[off:off + length]
-        if zlib.crc32(block) != crc:
-            raise SegmentError(
-                f"{self.path.name}: block {name!r} checksum mismatch")
-        decoded = _decode_block(block, self.rows)
-        self._cache[name] = decoded
-        return decoded
+    def lanes(self) -> dict[str, _Lane]:
+        """Every block, checksum-verified and decoded, in schema order.
+
+        Not memoised: a load hands the lanes on to a
+        :class:`SegmentBatch` and keeps nothing here.
+        """
+        out: dict[str, _Lane] = {}
+        for name, (off, length, crc, _zone) in self._fields.items():
+            block = self._blob[off:off + length]
+            if zlib.crc32(block) != crc:
+                raise SegmentError(
+                    f"{self.path.name}: block {name!r} checksum mismatch")
+            out[name] = _decode_block(block, self.rows)
+        return out
 
     def docs(self) -> list[dict]:
         """Materialise every row as a document (schema key order)."""
-        if self._docs is not None:
-            return self._docs
-        columns = [(name, *self.field(name)) for name in self.schema]
-        docs: list[dict] = []
-        for i in range(self.rows):
-            doc = {}
-            for name, present, values in columns:
-                if present[i]:
-                    doc[name] = values[i]
-            docs.append(doc)
-        self._docs = docs
-        return docs
+        if self._docs is None:
+            self._docs = _assemble_rows(
+                self.rows, [(name, lane.values, lane.present)
+                            for name, lane in self.lanes().items()])
+        return self._docs
 
     def may_match(self, constraints: list[tuple[str, str, Any]]) -> bool:
         """Can any row satisfy every conjunctive constraint?
@@ -626,6 +670,162 @@ def _zone_excludes_range(zone: tuple, bounds: dict) -> bool:
         if op == "lt" and lo >= bound:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# a loaded session as lanes
+
+class SegmentBatch:
+    """A loaded session's decoded blocks as one
+    :class:`~repro.backend.store.LaneBatch`.
+
+    ``parts`` are ``(schema, rows, lanes)`` runs in row order — one per
+    segment, plus the unflushed tail — whose lanes are joined here into
+    one lane per field, so the store reads the blocks as they were on
+    disk: no document exists until :meth:`to_docs` (one row assembler,
+    per-part schema key order, ``session`` stamped in place).  Every
+    document of the batch carries ``session``, whatever the blocks
+    said.
+
+    :meth:`take` shares the whole batch's lanes and documents and
+    projects them, so the sub-batches of one load (the sort
+    permutation, a shard's partition) never assemble a row twice.
+    """
+
+    __slots__ = ("session", "_n", "_parts", "_lanes", "_whole", "_rows",
+                 "_docs", "_cache")
+
+    def __init__(self, parts: list[tuple[list[str], int, dict[str, _Lane]]],
+                 session: str) -> None:
+        self.session = session
+        self._n = sum(rows for _, rows, _ in parts)
+        self._parts = [(schema, rows) for schema, rows, _ in parts]
+        self._lanes = {
+            field: _join_lanes([(rows, lanes.get(field))
+                                for _, rows, lanes in parts])
+            for field in dict.fromkeys(
+                field for schema, _, _ in parts for field in schema)}
+        self._whole: Optional[SegmentBatch] = None
+        self._rows: Optional[list[int]] = None
+        self._docs: Optional[list[dict]] = None
+        self._cache: dict[str, list] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def take(self, rows: list[int]) -> "SegmentBatch":
+        out = SegmentBatch.__new__(SegmentBatch)
+        out.session = self.session
+        out._n = len(rows)
+        out._whole = self if self._whole is None else self._whole
+        out._rows = (rows if self._rows is None
+                     else list(map(self._rows.__getitem__, rows)))
+        out._docs = None
+        out._cache = {}
+        return out
+
+    def values_for(self, field: str) -> list:
+        cached = self._cache.get(field)
+        if cached is None:
+            if self._whole is not None:
+                whole = self._whole.values_for(field)
+                cached = list(map(whole.__getitem__, self._rows))
+            else:
+                cached = self._read(field)
+            self._cache[field] = cached
+        return cached
+
+    def _read(self, field: str) -> list:
+        """``get_field`` over the rows, read off the joined lanes."""
+        if field == "session":
+            return [self.session] * self._n
+        lane = self._lanes.get(field)
+        if "." not in field:
+            return lane.values if lane is not None else [None] * self._n
+        # A dotted name resolves inside its root field's values unless
+        # a row carries the dotted name as a key of its own.
+        root = field.split(".", 1)[0]
+        out = [get_field({root: value}, field)
+               for value in self.values_for(root)]
+        if lane is not None:
+            has_key = lane.present or b"\x01" * self._n
+            out = [own if has else walked for has, own, walked
+                   in zip(has_key, lane.values, out)]
+        return out
+
+    def _lane(self, field: str) -> Optional[_Lane]:
+        """The joined lane whose flags hold for ``field``'s values."""
+        if field == "session" or "." in field:
+            return None                 # stamped / resolved, not a block
+        whole = self if self._whole is None else self._whole
+        return whole._lanes.get(field)
+
+    def groups_for(self, field: str):
+        if field == "session":
+            return [(self.session, range(self._n))]
+        lane = self._lane(field)
+        if lane is None or not lane.grouped:
+            return None
+        groups: dict = {}
+        for row, value in enumerate(self.values_for(field)):
+            try:
+                groups[value].append(row)
+            except KeyError:
+                groups[value] = [row]
+        groups.pop(None, None)
+        return list(groups.items())
+
+    def dense_int(self, field: str) -> bool:
+        lane = self._lane(field)
+        return lane is not None and lane.dense_int
+
+    def to_docs(self) -> list[dict]:
+        if self._docs is None:
+            if self._whole is not None:
+                whole = self._whole.to_docs()
+                self._docs = list(map(whole.__getitem__, self._rows))
+            else:
+                self._docs = self._assemble()
+        return self._docs
+
+    def _assemble(self) -> list[dict]:
+        docs: list[dict] = []
+        start = 0
+        for schema, rows in self._parts:
+            stop = start + rows
+            columns = []
+            for field in schema:
+                lane = self._lanes[field]
+                present = lane.present and lane.present[start:stop]
+                if present and 0 not in present:
+                    present = None
+                columns.append((field, lane.values[start:stop], present))
+            docs.extend(_assemble_rows(rows, columns))
+            start = stop
+        session = self.session
+        for doc in docs:
+            doc["session"] = session
+        return docs
+
+
+def _join_lanes(runs: list[tuple[int, Optional[_Lane]]]) -> _Lane:
+    """One lane over consecutive runs; a run without the field
+    (``None``) contributes absent rows."""
+    if len(runs) == 1:
+        return runs[0][1]
+    values: list = []
+    present = bytearray()
+    for rows, lane in runs:
+        if lane is None:
+            values.extend([None] * rows)
+            present.extend(bytes(rows))
+        else:
+            values.extend(lane.values)
+            present.extend(lane.present or b"\x01" * rows)
+    return _Lane(values, bytes(present) if 0 in present else None,
+                 all(lane is not None and lane.dense_int
+                     for _, lane in runs),
+                 all(lane.grouped for _, lane in runs if lane is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,18 +1207,40 @@ class SegmentStorage:
         The twin of ``persistence.import_session``: same index fields,
         same session stamping, same document order — a store loaded
         from segments is indistinguishable from one loaded from the
-        JSON-lines oracle.
+        JSON-lines oracle.  The blocks go in as lanes, in **one**
+        ``bulk_columnar`` call (all-or-nothing under a tenant quota);
+        every block is checksum-verified and decoded before that call,
+        so a damaged store fails here with no row landed, and only the
+        documents themselves wait for a reader.
+
+        Row order is the stable ``time`` order :meth:`all_docs`
+        defines.  Segments back to back plus the tail already are in
+        that order when ``time`` is a dense int lane that never
+        decreases (what ``save_session`` writes); anything else —
+        segments that overlap in time, a ``time`` that is missing or
+        not an int somewhere — takes the rows by the sort permutation.
         """
         session = rename_to or self.session() or "dio-session"
-        # Stamp copies: the originals are memoised in Segment._docs /
-        # held in the unflushed buffer, and mutating them would leak
-        # the injected field into later scans and flushes.
-        docs = [{**doc, "session": session} for doc in self.all_docs()]
-        store.ensure_index(index, indexed_fields=("syscall", "proc_name",
-                                                  "pid", "tid", "file_tag",
-                                                  "session", "time"))
-        store.bulk(index, docs)
-        return session, len(docs)
+        parts = [(segment.schema, segment.rows, segment.lanes())
+                 for segment in self._segments]
+        # The tail is not on disk as blocks yet: transpose it the way a
+        # flush would, one part per run of rows with the same keys in
+        # the same order, so every row keeps its own key order.
+        for schema, run in groupby(self._buffer, key=tuple):
+            rows = list(run)
+            parts.append((list(schema), len(rows),
+                          {field: _lane_of(values) for
+                           field, _, values in _transpose(rows)}))
+        batch = SegmentBatch(parts, session)
+        times = batch.values_for("time")
+        if not (batch.dense_int("time")
+                and all(map(le, times, islice(times, 1, None)))):
+            keys = list(map(sort_key, times))
+            batch = batch.take(sorted(range(len(keys)),
+                                      key=keys.__getitem__))
+        store.ensure_index(index, indexed_fields=INDEXED_EVENT_FIELDS)
+        store.bulk_columnar(index, batch)
+        return session, len(batch)
 
     def session(self) -> Optional[str]:
         """The session label of the stored capture (first segment's)."""

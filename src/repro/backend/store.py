@@ -38,7 +38,7 @@ import copy
 import json
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import ColumnSet
@@ -49,9 +49,61 @@ from repro.backend.query import compile_query, get_field
 #: Cached aggregation results kept per index (LRU).
 AGG_CACHE_SIZE = 64
 
+#: Secondary indexes every index of trace events is created with —
+#: by the tracer, by a loaded segment store and by an imported export,
+#: so the three are planned alike.
+INDEXED_EVENT_FIELDS = ("syscall", "proc_name", "pid", "tid", "file_tag",
+                        "session", "time")
+
 
 class StoreError(Exception):
     """Misuse of the document store."""
+
+
+#: Value classes a lane may be pre-grouped over
+#: (:meth:`LaneBatch.groups_for`): ``bool`` and ``float`` compare equal
+#: to ``int`` across types (``True == 1 == 1.0``), so grouping them
+#: would merge rows a per-document index keeps distinct-typed.
+GROUP_SAFE = frozenset((str, int, type(None)))
+
+
+class LaneBatch(Protocol):
+    """What :meth:`Index.bulk_append` and everything downstream of
+    ``bulk_columnar`` (the shard router, the fault and crash wrappers)
+    ask of a batch of brand-new documents held as per-field lanes.
+
+    Two producers implement it: :class:`repro.tracer.batch.RecordBatch`
+    (one decoded ring-buffer batch) and
+    :class:`repro.backend.segments.SegmentBatch` (the decoded blocks of
+    a loaded session).  ``tests/test_lane_batch.py`` runs one suite
+    against both.
+    """
+
+    def __len__(self) -> int:
+        """Number of documents (rows)."""
+
+    def values_for(self, field: str) -> list:
+        """One value per row: ``get_field(doc, field)`` over
+        :meth:`to_docs`, read off the lanes instead."""
+
+    def groups_for(self, field: str
+                   ) -> Optional[list[tuple[Any, Iterable[int]]]]:
+        """``(value, rows)`` pairs partitioning exactly the rows whose
+        value is not ``None``, in first-seen order — or ``None`` when
+        the lane is not pre-grouped.  Only lanes of exact ``str``/``int``
+        values may group (:data:`GROUP_SAFE`)."""
+
+    def dense_int(self, field: str) -> bool:
+        """``True`` only if every row's value is an exact non-``None``
+        ``int``."""
+
+    def to_docs(self) -> list[dict]:
+        """The documents, materialised once (memoised): the store keeps
+        these very dicts, so a batch holds no second copy."""
+
+    def take(self, rows: list[int]) -> "LaneBatch":
+        """The sub-batch holding ``rows``, in that order (commutes with
+        :meth:`to_docs`/:meth:`values_for`; can be taken again)."""
 
 
 class Index:
@@ -78,21 +130,21 @@ class Index:
         #: what keys cached aggregation results out of existence.
         self.epoch = 0
         self._agg_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        #: Vectorized bulk appends whose ``_source`` dicts have not been
-        #: materialised yet: ``(doc_ids, RecordBatch)`` pairs, hydrated
+        #: Lane-wise bulk appends whose ``_source`` dicts have not been
+        #: materialised yet: ``(doc_ids, LaneBatch)`` pairs, hydrated
         #: into ``_docs`` the first time any reader needs sources.
-        self._pending: list[tuple[list[str], Any]] = []
+        self._pending: list[tuple[list[str], LaneBatch]] = []
         self._pending_count = 0
         #: Documents lazily materialised so far (telemetry).
         self.hydrated_docs_total = 0
         #: Field-index work deferred by the vectorized bulk path:
-        #: ``(doc_ids, RecordBatch)`` pairs not yet replayed into every
+        #: ``(doc_ids, LaneBatch)`` pairs not yet replayed into every
         #: :class:`FieldIndex`.  ``_lane_pos`` records how much of the
         #: backlog each field has consumed; a field catches up the
         #: first time a query (or any per-document mutation) needs it —
         #: the same bulk-load-then-query amortisation the sorted
         #: partitions already use.
-        self._lane_backlog: list[tuple[list[str], Any]] = []
+        self._lane_backlog: list[tuple[list[str], LaneBatch]] = []
         self._lane_pos: dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -126,20 +178,19 @@ class Index:
             count += len(doc_ids)
         self.hydrated_docs_total += count
 
-    def docs_view(self) -> "_DocsView":
-        """A mapping facade over the documents that hydrates on demand.
+    def column_sources(self) -> tuple[dict[str, dict], list[LaneBatch]]:
+        """``(docs, pending)`` for :meth:`ColumnSet.supports`.
 
-        Handed to :meth:`ColumnSet.supports`: probing *existing*
-        columns never touches documents, so the common aggregation
-        path stays hydration-free; only a first-time column build
-        (``ensure_column`` iterating ``items()``) forces sources into
-        existence.
+        The materialised documents plus the batches still parked as
+        lanes: a first-time column build reads the former as dicts and
+        the latter as lanes, so aggregating never hydrates.
         """
-        return _DocsView(self)
+        return self._docs, [batch for _, batch in self._pending]
 
-    def bulk_append(self, batch, doc_ids: Optional[list[str]] = None,
+    def bulk_append(self, batch: LaneBatch,
+                    doc_ids: Optional[list[str]] = None,
                     ranks: Optional[Iterable[int]] = None) -> int:
-        """Append one decoded :class:`RecordBatch` of brand-new docs.
+        """Append one :class:`LaneBatch` of brand-new docs.
 
         The vectorized twin of ``put`` in a loop: ids and ranks are
         assigned in one pass and neither the source dicts nor the
@@ -488,52 +539,6 @@ class Index:
             self._agg_cache.popitem(last=False)
 
 
-class _DocsView:
-    """A lazily-hydrating mapping facade over an :class:`Index`'s docs.
-
-    Sizing (``len``) answers from counters without materialising
-    anything; any access that needs actual sources (``items`` et al.)
-    hydrates first.  This is what the aggregation pushdown probe reads,
-    so probing already-built columns stays free of ``_source`` dicts.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: "Index") -> None:
-        self._index = index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self):
-        self._index._hydrate()
-        return iter(self._index._docs)
-
-    def __getitem__(self, doc_id: str) -> dict:
-        self._index._hydrate()
-        return self._index._docs[doc_id]
-
-    def __contains__(self, doc_id: str) -> bool:
-        self._index._hydrate()
-        return doc_id in self._index._docs
-
-    def get(self, doc_id: str, default=None):
-        self._index._hydrate()
-        return self._index._docs.get(doc_id, default)
-
-    def keys(self):
-        self._index._hydrate()
-        return self._index._docs.keys()
-
-    def values(self):
-        self._index._hydrate()
-        return self._index._docs.values()
-
-    def items(self):
-        self._index._hydrate()
-        return self._index._docs.items()
-
-
 #: The ``dio_store_*``/``dio_ingest_*`` counter and gauge families:
 #: (registry constructor, family name, reader key, help text).
 _STORE_FAMILIES = (
@@ -547,11 +552,12 @@ _STORE_FAMILIES = (
      "Bulk requests ingested lane-wise by bulk_columnar "
      "(no per-event _source materialisation)."),
     ("counter", "dio_ingest_docs_hydrated_total", "docs_hydrated",
-     "Vectorized-ingested documents whose _source dicts were "
-     "lazily materialised because a reader asked for them."),
+     "Lane-appended documents (traced batches and loaded sessions) "
+     "whose _source dicts were lazily materialised because a reader "
+     "asked for them."),
     ("gauge", "dio_ingest_pending_docs", "pending_docs",
-     "Vectorized-ingested documents currently awaiting lazy "
-     "_source materialisation."),
+     "Lane-appended documents (traced batches and loaded sessions) "
+     "currently awaiting lazy _source materialisation."),
     ("counter", "dio_store_plan_exact_total", "plan_exact",
      "Queries the planner resolved as exact."),
     ("counter", "dio_store_plan_pruned_total", "plan_pruned",
@@ -814,12 +820,13 @@ class DocumentStore:
             observe_span(self._telemetry, "store.bulk", start)
         return count
 
-    def bulk_columnar(self, index: str, batch,
+    def bulk_columnar(self, index: str, batch: LaneBatch,
                       doc_ids: Optional[list[str]] = None,
                       ranks: Optional[list[int]] = None) -> int:
-        """Bulk-index one decoded :class:`~repro.tracer.batch.RecordBatch`.
+        """Bulk-index one :class:`LaneBatch` — a decoded ring batch or
+        a loaded session's segment blocks.
 
-        The vectorized ingest endpoint: whole lanes land in the doc
+        The lane-wise ingest endpoint: whole lanes land in the doc
         table, field indexes, and columns in one pass — no per-event
         ``_source`` dict exists until a query asks for one.  Counter
         and span semantics match :meth:`bulk` exactly, so either path
@@ -919,7 +926,8 @@ class DocumentStore:
 
         plan = self._plan(target, query)
         pushdown = (aggs is not None and aggregations is None and not sort
-                    and target.columns.supports(aggs, target.docs_view()))
+                    and target.columns.supports(aggs,
+                                                *target.column_sources()))
 
         matches = window = None
         if size == 0 and not sort:

@@ -29,13 +29,8 @@ from array import array
 from itertools import repeat
 from typing import Any, Callable, Iterator, Optional
 
+from repro.backend.store import GROUP_SAFE
 from repro.tracer.events import _sanitize_args
-
-
-#: Value classes safe to group by identity of *value*: no cross-type
-#: equality surprises (``bool``/``float`` compare equal to ``int``, so
-#: grouping them could merge rows ``Event.to_doc`` keeps distinct-typed).
-_GROUP_SAFE = frozenset((str, int, type(None)))
 
 
 class _DictLane:
@@ -80,7 +75,7 @@ def _make_lane(values: list):
     distinct and break the byte-identity contract.  The class check is
     one C-speed pass (``set(map(type, ...))``), not a per-row branch.
     """
-    if set(map(type, values)) <= _GROUP_SAFE:
+    if set(map(type, values)) <= GROUP_SAFE:
         return _DictLane(values)
     return values
 
@@ -123,6 +118,10 @@ def _take_lane(lane, rows: list[int]):
 
 class RecordBatch:
     """One ring-buffer batch decoded into columnar lanes.
+
+    Implements :class:`repro.backend.store.LaneBatch` — the protocol
+    ``bulk_columnar`` consumes, stated there once for this class and
+    for a loaded session's ``SegmentBatch``.
 
     Build with :meth:`decode`; ``len()`` is the record count.  The
     batch iterates as the documents ``Event.to_doc`` would have built,

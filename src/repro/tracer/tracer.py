@@ -33,7 +33,7 @@ from collections import deque
 from typing import Optional
 
 from repro.backend.correlation import CorrelationReport, FilePathCorrelator
-from repro.backend.store import DocumentStore
+from repro.backend.store import INDEXED_EVENT_FIELDS, DocumentStore
 from repro.ebpf.maps import BPFHashMap
 from repro.ebpf.program import EBPFProgram, ProgramType
 from repro.ebpf.ringbuf import PerCPURingBuffer
@@ -381,10 +381,8 @@ class DIOTracer:
         if self.config.ring_mode == "ring-aware":
             self.kernel.add_uring_observer(self._on_uring_complete)
             self._uring_observing = True
-        self.store.ensure_index(
-            self.config.index,
-            indexed_fields=("syscall", "proc_name", "pid", "tid",
-                            "file_tag", "session", "time"))
+        self.store.ensure_index(self.config.index,
+                                indexed_fields=INDEXED_EVENT_FIELDS)
         self._running = True
         self._consumer = self.env.process(self._consume_loop())
 

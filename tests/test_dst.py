@@ -207,24 +207,40 @@ def test_shrinker_minimises_a_failing_scenario(_restore_bulk):
     assert not run_scenario(outcome.scenario, check_determinism=False).ok
 
 
-@pytest.mark.parametrize("sabotage", ["drop", "corrupt"])
+@pytest.mark.parametrize("sabotage", ["drop", "corrupt", "segment-drop"])
 def test_bulk_only_twin_catches_sabotaged_bulk_columnar(monkeypatch,
                                                         sabotage):
     # The oracle twin's tracer never sees ``bulk_columnar``, so a bug
     # confined to the vectorized endpoint makes the two runs diverge.
+    # The endpoint has two producers — the tracer's ring batches and
+    # the segment check's ``load_session`` — and each sabotage hits
+    # exactly one of them.
+    from repro.backend.segments import SegmentBatch
+    from repro.tracer.batch import RecordBatch
+
     real_columnar = DocumentStore.bulk_columnar
+    victim = SegmentBatch if sabotage == "segment-drop" else RecordBatch
 
     def buggy_columnar(self, index, batch, *args, **kwargs):
-        if sabotage == "drop":
-            batch = batch.take(list(range(len(batch) - 1)))
-        else:
+        if type(batch) is not victim:
+            pass
+        elif sabotage == "corrupt":
             batch = batch.take(list(range(len(batch))))
             batch._time_exit[0] += 1
+        else:
+            batch = batch.take(list(range(len(batch) - 1)))
         return real_columnar(self, index, batch, *args, **kwargs)
 
     monkeypatch.setattr(DocumentStore, "bulk_columnar", buggy_columnar)
     scenario = _sequential_writer_scenario()
     result = run_scenario(scenario, check_determinism=False)
+    if sabotage == "segment-drop":
+        # The traced pipeline is untouched; only the loaded copy lost a
+        # row, which the export oracle of the segment stage sees.
+        assert not any(f.startswith("twin-run") for f in result.failures)
+        assert any("loaded session differs from the jsonl oracle" in f
+                   for f in result.failures)
+        return
     assert any(f.startswith("twin-run") for f in result.failures)
     if sabotage == "corrupt":
         # No invariant sees an exit timestamp off by 1 ns: without

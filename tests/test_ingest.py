@@ -257,8 +257,9 @@ class TestBulkColumnar:
         assert index.hydrated_docs_total == 6
 
     def test_steady_state_aggregation_stays_lazy(self):
-        # Once the columns exist, further columnar bulks + aggregations
-        # never materialise a _source dict.
+        # Columnar bulks + aggregations never materialise a _source
+        # dict: the first aggregation builds its column from the
+        # batch's lanes, later bulks extend it lane-wise.
         records = make_records()
         vec = DocumentStore()
         aggs = {"per": {"terms": {"field": "syscall", "size": 10}}}
@@ -266,16 +267,20 @@ class TestBulkColumnar:
                                                     session=SESSION))
         vec.search("idx", size=0, aggs=aggs)  # builds the column
         index = vec._indices["idx"]
-        hydrated = index.hydrated_docs_total
+        assert index.hydrated_docs_total == 0
         vec.bulk_columnar("idx", RecordBatch.decode(records,
                                                     session=SESSION))
         response = vec.search("idx", size=0, aggs=aggs)
         assert vec.count("idx") == 12
-        assert index.hydrated_docs_total == hydrated
-        assert index.pending_docs == 6
+        assert index.hydrated_docs_total == 0
+        assert index.pending_docs == 12
         buckets = {b["key"]: b["doc_count"]
                    for b in response["aggregations"]["per"]["buckets"]}
         assert buckets["write"] == 2
+        # The first request that returns a hit pays hydration, once.
+        vec.search("idx", size=1)
+        assert index.pending_docs == 0
+        assert index.hydrated_docs_total == 12
 
     def test_mutations_after_columnar_bulk_are_ordered(self):
         records = make_records()
