@@ -8,7 +8,7 @@ the whole scheme exists to keep.
 
 Current baselines (see docs/TESTING.md for the gate each enforces):
 ``BENCH_resilience.json``, ``BENCH_diagnosis.json``,
-``BENCH_storage.json`` (segment-store cold start and footprint),
+``BENCH_storage.json`` (segment-store save, cold start and footprint),
 ``BENCH_sharding.json`` (scatter-gather scaling curve across shard
 counts), and ``BENCH_uring.json`` (io_uring blind spot).
 

@@ -16,13 +16,20 @@ measures what the engine was built for:
   ``load_events_per_s``): what the analyst pays — ``load_session`` of
   the whole segment store into a fresh ``DocumentStore``, then the
   Fig. 4 ``date_histogram`` + ``terms`` request answered from it.
+- **save** (``rows_save_events_per_s`` / ``lanes_save_events_per_s``):
+  ``save_session`` of the session from a store that holds it as
+  documents (``store.bulk``) and from one that holds it as lanes
+  (``bulk_columnar`` of ``RecordBatch``es — what a tracer leaves
+  behind, and the save a traced execution actually does).  The two
+  directories must be byte-identical.
 - **footprint**: bytes on disk per stored event.
 
 The headline gates only bind at full scale (1M events): cold start
 **≥5x** faster than the JSON-lines re-parse and **≥2x** smaller on
 disk.  The regression gate holds both cold-start throughputs
-(``segments_cold_events_per_s``, ``load_events_per_s``) to within 20%
-of the best same-size entry in ``BENCH_storage.json``.  A differential
+(``segments_cold_events_per_s``, ``load_events_per_s``) and both save
+throughputs to within 20% of the best same-size entry in
+``BENCH_storage.json``.  A differential
 stage loads the session back from both formats and requires identical
 documents, query counts, aggregations, and diagnosis — the binary
 format never buys a different answer.
@@ -35,9 +42,11 @@ import time
 from pathlib import Path
 
 from repro.analysis.contention import syscall_counts_by_thread
-from repro.backend import DocumentStore, SegmentStorage
+from repro.backend import (INDEXED_EVENT_FIELDS, DocumentStore,
+                           SegmentStorage)
 from repro.backend.persistence import (export_session, import_session,
                                        load_session, save_session)
+from repro.tracer import RecordBatch
 
 N_EVENTS = int(os.environ.get("DIO_BENCH_EVENTS", "1000000"))
 ROUNDS = 1 if N_EVENTS >= 500_000 else 3
@@ -85,6 +94,50 @@ def _make_docs(n: int, seed: int = 2209) -> list[dict]:
         }
         docs.append(doc)
     return docs
+
+
+#: Records per ring batch, the tracer's default batch size.
+BATCH = 2048
+
+
+def _row_store(docs: list[dict]) -> DocumentStore:
+    """The session held as documents."""
+    store = DocumentStore()
+    store.bulk(INDEX, docs)
+    return store
+
+
+def _lane_store(docs: list[dict]) -> DocumentStore:
+    """The same session as a tracer leaves it: decoded ring batches
+    parked as lanes, no document built."""
+    records = [{"syscall": doc["syscall"], "args": doc["args"],
+                "ret": doc["ret"], "pid": doc["pid"], "tid": doc["tid"],
+                "comm": doc["proc_name"], "enter_ns": doc["time"],
+                "exit_ns": doc["time_exit"], "file_type": doc["file_type"],
+                "offset": doc["offset"], "file_tag": doc["file_tag"]}
+               for doc in docs]
+    store = DocumentStore()
+    store.ensure_index(INDEX, indexed_fields=INDEXED_EVENT_FIELDS)
+    for start in range(0, len(records), BATCH):
+        store.bulk_columnar(INDEX, RecordBatch.decode(
+            records[start:start + BATCH], session=SESSION))
+    return store
+
+
+def _save(make_store, docs: list[dict], root: Path):
+    """Best ``save_session`` time over ``ROUNDS`` fresh stores (a lane
+    store memoises what the first save read); the last directory and
+    store are kept."""
+    best = float("inf")
+    for round_ in range(ROUNDS):
+        store = make_store(docs)
+        path = root / f"round-{round_}"
+        start = time.perf_counter()
+        saved = save_session(store, SESSION, path, index=INDEX,
+                             flush_events=FLUSH_EVENTS)
+        best = min(best, time.perf_counter() - start)
+        assert saved == len(docs)
+    return best, store, path
 
 
 def _cold_start_segments(root: Path, window: dict):
@@ -152,17 +205,18 @@ def _differential_gate(seg_root: Path, jsonl_path: Path) -> None:
 
 
 def _regression_gate(entry: dict) -> None:
-    """Fail on >20% cold-start regression vs the best same-size run.
+    """Fail on >20% regression vs the best same-size run.
 
-    Applied to both cold-start throughputs; entries written before a
-    metric existed simply do not vote on it.
+    Applied to both cold-start and both save throughputs; entries
+    written before a metric existed simply do not vote on it.
     """
     from _baseline import load_trajectory
 
     history = [e for e in load_trajectory(ARTIFACT)
                if e.get("benchmark") == "segment_storage"
                and e.get("events") == entry["events"]]
-    for metric in ("segments_cold_events_per_s", "load_events_per_s"):
+    for metric in ("segments_cold_events_per_s", "load_events_per_s",
+                   "rows_save_events_per_s", "lanes_save_events_per_s"):
         seen = [e[metric] for e in history if metric in e]
         if not seen:
             continue
@@ -174,15 +228,16 @@ def _regression_gate(entry: dict) -> None:
 
 def test_storage_trajectory(tmp_path):
     docs = _make_docs(N_EVENTS)
-    store = DocumentStore()
-    store.bulk(INDEX, docs)
+    seg_save_s, store, seg_root = _save(_row_store, docs, tmp_path / "rows")
+    lanes_save_s, lane_store, lane_root = _save(_lane_store, docs,
+                                                tmp_path / "lanes")
+    # Same session, same files — and the lane save built no document.
+    assert ({p.name: p.read_bytes() for p in lane_root.iterdir()}
+            == {p.name: p.read_bytes() for p in seg_root.iterdir()})
+    assert lane_store._indices[INDEX].hydrated_docs_total == 0
+    del lane_store              # the cold starts below want a quiet heap
 
-    seg_root = tmp_path / "segments"
     jsonl_path = tmp_path / "session.jsonl"
-    start = time.perf_counter()
-    save_session(store, SESSION, seg_root, index=INDEX,
-                 flush_events=FLUSH_EVENTS)
-    seg_save_s = time.perf_counter() - start
     start = time.perf_counter()
     export_session(store, SESSION, jsonl_path, index=INDEX)
     jsonl_save_s = time.perf_counter() - start
@@ -228,6 +283,9 @@ def test_storage_trajectory(tmp_path):
         "segment_rounds": SEGMENT_ROUNDS,
         "flush_events": FLUSH_EVENTS,
         "segments_save_s": round(seg_save_s, 4),
+        "rows_save_events_per_s": round(N_EVENTS / seg_save_s, 1),
+        "lanes_save_s": round(lanes_save_s, 4),
+        "lanes_save_events_per_s": round(N_EVENTS / lanes_save_s, 1),
         "jsonl_save_s": round(jsonl_save_s, 4),
         "segments_cold_s": round(seg_cold, 4),
         "jsonl_cold_s": round(jsonl_cold, 4),
@@ -246,7 +304,11 @@ def test_storage_trajectory(tmp_path):
 
     from _baseline import append_trajectory
     append_trajectory(ARTIFACT, entry)
-    print(f"\nopen + zone-pruned count: {seg_cold:.4f} s "
+    print(f"\nsave, session held as rows:  {seg_save_s:.4f} s "
+          f"({entry['rows_save_events_per_s']:,.0f} events/s)")
+    print(f"save, session held as lanes: {lanes_save_s:.4f} s "
+          f"({entry['lanes_save_events_per_s']:,.0f} events/s)")
+    print(f"open + zone-pruned count: {seg_cold:.4f} s "
           f"({entry['segments_cold_events_per_s']:,.0f} events/s)")
     print(f"ready to serve a panel:   {load_panel_s:.4f} s "
           f"({entry['load_events_per_s']:,.0f} events/s)")

@@ -23,6 +23,10 @@ package is an in-process substitute exposing the same operations:
 - :mod:`repro.backend.columns` — typed per-field columns (dictionary
   codes + numeric arrays) and the aggregation kernels the store pushes
   ``aggs`` requests down to, bypassing ``_source`` materialisation.
+- :mod:`repro.backend.lanes` — documents held as per-field lanes: the
+  ``LaneBatch`` protocol a decoded ring batch, a loaded session and
+  the joins of them implement, from ``bulk_columnar`` through
+  correlation to the segment writer.
 - :mod:`repro.backend.correlation` — the paper's custom file-path
   correlation algorithm, translating file tags into accessed paths.
 - :mod:`repro.backend.segments` + :mod:`repro.backend.wal` — the
@@ -42,8 +46,9 @@ package is an in-process substitute exposing the same operations:
   quotas and ``dio_tenant_*`` telemetry.
 """
 
+from repro.backend.lanes import LaneBatch
 from repro.backend.store import (INDEXED_EVENT_FIELDS, DocumentStore, Index,
-                                 LaneBatch, StoreError)
+                                 StoreError)
 from repro.backend.columns import Column, ColumnSet
 from repro.backend.query import compile_query, QueryError
 from repro.backend.planner import QueryPlan, plan_query

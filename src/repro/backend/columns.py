@@ -49,11 +49,11 @@ from operator import is_not, itemgetter, le
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
-from repro.backend.query import get_field
+from repro.backend.query import field_affected, get_field
 
-#: int64 bounds for the ``array('q')`` fast path.  Public because the
-#: segment storage engine applies the same rule when deciding whether a
-#: field can live in a packed ``array('q')`` lane on disk.
+#: int64 bounds for the ``array('q')`` fast path — the range within
+#: which the segment storage engine, too, keeps a field in a packed
+#: ``array('q')`` lane on disk (there ``array`` itself draws the line).
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 _INT64_MIN = INT64_MIN
@@ -440,19 +440,22 @@ class ColumnSet:
         row = self._row_of.get(doc_id)
         if row is None:
             return
-        for field, column in self._columns.items():
-            if fields is not None and not any(
-                    field == changed or field.startswith(changed + ".")
-                    for changed in fields):
-                continue
-            column.set(row, get_field(source, field))
+        for column in self.affected(fields):
+            column.set(row, get_field(source, column.field))
+
+    def affected(self, fields: Optional[Iterable[str]]) -> list[Column]:
+        """Columns a change to ``fields`` can invalidate (``None``: all)."""
+        if fields is None:
+            return list(self._columns.values())
+        return [column for field, column in self._columns.items()
+                if field_affected(field, fields)]
 
     def ensure_column(self, field: str, docs: dict[str, dict],
                       pending: Sequence[Any] = ()) -> Column:
         """Build (or fetch) the column for ``field``.
 
         ``docs`` are the materialised documents and ``pending`` the
-        lane-appended batches (:class:`repro.backend.store.LaneBatch`)
+        lane-appended batches (:class:`repro.backend.lanes.LaneBatch`)
         whose rows follow them: hydration is all-or-nothing, so rows
         are always "hydrated prefix, pending suffix" and the suffix is
         read straight off the batches' lanes — building a column

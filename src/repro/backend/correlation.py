@@ -9,13 +9,17 @@ implements with Elasticsearch's query and update APIs: find each tag's
 opening event, then update every event carrying that tag with the
 resolved ``file_path``.
 
-The resolution runs as **one grouped pass**: a single planner-backed
-stream over the tagged events builds tag -> document groups, then
-resolved groups are updated in place (only the ``file_path`` index is
-refreshed) and the tagged/unresolved tallies fall out of the same
-traversal.  The pre-planner shape — one ``update_by_query`` per tag
-plus two counting queries — survives as
-:func:`repro.backend.naive.legacy_correlate`, the benchmark baseline.
+The resolution runs over **lanes**, not documents: one lane read of
+the session (:meth:`DocumentStore.lanes`) hands over the ``syscall``,
+``file_tag``, ``time``, ``args`` and ``file_path`` lanes in insertion
+order; one pass over the open-family rows builds tag -> path, one pass
+over the tagged rows builds tag -> document ids and the
+tagged/unresolved tallies, and each resolved group takes one
+``update_docs`` — which lands on documents nobody has hydrated as an
+overlay on their batch.  A trace that is correlated and then saved
+never becomes a document.  The pre-planner shape — one
+``update_by_query`` per tag plus two counting queries — survives as
+:func:`repro.backend.naive.legacy_correlate`, the oracle.
 
 Events whose opening syscall was never captured (e.g. discarded at the
 ring buffer, or the file was opened before tracing started) remain
@@ -27,11 +31,19 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend.query import get_field
-from repro.backend.store import DocumentStore, _sort_key
+from repro.backend.lanes import sort_key
+from repro.backend.store import DocumentStore
 
 #: Syscalls whose events carry both a path argument and a file tag.
 PATH_BEARING_SYSCALLS = ("open", "openat", "creat")
+
+
+def path_argument(args) -> Optional[str]:
+    """The ``path`` argument of an open-family event: what
+    ``get_field(event, "args.path")`` reads — ``None`` when the event
+    has no ``args`` object or it has no path (an imported foreign
+    event), which leaves the event unresolved."""
+    return args.get("path") if isinstance(args, dict) else None
 
 
 class CorrelationReport:
@@ -110,22 +122,30 @@ class FilePathCorrelator:
         identical (dev, ino, timestamp) tags, and one session's paths
         must never resolve another's events.
         """
-        must: list = [
-            {"terms": {"syscall": list(PATH_BEARING_SYSCALLS)}},
-            {"exists": {"field": "file_tag"}},
-        ]
-        if session:
-            must.append({"term": {"session": session}})
+        _, batch = self._session_lanes(index, session)
+        return self._tag_to_path(batch)
+
+    def _session_lanes(self, index: str, session: Optional[str]):
+        return self.store.lanes(
+            index, {"term": {"session": session}} if session else None)
+
+    @staticmethod
+    def _tag_to_path(batch) -> dict[str, str]:
+        tags = batch.values_for("file_tag")
+        times = batch.values_for("time")
+        args = batch.values_for("args")
         mapping: dict[str, str] = {}
         best: dict[str, tuple] = {}
-        # scan() returns insertion order; taking >= on the time key
+        # Rows are in insertion order; taking >= on the time key
         # reproduces "stable sort by time, last hit wins".
-        for _, source in self.store.scan(index, {"bool": {"must": must}}):
-            path = source.get("args", {}).get("path")
-            tag = source.get("file_tag")
+        for row, syscall in enumerate(batch.values_for("syscall")):
+            if syscall not in PATH_BEARING_SYSCALLS:
+                continue
+            tag = tags[row]
+            path = path_argument(args[row])
             if not (path and tag):
                 continue
-            key = _sort_key(get_field(source, "time"))
+            key = sort_key(times[row])
             if tag not in best or key >= best[tag]:
                 best[tag] = key
                 mapping[tag] = path
@@ -134,13 +154,8 @@ class FilePathCorrelator:
     def correlate(self, index: str,
                   session: Optional[str] = None) -> CorrelationReport:
         """Run the correlation over ``index`` (optionally one session)."""
-        store = self.store
-        mapping = self.tag_to_path(index, session)
-
-        must: list = [{"exists": {"field": "file_tag"}}]
-        if session:
-            must.append({"term": {"session": session}})
-        tagged_query = {"bool": {"must": must}}
+        doc_ids, batch = self._session_lanes(index, session)
+        mapping = self._tag_to_path(batch)
 
         # One grouped pass over the tagged events: documents of resolved
         # tags are collected for the in-place update, unresolved ones
@@ -148,19 +163,21 @@ class FilePathCorrelator:
         tagged = 0
         unresolved = 0
         groups: dict[str, list[str]] = {tag: [] for tag in mapping}
-        for doc_id, source in store.stream(index, tagged_query):
+        file_paths = batch.values_for("file_path")
+        for row, tag in enumerate(batch.values_for("file_tag")):
+            if tag is None:
+                continue
             tagged += 1
-            tag = source.get("file_tag")
             ids = groups.get(tag)
             if ids is not None:
-                ids.append(doc_id)
-            elif get_field(source, "file_path") is None:
+                ids.append(doc_ids[row])
+            elif file_paths[row] is None:
                 unresolved += 1
 
         updated = 0
-        for tag, doc_ids in groups.items():
-            updated += store.update_docs(index, doc_ids,
-                                         {"file_path": mapping[tag]})
+        for tag, ids in groups.items():
+            updated += self.store.update_docs(index, ids,
+                                              {"file_path": mapping[tag]})
 
         report = CorrelationReport(
             tags_resolved=len(mapping),

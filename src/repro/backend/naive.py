@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend.correlation import (CorrelationReport,
-                                       PATH_BEARING_SYSCALLS)
+from repro.backend.correlation import (PATH_BEARING_SYSCALLS,
+                                       CorrelationReport, path_argument)
 from repro.backend.query import compile_query
 from repro.backend.store import DocumentStore, Index
 
@@ -60,7 +60,7 @@ def legacy_tag_to_path(store: DocumentStore, index: str,
     mapping: dict[str, str] = {}
     for hit in response["hits"]["hits"]:
         source = hit["_source"]
-        path = source.get("args", {}).get("path")
+        path = path_argument(source.get("args"))
         tag = source.get("file_tag")
         if path and tag:
             mapping[tag] = path

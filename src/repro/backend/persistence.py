@@ -9,7 +9,10 @@ There is one storage engine and one interchange format:
   :class:`repro.backend.segments.SegmentStorage` — immutable columnar
   segment files with zone maps and checksummed footers behind a
   write-ahead log (see ``docs/STORAGE.md``), giving O(segment-index)
-  cold start instead of O(re-parse everything);
+  cold start instead of O(re-parse everything).  It reads the session
+  as lanes (:meth:`DocumentStore.lanes`) and writes blocks from them:
+  events a tracer shipped and nobody has queried are saved without
+  ever becoming documents;
 * :func:`export_session` / :func:`import_session` write and read a
   single JSON-lines file (a header line with session metadata, then
   one event document per line) — what you hand to another tool or
@@ -28,6 +31,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
+from repro.backend.lanes import time_ordered
 from repro.backend.store import INDEXED_EVENT_FIELDS, DocumentStore
 
 #: Format marker written in the header line.
@@ -180,7 +184,11 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
     at ``path``, chunking the time-sorted events into
     ``flush_events``-sized immutable segments; :func:`load_session`
     rebuilds a store byte-identical to importing an export of the same
-    session.  ``storage_mode`` selects nothing: the parameter is kept
+    session.  One lane read, one ordering rule
+    (:func:`repro.backend.lanes.time_ordered`, the one a load uses),
+    one column writer: no document is built, and the files are what
+    writing the sorted documents row by row would produce.
+    ``storage_mode`` selects nothing: the parameter is kept
     because a positional caller (the end-to-end benchmark) still names
     the layout in that slot, and any value other than ``"segments"``
     is refused — a JSON-lines file is :func:`export_session`'s job.
@@ -190,10 +198,8 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
             f"save_session always writes a segment store, not "
             f"{storage_mode!r}; use export_session for a JSON-lines file")
     from repro.backend.segments import SegmentError, SegmentStorage
-    response = store.search(index, query={"term": {"session": session}},
-                            sort=["time"], size=None)
-    hits = response["hits"]["hits"]
-    if not hits:
+    _, batch = store.lanes(index, {"term": {"session": session}})
+    if not len(batch):
         raise SessionError(f"session {session!r} has no events in {index!r}")
     path = Path(path)
     if path.exists() and not path.is_dir():
@@ -201,8 +207,7 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
                            "not a file")
     try:
         engine = SegmentStorage(path, flush_events=flush_events)
-        count = engine.import_docs((hit["_source"] for hit in hits),
-                                   session=session)
+        count = engine.import_batch(time_ordered(batch), session=session)
         engine.close()
     except SegmentError as exc:
         raise SessionError(f"cannot write segment store {path}") from exc

@@ -19,7 +19,7 @@ sources; dotted field names traverse nested objects.
 from __future__ import annotations
 
 import fnmatch
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 Predicate = Callable[[dict], bool]
 
@@ -38,6 +38,13 @@ def get_field(source: dict, field: str) -> Any:
             return None
         current = current[part]
     return current
+
+
+def field_affected(field: str, changed: Iterable[str]) -> bool:
+    """Can setting the keys ``changed`` alter what :func:`get_field`
+    reads for ``field``?  (The key itself, or a dotted name under it.)"""
+    return any(field == key or field.startswith(key + ".")
+               for key in changed)
 
 
 def _single_entry(clause: dict, kind: str) -> tuple[str, Any]:

@@ -43,13 +43,15 @@ import time
 import zlib
 from collections import OrderedDict
 from heapq import merge as heap_merge
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import ColumnSet
+from repro.backend.lanes import JoinedBatch
 from repro.backend.query import get_field
 from repro.backend.store import (AGG_CACHE_SIZE, DocumentStore, Index,
-                                 StoreError, _response, _sort_key,
+                                 StoreError, _response, sort_key,
                                  bind_store_telemetry, observe_span,
                                  span_start)
 from repro.backend.wal import frame_record, recover_log
@@ -125,7 +127,7 @@ class ShardedDocumentStore:
     """N document-store shards behind a scatter-gather coordinator.
 
     API-compatible with :class:`DocumentStore` for every surface the
-    pipeline uses (tracer bulks, correlator scans/streams/updates,
+    pipeline uses (tracer bulks, correlator lane reads and updates,
     persistence exports, diagnosis queries, telemetry binding), with
     byte-identical results for any shard count.
     """
@@ -492,6 +494,23 @@ class ShardedDocumentStore:
                                  lambda shard: shard.scan(index, query))
         return self._merge_by_rank(parts, state)
 
+    def lanes(self, index: str, query: Optional[dict] = None):
+        """:meth:`DocumentStore.lanes` over the shards: their batches
+        joined, then taken into *global* insertion order."""
+        self.queries += 1
+        state = self._state(index)
+        shards = self._query_shards(index, query)
+        parts = self._map_shards(shards,
+                                 lambda shard: shard.lanes(index, query))
+        if len(parts) == 1:
+            return parts[0]
+        doc_ids = [doc_id for part_ids, _ in parts for doc_id in part_ids]
+        # Unassigned ids sort last, as in _merge_by_rank.
+        ranks = list(map(state.rank.get, doc_ids, repeat(float("inf"))))
+        order = sorted(range(len(doc_ids)), key=ranks.__getitem__)
+        return ([doc_ids[row] for row in order],
+                JoinedBatch([batch for _, batch in parts]).take(order))
+
     def _merge_by_rank(self, parts: list[list], state: _IndexState) -> list:
         if len(parts) == 1:
             return parts[0]
@@ -638,7 +657,7 @@ class ShardedDocumentStore:
             parsed_rev.append((field, descending))
         for part in parts:
             for field, descending in parsed_rev:
-                part.sort(key=lambda pair, f=field: _sort_key(
+                part.sort(key=lambda pair, f=field: sort_key(
                     get_field(pair[1], f)), reverse=descending)
         if len(parts) == 1:
             return parts[0]
@@ -649,7 +668,7 @@ class ShardedDocumentStore:
             _, source = pair
             key = []
             for field, descending in entries:
-                part_key = _sort_key(get_field(source, field))
+                part_key = sort_key(get_field(source, field))
                 key.append(_RevKey(part_key) if descending else part_key)
             # Unassigned ids (buggy-shard inventions) break ties last
             # rather than crashing; see _merge_by_rank.

@@ -28,10 +28,18 @@ from a query are checked against each segment's per-field min/max
 before any block is decoded, so a narrow time-range query on a week of
 traces touches one segment, not fifty.
 
+Blocks are written from, and decoded back into, *lanes*
+(:mod:`repro.backend.lanes`): :func:`write_batch` is the one column
+writer — ``save_session`` hands it the lanes a store holds,
+:func:`write_segment`, the WAL flush, ``import_docs`` and compaction
+transpose their rows (``DocBatch``) and call it — and
+:class:`SegmentBatch` is a loaded session's blocks behind the
+lane-batch protocol, so neither a save nor a load builds a document.
+
 JSON-lines stays as the differential oracle: a session saved here
 reloads into a store byte-identical to importing its export (same
 documents, same order — rows are sorted with the search path's own
-:func:`repro.backend.store.sort_key`).  Torn-write durability at any
+:func:`repro.backend.lanes.sort_key`).  Torn-write durability at any
 byte is proven by the DST harness: a truncated segment fails its
 trailer/footer checksum and is rejected whole — quarantined as
 ``*.damaged``, never deleted — while its rows are still in the WAL or
@@ -51,16 +59,17 @@ import sys
 import zipfile
 import zlib
 from array import array
-from itertools import compress, groupby, islice
-from operator import le
+from itertools import compress, repeat
+from operator import is_
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from repro.backend.columns import INT64_MAX, INT64_MIN
+from repro.backend.lanes import (GROUP_SAFE, DocBatch, JoinedBatch,
+                                 LaneBatch, LaneColumn, sort_key,
+                                 time_ordered)
 from repro.backend.planner import prune_constraints
 from repro.backend.query import compile_query, get_field
-from repro.backend.store import (GROUP_SAFE, INDEXED_EVENT_FIELDS,
-                                 sort_key)
+from repro.backend.store import INDEXED_EVENT_FIELDS
 from repro.backend.wal import WriteAheadLog, wal_file_size
 
 #: Segment file magic (offset 0) and format version.
@@ -117,6 +126,11 @@ def sort_docs(docs: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 # value encoding (shared by dictionary blocks and zone maps)
 
+#: ``json.dumps(value, separators=(",", ":"))`` without building an
+#: encoder per value.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _encode_value(value: Any) -> tuple[int, bytes]:
     """``(tag, payload)`` for one document field value.
 
@@ -136,7 +150,7 @@ def _encode_value(value: Any) -> tuple[int, bytes]:
     if cls is float:
         return T_FLOAT, _F64.pack(value)
     try:
-        payload = json.dumps(value, separators=(",", ":")).encode("utf-8")
+        payload = _compact_json(value).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise SegmentError(
             f"value of type {cls.__name__} is not storable: {value!r}"
@@ -178,62 +192,99 @@ def _lane_from(typecode: str, blob: bytes) -> array:
 # ---------------------------------------------------------------------------
 # block encode / decode
 
-def _encode_field(present: list[int], values: list[Any]) -> tuple[bytes, Optional[tuple]]:
+def _table_entry(value: Any) -> bytes:
+    tag, blob = _encode_value(value)
+    return bytes((tag,)) + _U32.pack(len(blob)) + blob
+
+
+def _encode_field(present: Optional[bytes],
+                  values: list) -> tuple[bytes, Optional[tuple]]:
     """Build one field's on-disk block; returns ``(block_bytes, zone)``.
 
-    ``present[i]`` says whether row ``i`` carries the field at all
-    (an explicit ``None`` value *is* present — the distinction
-    survives the round trip).  The cheapest faithful representation
-    wins: a packed int64 lane when every present value is an exact
-    in-range ``int``, a float64 lane for pure ``float``, otherwise
-    dictionary codes over a typed value table.  The payload is
-    deflated when that actually saves bytes.
+    ``present`` and ``values`` are a lane column
+    (:data:`repro.backend.lanes.LaneColumn`): ``present[i]`` says
+    whether row ``i`` carries the field at all — an explicit ``None``
+    value *is* present, and the distinction survives the round trip.
+    The cheapest faithful representation wins: a packed int64 lane
+    when every present value is an exact in-range ``int``, a float64
+    lane for pure ``float``, otherwise dictionary codes over a typed
+    value table.  The payload is deflated when that actually saves
+    bytes.
+
+    The work is per lane, not per row, wherever the lane's value
+    classes allow: ``array(values)`` packs a fully-present numeric
+    lane, and over exact ``str``/``int``/``None`` a value and its
+    ``(tag, payload)`` table entry are one-to-one, so
+    ``dict.fromkeys`` numbers the table in the first-seen order the
+    per-row loop would.  Anything else (``True``/``1``/``1.0`` in one
+    lane, nested values) is encoded row by row.
 
     The zone is ``(tag, min, max)`` over present non-null values when
     they share one comparable class (str / int / float, NaN-free) —
     the per-segment min/max the planner prunes with.
     """
-    live = [v for p, v in zip(present, values) if p and v is not None]
-    classes = set(map(type, live))
+    rows = len(values)
+    if present is not None and 0 not in present:
+        present = None
+    classes = set(map(type, values))
+    # Absent rows hold ``None`` too, so the non-null values are the
+    # present non-null ones.
+    holes = type(None) in classes
+    live_classes = classes - {type(None)}
     zone: Optional[tuple] = None
-    if live and classes == {int}:
-        zone = (T_INT, min(live), max(live))
-    elif live and classes == {float}:
+    if len(live_classes) == 1 and live_classes <= {int, float, str}:
+        live = [v for v in values if v is not None] if holes else values
         lo, hi = min(live), max(live)
-        if lo == lo and hi == hi:       # NaN poisons comparisons
+        if live_classes == {int}:
+            zone = (T_INT, lo, hi)
+        elif live_classes == {str}:
+            zone = (T_STR, lo, hi)
+        elif lo == lo and hi == hi:     # NaN poisons comparisons
             zone = (T_FLOAT, lo, hi)
-    elif live and classes == {str}:
-        zone = (T_STR, min(live), max(live))
 
-    none_present = any(p and v is None for p, v in zip(present, values))
-    if live and not none_present and classes == {int} \
-            and all(INT64_MIN <= v <= INT64_MAX for v in live):
-        lane = array("q", (v if p else 0 for p, v in zip(present, values)))
-        payload = bytes(bytearray(present)) + _lane_bytes(lane)
-        kind = K_I64
-    elif live and not none_present and classes == {float}:
-        lane = array("d", (v if p else 0.0 for p, v in zip(present, values)))
-        payload = bytes(bytearray(present)) + _lane_bytes(lane)
-        kind = K_F64
-    else:
-        table: list[bytes] = []
-        code_of: dict[tuple[int, bytes], int] = {}
-        codes = array(_I32_CODE, bytes(0))
-        for p, value in zip(present, values):
-            if not p:
-                codes.append(-1)
-                continue
-            tag, blob = _encode_value(value)
-            key = (tag, blob)
-            code = code_of.get(key)
-            if code is None:
-                code = len(table)
-                code_of[key] = code
-                table.append(bytes((tag,)) + _U32.pack(len(blob)) + blob)
-            codes.append(code)
-        payload = b"".join((_U32.pack(len(table)), *table,
-                            _lane_bytes(codes)))
+    none_present = holes and (
+        present is None
+        or sum(map(is_, values, repeat(None))) > present.count(0))
+    kind = payload = None
+    if not none_present and live_classes in ({int}, {float}):
+        typecode, zero = ("q", 0) if live_classes == {int} else ("d", 0.0)
+        try:
+            lane = array(typecode, values if present is None else
+                         [zero if v is None else v for v in values])
+        except OverflowError:           # an int beyond int64: dictionary
+            pass
+        else:
+            payload = (present or b"\x01" * rows) + _lane_bytes(lane)
+            kind = K_I64 if typecode == "q" else K_F64
+    if kind is None:
         kind = K_DICT
+        if classes <= GROUP_SAFE:
+            table = dict.fromkeys(values if present is None
+                                  else compress(values, present))
+            code_of = dict(zip(table, range(len(table))))
+            if present is None:
+                codes = array(_I32_CODE, map(code_of.__getitem__, values))
+            else:
+                codes = array(_I32_CODE, [
+                    code_of[value] if has else -1
+                    for has, value in zip(present, values)])
+            entries = list(map(_table_entry, table))
+        else:
+            entries = []
+            seen: dict[bytes, int] = {}
+            codes = array(_I32_CODE)
+            for has, value in zip(present or repeat(1), values):
+                if not has:
+                    codes.append(-1)
+                    continue
+                entry = _table_entry(value)
+                code = seen.get(entry)
+                if code is None:
+                    code = seen[entry] = len(entries)
+                    entries.append(entry)
+                codes.append(code)
+        payload = b"".join((_U32.pack(len(entries)), *entries,
+                            _lane_bytes(codes)))
 
     flags = 0
     deflated = zlib.compress(payload, 6)
@@ -246,27 +297,10 @@ def _encode_field(present: list[int], values: list[Any]) -> tuple[bytes, Optiona
 
 
 class _Lane(NamedTuple):
-    """One field over a run of rows — what a block is once decoded.
-
-    ``dense_int`` and ``grouped`` are what a
-    :class:`~repro.backend.store.LaneBatch` may promise about the
-    lane without looking at a row: a fully-present ``K_I64`` block is
-    all exact ints, and a ``K_DICT`` block whose table holds only exact
-    ``str``/``int``/``None`` has no ``True == 1 == 1.0`` to merge.
-    """
+    """One field over a run of rows — what a block is once decoded."""
 
     values: list                # one per row; None where the row lacks it
     present: Optional[bytes]    # 0/1 per row; None = every row has it
-    dense_int: bool
-    grouped: bool
-
-
-def _lane_of(values: list) -> _Lane:
-    """The :class:`_Lane` of a field every row carries (a WAL-tail run)."""
-    classes = set(map(type, values))
-    dense_int = classes == {int}
-    return _Lane(values, None, dense_int,
-                 not dense_int and classes <= GROUP_SAFE)
 
 
 def _decode_block(blob: bytes, rows: int) -> _Lane:
@@ -290,9 +324,9 @@ def _decode_block(blob: bytes, rows: int) -> _Lane:
         values = _lane_from("q" if kind == K_I64 else "d",
                             payload[rows:]).tolist()
         if 0 not in present:
-            return _Lane(values, None, kind == K_I64, False)
+            return _Lane(values, None)
         return _Lane([v if p else None for p, v in zip(present, values)],
-                     present, False, False)
+                     present)
     if kind != K_DICT:
         raise SegmentError(f"unknown block kind {kind}")
     (n_table,) = _U32.unpack_from(payload, 0)
@@ -307,12 +341,11 @@ def _decode_block(blob: bytes, rows: int) -> _Lane:
     codes = _lane_from(_I32_CODE, payload[pos:])
     if len(codes) != rows:
         raise SegmentError("dictionary code lane length mismatch")
-    grouped = set(map(type, table)) <= GROUP_SAFE
     table.append(None)                  # code -1 (absent) reads the end
     values = list(map(table.__getitem__, codes))
     if not rows or min(codes) >= 0:
-        return _Lane(values, None, False, grouped)
-    return _Lane(values, bytes(map((-1).__lt__, codes)), False, grouped)
+        return _Lane(values, None)
+    return _Lane(values, bytes(map((-1).__lt__, codes)))
 
 
 def _assemble_rows(rows: int, columns: list[tuple[str, list,
@@ -360,38 +393,46 @@ def _encode_zone(zone: Optional[tuple]) -> bytes:
 # ---------------------------------------------------------------------------
 # segment write
 
-def _transpose(docs: list[dict]) -> Iterable[tuple[str, list[int], list]]:
-    """Rows to lanes: ``(field, present, values)`` per field.
+def _in_schema_order(batch: LaneBatch) -> list[LaneColumn]:
+    """The batch's columns in its rows' first-seen key order.
 
-    Fields come in first-seen key order (the segment's schema);
-    ``present[i]`` is 1 where row ``i`` carries the field — an explicit
-    ``None`` is present — and ``values[i]`` is ``None`` where it does
-    not.
+    A segment's schema is what ``dict.fromkeys`` over its rows' keys
+    would give: fields by the first row that carries them, fields first
+    carried by the same row in that row's own key order.  A field no
+    row carries is not in the schema.
     """
-    schema = dict.fromkeys(field for doc in docs for field in doc)
-    for field in schema:
-        yield (field, [1 if field in doc else 0 for doc in docs],
-               [doc.get(field) for doc in docs])
+    if not len(batch):
+        return []
+    columns = {column[0]: column for column in batch.columns()}
+    first_carried: dict[int, set[str]] = {}
+    for field, _, present in columns.values():
+        row = 0 if present is None else present.find(1)
+        if row >= 0:
+            first_carried.setdefault(row, set()).add(field)
+    return [columns[key] for row in sorted(first_carried)
+            for key in batch.row_keys(row) if key in first_carried[row]]
 
 
-def write_segment(path: str | Path, docs: list[dict], *, session: str,
-                  seq: int, created_ns: int = 0) -> dict:
+def write_batch(path: str | Path, batch: LaneBatch, *, session: str,
+                seq: int, created_ns: int = 0) -> dict:
     """Write one immutable segment file; returns its meta summary.
 
-    Rows are stable-sorted by ``time`` with the search path's own sort
-    key, so per-segment order matches what a sorted export would emit.
-    The write is atomic: bytes land in ``path + ".tmp"`` and are
-    ``os.replace``d into place, so a crash can leave a stale temp file
-    but never a half-written ``.dseg`` under the final name.
+    The one column writer: lanes in, blocks out, no document built.
+    Rows are put in stable ``time`` order with the search path's own
+    sort key (:func:`repro.backend.lanes.time_ordered`), so per-segment
+    order matches what a sorted export would emit.  The write is
+    atomic: bytes land in ``path + ".tmp"`` and are ``os.replace``d
+    into place, so a crash can leave a stale temp file but never a
+    half-written ``.dseg`` under the final name.
     """
     path = Path(path)
-    docs = sort_docs(docs)
-    rows = len(docs)
+    batch = time_ordered(batch)
+    rows = len(batch)
     chunks: list[bytes] = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION,
                                         0, rows)]
     offset = _HEADER.size
     entries: list[bytes] = []
-    for field, present, values in _transpose(docs):
+    for field, values, present in _in_schema_order(batch):
         block, zone = _encode_field(present, values)
         chunks.append(block)
         name = field.encode("utf-8")
@@ -419,6 +460,14 @@ def write_segment(path: str | Path, docs: list[dict], *, session: str,
     os.replace(tmp, path)
     return {"path": str(path), "rows": rows, "session": session,
             "seq": seq, "bytes": offset + len(footer) + _TRAILER.size}
+
+
+def write_segment(path: str | Path, docs: list[dict], *, session: str,
+                  seq: int, created_ns: int = 0) -> dict:
+    """:func:`write_batch` for rows: the documents are transposed into
+    lanes (``DocBatch``) and written by the same column writer."""
+    return write_batch(path, DocBatch(docs), session=session, seq=seq,
+                       created_ns=created_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -675,157 +724,81 @@ def _zone_excludes_range(zone: tuple, bounds: dict) -> bool:
 # ---------------------------------------------------------------------------
 # a loaded session as lanes
 
-class SegmentBatch:
-    """A loaded session's decoded blocks as one
-    :class:`~repro.backend.store.LaneBatch`.
+class _Blocks:
+    """One segment's decoded blocks, as a part of a
+    :class:`SegmentBatch`: the reads a
+    :class:`~repro.backend.lanes.JoinedBatch` makes of its parts, with
+    every row stamped with the load's ``session`` whatever the blocks
+    said.  Construction verifies and decodes every block."""
 
-    ``parts`` are ``(schema, rows, lanes)`` runs in row order — one per
-    segment, plus the unflushed tail — whose lanes are joined here into
-    one lane per field, so the store reads the blocks as they were on
-    disk: no document exists until :meth:`to_docs` (one row assembler,
-    per-part schema key order, ``session`` stamped in place).  Every
-    document of the batch carries ``session``, whatever the blocks
-    said.
+    __slots__ = ("_rows", "_lanes", "_session")
 
-    :meth:`take` shares the whole batch's lanes and documents and
-    projects them, so the sub-batches of one load (the sort
-    permutation, a shard's partition) never assemble a row twice.
-    """
-
-    __slots__ = ("session", "_n", "_parts", "_lanes", "_whole", "_rows",
-                 "_docs", "_cache")
-
-    def __init__(self, parts: list[tuple[list[str], int, dict[str, _Lane]]],
-                 session: str) -> None:
-        self.session = session
-        self._n = sum(rows for _, rows, _ in parts)
-        self._parts = [(schema, rows) for schema, rows, _ in parts]
-        self._lanes = {
-            field: _join_lanes([(rows, lanes.get(field))
-                                for _, rows, lanes in parts])
-            for field in dict.fromkeys(
-                field for schema, _, _ in parts for field in schema)}
-        self._whole: Optional[SegmentBatch] = None
-        self._rows: Optional[list[int]] = None
-        self._docs: Optional[list[dict]] = None
-        self._cache: dict[str, list] = {}
+    def __init__(self, segment: "Segment", session: str) -> None:
+        self._rows = segment.rows
+        self._lanes = segment.lanes()           # schema order
+        self._session = session
 
     def __len__(self) -> int:
-        return self._n
-
-    def take(self, rows: list[int]) -> "SegmentBatch":
-        out = SegmentBatch.__new__(SegmentBatch)
-        out.session = self.session
-        out._n = len(rows)
-        out._whole = self if self._whole is None else self._whole
-        out._rows = (rows if self._rows is None
-                     else list(map(self._rows.__getitem__, rows)))
-        out._docs = None
-        out._cache = {}
-        return out
+        return self._rows
 
     def values_for(self, field: str) -> list:
-        cached = self._cache.get(field)
-        if cached is None:
-            if self._whole is not None:
-                whole = self._whole.values_for(field)
-                cached = list(map(whole.__getitem__, self._rows))
-            else:
-                cached = self._read(field)
-            self._cache[field] = cached
-        return cached
-
-    def _read(self, field: str) -> list:
-        """``get_field`` over the rows, read off the joined lanes."""
         if field == "session":
-            return [self.session] * self._n
+            return [self._session] * self._rows
         lane = self._lanes.get(field)
         if "." not in field:
-            return lane.values if lane is not None else [None] * self._n
+            return lane.values if lane is not None else [None] * self._rows
         # A dotted name resolves inside its root field's values unless
         # a row carries the dotted name as a key of its own.
         root = field.split(".", 1)[0]
         out = [get_field({root: value}, field)
                for value in self.values_for(root)]
         if lane is not None:
-            has_key = lane.present or b"\x01" * self._n
+            has_key = lane.present or b"\x01" * self._rows
             out = [own if has else walked for has, own, walked
                    in zip(has_key, lane.values, out)]
         return out
 
-    def _lane(self, field: str) -> Optional[_Lane]:
-        """The joined lane whose flags hold for ``field``'s values."""
-        if field == "session" or "." in field:
-            return None                 # stamped / resolved, not a block
-        whole = self if self._whole is None else self._whole
-        return whole._lanes.get(field)
+    def columns(self) -> list[LaneColumn]:
+        out = [(field, lane.values, lane.present)
+               for field, lane in self._lanes.items() if field != "session"]
+        out.append(("session", [self._session] * self._rows, None))
+        return out
 
-    def groups_for(self, field: str):
-        if field == "session":
-            return [(self.session, range(self._n))]
-        lane = self._lane(field)
-        if lane is None or not lane.grouped:
-            return None
-        groups: dict = {}
-        for row, value in enumerate(self.values_for(field)):
-            try:
-                groups[value].append(row)
-            except KeyError:
-                groups[value] = [row]
-        groups.pop(None, None)
-        return list(groups.items())
-
-    def dense_int(self, field: str) -> bool:
-        lane = self._lane(field)
-        return lane is not None and lane.dense_int
+    def row_keys(self, row: int) -> list[str]:
+        keys = [field for field, lane in self._lanes.items()
+                if lane.present is None or lane.present[row]]
+        if "session" not in keys:
+            keys.append("session")
+        return keys
 
     def to_docs(self) -> list[dict]:
-        if self._docs is None:
-            if self._whole is not None:
-                whole = self._whole.to_docs()
-                self._docs = list(map(whole.__getitem__, self._rows))
-            else:
-                self._docs = self._assemble()
-        return self._docs
-
-    def _assemble(self) -> list[dict]:
-        docs: list[dict] = []
-        start = 0
-        for schema, rows in self._parts:
-            stop = start + rows
-            columns = []
-            for field in schema:
-                lane = self._lanes[field]
-                present = lane.present and lane.present[start:stop]
-                if present and 0 not in present:
-                    present = None
-                columns.append((field, lane.values[start:stop], present))
-            docs.extend(_assemble_rows(rows, columns))
-            start = stop
-        session = self.session
+        docs = _assemble_rows(self._rows, [
+            (field, lane.values, lane.present)
+            for field, lane in self._lanes.items()])
+        session = self._session
         for doc in docs:
             doc["session"] = session
         return docs
 
 
-def _join_lanes(runs: list[tuple[int, Optional[_Lane]]]) -> _Lane:
-    """One lane over consecutive runs; a run without the field
-    (``None``) contributes absent rows."""
-    if len(runs) == 1:
-        return runs[0][1]
-    values: list = []
-    present = bytearray()
-    for rows, lane in runs:
-        if lane is None:
-            values.extend([None] * rows)
-            present.extend(bytes(rows))
-        else:
-            values.extend(lane.values)
-            present.extend(lane.present or b"\x01" * rows)
-    return _Lane(values, bytes(present) if 0 in present else None,
-                 all(lane is not None and lane.dense_int
-                     for _, lane in runs),
-                 all(lane.grouped for _, lane in runs if lane is not None))
+class SegmentBatch(JoinedBatch):
+    """A loaded session as one :class:`~repro.backend.lanes.LaneBatch`.
+
+    Every segment's decoded blocks, then the unflushed tail, back to
+    back: the store reads the blocks as they were on disk and no
+    document exists until :meth:`to_docs` (one row assembler,
+    per-segment schema key order; a tail row keeps its own).  Every
+    document of the batch carries ``session``, stamped in place.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, segments: Iterable["Segment"], tail: list[dict],
+                 session: str) -> None:
+        parts: list = [_Blocks(segment, session) for segment in segments]
+        parts.append(DocBatch([{**doc, "session": session}
+                               for doc in tail]))
+        super().__init__(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +808,10 @@ class SegmentStorage:
     """Durable document storage over a directory of segments + a WAL.
 
     ``append`` is the live path (WAL first, buffer second, automatic
-    flush at ``flush_events``); ``import_docs`` is the bulk path used
-    by ``save_session`` where the documents are already durable
-    elsewhere and the WAL hop would be pure overhead.  ``open`` cost is
+    flush at ``flush_events``); ``import_batch`` (``import_docs`` for
+    rows) is the bulk path used by ``save_session`` where the documents
+    are already durable elsewhere and the WAL hop would be pure
+    overhead.  ``open`` cost is
     O(number of segments): the manifest names the live files, each is
     validated footer-first, and any file that fails — torn flush,
     bit rot — is *dropped whole* and reported, never half-read.
@@ -992,33 +966,32 @@ class SegmentStorage:
         if len(self._buffer) >= self.flush_events:
             self.flush()
 
-    def import_docs(self, docs: Iterable[dict], session: str = "") -> int:
+    def import_batch(self, batch: LaneBatch, session: str = "") -> int:
         """Bulk path: already-durable documents, no WAL hop.
 
-        Chunks straight into ``flush_events``-sized segments; the tail
-        shorter than one chunk becomes a final (small) segment rather
-        than a WAL entry, so the result is fully sealed.
+        The one chunker: ``flush_events``-row runs of the batch become
+        one segment each; the tail shorter than one chunk becomes a
+        final (small) segment rather than a WAL entry, so the result is
+        fully sealed.
         """
-        self._require_writable("import_docs")
-        total = 0
-        chunk: list[dict] = []
-        for doc in docs:
-            chunk.append(doc)
-            if len(chunk) >= self.flush_events:
-                self._flush_docs(chunk, session)
-                total += len(chunk)
-                chunk = []
-        if chunk:
-            self._flush_docs(chunk, session)
-            total += len(chunk)
+        self._require_writable("import")
+        total = len(batch)
+        for start in range(0, total, self.flush_events):
+            self._flush_batch(
+                batch.take(range(start, min(start + self.flush_events,
+                                            total))), session)
         return total
 
-    def _flush_docs(self, docs: list[dict], session: str,
-                    wal_sealed: int = 0) -> Segment:
+    def import_docs(self, docs: Iterable[dict], session: str = "") -> int:
+        """:meth:`import_batch` for rows."""
+        return self.import_batch(DocBatch(list(docs)), session)
+
+    def _flush_batch(self, batch: LaneBatch, session: str,
+                     wal_sealed: int = 0) -> Segment:
         seq = self._manifest["next_seq"]
         name = f"seg-{seq:06d}.dseg"
-        meta = write_segment(self.root / name, docs, session=session,
-                             seq=seq, created_ns=self._clock())
+        meta = write_batch(self.root / name, batch, session=session,
+                           seq=seq, created_ns=self._clock())
         if self._crash_hook is not None:
             self._crash_hook("flush")
         self._manifest["next_seq"] = seq + 1
@@ -1041,8 +1014,9 @@ class SegmentStorage:
         if not self._buffer:
             return None
         self._require_writable("flush")
-        segment = self._flush_docs(self._buffer, self._buffer_session,
-                                   wal_sealed=self._buffer_wal_id)
+        segment = self._flush_batch(DocBatch(self._buffer),
+                                    self._buffer_session,
+                                    wal_sealed=self._buffer_wal_id)
         self._buffer = []
         self._buffer_session = ""
         self._buffer_wal_id = 0
@@ -1221,23 +1195,8 @@ class SegmentStorage:
         not an int somewhere — takes the rows by the sort permutation.
         """
         session = rename_to or self.session() or "dio-session"
-        parts = [(segment.schema, segment.rows, segment.lanes())
-                 for segment in self._segments]
-        # The tail is not on disk as blocks yet: transpose it the way a
-        # flush would, one part per run of rows with the same keys in
-        # the same order, so every row keeps its own key order.
-        for schema, run in groupby(self._buffer, key=tuple):
-            rows = list(run)
-            parts.append((list(schema), len(rows),
-                          {field: _lane_of(values) for
-                           field, _, values in _transpose(rows)}))
-        batch = SegmentBatch(parts, session)
-        times = batch.values_for("time")
-        if not (batch.dense_int("time")
-                and all(map(le, times, islice(times, 1, None)))):
-            keys = list(map(sort_key, times))
-            batch = batch.take(sorted(range(len(keys)),
-                                      key=keys.__getitem__))
+        batch = time_ordered(SegmentBatch(self._segments, self._buffer,
+                                          session))
         store.ensure_index(index, indexed_fields=INDEXED_EVENT_FIELDS)
         store.bulk_columnar(index, batch)
         return session, len(batch)

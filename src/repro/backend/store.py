@@ -18,7 +18,11 @@ pruning-ratio gauge.
 Writes are delta-aware: re-indexing a document only touches the fields
 whose values actually changed, so the correlator's per-document
 ``file_path`` updates no longer rebuild postings for every indexed
-field.
+field.  Documents a vectorized bulk parked as lanes
+(:mod:`repro.backend.lanes`) stay parked through the tail of a traced
+execution: :meth:`DocumentStore.lanes` reads them as lanes and
+:meth:`DocumentStore.update_docs` lands on them as an overlay, so
+correlation and ``save_session`` build no ``_source`` dict.
 
 Aggregations are *pushed down* to a columnar execution layer
 (:mod:`repro.backend.columns`): when a search carries ``aggs`` and no
@@ -38,13 +42,15 @@ import copy
 import json
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol
+from bisect import bisect_right
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import ColumnSet
 from repro.backend.indexes import FieldIndex
+from repro.backend.lanes import DocBatch, JoinedBatch, LaneBatch, sort_key
 from repro.backend.planner import QueryPlan, plan_query
-from repro.backend.query import compile_query, get_field
+from repro.backend.query import compile_query, field_affected, get_field
 
 #: Cached aggregation results kept per index (LRU).
 AGG_CACHE_SIZE = 64
@@ -58,52 +64,6 @@ INDEXED_EVENT_FIELDS = ("syscall", "proc_name", "pid", "tid", "file_tag",
 
 class StoreError(Exception):
     """Misuse of the document store."""
-
-
-#: Value classes a lane may be pre-grouped over
-#: (:meth:`LaneBatch.groups_for`): ``bool`` and ``float`` compare equal
-#: to ``int`` across types (``True == 1 == 1.0``), so grouping them
-#: would merge rows a per-document index keeps distinct-typed.
-GROUP_SAFE = frozenset((str, int, type(None)))
-
-
-class LaneBatch(Protocol):
-    """What :meth:`Index.bulk_append` and everything downstream of
-    ``bulk_columnar`` (the shard router, the fault and crash wrappers)
-    ask of a batch of brand-new documents held as per-field lanes.
-
-    Two producers implement it: :class:`repro.tracer.batch.RecordBatch`
-    (one decoded ring-buffer batch) and
-    :class:`repro.backend.segments.SegmentBatch` (the decoded blocks of
-    a loaded session).  ``tests/test_lane_batch.py`` runs one suite
-    against both.
-    """
-
-    def __len__(self) -> int:
-        """Number of documents (rows)."""
-
-    def values_for(self, field: str) -> list:
-        """One value per row: ``get_field(doc, field)`` over
-        :meth:`to_docs`, read off the lanes instead."""
-
-    def groups_for(self, field: str
-                   ) -> Optional[list[tuple[Any, Iterable[int]]]]:
-        """``(value, rows)`` pairs partitioning exactly the rows whose
-        value is not ``None``, in first-seen order — or ``None`` when
-        the lane is not pre-grouped.  Only lanes of exact ``str``/``int``
-        values may group (:data:`GROUP_SAFE`)."""
-
-    def dense_int(self, field: str) -> bool:
-        """``True`` only if every row's value is an exact non-``None``
-        ``int``."""
-
-    def to_docs(self) -> list[dict]:
-        """The documents, materialised once (memoised): the store keeps
-        these very dicts, so a batch holds no second copy."""
-
-    def take(self, rows: list[int]) -> "LaneBatch":
-        """The sub-batch holding ``rows``, in that order (commutes with
-        :meth:`to_docs`/:meth:`values_for`; can be taken again)."""
 
 
 class Index:
@@ -373,13 +333,8 @@ class Index:
         """Secondary indexes a change to ``fields`` can invalidate."""
         if fields is None:
             return list(self._fields.values())
-        affected = []
-        for name, index in self._fields.items():
-            for changed in fields:
-                if name == changed or name.startswith(changed + "."):
-                    affected.append(index)
-                    break
-        return affected
+        return [index for name, index in self._fields.items()
+                if field_affected(name, fields)]
 
     def refresh_many(self, doc_ids: Iterable[str],
                      fields: Optional[Iterable[str]] = None) -> None:
@@ -402,6 +357,70 @@ class Index:
             for index in affected:
                 index.update(doc_id, get_field(source, index.field))
             self.columns.note_refresh(doc_id, source, fields)
+
+    def update_docs(self, doc_ids: Iterable[str], fields: dict) -> int:
+        """``source.update(fields)`` on the documents that exist;
+        returns how many.
+
+        A document still parked as lanes takes the update as an
+        overlay on its batch (:meth:`LaneBatch.overlay`) and stays
+        parked; state after :meth:`_hydrate` and
+        :meth:`_flush_all_lanes` is what updating hydrated documents
+        leaves.  The lane backlog is only replayed when the update
+        reaches a field that *has* an index — an update to another
+        field leaves every index to the first query that plans on it.
+        """
+        row_of = self.columns.row_of
+        updated = [doc_id for doc_id in doc_ids if doc_id in row_of]
+        if not self._overlay(updated, fields):
+            self._hydrate()
+            docs = self._docs
+            for doc_id in updated:
+                docs[doc_id].update(fields)
+            self.refresh_many(updated, tuple(fields))
+        return len(updated)
+
+    def _overlay(self, doc_ids: list[str], fields: dict) -> bool:
+        """:meth:`update_docs` without hydrating; ``False`` when a
+        batch, an index or a column needs the documents for it (a
+        batch that took the overlay before another refused keeps it:
+        the row path then sets the same values again)."""
+        pending = self._pending
+        if not pending:
+            return False
+        indexes = self._affected_fields(fields)
+        columns = self.columns.affected(fields)
+        if not all(held.field in fields for held in indexes + columns):
+            return False                # a dotted name under a new key
+        row_of = self.columns.row_of
+        starts = [row_of[entry_ids[0]] for entry_ids, _ in pending]
+        hydrated: list[str] = []
+        lane_rows: dict[int, list[int]] = {}
+        for doc_id in doc_ids:
+            row = row_of[doc_id]
+            entry = bisect_right(starts, row) - 1
+            if entry < 0:
+                hydrated.append(doc_id)
+            else:
+                lane_rows.setdefault(entry, []).append(row - starts[entry])
+        if indexes and self._lane_backlog:
+            self._flush_all_lanes()     # they delta against the old value
+        for entry, rows in lane_rows.items():
+            if not pending[entry][1].overlay(rows, fields):
+                return False
+        docs = self._docs
+        for doc_id in hydrated:
+            docs[doc_id].update(fields)
+        self.epoch += 1
+        for held in indexes:
+            value = fields[held.field]
+            for doc_id in doc_ids:
+                held.update(doc_id, value)
+        for held in columns:
+            value = fields[held.field]
+            for doc_id in doc_ids:
+                held.set(row_of[doc_id], value)
+        return True
 
     # ------------------------------------------------------------------
     # Read path
@@ -432,6 +451,44 @@ class Index:
             if predicate(source):
                 matches.append((doc_id, source))
         return matches
+
+    def lanes(self, query: Optional[dict],
+              plan: Optional[QueryPlan] = None
+              ) -> tuple[list[str], LaneBatch]:
+        """The matches of :meth:`scan`, in its order, as ``(doc_ids,
+        batch)`` — one lane batch, no document built.
+
+        Under an exact plan a parked batch is handed over as it is (or
+        taken to its matching rows) and the hydrated documents are the
+        transposing part; a plan that has to look at documents falls
+        back to :meth:`scan`.
+        """
+        compile_query(query)               # validates even on exact plans
+        if plan is None:
+            plan = self.plan(query)
+        if not plan.exact:
+            matches = self.scan(query, plan)
+            return ([doc_id for doc_id, _ in matches],
+                    DocBatch([source for _, source in matches]))
+        wanted = plan.ids
+        if wanted is not None and len(wanted) == len(self):
+            wanted = None                  # every document matches
+        docs = self._docs
+        held = (list(docs) if wanted is None else
+                sorted(wanted & docs.keys(), key=self._rank.__getitem__))
+        parts: list[LaneBatch] = [DocBatch([docs[doc_id]
+                                            for doc_id in held])]
+        doc_ids = held
+        for entry_ids, batch in self._pending:
+            if wanted is not None:
+                rows = [row for row, doc_id in enumerate(entry_ids)
+                        if doc_id in wanted]
+                if len(rows) < len(entry_ids):
+                    entry_ids = [entry_ids[row] for row in rows]
+                    batch = batch.take(rows)
+            doc_ids.extend(entry_ids)
+            parts.append(batch)
+        return doc_ids, JoinedBatch(parts)
 
     def iter_matches(self, query: Optional[dict],
                      plan: Optional[QueryPlan] = None
@@ -554,7 +611,9 @@ _STORE_FAMILIES = (
     ("counter", "dio_ingest_docs_hydrated_total", "docs_hydrated",
      "Lane-appended documents (traced batches and loaded sessions) "
      "whose _source dicts were lazily materialised because a reader "
-     "asked for them."),
+     "asked for documents, or an update set a key their lanes already "
+     "hold.  Aggregations, file-path correlation and save_session "
+     "read and update lanes and hydrate nothing."),
     ("gauge", "dio_ingest_pending_docs", "pending_docs",
      "Lane-appended documents (traced batches and loaded sessions) "
      "currently awaiting lazy _source materialisation."),
@@ -857,6 +916,21 @@ class DocumentStore:
         target = self._index(index)
         return target.scan(query, self._plan(target, query))
 
+    def lanes(self, index: str, query: Optional[dict] = None
+              ) -> tuple[list[str], LaneBatch]:
+        """:meth:`scan` as lanes: ``(doc_ids, batch)`` holding the
+        matching documents in scan order as one
+        :class:`~repro.backend.lanes.LaneBatch`.
+
+        The read for whoever wants fields, not documents (correlation,
+        ``save_session``): documents still parked as lanes stay
+        parked.  It is a snapshot — read it, then update; take a fresh
+        one afterwards.
+        """
+        self.queries += 1
+        target = self._index(index)
+        return target.lanes(query, self._plan(target, query))
+
     def stream(self, index: str,
                query: Optional[dict] = None) -> Iterator[tuple[str, dict]]:
         """Iterate matches without materialising or ordering them."""
@@ -961,7 +1035,7 @@ class DocumentStore:
                     else:
                         raise StoreError(f"bad sort entry {entry!r}")
                     matches.sort(
-                        key=lambda pair, f=field: _sort_key(
+                        key=lambda pair, f=field: sort_key(
                             get_field(pair[1], f)),
                         reverse=descending)
             if aggs is not None and aggregations is None:
@@ -1007,16 +1081,7 @@ class DocumentStore:
     def update_docs(self, index: str, doc_ids: Iterable[str],
                     fields: dict) -> int:
         """Set ``fields`` on specific documents by id (delta reindex)."""
-        target = self._index(index)
-        updated = []
-        for doc_id in doc_ids:
-            source = target.get(doc_id)
-            if source is None:
-                continue
-            source.update(fields)
-            updated.append(doc_id)
-        target.refresh_many(updated, tuple(fields))
-        return len(updated)
+        return self._index(index).update_docs(doc_ids, fields)
 
     def delete_by_query(self, index: str, query: Optional[dict]) -> int:
         """Delete every matching document; returns how many."""
@@ -1040,24 +1105,3 @@ def _response(index: str, total: int, window: list,
     if aggregations is not None:
         response["aggregations"] = aggregations
     return response
-
-
-def sort_key(value: Any):
-    """Total order over document field values (public alias).
-
-    The segment storage engine sorts rows with the same key the search
-    path uses, so a session round-tripped through segments reloads in
-    exactly the order a sorted JSON-lines export would produce.
-    """
-    return _sort_key(value)
-
-
-def _sort_key(value: Any):
-    # None sorts first; mixed types compare by type name then value.
-    if value is None:
-        return (0, "", "")
-    if isinstance(value, bool):
-        return (1, "bool", value)
-    if isinstance(value, (int, float)):
-        return (1, "num", value)
-    return (1, type(value).__name__, str(value))

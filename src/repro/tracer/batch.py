@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
+from operator import is_not
 from typing import Any, Callable, Iterator, Optional
 
-from repro.backend.store import GROUP_SAFE
+from repro.backend.lanes import GROUP_SAFE, LaneColumn, Overlay
 from repro.tracer.events import _sanitize_args
 
 
@@ -119,9 +120,9 @@ def _take_lane(lane, rows: list[int]):
 class RecordBatch:
     """One ring-buffer batch decoded into columnar lanes.
 
-    Implements :class:`repro.backend.store.LaneBatch` — the protocol
-    ``bulk_columnar`` consumes, stated there once for this class and
-    for a loaded session's ``SegmentBatch``.
+    Implements :class:`repro.backend.lanes.LaneBatch` — the protocol
+    ``bulk_columnar`` consumes, stated there once for this class, for
+    a loaded session's ``SegmentBatch`` and for the joins of them.
 
     Build with :meth:`decode`; ``len()`` is the record count.  The
     batch iterates as the documents ``Event.to_doc`` would have built,
@@ -131,11 +132,15 @@ class RecordBatch:
 
     __slots__ = ("session", "_n", "_syscall", "_proc", "_pid", "_tid",
                  "_file_type", "_file_tag", "_ret", "_time", "_time_exit",
-                 "_offset", "_raw_args", "_args", "_docs", "_cache")
+                 "_offset", "_raw_args", "_args", "_docs", "_cache",
+                 "_overlay")
 
-    #: Lanes that can serve pre-grouped ``(value, rows)`` pairs.
-    _GROUPABLE = ("syscall", "proc_name", "pid", "tid", "file_type",
-                  "file_tag")
+    #: Keys every document carries, in ``Event.to_doc`` order, then the
+    #: ones a document only has when the value is not ``None``.
+    _DENSE_KEYS = ("syscall", "args", "ret", "pid", "tid", "proc_name",
+                   "time", "time_exit", "duration_ns", "session")
+    _SPARSE_KEYS = ("file_type", "offset", "file_tag")
+    _KEYS = frozenset(_DENSE_KEYS + _SPARSE_KEYS)
 
     @classmethod
     def decode(cls, records: list[dict], session: str = "") -> "RecordBatch":
@@ -162,6 +167,7 @@ class RecordBatch:
         self._args = None
         self._docs = None
         self._cache = {}
+        self._overlay = None
         return self
 
     def __len__(self) -> int:
@@ -177,7 +183,8 @@ class RecordBatch:
         sub-batches without round-tripping through documents: every
         lane is projected in one pass, keeping its representation, and
         args stay zero-copy references.  Memoised state is not shared
-        (sub-batches sanitise/materialise independently on first use).
+        (sub-batches sanitise/materialise independently on first use);
+        an overlay goes along.
         """
         out = RecordBatch.__new__(RecordBatch)
         out.session = self.session
@@ -196,6 +203,8 @@ class RecordBatch:
         out._args = None
         out._docs = None
         out._cache = {}
+        out._overlay = (None if self._overlay is None
+                        else self._overlay.take(rows))
         return out
 
     def args(self) -> list[dict]:
@@ -283,8 +292,45 @@ class RecordBatch:
         else:
             from repro.backend.query import get_field
             out = [get_field(doc, field) for doc in self.to_docs()]
+        if self._overlay is not None:
+            out = self._overlay.merged(field, out)
         self._cache[field] = out
         return out
+
+    def columns(self) -> list[LaneColumn]:
+        """One lane column per document key (see :meth:`to_docs`)."""
+        out: list[LaneColumn] = [(field, self.values_for(field), None)
+                                 for field in self._DENSE_KEYS]
+        for field in self._SPARSE_KEYS:
+            values = self.values_for(field)
+            present = bytes(map(is_not, values, repeat(None)))
+            out.append((field, values, present if 0 in present else None))
+        if self._overlay is not None:
+            out.extend(self._overlay.columns())
+        return out
+
+    def row_keys(self, row: int) -> list[str]:
+        keys = list(self._DENSE_KEYS)
+        keys.extend(field for field in self._SPARSE_KEYS
+                    if self.values_for(field)[row] is not None)
+        if self._overlay is not None:
+            keys.extend(self._overlay.keys_at(row))
+        return keys
+
+    def overlay(self, rows: list[int], fields: dict) -> bool:
+        """Set ``fields`` on ``rows`` — keys no document of a batch has
+        at parse time, such as the correlator's ``file_path``."""
+        if not self._KEYS.isdisjoint(fields):
+            return False
+        if self._overlay is None:
+            self._overlay = Overlay(self._n)
+        if not self._overlay.set(rows, fields, self._docs):
+            return False
+        # Whatever was read through the documents or under a dotted
+        # name may have changed; the batch's own lanes have not.
+        self._cache = {field: values for field, values in self._cache.items()
+                       if field in self._KEYS}
+        return True
 
     def to_docs(self) -> list[dict]:
         """Materialise this batch's documents (memoised).
@@ -326,5 +372,7 @@ class RecordBatch:
             if file_tag is not None:
                 doc["file_tag"] = file_tag
             append(doc)
+        if self._overlay is not None:
+            self._overlay.apply(docs)
         self._docs = docs
         return docs

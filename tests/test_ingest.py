@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.backend import DocumentStore
+from repro.backend import (INDEXED_EVENT_FIELDS, DocumentStore,
+                           FilePathCorrelator, save_session)
 from repro.dst.runner import _BulkOnly
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
@@ -256,12 +257,16 @@ class TestBulkColumnar:
         assert index.pending_docs == 0
         assert index.hydrated_docs_total == 6
 
-    def test_steady_state_aggregation_stays_lazy(self):
+    def test_steady_state_aggregation_stays_lazy(self, tmp_path):
         # Columnar bulks + aggregations never materialise a _source
         # dict: the first aggregation builds its column from the
-        # batch's lanes, later bulks extend it lane-wise.
+        # batch's lanes, later bulks extend it lane-wise.  Nor does the
+        # tail of every traced execution: correlation reads lanes and
+        # its updates land as overlays, save_session writes blocks
+        # from lanes.
         records = make_records()
         vec = DocumentStore()
+        vec.ensure_index("idx", indexed_fields=INDEXED_EVENT_FIELDS)
         aggs = {"per": {"terms": {"field": "syscall", "size": 10}}}
         vec.bulk_columnar("idx", RecordBatch.decode(records,
                                                     session=SESSION))
@@ -277,8 +282,17 @@ class TestBulkColumnar:
         buckets = {b["key"]: b["doc_count"]
                    for b in response["aggregations"]["per"]["buckets"]}
         assert buckets["write"] == 2
-        # The first request that returns a hit pays hydration, once.
-        vec.search("idx", size=1)
+        report = FilePathCorrelator(vec).correlate("idx", session=SESSION)
+        assert report.documents_updated == 10
+        assert save_session(vec, SESSION, tmp_path / "saved",
+                            index="idx") == 12
+        assert index.hydrated_docs_total == 0
+        assert index.pending_docs == 12
+        # The first request that returns a hit pays hydration, once —
+        # and the hit carries what the overlay said.
+        hit, = vec.search("idx", size=1)["hits"]["hits"]
+        assert hit["_source"]["file_path"] == "/data/a"
+        assert list(hit["_source"])[-1] == "file_path"
         assert index.pending_docs == 0
         assert index.hydrated_docs_total == 12
 

@@ -1,21 +1,27 @@
-"""The lane-batch protocol, run against both of its producers.
+"""The lane-batch protocol, run against every one of its producers.
 
-``repro.backend.store.LaneBatch`` states what ``Index.bulk_append``,
-``Index._flush_lanes``, the shard router and the fault/crash wrappers
-ask of a batch.  ``RecordBatch`` (a decoded ring batch) and
-``SegmentBatch`` (a loaded session's blocks) both implement it; every
-test here runs against each, on a plain event-shaped batch and on one
-built to tempt the unsafe shortcuts (``True``/``1``/``1.0`` in one
-lane, sparse and explicitly-``None`` fields, a row order that needs
-the sort permutation).
+``repro.backend.lanes.LaneBatch`` states what ``Index.bulk_append``,
+``Index._flush_lanes``, the shard router, the fault/crash wrappers, the
+correlator and the segment writer ask of a batch.  ``RecordBatch`` (a
+decoded ring batch), ``SegmentBatch`` (a loaded session's blocks),
+``DocBatch`` (documents that already exist) and ``JoinedBatch`` (any of
+them back to back) implement it; every test here runs against each, on
+a plain event-shaped batch and on one built to tempt the unsafe
+shortcuts (``True``/``1``/``1.0`` in one lane, sparse and
+explicitly-``None`` fields, a row order that needs the sort
+permutation) — and a join of mixed parts also after a ``take``.
 """
 
+import copy
 import json
+from itertools import count
 
 import pytest
 
 from repro.backend import DocumentStore, SegmentBatch, SegmentStorage
+from repro.backend.lanes import DocBatch, JoinedBatch
 from repro.backend.query import get_field
+from repro.backend.segments import _assemble_rows
 from repro.tracer import RecordBatch
 
 SESSION = "lane-batch"
@@ -48,8 +54,8 @@ def _records(n: int, tricky: bool) -> list[dict]:
     return records
 
 
-def _ring(tricky: bool) -> RecordBatch:
-    return RecordBatch.decode(_records(40, tricky), session=SESSION)
+def _ring(tricky: bool, rows=slice(None)) -> RecordBatch:
+    return RecordBatch.decode(_records(40, tricky)[rows], session=SESSION)
 
 
 class _Capture:
@@ -63,22 +69,26 @@ class _Capture:
         return len(batch)
 
 
-def _segments(tricky: bool, tmp_path) -> SegmentBatch:
-    """Three segments and an unflushed tail, loaded back as a batch."""
-    docs = _ring(tricky).to_docs()
-    if tricky:
-        for i, doc in enumerate(docs):
-            doc["args.path"] = f"literal-{i}"      # a key with a dot in it
-            if i % 6 == 0:
-                doc["file_tag"] = None              # explicit None
-            if i % 7 == 0:
-                del doc["time"]                     # forces the permutation
-        docs[5]["time"] = 2.5
-        docs.reverse()                              # segments overlap in time
-    engine = SegmentStorage(tmp_path / "store", flush_events=12)
+def _tricky_docs(docs: list[dict]) -> list[dict]:
+    """Shapes no tracer emits: a literal dotted key, an explicit
+    ``None``, a missing and a float ``time``, reversed row order."""
+    for i, doc in enumerate(docs):
+        doc["args.path"] = f"literal-{i}"      # a key with a dot in it
+        if i % 6 == 0:
+            doc["file_tag"] = None              # explicit None
+        if i % 7 == 0:
+            del doc["time"]                     # forces the permutation
+    docs[5]["time"] = 2.5
+    docs.reverse()                              # segments overlap in time
+    return docs
+
+
+def _loaded(docs: list[dict], root) -> SegmentBatch:
+    """``docs`` as segments of 12 and an unflushed tail, loaded back."""
+    engine = SegmentStorage(root, flush_events=12)
     for start in range(0, len(docs), 4):
         engine.append(docs[start:start + 4], session=SESSION)
-    assert len(engine.segments()) == 3 and engine.stats()["buffer_docs"] == 4
+    assert engine.stats()["buffer_docs"] == len(docs) % 12
     capture = _Capture()
     engine.load_into(capture, rename_to=SESSION)
     engine.close()
@@ -86,13 +96,60 @@ def _segments(tricky: bool, tmp_path) -> SegmentBatch:
     return capture.batch
 
 
+def _segments(tricky: bool, tmp_path) -> SegmentBatch:
+    """Three segments and an unflushed tail, loaded back as a batch."""
+    docs = _ring(tricky).to_docs()
+    if tricky:
+        docs = _tricky_docs(docs)
+    batch = _loaded(docs, tmp_path / "store")
+    assert len(batch) == 40
+    return batch
+
+
+def _joined(tricky: bool, root) -> JoinedBatch:
+    """A ring batch, documents and a loaded session, back to back."""
+    docs = _ring(tricky, slice(12, 25)).to_docs()
+    loaded = _ring(tricky, slice(25, 40)).to_docs()
+    if tricky:
+        docs = _tricky_docs(docs)
+        loaded = _tricky_docs(loaded)
+    return JoinedBatch([_ring(tricky, slice(0, 12)), DocBatch(docs),
+                        _loaded(loaded, root)])
+
+
 @pytest.fixture(params=["ring", "ring-tricky", "segments",
-                        "segments-tricky"])
-def batch(request, tmp_path):
-    producer, _, tricky = request.param.partition("-")
-    if producer == "ring":
-        return _ring(bool(tricky))
-    return _segments(bool(tricky), tmp_path)
+                        "segments-tricky", "docs", "docs-tricky",
+                        "joined", "joined-tricky", "joined-taken"])
+def make(request, tmp_path):
+    """A builder: every call returns a new, equal batch of 40 rows."""
+    producer, _, variant = request.param.partition("-")
+    tricky = variant == "tricky"
+    roots = (tmp_path / f"store-{n}" for n in count())
+
+    def build():
+        if producer == "ring":
+            return _ring(tricky)
+        if producer == "segments":
+            return _segments(tricky, next(roots))
+        if producer == "docs":
+            docs = _ring(tricky).to_docs()
+            return DocBatch(_tricky_docs(docs) if tricky else docs)
+        root = next(roots)
+        if variant != "taken":
+            return _joined(tricky, root)
+        # 40 of a join's 52 rows, out of order, through two takes.
+        wide = JoinedBatch([_joined(True, root / "a"), _ring(False,
+                                                             slice(0, 12))])
+        return wide.take(list(range(51, -1, -1))).take(
+            [row for row in range(52) if row % 13 != 5][::-1][:40][::-1])
+
+    build.producer = producer
+    return build
+
+
+@pytest.fixture
+def batch(make):
+    return make()
 
 
 def fields_of(batch) -> list[str]:
@@ -207,3 +264,149 @@ def test_to_docs_is_memoised_and_the_store_holds_those_dicts(batch):
     assert docs is batch.to_docs()
     assert [id(doc) for doc in held] == [id(doc) for doc in docs]
     assert all(doc["session"] == SESSION for doc in docs)
+
+
+# ---------------------------------------------------------------------------
+# columns(): what a writer reads
+
+def dumps(docs) -> str:
+    """Bytes that show key order, value classes, NaN and ``-0.0``."""
+    return json.dumps(docs, default=repr)
+
+
+def reassembled(batch) -> list[dict]:
+    """The documents, rebuilt from ``columns()`` and ``row_keys()`` by
+    the one row assembler — one call per distinct row key order."""
+    columns = {field: (values, present)
+               for field, values, present in batch.columns()}
+    assert len(columns) == len(batch.columns())
+    runs: dict[tuple, list[int]] = {}
+    for row in range(len(batch)):
+        runs.setdefault(tuple(batch.row_keys(row)), []).append(row)
+    docs = [None] * len(batch)
+    for keys, rows in runs.items():
+        built = _assemble_rows(len(rows), [
+            (key, [columns[key][0][row] for row in rows], None)
+            for key in keys])
+        for row, doc in zip(rows, built):
+            docs[row] = doc
+    return docs
+
+
+def test_columns_reassemble_into_the_documents_key_order_included(batch):
+    docs = batch.to_docs()
+    assert dumps(reassembled(batch)) == dumps(docs)
+    for field, values, present in batch.columns():
+        assert len(values) == len(batch), field
+        assert present is None or (len(present) == len(batch)
+                                   and 0 in present), field
+        for row, doc in enumerate(docs):
+            # An explicit None is present, an absent key is not — and
+            # its slot in the lane reads None.
+            carried = present is None or bool(present[row])
+            assert carried == (field in doc), (field, row)
+            assert carried or values[row] is None, (field, row)
+
+
+@pytest.mark.parametrize("rows", [
+    [3, 1, 2], list(range(39, -1, -1)), range(8, 30), [7], []])
+def test_take_commutes_with_columns(batch, rows):
+    docs = batch.to_docs()
+    taken = batch.take(rows)
+    assert dumps(reassembled(taken)) == dumps([docs[row] for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# overlay(): update_docs on rows nobody hydrated
+
+FIRST = {"file_path": "/first", "resolved": None}
+SECOND = {"file_path": "/second", "resolved": True}
+
+
+def assert_reads_as(batch, expected: list[dict]) -> None:
+    """Every reader of the protocol agrees with ``expected``."""
+    for field in list(dict.fromkeys(
+            field for doc in expected for field in doc)) + list(
+                EXTRA_FIELDS) + ["file_path.x"]:
+        assert tagged(batch.values_for(field)) == tagged(
+            get_field(doc, field) for doc in expected), field
+    assert dumps(reassembled(batch)) == dumps(expected)
+    assert dumps(batch.to_docs()) == dumps(expected)
+
+
+@pytest.mark.parametrize("memoised", [False, True],
+                         ids=["lanes", "docs-built"])
+def test_an_overlay_is_dict_update_to_every_reader(make, memoised):
+    batch, expected = make(), copy.deepcopy(make().to_docs())
+    if memoised:
+        batch.to_docs()                 # the tap or the journal built them
+        batch.values_for("file_path")   # and a reader cached the lane
+    assert batch.overlay(list(range(0, 40, 3)), FIRST)
+    assert batch.overlay([9, 3, 38], SECOND)    # rows 3 and 9: twice
+    for row in range(0, 40, 3):
+        expected[row].update(FIRST)
+    for row in (9, 3, 38):
+        expected[row].update(SECOND)
+    assert_reads_as(batch, expected)
+    # The very dicts the store will hold, updated in place.
+    assert batch.to_docs() is batch.to_docs()
+
+
+@pytest.mark.parametrize("order", ["overlay-then-take",
+                                   "take-then-overlay"])
+def test_an_overlay_and_take(make, order):
+    rows = [30, 3, 4, 21, 9]
+    expected = [copy.deepcopy(make().to_docs())[row] for row in rows]
+    batch = make()
+    if order == "overlay-then-take":
+        assert batch.overlay([3, 9, 12], FIRST)
+        taken = batch.take(rows)
+    else:
+        taken = batch.take(rows)
+        assert taken.overlay([1, 4], FIRST)
+    expected[1].update(FIRST)
+    expected[4].update(FIRST)
+    assert_reads_as(taken, expected)
+    again = taken.take(range(1, 4))
+    assert again.overlay([0], SECOND)
+    expected[1].update(SECOND)
+    assert_reads_as(again, expected[1:4])
+
+
+@pytest.mark.parametrize("fields", [
+    {"syscall": "patched"},                     # a column of the batch
+    {"file_path": "/x", "offset": 1},           # one of two is
+    {"late": 1}], ids=["own-column", "half-own", "second-shape"])
+def test_an_overlay_the_lanes_cannot_hold_is_refused(make, fields):
+    batch, expected = make(), copy.deepcopy(make().to_docs())
+    assert batch.overlay([2, 5], FIRST)
+    expected[2].update(FIRST)
+    expected[5].update(FIRST)
+    accepted = batch.overlay([5, 6], fields)
+    # Only a batch that *is* its documents can take any update; the
+    # others refuse and leave every reader as it was, so the index
+    # hydrates and updates rows.
+    assert accepted == (make.producer == "docs")
+    if accepted:
+        expected[5].update(fields)
+        expected[6].update(fields)
+    assert_reads_as(batch, expected)
+
+
+def test_update_docs_on_a_column_of_the_batch_hydrates_as_before(make):
+    store, oracle = DocumentStore(), DocumentStore()
+    store.bulk_columnar("idx", make())
+    oracle.bulk("idx", copy.deepcopy(make().to_docs()))
+    index = store._indices["idx"]
+    ids = ["3", "9", "40", "nobody"]
+    assert store.update_docs("idx", ids, {"late": 1}) == 3
+    assert index.pending_docs == 40 and index.hydrated_docs_total == 0
+    assert store.update_docs("idx", ids, {"syscall": "patched"}) == 3
+    # (A batch that is its documents has nothing to hydrate for it.)
+    hydrated = 0 if make.producer == "docs" else 40
+    assert index.hydrated_docs_total == hydrated
+    assert index.pending_docs == 40 - hydrated
+    for fields in ({"late": 1}, {"syscall": "patched"}):
+        oracle.update_docs("idx", ids, fields)
+    assert dumps(store.scan("idx")) == dumps(oracle.scan("idx"))
+    assert index.epoch == oracle._indices["idx"].epoch
