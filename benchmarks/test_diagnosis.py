@@ -1,4 +1,4 @@
-"""Diagnosis-layer trajectory benchmark: tap overhead and DFG mining.
+"""Diagnosis-layer trajectory benchmark: tap overhead, mining, replay.
 
 The streaming detectors ride the tracer's consumer path, so their cost
 is paid on every ingested batch.  The acceptance gate for shipping
@@ -7,7 +7,12 @@ synthetic trace (``DIO_BENCH_EVENTS`` overrides the size) with the
 full :class:`~repro.analysis.streaming.DiagnosisTap` observing every
 batch may cost at most 10% more wall-clock than the same load without
 the tap.  Batch DFG mining and phase segmentation are timed alongside
-(they are post-mortem, so they get a budget rather than a ratio gate).
+(they are post-mortem, so they get a budget rather than a ratio gate),
+and so is what a post-mortem ``dio diagnose`` spends: ``replay_s``
+(:func:`~repro.analysis.diagnose.follow_session` over the stored
+trace — the same ``observe_batch`` the tapped ingest above runs) and
+``diagnose_s`` (the whole :func:`diagnose_session`), both held to
+within 20% of the best same-size entry.
 
 Results are appended to ``BENCH_diagnosis.json`` at the repo root so
 future PRs are held to the same trajectory.
@@ -19,6 +24,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.dfg import merged_dfg, mine_phases
+from repro.analysis.diagnose import diagnose_session, follow_session
 from repro.analysis.streaming import DiagnosisTap
 from repro.backend import DocumentStore
 
@@ -80,9 +86,35 @@ def _ingest(events: list[dict], tap) -> float:
     return best
 
 
-def _append_trajectory(entry: dict) -> None:
-    from _baseline import append_trajectory
-    append_trajectory(ARTIFACT, entry)
+def _best_of_rounds(work) -> tuple[float, object]:
+    best, result = float("inf"), None
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        result = work()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _regression_gate(entry: dict) -> None:
+    """Fail on >20% regression vs the best same-size run.
+
+    Applied to the post-mortem replay and the whole diagnosis; entries
+    written before a metric existed simply do not vote on it.  The
+    50 ms of slack is the tap gate's: timer noise on tiny runs.
+    """
+    from _baseline import load_trajectory
+
+    history = [e for e in load_trajectory(ARTIFACT)
+               if e.get("benchmark") == "diagnosis_layer"
+               and e.get("events") == entry["events"]]
+    for metric in ("replay_s", "diagnose_s"):
+        seen = [e[metric] for e in history if metric in e]
+        if not seen:
+            continue
+        ceiling = 1.2 * min(seen) + 0.05
+        assert entry[metric] <= ceiling, (
+            f"{metric} regressed: {entry[metric]:.4f} s vs baseline "
+            f"best {min(seen):.4f} s (ceiling {ceiling:.4f} s)")
 
 
 def test_diagnosis_trajectory():
@@ -105,6 +137,13 @@ def test_diagnosis_trajectory():
     assert graph.events == N_EVENTS
     assert sum(phase.events for phase in phases) == N_EVENTS
 
+    # What `dio diagnose` spends on the stored trace.
+    replay_s, replayed = _best_of_rounds(
+        lambda: follow_session(store, "dio_trace", SESSION))
+    diagnose_s, report = _best_of_rounds(
+        lambda: diagnose_session(store, SESSION))
+    assert replayed.events_observed == report.events == N_EVENTS
+
     entry = {
         "benchmark": "diagnosis_layer",
         "events": N_EVENTS,
@@ -115,11 +154,18 @@ def test_diagnosis_trajectory():
         "tap_overhead": round(overhead, 4),
         "dfg_mining_s": round(dfg_s, 4),
         "phase_mining_s": round(phases_s, 4),
+        "replay_s": round(replay_s, 4),
+        "diagnose_s": round(diagnose_s, 4),
         "dfg_nodes": len(graph.node_counts),
         "dfg_edges": len(graph.edges),
         "phases": len(phases),
     }
-    _append_trajectory(entry)
+    _regression_gate(entry)
+
+    from _baseline import append_trajectory
+    append_trajectory(ARTIFACT, entry)
+    print(f"\nreplay of the stored trace: {replay_s:.4f} s; "
+          f"whole diagnosis: {diagnose_s:.4f} s")
 
     # The acceptance gate: streaming diagnosis must not tax ingest by
     # more than 10%.  50 ms of slack absorbs timer noise on tiny runs

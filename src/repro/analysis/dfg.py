@@ -18,6 +18,13 @@ This module mines DFGs from the events DIO stored at the backend:
   between two sessions (``compare.session_fingerprint`` is the
   count-level oracle: a DFG's node totals must agree with it).
 
+There is one transition loop, :meth:`DirectlyFollowsGraph.observe_batch`:
+it bumps a node, finds the previous node of the event's chain (one
+chain, or one per TID) and updates the edge between them.  A whole
+session's graph (:func:`merged_dfg`), the tap's online miner
+(:class:`~repro.analysis.streaming.StreamingDFGMiner`), the per-process
+graphs and the phase windows are all that loop fed different batches.
+
 Everything is deterministic: graphs iterate in sorted order and
 ``as_dict`` output is stable, so DFG output can sit inside the DST
 byte-identical digest.
@@ -25,6 +32,7 @@ byte-identical digest.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterable, NamedTuple, Optional
 
 from repro.analysis.session import SessionEvents
@@ -64,16 +72,6 @@ class EdgeStats:
         self.gap_min_ns: Optional[int] = None
         self.gap_max_ns = 0
 
-    def observe(self, gap_ns: int) -> None:
-        self.count += 1
-        if gap_ns < 0:
-            gap_ns = 0
-        self.gap_total_ns += gap_ns
-        if self.gap_min_ns is None or gap_ns < self.gap_min_ns:
-            self.gap_min_ns = gap_ns
-        if gap_ns > self.gap_max_ns:
-            self.gap_max_ns = gap_ns
-
     @property
     def gap_mean_ns(self) -> float:
         return self.gap_total_ns / self.count if self.count else 0.0
@@ -92,27 +90,38 @@ class DirectlyFollowsGraph:
 
     Nodes are strings (syscall names, or ``syscall/file-class``); edges
     map ``(from, to)`` to :class:`EdgeStats`.  The graph is an *online*
-    structure: feed events in stream order via :meth:`observe`, read it
-    at any point.  Memory is bounded by the node vocabulary squared,
-    which for syscalls is small by construction.
+    structure: feed events in stream order via :meth:`observe_batch`,
+    read it at any point.  Memory is bounded by the node vocabulary
+    squared, which for syscalls is small by construction.
+
+    With ``per_thread`` every TID is its own transition chain —
+    interleaving two threads' events into one chain would invent edges
+    neither thread executed — and the chains share one set of edges;
+    ``max_threads`` then bounds the chain table (oldest chain first,
+    for a graph that rides the ingest path; a post-mortem graph leaves
+    it unbounded).  Without it the whole stream is one chain.
     """
 
-    __slots__ = ("name", "node_mode", "edges", "node_counts", "events",
-                 "first_ns", "last_ns", "_prev_node", "_prev_ns")
+    __slots__ = ("name", "node_mode", "per_thread", "max_threads",
+                 "edges", "node_counts", "events", "first_ns", "last_ns",
+                 "_chains")
 
-    def __init__(self, name: str = "",
-                 node_mode: str = "syscall") -> None:
+    def __init__(self, name: str = "", node_mode: str = "syscall",
+                 per_thread: bool = False,
+                 max_threads: Optional[int] = None) -> None:
         if node_mode not in ("syscall", "syscall_fileclass"):
             raise ValueError(f"unknown node mode {node_mode!r}")
         self.name = name
         self.node_mode = node_mode
+        self.per_thread = per_thread
+        self.max_threads = max_threads
         self.edges: dict[tuple[str, str], EdgeStats] = {}
         self.node_counts: dict[str, int] = {}
         self.events = 0
         self.first_ns: Optional[int] = None
         self.last_ns = 0
-        self._prev_node: Optional[str] = None
-        self._prev_ns = 0
+        #: chain key (TID, or None for the one chain) -> [node, time_ns]
+        self._chains: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------
     # Building
@@ -127,22 +136,65 @@ class DirectlyFollowsGraph:
 
     def observe(self, source: dict) -> str:
         """Feed one event (a backend document); returns its node."""
-        node = self.node_for(source)
-        time_ns = source.get("time", 0)
-        self.events += 1
-        self.node_counts[node] = self.node_counts.get(node, 0) + 1
-        if self.first_ns is None:
-            self.first_ns = time_ns
-        self.last_ns = max(self.last_ns, time_ns)
-        prev = self._prev_node if self._prev_node is not None else START
-        key = (prev, node)
-        stats = self.edges.get(key)
-        if stats is None:
-            stats = self.edges[key] = EdgeStats()
-        stats.observe(time_ns - self._prev_ns if prev != START else 0)
-        self._prev_node = node
-        self._prev_ns = time_ns
-        return node
+        return self.observe_batch((source,))[0]
+
+    def observe_batch(self, docs: Iterable[dict]) -> list[str]:
+        """Feed events in stream order; returns their nodes, in order.
+
+        The one transition loop.  A chain's first event takes the
+        ``^`` edge with gap 0 and the graph's window starts at the
+        earliest such event; a gap that runs backwards (events of one
+        chain out of time order) counts as 0.
+        """
+        plain_nodes = self.node_mode == "syscall"
+        node_for = self.node_for
+        node_counts = self.node_counts
+        edges = self.edges
+        chains = self._chains
+        per_thread = self.per_thread
+        max_threads = self.max_threads
+        last_ns = self.last_ns
+        nodes: list[str] = []
+        seen = nodes.append
+        for source in docs:
+            node = source["syscall"] if plain_nodes else node_for(source)
+            seen(node)
+            time_ns = source.get("time", 0)
+            try:                     # node vocabulary is tiny: ~always hits
+                node_counts[node] += 1
+            except KeyError:
+                node_counts[node] = 1
+            if time_ns > last_ns:
+                last_ns = time_ns
+            chain = source["tid"] if per_thread else None
+            prev = chains.get(chain)
+            if prev is None:
+                if max_threads is not None and len(chains) >= max_threads:
+                    chains.popitem(last=False)
+                chains[chain] = [node, time_ns]
+                if self.first_ns is None or time_ns < self.first_ns:
+                    self.first_ns = time_ns
+                edge = (START, node)
+                gap = 0
+            else:
+                edge = (prev[0], node)
+                gap = time_ns - prev[1]
+                if gap < 0:
+                    gap = 0
+                prev[0] = node
+                prev[1] = time_ns
+            stats = edges.get(edge)
+            if stats is None:
+                stats = edges[edge] = EdgeStats()
+            stats.count += 1
+            stats.gap_total_ns += gap
+            if stats.gap_min_ns is None or gap < stats.gap_min_ns:
+                stats.gap_min_ns = gap
+            if gap > stats.gap_max_ns:
+                stats.gap_max_ns = gap
+        self.events += len(nodes)
+        self.last_ns = last_ns
+        return nodes
 
     # ------------------------------------------------------------------
     # Reading
@@ -215,16 +267,17 @@ def mine_dfgs(store: DocumentStore, index: str = "dio_trace",
     downstream rendering is deterministic.  ``view`` (here and below)
     is a caller's read of the same session, to share it.
     """
-    graphs: dict[str, DirectlyFollowsGraph] = {}
+    groups: dict[str, list[dict]] = {}
     for _, source in (view or SessionEvents(store, index, session)).events:
         key = source["proc_name"]
         if per_thread:
             key = f"{key}/{source['tid']}"
-        graph = graphs.get(key)
-        if graph is None:
-            graph = graphs[key] = DirectlyFollowsGraph(key, node_mode)
-        graph.observe(source)
-    return dict(sorted(graphs.items()))
+        groups.setdefault(key, []).append(source)
+    graphs = {}
+    for key in sorted(groups):
+        graphs[key] = DirectlyFollowsGraph(key, node_mode)
+        graphs[key].observe_batch(groups[key])
+    return graphs
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +332,7 @@ def segment_phases(events: Iterable[dict],
 
     def window_graph(batch: list[dict]) -> DirectlyFollowsGraph:
         graph = DirectlyFollowsGraph(name, node_mode)
-        for source in batch:
-            graph.observe(source)
+        graph.observe_batch(batch)
         return graph
 
     for source in events:
@@ -297,8 +349,7 @@ def segment_phases(events: Iterable[dict],
                 current = incoming
                 prev_drift = drift
             else:
-                for source_again in window:
-                    current.observe(source_again)
+                current.observe_batch(window)
         window = []
     if window:
         if current is None:
@@ -311,8 +362,7 @@ def segment_phases(events: Iterable[dict],
                 current = incoming
                 prev_drift = drift
             else:
-                for source_again in window:
-                    current.observe(source_again)
+                current.observe_batch(window)
     close_current()
     return phases
 
@@ -362,38 +412,14 @@ def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
 
     Transitions are tracked per thread — interleaving two threads'
     events into one chain would invent edges neither thread executed —
-    then merged edge-by-edge into a single session graph.
+    and land in a single session graph.
     """
-    merged = DirectlyFollowsGraph(session or index, node_mode)
-    per_thread: dict[int, DirectlyFollowsGraph] = {}
-    for _, source in (view or SessionEvents(store, index, session)).events:
-        tid = source["tid"]
-        graph = per_thread.get(tid)
-        if graph is None:
-            graph = per_thread[tid] = DirectlyFollowsGraph(
-                str(tid), node_mode)
-        graph.observe(source)
-    for graph in per_thread.values():
-        merged.events += graph.events
-        if graph.first_ns is not None:
-            if merged.first_ns is None or graph.first_ns < merged.first_ns:
-                merged.first_ns = graph.first_ns
-        merged.last_ns = max(merged.last_ns, graph.last_ns)
-        for node, count in graph.node_counts.items():
-            merged.node_counts[node] = (
-                merged.node_counts.get(node, 0) + count)
-        for edge, stats in graph.edges.items():
-            into = merged.edges.get(edge)
-            if into is None:
-                into = merged.edges[edge] = EdgeStats()
-            into.count += stats.count
-            into.gap_total_ns += stats.gap_total_ns
-            if stats.gap_min_ns is not None and (
-                    into.gap_min_ns is None
-                    or stats.gap_min_ns < into.gap_min_ns):
-                into.gap_min_ns = stats.gap_min_ns
-            into.gap_max_ns = max(into.gap_max_ns, stats.gap_max_ns)
-    return merged
+    graph = DirectlyFollowsGraph(session or index, node_mode,
+                                 per_thread=True)
+    graph.observe_batch(
+        source for _, source
+        in (view or SessionEvents(store, index, session)).events)
+    return graph
 
 
 def compare_session_dfgs(store: DocumentStore, session_a: str,

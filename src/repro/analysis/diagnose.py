@@ -11,7 +11,8 @@ diagnosed *automatically* instead of by a human reading dashboards.
 - the **streaming** battery (:mod:`repro.analysis.streaming`), either
   a live :class:`~repro.analysis.streaming.DiagnosisTap` that rode the
   tracer's consumer path, or a replay of the stored events through a
-  fresh tap —
+  fresh tap (:func:`follow_session`, which hands the tap what the
+  consumer hands it: batches) —
 
 ranks them by severity and confidence (a finding corroborated by both
 sources outranks one seen by a single source), attaches the mined DFG
@@ -21,10 +22,10 @@ same events in, byte-identical report out (pinned by the DST digest).
 
 from __future__ import annotations
 
-import heapq
 import json
+from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.detectors import (DEFAULT_DETECTORS, Detector, Finding,
                                       run_detectors)
@@ -184,29 +185,6 @@ def _merge(batch: Sequence[Finding],
     return ranked
 
 
-def _feed_time(item: tuple) -> int:
-    return item[2].get("time", 0) if item[0] == "event" else item[1]
-
-
-def _merged_feed(events: Sequence[tuple[str, dict]],
-                 latency_records: Optional[Sequence]) -> Iterator[tuple]:
-    """Interleave events and latency records by time, lazily.
-
-    Feeding them merged — the way a live deployment would see them —
-    keeps the windowed detectors' background-activity state alive when
-    a latency record closes its window, so spikes attribute correctly.
-    ``events`` arrive in time order; the records are put in start order
-    here.  ``heapq.merge`` keeps each side's own order and, on a tie,
-    takes from the earlier iterable: an event precedes a record of the
-    same time.
-    """
-    return heapq.merge(
-        (("event", event_id, source) for event_id, source in events),
-        (("latency", record[0], record[1])
-         for record in sorted(latency_records or (), key=itemgetter(0))),
-        key=_feed_time)
-
-
 def follow_session(store: DocumentStore, index: str,
                    session: Optional[str],
                    tap: Optional[DiagnosisTap] = None,
@@ -215,12 +193,27 @@ def follow_session(store: DocumentStore, index: str,
                    view: Optional[SessionEvents] = None) -> DiagnosisTap:
     """Feed a stored session through a (fresh) streaming tap.
 
-    Post-mortem equivalent of riding the consumer path live — with the
+    Post-mortem equivalent of riding the consumer path live, through
+    the code the consumer path runs — ``tap.observe_batch`` — with the
     bonus that stored events carry backend ids, so the streaming
-    findings get real evidence links.  With ``emit`` it is the
-    ``--follow`` mode of ``dio diagnose``: ``emit(emit_ns, finding)``
-    is called for every incremental finding in stream order, including
-    those flushed by the final watermark close.
+    findings get real evidence links.
+
+    The session is handed over in stretches of event time cut at
+    multiples of the narrowest detector window: each stretch's events
+    (they arrive time-sorted; the records are put in start order here)
+    and then its latency records.  A detector closes a window two of
+    its widths behind the watermark, so nothing inside a stretch no
+    wider than the narrowest window can close a window that something
+    else in that stretch still belongs to: every window closes in the
+    same order, holding the same events and samples, as if events and
+    records had been merged by time and fed one at a time, and the
+    findings are that feed's.
+
+    With ``emit`` it is the ``--follow`` mode of ``dio diagnose``:
+    ``emit(emit_ns, finding)`` is called for every incremental finding,
+    stretch by stretch — within a stretch in ``(emit_ns, detector,
+    title)`` order — including those flushed by the final watermark
+    close.
     """
     if tap is None:
         tap = DiagnosisTap()
@@ -230,13 +223,26 @@ def follow_session(store: DocumentStore, index: str,
             for emit_ns, finding in tap.drain_new():
                 emit(emit_ns, finding)
 
-    view = view or SessionEvents(store, index, session)
-    for kind, first, second in _merged_feed(view.events, latency_records):
-        if kind == "event":
-            tap.observe(second, first)
-        else:
-            tap.observe_latency(first, second)
+    events = (view or SessionEvents(store, index, session)).events
+    ids = [event_id for event_id, _ in events]
+    docs = [source for _, source in events]
+    records = sorted(latency_records or (), key=itemgetter(0))
+    times = [source.get("time", 0) for source in docs]
+    starts = [record[0] for record in records]
+    width = tap.stretch_ns
+    lo = at = 0
+    while lo < len(docs) or at < len(records):
+        hi, to = len(docs), len(records)
+        if width is not None:
+            # The stretch holding the earliest event or record left.
+            first = min(times[lo:lo + 1] + starts[at:at + 1])
+            end = (first // width + 1) * width
+            hi = bisect_left(times, end, lo)
+            to = bisect_left(starts, end, at)
+        tap.observe_batch(docs[lo:hi], ids[lo:hi])
+        tap.observe_latencies(records[at:to])
         drain()
+        lo, at = hi, to
     tap.finalize()
     drain()
     return tap
@@ -263,15 +269,18 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
     view = SessionEvents(store, index, session)
     batch = run_detectors(store, index, session, detectors, view)
     if tap is None:
+        # The report's DFG is mined below, once; the replay's tap need
+        # not mine another.
         tap = follow_session(store, index, session,
+                             tap=DiagnosisTap(dfg=False),
                              latency_records=latency_records, view=view)
     else:
         if latency_records:
             # A live tap saw the syscalls during the run; the latency
-            # records only exist afterwards.  Feed them time-sorted and
-            # re-finalize to close the windows they opened.
-            for record in sorted(latency_records, key=lambda r: r[0]):
-                tap.observe_latency(record[0], record[1])
+            # records only exist afterwards.  Feed them in start order
+            # and re-finalize to close the windows they opened.
+            tap.observe_latencies(sorted(latency_records,
+                                         key=itemgetter(0)))
         tap.finalize()
     return DiagnosisReport(
         session=session,

@@ -7,7 +7,13 @@ they attach as a :class:`DiagnosisTap` on the tracer's consumer path
 exactly once, in bounded memory, emitting incremental
 :class:`~repro.analysis.detectors.Finding` objects with evidence links
 (event ids when available, time windows always) as the signatures
-develop:
+develop.  There is one feed shape: ``observe_batch(docs, ids)`` is the
+only place a detector's step is written, whoever calls it — the
+consumer hands over parsed batches without ids, a replay
+(:func:`~repro.analysis.diagnose.follow_session`) hands over stretches
+of the stored session with their backend ids, and ``observe(source,
+event_id)`` is a batch of one.  Latency records arrive the same way
+(``observe_latencies(records)``).  The detectors:
 
 - :class:`StreamingStaleOffsetDetector` — the Fluent Bit §III-B
   offset-gap-after-inode-reuse signature;
@@ -33,20 +39,19 @@ The tap also runs an online DFG miner (:class:`StreamingDFGMiner`) so
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from repro.analysis.detectors import Finding, make_evidence
-from repro.analysis.dfg import DirectlyFollowsGraph, EdgeStats
+from repro.analysis.dfg import DirectlyFollowsGraph
 
-_READS = ("read", "pread64", "readv")
-_WRITES = ("write", "pwrite64", "writev")
-_OPENS = ("open", "openat", "creat")
-#: Frozen sets for the per-batch fast paths (set membership beats
-#: tuple scans in the loops that see every ingested event).
-_READS_SET = frozenset(_READS)
-_WRITES_SET = frozenset(_WRITES)
-_RW_SET = frozenset(_READS + _WRITES)
-_FD_SET = frozenset(_OPENS) | {"close"}
+#: Set membership beats tuple scans in loops that see every event.
+_READS_SET = frozenset({"read", "pread64", "readv"})
+_WRITES_SET = frozenset({"write", "pwrite64", "writev"})
+_RW_SET = _READS_SET | _WRITES_SET
+_FD_SET = frozenset({"open", "openat", "creat", "close"})
+#: Stands in for the ids of a batch that has none.
+_NO_IDS = repeat(None)
 
 #: Bounded-memory caps (per detector instance).
 MAX_TRACKED_TAGS = 4096
@@ -81,24 +86,31 @@ class StreamingDetector:
         self._finalized = False
 
     # -- feed ----------------------------------------------------------
-    def observe(self, source: dict,
-                event_id: Optional[str] = None) -> None:
+    def observe_batch(self, docs: Sequence[dict],
+                      ids: Optional[Sequence[str]] = None) -> None:
+        """The detector's step: events in stream order, one call each.
+
+        ``ids`` are the events' backend ids, parallel to ``docs``
+        (``None`` for an event without one), when they have any: a
+        replay of a stored session has them, the consumer path does
+        not (nothing is stored yet).  Subclasses
+        write tight loops so the per-event cost stays within the <10%
+        ingest overhead gate (``benchmarks/test_diagnosis.py``).
+        """
         raise NotImplementedError
 
-    def observe_batch(self, docs: list[dict]) -> None:
-        """Ingest-path fast feed: one call per consumer batch.
+    def observe(self, source: dict,
+                event_id: Optional[str] = None) -> None:
+        """One event: a batch of one."""
+        self.observe_batch((source,), (event_id,))
 
-        Semantically ``observe`` per doc (no event ids — stored ids do
-        not exist yet on the consumer path); subclasses override with
-        tight loops so the per-event cost stays within the <10% ingest
-        overhead gate (``benchmarks/test_diagnosis.py``).
-        """
-        observe = self.observe
-        for source in docs:
-            observe(source)
+    def observe_latencies(self, records: Sequence) -> None:
+        """Optional second feed: ``(start_ns, latency_ns, ...)``
+        benchmark/telemetry latency records, in start order."""
 
     def observe_latency(self, start_ns: int, latency_ns: int) -> None:
-        """Optional second feed (benchmark/telemetry latency records)."""
+        """One latency record: a batch of one."""
+        self.observe_latencies(((start_ns, latency_ns),))
 
     def finalize(self, now_ns: int = 0) -> None:
         """End of stream: emit whatever is still pending."""
@@ -135,16 +147,14 @@ class StreamingStaleOffsetDetector(StreamingDetector):
         #: tag -> suspicion state (bounded).
         self._tags: OrderedDict[str, dict] = OrderedDict()
 
-    def observe_batch(self, docs):
-        observe = self.observe
+    def observe_batch(self, docs, ids=None):
+        step = self._read
         reads = _READS_SET
-        for source in docs:
+        for source, event_id in zip(docs, ids or _NO_IDS):
             if source["syscall"] in reads:
-                observe(source)
+                step(source, event_id)
 
-    def observe(self, source, event_id=None):
-        if source["syscall"] not in _READS_SET:
-            return
+    def _read(self, source, event_id):
         tag = source.get("file_tag")
         if tag is None:
             return
@@ -209,44 +219,27 @@ class StreamingFdLeakDetector(StreamingDetector):
         self.min_unclosed = min_unclosed
         self._pids: OrderedDict[int, dict] = OrderedDict()
 
-    def observe_batch(self, docs):
-        observe = self.observe
+    def observe_batch(self, docs, ids=None):
+        step = self._open_or_close
         relevant = _FD_SET
-        pids = self._pids
-        for source in docs:
-            syscall = source["syscall"]
-            if syscall not in relevant:
-                continue
-            if syscall == "close":       # hot half: two counter bumps
-                if source["ret"] < 0:
-                    continue
-                state = pids.get(source["pid"])
-                if state is None:
-                    observe(source)
-                    continue
-                state["last_ns"] = source.get("time", 0)
-                state["closes"] += 1
-                if state["open"] > 0:
-                    state["open"] -= 1
-                continue
-            observe(source)
+        for source, event_id in zip(docs, ids or _NO_IDS):
+            if source["syscall"] in relevant and source["ret"] >= 0:
+                step(source, event_id)
 
-    def observe(self, source, event_id=None):
-        syscall = source["syscall"]
-        if syscall not in _FD_SET:
-            return
-        if source["ret"] < 0:
-            return
-        state = _capped_insert(
-            self._pids, source["pid"],
-            lambda: {"open": 0, "watermark": 0, "opens": 0, "closes": 0,
-                     "flagged": False, "ids": [],
-                     "first_ns": source.get("time", 0), "last_ns": 0},
-            MAX_TRACKED_PIDS)
+    def _open_or_close(self, source, event_id):
+        state = self._pids.get(source["pid"])
+        if state is None:
+            state = _capped_insert(
+                self._pids, source["pid"],
+                lambda: {"open": 0, "watermark": 0, "opens": 0,
+                         "closes": 0, "flagged": False, "ids": [],
+                         "first_ns": source.get("time", 0), "last_ns": 0},
+                MAX_TRACKED_PIDS)
         state["last_ns"] = source.get("time", 0)
-        if syscall == "close":
+        if source["syscall"] == "close":
             state["closes"] += 1
-            state["open"] = max(0, state["open"] - 1)
+            if state["open"] > 0:
+                state["open"] -= 1
             return
         state["opens"] += 1
         state["open"] += 1
@@ -306,16 +299,14 @@ class StreamingUringLagDetector(StreamingDetector):
         self.min_samples = min_samples
         self._pids: OrderedDict[int, dict] = OrderedDict()
 
-    def observe_batch(self, docs):
-        observe = self.observe
+    def observe_batch(self, docs, ids=None):
+        step = self._completion
         relevant = _URING_SET
-        for source in docs:
+        for source, event_id in zip(docs, ids or _NO_IDS):
             if source["syscall"] in relevant:
-                observe(source)
+                step(source, event_id)
 
-    def observe(self, source, event_id=None):
-        if source["syscall"] not in _URING_SET:
-            return
+    def _completion(self, source, event_id):
         lag = source.get("duration_ns")
         if lag is None:
             return
@@ -374,7 +365,7 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
         self._first_ns: Optional[int] = None
         self._last_ns = 0
 
-    def observe_batch(self, docs):
+    def observe_batch(self, docs, ids=None):
         writes = _WRITES_SET
         client = self.client_comm
         per_proc = self._per_proc
@@ -397,24 +388,6 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
                 per_proc[proc] += size
             elif len(per_proc) < MAX_TRACKED_PROCS:
                 per_proc[proc] = size
-
-    def observe(self, source, event_id=None):
-        if source["syscall"] not in _WRITES_SET or source["ret"] <= 0:
-            return
-        time_ns = source.get("time", 0)
-        if self._first_ns is None:
-            self._first_ns = time_ns
-        self._last_ns = max(self._last_ns, time_ns)
-        size = source["ret"]
-        self.total_bytes += size
-        proc = source["proc_name"]
-        if proc == self.client_comm:
-            self.client_bytes += size
-            return
-        if proc in self._per_proc:
-            self._per_proc[proc] += size
-        elif len(self._per_proc) < MAX_TRACKED_PROCS:
-            self._per_proc[proc] = size
 
     @property
     def amplification(self) -> float:
@@ -459,20 +432,21 @@ class _WindowState:
         self.ids: list[str] = []
 
 
-def _scan_windows(docs, window_ns: int, client: str,
+def _scan_windows(docs, ids, window_ns: int, client: str,
                   prefix: str) -> tuple[list, int]:
     """One pass over a batch: fresh per-window aggregates + max time.
 
     The hot loop of the windowed detectors, factored out so detectors
     sharing a :attr:`_WindowedDetector.window_key` pay for it once per
-    batch (each then merges via ``absorb_windows``).
+    batch (each then merges via ``absorb_windows``).  A window's
+    evidence links are the ids of its first background events.
     """
     rw = _RW_SET
     states: dict[int, _WindowState] = {}
     max_ns = 0
     cur_start = -1
     state = None
-    for source in docs:
+    for source, event_id in zip(docs, ids or _NO_IDS):
         time_ns = source.get("time", 0)
         if time_ns > max_ns:
             max_ns = time_ns
@@ -496,6 +470,8 @@ def _scan_windows(docs, window_ns: int, client: str,
                 ret = source["ret"]
                 if ret > 0 and source["syscall"] in rw:
                     activity[1] += ret
+            if event_id is not None and len(state.ids) < MAX_EVIDENCE_IDS:
+                state.ids.append(event_id)
     return list(states.items()), max_ns
 
 
@@ -513,26 +489,16 @@ class _WindowedDetector(StreamingDetector):
         self._windows: dict[int, _WindowState] = {}
         self._max_ns = 0
 
-    def _window_state(self, time_ns: int) -> Optional[_WindowState]:
-        start = (time_ns // self.window_ns) * self.window_ns
-        state = self._windows.get(start)
-        if state is None:
-            state = self._windows[start] = _WindowState()
-        return state
-
     @property
     def window_key(self) -> tuple:
         """Detectors with equal keys can share one batch window scan."""
         return (self.window_ns, self.client_comm, self.background_prefix)
 
-    def observe_batch(self, docs):
-        # Ingest fast path: one scan of the batch into per-window
-        # aggregates, then one watermark close (emit timestamps are
-        # event-time, so batch granularity only defers emission within
-        # the batch).
-        updates, max_ns = _scan_windows(docs, self.window_ns,
-                                        self.client_comm,
-                                        self.background_prefix)
+    def observe_batch(self, docs, ids=None):
+        # One scan of the batch into per-window aggregates, then one
+        # watermark close (emit timestamps are event-time, so batch
+        # granularity only defers emission within the batch).
+        updates, max_ns = _scan_windows(docs, ids, *self.window_key)
         self.absorb_windows(updates, max_ns)
 
     def absorb_windows(self, updates: list, max_ns: int) -> None:
@@ -554,30 +520,9 @@ class _WindowedDetector(StreamingDetector):
                     else:
                         activity[0] += pair[0]
                         activity[1] += pair[1]
+                state.ids += new.ids[:MAX_EVIDENCE_IDS - len(state.ids)]
         if max_ns > self._max_ns:
             self._max_ns = max_ns
-        self._close_ready()
-
-    def observe(self, source, event_id=None):
-        time_ns = source.get("time", 0)
-        self._max_ns = max(self._max_ns, time_ns)
-        state = self._window_state(time_ns)
-        proc = source["proc_name"]
-        if proc == self.client_comm:
-            state.client_count += 1
-        elif proc.startswith(self.background_prefix):
-            state.bg_tids.add(source["tid"])
-            activity = state.bg_activity.get(proc)
-            if activity is None:
-                if len(state.bg_activity) < MAX_TRACKED_PROCS:
-                    activity = state.bg_activity[proc] = [0, 0]
-            if activity is not None:
-                activity[0] += 1
-                if source["ret"] > 0 and source["syscall"] in (
-                        _READS + _WRITES):
-                    activity[1] += source["ret"]
-            if event_id is not None and len(state.ids) < MAX_EVIDENCE_IDS:
-                state.ids.append(event_id)
         self._close_ready()
 
     def _close_ready(self) -> None:
@@ -714,13 +659,25 @@ class StreamingContentionDetector(_WindowedDetector):
 class StreamingSpikeAttributor(_WindowedDetector):
     """Latency spikes attributed to concurrent background I/O, online.
 
-    Consumes two feeds: syscall events (:meth:`observe`) for per-window
-    background activity, and operation latency records
-    (:meth:`observe_latency`) from the benchmark/telemetry feed.  A
+    Consumes two feeds: syscall events (:meth:`observe_batch`) for
+    per-window background activity, and operation latency records
+    (:meth:`observe_latencies`) from the benchmark/telemetry feed.  A
     window whose p99 exceeds ``spike_factor`` times the running
     baseline (25th percentile of closed-window p99s) emits a finding
     naming the heaviest concurrent background threads — the streaming
     version of :func:`repro.analysis.blame.blame_spikes`.
+
+    On a live tap the two feeds do not arrive together: the syscalls
+    ride the consumer path, the benchmark's latency records exist only
+    after the run, by which time every window has closed with nothing
+    to measure.  A window that closes with background activity but no
+    samples is therefore parked, and attributed against when its
+    samples arrive.  The parking table holds ``MAX_BASELINE_WINDOWS``
+    windows, oldest out first: a live run longer than that many
+    windows (25.6 s at the default width) whose records arrive only
+    afterwards attributes the spikes of its last 256 background-active
+    windows and stays silent about earlier ones.  A replay feeds both
+    in time order and never finds anything parked.
     """
 
     name = "latency-spike-blame"
@@ -735,15 +692,22 @@ class StreamingSpikeAttributor(_WindowedDetector):
         self.spike_factor = spike_factor
         self._latencies: dict[int, list[int]] = {}
         self._baseline: deque[float] = deque(maxlen=MAX_BASELINE_WINDOWS)
+        #: Windows closed with background activity but no samples yet.
+        self._parked: OrderedDict[int, _WindowState] = OrderedDict()
         self.spikes_found = 0
         self._culprits: OrderedDict[str, int] = OrderedDict()
 
-    def observe_latency(self, start_ns, latency_ns):
-        self._max_ns = max(self._max_ns, start_ns)
-        start = (start_ns // self.window_ns) * self.window_ns
-        samples = self._latencies.setdefault(start, [])
-        if len(samples) < MAX_WINDOW_SAMPLES:
-            samples.append(latency_ns)
+    def observe_latencies(self, records):
+        window_ns = self.window_ns
+        latencies = self._latencies
+        for record in records:
+            start_ns = record[0]
+            if start_ns > self._max_ns:
+                self._max_ns = start_ns
+            samples = latencies.setdefault(
+                (start_ns // window_ns) * window_ns, [])
+            if len(samples) < MAX_WINDOW_SAMPLES:
+                samples.append(record[1])
         self._close_ready()
 
     def _close_ready(self):
@@ -760,7 +724,12 @@ class StreamingSpikeAttributor(_WindowedDetector):
     def _close_window(self, start, state):
         samples = self._latencies.pop(start, None)
         if not samples:
+            if state.bg_tids:
+                _capped_insert(self._parked, start, lambda: state,
+                               MAX_BASELINE_WINDOWS)
             return
+        if not state.bg_tids:
+            state = self._parked.pop(start, state)
         ordered = sorted(samples)
         p99 = float(ordered[min(len(ordered) - 1,
                                 int(round(0.99 * (len(ordered) - 1))))])
@@ -815,22 +784,23 @@ class StreamingSpikeAttributor(_WindowedDetector):
 class StreamingDFGMiner:
     """Online per-thread DFG with drift-based phase counting.
 
-    Keeps one merged session DFG (per-thread transition chains, merged
-    edges — interleavings never invent edges) plus a drift detector
-    over fixed-size event windows; powers the ``dio_dfg_*`` telemetry
-    and the DFG section of diagnosis reports.
+    Keeps one merged session DFG (a ``per_thread``
+    :class:`~repro.analysis.dfg.DirectlyFollowsGraph` — interleavings
+    never invent edges — with a bounded chain table) plus a drift
+    detector over fixed-size event windows; powers the ``dio_dfg_*``
+    telemetry.
     """
 
     def __init__(self, node_mode: str = "syscall",
                  window_events: int = 64,
                  drift_threshold: float = 0.4,
                  max_threads: int = 4096) -> None:
-        self.graph = DirectlyFollowsGraph("stream", node_mode)
+        self.graph = DirectlyFollowsGraph("stream", node_mode,
+                                          per_thread=True,
+                                          max_threads=max_threads)
         self.window_events = window_events
         self.drift_threshold = drift_threshold
-        self.max_threads = max_threads
         self.phases = 1
-        self._prev_by_tid: OrderedDict[int, tuple[str, int]] = OrderedDict()
         # Drift window: edge counts accumulated incrementally (one
         # global chain restarting at "^" per window) — equivalent to
         # feeding the window through a fresh graph, without buffering
@@ -844,56 +814,12 @@ class StreamingDFGMiner:
         self.observe_batch((source,))
 
     def observe_batch(self, docs: Sequence[dict]) -> None:
-        graph = self.graph
-        plain_nodes = graph.node_mode == "syscall"
-        node_for = graph.node_for
-        node_counts = graph.node_counts
-        edges = graph.edges
-        prev_by_tid = self._prev_by_tid
-        max_threads = self.max_threads
         window_events = self.window_events
         wedges = self._window_edges
         wcount = self._window_count
         wprev = self._window_prev
-        last_ns = graph.last_ns
-        if graph.first_ns is None and docs:
-            graph.first_ns = docs[0].get("time", 0)
-        graph.events += len(docs)
-        for source in docs:
-            node = source["syscall"] if plain_nodes else node_for(source)
-            time_ns = source.get("time", 0)
-            try:                     # node vocabulary is tiny: ~always hits
-                node_counts[node] += 1
-            except KeyError:
-                node_counts[node] = 1
-            if time_ns > last_ns:
-                last_ns = time_ns
-            tid = source["tid"]
-            prev = prev_by_tid.get(tid)
-            if prev is None:
-                if len(prev_by_tid) >= max_threads:
-                    prev_by_tid.popitem(last=False)
-                prev_by_tid[tid] = [node, time_ns]
-                edge = ("^", node)
-                gap = 0
-            else:
-                edge = (prev[0], node)
-                gap = time_ns - prev[1]
-                if gap < 0:
-                    gap = 0
-                prev[0] = node
-                prev[1] = time_ns
-            stats = edges.get(edge)
-            if stats is None:
-                stats = edges[edge] = EdgeStats()
-            stats.count += 1
-            stats.gap_total_ns += gap
-            if stats.gap_min_ns is None or gap < stats.gap_min_ns:
-                stats.gap_min_ns = gap
-            if gap > stats.gap_max_ns:
-                stats.gap_max_ns = gap
-
-            # Phase drift over fixed windows of the merged stream.
+        # Phase drift over fixed windows of the merged stream.
+        for node in self.graph.observe_batch(docs):
             wedge = (wprev, node)
             try:
                 wedges[wedge] += 1
@@ -914,7 +840,6 @@ class StreamingDFGMiner:
                 wedges = self._window_edges = {}
                 wcount = 0
                 wprev = "^"
-        graph.last_ns = last_ns
         self._window_count = wcount
         self._window_prev = wprev
 
@@ -954,9 +879,9 @@ class DiagnosisTap:
     """The streaming battery + DFG miner as one consumer-path tap.
 
     The tracer calls :meth:`observe_batch` for every parsed batch on
-    the ingest path; post-mortem callers replay stored ``(id, source)``
-    pairs through :meth:`observe`.  All per-event work is plain dict
-    reads and counter bumps — the ingest-overhead benchmark
+    the ingest path; a post-mortem replay calls it for every stretch of
+    the stored session, with the events' ids.  All per-event work is
+    plain dict reads and counter bumps — the ingest-overhead benchmark
     (``benchmarks/test_diagnosis.py``) holds the tap to <10% of the
     indexing cost.
     """
@@ -992,13 +917,11 @@ class DiagnosisTap:
 
     def observe(self, source: dict,
                 event_id: Optional[str] = None) -> None:
-        self.events_observed += 1
-        for detector in self.detectors:
-            detector.observe(source, event_id)
-        if self.dfg is not None:
-            self.dfg.observe(source)
+        """One event: a batch of one."""
+        self.observe_batch((source,), (event_id,))
 
-    def observe_batch(self, docs: Iterable[dict]) -> None:
+    def observe_batch(self, docs: Iterable[dict],
+                      ids: Optional[Sequence[str]] = None) -> None:
         if not isinstance(docs, (list, tuple)):
             # A columnar RecordBatch hands over its (memoised) doc
             # list; any other iterable is materialised the hard way.
@@ -1006,19 +929,31 @@ class DiagnosisTap:
             docs = to_docs() if to_docs is not None else list(docs)
         self.events_observed += len(docs)
         for detector in self._direct:
-            detector.observe_batch(docs)
-        for (window_ns, client, prefix), group in self._window_groups:
-            updates, max_ns = _scan_windows(docs, window_ns, client,
-                                            prefix)
+            detector.observe_batch(docs, ids)
+        for key, group in self._window_groups:
+            updates, max_ns = _scan_windows(docs, ids, *key)
             for detector in group:
                 detector.absorb_windows(updates, max_ns)
         if self.dfg is not None:
             self.dfg.observe_batch(docs)
 
-    def observe_latency(self, start_ns: int, latency_ns: int) -> None:
-        self.latencies_observed += 1
+    def observe_latencies(self, records: Sequence) -> None:
+        """Latency records (``(start_ns, latency_ns, ...)``) in start
+        order, to every detector that reads them."""
+        self.latencies_observed += len(records)
         for detector in self.detectors:
-            detector.observe_latency(start_ns, latency_ns)
+            detector.observe_latencies(records)
+
+    def observe_latency(self, start_ns: int, latency_ns: int) -> None:
+        """One latency record: a batch of one."""
+        self.observe_latencies(((start_ns, latency_ns),))
+
+    @property
+    def stretch_ns(self) -> Optional[int]:
+        """The narrowest detector window (``None`` without one): the
+        widest stretch of event time a replay may hand over at once."""
+        return min((key[0] for key, _ in self._window_groups),
+                   default=None)
 
     def finalize(self, now_ns: int = 0) -> None:
         """Flush pending state; safe to call again after more feed.

@@ -522,16 +522,6 @@ class ShardedDocumentStore:
         return list(heap_merge(*parts,
                                key=lambda pair: rank.get(pair[0], last)))
 
-    def stream(self, index: str,
-               query: Optional[dict] = None) -> Iterator[tuple[str, dict]]:
-        """Iterate matches shard by shard (no ordering guarantees —
-        same contract as the single store)."""
-        self.queries += 1
-        self._state(index)
-        shards = self._query_shards(index, query)
-        for i in shards:
-            yield from self.shards[i].stream(index, query)
-
     # -- aggregation partial merge -------------------------------------
 
     def _coordinator_cache_key(self, index: str, query, aggs,

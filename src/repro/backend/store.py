@@ -490,31 +490,6 @@ class Index:
             parts.append(batch)
         return doc_ids, JoinedBatch(parts)
 
-    def iter_matches(self, query: Optional[dict],
-                     plan: Optional[QueryPlan] = None
-                     ) -> Iterator[tuple[str, dict]]:
-        """Yield matches without ordering guarantees (analytics path)."""
-        predicate = compile_query(query)
-        if plan is None:
-            plan = self.plan(query)
-        self._hydrate()
-        docs = self._docs
-        if plan.ids is None:
-            if plan.exact:
-                yield from docs.items()
-            else:
-                for doc_id, source in docs.items():
-                    if predicate(source):
-                        yield doc_id, source
-        elif plan.exact:
-            for doc_id in plan.ids:
-                yield doc_id, docs[doc_id]
-        else:
-            for doc_id in plan.ids:
-                source = docs[doc_id]
-                if predicate(source):
-                    yield doc_id, source
-
     def count(self, query: Optional[dict],
               plan: Optional[QueryPlan] = None) -> int:
         """Number of matches, without materialising (id, source) pairs."""
@@ -930,13 +905,6 @@ class DocumentStore:
         self.queries += 1
         target = self._index(index)
         return target.lanes(query, self._plan(target, query))
-
-    def stream(self, index: str,
-               query: Optional[dict] = None) -> Iterator[tuple[str, dict]]:
-        """Iterate matches without materialising or ordering them."""
-        self.queries += 1
-        target = self._index(index)
-        return target.iter_matches(query, self._plan(target, query))
 
     def _run_kernels(self, target: Index, aggs: dict, rows) -> dict:
         """One timed columnar kernel run (``supports`` said yes)."""

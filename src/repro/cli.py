@@ -772,7 +772,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="diagnose only this session")
     p_diag.add_argument("--follow", action="store_true",
                         help="print streaming findings incrementally, "
-                             "with emission timestamps")
+                             "with emission timestamps (a stored session "
+                             "replays in stretches one detector window "
+                             "wide; findings of one stretch print in "
+                             "emission-time, detector, title order)")
     p_diag.add_argument("--json", action="store_true",
                         help="emit the diagnosis report as JSON")
     p_diag.set_defaults(func=_cmd_diagnose)

@@ -93,8 +93,8 @@ class TracerConfig:
     ship_base_ns: int = 1_500_000
     #: Incremental cost per event in a bulk request (ns).
     ship_ns_per_event: int = 500
-    #: Bulk-request attempts before a batch is spilled (or, with
-    #: ``spill_enabled=False``, the failure turns fatal).
+    #: Bulk-request attempts before a batch is spilled to the
+    #: dead-letter WAL (replayed on recovery).
     ship_max_retries: int = 5
     #: Base delay of the decorrelated-jitter retry backoff (ns).
     ship_retry_backoff_ns: int = 10_000_000
@@ -119,9 +119,6 @@ class TracerConfig:
     #: Floor of the adaptive batch size (it halves on failure and
     #: doubles back on success, between this and ``batch_size``).
     batch_min_size: int = 16
-    #: Spill batches that exhausted their retries to the dead-letter
-    #: WAL (replayed on recovery) instead of raising.
-    spill_enabled: bool = True
     #: Cost of appending one record to the spill WAL (ns).
     spill_write_ns_per_event: int = 200
     #: Replay failures tolerated *during shutdown* before the consumer
@@ -227,7 +224,6 @@ class TracerConfig:
             [resilience]
             backpressure_policy = "drop"
             breaker_failure_threshold = 5
-            spill_enabled = true
 
             [storage]
             dir = "/var/lib/dio/run-42"
@@ -300,7 +296,6 @@ _TOML_KEYS: dict[str, dict[str, tuple]] = {
             ("max_inflight_events", int),
             ("backpressure_policy", str),
             ("batch_min_size", int),
-            ("spill_enabled", bool),
             ("spill_write_ns_per_event", int),
             ("spill_replay_failure_budget", int),
             ("ship_max_retries", int),

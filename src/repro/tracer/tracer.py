@@ -599,8 +599,7 @@ class DIOTracer:
 
         Success retires the batch; failure backs off, trips the
         breaker/batcher, and — once ``ship_max_retries`` attempts are
-        spent — spills the batch to the dead-letter WAL (or re-raises
-        when spilling is disabled, the pre-resilience behaviour).
+        spent — spills the batch to the dead-letter WAL.
         """
         config = self.config
         head = self._staged[0]
@@ -624,8 +623,6 @@ class DIOTracer:
                 self._batcher.on_failure()
                 self._next_attempt_ns = now + self._backoff.next_delay_ns()
                 if head.attempts >= config.ship_max_retries:
-                    if not config.spill_enabled:
-                        raise
                     write_ns = config.spill_write_ns_per_event * len(docs)
                     if write_ns:
                         yield self.env.timeout(write_ns)

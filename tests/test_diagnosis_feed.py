@@ -1,0 +1,693 @@
+"""One feed and one transition loop are the paths they replaced.
+
+The diagnosis layer used to walk a session with two of everything: a
+per-event ``observe`` body beside every detector's per-batch body, a
+time-merged item-by-item replay beside the consumer's batches, and
+three copies of the loop that records a DFG transition.  Production
+keeps one of each; the other is kept here, as it was, as the oracle:
+
+1. the **per-event detector bodies** (``PerEvent*``) — what
+   ``observe``/``observe_latency`` did to a detector's state, one item
+   at a time, closing windows after every item;
+2. the **merged feed** (:func:`merged_feed`, :func:`per_event_replay`)
+   — events and latency records interleaved by time and fed one by one,
+   which is what ``follow_session``'s stretches must equal;
+3. the **per-thread graphs, then merge** (:class:`OracleGraph`,
+   :func:`oracle_merged_dfg`) — one single-chain graph per TID folded
+   edge by edge into a session graph, which is what a ``per_thread``
+   graph's one loop must equal.
+
+Last, the test the bug fix needs: a live tap that gets its latency
+records after the run reports what the replay of its own store does.
+"""
+
+import heapq
+from operator import itemgetter
+from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.detectors import Finding, make_evidence
+from repro.analysis.dfg import (START, DirectlyFollowsGraph, EdgeStats,
+                                merged_dfg)
+from repro.analysis.diagnose import diagnose_session, follow_session
+from repro.analysis.session import SessionEvents
+from repro.analysis.streaming import (MAX_EVIDENCE_IDS, MAX_TRACKED_PIDS,
+                                      MAX_TRACKED_PROCS, MAX_TRACKED_TAGS,
+                                      MAX_WINDOW_SAMPLES, DiagnosisTap,
+                                      StreamingContentionDetector,
+                                      StreamingDFGMiner,
+                                      StreamingFdLeakDetector,
+                                      StreamingSpikeAttributor,
+                                      StreamingStaleOffsetDetector,
+                                      StreamingUringLagDetector,
+                                      StreamingWriteAmplificationDetector,
+                                      _capped_insert, _WindowState,
+                                      default_streaming_detectors)
+from repro.backend import DocumentStore
+from repro.experiments import run_rocksdb_case
+from repro.experiments.rocksdb_case import RocksDBScale
+
+INDEX = "dio_trace"
+SESSION = "feed"
+
+_READS = ("read", "pread64", "readv")
+_WRITES = ("write", "pwrite64", "writev")
+_OPENS = ("open", "openat", "creat")
+_URING = ("uring_read", "uring_write", "uring_fsync")
+
+
+# ----------------------------------------------------------------------
+# Oracle 1: the per-event detector bodies, as they were
+
+class PerEventStaleOffset(StreamingStaleOffsetDetector):
+    def observe(self, source, event_id=None):
+        if source["syscall"] not in _READS:
+            return
+        tag = source.get("file_tag")
+        if tag is None:
+            return
+        state = _capped_insert(self._tags, tag, dict, MAX_TRACKED_TAGS)
+        if not state:                      # first read of this tag
+            offset = source.get("offset")
+            suspicious = (offset is not None and offset > 0
+                          and source["ret"] == 0)
+            state.update(suspicious=suspicious, confirmed=False,
+                         empty_reads=0, offset=offset,
+                         proc_name=source["proc_name"],
+                         file_path=source.get("file_path"),
+                         first_ns=source.get("time", 0),
+                         last_ns=source.get("time", 0), ids=[])
+            if suspicious and event_id is not None:
+                state["ids"].append(event_id)
+            return
+        if not state.get("suspicious") or state.get("confirmed"):
+            return
+        state["last_ns"] = source.get("time", 0)
+        if source["ret"] > 0:              # data arrived: all clear
+            state["suspicious"] = False
+            return
+        state["empty_reads"] += 1
+        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
+            state["ids"].append(event_id)
+        if state["empty_reads"] >= self.confirm_after:
+            self._confirm(source.get("file_tag"), state)
+
+
+class PerEventFdLeak(StreamingFdLeakDetector):
+    def observe(self, source, event_id=None):
+        syscall = source["syscall"]
+        if syscall not in _OPENS + ("close",):
+            return
+        if source["ret"] < 0:
+            return
+        state = _capped_insert(
+            self._pids, source["pid"],
+            lambda: {"open": 0, "watermark": 0, "opens": 0, "closes": 0,
+                     "flagged": False, "ids": [],
+                     "first_ns": source.get("time", 0), "last_ns": 0},
+            MAX_TRACKED_PIDS)
+        state["last_ns"] = source.get("time", 0)
+        if syscall == "close":
+            state["closes"] += 1
+            state["open"] = max(0, state["open"] - 1)
+            return
+        state["opens"] += 1
+        state["open"] += 1
+        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
+            state["ids"].append(event_id)
+        if state["open"] > state["watermark"]:
+            state["watermark"] = state["open"]
+            if state["watermark"] >= self.min_unclosed \
+                    and not state["flagged"]:
+                state["flagged"] = True
+                self._emit(state["last_ns"], Finding(
+                    detector=self.name,
+                    severity="warning",
+                    title=(f"pid {source['pid']}: descriptor watermark "
+                           f"reached {state['watermark']} "
+                           f"({state['opens']} opens vs "
+                           f"{state['closes']} closes so far)"),
+                    details={"pid": source["pid"],
+                             "watermark": state["watermark"],
+                             "opens": state["opens"],
+                             "closes": state["closes"]},
+                    evidence=make_evidence(state["ids"],
+                                           state["first_ns"],
+                                           state["last_ns"]),
+                ))
+
+
+class PerEventUringLag(StreamingUringLagDetector):
+    def observe(self, source, event_id=None):
+        if source["syscall"] not in _URING:
+            return
+        lag = source.get("duration_ns")
+        if lag is None:
+            return
+        state = _capped_insert(
+            self._pids, source["pid"],
+            lambda: {"count": 0, "total_lag": 0, "max_lag": 0,
+                     "flagged": False, "ids": [],
+                     "first_ns": source.get("time", 0)},
+            MAX_TRACKED_PIDS)
+        now_ns = source.get("time", 0)
+        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
+            state["ids"].append(event_id)
+        if state["count"] >= self.min_samples and not state["flagged"]:
+            mean = state["total_lag"] / state["count"]
+            if lag >= self.min_lag_ns and lag >= mean * self.baseline_factor:
+                state["flagged"] = True
+                self._emit(now_ns, Finding(
+                    detector=self.name,
+                    severity="warning",
+                    title=(f"pid {source['pid']}: io_uring completion "
+                           f"lag {lag / 1e6:.2f} ms is "
+                           f"{lag / mean:.0f}x the baseline "
+                           f"{mean / 1e6:.3f} ms over "
+                           f"{state['count']} completions"),
+                    details={"pid": source["pid"],
+                             "lag_ns": int(lag),
+                             "baseline_ns": int(mean),
+                             "completions": state["count"],
+                             "op": source["syscall"]},
+                    evidence=make_evidence(state["ids"],
+                                           state["first_ns"], now_ns),
+                ))
+        state["count"] += 1
+        state["total_lag"] += lag
+        if lag > state["max_lag"]:
+            state["max_lag"] = lag
+
+
+class PerEventWriteAmplification(StreamingWriteAmplificationDetector):
+    def observe(self, source, event_id=None):
+        if source["syscall"] not in _WRITES or source["ret"] <= 0:
+            return
+        time_ns = source.get("time", 0)
+        if self._first_ns is None:
+            self._first_ns = time_ns
+        self._last_ns = max(self._last_ns, time_ns)
+        size = source["ret"]
+        self.total_bytes += size
+        proc = source["proc_name"]
+        if proc == self.client_comm:
+            self.client_bytes += size
+            return
+        if proc in self._per_proc:
+            self._per_proc[proc] += size
+        elif len(self._per_proc) < MAX_TRACKED_PROCS:
+            self._per_proc[proc] = size
+
+
+class _PerEventWindows:
+    """``_WindowedDetector.observe`` + ``_window_state``, as they were:
+    one event into its window, then a watermark close."""
+
+    def _window_state(self, time_ns):
+        start = (time_ns // self.window_ns) * self.window_ns
+        state = self._windows.get(start)
+        if state is None:
+            state = self._windows[start] = _WindowState()
+        return state
+
+    def observe(self, source, event_id=None):
+        time_ns = source.get("time", 0)
+        self._max_ns = max(self._max_ns, time_ns)
+        state = self._window_state(time_ns)
+        proc = source["proc_name"]
+        if proc == self.client_comm:
+            state.client_count += 1
+        elif proc.startswith(self.background_prefix):
+            state.bg_tids.add(source["tid"])
+            activity = state.bg_activity.get(proc)
+            if activity is None:
+                if len(state.bg_activity) < MAX_TRACKED_PROCS:
+                    activity = state.bg_activity[proc] = [0, 0]
+            if activity is not None:
+                activity[0] += 1
+                if source["ret"] > 0 and source["syscall"] in (
+                        _READS + _WRITES):
+                    activity[1] += source["ret"]
+            if event_id is not None and len(state.ids) < MAX_EVIDENCE_IDS:
+                state.ids.append(event_id)
+        self._close_ready()
+
+
+class PerEventContention(_PerEventWindows, StreamingContentionDetector):
+    pass
+
+
+class PerEventSpike(_PerEventWindows, StreamingSpikeAttributor):
+    def observe_latency(self, start_ns, latency_ns):
+        self._max_ns = max(self._max_ns, start_ns)
+        start = (start_ns // self.window_ns) * self.window_ns
+        samples = self._latencies.setdefault(start, [])
+        if len(samples) < MAX_WINDOW_SAMPLES:
+            samples.append(latency_ns)
+        self._close_ready()
+
+
+#: Battery order of ``default_streaming_detectors``.
+PRODUCTION = (StreamingStaleOffsetDetector, StreamingFdLeakDetector,
+              StreamingContentionDetector, StreamingSpikeAttributor,
+              StreamingWriteAmplificationDetector,
+              StreamingUringLagDetector)
+PER_EVENT = (PerEventStaleOffset, PerEventFdLeak, PerEventContention,
+             PerEventSpike, PerEventWriteAmplification, PerEventUringLag)
+
+#: Default battery: 100 ms windows, so one tick of a generated stream
+#: is 10 ms and a window is ten ticks.
+DEFAULT_TICK = 10_000_000
+
+
+def default_battery(classes):
+    return [cls() for cls in classes]
+
+
+def uneven_battery(classes):
+    """The two windowed detectors on different widths, neither a
+    multiple of the other; thresholds low enough that small streams
+    trip them.  One tick is 1 ns."""
+    stale, fd, contention, spike, amplification, lag = classes
+    return [stale(confirm_after=2), fd(min_unclosed=3),
+            contention(window_ns=10, min_threads=2, min_windows=1),
+            spike(window_ns=15, spike_factor=1.5),
+            amplification(min_client_bytes=1),
+            lag(min_lag_ns=5, baseline_factor=2.0, min_samples=2)]
+
+
+def test_the_default_twin_is_the_default_battery():
+    for ours, default in zip(default_battery(PRODUCTION),
+                             default_streaming_detectors()):
+        assert type(ours) is type(default)
+        assert ({k: v for k, v in vars(ours).items() if k[0] != "_"}
+                == {k: v for k, v in vars(default).items() if k[0] != "_"})
+
+
+# ----------------------------------------------------------------------
+# Oracle 2: events and latency records merged by time, one at a time
+
+def _feed_time(item):
+    return item[2].get("time", 0) if item[0] == "event" else item[1]
+
+
+def merged_feed(events, latency_records):
+    """``diagnose._merged_feed``, as it was: each side keeps its own
+    order and, on a tie, an event precedes a record of the same time."""
+    return heapq.merge(
+        (("event", event_id, source) for event_id, source in events),
+        (("latency", record[0], record[1])
+         for record in sorted(latency_records or (), key=itemgetter(0))),
+        key=_feed_time)
+
+
+def per_event_replay(events, latency_records, detectors):
+    """``follow_session`` + ``DiagnosisTap.observe``, as they were."""
+    for kind, first, second in merged_feed(events, latency_records):
+        for detector in detectors:
+            if kind == "event":
+                detector.observe(second, first)
+            else:
+                detector.observe_latency(first, second)
+    for detector in detectors:
+        detector.finalize()
+    return detectors
+
+
+def emitted(detectors):
+    """Everything a battery said, per detector, in emission order —
+    emit time, title, details and evidence ids included — and what its
+    windows held when they closed: the spike attributor's p99 of every
+    sampled window in closing order, the contention detector's tallies
+    (a window closed early or twice shows here even when no finding
+    comes of it)."""
+    said = []
+    for detector in detectors:
+        state = [(emit_ns, finding.as_dict())
+                 for emit_ns, finding in detector.emitted]
+        if isinstance(detector, StreamingSpikeAttributor):
+            state.append((list(detector._baseline), detector.spikes_found,
+                          dict(detector._culprits)))
+        if isinstance(detector, StreamingContentionDetector):
+            state.append((detector.calm_windows, detector.contended_windows,
+                          detector.client_rate_calm,
+                          detector.client_rate_contended))
+        said.append((detector.name, state))
+    return said
+
+
+# ----------------------------------------------------------------------
+# Streams
+
+PROCS = ("db_bench", "rocksdb:low0", "rocksdb:low1", "rocksdb:low2",
+         "rocksdb:high0", "fluent-bit")
+SYSCALLS = ("read", "pread64", "write", "pwrite64", "openat", "close",
+            "fsync") + _URING[:2]
+
+events_st = st.lists(st.fixed_dictionaries(
+    {"syscall": st.sampled_from(SYSCALLS),
+     "proc_name": st.sampled_from(PROCS),
+     "pid": st.integers(1, 3),
+     "tid": st.integers(1, 6),
+     "ret": st.sampled_from((-2, 0, 0, 1, 64, 4096))},
+    optional={"file_tag": st.sampled_from(("7 1 1", "7 2 1", "7 3 1")),
+              "offset": st.sampled_from((0, 26, 4096)),
+              "duration_ns": st.sampled_from((1, 1, 2, 9, 100)),
+              "file_path": st.sampled_from(("/a.log", "/db/1.sst"))}),
+    max_size=70)
+#: Mostly tiny steps — equal times and crowded windows (more than
+#: MAX_EVIDENCE_IDS background events in one) are the common case —
+#: with the odd jump over several windows.
+steps_st = st.lists(st.sampled_from((0, 0, 0, 1, 1, 2, 5, 13, 27)),
+                    min_size=70, max_size=70)
+records_st = st.lists(st.tuples(st.integers(0, 160),
+                                st.sampled_from((1, 1, 1, 2, 3, 40, 90))),
+                      max_size=50)
+
+
+def timed(events, steps, untimed, tick):
+    """The stream in stored order: ``untimed`` events without a
+    ``time`` first (the store sorts them there, the feed reads them as
+    time 0), the rest at non-decreasing times."""
+    out, clock = [], 0
+    for n, (event, step) in enumerate(zip(events, steps)):
+        event = dict(event, session=SESSION)
+        if n >= untimed:
+            clock += step
+            event["time"] = clock * tick
+        out.append(event)
+    return out
+
+
+def stored(stream):
+    store = DocumentStore()
+    store.bulk(INDEX, [dict(event) for event in stream])
+    return store
+
+
+def check_replay_equals_per_event_merge(stream, records, battery):
+    store = stored(stream)
+    events = SessionEvents(store, INDEX, SESSION).events
+    assert [source for _, source in events] == stream
+    tap = follow_session(store, INDEX, SESSION,
+                         tap=DiagnosisTap(battery(PRODUCTION), dfg=False),
+                         latency_records=records)
+    oracle = per_event_replay(events, records, battery(PER_EVENT))
+    assert emitted(tap.detectors) == emitted(oracle)
+    return tap
+
+
+# ----------------------------------------------------------------------
+# (a) follow_session is the per-event merged replay
+
+@settings(max_examples=150, deadline=None)
+@given(events=events_st, steps=steps_st, untimed=st.integers(0, 2),
+       records=records_st)
+def test_replay_equals_per_event_merge_default_battery(events, steps,
+                                                       untimed, records):
+    records = [(start * DEFAULT_TICK, latency) for start, latency in records]
+    check_replay_equals_per_event_merge(
+        timed(events, steps, untimed, DEFAULT_TICK), records,
+        default_battery)
+
+
+@settings(max_examples=250, deadline=None)
+@given(events=events_st, steps=steps_st, untimed=st.integers(0, 2),
+       records=records_st)
+def test_replay_equals_per_event_merge_uneven_windows(events, steps,
+                                                      untimed, records):
+    check_replay_equals_per_event_merge(
+        timed(events, steps, untimed, 1), records, uneven_battery)
+
+
+def busy_session(tick):
+    """A stream on which every detector of the default battery fires:
+    calm and contended 100 ms windows with latency samples (spikes in
+    the contended ones, each holding far more background events than a
+    finding links), a descriptor leak, a stale-offset resume, a lagging
+    ring completion and amplified writes."""
+    stream, records = [], []
+
+    def at(tick_no, syscall, proc, tid, ret, **extra):
+        stream.append(dict(syscall=syscall, proc_name=proc, pid=tid // 100,
+                           tid=tid, ret=ret, time=tick_no * tick,
+                           session=SESSION, **extra))
+
+    for window in range(14):
+        base = window * 10
+        contended = window >= 6 and window % 2 == 0
+        for n in range(10):
+            at(base + n, "write", "db_bench", 100 + n % 4, 4096)
+            records.append(((base + n) * tick, 90 if contended else 1))
+        if contended:
+            for thread in range(6):
+                for n in range(4):
+                    at(base + n, "pwrite64", f"rocksdb:low{thread}",
+                       200 + thread, 262_144)
+    for n in range(5):
+        at(3, "openat", "db_bench", 101, 3 + n)
+    at(4, "read", "fluent-bit", 301, 0, file_tag="7 9 1", offset=26,
+       file_path="/app.log")
+    for n in range(3):
+        at(5 + n, "read", "fluent-bit", 301, 0, file_tag="7 9 1",
+           offset=26)
+    for n in range(20):
+        at(20 + n, "uring_read", "db_bench", 102, 4096, duration_ns=1000)
+    at(41, "uring_read", "db_bench", 102, 4096, duration_ns=80_000_000)
+    stream.sort(key=itemgetter("time"))
+    return stream, records[::-1]
+
+
+def test_replay_equals_per_event_merge_when_everything_fires():
+    check_replay_equals_per_event_merge(*busy_session(1), uneven_battery)
+    stream, records = busy_session(DEFAULT_TICK)
+    tap = check_replay_equals_per_event_merge(stream, records,
+                                              default_battery)
+    fired = {finding.detector for _, finding in tap.findings()}
+    assert fired == {cls.name for cls in PRODUCTION}
+    spikes = [finding for _, finding in tap.findings()
+              if finding.detector == "latency-spike-blame"]
+    assert len(spikes) == 4
+    assert all(len(finding.evidence["event_ids"]) == MAX_EVIDENCE_IDS
+               for finding in spikes)
+
+
+# ----------------------------------------------------------------------
+# (b) any batching is one batch, and observe is a batch of one
+
+def cut(items, points):
+    """``items`` split at ``points`` (any integers: folded into range)."""
+    bounds = sorted({point % (len(items) + 1) for point in points})
+    return [items[lo:hi]
+            for lo, hi in zip([0] + bounds, bounds + [len(items)])]
+
+
+def fed(tap, event_batches, records):
+    """The live shape: every event first, then the latency records —
+    as one batch, the way ``diagnose_session`` hands them to a live
+    tap.  (Late records fed one call at a time would each find their
+    window already behind the watermark and close it alone.)"""
+    for batch in event_batches:
+        tap.observe_batch([source for _, source in batch],
+                          [event_id for event_id, _ in batch])
+    tap.observe_latencies(records)
+    tap.finalize()
+    return (emitted(tap.detectors), tap.dfg.graph.as_dict(),
+            tap.dfg.phases, tap.events_observed, tap.latencies_observed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=events_st, steps=steps_st, untimed=st.integers(0, 2),
+       records=records_st, points=st.lists(st.integers(0, 200), max_size=8))
+def test_any_batching_is_one_batch(events, steps, untimed, records, points):
+    stream = timed(events, steps, untimed, 1)
+    pairs = [(f"id{n}", source) for n, source in enumerate(stream)]
+    records = sorted(records, key=itemgetter(0))
+
+    def tap():
+        return DiagnosisTap(uneven_battery(PRODUCTION))
+
+    whole = fed(tap(), [pairs], records)
+    assert fed(tap(), cut(pairs, points), records) == whole
+
+    single = tap()
+    for event_id, source in pairs:
+        single.observe(source, event_id)
+    assert fed(single, [], records) == whole
+
+
+# ----------------------------------------------------------------------
+# Oracle 3: one graph per thread, then an edge-by-edge merge
+
+def edge_observe(stats, gap_ns):
+    """``EdgeStats.observe``, as it was."""
+    stats.count += 1
+    if gap_ns < 0:
+        gap_ns = 0
+    stats.gap_total_ns += gap_ns
+    if stats.gap_min_ns is None or gap_ns < stats.gap_min_ns:
+        stats.gap_min_ns = gap_ns
+    if gap_ns > stats.gap_max_ns:
+        stats.gap_max_ns = gap_ns
+
+
+class OracleGraph(DirectlyFollowsGraph):
+    """The single-chain, per-event ``DirectlyFollowsGraph.observe``."""
+
+    def __init__(self, name="", node_mode="syscall"):
+        super().__init__(name, node_mode)
+        self._prev_node = None
+        self._prev_ns = 0
+
+    def observe(self, source):
+        node = self.node_for(source)
+        time_ns = source.get("time", 0)
+        self.events += 1
+        self.node_counts[node] = self.node_counts.get(node, 0) + 1
+        if self.first_ns is None:
+            self.first_ns = time_ns
+        self.last_ns = max(self.last_ns, time_ns)
+        prev = self._prev_node if self._prev_node is not None else START
+        key = (prev, node)
+        stats = self.edges.get(key)
+        if stats is None:
+            stats = self.edges[key] = EdgeStats()
+        edge_observe(stats, time_ns - self._prev_ns if prev != START else 0)
+        self._prev_node = node
+        self._prev_ns = time_ns
+        return node
+
+
+def oracle_merged_dfg(stream, name, node_mode):
+    """``merged_dfg``, as it was."""
+    merged = OracleGraph(name, node_mode)
+    per_thread = {}
+    for source in stream:
+        tid = source["tid"]
+        graph = per_thread.get(tid)
+        if graph is None:
+            graph = per_thread[tid] = OracleGraph(str(tid), node_mode)
+        graph.observe(source)
+    for graph in per_thread.values():
+        merged.events += graph.events
+        if graph.first_ns is not None:
+            if merged.first_ns is None or graph.first_ns < merged.first_ns:
+                merged.first_ns = graph.first_ns
+        merged.last_ns = max(merged.last_ns, graph.last_ns)
+        for node, count in graph.node_counts.items():
+            merged.node_counts[node] = (
+                merged.node_counts.get(node, 0) + count)
+        for edge, stats in graph.edges.items():
+            into = merged.edges.get(edge)
+            if into is None:
+                into = merged.edges[edge] = EdgeStats()
+            into.count += stats.count
+            into.gap_total_ns += stats.gap_total_ns
+            if stats.gap_min_ns is not None and (
+                    into.gap_min_ns is None
+                    or stats.gap_min_ns < into.gap_min_ns):
+                into.gap_min_ns = stats.gap_min_ns
+            into.gap_max_ns = max(into.gap_max_ns, stats.gap_max_ns)
+    return merged
+
+
+# ----------------------------------------------------------------------
+# (c) the one transition loop is the three it replaced
+
+#: Times in any order: within a thread a gap may run backwards (it
+#: counts as 0), and the earliest event need not be the first.
+dfg_stream_st = st.lists(st.fixed_dictionaries(
+    {"syscall": st.sampled_from(("read", "write", "fsync", "close")),
+     "tid": st.integers(1, 4),
+     "pid": st.integers(1, 2)},
+    optional={"time": st.integers(0, 50),
+              "file_path": st.sampled_from(("/a.log", "/db/1.sst", "")),
+              "args": st.sampled_from((None, {}, {"path": "/x.wal"}))}),
+    max_size=60)
+node_modes = st.sampled_from(("syscall", "syscall_fileclass"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=dfg_stream_st, node_mode=node_modes,
+       batch=st.integers(1, 20))
+def test_per_thread_loop_equals_graphs_then_merge(stream, node_mode, batch):
+    oracle = oracle_merged_dfg(stream, "stream", node_mode).as_dict()
+    graph = DirectlyFollowsGraph("stream", node_mode, per_thread=True)
+    graph.observe_batch(stream)
+    assert graph.as_dict() == oracle
+    view = SimpleNamespace(events=[(None, source) for source in stream])
+    assert merged_dfg(None, "stream", None, node_mode,
+                      view=view).as_dict() == oracle
+    miner = StreamingDFGMiner(node_mode)
+    for lo in range(0, len(stream), batch):
+        miner.observe_batch(stream[lo:lo + batch])
+    assert miner.graph.as_dict() == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=dfg_stream_st, node_mode=node_modes,
+       batch=st.integers(1, 20))
+def test_single_chain_loop_equals_per_event_observe(stream, node_mode,
+                                                    batch):
+    oracle = OracleGraph("g", node_mode)
+    nodes = [oracle.observe(source) for source in stream]
+    whole = DirectlyFollowsGraph("g", node_mode)
+    assert whole.observe_batch(stream) == nodes
+    assert whole.as_dict() == oracle.as_dict()
+    pieces = DirectlyFollowsGraph("g", node_mode)
+    for lo in range(0, len(stream), batch):
+        pieces.observe_batch(stream[lo:lo + batch])
+    assert pieces.as_dict() == oracle.as_dict()
+    single = DirectlyFollowsGraph("g", node_mode)
+    assert [single.observe(source) for source in stream] == nodes
+    assert single.as_dict() == oracle.as_dict()
+
+
+def test_miner_in_consumer_sized_batches_holds_the_session_graph():
+    stream, _ = busy_session(DEFAULT_TICK)
+    stream = stream * 6                 # time runs backwards five times
+    assert len(stream) > 3 * 512
+    miner = StreamingDFGMiner()
+    for lo in range(0, len(stream), 512):
+        miner.observe_batch(stream[lo:lo + 512])
+    assert miner.graph.as_dict() == oracle_merged_dfg(
+        stream, "stream", "syscall").as_dict()
+    one_by_one = StreamingDFGMiner()
+    for source in stream:
+        one_by_one.observe(source)
+    assert one_by_one.phases == miner.phases > 1
+
+
+# ----------------------------------------------------------------------
+# Live tap ≡ replay of its own store (the paper's RocksDB case)
+
+def test_live_tap_reports_what_the_replay_of_its_store_does():
+    """The benchmark's latency records exist only after the run; a
+    live tap must still attribute the spikes the replay finds."""
+    live = DiagnosisTap()
+    case = run_rocksdb_case(RocksDBScale(duration_ns=2_000_000_000),
+                            tap=live)
+    records = case.bench.records()
+    replay = follow_session(case.store, INDEX, case.session,
+                            latency_records=records)
+    diagnose_session(case.store, case.session, tap=live,
+                     latency_records=records)
+
+    def shape(tap, detector=None):
+        # Evidence ids aside (nothing is stored yet on the consumer
+        # path); emit_ns aside for fd-leak, whose trigger depends on
+        # arrival order: the consumer drains the per-CPU rings
+        # round-robin, not in time order.
+        return sorted(
+            (finding.detector, finding.severity, finding.title,
+             sorted(finding.details.items()),
+             None if finding.detector == "fd-leak" else emit_ns)
+            for emit_ns, finding in tap.findings()
+            if detector in (None, finding.detector))
+
+    assert len(shape(replay, "latency-spike-blame")) == 5
+    assert (shape(live, "latency-spike-blame")
+            == shape(replay, "latency-spike-blame"))
+    assert len(shape(replay)) == 11
+    assert shape(live) == shape(replay)

@@ -66,29 +66,17 @@ class TestFlakyBackend:
         assert tracer.stats.shipped == 52
         assert store.count("dio_trace") == 52
 
-    def test_persistent_failure_eventually_fatal_without_spill(self):
-        """With the dead-letter WAL disabled, exhausted retries keep
-        the pre-resilience contract: the failure propagates."""
-        env = Environment()
-        kernel = Kernel(env, ncpus=2)
-        store = FlakyStore(failures=10_000)
-        config = TracerConfig(ship_max_retries=3,
-                              ship_retry_backoff_ns=1000,
-                              spill_enabled=False)
-        tracer = DIOTracer(env, kernel, store, config)
-        task = kernel.spawn_process("app").threads[0]
-        tracer.attach()
-
-        def main():
-            yield from writer_workload(kernel, task, writes=5)
-            yield from tracer.shutdown()
-
-        with pytest.raises(ConnectionError):
-            env.run(until=env.process(main()))
+    def test_spilling_is_not_optional(self):
+        """No knob turns the dead-letter WAL off: the field and its
+        TOML key are gone, and asking for either fails by name."""
+        with pytest.raises(TypeError, match="spill_enabled"):
+            TracerConfig(spill_enabled=False)
+        with pytest.raises(ValueError,
+                           match=r"'spill_enabled' in \[resilience\]"):
+            TracerConfig.from_toml("[resilience]\nspill_enabled = false\n")
 
     def test_persistent_failure_spills_instead_of_losing(self):
-        """With spilling on (the default), a permanently dead backend
-        never crashes the consumer or loses accepted records: every
+        """A permanently dead backend never crashes the consumer or loses accepted records: every
         batch that exhausts its retries lands in the dead-letter WAL,
         and shutdown gives up replaying after a bounded failure
         budget, leaving the records counted in the WAL."""

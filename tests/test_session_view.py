@@ -4,9 +4,10 @@
 streaming replay, the DFG and the phases from one
 :class:`~repro.analysis.session.SessionEvents`.  These tests hold that
 to a request budget on the public store surface, check that a shared
-view never changes an answer, pin whole reports byte-for-byte against
-hashes generated at the commit before the view existed, and keep the
-old sort-based replay feed as the oracle of the lazy merge.
+view never changes an answer, and pin whole reports byte-for-byte
+against hashes generated at the commit before the view existed.  (What
+the replay feeds the tap, and in what order, is
+``tests/test_diagnosis_feed.py``.)
 """
 
 import hashlib
@@ -14,13 +15,11 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.analysis.compare import _sequence
 from repro.analysis.detectors import DEFAULT_DETECTORS, run_detectors
 from repro.analysis.dfg import merged_dfg, mine_dfgs, mine_phases
-from repro.analysis.diagnose import (_merged_feed, diagnose_session,
-                                     follow_session)
+from repro.analysis.diagnose import diagnose_session, follow_session
 from repro.analysis.patterns import (classify_file_accesses,
                                      find_stale_offset_resumes)
 from repro.analysis.session import SessionEvents
@@ -209,35 +208,3 @@ def test_golden_reports(fluentbit, rocksdb):
     assert golden_reports(fluentbit, rocksdb) == json.loads(
         GOLDEN.read_text())
 
-
-# ----------------------------------------------------------------------
-# The replay feed: lazy merge against the sort it replaced
-
-def sorted_feed(events, latency_records):
-    """The pre-merge ``_merged_feed``: tag, sort, strip (the oracle)."""
-    feed = [(source.get("time", 0), 0, index, ("event", event_id, source))
-            for index, (event_id, source) in enumerate(events)]
-    feed += [(record[0], 1, index, ("latency", record[0], record[1]))
-             for index, record in enumerate(latency_records or ())]
-    feed.sort(key=lambda item: item[:3])
-    return [item[3] for item in feed]
-
-
-#: A narrow time range, so ties within and across the two sides are the
-#: common case rather than the rare one.
-_times = st.integers(min_value=0, max_value=6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(event_times=st.lists(_times, max_size=12), untimed=st.booleans(),
-       records=st.lists(st.tuples(_times, st.integers(0, 99)),
-                        max_size=12) | st.none())
-def test_merged_feed_equals_sorted_feed(event_times, untimed, records):
-    # Stored events arrive time-sorted (equal times in arrival order),
-    # one without a time first: the store sorts it there, the feed
-    # reads it as time 0.  Latency records arrive in any order.
-    events = [("untimed", {})] * untimed + [
-        (f"id{n}", {"time": time})
-        for n, time in enumerate(sorted(event_times))]
-    assert list(_merged_feed(events, records)) == sorted_feed(events,
-                                                              records)
