@@ -1,6 +1,6 @@
 """The unified diagnosis surface: one evidence-backed report.
 
-This is the layer ROADMAP item 4 asked for: the paper's two headline
+This is the automatic-diagnosis layer: the paper's two headline
 case studies (Fluent Bit data loss §III-B, RocksDB contention §III-C)
 diagnosed *automatically* instead of by a human reading dashboards.
 

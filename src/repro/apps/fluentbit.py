@@ -157,7 +157,7 @@ class FluentBit:
 
     def _handle_delete(self):
         """React to the tailed file being removed."""
-        yield self.env.timeout(self.delete_handling_ns)
+        yield self.delete_handling_ns
         if self._fd is not None:
             yield from self.kernel.syscall(self.task, "close", fd=self._fd)
             self._fd = None
@@ -278,7 +278,7 @@ class DirectoryTailer:
 
         while True:
             try:
-                yield self.env.timeout(self.poll_interval_ns)
+                yield self.poll_interval_ns
             except Interrupt:
                 break
             self._discover_new_files()

@@ -55,7 +55,7 @@ class LogWriterApp:
         write(26 B) → wait → unlink → wait → write(16 B).
         """
         yield from self.write_file(first)
-        yield self.env.timeout(self.write_delay_ns)
+        yield self.write_delay_ns
         yield from self.remove_file()
-        yield self.env.timeout(self.unlink_delay_ns)
+        yield self.unlink_delay_ns
         yield from self.write_file(second)

@@ -181,7 +181,7 @@ class RocksDB:
         if not self._opened:
             raise RuntimeError("database is not open")
         opts = self.options
-        yield self.env.timeout(opts.op_cpu_ns)
+        yield opts.op_cpu_ns
         # Write stall: L0 is saturated; wait for compactions to drain it.
         while len(self.levels[0]) >= opts.l0_stop_trigger:
             event = self.env.event()
@@ -246,7 +246,7 @@ class RocksDB:
         if not self._opened:
             raise RuntimeError("database is not open")
         self.stats.gets += 1
-        yield self.env.timeout(self.options.op_cpu_ns)
+        yield self.options.op_cpu_ns
         found = self.memtable.get(key)
         best = found  # (sequence, value)
         for memtable in reversed(self._immutable_list):
@@ -314,7 +314,7 @@ class RocksDB:
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
         self.stats.gets += 1
-        yield self.env.timeout(self.options.op_cpu_ns)
+        yield self.options.op_cpu_ns
 
         # Gather candidate versions per key from every source.
         candidates: dict[str, tuple[int, bytes]] = {}
@@ -438,7 +438,7 @@ class RocksDB:
             if not did_work:
                 # Inputs were locked by a concurrent job; back off so
                 # rescheduling cannot spin at a single instant.
-                yield self.env.timeout(self.COMPACTION_RETRY_NS)
+                yield self.COMPACTION_RETRY_NS
             self._maybe_schedule_compactions()
 
     def _pick_inputs(self, level: int):
@@ -509,7 +509,7 @@ class RocksDB:
             # Tombstones have shadowed everything below; drop them.
             entries = [entry for entry in entries
                        if entry[2] is not TOMBSTONE]
-        yield self.env.timeout(opts.merge_cpu_ns_per_entry * len(entries))
+        yield opts.merge_cpu_ns_per_entry * len(entries)
 
         # Write output files at the next level.
         outputs: list[SSTable] = []
@@ -648,7 +648,7 @@ class RocksDB:
 
         entries = [(key, seq, value)
                    for key, (seq, value) in sorted(merged.items())]
-        yield self.env.timeout(opts.merge_cpu_ns_per_entry * len(entries))
+        yield opts.merge_cpu_ns_per_entry * len(entries)
 
         outputs = []
         batch: list[tuple[str, int, bytes]] = []

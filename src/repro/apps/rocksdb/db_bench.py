@@ -10,7 +10,9 @@ per-thread aggregation (Fig. 4) distinguishes them from the
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_left
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -31,6 +33,22 @@ YCSB_WORKLOADS = {
 }
 
 
+#: Uniform doubles drawn from a generator per refill of a stream.
+DRAW_BLOCK = 1024
+
+
+def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
+    """The doubles successive ``rng.random()`` calls would return.
+
+    Drawn ``DRAW_BLOCK`` at a time — ``Generator.random(n)`` yields the
+    same values as ``n`` scalar calls — so a per-operation draw costs a
+    ``next()`` rather than a numpy scalar call.  The stream owns the
+    generator: draws taken past it would skip the rest of a block.
+    """
+    while True:
+        yield from rng.random(DRAW_BLOCK).tolist()
+
+
 class ZipfianGenerator:
     """Zipfian item sampling with YCSB-style scrambling.
 
@@ -38,6 +56,10 @@ class ZipfianGenerator:
     scattered across the key space instead of clustering at one end —
     matching YCSB's *scrambled* Zipfian and keeping hot keys spread
     over many SSTables.
+
+    :meth:`next` and :meth:`sample` consume one stream of uniform
+    draws in order, so any interleaving of the two yields the items
+    the same number of ``next()`` calls alone would.
     """
 
     def __init__(self, item_count: int, theta: float = ZIPFIAN_THETA,
@@ -48,23 +70,27 @@ class ZipfianGenerator:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
         self.item_count = item_count
         self.theta = theta
-        self._rng = np.random.default_rng(seed)
+        self._uniforms = uniform_stream(np.random.default_rng(seed))
         weights = 1.0 / np.power(np.arange(1, item_count + 1), theta)
-        self._cumulative = np.cumsum(weights / weights.sum())
+        # Plain lists: ``bisect_left`` on one is ``np.searchsorted`` on
+        # the array without the per-call wrapper.
+        self._cumulative = np.cumsum(weights / weights.sum()).tolist()
         # Scramble rank -> item id with a fixed permutation.
         permute_rng = np.random.default_rng(0xD10)
-        self._permutation = permute_rng.permutation(item_count)
+        self._permutation = permute_rng.permutation(item_count).tolist()
+
+    def _item(self, uniform: float) -> int:
+        rank = bisect_left(self._cumulative, uniform)
+        return self._permutation[min(rank, self.item_count - 1)]
 
     def next(self) -> int:
         """Sample one item id in ``[0, item_count)``."""
-        rank = int(np.searchsorted(self._cumulative, self._rng.random()))
-        return int(self._permutation[min(rank, self.item_count - 1)])
+        return self._item(next(self._uniforms))
 
     def sample(self, n: int) -> np.ndarray:
         """Sample ``n`` item ids at once."""
-        ranks = np.searchsorted(self._cumulative, self._rng.random(n))
-        ranks = np.minimum(ranks, self.item_count - 1)
-        return self._permutation[ranks]
+        return np.fromiter(map(self._item, islice(self._uniforms, n)),
+                           dtype=np.int64, count=n)
 
 
 class BenchResult:
@@ -208,11 +234,12 @@ class DBBench:
                      result: BenchResult, deadline: Optional[int],
                      max_ops: Optional[int]):
         value = b"\x2a" * self.value_size
+        uniforms = uniform_stream(rng)
         completed = 0
         while ((deadline is None or self.env.now < deadline)
                and (max_ops is None or completed < max_ops)):
             key = key_name(zipf.next())
-            is_read = rng.random() < self.read_fraction
+            is_read = next(uniforms) < self.read_fraction
             start = self.env.now
             if is_read:
                 yield from self.db.get(task, key)

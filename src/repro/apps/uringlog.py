@@ -103,7 +103,7 @@ class UringLogApp:
                 ret = yield from kernel.syscall(task, "fsync", fd=fd)
                 if ret == 0:
                     self.fsyncs_confirmed += 1
-            yield self.env.timeout(self.inter_batch_ns)
+            yield self.inter_batch_ns
         yield from kernel.syscall(task, "close", fd=fd)
 
     # -- io_uring mode ----------------------------------------------
@@ -173,7 +173,7 @@ class UringLogApp:
                     self.fsyncs_confirmed += 1
                 else:
                     self.errors.append((cqe.user_data, cqe.res))
-            yield self.env.timeout(self.inter_batch_ns)
+            yield self.inter_batch_ns
         yield from kernel.syscall(task, "close", fd=ring_fd)
         yield from kernel.syscall(task, "close", fd=fd)
 

@@ -1,7 +1,7 @@
 """Segment-based storage engine with a compact binary format.
 
-The LSM-flavoured replacement for whole-session JSON-lines persistence
-(ROADMAP item 2): acknowledged documents accumulate in a buffer whose
+The LSM-flavoured replacement for whole-session JSON-lines
+persistence: acknowledged documents accumulate in a buffer whose
 durable mirror is a :class:`~repro.backend.wal.WriteAheadLog`; when the
 buffer reaches ``flush_events`` rows it is sealed into an *immutable,
 time-sorted segment file* and the WAL is truncated.  Background

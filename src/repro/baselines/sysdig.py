@@ -162,9 +162,9 @@ class SysdigTracer:
             if not batch:
                 if not self._running:
                     break
-                yield self.env.timeout(self.poll_interval_ns)
+                yield self.poll_interval_ns
                 continue
-            yield self.env.timeout(self.consume_ns_per_event * len(batch))
+            yield self.consume_ns_per_event * len(batch)
             for record in batch:
                 if record[0] == "exit":
                     self._handle_exit_record(record)

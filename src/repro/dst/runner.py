@@ -383,7 +383,7 @@ def execute_pipeline(scenario: Scenario, *, oracle: bool = False,
         for op in spec["ops"]:
             delay = op.get("d", 0)
             if delay:
-                yield env.timeout(delay)
+                yield delay
             name = op["sc"]
             if name in _URING_OPS:
                 yield from _run_uring_op(kernel, task, state, op)
@@ -404,9 +404,9 @@ def execute_pipeline(scenario: Scenario, *, oracle: bool = False,
     def crash_schedule():
         for at_ns in sorted(scenario.consumer_crashes):
             if at_ns > env.now:
-                yield env.timeout(at_ns - env.now)
+                yield at_ns - env.now
             tracer.kill_consumer()
-            yield env.timeout(scenario.consumer_restart_delay_ns)
+            yield scenario.consumer_restart_delay_ns
             tracer.restart_consumer()
 
     def main():

@@ -92,7 +92,7 @@ def run_fluentbit_case(version: str,
     def main():
         yield from app.run()
         # Two more poll rounds so Fluent Bit observes the second file.
-        yield env.timeout(3 * poll_interval_ns)
+        yield 3 * poll_interval_ns
         fluentbit.stop()
         yield from tracer.shutdown()
 

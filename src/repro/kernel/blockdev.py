@@ -97,7 +97,7 @@ class BlockDevice:
             yield self._slots.request()
             duration = self.service_time_ns(chunk)
             try:
-                yield self.env.timeout(duration)
+                yield duration
             finally:
                 self._slots.release()
             self.stats.busy_ns += duration

@@ -155,6 +155,8 @@ class Kernel:
         self.copy_ns_per_byte = copy_ns_per_byte
         #: Total syscalls executed, by name.
         self.syscall_counts: dict[str, int] = {}
+        #: Syscalls resolved so far: name -> ``_resolve(name)``.
+        self._dispatch: dict[str, tuple] = {}
         #: Observers of VFS namespace changes: callables receiving
         #: ``(op, path, inode)`` for "create", "unlink", and "rename".
         #: This is the minimal inotify-like facility applications such
@@ -249,52 +251,60 @@ class Kernel:
         Returns the syscall's return value; errors are returned as
         ``-errno`` rather than raised, as the kernel ABI does.
         """
-        if name not in ALL_SYSCALLS:
-            raise ValueError(f"unsupported syscall {name!r}")
-        self.syscall_counts[name] = self.syscall_counts.get(name, 0) + 1
+        impl, transfers = self._dispatch.get(name) or self._resolve(name)
+        counts = self.syscall_counts
+        counts[name] = counts.get(name, 0) + 1
 
-        ctx = SyscallContext(name, task, args, enter_ns=self.env.now)
+        env = self.env
+        ctx = SyscallContext(name, task, args, enter_ns=env.now)
         enter_overhead = self.tracepoints.fire_enter(ctx)
         if enter_overhead > 0:
-            yield self.env.timeout(enter_overhead)
+            yield enter_overhead
 
-        impl = getattr(self, f"_sys_{name}")
         try:
             retval = yield from impl(task, ctx, **args)
         except KernelError as error:
             retval = -int(error.errno)
 
-        self._account_io(task, name, retval)
-        cpu = self.syscall_cpu_ns + self._copy_cost(name, args, retval)
+        # Data syscalls move the process's /proc-style I/O counters and
+        # pay the per-byte user/kernel copy.
+        cpu = self.syscall_cpu_ns
+        if transfers is not None:
+            io = task.process.io
+            moved = retval if retval is not None and retval > 0 else 0
+            if transfers == "read":
+                io.syscr += 1
+                io.rchar += moved
+            else:
+                io.syscw += 1
+                io.wchar += moved
+            cpu += int(moved * self.copy_ns_per_byte)
         if cpu > 0:
-            yield self.env.timeout(cpu)
+            yield cpu
 
         ctx.retval = retval
-        ctx.exit_ns = self.env.now
+        ctx.exit_ns = env.now
         exit_overhead = self.tracepoints.fire_exit(ctx)
         if exit_overhead > 0:
-            yield self.env.timeout(exit_overhead)
+            yield exit_overhead
         return retval
 
-    def _copy_cost(self, name: str, args: dict, retval: int) -> int:
-        if name not in DATA_SYSCALLS or retval is None or retval <= 0:
-            return 0
-        return int(retval * self.copy_ns_per_byte)
-
     _READ_SYSCALLS = frozenset({"read", "pread64", "readv"})
-    _WRITE_SYSCALLS = frozenset({"write", "pwrite64", "writev"})
 
-    def _account_io(self, task: Task, name: str, retval: int) -> None:
-        """Update the process's /proc-style I/O counters."""
-        io = task.process.io
-        if name in self._READ_SYSCALLS:
-            io.syscr += 1
-            if retval and retval > 0:
-                io.rchar += retval
-        elif name in self._WRITE_SYSCALLS:
-            io.syscw += 1
-            if retval and retval > 0:
-                io.wchar += retval
+    def _resolve(self, name: str) -> tuple:
+        """Look a syscall up once: ``(implementation, transfers)``.
+
+        ``transfers`` is ``"read"``/``"write"`` for the six data
+        syscalls and ``None`` for everything else.
+        """
+        if name not in ALL_SYSCALLS:
+            raise ValueError(f"unsupported syscall {name!r}")
+        transfers = None
+        if name in DATA_SYSCALLS:
+            transfers = "read" if name in self._READ_SYSCALLS else "write"
+        entry = self._dispatch[name] = (getattr(self, f"_sys_{name}"),
+                                        transfers)
+        return entry
 
     # ------------------------------------------------------------------
     # Enrichment helpers
@@ -863,7 +873,7 @@ class Kernel:
                 # The doorbell drains serially: each SQE gets its own
                 # submission timestamp (distinct per task, which the
                 # pipeline's exactly-once event key relies on).
-                yield self.env.timeout(URING_SQE_SUBMIT_NS)
+                yield URING_SQE_SUBMIT_NS
                 sqe.submit_ns = self.env.now
                 chain.append(sqe)
                 if not sqe.flags & IOSQE_IO_LINK:

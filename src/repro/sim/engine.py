@@ -1,10 +1,28 @@
 """Virtual-time event loop.
 
 The engine measures time in integer nanoseconds.  An
-:class:`Environment` owns a priority queue of scheduled events; calling
-:meth:`Environment.run` pops events in timestamp order and fires their
-callbacks.  Processes (see :mod:`repro.sim.process`) are themselves
-events that trigger when their generator finishes.
+:class:`Environment` owns one priority queue ordered by ``(when,
+priority, seq)``; calling :meth:`Environment.run` pops entries in that
+order and fires them.  Processes (see :mod:`repro.sim.process`) are
+themselves events that trigger when their generator finishes.
+
+The queue holds two kinds of entry:
+
+- an **event** — fired by running its callbacks;
+- a **sleeping process** — a process that yielded a bare delay.  The
+  entry is the process itself plus the ``seq`` it was queued under,
+  which doubles as its *wake token*: the process remembers the token
+  of its current sleep, and an entry whose token no longer matches
+  (the sleeper was interrupted) fires nothing.
+
+Either kind counts one processed event when it is popped, so
+``events_processed`` and the ``(priority, seq)`` tie order do not
+depend on how a process chose to sleep.  The same holds for the
+*inline resume* in :meth:`Process._advance`: while :meth:`run` is
+driving, a sleep that nothing else can interleave with (the head of
+the queue is strictly later, and the wake-up lies within ``until``)
+advances the clock and the counters exactly as a queued entry would
+and skips only the heap.
 """
 
 from __future__ import annotations
@@ -17,6 +35,11 @@ from typing import Any, Callable, Iterable, Optional
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
+
+#: ``Environment._horizon`` while nothing may resume inline: no wake-up
+#: time is ``<=`` it.
+_NO_INLINE = float("-inf")
+_FOREVER = float("inf")
 
 
 class SimulationError(Exception):
@@ -210,10 +233,15 @@ class Environment:
 
     def __init__(self, initial_time: int = 0):
         self._now = int(initial_time)
-        self._queue: list[tuple[int, int, int, Event]] = []
+        #: ``(when, priority, seq, event, sleeper)``: exactly one of the
+        #: last two is set; ``seq`` is unique, so neither is compared.
+        self._queue: list[tuple] = []
         self._seq = 0
         self._active_process = None
         self._events_processed = 0
+        #: Latest wake-up a sleeping process may resume to without
+        #: going through the queue; only :meth:`run` raises it.
+        self._horizon = _NO_INLINE
 
     @property
     def now(self) -> int:
@@ -222,7 +250,10 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Events fired by :meth:`step` over the engine's lifetime."""
+        """Queue entries fired over the engine's lifetime.
+
+        An inline resume counts as the entry it stood in for.
+        """
         return self._events_processed
 
     @property
@@ -260,7 +291,9 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + int(delay), priority, self._seq, event))
+        heapq.heappush(
+            self._queue,
+            (self._now + int(delay), priority, self._seq, event, None))
 
     def event(self) -> Event:
         """Create a new pending :class:`Event`."""
@@ -288,14 +321,48 @@ class Environment:
         """Timestamp of the next scheduled event, or ``None`` if idle."""
         return self._queue[0][0] if self._queue else None
 
+    def _drive(self, stop_at=_FOREVER, stop_event: Optional[Event] = None,
+               budget: int = -1) -> None:
+        """Pop and fire queue entries — the one body behind step and run.
+
+        Stops when the queue drains, the next entry lies beyond
+        ``stop_at``, ``stop_event`` has been processed, or ``budget``
+        entries fired (negative: unbounded).  Only an unbounded drive
+        lets sleeping processes resume inline, and only while nothing
+        else is owed this instant: the waiters of an event with
+        several callbacks must all resume before any of them moves the
+        clock, and whatever the waiters of ``stop_event`` do next
+        belongs to the caller's next ``run``.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        inline_to = stop_at if budget < 0 else _NO_INLINE
+        self._horizon = inline_to
+        try:
+            while queue and budget and queue[0][0] <= stop_at:
+                when, _priority, seq, event, sleeper = pop(queue)
+                self._now = when
+                self._events_processed += 1
+                budget -= 1
+                if sleeper is not None:
+                    if sleeper._wake == seq:
+                        sleeper._advance(True, None)
+                elif event is not stop_event and len(event.callbacks) == 1:
+                    event._run_callbacks()
+                else:
+                    self._horizon = _NO_INLINE
+                    event._run_callbacks()
+                    if event is stop_event:
+                        break
+                    self._horizon = inline_to
+        finally:
+            self._horizon = _NO_INLINE
+
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one queue entry."""
         if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _priority, _seq, event = heapq.heappop(self._queue)
-        self._now = when
-        self._events_processed += 1
-        event._run_callbacks()
+        self._drive(budget=1)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -305,33 +372,24 @@ class Environment:
         :class:`Event` (run until it has been processed, returning its
         value or raising its exception).
         """
-        stop_at: Optional[int] = None
-        stop_event: Optional[Event] = None
         if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_at = int(until)
-            if stop_at < self._now:
-                raise SimulationError(
-                    f"until={stop_at} lies in the past (now={self._now})")
-
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
-                break
-            if stop_at is not None and self._queue[0][0] > stop_at:
-                self._now = stop_at
-                return None
-            self.step()
-
-        if stop_event is not None:
-            if not stop_event.processed:
+            if not until.processed:
+                self._drive(stop_event=until)
+            if not until.processed:
                 raise SimulationError(
                     "simulation ran out of events before the awaited event fired")
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        if stop_at is not None:
-            self._now = stop_at
+            if not until.ok:
+                raise until.value
+            return until.value
+        if until is None:
+            self._drive()
+            return None
+        stop_at = int(until)
+        if stop_at < self._now:
+            raise SimulationError(
+                f"until={stop_at} lies in the past (now={self._now})")
+        self._drive(stop_at)
+        self._now = stop_at
         return None
 
     def run_all(self, max_events: int = 50_000_000) -> None:

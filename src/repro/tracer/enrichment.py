@@ -50,26 +50,26 @@ class Enricher:
             self._first_access.update(key, first)
         return f"{dev} {ino} {first}"
 
-    @staticmethod
-    def file_type(ctx: SyscallContext) -> Optional[str]:
-        """Human-readable file type, when the syscall touched a file."""
-        file_type = ctx.kernel_extras.get("file_type")
+    def enrich(self, ctx: SyscallContext,
+               fields: Optional[dict] = None) -> dict:
+        """Add the enrichment fields ``ctx`` has to ``fields``.
+
+        ``fields`` defaults to a fresh dict, so ``enrich(ctx)`` is the
+        sparse enrichment on its own; the tracer passes the record it
+        is building and gets the fields appended in place.  Absent
+        context adds nothing: a file type only when the syscall touched
+        a file, an offset only when the kernel exposed one (0 is an
+        offset), a tag only for fd-handling syscalls.
+        """
+        if fields is None:
+            fields = {}
+        extras = ctx.kernel_extras
+        if not extras:
+            return fields
+        file_type = extras.get("file_type")
         if isinstance(file_type, FileType):
-            return file_type.value
-        return None
-
-    @staticmethod
-    def offset(ctx: SyscallContext) -> Optional[int]:
-        """The accessed file offset, when the kernel exposed one."""
-        return ctx.kernel_extras.get("offset")
-
-    def enrich(self, ctx: SyscallContext) -> dict:
-        """All enrichment fields for ``ctx`` as a sparse dict."""
-        fields: dict = {}
-        file_type = self.file_type(ctx)
-        if file_type is not None:
-            fields["file_type"] = file_type
-        offset = self.offset(ctx)
+            fields["file_type"] = file_type.value
+        offset = extras.get("offset")
         if offset is not None:
             fields["offset"] = offset
         tag = self.file_tag(ctx)

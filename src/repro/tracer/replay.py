@@ -152,7 +152,7 @@ class TraceReplayer:
             if self.timed:
                 due = start_ns + (event["time"] - first_ts)
                 if due > self.env.now:
-                    yield self.env.timeout(due - self.env.now)
+                    yield due - self.env.now
             kwargs = self._prepare_args(event)
             if kwargs is None:
                 report.skipped += 1

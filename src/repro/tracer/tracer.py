@@ -472,32 +472,16 @@ class DIOTracer:
     # Kernel space (eBPF programs)
 
     def _on_enter(self, ctx: SyscallContext) -> Optional[int]:
-        self._inflight.update(ctx.tid, ctx.enter_ns)
+        self._inflight.update(ctx.task.tid, ctx.enter_ns)
         return None
 
     def _on_exit(self, ctx: SyscallContext) -> Optional[int]:
-        enter_ns = self._inflight.pop(ctx.tid)
+        enter_ns = self._inflight.pop(ctx.task.tid)
         if enter_ns is None:
             # Entry record lost (map pressure); fall back to the
             # context's own entry timestamp rather than dropping.
             enter_ns = ctx.enter_ns
-        if not self.filter.accepts(ctx):
-            return None
-        enrichment = self.enricher.enrich(ctx)
-        record = {
-            "syscall": ctx.name,
-            "args": ctx.args,
-            "ret": ctx.retval,
-            "pid": ctx.pid,
-            "tid": ctx.tid,
-            "comm": ctx.comm,
-            "enter_ns": enter_ns,
-            "exit_ns": ctx.exit_ns,
-            **enrichment,
-        }
-        size = estimate_record_size(ctx.name, ctx.args)
-        self.ring.produce(ctx.task.cpu, record, size)
-        return ENRICHMENT_COST_NS if enrichment else None
+        return self._emit(ctx, enter_ns)
 
     def _on_uring_complete(self, ctx: SyscallContext, sqe, cqe,
                            ring) -> None:
@@ -514,23 +498,36 @@ class DIOTracer:
         point of io_uring); the ingest-overhead gate is enforced by
         ``benchmarks/test_uring.py``.
         """
+        if self._emit(ctx, ctx.enter_ns) is not None:
+            self._m_uring_observed.inc()
+
+    def _emit(self, ctx: SyscallContext, enter_ns: int) -> Optional[int]:
+        """Filter one completed event and offer its record to the ring.
+
+        ``None`` when the kernel filters rejected it; otherwise the
+        in-kernel CPU the enrichment path cost (0 when it had nothing
+        to add).  The record is built once: the fixed fields, then the
+        enrichment written straight into it.
+        """
         if not self.filter.accepts(ctx):
-            return
-        enrichment = self.enricher.enrich(ctx)
+            return None
+        task = ctx.task
+        name = ctx.name
+        args = ctx.args
         record = {
-            "syscall": ctx.name,
-            "args": ctx.args,
+            "syscall": name,
+            "args": args,
             "ret": ctx.retval,
-            "pid": ctx.pid,
-            "tid": ctx.tid,
-            "comm": ctx.comm,
-            "enter_ns": ctx.enter_ns,
+            "pid": task.process.pid,
+            "tid": task.tid,
+            "comm": task.comm,
+            "enter_ns": enter_ns,
             "exit_ns": ctx.exit_ns,
-            **enrichment,
         }
-        size = estimate_record_size(ctx.name, ctx.args)
-        self.ring.produce(ctx.task.cpu, record, size)
-        self._m_uring_observed.inc()
+        fixed = len(record)
+        self.enricher.enrich(ctx, record)
+        self.ring.produce(task.cpu, record, estimate_record_size(name, args))
+        return ENRICHMENT_COST_NS if len(record) > fixed else 0
 
     # ------------------------------------------------------------------
     # User space (consumer process)
@@ -607,7 +604,7 @@ class DIOTracer:
         with self.telemetry.span("shipper.bulk"):
             cost = (config.ship_base_ns
                     + config.ship_ns_per_event * len(docs))
-            yield self.env.timeout(cost)
+            yield cost
             self._m_attempts.inc()
             try:
                 self._bulk(docs, cost)
@@ -615,7 +612,7 @@ class DIOTracer:
                 # Timeout faults burn their hang before we may react.
                 hang = getattr(exc, "cost_ns", 0)
                 if hang:
-                    yield self.env.timeout(hang)
+                    yield hang
                 now = self.env.now
                 self._m_retries.inc()
                 head.attempts += 1
@@ -625,7 +622,7 @@ class DIOTracer:
                 if head.attempts >= config.ship_max_retries:
                     write_ns = config.spill_write_ns_per_event * len(docs)
                     if write_ns:
-                        yield self.env.timeout(write_ns)
+                        yield write_ns
                     # The WAL needs JSON-able records: the batch
                     # materialises its docs on the way down.
                     self._spill.append(docs.to_docs(), self.env.now)
@@ -640,7 +637,7 @@ class DIOTracer:
         self._on_ship_success()
         penalty = self._store_penalty_ns()
         if penalty:
-            yield self.env.timeout(penalty)
+            yield penalty
 
     def _replay_spill_head(self):
         """One bulk attempt of the oldest spilled segment."""
@@ -650,14 +647,14 @@ class DIOTracer:
         with self.telemetry.span("shipper.replay"):
             cost = (config.ship_base_ns
                     + config.ship_ns_per_event * len(docs))
-            yield self.env.timeout(cost)
+            yield cost
             self._m_attempts.inc()
             try:
                 self._bulk(docs, cost)
             except Exception as exc:
                 hang = getattr(exc, "cost_ns", 0)
                 if hang:
-                    yield self.env.timeout(hang)
+                    yield hang
                 now = self.env.now
                 self._m_retries.inc()
                 self._breaker.record_failure(now)
@@ -673,7 +670,7 @@ class DIOTracer:
         self._on_ship_success()
         penalty = self._store_penalty_ns()
         if penalty:
-            yield self.env.timeout(penalty)
+            yield penalty
 
     def _drain_once(self, inline_ship: bool):
         """Take one batch from the ring into the pipeline.
@@ -703,8 +700,7 @@ class DIOTracer:
         with self.telemetry.span("consumer.batch"):
             # Parse raw records into columnar lanes.
             with self.telemetry.span("consumer.parse"):
-                yield self.env.timeout(
-                    config.parse_ns_per_event * len(batch))
+                yield config.parse_ns_per_event * len(batch)
                 payload = RecordBatch.decode(
                     batch, session=config.session_name)
             count = len(payload)
@@ -741,7 +737,7 @@ class DIOTracer:
                 if self._breaker.allows(now) and now >= self._next_attempt_ns:
                     yield from self._ship_staged_head()
                 elif not (yield from self._drain_once(inline_ship=False)):
-                    yield self.env.timeout(self._wait_ns(now))
+                    yield self._wait_ns(now)
                 continue
             # 2) Replay the dead-letter WAL (recovery path).  During
             #    shutdown a bounded failure budget keeps a permanently
@@ -755,7 +751,7 @@ class DIOTracer:
                 if self._breaker.allows(now) and now >= self._next_attempt_ns:
                     yield from self._replay_spill_head()
                 elif not (yield from self._drain_once(inline_ship=False)):
-                    yield self.env.timeout(self._wait_ns(now))
+                    yield self._wait_ns(now)
                 continue
             # 3) Healthy path: take → parse → ship, exactly the
             #    pre-resilience cadence and span structure.  Transient
@@ -766,4 +762,4 @@ class DIOTracer:
             if not (yield from self._drain_once(inline_ship=True)):
                 if not self._running:
                     break
-                yield self.env.timeout(config.poll_interval_ns)
+                yield config.poll_interval_ns

@@ -131,7 +131,7 @@ def bursty_writer(kernel: Kernel, task: Task, path: str,
             yield from kernel.syscall(task, "write", fd=fd,
                                       data=b"\x00" * write_bytes)
         if burst != bursts - 1:
-            yield kernel.env.timeout(gap_ns)
+            yield gap_ns
     yield from kernel.syscall(task, "close", fd=fd)
     return bursts * writes_per_burst
 

@@ -51,3 +51,57 @@ class TestRocksDBDeterminism:
         # Not a strict requirement, but a sanity check that the seed
         # actually feeds the workload generator.
         assert op_count(1) != op_count(2)
+
+
+class TestVirtualTimePinned:
+    """Literal values measured at the commit before the engine learnt
+    bare delays and inline resumes.  A rerun comparison passes when a
+    change shifts *both* runs; these do not."""
+
+    def test_rocksdb_smoke_matches_parent_measured_values(self):
+        import hashlib
+        import json
+
+        from repro.apps.rocksdb import DBBench, RocksDB
+        from repro.backend import DocumentStore
+        from repro.experiments.rocksdb_case import (DATA_SYSCALL_SCOPE,
+                                                    build_kernel)
+        from repro.tracer import DIOTracer, TracerConfig
+
+        scale = RocksDBScale(seed=2304)
+        kernel = build_kernel(scale)
+        env = kernel.env
+        process = kernel.spawn_process("db_bench")
+        db = RocksDB(kernel, process, scale.db_options())
+        bench = DBBench(kernel, db, client_threads=scale.client_threads,
+                        key_count=scale.key_count,
+                        value_size=scale.value_size,
+                        read_fraction=scale.read_fraction, seed=scale.seed)
+        store = DocumentStore()
+        tracer = DIOTracer(env, kernel, store, TracerConfig(
+            syscalls=DATA_SYSCALL_SCOPE, pids=frozenset({process.pid}),
+            session_name="pinned"))
+
+        def main():
+            yield from db.open(bench.client_tasks[0])
+            yield from bench.load()
+            tracer.attach()
+            result = yield from bench.run_ops(200).wait()
+            db.close()
+            yield from tracer.shutdown()
+            return result
+
+        result = env.run(until=env.process(main()))
+        docs = [doc for _, doc in store.scan(tracer.config.index)]
+        digest = hashlib.sha256(
+            json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+        assert result.op_count == 1_600
+        assert env.now == 202_958_155
+        assert env.events_processed == 8_049
+        assert sum(kernel.syscall_counts.values()) == 2_021
+        assert tracer.ring.stats.produced == 1_603
+        assert tracer.ring.stats.dropped == 0
+        assert len(docs) == 1_603
+        assert digest == ("b7664f035c0d6cd0751ae8c2522bd726"
+                          "5e1a1006228cb57d79354c0077fbd140")

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.ebpf import PerCPURingBuffer
-from repro.sim import Environment, Store
+from repro.sim import Environment, Interrupt, Lock, Resource, Store
+from repro.sim.engine import SimulationError
 
 
 class TestEngineProperties:
@@ -69,6 +70,120 @@ class TestEngineProperties:
 
 def iter_timeout(env, delay):
     yield env.timeout(delay)
+
+
+# --- bare delay == Timeout: the retired sleeping path is the oracle ----------
+#
+# A program is a list of per-process op lists; ``run_program`` interprets
+# it twice, sleeping either by ``yield d`` or by ``yield env.timeout(d)``.
+# Small delays make zero-length sleeps and equal wake-ups common.
+
+_DELAYS = st.integers(min_value=0, max_value=12)
+
+
+def _ops(n_procs):
+    others = st.integers(min_value=0, max_value=n_procs - 1)
+    return st.one_of(
+        st.tuples(st.just("sleep"), _DELAYS),
+        st.tuples(st.just("sleep"), _DELAYS),
+        st.tuples(st.just("hold"), st.integers(0, 1), _DELAYS),
+        st.tuples(st.just("lock"), _DELAYS),
+        st.tuples(st.just("interrupt"), others),
+        st.tuples(st.just("race"), _DELAYS, _DELAYS),
+        st.tuples(st.just("join"), others),
+    )
+
+
+_PROGRAMS = st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(_ops(n), max_size=6),
+                       min_size=n, max_size=n))
+#: Driver script: run up to an instant, until a process has finished,
+#: or fire a few single steps.
+_DRIVER = st.lists(
+    st.one_of(st.tuples(st.just("until"), st.integers(0, 60)),
+              st.tuples(st.just("finish"), st.integers(0, 5)),
+              st.tuples(st.just("steps"), st.integers(1, 4))),
+    max_size=4)
+
+
+def run_program(program, driver, bare):
+    env = Environment()
+    sleep = (lambda d: d) if bare else env.timeout
+    resources = [Resource(env, capacity=1), Resource(env, capacity=2)]
+    lock = Lock(env)
+    procs = []
+    trace = []
+
+    def body(pid, ops):
+        for step, op in enumerate(ops):
+            kind = op[0]
+            outcome = None
+            try:
+                if kind == "sleep":
+                    outcome = yield sleep(op[1])
+                elif kind == "hold":
+                    resource = resources[op[1]]
+                    yield resource.request()
+                    try:
+                        yield sleep(op[2])
+                    finally:
+                        resource.release()
+                elif kind == "lock":
+                    yield lock.acquire()
+                    try:
+                        yield sleep(op[1])
+                    finally:
+                        lock.release()
+                elif kind == "interrupt":
+                    victim = procs[op[1]]
+                    if victim is not procs[pid] and victim.is_alive:
+                        victim.interrupt((pid, step))
+                        # Let it land before this process acts again
+                        # (interrupts are urgent: it fires first).
+                        yield sleep(0)
+                elif kind == "race":
+                    timer = env.timeout(op[1], "timer")
+                    fired = yield env.any_of([timer, env.timeout(op[2])])
+                    outcome = (len(fired), timer in fired)
+                elif kind == "join" and op[1] != pid:
+                    outcome = yield procs[op[1]]
+            except Interrupt as exc:
+                outcome = ("interrupted", exc.cause)
+            trace.append((env.now, pid, step, kind, outcome))
+        return (pid, env.now)
+
+    for pid, ops in enumerate(program):
+        procs.append(env.process(body(pid, ops)))
+    marks = []
+    for action, amount in driver:
+        if action == "until":
+            if amount >= env.now:
+                env.run(until=amount)
+        elif action == "finish":
+            try:
+                env.run(until=procs[amount % len(procs)])
+            except SimulationError:
+                pass                      # blocked for good: queue drained
+        else:
+            for _ in range(amount):
+                if env.queue_depth:
+                    env.step()
+        marks.append((env.now, env.events_processed, len(trace)))
+    env.run()
+    values = [p.value if p.triggered else "blocked" for p in procs]
+    return trace, marks, values, env.now, env.events_processed
+
+
+class TestBareDelayEqualsTimeout:
+    @given(program=_PROGRAMS, driver=_DRIVER)
+    @settings(max_examples=300, deadline=None)
+    def test_same_trace_values_and_event_count(self, program, driver):
+        """``yield d`` is ``yield env.timeout(d)``: same ``(now, process,
+        step)`` trace, same return values, same ``events_processed`` —
+        under locks, resources, interrupts, ``any_of`` timers and runs
+        cut at arbitrary instants, events or single steps and resumed."""
+        assert (run_program(program, driver, bare=True)
+                == run_program(program, driver, bare=False))
 
 
 class TestRingBufferProperties:

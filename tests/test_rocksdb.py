@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.rocksdb import (DBBench, DBOptions, MemTable, RocksDB,
                                 SSTable, ZipfianGenerator)
-from repro.apps.rocksdb.db_bench import key_name
+from repro.apps.rocksdb.db_bench import key_name, uniform_stream
 from repro.kernel import Kernel
 from repro.sim import Environment
 
@@ -316,6 +316,44 @@ class TestZipfian:
         samples = zipf.sample(1000)
         assert samples.min() >= 0
         assert samples.max() < 50
+
+    @staticmethod
+    def scalar_reference(item_count, theta, seed, draws):
+        """The generator as it was before it drew in blocks: one numpy
+        scalar draw and one ``np.searchsorted`` per item."""
+        rng = np.random.default_rng(seed)
+        weights = 1.0 / np.power(np.arange(1, item_count + 1), theta)
+        cumulative = np.cumsum(weights / weights.sum())
+        permutation = np.random.default_rng(0xD10).permutation(item_count)
+        items = []
+        for _ in range(draws):
+            rank = int(np.searchsorted(cumulative, rng.random()))
+            items.append(int(permutation[min(rank, item_count - 1)]))
+        return items
+
+    @pytest.mark.parametrize("seed", [0, 42, 2304, 2311])
+    def test_next_equals_scalar_formula(self, seed):
+        zipf = ZipfianGenerator(50_000, seed=seed)
+        got = [zipf.next() for _ in range(10_000)]
+        assert all(type(item) is int for item in got)
+        assert got == self.scalar_reference(50_000, 0.99, seed, 10_000)
+
+    def test_uniform_stream_equals_scalar_draws(self):
+        stream = uniform_stream(np.random.default_rng(5))
+        scalar = np.random.default_rng(5)
+        assert ([next(stream) for _ in range(2_500)]
+                == [scalar.random() for _ in range(2_500)])
+
+    def test_next_and_sample_share_one_stream(self):
+        """Interleaving ``next()`` with ``sample(n)`` — across a block
+        refill too — yields what the same number of ``next()`` calls
+        alone would."""
+        zipf = ZipfianGenerator(300, theta=0.5, seed=9)
+        got = [zipf.next() for _ in range(3)]
+        got += zipf.sample(1_500).tolist()
+        got += [zipf.next(), zipf.next()]
+        got += zipf.sample(0).tolist() + zipf.sample(7).tolist()
+        assert got == self.scalar_reference(300, 0.5, 9, len(got))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -278,14 +278,187 @@ def test_all_of_waits_for_all():
 
 
 def test_yield_non_event_is_error():
+    """A process yields an event or an exact non-negative ``int``.
+
+    Anything else fails the *process* (not the engine) with an error
+    naming it; ``True`` in particular never sleeps 1 ns by accident.
+    """
+    for bad_value in ("42", 1.5, True, -1, None):
+        env = Environment()
+
+        def bad():
+            yield 1
+            yield bad_value
+
+        p = env.process(bad())
+        with pytest.raises((SimulationError, ValueError), match="'bad'"):
+            env.run(until=p)
+        assert env.now == 1
+
+
+def test_bare_delay_sleeps_and_resumes_with_none():
+    env = Environment()
+    seen = []
+
+    def proc():
+        seen.append(((yield 40), env.now))
+        seen.append(((yield 0), env.now))
+
+    env.process(proc())
+    env.run()
+    assert seen == [(None, 40), (None, 40)]
+
+
+def test_interrupting_a_bare_sleeper_resumes_it_once():
+    """The stale queue entry fires nothing but is still one processed
+    event — what an abandoned, callback-less ``Timeout`` counts as."""
+    def scenario(sleep):
+        env = Environment()
+        log = []
+
+        def sleeper():
+            try:
+                yield sleep(env, 1_000)
+            except Interrupt as exc:
+                log.append((env.now, exc.cause))
+            yield sleep(env, 2_000)
+            log.append((env.now, "slept"))
+
+        def killer(victim):
+            yield sleep(env, 5)
+            victim.interrupt("stop")
+
+        victim = env.process(sleeper())
+        env.process(killer(victim))
+        env.run()
+        return log, env.now, env.events_processed
+
+    bare = scenario(lambda env, delay: delay)
+    timeout = scenario(lambda env, delay: env.timeout(delay))
+    assert bare == timeout
+    assert bare[0] == [(5, "stop"), (2_005, "slept")]
+
+
+def test_run_until_stops_between_inline_sleeps_and_resumes():
+    """A lone process resumes inline; cutting the run between two of
+    its sleeps and resuming yields the uncut trace."""
+    def trace(cuts):
+        env = Environment()
+        seen = []
+
+        def proc():
+            for _ in range(6):
+                yield 10
+                seen.append((env.now, env.events_processed))
+
+        env.process(proc())
+        for cut in cuts:
+            env.run(until=cut)
+            assert env.now == cut
+        env.run()
+        return seen, env.now, env.events_processed
+
+    uncut = trace([])
+    assert uncut[0][0] == (10, 2)         # bootstrap + one sleep
+    assert trace([25]) == uncut
+    assert trace([20, 20, 41]) == uncut   # a cut exactly on a wake-up
+
+
+def test_step_after_inline_resume_fires_one_entry():
+    env = Environment()
+    seen = []
+
+    def proc():
+        while True:
+            yield 10
+            seen.append(env.now)
+
+    env.process(proc())
+    env.run(until=35)
+    assert seen == [10, 20, 30]
+    processed = env.events_processed
+    env.step()                            # the sleep queued at t=30
+    assert (env.now, seen[-1]) == (40, 40)
+    assert env.events_processed == processed + 1
+    env.step()
+    assert env.now == 50
+
+
+def test_sleepers_are_queue_entries():
     env = Environment()
 
-    def bad():
-        yield 42
+    def proc(delay):
+        yield delay
 
-    p = env.process(bad())
-    with pytest.raises(SimulationError):
-        env.run(until=p)
+    env.process(proc(7))
+    env.process(proc(3))
+    assert (env.queue_depth, env.peek()) == (2, 0)    # two bootstraps
+    env.step()
+    env.step()
+    assert (env.queue_depth, env.peek()) == (2, 3)    # two sleepers
+    env.run()
+    assert (env.queue_depth, env.peek(), env.now) == (0, None, 7)
+
+
+def test_equal_wakeups_fire_in_queueing_order():
+    """A tie never resumes inline: it goes through the queue, where
+    ``(priority, seq)`` decides — "b" asked for t=20 first."""
+    env = Environment()
+    order = []
+
+    def proc(tag, first, second):
+        yield first
+        order.append((env.now, tag))
+        yield second
+        order.append((env.now, tag))
+
+    env.process(proc("a", 10, 10))
+    env.process(proc("b", 20, 0))
+    env.run()
+    assert order == [(10, "a"), (20, "b"), (20, "a"), (20, "b")]
+
+
+def test_waiters_of_one_event_all_resume_before_any_moves_the_clock():
+    env = Environment()
+    gate = env.event()
+    order = []
+
+    def waiter(tag, nap):
+        yield gate
+        order.append((env.now, tag))
+        yield nap
+        order.append((env.now, tag))
+
+    def opener():
+        yield 5
+        gate.succeed()
+
+    env.process(waiter("a", 100))
+    env.process(waiter("b", 1))
+    env.process(opener())
+    env.run()
+    assert order == [(5, "a"), (5, "b"), (6, "b"), (105, "a")]
+
+
+def test_run_until_event_leaves_its_waiters_next_sleep_queued():
+    """Whatever a waiter of the awaited event does next belongs to the
+    caller's next run: the clock stops where the event fired."""
+    env = Environment()
+
+    def child():
+        yield 5
+        return "done"
+
+    def parent(child_proc):
+        yield child_proc
+        yield 1_000
+
+    child_proc = env.process(child())
+    env.process(parent(child_proc))
+    assert env.run(until=child_proc) == "done"
+    assert env.now == 5
+    env.run()
+    assert env.now == 1_005
 
 
 def test_run_all_guards_against_runaway():
