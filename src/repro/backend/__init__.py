@@ -9,11 +9,10 @@ package is an in-process substitute exposing the same operations:
 - :mod:`repro.backend.query` — a dict-shaped query DSL (``bool``,
   ``term``, ``terms``, ``range``, ``exists``, ``wildcard``, ``prefix``,
   ``match_all``) compiled to predicates.
-- :mod:`repro.backend.planner` — the query planner: extracts
-  term/terms/range/prefix/exists constraints into candidate doc-id
-  sets, skipping predicate evaluation entirely when the plan is exact.
-- :mod:`repro.backend.indexes` — per-field secondary indexes backing
-  the planner: postings, sorted (range/prefix) arrays, presence sets.
+- :mod:`repro.backend.planner` — the query planner: resolves
+  term/terms/range/prefix/exists constraints into ascending row
+  numbers read off the columns, skipping predicate evaluation
+  entirely when the plan is exact.
 - :mod:`repro.backend.naive` — pre-planner reference implementations
   (full-scan search, per-tag correlation) used as benchmark baselines
   and property-test oracles.
@@ -21,8 +20,10 @@ package is an in-process substitute exposing the same operations:
   ``date_histogram``, ``percentiles``, ``stats`` (and friends), with
   nested sub-aggregations (the dict-walking reference path).
 - :mod:`repro.backend.columns` — typed per-field columns (dictionary
-  codes + numeric arrays) and the aggregation kernels the store pushes
-  ``aggs`` requests down to, bypassing ``_source`` materialisation.
+  codes + numeric arrays + lazy postings), the one per-field
+  structure: what the planner reads, what a sorted search takes its
+  keys from, and the aggregation kernels the store pushes ``aggs``
+  requests down to, bypassing ``_source`` materialisation.
 - :mod:`repro.backend.lanes` — documents held as per-field lanes: the
   ``LaneBatch`` protocol a decoded ring batch, a loaded session and
   the joins of them implement, from ``bulk_columnar`` through
@@ -52,7 +53,6 @@ from repro.backend.store import (INDEXED_EVENT_FIELDS, DocumentStore, Index,
 from repro.backend.columns import Column, ColumnSet
 from repro.backend.query import compile_query, QueryError
 from repro.backend.planner import QueryPlan, plan_query
-from repro.backend.indexes import FieldIndex
 from repro.backend.naive import legacy_correlate, naive_aggregate, naive_scan
 from repro.backend.aggregations import run_aggregations, AggregationError
 from repro.backend.correlation import FilePathCorrelator, CorrelationReport
@@ -80,7 +80,6 @@ __all__ = [
     "QueryError",
     "QueryPlan",
     "plan_query",
-    "FieldIndex",
     "legacy_correlate",
     "naive_aggregate",
     "naive_scan",

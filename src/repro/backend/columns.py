@@ -18,9 +18,17 @@ arrays addressed by *row number*:
     a validity bitmap — metric kernels read machine values instead of
     walking dicts;
 - :class:`ColumnSet` maintains the columns incrementally on put /
-  delete / in-place refresh, mirroring the delta-aware ``FieldIndex``
-  lifecycle from PR 2: columns are built lazily the first time an
-  aggregation touches the field, then kept up to date.
+  delete / in-place refresh: a column is built lazily — from lanes,
+  hydrating nothing — the first time an aggregation, a query clause or
+  a sort touches the field, then kept up to date.
+
+The same column answers the query planner
+(:mod:`repro.backend.planner`), which addresses documents by row too:
+``term``/``terms`` read a lazily built ``code -> rows`` postings,
+``range`` bisects the numeric lane (or a sorted permutation of it),
+``prefix`` and string ranges walk the dictionary's string keys,
+``exists`` reads the presence bitmap and a sorted search orders rows
+by keys read off the dictionary (:meth:`Column.sort_keys`).
 
 The kernels are written to be *byte-identical* with the legacy
 dict-walking path: they iterate rows in insertion order, perform the
@@ -42,14 +50,15 @@ coordinator in :mod:`repro.backend.router`).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import is_not, itemgetter, le
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
-from repro.backend.query import field_affected, get_field
+from repro.backend.lanes import LaneBatch, sort_key
+from repro.backend.query import RANGE_OPS, field_affected, get_field
 
 #: int64 bounds for the ``array('q')`` fast path — the range within
 #: which the segment storage engine, too, keeps a field in a packed
@@ -59,6 +68,16 @@ INT64_MAX = (1 << 63) - 1
 _INT64_MIN = INT64_MIN
 _INT64_MAX = INT64_MAX
 
+#: Value classes a ``term``/``terms`` clause can match from the
+#: dictionary (what the planner calls indexable).
+TERM_CLASSES = (str, int, float, bool, tuple)
+
+#: Value classes whose dictionary entry is the document's own value for
+#: ordering purposes: equal keys of one class sort alike (a tuple table
+#: shares one code between ``(1,)`` and ``(1.0,)``, whose sort keys
+#: differ).
+_KEYED_CLASSES = frozenset((str, int, float, bool))
+
 #: Aggregation kinds the kernels implement.
 BUCKET_KINDS = ("terms", "histogram", "date_histogram")
 METRIC_KINDS = ("percentiles", "stats", "avg", "min", "max", "sum",
@@ -66,9 +85,12 @@ METRIC_KINDS = ("percentiles", "stats", "avg", "min", "max", "sum",
 
 
 class Column:
-    """One field's typed storage across all rows.
+    """One field's typed storage across all rows — the one per-field
+    structure of an index: the planner, the sort and the aggregation
+    kernels all read it.
 
-    Two representations are maintained together:
+    Two representations are maintained together, plus the ``code ->
+    rows`` postings once a ``term`` has asked for them:
 
     - ``codes``/``table`` — dictionary encoding over every *indexable*
       value (str, int, float, bool, tuple).  Codes key on type, then
@@ -88,7 +110,7 @@ class Column:
                  "collisions", "unencodable", "nonnull",
                  "num_kind", "nums", "numeric", "numeric_count", "simple",
                  "num_sorted", "_hi_row", "_num_hi",
-                 "_codes_view", "_nums_view")
+                 "_codes_view", "_nums_view", "_postings", "_order")
 
     def __init__(self, field: str):
         self.field = field
@@ -122,6 +144,14 @@ class Column:
         # refs, so kernels read these.  Dropped on any mutation.
         self._codes_view: Optional[list] = None
         self._nums_view: Optional[list] = None
+        #: code -> ascending rows, built by the first ``term`` that asks
+        #: and kept current from then on: a new lane extends it, a
+        #: rewritten row moves, nothing indexed earlier is rebuilt.
+        self._postings: Optional[list[list[int]]] = None
+        #: ``(keys, rows)`` of the numeric rows in key order, for a
+        #: ``range`` over a lane that is not sorted as it stands;
+        #: dropped on any mutation like the views above.
+        self._order: Optional[tuple[list, list]] = None
 
     # ------------------------------------------------------------------
     # Write path
@@ -135,7 +165,7 @@ class Column:
             self.nums.append(0)
         self.set(len(self.codes) - 1, value)
 
-    def extend(self, values: Iterable[Any]) -> None:
+    def extend(self, values: Iterable[Any], groups=None) -> None:
         """Append one row per value — :meth:`append` in a loop, lane-wise.
 
         One class probe selects a C-speed pass for the two lane shapes
@@ -144,11 +174,14 @@ class Column:
         yet (so there is no cross-class collision to look for).  Every
         slot ends up exactly as per-row ``append`` leaves it; any other
         lane (bool, float, tuple, unhashable, out-of-range, mixed)
-        takes the per-row loop.
+        takes the per-row loop.  ``groups`` is the lane pre-grouped
+        (:meth:`LaneBatch.groups_for`) when the batch has it that way:
+        built postings then grow by one operation per distinct value.
         """
         if not isinstance(values, list):
             values = list(values)
         classes = set(map(type, values))
+        base = len(self.codes)
         if classes == {int} and self._code_of.keys() <= {int} \
                 and self.num_kind in (None, "q"):
             try:
@@ -157,13 +190,30 @@ class Column:
                 pass                      # beyond int64: promote per row
             else:
                 self._extend_int(values, lane)
+                self._post_lane(int, base, groups)
                 return
         elif classes and classes <= {str, type(None)} \
                 and self._code_of.keys() <= {str}:
             self._extend_str(values)
+            self._post_lane(str, base, groups)
             return
         for value in values:
             self.append(value)
+
+    def _post_lane(self, cls: type, base: int, groups) -> None:
+        """Add the rows from ``base`` on to postings that exist."""
+        postings = self._postings
+        if postings is None:
+            return
+        postings.extend([] for _ in range(len(self.table) - len(postings)))
+        if groups is not None:
+            codes_of = self._code_of[cls]
+            for value, rows in groups:
+                postings[codes_of[value]].extend(map(base.__add__, rows))
+            return
+        for row, code in enumerate(self.codes[base:], base):
+            if code >= 0:
+                postings[code].append(row)
 
     def _encode_lane(self, cls: type, values: list) -> None:
         """Append ``values``' codes; first-seen order numbers new ones.
@@ -182,7 +232,7 @@ class Column:
             self.codes.extend(map(codes_of.get, values, repeat(-1)))
         else:
             self.codes.extend(repeat(-1, len(values)))
-        self._codes_view = self._nums_view = None
+        self._codes_view = self._nums_view = self._order = None
 
     def _extend_int(self, values: list, lane: array) -> None:
         """``extend`` for exact in-range ints onto an int-only column."""
@@ -223,20 +273,38 @@ class Column:
     def set(self, row: int, value: Any) -> None:
         """(Re)assign one row's value."""
         self.nonnull[row] = 0 if value is None else 1
+        old = self.codes[row]
         self._set_code(row, value)
+        if self._postings is not None:
+            self._repost(row, old, self.codes[row])
         self._set_numeric(row, value)
-        self._codes_view = self._nums_view = None
+        self._codes_view = self._nums_view = self._order = None
+
+    def _repost(self, row: int, old: int, new: int) -> None:
+        """Move ``row`` between the postings of two codes."""
+        if old == new:
+            return
+        postings = self._postings
+        if old >= 0:
+            rows = postings[old]
+            del rows[bisect_left(rows, row)]
+        if new >= 0:
+            if new == len(postings):      # a value first seen just now
+                postings.append([])
+            insort(postings[new], row)
 
     def clear(self, row: int) -> None:
         """Tombstone one row (document deleted)."""
         if self.codes[row] == -2:
             self.unencodable -= 1
+        if self._postings is not None:
+            self._repost(row, self.codes[row], -1)
         self.codes[row] = -1
         self.nonnull[row] = 0
         if self.numeric[row]:
             self.numeric_count -= 1
         self.numeric[row] = 0
-        self._codes_view = self._nums_view = None
+        self._codes_view = self._nums_view = self._order = None
 
     def _set_code(self, row: int, value: Any) -> None:
         old = self.codes[row]
@@ -365,6 +433,148 @@ class Column:
         numeric = self.numeric
         return [nums[row] for row in rows if numeric[row]]
 
+    @property
+    def sorted_dense(self) -> bool:
+        """Every row holds a number and they never decrease: row order
+        *is* value order (a trace's ``time``)."""
+        return self.num_sorted and self.numeric_count == len(self.codes)
+
+    # ------------------------------------------------------------------
+    # Planner reads: ascending rows.  A returned sequence may be the
+    # column's own storage — never mutate it, and copy it before
+    # writing to the index.
+
+    def _rows_of(self, codes) -> Sequence[int]:
+        """Ascending rows holding any of the (distinct) ``codes``."""
+        if not codes:
+            return []
+        postings = self._postings
+        if postings is None:
+            postings = self._postings = [[] for _ in self.table]
+            for row, code in enumerate(self.codes):
+                if code >= 0:
+                    postings[code].append(row)
+        held = [postings[code] for code in codes if postings[code]]
+        if len(held) == 1:
+            return held[0]
+        return sorted(chain.from_iterable(held))
+
+    def _string_codes(self, keep) -> list[int]:
+        """Codes of the dictionary's string keys that ``keep`` admits."""
+        return [code for cls, codes_of in self._code_of.items()
+                if issubclass(cls, str)
+                for key, code in codes_of.items() if keep(key)]
+
+    def rows_equal(self, values: Iterable[Any]) -> Sequence[int]:
+        """Rows whose value ``==`` one of ``values`` (hashable, of
+        :data:`TERM_CLASSES`).
+
+        Every class table is asked, so ``1``, ``1.0`` and ``True`` keep
+        matching each other as ``==`` on the documents does; NaN equals
+        nothing.
+        """
+        codes: dict[int, None] = {}
+        for value in values:
+            if value != value:
+                continue
+            for cls, codes_of in self._code_of.items():
+                if issubclass(cls, TERM_CLASSES):
+                    code = codes_of.get(value)
+                    if code is not None:
+                        codes[code] = None
+        return self._rows_of(codes)
+
+    def rows_in_range(self, bounds: dict) -> Optional[Sequence[int]]:
+        """Rows a ``range`` clause matches, or ``None`` to decline.
+
+        Declined — the predicate decides — are bounds that are neither
+        numbers nor strings (they can compare against exotic document
+        values), unknown operators (``compile_query`` raises) and
+        numeric bounds over a column that has held a ``bool``, which
+        compares as a number but is in no numeric lane.  Bounds of
+        mixed kinds match nothing: every document fails one comparison
+        with a ``TypeError``; so does a NaN bound.
+        """
+        numeric = text = False
+        for op, bound in bounds.items():
+            if op not in RANGE_OPS:
+                return None
+            if isinstance(bound, (int, float)):
+                if bound != bound:
+                    return []
+                numeric = True
+            elif isinstance(bound, str):
+                text = True
+            else:
+                return None
+        if numeric and text:
+            return []
+        if text:
+            return self._rows_of(self._string_codes(
+                lambda key: all(RANGE_OPS[op](key, bound)
+                                for op, bound in bounds.items())))
+        if bool in self._code_of:
+            return None
+        if self.num_kind is None:
+            return []
+        if self.sorted_dense:
+            keys, rows = self.nums, None
+        else:
+            keys, rows = self._numeric_order()
+        lo, hi = 0, len(keys)
+        for op, bound in bounds.items():
+            if op == "gte":
+                lo = max(lo, bisect_left(keys, bound))
+            elif op == "gt":
+                lo = max(lo, bisect_right(keys, bound))
+            elif op == "lte":
+                hi = min(hi, bisect_right(keys, bound))
+            else:
+                hi = min(hi, bisect_left(keys, bound))
+        if lo >= hi:
+            return []
+        return range(lo, hi) if rows is None else sorted(rows[lo:hi])
+
+    def _numeric_order(self) -> tuple[list, list]:
+        """``(keys, rows)``: the numeric rows in stable key order (NaN
+        left out — it compares false against every bound)."""
+        order = self._order
+        if order is None:
+            nums = self.num_list()
+            rows = list(compress(range(len(nums)), self.numeric))
+            if self.num_kind != "q":
+                rows = [row for row in rows if nums[row] == nums[row]]
+            rows.sort(key=nums.__getitem__)
+            order = self._order = (list(map(nums.__getitem__, rows)), rows)
+        return order
+
+    def rows_with_prefix(self, prefix: str) -> Sequence[int]:
+        """Rows whose string value starts with ``prefix``."""
+        return self._rows_of(self._string_codes(
+            lambda key: key.startswith(prefix)))
+
+    def rows_present(self) -> Sequence[int]:
+        """Rows whose value is not ``None`` (``exists``)."""
+        nonnull = self.nonnull
+        if nonnull.count(1) == len(nonnull):
+            return range(len(nonnull))
+        return list(compress(range(len(nonnull)), nonnull))
+
+    def sort_keys(self, rows: Sequence[int]) -> Optional[list]:
+        """One key per row of ``rows`` that orders as
+        ``sort_key(value)`` does, or ``None`` when the dictionary
+        cannot say (unencodable rows, classes outside
+        :data:`_KEYED_CLASSES`) and the caller reads the documents."""
+        if self.numeric_count == len(self.codes):
+            # Plain numbers only: ``(1, "num", v)`` orders as ``v``.
+            return self.gather_numeric(rows)
+        if self.unencodable or not self._code_of.keys() <= _KEYED_CLASSES:
+            return None
+        by_code = list(map(sort_key, self.table))
+        by_code.append(sort_key(None))    # what code -1 reads
+        return list(map(by_code.__getitem__,
+                        map(self.codes.__getitem__, rows)))
+
     def __repr__(self) -> str:
         return (f"<Column {self.field!r} rows={len(self.codes)} "
                 f"distinct={len(self.table)} num_kind={self.num_kind}>")
@@ -375,8 +585,8 @@ class ColumnSet:
 
     The row mapping is always maintained (cheap: one dict entry and a
     list append per new document); per-field columns are built lazily
-    on first use — mirroring ``Index.ensure_indexed`` — and updated
-    incrementally afterwards.
+    on first use — by an aggregation, a query clause or a sort — and
+    updated incrementally afterwards.
     """
 
     def __init__(self) -> None:
@@ -393,6 +603,11 @@ class ColumnSet:
     def row_of(self) -> dict[str, int]:
         return self._row_of
 
+    @property
+    def doc_ids(self) -> list[str]:
+        """Row -> doc id (a deleted row keeps the id it had)."""
+        return self._doc_ids
+
     # ------------------------------------------------------------------
     # Lifecycle (called from Index.put / delete / refresh_many)
 
@@ -408,22 +623,21 @@ class ColumnSet:
             for field, column in self._columns.items():
                 column.set(row, get_field(source, field))
 
-    def extend_new(self, doc_ids: list[str],
-                   values_for: Callable[[str], list]) -> None:
+    def extend_new(self, doc_ids: list[str], batch: LaneBatch) -> None:
         """Lane-append brand-new documents (vectorized bulk path).
 
         ``doc_ids`` must be unseen: the row mapping extends with zipped
         C-speed bulk operations instead of one ``note_put`` per doc.
-        ``values_for(field)`` supplies one value per new document for
-        any column that already exists (usually none during ingest —
-        columns are built lazily on the first aggregation).
+        Columns that already exist (those a query, a sort or an
+        aggregation has touched — usually none during ingest) take the
+        batch's lane, pre-grouped where the batch has it so.
         """
         base = len(self._doc_ids)
         self._doc_ids.extend(doc_ids)
         self._alive.extend(b"\x01" * len(doc_ids))
         self._row_of.update(zip(doc_ids, range(base, base + len(doc_ids))))
         for field, column in self._columns.items():
-            column.extend(values_for(field))
+            column.extend(batch.values_for(field), batch.groups_for(field))
 
     def note_delete(self, doc_id: str) -> None:
         row = self._row_of.pop(doc_id, None)
@@ -482,11 +696,6 @@ class ColumnSet:
             return range(len(self._doc_ids))
         alive = self._alive
         return [row for row in range(len(self._doc_ids)) if alive[row]]
-
-    def rows_for_ids(self, doc_ids: Iterable[str]) -> list[int]:
-        """Rows for a planner candidate set, sorted into row order."""
-        row_of = self._row_of
-        return sorted(row_of[doc_id] for doc_id in doc_ids)
 
     # ------------------------------------------------------------------
     # Pushdown decision
@@ -581,8 +790,7 @@ class ColumnSet:
         """Evaluate ``aggs`` over ``rows`` into a *mergeable partial*.
 
         ``rows`` must be ascending (insertion order); callers obtain it
-        from :meth:`all_rows` / :meth:`rows_for_ids` or a per-bucket
-        partition.  Assumes :meth:`supports` answered ``True``.
+        from :meth:`all_rows`, a query plan or a per-bucket partition.  Assumes :meth:`supports` answered ``True``.
 
         One entry per aggregation name, shaped by kind so that partials
         over disjoint row sets (shards) combine in :meth:`merge`:
@@ -661,8 +869,7 @@ class ColumnSet:
         # ``int // int`` is already an int, so the legacy ``int()``
         # coercion is a no-op for pure-int columns with an int interval.
         fast = column.num_kind == "q" and type(interval) is int
-        if (fast and column.num_sorted
-                and column.numeric_count == len(column.codes)):
+        if fast and column.sorted_dense:
             # Sorted dense int column (trace timestamps): bucket
             # boundaries fall out of bisection and each bucket is a
             # contiguous slice of ``rows`` — no per-row Python work.

@@ -1,48 +1,68 @@
-"""The query planner: compile query trees into doc-id candidate sets.
+"""The query planner: compile query trees into ascending row numbers.
 
 ``plan_query`` walks the same dict DSL :func:`repro.backend.query.compile_query`
-accepts and extracts every constraint a secondary index can answer —
-``term``/``terms`` (postings), ``range`` (sorted arrays), ``prefix``
-(string partition), ``exists`` (presence sets) — from the top level or
-from ``bool.must``/``bool.filter`` conjunctions, recursively.  The
-result is a :class:`QueryPlan`:
+accepts and resolves every constraint the field's
+:class:`~repro.backend.columns.Column` can answer — ``term``/``terms``
+(dictionary code -> postings of rows), ``range`` (bisect on the numeric
+lane), ``prefix`` (the dictionary's string keys), ``exists`` (the
+presence bitmap) — from the top level or from ``bool.must``/
+``bool.filter`` conjunctions, recursively.  Rows are the one address of
+the read path: a row number is a document's position in insertion
+order, so an ascending row sequence is already in scan order and is
+what the aggregation kernels consume.  The result is a
+:class:`QueryPlan`:
 
-- ``ids`` — an *upper bound* on the matching doc ids (``None`` means
-  "no index constraint found; every document is a candidate");
-- ``exact`` — when true, ``ids`` is not just an upper bound but exactly
+- ``rows`` — an *upper bound* on the matching rows, ascending: a
+  ``range``, a sorted sequence, or ``None`` for "no constraint found;
+  every live row is a candidate";
+- ``exact`` — when true, ``rows`` is not just an upper bound but exactly
   the match set, so the store can skip predicate evaluation entirely.
 
 The planner only marks a plan exact for clause shapes it has fully
 validated; malformed queries come back non-exact so the compile path
-raises its usual :class:`~repro.backend.query.QueryError`.
+raises its usual :class:`~repro.backend.query.QueryError`, and a column
+that cannot answer for its rows (:meth:`Column.rows_in_range` returning
+``None``) declines the clause to the predicate the way
+``ColumnSet.supports`` declines an aggregation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from bisect import bisect_left
+from functools import reduce
+from typing import Any, Callable, Optional, Sequence
 
-from repro.backend.indexes import FieldIndex, is_indexable
+from repro.backend.columns import TERM_CLASSES, Column
 
-#: Plan modes, in decreasing order of help from the indexes.
+#: Plan modes, in decreasing order of help from the columns.
 PLAN_EXACT = "exact"
 PLAN_PRUNED = "pruned"
 PLAN_FULLSCAN = "fullscan"
 
-#: ``field -> FieldIndex`` resolver (builds the index on first use).
-FieldLookup = Callable[[str], FieldIndex]
+#: ``field -> Column`` resolver (builds the column on first use).
+FieldLookup = Callable[[str], Column]
+
+#: Ascending row numbers: a ``range`` or a sorted sequence.
+Rows = Sequence[int]
+
+
+def is_indexable(value: Any) -> bool:
+    """True for values a ``term``/``terms`` clause is planned on."""
+    return isinstance(value, TERM_CLASSES)
 
 
 class QueryPlan:
     """Outcome of planning one query against one index.
 
-    ``ids`` must be treated as read-only: exact single-clause plans
-    hand back live index sets to avoid copying on the hot path.
+    ``rows`` must be treated as read-only, and copied before the index
+    is written to: exact single-clause plans hand back live column
+    storage to avoid copying on the hot path.
     """
 
-    __slots__ = ("ids", "exact")
+    __slots__ = ("rows", "exact")
 
-    def __init__(self, ids: Optional[set[str]], exact: bool):
-        self.ids = ids
+    def __init__(self, rows: Optional[Rows], exact: bool):
+        self.rows = rows
         self.exact = exact
 
     @property
@@ -50,11 +70,26 @@ class QueryPlan:
         """``exact`` | ``pruned`` | ``fullscan`` (for telemetry)."""
         if self.exact:
             return PLAN_EXACT
-        return PLAN_FULLSCAN if self.ids is None else PLAN_PRUNED
+        return PLAN_FULLSCAN if self.rows is None else PLAN_PRUNED
 
     def __repr__(self) -> str:
-        size = "all" if self.ids is None else len(self.ids)
+        size = "all" if self.rows is None else len(self.rows)
         return f"<QueryPlan {self.mode} candidates={size}>"
+
+
+def _intersect(left: Rows, right: Rows) -> Rows:
+    """Ascending rows in both; a ``range`` side makes it a slice."""
+    if type(right) is range:
+        left, right = right, left
+    if type(left) is range:
+        if type(right) is range:
+            start = max(left.start, right.start)
+            return range(start, max(start, min(left.stop, right.stop)))
+        return right[bisect_left(right, left.start):
+                     bisect_left(right, left.stop)]
+    if len(left) > len(right):
+        left, right = right, left
+    return sorted(set(left).intersection(right))
 
 
 _FULLSCAN = (None, False)
@@ -78,22 +113,22 @@ def _clauses(body: dict, section: str) -> list:
 
 
 def plan_query(query: Optional[dict], lookup: FieldLookup) -> QueryPlan:
-    """Plan ``query`` using per-field indexes obtained via ``lookup``."""
+    """Plan ``query`` using per-field columns obtained via ``lookup``."""
     try:
-        ids, exact = _plan(query, lookup)
+        rows, exact = _plan(query, lookup)
     except TypeError:
         # Exotic value types (unhashable terms, odd minimum_should_match)
         # fall back to the predicate path, which raises canonically.
-        ids, exact = _FULLSCAN
-    return QueryPlan(ids, exact)
+        rows, exact = _FULLSCAN
+    return QueryPlan(rows, exact)
 
 
 def _plan(query: Optional[dict],
-          lookup: FieldLookup) -> tuple[Optional[set[str]], bool]:
-    """Recursive planner core: ``(upper_bound_ids, exact)``.
+          lookup: FieldLookup) -> tuple[Optional[Rows], bool]:
+    """Recursive planner core: ``(upper_bound_rows, exact)``.
 
-    Invariant: when ids is a set, it is a superset of the documents the
-    clause matches; ``exact`` promises equality.
+    Invariant: when rows is a sequence, it holds every row the clause
+    matches; ``exact`` promises equality.
     """
     if query is None or query == {}:
         return None, True
@@ -114,7 +149,7 @@ def _plan(query: Optional[dict],
         if not is_indexable(value):
             # e.g. ``None`` matches missing fields; postings can't see those.
             return _FULLSCAN
-        return lookup(field).term_ids((value,)), True
+        return lookup(field).rows_equal((value,)), True
 
     if kind == "terms":
         entry = _entry(body)
@@ -125,7 +160,7 @@ def _plan(query: Optional[dict],
             return _FULLSCAN
         if not all(is_indexable(value) for value in values):
             return _FULLSCAN
-        return lookup(field).term_ids(values), True
+        return lookup(field).rows_equal(values), True
 
     if kind == "range":
         entry = _entry(body)
@@ -134,10 +169,10 @@ def _plan(query: Optional[dict],
         field, bounds = entry
         if not isinstance(bounds, dict) or not bounds:
             return _FULLSCAN
-        ids = lookup(field).range_ids(bounds)
-        if ids is None:
+        rows = lookup(field).rows_in_range(bounds)
+        if rows is None:
             return _FULLSCAN
-        return ids, True
+        return rows, True
 
     if kind == "prefix":
         entry = _entry(body)
@@ -146,15 +181,14 @@ def _plan(query: Optional[dict],
         field, prefix = entry
         if isinstance(prefix, dict) and "value" in prefix:
             prefix = prefix["value"]
-        ids = lookup(field).prefix_ids(prefix)
-        if ids is None:
+        if not isinstance(prefix, str):
             return _FULLSCAN
-        return ids, True
+        return lookup(field).rows_with_prefix(prefix), True
 
     if kind == "exists":
         if not isinstance(body, dict) or "field" not in body:
             return _FULLSCAN
-        return lookup(body["field"]).present, True
+        return lookup(body["field"]).rows_present(), True
 
     if kind == "bool":
         if not isinstance(body, dict) or set(body) - _BOOL_SECTIONS:
@@ -166,7 +200,7 @@ def _plan(query: Optional[dict],
 
 
 def _plan_bool(body: dict,
-               lookup: FieldLookup) -> tuple[Optional[set[str]], bool]:
+               lookup: FieldLookup) -> tuple[Optional[Rows], bool]:
     musts = _clauses(body, "must") + _clauses(body, "filter")
     shoulds = _clauses(body, "should")
     must_nots = _clauses(body, "must_not")
@@ -176,13 +210,13 @@ def _plan_bool(body: dict,
     if shoulds and min_should == 0 and not musts and not must_nots:
         min_should = 1
 
-    sets: list[set[str]] = []
+    bounds: list[Rows] = []
     exact = True
     for clause in musts:
-        ids, sub_exact = _plan(clause, lookup)
+        rows, sub_exact = _plan(clause, lookup)
         exact = exact and sub_exact
-        if ids is not None:
-            sets.append(ids)
+        if rows is not None:
+            bounds.append(rows)
 
     if must_nots:
         # Complements need the whole doc universe; cheaper to re-check.
@@ -193,18 +227,18 @@ def _plan_bool(body: dict,
             # The union of per-should upper bounds over-approximates
             # "at least min_should shoulds match"; it is exact when
             # every branch is exact and a single match suffices.
-            union: set[str] = set()
+            union: set[int] = set()
             bounded = True
             union_exact = True
             for clause in shoulds:
-                ids, sub_exact = _plan(clause, lookup)
-                if ids is None:
+                rows, sub_exact = _plan(clause, lookup)
+                if rows is None:
                     bounded = False
                     break
-                union |= ids
+                union.update(rows)
                 union_exact = union_exact and sub_exact
             if bounded:
-                sets.append(union)
+                bounds.append(sorted(union))
                 if not (union_exact and min_should == 1):
                     exact = False
             else:
@@ -214,13 +248,9 @@ def _plan_bool(body: dict,
         else:
             exact = False   # exotic minimum_should_match: re-check docs
 
-    if not sets:
+    if not bounds:
         return None, exact
-    best = min(sets, key=len)
-    for ids in sets:
-        if ids is not best:
-            best = best & ids
-    return best, exact
+    return reduce(_intersect, sorted(bounds, key=len)), exact
 
 
 def prune_constraints(query: Optional[dict]) -> list[tuple[str, str, Any]]:

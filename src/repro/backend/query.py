@@ -19,6 +19,7 @@ sources; dotted field names traverse nested objects.
 from __future__ import annotations
 
 import fnmatch
+from operator import ge, gt, le, lt
 from typing import Any, Callable, Iterable, Optional
 
 Predicate = Callable[[dict], bool]
@@ -53,12 +54,8 @@ def _single_entry(clause: dict, kind: str) -> tuple[str, Any]:
     return next(iter(clause.items()))
 
 
-_RANGE_OPS = {
-    "gte": lambda v, bound: v >= bound,
-    "gt": lambda v, bound: v > bound,
-    "lte": lambda v, bound: v <= bound,
-    "lt": lambda v, bound: v < bound,
-}
+#: ``range`` operators: ``RANGE_OPS[op](value, bound)``.
+RANGE_OPS = {"gte": ge, "gt": gt, "lte": le, "lt": lt}
 
 
 def compile_query(query: Optional[dict]) -> Predicate:
@@ -83,8 +80,17 @@ def compile_query(query: Optional[dict]) -> Predicate:
         field, values = _single_entry(body, "terms")
         if not isinstance(values, (list, tuple, set, frozenset)):
             raise QueryError(f"terms values must be a list: {values!r}")
-        allowed = set(values)
-        return lambda source: get_field(source, field) in allowed
+        # NaN equals nothing, itself included: left in the set it
+        # would match by object identity.
+        allowed = {value for value in values if value == value}
+
+        def terms_predicate(source: dict) -> bool:
+            try:
+                return get_field(source, field) in allowed
+            except TypeError:             # an unhashable document value
+                return False
+
+        return terms_predicate
 
     if kind == "range":
         field, bounds = _single_entry(body, "range")
@@ -92,9 +98,9 @@ def compile_query(query: Optional[dict]) -> Predicate:
             raise QueryError(f"range bounds must be a non-empty dict: {bounds!r}")
         checks = []
         for op, bound in bounds.items():
-            if op not in _RANGE_OPS:
+            if op not in RANGE_OPS:
                 raise QueryError(f"unknown range operator {op!r}")
-            checks.append((_RANGE_OPS[op], bound))
+            checks.append((RANGE_OPS[op], bound))
 
         def range_predicate(source: dict) -> bool:
             value = get_field(source, field)

@@ -8,16 +8,18 @@ own segment directory — and a thin coordinator that:
 
 - **routes writes** deterministically by a configurable shard key
   (``file_tag`` hash, ``pid``, or ``time`` window; ``TracerConfig
-  [sharding]``), assigning *global* doc ids and insertion ranks so
-  every shard-local scan is already in global order;
+  [sharding]``), assigning *global* doc ids and insertion ranks and
+  handing each shard its documents in rank order, so shard-local row
+  order — every shard-local scan — is already the global order;
 - **partitions vectorized bulks** lane-wise: a decoded
   :class:`~repro.tracer.batch.RecordBatch` is split by shard key with
   :meth:`RecordBatch.take` before ``bulk_columnar`` — no per-event
   document is ever materialised on the ingest path;
 - **fans out reads** shard by shard (serially: the speed-up is the
   smaller per-shard working set, not threads) and merges at the
-  coordinator: a k-way heap merge by global rank (or by the search
-  sort key) for hits; for aggregations, each shard's columnar partial
+  coordinator: a k-way heap merge by global rank for hits (a sorted
+  search asks each shard for its own sorted ``from_ + size`` prefix and
+  merges those by the sort key); for aggregations, each shard's columnar partial
   (:meth:`ColumnSet.partial`, cached per shard epoch) handed to the
   same :meth:`ColumnSet.merge` that finishes a single store's answer —
   no aggregation is validated, computed or finished in this module —
@@ -43,7 +45,7 @@ import time
 import zlib
 from collections import OrderedDict
 from heapq import merge as heap_merge
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.backend.aggregations import run_aggregations
@@ -53,7 +55,7 @@ from repro.backend.query import get_field
 from repro.backend.store import (AGG_CACHE_SIZE, DocumentStore, Index,
                                  StoreError, _response, sort_key,
                                  bind_store_telemetry, observe_span,
-                                 span_start)
+                                 parse_sort, span_start)
 from repro.backend.wal import frame_record, recover_log
 
 #: Supported shard keys (``TracerConfig.shard_key``).
@@ -374,8 +376,7 @@ class ShardedDocumentStore:
             # The shard-key value changed under an existing id; the doc
             # stays put, so key-based query routing is no longer exact.
             self._routing_exact[index] = False
-        self.shards[owner].index_doc(index, source, doc_id,
-                                     rank=state.rank[doc_id])
+        self.shards[owner].index_doc(index, source, doc_id)
         self.documents_indexed += 1
         return doc_id
 
@@ -386,15 +387,15 @@ class ShardedDocumentStore:
             return None
         return self.shards[owner].get_doc(index, doc_id)
 
-    def _assign(self, state: _IndexState, n: int) -> tuple[list[str], range]:
-        """Fresh global ids and ranks for ``n`` new documents."""
+    def _assign(self, state: _IndexState, n: int) -> list[str]:
+        """Fresh global ids for ``n`` new documents, ranked in order."""
         start = state.next_id
         state.next_id = start + n
         doc_ids = list(map(str, range(start, start + n)))
-        ranks = range(state.next_rank, state.next_rank + n)
+        state.rank.update(zip(doc_ids, range(state.next_rank,
+                                             state.next_rank + n)))
         state.next_rank += n
-        state.rank.update(zip(doc_ids, ranks))
-        return doc_ids, ranks
+        return doc_ids
 
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
         start = span_start(self._telemetry)
@@ -402,19 +403,18 @@ class ShardedDocumentStore:
         state = self._states[index]
         sources = list(sources)
         n = len(sources)
-        doc_ids, ranks = self._assign(state, n)
+        doc_ids = self._assign(state, n)
         codes = [self._route_source(source) for source in sources]
         state.owner.update(zip(doc_ids, codes))
-        groups: dict[int, tuple[list, list, list]] = {}
-        for source, doc_id, rank, code in zip(sources, doc_ids, ranks, codes):
+        groups: dict[int, tuple[list, list]] = {}
+        for source, doc_id, code in zip(sources, doc_ids, codes):
             group = groups.get(code)
             if group is None:
-                group = groups[code] = ([], [], [])
+                group = groups[code] = ([], [])
             group[0].append(source)
             group[1].append(doc_id)
-            group[2].append(rank)
         for code, group in sorted(groups.items()):
-            self.shards[code].bulk(index, group[0], group[1], group[2])
+            self.shards[code].bulk(index, group[0], group[1])
         self.bulk_requests += 1
         self.documents_indexed += n
         self.bulk_partitions += len(groups)
@@ -441,15 +441,14 @@ class ShardedDocumentStore:
                 self._telemetry["bulk_docs"].observe(0)
                 observe_span(self._telemetry, "store.bulk", start)
             return 0
-        doc_ids, ranks = self._assign(state, n)
+        doc_ids = self._assign(state, n)
         route = self._route_value
         codes = list(map(route, batch.values_for(self.route_field)))
         state.owner.update(zip(doc_ids, codes))
         first = codes[0]
         partitions = 1
         if all(code == first for code in codes):
-            self.shards[first].bulk_columnar(index, batch, doc_ids,
-                                             list(ranks))
+            self.shards[first].bulk_columnar(index, batch, doc_ids)
         else:
             rows_by_shard: dict[int, list[int]] = {}
             for row, code in enumerate(codes):
@@ -458,12 +457,10 @@ class ShardedDocumentStore:
                     rows_by_shard[code] = [row]
                 else:
                     rows.append(row)
-            rank_start = ranks.start
             for code, rows in sorted(rows_by_shard.items()):
                 self.shards[code].bulk_columnar(
                     index, batch.take(rows),
-                    [doc_ids[row] for row in rows],
-                    [rank_start + row for row in rows])
+                    [doc_ids[row] for row in rows])
             partitions = len(rows_by_shard)
         self.bulk_requests += 1
         self.columnar_bulks += 1
@@ -555,9 +552,10 @@ class ShardedDocumentStore:
                from_: int = 0) -> dict:
         """Scatter-gather search; byte-identical to the single store.
 
-        Hits are merged by a k-way heap on global rank (or on the sort
-        key with a rank tie-break, which reproduces the single store's
-        stable multi-pass sort exactly).  Aggregations try the partial
+        Hits are merged by a k-way heap on global rank — or, for a
+        sorted search, each shard's own sorted ``from_ + size`` prefix
+        on the sort key with a rank tie-break, which reproduces the
+        single store's stable multi-pass sort exactly.  Aggregations try the partial
         merge first — per-shard columnar partials, each cached in its
         shard's epoch-keyed LRU, finished by :meth:`ColumnSet.merge` —
         and otherwise gather rank-ordered sources through the legacy
@@ -602,6 +600,9 @@ class ShardedDocumentStore:
                 total, aggregations = self._scatter_aggs(
                     index, query, aggs, shards, state)
             window = []
+        elif sort and aggs is None:
+            total, window = self._sorted_window(index, query, shards, state,
+                                                sort, size, from_)
         else:
             matches = self._merged_matches(index, query, shards, state, sort)
             total = len(matches)
@@ -629,29 +630,33 @@ class ShardedDocumentStore:
 
     def _merged_matches(self, index: str, query, shards: list[int],
                         state: _IndexState, sort) -> list[tuple[str, dict]]:
-        parts = self._map_shards(shards,
-                                 lambda shard: shard.scan(index, query))
+        """Every match, in the single store's order (aggregations
+        over a sorted search read them all)."""
         if not sort:
-            return self._merge_by_rank(parts, state)
-        # Parse in the single store's (reversed) validation order so a
-        # bad entry raises the same error at the same point.
-        parsed_rev = []
-        for entry in reversed(sort):
-            if isinstance(entry, str):
-                field, descending = entry, False
-            elif isinstance(entry, dict) and len(entry) == 1:
-                field, opts = next(iter(entry.items()))
-                descending = (opts or {}).get("order", "asc") == "desc"
-            else:
-                raise StoreError(f"bad sort entry {entry!r}")
-            parsed_rev.append((field, descending))
-        for part in parts:
-            for field, descending in parsed_rev:
-                part.sort(key=lambda pair, f=field: sort_key(
-                    get_field(pair[1], f)), reverse=descending)
+            return self._merge_by_rank(self._map_shards(
+                shards, lambda shard: shard.scan(index, query)), state)
+        return self._sorted_window(index, query, shards, state, sort,
+                                   None, 0)[1]
+
+    def _sorted_window(self, index: str, query, shards: list[int],
+                       state: _IndexState, sort, size: Optional[int],
+                       from_: int) -> tuple[int, list[tuple[str, dict]]]:
+        """``(total, hits[from_:from_ + size])`` of a sorted search.
+
+        Each shard sorts its own rows and builds only its first
+        ``from_ + size`` hits — no hit past that prefix can reach the
+        merged window — and the prefixes merge on the sort key, global
+        rank breaking ties as the single store's stable sort does.
+        """
+        limit = None if size is None else from_ + size
+        responses = self._map_shards(shards, lambda shard: shard.search(
+            index, query, sort=sort, size=limit)["hits"])
+        entries = parse_sort(sort)       # after the query, as a shard does
+        total = sum(hits["total"]["value"] for hits in responses)
+        parts = [[(hit["_id"], hit["_source"]) for hit in hits["hits"]]
+                 for hits in responses]
         if len(parts) == 1:
-            return parts[0]
-        entries = parsed_rev[::-1]
+            return total, parts[0][from_:]
         rank = state.rank
 
         def merge_key(pair):
@@ -665,7 +670,8 @@ class ShardedDocumentStore:
             key.append(rank.get(pair[0], float("inf")))
             return tuple(key)
 
-        return list(heap_merge(*parts, key=merge_key))
+        merged = heap_merge(*parts, key=merge_key)
+        return total, list(islice(merged, from_, limit))
 
     def _scatter_aggs(self, index: str, query, aggs, shards: list[int],
                       state: _IndexState) -> tuple[int, dict]:
@@ -760,12 +766,12 @@ class ShardedDocumentStore:
             target = shard._indices.get(index)
             if target is None:
                 continue
-            matches = target.scan(query, shard._plan(target, query))
-            for doc_id, _ in matches:
-                target.delete(doc_id)
+            deleted = target.delete_matching(query,
+                                             shard._plan(target, query))
+            for doc_id in deleted:
                 state.rank.pop(doc_id, None)
                 state.owner.pop(doc_id, None)
-            removed += len(matches)
+            removed += len(deleted)
         return removed
 
     # ------------------------------------------------------------------
@@ -775,8 +781,9 @@ class ShardedDocumentStore:
         """Re-route every document by its current shard-key value.
 
         Optionally changes the shard count.  Ids, ranks, and sources
-        are preserved (sources move by reference), so reads before and
-        after are byte-identical; key-based routing becomes exact
+        are preserved (sources move by reference, re-put in rank order
+        so every new shard's rows are in rank order), so reads before
+        and after are byte-identical; key-based routing becomes exact
         again.  Returns the number of documents moved to a new shard.
         """
         new_count = self.shard_count if shard_count is None else shard_count
@@ -801,21 +808,18 @@ class ShardedDocumentStore:
                 state.owner[doc_id] = code
                 if previous.get(doc_id) != code:
                     moved += 1
-                rank = state.rank.get(doc_id)
-                if rank is None:
+                if doc_id not in state.rank:
                     # A shard held a doc the coordinator never assigned
                     # (buggy caller grew a batch).  Adopt it: it scans
                     # last, so adoption order is deterministic.
-                    rank = state.next_rank
+                    state.rank[doc_id] = state.next_rank
                     state.next_rank += 1
-                    state.rank[doc_id] = rank
                     try:
                         state.next_id = max(state.next_id,
                                             int(doc_id) + 1)
                     except ValueError:
                         pass
-                self.shards[code].index_doc(name, source, doc_id,
-                                            rank=rank)
+                self.shards[code].index_doc(name, source, doc_id)
         self.rebalances += 1
         return moved
 
@@ -842,11 +846,12 @@ class ShardedDocumentStore:
             shard_dir.mkdir(parents=True, exist_ok=True)
             frames = [SHARD_IMAGE_MAGIC]
             for name in sorted(shard._indices):
-                target = shard._indices[name]
-                for doc_id, source in target.documents():
+                state = self._states[name]
+                for doc_id, source in shard._indices[name].documents():
+                    # An id the coordinator never assigned scans last.
+                    rank = state.rank.get(doc_id, state.next_rank)
                     frames.append(frame_record(
-                        [name, doc_id, target._rank[doc_id], source],
-                        default=repr))
+                        [name, doc_id, rank, source], default=repr))
             (shard_dir / SHARD_IMAGE_NAME).write_bytes(b"".join(frames))
 
     def save_shard_segments(self, root, session: str,
@@ -911,7 +916,7 @@ class ShardedDocumentStore:
             state = self._states.get(name)
             if state is None:
                 continue
-            target_store.index_doc(name, source, doc_id, rank=rank)
+            target_store.index_doc(name, source, doc_id)
             state.rank.setdefault(doc_id, rank)
             state.owner[doc_id] = shard
             restored += 1

@@ -5,32 +5,37 @@ indexing (including a bulk endpoint the tracer batches into), search
 with query + aggregations + sort + pagination, and update-by-query for
 the correlation algorithm.
 
-Reads go through a query planner (:mod:`repro.backend.planner`) backed
-by per-field secondary indexes (:mod:`repro.backend.indexes`): postings
-for ``term``/``terms``, sorted arrays for ``range``/``prefix``, and
-presence sets for ``exists``.  When a plan is *exact* the store skips
-predicate evaluation entirely; otherwise the plan prunes the scan set
-and the compiled predicate re-checks the survivors.  Every plan
-decision is counted (``plan_counts``) and exposed through telemetry as
-``dio_store_plan_{exact,pruned,fullscan}_total`` plus a cumulative
-pruning-ratio gauge.
+Rows are the address of the read path.  Every document owns a row —
+its position in insertion order — and every field a request has
+touched owns one typed :class:`~repro.backend.columns.Column`, built
+lazily from lanes.  The query planner (:mod:`repro.backend.planner`)
+answers in ascending row numbers read off those columns (dictionary
+code -> postings for ``term``/``terms``, bisect on the numeric lane for
+``range``, the dictionary's string keys for ``prefix``, the presence
+bitmap for ``exists``), and everything downstream consumes the rows as
+they are: the aggregation kernels, ``count``, the lane read, and a
+sorted search, which orders rows by keys read off the columns and
+builds ``(id, source)`` only for the window it returns.  When a plan is
+*exact* the store skips predicate evaluation entirely; otherwise the
+plan prunes the candidate rows and the compiled predicate re-checks the
+survivors.  Every plan decision is counted (``plan_counts``) and exposed
+through telemetry as ``dio_store_plan_{exact,pruned,fullscan}_total``
+plus a cumulative pruning-ratio gauge.
 
-Writes are delta-aware: re-indexing a document only touches the fields
-whose values actually changed, so the correlator's per-document
-``file_path`` updates no longer rebuild postings for every indexed
-field.  Documents a vectorized bulk parked as lanes
-(:mod:`repro.backend.lanes`) stay parked through the tail of a traced
-execution: :meth:`DocumentStore.lanes` reads them as lanes and
+Writes are delta-aware: re-putting or refreshing a document moves its
+row only in the columns whose values actually changed.  Documents a
+vectorized bulk parked as lanes (:mod:`repro.backend.lanes`) stay
+parked through the tail of a traced execution:
+:meth:`DocumentStore.lanes` reads them as lanes and
 :meth:`DocumentStore.update_docs` lands on them as an overlay, so
 correlation and ``save_session`` build no ``_source`` dict.
 
-Aggregations are *pushed down* to a columnar execution layer
-(:mod:`repro.backend.columns`): when a search carries ``aggs`` and no
-``sort``, the planner's candidate set is translated to row numbers and
-evaluated by typed-array kernels without ever materialising ``_source``
-dicts — the dominant cost of the dashboard path.  Results are cached
-per ``(index epoch, query, aggs)`` and invalidated by any mutation.
-Shapes the kernels do not support fall back to the dict-walking
+Aggregations are *pushed down* to the columnar kernels
+(:mod:`repro.backend.columns`): the plan's rows are evaluated by
+typed-array kernels without ever materialising ``_source`` dicts — the
+dominant cost of the dashboard path.  Results are cached per ``(index
+epoch, query, aggs)`` and invalidated by any mutation.  Shapes the
+kernels do not support fall back to the dict-walking
 :func:`run_aggregations`.  Every decision is counted and exposed as
 ``dio_store_agg_{pushdown,fallback,cache_hits,cache_misses}`` plus a
 kernel-duration histogram.
@@ -41,23 +46,22 @@ from __future__ import annotations
 import copy
 import json
 import time
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from bisect import bisect_right
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.backend.aggregations import run_aggregations
-from repro.backend.columns import ColumnSet
-from repro.backend.indexes import FieldIndex
+from repro.backend.columns import Column, ColumnSet
 from repro.backend.lanes import DocBatch, JoinedBatch, LaneBatch, sort_key
 from repro.backend.planner import QueryPlan, plan_query
-from repro.backend.query import compile_query, field_affected, get_field
+from repro.backend.query import compile_query, get_field
 
 #: Cached aggregation results kept per index (LRU).
 AGG_CACHE_SIZE = 64
 
-#: Secondary indexes every index of trace events is created with —
-#: by the tracer, by a loaded segment store and by an imported export,
-#: so the three are planned alike.
+#: The fields every index of trace events is declared to be queried on
+#: — by the tracer, by a loaded segment store and by an imported
+#: export alike (a declaration: see :class:`Index`).
 INDEXED_EVENT_FIELDS = ("syscall", "proc_name", "pid", "tid", "file_tag",
                         "session", "time")
 
@@ -67,45 +71,33 @@ class StoreError(Exception):
 
 
 class Index:
-    """A named collection of JSON documents with secondary indexes."""
+    """A named collection of JSON documents, addressed by row."""
 
     def __init__(self, name: str,
                  indexed_fields: Optional[Iterable[str]] = None):
+        """``indexed_fields`` is accepted for the callers that declare
+        what they will query (the tracer, the session loaders) and
+        builds nothing: a field's column is built from lanes by the
+        first query, sort or aggregation that touches it."""
         self.name = name
         self._docs: dict[str, dict] = {}
         self._next_id = 1
-        #: doc id -> insertion rank; lets index-accelerated scans return
-        #: hits in insertion order, like a full scan would.
-        self._rank: dict[str, int] = {}
-        self._next_rank = 0
-        #: field -> FieldIndex.  Fields are added lazily the first time
-        #: a query touches them, or eagerly via ``indexed_fields``.
-        self._fields: dict[str, FieldIndex] = {}
-        for field in indexed_fields or ():
-            self._fields[field] = FieldIndex(field)
-        #: Typed per-field columns for aggregation pushdown, maintained
-        #: incrementally alongside the field indexes.
+        #: Row numbering plus one typed :class:`Column` per field any
+        #: request has touched — the only per-field structure: the
+        #: planner, the sort and the aggregation kernels all read it.
+        #: A document's row is its insertion rank among the living.
         self.columns = ColumnSet()
         #: Mutation epoch — any put/delete/refresh bumps it, which is
         #: what keys cached aggregation results out of existence.
         self.epoch = 0
         self._agg_cache: OrderedDict[tuple, tuple] = OrderedDict()
         #: Lane-wise bulk appends whose ``_source`` dicts have not been
-        #: materialised yet: ``(doc_ids, LaneBatch)`` pairs, hydrated
+        #: materialised yet: ``(first row, LaneBatch)`` pairs, hydrated
         #: into ``_docs`` the first time any reader needs sources.
-        self._pending: list[tuple[list[str], LaneBatch]] = []
+        self._pending: list[tuple[int, LaneBatch]] = []
         self._pending_count = 0
         #: Documents lazily materialised so far (telemetry).
         self.hydrated_docs_total = 0
-        #: Field-index work deferred by the vectorized bulk path:
-        #: ``(doc_ids, LaneBatch)`` pairs not yet replayed into every
-        #: :class:`FieldIndex`.  ``_lane_pos`` records how much of the
-        #: backlog each field has consumed; a field catches up the
-        #: first time a query (or any per-document mutation) needs it —
-        #: the same bulk-load-then-query amortisation the sorted
-        #: partitions already use.
-        self._lane_backlog: list[tuple[list[str], LaneBatch]] = []
-        self._lane_pos: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._docs) + self._pending_count
@@ -124,49 +116,53 @@ class Index:
         Called by any code path that reads or mutates ``_docs``.  The
         batches were appended in insertion order and ``put`` hydrates
         before inserting, so ``_docs`` iteration order always matches
-        insertion rank afterwards.
+        row order afterwards.
         """
         if not self._pending:
             return
         pending, self._pending = self._pending, []
         self._pending_count = 0
         docs = self._docs
+        doc_ids = self.columns.doc_ids
         count = 0
-        for doc_ids, batch in pending:
-            for doc_id, source in zip(doc_ids, batch.to_docs()):
-                docs[doc_id] = source
-            count += len(doc_ids)
+        for start, batch in pending:
+            docs.update(zip(doc_ids[start:start + len(batch)],
+                            batch.to_docs()))
+            count += len(batch)
         self.hydrated_docs_total += count
 
     def column_sources(self) -> tuple[dict[str, dict], list[LaneBatch]]:
-        """``(docs, pending)`` for :meth:`ColumnSet.supports`.
+        """``(docs, pending)`` for :meth:`ColumnSet.ensure_column`.
 
         The materialised documents plus the batches still parked as
         lanes: a first-time column build reads the former as dicts and
-        the latter as lanes, so aggregating never hydrates.
+        the latter as lanes, so planning and aggregating never hydrate.
         """
         return self._docs, [batch for _, batch in self._pending]
 
+    def column(self, field: str) -> Column:
+        """``field``'s column, built on first use — the planner's
+        field resolver, so a query pays for the fields it touches and
+        only those."""
+        return self.columns.ensure_column(field, *self.column_sources())
+
     def bulk_append(self, batch: LaneBatch,
-                    doc_ids: Optional[list[str]] = None,
-                    ranks: Optional[Iterable[int]] = None) -> int:
+                    doc_ids: Optional[list[str]] = None) -> int:
         """Append one :class:`LaneBatch` of brand-new docs.
 
-        The vectorized twin of ``put`` in a loop: ids and ranks are
-        assigned in one pass and neither the source dicts nor the
-        secondary-index entries are built yet — the batch is parked on
-        the pending list until a reader needs sources, and on the lane
-        backlog until a query (or mutation) needs a given field's
-        index, which then ingests whole lanes at once (pre-grouped
+        The vectorized twin of ``put`` in a loop: ids and rows are
+        assigned in one pass and no source dict is built — the batch is
+        parked on the pending list until a reader needs sources, and
+        only the columns that already exist take its lanes (pre-grouped
         where the batch has groups).  State after this call plus
-        :meth:`_hydrate` and :meth:`_flush_all_lanes` is identical to
-        ``len(batch)`` sequential ``put`` calls.
+        :meth:`_hydrate` is identical to ``len(batch)`` sequential
+        ``put`` calls.
 
-        ``doc_ids``/``ranks`` let a coordinator (the shard router)
-        assign *global* ids and insertion ranks so shard-local scan
-        order is the global order.  Ids must be brand-new and, when
-        numeric, ascending — the id counter is advanced past the last
-        one.
+        ``doc_ids`` lets a coordinator (the shard router) assign
+        *global* ids; it sends them in global insertion order, so
+        shard-local row order is the global order.  Ids must be
+        brand-new and, when numeric, ascending — the id counter is
+        advanced past the last one.
         """
         n = len(batch)
         if n == 0:
@@ -176,53 +172,12 @@ class Index:
             self._next_id = start + n
             doc_ids = list(map(str, range(start, start + n)))
         else:
-            doc_ids = list(doc_ids)
             self._claim_id(doc_ids[-1])
-        if ranks is None:
-            rank = self._next_rank
-            self._rank.update(zip(doc_ids, range(rank, rank + n)))
-            self._next_rank = rank + n
-        else:
-            ranks = list(ranks)
-            self._rank.update(zip(doc_ids, ranks))
-            self._next_rank = max(self._next_rank, ranks[-1] + 1)
         self.epoch += n
-        if self._fields:
-            self._lane_backlog.append((doc_ids, batch))
-        self.columns.extend_new(doc_ids, batch.values_for)
-        self._pending.append((doc_ids, batch))
+        self._pending.append((len(self.columns.doc_ids), batch))
         self._pending_count += n
+        self.columns.extend_new(doc_ids, batch)
         return n
-
-    def _flush_lanes(self, field: str, findex: FieldIndex) -> None:
-        """Replay backlog entries ``field``'s index has not consumed."""
-        backlog = self._lane_backlog
-        pos = self._lane_pos.get(field, 0)
-        if pos >= len(backlog):
-            return
-        for doc_ids, batch in backlog[pos:]:
-            grouped = batch.groups_for(field)
-            if grouped is not None:
-                findex.extend_new_grouped(doc_ids, grouped)
-            elif batch.dense_int(field):
-                findex.extend_new_dense(doc_ids, batch.values_for(field))
-            else:
-                findex.extend_new(doc_ids, batch.values_for(field))
-        self._lane_pos[field] = len(backlog)
-
-    def _flush_all_lanes(self) -> None:
-        """Barrier before any per-document index mutation.
-
-        ``update``/``remove`` need every field index current (they
-        delta against the indexed value), so mutations replay the
-        whole backlog; afterwards it can be dropped.
-        """
-        if not self._lane_backlog:
-            return
-        for field, findex in self._fields.items():
-            self._flush_lanes(field, findex)
-        self._lane_backlog.clear()
-        self._lane_pos.clear()
 
     # ------------------------------------------------------------------
     # Write path
@@ -245,56 +200,45 @@ class Index:
         if numeric >= self._next_id:
             self._next_id = numeric + 1
 
-    def put(self, source: dict, doc_id: Optional[str] = None,
-            rank: Optional[int] = None) -> str:
+    def put(self, source: dict, doc_id: Optional[str] = None) -> str:
         """Index one document; returns its id.
 
-        Re-putting an existing id is delta-aware: only the secondary
-        indexes whose field values changed are touched, and in-place
-        mutations of the stored source are handled correctly because
-        each :class:`FieldIndex` remembers the value it indexed under.
-
-        ``rank`` pins the insertion rank of a *new* document (the
-        shard router assigns global ranks); it is ignored for ids the
-        index already holds.
+        Re-putting an existing id keeps its row and is delta-aware:
+        each column moves the row only if the field's value changed,
+        and in-place mutations of the stored source are handled
+        correctly because a column remembers what it holds per row.
         """
         if not isinstance(source, dict):
             raise StoreError(f"document source must be a dict: {source!r}")
         self._hydrate()                    # keep _docs in insertion order
-        if self._lane_backlog:
-            self._flush_all_lanes()        # updates delta against indexes
         if doc_id is None:
             doc_id = self._generate_id()
         else:
             self._claim_id(doc_id)
-        if doc_id not in self._rank:
-            if rank is None:
-                self._rank[doc_id] = self._next_rank
-                self._next_rank += 1
-            else:
-                self._rank[doc_id] = rank
-                self._next_rank = max(self._next_rank, rank + 1)
         self._docs[doc_id] = source
         self.epoch += 1
-        for field, index in self._fields.items():
-            index.update(doc_id, get_field(source, field))
         self.columns.note_put(doc_id, source)
         return doc_id
 
     def delete(self, doc_id: str) -> bool:
         """Delete by id; returns ``False`` if absent."""
         self._hydrate()
-        if self._lane_backlog:
-            self._flush_all_lanes()
         source = self._docs.pop(doc_id, None)
         if source is None:
             return False
-        self._rank.pop(doc_id, None)
         self.epoch += 1
-        for index in self._fields.values():
-            index.remove(doc_id)
         self.columns.note_delete(doc_id)
         return True
+
+    def delete_matching(self, query: Optional[dict],
+                        plan: Optional[QueryPlan] = None) -> list[str]:
+        """Delete every match of ``query``; returns the ids deleted."""
+        rows, _ = self.matching_rows(query, plan)
+        # Copied first: deleting rewrites postings the rows may alias.
+        doc_ids = self._ids(rows)
+        for doc_id in doc_ids:
+            self.delete(doc_id)
+        return doc_ids
 
     def get(self, doc_id: str) -> Optional[dict]:
         """Fetch a document source by id."""
@@ -307,56 +251,21 @@ class Index:
         self._hydrate()
         return iter(self._docs.items())
 
-    def ensure_indexed(self, field: str) -> FieldIndex:
-        """Build (or fetch) the secondary index for ``field``.
-
-        This is the planner's field resolver, so it doubles as the
-        lane-backlog flush point: a query touching ``field`` pays for
-        that field's staged batches, and only those.
-        """
-        index = self._fields.get(field)
-        if index is None:
-            self._hydrate()
-            index = FieldIndex(field)
-            for doc_id, source in self._docs.items():
-                index.update(doc_id, get_field(source, field))
-            self._fields[field] = index
-            # Built from the hydrated doc table, so it has already
-            # seen every staged batch.
-            self._lane_pos[field] = len(self._lane_backlog)
-        elif self._lane_backlog:
-            self._flush_lanes(field, index)
-        return index
-
-    def _affected_fields(self,
-                         fields: Optional[Iterable[str]]) -> list[FieldIndex]:
-        """Secondary indexes a change to ``fields`` can invalidate."""
-        if fields is None:
-            return list(self._fields.values())
-        return [index for name, index in self._fields.items()
-                if field_affected(name, fields)]
-
     def refresh_many(self, doc_ids: Iterable[str],
                      fields: Optional[Iterable[str]] = None) -> None:
-        """Re-read indexed values after in-place source mutations.
+        """Re-read column values after in-place source mutations.
 
-        ``fields`` narrows the work to indexes that can actually have
+        ``fields`` narrows the work to columns that can actually have
         changed (e.g. the correlator only ever sets ``file_path``).
         """
         self._hydrate()
-        if self._lane_backlog:
-            self._flush_all_lanes()
         self.epoch += 1
-        affected = self._affected_fields(fields)
         docs = self._docs
         fields = tuple(fields) if fields is not None else None
         for doc_id in doc_ids:
             source = docs.get(doc_id)
-            if source is None:
-                continue
-            for index in affected:
-                index.update(doc_id, get_field(source, index.field))
-            self.columns.note_refresh(doc_id, source, fields)
+            if source is not None:
+                self.columns.note_refresh(doc_id, source, fields)
 
     def update_docs(self, doc_ids: Iterable[str], fields: dict) -> int:
         """``source.update(fields)`` on the documents that exist;
@@ -364,11 +273,8 @@ class Index:
 
         A document still parked as lanes takes the update as an
         overlay on its batch (:meth:`LaneBatch.overlay`) and stays
-        parked; state after :meth:`_hydrate` and
-        :meth:`_flush_all_lanes` is what updating hydrated documents
-        leaves.  The lane backlog is only replayed when the update
-        reaches a field that *has* an index — an update to another
-        field leaves every index to the first query that plans on it.
+        parked; state after :meth:`_hydrate` is what updating hydrated
+        documents leaves.
         """
         row_of = self.columns.row_of
         updated = [doc_id for doc_id in doc_ids if doc_id in row_of]
@@ -382,18 +288,17 @@ class Index:
 
     def _overlay(self, doc_ids: list[str], fields: dict) -> bool:
         """:meth:`update_docs` without hydrating; ``False`` when a
-        batch, an index or a column needs the documents for it (a
-        batch that took the overlay before another refused keeps it:
-        the row path then sets the same values again)."""
+        batch or a column needs the documents for it (a batch that
+        took the overlay before another refused keeps it: the row path
+        then sets the same values again)."""
         pending = self._pending
         if not pending:
             return False
-        indexes = self._affected_fields(fields)
         columns = self.columns.affected(fields)
-        if not all(held.field in fields for held in indexes + columns):
+        if not all(held.field in fields for held in columns):
             return False                # a dotted name under a new key
         row_of = self.columns.row_of
-        starts = [row_of[entry_ids[0]] for entry_ids, _ in pending]
+        starts = [start for start, _ in pending]
         hydrated: list[str] = []
         lane_rows: dict[int, list[int]] = {}
         for doc_id in doc_ids:
@@ -403,8 +308,6 @@ class Index:
                 hydrated.append(doc_id)
             else:
                 lane_rows.setdefault(entry, []).append(row - starts[entry])
-        if indexes and self._lane_backlog:
-            self._flush_all_lanes()     # they delta against the old value
         for entry, rows in lane_rows.items():
             if not pending[entry][1].overlay(rows, fields):
                 return False
@@ -412,10 +315,6 @@ class Index:
         for doc_id in hydrated:
             docs[doc_id].update(fields)
         self.epoch += 1
-        for held in indexes:
-            value = fields[held.field]
-            for doc_id in doc_ids:
-                held.update(doc_id, value)
         for held in columns:
             value = fields[held.field]
             for doc_id in doc_ids:
@@ -426,31 +325,22 @@ class Index:
     # Read path
 
     def plan(self, query: Optional[dict]) -> QueryPlan:
-        """Plan ``query`` against this index's secondary indexes."""
-        return plan_query(query, self.ensure_indexed)
+        """Plan ``query`` against this index's columns."""
+        return plan_query(query, self.column)
+
+    def _ids(self, rows: Iterable[int]) -> list[str]:
+        return list(map(self.columns.doc_ids.__getitem__, rows))
+
+    def pairs(self, rows: Iterable[int]) -> list[tuple[str, dict]]:
+        """``(id, source)`` of ``rows``, in their order."""
+        self._hydrate()
+        doc_ids = self._ids(rows)
+        return list(zip(doc_ids, map(self._docs.__getitem__, doc_ids)))
 
     def scan(self, query: Optional[dict],
              plan: Optional[QueryPlan] = None) -> list[tuple[str, dict]]:
         """All (id, source) pairs matching ``query``, insertion-ordered."""
-        predicate = compile_query(query)   # validates even on exact plans
-        if plan is None:
-            plan = self.plan(query)
-        self._hydrate()
-        docs = self._docs
-        if plan.ids is None:
-            if plan.exact:
-                return list(docs.items())
-            return [(doc_id, source) for doc_id, source in docs.items()
-                    if predicate(source)]
-        ordered = sorted(plan.ids, key=self._rank.__getitem__)
-        if plan.exact:
-            return [(doc_id, docs[doc_id]) for doc_id in ordered]
-        matches = []
-        for doc_id in ordered:
-            source = docs[doc_id]
-            if predicate(source):
-                matches.append((doc_id, source))
-        return matches
+        return self.pairs(self.matching_rows(query, plan)[0])
 
     def lanes(self, query: Optional[dict],
               plan: Optional[QueryPlan] = None
@@ -460,34 +350,24 @@ class Index:
 
         Under an exact plan a parked batch is handed over as it is (or
         taken to its matching rows) and the hydrated documents are the
-        transposing part; a plan that has to look at documents falls
-        back to :meth:`scan`.
+        transposing part; a plan that has to look at documents has
+        hydrated them all.
         """
-        compile_query(query)               # validates even on exact plans
-        if plan is None:
-            plan = self.plan(query)
-        if not plan.exact:
-            matches = self.scan(query, plan)
-            return ([doc_id for doc_id, _ in matches],
-                    DocBatch([source for _, source in matches]))
-        wanted = plan.ids
-        if wanted is not None and len(wanted) == len(self):
-            wanted = None                  # every document matches
-        docs = self._docs
-        held = (list(docs) if wanted is None else
-                sorted(wanted & docs.keys(), key=self._rank.__getitem__))
-        parts: list[LaneBatch] = [DocBatch([docs[doc_id]
-                                            for doc_id in held])]
-        doc_ids = held
-        for entry_ids, batch in self._pending:
-            if wanted is not None:
-                rows = [row for row, doc_id in enumerate(entry_ids)
-                        if doc_id in wanted]
-                if len(rows) < len(entry_ids):
-                    entry_ids = [entry_ids[row] for row in rows]
-                    batch = batch.take(rows)
-            doc_ids.extend(entry_ids)
-            parts.append(batch)
+        rows, _ = self.matching_rows(query, plan)
+        doc_ids = self._ids(rows)
+        pending = self._pending
+        # Hydration is all-or-nothing: hydrated rows, then parked ones.
+        done = bisect_left(rows, pending[0][0]) if pending else len(rows)
+        parts: list[LaneBatch] = [DocBatch(
+            list(map(self._docs.__getitem__, doc_ids[:done])))]
+        for start, batch in pending:
+            upto = bisect_left(rows, start + len(batch), done)
+            if upto - done == len(batch):
+                parts.append(batch)
+            elif upto > done:
+                parts.append(batch.take(
+                    [row - start for row in rows[done:upto]]))
+            done = upto
         return doc_ids, JoinedBatch(parts)
 
     def count(self, query: Optional[dict],
@@ -495,46 +375,58 @@ class Index:
         """Number of matches, without materialising (id, source) pairs."""
         if plan is None:
             plan = self.plan(query)
-        if plan.exact:
-            # Pending batches count without being materialised.
-            return len(self) if plan.ids is None else len(plan.ids)
-        predicate = compile_query(query)
-        self._hydrate()
-        if plan.ids is None:
-            return sum(1 for source in self._docs.values()
-                       if predicate(source))
-        docs = self._docs
-        return sum(1 for doc_id in plan.ids if predicate(docs[doc_id]))
+        if plan.exact and plan.rows is None:
+            return len(self)               # nothing to validate or build
+        return self.matching_rows(query, plan)[1]
 
     def matching_rows(self, query: Optional[dict],
-                      plan: Optional[QueryPlan] = None) -> tuple[Any, int]:
+                      plan: Optional[QueryPlan] = None
+                      ) -> tuple[Sequence[int], int]:
         """Matching *row numbers* (ascending) and the match count.
 
-        The aggregate-only read path: no ``(id, source)`` tuples, no
-        hit dicts — just the row-id set the columnar kernels consume.
+        The read every request shares: no ``(id, source)`` tuples, no
+        hit dicts — the rows the columnar kernels consume, a sorted
+        search orders and :meth:`pairs` turns into hits.  Under an
+        exact plan nothing is hydrated; the sequence may be column
+        storage (read-only).
         """
         predicate = compile_query(query)   # validates even when exact
         if plan is None:
             plan = self.plan(query)
-        columns = self.columns
-        if plan.ids is None:
-            if plan.exact:
-                rows = columns.all_rows()
-                return rows, len(rows)
+        rows = self.columns.all_rows() if plan.rows is None else plan.rows
+        if not plan.exact:
             self._hydrate()
-            row_of = columns.row_of
-            rows = [row_of[doc_id] for doc_id, source in self._docs.items()
-                    if predicate(source)]
-            return rows, len(rows)
-        if plan.exact:
-            rows = columns.rows_for_ids(plan.ids)
-            return rows, len(rows)
-        self._hydrate()
-        docs = self._docs
-        row_of = columns.row_of
-        rows = sorted(row_of[doc_id] for doc_id in plan.ids
-                      if predicate(docs[doc_id]))
+            docs = self._docs
+            doc_ids = self.columns.doc_ids
+            rows = [row for row in rows if predicate(docs[doc_ids[row]])]
         return rows, len(rows)
+
+    def sort_rows(self, rows: Sequence[int],
+                  entries: list[tuple[str, bool]]) -> Sequence[int]:
+        """Ascending ``rows`` in the order a stable multi-pass
+        ``list.sort`` by ``sort_key(field value)`` — last entry first,
+        ``reverse=True`` for a descending one — leaves their documents.
+
+        Keys are read off the field's column; only a column that
+        cannot say (:meth:`Column.sort_keys`) sends the pass to the
+        documents.  A pass over a sorted dense lane (a trace's
+        ``time``, ascending) is the identity while the rows still are
+        in row order.
+        """
+        in_row_order = True
+        for field, descending in reversed(entries):
+            column = self.column(field)
+            if in_row_order and not descending and column.sorted_dense:
+                continue
+            keys = column.sort_keys(rows)
+            if keys is None:
+                keys = [sort_key(get_field(source, field))
+                        for _, source in self.pairs(rows)]
+            order = sorted(range(len(keys)), key=keys.__getitem__,
+                           reverse=descending)
+            rows = list(map(rows.__getitem__, order))
+            in_row_order = False
+        return rows
 
     # ------------------------------------------------------------------
     # Aggregation result cache
@@ -766,7 +658,12 @@ class DocumentStore:
 
     def ensure_index(self, name: str,
                      indexed_fields: Optional[Iterable[str]] = None) -> Index:
-        """Create-or-get an index (what the tracer's shipper uses)."""
+        """Create-or-get an index (what the tracer's shipper uses).
+
+        ``indexed_fields`` declares what will be queried and builds
+        nothing ahead of the first query that touches a field (see
+        :class:`Index`).
+        """
         if name not in self._indices:
             return self.create_index(name, indexed_fields)
         return self._indices[name]
@@ -793,15 +690,15 @@ class DocumentStore:
         self.plan_counts[plan.mode] += 1
         stored = len(target)
         self.docs_available += stored
-        self.docs_examined += stored if plan.ids is None else len(plan.ids)
+        self.docs_examined += stored if plan.rows is None else len(plan.rows)
         return plan
 
     def count(self, index: str, query: Optional[dict] = None) -> int:
         """Number of documents matching ``query``.
 
         Counting never materialises hit tuples: exact plans answer from
-        candidate-set sizes alone, pruned/fullscan plans stream the
-        predicate over sources.
+        the size of the plan's rows alone, pruned/fullscan plans run
+        the predicate over the candidate rows' sources.
         """
         self.queries += 1
         target = self._index(index)
@@ -811,10 +708,9 @@ class DocumentStore:
     # Document APIs
 
     def index_doc(self, index: str, source: dict,
-                  doc_id: Optional[str] = None,
-                  rank: Optional[int] = None) -> str:
+                  doc_id: Optional[str] = None) -> str:
         """Index a single document."""
-        doc_id = self.ensure_index(index).put(source, doc_id, rank=rank)
+        doc_id = self.ensure_index(index).put(source, doc_id)
         self.documents_indexed += 1
         return doc_id
 
@@ -823,12 +719,11 @@ class DocumentStore:
         return self._index(index).get(doc_id)
 
     def bulk(self, index: str, sources: Iterable[dict],
-             doc_ids: Optional[list[str]] = None,
-             ranks: Optional[list[int]] = None) -> int:
+             doc_ids: Optional[list[str]] = None) -> int:
         """Bulk-index documents; returns how many were indexed.
 
-        ``doc_ids``/``ranks`` are the coordinator passthrough (see
-        :meth:`Index.put`); plain callers leave them unset.
+        ``doc_ids`` is the coordinator passthrough (see
+        :meth:`Index.bulk_append`); plain callers leave it unset.
         """
         start = span_start(self._telemetry)
         target = self.ensure_index(index)
@@ -843,7 +738,7 @@ class DocumentStore:
             # that grew the batch after ids were assigned.
             for i, source in enumerate(sources):
                 if i < len(doc_ids):
-                    target.put(source, doc_ids[i], rank=ranks[i])
+                    target.put(source, doc_ids[i])
                 else:
                     target.put(source)
                 count += 1
@@ -855,20 +750,19 @@ class DocumentStore:
         return count
 
     def bulk_columnar(self, index: str, batch: LaneBatch,
-                      doc_ids: Optional[list[str]] = None,
-                      ranks: Optional[list[int]] = None) -> int:
+                      doc_ids: Optional[list[str]] = None) -> int:
         """Bulk-index one :class:`LaneBatch` — a decoded ring batch or
         a loaded session's segment blocks.
 
-        The lane-wise ingest endpoint: whole lanes land in the doc
-        table, field indexes, and columns in one pass — no per-event
+        The lane-wise ingest endpoint: the batch is parked as it is
+        and the columns that exist take whole lanes — no per-event
         ``_source`` dict exists until a query asks for one.  Counter
         and span semantics match :meth:`bulk` exactly, so either path
         satisfies the same telemetry invariants.
         """
         start = span_start(self._telemetry)
         target = self.ensure_index(index)
-        count = target.bulk_append(batch, doc_ids, ranks)
+        count = target.bulk_append(batch, doc_ids)
         self.bulk_requests += 1
         self.columnar_bulks += 1
         self.documents_indexed += count
@@ -925,12 +819,14 @@ class DocumentStore:
         """Search an index; returns an ES-shaped response dict.
 
         ``sort`` entries may be field names (ascending) or
-        ``{"field": {"order": "desc"}}`` dicts.  ``size=None`` returns
-        all hits.
+        ``{"field": {"order": "desc"}}`` dicts (:func:`parse_sort`).
+        ``size=None`` returns all hits.  The matching *rows* are
+        ordered (:meth:`Index.sort_rows`) and only the window
+        ``[from_, from_ + size)`` becomes hits.
 
-        Aggregation requests without ``sort`` go through the columnar
-        engine: a cache probe first, then — for supported shapes — the
-        planner's row-id set handed straight to the typed-array kernels
+        Aggregation requests go through the columnar engine: without
+        ``sort`` a cache probe first, then — for supported shapes — the
+        plan's rows handed straight to the typed-array kernels
         (``size=0`` requests never materialise a single hit tuple or
         ``_source`` dict).  Anything else falls back to the legacy
         dict-walking :func:`run_aggregations`, which is also the
@@ -971,52 +867,21 @@ class DocumentStore:
                     and target.columns.supports(aggs,
                                                 *target.column_sources()))
 
-        matches = window = None
-        if size == 0 and not sort:
-            # Aggregate-only (or count-only) path: never build hit
-            # tuples or per-hit dicts.  (With ``sort`` given, the
-            # ordinary path below keeps the legacy validate-and-sort
-            # semantics; its hit window is empty anyway.)
-            if aggs is None:
-                total = target.count(query, plan)
-            elif aggregations is None:
-                if pushdown:
-                    rows, total = target.matching_rows(query, plan)
-                    aggregations = self._run_kernels(target, aggs, rows)
-                else:
-                    matches = target.scan(query, plan)
-                    total = len(matches)
-                    aggregations = run_aggregations(
-                        aggs, [src for _, src in matches])
-                    self.agg_fallbacks += 1
-            window = []
-        else:
-            matches = target.scan(query, plan)
-            total = len(matches)
-            if sort:
-                for entry in reversed(sort):
-                    if isinstance(entry, str):
-                        field, descending = entry, False
-                    elif isinstance(entry, dict) and len(entry) == 1:
-                        field, opts = next(iter(entry.items()))
-                        descending = (opts or {}).get("order", "asc") == "desc"
-                    else:
-                        raise StoreError(f"bad sort entry {entry!r}")
-                    matches.sort(
-                        key=lambda pair, f=field: sort_key(
-                            get_field(pair[1], f)),
-                        reverse=descending)
-            if aggs is not None and aggregations is None:
-                if pushdown:
-                    rows = target.columns.rows_for_ids(
-                        doc_id for doc_id, _ in matches)
-                    aggregations = self._run_kernels(target, aggs, rows)
-                else:
-                    aggregations = run_aggregations(
-                        aggs, [src for _, src in matches])
-                    self.agg_fallbacks += 1
-            window = (matches[from_:] if size is None
-                      else matches[from_:from_ + size])
+        matched, total = target.matching_rows(query, plan)
+        rows = (target.sort_rows(matched, parse_sort(sort)) if sort
+                else matched)
+        if aggs is not None and aggregations is None:
+            if pushdown:
+                aggregations = self._run_kernels(target, aggs, matched)
+            else:
+                aggregations = run_aggregations(
+                    aggs, [src for _, src in target.pairs(rows)])
+                self.agg_fallbacks += 1
+        # Only the hits that are returned are ever built (an
+        # aggregate- or count-only request builds none and hydrates
+        # nothing).
+        rows = rows[from_:] if size is None else rows[from_:from_ + size]
+        window = target.pairs(rows) if rows else []
 
         if self._telemetry is not None:
             self._telemetry["query_hits"].observe(total)
@@ -1033,7 +898,7 @@ class DocumentStore:
         ``update`` is either a callable mutating the source in place or
         a dict of fields to set (the common correlation case).  Returns
         the number of updated documents.  Re-indexing is delta-aware:
-        for dict updates only the named fields' indexes are refreshed.
+        for dict updates only the named fields' columns are refreshed.
         """
         target = self._index(index)
         matches = target.scan(query, self._plan(target, query))
@@ -1054,10 +919,28 @@ class DocumentStore:
     def delete_by_query(self, index: str, query: Optional[dict]) -> int:
         """Delete every matching document; returns how many."""
         target = self._index(index)
-        matches = target.scan(query, self._plan(target, query))
-        for doc_id, _ in matches:
-            target.delete(doc_id)
-        return len(matches)
+        return len(target.delete_matching(query, self._plan(target, query)))
+
+
+def parse_sort(sort: list) -> list[tuple[str, bool]]:
+    """``(field, descending)`` per ``sort`` entry — a field name
+    (ascending) or ``{field: {"order": "asc" | "desc"}}``.
+
+    Entries are validated last first, the order the stable multi-pass
+    sort visits them, so the first bad one met that way is the
+    :class:`StoreError`.
+    """
+    entries = []
+    for entry in reversed(sort):
+        if isinstance(entry, str):
+            field, descending = entry, False
+        elif isinstance(entry, dict) and len(entry) == 1:
+            field, opts = next(iter(entry.items()))
+            descending = (opts or {}).get("order", "asc") == "desc"
+        else:
+            raise StoreError(f"bad sort entry {entry!r}")
+        entries.append((field, descending))
+    return entries[::-1]
 
 
 def _response(index: str, total: int, window: list,

@@ -1,6 +1,13 @@
-"""Per-field secondary indexes: postings, sorted arrays, presence sets.
+"""The retired per-field secondary index, kept as a planner oracle.
 
-One :class:`FieldIndex` carries every structure the query planner can
+Until the planner answered in row numbers read off the columns
+(``repro.backend.planner``), every indexed field of an ``Index`` owned
+one of these: postings of *string ids*, sorted arrays, presence sets.
+It lives on here, beside ``naive_scan``, as the independent oracle
+``tests/test_property_planner.py`` checks the row planner against —
+nothing under ``src/`` imports it.
+
+One :class:`FieldIndex` carries every structure the old planner could
 use for a single field:
 
 - ``postings`` — value -> set of doc ids, serving ``term``/``terms``;

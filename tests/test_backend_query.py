@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import DocumentStore, create_store
 from repro.backend.query import QueryError, compile_query, get_field
 
 DOC = {
@@ -149,3 +150,31 @@ class TestErrors:
     def test_unknown_bool_section(self):
         with pytest.raises(QueryError):
             compile_query({"bool": {"must_never": []}})
+
+
+class TestTermsPredicate:
+    """A ``terms`` clause evaluated as a predicate (its plan declined,
+    or it sits under ``must_not``) answers as the exact plan does."""
+
+    NOT_ONE = {"bool": {"must_not": [{"terms": {"a": [1]}}]}}
+
+    @pytest.mark.parametrize("make", [
+        DocumentStore, lambda: create_store(shard_count=2)],
+        ids=["one-store", "2-shards"])
+    def test_an_unhashable_document_value_is_no_match(self, make):
+        # Used to raise ``TypeError: unhashable type: 'list'`` as soon
+        # as one document held a list or a dict under the field.
+        store = make()
+        store.bulk("i", [{"a": 1}, {"a": [1]}, {"a": {"k": 1}}, {"b": 2}])
+        assert store.count("i", {"terms": {"a": [1]}}) == 1   # exact plan
+        assert store.count("i", self.NOT_ONE) == 3
+        assert [source for _, source in store.scan("i", self.NOT_ONE)] == [
+            {"a": [1]}, {"a": {"k": 1}}, {"b": 2}]
+        assert not matches({"terms": {"a": [1, "x"]}}, {"a": [1]})
+        assert matches({"terms": {"a": [1, "x"]}}, {"a": 1.0})
+
+    def test_nan_is_not_matched_through_set_identity(self):
+        nan = float("nan")
+        assert not matches({"terms": {"a": [nan]}}, {"a": nan})
+        assert not matches({"term": {"a": nan}}, {"a": nan})
+        assert matches({"terms": {"a": [nan, 5]}}, {"a": 5})

@@ -18,9 +18,10 @@ from repro.backend import DocumentStore
 from repro.backend.columns import Column
 from repro.tracer import RecordBatch
 
-#: Every slot except the two ``tolist()`` caches.
+#: Every slot except the caches (the two ``tolist()`` views and the
+#: sorted permutation a ``range`` over an unsorted lane keeps).
 SLOTS = [slot for slot in Column.__slots__
-         if slot not in ("_codes_view", "_nums_view")]
+         if slot not in ("_codes_view", "_nums_view", "_order")]
 
 BIG = 1 << 63                           # first int beyond int64
 

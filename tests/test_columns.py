@@ -393,10 +393,12 @@ class TestNoMaterialization:
                   "aggs": {"s": {"sum": {"field": "n"}}}}}
 
     def _spy_scan(self, store, index):
+        """Calls of ``Index.pairs`` — the one place a search builds
+        ``(id, source)`` tuples."""
         calls = []
         target = store._index(index)
-        original = target.scan
-        target.scan = lambda *a, **k: calls.append(1) or original(*a, **k)
+        original = target.pairs
+        target.pairs = lambda *a, **k: calls.append(1) or original(*a, **k)
         return calls
 
     def test_agg_only_search_never_scans(self, store):

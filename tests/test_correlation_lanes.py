@@ -5,8 +5,8 @@ parked batches as overlays; ``legacy_correlate`` — a sorted search, one
 ``update_by_query`` per tag, two counts — hydrates everything and
 updates documents.  Twin stores fed the same batches must come out the
 same: the bytes of a scan (ids, order, key order, ``file_path`` last),
-the report, the epoch and, once both are hydrated and flushed, every
-index and column slot.
+the report, the epoch and, once both are hydrated, the row numbering
+and every column slot, postings included.
 """
 
 import copy
@@ -90,8 +90,8 @@ class Twins:
     the same correlator after every document was hydrated, so that
     each update takes the row path (``refresh_many``) in the same
     order.  The legacy twin answers for what a reader sees — scan
-    bytes, report, epoch; the row twin for every slot of every index
-    and column, dictionary orders included (the two correlators reach
+    bytes, report, epoch; the row twin for every slot of every
+    column, dictionary orders included (the two correlators reach
     the tags in different orders — first open in insertion order,
     first open in time order — so against the legacy twin those orders
     would differ for no fault of the lanes).
@@ -148,10 +148,10 @@ def test_lane_and_legacy_correlation_leave_the_same_store(make, how,
     if how == "pending" and make is DocumentStore:
         index = store._indices[INDEX]
         assert index.pending_docs == 80
-        # No index was touched by the update: none has been replayed
-        # but the one the lane read planned on.
-        assert len(index._lane_backlog) == 4
-        assert set(index._lane_pos) <= {"session"}
+        # The update touched no column: none has been built but the
+        # one the lane read planned on.
+        assert len(index._pending) == 4
+        assert set(index.columns._columns) <= {"session"}
     paths = {source["file_tag"]: source.get("file_path")
              for _, source in store.scan(INDEX)
              if source["session"] == SESSION and "file_tag" in source}
@@ -194,18 +194,33 @@ def test_same_time_opens_resolve_to_the_last_in_insertion_order():
 
 @pytest.mark.parametrize("how", ["pending", "mixed"])
 def test_an_index_on_file_path_made_before_correlation_is_kept(how):
-    # The update reaches an indexed field: the barrier runs first, so
-    # the postings delta against what the lanes said (nothing).
-    twins = Twins(fed(how, INDEXED + ("file_path",)))
+    # A query on file_path before correlation builds its column from
+    # the lanes (every row missing); the update then lands on that
+    # column row by row and the documents stay parked.
+    query = {"term": {"file_path": "/data/23"}}
+    named = {"exists": {"field": "file_path"}}
+
+    def fill(store):
+        fed(how)(store)
+        assert store.count(INDEX, query) == store.count(INDEX, named) == 0
+
+    twins = Twins(fill)
     store, legacy = twins.store, twins.legacy
     twins.correlate()
     index = store._indices[INDEX]
-    assert not index._lane_backlog
+    assert "file_path" in index.columns._columns
     assert hydrated(store) == (0 if how == "pending" else 40)
-    query = {"term": {"file_path": "/data/23"}}
-    assert store.count(INDEX, query) == legacy.count(INDEX, query) > 0
-    assert store.count(INDEX, {"exists": {"field": "file_path"}}) == sum(
+    matched = store.count(INDEX, query)
+    assert matched == legacy.count(INDEX, query) > 0
+    assert store.count(INDEX, named) == sum(
         "file_path" in source for _, source in legacy.scan(INDEX))
+    # The postings exist now: a second update moves rows between them.
+    rows = index.columns._columns["file_path"].rows_equal(["/data/23"])
+    moved = [index.columns.doc_ids[row] for row in rows[:2]]
+    for each in twins.all():
+        assert each.update_docs(INDEX, moved, {"file_path": "/moved"}) == 2
+        assert each.count(INDEX, query) == matched - 2
+        assert each.count(INDEX, {"term": {"file_path": "/moved"}}) == 2
     twins.assert_same()
 
 

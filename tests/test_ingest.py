@@ -21,6 +21,7 @@ from repro.sim import Environment
 from repro.tracer import DIOTracer, RecordBatch, TracerConfig
 from repro.tracer.batch import _DictLane, _make_lane, _num_lane
 from repro.tracer.events import Event, estimate_record_size
+from tests.test_column_lanes import state as column_state
 
 SESSION = "ingest-test"
 
@@ -213,27 +214,43 @@ class TestBulkColumnar:
                 == list(legacy.scan("idx", {"match_all": {}})))
 
     def test_indexes_match_legacy_bulk(self):
+        # The first term on a field builds its column and postings —
+        # from documents on one store, from parked lanes on the other
+        # — and both end in the same state, slot for slot.
         legacy, vec = store_pair(make_records())
-        vec._indices["idx"]._flush_all_lanes()
+        docs = [source for _, source in legacy.scan("idx")]
         for field in TRACED_FIELDS:
-            lhs = legacy._indices["idx"]._fields[field]
-            rhs = vec._indices["idx"]._fields[field]
-            assert lhs.postings == rhs.postings, field
-            assert lhs.present == rhs.present, field
+            value = next(doc[field] for doc in docs
+                         if doc.get(field) is not None)
+            counts = [store.count("idx", {"term": {field: value}})
+                      for store in (legacy, vec)]
+            assert counts[0] == counts[1] > 0, field
+            lhs, rhs = (store._indices["idx"].columns._columns[field]
+                        for store in (legacy, vec))
+            assert lhs._postings is not None, field
+            assert column_state(lhs) == column_state(rhs), field
+        assert vec._indices["idx"].pending_docs == 6   # nothing hydrated
 
     def test_queries_flush_only_the_fields_they_touch(self):
         _, vec = store_pair(make_records())
         index = vec._indices["idx"]
-        assert len(index._lane_backlog) == 1
+        built = index.columns._columns
+        assert not built                  # declared fields build nothing
         assert vec.count("idx", {"term": {"syscall": "write"}}) == 1
-        assert index._lane_pos.get("syscall") == 1
-        assert "time" not in index._lane_pos
-        assert not index._fields["time"].postings
-        # A per-document mutation is the full barrier: every field
-        # catches up and the backlog drops.
+        # A query on ``syscall`` builds nothing for ``time``.
+        assert list(built) == ["syscall"]
+        assert built["syscall"]._postings is not None
+        assert index.pending_docs == 6
+        # A per-document mutation hydrates; the one column that exists
+        # takes the new row and still nothing is built for ``time``.
         vec.index_doc("idx", {"syscall": "late", "session": SESSION})
-        assert not index._lane_backlog
-        assert index._fields["time"].postings
+        assert index.pending_docs == 0
+        assert list(built) == ["syscall"]
+        assert vec.count("idx", {"term": {"syscall": "late"}}) == 1
+        # A range on a lane that never decreases needs no postings.
+        assert vec.count("idx", {"range": {"time": {"gte": 0}}}) == 6
+        assert list(built) == ["syscall", "time"]
+        assert built["time"]._postings is None
 
     def test_count_and_len_do_not_hydrate(self):
         vec = DocumentStore()

@@ -5,8 +5,8 @@ The property under test is the vectorized path's whole contract: for
 fields, cross-type-equal values, unicode, huge ints — shipping through
 ``RecordBatch.decode`` + ``bulk_columnar`` must leave the store in a
 state byte-identical to per-event ``Event.to_doc`` + ``bulk``:
-same documents (values, key order, JSON bytes), same index structures,
-same query answers, same aggregation responses, and the same behaviour
+same documents (values, key order, JSON bytes), same rows, columns and
+postings, same query answers, same aggregation responses, and the same behaviour
 under subsequent mutations.
 """
 
@@ -21,6 +21,7 @@ from repro.dst import Scenario, generate
 from repro.dst.runner import execute_pipeline
 from repro.tracer import DIOTracer, RecordBatch
 from repro.tracer.events import Event
+from tests.test_column_lanes import state as column_state
 from tests.test_ingest import legacy_docs
 
 SESSION = "diff-test"
@@ -83,7 +84,17 @@ def drop_absent(record):
 batches = st.lists(records.map(drop_absent), max_size=30)
 
 
-def legacy_store(batch_list):
+def touch_indexed_fields(store):
+    """One ``term`` per value of every declared field plus an
+    ``exists``: what builds a field's column and its postings."""
+    docs = [source for _, source in store.scan("idx")]
+    for field in INDEXED:
+        store.count("idx", {"exists": {"field": field}})
+        for value in {doc.get(field) for doc in docs} - {None}:
+            store.count("idx", {"term": {field: value}})
+
+
+def legacy_store(batch_list, between=lambda store: None):
     store = DocumentStore()
     store.ensure_index("idx", indexed_fields=INDEXED)
     for batch in batch_list:
@@ -94,35 +105,40 @@ def legacy_store(batch_list):
             file_type=r.get("file_type"), offset=r.get("offset"),
             file_tag=r.get("file_tag"), session=SESSION,
         ).to_doc() for r in batch])
+        between(store)
     return store
 
 
-def vectorized_store(batch_list):
+def vectorized_store(batch_list, between=lambda store: None):
     store = DocumentStore()
     store.ensure_index("idx", indexed_fields=INDEXED)
     for batch in batch_list:
         store.bulk_columnar("idx",
                             RecordBatch.decode(batch, session=SESSION))
+        between(store)
     return store
 
 
 def assert_stores_identical(legacy, vec):
     lhs = legacy._indices["idx"]
     rhs = vec._indices["idx"]
-    rhs._flush_all_lanes()   # staged lane state must replay to parity
     # Documents: ids, insertion order, key order, exact JSON bytes.
     lhs_docs = list(legacy.scan("idx", {"match_all": {}}))
     rhs_docs = list(vec.scan("idx", {"match_all": {}}))
     assert (json.dumps(lhs_docs, sort_keys=False, default=str)
             == json.dumps(rhs_docs, sort_keys=False, default=str))
-    # Index structures.
-    assert lhs._rank == rhs._rank
+    # Rows: the same ids own the same rows, dead ones included.
+    assert lhs.columns.doc_ids == rhs.columns.doc_ids
+    assert lhs.columns.row_of == rhs.columns.row_of
     assert lhs._next_id == rhs._next_id
-    assert set(lhs._fields) == set(rhs._fields)
-    for field, index in lhs._fields.items():
-        other = rhs._fields[field]
-        assert index.postings == other.postings, field
-        assert index.present == other.present, field
+    # The one per-field structure: vectorized ingest and per-document
+    # ``put`` end in the same column and postings state, slot for slot.
+    for store in (legacy, vec):
+        touch_indexed_fields(store)
+    assert list(lhs.columns._columns) == list(rhs.columns._columns)
+    for field, column in lhs.columns._columns.items():
+        other = rhs.columns._columns[field]
+        assert column_state(column) == column_state(other), field
 
 
 class TestDifferentialIngest:
@@ -131,6 +147,17 @@ class TestDifferentialIngest:
     def test_store_state_is_byte_identical(self, batch_list):
         assert_stores_identical(legacy_store(batch_list),
                                 vectorized_store(batch_list))
+
+    @given(batch_list=st.lists(batches, min_size=2, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_batches_after_postings_exist_agree(self, batch_list):
+        # Queries between the bulks: every later batch lands on
+        # columns and postings that exist — extended lane-wise (by
+        # group where the batch has groups) on one store, row by row
+        # on the other.
+        assert_stores_identical(
+            legacy_store(batch_list, between=touch_indexed_fields),
+            vectorized_store(batch_list, between=touch_indexed_fields))
 
     @given(batch_list=st.lists(batches, max_size=3), data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """The lane-batch protocol, run against every one of its producers.
 
 ``repro.backend.lanes.LaneBatch`` states what ``Index.bulk_append``,
-``Index._flush_lanes``, the shard router, the fault/crash wrappers, the
+``ColumnSet.extend_new``, the shard router, the fault/crash wrappers, the
 correlator and the segment writer ask of a batch.  ``RecordBatch`` (a
 decoded ring batch), ``SegmentBatch`` (a loaded session's blocks),
 ``DocBatch`` (documents that already exist) and ``JoinedBatch`` (any of

@@ -154,7 +154,8 @@ def observe(store, sort_keys: bool = False) -> str:
 
 
 def mutate(store) -> None:
-    """``update_docs`` + ``delete``: the ``_flush_all_lanes`` barrier."""
+    """``update_docs`` + ``delete``: rows rewritten and tombstoned
+    under columns and postings the requests before have built."""
     ids = [doc_id for doc_id, _ in store.scan(INDEX)]
     store.update_docs(INDEX, ids[::3], {"file_path": "/moved", "pid": 11})
     store.delete_by_query(INDEX, {"term": {"syscall": "write"}})
@@ -164,21 +165,14 @@ def index_state(store: DocumentStore) -> str:
     """Everything a plain store's index holds, after the same requests."""
     index = store._indices[INDEX]
     index._hydrate()
-    index._flush_all_lanes()
-    fields = {}
-    for name, findex in index._fields.items():
-        fields[name] = {
-            "postings": [(type(key).__name__, repr(key), sorted(ids))
-                         for key, ids in findex.postings.items()],
-            "present": sorted(findex.present),
-            "value_of": sorted((doc_id, type(value).__name__, repr(value))
-                               for doc_id, value
-                               in findex._value_of.items()),
-        }
     return json.dumps({
-        "next_id": index._next_id, "next_rank": index._next_rank,
-        "rank": list(index._rank.items()), "epoch": index.epoch,
-        "fields": fields,
+        "next_id": index._next_id, "epoch": index.epoch,
+        # Row numbering: who owns which row, and which rows are dead.
+        "rows": index.columns.doc_ids,
+        "row_of": list(index.columns.row_of.items()),
+        # One structure per field a request touched: codes, numeric
+        # lane and the postings the planner reads (``column_state``
+        # covers every slot but the caches).
         "columns": {name: column_state(column) for name, column
                     in index.columns._columns.items()},
         "docs": list(index._docs.items()),
@@ -341,6 +335,11 @@ def test_loaded_and_traced_indexes_are_created_alike(tmp_path):
     env = Environment()
     tracer = DIOTracer(env, Kernel(env), traced, TracerConfig())
     tracer.attach()
-    assert (tuple(loaded._indices[INDEX]._fields)
-            == tuple(traced._indices[tracer.config.index]._fields)
-            == INDEXED_EVENT_FIELDS)
+    # Declaring the fields builds nothing on either; the first query
+    # builds the one column it touches, the same on both.
+    indexes = (loaded._indices[INDEX], traced._indices[tracer.config.index])
+    assert [list(index.columns._columns) for index in indexes] == [[], []]
+    for store, name in ((loaded, INDEX), (traced, tracer.config.index)):
+        store.count(name, {"term": {INDEXED_EVENT_FIELDS[0]: "read"}})
+    assert [list(index.columns._columns) for index in indexes] \
+        == [[INDEXED_EVENT_FIELDS[0]]] * 2

@@ -1,93 +1,110 @@
-"""Unit tests: per-field secondary indexes and the query planner."""
+"""Unit tests: what a column answers the query planner, and the plans.
+
+Rows are the address: a plan is ascending row numbers (a ``range``, a
+sorted sequence or ``None`` for every live row), read off the field's
+:class:`~repro.backend.columns.Column`.  ``TestFieldIndex`` pins, in
+row form, the facts the retired ``FieldIndex`` (now the oracle in
+``tests/field_index.py``) was pinned to.
+"""
 
 import math
 
 import pytest
 
-from repro.backend import DocumentStore, FieldIndex, QueryPlan
+from repro.backend import Column, DocumentStore, QueryPlan
+
+
+def column_of(*values) -> Column:
+    column = Column("f")
+    for value in values:
+        column.append(value)
+    return column
 
 
 class TestFieldIndex:
     def test_postings_and_presence(self):
-        fi = FieldIndex("f")
-        fi.update("1", "a")
-        fi.update("2", "a")
-        fi.update("3", None)
-        assert fi.term_ids(["a"]) == {"1", "2"}
-        assert fi.present == {"1", "2"}
+        column = column_of("a", "a", None)
+        assert list(column.rows_equal(["a"])) == [0, 1]
+        assert list(column.rows_present()) == [0, 1]
 
     def test_delta_update_moves_postings(self):
-        fi = FieldIndex("f")
-        fi.update("1", "old")
-        fi.update("1", "new")
-        assert fi.term_ids(["old"]) == set()
-        assert fi.term_ids(["new"]) == {"1"}
+        column = column_of("old", "keep")
+        assert list(column.rows_equal(["old"])) == [0]   # postings built
+        kept = column.rows_equal(["keep"])
+        column.set(0, "new")
+        assert list(column.rows_equal(["old"])) == []
+        assert list(column.rows_equal(["new"])) == [0]
+        # Moved, not rebuilt: the other value's rows are the same object.
+        assert column.rows_equal(["keep"]) is kept
 
     def test_non_indexable_value_still_present(self):
-        fi = FieldIndex("f")
-        fi.update("1", {"nested": True})
-        assert fi.present == {"1"}
-        assert fi.term_ids([("nested",)]) == set()
+        column = column_of({"nested": True})
+        assert list(column.rows_present()) == [0]
+        assert list(column.rows_equal([("nested",)])) == []
 
     def test_remove_clears_everything(self):
-        fi = FieldIndex("f")
-        fi.update("1", 5)
-        fi.remove("1")
-        assert fi.present == set()
-        assert fi.term_ids([5]) == set()
-        assert fi.range_ids({"gte": 0}) == set()
+        column = column_of(5)
+        assert list(column.rows_equal([5])) == [0]
+        column.clear(0)
+        assert list(column.rows_present()) == []
+        assert list(column.rows_equal([5])) == []
+        assert list(column.rows_in_range({"gte": 0})) == []
 
     def test_range_numeric(self):
-        fi = FieldIndex("f")
-        for doc_id, value in enumerate([10, 20, 30, 40]):
-            fi.update(str(doc_id), value)
-        assert fi.range_ids({"gte": 20, "lt": 40}) == {"1", "2"}
-        assert fi.range_ids({"gt": 20, "lte": 40}) == {"2", "3"}
-        assert fi.range_ids({"gt": 100}) == set()
+        column = column_of(10, 20, 30, 40)
+        # A lane that never decreases answers with a range: no structure.
+        assert column.rows_in_range({"gte": 20, "lt": 40}) == range(1, 3)
+        assert column.rows_in_range({"gt": 20, "lte": 40}) == range(2, 4)
+        assert list(column.rows_in_range({"gt": 100})) == []
+        shuffled = column_of(30, 10, 40, 20)
+        assert shuffled.rows_in_range({"gte": 20, "lt": 40}) == [0, 3]
+        assert shuffled.rows_in_range({"gt": 20, "lte": 40}) == [0, 2]
 
     def test_range_reflects_updates(self):
-        fi = FieldIndex("f")
-        fi.update("1", 10)
-        assert fi.range_ids({"gte": 0}) == {"1"}
-        fi.update("1", 99)
-        assert fi.range_ids({"lt": 50}) == set()
-        assert fi.range_ids({"gte": 50}) == {"1"}
+        column = column_of(10, 50)
+        assert list(column.rows_in_range({"gte": 0})) == [0, 1]
+        column.set(0, 99)
+        assert list(column.rows_in_range({"lt": 50})) == []
+        assert list(column.rows_in_range({"gte": 50})) == [0, 1]
 
     def test_range_string_partition(self):
-        fi = FieldIndex("f")
-        fi.update("s", "beta")
-        fi.update("n", 7)
-        assert fi.range_ids({"gte": "alpha"}) == {"s"}
-        assert fi.range_ids({"gte": 0}) == {"n"}
+        column = column_of("beta", 7)
+        assert list(column.rows_in_range({"gte": "alpha"})) == [0]
+        assert list(column.rows_in_range({"gte": 0})) == [1]
         # Mixed bound types can never compare true against anything.
-        assert fi.range_ids({"gte": 0, "lt": "zz"}) == set()
+        assert list(column.rows_in_range({"gte": 0, "lt": "zz"})) == []
 
     def test_range_nan_bound_matches_nothing(self):
-        fi = FieldIndex("f")
-        fi.update("1", 1.5)
-        assert fi.range_ids({"gte": math.nan}) == set()
+        column = column_of(1.5)
+        assert list(column.rows_in_range({"gte": math.nan})) == []
 
     def test_nan_value_never_indexed(self):
-        fi = FieldIndex("f")
-        fi.update("1", math.nan)
-        assert fi.range_ids({"gte": -math.inf}) == set()
-        assert fi.present == {"1"}
+        column = column_of(math.nan)
+        assert list(column.rows_in_range({"gte": -math.inf})) == []
+        assert list(column.rows_equal([math.nan])) == []
+        assert list(column.rows_present()) == [0]
 
     def test_unplannable_bound_returns_none(self):
-        fi = FieldIndex("f")
-        fi.update("1", (1, 2))
-        assert fi.range_ids({"gte": [0]}) is None
+        column = column_of((1, 2))
+        assert column.rows_in_range({"gte": [0]}) is None
+        assert column.rows_in_range({"above": 0}) is None
+        # A bool compares as a number but sits in no numeric lane.
+        assert column_of(True, 2).rows_in_range({"gte": 0}) is None
 
-    def test_prefix(self):
-        fi = FieldIndex("f")
-        fi.update("a", "/tmp/app.log")
-        fi.update("b", "/tmp/db/wal")
-        fi.update("c", "/var/log/x")
-        fi.update("n", 3)
-        assert fi.prefix_ids("/tmp/") == {"a", "b"}
-        assert fi.prefix_ids("/var") == {"c"}
-        assert fi.prefix_ids("") == {"a", "b", "c"}
-        assert fi.prefix_ids(3) is None
+    def test_prefix(self, store):
+        column = column_of("/tmp/app.log", "/tmp/db/wal", "/var/log/x", 3)
+        assert list(column.rows_with_prefix("/tmp/")) == [0, 1]
+        assert list(column.rows_with_prefix("/var")) == [2]
+        assert list(column.rows_with_prefix("")) == [0, 1, 2]
+        store.bulk("idx", [{"f": "/tmp/a"}, {"f": 3}])
+        plan = _plan(store, "idx", {"prefix": {"f": 3}})
+        assert plan.mode == "fullscan"        # the predicate decides
+
+    def test_value_equal_classes_match_each_other(self):
+        column = column_of(1, 1.0, True, "1", 2)
+        for value in (1, 1.0, True):
+            assert list(column.rows_equal([value])) == [0, 1, 2]
+        assert list(column.rows_equal(["1", 2.0])) == [3, 4]
 
 
 @pytest.fixture()
@@ -97,6 +114,12 @@ def store():
 
 def _plan(store, index, query):
     return store._index(index).plan(query)
+
+
+def _ids(store, index, plan):
+    """The plan's rows as the doc ids they address."""
+    doc_ids = store._index(index).columns.doc_ids
+    return {doc_ids[row] for row in plan.rows}
 
 
 class TestPlanModes:
@@ -112,30 +135,31 @@ class TestPlanModes:
         self.seed(store)
         plan = _plan(store, "idx", {"term": {"syscall": "read"}})
         assert plan.exact and plan.mode == "exact"
-        assert plan.ids == {"1", "3"}
+        assert _ids(store, "idx", plan) == {"1", "3"}
 
     def test_match_all_is_exact_universe(self, store):
         self.seed(store)
         plan = _plan(store, "idx", {"match_all": {}})
-        assert plan.exact and plan.ids is None
+        assert plan.exact and plan.rows is None
 
     def test_range_is_exact(self, store):
         self.seed(store)
         plan = _plan(store, "idx", {"range": {"time": {"gte": 15, "lte": 30}}})
         assert plan.exact
-        assert plan.ids == {"2", "3"}
+        assert plan.rows == range(1, 3)      # bisect on the sorted lane
+        assert _ids(store, "idx", plan) == {"2", "3"}
 
     def test_prefix_is_exact(self, store):
         self.seed(store)
         plan = _plan(store, "idx", {"prefix": {"path": "/tmp/"}})
         assert plan.exact
-        assert plan.ids == {"1", "2"}
+        assert _ids(store, "idx", plan) == {"1", "2"}
 
     def test_exists_is_exact(self, store):
         self.seed(store)
         plan = _plan(store, "idx", {"exists": {"field": "path"}})
         assert plan.exact
-        assert plan.ids == {"1", "2", "3"}
+        assert _ids(store, "idx", plan) == {"1", "2", "3"}
 
     def test_bool_must_intersects(self, store):
         self.seed(store)
@@ -144,7 +168,8 @@ class TestPlanModes:
             {"range": {"time": {"gte": 20}}},
         ]}})
         assert plan.exact
-        assert plan.ids == {"3"}
+        assert _ids(store, "idx", plan) == {"3"}
+        assert list(plan.rows) == [2]         # range ∩ postings: a slice
 
     def test_must_not_prunes_but_rechecks(self, store):
         self.seed(store)
@@ -153,7 +178,7 @@ class TestPlanModes:
             "must_not": [{"range": {"time": {"gte": 25}}}],
         }})
         assert not plan.exact and plan.mode == "pruned"
-        assert plan.ids == {"1", "3"}
+        assert _ids(store, "idx", plan) == {"1", "3"}
 
     def test_should_union_is_exact(self, store):
         self.seed(store)
@@ -162,7 +187,7 @@ class TestPlanModes:
             {"term": {"syscall": "close"}},
         ]}})
         assert plan.exact
-        assert plan.ids == {"2", "4"}
+        assert _ids(store, "idx", plan) == {"2", "4"}
 
     def test_minimum_should_match_two_rechecks(self, store):
         self.seed(store)
@@ -172,13 +197,13 @@ class TestPlanModes:
             "minimum_should_match": 2,
         }})
         assert not plan.exact
-        assert plan.ids == {"1", "2", "3"}
+        assert _ids(store, "idx", plan) == {"1", "2", "3"}
 
     def test_wildcard_falls_back_to_fullscan(self, store):
         self.seed(store)
         plan = _plan(store, "idx", {"wildcard": {"path": "/tmp/*"}})
         assert plan.mode == "fullscan"
-        assert plan.ids is None
+        assert plan.rows is None
 
     def test_term_none_falls_back(self, store):
         self.seed(store)
@@ -194,10 +219,11 @@ class TestPlanModes:
             {"exists": {"field": "path"}},
         ]}})
         assert plan.exact
-        assert plan.ids == {"1", "2", "3"}
+        assert _ids(store, "idx", plan) == {"1", "2", "3"}
 
     def test_plan_repr_modes(self):
-        assert "exact" in repr(QueryPlan({"1"}, True))
+        assert "exact" in repr(QueryPlan([0], True))
+        assert "pruned" in repr(QueryPlan(range(2), False))
         assert "fullscan" in repr(QueryPlan(None, False))
 
 

@@ -14,6 +14,7 @@ import pytest
 from repro.backend import (DocumentStore, ShardedDocumentStore,
                            TenantBackend, TenantQuotaExceeded, TenantStore,
                            create_store, naive_aggregate)
+from repro.backend.lanes import DocBatch
 from repro.backend.store import StoreError
 from repro.telemetry import MetricsRegistry
 
@@ -252,19 +253,40 @@ class TestMerges:
             "aggregations"]["n"]["value"] == 15
 
 
+def assert_rows_in_rank_order(store):
+    """On every shard, row order is global rank order — what lets a
+    shard answer in ascending rows (scan order, the order the kernels
+    aggregate in) with no rank to sort by."""
+    rank = store._states[INDEX].rank
+    for shard in store.shards:
+        columns = shard._indices[INDEX].columns
+        ranks = [rank[columns.doc_ids[row]] for row in columns.all_rows()]
+        assert ranks == sorted(ranks)
+        assert [doc_id for doc_id, _ in shard.scan(INDEX)] == [
+            columns.doc_ids[row] for row in columns.all_rows()]
+
+
 class TestLifecycle:
     def test_kill_then_restore_round_trips(self, tmp_path):
         store = sharded()
         store.bulk(INDEX, make_docs(45))
+        store.delete_by_query(INDEX, {"term": {"tid": 2}})
+        store.bulk_columnar(INDEX, DocBatch(make_docs(12, session="late")))
         snapshot = list(store.scan(INDEX))
+        newest = store.search(INDEX, sort=[{"time": {"order": "desc"}}],
+                              size=7)["hits"]
+        assert_rows_in_rank_order(store)
         store.save_shards(tmp_path)
         victim = max(range(3), key=store._shard_docs)
         held = store._shard_docs(victim)
         store.kill_shard(victim)
         assert store.shard_kills == 1
-        assert store.count(INDEX) == 45 - held
+        assert store.count(INDEX) == len(snapshot) - held
         assert store.restore_shard(victim, tmp_path) == held
         assert list(store.scan(INDEX)) == snapshot
+        assert_rows_in_rank_order(store)
+        assert store.search(INDEX, sort=[{"time": {"order": "desc"}}],
+                            size=7)["hits"] == newest
 
     def test_kill_bad_shard_rejected(self):
         store = sharded()
@@ -325,6 +347,15 @@ class TestLifecycle:
         assert list(store.scan(INDEX)) == snapshot
         assert store.search(INDEX, size=0,
                             aggs=aggs)["aggregations"] == agg_before
+        assert_rows_in_rank_order(store)
+        # ... and after documents went and came: rows of the new shard
+        # set are numbered afresh, in rank order.
+        store.delete_by_query(INDEX, {"term": {"syscall": "open"}})
+        store.index_doc(INDEX, {"syscall": "open", "pid": 3, "time": 5})
+        snapshot = list(store.scan(INDEX))
+        store.rebalance(3)
+        assert list(store.scan(INDEX)) == snapshot
+        assert_rows_in_rank_order(store)
 
     def test_save_shard_segments_writes_per_shard_dirs(self, tmp_path):
         store = sharded()
