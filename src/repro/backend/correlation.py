@@ -11,8 +11,9 @@ resolved ``file_path``.
 
 The resolution runs over **lanes**, not documents: one lane read of
 the session (:meth:`DocumentStore.lanes`) hands over the ``syscall``,
-``file_tag``, ``time``, ``args`` and ``file_path`` lanes in insertion
-order; one pass over the open-family rows builds tag -> path, one pass
+``file_tag``, ``time``, ``args.path`` and ``file_path`` lanes in
+insertion order (the one argument the pass needs — never every row's
+``args``); one pass over the open-family rows builds tag -> path, one pass
 over the tagged rows builds tag -> document ids and the
 tagged/unresolved tallies, and each resolved group takes one
 ``update_docs`` — which lands on documents nobody has hydrated as an
@@ -133,7 +134,7 @@ class FilePathCorrelator:
     def _tag_to_path(batch) -> dict[str, str]:
         tags = batch.values_for("file_tag")
         times = batch.values_for("time")
-        args = batch.values_for("args")
+        paths = batch.values_for("args.path")
         mapping: dict[str, str] = {}
         best: dict[str, tuple] = {}
         # Rows are in insertion order; taking >= on the time key
@@ -142,7 +143,7 @@ class FilePathCorrelator:
             if syscall not in PATH_BEARING_SYSCALLS:
                 continue
             tag = tags[row]
-            path = path_argument(args[row])
+            path = paths[row]
             if not (path and tag):
                 continue
             key = sort_key(times[row])

@@ -14,6 +14,9 @@ every producer and consumer shares:
   :class:`JoinedBatch` (any of them back to back — the one
   concatenation type).  ``tests/test_lane_batch.py`` runs one suite
   against all of them.
+- :class:`StructLane` — a lane of ``dict``s (``args``) held as lanes
+  itself: key tuples stored once, values as one lane per key, a dict
+  only for the reader that asks for one.
 - :class:`Overlay` — fields set on some rows after the batch was built
   (``update_docs`` on documents nobody hydrated yet).
 - :func:`time_ordered` — the one row-ordering rule of the segment
@@ -23,16 +26,17 @@ every producer and consumer shares:
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, islice
-from operator import le
-from typing import Any, Iterable, Optional, Protocol
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import is_not, le
+from typing import Any, Iterable, Iterator, Optional, Protocol
 
-from repro.backend.query import get_field
+from repro.backend.query import get_field, walk_field
 
 #: One top-level field of a batch: ``(field, values, present)``.
 #: ``values`` holds one entry per row, ``None`` where the row lacks the
-#: field; ``present`` is ``None`` when every row carries the field,
-#: else one 0/1 byte per row — an explicit ``None`` value *is* present.
+#: field (a list, or a :class:`StructLane` for a field of dicts);
+#: ``present`` is ``None`` when every row carries the field, else one
+#: 0/1 byte per row — an explicit ``None`` value *is* present.
 LaneColumn = tuple[str, list, Optional[bytes]]
 
 #: Value classes a lane may be pre-grouped over
@@ -113,13 +117,17 @@ def time_ordered(batch: LaneBatch) -> LaneBatch:
     The batch itself when ``time`` is a dense int lane that never
     decreases (what a tracer ships and ``save_session`` writes);
     anything else — batches that interleave in time, a ``time`` that is
-    missing or not an int somewhere — takes the sort permutation.
+    missing or not an int somewhere — takes the sort permutation, which
+    a dense int lane that does decrease (per-CPU rings interleave)
+    gets from the ints themselves.
     """
     times = batch.values_for("time")
-    if batch.dense_int("time") and all(map(le, times,
-                                           islice(times, 1, None))):
-        return batch
-    keys = list(map(sort_key, times))
+    if batch.dense_int("time"):
+        if all(map(le, times, islice(times, 1, None))):
+            return batch
+        keys = times            # every sort_key is (1, "num", time)
+    else:
+        keys = list(map(sort_key, times))
     return batch.take(sorted(range(len(keys)), key=keys.__getitem__))
 
 
@@ -158,9 +166,267 @@ def _groups(values: list) -> Optional[list[tuple[Any, list[int]]]]:
 
 def _project(values, rows):
     """``values`` at ``rows`` (a list or a ``range``)."""
+    if type(values) is StructLane:
+        return values.take(rows)
     if type(rows) is range and rows.step == 1:
         return values[rows.start:rows.stop]
     return list(map(values.__getitem__, rows))
+
+
+class StructLane:
+    """A lane whose values are ``dict``s (a syscall's ``args``), held
+    as lanes.  Rows with the same key tuple — a *shape*, keys in the
+    rows' own order — form a group, and a group is stored as one value
+    lane per key over just its rows: ``shapes[c]`` is a key tuple,
+    ``codes[row]`` the shape of a row (``-1`` where the row lacks the
+    field) and ``columns[c][j]`` the values of ``shapes[c][j]`` over
+    the rows of shape ``c``, in row order.  Every lane is as long as
+    its group, so none has a hole; a lane whose values are dicts may
+    itself be a struct lane.
+
+    It reads as a sequence of dicts — a **fresh** dict per read, so no
+    two rows, and no two readers, ever share one — and is projected,
+    joined, walked by dotted name and written to disk without building
+    any.
+    """
+
+    __slots__ = ("shapes", "codes", "columns", "_rows", "_rank")
+
+    def __init__(self, shapes: list[tuple], codes: list[int],
+                 columns: list[list]) -> None:
+        self.shapes = shapes
+        self.codes = codes
+        self.columns = columns
+        #: Worked out on first ask: the rows of each shape, and each
+        #: row's rank among the rows of its shape.
+        self._rows: Optional[list[list[int]]] = None
+        self._rank: Optional[list[int]] = None
+
+    @classmethod
+    def of(cls, values: list, present: Optional[bytes] = None
+           ) -> Optional["StructLane"]:
+        """The struct form of a lane column, or ``None`` when a present
+        value is not an exact ``dict``."""
+        if present is not None and 0 not in present:
+            present = None
+        dicts = values if present is None else list(compress(values, present))
+        if not set(map(type, dicts)) <= {dict}:
+            return None
+        # (No per-row temporary outlives its row: a hydrating reader
+        # has a heap of documents the collector would walk for them.)
+        code_of: dict[tuple, int] = {}
+        codes = [code_of.setdefault(tuple(args), len(code_of))
+                 for args in dicts]
+        members: list[list[int]] = [[] for _ in code_of]
+        for at, code in enumerate(codes):
+            members[code].append(at)
+        lane = cls(list(code_of), codes, [
+            [[args[key] for args in group] for key in shape]
+            for shape, group in zip(code_of, (
+                _project(dicts, rows) for rows in members))])
+        lane._rows = members
+        if present is not None:
+            rows = list(compress(range(len(present)), present))
+            held = iter(codes)
+            lane.codes = [next(held) if has else -1 for has in present]
+            lane._rows = [_project(rows, group) for group in lane._rows]
+        return lane
+
+    @classmethod
+    def from_groups(cls, n: int, groups: Iterable[tuple[tuple, list[int],
+                                                        list]]
+                    ) -> "StructLane":
+        """``n`` rows from ``(shape, rows, columns)`` groups over
+        disjoint ascending ``rows``; groups of one shape merge, a row
+        in no group lacks the field."""
+        merged: dict[tuple, tuple[list[int], list]] = {}
+        for shape, rows, columns in groups:
+            if shape in merged:
+                rows = merged[shape][0] + rows
+                order = sorted(range(len(rows)), key=rows.__getitem__)
+                columns = [_project(_concat(pair), order)
+                           for pair in zip(merged[shape][1], columns)]
+                rows = _project(rows, order)
+            merged[shape] = (rows, columns)
+        codes = [-1] * n
+        for code, (rows, _) in enumerate(merged.values()):
+            for row in rows:
+                codes[row] = code
+        return cls(list(merged), codes,
+                   [columns for _, columns in merged.values()]).compacted()
+
+    def _rows_of(self) -> list[list[int]]:
+        if self._rows is None:
+            rows_of: list[list[int]] = [[] for _ in self.shapes]
+            rows_of.append([])                  # code -1
+            for row, code in enumerate(self.codes):
+                rows_of[code].append(row)
+            self._rows = rows_of[:-1]
+        return self._rows
+
+    def _rank_of(self) -> list[int]:
+        if self._rank is None:
+            rank = [0] * len(self.codes)
+            for rows in self._rows_of():
+                for at, row in enumerate(rows):
+                    rank[row] = at
+            self._rank = rank
+        return self._rank
+
+    def groups(self) -> Iterator[tuple[tuple, list[int], list]]:
+        """``(shape, rows, columns)`` of every shape that has a row."""
+        return (group for group in zip(self.shapes, self._rows_of(),
+                                       self.columns) if group[1])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, row: int) -> Optional[dict]:
+        code = self.codes[row]
+        if code < 0:
+            return None
+        at = self._rank_of()[row]
+        return {key: column[at] for key, column
+                in zip(self.shapes[code], self.columns[code])}
+
+    def __iter__(self) -> Iterator[Optional[dict]]:
+        return iter(self.dicts())
+
+    def dicts(self) -> list[Optional[dict]]:
+        """One new dict per row (``None`` where the row lacks the
+        field), built a shape at a time."""
+        out: list = [None] * len(self.codes)
+        for shape, rows, columns in self.groups():
+            built = _dicts_of(shape, columns, len(rows))
+            if len(rows) == len(out):
+                return built
+            for row, args in zip(rows, built):
+                out[row] = args
+        return out
+
+    def present(self) -> Optional[bytes]:
+        """0/1 per row, ``None`` when every row carries the field."""
+        codes = self.codes
+        if not codes or min(codes) >= 0:
+            return None
+        return bytes(map((-1).__lt__, codes))
+
+    def take(self, rows) -> "StructLane":
+        codes = _project(self.codes, rows)
+        picked: list[list[int]] = [[] for _ in self.shapes]
+        picked.append([])                       # code -1
+        for code, at in zip(codes, _project(self._rank_of(), rows)):
+            picked[code].append(at)
+        return StructLane(self.shapes, codes, [
+            [_project(column, at) for column in columns]
+            for columns, at in zip(self.columns, picked)])
+
+    def walk(self, parts: list[str]) -> list:
+        """What ``walk_field(row, parts)`` reads below every row."""
+        out: list = [None] * len(self.codes)
+        for shape, rows, columns in self.groups():
+            if parts[0] in shape:
+                values = walk_lane(columns[shape.index(parts[0])], parts[1:])
+                for row, value in zip(rows, values):
+                    out[row] = value
+        return out
+
+    def compacted(self) -> "StructLane":
+        """The same rows in the one form a lane is written in,
+        whichever takes and joins it went through: shapes in the order
+        the rows first show them, none without a row."""
+        order = [code for code in dict.fromkeys(self.codes) if code >= 0]
+        if order == list(range(len(self.shapes))):
+            return self
+        remap = [-1] * (len(self.shapes) + 1)   # -1 stays -1
+        for new, old in enumerate(order):
+            remap[old] = new
+        return StructLane([self.shapes[old] for old in order],
+                          list(map(remap.__getitem__, self.codes)),
+                          [self.columns[old] for old in order])
+
+    @classmethod
+    def joined(cls, parts: list["StructLane"]) -> "StructLane":
+        """``parts`` back to back."""
+        code_of: dict[tuple, int] = {}
+        codes: list[int] = []
+        pieces: list[list[list]] = []           # shape -> its parts' columns
+        for part in parts:
+            remap = []
+            for shape, columns in zip(part.shapes, part.columns):
+                code = code_of.setdefault(shape, len(pieces))
+                if code == len(pieces):
+                    pieces.append([])
+                pieces[code].append(columns)
+                remap.append(code)
+            remap.append(-1)
+            codes.extend(map(remap.__getitem__, part.codes))
+        return cls(list(code_of), codes, [
+            [_concat(lanes) for lanes in zip(*piece)] for piece in pieces])
+
+
+def _dicts_of(shape: tuple, columns: list, n: int) -> list[dict]:
+    """``n`` new dicts of one shape from its key lanes.  A syscall has
+    a handful of arguments, and a dict display is three times as fast
+    as ``dict(zip(keys, values))``: the small shapes are spelled out."""
+    if len(shape) == 1:
+        (k0,) = shape
+        return [{k0: v0} for v0 in columns[0]]
+    if len(shape) == 2:
+        k0, k1 = shape
+        return [{k0: v0, k1: v1} for v0, v1 in zip(*columns)]
+    if len(shape) == 3:
+        k0, k1, k2 = shape
+        return [{k0: v0, k1: v1, k2: v2} for v0, v1, v2 in zip(*columns)]
+    if not shape:
+        return [{} for _ in range(n)]
+    return list(map(dict, map(zip, repeat(shape), zip(*columns))))
+
+
+def walk_lane(values, parts: list[str]):
+    """``walk_field(value, parts)`` for every value of a lane."""
+    if not parts:
+        return values
+    if type(values) is StructLane:
+        return values.walk(parts)
+    return [walk_field(value, parts) for value in values]
+
+
+def _join_column(pieces: list[Optional[tuple[Any, Optional[bytes]]]],
+                lengths: list[int]) -> tuple[Any, Optional[bytes]]:
+    """One field's ``(values, present)`` over parts back to back; a
+    piece is ``None`` where no row of that part carries the field."""
+    lanes: list = []
+    presents: list[bytes] = []
+    for piece, n in zip(pieces, lengths):
+        if piece is None:
+            lanes.append([None] * n)
+            presents.append(bytes(n))
+        else:
+            lanes.append(piece[0])
+            presents.append(piece[1] or b"\x01" * n)
+    present = b"".join(presents)
+    return (_concat(lanes, presents.__getitem__),
+            present if 0 in present else None)
+
+
+def _concat(lanes, present_of=None):
+    """Value lanes back to back.  Struct lanes join as one struct lane
+    when every other part is a column of dicts; ``present_of(number)``
+    then says which rows of that part are absent (none, without it)."""
+    if len(lanes) == 1:
+        return lanes[0]
+    if any(type(lane) is StructLane for lane in lanes):
+        structs = []
+        for number, lane in enumerate(lanes):
+            if type(lane) is not StructLane:
+                lane = StructLane.of(lane, present_of and present_of(number))
+                if lane is None:
+                    break
+            structs.append(lane)
+        else:
+            return StructLane.joined(structs)
+    return list(chain.from_iterable(lanes))
 
 
 class Overlay:
@@ -326,10 +592,10 @@ class JoinedBatch:
             return _project(self._whole.values_for(field), self._rows)
         cached = self._cache.get(field)
         if cached is None:
-            parts = self._parts
-            cached = (parts[0].values_for(field) if len(parts) == 1
-                      else list(chain.from_iterable(
-                          part.values_for(field) for part in parts)))
+            lanes = [part.values_for(field) for part in self._parts]
+            # A ``None`` read off a lane is an absence to a struct join.
+            cached = _concat(lanes, lambda number: bytes(
+                map(is_not, lanes[number], repeat(None))))
             if self._overlay is not None:
                 cached = self._overlay.merged(field, cached)
             self._cache[field] = cached
@@ -371,22 +637,11 @@ class JoinedBatch:
         held: dict[str, dict[int, LaneColumn]] = {}
         for number, part in enumerate(parts):
             for column in part.columns():
-                held.setdefault(column[0], {})[number] = column
-        out = []
-        for field, by_part in held.items():
-            values: list = []
-            present = bytearray()
-            for number, part in enumerate(parts):
-                column = by_part.get(number)
-                if column is None:      # no row of this part has the key
-                    values.extend([None] * len(part))
-                    present.extend(bytes(len(part)))
-                else:
-                    values.extend(column[1])
-                    present.extend(column[2] or b"\x01" * len(part))
-            out.append((field, values,
-                        bytes(present) if 0 in present else None))
-        return out
+                held.setdefault(column[0], {})[number] = column[1:]
+        lengths = list(map(len, parts))
+        return [(field, *_join_column(
+            [by_part.get(number) for number in range(len(parts))], lengths))
+            for field, by_part in held.items()]
 
     def row_keys(self, row: int) -> list[str]:
         if self._whole is not None:

@@ -33,8 +33,13 @@ def get_field(source: dict, field: str) -> Any:
     """Fetch a possibly dotted field from a document source."""
     if field in source:
         return source[field]
-    current: Any = source
-    for part in field.split("."):
+    return walk_field(source, field.split("."))
+
+
+def walk_field(current: Any, parts: Iterable[str]) -> Any:
+    """The dotted walk of :func:`get_field` below ``current``: one
+    nested object per part, ``None`` as soon as one is missing."""
+    for part in parts:
         if not isinstance(current, dict) or part not in current:
             return None
         current = current[part]

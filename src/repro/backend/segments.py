@@ -12,7 +12,9 @@ restore round-trips the whole directory through a single archive.
 One segment file (``seg-NNNNNN.dseg``) holds per-field **columnar
 blocks** — dictionary-coded values plus packed ``array('q')`` /
 ``array('d')`` lanes, the same encodings
-:class:`repro.backend.columns.Column` uses in memory — a **footer**
+:class:`repro.backend.columns.Column` uses in memory, and struct
+blocks for a field of objects (``args``: key tuples once, one lane per
+key) — a **footer**
 directory with per-block CRC-32 checksums and per-field min/max **zone
 maps**, and a fixed-size **trailer** so a reader finds the footer in
 one seek.  Opening a store therefore costs O(segment index): only
@@ -59,22 +61,27 @@ import sys
 import zipfile
 import zlib
 from array import array
-from itertools import compress, repeat
+from collections import Counter
+from copy import deepcopy
+from itertools import chain, compress, repeat
 from operator import is_
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.backend.lanes import (GROUP_SAFE, DocBatch, JoinedBatch,
-                                 LaneBatch, LaneColumn, sort_key,
-                                 time_ordered)
+                                 LaneBatch, LaneColumn, StructLane, sort_key,
+                                 time_ordered, walk_lane)
 from repro.backend.planner import prune_constraints
-from repro.backend.query import compile_query, get_field
+from repro.backend.query import compile_query
 from repro.backend.store import INDEXED_EVENT_FIELDS
 from repro.backend.wal import WriteAheadLog, wal_file_size
 
 #: Segment file magic (offset 0) and format version.
 SEGMENT_MAGIC = b"DSEG"
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
+#: Versions a reader opens: 2 added block kind 4 and changed nothing
+#: else, so a version 1 file reads as a version 2 file without one.
+READABLE_VERSIONS = (1, 2)
 #: Trailer magic — the last 8 bytes of every intact segment file.
 TRAILER_MAGIC = b"DIOSEGFT"
 
@@ -87,9 +94,13 @@ WAL_NAME = "wal.bin"
 K_DICT = 1        # dictionary codes + value table
 K_I64 = 2         # presence bytes + packed int64 lane
 K_F64 = 3         # presence bytes + packed float64 lane
+K_STRUCT = 4      # shape table + shape codes + one block per shape and key
 
 #: Block flag bits.
 F_ZLIB = 1        # payload is zlib-compressed
+
+#: The level blocks are deflated at (measured: docs/STORAGE.md).
+DEFLATE_LEVEL = 4
 
 #: Value / zone-map type tags.
 T_NULL = 0
@@ -197,32 +208,55 @@ def _table_entry(value: Any) -> bytes:
     return bytes((tag,)) + _U32.pack(len(blob)) + blob
 
 
-def _encode_field(present: Optional[bytes],
-                  values: list) -> tuple[bytes, Optional[tuple]]:
+def _encode_field(present: Optional[bytes], values: list,
+                  deflate: bool = True) -> tuple[bytes, Optional[tuple]]:
     """Build one field's on-disk block; returns ``(block_bytes, zone)``.
 
     ``present`` and ``values`` are a lane column
     (:data:`repro.backend.lanes.LaneColumn`): ``present[i]`` says
     whether row ``i`` carries the field at all — an explicit ``None``
     value *is* present, and the distinction survives the round trip.
-    The cheapest faithful representation wins: a packed int64 lane
-    when every present value is an exact in-range ``int``, a float64
-    lane for pure ``float``, otherwise dictionary codes over a typed
-    value table.  The payload is deflated when that actually saves
-    bytes.
+    The cheapest faithful representation wins: a struct block when
+    every present value is a ``dict`` with ``str`` keys (``values`` is
+    a :class:`~repro.backend.lanes.StructLane` already, or is made
+    one), a packed int64 lane when every present value is an exact
+    in-range ``int``, a float64 lane for pure ``float``, otherwise
+    dictionary codes over a typed value table.  The payload is
+    deflated when that actually saves bytes.
 
     The work is per lane, not per row, wherever the lane's value
-    classes allow: ``array(values)`` packs a fully-present numeric
-    lane, and over exact ``str``/``int``/``None`` a value and its
-    ``(tag, payload)`` table entry are one-to-one, so
-    ``dict.fromkeys`` numbers the table in the first-seen order the
-    per-row loop would.  Anything else (``True``/``1``/``1.0`` in one
-    lane, nested values) is encoded row by row.
+    classes allow: a struct block is its key lanes' blocks,
+    ``array(values)`` packs a fully-present numeric lane, and over
+    exact ``str``/``int``/``None`` a value and its ``(tag, payload)``
+    table entry are one-to-one, so ``dict.fromkeys`` numbers the table
+    in the first-seen order the per-row loop would.  Anything else
+    (``True``/``1``/``1.0`` in one lane, lists, a dict beside a
+    non-dict or under a key that is not a ``str``) is encoded row by
+    row.
 
     The zone is ``(tag, min, max)`` over present non-null values when
     they share one comparable class (str / int / float, NaN-free) —
     the per-segment min/max the planner prunes with.
     """
+    kind, payload, zone = _field_payload(present, values)
+    flags = 0
+    deflated = zlib.compress(payload, DEFLATE_LEVEL) if deflate else payload
+    if len(deflated) < len(payload):
+        flags |= F_ZLIB
+        body = deflated
+    else:
+        body = payload
+    return _BLOCK_HEAD.pack(kind, flags, len(payload)) + body, zone
+
+
+def _field_payload(present: Optional[bytes], values
+                   ) -> tuple[int, bytes, Optional[tuple]]:
+    """``(kind, payload, zone)`` of one lane column."""
+    if type(values) is StructLane:
+        payload = _struct_payload(values)
+        if payload is not None:
+            return K_STRUCT, payload, None
+        present, values = values.present(), values.dicts()
     rows = len(values)
     if present is not None and 0 not in present:
         present = None
@@ -245,7 +279,10 @@ def _encode_field(present: Optional[bytes],
     none_present = holes and (
         present is None
         or sum(map(is_, values, repeat(None))) > present.count(0))
-    kind = payload = None
+    if live_classes == {dict} and not none_present:
+        payload = _struct_payload(StructLane.of(values, present))
+        if payload is not None:
+            return K_STRUCT, payload, None
     if not none_present and live_classes in ({int}, {float}):
         typecode, zero = ("q", 0) if live_classes == {int} else ("d", 0.0)
         try:
@@ -254,46 +291,55 @@ def _encode_field(present: Optional[bytes],
         except OverflowError:           # an int beyond int64: dictionary
             pass
         else:
-            payload = (present or b"\x01" * rows) + _lane_bytes(lane)
-            kind = K_I64 if typecode == "q" else K_F64
-    if kind is None:
-        kind = K_DICT
-        if classes <= GROUP_SAFE:
-            table = dict.fromkeys(values if present is None
-                                  else compress(values, present))
-            code_of = dict(zip(table, range(len(table))))
-            if present is None:
-                codes = array(_I32_CODE, map(code_of.__getitem__, values))
-            else:
-                codes = array(_I32_CODE, [
-                    code_of[value] if has else -1
-                    for has, value in zip(present, values)])
-            entries = list(map(_table_entry, table))
+            return (K_I64 if typecode == "q" else K_F64,
+                    (present or b"\x01" * rows) + _lane_bytes(lane), zone)
+    if classes <= GROUP_SAFE:
+        table = dict.fromkeys(values if present is None
+                              else compress(values, present))
+        code_of = dict(zip(table, range(len(table))))
+        if present is None:
+            codes = array(_I32_CODE, map(code_of.__getitem__, values))
         else:
-            entries = []
-            seen: dict[bytes, int] = {}
-            codes = array(_I32_CODE)
-            for has, value in zip(present or repeat(1), values):
-                if not has:
-                    codes.append(-1)
-                    continue
-                entry = _table_entry(value)
-                code = seen.get(entry)
-                if code is None:
-                    code = seen[entry] = len(entries)
-                    entries.append(entry)
-                codes.append(code)
-        payload = b"".join((_U32.pack(len(entries)), *entries,
-                            _lane_bytes(codes)))
-
-    flags = 0
-    deflated = zlib.compress(payload, 6)
-    if len(deflated) < len(payload):
-        flags |= F_ZLIB
-        body = deflated
+            codes = array(_I32_CODE, [
+                code_of[value] if has else -1
+                for has, value in zip(present, values)])
+        entries = list(map(_table_entry, table))
     else:
-        body = payload
-    return _BLOCK_HEAD.pack(kind, flags, len(payload)) + body, zone
+        entries = []
+        seen: dict[bytes, int] = {}
+        codes = array(_I32_CODE)
+        for has, value in zip(present or repeat(1), values):
+            if not has:
+                codes.append(-1)
+                continue
+            entry = _table_entry(value)
+            code = seen.get(entry)
+            if code is None:
+                code = seen[entry] = len(entries)
+                entries.append(entry)
+            codes.append(code)
+    return K_DICT, b"".join((_U32.pack(len(entries)), *entries,
+                             _lane_bytes(codes))), zone
+
+
+def _struct_payload(lane: StructLane) -> Optional[bytes]:
+    """The kind-4 payload of a struct lane — shape table, shape codes,
+    then every shape's key lanes as field blocks of their own — or
+    ``None`` when a key is not a ``str``."""
+    lane = lane.compacted()
+    if not set(map(type, chain.from_iterable(lane.shapes))) <= {str}:
+        return None
+    parts = [_U32.pack(len(lane.shapes))]
+    for shape in lane.shapes:
+        parts.append(_U32.pack(len(shape)))
+        for name in map(str.encode, shape):
+            parts += (_U32.pack(len(name)), name)
+    parts.append(_lane_bytes(array(_I32_CODE, lane.codes)))
+    # Left raw: the enclosing block is deflated once, as a whole.
+    for values in chain.from_iterable(lane.columns):
+        block, _zone = _encode_field(None, values, deflate=False)
+        parts += (_U32.pack(len(block)), block)
+    return b"".join(parts)
 
 
 class _Lane(NamedTuple):
@@ -327,25 +373,83 @@ def _decode_block(blob: bytes, rows: int) -> _Lane:
             return _Lane(values, None)
         return _Lane([v if p else None for p, v in zip(present, values)],
                      present)
-    if kind != K_DICT:
+    if kind not in (K_DICT, K_STRUCT):
         raise SegmentError(f"unknown block kind {kind}")
+    try:
+        return (_decode_dict if kind == K_DICT
+                else _decode_struct)(payload, rows)
+    except (struct.error, IndexError, ValueError) as exc:
+        raise SegmentError(f"kind-{kind} block fails to parse") from exc
+
+
+def _decode_dict(payload: bytes, rows: int) -> _Lane:
+    """A kind-1 payload: one table entry per row, by its code."""
     (n_table,) = _U32.unpack_from(payload, 0)
     pos = _U32.size
     table: list[Any] = []
-    for _ in range(n_table):
+    mutable: set[int] = set()
+    for code in range(n_table):
         tag = payload[pos]
         (length,) = _U32.unpack_from(payload, pos + 1)
         start = pos + 1 + _U32.size
         table.append(_decode_value(tag, payload[start:start + length]))
+        if tag == T_JSON:
+            mutable.add(code)
         pos = start + length
     codes = _lane_from(_I32_CODE, payload[pos:])
     if len(codes) != rows:
         raise SegmentError("dictionary code lane length mismatch")
+    if rows and not -1 <= min(codes) <= max(codes) < n_table:
+        raise SegmentError("dictionary code out of range")
     table.append(None)                  # code -1 (absent) reads the end
-    values = list(map(table.__getitem__, codes))
+    if mutable:
+        # A list, a dict: every row its own, as a struct lane reads.
+        values = [deepcopy(table[code]) if code in mutable else table[code]
+                  for code in codes]
+    else:
+        values = list(map(table.__getitem__, codes))
     if not rows or min(codes) >= 0:
         return _Lane(values, None)
     return _Lane(values, bytes(map((-1).__lt__, codes)))
+
+
+def _decode_struct(payload: bytes, rows: int) -> _Lane:
+    """A kind-4 payload as a struct lane over its decoded key lanes."""
+    (n_shapes,) = _U32.unpack_from(payload, 0)
+    pos = _U32.size
+    shapes: list[tuple] = []
+    for _ in range(n_shapes):
+        (n_keys,) = _U32.unpack_from(payload, pos)
+        pos += _U32.size
+        names = []
+        for _ in range(n_keys):
+            (length,) = _U32.unpack_from(payload, pos)
+            pos += _U32.size
+            names.append(payload[pos:pos + length].decode("utf-8"))
+            pos += length
+        shapes.append(tuple(names))
+    codes = _lane_from(_I32_CODE, payload[pos:pos + 4 * rows]).tolist()
+    pos += 4 * rows
+    if len(codes) != rows:
+        raise SegmentError("struct shape code lane length mismatch")
+    if rows and not -1 <= min(codes) <= max(codes) < n_shapes:
+        raise SegmentError("struct shape code out of range")
+    rows_of = Counter(codes)
+    columns: list[list] = []
+    for code, shape in enumerate(shapes):
+        columns.append([])
+        for name in shape:
+            (length,) = _U32.unpack_from(payload, pos)
+            pos += _U32.size
+            if pos + length > len(payload):
+                raise SegmentError(f"struct key block {name!r} is torn")
+            columns[code].append(_decode_block(payload[pos:pos + length],
+                                               rows_of[code]).values)
+            pos += length
+    if pos != len(payload):
+        raise SegmentError("struct block is longer than its key lanes")
+    lane = StructLane(shapes, codes, columns)
+    return _Lane(lane, lane.present())
 
 
 def _assemble_rows(rows: int, columns: list[tuple[str, list,
@@ -499,7 +603,7 @@ class Segment:
         magic, version, _flags, rows = _HEADER.unpack_from(blob, 0)
         if magic != SEGMENT_MAGIC:
             raise SegmentError(f"{self.path.name}: bad magic {magic!r}")
-        if version != SEGMENT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise SegmentError(
                 f"{self.path.name}: unsupported version {version}")
         self.rows = rows
@@ -749,9 +853,8 @@ class _Blocks:
             return lane.values if lane is not None else [None] * self._rows
         # A dotted name resolves inside its root field's values unless
         # a row carries the dotted name as a key of its own.
-        root = field.split(".", 1)[0]
-        out = [get_field({root: value}, field)
-               for value in self.values_for(root)]
+        root, *below = field.split(".")
+        out = walk_lane(self.values_for(root), below)
         if lane is not None:
             has_key = lane.present or b"\x01" * self._rows
             out = [own if has else walked for has, own, walked

@@ -11,9 +11,11 @@ decodes a whole ring-buffer batch into *lanes*:
   per-code row positions collected during encode so field indexes can
   ingest whole groups at once;
 - ``array('q')`` numeric lanes for ``ret`` and the two timestamps;
-- zero-copy references to the raw ``args`` dicts — argument
-  sanitisation is deferred until a query actually asks for ``args``
-  (the backend's default indexed fields never do).
+- zero-copy references to the raw ``args`` dicts — grouping them by
+  key tuple into a :class:`~repro.backend.lanes.StructLane` and
+  sanitising its lanes is deferred until something actually asks for
+  ``args`` (the backend's default indexed fields and the correlator's
+  ``args.path`` never do; the segment writer does).
 
 ``to_docs()`` materialises the exact documents ``Event.to_doc`` would
 have produced — same key order, same sparsity, same value objects —
@@ -30,8 +32,10 @@ from itertools import repeat
 from operator import is_not
 from typing import Any, Callable, Iterator, Optional
 
-from repro.backend.lanes import GROUP_SAFE, LaneColumn, Overlay
-from repro.tracer.events import _sanitize_args
+from repro.backend.lanes import (GROUP_SAFE, LaneColumn, Overlay, StructLane,
+                                 walk_lane)
+from repro.backend.query import get_field
+from repro.tracer.events import SCALAR_ARGS, sanitized_lane
 
 
 class _DictLane:
@@ -207,10 +211,12 @@ class RecordBatch:
                         else self._overlay.take(rows))
         return out
 
-    def args(self) -> list[dict]:
-        """Sanitised argument dicts, one per row (memoised)."""
+    def args(self) -> StructLane:
+        """The sanitised arguments, one dict per row, as a
+        :class:`~repro.backend.lanes.StructLane` (memoised; sanitised
+        a lane at a time, on first ask)."""
         if self._args is None:
-            self._args = [_sanitize_args(raw) for raw in self._raw_args]
+            self._args = sanitized_lane(self._raw_args)
         return self._args
 
     def _lane_for(self, field: str):
@@ -287,10 +293,17 @@ class RecordBatch:
         elif field == "file_path":
             out = [None] * self._n
         elif field.startswith("args."):
-            from repro.backend.query import get_field
-            out = [get_field({"args": arg}, field) for arg in self.args()]
+            parts = field.split(".")[1:]
+            out = None
+            if self._args is None and len(parts) == 1:
+                # One argument of every row (the correlator's ``path``):
+                # what sanitising leaves alone is read off the records.
+                out = [raw.get(parts[0]) for raw in self._raw_args]
+                if not set(map(type, out)) <= SCALAR_ARGS:
+                    out = None
+            if out is None:
+                out = walk_lane(self.args(), parts)
         else:
-            from repro.backend.query import get_field
             out = [get_field(doc, field) for doc in self.to_docs()]
         if self._overlay is not None:
             out = self._overlay.merged(field, out)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+from repro.backend.lanes import StructLane
+
 
 def _sanitize_args(args: dict[str, Any]) -> dict[str, Any]:
     """Make syscall arguments JSON-safe; buffers become byte counts."""
@@ -37,6 +39,58 @@ def _sanitize_args(args: dict[str, Any]) -> dict[str, Any]:
         else:
             clean[key] = str(value)
     return clean
+
+
+#: Argument classes recorded as they are.
+SCALAR_ARGS = frozenset((str, int, float, bool, type(None)))
+_BUFFERS = frozenset((bytes, bytearray))
+#: What :func:`_sanitize_args` has a rule for, subclasses included;
+#: a value of any other class is recorded as its ``str()``.
+_RULED = (bytes, bytearray, list, dict, str, int, float, type(None))
+_DROPPED = object()
+
+
+def _sanitize_lane(values: list):
+    """One argument over the rows of one shape, sanitised as
+    :func:`_sanitize_args` would each value — decided once, on the
+    lane's value classes: the new values, ``_DROPPED`` for an
+    out-parameter, ``None`` for a lane that mixes the rules."""
+    classes = set(map(type, values))
+    if classes <= SCALAR_ARGS:
+        return values
+    if classes <= _BUFFERS:
+        return list(map(len, values))
+    if classes == {list}:
+        return [sum(len(item) if isinstance(item, (bytes, bytearray)) else 1
+                    for item in value) for value in values]
+    if classes == {dict}:
+        return _DROPPED
+    if not any(issubclass(cls, _RULED) for cls in classes):
+        return list(map(str, values))
+    return None
+
+
+def sanitized_lane(raw_args: list[dict]) -> StructLane:
+    """``[_sanitize_args(args) for args in raw_args]`` as a
+    :class:`~repro.backend.lanes.StructLane`, sanitised a lane at a
+    time; row by row only for the rows of a shape in which one
+    argument mixes the rules (a buffer in one row, an int in the
+    next)."""
+    struct = StructLane.of(raw_args)
+    if struct is None:                  # an ``args`` that is no plain dict
+        return StructLane.of([_sanitize_args(args) for args in raw_args])
+    groups = []
+    for shape, rows, columns in struct.groups():
+        clean = dict(zip(shape, map(_sanitize_lane, columns)))
+        if any(lane is None for lane in clean.values()):
+            mixed = StructLane.of([_sanitize_args(raw_args[row])
+                                   for row in rows])
+            groups.extend((kept, [rows[at] for at in held], lanes)
+                          for kept, held, lanes in mixed.groups())
+            continue
+        kept = [key for key, lane in clean.items() if lane is not _DROPPED]
+        groups.append((tuple(kept), rows, [clean[key] for key in kept]))
+    return StructLane.from_groups(len(raw_args), groups)
 
 
 class Event:

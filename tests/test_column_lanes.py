@@ -9,14 +9,20 @@ a slow one.  The same comparison covers ``ColumnSet.ensure_column``
 built from pending lanes against one built from hydrated documents.
 """
 
+import copy
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import DocumentStore
+from repro.backend import (DocumentStore, SegmentBatch, load_session,
+                           save_session)
 from repro.backend.columns import Column
+from repro.backend.lanes import DocBatch
+from repro.backend.query import get_field
+from repro.backend.segments import K_DICT, K_STRUCT, Segment, write_batch
 from repro.tracer import RecordBatch
+from repro.tracer.events import _sanitize_args, sanitized_lane
 
 #: Every slot except the caches (the two ``tolist()`` views and the
 #: sorted permutation a ``range`` over an unsorted lane keeps).
@@ -188,3 +194,156 @@ def test_column_built_after_a_delete_keeps_the_dead_row_missing():
     assert not column.num_sorted        # 150, then 100 again
     assert state(column) == state(oracle_index.columns.ensure_column(
         "time", oracle_index._docs))
+
+
+def test_args_columns_of_a_loaded_session_are_read_off_the_key_lanes(
+        tmp_path):
+    source = DocumentStore()
+    source.bulk_columnar("idx", RecordBatch.decode(_records(24), session="s"))
+    save_session(source, "s", tmp_path / "store", index="idx",
+                 flush_events=10)
+    loaded, docs = DocumentStore(), DocumentStore()
+    load_session(loaded, tmp_path / "store", index="idx")
+    docs.bulk("idx", [source for _, source in source.scan("idx")])
+    index, oracle_index = loaded._indices["idx"], docs._indices["idx"]
+    for field in ("args", "args.path", "args.fd", "args.nope",
+                  "args.fd.deeper"):
+        built = index.columns.ensure_column(field, *index.column_sources())
+        oracle = oracle_index.columns.ensure_column(field,
+                                                    oracle_index._docs)
+        assert state(built) == state(oracle), field
+    assert index.pending_docs == 24 and index.hydrated_docs_total == 0
+
+
+# ---------------------------------------------------------------------------
+# args, sanitised a lane at a time
+
+class Exotic:
+    def __str__(self) -> str:
+        return "<exotic>"
+
+
+class Path(str):
+    """A ``str`` subclass: recorded as it is, like a ``str``."""
+
+
+_buffers = st.one_of(st.binary(max_size=4),
+                     st.binary(max_size=4).map(bytearray))
+_raw_values = st.one_of(
+    st.integers(-3, 3), st.sampled_from(["", "/a", "O_RDWR"]), st.none(),
+    st.booleans(), st.sampled_from([0.0, 2.5, float("nan")]), _buffers,
+    st.lists(st.one_of(_buffers, st.integers(0, 2), st.none()), max_size=3),
+    st.sampled_from([{}, {"size": 1}, {"size": 1, "times": {"a": [1]}}]),
+    st.sampled_from([Exotic(), (1, 2), frozenset((1,)), Path("/p"), BIG]))
+#: A syscall's arguments: usually one rule per key (``buf`` a buffer,
+#: ``statbuf`` an out-parameter), sometimes anything under any key.
+_raw_args = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "fd": st.integers(0, 4), "buf": _buffers,
+        "path": st.sampled_from(["/a", "/b"]),
+        "iov": st.lists(_buffers, max_size=3),
+        "statbuf": st.sampled_from([{}, {"size": 1}]),
+        "how": st.sampled_from([Exotic(), (1, 2)])}),
+    st.dictionaries(st.sampled_from(["fd", "buf", "path", "statbuf", 7]),
+                    _raw_values, max_size=4),
+).flatmap(lambda args: st.permutations(list(args.items())).map(dict))
+
+
+def _ring_records(raw_args: list[dict]) -> list[dict]:
+    return [{"syscall": "read", "args": args, "ret": 0, "pid": 1, "tid": 1,
+             "comm": "app", "enter_ns": row, "exit_ns": row + 1}
+            for row, args in enumerate(raw_args)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_raw_args, max_size=10))
+def test_sanitising_lane_by_lane_is_sanitising_row_by_row(raw_args):
+    expected = [_sanitize_args(args) for args in raw_args]
+    tagged = json.dumps(expected)       # key order, true/1/1.0, NaN
+    lane = sanitized_lane(raw_args)
+    assert json.dumps(lane.dicts()) == tagged
+    assert json.dumps([lane[row] for row in range(len(lane))]) == tagged
+    # ... and through the batch: the lane itself, the documents, one
+    # argument of every row — asked before and after ``args`` was.
+    for ask_path_first in (True, False):
+        batch = RecordBatch.decode(_ring_records(raw_args))
+        paths = [get_field({"args": args}, "args.path") for args in expected]
+        if ask_path_first:
+            assert json.dumps(batch.values_for("args.path")) \
+                == json.dumps(paths)
+        assert json.dumps(list(batch.values_for("args"))) == tagged
+        assert json.dumps([doc["args"] for doc in batch.to_docs()]) == tagged
+        for key in ("path", "buf", "statbuf", "statbuf.size", "nope"):
+            assert json.dumps(batch.values_for(f"args.{key}")) == json.dumps(
+                [get_field({"args": args}, f"args.{key}")
+                 for args in expected]), key
+
+
+# ---------------------------------------------------------------------------
+# args on disk: the struct block, and the dictionary block behind it
+
+def _round_trip(docs: list[dict], path) -> tuple[int, list[dict]]:
+    """``(kind of the args block, the documents read back)``."""
+    write_batch(path, DocBatch(copy.deepcopy(docs)), session="s", seq=1)
+    segment = Segment(path)
+    kind = segment._blob[segment._fields["args"][0]]
+    loaded = SegmentBatch([segment], [], "s").to_docs()
+    for doc in loaded:
+        assert doc.pop("session") == "s"
+    assert json.dumps(loaded) == json.dumps(Segment(path).docs())
+    return kind, loaded
+
+
+_STRUCT_ARGS = [
+    {"fd": 3, "buf": 512},
+    {"buf": 512, "fd": 3},                      # the same keys, reordered
+    {},
+    {"fd": None},                               # an explicit null
+    {"fd": 1 << 70, "neg": -(1 << 64)},         # beyond int64
+    {"path": "/a", "flags": ["O_RDWR", "O_CREAT"], "mode": 0o644},
+    {"path": "/b", "flags": []},                # list values
+    {"statbuf": {"size": 1, "times": {"a": [1, {"b": None}], "m": 2.5}}},
+    {"statbuf": {}},                            # objects in objects
+    {"statbuf": {"size": True}},
+    {"fd": 3.0, "buf": float("inf")},
+]
+
+
+@pytest.mark.parametrize("absent", [(), (2, 5)], ids=["dense", "sparse"])
+def test_args_round_trip_through_a_struct_block(tmp_path, absent):
+    docs = [{"time": row, "args": args, "ret": row}
+            for row, args in enumerate(_STRUCT_ARGS * 2)]
+    for row in absent:
+        del docs[row]["args"]                   # the field itself absent
+    kind, loaded = _round_trip(docs, tmp_path / "seg.dseg")
+    assert kind == K_STRUCT
+    assert json.dumps(loaded) == json.dumps(docs)
+    assert [list(doc) for doc in loaded] == [list(doc) for doc in docs]
+
+
+@pytest.mark.parametrize("odd", [
+    None, ["fd", 3], "O_RDONLY", {7: "a key that is not a str"}],
+    ids=["null", "list", "str", "int-key"])
+def test_one_odd_value_sends_args_to_the_dictionary_block(tmp_path, odd):
+    docs = [{"time": row, "args": args}
+            for row, args in enumerate(_STRUCT_ARGS + [odd] + _STRUCT_ARGS)]
+    kind, loaded = _round_trip(docs, tmp_path / "seg.dseg")
+    assert kind == K_DICT
+    # JSON spells an int key as a string; everything else is the input.
+    assert json.dumps(loaded) == json.dumps(docs)
+    # Equal table entries are still one object per row.
+    first, second = loaded[0]["args"], loaded[len(_STRUCT_ARGS) + 1]["args"]
+    assert first == second and first is not second
+
+
+def test_an_odd_key_lane_falls_back_alone(tmp_path):
+    # ``iov`` is an object in one row and a list in the next; ``how``
+    # has a key that is not a str: those two lanes are dictionary
+    # blocks inside a struct block whose other lanes stay typed.
+    docs = [{"time": 0, "args": {"fd": 3, "iov": {"len": 8}, "how": {}}},
+            {"time": 1, "args": {"fd": 4, "iov": [8, 9], "how": {1: 2}}}]
+    kind, loaded = _round_trip(docs, tmp_path / "seg.dseg")
+    assert kind == K_STRUCT
+    assert json.dumps(loaded) == json.dumps(docs)
+    lane = Segment(tmp_path / "seg.dseg").lanes()["args"].values
+    assert [type(column) for column in lane.columns[0]] == [list] * 3

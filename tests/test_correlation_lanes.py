@@ -15,7 +15,8 @@ import json
 import pytest
 
 from repro.backend import (DocumentStore, FilePathCorrelator, create_store,
-                           legacy_correlate, load_session, save_session)
+                           export_session, import_session, legacy_correlate,
+                           load_session, save_session)
 from repro.backend.lanes import DocBatch
 from repro.faults import FaultPlan, FaultyStore, InjectedFault
 from repro.tracer import RecordBatch
@@ -329,20 +330,48 @@ FOREIGN = [
     lambda store: FilePathCorrelator(store).correlate(INDEX, SESSION),
     lambda store: legacy_correlate(store, INDEX, SESSION)],
     ids=["lanes", "legacy"])
-@pytest.mark.parametrize("parked", [False, True], ids=["rows", "parked"])
-def test_an_open_without_an_args_object_stays_unresolved(correlate, parked):
+@pytest.mark.parametrize("how", ["rows", "parked", "imported", "loaded"])
+def test_an_open_without_an_args_object_stays_unresolved(correlate, how,
+                                                         tmp_path):
     # Reachable through import_session/recover_session of a hand-edited
     # or third-party export; used to abort the whole pass with
-    # "'NoneType' object has no attribute 'get'".
+    # "'NoneType' object has no attribute 'get'".  The correlator asks
+    # for ``args.path``: no ``args`` object, or no path in it, reads
+    # ``None`` off documents, off an import and off a loaded segment
+    # store (whose ``args`` block is the dictionary fallback here).
     store = DocumentStore()
     docs = copy.deepcopy(FOREIGN)
-    if parked:
+    if how == "parked":
         store.bulk_columnar(INDEX, DocBatch(docs))
-    else:
+    elif how == "rows":
         store.bulk(INDEX, docs)
+    else:
+        source = DocumentStore()
+        source.bulk(INDEX, docs)
+        if how == "imported":
+            export_session(source, SESSION, tmp_path / "foreign.jsonl",
+                           index=INDEX)
+            import_session(store, tmp_path / "foreign.jsonl", index=INDEX)
+        else:
+            save_session(source, SESSION, tmp_path / "foreign", index=INDEX)
+            load_session(store, tmp_path / "foreign", index=INDEX)
+            assert hydrated(store) == 0
     report = correlate(store)
     assert report.as_dict() == {
         "tags_resolved": 1, "documents_updated": 2, "documents_tagged": 5,
         "documents_unresolved": 3, "unresolved_ratio": 0.6}
     assert [source.get("file_path") for _, source in store.scan(INDEX)] == [
         None, None, None, "/known", "/known"]
+
+
+def test_correlation_reads_the_path_argument_not_every_args():
+    # ``args.path`` of the open-family rows is all the pass needs: the
+    # parked ring batches are never asked for ``args`` (which would
+    # sanitise every row's arguments to read the path of a few).
+    store = DocumentStore()
+    fed("parked")(store)
+    report = FilePathCorrelator(store).correlate(INDEX, SESSION)
+    assert report.tags_resolved == 4
+    parked = [batch for _, batch in store._indices[INDEX]._pending]
+    assert len(parked) == 4
+    assert all(batch._args is None for batch in parked)

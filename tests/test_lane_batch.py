@@ -17,9 +17,11 @@ import json
 from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore, SegmentBatch, SegmentStorage
-from repro.backend.lanes import DocBatch, JoinedBatch
+from repro.backend.lanes import (DocBatch, JoinedBatch, StructLane, sort_key,
+                                 time_ordered)
 from repro.backend.query import get_field
 from repro.backend.segments import _assemble_rows
 from repro.tracer import RecordBatch
@@ -240,6 +242,32 @@ def test_take_commutes_and_can_be_taken_again(batch, rows):
         docs[row]["syscall"] for row in reversed(rows))
 
 
+def test_args_travel_as_a_struct_lane_and_read_as_fresh_dicts(make):
+    # Every producer but the one that *is* its documents hands ``args``
+    # to a reader and to the writer as a struct lane — a ring batch
+    # sanitised lane by lane, decoded kind-4 blocks, a join of either
+    # with documents, a take of a take — and no two reads of a row
+    # share a dict.
+    batch, docs = make(), make().to_docs()
+    lane = batch.values_for("args")
+    column, = [values for field, values, _ in batch.columns()
+               if field == "args"]
+    if make.producer == "docs":
+        assert type(lane) is type(column) is list
+        return
+    assert type(lane) is type(column) is StructLane
+    for held in (lane, column, column.take(range(40))):
+        assert dumps(list(held)) == dumps([doc["args"] for doc in docs])
+        assert dumps([held[row] for row in range(40)]) == dumps(list(held))
+        assert held[3] is not held[3]
+        assert all(a is not b for a, b in zip(held, held))
+    assert all(held is not doc["args"]
+               for held, doc in zip(lane, batch.to_docs()))
+    # ``statbuf`` is an out-parameter: sanitised away on the ring, so
+    # no shape of any producer has it.
+    assert {key for shape in lane.shapes for key in shape} == {"fd", "path"}
+
+
 @pytest.mark.parametrize("tricky", [False, True])
 def test_a_segment_batch_assembles_each_row_once(tricky, tmp_path):
     # The router takes per-shard sub-batches off a loaded session that
@@ -375,8 +403,10 @@ def test_an_overlay_and_take(make, order):
 
 @pytest.mark.parametrize("fields", [
     {"syscall": "patched"},                     # a column of the batch
+    {"args": {"fd": 99}},                       # the struct lane is one
     {"file_path": "/x", "offset": 1},           # one of two is
-    {"late": 1}], ids=["own-column", "half-own", "second-shape"])
+    {"late": 1}], ids=["own-column", "args-column", "half-own",
+                       "second-shape"])
 def test_an_overlay_the_lanes_cannot_hold_is_refused(make, fields):
     batch, expected = make(), copy.deepcopy(make().to_docs())
     assert batch.overlay([2, 5], FIRST)
@@ -410,3 +440,39 @@ def test_update_docs_on_a_column_of_the_batch_hydrates_as_before(make):
         oracle.update_docs("idx", ids, fields)
     assert dumps(store.scan("idx")) == dumps(oracle.scan("idx"))
     assert index.epoch == oracle._indices["idx"].epoch
+
+
+# ---------------------------------------------------------------------------
+# time_ordered(): the one row-ordering rule
+
+_times = st.one_of(
+    st.lists(st.integers(0, 50), max_size=12),              # dense
+    st.lists(st.integers(0, 50), max_size=12).map(sorted),  # ... and sorted
+    st.lists(st.one_of(st.integers(-5, 50), st.just(1 << 70)), max_size=12),
+    st.lists(st.one_of(st.integers(0, 9), st.sampled_from(
+        ["absent", None, 2.5, -0.0, True, "late", float("inf")])),
+        max_size=12))                                       # mixed classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(times=_times, as_ring=st.booleans())
+def test_time_ordered_is_the_stable_sort_key_permutation(times, as_ring):
+    """Dense int lanes sort the ints themselves (every key would be
+    ``(1, "num", t)``); anything else sorts ``sort_key`` tuples.  Same
+    permutation either way, and none at all for a sorted dense lane."""
+    if as_ring and set(map(type, times)) <= {int}:
+        batch = RecordBatch.decode([
+            {"syscall": "read", "args": {}, "ret": row, "pid": 1, "tid": 1,
+             "comm": "app", "enter_ns": t, "exit_ns": t}
+            for row, t in enumerate(times)])
+    else:
+        batch = DocBatch([{"ret": row} if t == "absent"
+                          else {"ret": row, "time": t}
+                          for row, t in enumerate(times)])
+    read = [None if t == "absent" else t for t in times]
+    expected = sorted(range(len(read)), key=lambda row: sort_key(read[row]))
+    ordered = time_ordered(batch)
+    assert ordered.values_for("ret") == expected
+    if batch.dense_int("time"):
+        assert set(map(type, read)) <= {int}
+        assert (ordered is batch) == (read == sorted(read))

@@ -18,9 +18,12 @@ the one the row path builds:
   segment's — this comparison is therefore on sorted keys.
 """
 
+import copy
 import json
+import shutil
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +33,8 @@ from repro.backend import (INDEXED_EVENT_FIELDS, SHARD_KEYS, DocumentStore,
                            TenantQuotaExceeded, create_store,
                            export_session, import_session, load_session,
                            save_session)
-from repro.backend.segments import _TRAILER, TRAILER_MAGIC, Segment
+from repro.backend.segments import (_BLOCK_HEAD, _TRAILER, F_ZLIB, K_STRUCT,
+                                    TRAILER_MAGIC, Segment)
 from tests.test_column_lanes import state as column_state
 
 INDEX = "dio_trace"
@@ -242,6 +246,37 @@ def test_the_tail_keeps_each_rows_own_key_order(tmp_path):
         ["time", "c", "session"], ["time", "b", "a", "session"]]
 
 
+@pytest.mark.parametrize("make_store", [
+    DocumentStore, lambda: create_store(shard_count=2)],
+    ids=["plain", "2-shards"])
+@pytest.mark.parametrize("args", [
+    {"fd": 3, "buf": 10},               # a struct block
+    [{"fd": 3}, "buf"],                 # the dictionary/JSON fallback
+], ids=["struct", "json-fallback"])
+def test_rows_with_equal_args_do_not_share_one_object(tmp_path, make_store,
+                                                      args):
+    # A dictionary block stores equal values once; handing the table
+    # entry itself to every row made one ``args`` of four (setting a
+    # key on one changed them all), which a traced store never does.
+    source = DocumentStore()
+    source.bulk(INDEX, [{"syscall": "read", "args": copy.deepcopy(args),
+                         "time": i, "session": "saved"} for i in range(4)])
+    save_session(source, "saved", tmp_path / "store", index=INDEX)
+    loaded = make_store()
+    load_session(loaded, tmp_path / "store", index=INDEX)
+    held = [source["args"] for _, source in loaded.scan(INDEX)]
+    assert held == [args] * 4
+    assert all(a is not b and (type(a) is not list or a[0] is not b[0])
+               for i, a in enumerate(held) for b in held[i + 1:])
+    if type(args) is dict:
+        held[1]["fd"] = 99
+    else:
+        held[1][0]["fd"] = 99
+    assert [source["args"] for _, source in loaded.scan(INDEX)] == [
+        args, held[1], args, args]
+    assert held[1] != args
+
+
 # ---------------------------------------------------------------------------
 # admission and damage: all or nothing, and at load time
 
@@ -264,22 +299,51 @@ def test_a_session_over_the_tenant_quota_lands_no_row(tmp_path):
 
 
 def _rewrite_block(path, field: str, edit) -> None:
-    """Replace one block's bytes in place, checksums made to agree, so
-    only the block's own framing can tell it is damaged."""
-    off, length, crc, _zone = Segment(path)._fields[field]
-    blob = bytearray(path.read_bytes())
-    block = edit(bytes(blob[off:off + length]))
-    assert len(block) == length
-    blob[off:off + length] = block
+    """Replace one block's bytes, checksums and the offsets of the
+    blocks behind it made to agree, so only the block's own framing
+    can tell it is damaged."""
+    fields = Segment(path)._fields
+    off, length, _crc, _zone = fields[field]
+    blob = path.read_bytes()
+    block = edit(blob[off:off + length])
+    delta = len(block) - length
     foot_off, foot_len, _, _ = _TRAILER.unpack_from(
         blob, len(blob) - _TRAILER.size)
-    entry = blob.index(struct.pack("<QQI", off, length, crc), foot_off)
-    struct.pack_into("<QQI", blob, entry, off, length, zlib.crc32(block))
-    blob[-_TRAILER.size:] = _TRAILER.pack(
-        foot_off, foot_len,
-        zlib.crc32(bytes(blob[foot_off:foot_off + foot_len])),
-        TRAILER_MAGIC)
-    path.write_bytes(bytes(blob))
+    footer = bytearray(blob[foot_off:foot_off + foot_len])
+    for name, (at, size, crc, _zone) in fields.items():
+        entry = footer.index(struct.pack("<QQI", at, size, crc))
+        if name == field:
+            struct.pack_into("<QQI", footer, entry, at, len(block),
+                             zlib.crc32(block))
+        elif at > off:
+            struct.pack_into("<QQI", footer, entry, at + delta, size, crc)
+    path.write_bytes(b"".join((
+        blob[:off], block, blob[off + length:foot_off], footer,
+        _TRAILER.pack(foot_off + delta, len(footer),
+                      zlib.crc32(bytes(footer)), TRAILER_MAGIC))))
+
+
+def _edit_payload(field: str, edit):
+    """An edit of a block's inflated *payload* (stored raw afterwards)
+    behind checksums that agree."""
+    def on_block(block: bytes) -> bytes:
+        kind, flags, _raw_len = _BLOCK_HEAD.unpack_from(block, 0)
+        payload = bytearray(block[_BLOCK_HEAD.size:] if not flags & F_ZLIB
+                            else zlib.decompress(block[_BLOCK_HEAD.size:]))
+        edit(payload)
+        return _BLOCK_HEAD.pack(kind, 0, len(payload)) + bytes(payload)
+    return lambda path: _rewrite_block(path, field, on_block)
+
+
+def _edit_struct(edit):
+    """An edit of the ``args`` payload.  ``_docs`` rows all carry
+    ``{"fd": 3}``: one shape of one key, so the shape codes start at
+    byte 14 and the key lane's length prefix follows them."""
+    def on_payload(payload: bytearray) -> None:
+        assert payload[:14] == struct.pack("<III2s", 1, 1, 2, b"fd")
+        edit(payload, (len(payload) - 14 - 4 - _BLOCK_HEAD.size)
+             // (4 + 1 + 8))
+    return _edit_payload("args", on_payload)
 
 
 def _flip_a_byte(path, field: str) -> None:
@@ -297,8 +361,23 @@ def _flip_a_byte(path, field: str) -> None:
                                 lambda b: b[:-4] + b"\x00" * 4),
     lambda path: _rewrite_block(path, "syscall",
                                 lambda b: b[:1] + b"\x00" + b[2:]),
+    # A dictionary code past the value table.
+    _edit_payload("syscall", lambda payload: struct.pack_into(
+        "<i", payload, len(payload) - 4, 5)),
+    lambda path: _flip_a_byte(path, "args"),
+    # A struct block behind valid checksums: a key lane whose length
+    # prefix runs past the payload, a shape code no shape has, a row
+    # taken out of its shape so the key lane is one value too long.
+    _edit_struct(lambda payload, rows: struct.pack_into(
+        "<I", payload, 14 + 4 * rows, len(payload))),
+    _edit_struct(lambda payload, rows: struct.pack_into(
+        "<i", payload, 14 + 4 * (rows // 2), 1)),
+    _edit_struct(lambda payload, rows: struct.pack_into(
+        "<i", payload, 14, -1)),
 ], ids=["flipped-dict-block", "flipped-int-block", "truncated-deflate",
-        "raw-length-mismatch"])
+        "raw-length-mismatch", "dictionary-code-out-of-range",
+        "flipped-struct-block", "torn-key-lane",
+        "shape-code-out-of-range", "key-lane-longer-than-its-shape"])
 @pytest.mark.parametrize("make_store", [
     DocumentStore, lambda: create_store(shard_count=4)],
     ids=["plain", "sharded"])
@@ -343,3 +422,117 @@ def test_loaded_and_traced_indexes_are_created_alike(tmp_path):
         store.count(name, {"term": {INDEXED_EVENT_FIELDS[0]: "read"}})
     assert [list(index.columns._columns) for index in indexes] \
         == [[INDEXED_EVENT_FIELDS[0]]] * 2
+
+
+# ---------------------------------------------------------------------------
+# format compatibility: a store written before block kind 4 existed
+
+V1_FIXTURE = Path(__file__).parent / "corpus" / "segments-v1"
+
+
+def test_a_version_1_store_opens_verifies_loads_and_compacts(tmp_path):
+    """``tests/corpus/segments-v1`` was written once by the commit
+    before format v2 (a0318017: ``SEGMENT_VERSION == 1``, ``args`` a
+    dictionary block of JSON entries), from a checkout of that commit::
+
+        docs = []
+        for i in range(10):
+            doc = {"syscall": ("openat", "read", "pwrite64", "fstat",
+                               "close")[i % 5],
+                   "args": ({"path": f"/data/{i}.sst",
+                             "flags": ["O_RDWR", "O_CREAT"]},
+                            {"fd": 3, "buf": 4096},
+                            {"fd": 4, "buf": 512, "offset": 1 << 40},
+                            {"fd": 3, "statbuf": {"size": i,
+                                                  "times": [1, 2]}},
+                            {})[i % 5],
+                   "ret": i - 1, "pid": 7, "tid": 70 + i % 2,
+                   "proc_name": "app", "time": 1000 + 10 * i,
+                   "time_exit": 1004 + 10 * i, "duration_ns": 4}
+            if i % 5 != 4:
+                doc["file_tag"] = "7 12 1000"
+            if i == 6:
+                doc["args"] = {"fd": None, "huge": 1 << 70}
+            docs.append(doc)
+        engine = SegmentStorage(out / "store", flush_events=4)
+        for start in (0, 4, 8):
+            engine.append(docs[start:start + 4], session="v1-fixture")
+        engine.close()                  # rows 8 and 9 stay in the WAL
+        store = DocumentStore()
+        store.bulk("dio_trace", [{**doc, "session": "v1-fixture"}
+                                 for doc in docs])
+        export_session(store, "v1-fixture", out / "twin.jsonl")
+    """
+    before = {entry.name: entry.read_bytes()
+              for entry in (V1_FIXTURE / "store").iterdir()}
+    assert sorted(before) == ["MANIFEST.json", "seg-000001.dseg",
+                              "seg-000002.dseg", "wal.bin"]
+    engine = SegmentStorage(V1_FIXTURE / "store", create=False,
+                            read_only=True)
+    assert [struct.unpack_from("<H", segment._blob, 4)[0]
+            for segment in engine.segments()] == [1, 1]
+    assert engine.open_report["segments_dropped"] == 0
+    assert engine.open_report["wal_docs_recovered"] == 2
+    report = engine.verify()
+    assert report["ok"] and report["buffer_docs"] == 2
+    engine.close()
+
+    def loaded_from(path) -> str:
+        store = DocumentStore()
+        assert load_session(store, path, index=INDEX,
+                            rename_to=SESSION) == SESSION
+        return observe(store, sort_keys=True)
+
+    twin = loaded_from(V1_FIXTURE / "twin.jsonl")
+    assert loaded_from(V1_FIXTURE / "store") == twin
+    # Looking changed nothing on disk.
+    assert before == {entry.name: entry.read_bytes()
+                      for entry in (V1_FIXTURE / "store").iterdir()}
+
+    # A writable copy compacts into version 2 files that load the same.
+    shutil.copytree(V1_FIXTURE / "store", tmp_path / "store")
+    engine = SegmentStorage(tmp_path / "store", flush_events=4)
+    engine.flush()                      # the WAL tail: a v2 segment
+    assert engine.compact(small_rows=5)["segments_merged"] == 3
+    assert [struct.unpack_from("<H", segment._blob, 4)[0]
+            for segment in engine.segments()] == [2]
+    assert engine.segments()[0]._blob[
+        engine.segments()[0]._fields["args"][0]] == K_STRUCT
+    engine.close()
+    assert loaded_from(tmp_path / "store") == twin
+
+
+def test_a_saved_store_exports_the_bytes_the_original_exports(tmp_path):
+    # save_session -> load_session -> export_session: what comes out of
+    # format v2 is the session that went in, byte for byte (every event
+    # carries the same fields here, so a segment's one schema order is
+    # each row's own).
+    from repro.tracer import RecordBatch
+    records = [{"syscall": ("openat", "pread64", "write", "fstat")[i % 4],
+                "args": ({"path": f"/f{i}", "flags": ["O_RDWR"], "mode": 420},
+                         {"fd": 3 + i % 2, "buf": b"x" * 64, "offset": 64 * i},
+                         {"fd": 3, "data": bytearray(i)},
+                         {"fd": 3, "statbuf": {"size": i}})[i % 4],
+                "ret": i, "pid": 7, "tid": 70 + i % 3, "comm": "app",
+                "enter_ns": 1000 + 3 * (i % 5) + 20 * (i // 5),
+                "exit_ns": 2000 + i, "file_type": "regular",
+                "offset": 64 * i, "file_tag": "7 12 1000"}
+               for i in range(23)]
+    original = DocumentStore()
+    for start, stop in ((0, 9), (9, 16), (16, 23)):
+        original.bulk_columnar(INDEX, RecordBatch.decode(
+            records[start:stop], session="saved"))
+    export_session(original, "saved", tmp_path / "original.jsonl",
+                   index=INDEX)
+    save_session(original, "saved", tmp_path / "store", index=INDEX,
+                 flush_events=8)
+    engine = SegmentStorage(tmp_path / "store", create=False, read_only=True)
+    assert [segment._blob[segment._fields["args"][0]]
+            for segment in engine.segments()] == [K_STRUCT] * 3
+    engine.close()
+    reloaded = DocumentStore()
+    load_session(reloaded, tmp_path / "store", index=INDEX)
+    export_session(reloaded, "saved", tmp_path / "reloaded.jsonl",
+                   index=INDEX)
+    assert (tmp_path / "reloaded.jsonl").read_bytes() \
+        == (tmp_path / "original.jsonl").read_bytes()

@@ -1,12 +1,14 @@
 """The lane-wise segment writer is the row writer, byte for byte.
 
 ``save_session`` reads a session as lanes and ``write_batch`` encodes
-each block per lane (``array(values)``, ``dict.fromkeys``) instead of
-per row.  The writer it replaced is kept here as the oracle — the
-per-row ``_encode_field`` and ``write_segment(sort_docs(docs))`` over
-the hits of a time-sorted search — and the two must agree on every
-byte: block by block over adversarial lanes, and file by file over
-stores held as lanes, as rows and as both.
+each block per lane (``array(values)``, ``dict.fromkeys``, a struct
+lane's key lanes) instead of per row.  The row writer is kept here as
+the oracle — a per-row ``_encode_field`` (one value, one shape, one
+table entry at a time; it learnt block kind 4 with format v2) and
+``write_segment(sort_docs(docs))`` over the hits of a time-sorted
+search — and the two must agree on every byte: block by block over
+adversarial lanes, and file by file over stores held as lanes, as rows
+and as both.
 """
 
 import copy
@@ -27,7 +29,8 @@ from repro.backend import (SHARD_KEYS, DocumentStore, FilePathCorrelator,
 from repro.backend.columns import INT64_MAX, INT64_MIN
 from repro.backend.lanes import DocBatch
 from repro.backend.segments import (_BLOCK_HEAD, _HEADER, _I32_CODE, _TRAILER,
-                                    _U16, _U32, F_ZLIB, K_DICT, K_F64, K_I64,
+                                    _U16, _U32, DEFLATE_LEVEL, F_ZLIB, K_DICT,
+                                    K_F64, K_I64, K_STRUCT,
                                     MANIFEST_FORMAT, MANIFEST_NAME,
                                     SEGMENT_MAGIC, SEGMENT_VERSION, T_FLOAT,
                                     T_INT, T_STR, TRAILER_MAGIC, SegmentError,
@@ -42,9 +45,9 @@ SESSION = "saved"
 
 
 # ---------------------------------------------------------------------------
-# the oracle: the row writer, as it was before blocks were built from lanes
+# the oracle: the row writer
 
-def rows_encode_field(present: list[int], values: list):
+def rows_encode_field(present: list[int], values: list, deflate=True):
     """``_encode_field`` one row at a time."""
     live = [v for p, v in zip(present, values) if p and v is not None]
     classes = set(map(type, live))
@@ -59,7 +62,39 @@ def rows_encode_field(present: list[int], values: list):
         zone = (T_STR, min(live), max(live))
 
     none_present = any(p and v is None for p, v in zip(present, values))
-    if live and not none_present and classes == {int} \
+    if live and not none_present and classes == {dict} \
+            and all(type(key) is str for value in live for key in value):
+        # Kind 4: a shape per distinct key tuple, first seen first; per
+        # shape and key the values of that shape's rows, as a block.
+        shapes: list[tuple] = []
+        lanes: dict[tuple, list] = {}
+        codes = array(_I32_CODE, bytes(0))
+        for p, value in zip(present, values):
+            if not p:
+                codes.append(-1)
+                continue
+            if tuple(value) not in shapes:
+                shapes.append(tuple(value))
+            codes.append(shapes.index(tuple(value)))
+            for key, item in value.items():
+                lanes.setdefault((codes[-1], key), []).append(item)
+        parts = [_U32.pack(len(shapes))]
+        for shape in shapes:
+            parts.append(_U32.pack(len(shape)))
+            for key in shape:
+                parts += [_U32.pack(len(key.encode("utf-8"))),
+                          key.encode("utf-8")]
+        parts.append(_lane_bytes(codes))
+        for code, shape in enumerate(shapes):
+            for key in shape:
+                lane = lanes[code, key]
+                block, _ = rows_encode_field([1] * len(lane), lane,
+                                             deflate=False)
+                parts += [_U32.pack(len(block)), block]
+        payload = b"".join(parts)
+        kind = K_STRUCT
+        zone = None
+    elif live and not none_present and classes == {int} \
             and all(INT64_MIN <= v <= INT64_MAX for v in live):
         lane = array("q", (v if p else 0 for p, v in zip(present, values)))
         payload = bytes(bytearray(present)) + _lane_bytes(lane)
@@ -89,7 +124,7 @@ def rows_encode_field(present: list[int], values: list):
         kind = K_DICT
 
     flags = 0
-    deflated = zlib.compress(payload, 6)
+    deflated = zlib.compress(payload, DEFLATE_LEVEL) if deflate else payload
     if len(deflated) < len(payload):
         flags |= F_ZLIB
         body = deflated
@@ -156,6 +191,14 @@ _floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                     st.sampled_from([-0.0, 0.0, math.nan]))
 _nested = st.sampled_from([{"fd": 3}, {"fd": 3}, {"fd": 4, "iov": [1, 2]},
                            [1, "a"], [], {}, {"a": {"b": None}}])
+#: What ``args`` looks like, and then some: shapes that differ only in
+#: key order, the empty object, an explicit null, objects in objects, a
+#: lane that is a list in one row and an int in the next.
+_objects = st.sampled_from([
+    {"fd": 3}, {"fd": 3}, {"fd": 4, "buf": 512}, {"buf": 512, "fd": 4},
+    {}, {"fd": None}, {"path": "/a", "flags": ["O_RDWR"]},
+    {"path": "/b", "flags": 2}, {"a": {"b": None}}, {"a": {"b": 1.5}},
+    {"a": {}}, {"fd": 1 << 70}, {"fd": True}, {"fd": 1.0}])
 #: One flavour per value-class rule the lane-wise encoder decides on.
 _FLAVOURS = {
     "int": _exact_ints,
@@ -166,6 +209,9 @@ _FLAVOURS = {
     "str-int-none": st.sampled_from(["1", 1, None, "a", 2, 1 << 70]),
     "none": st.none(),
     "nested": _nested,
+    "objects": _objects,
+    "odd-objects": st.one_of(_objects, st.sampled_from(
+        [{1: "int key"}, {"a": {2: "nested int key"}}, [], None])),
     "anything": st.one_of(_exact_ints, _floats, _nested, st.none(),
                           st.booleans(), st.text(max_size=3)),
     "unstorable": st.sampled_from([1, "a", {1, 2}, object]),

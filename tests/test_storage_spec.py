@@ -16,7 +16,8 @@ import zlib
 
 import pytest
 
-from repro.backend.segments import SegmentStorage
+from repro.backend.segments import (READABLE_VERSIONS, SEGMENT_VERSION,
+                                    Segment, SegmentError, SegmentStorage)
 
 DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "STORAGE.md"
 
@@ -74,14 +75,22 @@ def _literal(rows: list[dict], field: str) -> str:
     raise AssertionError(f"no row for field {field}")
 
 
+SPEC_DOCS = [
+    {"time": 0, "syscall": "write", "ret": 0, "path": "/f0",
+     "args": {"fd": 3, "buf": 512}},
+    {"time": 5, "syscall": "write", "ret": 1, "path": "/f1",
+     "args": {"buf": None, "fd": 4, "iov": {"base": 1 << 70, "len": [8]}}},
+    {"time": 10, "syscall": "write", "ret": 2, "path": "/f0", "args": {}},
+    {"time": 15, "syscall": "write", "ret": 3, "path": "/f1",
+     "args": {"fd": 5, "buf": 4096}},
+]
+
+
 @pytest.fixture(scope="module")
 def store_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("spec") / "store"
     engine = SegmentStorage(root, flush_events=4)
-    engine.import_docs(
-        [{"time": i * 5, "syscall": "write", "ret": i, "path": f"/f{i % 2}"}
-         for i in range(4)],
-        session="spec-session")
+    engine.import_docs(SPEC_DOCS, session="spec-session")
     engine.append([{"time": 100, "syscall": "close", "ret": 0}],
                   session="spec-session")   # leaves one WAL record
     engine.close()
@@ -97,6 +106,35 @@ class TestSegmentFromSpec:
         assert header["version"] == int(_literal(rows, "version"))
         assert header["rows"] == 4
 
+    def test_version_rule_per_table(self, store_dir, tmp_path):
+        """Readers open exactly the versions the table says they
+        accept; writers write the one it says they always write."""
+        rule = {}
+        for line in _section("Segment header").splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[0].isdigit():
+                rule[int(cells[0])] = {"readers": cells[1],
+                                       "writers": cells[2]}
+        accepted = {v for v, row in rule.items() if row["readers"] == "accept"}
+        written = [v for v, row in rule.items()
+                   if row["writers"].startswith("always")]
+        assert accepted == set(READABLE_VERSIONS)
+        assert written == [SEGMENT_VERSION]
+        rows = _offset_table("Segment header")
+        source = next(store_dir.glob("*.dseg"))
+        blob = source.read_bytes()
+        assert _unpack(rows, blob)["version"] == SEGMENT_VERSION
+        (at,) = [row["offset"] for row in rows if row["field"] == "version"]
+        for version in range(0, max(accepted) + 3):
+            path = tmp_path / f"v{version}.dseg"
+            path.write_bytes(blob[:at] + struct.pack("<H", version)
+                             + blob[at + 2:])
+            if version in accepted:
+                assert Segment(path).docs() == Segment(source).docs()
+            else:
+                with pytest.raises(SegmentError, match="unsupported version"):
+                    Segment(path)
+
     def test_trailer_and_footer_checksum_per_table(self, store_dir):
         rows = _offset_table("Segment trailer")
         blob = next(store_dir.glob("*.dseg")).read_bytes()
@@ -111,7 +149,6 @@ class TestSegmentFromSpec:
 
     def test_whole_segment_parses_from_the_prose(self, store_dir):
         """Walk footer -> blocks using only the spec's structures."""
-        head_rows = _offset_table("Block head")
         blob = next(store_dir.glob("*.dseg")).read_bytes()
         trailer = _unpack(_offset_table("Segment trailer"), blob,
                           base=len(blob))
@@ -139,32 +176,7 @@ class TestSegmentFromSpec:
                     pos += 4 + blen
             block = blob[block_off:block_off + block_len]
             assert zlib.crc32(block) == block_crc
-
-            head = _unpack(head_rows, block)
-            payload = block[sum(r["size"] for r in head_rows):]
-            if head["flags"] & 1:
-                payload = zlib.decompress(payload)
-            assert len(payload) == head["raw_len"]
-            if head["kind"] in (2, 3):
-                present = list(payload[:n_rows])
-                fmt = "q" if head["kind"] == 2 else "d"
-                lane = struct.unpack(f"<{n_rows}{fmt}", payload[n_rows:])
-                decoded[name] = [v if p else None
-                                 for p, v in zip(present, lane)]
-            else:
-                assert head["kind"] == 1
-                (n_table,) = struct.unpack_from("<I", payload, 0)
-                tpos = 4
-                table = []
-                for _ in range(n_table):
-                    tag = payload[tpos]
-                    (vlen,) = struct.unpack_from("<I", payload, tpos + 1)
-                    raw = payload[tpos + 5:tpos + 5 + vlen]
-                    table.append(_decode_tag(tag, raw))
-                    tpos += 5 + vlen
-                codes = struct.unpack(f"<{n_rows}i", payload[tpos:])
-                decoded[name] = [table[c] if c >= 0 else None
-                                 for c in codes]
+            decoded[name] = _block_per_spec(block, n_rows)
 
         # The spec-driven parse reproduces the documents the engine
         # itself reads back.
@@ -172,11 +184,96 @@ class TestSegmentFromSpec:
         assert decoded["ret"] == [0, 1, 2, 3]
         assert decoded["syscall"] == ["write"] * 4
         assert decoded["path"] == ["/f0", "/f1", "/f0", "/f1"]
+        # ``args`` is a kind-4 block: three shapes (one of them the
+        # empty object), an explicit null, an object inside an object.
+        assert decoded["args"] == [doc["args"] for doc in SPEC_DOCS]
+        assert [list(args) for args in decoded["args"]] == [
+            list(doc["args"]) for doc in SPEC_DOCS]
 
         # Footer tail: session + seq + created, as specified.
         (session_len,) = struct.unpack_from("<H", footer, pos)
         pos += 2
         assert footer[pos:pos + session_len] == b"spec-session"
+
+
+def _field_types(heading: str) -> dict[str, str]:
+    """``field -> struct type`` from a ``field|type|meaning`` table."""
+    types = {}
+    for line in _section(heading).splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and re.fullmatch(r"`<\w+`", cells[1]):
+            types[cells[0]] = cells[1].strip("`")
+    assert types, f"no field/type table under '{heading}'"
+    return types
+
+
+def _block_per_spec(block: bytes, n_rows: int) -> list:
+    """One value per row of a field block, decoded as the spec's block
+    head, payload and value-tag sections say — key lanes of a kind-4
+    block by this same function."""
+    head_rows = _offset_table("Block head")
+    head = _unpack(head_rows, block)
+    payload = block[sum(r["size"] for r in head_rows):]
+    if head["flags"] & 1:
+        payload = zlib.decompress(payload)
+    assert len(payload) == head["raw_len"]
+    if head["kind"] in (2, 3):
+        present = list(payload[:n_rows])
+        fmt = "q" if head["kind"] == 2 else "d"
+        lane = struct.unpack(f"<{n_rows}{fmt}", payload[n_rows:])
+        return [v if p else None for p, v in zip(present, lane)]
+    if head["kind"] == 1:
+        (n_table,) = struct.unpack_from("<I", payload, 0)
+        tpos = 4
+        table = []
+        for _ in range(n_table):
+            tag = payload[tpos]
+            (vlen,) = struct.unpack_from("<I", payload, tpos + 1)
+            raw = payload[tpos + 5:tpos + 5 + vlen]
+            table.append(_decode_tag(tag, raw))
+            tpos += 5 + vlen
+        codes = struct.unpack(f"<{n_rows}i", payload[tpos:])
+        return [table[c] if c >= 0 else None for c in codes]
+    assert head["kind"] == 4, "a kind the spec's block-head table lacks"
+    types = _field_types("Payload, kind 4 (struct)")
+    pos = 0
+
+    def read(field: str) -> int:
+        nonlocal pos
+        (value,) = struct.unpack_from(types[field], payload, pos)
+        pos += struct.calcsize(types[field])
+        return value
+
+    shapes = []
+    for _ in range(read("n_shapes")):
+        names = []
+        for _ in range(read("n_keys")):
+            length = read("name_len")
+            names.append(payload[pos:pos + length].decode("utf-8"))
+            pos += length
+        shapes.append(names)
+    codes = [read("code") for _ in range(n_rows)]
+    lanes = []
+    for code, names in enumerate(shapes):
+        lanes.append({})
+        for name in names:
+            length = read("block_len")
+            # "Where this document says rows for that block, read rows
+            # whose code is this shape."
+            lanes[code][name] = _block_per_spec(payload[pos:pos + length],
+                                                codes.count(code))
+            pos += length
+    assert pos == len(payload)
+    seen = [0] * len(shapes)
+    values = []
+    for code in codes:
+        if code < 0:
+            values.append(None)
+            continue
+        values.append({name: lanes[code][name][seen[code]]
+                       for name in shapes[code]})
+        seen[code] += 1
+    return values
 
 
 def _decode_tag(tag: int, raw: bytes):
