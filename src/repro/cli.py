@@ -545,10 +545,11 @@ def _cmd_health(args) -> int:
 def _cmd_fleet(args) -> int:
     """Serve a fleet of tracing sessions from one sharded backend."""
     import json
+    from dataclasses import replace
 
     from repro.backend.tenancy import TenantBackend, TenantQuotaExceeded
+    from repro.dst import generate
     from repro.dst.runner import DST_INDEX, execute_pipeline
-    from repro.dst.scenario import generate
     from repro.visualizer import render_table
 
     fleet = TenantBackend(shards_per_tenant=args.shards,
@@ -559,7 +560,7 @@ def _cmd_fleet(args) -> int:
         tenant.ensure_index(DST_INDEX)
         # Each tenant is one traced host: a seeded pipeline capture
         # shipped into the tenant's disjoint shard set.
-        run = execute_pipeline(generate(seed), shard_count=1)
+        run = execute_pipeline(replace(generate(seed), shard_count=1))
         sources = [source for _, source in run.docs]
         try:
             tenant.bulk(DST_INDEX, sources)
@@ -641,21 +642,18 @@ def _cmd_dst_run(args) -> int:
 
 
 def _cmd_dst_repro(args) -> int:
-    from repro.dst import Scenario, generate, run_scenario, shrink
+    from dataclasses import replace
+
+    from repro.dst import AXES, Scenario, generate, run_scenario, shrink
 
     if args.scenario:
         scenario = Scenario.load(args.scenario)
         print(f"dst: replaying scenario file {args.scenario}")
     else:
         scenario = generate(args.seed)
-    if args.shard_count or args.ring_mode:
-        import dataclasses
-        overrides = {}
-        if args.shard_count:
-            overrides["shard_count"] = args.shard_count
-        if args.ring_mode:
-            overrides["ring_mode"] = args.ring_mode
-        scenario = dataclasses.replace(scenario, **overrides)
+    scenario = replace(scenario, **{
+        axis.field: getattr(args, axis.field) for axis in AXES
+        if axis.override_help and getattr(args, axis.field) is not None})
     print(f"dst: {scenario.describe()}")
     result = run_scenario(scenario)
     if result.ok:
@@ -898,16 +896,18 @@ def main(argv: list[str] | None = None) -> int:
                              help="minimise the scenario if it fails")
     p_dst_repro.add_argument("--shrink-budget", type=int, default=64,
                              help="max harness runs while shrinking")
-    p_dst_repro.add_argument("--shard-count", type=int,
-                             help="override the scenario's shard axis "
-                                  "(>1 serves the fast run from the "
-                                  "scatter-gather router and arms the "
-                                  "shard-kill/rebalance stage)")
-    p_dst_repro.add_argument("--ring-mode",
-                             choices=("classic", "ring-aware"),
-                             help="override the scenario's tracer ring "
-                                  "mode (ring-aware also arms the "
-                                  "classic-twin oracle stage)")
+    if "dst" in (sys.argv[1:] if argv is None else argv):
+        # The axis registry imports the whole pipeline; only a dst
+        # command line pays for it.
+        from repro.dst import AXES
+        for axis in AXES:
+            if axis.override_help:
+                p_dst_repro.add_argument(
+                    "--" + axis.field.replace("_", "-"),
+                    type=type(axis.simplest),
+                    choices=sorted(set(axis.values)),
+                    help=f"override the scenario's {axis.field} axis "
+                         f"({axis.override_help})")
     p_dst_repro.add_argument("--save", metavar="PATH",
                              help="write the shrunk scenario to PATH")
     p_dst_repro.set_defaults(func=_cmd_dst_repro)

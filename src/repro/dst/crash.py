@@ -1,4 +1,5 @@
-"""Store-crash simulation with torn-WAL recovery.
+"""Store wrappers the harness layers under the tracer: the crashing
+store (torn-WAL recovery) and the oracle twin's bulk-only facade.
 
 :class:`CrashingStore` models the backend's durability contract the
 way Elasticsearch's translog does: every *accepted* bulk request is
@@ -60,6 +61,20 @@ def _journal_entry(entry) -> tuple[str, list]:
     if not isinstance(index, str) or not isinstance(docs, list):
         raise ValueError("not a journal record")
     return index, docs
+
+
+class BulkOnlyStore:
+    """Store facade without ``bulk_columnar``: the tracer's capability
+    probe then ships ``RecordBatch.to_docs()`` through ``bulk`` — the
+    oracle twin's reference endpoint."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def __getattr__(self, name: str):
+        if name == "bulk_columnar":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
 
 
 class CrashingStore:

@@ -25,14 +25,15 @@ import random
 from repro.backend.naive import naive_aggregate, naive_scan
 
 
-def battery_specs(seed: int, time_lo: int, time_hi: int) -> list[dict]:
+def battery_specs(rng: random.Random, time_lo: int,
+                  time_hi: int) -> list[dict]:
     """The seeded query/agg battery for one scenario.
 
     A fixed dashboard core (the shapes ``dio analyze``/``dio dashboard``
-    issue) plus seeded variations, so every seed probes a different
-    corner of the query surface.
+    issue) plus variations drawn from ``rng`` (the seed's ``battery``
+    stream), so every seed probes a different corner of the query
+    surface.
     """
-    rng = random.Random(f"dio-dst-battery-{seed}")
     span = max(1, time_hi - time_lo)
     specs = [
         # The paper's Fig. 4 shape: syscall mix with latency stats.
@@ -82,7 +83,7 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def run_battery(store, index: str, seed: int,
+def run_battery(store, index: str, rng: random.Random,
                 time_lo: int, time_hi: int) -> tuple[list[str], list]:
     """Fast-vs-oracle battery on one store.
 
@@ -95,7 +96,7 @@ def run_battery(store, index: str, seed: int,
     # re-materialises one in global rank order for the naive oracles.
     target = (store.oracle_index(index) if hasattr(store, "oracle_index")
               else store.ensure_index(index))
-    for i, spec in enumerate(battery_specs(seed, time_lo, time_hi)):
+    for i, spec in enumerate(battery_specs(rng, time_lo, time_hi)):
         query = spec.get("query")
         aggs = spec.get("aggs")
 
@@ -122,10 +123,10 @@ def run_battery(store, index: str, seed: int,
     return failures, results
 
 
-def compare_twin_runs(fast_docs: list, oracle_docs: list,
-                      fast_report, oracle_report) -> list[str]:
+def compare_twin_runs(fast, oracle) -> list[str]:
     """Fast pipeline vs. legacy-oracle pipeline, same scenario."""
     failures: list[str] = []
+    fast_docs, oracle_docs = fast.docs, oracle.docs
     if _canonical(fast_docs) != _canonical(oracle_docs):
         fast_by_id = dict(fast_docs)
         oracle_by_id = dict(oracle_docs)
@@ -141,8 +142,8 @@ def compare_twin_runs(fast_docs: list, oracle_docs: list,
                          != _canonical(oracle_by_id[doc_id])][:5]
             failures.append(
                 f"twin-run content mismatch in docs {diverging}")
-    fast_dict = fast_report.as_dict() if fast_report else None
-    oracle_dict = oracle_report.as_dict() if oracle_report else None
+    fast_dict = fast.report.as_dict() if fast.report else None
+    oracle_dict = oracle.report.as_dict() if oracle.report else None
     if fast_dict != oracle_dict:
         failures.append(
             f"twin-run correlation reports differ: fast={fast_dict} "

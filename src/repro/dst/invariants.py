@@ -1,6 +1,7 @@
 """Global pipeline invariants checked after every DST scenario.
 
-Each check is a pure function over a :class:`RunContext` returning a
+Each check is a pure function over a finished run (a
+:class:`~repro.dst.runner.PipelineRun`) returning a
 list of human-readable violation strings (empty = holds).  The library
 encodes what must be true of *any* run of the pipeline, whatever the
 workload, config, fault plan, or crash schedule:
@@ -26,30 +27,16 @@ workload, config, fault plan, or crash schedule:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from repro.backend.correlation import PATH_BEARING_SYSCALLS
 from repro.kernel.syscalls import O_TRUNC
 
-
-@dataclasses.dataclass
-class RunContext:
-    """Everything one pipeline execution exposes to the checks."""
-
-    scenario: object
-    tracer: object
-    store: object          # outermost wrapper the tracer wrote through
-    inner_store: object    # the bare DocumentStore
-    crashing: Optional[object]  # CrashingStore layer, if scheduled
-    faulty: Optional[object]    # FaultyStore layer, if faulted
-    index: str
-    session: str
-    traced_pids: set
-    docs: list             # (doc_id, source) snapshot, post-correlation
+if TYPE_CHECKING:
+    from repro.dst.runner import PipelineRun
 
 
-def check_all(ctx: RunContext) -> list[str]:
+def check_all(ctx: PipelineRun) -> list[str]:
     """Run the whole library; returns all violations found."""
     failures: list[str] = []
     failures += check_conservation(ctx)
@@ -65,7 +52,7 @@ def check_all(ctx: RunContext) -> list[str]:
 # ----------------------------------------------------------------------
 # Conservation
 
-def check_conservation(ctx: RunContext) -> list[str]:
+def check_conservation(ctx: PipelineRun) -> list[str]:
     """produced == stored + discarded + spilled, at every hop."""
     failures = []
     tracer = ctx.tracer
@@ -121,7 +108,7 @@ def check_conservation(ctx: RunContext) -> list[str]:
     return failures
 
 
-def check_telemetry_consistency(ctx: RunContext) -> list[str]:
+def check_telemetry_consistency(ctx: PipelineRun) -> list[str]:
     """The dio_* registry mirrors the raw counters exactly."""
     failures = []
     tracer = ctx.tracer
@@ -163,7 +150,7 @@ def event_key(source: dict) -> tuple:
     return (source.get("tid"), source.get("time"), source.get("syscall"))
 
 
-def check_exactly_once(ctx: RunContext) -> list[str]:
+def check_exactly_once(ctx: PipelineRun) -> list[str]:
     """No duplicate events survive retries, spills, or crashes."""
     seen: dict[tuple, str] = {}
     failures = []
@@ -187,7 +174,7 @@ _POSITIONERS = frozenset({"lseek", "pread64", "pwrite64"})
 _TRUNCATERS = frozenset({"truncate", "ftruncate"})
 
 
-def check_monotone_offsets(ctx: RunContext) -> list[str]:
+def check_monotone_offsets(ctx: PipelineRun) -> list[str]:
     """Sequential I/O offsets are non-decreasing per (tid, file tag).
 
     Only meaningful when the observation itself is complete: a dropped
@@ -265,7 +252,7 @@ def check_monotone_offsets(ctx: RunContext) -> list[str]:
 # ----------------------------------------------------------------------
 # Correlation
 
-def check_correlation(ctx: RunContext) -> list[str]:
+def check_correlation(ctx: PipelineRun) -> list[str]:
     """file_tag/file_path consistency plus report arithmetic."""
     failures = []
     report = ctx.tracer.correlation_report
@@ -328,7 +315,7 @@ def check_correlation(ctx: RunContext) -> list[str]:
 # ----------------------------------------------------------------------
 # Isolation & crash recovery
 
-def check_isolation(ctx: RunContext) -> list[str]:
+def check_isolation(ctx: PipelineRun) -> list[str]:
     """Untraced processes leave no trace in the store."""
     failures = []
     for doc_id, source in ctx.docs:
@@ -340,7 +327,7 @@ def check_isolation(ctx: RunContext) -> list[str]:
     return failures
 
 
-def check_store_recovery(ctx: RunContext) -> list[str]:
+def check_store_recovery(ctx: PipelineRun) -> list[str]:
     """Every torn-WAL rebuild reproduced the pre-crash store."""
     failures = []
     crashing = ctx.crashing

@@ -1,15 +1,13 @@
 """Greedy scenario minimisation for failing DST seeds.
 
 When a seed fails, replaying the raw generated scenario is exact but
-noisy — hundreds of ops across several processes, fault windows, and
-crash schedules, most of them irrelevant to the bug.  ``shrink`` takes
-a failing scenario and drives it to a local minimum while preserving
-the failure, ddmin-style:
-
-* drop whole processes;
-* halve each process's op list (binary chunks, then single ops);
-* drop fault windows, consumer crashes, and store crash points;
-* collapse to one CPU and the simplest ring policy.
+noisy — hundreds of ops, fault windows and crash schedules, most of
+them irrelevant to the bug.  ``shrink`` drives a failing scenario to a
+local minimum while preserving the failure, one axis of the registry
+(:data:`repro.dst.scenario.AXES`) at a time, in row order: a
+list-valued axis (processes and each process's ops, fault windows,
+crash points) is ddmin'd — binary chunks, then single items — and a
+scalar axis is tried at its row's simplest value.
 
 Every candidate is re-run through the *same* full harness
 (:func:`repro.dst.runner.run_scenario`), so a shrunk scenario fails
@@ -25,7 +23,7 @@ import dataclasses
 from typing import Callable, Optional
 
 from repro.dst.runner import run_scenario
-from repro.dst.scenario import Scenario
+from repro.dst.scenario import AXES, Axis, Scenario
 
 
 @dataclasses.dataclass
@@ -38,63 +36,45 @@ class ShrinkResult:
     runs_used: int
     still_failing: bool
 
-    def summary(self) -> dict:
-        return {
-            "original_ops": self.original_ops,
-            "final_ops": self.final_ops,
-            "runs_used": self.runs_used,
-            "still_failing": self.still_failing,
-        }
-
 
 def _default_fails(scenario: Scenario) -> bool:
     return not run_scenario(scenario, check_determinism=False).ok
 
 
-class _Budget:
-    __slots__ = ("remaining",)
+class _Search:
+    """The failure predicate under a budget of harness runs."""
 
-    def __init__(self, max_runs: int) -> None:
+    def __init__(self, fails: Callable[[Scenario], bool],
+                 max_runs: int) -> None:
+        self.fails = fails
         self.remaining = max_runs
 
-    def spend(self) -> bool:
+    def reproduces(self, candidate: Scenario) -> bool:
         if self.remaining <= 0:
             return False
         self.remaining -= 1
-        return True
+        try:
+            return self.fails(candidate)
+        except Exception:
+            # A candidate that crashes the harness still reproduces a
+            # bug, but not necessarily *the* bug; treat it as not
+            # preserving the failure so shrinking stays on the trail.
+            return False
 
 
-def _try(candidate: Scenario, fails: Callable[[Scenario], bool],
-         budget: _Budget) -> bool:
-    if not budget.spend():
-        return False
-    try:
-        return fails(candidate)
-    except Exception:
-        # A candidate that crashes the harness still reproduces a bug,
-        # but not necessarily *the* bug; treat it as not preserving
-        # the failure so shrinking stays on the original trail.
-        return False
-
-
-def _with(scenario: Scenario, **overrides) -> Scenario:
-    return dataclasses.replace(scenario, **overrides)
-
-
-def _shrink_list(scenario: Scenario, field: str,
-                 fails: Callable[[Scenario], bool],
-                 budget: _Budget) -> Scenario:
-    """ddmin over one list-valued scenario field."""
-    items = list(getattr(scenario, field))
+def _ddmin(scenario: Scenario, items: list,
+           rebuild: Callable[[Scenario, list], Scenario],
+           search: _Search) -> Scenario:
+    """ddmin over one list; ``rebuild(scenario, items)`` is ``scenario``
+    holding ``items`` in the list's place."""
     chunk = max(1, len(items) // 2)
-    while chunk >= 1 and items:
+    while items:
         i = 0
         while i < len(items):
-            candidate_items = items[:i] + items[i + chunk:]
-            candidate = _with(scenario, **{field: candidate_items})
-            if _try(candidate, fails, budget):
-                items = candidate_items
-                scenario = candidate
+            kept = items[:i] + items[i + chunk:]
+            candidate = rebuild(scenario, kept)
+            if search.reproduces(candidate):
+                items, scenario = kept, candidate
             else:
                 i += chunk
         if chunk == 1:
@@ -103,27 +83,30 @@ def _shrink_list(scenario: Scenario, field: str,
     return scenario
 
 
-def _shrink_ops(scenario: Scenario, fails: Callable[[Scenario], bool],
-                budget: _Budget) -> Scenario:
-    """ddmin each process's op list independently."""
-    for pi in range(len(scenario.processes)):
-        ops = list(scenario.processes[pi]["ops"])
-        chunk = max(1, len(ops) // 2)
-        while chunk >= 1 and ops:
-            i = 0
-            while i < len(ops):
-                candidate_ops = ops[:i] + ops[i + chunk:]
-                processes = [dict(p) for p in scenario.processes]
-                processes[pi] = dict(processes[pi], ops=candidate_ops)
-                candidate = _with(scenario, processes=processes)
-                if _try(candidate, fails, budget):
-                    ops = candidate_ops
-                    scenario = candidate
-                else:
-                    i += chunk
-            if chunk == 1:
-                break
-            chunk = max(1, chunk // 2)
+def _shrink_axis(scenario: Scenario, axis: Axis,
+                 search: _Search) -> Scenario:
+    """One axis toward its simplest value: a scalar is tried there, a
+    list is ddmin'd, and so is every list nested one level inside its
+    items (a process's ops)."""
+    name = axis.field
+    value = getattr(scenario, name)
+    if not isinstance(value, list):
+        candidate = dataclasses.replace(scenario, **{name: axis.simplest})
+        if value != axis.simplest and search.reproduces(candidate):
+            return candidate
+        return scenario
+    scenario = _ddmin(scenario, list(value),
+                      lambda base, items: dataclasses.replace(
+                          base, **{name: items}),
+                      search)
+    for at, item in enumerate(getattr(scenario, name)):
+        nested = item.items() if isinstance(item, dict) else ()
+        for key in [k for k, v in nested if isinstance(v, list)]:
+            def rebuild(base, inner, at=at, key=key):
+                items = list(getattr(base, name))
+                items[at] = dict(items[at], **{key: inner})
+                return dataclasses.replace(base, **{name: items})
+            scenario = _ddmin(scenario, list(item[key]), rebuild, search)
     return scenario
 
 
@@ -133,49 +116,22 @@ def shrink(scenario: Scenario,
     """Minimise ``scenario`` while ``fails`` stays true.
 
     ``fails`` defaults to "the full harness reports any failure".
-    The returned scenario is verified failing one final time unless
-    the budget ran out mid-pass.
+    Every kept candidate was verified failing when accepted, so the
+    result still reproduces by construction.
     """
-    fails = fails or _default_fails
-    budget = _Budget(max_runs)
+    search = _Search(fails or _default_fails, max_runs)
     original_ops = scenario.total_ops
+    still_failing = search.reproduces(scenario)
 
-    if not _try(scenario, fails, budget):
-        return ShrinkResult(scenario=scenario, original_ops=original_ops,
-                            final_ops=original_ops,
-                            runs_used=max_runs - budget.remaining,
-                            still_failing=False)
-
-    # Fixpoint: repeat the pass list until nothing shrinks further.
-    while True:
-        before = (scenario.total_ops, len(scenario.processes),
-                  len(scenario.fault_windows),
-                  len(scenario.consumer_crashes),
-                  len(scenario.store_crashes), scenario.ncpus)
-        scenario = _shrink_list(scenario, "processes", fails, budget)
-        scenario = _shrink_ops(scenario, fails, budget)
-        scenario = _shrink_list(scenario, "fault_windows", fails, budget)
-        scenario = _shrink_list(scenario, "consumer_crashes", fails,
-                                budget)
-        scenario = _shrink_list(scenario, "store_crashes", fails, budget)
-        if scenario.ncpus > 1:
-            candidate = _with(scenario, ncpus=1)
-            if _try(candidate, fails, budget):
-                scenario = candidate
-        if scenario.ring_policy != "drop-new":
-            candidate = _with(scenario, ring_policy="drop-new")
-            if _try(candidate, fails, budget):
-                scenario = candidate
-        after = (scenario.total_ops, len(scenario.processes),
-                 len(scenario.fault_windows),
-                 len(scenario.consumer_crashes),
-                 len(scenario.store_crashes), scenario.ncpus)
-        if after == before or budget.remaining <= 0:
+    # Fixpoint: repeat the axis passes until nothing shrinks further.
+    while still_failing:
+        before = scenario
+        for axis in AXES:
+            scenario = _shrink_axis(scenario, axis, search)
+        if scenario == before or search.remaining <= 0:
             break
 
-    # Every kept candidate was verified failing when accepted, so the
-    # result still reproduces by construction.
     return ShrinkResult(scenario=scenario, original_ops=original_ops,
                         final_ops=scenario.total_ops,
-                        runs_used=max_runs - budget.remaining,
-                        still_failing=True)
+                        runs_used=max_runs - search.remaining,
+                        still_failing=still_failing)

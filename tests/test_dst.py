@@ -11,12 +11,20 @@ Three kinds of evidence that the harness works:
   ``tests/corpus/`` replays clean on every run.
 """
 
+import dataclasses
+import hashlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.backend.store import DocumentStore
-from repro.dst import Scenario, generate, run_scenario, run_seeds, shrink
+from repro.dst import (AXES, Axis, Scenario, Twin, generate, run_scenario,
+                       run_seeds, shrink)
+from repro.dst import invariants
+from repro.dst import runner as runner_module
+from repro.dst import scenario as scenario_module
 from repro.dst.crash import CrashingStore
 from repro.dst.runner import execute_pipeline, run_digest
 from repro.faults import InjectedFault
@@ -59,6 +67,93 @@ def test_scenario_rejects_wrong_format():
     payload["format"] = "something-else"
     with pytest.raises(ValueError):
         Scenario.from_dict(payload)
+
+
+def test_generator_is_pinned():
+    # Every later axis draws from its own derived stream, so adding it
+    # leaves every existing seed's other draws byte-identical.  Nothing
+    # but this literal enforces that: a row added to the main stream,
+    # a reordered draw or a renamed stream changes it.
+    pinned = hashlib.sha256()
+    for seed in range(200):
+        pinned.update(generate(seed).to_json().encode("utf-8"))
+    assert pinned.hexdigest() == (
+        "c399cb5e35db2a24e9cf1d46cab36331ca3d487c91c54ee5f1ede6bb3ebbdb5b")
+
+
+@pytest.fixture()
+def _throwaway_row():
+    added = []
+    yield lambda row: (AXES.append(row), added.append(row))
+    for row in added:
+        AXES.remove(row)
+
+
+def test_an_axis_is_one_row(monkeypatch, _throwaway_row):
+    # A throwaway axis: its Scenario field (a subclass stands in for the
+    # one-line declaration) and one row, appended at runtime.  generate,
+    # describe, run_scenario and shrink pick it up with no edit.
+    before = [generate(seed) for seed in range(200)]
+    described = [scenario.describe() for scenario in before]
+    seen = []
+
+    def canary_stage(run, tmp_dir):
+        seen.append(("stage", run.scenario.canary))
+        return ["canary stage: 2"] if run.scenario.canary == 2 else []
+
+    def canary_compare(fast, twin):
+        seen.append(("twin", fast.scenario.canary, twin.scenario.canary))
+        return []
+
+    monkeypatch.setattr(scenario_module, "Scenario", dataclasses.make_dataclass(
+        "Scenario", [("canary", int, 0)], bases=(Scenario,)))
+    _throwaway_row(Axis(
+        "canary", 0, values=(0, 1, 2), stream="canary", label="canary",
+        twin=Twin("canary", {"canary": 0}, canary_compare,
+                  armed=lambda scenario: scenario.canary == 1),
+        stage=canary_stage))
+
+    after = [generate(seed) for seed in range(200)]
+    assert {scenario.canary for scenario in after} == {0, 1, 2}
+    for old, line, new in zip(before, described, after):
+        assert dataclasses.asdict(new) == {**dataclasses.asdict(old),
+                                           "canary": new.canary}
+        assert new.describe() == f"{line} canary={new.canary}"
+
+    armed = next(s for s in after if s.canary == 1 and s.seed > 0)
+    assert run_scenario(armed, check_determinism=False).ok
+    assert seen == [("twin", 1, 0), ("stage", 1)]
+    failing = next(s for s in after if s.canary == 2 and s.seed > 0)
+    result = run_scenario(failing, check_determinism=False)
+    assert result.failures == ["canary stage: 2"]
+    # The failure depends on the canary staying at 2 and on one stored
+    # event (stages skip an empty capture): everything else shrinks
+    # away, the canary does not.
+    outcome = shrink(failing, max_runs=120)
+    assert outcome.still_failing and outcome.final_ops == 1
+    assert [(axis.field, getattr(outcome.scenario, axis.field))
+            for axis in AXES
+            if getattr(outcome.scenario, axis.field) != axis.simplest] == [
+        ("processes", outcome.scenario.processes), ("canary", 2)]
+
+
+def test_stage_lists_name_what_the_registry_arms():
+    # The runner's docstring and docs/TESTING.md list the twins and the
+    # post-run stages; the registry is what runs.
+    twins = {axis.twin.name for axis in AXES if axis.twin}
+    stages = {axis.stage.__name__ for axis in AXES if axis.stage}
+    testing = (Path(__file__).parent.parent / "docs" / "TESTING.md"
+               ).read_text(encoding="utf-8")
+    listing = testing[testing.index("`run_scenario` executes"):
+                      testing.index("`dio dst repro <seed> --shard-count")]
+    for text in (runner_module.__doc__, listing):
+        assert set(re.findall(r"`(\w+_checks)`", text)) == stages
+        assert set(re.findall(r"`(\w+)`+ twin", text)) == twins
+    # run_scenario itself names none of them, nor what a twin replaces.
+    body = inspect.getsource(runner_module.run_scenario)
+    assert not re.search(r"_checks|compare_|" + "|".join(
+        name for axis in AXES if axis.twin for name in axis.twin.overrides),
+        body)
 
 
 def test_scenario_ignores_unknown_keys():
@@ -207,6 +302,29 @@ def test_shrinker_minimises_a_failing_scenario(_restore_bulk):
     assert not run_scenario(outcome.scenario, check_determinism=False).ok
 
 
+def test_shrinker_collapses_every_axis_the_failure_ignores(monkeypatch):
+    # An injected "invariant" that objects to any stored write: the
+    # failure needs one write event and nothing else.  (The store
+    # mutants above will not do here — under them a sharded or crashing
+    # run fails for reasons of its own.)
+    monkeypatch.setattr(
+        invariants, "check_isolation",
+        lambda ctx: ["stored a write"] * any(
+            source["syscall"] == "write" for _, source in ctx.docs))
+    scenario = dataclasses.replace(
+        generate(3), shard_count=3, ring_mode="ring-aware",
+        backpressure_policy="drop")
+    outcome = shrink(scenario, max_runs=80)
+    assert outcome.still_failing and outcome.final_ops == 2  # open, write
+    # It needs neither shards, nor the ring-aware tracer, nor shedding
+    # backpressure — nor any other axis off its simplest value.
+    assert (outcome.scenario.shard_count, outcome.scenario.ring_mode,
+            outcome.scenario.backpressure_policy) == (1, "classic", "block")
+    assert [axis.field for axis in AXES
+            if getattr(outcome.scenario, axis.field) != axis.simplest] == [
+        "processes"]
+
+
 @pytest.mark.parametrize("sabotage", ["drop", "corrupt", "segment-drop"])
 def test_bulk_only_twin_catches_sabotaged_bulk_columnar(monkeypatch,
                                                         sabotage):
@@ -247,6 +365,164 @@ def test_bulk_only_twin_catches_sabotaged_bulk_columnar(monkeypatch,
         # the twin this bug would pass.
         assert run_scenario(scenario, check_determinism=False,
                             check_oracle=False).ok
+
+
+# ----------------------------------------------------------------------
+# The verifier must be shown to verify: every twin and every post-run
+# stage of the registry turns a passing scenario into a failing one
+# under a mutant of the code it guards.
+
+def _quiet(seed: int, **overrides) -> Scenario:
+    """``generate(seed)`` with nothing scheduled against it, so what a
+    sabotaged run reports is the mutant's doing."""
+    return dataclasses.replace(
+        generate(seed), fault_windows=[], consumer_crashes=[],
+        store_crashes=[], backpressure_policy="block", **overrides)
+
+
+def _scan_loses_its_last_frame(monkeypatch):
+    # (A scan that skips the CRC cannot fail a tear: a torn frame is
+    # short before its checksum is ever read.)
+    from repro.backend import wal
+    real = wal.scan_frames
+
+    def lossy(blob, start=0, parse=None):
+        items, end = real(blob, start, parse)
+        return items[:-1], end
+
+    monkeypatch.setattr(wal, "scan_frames", lossy)
+
+
+def _recovery_keeps_duplicates(monkeypatch):
+    from repro.backend import persistence
+    from repro.dst import stages
+
+    def keeping(store, path, index="dio_trace", rename_to=None):
+        _, docs, corrupt = persistence._read_session_file(Path(path),
+                                                          "replace")
+        persistence._index_docs(store, index, rename_to, docs)
+        return {"imported": len(docs), "dropped_corrupt": len(corrupt),
+                "dropped_duplicates": 0, "header_ok": True}
+
+    monkeypatch.setattr(stages, "recover_session", keeping)
+
+
+def _zone_maps_over_prune(monkeypatch):
+    # A segment reaching past the window's upper bound is pruned whole.
+    from repro.backend import segments
+    real = segments._zone_excludes_range
+    monkeypatch.setattr(
+        segments, "_zone_excludes_range",
+        lambda zone, bounds: real(zone, bounds)
+        or ("lte" in bounds and zone[2] > bounds["lte"]))
+
+
+def _flush_forgets_the_wal_watermark(monkeypatch):
+    from repro.backend.segments import SegmentStorage
+    real = SegmentStorage._flush_batch
+    monkeypatch.setattr(
+        SegmentStorage, "_flush_batch",
+        lambda self, batch, session, wal_sealed=0:
+        real(self, batch, session))
+
+
+def _restore_drops_a_document(monkeypatch):
+    from repro.backend import router
+    real = router.recover_log
+
+    def lossy(blob, magic, record):
+        records, report = real(blob, magic, record)
+        return records[1:], report
+
+    monkeypatch.setattr(router, "recover_log", lossy)
+
+
+def _rebalance_reorders_two_documents(monkeypatch):
+    from repro.backend.router import ShardedDocumentStore
+    real = ShardedDocumentStore.rebalance
+
+    def swapping(self, shard_count=None):
+        moved = real(self, shard_count)
+        rank = self._states["dio_trace"].rank
+        first, second = list(rank)[:2]
+        rank[first], rank[second] = rank[second], rank[first]
+        return moved
+
+    monkeypatch.setattr(ShardedDocumentStore, "rebalance", swapping)
+
+
+def _columnar_ingest_drops_a_row(monkeypatch):
+    from repro.tracer.batch import RecordBatch
+    real = DocumentStore.bulk_columnar
+
+    def lossy(self, index, batch, *args, **kwargs):
+        if type(batch) is RecordBatch:
+            batch = batch.take(list(range(len(batch) - 1)))
+        return real(self, index, batch, *args, **kwargs)
+
+    monkeypatch.setattr(DocumentStore, "bulk_columnar", lossy)
+
+
+def _ring_aware_tracer_doubles_a_doorbell(monkeypatch):
+    # One classic-visible event is emitted twice, a nanosecond apart
+    # (at the same instant the twin's set comparison could not tell).
+    from repro.tracer.tracer import DIOTracer
+    real = DIOTracer._emit
+    doubled = []
+
+    def noisy(self, ctx, enter_ns):
+        if (self.config.ring_mode == "ring-aware" and not doubled
+                and ctx.name == "io_uring_enter"):
+            doubled.append(real(self, ctx, enter_ns + 1))
+        return real(self, ctx, enter_ns)
+
+    monkeypatch.setattr(DIOTracer, "_emit", noisy)
+
+
+#: (registry row, "twin" | "stage") -> its mutants, each ``(sabotage,
+#: scenario, text a failure must contain)``.
+ROW_MUTANTS = {
+    ("fault_windows", "stage"): [
+        (_scan_loses_its_last_frame, _quiet(28), "torn spill WAL"),
+        (_recovery_keeps_duplicates, _quiet(28), "duplicate replay")],
+    ("store_crashes", "stage"): [
+        (_scan_loses_its_last_frame, _quiet(28), "torn storage WAL"),
+        (_zone_maps_over_prune, _quiet(28), "zone-pruned scan"),
+        (_flush_forgets_the_wal_watermark, _quiet(28),
+         "flush-publish crash")],
+    ("shard_count", "stage"): [
+        (_scan_loses_its_last_frame, _quiet(28, shard_count=3),
+         "torn shard image"),
+        (_restore_drops_a_document, _quiet(28, shard_count=3),
+         "shard restore"),
+        (_rebalance_reorders_two_documents, _quiet(28, shard_count=3),
+         "rebalance: documents changed")],
+    ("shard_count", "twin"): [
+        (_columnar_ingest_drops_a_row, _sequential_writer_scenario(),
+         "twin-run")],
+    ("ring_mode", "twin"): [
+        (_ring_aware_tracer_doubles_a_doorbell, _quiet(39),
+         "ring twin: classic-visible events diverged")],
+}
+
+
+def _row_mutants():
+    # A twin or stage row without an entry above is a KeyError here, at
+    # collection: a check nobody has seen fail does not get in.
+    return [pytest.param(*mutant, id=f"{axis.field}-{kind}-"
+                         f"{mutant[0].__name__.strip('_')}")
+            for axis in AXES for kind in ("twin", "stage")
+            if getattr(axis, kind)
+            for mutant in ROW_MUTANTS[axis.field, kind]]
+
+
+@pytest.mark.parametrize("sabotage, scenario, symptom", _row_mutants())
+def test_every_twin_and_stage_catches_a_mutant(monkeypatch, sabotage,
+                                               scenario, symptom):
+    assert run_scenario(scenario, check_determinism=False).ok
+    sabotage(monkeypatch)
+    failures = run_scenario(scenario, check_determinism=False).failures
+    assert any(symptom in failure for failure in failures), failures
 
 
 def test_shrink_of_passing_scenario_reports_not_failing():

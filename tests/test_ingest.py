@@ -15,7 +15,7 @@ import pytest
 
 from repro.backend import (INDEXED_EVENT_FIELDS, DocumentStore,
                            FilePathCorrelator, save_session)
-from repro.dst.runner import _BulkOnly
+from repro.dst.crash import BulkOnlyStore
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
 from repro.tracer import DIOTracer, RecordBatch, TracerConfig
@@ -355,7 +355,7 @@ def run_pipeline(bulk_only, hook=None):
     kernel = Kernel(env, ncpus=2)
     store = DocumentStore()
     tracer = DIOTracer(env, kernel,
-                       _BulkOnly(store) if bulk_only else store,
+                       BulkOnlyStore(store) if bulk_only else store,
                        TracerConfig())
     if hook is not None:
         hook(tracer)
