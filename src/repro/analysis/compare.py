@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from repro.analysis.session import SessionEvents
+from repro.backend.lanes import LaneBatch
 from repro.backend.store import DocumentStore
 
 
@@ -83,14 +84,19 @@ class SessionComparison(NamedTuple):
 
 
 def _sequence(store: DocumentStore, session: str, index: str,
-              procs: Optional[list[str]]) -> list[dict]:
-    wanted = set(procs or ())
-    return [source
-            for _, source in SessionEvents(store, index, session).events
-            if not wanted or source.get("proc_name") in wanted]
+              procs: Optional[list[str]]) -> LaneBatch:
+    """The session's events in time order (of ``procs`` alone, if
+    given), as lanes."""
+    batch = SessionEvents(store, index, session).batch
+    if not procs:
+        return batch
+    wanted = set(procs)
+    return batch.take([row for row, name
+                       in enumerate(batch.values_for("proc_name"))
+                       if name in wanted])
 
 
-def _normalize(events: list[dict]) -> list[tuple]:
+def _normalize(events: LaneBatch) -> list[tuple]:
     """Project events onto behaviour: thread order, syscall, ret, offset.
 
     Process names are replaced by order of first appearance, so renamed
@@ -98,12 +104,12 @@ def _normalize(events: list[dict]) -> list[tuple]:
     """
     alias: dict[str, str] = {}
     normalized = []
-    for event in events:
-        name = event["proc_name"]
+    for name, syscall, ret, offset in zip(
+            events.values_for("proc_name"), events.values_for("syscall"),
+            events.values_for("ret"), events.values_for("offset")):
         if name not in alias:
             alias[name] = f"P{len(alias)}"
-        normalized.append((alias[name], event["syscall"], event["ret"],
-                           event.get("offset")))
+        normalized.append((alias[name], syscall, ret, offset))
     return normalized
 
 
@@ -137,9 +143,12 @@ def compare_sessions(store: DocumentStore, session_a: str, session_b: str,
 
     divergence: Optional[Divergence] = None
     if prefix < max(len(norm_a), len(norm_b)):
+        # The two events it cites are the only documents built.
         divergence = Divergence(
             position=prefix,
-            event_a=events_a[prefix] if prefix < len(events_a) else None,
-            event_b=events_b[prefix] if prefix < len(events_b) else None,
+            event_a=(events_a.docs_at([prefix])[0]
+                     if prefix < len(events_a) else None),
+            event_b=(events_b.docs_at([prefix])[0]
+                     if prefix < len(events_b) else None),
         )
     return SessionComparison(session_a, session_b, deltas, prefix, divergence)

@@ -14,13 +14,13 @@ descriptor leaks).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from operator import ge, gt, lt
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.analysis.contention import detect_contention
 from repro.analysis.patterns import (classify_file_accesses,
                                      find_stale_offset_resumes)
-from repro.analysis.session import Event, SessionEvents
-from repro.backend.query import compile_query
+from repro.analysis.session import WRITES, SessionEvents
 from repro.backend.store import DocumentStore
 from repro.kernel.errno import Errno
 
@@ -30,7 +30,8 @@ class Finding(NamedTuple):
 
     ``evidence`` links the finding back to the raw events that support
     it: ``{"event_ids": [...], "window": {"start_ns", "end_ns"}}``.
-    Batch detectors fill it from backend hits; streaming detectors fill
+    Batch detectors fill it from the stored events (ids and times read
+    off the session's lanes); streaming detectors fill
     what they can afford in bounded memory (ids are capped).  It is a
     trailing field with a default, so positional construction — and
     ``__str__`` — are unchanged.
@@ -73,13 +74,33 @@ def make_evidence(event_ids: Sequence[str] = (),
     return evidence
 
 
-def events_evidence(events: Sequence[Event]) -> dict:
-    """Evidence (capped ids + time window) for ``events`` in time order."""
-    times = [source.get("time", 0) for _, source in events]
-    return make_evidence([event_id for event_id, _
-                          in events[:EVIDENCE_ID_CAP]],
+def events_evidence(view: SessionEvents, rows: Sequence[int]) -> dict:
+    """Evidence (capped ids + time window) for ``rows`` of ``view``."""
+    times = list(map(view.times.__getitem__, rows))
+    return make_evidence(list(map(view.ids.__getitem__,
+                                  rows[:EVIDENCE_ID_CAP])),
                          min(times) if times else None,
                          max(times) if times else None)
+
+
+def _compares(op: Callable[[Any, Any], bool],
+             bound: Any) -> Callable[[Any], bool]:
+    """What one bound of a ``range`` clause asks of a value:
+    ``op(value, bound)``, false for a missing value or one that does not
+    compare with ``bound``."""
+    def test(value: Any) -> bool:
+        if value is None:
+            return False
+        try:
+            return op(value, bound)
+        except TypeError:
+            return False
+    return test
+
+
+_failed = _compares(lt, 0)
+_succeeded = _compares(ge, 0)
+_transferred = _compares(gt, 0)
 
 
 class Detector:
@@ -103,9 +124,10 @@ class Detector:
     def detect(self, view: SessionEvents) -> list[Finding]:
         """The correlation itself.
 
-        Derive event-shaped inputs and evidence from ``view``;
+        Read the session's lanes, rows and evidence off ``view``;
         ``size=0`` aggregations go to ``view.store``.  Never send a
-        ``size=None`` search per finding (docs/ARCHITECTURE.md).
+        search that returns hits, and build a document only for what a
+        finding cites (docs/ARCHITECTURE.md).
         """
         raise NotImplementedError
 
@@ -133,7 +155,7 @@ class StaleOffsetDetector(Detector):
                          "offset": resume.offset,
                          "time": resume.time},
                 evidence=events_evidence(
-                    view.by_file_tag[resume.file_tag]),
+                    view, view.by_file_tag[resume.file_tag]),
             ))
         return findings
 
@@ -168,7 +190,7 @@ class SmallIODetector(Detector):
                              "requests": requests,
                              "mean_bytes": relevant},
                     evidence=events_evidence(
-                        view.by_file_tag[pattern.file_tag]),
+                        view, view.by_file_tag[pattern.file_tag]),
                 ))
         return findings
 
@@ -203,7 +225,7 @@ class RandomAccessDetector(Detector):
                              "sequential_fraction":
                                  pattern.sequential_fraction},
                     evidence=events_evidence(
-                        view.by_file_tag[pattern.file_tag]),
+                        view, view.by_file_tag[pattern.file_tag]),
                 ))
         return findings
 
@@ -218,32 +240,27 @@ class FailedSyscallDetector(Detector):
         self.min_failures = min_failures
 
     def detect(self, view):
-        response = view.store.search(
-            view.index, query=view.query([{"range": {"ret": {"lt": 0}}}]),
-            sort=["time"], size=None)
-        clusters: dict[tuple[str, int], list] = {}
-        for hit in response["hits"]["hits"]:
-            source = hit["_source"]
-            key = (source["syscall"], -source["ret"])
-            clusters.setdefault(key, []).append(hit)
+        syscalls = view.values("syscall")
+        clusters: dict[tuple[str, int], list[int]] = {}
+        for row, ret in enumerate(view.values("ret")):
+            if _failed(ret):
+                clusters.setdefault((syscalls[row], -ret), []).append(row)
         findings = []
-        for (syscall, errno_value), hits in sorted(clusters.items()):
-            if len(hits) < self.min_failures:
+        for (syscall, errno_value), rows in sorted(clusters.items()):
+            if len(rows) < self.min_failures:
                 continue
             try:
                 errno_name = Errno(errno_value).name
             except ValueError:
                 errno_name = str(errno_value)
-            times = [hit["_source"].get("time", 0) for hit in hits]
             findings.append(Finding(
                 detector=self.name,
                 severity="warning",
                 title=(f"{syscall} failed with {errno_name} "
-                       f"{len(hits)} times"),
+                       f"{len(rows)} times"),
                 details={"syscall": syscall, "errno": errno_name,
-                         "count": len(hits)},
-                evidence=make_evidence([hit["_id"] for hit in hits],
-                                       min(times), max(times)),
+                         "count": len(rows)},
+                evidence=events_evidence(view, rows),
             ))
         return findings
 
@@ -258,10 +275,9 @@ class FdLeakDetector(Detector):
         self.min_unclosed = min_unclosed
 
     def detect(self, view):
-        succeeded = [
-            {"terms": {"syscall": ["open", "openat", "creat", "close"]}},
-            {"range": {"ret": {"gte": 0}}}]
-        matches = compile_query({"bool": {"must": succeeded}})
+        fd_calls = ("open", "openat", "creat", "close")
+        succeeded = [{"terms": {"syscall": list(fd_calls)}},
+                     {"range": {"ret": {"gte": 0}}}]
         response = view.store.search(
             view.index, query=view.query(succeeded), size=0,
             aggs={"by_pid": {
@@ -269,6 +285,8 @@ class FdLeakDetector(Detector):
                 "aggs": {"by_syscall": {"terms": {"field": "syscall",
                                                   "size": 10}}},
             }})
+        syscalls = view.values("syscall")
+        rets = view.values("ret")
         findings = []
         for bucket in response["aggregations"]["by_pid"]["buckets"]:
             counts = {b["key"]: b["doc_count"]
@@ -285,9 +303,10 @@ class FdLeakDetector(Detector):
                            f"({opens - closes} descriptors left open)"),
                     details={"pid": bucket["key"], "opens": opens,
                              "closes": closes},
-                    evidence=events_evidence(
-                        [event for event in view.by_pid[bucket["key"]]
-                         if matches(event[1])]),
+                    evidence=events_evidence(view, [
+                        row for row in view.by_pid[bucket["key"]]
+                        if syscalls[row] in fd_calls
+                        and _succeeded(rets[row])]),
                 ))
         return findings
 
@@ -303,51 +322,44 @@ class ShortLivedFileDetector(Detector):
         self.min_files = min_files
 
     def detect(self, view):
-        store, index = view.store, view.index
-        unlinked = store.search(
-            index,
-            query=view.query([{"terms": {"syscall": ["unlink", "unlinkat"]}},
-                              {"term": {"ret": 0}}]),
-            size=None)
-        deleted_paths = {hit["_source"].get("args", {}).get("path")
-                         for hit in unlinked["hits"]["hits"]}
+        # Stored order, as the unsorted searches this pass replaced
+        # returned the unlinks and the writes: the evidence ids follow it.
+        syscalls = view.values("syscall")
+        rets = view.values("ret")
+        unlinked = view.in_stored_order([
+            row for row, name in enumerate(syscalls)
+            if name in ("unlink", "unlinkat") and rets[row] == 0])
+        arg_paths = view.values("args.path")
+        deleted_paths = {arg_paths[row] for row in unlinked}
         deleted_paths.discard(None)
         if not deleted_paths:
             return []
 
-        writes = store.search(
-            index,
-            query=view.query(
-                [{"terms": {"syscall": ["write", "pwrite64", "writev"]}},
-                 {"exists": {"field": "file_path"}},
-                 {"range": {"ret": {"gt": 0}}}]),
-            size=None)
+        paths = view.values("file_path")
         churn: dict[str, int] = {}
-        churn_hits: dict[str, list] = {}
-        for hit in writes["hits"]["hits"]:
-            source = hit["_source"]
-            path = source["file_path"]
+        churn_rows: dict[str, list[int]] = {}
+        for row in view.in_stored_order([
+                row for row, name in enumerate(syscalls)
+                if name in WRITES and paths[row] is not None
+                and _transferred(rets[row])]):
+            path = paths[row]
             if path in deleted_paths:
-                churn[path] = churn.get(path, 0) + source["ret"]
-                churn_hits.setdefault(path, []).append(hit)
+                churn[path] = churn.get(path, 0) + rets[row]
+                churn_rows.setdefault(path, []).append(row)
         heavy = {path: total for path, total in churn.items()
                  if total >= self.min_bytes}
         if len(heavy) < self.min_files:
             return []
         total = sum(heavy.values())
-        evidence_hits = [hit for path in sorted(heavy)
-                         for hit in churn_hits[path]]
-        evidence_hits += list(unlinked["hits"]["hits"])
-        times = [hit["_source"].get("time", 0) for hit in evidence_hits]
         return [Finding(
             detector=self.name,
             severity="info",
             title=(f"{len(heavy)} files totalling {total:,} written bytes "
                    "were deleted within the session (write churn)"),
             details={"files": len(heavy), "bytes": total},
-            evidence=make_evidence([hit["_id"] for hit in evidence_hits],
-                                   min(times) if times else None,
-                                   max(times) if times else None),
+            evidence=events_evidence(view, [
+                row for path in sorted(heavy) for row in churn_rows[path]]
+                + unlinked),
         )]
 
 

@@ -18,12 +18,17 @@ This module mines DFGs from the events DIO stored at the backend:
   between two sessions (``compare.session_fingerprint`` is the
   count-level oracle: a DFG's node totals must agree with it).
 
-There is one transition loop, :meth:`DirectlyFollowsGraph.observe_batch`:
-it bumps a node, finds the previous node of the event's chain (one
-chain, or one per TID) and updates the edge between them.  A whole
+There is one transition loop, :meth:`DirectlyFollowsGraph.observe_lanes`,
+over three lanes of a batch — the node per event (the ``syscall``
+lane, or ``syscall/file-class``), the chain key (the ``tid`` lane, or
+none) and the ``time`` lane: it bumps a node, finds the previous node
+of the event's chain and updates the edge between them.  A whole
 session's graph (:func:`merged_dfg`), the tap's online miner
 (:class:`~repro.analysis.streaming.StreamingDFGMiner`), the per-process
-graphs and the phase windows are all that loop fed different batches.
+graphs and the phase windows are all that loop fed different lanes;
+a phase that takes in the next window merges that window's graph
+(:meth:`DirectlyFollowsGraph.absorb`) instead of walking its events
+again.  No document is built.
 
 Everything is deterministic: graphs iterate in sorted order and
 ``as_dict`` output is stable, so DFG output can sit inside the DST
@@ -32,10 +37,12 @@ byte-identical digest.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterable, NamedTuple, Optional
+from collections import Counter, OrderedDict
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
 
-from repro.analysis.session import SessionEvents
+from repro.analysis.session import SessionEvents, times_of
+from repro.backend.lanes import DocBatch, LaneBatch
 from repro.backend.store import DocumentStore
 
 #: Start-of-stream pseudo-node (the classic DFG source marker).
@@ -59,6 +66,26 @@ def file_class(path: Optional[str]) -> str:
     if "wal" in lowered:
         return "wal"
     return "other"
+
+
+def node_lane(batch: LaneBatch, node_mode: str = "syscall") -> list[str]:
+    """One DFG node per row of ``batch``: its ``syscall`` lane as it
+    is, or ``syscall/file-class`` of the row's ``file_path`` (else its
+    ``args.path``).  May be the batch's own lane: never mutate it."""
+    syscalls = batch.values_for("syscall")
+    if node_mode == "syscall":
+        return syscalls
+    classes: dict = {}
+    nodes = []
+    for syscall, path, arg_path in zip(syscalls,
+                                       batch.values_for("file_path"),
+                                       batch.values_for("args.path")):
+        path = path or arg_path
+        cls = classes.get(path)
+        if cls is None:
+            cls = classes[path] = file_class(path)
+        nodes.append(f"{syscall}/{cls}")
+    return nodes
 
 
 class EdgeStats:
@@ -104,7 +131,7 @@ class DirectlyFollowsGraph:
 
     __slots__ = ("name", "node_mode", "per_thread", "max_threads",
                  "edges", "node_counts", "events", "first_ns", "last_ns",
-                 "_chains")
+                 "_chains", "_following")
 
     def __init__(self, name: str = "", node_mode: str = "syscall",
                  per_thread: bool = False,
@@ -122,79 +149,113 @@ class DirectlyFollowsGraph:
         self.last_ns = 0
         #: chain key (TID, or None for the one chain) -> [node, time_ns]
         self._chains: OrderedDict = OrderedDict()
+        #: ``edges`` again, by source then target: a transition looks
+        #: its edge up without building the key.
+        self._following: dict[str, dict[str, EdgeStats]] = {}
 
     # ------------------------------------------------------------------
     # Building
 
-    def node_for(self, source: dict) -> str:
-        syscall = source["syscall"]
-        if self.node_mode == "syscall":
-            return syscall
-        cls = file_class(source.get("file_path")
-                         or (source.get("args") or {}).get("path"))
-        return f"{syscall}/{cls}"
-
     def observe(self, source: dict) -> str:
         """Feed one event (a backend document); returns its node."""
-        return self.observe_batch((source,))[0]
+        return self.observe_batch(DocBatch([source]))[0]
 
-    def observe_batch(self, docs: Iterable[dict]) -> list[str]:
-        """Feed events in stream order; returns their nodes, in order.
+    def observe_batch(self, batch: LaneBatch) -> list[str]:
+        """Feed a batch of events in stream order; returns their nodes,
+        in order (:func:`node_lane`: never mutate them)."""
+        nodes = node_lane(batch, self.node_mode)
+        self.observe_lanes(
+            nodes, batch.values_for("tid") if self.per_thread else None,
+            times_of(batch))
+        return nodes
 
-        The one transition loop.  A chain's first event takes the
-        ``^`` edge with gap 0 and the graph's window starts at the
-        earliest such event; a gap that runs backwards (events of one
-        chain out of time order) counts as 0.
+    def observe_lanes(self, nodes: Sequence[str],
+                      chains: Optional[Sequence], times: Sequence) -> None:
+        """The one transition loop: one event per ``nodes[i]``, of the
+        chain ``chains[i]`` (the one chain without ``chains``), at
+        ``times[i]``.
+
+        A chain's first event takes the ``^`` edge with gap 0 and the
+        graph's window starts at the earliest such event; a gap that
+        runs backwards (events of one chain out of time order) counts
+        as 0.
         """
-        plain_nodes = self.node_mode == "syscall"
-        node_for = self.node_for
+        if not nodes:
+            return
         node_counts = self.node_counts
+        for node, count in Counter(nodes).items():
+            node_counts[node] = node_counts.get(node, 0) + count
         edges = self.edges
-        chains = self._chains
-        per_thread = self.per_thread
+        following = self._following
+        keys = self._chains
         max_threads = self.max_threads
-        last_ns = self.last_ns
-        nodes: list[str] = []
-        seen = nodes.append
-        for source in docs:
-            node = source["syscall"] if plain_nodes else node_for(source)
-            seen(node)
-            time_ns = source.get("time", 0)
-            try:                     # node vocabulary is tiny: ~always hits
-                node_counts[node] += 1
-            except KeyError:
-                node_counts[node] = 1
-            if time_ns > last_ns:
-                last_ns = time_ns
-            chain = source["tid"] if per_thread else None
-            prev = chains.get(chain)
+        for node, chain, time_ns in zip(
+                nodes, repeat(None) if chains is None else chains, times):
+            prev = keys.get(chain)
             if prev is None:
-                if max_threads is not None and len(chains) >= max_threads:
-                    chains.popitem(last=False)
-                chains[chain] = [node, time_ns]
+                if max_threads is not None and len(keys) >= max_threads:
+                    keys.popitem(last=False)
+                keys[chain] = [node, time_ns]
                 if self.first_ns is None or time_ns < self.first_ns:
                     self.first_ns = time_ns
-                edge = (START, node)
+                source = START
                 gap = 0
             else:
-                edge = (prev[0], node)
+                source = prev[0]
                 gap = time_ns - prev[1]
                 if gap < 0:
                     gap = 0
                 prev[0] = node
                 prev[1] = time_ns
-            stats = edges.get(edge)
+            targets = following.get(source)
+            if targets is None:
+                targets = following[source] = {}
+            stats = targets.get(node)
             if stats is None:
-                stats = edges[edge] = EdgeStats()
+                stats = targets[node] = edges[source, node] = EdgeStats()
+                stats.gap_min_ns = gap
             stats.count += 1
             stats.gap_total_ns += gap
-            if stats.gap_min_ns is None or gap < stats.gap_min_ns:
+            if gap < stats.gap_min_ns:
                 stats.gap_min_ns = gap
             if gap > stats.gap_max_ns:
                 stats.gap_max_ns = gap
         self.events += len(nodes)
-        self.last_ns = last_ns
-        return nodes
+        self.last_ns = max(self.last_ns, max(times))
+
+    def absorb(self, later: "DirectlyFollowsGraph") -> None:
+        """Continue this one-chain graph with ``later`` — a one-chain
+        graph of the events that follow, used up by the call — as if
+        its events had been fed here: ``later``'s opening ``^`` edge
+        becomes the transition from this chain's last event, its other
+        edges merge, and this chain ends where ``later``'s does.  Edges
+        reach this graph in the order feeding the events would have
+        added them."""
+        (prev,) = self._chains.values()
+        edges = self.edges
+        for edge, stats in later.edges.items():
+            if edge[0] == START:
+                # The one transition of the ``^`` edge, re-timed.
+                edge = (prev[0], edge[1])
+                gap = max(later.first_ns - prev[1], 0)
+                stats.gap_total_ns = stats.gap_min_ns = stats.gap_max_ns = gap
+            into = edges.get(edge)
+            if into is None:
+                edges[edge] = stats
+                self._following.setdefault(edge[0], {})[edge[1]] = stats
+                continue
+            into.count += stats.count
+            into.gap_total_ns += stats.gap_total_ns
+            if stats.gap_min_ns < into.gap_min_ns:
+                into.gap_min_ns = stats.gap_min_ns
+            if stats.gap_max_ns > into.gap_max_ns:
+                into.gap_max_ns = stats.gap_max_ns
+        node_counts = self.node_counts
+        for node, count in later.node_counts.items():
+            node_counts[node] = node_counts.get(node, 0) + count
+        self.events += later.events
+        self.last_ns = max(self.last_ns, later.last_ns)
+        (self._chains[None],) = later._chains.values()
 
     # ------------------------------------------------------------------
     # Reading
@@ -267,16 +328,22 @@ def mine_dfgs(store: DocumentStore, index: str = "dio_trace",
     downstream rendering is deterministic.  ``view`` (here and below)
     is a caller's read of the same session, to share it.
     """
-    groups: dict[str, list[dict]] = {}
-    for _, source in (view or SessionEvents(store, index, session)).events:
-        key = source["proc_name"]
-        if per_thread:
-            key = f"{key}/{source['tid']}"
-        groups.setdefault(key, []).append(source)
+    view = view or SessionEvents(store, index, session)
+    keys = view.values("proc_name")
+    if per_thread:
+        keys = [f"{proc}/{tid}" for proc, tid in zip(keys,
+                                                     view.values("tid"))]
+    groups: dict[str, list[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    nodes = node_lane(view.batch, node_mode)
+    times = view.times
     graphs = {}
     for key in sorted(groups):
+        rows = groups[key]
         graphs[key] = DirectlyFollowsGraph(key, node_mode)
-        graphs[key].observe_batch(groups[key])
+        graphs[key].observe_lanes(list(map(nodes.__getitem__, rows)), None,
+                                  list(map(times.__getitem__, rows)))
     return graphs
 
 
@@ -304,67 +371,47 @@ class Phase(NamedTuple):
         }
 
 
-def segment_phases(events: Iterable[dict],
+def segment_phases(batch: LaneBatch,
                    window_events: int = 64,
                    drift_threshold: float = 0.4,
                    node_mode: str = "syscall",
                    name: str = "") -> list[Phase]:
-    """Split a time-ordered event stream into behaviour phases.
+    """Split a time-ordered batch of events into behaviour phases.
 
-    The stream is chopped into fixed-size windows; a new phase starts
-    whenever the TV distance between the running phase's DFG and the
-    next window's DFG exceeds ``drift_threshold``.  A final partial
-    window is folded into the current phase.
+    The stream is chopped into fixed-size windows, one graph each; a
+    new phase starts whenever the TV distance between the running
+    phase's DFG and the next window's DFG exceeds ``drift_threshold``,
+    and otherwise the phase absorbs the window's graph.  A final
+    partial window under half the size is always absorbed.
     """
     if window_events <= 1:
         raise ValueError(f"window_events must be > 1: {window_events}")
+    nodes = node_lane(batch, node_mode)
+    times = times_of(batch)
     phases: list[Phase] = []
     current: Optional[DirectlyFollowsGraph] = None
     prev_drift = 0.0
-    window: list[dict] = []
-
-    def close_current() -> None:
-        nonlocal current
-        if current is not None and current.events:
-            phases.append(Phase(current.first_ns or 0, current.last_ns,
-                                current.events, current, prev_drift))
-        current = None
-
-    def window_graph(batch: list[dict]) -> DirectlyFollowsGraph:
-        graph = DirectlyFollowsGraph(name, node_mode)
-        graph.observe_batch(batch)
-        return graph
-
-    for source in events:
-        window.append(source)
-        if len(window) < window_events:
-            continue
-        incoming = window_graph(window)
+    for lo in range(0, len(nodes), window_events):
+        hi = min(lo + window_events, len(nodes))
+        incoming = DirectlyFollowsGraph(name, node_mode)
+        incoming.observe_lanes(nodes[lo:hi], None, times[lo:hi])
         if current is None:
             current = incoming
+            continue
+        drift = current.distance(incoming)
+        if drift > drift_threshold and hi - lo >= window_events // 2:
+            phases.append(_phase(current, prev_drift))
+            current, prev_drift = incoming, drift
         else:
-            drift = current.distance(incoming)
-            if drift > drift_threshold:
-                close_current()
-                current = incoming
-                prev_drift = drift
-            else:
-                current.observe_batch(window)
-        window = []
-    if window:
-        if current is None:
-            current = window_graph(window)
-        else:
-            incoming = window_graph(window)
-            drift = current.distance(incoming)
-            if len(window) >= window_events // 2 and drift > drift_threshold:
-                close_current()
-                current = incoming
-                prev_drift = drift
-            else:
-                current.observe_batch(window)
-    close_current()
+            current.absorb(incoming)
+    if current is not None:
+        phases.append(_phase(current, prev_drift))
     return phases
+
+
+def _phase(graph: DirectlyFollowsGraph, drift: float) -> Phase:
+    return Phase(graph.first_ns or 0, graph.last_ns, graph.events, graph,
+                 drift)
 
 
 def mine_phases(store: DocumentStore, index: str = "dio_trace",
@@ -376,9 +423,12 @@ def mine_phases(store: DocumentStore, index: str = "dio_trace",
                 view: Optional[SessionEvents] = None) -> list[Phase]:
     """Phase-segment one session's (optionally one process's) stream."""
     view = view or SessionEvents(store, index, session)
-    stream = (source for _, source in view.events
-              if proc_name is None or source["proc_name"] == proc_name)
-    return segment_phases(stream, window_events, drift_threshold,
+    batch = view.batch
+    if proc_name is not None:
+        batch = batch.take([row for row, name
+                            in enumerate(view.values("proc_name"))
+                            if name == proc_name])
+    return segment_phases(batch, window_events, drift_threshold,
                           node_mode, name=proc_name or session or index)
 
 
@@ -416,9 +466,7 @@ def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
     """
     graph = DirectlyFollowsGraph(session or index, node_mode,
                                  per_thread=True)
-    graph.observe_batch(
-        source for _, source
-        in (view or SessionEvents(store, index, session)).events)
+    graph.observe_batch((view or SessionEvents(store, index, session)).batch)
     return graph
 
 

@@ -12,12 +12,14 @@ diagnosed *automatically* instead of by a human reading dashboards.
   a live :class:`~repro.analysis.streaming.DiagnosisTap` that rode the
   tracer's consumer path, or a replay of the stored events through a
   fresh tap (:func:`follow_session`, which hands the tap what the
-  consumer hands it: batches) —
+  consumer hands it: lane batches) —
 
 ranks them by severity and confidence (a finding corroborated by both
 sources outranks one seen by a single source), attaches the mined DFG
 fingerprint and behaviour phases, and renders a deterministic report:
 same events in, byte-identical report out (pinned by the DST digest).
+All of it reads one :class:`~repro.analysis.session.SessionEvents` —
+the session's lanes, fetched once — and builds no document for a pass.
 """
 
 from __future__ import annotations
@@ -223,23 +225,21 @@ def follow_session(store: DocumentStore, index: str,
             for emit_ns, finding in tap.drain_new():
                 emit(emit_ns, finding)
 
-    events = (view or SessionEvents(store, index, session)).events
-    ids = [event_id for event_id, _ in events]
-    docs = [source for _, source in events]
+    view = view or SessionEvents(store, index, session)
+    batch, ids, times = view.batch, view.ids, view.times
     records = sorted(latency_records or (), key=itemgetter(0))
-    times = [source.get("time", 0) for source in docs]
     starts = [record[0] for record in records]
     width = tap.stretch_ns
     lo = at = 0
-    while lo < len(docs) or at < len(records):
-        hi, to = len(docs), len(records)
+    while lo < len(times) or at < len(records):
+        hi, to = len(times), len(records)
         if width is not None:
             # The stretch holding the earliest event or record left.
             first = min(times[lo:lo + 1] + starts[at:at + 1])
             end = (first // width + 1) * width
             hi = bisect_left(times, end, lo)
             to = bisect_left(starts, end, at)
-        tap.observe_batch(docs[lo:hi], ids[lo:hi])
+        tap.observe_batch(batch.take(range(lo, hi)), ids[lo:hi])
         tap.observe_latencies(records[at:to])
         drain()
         lo, at = hi, to
@@ -286,10 +286,9 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
         session=session,
         findings=_merge(batch, tap.findings()),
         dfg=merged_dfg(store, index, session, node_mode, view),
-        phases=segment_phases((source for _, source in view.events),
-                              window_events, drift_threshold, node_mode,
-                              name=session or index),
-        events=len(view.events),
+        phases=segment_phases(view.batch, window_events, drift_threshold,
+                              node_mode, name=session or index),
+        events=len(view),
     )
 
 

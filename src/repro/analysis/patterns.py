@@ -2,7 +2,8 @@
 
 Implements the automated correlation algorithms the paper's Future
 Directions section calls for: detectors that flag the inefficient or
-erroneous behaviors DIO exposes, directly over backend documents.
+erroneous behaviors DIO exposes, directly over the stored events'
+lanes (one :class:`~repro.analysis.session.SessionEvents` read).
 """
 
 from __future__ import annotations
@@ -35,38 +36,45 @@ def classify_file_accesses(store: DocumentStore, index: str,
 
     An access is *sequential* when it starts exactly where the previous
     access on the same file ended.  ``view`` is a caller's
-    :class:`SessionEvents` of the same session, to share its one read.
+    :class:`SessionEvents` of the same session, to share its one read;
+    the patterns are worked out once per view.
     """
-    per_file = (view or SessionEvents(store, index, session)).data_by_file
+    view = view or SessionEvents(store, index, session)
+    return list(view.derived(_access_patterns))
 
+
+def _access_patterns(view: SessionEvents) -> list[AccessPattern]:
+    syscalls = view.values("syscall")
+    rets = view.values("ret")
+    offsets = view.values("offset")
+    paths = view.values("file_path")
     patterns = []
-    for tag, events in sorted(per_file.items()):
-        reads = sum(1 for e in events if e["syscall"] in _READS)
-        writes = len(events) - reads
-        sizes = [max(e["ret"], 0) for e in events]
-        read_sizes = [max(e["ret"], 0) for e in events
-                      if e["syscall"] in _READS]
-        sequential = 0
-        considered = 0
+    for tag, rows in sorted(view.data_by_file.items()):
+        reads = request_bytes = read_bytes = 0
+        sequential = considered = 0
         expected: Optional[int] = None
-        for event in events:
-            offset = event.get("offset")
+        for row in rows:
+            size = max(rets[row], 0)
+            request_bytes += size
+            if syscalls[row] in _READS:
+                reads += 1
+                read_bytes += size
+            offset = offsets[row]
             if offset is None:
                 continue
             if expected is not None:
                 considered += 1
                 if offset == expected:
                     sequential += 1
-            expected = offset + max(event["ret"], 0)
+            expected = offset + size
         patterns.append(AccessPattern(
             file_tag=tag,
-            file_path=events[0].get("file_path"),
+            file_path=paths[rows[0]],
             reads=reads,
-            writes=writes,
+            writes=len(rows) - reads,
             sequential_fraction=(sequential / considered) if considered else 1.0,
-            mean_request_bytes=(sum(sizes) / len(sizes)) if sizes else 0.0,
-            mean_read_bytes=(sum(read_sizes) / len(read_sizes)
-                             if read_sizes else 0.0),
+            mean_request_bytes=request_bytes / len(rows),
+            mean_read_bytes=read_bytes / reads if reads else 0.0,
         ))
     return patterns
 
@@ -111,24 +119,26 @@ def find_stale_offset_resumes(store: DocumentStore, index: str,
     clear the suspicion; a tag whose reads never returned data past
     that offset is flagged.
     """
-    per_file = (view or SessionEvents(store, index, session)).data_by_file
-
+    view = view or SessionEvents(store, index, session)
+    syscalls = view.values("syscall")
+    rets = view.values("ret")
+    offsets = view.values("offset")
     findings = []
-    for tag, events in sorted(per_file.items()):
-        reads = [e for e in events if e["syscall"] in _READS]
+    for tag, rows in sorted(view.data_by_file.items()):
+        reads = [row for row in rows if syscalls[row] in _READS]
         if not reads:
             continue
         first = reads[0]
-        offset = first.get("offset")
-        if offset is None or offset == 0 or first["ret"] != 0:
+        offset = offsets[first]
+        if offset is None or offset == 0 or rets[first] != 0:
             continue
-        if any(r["ret"] > 0 for r in reads):
+        if any(rets[row] > 0 for row in reads):
             continue
         findings.append(StaleOffsetResume(
             file_tag=tag,
-            file_path=first.get("file_path"),
-            proc_name=first["proc_name"],
+            file_path=view.values("file_path")[first],
+            proc_name=view.values("proc_name")[first],
             offset=offset,
-            time=first["time"],
+            time=view.values("time")[first],
         ))
     return findings

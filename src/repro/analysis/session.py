@@ -3,22 +3,29 @@
 Every post-mortem analysis — the batch detectors, the streaming
 replay, DFG mining, phase segmentation, session comparison — is a pass
 over one session's events in time order.  :class:`SessionEvents` asks
-the store for that list **once** (one public ``search`` request, so it
-works on any store-shaped object: sharded, tenant-scoped, proxied) and
-derives the subsets the analyses need from it.
+the store for them **once**, as lanes: one public ``lanes`` request
+(``(ids, LaneBatch)`` — no hit envelope, no document — so it works on
+any store-shaped object: sharded, tenant-scoped, proxied), put in time
+order by :func:`~repro.backend.lanes.time_order`.  The analyses read
+the lanes (``values_for``/``groups_for``) and the row subsets derived
+here; a document is built only for evidence a finding cites
+(:meth:`SessionEvents.docs`).
 
 A filter of a stably time-sorted list equals the stable time-sort of
-the filtered query (unsorted scans return rank order on every store),
+the filtered query (unsorted reads return rank order on every store),
 so a consumer that used to send ``query + sort=["time"]`` can read the
-matching subset here and produce identical bytes.  A view lives for
-one call: nothing is memoised across calls, nothing needs invalidating.
+matching rows here and produce identical bytes — and one that sent the
+query unsorted reads them back in stored order
+(:meth:`SessionEvents.in_stored_order`).  A view lives for one call:
+nothing is memoised across calls, nothing needs invalidating.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
+from repro.backend.lanes import LaneBatch, time_order
 from repro.backend.store import DocumentStore
 
 #: Syscalls that read file data.
@@ -26,8 +33,16 @@ READS = ("read", "pread64", "readv")
 #: Syscalls that write file data.
 WRITES = ("write", "pwrite64", "writev")
 
-#: One stored event: ``(backend id, source document)``.
-Event = tuple[str, dict]
+T = TypeVar("T")
+
+
+def times_of(batch: LaneBatch) -> list:
+    """Each row's ``time``, 0 where it has none (``source.get("time",
+    0)`` over the documents)."""
+    times = batch.values_for("time")
+    if batch.dense_int("time"):
+        return times
+    return [0 if time_ns is None else time_ns for time_ns in times]
 
 
 class SessionEvents:
@@ -38,6 +53,7 @@ class SessionEvents:
         self.store = store
         self.index = index
         self.session = session
+        self._derived: dict = {}
 
     def query(self, extra: Optional[list] = None) -> dict:
         """``extra`` clauses scoped to this session, for store requests."""
@@ -47,36 +63,83 @@ class SessionEvents:
         return {"bool": {"must": must}} if must else {"match_all": {}}
 
     @cached_property
-    def events(self) -> list[Event]:
-        """Every event, stably sorted by time: the one whole-session read."""
-        response = self.store.search(self.index, query=self.query(),
-                                     sort=["time"], size=None)
-        return [(hit["_id"], hit["_source"])
-                for hit in response["hits"]["hits"]]
+    def _read(self) -> tuple[list[str], LaneBatch, Optional[list[int]]]:
+        """``(ids, batch, order)``: the one whole-session read, rows in
+        time order; ``order[row]`` is where the store holds a row
+        (``None``: where it stands)."""
+        ids, batch = self.store.lanes(self.index, self.query())
+        order = time_order(batch)
+        if order is None:
+            return ids, batch, None
+        return list(map(ids.__getitem__, order)), batch.take(order), order
+
+    @property
+    def ids(self) -> list[str]:
+        """The events' backend ids, one per row."""
+        return self._read[0]
+
+    @property
+    def batch(self) -> LaneBatch:
+        """The events, stably sorted by time, as one lane batch."""
+        return self._read[1]
+
+    def __len__(self) -> int:
+        return len(self._read[1])
+
+    def values(self, field: str) -> list:
+        """One value per event (``get_field`` over the documents)."""
+        return self.batch.values_for(field)
 
     @cached_property
-    def data_by_file(self) -> dict[str, list[dict]]:
-        """Data-syscall sources that carry a file tag, per tag."""
-        data = frozenset(READS + WRITES)
-        per_file: dict[str, list[dict]] = {}
-        for _, source in self.events:
-            tag = source.get("file_tag")
-            if tag is not None and source.get("syscall") in data:
-                per_file.setdefault(tag, []).append(source)
-        return per_file
+    def times(self) -> list:
+        """Each event's ``time``, 0 where it has none."""
+        return times_of(self.batch)
+
+    def in_stored_order(self, rows: list[int]) -> list[int]:
+        """``rows`` in the order the store holds them — the order an
+        unsorted search of the same events returns them in."""
+        order = self._read[2]
+        return list(rows) if order is None else sorted(
+            rows, key=order.__getitem__)
+
+    def docs(self, rows) -> list[dict]:
+        """The documents of ``rows``: for evidence a finding cites,
+        never for a pass over the session."""
+        return self.batch.docs_at(rows)
+
+    def derived(self, compute: Callable[["SessionEvents"], T]) -> T:
+        """``compute(self)``, worked out once per view — what several
+        detectors derive alike (never mutate it)."""
+        if compute not in self._derived:
+            self._derived[compute] = compute(self)
+        return self._derived[compute]
 
     def _grouped(self, field: str) -> dict:
         groups: dict = {}
-        for event in self.events:
-            groups.setdefault(event[1].get(field), []).append(event)
+        for row, value in enumerate(self.values(field)):
+            groups.setdefault(value, []).append(row)
         return groups
 
     @cached_property
-    def by_file_tag(self) -> dict[Optional[str], list[Event]]:
-        """Events per ``file_tag`` (what ``term: file_tag`` matches)."""
+    def by_file_tag(self) -> dict[Optional[str], list[int]]:
+        """Rows per ``file_tag`` (what ``term: file_tag`` matches)."""
         return self._grouped("file_tag")
 
     @cached_property
-    def by_pid(self) -> dict[Optional[int], list[Event]]:
-        """Events per ``pid`` (what ``term: pid`` matches)."""
+    def by_pid(self) -> dict[Optional[int], list[int]]:
+        """Rows per ``pid`` (what ``term: pid`` matches)."""
         return self._grouped("pid")
+
+    @cached_property
+    def data_by_file(self) -> dict[str, list[int]]:
+        """Rows of data syscalls that carry a file tag, per tag."""
+        data = frozenset(READS + WRITES)
+        syscalls = self.values("syscall")
+        per_file: dict[str, list[int]] = {}
+        for tag, rows in self.by_file_tag.items():
+            if tag is None:
+                continue
+            kept = [row for row in rows if syscalls[row] in data]
+            if kept:
+                per_file[tag] = kept
+        return per_file

@@ -7,13 +7,17 @@ they attach as a :class:`DiagnosisTap` on the tracer's consumer path
 exactly once, in bounded memory, emitting incremental
 :class:`~repro.analysis.detectors.Finding` objects with evidence links
 (event ids when available, time windows always) as the signatures
-develop.  There is one feed shape: ``observe_batch(docs, ids)`` is the
-only place a detector's step is written, whoever calls it — the
-consumer hands over parsed batches without ids, a replay
+develop.  There is one feed shape: ``observe_batch(batch, ids)`` is the
+only place a detector's step is written, whoever calls it — ``batch``
+is a :class:`~repro.backend.lanes.LaneBatch` the step reads lane by
+lane (``values_for``; ``groups_for("syscall")`` to visit only the rows
+it cares about), never as documents.  The consumer hands over its
+decoded :class:`~repro.tracer.batch.RecordBatch` without ids, a replay
 (:func:`~repro.analysis.diagnose.follow_session`) hands over stretches
-of the stored session with their backend ids, and ``observe(source,
-event_id)`` is a batch of one.  Latency records arrive the same way
-(``observe_latencies(records)``).  The detectors:
+of the stored session's lanes with their backend ids, and
+``observe(source, event_id)`` is a batch of one document.  Latency
+records arrive the same way (``observe_latencies(records)``).  The
+detectors:
 
 - :class:`StreamingStaleOffsetDetector` — the Fluent Bit §III-B
   offset-gap-after-inode-reuse signature;
@@ -38,20 +42,21 @@ The tap also runs an online DFG miner (:class:`StreamingDFGMiner`) so
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from collections import Counter, OrderedDict, deque
+from itertools import chain, compress, repeat
+from operator import eq, sub
+from typing import Any, Optional, Sequence
 
 from repro.analysis.detectors import Finding, make_evidence
 from repro.analysis.dfg import DirectlyFollowsGraph
+from repro.analysis.session import times_of
+from repro.backend.lanes import DocBatch, LaneBatch
 
 #: Set membership beats tuple scans in loops that see every event.
 _READS_SET = frozenset({"read", "pread64", "readv"})
 _WRITES_SET = frozenset({"write", "pwrite64", "writev"})
 _RW_SET = _READS_SET | _WRITES_SET
 _FD_SET = frozenset({"open", "openat", "creat", "close"})
-#: Stands in for the ids of a batch that has none.
-_NO_IDS = repeat(None)
 
 #: Bounded-memory caps (per detector instance).
 MAX_TRACKED_TAGS = 4096
@@ -73,6 +78,50 @@ def _capped_insert(table: OrderedDict, key, factory, cap: int):
     return state
 
 
+def rows_of(batch: LaneBatch, syscalls: frozenset) -> Sequence[int]:
+    """The rows of ``batch`` whose ``syscall`` is one of ``syscalls``,
+    ascending — off the lane's groups when the batch has them, so a
+    step never visits a row it ignores.  Never mutate the result."""
+    groups = batch.groups_for("syscall")
+    if groups is None:
+        return [row for row, name in enumerate(batch.values_for("syscall"))
+                if name in syscalls]
+    picked = [rows for name, rows in groups if name in syscalls]
+    if len(picked) == 1:
+        return picked[0]
+    return sorted(chain.from_iterable(picked))
+
+
+class _Reads:
+    """One batch as the tap's readers share it: each lane (and each
+    grouping of one) is read off the batch once, however many
+    detectors ask for it."""
+
+    __slots__ = ("_batch", "_values", "_groups")
+
+    def __init__(self, batch: LaneBatch) -> None:
+        self._batch = batch
+        self._values: dict[str, list] = {}
+        self._groups: dict[str, Any] = {}
+
+    def __len__(self) -> int:
+        return len(self._batch)
+
+    def values_for(self, field: str) -> list:
+        values = self._values.get(field)
+        if values is None:
+            values = self._values[field] = self._batch.values_for(field)
+        return values
+
+    def groups_for(self, field: str):
+        if field not in self._groups:
+            self._groups[field] = self._batch.groups_for(field)
+        return self._groups[field]
+
+    def dense_int(self, field: str) -> bool:
+        return self._batch.dense_int(field)
+
+
 class StreamingDetector:
     """Base class: one pass over the stream, incremental findings."""
 
@@ -86,23 +135,24 @@ class StreamingDetector:
         self._finalized = False
 
     # -- feed ----------------------------------------------------------
-    def observe_batch(self, docs: Sequence[dict],
+    def observe_batch(self, batch: LaneBatch,
                       ids: Optional[Sequence[str]] = None) -> None:
-        """The detector's step: events in stream order, one call each.
+        """The detector's step: events in stream order, as lanes.
 
-        ``ids`` are the events' backend ids, parallel to ``docs``
+        ``ids`` are the events' backend ids, one per row of ``batch``
         (``None`` for an event without one), when they have any: a
         replay of a stored session has them, the consumer path does
-        not (nothing is stored yet).  Subclasses
-        write tight loops so the per-event cost stays within the <10%
-        ingest overhead gate (``benchmarks/test_diagnosis.py``).
+        not (nothing is stored yet).  Subclasses read the lanes they
+        need and loop over the rows they care about only, so the
+        per-event cost stays within the <10% ingest overhead gate
+        (``benchmarks/test_diagnosis.py``).
         """
         raise NotImplementedError
 
     def observe(self, source: dict,
                 event_id: Optional[str] = None) -> None:
         """One event: a batch of one."""
-        self.observe_batch((source,), (event_id,))
+        self.observe_batch(DocBatch([source]), (event_id,))
 
     def observe_latencies(self, records: Sequence) -> None:
         """Optional second feed: ``(start_ns, latency_ns, ...)``
@@ -147,42 +197,47 @@ class StreamingStaleOffsetDetector(StreamingDetector):
         #: tag -> suspicion state (bounded).
         self._tags: OrderedDict[str, dict] = OrderedDict()
 
-    def observe_batch(self, docs, ids=None):
-        step = self._read
-        reads = _READS_SET
-        for source, event_id in zip(docs, ids or _NO_IDS):
-            if source["syscall"] in reads:
-                step(source, event_id)
-
-    def _read(self, source, event_id):
-        tag = source.get("file_tag")
-        if tag is None:
+    def observe_batch(self, batch, ids=None):
+        rows = rows_of(batch, _READS_SET)
+        if not rows:
             return
-        state = _capped_insert(self._tags, tag, dict, MAX_TRACKED_TAGS)
-        if not state:                      # first read of this tag
-            offset = source.get("offset")
-            suspicious = (offset is not None and offset > 0
-                          and source["ret"] == 0)
-            state.update(suspicious=suspicious, confirmed=False,
-                         empty_reads=0, offset=offset,
-                         proc_name=source["proc_name"],
-                         file_path=source.get("file_path"),
-                         first_ns=source.get("time", 0),
-                         last_ns=source.get("time", 0), ids=[])
-            if suspicious and event_id is not None:
+        tags = batch.values_for("file_tag")
+        rets = batch.values_for("ret")
+        offsets = batch.values_for("offset")
+        procs = batch.values_for("proc_name")
+        paths = batch.values_for("file_path")
+        times = times_of(batch)
+        tracked = self._tags
+        for row in rows:
+            tag = tags[row]
+            if tag is None:
+                continue
+            event_id = None if ids is None else ids[row]
+            state = tracked.get(tag)
+            if state is None:                  # first read of this tag
+                state = _capped_insert(tracked, tag, dict, MAX_TRACKED_TAGS)
+                offset = offsets[row]
+                suspicious = (offset is not None and offset > 0
+                              and rets[row] == 0)
+                state.update(suspicious=suspicious, confirmed=False,
+                             empty_reads=0, offset=offset,
+                             proc_name=procs[row], file_path=paths[row],
+                             first_ns=times[row], last_ns=times[row],
+                             ids=[])
+                if suspicious and event_id is not None:
+                    state["ids"].append(event_id)
+                continue
+            if not state["suspicious"] or state["confirmed"]:
+                continue
+            state["last_ns"] = times[row]
+            if rets[row] > 0:                  # data arrived: all clear
+                state["suspicious"] = False
+                continue
+            state["empty_reads"] += 1
+            if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
                 state["ids"].append(event_id)
-            return
-        if not state.get("suspicious") or state.get("confirmed"):
-            return
-        state["last_ns"] = source.get("time", 0)
-        if source["ret"] > 0:              # data arrived: all clear
-            state["suspicious"] = False
-            return
-        state["empty_reads"] += 1
-        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
-            state["ids"].append(event_id)
-        if state["empty_reads"] >= self.confirm_after:
-            self._confirm(source.get("file_tag"), state)
+            if state["empty_reads"] >= self.confirm_after:
+                self._confirm(tag, state)
 
     def _confirm(self, tag: str, state: dict) -> None:
         state["confirmed"] = True
@@ -219,52 +274,60 @@ class StreamingFdLeakDetector(StreamingDetector):
         self.min_unclosed = min_unclosed
         self._pids: OrderedDict[int, dict] = OrderedDict()
 
-    def observe_batch(self, docs, ids=None):
-        step = self._open_or_close
-        relevant = _FD_SET
-        for source, event_id in zip(docs, ids or _NO_IDS):
-            if source["syscall"] in relevant and source["ret"] >= 0:
-                step(source, event_id)
-
-    def _open_or_close(self, source, event_id):
-        state = self._pids.get(source["pid"])
-        if state is None:
-            state = _capped_insert(
-                self._pids, source["pid"],
-                lambda: {"open": 0, "watermark": 0, "opens": 0,
-                         "closes": 0, "flagged": False, "ids": [],
-                         "first_ns": source.get("time", 0), "last_ns": 0},
-                MAX_TRACKED_PIDS)
-        state["last_ns"] = source.get("time", 0)
-        if source["syscall"] == "close":
-            state["closes"] += 1
-            if state["open"] > 0:
-                state["open"] -= 1
+    def observe_batch(self, batch, ids=None):
+        rows = rows_of(batch, _FD_SET)
+        if not rows:
             return
-        state["opens"] += 1
-        state["open"] += 1
-        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
-            state["ids"].append(event_id)
-        if state["open"] > state["watermark"]:
-            state["watermark"] = state["open"]
-            if state["watermark"] >= self.min_unclosed \
-                    and not state["flagged"]:
-                state["flagged"] = True
-                self._emit(state["last_ns"], Finding(
-                    detector=self.name,
-                    severity="warning",
-                    title=(f"pid {source['pid']}: descriptor watermark "
-                           f"reached {state['watermark']} "
-                           f"({state['opens']} opens vs "
-                           f"{state['closes']} closes so far)"),
-                    details={"pid": source["pid"],
-                             "watermark": state["watermark"],
-                             "opens": state["opens"],
-                             "closes": state["closes"]},
-                    evidence=make_evidence(state["ids"],
-                                           state["first_ns"],
-                                           state["last_ns"]),
-                ))
+        syscalls = batch.values_for("syscall")
+        rets = batch.values_for("ret")
+        pids = batch.values_for("pid")
+        times = times_of(batch)
+        tracked = self._pids
+        for row in rows:
+            if rets[row] < 0:
+                continue
+            pid, time_ns = pids[row], times[row]
+            state = tracked.get(pid)
+            if state is None:
+                state = _capped_insert(
+                    tracked, pid,
+                    lambda: {"open": 0, "watermark": 0, "opens": 0,
+                             "closes": 0, "flagged": False, "ids": [],
+                             "first_ns": time_ns, "last_ns": 0},
+                    MAX_TRACKED_PIDS)
+            state["last_ns"] = time_ns
+            if syscalls[row] == "close":
+                state["closes"] += 1
+                if state["open"] > 0:
+                    state["open"] -= 1
+                continue
+            state["opens"] += 1
+            state["open"] += 1
+            if ids is not None and ids[row] is not None \
+                    and len(state["ids"]) < MAX_EVIDENCE_IDS:
+                state["ids"].append(ids[row])
+            if state["open"] > state["watermark"]:
+                state["watermark"] = state["open"]
+                if state["watermark"] >= self.min_unclosed \
+                        and not state["flagged"]:
+                    self._flag(pid, state)
+
+    def _flag(self, pid, state: dict) -> None:
+        state["flagged"] = True
+        self._emit(state["last_ns"], Finding(
+            detector=self.name,
+            severity="warning",
+            title=(f"pid {pid}: descriptor watermark "
+                   f"reached {state['watermark']} "
+                   f"({state['opens']} opens vs "
+                   f"{state['closes']} closes so far)"),
+            details={"pid": pid,
+                     "watermark": state["watermark"],
+                     "opens": state["opens"],
+                     "closes": state["closes"]},
+            evidence=make_evidence(state["ids"], state["first_ns"],
+                                   state["last_ns"]),
+        ))
 
 
 #: The per-op event names the ring-aware tracer emits (one per SQE).
@@ -299,24 +362,26 @@ class StreamingUringLagDetector(StreamingDetector):
         self.min_samples = min_samples
         self._pids: OrderedDict[int, dict] = OrderedDict()
 
-    def observe_batch(self, docs, ids=None):
-        step = self._completion
-        relevant = _URING_SET
-        for source, event_id in zip(docs, ids or _NO_IDS):
-            if source["syscall"] in relevant:
-                step(source, event_id)
-
-    def _completion(self, source, event_id):
-        lag = source.get("duration_ns")
-        if lag is None:
+    def observe_batch(self, batch, ids=None):
+        rows = rows_of(batch, _URING_SET)
+        if not rows:
             return
+        lags = batch.values_for("duration_ns")
+        pids = batch.values_for("pid")
+        syscalls = batch.values_for("syscall")
+        times = times_of(batch)
+        step = self._completion
+        for row in rows:
+            if lags[row] is not None:
+                step(pids[row], syscalls[row], lags[row], times[row],
+                     None if ids is None else ids[row])
+
+    def _completion(self, pid, op, lag, now_ns, event_id):
         state = _capped_insert(
-            self._pids, source["pid"],
+            self._pids, pid,
             lambda: {"count": 0, "total_lag": 0, "max_lag": 0,
-                     "flagged": False, "ids": [],
-                     "first_ns": source.get("time", 0)},
+                     "flagged": False, "ids": [], "first_ns": now_ns},
             MAX_TRACKED_PIDS)
-        now_ns = source.get("time", 0)
         if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
             state["ids"].append(event_id)
         if state["count"] >= self.min_samples and not state["flagged"]:
@@ -326,16 +391,16 @@ class StreamingUringLagDetector(StreamingDetector):
                 self._emit(now_ns, Finding(
                     detector=self.name,
                     severity="warning",
-                    title=(f"pid {source['pid']}: io_uring completion "
+                    title=(f"pid {pid}: io_uring completion "
                            f"lag {lag / 1e6:.2f} ms is "
                            f"{lag / mean:.0f}x the baseline "
                            f"{mean / 1e6:.3f} ms over "
                            f"{state['count']} completions"),
-                    details={"pid": source["pid"],
+                    details={"pid": pid,
                              "lag_ns": int(lag),
                              "baseline_ns": int(mean),
                              "completions": state["count"],
-                             "op": source["syscall"]},
+                             "op": op},
                     evidence=make_evidence(state["ids"],
                                            state["first_ns"], now_ns),
                 ))
@@ -365,23 +430,26 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
         self._first_ns: Optional[int] = None
         self._last_ns = 0
 
-    def observe_batch(self, docs, ids=None):
-        writes = _WRITES_SET
+    def observe_batch(self, batch, ids=None):
+        rows = rows_of(batch, _WRITES_SET)
+        if not rows:
+            return
+        rets = batch.values_for("ret")
+        procs = batch.values_for("proc_name")
+        times = times_of(batch)
         client = self.client_comm
         per_proc = self._per_proc
-        for source in docs:
-            if source["syscall"] not in writes:
-                continue
-            size = source["ret"]
+        for row in rows:
+            size = rets[row]
             if size <= 0:
                 continue
-            time_ns = source.get("time", 0)
+            time_ns = times[row]
             if self._first_ns is None:
                 self._first_ns = time_ns
             if time_ns > self._last_ns:
                 self._last_ns = time_ns
             self.total_bytes += size
-            proc = source["proc_name"]
+            proc = procs[row]
             if proc == client:
                 self.client_bytes += size
             elif proc in per_proc:
@@ -432,47 +500,52 @@ class _WindowState:
         self.ids: list[str] = []
 
 
-def _scan_windows(docs, ids, window_ns: int, client: str,
+def _scan_windows(batch, ids, window_ns: int, client: str,
                   prefix: str) -> tuple[list, int]:
     """One pass over a batch: fresh per-window aggregates + max time.
 
     The hot loop of the windowed detectors, factored out so detectors
     sharing a :attr:`_WindowedDetector.window_key` pay for it once per
-    batch (each then merges via ``absorb_windows``).  A window's
+    batch (each then merges via ``absorb_windows``).  Every event opens
+    its window and the client's are counted per window at once; only
+    the background threads' rows are visited one by one.  A window's
     evidence links are the ids of its first background events.
     """
-    rw = _RW_SET
-    states: dict[int, _WindowState] = {}
-    max_ns = 0
-    cur_start = -1
-    state = None
-    for source, event_id in zip(docs, ids or _NO_IDS):
-        time_ns = source.get("time", 0)
-        if time_ns > max_ns:
-            max_ns = time_ns
-        start = time_ns - time_ns % window_ns
-        if start != cur_start:
-            cur_start = start
-            state = states.get(start)
-            if state is None:
-                state = states[start] = _WindowState()
-        proc = source["proc_name"]
-        if proc == client:
-            state.client_count += 1
-        elif proc.startswith(prefix):
-            state.bg_tids.add(source["tid"])
+    times = times_of(batch)
+    if not times:
+        return [], 0
+    starts = [time_ns - time_ns % window_ns for time_ns in times]
+    states = {start: _WindowState() for start in dict.fromkeys(starts)}
+    procs = batch.values_for("proc_name")
+    for start, count in Counter(compress(
+            starts, map(eq, procs, repeat(client)))).items():
+        states[start].client_count = count
+    background = {proc: proc != client and proc.startswith(prefix)
+                  for proc in set(procs)}
+    rows = list(compress(range(len(procs)),
+                         map(background.__getitem__, procs)))
+    if rows:
+        rw = _RW_SET
+        tids = batch.values_for("tid")
+        rets = batch.values_for("ret")
+        syscalls = batch.values_for("syscall")
+        for row in rows:
+            state = states[starts[row]]
+            state.bg_tids.add(tids[row])
+            proc = procs[row]
             activity = state.bg_activity.get(proc)
             if activity is None:
                 if len(state.bg_activity) < MAX_TRACKED_PROCS:
                     activity = state.bg_activity[proc] = [0, 0]
             if activity is not None:
                 activity[0] += 1
-                ret = source["ret"]
-                if ret > 0 and source["syscall"] in rw:
+                ret = rets[row]
+                if ret > 0 and syscalls[row] in rw:
                     activity[1] += ret
-            if event_id is not None and len(state.ids) < MAX_EVIDENCE_IDS:
-                state.ids.append(event_id)
-    return list(states.items()), max_ns
+            if ids is not None and ids[row] is not None \
+                    and len(state.ids) < MAX_EVIDENCE_IDS:
+                state.ids.append(ids[row])
+    return list(states.items()), max(0, max(times))
 
 
 class _WindowedDetector(StreamingDetector):
@@ -494,11 +567,11 @@ class _WindowedDetector(StreamingDetector):
         """Detectors with equal keys can share one batch window scan."""
         return (self.window_ns, self.client_comm, self.background_prefix)
 
-    def observe_batch(self, docs, ids=None):
+    def observe_batch(self, batch, ids=None):
         # One scan of the batch into per-window aggregates, then one
         # watermark close (emit timestamps are event-time, so batch
         # granularity only defers emission within the batch).
-        updates, max_ns = _scan_windows(docs, ids, *self.window_key)
+        updates, max_ns = _scan_windows(batch, ids, *self.window_key)
         self.absorb_windows(updates, max_ns)
 
     def absorb_windows(self, updates: list, max_ns: int) -> None:
@@ -805,43 +878,44 @@ class StreamingDFGMiner:
         # global chain restarting at "^" per window) — equivalent to
         # feeding the window through a fresh graph, without buffering
         # and re-observing it.
-        self._window_edges: dict[tuple[str, str], int] = {}
+        self._window_edges: Counter = Counter()
         self._window_count = 0
         self._window_prev = "^"
         self._prev_freq: Optional[dict] = None
 
     def observe(self, source: dict) -> None:
-        self.observe_batch((source,))
+        self.observe_batch(DocBatch([source]))
 
-    def observe_batch(self, docs: Sequence[dict]) -> None:
-        window_events = self.window_events
-        wedges = self._window_edges
+    def observe_batch(self, batch: LaneBatch) -> None:
+        nodes = self.graph.observe_batch(batch)
+        # Phase drift over fixed windows of the merged stream: the
+        # rest of the open window's edges are counted at once.
+        at = 0
+        while at < len(nodes):
+            chunk = nodes[at:at + self.window_events - self._window_count]
+            self._window_edges.update(zip(chain((self._window_prev,), chunk),
+                                          chunk))
+            self._window_prev = chunk[-1]
+            self._window_count += len(chunk)
+            at += len(chunk)
+            if self._window_count == self.window_events:
+                self._close_window()
+
+    def _close_window(self) -> None:
         wcount = self._window_count
-        wprev = self._window_prev
-        # Phase drift over fixed windows of the merged stream.
-        for node in self.graph.observe_batch(docs):
-            wedge = (wprev, node)
-            try:
-                wedges[wedge] += 1
-            except KeyError:
-                wedges[wedge] = 1
-            wprev = node
-            wcount += 1
-            if wcount >= window_events:
-                freq = {e: c / wcount for e, c in wedges.items()}
-                prev_freq = self._prev_freq
-                if prev_freq is not None:
-                    drift = 0.5 * sum(
-                        abs(freq.get(key, 0.0) - prev_freq.get(key, 0.0))
-                        for key in freq.keys() | prev_freq.keys())
-                    if drift > self.drift_threshold:
-                        self.phases += 1
-                self._prev_freq = freq
-                wedges = self._window_edges = {}
-                wcount = 0
-                wprev = "^"
-        self._window_count = wcount
-        self._window_prev = wprev
+        freq = {e: c / wcount for e, c in self._window_edges.items()}
+        prev_freq = self._prev_freq
+        if prev_freq is not None:
+            keys = list(freq.keys() | prev_freq.keys())
+            drift = 0.5 * sum(map(abs, map(
+                sub, map(freq.get, keys, repeat(0.0)),
+                map(prev_freq.get, keys, repeat(0.0)))))
+            if drift > self.drift_threshold:
+                self.phases += 1
+        self._prev_freq = freq
+        self._window_edges = Counter()
+        self._window_count = 0
+        self._window_prev = "^"
 
     @property
     def nodes(self) -> int:
@@ -878,12 +952,13 @@ def default_streaming_detectors(client_comm: str = "db_bench",
 class DiagnosisTap:
     """The streaming battery + DFG miner as one consumer-path tap.
 
-    The tracer calls :meth:`observe_batch` for every parsed batch on
+    The tracer calls :meth:`observe_batch` for every decoded batch on
     the ingest path; a post-mortem replay calls it for every stretch of
-    the stored session, with the events' ids.  All per-event work is
-    plain dict reads and counter bumps — the ingest-overhead benchmark
+    the stored session's lanes, with the events' ids.  Each lane is
+    read off a batch once for every detector (the DFG miner included),
+    and no document is built — the ingest-overhead benchmark
     (``benchmarks/test_diagnosis.py``) holds the tap to <10% of the
-    indexing cost.
+    ingest cost.
     """
 
     def __init__(self,
@@ -918,24 +993,20 @@ class DiagnosisTap:
     def observe(self, source: dict,
                 event_id: Optional[str] = None) -> None:
         """One event: a batch of one."""
-        self.observe_batch((source,), (event_id,))
+        self.observe_batch(DocBatch([source]), (event_id,))
 
-    def observe_batch(self, docs: Iterable[dict],
+    def observe_batch(self, batch: LaneBatch,
                       ids: Optional[Sequence[str]] = None) -> None:
-        if not isinstance(docs, (list, tuple)):
-            # A columnar RecordBatch hands over its (memoised) doc
-            # list; any other iterable is materialised the hard way.
-            to_docs = getattr(docs, "to_docs", None)
-            docs = to_docs() if to_docs is not None else list(docs)
-        self.events_observed += len(docs)
+        batch = _Reads(batch)
+        self.events_observed += len(batch)
         for detector in self._direct:
-            detector.observe_batch(docs, ids)
+            detector.observe_batch(batch, ids)
         for key, group in self._window_groups:
-            updates, max_ns = _scan_windows(docs, ids, *key)
+            updates, max_ns = _scan_windows(batch, ids, *key)
             for detector in group:
                 detector.absorb_windows(updates, max_ns)
         if self.dfg is not None:
-            self.dfg.observe_batch(docs)
+            self.dfg.observe_batch(batch)
 
     def observe_latencies(self, records: Sequence) -> None:
         """Latency records (``(start_ns, latency_ns, ...)``) in start

@@ -26,7 +26,8 @@ The same column answers the query planner
 (:mod:`repro.backend.planner`), which addresses documents by row too:
 ``term``/``terms`` read a lazily built ``code -> rows`` postings,
 ``range`` bisects the numeric lane (or a sorted permutation of it),
-``prefix`` and string ranges walk the dictionary's string keys,
+``prefix``, ``wildcard`` and string ranges walk the dictionary's string
+keys,
 ``exists`` reads the presence bitmap and a sorted search orders rows
 by keys read off the dictionary (:meth:`Column.sort_keys`).
 
@@ -52,6 +53,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
+from fnmatch import fnmatchcase
 from itertools import chain, compress, islice, repeat
 from operator import is_not, itemgetter, le
 from typing import Any, Iterable, Optional, Sequence
@@ -553,6 +555,12 @@ class Column:
         return self._rows_of(self._string_codes(
             lambda key: key.startswith(prefix)))
 
+    def rows_matching(self, pattern: str) -> Sequence[int]:
+        """Rows whose string value matches the shell-style ``pattern``
+        (``fnmatchcase``: ``*``, ``?``, ``[seq]``, ``[!seq]``)."""
+        return self._rows_of(self._string_codes(
+            lambda key: fnmatchcase(key, pattern)))
+
     def rows_present(self) -> Sequence[int]:
         """Rows whose value is not ``None`` (``exists``)."""
         nonnull = self.nonnull
@@ -668,12 +676,12 @@ class ColumnSet:
                       pending: Sequence[Any] = ()) -> Column:
         """Build (or fetch) the column for ``field``.
 
-        ``docs`` are the materialised documents and ``pending`` the
+        ``docs`` are the hydrated documents and ``pending`` the
         lane-appended batches (:class:`repro.backend.lanes.LaneBatch`)
-        whose rows follow them: hydration is all-or-nothing, so rows
-        are always "hydrated prefix, pending suffix" and the suffix is
-        read straight off the batches' lanes — building a column
-        hydrates nothing.
+        still parked, whose rows follow them (only a write hydrates,
+        and it hydrates every parked row), so the parked rows are read
+        straight off the batches' lanes — building a column hydrates
+        nothing.
         """
         column = self._columns.get(field)
         if column is None:

@@ -19,8 +19,9 @@ every producer and consumer shares:
   only for the reader that asks for one.
 - :class:`Overlay` — fields set on some rows after the batch was built
   (``update_docs`` on documents nobody hydrated yet).
-- :func:`time_ordered` — the one row-ordering rule of the segment
-  engine, shared by the load and the save.
+- :func:`time_order` / :func:`time_ordered` — the one row-ordering
+  rule, shared by the segment engine's load and save and by the
+  diagnosis layer's one session read.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ class LaneBatch(Protocol):
         """The documents, materialised once (memoised): the store keeps
         these very dicts, so a batch holds no second copy."""
 
+    def docs_at(self, rows) -> list[dict]:
+        """The documents of ``rows`` (a list or a ``range``), in that
+        order, built without the others: the very dicts of
+        :meth:`to_docs` once it has run, new ones — equal to them —
+        before."""
+
     def take(self, rows) -> "LaneBatch":
         """The sub-batch holding ``rows`` (a list or a ``range``), in
         that order (commutes with :meth:`to_docs`/:meth:`values_for`/
@@ -111,24 +118,32 @@ def sort_key(value: Any):
     return (1, type(value).__name__, str(value))
 
 
-def time_ordered(batch: LaneBatch) -> LaneBatch:
-    """``batch`` with its rows in stable ``sort_key(time)`` order.
+def time_order(batch: LaneBatch) -> Optional[list[int]]:
+    """The rows of ``batch`` in stable ``sort_key(time)`` order, or
+    ``None`` when they already are.
 
-    The batch itself when ``time`` is a dense int lane that never
-    decreases (what a tracer ships and ``save_session`` writes);
-    anything else — batches that interleave in time, a ``time`` that is
-    missing or not an int somewhere — takes the sort permutation, which
-    a dense int lane that does decrease (per-CPU rings interleave)
-    gets from the ints themselves.
+    ``None`` when ``time`` is a dense int lane that never decreases
+    (what a tracer ships and ``save_session`` writes); anything else —
+    batches that interleave in time, a ``time`` that is missing or not
+    an int somewhere — gets the sort permutation, which a dense int
+    lane that does decrease (per-CPU rings interleave) gets from the
+    ints themselves.
     """
     times = batch.values_for("time")
     if batch.dense_int("time"):
         if all(map(le, times, islice(times, 1, None))):
-            return batch
+            return None
         keys = times            # every sort_key is (1, "num", time)
     else:
         keys = list(map(sort_key, times))
-    return batch.take(sorted(range(len(keys)), key=keys.__getitem__))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def time_ordered(batch: LaneBatch) -> LaneBatch:
+    """``batch`` with its rows in :func:`time_order` — the batch itself
+    when they already are."""
+    order = time_order(batch)
+    return batch if order is None else batch.take(order)
 
 
 def transpose(docs: list[dict]) -> list[LaneColumn]:
@@ -528,6 +543,9 @@ class DocBatch:
     def to_docs(self) -> list[dict]:
         return self._docs
 
+    def docs_at(self, rows) -> list[dict]:
+        return _project(self._docs, rows)
+
     def take(self, rows) -> "DocBatch":
         return DocBatch(_project(self._docs, rows))
 
@@ -617,6 +635,28 @@ class JoinedBatch:
                 if self._overlay is not None:
                     self._overlay.apply(self._docs)
         return self._docs
+
+    def docs_at(self, rows) -> list[dict]:
+        if self._whole is not None:
+            return self._whole.docs_at(_project(self._rows, rows))
+        if self._docs is not None:
+            return _project(self._docs, rows)
+        # Each part builds its own rows; they land back in ``rows``
+        # order.
+        out: list = [None] * len(rows)
+        wanted: dict[int, tuple[list[int], list[int]]] = {}
+        starts = self._starts
+        for at, row in enumerate(rows):
+            number = bisect_right(starts, row) - 1
+            slots, local = wanted.setdefault(number, ([], []))
+            slots.append(at)
+            local.append(row - starts[number])
+        for number, (slots, local) in wanted.items():
+            for at, doc in zip(slots, self._parts[number].docs_at(local)):
+                out[at] = doc
+        if self._overlay is not None:
+            self._overlay.take(rows).apply(out)
+        return out
 
     def columns(self) -> list[LaneColumn]:
         if self._whole is not None:

@@ -4,8 +4,8 @@
 accepts and resolves every constraint the field's
 :class:`~repro.backend.columns.Column` can answer — ``term``/``terms``
 (dictionary code -> postings of rows), ``range`` (bisect on the numeric
-lane), ``prefix`` (the dictionary's string keys), ``exists`` (the
-presence bitmap) — from the top level or from ``bool.must``/
+lane), ``prefix`` and ``wildcard`` (the dictionary's string keys),
+``exists`` (the presence bitmap) — from the top level or from ``bool.must``/
 ``bool.filter`` conjunctions, recursively.  Rows are the one address of
 the read path: a row number is a document's position in insertion
 order, so an ascending row sequence is already in scan order and is
@@ -174,16 +174,19 @@ def _plan(query: Optional[dict],
             return _FULLSCAN
         return rows, True
 
-    if kind == "prefix":
+    if kind in ("prefix", "wildcard"):
         entry = _entry(body)
         if entry is None:
             return _FULLSCAN
-        field, prefix = entry
-        if isinstance(prefix, dict) and "value" in prefix:
-            prefix = prefix["value"]
-        if not isinstance(prefix, str):
+        field, pattern = entry
+        if isinstance(pattern, dict) and "value" in pattern:
+            pattern = pattern["value"]
+        if not isinstance(pattern, str):
             return _FULLSCAN
-        return lookup(field).rows_with_prefix(prefix), True
+        column = lookup(field)
+        if kind == "prefix":
+            return column.rows_with_prefix(pattern), True
+        return column.rows_matching(pattern), True
 
     if kind == "exists":
         if not isinstance(body, dict) or "field" not in body:
@@ -195,7 +198,7 @@ def _plan(query: Optional[dict],
             return _FULLSCAN
         return _plan_bool(body, lookup)
 
-    # Unknown kinds (incl. wildcard) stay on the predicate path.
+    # Unknown kinds stay on the predicate path.
     return _FULLSCAN
 
 

@@ -17,9 +17,11 @@ own segment directory — and a thin coordinator that:
   document is ever materialised on the ingest path;
 - **fans out reads** shard by shard (serially: the speed-up is the
   smaller per-shard working set, not threads) and merges at the
-  coordinator: a k-way heap merge by global rank for hits (a sorted
-  search asks each shard for its own sorted ``from_ + size`` prefix and
-  merges those by the sort key); for aggregations, each shard's columnar partial
+  coordinator: a k-way heap merge by global rank for hits (an unsorted
+  search merges the matching ids and builds the window's documents
+  alone; a sorted search asks each shard for its own sorted ``from_ +
+  size`` prefix and merges those by the sort key); for aggregations,
+  each shard's columnar partial
   (:meth:`ColumnSet.partial`, cached per shard epoch) handed to the
   same :meth:`ColumnSet.merge` that finishes a single store's answer —
   no aggregation is validated, computed or finished in this module —
@@ -39,7 +41,6 @@ equality-based matching would reach.
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 import zlib
@@ -54,8 +55,8 @@ from repro.backend.lanes import JoinedBatch
 from repro.backend.query import get_field
 from repro.backend.store import (AGG_CACHE_SIZE, DocumentStore, Index,
                                  StoreError, _response, sort_key,
-                                 bind_store_telemetry, observe_span,
-                                 parse_sort, span_start)
+                                 bind_store_telemetry, copy_json,
+                                 observe_span, parse_sort, span_start)
 from repro.backend.wal import frame_record, recover_log
 
 #: Supported shard keys (``TracerConfig.shard_key``).
@@ -580,7 +581,7 @@ class ShardedDocumentStore:
                 cached = self._cache_get(cache_key)
                 if cached is not None:
                     self.agg_cache_hits += 1
-                    total, aggregations = copy.deepcopy(cached)
+                    total, aggregations = cached[0], copy_json(cached[1])
                     cacheable = False
                 else:
                     self.agg_cache_misses += 1
@@ -603,6 +604,9 @@ class ShardedDocumentStore:
         elif sort and aggs is None:
             total, window = self._sorted_window(index, query, shards, state,
                                                 sort, size, from_)
+        elif aggs is None:
+            total, window = self._window(index, query, shards, state,
+                                         size, from_)
         else:
             matches = self._merged_matches(index, query, shards, state, sort)
             total = len(matches)
@@ -625,8 +629,29 @@ class ShardedDocumentStore:
             self._telemetry["query_hits"].observe(total)
             observe_span(self._telemetry, "store.query", start)
         if cacheable and aggregations is not None:
-            self._cache_put(cache_key, (total, copy.deepcopy(aggregations)))
+            self._cache_put(cache_key, (total, copy_json(aggregations)))
         return _response(index, total, window, aggregations)
+
+    def _window(self, index: str, query, shards: list[int],
+                state: _IndexState, size: Optional[int],
+                from_: int) -> tuple[int, list[tuple[str, dict]]]:
+        """``(total, hits[from_:from_ + size])`` of an unsorted search:
+        every shard's matching ids merged by global rank, and a
+        document built for the window's rows alone, shard by shard."""
+        matched = self._map_shards(
+            shards, lambda shard: shard.lanes(index, query)[0])
+        merged = self._merge_by_rank(
+            [[(doc_id, code) for doc_id in doc_ids]
+             for code, doc_ids in zip(shards, matched)], state)
+        window = merged[from_:None if size is None else from_ + size]
+        sources: dict[str, dict] = {}
+        for code in shards:
+            target = self.shards[code]._index(index)
+            doc_ids = [doc_id for doc_id, owner in window if owner == code]
+            sources.update(zip(doc_ids, target.sources(
+                list(map(target.columns.row_of.__getitem__, doc_ids)))))
+        return len(merged), [(doc_id, sources[doc_id])
+                             for doc_id, _ in window]
 
     def _merged_matches(self, index: str, query, shards: list[int],
                         state: _IndexState, sort) -> list[tuple[str, dict]]:

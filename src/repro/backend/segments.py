@@ -69,8 +69,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.backend.lanes import (GROUP_SAFE, DocBatch, JoinedBatch,
-                                 LaneBatch, LaneColumn, StructLane, sort_key,
-                                 time_ordered, walk_lane)
+                                 LaneBatch, LaneColumn, StructLane, _project,
+                                 sort_key, time_ordered, walk_lane)
 from repro.backend.planner import prune_constraints
 from repro.backend.query import compile_query
 from repro.backend.store import INDEXED_EVENT_FIELDS
@@ -875,9 +875,19 @@ class _Blocks:
         return keys
 
     def to_docs(self) -> list[dict]:
-        docs = _assemble_rows(self._rows, [
+        return self._assemble(self._rows, [
             (field, lane.values, lane.present)
             for field, lane in self._lanes.items()])
+
+    def docs_at(self, rows) -> list[dict]:
+        return self._assemble(len(rows), [
+            (field, _project(lane.values, rows),
+             None if lane.present is None
+             else bytes(_project(lane.present, rows)))
+            for field, lane in self._lanes.items()])
+
+    def _assemble(self, rows: int, columns: list) -> list[dict]:
+        docs = _assemble_rows(rows, columns)
         session = self._session
         for doc in docs:
             doc["session"] = session

@@ -11,8 +11,9 @@ touched owns one typed :class:`~repro.backend.columns.Column`, built
 lazily from lanes.  The query planner (:mod:`repro.backend.planner`)
 answers in ascending row numbers read off those columns (dictionary
 code -> postings for ``term``/``terms``, bisect on the numeric lane for
-``range``, the dictionary's string keys for ``prefix``, the presence
-bitmap for ``exists``), and everything downstream consumes the rows as
+``range``, the dictionary's string keys for ``prefix`` and
+``wildcard``, the presence bitmap for ``exists``), and everything
+downstream consumes the rows as
 they are: the aggregation kernels, ``count``, the lane read, and a
 sorted search, which orders rows by keys read off the columns and
 builds ``(id, source)`` only for the window it returns.  When a plan is
@@ -25,16 +26,20 @@ plus a cumulative pruning-ratio gauge.
 Writes are delta-aware: re-putting or refreshing a document moves its
 row only in the columns whose values actually changed.  Documents a
 vectorized bulk parked as lanes (:mod:`repro.backend.lanes`) stay
-parked through the tail of a traced execution:
-:meth:`DocumentStore.lanes` reads them as lanes and
-:meth:`DocumentStore.update_docs` lands on them as an overlay, so
-correlation and ``save_session`` build no ``_source`` dict.
+parked through the tail of a traced execution and through every read
+of a loaded session: :meth:`DocumentStore.lanes` reads them as lanes,
+:meth:`DocumentStore.update_docs` lands on them as an overlay, and a
+request that returns hits builds the ``_source`` of those rows alone
+(:meth:`Index.sources`), so correlation, ``save_session``, diagnosis
+and a ``size=50`` window build no other dict.  Only a path that mutates
+documents hydrates the rest.
 
 Aggregations are *pushed down* to the columnar kernels
 (:mod:`repro.backend.columns`): the plan's rows are evaluated by
 typed-array kernels without ever materialising ``_source`` dicts — the
 dominant cost of the dashboard path.  Results are cached per ``(index
-epoch, query, aggs)`` and invalidated by any mutation.  Shapes the
+epoch, query, aggs)`` (copies in, copies out: :func:`copy_json`) and
+invalidated by any mutation.  Shapes the
 kernels do not support fall back to the dict-walking
 :func:`run_aggregations`.  Every decision is counted and exposed as
 ``dio_store_agg_{pushdown,fallback,cache_hits,cache_misses}`` plus a
@@ -43,7 +48,6 @@ kernel-duration histogram.
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from bisect import bisect_left, bisect_right
@@ -91,11 +95,16 @@ class Index:
         #: what keys cached aggregation results out of existence.
         self.epoch = 0
         self._agg_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        #: Lane-wise bulk appends whose ``_source`` dicts have not been
-        #: materialised yet: ``(first row, LaneBatch)`` pairs, hydrated
-        #: into ``_docs`` the first time any reader needs sources.
+        #: Lane-wise bulk appends still *parked*: ``(first row,
+        #: LaneBatch)`` pairs, the last rows of the index (``put``
+        #: hydrates them before it inserts), moved into ``_docs`` only
+        #: by a path that mutates documents.
         self._pending: list[tuple[int, LaneBatch]] = []
         self._pending_count = 0
+        #: Row -> ``_source`` of the parked rows a reader has asked for,
+        #: built one row at a time (:meth:`sources`): a row reads as
+        #: the same dict until it changes.
+        self._built: dict[int, dict] = {}
         #: Documents lazily materialised so far (telemetry).
         self.hydrated_docs_total = 0
 
@@ -107,29 +116,34 @@ class Index:
 
     @property
     def pending_docs(self) -> int:
-        """Documents appended lane-wise but not yet materialised."""
-        return self._pending_count
+        """Documents appended lane-wise whose ``_source`` no reader has
+        asked for yet."""
+        return self._pending_count - len(self._built)
 
     def _hydrate(self) -> None:
-        """Materialise every pending batch's ``_source`` dicts.
+        """Move every parked row into ``_docs`` — the dicts readers
+        were handed, the rest built batch by batch.
 
-        Called by any code path that reads or mutates ``_docs``.  The
-        batches were appended in insertion order and ``put`` hydrates
-        before inserting, so ``_docs`` iteration order always matches
-        row order afterwards.
+        Called by the paths that mutate documents.  The batches were
+        appended in insertion order and ``put`` hydrates before
+        inserting, so ``_docs`` iteration order always matches row
+        order afterwards.
         """
         if not self._pending:
             return
         pending, self._pending = self._pending, []
+        built, self._built = self._built, {}
+        self.hydrated_docs_total += self._pending_count - len(built)
         self._pending_count = 0
         docs = self._docs
         doc_ids = self.columns.doc_ids
-        count = 0
         for start, batch in pending:
-            docs.update(zip(doc_ids[start:start + len(batch)],
-                            batch.to_docs()))
-            count += len(batch)
-        self.hydrated_docs_total += count
+            rows = range(start, start + len(batch))
+            held = list(map(built.get, rows))
+            if None in held:
+                held = [doc if doc is not None else new
+                        for doc, new in zip(held, batch.to_docs())]
+            docs.update(zip(doc_ids[start:rows.stop], held))
 
     def column_sources(self) -> tuple[dict[str, dict], list[LaneBatch]]:
         """``(docs, pending)`` for :meth:`ColumnSet.ensure_column`.
@@ -242,9 +256,8 @@ class Index:
 
     def get(self, doc_id: str) -> Optional[dict]:
         """Fetch a document source by id."""
-        if self._pending:
-            self._hydrate()
-        return self._docs.get(doc_id)
+        row = self.columns.row_of.get(doc_id)
+        return None if row is None else self.sources((row,))[0]
 
     def documents(self) -> Iterator[tuple[str, dict]]:
         """All (id, source) pairs in insertion order."""
@@ -299,21 +312,24 @@ class Index:
             return False                # a dotted name under a new key
         row_of = self.columns.row_of
         starts = [start for start, _ in pending]
-        hydrated: list[str] = []
+        # The dicts readers already hold take the update too.
+        held: list[dict] = []
         lane_rows: dict[int, list[int]] = {}
+        built = self._built
         for doc_id in doc_ids:
             row = row_of[doc_id]
             entry = bisect_right(starts, row) - 1
             if entry < 0:
-                hydrated.append(doc_id)
+                held.append(self._docs[doc_id])
             else:
                 lane_rows.setdefault(entry, []).append(row - starts[entry])
+                if row in built:
+                    held.append(built[row])
         for entry, rows in lane_rows.items():
             if not pending[entry][1].overlay(rows, fields):
                 return False
-        docs = self._docs
-        for doc_id in hydrated:
-            docs[doc_id].update(fields)
+        for source in held:
+            source.update(fields)
         self.epoch += 1
         for held in columns:
             value = fields[held.field]
@@ -331,11 +347,47 @@ class Index:
     def _ids(self, rows: Iterable[int]) -> list[str]:
         return list(map(self.columns.doc_ids.__getitem__, rows))
 
-    def pairs(self, rows: Iterable[int]) -> list[tuple[str, dict]]:
+    def sources(self, rows: Sequence[int]) -> list[dict]:
+        """The ``_source`` of each of ``rows``, in their order.
+
+        A parked row is built from its batch's lanes the first time a
+        reader asks for it — on its own (:meth:`LaneBatch.docs_at`),
+        or with the whole batch when all of it is asked for at once —
+        and is the same dict on every read after, until it changes.
+        """
+        doc_ids = self.columns.doc_ids
+        docs = self._docs
+        if not self._pending:
+            return [docs[doc_ids[row]] for row in rows]
+        first = self._pending[0][0]
+        built = self._built
+        missing = [row for row in rows if row >= first and row not in built]
+        if missing:
+            self._build(missing)
+        return [docs[doc_ids[row]] if row < first else built[row]
+                for row in rows]
+
+    def _build(self, rows: list[int]) -> None:
+        """Build the parked ``rows`` (distinct, none built yet), one
+        batch's run of them at a time."""
+        rows.sort()
+        pending = self._pending
+        starts = [start for start, _ in pending]
+        built = self._built
+        at = 0
+        while at < len(rows):
+            start, batch = pending[bisect_right(starts, rows[at]) - 1]
+            upto = bisect_left(rows, start + len(batch), at)
+            need = rows[at:upto]
+            built.update(zip(need, batch.to_docs() if len(need) == len(batch)
+                             else batch.docs_at([row - start
+                                                 for row in need])))
+            at = upto
+        self.hydrated_docs_total += len(rows)
+
+    def pairs(self, rows: Sequence[int]) -> list[tuple[str, dict]]:
         """``(id, source)`` of ``rows``, in their order."""
-        self._hydrate()
-        doc_ids = self._ids(rows)
-        return list(zip(doc_ids, map(self._docs.__getitem__, doc_ids)))
+        return list(zip(self._ids(rows), self.sources(rows)))
 
     def scan(self, query: Optional[dict],
              plan: Optional[QueryPlan] = None) -> list[tuple[str, dict]]:
@@ -348,15 +400,15 @@ class Index:
         """The matches of :meth:`scan`, in its order, as ``(doc_ids,
         batch)`` — one lane batch, no document built.
 
-        Under an exact plan a parked batch is handed over as it is (or
-        taken to its matching rows) and the hydrated documents are the
-        transposing part; a plan that has to look at documents has
-        hydrated them all.
+        A parked batch is handed over as it is (or taken to its
+        matching rows) whether or not a reader has had some of its
+        rows built — the lanes and those dicts say the same — and the
+        hydrated documents are the transposing part.
         """
         rows, _ = self.matching_rows(query, plan)
         doc_ids = self._ids(rows)
         pending = self._pending
-        # Hydration is all-or-nothing: hydrated rows, then parked ones.
+        # Hydrated rows first: the parked batches are the last rows.
         done = bisect_left(rows, pending[0][0]) if pending else len(rows)
         parts: list[LaneBatch] = [DocBatch(
             list(map(self._docs.__getitem__, doc_ids[:done])))]
@@ -387,18 +439,17 @@ class Index:
         The read every request shares: no ``(id, source)`` tuples, no
         hit dicts — the rows the columnar kernels consume, a sorted
         search orders and :meth:`pairs` turns into hits.  Under an
-        exact plan nothing is hydrated; the sequence may be column
-        storage (read-only).
+        exact plan no document is built; otherwise the candidates'
+        are (:meth:`sources`).  The sequence may be column storage
+        (read-only).
         """
         predicate = compile_query(query)   # validates even when exact
         if plan is None:
             plan = self.plan(query)
         rows = self.columns.all_rows() if plan.rows is None else plan.rows
         if not plan.exact:
-            self._hydrate()
-            docs = self._docs
-            doc_ids = self.columns.doc_ids
-            rows = [row for row in rows if predicate(docs[doc_ids[row]])]
+            rows = [row for row, source in zip(rows, self.sources(rows))
+                    if predicate(source)]
         return rows, len(rows)
 
     def sort_rows(self, rows: Sequence[int],
@@ -477,13 +528,15 @@ _STORE_FAMILIES = (
      "(no per-event _source materialisation)."),
     ("counter", "dio_ingest_docs_hydrated_total", "docs_hydrated",
      "Lane-appended documents (traced batches and loaded sessions) "
-     "whose _source dicts were lazily materialised because a reader "
-     "asked for documents, or an update set a key their lanes already "
-     "hold.  Aggregations, file-path correlation and save_session "
-     "read and update lanes and hydrate nothing."),
+     "whose _source dicts were built: one row at a time for the hits "
+     "a request returns (and the candidates an inexact plan "
+     "re-checks), the rest when a write needs the documents (a put, a "
+     "delete, an update a lane cannot overlay).  Aggregations, exact "
+     "plans, file-path correlation, save_session and diagnosis read "
+     "lanes and build nothing."),
     ("gauge", "dio_ingest_pending_docs", "pending_docs",
      "Lane-appended documents (traced batches and loaded sessions) "
-     "currently awaiting lazy _source materialisation."),
+     "whose _source no reader has had built yet."),
     ("counter", "dio_store_plan_exact_total", "plan_exact",
      "Queries the planner resolved as exact."),
     ("counter", "dio_store_plan_pruned_total", "plan_pruned",
@@ -850,7 +903,7 @@ class DocumentStore:
                 cached = target.agg_cache_get(cache_key)
                 if cached is not None:
                     self.agg_cache_hits += 1
-                    total, aggregations = copy.deepcopy(cached)
+                    total, aggregations = cached[0], copy_json(cached[1])
                     cacheable = False      # nothing new to store
                 else:
                     self.agg_cache_misses += 1
@@ -874,8 +927,7 @@ class DocumentStore:
             if pushdown:
                 aggregations = self._run_kernels(target, aggs, matched)
             else:
-                aggregations = run_aggregations(
-                    aggs, [src for _, src in target.pairs(rows)])
+                aggregations = run_aggregations(aggs, target.sources(rows))
                 self.agg_fallbacks += 1
         # Only the hits that are returned are ever built (an
         # aggregate- or count-only request builds none and hydrates
@@ -887,8 +939,7 @@ class DocumentStore:
             self._telemetry["query_hits"].observe(total)
             observe_span(self._telemetry, "store.query", start)
         if cacheable and aggregations is not None:
-            target.agg_cache_put(cache_key,
-                                 (total, copy.deepcopy(aggregations)))
+            target.agg_cache_put(cache_key, (total, copy_json(aggregations)))
         return _response(index, total, window, aggregations)
 
     def update_by_query(self, index: str, query: Optional[dict],
@@ -941,6 +992,19 @@ def parse_sort(sort: list) -> list[tuple[str, bool]]:
             raise StoreError(f"bad sort entry {entry!r}")
         entries.append((field, descending))
     return entries[::-1]
+
+
+def copy_json(value: Any) -> Any:
+    """``value`` with every ``dict`` and ``list`` in it copied, all the
+    way down; anything else — numbers, strings, the tuples a bucket
+    key can be — shared.  What a cached aggregation result is shaped
+    like: a cache hands out and keeps copies, so no caller's mutation
+    reaches the next response."""
+    if type(value) is dict:
+        return {key: copy_json(item) for key, item in value.items()}
+    if type(value) is list:
+        return [copy_json(item) for item in value]
+    return value
 
 
 def _response(index: str, total: int, window: list,

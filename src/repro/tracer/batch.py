@@ -130,8 +130,8 @@ class RecordBatch:
 
     Build with :meth:`decode`; ``len()`` is the record count.  The
     batch iterates as the documents ``Event.to_doc`` would have built,
-    so existing batch consumers (``DiagnosisTap``, spill WALs) can
-    treat it as a document sequence when they must.
+    so a consumer that needs documents (the spill WAL) can treat it as
+    a document sequence; the ``DiagnosisTap`` reads its lanes.
     """
 
     __slots__ = ("session", "_n", "_syscall", "_proc", "_pid", "_tid",
@@ -344,6 +344,13 @@ class RecordBatch:
         self._cache = {field: values for field, values in self._cache.items()
                        if field in self._KEYS}
         return True
+
+    def docs_at(self, rows) -> list[dict]:
+        """The documents of ``rows`` (see :class:`LaneBatch`): those
+        :meth:`to_docs` built, or the rows' own sub-batch's."""
+        if self._docs is not None:
+            return [self._docs[row] for row in rows]
+        return self.take(rows).to_docs()
 
     def to_docs(self) -> list[dict]:
         """Materialise this batch's documents (memoised).

@@ -393,12 +393,12 @@ class TestNoMaterialization:
                   "aggs": {"s": {"sum": {"field": "n"}}}}}
 
     def _spy_scan(self, store, index):
-        """Calls of ``Index.pairs`` — the one place a search builds
-        ``(id, source)`` tuples."""
+        """Calls of ``Index.sources`` — the one place a search reads
+        documents (``pairs`` builds its hits through it)."""
         calls = []
         target = store._index(index)
-        original = target.pairs
-        target.pairs = lambda *a, **k: calls.append(1) or original(*a, **k)
+        original = target.sources
+        target.sources = lambda *a, **k: calls.append(1) or original(*a, **k)
         return calls
 
     def test_agg_only_search_never_scans(self, store):

@@ -71,11 +71,18 @@ def feed(store, how: str) -> None:
     store.bulk_columnar(INDEX, first)
     store.bulk_columnar(INDEX, other)
     if how == "mixed":
-        store.get_doc(INDEX, "1")       # hydrates what has arrived
+        hydrate(store)
     store.bulk_columnar(INDEX, second)
     store.bulk_columnar(INDEX, third)
     if how == "hydrated":
-        store.get_doc(INDEX, "1")
+        hydrate(store)
+
+
+def hydrate(store) -> None:
+    """Build every document that has arrived, as a write would."""
+    for shard in getattr(store, "shards", [store]):
+        if INDEX in shard._indices:
+            shard._indices[INDEX]._hydrate()
 
 
 def hydrated(store) -> int:
@@ -107,8 +114,7 @@ class Twins:
         return self.store, self.legacy, self.by_rows
 
     def correlate(self, session=SESSION, through=None):
-        for shard in getattr(self.by_rows, "shards", [self.by_rows]):
-            shard._indices[INDEX]._hydrate()
+        hydrate(self.by_rows)
         report = FilePathCorrelator(through or self.store).correlate(
             INDEX, session=session)
         assert report.as_dict() == legacy_correlate(

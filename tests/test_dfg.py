@@ -8,6 +8,7 @@ from repro.analysis.dfg import (DirectlyFollowsGraph, compare_session_dfgs,
                                 mine_phases, segment_phases)
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
+from repro.backend.lanes import DocBatch
 from repro.experiments import run_fluentbit_case
 
 MS = 1_000_000
@@ -124,7 +125,7 @@ class TestMining:
 class TestPhases:
     def test_single_phase_when_stable(self):
         events = [event("read", i * 10) for i in range(100)]
-        phases = segment_phases(events, window_events=20)
+        phases = segment_phases(DocBatch(events), window_events=20)
         assert len(phases) == 1
         assert phases[0].events == 100
 
@@ -132,7 +133,7 @@ class TestPhases:
         events = [event("read", i * 10) for i in range(60)]
         events += [event("write", 600 + i * 10, path="/w.log")
                    for i in range(60)]
-        phases = segment_phases(events, window_events=20,
+        phases = segment_phases(DocBatch(events), window_events=20,
                                 drift_threshold=0.4)
         assert len(phases) == 2
         assert phases[0].dfg.node_counts == {"read": 60}
@@ -148,7 +149,7 @@ class TestPhases:
 
     def test_rejects_tiny_window(self):
         with pytest.raises(ValueError):
-            segment_phases([], window_events=1)
+            segment_phases(DocBatch([]), window_events=1)
 
 
 class TestCompareSessionDFGs:

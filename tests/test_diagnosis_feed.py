@@ -15,7 +15,12 @@ keeps one of each; the other is kept here, as it was, as the oracle:
 3. the **per-thread graphs, then merge** (:class:`OracleGraph`,
    :func:`oracle_merged_dfg`) — one single-chain graph per TID folded
    edge by edge into a session graph, which is what a ``per_thread``
-   graph's one loop must equal.
+   graph's one loop must equal;
+4. the **per-document session read and batch bodies**
+   (:class:`DocumentView`, ``doc_*``) — the one sorted ``size=None``
+   search, the batch detectors reading its documents, a phase walking
+   every window twice, compare walking both sessions' documents —
+   which is what the lane-reading bodies must say.
 
 Last, the test the bug fix needs: a live tap that gets its latency
 records after the run reports what the replay of its own store does.
@@ -27,10 +32,17 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.detectors import Finding, make_evidence
-from repro.analysis.dfg import (START, DirectlyFollowsGraph, EdgeStats,
-                                merged_dfg)
+from repro.analysis.compare import Divergence, compare_sessions
+from repro.analysis.detectors import (DEFAULT_DETECTORS,
+                                      FailedSyscallDetector, FdLeakDetector,
+                                      Finding, RandomAccessDetector,
+                                      ShortLivedFileDetector, SmallIODetector,
+                                      StaleOffsetDetector, make_evidence,
+                                      run_detectors)
+from repro.analysis.dfg import (START, DirectlyFollowsGraph, EdgeStats, Phase,
+                                file_class, merged_dfg, segment_phases)
 from repro.analysis.diagnose import diagnose_session, follow_session
+from repro.analysis.patterns import AccessPattern, classify_file_accesses
 from repro.analysis.session import SessionEvents
 from repro.analysis.streaming import (MAX_EVIDENCE_IDS, MAX_TRACKED_PIDS,
                                       MAX_TRACKED_PROCS, MAX_TRACKED_TAGS,
@@ -45,8 +57,11 @@ from repro.analysis.streaming import (MAX_EVIDENCE_IDS, MAX_TRACKED_PIDS,
                                       _capped_insert, _WindowState,
                                       default_streaming_detectors)
 from repro.backend import DocumentStore
+from repro.backend.lanes import DocBatch
+from repro.backend.query import compile_query
 from repro.experiments import run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
+from repro.kernel.errno import Errno
 
 INDEX = "dio_trace"
 SESSION = "feed"
@@ -386,9 +401,17 @@ def stored(stream):
     return store
 
 
+def stored_events(store, session=SESSION):
+    """``(id, source)`` of a stored session, stably sorted by time: the
+    read the session view made as one search before it read lanes."""
+    response = store.search(INDEX, query={"term": {"session": session}},
+                            sort=["time"], size=None)
+    return [(hit["_id"], hit["_source"]) for hit in response["hits"]["hits"]]
+
+
 def check_replay_equals_per_event_merge(stream, records, battery):
     store = stored(stream)
-    events = SessionEvents(store, INDEX, SESSION).events
+    events = stored_events(store)
     assert [source for _, source in events] == stream
     tap = follow_session(store, INDEX, SESSION,
                          tap=DiagnosisTap(battery(PRODUCTION), dfg=False),
@@ -489,7 +512,7 @@ def fed(tap, event_batches, records):
     tap.  (Late records fed one call at a time would each find their
     window already behind the watermark and close it alone.)"""
     for batch in event_batches:
-        tap.observe_batch([source for _, source in batch],
+        tap.observe_batch(DocBatch([source for _, source in batch]),
                           [event_id for event_id, _ in batch])
     tap.observe_latencies(records)
     tap.finalize()
@@ -539,6 +562,15 @@ class OracleGraph(DirectlyFollowsGraph):
         super().__init__(name, node_mode)
         self._prev_node = None
         self._prev_ns = 0
+
+    def node_for(self, source):
+        """A document's node, read off the document, as it was."""
+        syscall = source["syscall"]
+        if self.node_mode == "syscall":
+            return syscall
+        cls = file_class(source.get("file_path")
+                         or (source.get("args") or {}).get("path"))
+        return f"{syscall}/{cls}"
 
     def observe(self, source):
         node = self.node_for(source)
@@ -614,14 +646,14 @@ node_modes = st.sampled_from(("syscall", "syscall_fileclass"))
 def test_per_thread_loop_equals_graphs_then_merge(stream, node_mode, batch):
     oracle = oracle_merged_dfg(stream, "stream", node_mode).as_dict()
     graph = DirectlyFollowsGraph("stream", node_mode, per_thread=True)
-    graph.observe_batch(stream)
+    graph.observe_batch(DocBatch(stream))
     assert graph.as_dict() == oracle
-    view = SimpleNamespace(events=[(None, source) for source in stream])
+    view = SimpleNamespace(batch=DocBatch(stream))
     assert merged_dfg(None, "stream", None, node_mode,
                       view=view).as_dict() == oracle
     miner = StreamingDFGMiner(node_mode)
     for lo in range(0, len(stream), batch):
-        miner.observe_batch(stream[lo:lo + batch])
+        miner.observe_batch(DocBatch(stream[lo:lo + batch]))
     assert miner.graph.as_dict() == oracle
 
 
@@ -633,11 +665,11 @@ def test_single_chain_loop_equals_per_event_observe(stream, node_mode,
     oracle = OracleGraph("g", node_mode)
     nodes = [oracle.observe(source) for source in stream]
     whole = DirectlyFollowsGraph("g", node_mode)
-    assert whole.observe_batch(stream) == nodes
+    assert whole.observe_batch(DocBatch(stream)) == nodes
     assert whole.as_dict() == oracle.as_dict()
     pieces = DirectlyFollowsGraph("g", node_mode)
     for lo in range(0, len(stream), batch):
-        pieces.observe_batch(stream[lo:lo + batch])
+        pieces.observe_batch(DocBatch(stream[lo:lo + batch]))
     assert pieces.as_dict() == oracle.as_dict()
     single = DirectlyFollowsGraph("g", node_mode)
     assert [single.observe(source) for source in stream] == nodes
@@ -650,7 +682,7 @@ def test_miner_in_consumer_sized_batches_holds_the_session_graph():
     assert len(stream) > 3 * 512
     miner = StreamingDFGMiner()
     for lo in range(0, len(stream), 512):
-        miner.observe_batch(stream[lo:lo + 512])
+        miner.observe_batch(DocBatch(stream[lo:lo + 512]))
     assert miner.graph.as_dict() == oracle_merged_dfg(
         stream, "stream", "syscall").as_dict()
     one_by_one = StreamingDFGMiner()
@@ -691,3 +723,434 @@ def test_live_tap_reports_what_the_replay_of_its_store_does():
             == shape(replay, "latency-spike-blame"))
     assert len(shape(replay)) == 11
     assert shape(live) == shape(replay)
+
+
+# ----------------------------------------------------------------------
+# Oracle 4: the per-document session read and batch bodies, as they were
+#
+# Before the diagnosis layer read lanes, the session view was one
+# sorted ``size=None`` search whose subsets were lists of ``(id,
+# source)`` pairs, the batch detectors read those documents (and sent
+# two unsorted ``size=None`` searches of their own), and a behaviour
+# phase walked every window's documents a second time to take it in.
+# Those bodies are kept here, as they were, and production must say
+# exactly what they said.
+
+class DocumentView:
+    """``SessionEvents`` as it was: documents, not lanes."""
+
+    def __init__(self, store, index, session):
+        self.store, self.index, self.session = store, index, session
+        response = store.search(index, query=self.query(), sort=["time"],
+                                size=None)
+        self.events = [(hit["_id"], hit["_source"])
+                       for hit in response["hits"]["hits"]]
+
+    def query(self, extra=None):
+        must = list(extra or [])
+        if self.session:
+            must.append({"term": {"session": self.session}})
+        return {"bool": {"must": must}} if must else {"match_all": {}}
+
+    def grouped(self, field):
+        groups = {}
+        for event in self.events:
+            groups.setdefault(event[1].get(field), []).append(event)
+        return groups
+
+    def data_by_file(self):
+        per_file = {}
+        for _, source in self.events:
+            tag = source.get("file_tag")
+            if tag is not None and source.get("syscall") in _READS + _WRITES:
+                per_file.setdefault(tag, []).append(source)
+        return per_file
+
+
+def doc_evidence(events):
+    times = [source.get("time", 0) for _, source in events]
+    return make_evidence([event_id for event_id, _ in events[:20]],
+                         min(times) if times else None,
+                         max(times) if times else None)
+
+
+def doc_access_patterns(view):
+    patterns = []
+    for tag, events in sorted(view.data_by_file().items()):
+        reads = sum(1 for e in events if e["syscall"] in _READS)
+        sizes = [max(e["ret"], 0) for e in events]
+        read_sizes = [max(e["ret"], 0) for e in events
+                      if e["syscall"] in _READS]
+        sequential = considered = 0
+        expected = None
+        for event in events:
+            offset = event.get("offset")
+            if offset is None:
+                continue
+            if expected is not None:
+                considered += 1
+                if offset == expected:
+                    sequential += 1
+            expected = offset + max(event["ret"], 0)
+        patterns.append(AccessPattern(
+            tag, events[0].get("file_path"), reads, len(events) - reads,
+            (sequential / considered) if considered else 1.0,
+            sum(sizes) / len(sizes),
+            sum(read_sizes) / len(read_sizes) if read_sizes else 0.0))
+    return patterns
+
+
+def doc_stale_findings(detector, view):
+    findings = []
+    for tag, events in sorted(view.data_by_file().items()):
+        reads = [e for e in events if e["syscall"] in _READS]
+        if not reads:
+            continue
+        first = reads[0]
+        offset = first.get("offset")
+        if offset is None or offset == 0 or first["ret"] != 0:
+            continue
+        if any(r["ret"] > 0 for r in reads):
+            continue
+        findings.append(Finding(
+            detector.name, "critical",
+            f"{first['proc_name']} resumed {first.get('file_path') or tag} "
+            f"at stale offset {offset}; content before EOF was never read "
+            "(possible data loss)",
+            {"file_tag": tag, "file_path": first.get("file_path"),
+             "offset": offset, "time": first["time"]},
+            doc_evidence(view.grouped("file_tag")[tag])))
+    return findings
+
+
+def doc_small_io_findings(detector, view):
+    findings = []
+    for pattern in doc_access_patterns(view):
+        requests = pattern.reads + pattern.writes
+        if requests < detector.min_requests:
+            continue
+        relevant = (pattern.mean_read_bytes
+                    if pattern.reads >= pattern.writes
+                    else pattern.mean_request_bytes)
+        if 0 < relevant < detector.threshold_bytes / 4:
+            findings.append(Finding(
+                detector.name, "warning",
+                f"{pattern.file_path or pattern.file_tag}: {requests} "
+                f"requests averaging {relevant:.0f} B — consider batching",
+                {"file_tag": pattern.file_tag, "requests": requests,
+                 "mean_bytes": relevant},
+                doc_evidence(view.grouped("file_tag")[pattern.file_tag])))
+    return findings
+
+
+def doc_random_access_findings(detector, view):
+    return [Finding(
+        detector.name, "info",
+        f"{pattern.file_path or pattern.file_tag}: {pattern.reads} reads, "
+        f"only {pattern.sequential_fraction * 100:.0f}% sequential",
+        {"file_tag": pattern.file_tag, "reads": pattern.reads,
+         "sequential_fraction": pattern.sequential_fraction},
+        doc_evidence(view.grouped("file_tag")[pattern.file_tag]))
+        for pattern in doc_access_patterns(view)
+        if pattern.reads >= detector.min_reads
+        and pattern.sequential_fraction <= detector.max_sequential_fraction]
+
+
+def doc_failed_findings(detector, view):
+    response = view.store.search(
+        view.index, query=view.query([{"range": {"ret": {"lt": 0}}}]),
+        sort=["time"], size=None)
+    clusters = {}
+    for hit in response["hits"]["hits"]:
+        source = hit["_source"]
+        clusters.setdefault((source["syscall"], -source["ret"]),
+                            []).append(hit)
+    findings = []
+    for (syscall, errno_value), hits in sorted(clusters.items()):
+        if len(hits) < detector.min_failures:
+            continue
+        try:
+            errno_name = Errno(errno_value).name
+        except ValueError:
+            errno_name = str(errno_value)
+        times = [hit["_source"].get("time", 0) for hit in hits]
+        findings.append(Finding(
+            detector.name, "warning",
+            f"{syscall} failed with {errno_name} {len(hits)} times",
+            {"syscall": syscall, "errno": errno_name, "count": len(hits)},
+            make_evidence([hit["_id"] for hit in hits], min(times),
+                          max(times))))
+    return findings
+
+
+def doc_fd_leak_findings(detector, view):
+    succeeded = [{"terms": {"syscall": ["open", "openat", "creat", "close"]}},
+                 {"range": {"ret": {"gte": 0}}}]
+    matches = compile_query({"bool": {"must": succeeded}})
+    response = view.store.search(
+        view.index, query=view.query(succeeded), size=0,
+        aggs={"by_pid": {"terms": {"field": "pid", "size": 500},
+                         "aggs": {"by_syscall": {"terms": {
+                             "field": "syscall", "size": 10}}}}})
+    findings = []
+    for bucket in response["aggregations"]["by_pid"]["buckets"]:
+        counts = {b["key"]: b["doc_count"]
+                  for b in bucket["by_syscall"]["buckets"]}
+        opens = sum(counts.get(s, 0) for s in _OPENS)
+        closes = counts.get("close", 0)
+        if opens - closes >= detector.min_unclosed:
+            findings.append(Finding(
+                detector.name, "warning",
+                f"pid {bucket['key']}: {opens} opens vs {closes} closes "
+                f"({opens - closes} descriptors left open)",
+                {"pid": bucket["key"], "opens": opens, "closes": closes},
+                doc_evidence([event for event
+                              in view.grouped("pid")[bucket["key"]]
+                              if matches(event[1])])))
+    return findings
+
+
+def doc_short_lived_findings(detector, view):
+    store, index = view.store, view.index
+    unlinked = store.search(index, query=view.query([
+        {"terms": {"syscall": ["unlink", "unlinkat"]}},
+        {"term": {"ret": 0}}]), size=None)
+    deleted_paths = {hit["_source"].get("args", {}).get("path")
+                     for hit in unlinked["hits"]["hits"]}
+    deleted_paths.discard(None)
+    if not deleted_paths:
+        return []
+    writes = store.search(index, query=view.query([
+        {"terms": {"syscall": ["write", "pwrite64", "writev"]}},
+        {"exists": {"field": "file_path"}},
+        {"range": {"ret": {"gt": 0}}}]), size=None)
+    churn, churn_hits = {}, {}
+    for hit in writes["hits"]["hits"]:
+        source = hit["_source"]
+        path = source["file_path"]
+        if path in deleted_paths:
+            churn[path] = churn.get(path, 0) + source["ret"]
+            churn_hits.setdefault(path, []).append(hit)
+    heavy = {path: total for path, total in churn.items()
+             if total >= detector.min_bytes}
+    if len(heavy) < detector.min_files:
+        return []
+    total = sum(heavy.values())
+    evidence_hits = [hit for path in sorted(heavy)
+                     for hit in churn_hits[path]]
+    evidence_hits += list(unlinked["hits"]["hits"])
+    times = [hit["_source"].get("time", 0) for hit in evidence_hits]
+    return [Finding(
+        detector.name, "info",
+        f"{len(heavy)} files totalling {total:,} written bytes were "
+        "deleted within the session (write churn)",
+        {"files": len(heavy), "bytes": total},
+        make_evidence([hit["_id"] for hit in evidence_hits],
+                      min(times) if times else None,
+                      max(times) if times else None))]
+
+
+DOC_BODIES = {
+    StaleOffsetDetector: doc_stale_findings,
+    SmallIODetector: doc_small_io_findings,
+    RandomAccessDetector: doc_random_access_findings,
+    FailedSyscallDetector: doc_failed_findings,
+    FdLeakDetector: doc_fd_leak_findings,
+    ShortLivedFileDetector: doc_short_lived_findings,
+}
+
+
+def doc_run_detectors(store, session, detectors):
+    """``run_detectors`` over the per-document bodies (the contention
+    detector reads aggregations only and never had another body)."""
+    view = DocumentView(store, INDEX, session)
+    findings = []
+    for detector in detectors:
+        body = DOC_BODIES.get(type(detector))
+        findings.extend(detector.run(store, INDEX, session) if body is None
+                        else body(detector, view))
+    findings.sort(key=lambda f: ({"critical": 0, "warning": 1,
+                                  "info": 2}[f.severity],
+                                 f.detector, f.title))
+    return findings
+
+
+def doc_segment_phases(events, window_events, drift_threshold, node_mode):
+    """``segment_phases`` as it was: a phase takes a window in by
+    walking its documents again."""
+    phases, current, prev_drift, window = [], None, 0.0, []
+
+    def graph_of(batch):
+        graph = OracleGraph("p", node_mode)
+        for source in batch:
+            graph.observe(source)
+        return graph
+
+    def close():
+        if current is not None and current.events:
+            phases.append(Phase(current.first_ns or 0, current.last_ns,
+                                current.events, current, prev_drift))
+
+    for source in events:
+        window.append(source)
+        if len(window) < window_events:
+            continue
+        incoming = graph_of(window)
+        if current is None:
+            current = incoming
+        else:
+            drift = current.distance(incoming)
+            if drift > drift_threshold:
+                close()
+                current, prev_drift = incoming, drift
+            else:
+                for each in window:
+                    current.observe(each)
+        window = []
+    if window:
+        incoming = graph_of(window)
+        if current is None:
+            current = incoming
+        else:
+            drift = current.distance(incoming)
+            if len(window) >= window_events // 2 and drift > drift_threshold:
+                close()
+                current, prev_drift = incoming, drift
+            else:
+                for each in window:
+                    current.observe(each)
+    close()
+    return phases
+
+
+def doc_compare(store, session_a, session_b, procs):
+    """``compare_sessions``' sequence half, over documents."""
+    def sequence(session):
+        wanted = set(procs or ())
+        return [source for _, source
+                in DocumentView(store, INDEX, session).events
+                if not wanted or source.get("proc_name") in wanted]
+
+    events_a, events_b = sequence(session_a), sequence(session_b)
+    norm = []
+    for events in (events_a, events_b):
+        alias = {}
+        norm.append([(alias.setdefault(e["proc_name"], f"P{len(alias)}"),
+                      e["syscall"], e["ret"], e.get("offset"))
+                     for e in events])
+    prefix = 0
+    for left, right in zip(*norm):
+        if left != right:
+            break
+        prefix += 1
+    if prefix == max(map(len, norm)):
+        return prefix, None
+    return prefix, Divergence(
+        prefix, events_a[prefix] if prefix < len(events_a) else None,
+        events_b[prefix] if prefix < len(events_b) else None)
+
+
+# ----------------------------------------------------------------------
+# (d) the lane-reading batch bodies are the per-document ones
+
+#: Thresholds low enough that tiny streams trip every batch detector.
+def low_battery():
+    return (StaleOffsetDetector(), FailedSyscallDetector(min_failures=1),
+            FdLeakDetector(min_unclosed=1),
+            SmallIODetector(threshold_bytes=1 << 16, min_requests=2),
+            RandomAccessDetector(max_sequential_fraction=0.9, min_reads=2),
+            ShortLivedFileDetector(min_bytes=1, min_files=1))
+
+
+batch_events_st = st.lists(st.fixed_dictionaries(
+    {"syscall": st.sampled_from(("read", "pread64", "write", "pwrite64",
+                                 "openat", "close", "unlink", "unlinkat",
+                                 "fsync")),
+     "proc_name": st.sampled_from(PROCS),
+     "pid": st.integers(1, 3),
+     "tid": st.integers(1, 5),
+     "ret": st.sampled_from((-13, -2, 0, 0, 1, 64, 4096)),
+     "time": st.integers(0, 40)},           # in any order
+    optional={"file_tag": st.sampled_from(("7 1 1", "7 2 1", "7 3 1")),
+              "offset": st.sampled_from((0, 1, 26, 64, 4096)),
+              "file_path": st.sampled_from(("/a.log", "/db/1.sst")),
+              "args": st.sampled_from(({"path": "/a.log"}, {"fd": 3},
+                                       {"path": "/db/1.sst", "fd": 4}))}),
+    max_size=60)
+
+
+def stored_as(stream, parked):
+    """A session stored as documents, or parked as lanes."""
+    store = DocumentStore()
+    docs = [dict(event, session=SESSION) for event in stream]
+    if parked:
+        store.bulk_columnar(INDEX, DocBatch(docs))
+    else:
+        store.bulk(INDEX, docs)
+    return store
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=batch_events_st, parked=st.booleans())
+def test_batch_detectors_on_lanes_say_what_the_document_bodies_said(
+        stream, parked):
+    store = stored_as(stream, parked)
+    battery = low_battery()
+    assert run_detectors(store, INDEX, SESSION, battery) == \
+        doc_run_detectors(store, SESSION, battery)
+    view = DocumentView(store, INDEX, SESSION)
+    assert classify_file_accesses(store, INDEX, SESSION) == \
+        doc_access_patterns(view)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=dfg_stream_st, node_mode=node_modes,
+       window=st.integers(2, 9), threshold=st.sampled_from((0.0, 0.2, 0.5)))
+def test_phases_that_absorb_window_graphs_are_the_phases_that_rewalked(
+        stream, node_mode, window, threshold):
+    got = segment_phases(DocBatch(stream), window, threshold, node_mode,
+                         name="p")
+    want = doc_segment_phases(stream, window, threshold, node_mode)
+    assert [(p.as_dict(), p.dfg.as_dict(), p.drift) for p in got] == \
+        [(p.as_dict(), p.dfg.as_dict(), p.drift) for p in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(left=batch_events_st, right=batch_events_st,
+       procs=st.sampled_from((None, ["db_bench"], ["fluent-bit", "x"])))
+def test_compare_on_lanes_is_compare_on_documents(left, right, procs):
+    store = DocumentStore()
+    for session, stream in (("a", left), ("b", right)):
+        store.bulk(INDEX, [dict(event, session=session) for event in stream])
+    comparison = compare_sessions(store, "a", "b", INDEX, procs)
+    assert (comparison.common_prefix, comparison.divergence) == \
+        doc_compare(store, "a", "b", procs)
+
+
+def test_the_case_studies_on_lanes_say_what_the_document_bodies_said():
+    case = run_rocksdb_case(RocksDBScale(duration_ns=400_000_000))
+    assert run_detectors(case.store, INDEX, case.session) == \
+        doc_run_detectors(case.store, case.session, DEFAULT_DETECTORS)
+    events = [source for _, source
+              in DocumentView(case.store, INDEX, case.session).events]
+    view = SessionEvents(case.store, INDEX, case.session)
+    assert [(p.as_dict(), p.drift) for p in segment_phases(view.batch)] == \
+        [(p.as_dict(), p.drift)
+         for p in doc_segment_phases(events, 64, 0.4, "syscall")]
+
+
+def test_short_lived_evidence_is_in_stored_order():
+    # The unsorted searches the scan replaced returned rows as stored;
+    # the view holds them by time.  Two writes stored out of time order
+    # tell the two apart.
+    stream = [dict(syscall="write", proc_name="db_bench", pid=1, tid=1,
+                   ret=64, time=time_ns, file_path="/a.log")
+              for time_ns in (30, 10)]
+    stream.append(dict(syscall="unlink", proc_name="db_bench", pid=1, tid=1,
+                       ret=0, time=20, args={"path": "/a.log"}))
+    for parked in (False, True):
+        store = stored_as(stream, parked)
+        battery = [ShortLivedFileDetector(min_bytes=1, min_files=1)]
+        finding, = run_detectors(store, INDEX, SESSION, battery)
+        assert finding.evidence["event_ids"] == ["1", "2", "3"]
+        assert [finding] == doc_run_detectors(store, SESSION, battery)

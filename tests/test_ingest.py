@@ -270,9 +270,17 @@ class TestBulkColumnar:
         vec.bulk_columnar("idx", RecordBatch.decode(records,
                                                     session=SESSION))
         index = vec._indices["idx"]
-        assert vec.get_doc("idx", "1") == legacy_docs(records)[0]
+        doc = vec.get_doc("idx", "1")
+        assert doc == legacy_docs(records)[0]
+        # One row asked for, one row built: the same dict on every read.
+        assert index.pending_docs == 5
+        assert index.hydrated_docs_total == 1
+        assert vec.get_doc("idx", "1") is doc
+        # A write needs the documents: the rest are built, that one kept.
+        vec.index_doc("idx", {"syscall": "late", "session": SESSION})
         assert index.pending_docs == 0
         assert index.hydrated_docs_total == 6
+        assert vec.get_doc("idx", "1") is doc
 
     def test_steady_state_aggregation_stays_lazy(self, tmp_path):
         # Columnar bulks + aggregations never materialise a _source
@@ -305,13 +313,13 @@ class TestBulkColumnar:
                             index="idx") == 12
         assert index.hydrated_docs_total == 0
         assert index.pending_docs == 12
-        # The first request that returns a hit pays hydration, once —
+        # A request that returns a hit builds that hit's row alone —
         # and the hit carries what the overlay said.
         hit, = vec.search("idx", size=1)["hits"]["hits"]
         assert hit["_source"]["file_path"] == "/data/a"
         assert list(hit["_source"])[-1] == "file_path"
-        assert index.pending_docs == 0
-        assert index.hydrated_docs_total == 12
+        assert index.pending_docs == 11
+        assert index.hydrated_docs_total == 1
 
     def test_mutations_after_columnar_bulk_are_ordered(self):
         records = make_records()
@@ -337,6 +345,9 @@ class TestBulkColumnar:
         assert registry.value("dio_ingest_pending_docs") == 6
         assert registry.value("dio_ingest_docs_hydrated_total") == 0
         vec.get_doc("idx", "1")
+        assert registry.value("dio_ingest_pending_docs") == 5
+        assert registry.value("dio_ingest_docs_hydrated_total") == 1
+        vec.delete_by_query("idx", {"term": {"syscall": "open"}})
         assert registry.value("dio_ingest_pending_docs") == 0
         assert registry.value("dio_ingest_docs_hydrated_total") == 6
 

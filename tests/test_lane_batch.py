@@ -242,6 +242,32 @@ def test_take_commutes_and_can_be_taken_again(batch, rows):
         docs[row]["syscall"] for row in reversed(rows))
 
 
+@pytest.mark.parametrize("rows", [
+    [3, 1, 2], list(range(39, -1, -1)), range(8, 30), [7], []])
+def test_docs_at_builds_those_rows_alone(make, rows):
+    # Before ``to_docs``: the rows' documents, new; after: its dicts.
+    batch, expected = make(), make().to_docs()
+    built = batch.docs_at(rows)
+    assert dumps(built) == dumps([expected[row] for row in rows])
+    assert dumps(batch.docs_at(rows)) == dumps(built)
+    docs = batch.to_docs()
+    assert [id(doc) for doc in batch.docs_at(rows)] == [
+        id(docs[row]) for row in rows]
+
+
+def test_docs_at_sees_an_overlay(make):
+    batch, expected = make(), copy.deepcopy(make().to_docs())
+    assert batch.overlay([2, 9, 30], FIRST)
+    for row in (2, 9, 30):
+        expected[row].update(FIRST)
+    rows = [30, 1, 9, 2]
+    assert dumps(batch.docs_at(rows)) == dumps([expected[row]
+                                                for row in rows])
+    taken = batch.take(list(range(39, -1, -1)))
+    assert dumps(taken.docs_at([9, 37])) == dumps([expected[30],
+                                                   expected[2]])
+
+
 def test_args_travel_as_a_struct_lane_and_read_as_fresh_dicts(make):
     # Every producer but the one that *is* its documents hands ``args``
     # to a reader and to the writer as a struct lane — a ring batch

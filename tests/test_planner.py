@@ -199,9 +199,20 @@ class TestPlanModes:
         assert not plan.exact
         assert _ids(store, "idx", plan) == {"1", "2", "3"}
 
-    def test_wildcard_falls_back_to_fullscan(self, store):
+    def test_wildcard_is_exact(self, store):
         self.seed(store)
         plan = _plan(store, "idx", {"wildcard": {"path": "/tmp/*"}})
+        assert plan.exact
+        assert _ids(store, "idx", plan) == {"1", "2"}
+        plan = _plan(store, "idx", {"wildcard": {"path": {"value": "*.?og"}}})
+        assert plan.exact
+        assert _ids(store, "idx", plan) == set()
+
+    def test_wildcard_falls_back_to_fullscan(self, store):
+        # Only a string pattern is read off the dictionary; anything
+        # else is the predicate's to judge (or to reject).
+        self.seed(store)
+        plan = _plan(store, "idx", {"wildcard": {"path": 7}})
         assert plan.mode == "fullscan"
         assert plan.rows is None
 
@@ -232,7 +243,7 @@ class TestStorePlanTelemetry:
         store.bulk("idx", [{"k": i, "t": i * 10} for i in range(20)])
         store.search("idx", query={"term": {"k": 3}})
         store.search("idx", query={"range": {"t": {"gte": 100}}})
-        store.search("idx", query={"wildcard": {"k": "x*"}})
+        store.search("idx", query={"term": {"k": None}})
         store.search("idx", query={"bool": {
             "must": [{"term": {"k": 5}}],
             "must_not": [{"term": {"t": 50}}]}})

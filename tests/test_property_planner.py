@@ -9,12 +9,13 @@ per-field index (``tests/field_index.py``), which answered in doc ids
 where the planner now answers in rows.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import DocumentStore
+from repro.backend import DocumentStore, create_store
 from repro.backend.lanes import DocBatch, JoinedBatch
 from repro.backend.naive import naive_scan
-from repro.backend.query import get_field
+from repro.backend.query import compile_query, get_field
 from repro.tracer import RecordBatch
 from tests.field_index import FieldIndex
 
@@ -262,7 +263,7 @@ class TestRowsAgainstBothOracles:
             assert not index.plan(rechecked).exact
             assert store.count("events", rechecked) == 0
             fullscan = {"bool": {"should": [clause,
-                                            {"wildcard": {"a": "x"}}]}}
+                                            {"term": {"b": None}}]}}
             assert index.plan(fullscan).mode == "fullscan"
             assert store.count("events", fullscan) == 0
         assert store.count("events", {"terms": {"a": [NAN, 5]}}) == 1
@@ -302,3 +303,73 @@ class TestRowsAgainstBothOracles:
         assert list(tid.rows_equal([2])) == [1, 4, 7, 10, 13]
         assert store.count("events", {"term": {"syscall": "read"}}) == 8
         assert index.pending_docs == 16
+
+
+# --- wildcard over the dictionary -------------------------------------------
+#
+# A string pattern is answered from the column's string keys
+# (``Column.rows_matching``) and the plan is exact; what it matches must
+# be what ``fnmatchcase`` over every document's value matches — on a
+# plain store, on parked lanes and through a 3-shard router.
+
+_WILD_VALUES = ["abc", "abd", "a", "", "x", "xa", "a[b]c", "a?c", "*",
+                "[!x]", "ABC", 3, 0, [1, "a"], ["abc"], None]
+_WILD_PATTERNS = ["*", "?", "??", "a*", "*c", "a?c", "[a-c]*", "[!x]*",
+                  "*[!a-c]", "a[[]b]c", "a[?]c", "[*]", "[]]", "[!]]*",
+                  "[", "x*a", ""]
+_WILD_FIELDS = ["a", "n.x", "missing"]
+
+
+def _wild_doc(a, x, pid):
+    doc = {"pid": pid}
+    if a != "absent":
+        doc["a"] = a
+    if x != "absent":
+        doc["n"] = {"x": x}
+    return doc
+
+
+wild_values = st.sampled_from(_WILD_VALUES + ["absent"])
+wild_docs = st.builds(_wild_doc, wild_values, wild_values,
+                      st.integers(0, 6))
+wild_leaves = st.builds(
+    lambda f, p, wrapped: {"wildcard": {f: {"value": p} if wrapped else p}},
+    st.sampled_from(_WILD_FIELDS), st.sampled_from(_WILD_PATTERNS),
+    st.booleans())
+wild_queries = st.recursive(wild_leaves, _bool_of, max_leaves=4)
+
+
+class TestWildcardOverTheDictionary:
+    @given(docs=st.lists(wild_docs, max_size=20), leaf=wild_leaves,
+           query=wild_queries, parked=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_wildcard_matches_the_predicate(self, docs, leaf, query, parked):
+        store = DocumentStore()
+        if parked:
+            store.bulk_columnar("events", DocBatch([dict(d) for d in docs]))
+        else:
+            store.bulk("events", [dict(d) for d in docs])
+        router = create_store(shard_count=3, shard_key="pid")
+        router.bulk("events", [dict(d) for d in docs])
+        index = store._index("events")
+        assert index.plan(leaf).exact
+        for clause in (leaf, query):
+            wanted = [doc for doc in docs if compile_query(clause)(doc)]
+            matches = store.scan("events", clause)
+            assert matches == naive_scan(index, clause), clause
+            assert [source for _, source in matches] == wanted, clause
+            assert store.count("events", clause) == len(wanted)
+            assert [source for _, source
+                    in router.scan("events", clause)] == wanted, clause
+            assert router.count("events", clause) == len(wanted)
+        assert index.hydrated_docs_total <= 2 * len(docs)
+
+    def test_a_pattern_that_is_not_a_string_keeps_the_predicate(self):
+        store = DocumentStore()
+        store.bulk("events", [{"a": "abc"}])
+        for pattern in (7, None, ["a*"], {"glob": "a*"}):
+            clause = {"wildcard": {"a": pattern}}
+            assert store._index("events").plan(clause).mode == "fullscan"
+        # and the predicate judges as before: fnmatchcase rejects it
+        with pytest.raises(TypeError):
+            store.count("events", {"wildcard": {"a": 7}})

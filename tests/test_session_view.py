@@ -46,12 +46,14 @@ def rocksdb():
 # Request budget
 
 class CountingStore:
-    """Counts ``search`` requests by shape; public surface only."""
+    """Counts reads by shape; public surface only."""
 
     def __init__(self, inner, session):
         self.inner = inner
         self.session = session
         self.unbounded = 0          # size=None: every hit materialised
+        self.with_hits = 0          # any search that returns hits
+        self.lane_reads = 0         # ``lanes``: ids and lanes, no hit
         self.whole_session = 0      # ... with nothing but the session
 
     def __getattr__(self, name):
@@ -61,12 +63,18 @@ class CountingStore:
                from_=0):
         if size is None:
             self.unbounded += 1
-            scope = {"term": {"session": self.session}}
-            if query in (None, {"match_all": {}}, scope,
-                         {"bool": {"must": [scope]}}):
-                self.whole_session += 1
+        if size != 0:
+            self.with_hits += 1
         return self.inner.search(index, query=query, aggs=aggs, sort=sort,
                                  size=size, from_=from_)
+
+    def lanes(self, index, query=None):
+        self.lane_reads += 1
+        scope = {"term": {"session": self.session}}
+        if query in (None, {"match_all": {}}, scope,
+                     {"bool": {"must": [scope]}}):
+            self.whole_session += 1
+        return self.inner.lanes(index, query)
 
 
 def sharded_copy(store, shards=3):
@@ -86,10 +94,10 @@ def test_diagnosis_request_budget(rocksdb, shards):
                    if ranked.source != "streaming"
                    and (ranked.finding.evidence or {}).get("event_ids")]
     assert len(per_finding) > 4         # the budget below is not vacuous
-    assert counting.whole_session == 1
-    # The rest are the failed-syscall and short-lived-file scans: a
-    # fixed number per battery, however many findings there are.
-    assert counting.unbounded <= 4
+    # One read of the session, as lanes; every detector's scan reads
+    # the view, and no search returns a hit.
+    assert counting.lane_reads == counting.whole_session == 1
+    assert counting.unbounded == counting.with_hits == 0
     assert report.events == store.count(
         INDEX, {"term": {"session": rocksdb.session}})
 
@@ -147,28 +155,37 @@ def test_view_filters_equal_the_stores_filtered_sorts(rocksdb, shards):
                                                            shards)
     view = SessionEvents(store, INDEX, session)
 
-    def sorted_hits(extra):
+    def sorted_hits(extra, sort=("time",)):
         response = store.search(INDEX, query=view.query(extra),
-                                sort=["time"], size=None)
+                                sort=list(sort), size=None)
         return [(hit["_id"], hit["_source"])
                 for hit in response["hits"]["hits"]]
 
-    assert view.events == sorted_hits([])
+    events = list(zip(view.ids, view.batch.to_docs()))
+    assert events == sorted_hits([])
+    assert view.times == [source.get("time", 0) for _, source in events]
+
+    def at(rows):
+        return [events[row] for row in rows]
+
     tags = [tag for tag in view.by_file_tag if tag is not None]
     assert tags
     for tag in tags[:25]:
-        assert view.by_file_tag[tag] == sorted_hits(
-            [{"term": {"file_tag": tag}}])
-    for pid, events in view.by_pid.items():
-        assert events == sorted_hits([{"term": {"pid": pid}}])
+        clause = [{"term": {"file_tag": tag}}]
+        assert at(view.by_file_tag[tag]) == sorted_hits(clause)
+        assert at(view.in_stored_order(view.by_file_tag[tag])) == \
+            sorted_hits(clause, sort=())
+    for pid, rows in view.by_pid.items():
+        assert at(rows) == sorted_hits([{"term": {"pid": pid}}])
     data = sorted_hits([
         {"terms": {"syscall": ["read", "pread64", "readv", "write",
                                "pwrite64", "writev"]}},
         {"exists": {"field": "file_tag"}}])
     per_file = {}
-    for _, source in data:
-        per_file.setdefault(source["file_tag"], []).append(source)
-    assert view.data_by_file == per_file
+    for event in data:
+        per_file.setdefault(event[1]["file_tag"], []).append(event)
+    assert {tag: at(rows) for tag, rows in view.data_by_file.items()} \
+        == per_file
 
 
 def test_compare_sequence_equals_the_filtered_query(fluentbit):
@@ -181,7 +198,7 @@ def test_compare_sequence_equals_the_filtered_query(fluentbit):
             must.append({"terms": {"proc_name": procs}})
         response = store.search(INDEX, query={"bool": {"must": must}},
                                 sort=["time"], size=None)
-        assert _sequence(store, session, INDEX, procs) == [
+        assert _sequence(store, session, INDEX, procs).to_docs() == [
             hit["_source"] for hit in response["hits"]["hits"]]
 
 
