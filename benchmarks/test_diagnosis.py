@@ -188,8 +188,7 @@ def test_diagnosis_trajectory():
           f"whole diagnosis: {diagnose_s:.4f} s")
 
     # The acceptance gate: streaming diagnosis must not tax ingest by
-    # more than 10%.  50 ms of slack absorbs timer noise on tiny runs
-    # (same slack as the telemetry-overhead gate).
+    # more than 10%.  50 ms of slack absorbs timer noise on tiny runs.
     assert tapped_s <= plain_s * 1.10 + 0.05, entry
     # Post-mortem mining budget: well under the ingest cost itself.
     assert dfg_s + phases_s <= max(2.0, 2 * plain_s), entry

@@ -1070,11 +1070,6 @@ class DiagnosisTap:
             "the consumer path.",
         ).set_function(lambda: self.events_observed)
         registry.counter(
-            "dio_diagnosis_latency_records_total",
-            "Benchmark/telemetry latency records fed to the streaming "
-            "spike attributor.",
-        ).set_function(lambda: self.latencies_observed)
-        registry.counter(
             "dio_diagnosis_findings_total",
             "Incremental findings emitted by the streaming detectors.",
         ).set_function(lambda: self.findings_emitted)

@@ -175,7 +175,6 @@ class ShardedDocumentStore:
         self.agg_merges = 0           # aggregations from partial merge
         self.agg_gathers = 0          # rank-ordered gather fallback
         self.partial_cache_hits = 0
-        self.partial_cache_misses = 0
         self.bulk_partitions = 0      # per-shard sub-bulks dispatched
         self.rebalances = 0
         self.shard_kills = 0
@@ -419,9 +418,7 @@ class ShardedDocumentStore:
         self.bulk_requests += 1
         self.documents_indexed += n
         self.bulk_partitions += len(groups)
-        if self._telemetry is not None:
-            self._telemetry["bulk_docs"].observe(n)
-            observe_span(self._telemetry, "store.bulk", start)
+        observe_span(self._telemetry, "store.bulk", start)
         return n
 
     def bulk_columnar(self, index: str, batch) -> int:
@@ -438,9 +435,7 @@ class ShardedDocumentStore:
         if n == 0:
             self.bulk_requests += 1
             self.columnar_bulks += 1
-            if self._telemetry is not None:
-                self._telemetry["bulk_docs"].observe(0)
-                observe_span(self._telemetry, "store.bulk", start)
+            observe_span(self._telemetry, "store.bulk", start)
             return 0
         doc_ids = self._assign(state, n)
         route = self._route_value
@@ -467,9 +462,7 @@ class ShardedDocumentStore:
         self.columnar_bulks += 1
         self.documents_indexed += n
         self.bulk_partitions += partitions
-        if self._telemetry is not None:
-            self._telemetry["bulk_docs"].observe(n)
-            observe_span(self._telemetry, "store.bulk", start)
+        observe_span(self._telemetry, "store.bulk", start)
         return n
 
     # ------------------------------------------------------------------
@@ -587,9 +580,7 @@ class ShardedDocumentStore:
                     self.agg_cache_misses += 1
 
         if aggregations is not None and size == 0:
-            if self._telemetry is not None:
-                self._telemetry["query_hits"].observe(total)
-                observe_span(self._telemetry, "store.query", start)
+            observe_span(self._telemetry, "store.query", start)
             return _response(index, total, [], aggregations)
 
         window = None
@@ -625,9 +616,7 @@ class ShardedDocumentStore:
             window = (matches[from_:] if size is None
                       else matches[from_:from_ + size])
 
-        if self._telemetry is not None:
-            self._telemetry["query_hits"].observe(total)
-            observe_span(self._telemetry, "store.query", start)
+        observe_span(self._telemetry, "store.query", start)
         if cacheable and aggregations is not None:
             self._cache_put(cache_key, (total, copy_json(aggregations)))
         return _response(index, total, window, aggregations)
@@ -730,8 +719,6 @@ class ShardedDocumentStore:
         for entry, hit in results:
             if hit:
                 self.partial_cache_hits += 1
-            else:
-                self.partial_cache_misses += 1
             if entry is None:
                 return None
             totals.append(entry[0])
@@ -1012,7 +999,6 @@ class ShardedDocumentStore:
             "agg_fallbacks": lambda: self.agg_stats()["fallbacks"],
             "agg_cache_hits": lambda: self.agg_cache_hits,
             "agg_cache_misses": lambda: self.agg_cache_misses,
-            "agg_cache_hit_rate": self.agg_cache_hit_rate,
         })
         # Scatter-gather section.
         registry.gauge(
@@ -1034,39 +1020,6 @@ class ShardedDocumentStore:
             "dio_shard_fanout_queries_total",
             "Read requests fanned out to every shard.",
         ).set_function(lambda: self.fanout_queries)
-        registry.counter(
-            "dio_shard_agg_merge_total",
-            "Aggregation requests served by merging per-shard "
-            "columnar partials at the coordinator.",
-        ).set_function(lambda: self.agg_merges)
-        registry.counter(
-            "dio_shard_agg_gather_total",
-            "Aggregation requests served by a rank-ordered gather of "
-            "shard matches: sorted requests, shapes a shard's columns "
-            "decline, and merges whose bytes would depend on "
-            "cross-shard document order.",
-        ).set_function(lambda: self.agg_gathers)
-        registry.counter(
-            "dio_shard_partial_cache_hits_total",
-            "Per-shard aggregation partials served from a shard's "
-            "epoch-keyed cache.",
-        ).set_function(lambda: self.partial_cache_hits)
-        registry.counter(
-            "dio_shard_partial_cache_misses_total",
-            "Per-shard aggregation partials that had to be computed.",
-        ).set_function(lambda: self.partial_cache_misses)
-        registry.counter(
-            "dio_shard_bulk_partitions_total",
-            "Per-shard sub-bulks dispatched by the ingest partitioner.",
-        ).set_function(lambda: self.bulk_partitions)
-        registry.counter(
-            "dio_shard_rebalances_total",
-            "Shard-set rebalances (documents re-routed by key).",
-        ).set_function(lambda: self.rebalances)
-        registry.counter(
-            "dio_shard_kills_total",
-            "Shards dropped by the kill/restore lifecycle.",
-        ).set_function(lambda: self.shard_kills)
 
 
 # ----------------------------------------------------------------------

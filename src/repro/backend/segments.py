@@ -961,15 +961,8 @@ class SegmentStorage:
         self._buffer_wal_id = 0
         self._crash_hook: Optional[Callable[[str], None]] = None
 
-        # telemetry-backed counters
+        #: Segments sealed, and segments a zone-pruned scan skipped.
         self.flushes_total = 0
-        self.wal_records_total = 0
-        self.wal_docs_total = 0
-        self.bytes_written_total = 0
-        self.compactions_total = 0
-        self.compacted_segments_total = 0
-        self.retention_dropped_total = 0
-        self.scan_considered_total = 0
         self.scan_pruned_total = 0
 
         self.open_report = {"segments_opened": 0, "segments_dropped": 0,
@@ -1068,10 +1061,7 @@ class SegmentStorage:
         if not docs:
             return
         self._require_writable("append")
-        rec_id, record_bytes = self._wal.append(session, docs)
-        self.wal_records_total += 1
-        self.wal_docs_total += len(docs)
-        self.bytes_written_total += record_bytes
+        rec_id, _ = self._wal.append(session, docs)
         self._buffer.extend(docs)
         self._buffer_wal_id = max(self._buffer_wal_id, rec_id)
         if session and not self._buffer_session:
@@ -1103,8 +1093,8 @@ class SegmentStorage:
                      wal_sealed: int = 0) -> Segment:
         seq = self._manifest["next_seq"]
         name = f"seg-{seq:06d}.dseg"
-        meta = write_batch(self.root / name, batch, session=session,
-                           seq=seq, created_ns=self._clock())
+        write_batch(self.root / name, batch, session=session,
+                    seq=seq, created_ns=self._clock())
         if self._crash_hook is not None:
             self._crash_hook("flush")
         self._manifest["next_seq"] = seq + 1
@@ -1119,7 +1109,6 @@ class SegmentStorage:
         segment = Segment(self.root / name)
         self._segments.append(segment)
         self.flushes_total += 1
-        self.bytes_written_total += meta["bytes"]
         return segment
 
     def flush(self) -> Optional[Segment]:
@@ -1187,9 +1176,9 @@ class SegmentStorage:
                 docs.extend(by_name[name].docs())
             seq = self._manifest["next_seq"]
             new_name = f"seg-{seq:06d}.dseg"
-            meta = write_segment(self.root / new_name, docs,
-                                 session=session, seq=seq,
-                                 created_ns=self._clock())
+            write_segment(self.root / new_name, docs,
+                          session=session, seq=seq,
+                          created_ns=self._clock())
             if self._crash_hook is not None:
                 self._crash_hook("compact")
             self._manifest["next_seq"] = seq + 1
@@ -1203,9 +1192,6 @@ class SegmentStorage:
                 (self.root / name).unlink(missing_ok=True)
             merged_rows += len(docs)
             merged_names += len(run)
-            self.compactions_total += 1
-            self.compacted_segments_total += len(run)
-            self.bytes_written_total += meta["bytes"]
         self._reload_segments()
         return {"compactions": len(runs), "segments_merged": merged_names,
                 "rows": merged_rows}
@@ -1240,7 +1226,6 @@ class SegmentStorage:
         for name in dropped:
             (self.root / name).unlink(missing_ok=True)
         self._reload_segments()
-        self.retention_dropped_total += len(dropped)
         return {"segments_dropped": len(dropped), "rows_dropped": rows}
 
     def _reload_segments(self) -> None:
@@ -1267,7 +1252,6 @@ class SegmentStorage:
         constraints = prune_constraints(query)
         out: list[dict] = []
         for segment in self._segments:
-            self.scan_considered_total += 1
             if constraints and not segment.may_match(constraints):
                 self.scan_pruned_total += 1
                 continue
@@ -1390,54 +1374,14 @@ class SegmentStorage:
 
     def bind_telemetry(self, registry) -> None:
         """Register the ``dio_segment_*`` families on a registry."""
-        for name, help_text, reader in (
-            ("dio_segment_flushes_total",
-             "Buffer flushes sealed into an immutable segment file.",
-             lambda: self.flushes_total),
-            ("dio_segment_wal_records_total",
-             "Batches framed into the storage write-ahead log.",
-             lambda: self.wal_records_total),
-            ("dio_segment_wal_docs_total",
-             "Documents made durable via the storage WAL.",
-             lambda: self.wal_docs_total),
-            ("dio_segment_bytes_written_total",
-             "Bytes written to segment files and the WAL.",
-             lambda: self.bytes_written_total),
-            ("dio_segment_compactions_total",
-             "Compaction passes that merged a run of small segments.",
-             lambda: self.compactions_total),
-            ("dio_segment_compacted_segments_total",
-             "Input segments consumed by compaction merges.",
-             lambda: self.compacted_segments_total),
-            ("dio_segment_retention_dropped_total",
-             "Segments dropped whole by time-based retention.",
-             lambda: self.retention_dropped_total),
-            ("dio_segment_scan_considered_total",
-             "Segments considered by zone-map pruned scans.",
-             lambda: self.scan_considered_total),
-            ("dio_segment_scan_pruned_total",
-             "Segments skipped without decoding a block because their "
-             "zone maps proved the query unsatisfiable.",
-             lambda: self.scan_pruned_total),
-        ):
-            registry.counter(name, help_text).set_function(reader)
         registry.gauge(
             "dio_segment_files",
             "Immutable segment files currently live in the manifest.",
         ).set_function(lambda: len(self._segments))
         registry.gauge(
-            "dio_segment_rows",
-            "Rows stored across live segments plus the unflushed buffer.",
-        ).set_function(lambda: sum(s.rows for s in self._segments)
-                       + len(self._buffer))
-        registry.gauge(
             "dio_segment_wal_pending_docs",
             "Documents durable only in the WAL (buffered, unflushed).",
         ).set_function(lambda: len(self._buffer))
-        registry.gauge(
-            "dio_segment_disk_bytes",
-            "On-disk footprint of the store: manifest + segments + WAL.",
-        ).set_function(self.disk_bytes)
 
     def __repr__(self) -> str:
         return (f"<SegmentStorage {self.root} segments="

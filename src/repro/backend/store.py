@@ -557,9 +557,6 @@ _STORE_FAMILIES = (
      "aggs) result cache."),
     ("counter", "dio_store_agg_cache_misses_total", "agg_cache_misses",
      "Cacheable aggregation requests that had to be computed."),
-    ("gauge", "dio_store_agg_cache_hit_rate", "agg_cache_hit_rate",
-     "Fraction of cacheable aggregation requests served from "
-     "the result cache."),
 )
 
 
@@ -571,8 +568,8 @@ def bind_store_telemetry(registry, clock,
     zero-argument callable: :class:`DocumentStore` reads its own
     counters, the shard coordinator its counters and shard sums.
     Returns what the bulk and query paths observe into — the clock
-    (for :func:`span_start`/:func:`observe_span`) and the four
-    histograms.
+    (for :func:`span_start`/:func:`observe_span`), the span histogram
+    and the aggregation-kernel histogram.
     """
     from repro.telemetry.spans import SPAN_HISTOGRAM
 
@@ -580,14 +577,6 @@ def bind_store_telemetry(registry, clock,
         getattr(registry, kind)(name, help_text).set_function(readers[key])
     return {
         "clock": clock,
-        "bulk_docs": registry.histogram(
-            "dio_store_bulk_docs",
-            "Documents per bulk request.",
-            buckets=(0, 1, 8, 32, 128, 512, 2048, 8192)),
-        "query_hits": registry.histogram(
-            "dio_store_query_hits",
-            "Matching documents per search request.",
-            buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000)),
         "span": registry.histogram(
             SPAN_HISTOGRAM,
             "Duration of pipeline stage spans "
@@ -670,7 +659,6 @@ class DocumentStore:
             "agg_fallbacks": lambda: self.agg_fallbacks,
             "agg_cache_hits": lambda: self.agg_cache_hits,
             "agg_cache_misses": lambda: self.agg_cache_misses,
-            "agg_cache_hit_rate": self.agg_cache_hit_rate,
         })
 
     def pruning_ratio(self) -> float:
@@ -797,9 +785,7 @@ class DocumentStore:
                 count += 1
         self.bulk_requests += 1
         self.documents_indexed += count
-        if self._telemetry is not None:
-            self._telemetry["bulk_docs"].observe(count)
-            observe_span(self._telemetry, "store.bulk", start)
+        observe_span(self._telemetry, "store.bulk", start)
         return count
 
     def bulk_columnar(self, index: str, batch: LaneBatch,
@@ -819,9 +805,7 @@ class DocumentStore:
         self.bulk_requests += 1
         self.columnar_bulks += 1
         self.documents_indexed += count
-        if self._telemetry is not None:
-            self._telemetry["bulk_docs"].observe(count)
-            observe_span(self._telemetry, "store.bulk", start)
+        observe_span(self._telemetry, "store.bulk", start)
         return count
 
     # ------------------------------------------------------------------
@@ -910,9 +894,7 @@ class DocumentStore:
 
         if aggregations is not None and size == 0:
             # Fully served from cache: no planning, no scan, no hits.
-            if self._telemetry is not None:
-                self._telemetry["query_hits"].observe(total)
-                observe_span(self._telemetry, "store.query", start)
+            observe_span(self._telemetry, "store.query", start)
             return _response(index, total, [], aggregations)
 
         plan = self._plan(target, query)
@@ -935,9 +917,7 @@ class DocumentStore:
         rows = rows[from_:] if size is None else rows[from_:from_ + size]
         window = target.pairs(rows) if rows else []
 
-        if self._telemetry is not None:
-            self._telemetry["query_hits"].observe(total)
-            observe_span(self._telemetry, "store.query", start)
+        observe_span(self._telemetry, "store.query", start)
         if cacheable and aggregations is not None:
             target.agg_cache_put(cache_key, (total, copy_json(aggregations)))
         return _response(index, total, window, aggregations)

@@ -190,18 +190,6 @@ class TenantBackend:
         docs = registry.gauge(
             "dio_tenant_docs",
             "Documents held per tenant.", labelnames=("tenant",))
-        utilisation = registry.gauge(
-            "dio_tenant_quota_utilisation",
-            "Fraction of the tenant's document quota in use.",
-            labelnames=("tenant",))
-        rejections = registry.counter(
-            "dio_tenant_quota_rejections_total",
-            "Ingest requests rejected by the tenant's quota.",
-            labelnames=("tenant",))
-        queries = registry.counter(
-            "dio_tenant_queries_total",
-            "Search/count requests served per tenant.",
-            labelnames=("tenant",))
         shards = registry.gauge(
             "dio_tenant_shards",
             "Shards owned by the tenant (disjoint across tenants).",
@@ -210,11 +198,5 @@ class TenantBackend:
             tenant = self._tenants[name]
             docs.labels(tenant=name).set_function(
                 lambda t=tenant: t.docs_held())
-            utilisation.labels(tenant=name).set_function(
-                lambda t=tenant: t.quota_utilisation())
-            rejections.labels(tenant=name).set_function(
-                lambda t=tenant: t.quota_rejections)
-            queries.labels(tenant=name).set_function(
-                lambda t=tenant: t.inner.queries)
             shards.labels(tenant=name).set_function(
                 lambda t=tenant: getattr(t.inner, "shard_count", 1))

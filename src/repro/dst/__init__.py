@@ -23,7 +23,7 @@ pipeline, then judges the outcome against invariants and oracles:
 - :mod:`repro.dst.crash` — the crashing store (torn-WAL recovery at
   bulk boundaries) and the oracle twin's bulk-only facade;
 - :mod:`repro.dst.shrink` — minimisation of failing scenarios;
-- :mod:`repro.dst.campaign` — seed campaigns and ``dst_*`` telemetry;
+- :mod:`repro.dst.campaign` — seed campaigns and their summary counts;
 - :mod:`repro.dst.corpus` — the checked-in regression corpus.
 
 See docs/TESTING.md for the operator's view.

@@ -1,11 +1,9 @@
-"""Seed campaigns: run N seeds, count outcomes, export ``dst_*`` metrics.
+"""Seed campaigns: run N seeds and count outcomes.
 
 A *campaign* is the unit the CLI and CI run: generate scenarios for a
 seed range, run each through the full harness, optionally shrink the
-failures, and report.  :class:`CampaignStats` is the telemetry face —
-bound into a registry it exports the ``dst_*`` metric family, so the
-self-monitoring dashboard (and ``docs/METRICS.md``) cover the test
-harness the same way they cover the pipeline under test.
+failures, and report.  :class:`CampaignStats` holds the lifetime
+counters :meth:`CampaignResult.summary` reports.
 """
 
 from __future__ import annotations
@@ -19,67 +17,26 @@ from repro.dst.shrink import shrink
 
 
 class CampaignStats:
-    """Lifetime counters for DST campaigns; registry-bindable."""
+    """Lifetime counters for DST campaigns."""
 
     def __init__(self) -> None:
         self.seeds_run = 0
         self.seeds_failed = 0
-        self.invariant_failures = 0
         self.scenario_events_produced = 0
         self.scenario_events_stored = 0
         self.consumer_crashes_injected = 0
         self.store_crashes_injected = 0
         self.faults_injected = 0
-        self.shrink_runs = 0
 
     def record(self, result: RunResult) -> None:
         self.seeds_run += 1
         if not result.ok:
             self.seeds_failed += 1
-            self.invariant_failures += len(result.failures)
         self.scenario_events_produced += result.events_produced
         self.scenario_events_stored += result.events_stored
         self.consumer_crashes_injected += result.consumer_crashes
         self.store_crashes_injected += result.store_crashes
         self.faults_injected += result.faults_injected
-
-    def bind_telemetry(self, registry) -> None:
-        """Register the ``dst_*`` counters against this stats object."""
-        for name, help_text, reader in (
-            ("dst_seeds_run_total",
-             "DST scenarios executed by campaigns in this process.",
-             lambda: self.seeds_run),
-            ("dst_seeds_failed_total",
-             "DST scenarios that violated an invariant, diverged from "
-             "an oracle, or failed recovery.",
-             lambda: self.seeds_failed),
-            ("dst_invariant_failures_total",
-             "Individual failure messages across all failed seeds.",
-             lambda: self.invariant_failures),
-            ("dst_scenario_events_produced_total",
-             "Ring-buffer events produced across all DST scenarios.",
-             lambda: self.scenario_events_produced),
-            ("dst_scenario_events_stored_total",
-             "Documents landed in the backend across all DST "
-             "scenarios.",
-             lambda: self.scenario_events_stored),
-            ("dst_consumer_crashes_injected_total",
-             "Consumer kill/restart cycles injected by crash "
-             "schedules.",
-             lambda: self.consumer_crashes_injected),
-            ("dst_store_crashes_injected_total",
-             "Store crashes (torn-WAL recoveries) injected at bulk "
-             "boundaries.",
-             lambda: self.store_crashes_injected),
-            ("dst_faults_injected_total",
-             "Backend faults (outages, timeouts, slowdowns) injected "
-             "by scenario fault plans.",
-             lambda: self.faults_injected),
-            ("dst_shrink_runs_total",
-             "Harness executions spent minimising failing scenarios.",
-             lambda: self.shrink_runs),
-        ):
-            registry.counter(name, help_text).set_function(reader)
 
 
 @dataclasses.dataclass
@@ -136,7 +93,6 @@ def run_seeds(seeds: Iterable[int], *, shrink_failures: bool = False,
             failed += 1
             if shrink_failures:
                 outcome = shrink(result.scenario, max_runs=shrink_budget)
-                stats.shrink_runs += outcome.runs_used
                 if outcome.still_failing:
                     shrunk[seed] = outcome.scenario
             if stop_after is not None and failed >= stop_after:

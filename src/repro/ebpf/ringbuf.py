@@ -33,16 +33,13 @@ SAMPLE_STRIDE = 4
 class RingBufferStats:
     """Produce/consume/drop counters across all CPUs."""
 
-    __slots__ = ("produced", "consumed", "dropped", "bytes_produced",
-                 "bytes_dropped", "max_fill_bytes")
+    __slots__ = ("produced", "consumed", "dropped", "bytes_produced")
 
     def __init__(self) -> None:
         self.produced = 0
         self.consumed = 0
         self.dropped = 0
         self.bytes_produced = 0
-        self.bytes_dropped = 0
-        self.max_fill_bytes = 0
 
     @property
     def drop_ratio(self) -> float:
@@ -57,7 +54,6 @@ class RingBufferStats:
             "consumed": self.consumed,
             "dropped": self.dropped,
             "bytes_produced": self.bytes_produced,
-            "bytes_dropped": self.bytes_dropped,
             "drop_ratio": self.drop_ratio,
         }
 
@@ -113,9 +109,6 @@ class PerCPURingBuffer:
             ("dio_ring_bytes_produced_total",
              "Bytes accepted into the ring buffers.",
              lambda: stats.bytes_produced),
-            ("dio_ring_bytes_dropped_total",
-             "Bytes discarded under the overflow policy.",
-             lambda: stats.bytes_dropped),
         ):
             registry.counter(name, help_text).set_function(reader)
         registry.gauge(
@@ -123,15 +116,6 @@ class PerCPURingBuffer:
             "Records queued across CPUs awaiting the consumer "
             "(consumer lag).",
         ).set_function(self.pending_records)
-        registry.gauge(
-            "dio_ring_max_fill_bytes",
-            "High-water mark of any single CPU buffer's fill.",
-        ).set_function(lambda: stats.max_fill_bytes)
-        registry.gauge(
-            "dio_ring_fill_ratio",
-            "Fullest CPU buffer's fill fraction (1.0 = at capacity); "
-            "rises when consumer backpressure blocks draining.",
-        ).set_function(self.fill_ratio)
 
     def produce(self, cpu: int, record: Any, size_bytes: int) -> bool:
         """Offer a record from kernel space.
@@ -148,7 +132,6 @@ class PerCPURingBuffer:
                 self._sample_counter += 1
                 if self._sample_counter % SAMPLE_STRIDE != 0:
                     self.stats.dropped += 1
-                    self.stats.bytes_dropped += size_bytes
                     return False
 
         if buffer.used + size_bytes > buffer.capacity:
@@ -158,22 +141,18 @@ class PerCPURingBuffer:
                     old_size, _ = buffer.records.popleft()
                     buffer.used -= old_size
                     self.stats.dropped += 1
-                    self.stats.bytes_dropped += old_size
                 if buffer.used + size_bytes > buffer.capacity:
                     # Single record larger than the whole buffer.
                     self.stats.dropped += 1
-                    self.stats.bytes_dropped += size_bytes
                     return False
             else:
                 self.stats.dropped += 1
-                self.stats.bytes_dropped += size_bytes
                 return False
 
         buffer.records.append((size_bytes, record))
         buffer.used += size_bytes
         self.stats.produced += 1
         self.stats.bytes_produced += size_bytes
-        self.stats.max_fill_bytes = max(self.stats.max_fill_bytes, buffer.used)
         return True
 
     def consume(self, cpu: int, max_records: Optional[int] = None) -> list:
@@ -201,10 +180,6 @@ class PerCPURingBuffer:
     def pending_records(self) -> int:
         """Total records queued across CPUs."""
         return sum(len(b.records) for b in self._buffers)
-
-    def fill_ratio(self) -> float:
-        """Fill fraction of the fullest CPU buffer (0.0 .. 1.0)."""
-        return max(b.used / b.capacity for b in self._buffers)
 
     def __repr__(self) -> str:
         return (f"<PerCPURingBuffer ncpus={self.ncpus} "

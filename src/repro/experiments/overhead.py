@@ -96,8 +96,7 @@ class OverheadResult(NamedTuple):
 
 
 def _run_one(deployment: str, scale: RocksDBScale, ops_per_thread: int,
-             dio_ring_bytes: Optional[int],
-             dio_telemetry: bool = True) -> DeploymentRun:
+             dio_ring_bytes: Optional[int]) -> DeploymentRun:
     kernel = build_kernel(scale)
     env = kernel.env
     process = kernel.spawn_process("db_bench")
@@ -132,8 +131,7 @@ def _run_one(deployment: str, scale: RocksDBScale, ops_per_thread: int,
             syscalls=DATA_SYSCALL_SCOPE,
             session_name="table2-dio",
             ring_capacity_bytes_per_cpu=(dio_ring_bytes if dio_ring_bytes
-                                         else 1152 * 1024),
-            telemetry_enabled=dio_telemetry)
+                                         else 1152 * 1024))
         tracer = DIOTracer(env, kernel, store, config)
     else:
         raise ValueError(f"unknown deployment {deployment!r}")
@@ -176,17 +174,11 @@ def _run_one(deployment: str, scale: RocksDBScale, ops_per_thread: int,
 def run_overhead_comparison(scale: Optional[RocksDBScale] = None,
                             ops_per_thread: int = 3_000,
                             dio_ring_bytes: Optional[int] = None,
-                            deployments: tuple = DEPLOYMENTS,
-                            dio_telemetry: bool = True) -> OverheadResult:
-    """Run the Table II comparison; identical workload per deployment.
-
-    ``dio_telemetry`` toggles DIO's full self-telemetry (spans and
-    component metric bindings); the telemetry-overhead benchmark runs
-    the DIO deployment with both settings and compares wall-clock.
-    """
+                            deployments: tuple = DEPLOYMENTS) -> OverheadResult:
+    """Run the Table II comparison; identical workload per deployment."""
     scale = scale or overhead_scale()
     runs = {}
     for deployment in deployments:
         runs[deployment] = _run_one(deployment, scale, ops_per_thread,
-                                    dio_ring_bytes, dio_telemetry)
+                                    dio_ring_bytes)
     return OverheadResult(runs)

@@ -243,7 +243,7 @@ class FaultyStore:
         self.injected = {kind: 0 for kind in FAULT_KINDS}
         #: Slowdown surplus not yet claimed by the consumer.
         self._pending_penalty_ns = 0
-        #: Total surplus ever injected (telemetry).
+        #: Total surplus ever injected.
         self.penalty_ns_total = 0
 
     # ------------------------------------------------------------------
@@ -329,10 +329,6 @@ class FaultyStore:
         for kind in FAULT_KINDS:
             injected.labels(kind=kind).set_function(
                 lambda kind=kind: self.injected[kind])
-        registry.counter(
-            "dio_faults_penalty_ns_total",
-            "Virtual nanoseconds of slowdown surplus injected.",
-        ).set_function(lambda: self.penalty_ns_total)
         registry.gauge(
             "dio_faults_window_active",
             "1 while the current instant falls inside a fault window.",

@@ -175,7 +175,7 @@ class Kernel:
         #: hook the ring-aware tracer mode attaches to — classic
         #: tracers (syscall tracepoints only) never see these.
         self._uring_observers: list = []
-        #: io_uring lifecycle counters (``dio_uring_*`` telemetry).
+        #: io_uring lifecycle counters (the DST ring twin compares them).
         self.uring_stats: dict[str, int] = {
             "setups": 0, "sqes_submitted": 0, "cqes_posted": 0,
             "cq_overflows": 0, "chain_cancellations": 0,

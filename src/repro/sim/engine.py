@@ -276,10 +276,6 @@ class Environment:
             "dio_sim_queue_depth",
             "Events currently scheduled on the engine's queue.",
         ).set_function(lambda: len(self._queue))
-        registry.gauge(
-            "dio_sim_virtual_time_ns",
-            "Current virtual time in nanoseconds.",
-        ).set_function(lambda: self._now)
 
     @property
     def active_process(self):

@@ -123,7 +123,6 @@ class PipelineHealth:
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self._derived_bound = False
 
     # ------------------------------------------------------------------
     # Derived gauges
@@ -174,27 +173,26 @@ class PipelineHealth:
         fallback = self.registry.value("dio_store_agg_fallback_total")
         return _ratio(pushed, pushed + fallback)
 
-    #: derived gauge name -> bound method name.
-    DERIVED = {
+    #: The derived values a health report carries, in report order.
+    DERIVED = ("drop_ratio", "consumer_lag", "retry_rate",
+               "unresolved_ratio", "spill_backlog", "breaker_state",
+               "agg_cache_hit_rate", "agg_pushdown_ratio")
+
+    #: The derived values also exported as callback gauges:
+    #: gauge name -> method name.
+    GAUGES = {
         "dio_health_drop_ratio": "drop_ratio",
         "dio_health_consumer_lag_records": "consumer_lag",
         "dio_health_retry_rate": "retry_rate",
         "dio_health_unresolved_ratio": "unresolved_ratio",
-        "dio_health_spill_backlog_records": "spill_backlog",
-        "dio_health_breaker_state": "breaker_state",
-        "dio_health_agg_cache_hit_rate": "agg_cache_hit_rate",
-        "dio_health_agg_pushdown_ratio": "agg_pushdown_ratio",
     }
 
     def bind_derived_gauges(self) -> None:
-        """Expose the derived gauges as ``dio_health_*`` callbacks."""
-        if self._derived_bound:
-            return
-        for name, method in self.DERIVED.items():
+        """Expose :data:`GAUGES` as ``dio_health_*`` callbacks."""
+        for name, method in self.GAUGES.items():
             self.registry.gauge(
                 name, f"Derived pipeline health gauge ({method}).",
             ).set_function(getattr(self, method))
-        self._derived_bound = True
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -223,5 +221,5 @@ class PipelineHealth:
             )
             for stage in STAGES)
         derived = {method: getattr(self, method)()
-                   for method in self.DERIVED.values()}
+                   for method in self.DERIVED}
         return HealthReport(stages=stages, derived=derived)

@@ -29,13 +29,6 @@ _SECTIONS = (
     ("dio_ring_", "Per-CPU ring buffers",
      "The kernel→user-space handoff (§III-D): fixed-capacity per-CPU "
      "buffers whose discards the paper measures at 3.5% under load."),
-    ("dio_uring_", "io_uring visibility",
-     "The ring-aware tracer mode: SQE/CQE lifecycle counters from the "
-     "kernel's io_uring model, plus the per-op completion events the "
-     "classic (enter-only) mode cannot see.  The gap between "
-     "``dio_uring_cqes_posted_total`` and "
-     "``dio_uring_events_observed_total`` is the blind spot, in "
-     "metric form."),
     ("dio_consumer_", "Consumer",
      "The single user-space consumer process: batching, parsing, "
      "staging, backpressure, and backoff."),
@@ -82,8 +75,9 @@ _SECTIONS = (
      "``consumer.batch``, ``shipper.bulk``, ``shipper.replay``)."),
     ("dio_health_", "Derived health gauges",
      "Computed from the families above by "
-     ":class:`repro.telemetry.health.PipelineHealth`; these are what "
-     "``dio health`` renders."),
+     ":class:`repro.telemetry.health.PipelineHealth`: the derived "
+     "values a test reads as gauges.  ``dio health`` renders all of "
+     "them, and more, from the same methods."),
     ("dio_diagnosis_", "Streaming diagnosis",
      "The streaming-diagnosis tap (``repro.analysis.streaming``) "
      "riding the consumer path: bounded-memory detectors emitting "
@@ -93,10 +87,6 @@ _SECTIONS = (
      "The online DFG miner inside the diagnosis tap: syscall "
      "transition structure and behaviour-phase drift, mined live "
      "(batch mining lives in ``repro.analysis.dfg``)."),
-    ("dst_", "Deterministic simulation testing",
-     "Campaign counters from the DST harness (``dio dst run``): "
-     "seeded whole-pipeline scenarios with fault, crash, and "
-     "torn-WAL injection.  See docs/TESTING.md."),
 )
 
 _HEADER = """# DIO metrics reference
@@ -153,9 +143,6 @@ def build_reference_registry() -> MetricsRegistry:
 
         env.run(until=env.process(main()))
 
-    from repro.dst.campaign import CampaignStats
-    CampaignStats().bind_telemetry(tracer.telemetry.registry)
-
     # The sharded router and the tenancy layer bind their families on
     # top (registration is idempotent, so the shared dio_store_*
     # names are simply reused).
@@ -175,26 +162,22 @@ def metrics_reference_markdown(registry: MetricsRegistry) -> str:
     families = registry.collect()
     lines = [_HEADER]
     seen = set()
-    for prefix, heading, blurb in _SECTIONS:
-        group = [f for f in families if f.name.startswith(prefix)]
+    sections = [(heading, blurb + "\n",
+                 [f for f in families if f.name.startswith(prefix)])
+                for prefix, heading, blurb in _SECTIONS]
+    for _, _, group in sections:
+        seen.update(f.name for f in group)
+    sections.append(("Other", None,
+                     [f for f in families if f.name not in seen]))
+    for heading, blurb, group in sections:
         if not group:
             continue
-        seen.update(f.name for f in group)
         lines.append(f"\n## {heading}\n")
-        lines.append(blurb + "\n")
+        if blurb is not None:
+            lines.append(blurb)
         lines.append("| metric | type | labels | description |")
         lines.append("|---|---|---|---|")
         for family in group:
-            labels = ", ".join(f"`{l}`" for l in family.labelnames) or "—"
-            help_text = " ".join(family.help.split()) or "—"
-            lines.append(f"| `{family.name}` | {family.kind} "
-                         f"| {labels} | {help_text} |")
-    leftover = [f for f in families if f.name not in seen]
-    if leftover:
-        lines.append("\n## Other\n")
-        lines.append("| metric | type | labels | description |")
-        lines.append("|---|---|---|---|")
-        for family in leftover:
             labels = ", ".join(f"`{l}`" for l in family.labelnames) or "—"
             help_text = " ".join(family.help.split()) or "—"
             lines.append(f"| `{family.name}` | {family.kind} "

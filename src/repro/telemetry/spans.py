@@ -94,30 +94,13 @@ class _ActiveSpan:
                                   self._depth, self._parent))
 
 
-class _NullSpan:
-    """Shared no-op context manager for disabled telemetry."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class SpanTracer:
     """Records spans against a clock into a registry histogram."""
 
     def __init__(self, clock: Callable[[], int],
                  registry: Optional[MetricsRegistry] = None,
-                 enabled: bool = True,
                  max_finished: int = MAX_FINISHED_SPANS):
         self._clock = clock
-        self.enabled = enabled
         self._stack: list[str] = []
         self.finished: list[Span] = []
         self.dropped = 0
@@ -129,8 +112,6 @@ class SpanTracer:
 
     def span(self, name: str):
         """Context manager recording one ``name`` span."""
-        if not self.enabled:
-            return _NULL_SPAN
         return _ActiveSpan(self, name)
 
     def _finish(self, span: Span) -> None:
@@ -157,4 +138,4 @@ class SpanTracer:
 
     def __repr__(self) -> str:
         return (f"<SpanTracer finished={len(self.finished)} "
-                f"open={len(self._stack)} enabled={self.enabled}>")
+                f"open={len(self._stack)}>")

@@ -7,9 +7,8 @@ health composer.  Components receive the registry through their
 ``bind_telemetry`` hooks; user-facing layers read back through
 :meth:`health_report`, :meth:`to_prometheus`, and :meth:`to_json`.
 
-``enabled=False`` turns span recording into a no-op (counters stay
-live — they are what :class:`~repro.tracer.tracer.TracerStats` reads),
-which is the switch the telemetry-overhead benchmark flips.
+Self-telemetry has no off switch: every pipeline binds every stage, so
+a health report never reads an unbound family as zero.
 """
 
 from __future__ import annotations
@@ -26,28 +25,15 @@ class Telemetry:
     """Registry + spans + health for one pipeline."""
 
     def __init__(self, clock: Optional[Callable[[], int]] = None,
-                 enabled: bool = True,
                  registry: Optional[MetricsRegistry] = None):
         self.clock = clock if clock is not None else (lambda: 0)
-        self.enabled = enabled
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.spans = SpanTracer(self.clock,
-                                self.registry if enabled else None,
-                                enabled=enabled)
+        self.spans = SpanTracer(self.clock, self.registry)
         self.health = PipelineHealth(self.registry)
-        if enabled:
-            self.health.bind_derived_gauges()
-
-    @classmethod
-    def for_environment(cls, env, enabled: bool = True) -> "Telemetry":
-        """Telemetry on ``env``'s virtual clock, with the engine bound."""
-        telemetry = cls(clock=lambda: env.now, enabled=enabled)
-        if enabled:
-            env.bind_telemetry(telemetry.registry)
-        return telemetry
+        self.health.bind_derived_gauges()
 
     def span(self, name: str):
-        """Context manager recording a named span (no-op when disabled)."""
+        """Context manager recording a named span."""
         return self.spans.span(name)
 
     def health_report(self) -> HealthReport:
@@ -63,5 +49,4 @@ class Telemetry:
         return to_json(self.registry, indent=indent)
 
     def __repr__(self) -> str:
-        return (f"<Telemetry enabled={self.enabled} "
-                f"metrics={len(self.registry)}>")
+        return f"<Telemetry metrics={len(self.registry)}>"

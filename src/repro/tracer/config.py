@@ -125,13 +125,6 @@ class TracerConfig:
     #: gives up and leaves the remaining segments in the WAL.
     spill_replay_failure_budget: int = 8
 
-    # -- self-telemetry --------------------------------------------------
-    #: Record pipeline spans / bind component metrics.  Counters that
-    #: back :class:`~repro.tracer.tracer.TracerStats` stay live either
-    #: way; disabling only removes the optional instrumentation (what
-    #: the telemetry-overhead benchmark measures).
-    telemetry_enabled: bool = True
-
     # -- in-kernel cost model (drives Table II overheads) ---------------
     #: Cost of the sys_enter eBPF program (stash args + timestamp).
     enter_cost_ns: int = 700
@@ -286,7 +279,6 @@ _TOML_KEYS: dict[str, dict[str, tuple]] = {
         "shard_key": ("shard_key", str),
         "time_window_ns": ("shard_time_window_ns", int),
     },
-    "telemetry": {"enabled": ("telemetry_enabled", bool)},
     "resilience": {
         key: (key, cast) for key, cast in (
             ("backoff_cap_ns", int),

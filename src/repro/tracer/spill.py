@@ -62,9 +62,7 @@ class SpillWAL:
         self._next_seq = 0
         #: Lifetime counters (exported as ``dio_spill_*``).
         self.spilled_records_total = 0
-        self.spilled_batches_total = 0
         self.replayed_records_total = 0
-        self.replayed_batches_total = 0
 
     # ------------------------------------------------------------------
     # Write side
@@ -78,7 +76,6 @@ class SpillWAL:
                                spilled_at_ns=now_ns, reason=reason)
         self._next_seq += 1
         self._segments.append(segment)
-        self.spilled_batches_total += 1
         self.spilled_records_total += len(docs)
         return segment
 
@@ -94,7 +91,6 @@ class SpillWAL:
         if not self._segments:
             raise IndexError("spill WAL is empty")
         segment = self._segments.popleft()
-        self.replayed_batches_total += 1
         self.replayed_records_total += len(segment.docs)
         return segment
 
@@ -171,15 +167,9 @@ class SpillWAL:
             ("dio_spill_records_total",
              "Records written to the spill WAL after exhausted retries.",
              lambda: self.spilled_records_total),
-            ("dio_spill_batches_total",
-             "Batches written to the spill WAL.",
-             lambda: self.spilled_batches_total),
             ("dio_spill_replayed_records_total",
              "Spilled records successfully replayed into the backend.",
              lambda: self.replayed_records_total),
-            ("dio_spill_replayed_batches_total",
-             "Spilled batches successfully replayed into the backend.",
-             lambda: self.replayed_batches_total),
         ):
             registry.counter(name, help_text).set_function(reader)
         registry.gauge(

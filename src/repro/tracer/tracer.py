@@ -99,7 +99,7 @@ class TracerStats:
     @property
     def uring_observed(self) -> int:
         """Per-SQE ring events captured (ring-aware mode only)."""
-        return int(self._tracer._m_uring_observed.value)
+        return self._tracer._uring_observed
 
     @property
     def shipped(self) -> int:
@@ -180,7 +180,6 @@ class DIOTracer:
     def __init__(self, env: Environment, kernel: Kernel,
                  store: DocumentStore,
                  config: Optional[TracerConfig] = None,
-                 telemetry: Optional[Telemetry] = None,
                  tap=None):
         self.env = env
         self.kernel = kernel
@@ -204,10 +203,8 @@ class DIOTracer:
         self._inflight = BPFHashMap(max_entries=65536, name="dio_inflight")
 
         #: The pipeline's self-telemetry.  The registry backs the
-        #: consumer/shipper counters even when spans are disabled, so
-        #: :class:`TracerStats` always reads live values.
-        self.telemetry = telemetry or Telemetry(
-            clock=lambda: env.now, enabled=self.config.telemetry_enabled)
+        #: consumer/shipper counters :class:`TracerStats` reads.
+        self.telemetry = Telemetry(clock=lambda: env.now)
         registry = self.telemetry.registry
         self._m_batches = registry.counter(
             "dio_consumer_batches_total", "Bulk requests issued.")
@@ -238,42 +235,9 @@ class DIOTracer:
         self._m_ingest_events = registry.counter(
             "dio_ingest_events_total",
             "Events decoded by the consumer.")
-        # io_uring visibility.  The kernel-side lifecycle counters are
-        # bound unconditionally (they read the kernel's own tallies);
-        # the observed counter only moves in ring-aware mode — the gap
-        # between cqes_posted and events_observed IS the classic
-        # tracer's blind spot, in metric form.
-        self._m_uring_observed = registry.counter(
-            "dio_uring_events_observed_total",
-            "Per-SQE completion events captured by the ring-aware "
-            "tracer mode; stays zero in classic mode (the io_uring "
-            "blind spot).")
-        registry.counter(
-            "dio_uring_setups_total",
-            "io_uring instances created via io_uring_setup.",
-        ).set_function(lambda: self.kernel.uring_stats["setups"])
-        registry.counter(
-            "dio_uring_sqes_submitted_total",
-            "Submission-queue entries moved into the kernel by "
-            "io_uring_enter.",
-        ).set_function(lambda: self.kernel.uring_stats["sqes_submitted"])
-        registry.counter(
-            "dio_uring_cqes_posted_total",
-            "Completion-queue entries posted by the kernel (includes "
-            "completions lost to CQ overflow).",
-        ).set_function(lambda: self.kernel.uring_stats["cqes_posted"])
-        registry.counter(
-            "dio_uring_cq_overflows_total",
-            "Completions dropped because the completion queue was "
-            "full (lost to the application, still observed by the "
-            "ring-aware tracer).",
-        ).set_function(lambda: self.kernel.uring_stats["cq_overflows"])
-        registry.counter(
-            "dio_uring_chain_cancellations_total",
-            "Linked-SQE chain members cancelled (-ECANCELED) after a "
-            "mid-chain error.",
-        ).set_function(
-            lambda: self.kernel.uring_stats["chain_cancellations"])
+        #: Per-SQE completion events captured in ring-aware mode (zero
+        #: in classic mode: the io_uring blind spot).
+        self._uring_observed = 0
 
         #: Resilience state of the shipping hop (see module docstring).
         self._backoff = DecorrelatedJitterBackoff(
@@ -324,10 +288,6 @@ class DIOTracer:
             "Parsed events staged in user space awaiting shipment.",
         ).set_function(lambda: self._staged_events)
         registry.gauge(
-            "dio_consumer_batch_size",
-            "Current adaptive bulk batch size.",
-        ).set_function(lambda: self._batcher.size)
-        registry.gauge(
             "dio_breaker_state",
             "Shipping circuit breaker: 0=closed, 1=half-open, 2=open.",
         ).set_function(lambda: self._breaker.state_code)
@@ -346,13 +306,12 @@ class DIOTracer:
         self._spill.bind_telemetry(registry)
         if self.storage is not None:
             self.storage.bind_telemetry(registry)
-        if self.telemetry.enabled:
-            self.ring.bind_telemetry(registry)
-            self.filter.bind_telemetry(registry)
-            self.store.bind_telemetry(registry, clock=lambda: env.now)
-            env.bind_telemetry(registry)
-            if self.tap is not None:
-                self.tap.bind_telemetry(registry)
+        self.ring.bind_telemetry(registry)
+        self.filter.bind_telemetry(registry)
+        self.store.bind_telemetry(registry, clock=lambda: env.now)
+        env.bind_telemetry(registry)
+        if self.tap is not None:
+            self.tap.bind_telemetry(registry)
 
         self._enter_prog = EBPFProgram(
             "dio_sys_enter", ProgramType.SYS_ENTER, self._on_enter,
@@ -455,9 +414,7 @@ class DIOTracer:
             self.tap.finalize(self.env.now)
         if self.config.correlate_on_stop:
             correlator = FilePathCorrelator(
-                self.store,
-                registry=(self.telemetry.registry if self.telemetry.enabled
-                          else None))
+                self.store, registry=self.telemetry.registry)
             with self.telemetry.span("correlator.correlate"):
                 self.correlation_report = correlator.correlate(
                     self.config.index, session=self.config.session_name)
@@ -499,7 +456,7 @@ class DIOTracer:
         ``benchmarks/test_uring.py``.
         """
         if self._emit(ctx, ctx.enter_ns) is not None:
-            self._m_uring_observed.inc()
+            self._uring_observed += 1
 
     def _emit(self, ctx: SyscallContext, enter_ns: int) -> Optional[int]:
         """Filter one completed event and offer its record to the ring.

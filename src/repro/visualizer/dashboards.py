@@ -37,12 +37,6 @@ def _format_count(value) -> str:
     return f"{int(value):,}"
 
 
-def _ratio_pct(numerator: float, denominator: float) -> str:
-    if not denominator:
-        return "0.0 %"
-    return f"{numerator / denominator * 100:.1f} %"
-
-
 class SelfMonitoringDashboard:
     """The "DIO self-monitoring" dashboard: the pipeline observing itself.
 
@@ -94,22 +88,22 @@ class SelfMonitoringDashboard:
     def agg_engine_table(self) -> str:
         """Columnar aggregation engine: pushdown, cache, kernel time."""
         value = self.telemetry.registry.value
-        pushed = value("dio_store_agg_pushdown_total")
-        fallback = value("dio_store_agg_fallback_total")
-        hits = value("dio_store_agg_cache_hits_total")
-        misses = value("dio_store_agg_cache_misses_total")
-        total = pushed + fallback
-        lookups = hits + misses
+        derived = self.telemetry.health_report().derived
         family = self.telemetry.registry.get("dio_store_agg_kernel_ns")
         kernel_ns = sum(child.sum for _, child in family.samples()) \
             if family is not None else 0.0
         rows = [
-            ["pushdown", f"{_format_count(pushed)} "
-             f"({_ratio_pct(pushed, total)} of agg requests)"],
-            ["fallback (legacy walk)", _format_count(fallback)],
-            ["cache hits", f"{_format_count(hits)} "
-             f"({_ratio_pct(hits, lookups)} of lookups)"],
-            ["cache misses", _format_count(misses)],
+            ["pushdown",
+             f"{_format_count(value('dio_store_agg_pushdown_total'))} "
+             f"({derived['agg_pushdown_ratio'] * 100:.1f} % "
+             "of agg requests)"],
+            ["fallback (legacy walk)",
+             _format_count(value("dio_store_agg_fallback_total"))],
+            ["cache hits",
+             f"{_format_count(value('dio_store_agg_cache_hits_total'))} "
+             f"({derived['agg_cache_hit_rate'] * 100:.1f} % of lookups)"],
+            ["cache misses",
+             _format_count(value("dio_store_agg_cache_misses_total"))],
             ["kernel time", f"{kernel_ns / 1e6:.2f} ms total"],
         ]
         return render_table(["aggregation engine", "value"], rows)

@@ -202,12 +202,20 @@ class TestSpans:
         family = telemetry.registry.get("dio_span_duration_ns")
         assert family.labels(span="stage").count == 4
 
-    def test_disabled_telemetry_records_nothing(self):
-        telemetry = Telemetry(enabled=False)
+    def test_telemetry_has_no_off_switch(self):
+        """Spans always record: neither the bundle nor the span tracer
+        takes an ``enabled`` flag any more."""
+        from repro.telemetry import SpanTracer
+
+        with pytest.raises(TypeError, match="enabled"):
+            Telemetry(enabled=False)
+        with pytest.raises(TypeError, match="enabled"):
+            SpanTracer(clock=lambda: 0, enabled=False)
+        telemetry = Telemetry()
         with telemetry.span("stage"):
             pass
-        assert telemetry.spans.finished == []
-        assert telemetry.registry.get("dio_span_duration_ns") is None
+        assert [span.name for span in telemetry.spans.finished] == ["stage"]
+        assert telemetry.registry.get("dio_span_duration_ns") is not None
 
     def test_finished_spans_are_bounded(self):
         from repro.telemetry import SpanTracer

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.backend import DocumentStore
-from repro.experiments import run_fluentbit_case
+from repro.experiments import overhead, run_fluentbit_case
+from repro.experiments.rocksdb_case import RocksDBScale
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
 from repro.telemetry import (STAGES, parse_prometheus, registry_as_dict,
@@ -123,19 +124,6 @@ class TestTracerStatsFacade:
         assert tracer.stats.ship_retries == registry.value(
             "dio_shipper_retries_total")
 
-    def test_disabled_telemetry_keeps_counters_live(self):
-        tracer = run_small_trace(TracerConfig(telemetry_enabled=False))
-        assert tracer.telemetry.spans.finished == []
-        assert tracer.stats.shipped == 22
-        assert tracer.stats.batches > 0
-        # Optional bindings were skipped: no ring metrics registered.
-        assert tracer.telemetry.registry.get(
-            "dio_ring_produced_total") is None
-        # The health report still works, reading absent stages as zero.
-        report = tracer.telemetry.health_report()
-        assert report.stage("ring_buffer").counters["produced"] == 0
-        assert report.stage("shipper").counters["shipped"] == 22
-
     def test_pipeline_spans_recorded(self):
         tracer = run_small_trace()
         names = {span.name for span in tracer.telemetry.spans.finished}
@@ -156,3 +144,49 @@ class TestTracerStatsFacade:
         assert registry.value("dio_filter_rejected_total") == 22
         assert registry.value("dio_filter_accepted_total") == 0
         assert tracer.stats.filtered_out == 22
+
+
+@pytest.fixture(scope="module")
+def lossy_tracer():
+    """The Table II DIO deployment behind a 16 KiB ring: it drops."""
+    made = []
+
+    class Recording(DIOTracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(overhead, "DIOTracer", Recording)
+        overhead.run_overhead_comparison(
+            RocksDBScale(client_threads=2, key_count=400, value_size=256),
+            ops_per_thread=800, dio_ring_bytes=16 * 1024,
+            deployments=("dio",))
+    (tracer,) = made
+    return tracer
+
+
+class TestHealthTellsTheTruth:
+    """A lossy run's health report shows its loss.  With telemetry
+    switched off the same run once reported a drop ratio of 0.0 (the
+    ring families were never bound, and an unbound family reads 0)."""
+
+    def test_drop_ratio_is_the_rings(self, lossy_tracer):
+        derived = lossy_tracer.telemetry.health_report().derived
+        assert derived["drop_ratio"] == lossy_tracer.stats.drop_ratio > 0
+
+    def test_ring_stage_counters_are_the_rings(self, lossy_tracer):
+        ring = lossy_tracer.ring.stats
+        report = lossy_tracer.telemetry.health_report()
+        assert report.stage("ring_buffer").counters == {
+            "produced": ring.produced, "dropped": ring.dropped,
+            "consumed": ring.consumed, "bytes": ring.bytes_produced}
+
+    def test_telemetry_is_not_optional(self):
+        """No knob turns self-telemetry off: the field and its TOML
+        section are gone, and asking for either fails by name."""
+        with pytest.raises(TypeError, match="telemetry_enabled"):
+            TracerConfig(telemetry_enabled=False)
+        with pytest.raises(ValueError,
+                           match=r"unknown config section \[telemetry\]"):
+            TracerConfig.from_toml("[telemetry]\nenabled = false\n")
