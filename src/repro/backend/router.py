@@ -11,22 +11,23 @@ own segment directory — and a thin coordinator that:
   [sharding]``), assigning *global* doc ids and insertion ranks and
   handing each shard its documents in rank order, so shard-local row
   order — every shard-local scan — is already the global order;
-- **partitions vectorized bulks** lane-wise: a decoded
-  :class:`~repro.tracer.batch.RecordBatch` is split by shard key with
-  :meth:`RecordBatch.take` before ``bulk_columnar`` — no per-event
-  document is ever materialised on the ingest path;
+- **partitions bulks** lane-wise: a decoded
+  :class:`~repro.tracer.batch.RecordBatch` — or a list of documents,
+  as a :class:`~repro.backend.lanes.DocBatch` — is split by shard key
+  with ``take`` before each shard's ``bulk_columnar``;
 - **fans out reads** shard by shard (serially: the speed-up is the
   smaller per-shard working set, not threads) and merges at the
-  coordinator: a k-way heap merge by global rank for hits (an unsorted
-  search merges the matching ids and builds the window's documents
-  alone; a sorted search asks each shard for its own sorted ``from_ +
-  size`` prefix and merges those by the sort key); for aggregations,
-  each shard's columnar partial
-  (:meth:`ColumnSet.partial`, cached per shard epoch) handed to the
-  same :meth:`ColumnSet.merge` that finishes a single store's answer —
-  no aggregation is validated, computed or finished in this module —
-  and a rank-ordered gather fallback that reproduces the single-store
-  bytes whenever a shard declines or the merge answers ``None``;
+  coordinator, one plan per search: hits are a k-way heap merge by
+  global rank (an unsorted search merges the matching ids and builds
+  the window's documents alone; a sorted search asks each shard for its
+  own sorted ``from_ + size`` prefix and merges those by the sort key);
+  aggregations are each shard's columnar partial
+  (:meth:`ColumnSet.partial`, cached per shard epoch — the router's
+  only cache) handed to the same :meth:`ColumnSet.merge` that finishes
+  a single store's answer — no aggregation is validated, computed or
+  finished in this module — or, whenever a shard declines, the merge
+  answers ``None`` or the request carries ``sort``, a gather in the
+  single store's order that reproduces its bytes;
 - **stays byte-identical**: ``shard_count=1`` (via :func:`create_store`)
   is literally today's ``DocumentStore``, and for any shard count the
   documents, query results, aggregations, correlation output, and
@@ -44,19 +45,18 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from collections import OrderedDict
 from heapq import merge as heap_merge
 from itertools import islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import ColumnSet
-from repro.backend.lanes import JoinedBatch
+from repro.backend.lanes import DocBatch, JoinedBatch
 from repro.backend.query import get_field
-from repro.backend.store import (AGG_CACHE_SIZE, DocumentStore, Index,
-                                 StoreError, _response, sort_key,
-                                 bind_store_telemetry, copy_json,
-                                 observe_span, parse_sort, span_start)
+from repro.backend.store import (DocumentStore, Index, StoreError,
+                                 _response, bind_store_telemetry,
+                                 check_sources, observe_span, parse_sort,
+                                 sort_key, span_start)
 from repro.backend.wal import frame_record, recover_log
 
 #: Supported shard keys (``TracerConfig.shard_key``).
@@ -166,25 +166,21 @@ class ShardedDocumentStore:
         self.documents_indexed = 0
         self.columnar_bulks = 0
         self.queries = 0
+        #: Per-shard partial lookups in the shards' epoch-keyed caches.
         self.agg_cache_hits = 0
         self.agg_cache_misses = 0
         self.agg_kernel_ns = 0
         #: Scatter-gather specifics.
         self.routed_queries = 0       # served by a shard subset
         self.fanout_queries = 0       # had to consult every shard
-        self.agg_merges = 0           # aggregations from partial merge
-        self.agg_gathers = 0          # rank-ordered gather fallback
-        self.partial_cache_hits = 0
+        self.agg_merges = 0           # partial merges a kernel ran for
+        self.agg_gathers = 0          # gathered in the single store's order
         self.bulk_partitions = 0      # per-shard sub-bulks dispatched
         self.rebalances = 0
         self.shard_kills = 0
         #: Scan report of the last :meth:`restore_shard` (``header_ok``,
         #: ``records_recovered``, ``torn_bytes_dropped``).
         self.shard_restore_report: Optional[dict] = None
-        #: Coordinator aggregation-result cache, keyed by (per-shard
-        #: epochs, canonical request) — the cross-shard twin of the
-        #: per-Index cache.
-        self._agg_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._telemetry: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -398,35 +394,16 @@ class ShardedDocumentStore:
         return doc_ids
 
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
-        start = span_start(self._telemetry)
-        self.ensure_index(index)
-        state = self._states[index]
-        sources = list(sources)
-        n = len(sources)
-        doc_ids = self._assign(state, n)
-        codes = [self._route_source(source) for source in sources]
-        state.owner.update(zip(doc_ids, codes))
-        groups: dict[int, tuple[list, list]] = {}
-        for source, doc_id, code in zip(sources, doc_ids, codes):
-            group = groups.get(code)
-            if group is None:
-                group = groups[code] = ([], [])
-            group[0].append(source)
-            group[1].append(doc_id)
-        for code, group in sorted(groups.items()):
-            self.shards[code].bulk(index, group[0], group[1])
-        self.bulk_requests += 1
-        self.documents_indexed += n
-        self.bulk_partitions += len(groups)
-        observe_span(self._telemetry, "store.bulk", start)
-        return n
+        """:meth:`bulk_columnar` of the documents as one
+        :class:`DocBatch`; a source that is not a dict stores nothing."""
+        return self.bulk_columnar(index, DocBatch(check_sources(sources)))
 
     def bulk_columnar(self, index: str, batch) -> int:
-        """Partition one decoded batch by shard key, lane-wise.
+        """Partition one lane batch by shard key, lane-wise.
 
         The common case (time-window sharding, in-order event streams;
         or a single-pid batch under pid sharding) lands every row on
-        one shard, which skips :meth:`RecordBatch.take` entirely.
+        one shard, which skips ``batch.take`` entirely.
         """
         start = span_start(self._telemetry)
         self.ensure_index(index)
@@ -513,32 +490,6 @@ class ShardedDocumentStore:
         return list(heap_merge(*parts,
                                key=lambda pair: rank.get(pair[0], last)))
 
-    # -- aggregation partial merge -------------------------------------
-
-    def _coordinator_cache_key(self, index: str, query, aggs,
-                               shards: list[int]) -> Optional[tuple]:
-        try:
-            body = json.dumps((query, aggs, shards), sort_keys=True,
-                              default=repr)
-        except (TypeError, ValueError):
-            return None
-        epochs = tuple(
-            shard._indices[index].epoch if index in shard._indices else -1
-            for shard in self.shards)
-        return (epochs, body)
-
-    def _cache_get(self, key: tuple) -> Optional[tuple]:
-        entry = self._agg_cache.get(key)
-        if entry is not None:
-            self._agg_cache.move_to_end(key)
-        return entry
-
-    def _cache_put(self, key: tuple, entry: tuple) -> None:
-        self._agg_cache[key] = entry
-        self._agg_cache.move_to_end(key)
-        while len(self._agg_cache) > AGG_CACHE_SIZE:
-            self._agg_cache.popitem(last=False)
-
     def search(self, index: str, query: Optional[dict] = None,
                aggs: Optional[dict] = None,
                sort: Optional[list] = None,
@@ -546,14 +497,13 @@ class ShardedDocumentStore:
                from_: int = 0) -> dict:
         """Scatter-gather search; byte-identical to the single store.
 
-        Hits are merged by a k-way heap on global rank — or, for a
-        sorted search, each shard's own sorted ``from_ + size`` prefix
-        on the sort key with a rank tie-break, which reproduces the
-        single store's stable multi-pass sort exactly.  Aggregations try the partial
-        merge first — per-shard columnar partials, each cached in its
-        shard's epoch-keyed LRU, finished by :meth:`ColumnSet.merge` —
-        and otherwise gather rank-ordered sources through the legacy
-        :func:`run_aggregations`, which is identical by construction.
+        One plan.  Hits are the window alone: :meth:`_window` (matching
+        ids merged by global rank) or, under ``sort``,
+        :meth:`_sorted_window` (each shard's sorted ``from_ + size``
+        prefix merged on the sort key with a rank tie-break, which
+        reproduces the single store's stable multi-pass sort exactly);
+        an unsorted ``size=0`` request builds no id list.  Aggregations
+        come from :meth:`_aggregate`.
         """
         if from_ < 0:
             raise StoreError(f"from_ must be non-negative: {from_}")
@@ -563,62 +513,22 @@ class ShardedDocumentStore:
         self.queries += 1
         state = self._state(index)
         shards = self._query_shards(index, query)
-
-        aggregations = None
         total: Optional[int] = None
-        cache_key = cacheable = None
-        if aggs is not None and not sort:
-            cache_key = self._coordinator_cache_key(index, query, aggs, shards)
-            cacheable = cache_key is not None
-            if cacheable:
-                cached = self._cache_get(cache_key)
-                if cached is not None:
-                    self.agg_cache_hits += 1
-                    total, aggregations = cached[0], copy_json(cached[1])
-                    cacheable = False
-                else:
-                    self.agg_cache_misses += 1
-
-        if aggregations is not None and size == 0:
-            observe_span(self._telemetry, "store.query", start)
-            return _response(index, total, [], aggregations)
-
-        window = None
-        if size == 0 and not sort:
-            if aggs is None:
-                total = sum(self._map_shards(
-                    shards, lambda shard: shard.count(index, query)))
-            elif aggregations is None:
-                total, aggregations = self._scatter_aggs(
-                    index, query, aggs, shards, state)
-            window = []
-        elif sort and aggs is None:
+        window: list[tuple[str, dict]] = []
+        if sort:
             total, window = self._sorted_window(index, query, shards, state,
                                                 sort, size, from_)
-        elif aggs is None:
+        elif size != 0:
             total, window = self._window(index, query, shards, state,
                                          size, from_)
-        else:
-            matches = self._merged_matches(index, query, shards, state, sort)
-            total = len(matches)
-            if aggs is not None and aggregations is None:
-                merged = None
-                if not sort:
-                    merged = self._try_partial_merge(index, query, aggs,
-                                                     shards)
-                if merged is not None:
-                    aggregations = merged
-                    self.agg_merges += 1
-                else:
-                    aggregations = run_aggregations(
-                        aggs, [source for _, source in matches])
-                    self.agg_gathers += 1
-            window = (matches[from_:] if size is None
-                      else matches[from_:from_ + size])
-
+        aggregations = None
+        if aggs is not None:
+            total, aggregations = self._aggregate(index, query, aggs, shards,
+                                                  state, sort)
+        elif total is None:
+            total = sum(self._map_shards(
+                shards, lambda shard: shard.count(index, query)))
         observe_span(self._telemetry, "store.query", start)
-        if cacheable and aggregations is not None:
-            self._cache_put(cache_key, (total, copy_json(aggregations)))
         return _response(index, total, window, aggregations)
 
     def _window(self, index: str, query, shards: list[int],
@@ -641,16 +551,6 @@ class ShardedDocumentStore:
                 list(map(target.columns.row_of.__getitem__, doc_ids)))))
         return len(merged), [(doc_id, sources[doc_id])
                              for doc_id, _ in window]
-
-    def _merged_matches(self, index: str, query, shards: list[int],
-                        state: _IndexState, sort) -> list[tuple[str, dict]]:
-        """Every match, in the single store's order (aggregations
-        over a sorted search read them all)."""
-        if not sort:
-            return self._merge_by_rank(self._map_shards(
-                shards, lambda shard: shard.scan(index, query)), state)
-        return self._sorted_window(index, query, shards, state, sort,
-                                   None, 0)[1]
 
     def _sorted_window(self, index: str, query, shards: list[int],
                        state: _IndexState, sort, size: Optional[int],
@@ -687,57 +587,90 @@ class ShardedDocumentStore:
         merged = heap_merge(*parts, key=merge_key)
         return total, list(islice(merged, from_, limit))
 
-    def _scatter_aggs(self, index: str, query, aggs, shards: list[int],
-                      state: _IndexState) -> tuple[int, dict]:
-        """(total, aggregations) for the aggregate-only path."""
-        merged = self._try_partial_merge(index, query, aggs, shards,
-                                         want_total=True)
-        if merged is not None:
-            total, aggregations = merged
-            self.agg_merges += 1
-            return total, aggregations
-        parts = self._map_shards(shards,
-                                 lambda shard: shard.scan(index, query))
-        matches = self._merge_by_rank(parts, state)
+    def _aggregate(self, index: str, query, aggs, shards: list[int],
+                   state: _IndexState, sort) -> tuple[int, dict]:
+        """``(total, aggregations)``: the partial merge, or else every
+        match gathered through :func:`run_aggregations` in the order the
+        single store's fallback reads — global rank, or the sort order
+        under ``sort`` (where the single store never pushes down)."""
+        if not sort:
+            merged = self._try_partial_merge(index, query, aggs, shards)
+            if merged is not None:
+                return merged
+            matches = self._merge_by_rank(self._map_shards(
+                shards, lambda shard: shard.scan(index, query)), state)
+        else:
+            matches = self._sorted_window(index, query, shards, state, sort,
+                                          None, 0)[1]
         self.agg_gathers += 1
         return len(matches), run_aggregations(
             aggs, [source for _, source in matches])
 
     def _try_partial_merge(self, index: str, query, aggs,
-                           shards: list[int], want_total: bool = False):
-        """Merged aggregations via per-shard partials, or ``None``.
+                           shards: list[int]) -> Optional[tuple[int, dict]]:
+        """``(total, aggregations)`` via per-shard partials, or ``None``.
 
         ``None`` means "cannot be proven byte-identical": a shard's
         columns declined the request (as the single store's would) or
         :meth:`ColumnSet.merge` met an answer that depends on
         cross-shard document order; the caller gathers instead.
         """
+        hits = self.agg_cache_hits
         kernel_start = time.perf_counter_ns()
-        results = self._map_shards(
-            shards, lambda shard: _shard_partial(shard, index, query, aggs))
-        totals, partials = [], []
-        for entry, hit in results:
-            if hit:
-                self.partial_cache_hits += 1
-            if entry is None:
-                return None
-            totals.append(entry[0])
-            partials.append(entry[1])
-        if not partials:          # the query is confined to no shard
+        entries = self._map_shards(
+            shards, lambda shard: self._shard_partial(shard, index, query,
+                                                      aggs))
+        if not entries or None in entries:   # no shard, or one declined
             return None
         try:
-            merged = ColumnSet.merge(aggs, partials)
+            merged = ColumnSet.merge(aggs, [partial for _, partial in entries])
         except Exception:
             return None
         if merged is None:
             return None
-        elapsed = time.perf_counter_ns() - kernel_start
-        self.agg_kernel_ns += elapsed
-        if self._telemetry is not None:
-            self._telemetry["agg_kernel"].observe(elapsed)
-        if want_total:
-            return sum(totals), merged
-        return merged
+        if self.agg_cache_hits - hits < len(entries):
+            # A shard ran its kernels: a pushdown.  With every partial
+            # cached the request is a cache hit, as a single store's
+            # repeat is.
+            self.agg_merges += 1
+            elapsed = time.perf_counter_ns() - kernel_start
+            self.agg_kernel_ns += elapsed
+            if self._telemetry is not None:
+                self._telemetry["agg_kernel"].observe(elapsed)
+        return sum(total for total, _ in entries), merged
+
+    def _shard_partial(self, shard: DocumentStore, index: str, query,
+                       aggs) -> Optional[tuple[int, dict]]:
+        """One shard's ``(total, partial)``, looked up in — or computed
+        into — the shard's epoch-keyed cache, where it is shared by
+        reference (:meth:`ColumnSet.merge` does not mutate it).
+
+        ``None`` when the shard's columns decline the request or the
+        kernels raise: the coordinator then gathers, exactly as the
+        single store falls back to :func:`run_aggregations`.
+        """
+        target = shard._indices.get(index)
+        if target is None:
+            return None
+        key = target.agg_cache_key(query, aggs)
+        if key is not None:
+            key += ("__shard_partial__",)
+            cached = target.agg_cache_get(key)
+            if cached is not None:
+                self.agg_cache_hits += 1
+                return cached
+            self.agg_cache_misses += 1
+        try:
+            if not target.columns.supports(aggs, *target.column_sources()):
+                return None
+            rows, total = target.matching_rows(query,
+                                               shard._plan(target, query))
+            entry = (total, target.columns.partial(aggs, rows))
+        except Exception:
+            return None
+        if key is not None:
+            target.agg_cache_put(key, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Mutation
@@ -866,30 +799,6 @@ class ShardedDocumentStore:
                         [name, doc_id, rank, source], default=repr))
             (shard_dir / SHARD_IMAGE_NAME).write_bytes(b"".join(frames))
 
-    def save_shard_segments(self, root, session: str,
-                            index: str = "dio_trace") -> list:
-        """Persist each shard's slice of ``session`` into its own
-        segment storage directory (``shard-NN/``).
-
-        Operator-facing persistence: each shard owns its directory, so
-        retention/compaction can run per shard.  Returns the per-shard
-        directories that received data.
-        """
-        from pathlib import Path
-
-        from repro.backend.persistence import save_session
-        root = Path(root)
-        written = []
-        for i, shard in enumerate(self.shards):
-            if index not in shard._indices:
-                continue
-            if shard.count(index, {"term": {"session": session}}) == 0:
-                continue
-            shard_dir = root / f"shard-{i:02d}"
-            save_session(shard, session, shard_dir, index=index)
-            written.append(shard_dir)
-        return written
-
     def kill_shard(self, shard: int) -> None:
         """Drop one shard's in-memory state (a simulated node loss).
 
@@ -958,7 +867,8 @@ class ShardedDocumentStore:
 
     def agg_stats(self) -> dict:
         """Same shape as :meth:`DocumentStore.agg_stats`, coordinator
-        merges/gathers folded into pushdowns/fallbacks."""
+        merges/gathers folded into pushdowns/fallbacks; the cache fields
+        count per-shard partial lookups."""
         return {
             "pushdowns": self.agg_merges + sum(
                 s.agg_pushdowns for s in self.shards),
@@ -1020,46 +930,6 @@ class ShardedDocumentStore:
             "dio_shard_fanout_queries_total",
             "Read requests fanned out to every shard.",
         ).set_function(lambda: self.fanout_queries)
-
-
-# ----------------------------------------------------------------------
-# Per-shard aggregation partials
-
-
-def _shard_partial(shard: DocumentStore, index: str, query,
-                   aggs) -> tuple[Optional[tuple[int, dict]], bool]:
-    """One shard's ``((total, partial), cache_hit)``.
-
-    The entry is ``None`` when the shard's columns decline the request
-    or the kernels raise — the coordinator then gathers, exactly as the
-    single store falls back to :func:`run_aggregations`.  The entry is
-    cached in the shard's epoch-keyed LRU and shared by reference:
-    :meth:`ColumnSet.merge` does not mutate it.
-
-    Touches only this shard's state and returns the cache outcome
-    instead of mutating coordinator counters.
-    """
-    target = shard._indices.get(index)
-    if target is None:
-        return None, False
-    key = target.agg_cache_key(query, aggs)
-    if key is not None:
-        key += ("__shard_partial__",)
-        cached = target.agg_cache_get(key)
-        if cached is not None:
-            return cached, True
-    try:
-        if not target.columns.supports(aggs,
-                                       *target.column_sources()):
-            return None, False
-        rows, total = target.matching_rows(query,
-                                           shard._plan(target, query))
-        entry = (total, target.columns.partial(aggs, rows))
-    except Exception:
-        return None, False
-    if key is not None:
-        target.agg_cache_put(key, entry)
-    return entry, False
 
 
 # ----------------------------------------------------------------------

@@ -553,10 +553,12 @@ _STORE_FAMILIES = (
      "Aggregation requests served by the dict-walking path "
      "(a shape the columnar kernels do not support)."),
     ("counter", "dio_store_agg_cache_hits_total", "agg_cache_hits",
-     "Aggregation requests answered from the (epoch, query, "
-     "aggs) result cache."),
+     "Aggregation lookups answered from an index's (epoch, query, "
+     "aggs) result cache; on a sharded store, one lookup per shard "
+     "partial."),
     ("counter", "dio_store_agg_cache_misses_total", "agg_cache_misses",
-     "Cacheable aggregation requests that had to be computed."),
+     "Cacheable aggregation lookups that had to be computed; on a "
+     "sharded store, one lookup per shard partial."),
 )
 
 
@@ -759,34 +761,21 @@ class DocumentStore:
         """Fetch a document source."""
         return self._index(index).get(doc_id)
 
-    def bulk(self, index: str, sources: Iterable[dict],
-             doc_ids: Optional[list[str]] = None) -> int:
-        """Bulk-index documents; returns how many were indexed.
+    def bulk(self, index: str, sources: Iterable[dict]) -> int:
+        """Bulk-index documents, one ``put`` each; returns how many.
 
-        ``doc_ids`` is the coordinator passthrough (see
-        :meth:`Index.bulk_append`); plain callers leave it unset.
+        A source that is not a dict stores nothing: every source is
+        checked before the first is put.
         """
         start = span_start(self._telemetry)
+        sources = check_sources(sources)
         target = self.ensure_index(index)
-        count = 0
-        if doc_ids is None:
-            for source in sources:
-                target.put(source)
-                count += 1
-        else:
-            # Sources beyond the id list still get indexed (with local
-            # auto ids): silently truncating would mask a buggy caller
-            # that grew the batch after ids were assigned.
-            for i, source in enumerate(sources):
-                if i < len(doc_ids):
-                    target.put(source, doc_ids[i])
-                else:
-                    target.put(source)
-                count += 1
+        for source in sources:
+            target.put(source)
         self.bulk_requests += 1
-        self.documents_indexed += count
+        self.documents_indexed += len(sources)
         observe_span(self._telemetry, "store.bulk", start)
-        return count
+        return len(sources)
 
     def bulk_columnar(self, index: str, batch: LaneBatch,
                       doc_ids: Optional[list[str]] = None) -> int:
@@ -951,6 +940,16 @@ class DocumentStore:
         """Delete every matching document; returns how many."""
         target = self._index(index)
         return len(target.delete_matching(query, self._plan(target, query)))
+
+
+def check_sources(sources: Iterable[dict]) -> list[dict]:
+    """``sources`` as a list, or :class:`StoreError` for the first that
+    is not a dict — before a bulk assigns any id or row."""
+    sources = list(sources)
+    for source in sources:
+        if not isinstance(source, dict):
+            raise StoreError(f"document source must be a dict: {source!r}")
+    return sources
 
 
 def parse_sort(sort: list) -> list[tuple[str, bool]]:

@@ -219,7 +219,10 @@ def _sequential_writer_scenario() -> Scenario:
 def _restore_bulk():
     # Mutation tests patch ``DocumentStore.bulk`` with an injected bug.
     # Route the vectorized endpoint through the (patched) dict path for
-    # the fixture's lifetime, so the bug fires on the fast run too.
+    # the fixture's lifetime, so the bug fires on the fast run too.  The
+    # dict path takes no coordinator-assigned ids, so a shard cannot
+    # ship through it: a mutant meant to fire on the fast run runs on
+    # one store (``one_store``).
     real = DocumentStore.bulk
     real_columnar = DocumentStore.bulk_columnar
     DocumentStore.bulk_columnar = (
@@ -227,6 +230,10 @@ def _restore_bulk():
     yield real
     DocumentStore.bulk = real
     DocumentStore.bulk_columnar = real_columnar
+
+
+def one_store(scenario: Scenario) -> Scenario:
+    return dataclasses.replace(scenario, shard_count=1)
 
 
 def test_catches_store_dropping_documents(_restore_bulk):
@@ -237,7 +244,7 @@ def test_catches_store_dropping_documents(_restore_bulk):
         return real_bulk(self, index, kept, *args, **kwargs)
 
     DocumentStore.bulk = buggy_bulk
-    result = run_scenario(generate(1), check_determinism=False,
+    result = run_scenario(one_store(generate(1)), check_determinism=False,
                           check_oracle=False)
     assert not result.ok
     assert any("conservation" in f for f in result.failures)
@@ -252,7 +259,7 @@ def test_catches_store_duplicating_documents(_restore_bulk):
                          *args, **kwargs)
 
     DocumentStore.bulk = buggy_bulk
-    result = run_scenario(generate(1), check_determinism=False,
+    result = run_scenario(one_store(generate(1)), check_determinism=False,
                           check_oracle=False)
     assert not result.ok
     assert any("conservation" in f or "duplicate" in f
@@ -305,8 +312,8 @@ def test_shrinker_minimises_a_failing_scenario(_restore_bulk):
 def test_shrinker_collapses_every_axis_the_failure_ignores(monkeypatch):
     # An injected "invariant" that objects to any stored write: the
     # failure needs one write event and nothing else.  (The store
-    # mutants above will not do here — under them a sharded or crashing
-    # run fails for reasons of its own.)
+    # mutants above will not do here — under them a sharded run cannot
+    # ship and a crashing one fails for reasons of its own.)
     monkeypatch.setattr(
         invariants, "check_isolation",
         lambda ctx: ["stored a write"] * any(

@@ -105,6 +105,21 @@ def test_a_window_builds_only_its_own_rows(saved):
     assert hydrated(sharded) == 7
 
 
+@pytest.mark.parametrize("shards", [1, 3])
+def test_a_window_beside_aggregations_builds_only_its_own_rows(saved,
+                                                               shards):
+    """Aggregations read columns (per-shard partials through the
+    router), so hits plus aggregations build the window and nothing
+    else — the same answer at either shard count."""
+    store, _ = loaded(saved, create_store(shard_count=shards))
+    response = store.search(INDEX, size=5, from_=2, aggs=AGGS)
+    assert len(response["hits"]["hits"]) == 5
+    assert response["hits"]["total"]["value"] == store.count(INDEX) > 7
+    assert hydrated(store) <= 2 + 5
+    single, _ = loaded(saved)
+    assert response == single.search(INDEX, size=5, from_=2, aggs=AGGS)
+
+
 def test_a_row_read_twice_is_the_same_object(saved):
     store, _ = loaded(saved)
     first = store.get_doc(INDEX, "17")
@@ -196,7 +211,9 @@ def test_mutating_a_cached_response_never_changes_the_next(saved, shards):
     second["aggregations"]["per"]["buckets"][0]["t"]["values"]["50"] = -1.0
     second["aggregations"].clear()
     assert store.search(INDEX, size=0, aggs=AGGS) == expected
-    assert store.agg_stats()["cache_hits"] == 2
+    # Two repeats, each one lookup per cache: the store's, or (sharded)
+    # every shard's partial.
+    assert store.agg_stats()["cache_hits"] == 2 * shards
 
 
 def test_copy_json_copies_containers_and_shares_the_rest():

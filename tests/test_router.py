@@ -3,8 +3,8 @@
 The differential suite (``test_sharding_differential.py``) proves the
 router is observably identical to the plain store; these tests pin the
 *mechanisms* — deterministic routing, subset narrowing, partial-merge
-vs gather accounting, kill/restore/rebalance lifecycle, per-shard
-persistence, and the ``dio_shard_*``/``dio_tenant_*`` telemetry.
+vs gather accounting, kill/restore/rebalance lifecycle, and the
+``dio_shard_*``/``dio_tenant_*`` telemetry.
 """
 
 import json
@@ -17,6 +17,7 @@ from repro.backend import (DocumentStore, ShardedDocumentStore,
 from repro.backend.lanes import DocBatch
 from repro.backend.store import StoreError
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.health import PipelineHealth
 
 INDEX = "idx"
 INDEXED = ("syscall", "pid", "file_tag", "session", "time")
@@ -89,6 +90,20 @@ class TestRouting:
         per_shard = [store._shard_docs(i) for i in range(3)]
         assert sum(per_shard) == 50
         assert sum(1 for n in per_shard if n) >= 2
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_a_bulk_with_a_non_dict_source_stores_nothing(self, shard_count):
+        """Every source is checked before an id, a rank or a row is
+        assigned: no document, no counter, and the next id is 1."""
+        store = create_store(shard_count=shard_count)
+        with pytest.raises(StoreError):
+            store.bulk(INDEX, [{"pid": 1}, {"pid": 2}, 5])
+        assert (store.documents_indexed, store.bulk_requests) == (0, 0)
+        assert store.index_names() == []
+        assert store.bulk(INDEX, [{"pid": 3}]) == 1
+        assert list(store.scan(INDEX)) == [("1", {"pid": 3})]
+        if shard_count > 1:
+            assert store._states[INDEX].rank == {"1": 0}
 
     def test_shard_key_term_query_routes_to_subset(self):
         store = sharded()
@@ -197,9 +212,9 @@ class TestMerges:
         extra = {**docs[1], "time": 0}
         assert extra["pid"] == 2
         store.bulk(INDEX, [extra])
-        hits = store.partial_cache_hits
+        hits = store.agg_cache_hits
         second = aggregations(store, fig4(2_000))
-        assert store.partial_cache_hits == hits + 1
+        assert store.agg_cache_hits == hits + 1
         assert second == aggregations(single(docs + [extra]), fig4(2_000))
         assert second != first
 
@@ -229,15 +244,22 @@ class TestMerges:
                      aggs={"lat": {"stats": {"field": "duration_ns"}}})
         assert store.agg_gathers == before + 1
 
-    def test_coordinator_cache_hits_on_repeat(self):
+    def test_repeat_is_answered_from_every_shard_partial_cache(self):
+        """The router keeps no result cache of its own: a repeated
+        request on an unchanged store is one partial-cache hit per
+        shard — a cache hit, not a pushdown, as on one store — and the
+        same bytes."""
         store = sharded()
         store.bulk(INDEX, make_docs(60))
         request = dict(size=0, aggs={"lat": {"stats":
                                              {"field": "duration_ns"}}})
         first = store.search(INDEX, **request)
-        hits = store.agg_cache_hits
+        hits, misses = store.agg_cache_hits, store.agg_cache_misses
+        pushdowns = store.agg_stats()["pushdowns"]
         second = store.search(INDEX, **request)
-        assert store.agg_cache_hits == hits + 1
+        assert store.agg_cache_hits == hits + store.shard_count
+        assert store.agg_cache_misses == misses
+        assert store.agg_stats()["pushdowns"] == pushdowns
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True)
 
@@ -357,15 +379,6 @@ class TestLifecycle:
         assert list(store.scan(INDEX)) == snapshot
         assert_rows_in_rank_order(store)
 
-    def test_save_shard_segments_writes_per_shard_dirs(self, tmp_path):
-        store = sharded()
-        store.bulk(INDEX, make_docs(30, session="cap"))
-        written = store.save_shard_segments(tmp_path, "cap", index=INDEX)
-        assert written
-        for shard_dir in written:
-            assert shard_dir.exists()
-            assert any(shard_dir.iterdir())
-
 
 class TestTelemetry:
     def test_shard_gauges_reflect_layout(self):
@@ -392,6 +405,21 @@ class TestTelemetry:
         assert {"dio_shard_count", "dio_shard_docs",
                 "dio_shard_fanout_queries_total",
                 "dio_store_agg_pushdown_total"} <= names
+
+    def test_health_cache_rate_is_the_partial_cache_rate(self):
+        """A write to one shard leaves the others' partials cached:
+        ``dio health`` reads that reuse, not a coordinator's 0."""
+        store = sharded()
+        registry = MetricsRegistry()
+        store.bind_telemetry(registry)
+        store.bulk(INDEX, make_docs(60))
+        aggregations(store, fig4(2_000))             # 3 misses
+        late = {**make_docs(2)[1], "time": 0}
+        assert store._route_source(late) == 2
+        store.bulk(INDEX, [late])
+        aggregations(store, fig4(2_000))             # 2 hits, 1 miss
+        rate = PipelineHealth(registry).agg_cache_hit_rate()
+        assert rate == store.agg_stats()["cache_hit_rate"] == 2 / 6
 
 
 class TestTenancy:
