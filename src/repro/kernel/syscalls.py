@@ -29,7 +29,8 @@ from repro.kernel.inode import FileType, Inode
 from repro.kernel.pagecache import PageCache
 from repro.kernel.process import (KernelProcess, OpenFileDescription,
                                   ProcessTable, Task)
-from repro.kernel.tracepoints import SyscallContext, TracepointRegistry
+from repro.kernel.tracepoints import (SyscallContext, TracepointRegistry,
+                                      overhead_ns)
 from repro.kernel.uring import (CQE, IOSQE_FIXED_FILE, IOSQE_IO_LINK,
                                 IORING_ENTER_GETEVENTS,
                                 IORING_REGISTER_BUFFERS,
@@ -147,6 +148,10 @@ class Kernel:
         self.device = device or BlockDevice(env)
         self.cache = cache or PageCache(env, self.device)
         self.tracepoints = TracepointRegistry()
+        #: Syscalls resolved so far: name -> ``_resolve(name)``; an
+        #: attach or detach drops them all.
+        self._dispatch: dict[str, tuple] = {}
+        self.tracepoints.subscribe(self._dispatch.clear)
         self.processes = ProcessTable()
         self.ncpus = ncpus
         #: Fixed CPU cost of entering/dispatching any syscall.
@@ -155,8 +160,6 @@ class Kernel:
         self.copy_ns_per_byte = copy_ns_per_byte
         #: Total syscalls executed, by name.
         self.syscall_counts: dict[str, int] = {}
-        #: Syscalls resolved so far: name -> ``_resolve(name)``.
-        self._dispatch: dict[str, tuple] = {}
         #: Observers of VFS namespace changes: callables receiving
         #: ``(op, path, inode)`` for "create", "unlink", and "rename".
         #: This is the minimal inotify-like facility applications such
@@ -251,15 +254,17 @@ class Kernel:
         Returns the syscall's return value; errors are returned as
         ``-errno`` rather than raised, as the kernel ABI does.
         """
-        impl, transfers = self._dispatch.get(name) or self._resolve(name)
+        impl, transfers, on_enter, _ = (self._dispatch.get(name)
+                                        or self._resolve(name))
         counts = self.syscall_counts
         counts[name] = counts.get(name, 0) + 1
 
         env = self.env
         ctx = SyscallContext(name, task, args, enter_ns=env.now)
-        enter_overhead = self.tracepoints.fire_enter(ctx)
-        if enter_overhead > 0:
-            yield enter_overhead
+        if on_enter:
+            enter_overhead = overhead_ns(on_enter, ctx)
+            if enter_overhead > 0:
+                yield enter_overhead
 
         try:
             retval = yield from impl(task, ctx, **args)
@@ -284,18 +289,24 @@ class Kernel:
 
         ctx.retval = retval
         ctx.exit_ns = env.now
-        exit_overhead = self.tracepoints.fire_exit(ctx)
-        if exit_overhead > 0:
-            yield exit_overhead
+        # Looked up again: a program attached or detached while the
+        # call ran decides whether its exit is seen.
+        on_exit = (self._dispatch.get(name) or self._resolve(name))[3]
+        if on_exit:
+            exit_overhead = overhead_ns(on_exit, ctx)
+            if exit_overhead > 0:
+                yield exit_overhead
         return retval
 
     _READ_SYSCALLS = frozenset({"read", "pread64", "readv"})
 
     def _resolve(self, name: str) -> tuple:
-        """Look a syscall up once: ``(implementation, transfers)``.
+        """Look a syscall up once: ``(implementation, transfers,
+        enter handlers, exit handlers)``.
 
         ``transfers`` is ``"read"``/``"write"`` for the six data
-        syscalls and ``None`` for everything else.
+        syscalls and ``None`` for everything else; the handler tuples
+        are empty when no program is attached.
         """
         if name not in ALL_SYSCALLS:
             raise ValueError(f"unsupported syscall {name!r}")
@@ -303,7 +314,8 @@ class Kernel:
         if name in DATA_SYSCALLS:
             transfers = "read" if name in self._READ_SYSCALLS else "write"
         entry = self._dispatch[name] = (getattr(self, f"_sys_{name}"),
-                                        transfers)
+                                        transfers,
+                                        *self.tracepoints.handlers(name))
         return entry
 
     # ------------------------------------------------------------------
@@ -314,14 +326,9 @@ class Kernel:
                     offset: Optional[int] = None,
                     fd_based: bool = True) -> None:
         """Expose kernel context for the tracer's enrichment."""
-        ctx.kernel_extras["dev"] = inode.dev
-        ctx.kernel_extras["ino"] = inode.ino
-        ctx.kernel_extras["generation"] = inode.generation
-        ctx.kernel_extras["inode_birth_ns"] = inode.birth_ns
-        ctx.kernel_extras["file_type"] = inode.file_type
-        ctx.kernel_extras["fd_based"] = fd_based
-        if offset is not None:
-            ctx.kernel_extras["offset"] = offset
+        ctx.inode = inode
+        ctx.offset = offset
+        ctx.fd_based = fd_based
 
     def _resolve_for_ctx(self, ctx: SyscallContext, path: str,
                          follow: bool = True) -> Inode:

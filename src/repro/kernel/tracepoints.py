@@ -12,8 +12,9 @@ paper's Table II overhead comparison.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
+from repro.kernel.inode import Inode
 from repro.kernel.process import Task
 
 #: A tracepoint handler: SyscallContext -> overhead_ns (int or None).
@@ -24,12 +25,13 @@ class SyscallContext:
     """Everything a tracepoint handler can observe about one syscall.
 
     At ``sys_enter`` the return-value fields are unset; at ``sys_exit``
-    the full record is visible.  ``kernel_extras`` carries the kernel
-    context DIO's enrichment reads (file type, offset, inode identity).
+    the full record is visible.  ``inode``, ``offset`` and ``fd_based``
+    are the kernel context DIO's enrichment reads, set when the syscall
+    touches a file.
     """
 
     __slots__ = ("name", "task", "args", "enter_ns", "exit_ns",
-                 "retval", "kernel_extras")
+                 "retval", "inode", "offset", "fd_based")
 
     def __init__(self, name: str, task: Task, args: dict[str, Any], enter_ns: int):
         self.name = name
@@ -40,10 +42,13 @@ class SyscallContext:
         self.exit_ns: Optional[int] = None
         #: Return value; negative values are ``-errno``.
         self.retval: Optional[int] = None
-        #: Kernel-internal context available to enrichment: keys include
-        #: ``file_type``, ``offset``, ``dev``, ``ino``, ``generation``,
-        #: ``inode_birth_ns`` when the syscall touches a file.
-        self.kernel_extras: dict[str, Any] = {}
+        #: The inode the syscall touched (file type, tag identity).
+        self.inode: Optional[Inode] = None
+        #: The file offset the kernel exposed, even for offset-less
+        #: syscalls (``read``/``write``); ``None`` when there is none.
+        self.offset: Optional[int] = None
+        #: Whether the file was reached through an fd (tagged files).
+        self.fd_based = False
 
     @property
     def pid(self) -> int:
@@ -62,33 +67,64 @@ class SyscallContext:
                 f"ret={self.retval}>")
 
 
+def overhead_ns(handlers: Iterable[Handler], ctx: SyscallContext) -> int:
+    """Run ``handlers`` on ``ctx``; return their summed overhead in ns."""
+    overhead = 0
+    for handler in handlers:
+        cost = handler(ctx)
+        if cost:
+            overhead += int(cost)
+    return overhead
+
+
 class TracepointRegistry:
     """Attach/detach handlers on syscall entry and exit tracepoints."""
 
     def __init__(self) -> None:
         self._enter: defaultdict[str, list[Handler]] = defaultdict(list)
         self._exit: defaultdict[str, list[Handler]] = defaultdict(list)
+        self._watchers: list[Callable[[], None]] = []
+
+    def subscribe(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` after every attach or detach (the kernel
+        drops the handler tuples it resolved)."""
+        self._watchers.append(callback)
+
+    def _changed(self) -> None:
+        for callback in self._watchers:
+            callback()
 
     def attach_enter(self, syscall: str, handler: Handler) -> None:
         """Attach ``handler`` to ``sys_enter_<syscall>``."""
         self._enter[syscall].append(handler)
+        self._changed()
 
     def attach_exit(self, syscall: str, handler: Handler) -> None:
         """Attach ``handler`` to ``sys_exit_<syscall>``."""
         self._exit[syscall].append(handler)
+        self._changed()
 
     def detach_enter(self, syscall: str, handler: Handler) -> None:
         """Remove a previously attached entry handler."""
         self._enter[syscall].remove(handler)
+        self._changed()
 
     def detach_exit(self, syscall: str, handler: Handler) -> None:
         """Remove a previously attached exit handler."""
         self._exit[syscall].remove(handler)
+        self._changed()
 
     def detach_all(self) -> None:
         """Remove every handler (tracer shutdown)."""
         self._enter.clear()
         self._exit.clear()
+        self._changed()
+
+    def handlers(self, syscall: str) -> tuple[tuple[Handler, ...],
+                                              tuple[Handler, ...]]:
+        """The entry and exit handlers of ``syscall``, in attach order."""
+        return (tuple(self._enter.get(syscall, ())),
+                tuple(self._exit.get(syscall, ())))
 
     def has_handlers(self, syscall: str) -> bool:
         """``True`` if any handler is attached to ``syscall``."""
@@ -101,18 +137,8 @@ class TracepointRegistry:
 
     def fire_enter(self, ctx: SyscallContext) -> int:
         """Run entry handlers; return their summed overhead in ns."""
-        overhead = 0
-        for handler in self._enter.get(ctx.name, ()):
-            cost = handler(ctx)
-            if cost:
-                overhead += int(cost)
-        return overhead
+        return overhead_ns(self._enter.get(ctx.name, ()), ctx)
 
     def fire_exit(self, ctx: SyscallContext) -> int:
         """Run exit handlers; return their summed overhead in ns."""
-        overhead = 0
-        for handler in self._exit.get(ctx.name, ()):
-            cost = handler(ctx)
-            if cost:
-                overhead += int(cost)
-        return overhead
+        return overhead_ns(self._exit.get(ctx.name, ()), ctx)

@@ -11,11 +11,13 @@ decodes a whole ring-buffer batch into *lanes*:
   per-code row positions collected during encode so field indexes can
   ingest whole groups at once;
 - ``array('q')`` numeric lanes for ``ret`` and the two timestamps;
-- zero-copy references to the raw ``args`` dicts — grouping them by
-  key tuple into a :class:`~repro.backend.lanes.StructLane` and
-  sanitising its lanes is deferred until something actually asks for
-  ``args`` (the backend's default indexed fields and the correlator's
-  ``args.path`` never do; the segment writer does).
+- the records' ``args`` dicts, as the exit program captured them
+  (buffers already their sizes) — grouping them by key tuple into a
+  :class:`~repro.backend.lanes.StructLane` is deferred until something
+  actually asks for ``args`` (the backend's default indexed fields and
+  the correlator's ``args.path`` never do; the segment writer does),
+  and sanitising its lanes then is a no-op on clean args, the work
+  only for raw records staged straight into a ring.
 
 ``to_docs()`` materialises the exact documents ``Event.to_doc`` would
 have produced — same key order, same sparsity, same value objects —
@@ -151,8 +153,8 @@ class RecordBatch:
         """Decode raw ring records (the consumer's ``_take_batch`` output).
 
         One C-speed pass per lane instead of one Python ``Event`` per
-        record.  The raw ``args`` dicts are referenced, not copied or
-        sanitised — that work is deferred to first use.
+        record.  The records' ``args`` dicts are referenced, not copied;
+        grouping and sanitising them is deferred to first use.
         """
         self = cls.__new__(cls)
         self.session = session

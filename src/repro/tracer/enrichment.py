@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ebpf.maps import BPFHashMap
-from repro.kernel.inode import FileType
 from repro.kernel.tracepoints import SyscallContext
 
 #: Extra in-kernel CPU charged when the enrichment path runs (ns).
@@ -29,26 +28,22 @@ class Enricher:
     """Builds the enrichment triple for a completed syscall."""
 
     def __init__(self, first_access_entries: int = 65536):
-        #: (dev, ino, generation) -> first access timestamp (ns).
+        #: (dev, ino, generation) -> the file tag, formatted at the
+        #: file's first access.
         self._first_access = BPFHashMap(max_entries=first_access_entries,
                                         lru=True, name="dio_first_access")
 
     def file_tag(self, ctx: SyscallContext) -> Optional[str]:
         """The file tag for fd-handling syscalls, else ``None``."""
-        extras = ctx.kernel_extras
-        if not extras.get("fd_based"):
+        inode = ctx.inode
+        if inode is None or not ctx.fd_based:
             return None
-        dev = extras.get("dev")
-        ino = extras.get("ino")
-        generation = extras.get("generation")
-        if dev is None or ino is None:
-            return None
-        key = (dev, ino, generation)
-        first = self._first_access.lookup(key)
-        if first is None:
-            first = ctx.enter_ns
-            self._first_access.update(key, first)
-        return f"{dev} {ino} {first}"
+        key = (inode.dev, inode.ino, inode.generation)
+        tag = self._first_access.lookup(key)
+        if tag is None:
+            tag = f"{inode.dev} {inode.ino} {ctx.enter_ns}"
+            self._first_access.update(key, tag)
+        return tag
 
     def enrich(self, ctx: SyscallContext,
                fields: Optional[dict] = None) -> dict:
@@ -63,15 +58,12 @@ class Enricher:
         """
         if fields is None:
             fields = {}
-        extras = ctx.kernel_extras
-        if not extras:
+        inode = ctx.inode
+        if inode is None:
             return fields
-        file_type = extras.get("file_type")
-        if isinstance(file_type, FileType):
-            fields["file_type"] = file_type.value
-        offset = extras.get("offset")
-        if offset is not None:
-            fields["offset"] = offset
+        fields["file_type"] = inode.file_type.value
+        if ctx.offset is not None:
+            fields["offset"] = ctx.offset
         tag = self.file_tag(ctx)
         if tag is not None:
             fields["file_tag"] = tag

@@ -21,24 +21,51 @@ from typing import Any, Optional
 from repro.backend.lanes import StructLane
 
 
+#: Fixed per-record overhead in the ring buffer (headers + fixed fields).
+RECORD_BASE_BYTES = 128
+
+
+def capture_args(syscall: str, args: dict[str, Any]) -> tuple[dict, int]:
+    """What the exit program records of one call's arguments, and the
+    bytes its ring record occupies.
+
+    Arguments become JSON-safe and hold nothing of the application's:
+    a buffer is its length, a buffer list its byte count (1 per
+    non-buffer item), a dict-valued out-parameter (``statbuf``) is not
+    an argument, an exotic value is its ``str()``.  The record is the
+    fixed header plus 8 bytes per argument kept and the characters of
+    each string one — the same size before and after sanitising.
+    """
+    clean: dict[str, Any] = {}
+    size = RECORD_BASE_BYTES + len(syscall)
+    for key, value in args.items():
+        if isinstance(value, (int, float)) or value is None:
+            pass
+        elif isinstance(value, str):
+            size += len(value)
+        elif isinstance(value, (bytes, bytearray)):
+            value = len(value)
+        elif isinstance(value, list):
+            value = sum(len(item) if isinstance(item, (bytes, bytearray))
+                        else 1 for item in value)
+        elif isinstance(value, dict):
+            continue
+        else:
+            value = str(value)
+            size += len(value)
+        clean[key] = value
+        size += 8
+    return clean, size
+
+
 def _sanitize_args(args: dict[str, Any]) -> dict[str, Any]:
     """Make syscall arguments JSON-safe; buffers become byte counts."""
-    clean: dict[str, Any] = {}
-    for key, value in args.items():
-        if isinstance(value, (bytes, bytearray)):
-            clean[key] = len(value)
-        elif isinstance(value, list):
-            clean[key] = sum(
-                len(item) if isinstance(item, (bytes, bytearray)) else 1
-                for item in value)
-        elif isinstance(value, dict):
-            # Out-parameters (statbuf) are not recorded as arguments.
-            continue
-        elif isinstance(value, (str, int, float, bool)) or value is None:
-            clean[key] = value
-        else:
-            clean[key] = str(value)
-    return clean
+    return capture_args("", args)[0]
+
+
+def estimate_record_size(syscall: str, args: dict[str, Any]) -> int:
+    """Bytes a raw record occupies in the ring buffer."""
+    return capture_args(syscall, args)[1]
 
 
 #: Argument classes recorded as they are.
@@ -182,33 +209,3 @@ class Event:
     def __repr__(self) -> str:
         return (f"<Event {self.syscall} tid={self.tid} ret={self.ret} "
                 f"t={self.time}>")
-
-
-#: Fixed per-record overhead in the ring buffer (headers + fixed fields).
-RECORD_BASE_BYTES = 128
-
-
-def estimate_record_size(syscall: str, args: dict[str, Any]) -> int:
-    """Bytes a raw record occupies in the ring buffer.
-
-    Sized consistently with what ``_sanitize_args`` actually serializes:
-    path strings travel with the record; buffers and buffer lists
-    collapse to length/count ints; dict-valued out-parameters
-    (``statbuf``) are dropped entirely and cost nothing — however
-    deeply nested their contents are; exotic values travel as their
-    ``str()`` form.  Record size is otherwise dominated by the fixed
-    header.
-    """
-    size = RECORD_BASE_BYTES + len(syscall)
-    for key, value in args.items():
-        if isinstance(value, str):
-            size += len(value) + 8
-        elif isinstance(value, (bytes, bytearray, list)):
-            size += 8                     # serialized as a length/count
-        elif isinstance(value, dict):
-            continue                      # dropped at serialization
-        elif isinstance(value, (int, float, bool)) or value is None:
-            size += 8
-        else:
-            size += len(str(value)) + 8   # str()-serialized fallback
-    return size

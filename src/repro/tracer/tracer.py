@@ -45,7 +45,7 @@ from repro.telemetry import Telemetry
 from repro.tracer.batch import RecordBatch
 from repro.tracer.config import TracerConfig
 from repro.tracer.enrichment import ENRICHMENT_COST_NS, Enricher
-from repro.tracer.events import estimate_record_size
+from repro.tracer.events import capture_args
 from repro.tracer.filters import KernelFilter
 from repro.tracer.resilience import (AdaptiveBatcher, BREAKER_OPEN,
                                      CircuitBreaker,
@@ -462,17 +462,19 @@ class DIOTracer:
         """Filter one completed event and offer its record to the ring.
 
         ``None`` when the kernel filters rejected it; otherwise the
-        in-kernel CPU the enrichment path cost (0 when it had nothing
-        to add).  The record is built once: the fixed fields, then the
-        enrichment written straight into it.
+        in-kernel CPU the enrichment path cost (0 when the syscall
+        touched no file).  The record is built once, at exit: the
+        fixed fields with the arguments as :func:`capture_args`
+        records them (a buffer is its size, so the ring holds nothing
+        of the application's), then the enrichment written straight
+        into it.
         """
         if not self.filter.accepts(ctx):
             return None
         task = ctx.task
-        name = ctx.name
-        args = ctx.args
+        args, size = capture_args(ctx.name, ctx.args)
         record = {
-            "syscall": name,
+            "syscall": ctx.name,
             "args": args,
             "ret": ctx.retval,
             "pid": task.process.pid,
@@ -481,10 +483,9 @@ class DIOTracer:
             "enter_ns": enter_ns,
             "exit_ns": ctx.exit_ns,
         }
-        fixed = len(record)
         self.enricher.enrich(ctx, record)
-        self.ring.produce(task.cpu, record, estimate_record_size(name, args))
-        return ENRICHMENT_COST_NS if len(record) > fixed else 0
+        self.ring.produce(task.cpu, record, size)
+        return ENRICHMENT_COST_NS if ctx.inode is not None else 0
 
     # ------------------------------------------------------------------
     # User space (consumer process)

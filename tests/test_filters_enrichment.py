@@ -2,22 +2,23 @@
 
 import pytest
 
-from repro.kernel.inode import FileType
+from repro.kernel import Kernel
+from repro.kernel.inode import FileType, Inode
 from repro.kernel.process import KernelProcess, Task
 from repro.kernel.tracepoints import SyscallContext
 from repro.tracer.enrichment import Enricher
 from repro.tracer.filters import KernelFilter
 
 
-def make_ctx(name, args=None, pid=100, tid=101, retval=0, extras=None,
-             enter_ns=1000):
+def make_ctx(name, args=None, pid=100, tid=101, retval=0, inode=None,
+             offset=None, fd_based=True, enter_ns=1000):
     process = KernelProcess(pid=pid, name="app")
     task = Task(tid=tid, process=process, comm="app")
     ctx = SyscallContext(name, task, args or {}, enter_ns=enter_ns)
     ctx.retval = retval
     ctx.exit_ns = enter_ns + 10
-    if extras:
-        ctx.kernel_extras.update(extras)
+    if inode is not None:
+        Kernel._note_inode(ctx, inode, offset=offset, fd_based=fd_based)
     return ctx
 
 
@@ -89,39 +90,38 @@ class TestPathFilter:
         assert not f.accepts(make_ctx("read", {"fd": 3}, pid=2))
 
 
-class TestEnricher:
-    FILE_EXTRAS = {
-        "dev": 7, "ino": 12, "generation": 1, "inode_birth_ns": 0,
-        "file_type": FileType.REGULAR, "fd_based": True,
-    }
+def file_inode(generation=1):
+    """Inode 12 on device 7, a regular file."""
+    return Inode(12, 7, FileType.REGULAR, generation, 0)
 
+
+class TestEnricher:
     def test_tag_stable_across_events_on_same_file(self):
         enricher = Enricher()
-        a = enricher.file_tag(make_ctx("read", extras=self.FILE_EXTRAS,
-                                       enter_ns=100))
-        b = enricher.file_tag(make_ctx("write", extras=self.FILE_EXTRAS,
-                                       enter_ns=999))
+        inode = file_inode()
+        a = enricher.file_tag(make_ctx("read", inode=inode, enter_ns=100))
+        b = enricher.file_tag(make_ctx("write", inode=inode, enter_ns=999))
         assert a == b == "7 12 100"
 
     def test_tag_changes_when_generation_changes(self):
         enricher = Enricher()
-        first = enricher.file_tag(make_ctx("read", extras=self.FILE_EXTRAS,
+        first = enricher.file_tag(make_ctx("read", inode=file_inode(),
                                            enter_ns=100))
-        recycled = dict(self.FILE_EXTRAS, generation=2)
-        second = enricher.file_tag(make_ctx("read", extras=recycled,
+        recycled = file_inode(generation=2)
+        second = enricher.file_tag(make_ctx("read", inode=recycled,
                                             enter_ns=500))
         assert first == "7 12 100"
         assert second == "7 12 500"
 
     def test_no_tag_for_path_only_syscalls(self):
         enricher = Enricher()
-        extras = dict(self.FILE_EXTRAS, fd_based=False)
-        assert enricher.file_tag(make_ctx("unlink", extras=extras)) is None
+        ctx = make_ctx("unlink", inode=file_inode(), fd_based=False)
+        assert enricher.file_tag(ctx) is None
 
     def test_file_type_and_offset(self):
         enricher = Enricher()
-        extras = dict(self.FILE_EXTRAS, offset=26)
-        fields = enricher.enrich(make_ctx("read", extras=extras))
+        fields = enricher.enrich(make_ctx("read", inode=file_inode(),
+                                          offset=26))
         assert fields["file_type"] == "regular"
         assert fields["offset"] == 26
         assert "file_tag" in fields
@@ -133,6 +133,6 @@ class TestEnricher:
     def test_offset_zero_is_reported(self):
         """Offset 0 is meaningful (Fig. 2) and must not be dropped."""
         enricher = Enricher()
-        extras = dict(self.FILE_EXTRAS, offset=0)
-        fields = enricher.enrich(make_ctx("write", extras=extras))
+        fields = enricher.enrich(make_ctx("write", inode=file_inode(),
+                                          offset=0))
         assert fields["offset"] == 0

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.backend import DocumentStore
-from repro.kernel import Kernel, O_CREAT, O_RDONLY, O_RDWR, O_WRONLY
+from repro.kernel import (IORING_ENTER_GETEVENTS, Kernel, O_CREAT, O_RDONLY,
+                          O_RDWR, O_WRONLY, SQE)
 from repro.sim import Environment
 from repro.tracer import DIOTracer, TracerConfig
-from repro.tracer.events import Event, estimate_record_size
+from repro.tracer.events import SCALAR_ARGS, Event, estimate_record_size
 
 
 def make_env(config=None):
@@ -453,3 +454,145 @@ class TestTracerStatsDict:
         assert snapshot["shipped"] == tracer.stats.shipped == 11
         for name, value in snapshot.items():
             assert getattr(tracer.stats, name) == value
+
+
+def spy_taken_args(tracer, monkeypatch):
+    """Every ``args`` value the consumer takes off ``tracer``'s ring."""
+    taken = []
+    consume = tracer.ring.consume
+
+    def spy(cpu, max_records=None):
+        records = consume(cpu, max_records)
+        taken.extend(value for record in records
+                     for value in record["args"].values())
+        return records
+
+    monkeypatch.setattr(tracer.ring, "consume", spy)
+    return taken
+
+
+def only_source(store, syscall):
+    hits = store.search("dio_trace", size=None,
+                        query={"term": {"syscall": syscall}})["hits"]["hits"]
+    assert len(hits) == 1
+    return hits[0]["_source"]
+
+
+class TestCaptureAtExit:
+    """The exit program records a call's arguments as they were when it
+    returned; the ring holds nothing of the application's."""
+
+    def test_a_buffer_changed_after_the_call_keeps_its_length_at_exit(self):
+        env, kernel, store, tracer = make_env()
+        task = kernel.spawn_process("app").threads[0]
+
+        def workload():
+            fd = yield from kernel.syscall(task, "openat", path="/f",
+                                           flags=O_CREAT | O_RDWR)
+            buf = bytearray(b"abc")
+            yield from kernel.syscall(task, "write", fd=fd, data=buf)
+            buf.extend(b"defgh")
+
+        run_traced(env, tracer, workload())
+        source = only_source(store, "write")
+        assert source["ret"] == 3
+        assert source["args"]["data"] == 3
+
+    def test_rocksdb_smoke_ring_holds_no_buffer(self, monkeypatch):
+        """The e2e benchmark's smoke size (seed 2304, 200 ops a
+        thread).  The byte count is exact: a buffer costs its record 8
+        bytes whatever its length, before and after it is a size."""
+        from repro.apps.rocksdb import DBBench, RocksDB
+        from repro.experiments.rocksdb_case import (DATA_SYSCALL_SCOPE,
+                                                    RocksDBScale,
+                                                    build_kernel)
+
+        scale = RocksDBScale(seed=2304)
+        kernel = build_kernel(scale)
+        env = kernel.env
+        process = kernel.spawn_process("db_bench")
+        db = RocksDB(kernel, process, scale.db_options())
+        bench = DBBench(kernel, db, client_threads=scale.client_threads,
+                        key_count=scale.key_count,
+                        value_size=scale.value_size,
+                        read_fraction=scale.read_fraction, seed=scale.seed)
+        tracer = DIOTracer(env, kernel, DocumentStore(), TracerConfig(
+            syscalls=DATA_SYSCALL_SCOPE, pids=frozenset({process.pid})))
+        taken = spy_taken_args(tracer, monkeypatch)
+
+        def main():
+            yield from db.open(bench.client_tasks[0])
+            yield from bench.load()
+            tracer.attach()
+            yield from bench.run_ops(200).wait()
+            db.close()
+            yield from tracer.shutdown()
+
+        env.run(until=env.process(main()))
+        assert taken and set(map(type, taken)) <= SCALAR_ARGS
+        stats = tracer.ring.stats
+        assert (stats.produced, stats.dropped, stats.bytes_produced) == (
+            1_603, 0, 246_367)
+
+    def test_ring_aware_write_ring_holds_no_buffer(self, monkeypatch):
+        env, kernel, store, tracer = make_env(
+            TracerConfig(ring_mode="ring-aware"))
+        task = kernel.spawn_process("app").threads[0]
+        taken = spy_taken_args(tracer, monkeypatch)
+
+        def workload():
+            fd = yield from kernel.syscall(task, "open", path="/f",
+                                           flags=O_CREAT | O_WRONLY)
+            ring_fd = yield from kernel.syscall(task, "io_uring_setup",
+                                                entries=4)
+            ring = kernel.uring_for_fd(task, ring_fd)
+            assert ring.prepare(SQE.write(fd, b"u" * 4096, 0))
+            yield from kernel.syscall(
+                task, "io_uring_enter", fd=ring_fd, to_submit=1,
+                min_complete=1, flags=IORING_ENTER_GETEVENTS)
+
+        run_traced(env, tracer, workload())
+        assert tracer.stats.uring_observed == 1
+        assert only_source(store, "uring_write")["args"]["data"] == 4096
+        assert taken and set(map(type, taken)) <= SCALAR_ARGS
+        stats = tracer.ring.stats
+        assert (stats.produced, stats.dropped, stats.bytes_produced) == (
+            4, 0, 637)
+
+
+class TestResolvedHandlers:
+    """The kernel resolves a syscall's handlers once; attaching and
+    detaching a program drops what it resolved."""
+
+    def test_handlers_follow_attach_and_detach(self):
+        env, kernel, store, tracer = make_env()
+        task = kernel.spawn_process("app").threads[0]
+        second_store = DocumentStore()
+        second = DIOTracer(env, kernel, second_store)
+        programs = (tracer._enter_prog, tracer._exit_prog)
+        seen = {}
+
+        def fstat(fd):
+            return kernel.syscall(task, "fstat", fd=fd, statbuf={})
+
+        def main():
+            fd = yield from kernel.syscall(task, "openat", path="/f",
+                                           flags=O_CREAT | O_RDWR)
+            yield from fstat(fd)                  # resolved, untraced
+            tracer.attach()
+            yield from fstat(fd)
+            yield from tracer.shutdown()
+            seen["invocations"] = [p.invocations for p in programs]
+            yield from fstat(fd)
+            seen["after_stop"] = [p.invocations for p in programs]
+            second.attach()
+            yield from fstat(fd)
+            yield from second.shutdown()
+
+        env.run(until=env.process(main()))
+        assert kernel.syscall_counts["fstat"] == 4
+        assert store.count("dio_trace", {"term": {"syscall": "fstat"}}) == 1
+        assert seen["invocations"] == [1, 1]
+        assert seen["after_stop"] == seen["invocations"]
+        assert second_store.count(
+            "dio_trace", {"term": {"syscall": "fstat"}}) == 1
