@@ -7,8 +7,8 @@ the store for them **once**, as lanes: one public ``lanes`` request
 (``(ids, LaneBatch)`` — no hit envelope, no document — so it works on
 any store-shaped object: sharded, tenant-scoped, proxied), put in time
 order by :func:`~repro.backend.lanes.time_order`.  The analyses read
-the lanes (``values_for``/``groups_for``) and the row subsets derived
-here; a document is built only for evidence a finding cites
+the lanes (``values_for``) and the row subsets derived here; a
+document is built only for evidence a finding cites
 (:meth:`SessionEvents.docs`).
 
 A filter of a stably time-sorted list equals the stable time-sort of
@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Optional, TypeVar
 
-from repro.backend.lanes import LaneBatch, time_order
+from repro.backend.lanes import LaneBatch, _dense_int, time_order
 from repro.backend.store import DocumentStore
 
 #: Syscalls that read file data.
@@ -40,7 +40,7 @@ def times_of(batch: LaneBatch) -> list:
     """Each row's ``time``, 0 where it has none (``source.get("time",
     0)`` over the documents)."""
     times = batch.values_for("time")
-    if batch.dense_int("time"):
+    if _dense_int(times):
         return times
     return [0 if time_ns is None else time_ns for time_ns in times]
 

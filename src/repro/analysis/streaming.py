@@ -10,8 +10,8 @@ exactly once, in bounded memory, emitting incremental
 develop.  There is one feed shape: ``observe_batch(batch, ids)`` is the
 only place a detector's step is written, whoever calls it — ``batch``
 is a :class:`~repro.backend.lanes.LaneBatch` the step reads lane by
-lane (``values_for``; ``groups_for("syscall")`` to visit only the rows
-it cares about), never as documents.  The consumer hands over its
+lane (``values_for``; :func:`rows_of` to visit only the rows it cares
+about), never as documents.  The consumer hands over its
 decoded :class:`~repro.tracer.batch.RecordBatch` without ids, a replay
 (:func:`~repro.analysis.diagnose.follow_session`) hands over stretches
 of the stored session's lanes with their backend ids, and
@@ -45,12 +45,12 @@ from __future__ import annotations
 from collections import Counter, OrderedDict, deque
 from itertools import chain, compress, repeat
 from operator import eq, sub
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.detectors import Finding, make_evidence
 from repro.analysis.dfg import DirectlyFollowsGraph
 from repro.analysis.session import times_of
-from repro.backend.lanes import DocBatch, LaneBatch
+from repro.backend.lanes import DocBatch, LaneBatch, _groups
 
 #: Set membership beats tuple scans in loops that see every event.
 _READS_SET = frozenset({"read", "pread64", "readv"})
@@ -80,9 +80,10 @@ def _capped_insert(table: OrderedDict, key, factory, cap: int):
 
 def rows_of(batch: LaneBatch, syscalls: frozenset) -> Sequence[int]:
     """The rows of ``batch`` whose ``syscall`` is one of ``syscalls``,
-    ascending — off the lane's groups when the batch has them, so a
-    step never visits a row it ignores.  Never mutate the result."""
-    groups = batch.groups_for("syscall")
+    ascending — off the tap's per-batch groups (:class:`_Reads`) when
+    it has them, so a step never visits a row it ignores.  Never mutate
+    the result."""
+    groups = batch.syscalls if isinstance(batch, _Reads) else None
     if groups is None:
         return [row for row, name in enumerate(batch.values_for("syscall"))
                 if name in syscalls]
@@ -93,16 +94,16 @@ def rows_of(batch: LaneBatch, syscalls: frozenset) -> Sequence[int]:
 
 
 class _Reads:
-    """One batch as the tap's readers share it: each lane (and each
-    grouping of one) is read off the batch once, however many
-    detectors ask for it."""
+    """One batch as the tap's readers share it: each lane is read off
+    the batch once, however many detectors ask for it, and ``syscall``
+    is grouped once (``None`` for a lane :func:`_groups` declines)."""
 
-    __slots__ = ("_batch", "_values", "_groups")
+    __slots__ = ("_batch", "_values", "syscalls")
 
     def __init__(self, batch: LaneBatch) -> None:
         self._batch = batch
         self._values: dict[str, list] = {}
-        self._groups: dict[str, Any] = {}
+        self.syscalls = _groups(self.values_for("syscall"))
 
     def __len__(self) -> int:
         return len(self._batch)
@@ -112,14 +113,6 @@ class _Reads:
         if values is None:
             values = self._values[field] = self._batch.values_for(field)
         return values
-
-    def groups_for(self, field: str):
-        if field not in self._groups:
-            self._groups[field] = self._batch.groups_for(field)
-        return self._groups[field]
-
-    def dense_int(self, field: str) -> bool:
-        return self._batch.dense_int(field)
 
 
 class StreamingDetector:

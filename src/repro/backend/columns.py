@@ -4,19 +4,19 @@ PR 2 made *filtering* fast; this module makes *aggregating* fast.  The
 legacy :func:`repro.backend.aggregations.run_aggregations` walks full
 ``_source`` dicts — one ``get_field`` per document per aggregation,
 plus a per-bucket list of source dicts re-walked for every nested
-sub-aggregation.  The columnar layer replaces that with flat typed
-arrays addressed by *row number*:
+sub-aggregation.  The columnar layer replaces that with flat lanes
+(plain lists) addressed by *row number*:
 
 - every live document owns one row (assigned in insertion order, so
   row order equals the store's insertion-rank order);
 - each aggregated field gets one :class:`Column` holding
-  - **dictionary codes** (``array('i')``; ``-1`` = missing) with a code
-    table mapping codes back to the original values — group-by on
-    small integers instead of hashing arbitrary values, and
-  - a **typed numeric array** (``array('q')`` for pure-int fields,
-    ``array('d')`` for pure-float fields, a plain list when mixed) with
-    a validity bitmap — metric kernels read machine values instead of
-    walking dicts;
+  - **dictionary codes** (``-1`` = no value, ``-2`` = a value no code
+    can key) with a code table mapping codes back to the original
+    values — group-by on small integers instead of hashing arbitrary
+    values, and
+  - a **numeric lane** of the rows' own numbers with a validity
+    bitmap, plus ``num_kind`` saying which classes it holds — metric
+    kernels read a lane instead of walking dicts;
 - :class:`ColumnSet` maintains the columns incrementally on put /
   delete / in-place refresh: a column is built lazily — from lanes,
   hydrating nothing — the first time an aggregation, a query clause or
@@ -50,25 +50,16 @@ coordinator in :mod:`repro.backend.router`).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from fnmatch import fnmatchcase
 from itertools import chain, compress, islice, repeat
 from operator import is_not, itemgetter, le
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
 from repro.backend.lanes import LaneBatch, sort_key
 from repro.backend.query import RANGE_OPS, field_affected, get_field
-
-#: int64 bounds for the ``array('q')`` fast path — the range within
-#: which the segment storage engine, too, keeps a field in a packed
-#: ``array('q')`` lane on disk (there ``array`` itself draws the line).
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
-_INT64_MIN = INT64_MIN
-_INT64_MAX = INT64_MAX
 
 #: Value classes a ``term``/``terms`` clause can match from the
 #: dictionary (what the planner calls indexable).
@@ -91,8 +82,9 @@ class Column:
     structure of an index: the planner, the sort and the aggregation
     kernels all read it.
 
-    Two representations are maintained together, plus the ``code ->
-    rows`` postings once a ``term`` has asked for them:
+    Two lanes — plain lists, one entry per row — are maintained
+    together, plus the ``code -> rows`` postings once a ``term`` has
+    asked for them:
 
     - ``codes``/``table`` — dictionary encoding over every *indexable*
       value (str, int, float, bool, tuple).  Codes key on type, then
@@ -101,22 +93,24 @@ class Column:
       coexist the ``collisions`` flag is raised and terms pushdown is
       refused (a dict over the raw values would merge them under the
       first-seen key, which code-level grouping cannot reproduce).
-    - ``nums``/``numeric`` — the numeric fast path.  ``num_kind``
-      upgrades ``None -> 'q' -> 'obj'`` / ``None -> 'd' -> 'obj'`` as
-      values arrive; the typed arrays are only kept while they are
-      *lossless* (pure int64 / pure float), so gathered values are the
-      original Python objects in the int and float cases too.
+    - ``nums``/``numeric`` — the rows' numbers themselves (``0`` in a
+      row without one), the very objects the documents hold.
+      ``num_kind`` summarises their classes, upgrading ``None -> 'q' ->
+      'obj'`` / ``None -> 'd' -> 'obj'`` as values arrive: ``'q'`` is
+      exact ints of any size, ``'d'`` floats, ``'obj'`` both.
     """
 
     __slots__ = ("field", "codes", "table", "_code_of",
                  "collisions", "unencodable", "nonnull",
                  "num_kind", "nums", "numeric", "numeric_count", "simple",
-                 "num_sorted", "_hi_row", "_num_hi",
-                 "_codes_view", "_nums_view", "_postings", "_order")
+                 "num_sorted", "_hi_row", "_num_hi", "_postings", "_order")
 
     def __init__(self, field: str):
         self.field = field
-        self.codes = array("i")
+        #: One code per row into ``table``: ``-1`` where the row holds
+        #: no value (missing, ``None``, deleted), ``-2`` where its value
+        #: is one no code can key (list/dict).
+        self.codes: list[int] = []
         self.table: list = []
         #: value class -> {value -> code}: one table per class costs no
         #: key tuple per distinct value, and a value found in another
@@ -127,7 +121,7 @@ class Column:
         self.unencodable = 0
         self.nonnull = bytearray()
         self.num_kind: Optional[str] = None   # 'q' | 'd' | 'obj'
-        self.nums: Any = None
+        self.nums: Optional[list] = None
         self.numeric = bytearray()
         self.numeric_count = 0
         #: True while numeric values arrive in non-decreasing row order
@@ -141,18 +135,13 @@ class Column:
         #: ``repr`` distinguishes exactly what distinct codes do, which
         #: is what the cardinality kernel needs.
         self.simple = True
-        # Cached ``tolist()`` twins of codes/nums: indexing an ``array``
-        # boxes a fresh object per access, a list hands back existing
-        # refs, so kernels read these.  Dropped on any mutation.
-        self._codes_view: Optional[list] = None
-        self._nums_view: Optional[list] = None
         #: code -> ascending rows, built by the first ``term`` that asks
         #: and kept current from then on: a new lane extends it, a
         #: rewritten row moves, nothing indexed earlier is rebuilt.
         self._postings: Optional[list[list[int]]] = None
         #: ``(keys, rows)`` of the numeric rows in key order, for a
         #: ``range`` over a lane that is not sorted as it stands;
-        #: dropped on any mutation like the views above.
+        #: dropped on any mutation.
         self._order: Optional[tuple[list, list]] = None
 
     # ------------------------------------------------------------------
@@ -167,18 +156,16 @@ class Column:
             self.nums.append(0)
         self.set(len(self.codes) - 1, value)
 
-    def extend(self, values: Iterable[Any], groups=None) -> None:
+    def extend(self, values: Iterable[Any]) -> None:
         """Append one row per value — :meth:`append` in a loop, lane-wise.
 
         One class probe selects a C-speed pass for the two lane shapes
-        trace events are made of — exact ``int`` within int64 and exact
+        trace events are made of — exact ``int`` and exact
         ``str``/``None`` — when the column holds no other value class
         yet (so there is no cross-class collision to look for).  Every
         slot ends up exactly as per-row ``append`` leaves it; any other
-        lane (bool, float, tuple, unhashable, out-of-range, mixed)
-        takes the per-row loop.  ``groups`` is the lane pre-grouped
-        (:meth:`LaneBatch.groups_for`) when the batch has it that way:
-        built postings then grow by one operation per distinct value.
+        lane (bool, float, tuple, unhashable, mixed) takes the per-row
+        loop.
         """
         if not isinstance(values, list):
             values = list(values)
@@ -186,33 +173,22 @@ class Column:
         base = len(self.codes)
         if classes == {int} and self._code_of.keys() <= {int} \
                 and self.num_kind in (None, "q"):
-            try:
-                lane = array("q", values)
-            except OverflowError:
-                pass                      # beyond int64: promote per row
-            else:
-                self._extend_int(values, lane)
-                self._post_lane(int, base, groups)
-                return
+            self._extend_int(values)
         elif classes and classes <= {str, type(None)} \
                 and self._code_of.keys() <= {str}:
             self._extend_str(values)
-            self._post_lane(str, base, groups)
+        else:
+            for value in values:
+                self.append(value)
             return
-        for value in values:
-            self.append(value)
+        self._post_lane(base)
 
-    def _post_lane(self, cls: type, base: int, groups) -> None:
+    def _post_lane(self, base: int) -> None:
         """Add the rows from ``base`` on to postings that exist."""
         postings = self._postings
         if postings is None:
             return
         postings.extend([] for _ in range(len(self.table) - len(postings)))
-        if groups is not None:
-            codes_of = self._code_of[cls]
-            for value, rows in groups:
-                postings[codes_of[value]].extend(map(base.__add__, rows))
-            return
         for row, code in enumerate(self.codes[base:], base):
             if code >= 0:
                 postings[code].append(row)
@@ -234,10 +210,10 @@ class Column:
             self.codes.extend(map(codes_of.get, values, repeat(-1)))
         else:
             self.codes.extend(repeat(-1, len(values)))
-        self._codes_view = self._nums_view = self._order = None
+        self._order = None
 
-    def _extend_int(self, values: list, lane: array) -> None:
-        """``extend`` for exact in-range ints onto an int-only column."""
+    def _extend_int(self, values: list) -> None:
+        """``extend`` for exact ints onto an int-only column."""
         base = len(self.codes)
         n = len(values)
         self._encode_lane(int, values)
@@ -245,9 +221,9 @@ class Column:
         self.numeric.extend(b"\x01" * n)
         self.numeric_count += n
         if self.nums is None:
-            self.nums = array("q", bytes(8 * base))
+            self.nums = [0] * base
             self.num_kind = "q"
-        self.nums.extend(lane)
+        self.nums.extend(values)
         if not self.num_sorted:
             return
         hi = self._num_hi
@@ -280,7 +256,7 @@ class Column:
         if self._postings is not None:
             self._repost(row, old, self.codes[row])
         self._set_numeric(row, value)
-        self._codes_view = self._nums_view = self._order = None
+        self._order = None
 
     def _repost(self, row: int, old: int, new: int) -> None:
         """Move ``row`` between the postings of two codes."""
@@ -306,7 +282,7 @@ class Column:
         if self.numeric[row]:
             self.numeric_count -= 1
         self.numeric[row] = 0
-        self._codes_view = self._nums_view = self._order = None
+        self._order = None
 
     def _set_code(self, row: int, value: Any) -> None:
         old = self.codes[row]
@@ -353,21 +329,12 @@ class Column:
             if self.nums is not None:
                 self.nums[row] = 0
             return
-        kind = self.num_kind
-        if kind is None:
-            kind = "d" if isinstance(value, float) else "q"
-            try:
-                self.nums = array(kind, [0] * len(self.codes))
-            except OverflowError:         # cannot happen for zeros
-                pass
+        kind = "d" if isinstance(value, float) else "q"
+        if self.num_kind is None:
             self.num_kind = kind
-        if kind == "q" and (isinstance(value, float)
-                            or not _INT64_MIN <= value <= _INT64_MAX):
-            self._promote_to_objects()
-            kind = "obj"
-        elif kind == "d" and not isinstance(value, float):
-            self._promote_to_objects()
-            kind = "obj"
+            self.nums = [0] * len(self.codes)
+        elif self.num_kind != kind:
+            self.num_kind = "obj"
         if self.num_sorted:
             hi = self._num_hi
             # ``value != value`` spots NaN; a rewrite below the frontier
@@ -383,37 +350,8 @@ class Column:
             self.numeric_count += 1
         self.numeric[row] = 1
 
-    def _promote_to_objects(self) -> None:
-        """Lossless downgrade of the typed array to a Python list.
-
-        ``array('q')`` holds ints exactly and ``'d'`` only ever holds
-        values that arrived as floats, so ``list()`` round-trips the
-        originals.
-        """
-        self.nums = list(self.nums)
-        self.num_kind = "obj"
-        self._nums_view = None
-
     # ------------------------------------------------------------------
     # Read path
-
-    def code_list(self) -> list:
-        """Boxed twin of :attr:`codes`; cached until the next mutation."""
-        view = self._codes_view
-        if view is None:
-            view = self._codes_view = self.codes.tolist()
-        return view
-
-    def num_list(self) -> Optional[list]:
-        """Boxed twin of :attr:`nums`; cached until the next mutation."""
-        view = self._nums_view
-        if view is None:
-            nums = self.nums
-            if nums is None:
-                return None
-            view = nums.tolist() if isinstance(nums, array) else nums
-            self._nums_view = view
-        return view
 
     def gather_numeric(self, rows: Sequence[int]) -> list:
         """Original numeric values over ``rows``, in row order.
@@ -424,7 +362,7 @@ class Column:
         """
         if self.num_kind is None:
             return []
-        nums = self.num_list()
+        nums = self.nums
         if self.numeric_count == len(self.codes):
             # Dense column: every row is numeric, no per-row filtering.
             if type(rows) is range and rows.step == 1:
@@ -542,7 +480,7 @@ class Column:
         left out — it compares false against every bound)."""
         order = self._order
         if order is None:
-            nums = self.num_list()
+            nums = self.nums
             rows = list(compress(range(len(nums)), self.numeric))
             if self.num_kind != "q":
                 rows = [row for row in rows if nums[row] == nums[row]]
@@ -638,14 +576,14 @@ class ColumnSet:
         C-speed bulk operations instead of one ``note_put`` per doc.
         Columns that already exist (those a query, a sort or an
         aggregation has touched — usually none during ingest) take the
-        batch's lane, pre-grouped where the batch has it so.
+        batch's lane.
         """
         base = len(self._doc_ids)
         self._doc_ids.extend(doc_ids)
         self._alive.extend(b"\x01" * len(doc_ids))
         self._row_of.update(zip(doc_ids, range(base, base + len(doc_ids))))
         for field, column in self._columns.items():
-            column.extend(batch.values_for(field), batch.groups_for(field))
+            column.extend(batch.values_for(field))
 
     def note_delete(self, doc_id: str) -> None:
         row = self._row_of.pop(doc_id, None)
@@ -708,78 +646,75 @@ class ColumnSet:
     # ------------------------------------------------------------------
     # Pushdown decision
 
-    def supports(self, aggs: Any, docs: dict[str, dict],
-                 pending: Sequence[Any] = ()) -> bool:
+    @staticmethod
+    def supports(aggs: Any, lookup: Callable[[str], Column]) -> bool:
         """True when every aggregation in ``aggs`` can run columnar.
 
         Conservative and exception-safe: any doubt — malformed spec,
         unknown kind, unencodable values, value-equal code collisions,
         non-repr-safe cardinality input — answers ``False`` and the
         caller uses the legacy path (which also reproduces the legacy
-        error behaviour for malformed requests).  ``docs``/``pending``
-        are what :meth:`ensure_column` builds a missing column from.
+        error behaviour for malformed requests).  ``lookup`` is the
+        planner's field resolver (``Index.column``): it builds a
+        missing column, so the kernels find every one they read.
         """
         try:
-            return self._supports(aggs, docs, pending)
+            if not isinstance(aggs, dict) or not aggs:
+                return False
+            for name, spec in aggs.items():
+                if not isinstance(spec, dict):
+                    return False
+                nested = spec.get("aggs") or spec.get("aggregations")
+                kinds = [k for k in spec if k not in ("aggs", "aggregations")]
+                if len(kinds) != 1:
+                    return False
+                kind = kinds[0]
+                body = spec[kind]
+                if not isinstance(body, dict):
+                    return False
+                field = body.get("field")
+                if not isinstance(field, str) or not field:
+                    return False
+                if kind in BUCKET_KINDS:
+                    column = lookup(field)
+                    if kind == "terms":
+                        if column.unencodable or column.collisions:
+                            return False
+                        size = body.get("size", 10)
+                        if not isinstance(size, int) or isinstance(size, bool):
+                            return False
+                    else:
+                        interval = (body.get("interval")
+                                    or body.get("fixed_interval"))
+                        if not isinstance(interval, (int, float)) \
+                                or isinstance(interval, bool) or interval <= 0:
+                            return False
+                        if column.num_kind == "obj":
+                            # Mixed int/float values can produce int vs
+                            # float bucket members whose legacy handling
+                            # we reproduce anyway; NaN/inf keys cannot be
+                            # pre-checked cheaply, so stay on this path
+                            # only for single-class columns.
+                            return False
+                    if nested is not None and not ColumnSet.supports(
+                            nested, lookup):
+                        return False
+                elif kind in METRIC_KINDS:
+                    if nested:
+                        return False
+                    column = lookup(field)
+                    if kind == "cardinality" and (
+                            not column.simple or column.unencodable):
+                        return False
+                    if kind == "percentiles":
+                        percents = body.get("percents",
+                                            [1, 5, 25, 50, 75, 95, 99])
+                        if not isinstance(percents, (list, tuple)):
+                            return False
+                else:
+                    return False
         except Exception:
             return False
-
-    def _supports(self, aggs: Any, docs: dict[str, dict],
-                  pending: Sequence[Any]) -> bool:
-        if not isinstance(aggs, dict) or not aggs:
-            return False
-        for name, spec in aggs.items():
-            if not isinstance(spec, dict):
-                return False
-            nested = spec.get("aggs") or spec.get("aggregations")
-            kinds = [k for k in spec if k not in ("aggs", "aggregations")]
-            if len(kinds) != 1:
-                return False
-            kind = kinds[0]
-            body = spec[kind]
-            if not isinstance(body, dict):
-                return False
-            field = body.get("field")
-            if not isinstance(field, str) or not field:
-                return False
-            if kind in BUCKET_KINDS:
-                column = self.ensure_column(field, docs, pending)
-                if kind == "terms":
-                    if column.unencodable or column.collisions:
-                        return False
-                    size = body.get("size", 10)
-                    if not isinstance(size, int) or isinstance(size, bool):
-                        return False
-                else:
-                    interval = (body.get("interval")
-                                or body.get("fixed_interval"))
-                    if not isinstance(interval, (int, float)) \
-                            or isinstance(interval, bool) or interval <= 0:
-                        return False
-                    if column.num_kind == "obj":
-                        # Mixed int/float values can produce int vs
-                        # float bucket members whose legacy handling
-                        # we reproduce anyway; NaN/inf keys cannot be
-                        # pre-checked cheaply, so stay on this path
-                        # only for pure typed columns.
-                        return False
-                if nested is not None and not self._supports(
-                        nested, docs, pending):
-                    return False
-            elif kind in METRIC_KINDS:
-                if nested:
-                    return False
-                column = self.ensure_column(field, docs, pending)
-                if kind == "cardinality" and (
-                        not column.simple or column.unencodable):
-                    return False
-                if kind == "percentiles":
-                    percents = body.get("percents",
-                                        [1, 5, 25, 50, 75, 95, 99])
-                    if not isinstance(percents, (list, tuple)):
-                        return False
-            else:
-                return False
         return True
 
     # ------------------------------------------------------------------
@@ -798,7 +733,8 @@ class ColumnSet:
         """Evaluate ``aggs`` over ``rows`` into a *mergeable partial*.
 
         ``rows`` must be ascending (insertion order); callers obtain it
-        from :meth:`all_rows`, a query plan or a per-bucket partition.  Assumes :meth:`supports` answered ``True``.
+        from :meth:`all_rows`, a query plan or a per-bucket partition.
+        Assumes :meth:`supports` answered ``True``.
 
         One entry per aggregation name, shaped by kind so that partials
         over disjoint row sets (shards) combine in :meth:`merge`:
@@ -828,7 +764,7 @@ class ColumnSet:
 
     def _terms(self, column: Column, rows: Sequence[int],
                nested: Optional[dict]) -> dict:
-        codes = column.code_list()
+        codes = column.codes
         table = column.table
         contiguous = type(rows) is range and rows.step == 1
         # Either way dict insertion order is first-seen order within
@@ -870,7 +806,7 @@ class ColumnSet:
     def _histogram(self, column: Column, body: dict, rows: Sequence[int],
                    nested: Optional[dict]) -> dict:
         interval = body.get("interval") or body.get("fixed_interval")
-        nums = column.num_list()
+        nums = column.nums
         if nums is None:
             return {}
         numeric = column.numeric
@@ -949,7 +885,7 @@ class ColumnSet:
                 return sum(nonnull[rows.start:rows.stop])
             return sum(map(nonnull.__getitem__, rows))
         if kind == "cardinality":
-            codes = column.code_list()
+            codes = column.codes
             if contiguous:
                 seen = set(codes[rows.start:rows.stop])
             else:

@@ -40,10 +40,10 @@ from repro.backend.query import get_field, walk_field
 #: 0/1 byte per row — an explicit ``None`` value *is* present.
 LaneColumn = tuple[str, list, Optional[bytes]]
 
-#: Value classes a lane may be pre-grouped over
-#: (:meth:`LaneBatch.groups_for`): ``bool`` and ``float`` compare equal
-#: to ``int`` across types (``True == 1 == 1.0``), so grouping them
-#: would merge rows a per-document index keeps distinct-typed.
+#: Value classes a lane may be keyed on by value (:func:`_groups`, a
+#: segment's dictionary block): ``bool`` and ``float`` compare equal to
+#: ``int`` across types (``True == 1 == 1.0``), so keying them would
+#: merge rows a per-document reader keeps distinct-typed.
 GROUP_SAFE = frozenset((str, int, type(None)))
 
 
@@ -59,17 +59,6 @@ class LaneBatch(Protocol):
         """One value per row: ``get_field(doc, field)`` over
         :meth:`to_docs`, read off the lanes instead.  May alias the
         batch's storage — never mutate it."""
-
-    def groups_for(self, field: str
-                   ) -> Optional[list[tuple[Any, Iterable[int]]]]:
-        """``(value, rows)`` pairs partitioning exactly the rows whose
-        value is not ``None``, in first-seen order — or ``None`` when
-        the lane is not pre-grouped.  Only lanes of exact ``str``/``int``
-        values may group (:data:`GROUP_SAFE`)."""
-
-    def dense_int(self, field: str) -> bool:
-        """``True`` only if every row's value is an exact non-``None``
-        ``int``."""
 
     def to_docs(self) -> list[dict]:
         """The documents, materialised once (memoised): the store keeps
@@ -130,7 +119,7 @@ def time_order(batch: LaneBatch) -> Optional[list[int]]:
     ints themselves.
     """
     times = batch.values_for("time")
-    if batch.dense_int("time"):
+    if _dense_int(times):
         if all(map(le, times, islice(times, 1, None))):
             return None
         keys = times            # every sort_key is (1, "num", time)
@@ -157,17 +146,15 @@ def transpose(docs: list[dict]) -> list[LaneColumn]:
 
 
 def _dense_int(values: list) -> bool:
+    """Every value is an exact ``int`` (none is ``None``)."""
     return set(map(type, values)) <= {int}
 
 
 def _groups(values: list) -> Optional[list[tuple[Any, list[int]]]]:
-    """First-seen ``(value, rows)`` groups of a group-safe lane.
-
-    An all-int lane is left to :meth:`LaneBatch.dense_int`: timestamps
-    would make one group per row.
-    """
-    classes = set(map(type, values))
-    if classes == {int} or not classes <= GROUP_SAFE:
+    """``(value, rows)`` pairs partitioning the rows whose value is not
+    ``None``, in first-seen order — or ``None`` when the lane holds a
+    value outside :data:`GROUP_SAFE`."""
+    if not set(map(type, values)) <= GROUP_SAFE:
         return None
     groups: dict = {}
     for row, value in enumerate(values):
@@ -534,12 +521,6 @@ class DocBatch:
                                            for doc in self._docs]
         return cached
 
-    def groups_for(self, field: str):
-        return _groups(self.values_for(field))
-
-    def dense_int(self, field: str) -> bool:
-        return _dense_int(self.values_for(field))
-
     def to_docs(self) -> list[dict]:
         return self._docs
 
@@ -618,12 +599,6 @@ class JoinedBatch:
                 cached = self._overlay.merged(field, cached)
             self._cache[field] = cached
         return cached
-
-    def groups_for(self, field: str):
-        return _groups(self.values_for(field))
-
-    def dense_int(self, field: str) -> bool:
-        return _dense_int(self.values_for(field))
 
     def to_docs(self) -> list[dict]:
         if self._docs is None:

@@ -661,7 +661,7 @@ class ShardedDocumentStore:
                 return cached
             self.agg_cache_misses += 1
         try:
-            if not target.columns.supports(aggs, *target.column_sources()):
+            if not ColumnSet.supports(aggs, target.column):
                 return None
             rows, total = target.matching_rows(query,
                                                shard._plan(target, query))

@@ -36,7 +36,7 @@ documents hydrates the rest.
 
 Aggregations are *pushed down* to the columnar kernels
 (:mod:`repro.backend.columns`): the plan's rows are evaluated by
-typed-array kernels without ever materialising ``_source`` dicts — the
+lane kernels without ever materialising ``_source`` dicts — the
 dominant cost of the dashboard path.  Results are cached per ``(index
 epoch, query, aggs)`` (copies in, copies out: :func:`copy_json`) and
 invalidated by any mutation.  Shapes the
@@ -145,20 +145,14 @@ class Index:
                         for doc, new in zip(held, batch.to_docs())]
             docs.update(zip(doc_ids[start:rows.stop], held))
 
-    def column_sources(self) -> tuple[dict[str, dict], list[LaneBatch]]:
-        """``(docs, pending)`` for :meth:`ColumnSet.ensure_column`.
-
-        The materialised documents plus the batches still parked as
-        lanes: a first-time column build reads the former as dicts and
-        the latter as lanes, so planning and aggregating never hydrate.
-        """
-        return self._docs, [batch for _, batch in self._pending]
-
     def column(self, field: str) -> Column:
         """``field``'s column, built on first use — the planner's
         field resolver, so a query pays for the fields it touches and
-        only those."""
-        return self.columns.ensure_column(field, *self.column_sources())
+        only those.  A first build reads the materialised documents as
+        dicts and the batches still parked as lanes, so planning and
+        aggregating never hydrate."""
+        return self.columns.ensure_column(
+            field, self._docs, [batch for _, batch in self._pending])
 
     def bulk_append(self, batch: LaneBatch,
                     doc_ids: Optional[list[str]] = None) -> int:
@@ -167,8 +161,8 @@ class Index:
         The vectorized twin of ``put`` in a loop: ids and rows are
         assigned in one pass and no source dict is built — the batch is
         parked on the pending list until a reader needs sources, and
-        only the columns that already exist take its lanes (pre-grouped
-        where the batch has groups).  State after this call plus
+        only the columns that already exist take its lanes.  State
+        after this call plus
         :meth:`_hydrate` is identical to ``len(batch)`` sequential
         ``put`` calls.
 
@@ -852,7 +846,7 @@ class DocumentStore:
 
         Aggregation requests go through the columnar engine: without
         ``sort`` a cache probe first, then — for supported shapes — the
-        plan's rows handed straight to the typed-array kernels
+        plan's rows handed straight to the column kernels
         (``size=0`` requests never materialise a single hit tuple or
         ``_source`` dict).  Anything else falls back to the legacy
         dict-walking :func:`run_aggregations`, which is also the
@@ -888,8 +882,7 @@ class DocumentStore:
 
         plan = self._plan(target, query)
         pushdown = (aggs is not None and aggregations is None and not sort
-                    and target.columns.supports(aggs,
-                                                *target.column_sources()))
+                    and ColumnSet.supports(aggs, target.column))
 
         matched, total = target.matching_rows(query, plan)
         rows = (target.sort_rows(matched, parse_sort(sort)) if sort

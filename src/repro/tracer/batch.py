@@ -3,14 +3,14 @@
 One ``Event`` plus one ``dict`` per record (``Event.to_doc``, the
 reference this module is tested against) is 2M short-lived Python
 objects per 1M events on the hot path.  :class:`RecordBatch` instead
-decodes a whole ring-buffer batch into *lanes*:
+decodes a whole ring-buffer batch into *lanes* — one list per field,
+the form every lane batch and every column holds
+(:mod:`repro.backend.lanes`):
 
-- dictionary-coded lanes for the low-cardinality string/int fields
-  (``syscall``, ``proc_name``, ``pid``, ``tid``, ``file_type``,
-  ``file_tag``): an ``array('i')`` of codes plus a value table, with
-  per-code row positions collected during encode so field indexes can
-  ingest whole groups at once;
-- ``array('q')`` numeric lanes for ``ret`` and the two timestamps;
+- one list per record field (``syscall``, ``proc_name``, ``pid``,
+  ``tid``, ``file_type``, ``file_tag``, ``ret``, the two timestamps,
+  ``offset``), built by one comprehension each and holding the
+  records' own value objects;
 - the records' ``args`` dicts, as the exit program captured them
   (buffers already their sizes) — grouping them by key tuple into a
   :class:`~repro.backend.lanes.StructLane` is deferred until something
@@ -22,105 +22,19 @@ decodes a whole ring-buffer batch into *lanes*:
 ``to_docs()`` materialises the exact documents ``Event.to_doc`` would
 have produced — same key order, same sparsity, same value objects —
 and memoises them, so the lazy path is byte-identical whenever it is
-actually observed.  The lanes degrade gracefully: any value whose
-class is not safe for the fast representation falls back to a plain
-list lane with identical semantics.
+actually observed.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import repeat
-from operator import is_not
-from typing import Any, Callable, Iterator, Optional
+from operator import is_not, sub
+from typing import Iterator
 
-from repro.backend.lanes import (GROUP_SAFE, LaneColumn, Overlay, StructLane,
+from repro.backend.lanes import (LaneColumn, Overlay, StructLane, _project,
                                  walk_lane)
 from repro.backend.query import get_field
 from repro.tracer.events import SCALAR_ARGS, sanitized_lane
-
-
-class _DictLane:
-    """A dictionary-grouped lane: row positions per distinct value.
-
-    The original per-row value list is kept verbatim (it already
-    exists from the decode comprehension, so grouping is pure gain);
-    the eager work is one dict-grouping pass that lets downstream
-    consumers (field indexes) append a whole value-group per dict
-    operation instead of one row at a time.  ``None`` rows appear in
-    no group.
-    """
-
-    __slots__ = ("_values", "_groups")
-
-    def __init__(self, values: list) -> None:
-        groups: dict = {}
-        for i, value in enumerate(values):
-            try:
-                groups[value].append(i)
-            except KeyError:
-                groups[value] = [i]
-        groups.pop(None, None)
-        self._values = values
-        self._groups = groups
-
-    def values(self) -> list:
-        """One value per row — the decode-time list, untouched."""
-        return self._values
-
-    def grouped(self) -> list[tuple[Any, list[int]]]:
-        """``(value, rows)`` pairs in first-seen order."""
-        return list(self._groups.items())
-
-
-def _make_lane(values: list):
-    """Dictionary-group a lane when safe; otherwise keep the raw list.
-
-    Only exact ``str``/``int`` values are grouped: ``bool`` and
-    ``float`` compare equal across types (``True == 1``, ``1.0 == 1``),
-    so grouping them could merge rows ``Event.to_doc`` treats as
-    distinct and break the byte-identity contract.  The class check is
-    one C-speed pass (``set(map(type, ...))``), not a per-row branch.
-    """
-    if set(map(type, values)) <= GROUP_SAFE:
-        return _DictLane(values)
-    return values
-
-
-def _num_lane(values: list):
-    """Pack an all-``int`` lane into ``array('q')``; else keep the list."""
-    if set(map(type, values)) == {int}:
-        try:
-            return array("q", values)
-        except OverflowError:
-            pass
-    return values
-
-
-def _lane_values(lane) -> list:
-    """One Python value per row, whatever the lane representation."""
-    if type(lane) is _DictLane:
-        return lane.values()
-    if type(lane) is array:
-        return lane.tolist()
-    return lane
-
-
-def _take_lane(lane, rows: list[int]):
-    """Project a lane onto a row subset, keeping its representation.
-
-    A ``_DictLane`` subset stays group-safe (subset of group-safe
-    values); an ``array('q')`` subset stays all-``int``.  Plain list
-    lanes stay plain lists — re-probing groupability on the subset
-    would be wasted work for a representation that already degrades
-    gracefully.
-    """
-    if type(lane) is _DictLane:
-        values = lane.values()
-        return _DictLane([values[i] for i in rows])
-    if type(lane) is array:
-        return array("q", map(lane.__getitem__, rows))
-    return [lane[i] for i in rows]
 
 
 class RecordBatch:
@@ -136,10 +50,8 @@ class RecordBatch:
     a document sequence; the ``DiagnosisTap`` reads its lanes.
     """
 
-    __slots__ = ("session", "_n", "_syscall", "_proc", "_pid", "_tid",
-                 "_file_type", "_file_tag", "_ret", "_time", "_time_exit",
-                 "_offset", "_raw_args", "_args", "_docs", "_cache",
-                 "_overlay")
+    __slots__ = ("session", "_n", "_lanes", "_raw_args", "_args", "_docs",
+                 "_cache", "_overlay")
 
     #: Keys every document carries, in ``Event.to_doc`` order, then the
     #: ones a document only has when the value is not ``None``.
@@ -159,16 +71,20 @@ class RecordBatch:
         self = cls.__new__(cls)
         self.session = session
         self._n = len(records)
-        self._syscall = _make_lane([r["syscall"] for r in records])
-        self._proc = _make_lane([r["comm"] for r in records])
-        self._pid = _make_lane([r["pid"] for r in records])
-        self._tid = _make_lane([r["tid"] for r in records])
-        self._file_type = _make_lane([r.get("file_type") for r in records])
-        self._file_tag = _make_lane([r.get("file_tag") for r in records])
-        self._ret = _num_lane([r["ret"] for r in records])
-        self._time = _num_lane([r["enter_ns"] for r in records])
-        self._time_exit = _num_lane([r["exit_ns"] for r in records])
-        self._offset = [r.get("offset") for r in records]
+        #: Document field -> one value per row.  Never overlaid: an
+        #: overlay refuses :attr:`_KEYS`.
+        self._lanes = {
+            "syscall": [r["syscall"] for r in records],
+            "proc_name": [r["comm"] for r in records],
+            "pid": [r["pid"] for r in records],
+            "tid": [r["tid"] for r in records],
+            "file_type": [r.get("file_type") for r in records],
+            "file_tag": [r.get("file_tag") for r in records],
+            "ret": [r["ret"] for r in records],
+            "time": [r["enter_ns"] for r in records],
+            "time_exit": [r["exit_ns"] for r in records],
+            "offset": [r.get("offset") for r in records],
+        }
         self._raw_args = [r["args"] for r in records]
         self._args = None
         self._docs = None
@@ -182,30 +98,22 @@ class RecordBatch:
     def __iter__(self) -> Iterator[dict]:
         return iter(self.to_docs())
 
-    def take(self, rows: list[int]) -> "RecordBatch":
+    def take(self, rows) -> "RecordBatch":
         """A sub-batch holding ``rows`` of this batch, in that order.
 
         The shard router partitions one decoded batch into per-shard
         sub-batches without round-tripping through documents: every
-        lane is projected in one pass, keeping its representation, and
-        args stay zero-copy references.  Memoised state is not shared
-        (sub-batches sanitise/materialise independently on first use);
-        an overlay goes along.
+        lane is projected in one pass and args stay zero-copy
+        references.  Memoised state is not shared (sub-batches
+        sanitise/materialise independently on first use); an overlay
+        goes along.
         """
         out = RecordBatch.__new__(RecordBatch)
         out.session = self.session
         out._n = len(rows)
-        out._syscall = _take_lane(self._syscall, rows)
-        out._proc = _take_lane(self._proc, rows)
-        out._pid = _take_lane(self._pid, rows)
-        out._tid = _take_lane(self._tid, rows)
-        out._file_type = _take_lane(self._file_type, rows)
-        out._file_tag = _take_lane(self._file_tag, rows)
-        out._ret = _take_lane(self._ret, rows)
-        out._time = _take_lane(self._time, rows)
-        out._time_exit = _take_lane(self._time_exit, rows)
-        out._offset = [self._offset[i] for i in rows]
-        out._raw_args = [self._raw_args[i] for i in rows]
+        out._lanes = {field: _project(values, rows)
+                      for field, values in self._lanes.items()}
+        out._raw_args = _project(self._raw_args, rows)
         out._args = None
         out._docs = None
         out._cache = {}
@@ -221,73 +129,18 @@ class RecordBatch:
             self._args = sanitized_lane(self._raw_args)
         return self._args
 
-    def _lane_for(self, field: str):
-        if field == "syscall":
-            return self._syscall
-        if field == "proc_name":
-            return self._proc
-        if field == "pid":
-            return self._pid
-        if field == "tid":
-            return self._tid
-        if field == "file_type":
-            return self._file_type
-        if field == "file_tag":
-            return self._file_tag
-        return None
-
-    def groups_for(self, field: str):
-        """Pre-grouped ``(value, rows)`` pairs, or ``None``.
-
-        ``None`` means the field has no grouped representation (high
-        cardinality, exotic value types, or a computed field) and the
-        caller should fall back to :meth:`values_for`.
-        """
-        if field == "session":
-            return [(self.session, range(self._n))]
-        lane = self._lane_for(field)
-        if type(lane) is _DictLane:
-            return lane.grouped()
-        return None
-
-    def dense_int(self, field: str) -> bool:
-        """True when every row of ``field`` is a non-``None`` exact int.
-
-        Lets index ingest skip per-row ``None``/indexability checks for
-        packed numeric lanes (``array('q')`` proves the invariant).
-        """
-        if field == "ret":
-            return type(self._ret) is array
-        if field == "time":
-            return type(self._time) is array
-        if field == "time_exit":
-            return type(self._time_exit) is array
-        if field == "duration_ns":
-            return (type(self._time) is array
-                    and type(self._time_exit) is array)
-        return False
-
     def values_for(self, field: str) -> list:
         """One value per row for ``field``, exactly as ``get_field``
         would read it off the ``to_docs()`` documents (memoised)."""
+        out = self._lanes.get(field)
+        if out is not None:
+            return out
         cached = self._cache.get(field)
         if cached is not None:
             return cached
-        lane = self._lane_for(field)
-        if lane is not None:
-            out = _lane_values(lane)
-        elif field == "ret":
-            out = _lane_values(self._ret)
-        elif field == "time":
-            out = _lane_values(self._time)
-        elif field == "time_exit":
-            out = _lane_values(self._time_exit)
-        elif field == "duration_ns":
-            out = [exit_ns - enter_ns for enter_ns, exit_ns
-                   in zip(_lane_values(self._time),
-                          _lane_values(self._time_exit))]
-        elif field == "offset":
-            out = self._offset
+        if field == "duration_ns":
+            out = list(map(sub, self._lanes["time_exit"],
+                           self._lanes["time"]))
         elif field == "session":
             out = [self.session] * self._n
         elif field == "args":
@@ -327,7 +180,7 @@ class RecordBatch:
     def row_keys(self, row: int) -> list[str]:
         keys = list(self._DENSE_KEYS)
         keys.extend(field for field in self._SPARSE_KEYS
-                    if self.values_for(field)[row] is not None)
+                    if self._lanes[field][row] is not None)
         if self._overlay is not None:
             keys.extend(self._overlay.keys_at(row))
         return keys
@@ -367,12 +220,11 @@ class RecordBatch:
         session = self.session
         docs = []
         append = docs.append
-        rows = zip(_lane_values(self._syscall), self.args(),
-                   _lane_values(self._ret), _lane_values(self._pid),
-                   _lane_values(self._tid), _lane_values(self._proc),
-                   _lane_values(self._time), _lane_values(self._time_exit),
-                   self._offset, _lane_values(self._file_type),
-                   _lane_values(self._file_tag))
+        lanes = self._lanes
+        rows = zip(lanes["syscall"], self.args(), lanes["ret"],
+                   lanes["pid"], lanes["tid"], lanes["proc_name"],
+                   lanes["time"], lanes["time_exit"], lanes["offset"],
+                   lanes["file_type"], lanes["file_tag"])
         for (syscall, args, ret, pid, tid, proc, enter_ns, exit_ns,
              offset, file_type, file_tag) in rows:
             doc = {

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import repeat
 from operator import itemgetter
 from typing import Any, Iterable, Optional
 
@@ -160,40 +159,6 @@ class FieldIndex:
             else:
                 ids.add(doc_id)
         self._dirty = True
-
-    def extend_new_grouped(self, doc_ids: list[str],
-                           grouped: Iterable[tuple[Any, Iterable[int]]],
-                           ) -> None:
-        """Bulk-index pre-grouped ``(value, rows)`` pairs for new docs.
-
-        The vectorized decoder groups low-cardinality lanes during
-        decode, so this path does one postings/presence dict operation
-        per *distinct value* instead of per document.  Group order is
-        first-seen order, matching the postings-key insertion order the
-        per-document path produces.
-        """
-        present_update = self.present.update
-        postings = self.postings
-        value_of = self._value_of
-        fetch = doc_ids.__getitem__
-        dirty = False
-        for value, rows in grouped:
-            if value is None:
-                continue
-            ids = list(map(fetch, rows))
-            present_update(ids)
-            if not is_indexable(value):
-                continue
-            existing = postings.get(value)
-            if existing is None:
-                postings[value] = set(ids)
-            else:
-                existing.update(ids)
-            value_of.update(zip(ids, repeat(value)))
-            if not dirty and _is_orderable(value):
-                dirty = True
-        if dirty:
-            self._dirty = True
 
     def remove(self, doc_id: str) -> None:
         """Forget a document entirely."""

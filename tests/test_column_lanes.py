@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import (DocumentStore, SegmentBatch, load_session,
-                           save_session)
+                           naive_aggregate, save_session)
 from repro.backend.columns import Column
 from repro.backend.lanes import DocBatch
 from repro.backend.query import get_field
@@ -24,10 +24,9 @@ from repro.backend.segments import K_DICT, K_STRUCT, Segment, write_batch
 from repro.tracer import RecordBatch
 from repro.tracer.events import _sanitize_args, sanitized_lane
 
-#: Every slot except the caches (the two ``tolist()`` views and the
-#: sorted permutation a ``range`` over an unsorted lane keeps).
-SLOTS = [slot for slot in Column.__slots__
-         if slot not in ("_codes_view", "_nums_view", "_order")]
+#: Every slot except the cache (the sorted permutation a ``range`` over
+#: an unsorted lane keeps).
+SLOTS = [slot for slot in Column.__slots__ if slot != "_order"]
 
 BIG = 1 << 63                           # first int beyond int64
 
@@ -36,8 +35,7 @@ def state(column: Column) -> dict:
     """Every compared slot, with classes made visible.
 
     ``1 == 1.0 == True`` and ``0.0 == -0.0``, so values are compared
-    by ``(class, repr)``; ``nums`` keeps its container class and
-    typecode.
+    by ``(class, repr)``; ``nums`` keeps its container class.
     """
     def tagged(value):
         return (type(value).__name__, repr(value))
@@ -53,7 +51,6 @@ def state(column: Column) -> dict:
                      for cls, codes in value.items()]
         elif slot == "nums":
             value = (type(value).__name__,
-                     getattr(value, "typecode", None),
                      None if value is None else [tagged(v) for v in value])
         elif slot == "_num_hi":
             value = tagged(value)
@@ -108,8 +105,8 @@ def test_extend_in_chunks_equals_append_per_row(chunks):
     [[1, 2], ["a", None]],                      # int then str
     [[1, 2], [True, False]],                    # int then bool: collision
     [[1, 2], [1.0]],                            # int then float
-    [[1, 2], [BIG]],                            # in range then > int64
-    [[BIG], [1, 2]],                            # 'obj' column, int lane
+    [[1, 2], [BIG]],                            # ints beyond int64 stay 'q'
+    [[BIG], [1, 2]],                            # ... in either order
     [[1, 2, 3], [2, 5]],                        # decrease across chunks
     [[1, 2, 3], [4, 3, 9]],                     # decrease inside a chunk
     [[3, 2], [5, 6]],                           # sorted after unsorted
@@ -133,6 +130,43 @@ def test_sorted_flag_freezes_at_the_first_decrease():
     column = by_extend([[10, 20, 30], [30, 31]])
     assert column.num_sorted
     assert (column._hi_row, column._num_hi) == (4, 31)
+
+
+#: A bucket and two metrics over one int field.
+_BIG_AGGS = {
+    "h": {"date_histogram": {"field": "n", "fixed_interval": 7}},
+    "s": {"stats": {"field": "n"}},
+    "p": {"percentiles": {"field": "n", "percents": [5, 50, 99]}},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(small=st.lists(st.integers(-50, 50), max_size=10),
+       big=st.lists(st.one_of(st.sampled_from([BIG, -BIG - 1, 10 ** 30]),
+                              st.integers(-4 * BIG, 4 * BIG)),
+                    min_size=1, max_size=4),
+       ordered=st.booleans(), as_lanes=st.booleans())
+def test_ints_beyond_int64_stay_exact_ints_and_push_down(small, big, ordered,
+                                                         as_lanes):
+    # ``'q'`` is exact ints of any size: no int64 bound sends a column
+    # to ``'obj'``, where a histogram would fall back to the documents.
+    numbers = small + big
+    if ordered:
+        numbers.sort()                  # the bisect bucketiser's shape
+    docs = [{"n": n} for n in numbers]
+    store = DocumentStore()
+    if as_lanes:
+        store.bulk_columnar("idx", DocBatch(copy.deepcopy(docs)))
+    else:
+        store.bulk("idx", copy.deepcopy(docs))
+    index = store._indices["idx"]
+    assert index.column("n").num_kind == "q"
+    counts = store.agg_pushdowns, store.agg_fallbacks
+    response = store.search("idx", aggs=_BIG_AGGS, size=0)
+    assert (store.agg_pushdowns, store.agg_fallbacks) == (counts[0] + 1,
+                                                          counts[1])
+    assert json.dumps(response["aggregations"]) == json.dumps(
+        naive_aggregate(index, None, _BIG_AGGS))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +203,7 @@ def test_column_built_from_lanes_equals_column_built_from_docs(
     index, oracle_index = lanes._indices["idx"], docs._indices["idx"]
     assert index.pending_docs == 24 - 8 * hydrated_batches
     for field in FIELDS:
-        built = index.columns.ensure_column(field, *index.column_sources())
+        built = index.column(field)
         oracle = oracle_index.columns.ensure_column(field,
                                                     oracle_index._docs)
         assert state(built) == state(oracle), field
@@ -188,7 +222,7 @@ def test_column_built_after_a_delete_keeps_the_dead_row_missing():
     lanes = fill(lambda store, batch: store.bulk_columnar("idx", batch))
     docs = fill(lambda store, batch: store.bulk("idx", batch.to_docs()))
     index, oracle_index = lanes._indices["idx"], docs._indices["idx"]
-    column = index.columns.ensure_column("time", *index.column_sources())
+    column = index.column("time")
     assert index.pending_docs == 3
     assert list(column.nonnull) == [1, 1, 0, 1, 1, 1, 1, 1, 1]
     assert not column.num_sorted        # 150, then 100 again
@@ -208,7 +242,7 @@ def test_args_columns_of_a_loaded_session_are_read_off_the_key_lanes(
     index, oracle_index = loaded._indices["idx"], docs._indices["idx"]
     for field in ("args", "args.path", "args.fd", "args.nope",
                   "args.fd.deeper"):
-        built = index.columns.ensure_column(field, *index.column_sources())
+        built = index.column(field)
         oracle = oracle_index.columns.ensure_column(field,
                                                     oracle_index._docs)
         assert state(built) == state(oracle), field

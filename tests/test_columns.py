@@ -61,12 +61,15 @@ class TestColumn:
         assert col.num_kind == "obj"
         assert col.gather_numeric(range(2)) == [1, 2.5]
 
-    def test_int_beyond_int64_promotes(self):
+    def test_int_beyond_int64_stays_an_exact_int(self):
         col = Column("f")
         col.append(3)
         col.append(1 << 70)
-        assert col.num_kind == "obj"
+        assert col.num_kind == "q"
         assert col.gather_numeric(range(2)) == [3, 1 << 70]
+        col.append(-(1 << 70))
+        col.append(2.5)                     # only a float mixes the kinds
+        assert col.num_kind == "obj"
 
     def test_float_column_stays_typed(self):
         col = Column("f")
@@ -167,67 +170,69 @@ class TestColumnSet:
 
 class TestSupports:
     def docs(self, sources):
+        """``(columns, lookup)``: the lookup builds a column from the
+        documents, as ``Index.column`` does."""
         cols = ColumnSet()
         docs = {}
         for i, source in enumerate(sources):
             doc_id = str(i)
             docs[doc_id] = source
             cols.note_put(doc_id, source)
-        return cols, docs
+        return cols, lambda field: cols.ensure_column(field, docs)
 
     def test_simple_terms_supported(self):
-        cols, docs = self.docs([{"f": "a"}, {"f": "b"}])
-        assert cols.supports({"t": {"terms": {"field": "f"}}}, docs)
+        cols, lookup = self.docs([{"f": "a"}, {"f": "b"}])
+        assert cols.supports({"t": {"terms": {"field": "f"}}}, lookup)
 
     def test_malformed_shapes_refused(self):
-        cols, docs = self.docs([{"f": "a"}])
+        cols, lookup = self.docs([{"f": "a"}])
         for aggs in (None, {}, {"t": "nope"}, {"t": {}},
                      {"t": {"terms": {"field": "f"}, "histogram": {}}},
                      {"t": {"mystery": {"field": "f"}}},
                      {"t": {"terms": {"field": ""}}},
                      {"t": {"terms": {}}}):
-            assert not cols.supports(aggs, docs)
+            assert not cols.supports(aggs, lookup)
 
     def test_terms_with_collisions_refused(self):
-        cols, docs = self.docs([{"f": 1}, {"f": 1.0}])
-        assert not cols.supports({"t": {"terms": {"field": "f"}}}, docs)
+        cols, lookup = self.docs([{"f": 1}, {"f": 1.0}])
+        assert not cols.supports({"t": {"terms": {"field": "f"}}}, lookup)
 
     def test_terms_with_unencodable_refused(self):
-        cols, docs = self.docs([{"f": ["x"]}])
-        assert not cols.supports({"t": {"terms": {"field": "f"}}}, docs)
+        cols, lookup = self.docs([{"f": ["x"]}])
+        assert not cols.supports({"t": {"terms": {"field": "f"}}}, lookup)
 
     def test_histogram_needs_positive_numeric_interval(self):
-        cols, docs = self.docs([{"n": 5}])
+        cols, lookup = self.docs([{"n": 5}])
         for interval in (0, -3, "10", True, None):
             assert not cols.supports(
                 {"h": {"histogram": {"field": "n", "interval": interval}}},
-                docs)
+                lookup)
         assert cols.supports(
-            {"h": {"histogram": {"field": "n", "interval": 2}}}, docs)
+            {"h": {"histogram": {"field": "n", "interval": 2}}}, lookup)
 
     def test_histogram_over_mixed_column_refused(self):
-        cols, docs = self.docs([{"n": 5}, {"n": 2.5}])
+        cols, lookup = self.docs([{"n": 5}, {"n": 2.5}])
         assert not cols.supports(
-            {"h": {"histogram": {"field": "n", "interval": 2}}}, docs)
+            {"h": {"histogram": {"field": "n", "interval": 2}}}, lookup)
 
     def test_cardinality_needs_repr_safe_values(self):
-        cols, docs = self.docs([{"f": 1.5}])
+        cols, lookup = self.docs([{"f": 1.5}])
         assert not cols.supports(
-            {"c": {"cardinality": {"field": "f"}}}, docs)
-        cols2, docs2 = self.docs([{"f": "a"}, {"f": 2}])
-        assert cols2.supports({"c": {"cardinality": {"field": "f"}}}, docs2)
+            {"c": {"cardinality": {"field": "f"}}}, lookup)
+        cols2, lookup2 = self.docs([{"f": "a"}, {"f": 2}])
+        assert cols2.supports({"c": {"cardinality": {"field": "f"}}}, lookup2)
 
     def test_metric_cannot_nest(self):
-        cols, docs = self.docs([{"n": 1}])
+        cols, lookup = self.docs([{"n": 1}])
         assert not cols.supports(
             {"m": {"sum": {"field": "n"},
-                   "aggs": {"x": {"sum": {"field": "n"}}}}}, docs)
+                   "aggs": {"x": {"sum": {"field": "n"}}}}}, lookup)
 
     def test_nested_decision_recurses(self):
-        cols, docs = self.docs([{"f": "a", "n": ["bad"]}])
+        cols, lookup = self.docs([{"f": "a", "n": ["bad"]}])
         assert not cols.supports(
             {"t": {"terms": {"field": "f"},
-                   "aggs": {"u": {"terms": {"field": "n"}}}}}, docs)
+                   "aggs": {"u": {"terms": {"field": "n"}}}}}, lookup)
 
 
 # ---------------------------------------------------------------------------

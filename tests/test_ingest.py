@@ -19,7 +19,6 @@ from repro.dst.crash import BulkOnlyStore
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
 from repro.tracer import DIOTracer, RecordBatch, TracerConfig
-from repro.tracer.batch import _DictLane, _make_lane, _num_lane
 from repro.tracer.events import Event, estimate_record_size
 from tests.test_column_lanes import state as column_state
 
@@ -101,20 +100,6 @@ class TestRecordBatch:
             assert batch.values_for(field) == [
                 get_field(doc, field) for doc in docs], field
 
-    def test_groups_cover_rows_exactly(self):
-        records = make_records()
-        batch = RecordBatch.decode(records, session=SESSION)
-        for field in ("syscall", "proc_name", "pid", "tid", "file_type",
-                      "file_tag", "session"):
-            grouped = batch.groups_for(field)
-            assert grouped is not None, field
-            rebuilt = [None] * len(batch)
-            for value, rows in grouped:
-                for row in rows:
-                    assert rebuilt[row] is None  # disjoint groups
-                    rebuilt[row] = value
-            assert rebuilt == batch.values_for(field), field
-
     def test_args_sanitisation_is_deferred(self):
         records = make_records()
         batch = RecordBatch.decode(records, session=SESSION)
@@ -126,21 +111,6 @@ class TestRecordBatch:
         assert args[2]["datas"] == 30
         assert "statbuf" not in args[3]
         assert batch.args() is args  # memoised
-
-    def test_dict_lane_rejects_cross_type_equal_values(self):
-        # True == 1 and 1.0 == 1: coding them would decode a
-        # different-but-equal object and break byte-identity.
-        assert type(_make_lane(["a", "a", "b"])) is _DictLane
-        assert type(_make_lane([1, 1, 2])) is _DictLane
-        assert type(_make_lane([1, True, 2])) is list
-        assert type(_make_lane([1.0, 1, 2])) is list
-        assert type(_make_lane([None, "a", None])) is _DictLane
-
-    def test_num_lane_falls_back_on_bool_and_bignum(self):
-        packed = _num_lane([1, 2, 3])
-        assert packed.typecode == "q"
-        assert type(_num_lane([1, True, 3])) is list
-        assert type(_num_lane([1, 2 ** 80, 3])) is list
 
     def test_decoded_bool_ret_survives_round_trip(self):
         records = make_records()

@@ -20,8 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore, SegmentBatch, SegmentStorage
-from repro.backend.lanes import (DocBatch, JoinedBatch, StructLane, sort_key,
-                                 time_ordered)
+from repro.analysis.streaming import (_FD_SET, _READS_SET, _WRITES_SET,
+                                     _Reads, rows_of)
+from repro.backend.lanes import (DocBatch, JoinedBatch, StructLane, _dense_int,
+                                 _groups, sort_key, time_ordered)
 from repro.backend.query import get_field
 from repro.backend.segments import _assemble_rows
 from repro.tracer import RecordBatch
@@ -175,13 +177,13 @@ def test_values_for_reads_what_get_field_reads(batch):
 def test_groups_partition_the_non_none_rows_in_first_seen_order(batch):
     grouped_fields = []
     for field in fields_of(batch):
-        groups = batch.groups_for(field)
+        values = batch.values_for(field)
+        groups = _groups(values)
         if groups is None:
             continue
         grouped_fields.append(field)
-        values = batch.values_for(field)
         # Exact str/int only: a bool or float key would merge rows a
-        # per-document index keeps apart.
+        # per-document reader keeps apart.
         assert {type(value) for value, _ in groups} <= {str, int}, field
         assert {type(value) for value in values} <= {str, int,
                                                      type(None)}, field
@@ -189,7 +191,6 @@ def test_groups_partition_the_non_none_rows_in_first_seen_order(batch):
         assert sorted(rows) == [row for row, value in enumerate(values)
                                 if value is not None], field
         for value, members in groups:
-            members = list(members)
             assert members == sorted(members), field
             assert all(values[row] == value for row in members), field
         first_seen = list(dict.fromkeys(
@@ -199,21 +200,34 @@ def test_groups_partition_the_non_none_rows_in_first_seen_order(batch):
 
 
 def test_a_lane_of_true_one_and_one_point_zero_does_not_group(batch):
-    classes = {type(value) for value in batch.values_for("pid")}
+    pids = batch.values_for("pid")
+    classes = {type(value) for value in pids}
     if classes == {bool, int, float}:
-        assert batch.groups_for("pid") is None
-        assert not batch.dense_int("pid")
+        assert _groups(pids) is None
+        assert not _dense_int(pids)
     else:
         assert classes == {int}
 
 
 def test_dense_int_means_every_value_is_an_exact_int(batch):
-    dense = [field for field in fields_of(batch) if batch.dense_int(field)]
+    dense = [field for field in fields_of(batch)
+             if _dense_int(batch.values_for(field))]
     for field in dense:
         assert {type(value)
                 for value in batch.values_for(field)} == {int}, field
     # The sparse, the explicitly-None and the stamped are never dense.
     assert not {"offset", "file_tag", "session", "args"} & set(dense)
+
+
+def test_rows_of_is_the_per_row_filter(batch):
+    # Straight off a batch, through the tap's shared reads (which
+    # group ``syscall`` once) and on a take of either.
+    taken = batch.take([39, 0, 17, 2, 2, 31])
+    for source in (batch, _Reads(batch), taken, _Reads(taken)):
+        names = source.values_for("syscall")
+        for syscalls in (_READS_SET, _WRITES_SET, _FD_SET, frozenset()):
+            assert list(rows_of(source, syscalls)) == [
+                row for row, name in enumerate(names) if name in syscalls]
 
 
 @pytest.mark.parametrize("rows", [
@@ -228,13 +242,6 @@ def test_take_commutes_and_can_be_taken_again(batch, rows):
         whole = batch.values_for(field)
         assert tagged(taken.values_for(field)) == tagged(
             whole[row] for row in rows), field
-        groups = taken.groups_for(field)
-        if groups is not None:
-            assert sorted(row for _, members in groups
-                          for row in members) == [
-                i for i, row in enumerate(rows) if whole[row] is not None]
-        if batch.dense_int(field):
-            assert taken.dense_int(field), field
     again = taken.take(list(range(len(rows)))[::-1])
     assert json.dumps(again.to_docs()) == json.dumps(
         [docs[row] for row in reversed(rows)])
@@ -499,6 +506,6 @@ def test_time_ordered_is_the_stable_sort_key_permutation(times, as_ring):
     expected = sorted(range(len(read)), key=lambda row: sort_key(read[row]))
     ordered = time_ordered(batch)
     assert ordered.values_for("ret") == expected
-    if batch.dense_int("time"):
+    if _dense_int(batch.values_for("time")):
         assert set(map(type, read)) <= {int}
         assert (ordered is batch) == (read == sorted(read))

@@ -277,11 +277,11 @@ class TestRowsAgainstBothOracles:
                 for i in range(start, start + 8)], session="s")
 
         class Counting(list):
-            extends = 0
+            appends = 0
 
-            def extend(self, rows):
-                Counting.extends += 1
-                super().extend(rows)
+            def append(self, row):
+                Counting.appends += 1
+                super().append(row)
 
         store = DocumentStore()
         store.bulk_columnar("events", batch(0))
@@ -295,9 +295,12 @@ class TestRowsAgainstBothOracles:
         for column in (syscall, tid):
             column._postings[:] = map(Counting, column._postings)
         store.bulk_columnar("events", batch(8))
-        # One operation per distinct value of the batch (2 syscalls,
-        # 3 tids), none per row, and nothing indexed earlier rebuilt.
-        assert Counting.extends == 5
+        # One append per new row of each built column (8 syscalls, 8
+        # tids), onto the lists that were there: nothing indexed
+        # earlier is rebuilt.
+        assert Counting.appends == 16
+        assert {type(rows) for column in (syscall, tid)
+                for rows in column._postings} == {Counting}
         assert list(syscall.rows_equal(["read"])) == [0, 2, 4, 6,
                                                       8, 10, 12, 14]
         assert list(tid.rows_equal([2])) == [1, 4, 7, 10, 13]

@@ -26,7 +26,6 @@ from repro.backend import (SHARD_KEYS, DocumentStore, FilePathCorrelator,
                            SessionError, TenantBackend, create_store,
                            export_session, import_session,
                            legacy_correlate, load_session, save_session)
-from repro.backend.columns import INT64_MAX, INT64_MIN
 from repro.backend.lanes import DocBatch
 from repro.backend.segments import (_BLOCK_HEAD, _HEADER, _I32_CODE, _TRAILER,
                                     _U16, _U32, DEFLATE_LEVEL, F_ZLIB, K_DICT,
@@ -42,6 +41,10 @@ from tests.test_load_differential import _ABSENT, _FIELDS, observe
 
 INDEX = "dio_trace"
 SESSION = "saved"
+
+#: The range a packed int64 block holds; an int beyond it is a
+#: dictionary entry.
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 # ---------------------------------------------------------------------------
