@@ -7,13 +7,15 @@ and back to disk; a ``_source`` dict is only built for a reader that
 returns hits.  This module states that form once and holds the pieces
 every producer and consumer shares:
 
-- :class:`LaneBatch` — the protocol.  Producers:
-  :class:`repro.tracer.batch.RecordBatch` (a decoded ring batch),
-  :class:`repro.backend.segments.SegmentBatch` (a loaded session),
-  :class:`DocBatch` (documents that already exist) and
-  :class:`JoinedBatch` (any of them back to back — the one
-  concatenation type).  ``tests/test_lane_batch.py`` runs one suite
-  against all of them.
+- :class:`LaneBatch` — the protocol.  Producers: :class:`Lanes`
+  (named lanes plus presence bits — the one concrete lane batch:
+  :meth:`repro.tracer.batch.RecordBatch.decode` builds one from ring
+  records, :meth:`repro.backend.segments.Segment.lanes` from a
+  segment's decoded blocks), :class:`DocBatch` (documents that already
+  exist) and :class:`JoinedBatch` (any of them back to back — the one
+  concatenation type; :class:`repro.backend.segments.SegmentBatch`, a
+  loaded session, is one).  ``tests/test_lane_batch.py`` runs one
+  suite against all of them.
 - :class:`StructLane` — a lane of ``dict``s (``args``) held as lanes
   itself: key tuples stored once, values as one lane per key, a dict
   only for the reader that asks for one.
@@ -29,7 +31,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import is_not, le
-from typing import Any, Iterable, Iterator, Optional, Protocol
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Protocol)
 
 from repro.backend.query import get_field, walk_field
 
@@ -499,6 +502,214 @@ class Overlay:
                     bytearray(_project(present, rows)))
             for field, (values, present) in self._fields.items()}
         return out
+
+
+def _assemble_rows(rows: int, columns: list[LaneColumn]) -> list[dict]:
+    """One document per row from lane columns.
+
+    The one row assembler: keys in column order, an explicit ``None``
+    kept, a field whose ``present`` flag is 0 left out.  The leading
+    fully-present columns zip into dicts at C speed; each later column
+    then lands one field at a time, which keeps key order.
+    """
+    dense = 0
+    while dense < len(columns) and columns[dense][2] is None:
+        dense += 1
+    if dense:
+        names = [name for name, _, _ in columns[:dense]]
+        docs = [dict(zip(names, row))
+                for row in zip(*(values for _, values, _ in columns[:dense]))]
+    else:
+        docs = [{} for _ in range(rows)]
+    for name, values, present in columns[dense:]:
+        if present is not None:
+            holders = compress(docs, present)
+            values = compress(values, present)
+        else:
+            holders = docs
+        for doc, value in zip(holders, values):
+            doc[name] = value
+    return docs
+
+
+class Derived(NamedTuple):
+    """A lane's values or presence bits, built on first read:
+    ``build(rows, *inputs)``.
+
+    ``inputs`` are per-row lanes, so a take projects them and derives
+    nothing.  ``peek(parts, *inputs)``, when given, reads the dotted
+    name below the lane without building it — ``None`` when it cannot.
+    """
+
+    build: Callable[..., Any]
+    inputs: tuple = ()
+    peek: Optional[Callable[..., Optional[list]]] = None
+
+
+def stamp(value: Any) -> tuple[Derived, None]:
+    """A lane entry holding ``value`` on every row, built on first
+    read (a session label)."""
+    return Derived(lambda rows: [value] * rows), None
+
+
+def _present(rows: int, values: list) -> Optional[bytes]:
+    present = bytes(map(is_not, values, repeat(None)))
+    return present if 0 in present else None
+
+
+def sparse(values: list) -> tuple[list, Derived]:
+    """A lane entry whose ``None`` values are absences (its presence
+    bits derived on first read)."""
+    return values, Derived(_present, (values,))
+
+
+class Lanes:
+    """Named lanes plus presence bits: the one concrete lane batch.
+
+    ``lanes`` maps each field to ``(values, present)`` — a
+    :data:`LaneColumn` without its name — in document key order: a
+    row's keys are the fields it carries, in that order, then any
+    :class:`Overlay` ones.  Either half may be a :class:`Derived`,
+    built on first read and kept.  Producers:
+    :meth:`repro.tracer.batch.RecordBatch.decode` (ring records) and
+    :meth:`repro.backend.segments.Segment.lanes` (a segment's decoded
+    blocks, which :meth:`stamped` labels with a load's session).
+
+    Reads follow ``get_field``: a dotted name walks its root lane, and
+    a row's own dotted key wins over the walk.  ``to_docs`` builds the
+    documents once, by :func:`_assemble_rows`; the batch iterates as
+    them.
+    """
+
+    __slots__ = ("_n", "_lanes", "_docs", "_cache", "_overlay")
+
+    def __init__(self, rows: int,
+                 lanes: dict[str, tuple[Any, Optional[bytes]]]) -> None:
+        self._n = rows
+        self._lanes = lanes
+        self._docs: Optional[list[dict]] = None
+        #: What a read of a name that is no lane of the batch built.
+        self._cache: dict[str, list] = {}
+        self._overlay: Optional[Overlay] = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[dict]:
+        return iter(self.to_docs())
+
+    def stamped(self, session: str) -> "Lanes":
+        """These lanes with ``session`` on every row: in the place of a
+        ``session`` lane, or last."""
+        return type(self)(self._n, {**self._lanes, "session": stamp(session)})
+
+    def _lane(self, field: str) -> tuple[Any, Optional[bytes]]:
+        lane = self._lanes[field]
+        if Derived in map(type, lane):
+            lane = self._lanes[field] = tuple(
+                part.build(self._n, *part.inputs) if type(part) is Derived
+                else part for part in lane)
+        return lane
+
+    def values_for(self, field: str) -> list:
+        if "." not in field and field in self._lanes:
+            return self._lane(field)[0]
+        out = self._cache.get(field)
+        if out is None:
+            out = self._read(field)
+            if self._overlay is not None:
+                out = self._overlay.merged(field, out)
+            self._cache[field] = out
+        return out
+
+    def _read(self, field: str) -> list:
+        """``get_field`` over the rows, for a name no plain lane holds."""
+        if "." not in field:
+            return [None] * self._n
+        own = self._lane(field) if field in self._lanes else None
+        if own is not None and own[1] is None:
+            return own[0]
+        root, *below = field.split(".")
+        walked = None
+        if root in self._lanes:
+            values = self._lanes[root][0]
+            if type(values) is Derived and values.peek is not None:
+                walked = values.peek(below, *values.inputs)
+        if walked is None:
+            walked = walk_lane(self.values_for(root), below)
+        if own is None:
+            return walked
+        values, present = own
+        return [value if has else under
+                for has, value, under in zip(present, values, walked)]
+
+    def columns(self) -> list[LaneColumn]:
+        out = [(field, *self._lane(field)) for field in self._lanes]
+        if self._overlay is not None:
+            out.extend(self._overlay.columns())
+        return out
+
+    def row_keys(self, row: int) -> list[str]:
+        keys = [field for field in self._lanes
+                if (present := self._lane(field)[1]) is None or present[row]]
+        if self._overlay is not None:
+            keys.extend(self._overlay.keys_at(row))
+        return keys
+
+    def take(self, rows) -> "Lanes":
+        """The sub-batch of ``rows``: every lane projected once (a
+        derived lane's inputs instead, so nothing is derived), the
+        overlay along; nothing memoised is shared."""
+        projected: dict[int, Any] = {}
+
+        def project(values):
+            # A lane that is also a derived lane's input is projected once.
+            key = id(values)
+            if key not in projected:
+                projected[key] = _project(values, rows)
+            return projected[key]
+
+        def derive(part: Derived) -> Derived:
+            return part._replace(inputs=tuple(map(project, part.inputs)))
+
+        lanes = {}
+        for field, (values, present) in self._lanes.items():
+            values = (derive(values) if type(values) is Derived
+                      else project(values))
+            if type(present) is Derived:
+                present = derive(present)
+            elif present is not None:
+                present = bytes(_project(present, rows))
+                present = present if 0 in present else None
+            lanes[field] = (values, present)
+        out = type(self)(len(rows), lanes)
+        if self._overlay is not None:
+            out._overlay = self._overlay.take(rows)
+        return out
+
+    def overlay(self, rows: list[int], fields: dict) -> bool:
+        if not self._lanes.keys().isdisjoint(fields):
+            return False
+        if self._overlay is None:
+            self._overlay = Overlay(self._n)
+        if not self._overlay.set(rows, fields, self._docs):
+            return False
+        self._cache.clear()
+        return True
+
+    def docs_at(self, rows) -> list[dict]:
+        if self._docs is not None:
+            return _project(self._docs, rows)
+        return self.take(rows).to_docs()
+
+    def to_docs(self) -> list[dict]:
+        if self._docs is None:
+            docs = _assemble_rows(self._n, [(field, *self._lane(field))
+                                           for field in self._lanes])
+            if self._overlay is not None:
+                self._overlay.apply(docs)
+            self._docs = docs
+        return self._docs
 
 
 class DocBatch:

@@ -18,8 +18,9 @@ key) — a **footer**
 directory with per-block CRC-32 checksums and per-field min/max **zone
 maps**, and a fixed-size **trailer** so a reader finds the footer in
 one seek.  Opening a store therefore costs O(segment index): only
-manifest, trailers and footers are read until a query actually needs a
-block.  The byte-level layout is specified field by field in
+manifest, headers, trailers and footers are read — by seek, not whole
+files — and a block's bytes are read by offset when it is decoded.
+The byte-level layout is specified field by field in
 ``docs/STORAGE.md``; ``tests/test_storage_spec.py`` parses a real
 segment using only the offsets from that document, so the spec cannot
 drift from this module.
@@ -33,10 +34,11 @@ traces touches one segment, not fifty.
 Blocks are written from, and decoded back into, *lanes*
 (:mod:`repro.backend.lanes`): :func:`write_batch` is the one column
 writer — ``save_session`` hands it the lanes a store holds,
-:func:`write_segment`, the WAL flush, ``import_docs`` and compaction
-transpose their rows (``DocBatch``) and call it — and
+compaction the joined :class:`~repro.backend.lanes.Lanes` of the
+segments it merges, and the WAL flush its rows as a ``DocBatch`` — and
 :class:`SegmentBatch` is a loaded session's blocks behind the
-lane-batch protocol, so neither a save nor a load builds a document.
+lane-batch protocol, so neither a save, a compaction nor a load builds
+a document.
 
 JSON-lines stays as the differential oracle: a session saved here
 reloads into a store byte-identical to importing its export (same
@@ -66,11 +68,11 @@ from copy import deepcopy
 from itertools import chain, compress, repeat
 from operator import is_
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.backend.lanes import (GROUP_SAFE, DocBatch, JoinedBatch,
-                                 LaneBatch, LaneColumn, StructLane, _project,
-                                 sort_key, time_ordered, walk_lane)
+                                 LaneBatch, LaneColumn, Lanes, StructLane,
+                                 sort_key, time_ordered)
 from repro.backend.planner import prune_constraints
 from repro.backend.query import compile_query
 from repro.backend.store import INDEXED_EVENT_FIELDS
@@ -452,37 +454,6 @@ def _decode_struct(payload: bytes, rows: int) -> _Lane:
     return _Lane(lane, lane.present())
 
 
-def _assemble_rows(rows: int, columns: list[tuple[str, list,
-                                                  Optional[bytes]]]
-                   ) -> list[dict]:
-    """One document per row from ``(name, values, present)`` columns.
-
-    The one row assembler (``Segment.docs`` and
-    ``SegmentBatch.to_docs``): keys in column order, an explicit
-    ``None`` kept, a field whose ``present`` flag is 0 left out.  The
-    leading fully-present columns zip into dicts at C speed; each later
-    column then lands one field at a time, which keeps key order.
-    """
-    dense = 0
-    while dense < len(columns) and columns[dense][2] is None:
-        dense += 1
-    if dense:
-        names = [name for name, _, _ in columns[:dense]]
-        docs = [dict(zip(names, row))
-                for row in zip(*(values for _, values, _ in columns[:dense]))]
-    else:
-        docs = [{} for _ in range(rows)]
-    for name, values, present in columns[dense:]:
-        if present is not None:
-            holders = compress(docs, present)
-            values = compress(values, present)
-        else:
-            holders = docs
-        for doc, value in zip(holders, values):
-            doc[name] = value
-    return docs
-
-
 def _encode_zone(zone: Optional[tuple]) -> bytes:
     if zone is None:
         return b"\x00"
@@ -566,27 +537,20 @@ def write_batch(path: str | Path, batch: LaneBatch, *, session: str,
             "seq": seq, "bytes": offset + len(footer) + _TRAILER.size}
 
 
-def write_segment(path: str | Path, docs: list[dict], *, session: str,
-                  seq: int, created_ns: int = 0) -> dict:
-    """:func:`write_batch` for rows: the documents are transposed into
-    lanes (``DocBatch``) and written by the same column writer."""
-    return write_batch(path, DocBatch(docs), session=session, seq=seq,
-                       created_ns=created_ns)
-
-
 # ---------------------------------------------------------------------------
 # segment read
 
 class Segment:
     """One immutable on-disk segment, opened footer-first.
 
-    Construction reads *only* the trailer and footer (plus their
-    checksums) — a few hundred bytes however large the segment is.
-    Blocks decode on demand (:meth:`lanes`); only the row view
-    (:meth:`docs`) is memoised.  Any
-    truncation or bit-rot that touched the trailer or footer raises
-    :class:`SegmentError` right here, which is how a torn flush is
-    detected and the file rejected whole.
+    Construction reads *only* the header, the trailer and the footer
+    (plus their checksums), by seek — a few hundred bytes however large
+    the segment is.  A block's bytes are read by offset when
+    :meth:`lanes` or :meth:`verify` asks for them; only the row view
+    (:meth:`docs`) is memoised.  Any truncation or bit-rot that touched
+    the trailer or footer raises :class:`SegmentError` right here,
+    which is how a torn flush is detected and the file rejected whole;
+    a damaged block fails its checksum when it is read.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -594,32 +558,37 @@ class Segment:
         self._fields: dict[str, tuple[int, int, int, Optional[tuple]]] = {}
         self._docs: Optional[list[dict]] = None
         try:
-            blob = self.path.read_bytes()
+            with self.path.open("rb") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                if size < _HEADER.size + _TRAILER.size:
+                    raise SegmentError(f"{self.path.name}: file too short")
+                head = handle.read(_HEADER.size)
+                handle.seek(size - _TRAILER.size)
+                trailer = handle.read(_TRAILER.size)
+                magic, version, _flags, rows = _HEADER.unpack(head)
+                if magic != SEGMENT_MAGIC:
+                    raise SegmentError(
+                        f"{self.path.name}: bad magic {magic!r}")
+                if version not in READABLE_VERSIONS:
+                    raise SegmentError(
+                        f"{self.path.name}: unsupported version {version}")
+                foot_off, foot_len, foot_crc, t_magic = _TRAILER.unpack(
+                    trailer)
+                if t_magic != TRAILER_MAGIC:
+                    raise SegmentError(f"{self.path.name}: torn trailer")
+                if foot_off + foot_len + _TRAILER.size != size:
+                    raise SegmentError(f"{self.path.name}: trailer offsets "
+                                       "disagree with the file size")
+                handle.seek(foot_off)
+                footer = handle.read(foot_len)
         except OSError as exc:
             raise SegmentError(f"cannot read segment {self.path}") from exc
-        self._blob = blob
-        if len(blob) < _HEADER.size + _TRAILER.size:
-            raise SegmentError(f"{self.path.name}: file too short")
-        magic, version, _flags, rows = _HEADER.unpack_from(blob, 0)
-        if magic != SEGMENT_MAGIC:
-            raise SegmentError(f"{self.path.name}: bad magic {magic!r}")
-        if version not in READABLE_VERSIONS:
-            raise SegmentError(
-                f"{self.path.name}: unsupported version {version}")
-        self.rows = rows
-        foot_off, foot_len, foot_crc, t_magic = _TRAILER.unpack_from(
-            blob, len(blob) - _TRAILER.size)
-        if t_magic != TRAILER_MAGIC:
-            raise SegmentError(f"{self.path.name}: torn trailer")
-        if foot_off + foot_len + _TRAILER.size != len(blob):
-            raise SegmentError(f"{self.path.name}: trailer offsets "
-                               "disagree with the file size")
-        footer = blob[foot_off:foot_off + foot_len]
         if zlib.crc32(footer) != foot_crc:
             raise SegmentError(f"{self.path.name}: footer checksum "
                                "mismatch")
+        self.rows = rows
         self._parse_footer(footer)
-        self.size_bytes = len(blob)
+        self.size_bytes = size
 
     def _parse_footer(self, footer: bytes) -> None:
         try:
@@ -672,27 +641,38 @@ class Segment:
             return zone[1], zone[2]
         return None
 
-    def lanes(self) -> dict[str, _Lane]:
-        """Every block, checksum-verified and decoded, in schema order.
+    def _blocks(self) -> Iterator[tuple[str, bytes, int]]:
+        """``(field, block, crc)`` of every block, in schema order,
+        each read from the file by its footer offset."""
+        try:
+            handle = self.path.open("rb")
+        except OSError as exc:
+            raise SegmentError(f"cannot read segment {self.path}") from exc
+        with handle:
+            for name, (off, length, crc, _zone) in self._fields.items():
+                handle.seek(off)
+                yield name, handle.read(length), crc
+
+    def lanes(self) -> Lanes:
+        """Every block, checksum-verified and decoded, as lanes in
+        schema order — unstamped: ``session`` is a lane only if the
+        rows carried it.
 
         Not memoised: a load hands the lanes on to a
         :class:`SegmentBatch` and keeps nothing here.
         """
-        out: dict[str, _Lane] = {}
-        for name, (off, length, crc, _zone) in self._fields.items():
-            block = self._blob[off:off + length]
+        lanes: dict[str, _Lane] = {}
+        for name, block, crc in self._blocks():
             if zlib.crc32(block) != crc:
                 raise SegmentError(
                     f"{self.path.name}: block {name!r} checksum mismatch")
-            out[name] = _decode_block(block, self.rows)
-        return out
+            lanes[name] = _decode_block(block, self.rows)
+        return Lanes(self.rows, lanes)
 
     def docs(self) -> list[dict]:
         """Materialise every row as a document (schema key order)."""
         if self._docs is None:
-            self._docs = _assemble_rows(
-                self.rows, [(name, lane.values, lane.present)
-                            for name, lane in self.lanes().items()])
+            self._docs = self.lanes().to_docs()
         return self._docs
 
     def may_match(self, constraints: list[tuple[str, str, Any]]) -> bool:
@@ -733,8 +713,7 @@ class Segment:
     def verify(self) -> dict:
         """Recompute every checksum; returns ``{"ok": ..., "errors": [...]}``."""
         errors: list[str] = []
-        for name, (off, length, crc, _zone) in self._fields.items():
-            block = self._blob[off:off + length]
+        for name, block, crc in self._blocks():
             if zlib.crc32(block) != crc:
                 errors.append(f"block {name!r}: checksum mismatch")
                 continue
@@ -828,87 +807,24 @@ def _zone_excludes_range(zone: tuple, bounds: dict) -> bool:
 # ---------------------------------------------------------------------------
 # a loaded session as lanes
 
-class _Blocks:
-    """One segment's decoded blocks, as a part of a
-    :class:`SegmentBatch`: the reads a
-    :class:`~repro.backend.lanes.JoinedBatch` makes of its parts, with
-    every row stamped with the load's ``session`` whatever the blocks
-    said.  Construction verifies and decodes every block."""
-
-    __slots__ = ("_rows", "_lanes", "_session")
-
-    def __init__(self, segment: "Segment", session: str) -> None:
-        self._rows = segment.rows
-        self._lanes = segment.lanes()           # schema order
-        self._session = session
-
-    def __len__(self) -> int:
-        return self._rows
-
-    def values_for(self, field: str) -> list:
-        if field == "session":
-            return [self._session] * self._rows
-        lane = self._lanes.get(field)
-        if "." not in field:
-            return lane.values if lane is not None else [None] * self._rows
-        # A dotted name resolves inside its root field's values unless
-        # a row carries the dotted name as a key of its own.
-        root, *below = field.split(".")
-        out = walk_lane(self.values_for(root), below)
-        if lane is not None:
-            has_key = lane.present or b"\x01" * self._rows
-            out = [own if has else walked for has, own, walked
-                   in zip(has_key, lane.values, out)]
-        return out
-
-    def columns(self) -> list[LaneColumn]:
-        out = [(field, lane.values, lane.present)
-               for field, lane in self._lanes.items() if field != "session"]
-        out.append(("session", [self._session] * self._rows, None))
-        return out
-
-    def row_keys(self, row: int) -> list[str]:
-        keys = [field for field, lane in self._lanes.items()
-                if lane.present is None or lane.present[row]]
-        if "session" not in keys:
-            keys.append("session")
-        return keys
-
-    def to_docs(self) -> list[dict]:
-        return self._assemble(self._rows, [
-            (field, lane.values, lane.present)
-            for field, lane in self._lanes.items()])
-
-    def docs_at(self, rows) -> list[dict]:
-        return self._assemble(len(rows), [
-            (field, _project(lane.values, rows),
-             None if lane.present is None
-             else bytes(_project(lane.present, rows)))
-            for field, lane in self._lanes.items()])
-
-    def _assemble(self, rows: int, columns: list) -> list[dict]:
-        docs = _assemble_rows(rows, columns)
-        session = self._session
-        for doc in docs:
-            doc["session"] = session
-        return docs
-
-
 class SegmentBatch(JoinedBatch):
     """A loaded session as one :class:`~repro.backend.lanes.LaneBatch`.
 
-    Every segment's decoded blocks, then the unflushed tail, back to
-    back: the store reads the blocks as they were on disk and no
+    Every segment's :meth:`Segment.lanes`, then the unflushed tail,
+    back to back: the store reads the blocks as they were on disk and no
     document exists until :meth:`to_docs` (one row assembler,
     per-segment schema key order; a tail row keeps its own).  Every
-    document of the batch carries ``session``, stamped in place.
+    row carries ``session``, stamped: in a segment, in the place of its
+    ``session`` column, or last when it has none.  Construction
+    verifies and decodes every block.
     """
 
     __slots__ = ()
 
     def __init__(self, segments: Iterable["Segment"], tail: list[dict],
                  session: str) -> None:
-        parts: list = [_Blocks(segment, session) for segment in segments]
+        parts: list = [segment.lanes().stamped(session)
+                       for segment in segments]
         parts.append(DocBatch([{**doc, "session": session}
                                for doc in tail]))
         super().__init__(parts)
@@ -921,10 +837,9 @@ class SegmentStorage:
     """Durable document storage over a directory of segments + a WAL.
 
     ``append`` is the live path (WAL first, buffer second, automatic
-    flush at ``flush_events``); ``import_batch`` (``import_docs`` for
-    rows) is the bulk path used by ``save_session`` where the documents
-    are already durable elsewhere and the WAL hop would be pure
-    overhead.  ``open`` cost is
+    flush at ``flush_events``); ``import_batch`` is the bulk path used
+    by ``save_session`` where the documents are already durable
+    elsewhere and the WAL hop would be pure overhead.  ``open`` cost is
     O(number of segments): the manifest names the live files, each is
     validated footer-first, and any file that fails — torn flush,
     bit rot — is *dropped whole* and reported, never half-read.
@@ -1085,10 +1000,6 @@ class SegmentStorage:
                                             total))), session)
         return total
 
-    def import_docs(self, docs: Iterable[dict], session: str = "") -> int:
-        """:meth:`import_batch` for rows."""
-        return self.import_batch(DocBatch(list(docs)), session)
-
     def _flush_batch(self, batch: LaneBatch, session: str,
                      wal_sealed: int = 0) -> Segment:
         seq = self._manifest["next_seq"]
@@ -1170,15 +1081,12 @@ class SegmentStorage:
         merged_rows = 0
         merged_names = 0
         for run in runs:
-            docs: list[dict] = []
-            session = by_name[run[0]].session
-            for name in run:
-                docs.extend(by_name[name].docs())
+            batch = JoinedBatch([by_name[name].lanes() for name in run])
             seq = self._manifest["next_seq"]
             new_name = f"seg-{seq:06d}.dseg"
-            write_segment(self.root / new_name, docs,
-                          session=session, seq=seq,
-                          created_ns=self._clock())
+            write_batch(self.root / new_name, batch,
+                        session=by_name[run[0]].session, seq=seq,
+                        created_ns=self._clock())
             if self._crash_hook is not None:
                 self._crash_hook("compact")
             self._manifest["next_seq"] = seq + 1
@@ -1190,7 +1098,7 @@ class SegmentStorage:
             self._write_manifest()
             for name in run:
                 (self.root / name).unlink(missing_ok=True)
-            merged_rows += len(docs)
+            merged_rows += len(batch)
             merged_names += len(run)
         self._reload_segments()
         return {"compactions": len(runs), "segments_merged": merged_names,

@@ -23,6 +23,7 @@ from repro.backend.persistence import (export_session, import_session,
 from repro.backend.query import compile_query
 from repro.backend.router import (SHARD_IMAGE_MAGIC, SHARD_IMAGE_NAME,
                                   ShardedDocumentStore)
+from repro.backend.lanes import DocBatch
 from repro.backend.segments import WAL_NAME, SegmentStorage
 from repro.backend.store import DocumentStore
 from repro.backend.wal import encode_frame, scan_frames
@@ -282,7 +283,8 @@ def segment_storage_checks(run, tmp_dir) -> list[str]:
     # pre-compaction store (orphan removed) and a retry must succeed.
     crash_root = tmp_dir / "segstore-crash"
     crash_engine = SegmentStorage(crash_root, flush_events=4)
-    loaded = crash_engine.import_docs(docs[:24], session="segcheck")
+    loaded = crash_engine.import_batch(DocBatch(docs[:24]),
+                                       session="segcheck")
     crash_engine._crash_hook = _crash_at("compact")
     crashed = False
     try:

@@ -320,7 +320,7 @@ def _round_trip(docs: list[dict], path) -> tuple[int, list[dict]]:
     """``(kind of the args block, the documents read back)``."""
     write_batch(path, DocBatch(copy.deepcopy(docs)), session="s", seq=1)
     segment = Segment(path)
-    kind = segment._blob[segment._fields["args"][0]]
+    kind = path.read_bytes()[segment._fields["args"][0]]
     loaded = SegmentBatch([segment], [], "s").to_docs()
     for doc in loaded:
         assert doc.pop("session") == "s"
@@ -379,5 +379,5 @@ def test_an_odd_key_lane_falls_back_alone(tmp_path):
     kind, loaded = _round_trip(docs, tmp_path / "seg.dseg")
     assert kind == K_STRUCT
     assert json.dumps(loaded) == json.dumps(docs)
-    lane = Segment(tmp_path / "seg.dseg").lanes()["args"].values
+    lane = Segment(tmp_path / "seg.dseg").lanes().values_for("args")
     assert [type(column) for column in lane.columns[0]] == [list] * 3

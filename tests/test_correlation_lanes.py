@@ -17,7 +17,7 @@ import pytest
 from repro.backend import (DocumentStore, FilePathCorrelator, create_store,
                            export_session, import_session, legacy_correlate,
                            load_session, save_session)
-from repro.backend.lanes import DocBatch
+from repro.backend.lanes import Derived, DocBatch
 from repro.faults import FaultPlan, FaultyStore, InjectedFault
 from repro.tracer import RecordBatch
 from tests.test_load_differential import index_state
@@ -380,4 +380,4 @@ def test_correlation_reads_the_path_argument_not_every_args():
     assert report.tags_resolved == 4
     parked = [batch for _, batch in store._indices[INDEX]._pending]
     assert len(parked) == 4
-    assert all(batch._args is None for batch in parked)
+    assert all(type(batch._lanes["args"][0]) is Derived for batch in parked)

@@ -351,7 +351,7 @@ def test_bulk_only_twin_catches_sabotaged_bulk_columnar(monkeypatch,
             pass
         elif sabotage == "corrupt":
             batch = batch.take(list(range(len(batch))))
-            batch._lanes["time_exit"][0] += 1
+            batch._lanes["time_exit"][0][0] += 1
         else:
             batch = batch.take(list(range(len(batch) - 1)))
         return real_columnar(self, index, batch, *args, **kwargs)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.backend import (INDEXED_EVENT_FIELDS, DocumentStore,
                            FilePathCorrelator, save_session)
+from repro.backend.lanes import Derived, StructLane
 from repro.dst.crash import BulkOnlyStore
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
@@ -103,14 +104,52 @@ class TestRecordBatch:
     def test_args_sanitisation_is_deferred(self):
         records = make_records()
         batch = RecordBatch.decode(records, session=SESSION)
-        assert batch._args is None  # nothing sanitised at decode time
-        args = batch.args()
-        assert batch._args is not None
+        # Nothing sanitised at decode time.
+        assert type(batch._lanes["args"][0]) is Derived
+        args = batch.values_for("args")
+        assert type(batch._lanes["args"][0]) is StructLane
         # Buffers became sizes, vectors became counts, out-params vanished.
         assert args[1]["data"] == 64
         assert args[2]["datas"] == 30
         assert "statbuf" not in args[3]
-        assert batch.args() is args  # memoised
+        assert batch.values_for("args") is args  # memoised
+
+    def test_a_take_derives_no_lane(self):
+        records = make_records()
+        batch = RecordBatch.decode(records, session=SESSION)
+        taken = batch.take([4, 0, 2])
+        for lanes in (batch, taken, taken.take([2, 1])):
+            assert [field for field, (values, _) in lanes._lanes.items()
+                    if type(values) is Derived] == ["args", "duration_ns",
+                                                    "session"]
+            assert [field for field, (_, present) in lanes._lanes.items()
+                    if type(present) is Derived] == ["file_type", "offset",
+                                                     "file_tag"]
+        expected = legacy_docs(records)
+        assert taken.to_docs() == [expected[row] for row in (4, 0, 2)]
+        assert type(batch._lanes["args"][0]) is Derived
+
+    def test_correlation_reads_args_path_off_the_records(self, monkeypatch,
+                                                         tmp_path):
+        # Decode, bulk and correlate never build the args struct lane:
+        # the correlator's ``args.path`` is read off the records.  The
+        # segment writer is the first reader that needs it, once.
+        import repro.tracer.batch as batch_module
+
+        built = []
+        real = batch_module.sanitized_lane
+        monkeypatch.setattr(batch_module, "sanitized_lane",
+                            lambda raw: built.append(len(raw)) or real(raw))
+        store = DocumentStore()
+        store.ensure_index("idx", indexed_fields=INDEXED_EVENT_FIELDS)
+        store.bulk_columnar("idx", RecordBatch.decode(make_records(),
+                                                      session=SESSION))
+        report = FilePathCorrelator(store).correlate("idx", session=SESSION)
+        assert report.documents_updated == 5
+        assert built == []
+        assert save_session(store, SESSION, tmp_path / "saved",
+                            index="idx") == 6
+        assert built == [6]
 
     def test_decoded_bool_ret_survives_round_trip(self):
         records = make_records()

@@ -2,10 +2,12 @@
 
 ``repro.backend.lanes.LaneBatch`` states what ``Index.bulk_append``,
 ``ColumnSet.extend_new``, the shard router, the fault/crash wrappers, the
-correlator and the segment writer ask of a batch.  ``RecordBatch`` (a
-decoded ring batch), ``SegmentBatch`` (a loaded session's blocks),
-``DocBatch`` (documents that already exist) and ``JoinedBatch`` (any of
-them back to back) implement it; every test here runs against each, on
+correlator and the segment writer ask of a batch.  ``Lanes`` as
+``RecordBatch.decode`` builds it (a decoded ring batch) and as a
+``Segment`` hands it out (one file's decoded blocks), ``SegmentBatch``
+(a loaded session's blocks), ``DocBatch`` (documents that already
+exist) and ``JoinedBatch`` (any of them back to back) implement it;
+every test here runs against each, on
 a plain event-shaped batch and on one built to tempt the unsafe
 shortcuts (``True``/``1``/``1.0`` in one lane, sparse and
 explicitly-``None`` fields, a row order that needs the sort
@@ -22,10 +24,11 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import DocumentStore, SegmentBatch, SegmentStorage
 from repro.analysis.streaming import (_FD_SET, _READS_SET, _WRITES_SET,
                                      _Reads, rows_of)
-from repro.backend.lanes import (DocBatch, JoinedBatch, StructLane, _dense_int,
-                                 _groups, sort_key, time_ordered)
+from repro.backend.lanes import (DocBatch, JoinedBatch, Lanes, StructLane,
+                                 _assemble_rows, _dense_int, _groups, sort_key,
+                                 time_ordered)
 from repro.backend.query import get_field
-from repro.backend.segments import _assemble_rows
+from repro.backend.segments import Segment, write_batch
 from repro.tracer import RecordBatch
 
 SESSION = "lane-batch"
@@ -110,6 +113,18 @@ def _segments(tricky: bool, tmp_path) -> SegmentBatch:
     return batch
 
 
+def _segment(tricky: bool, root) -> Lanes:
+    """One segment file's blocks, as the unstamped lanes it hands out."""
+    docs = _ring(tricky).to_docs()
+    if tricky:
+        docs = _tricky_docs(docs)
+    root.mkdir(parents=True)
+    write_batch(root / "seg.dseg", DocBatch(docs), session=SESSION, seq=1)
+    lanes = Segment(root / "seg.dseg").lanes()
+    assert type(lanes) is Lanes and len(lanes) == 40
+    return lanes
+
+
 def _joined(tricky: bool, root) -> JoinedBatch:
     """A ring batch, documents and a loaded session, back to back."""
     docs = _ring(tricky, slice(12, 25)).to_docs()
@@ -121,8 +136,8 @@ def _joined(tricky: bool, root) -> JoinedBatch:
                         _loaded(loaded, root)])
 
 
-@pytest.fixture(params=["ring", "ring-tricky", "segments",
-                        "segments-tricky", "docs", "docs-tricky",
+@pytest.fixture(params=["ring", "ring-tricky", "segment", "segment-tricky",
+                        "segments", "segments-tricky", "docs", "docs-tricky",
                         "joined", "joined-tricky", "joined-taken"])
 def make(request, tmp_path):
     """A builder: every call returns a new, equal batch of 40 rows."""
@@ -133,6 +148,8 @@ def make(request, tmp_path):
     def build():
         if producer == "ring":
             return _ring(tricky)
+        if producer == "segment":
+            return _segment(tricky, next(roots))
         if producer == "segments":
             return _segments(tricky, next(roots))
         if producer == "docs":

@@ -469,7 +469,7 @@ def test_a_version_1_store_opens_verifies_loads_and_compacts(tmp_path):
                               "seg-000002.dseg", "wal.bin"]
     engine = SegmentStorage(V1_FIXTURE / "store", create=False,
                             read_only=True)
-    assert [struct.unpack_from("<H", segment._blob, 4)[0]
+    assert [struct.unpack_from("<H", segment.path.read_bytes(), 4)[0]
             for segment in engine.segments()] == [1, 1]
     assert engine.open_report["segments_dropped"] == 0
     assert engine.open_report["wal_docs_recovered"] == 2
@@ -494,9 +494,9 @@ def test_a_version_1_store_opens_verifies_loads_and_compacts(tmp_path):
     engine = SegmentStorage(tmp_path / "store", flush_events=4)
     engine.flush()                      # the WAL tail: a v2 segment
     assert engine.compact(small_rows=5)["segments_merged"] == 3
-    assert [struct.unpack_from("<H", segment._blob, 4)[0]
+    assert [struct.unpack_from("<H", segment.path.read_bytes(), 4)[0]
             for segment in engine.segments()] == [2]
-    assert engine.segments()[0]._blob[
+    assert engine.segments()[0].path.read_bytes()[
         engine.segments()[0]._fields["args"][0]] == K_STRUCT
     engine.close()
     assert loaded_from(tmp_path / "store") == twin
@@ -527,7 +527,7 @@ def test_a_saved_store_exports_the_bytes_the_original_exports(tmp_path):
     save_session(original, "saved", tmp_path / "store", index=INDEX,
                  flush_events=8)
     engine = SegmentStorage(tmp_path / "store", create=False, read_only=True)
-    assert [segment._blob[segment._fields["args"][0]]
+    assert [segment.path.read_bytes()[segment._fields["args"][0]]
             for segment in engine.segments()] == [K_STRUCT] * 3
     engine.close()
     reloaded = DocumentStore()

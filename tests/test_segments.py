@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore
+from repro.backend.lanes import DocBatch
 from repro.backend.persistence import (SessionError, export_session,
                                        import_session, load_session,
                                        save_session)
@@ -25,7 +26,7 @@ from repro.backend.planner import prune_constraints
 from repro.backend.query import compile_query
 from repro.backend.segments import (MANIFEST_NAME, WAL_NAME, Segment,
                                     SegmentError, SegmentStorage,
-                                    sort_docs, write_segment)
+                                    sort_docs, write_batch)
 from repro.backend.wal import (WAL_MAGIC, WriteAheadLog, encode_record,
                                recover_bytes)
 
@@ -133,7 +134,7 @@ class TestWAL:
 class TestSegmentFile:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "seg-000001.dseg"
-        meta = write_segment(path, DOCS, session="s1", seq=1,
+        meta = write_batch(path, DocBatch(DOCS), session="s1", seq=1,
                              created_ns=123)
         assert meta["rows"] == len(DOCS)
         segment = Segment(path)
@@ -145,7 +146,7 @@ class TestSegmentFile:
 
     def test_order_and_key_order_match_sorted_input(self, tmp_path):
         path = tmp_path / "seg.dseg"
-        write_segment(path, DOCS, session="s", seq=1)
+        write_batch(path, DocBatch(DOCS), session="s", seq=1)
         loaded = Segment(path).docs()
         expected = sort_docs(DOCS)
         assert [json.dumps(d) for d in loaded] == \
@@ -154,7 +155,7 @@ class TestSegmentFile:
     def test_absent_vs_explicit_none_survive(self, tmp_path):
         docs = [{"time": 1, "x": None}, {"time": 2}, {"time": 3, "x": 7}]
         path = tmp_path / "seg.dseg"
-        write_segment(path, docs, session="s", seq=1)
+        write_batch(path, DocBatch(docs), session="s", seq=1)
         loaded = Segment(path).docs()
         assert loaded == docs
         assert "x" in loaded[0] and "x" not in loaded[1]
@@ -165,12 +166,12 @@ class TestSegmentFile:
                 {"time": 3, "v": 0.5, "w": float("inf")},
                 {"time": 4, "v": "строка", "w": None}]
         path = tmp_path / "seg.dseg"
-        write_segment(path, docs, session="s", seq=1)
+        write_batch(path, DocBatch(docs), session="s", seq=1)
         assert dumps(Segment(path).docs()) == dumps(docs)
 
     def test_truncation_at_every_byte_is_rejected_whole(self, tmp_path):
         path = tmp_path / "seg.dseg"
-        write_segment(path, DOCS, session="s", seq=1)
+        write_batch(path, DocBatch(DOCS), session="s", seq=1)
         blob = path.read_bytes()
         torn = tmp_path / "torn.dseg"
         for cut in range(len(blob)):
@@ -180,16 +181,31 @@ class TestSegmentFile:
 
     def test_flipped_block_byte_fails_verify(self, tmp_path):
         path = tmp_path / "seg.dseg"
-        write_segment(path, DOCS, session="s", seq=1)
+        write_batch(path, DocBatch(DOCS), session="s", seq=1)
         blob = bytearray(path.read_bytes())
         blob[20] ^= 0xFF                 # inside the first field block
         path.write_bytes(bytes(blob))
         segment = Segment(path)          # trailer+footer still intact
         assert not segment.verify()["ok"]
 
+    def test_open_reads_no_block(self, tmp_path):
+        # The open reads header, trailer and footer; a block's bytes
+        # are read when lanes() or verify() asks, so a block rewritten
+        # on disk after the open is the one read — and fails its CRC.
+        path = tmp_path / "seg.dseg"
+        write_batch(path, DocBatch(DOCS), session="s", seq=1)
+        segment = Segment(path)
+        assert segment.size_bytes == path.stat().st_size
+        blob = bytearray(path.read_bytes())
+        blob[20] ^= 0xFF                 # inside the first field block
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SegmentError, match="checksum mismatch"):
+            segment.lanes()
+        assert not segment.verify()["ok"]
+
     def test_zone_maps_cover_typed_fields(self, tmp_path):
         path = tmp_path / "seg.dseg"
-        write_segment(path, DOCS, session="s", seq=1)
+        write_batch(path, DocBatch(DOCS), session="s", seq=1)
         zones = Segment(path).zones
         assert zones["time"][1:] == (10, 50)
         assert zones["ret"][1:] == (-9, 8)
@@ -197,7 +213,7 @@ class TestSegmentFile:
 
     def test_may_match_prunes_disjoint_ranges(self, tmp_path):
         path = tmp_path / "seg.dseg"
-        write_segment(path, DOCS, session="s", seq=1)
+        write_batch(path, DocBatch(DOCS), session="s", seq=1)
         segment = Segment(path)
         assert segment.may_match(
             [("time", "range", {"gte": 10, "lte": 20})])
@@ -213,7 +229,7 @@ class TestSegmentFile:
         # pruning must conservatively keep the segment.
         docs = [{"time": 1, "mixed": 1}, {"time": 2, "mixed": "x"}]
         path = tmp_path / "seg.dseg"
-        write_segment(path, docs, session="s", seq=1)
+        write_batch(path, DocBatch(docs), session="s", seq=1)
         segment = Segment(path)
         assert "mixed" not in segment.zones
         assert segment.may_match([("mixed", "eq", "anything")])
@@ -224,7 +240,7 @@ class TestSegmentFile:
         # pruning so the per-row predicate can find the match.
         docs = [{"time": 1, "a": {"b": 5}}, {"time": 2, "a": {"b": 7}}]
         path = tmp_path / "seg.dseg"
-        write_segment(path, docs, session="s", seq=1)
+        write_batch(path, DocBatch(docs), session="s", seq=1)
         segment = Segment(path)
         assert segment.may_match([("a.b", "eq", 5)])
         assert segment.may_match([("a.b", "range", {"gte": 6})])
@@ -235,7 +251,7 @@ class TestSegmentFile:
         # A row without the field resolves to None under get_field, so
         # an eq-None / in-[None] constraint cannot exclude the segment.
         path = tmp_path / "seg.dseg"
-        write_segment(path, [{"time": 1}], session="s", seq=1)
+        write_batch(path, DocBatch([{"time": 1}]), session="s", seq=1)
         segment = Segment(path)
         assert segment.may_match([("missing", "eq", None)])
         assert segment.may_match([("missing", "in", [1, None])])
@@ -249,7 +265,7 @@ class TestSegmentFile:
 
 def fill(engine, n=20, session="s"):
     docs = [{"time": i * 10, "syscall": "write", "ret": i} for i in range(n)]
-    engine.import_docs(docs, session=session)
+    engine.import_batch(DocBatch(docs), session=session)
     return docs
 
 
@@ -296,14 +312,44 @@ class TestSegmentStorage:
 
     def test_compaction_needs_a_contiguous_small_run(self, tmp_path):
         engine = SegmentStorage(tmp_path / "store", flush_events=4)
-        engine.import_docs([{"time": i} for i in range(4)], session="s")
-        engine.import_docs([{"time": 100 + i} for i in range(8)],
-                           session="s")
-        engine.import_docs([{"time": 200}], session="s")
+        engine.import_batch(DocBatch([{"time": i} for i in range(4)]),
+                            session="s")
+        engine.import_batch(DocBatch([{"time": 100 + i} for i in range(8)]),
+                            session="s")
+        engine.import_batch(DocBatch([{"time": 200}]), session="s")
         # Segments hold 4, 4, 4, 1 rows: a lone small segment is not a
         # run, so nothing merges below a threshold of 2.
         assert engine.compact(small_rows=2)["segments_merged"] == 0
         engine.close()
+
+    def test_compaction_writes_the_bytes_of_its_rows(self, tmp_path,
+                                                     monkeypatch):
+        # A merged run is its segments' lanes, joined, through the one
+        # column writer — no document is built — and the file is the
+        # one write_batch writes for the run's rows: rows without a
+        # session, sparse and explicitly-None fields, two args shapes.
+        docs = []
+        for i in range(23):
+            doc = {"time": 10 * i, "syscall": ("read", "write")[i % 2],
+                   "args": ({"fd": i % 3} if i % 3
+                            else {"path": f"/f{i}", "flags": i})}
+            if i % 4 == 0:
+                doc["offset"] = 512 * i
+            doc["file_tag"] = None if i % 5 == 0 else f"tag-{i % 2}"
+            docs.append(doc)
+        engine = SegmentStorage(tmp_path / "store", flush_events=5)
+        engine.import_batch(DocBatch(docs), session="s")
+        assert len(engine.segments()) == 5
+        monkeypatch.setattr(Segment, "docs", lambda self: pytest.fail(
+            "compaction built documents"))
+        assert engine.compact(small_rows=100)["segments_merged"] == 5
+        merged, = engine.segments()
+        engine.close()
+        write_batch(tmp_path / "rows.dseg", DocBatch(docs), session="s",
+                    seq=merged.seq, created_ns=merged.created_ns)
+        assert merged.path.read_bytes() == \
+            (tmp_path / "rows.dseg").read_bytes()
+        assert "session" not in merged.schema
 
     def test_retention_drops_expired_segments(self, tmp_path):
         engine = SegmentStorage(tmp_path / "store", flush_events=5)
@@ -349,7 +395,7 @@ class TestSegmentStorage:
         fill(engine, 5)
         engine.close()
         orphan = tmp_path / "store" / "seg-000099.dseg"
-        write_segment(orphan, DOCS, session="ghost", seq=99)
+        write_batch(orphan, DocBatch(DOCS), session="ghost", seq=99)
         (tmp_path / "store" / "seg-000003.dseg.tmp").write_bytes(b"half")
 
         reopened = SegmentStorage(tmp_path / "store", create=False)
@@ -467,7 +513,7 @@ class TestSegmentStorage:
         with pytest.raises(SegmentError):
             inspector.append(DOCS[:1], session="s")
         with pytest.raises(SegmentError):
-            inspector.import_docs(DOCS, session="s")
+            inspector.import_batch(DocBatch(DOCS), session="s")
         with pytest.raises(SegmentError):
             inspector.flush()
         with pytest.raises(SegmentError):
@@ -659,7 +705,8 @@ class TestRoundTripOracle:
     def test_segments_match_jsonl_oracle(self, docs, flush, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("seg")
         engine = SegmentStorage(tmp / "store", flush_events=flush)
-        engine.import_docs([dict(d) for d in docs], session="hyp")
+        engine.import_batch(DocBatch([dict(d) for d in docs]),
+                            session="hyp")
         loaded = engine.all_docs()
         engine.close()
         # The oracle: JSON round trip (what a .jsonl export would keep)

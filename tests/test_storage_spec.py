@@ -16,6 +16,7 @@ import zlib
 
 import pytest
 
+from repro.backend.lanes import DocBatch
 from repro.backend.segments import (READABLE_VERSIONS, SEGMENT_VERSION,
                                     Segment, SegmentError, SegmentStorage)
 
@@ -90,7 +91,7 @@ SPEC_DOCS = [
 def store_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("spec") / "store"
     engine = SegmentStorage(root, flush_events=4)
-    engine.import_docs(SPEC_DOCS, session="spec-session")
+    engine.import_batch(DocBatch(SPEC_DOCS), session="spec-session")
     engine.append([{"time": 100, "syscall": "close", "ret": 0}],
                   session="spec-session")   # leaves one WAL record
     engine.close()
@@ -348,7 +349,7 @@ class TestWALFromSpec:
         assert manifest["format"] == "dio-segments-v1"
         assert isinstance(manifest["next_seq"], int)
         # wal_sealed: highest WAL record id covered by sealed segments
-        # (0 here: the only flushes came via import_docs, no WAL hop).
+        # (0 here: the only flushes came via import_batch, no WAL hop).
         assert manifest["wal_sealed"] == 0
         for name in manifest["segments"]:
             assert re.fullmatch(r"seg-\d{6}\.dseg", name)
