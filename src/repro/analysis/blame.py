@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from repro.analysis.latency import LatencyPoint, percentile_series, spikes
+from repro.analysis.latency import percentile_series, spikes
 from repro.backend.store import DocumentStore
 
 

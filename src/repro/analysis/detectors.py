@@ -417,7 +417,8 @@ DEFAULT_DETECTORS: tuple[Detector, ...] = (
     ContentionDetector(),
 )
 
-_SEVERITY_ORDER = {"critical": 0, "warning": 1, "info": 2}
+#: Findings rank by severity, most severe first.
+SEVERITY_ORDER = {"critical": 0, "warning": 1, "info": 2}
 
 
 def run_detectors(store: DocumentStore, index: str = "dio_trace",
@@ -433,6 +434,6 @@ def run_detectors(store: DocumentStore, index: str = "dio_trace",
     findings: list[Finding] = []
     for detector in detectors:
         findings.extend(detector.detect(view))
-    findings.sort(key=lambda f: (_SEVERITY_ORDER.get(f.severity, 9),
+    findings.sort(key=lambda f: (SEVERITY_ORDER.get(f.severity, 9),
                                  f.detector, f.title))
     return findings

@@ -29,15 +29,13 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from repro.analysis.detectors import (DEFAULT_DETECTORS, Detector, Finding,
-                                      run_detectors)
+from repro.analysis.detectors import (DEFAULT_DETECTORS, SEVERITY_ORDER,
+                                      Detector, Finding, run_detectors)
 from repro.analysis.dfg import (DirectlyFollowsGraph, Phase, merged_dfg,
                                 segment_phases)
 from repro.analysis.session import SessionEvents
 from repro.analysis.streaming import DiagnosisTap
 from repro.backend.store import DocumentStore
-
-_SEVERITY_ORDER = {"critical": 0, "warning": 1, "info": 2}
 
 #: Confidence assigned by provenance: corroborated findings (same
 #: detector surfaced by both the batch and the streaming battery)
@@ -60,7 +58,7 @@ class RankedFinding:
 
     @property
     def sort_key(self) -> tuple:
-        return (_SEVERITY_ORDER.get(self.finding.severity, 9),
+        return (SEVERITY_ORDER.get(self.finding.severity, 9),
                 -self.confidence, self.finding.detector,
                 self.finding.title)
 

@@ -102,11 +102,6 @@ class SessionEvents:
         return list(rows) if order is None else sorted(
             rows, key=order.__getitem__)
 
-    def docs(self, rows) -> list[dict]:
-        """The documents of ``rows``: for evidence a finding cites,
-        never for a pass over the session."""
-        return self.batch.docs_at(rows)
-
     def derived(self, compute: Callable[["SessionEvents"], T]) -> T:
         """``compute(self)``, worked out once per view — what several
         detectors derive alike (never mutate it)."""

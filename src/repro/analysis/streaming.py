@@ -1008,10 +1008,6 @@ class DiagnosisTap:
         for detector in self.detectors:
             detector.observe_latencies(records)
 
-    def observe_latency(self, start_ns: int, latency_ns: int) -> None:
-        """One latency record: a batch of one."""
-        self.observe_latencies(((start_ns, latency_ns),))
-
     @property
     def stretch_ns(self) -> Optional[int]:
         """The narrowest detector window (``None`` without one): the

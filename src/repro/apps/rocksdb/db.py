@@ -35,9 +35,6 @@ from repro.apps.rocksdb.sstable import SSTable
 class _Tombstone(bytes):
     """Sentinel value marking a deleted key (checked by identity)."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<TOMBSTONE>"
-
 
 #: The deletion marker written by :meth:`RocksDB.delete`.
 TOMBSTONE = _Tombstone()

@@ -54,9 +54,6 @@ class SSTable:
         #: but (POSIX) the open fd stays valid for in-flight readers.
         self.obsolete = False
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
     def contains_key_range(self, key: str) -> bool:
         """Cheap range check (what a fence-pointer lookup answers)."""
         return self.smallest <= key <= self.largest
@@ -214,7 +211,3 @@ class SSTable:
         if self.refs == 0 and self._fd is not None:
             fd, self._fd = self._fd, None
             yield from kernel.syscall(task, "close", fd=fd)
-
-    def __repr__(self) -> str:
-        return (f"<SSTable {self.path} L{self.level} n={len(self)} "
-                f"[{self.smallest}..{self.largest}]>")

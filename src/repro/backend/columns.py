@@ -521,10 +521,6 @@ class Column:
         return list(map(by_code.__getitem__,
                         map(self.codes.__getitem__, rows)))
 
-    def __repr__(self) -> str:
-        return (f"<Column {self.field!r} rows={len(self.codes)} "
-                f"distinct={len(self.table)} num_kind={self.num_kind}>")
-
 
 class ColumnSet:
     """All columns of one index plus the doc-id ↔ row mapping.
@@ -541,9 +537,6 @@ class ColumnSet:
         self._alive = bytearray()
         self._dead = 0
         self._columns: dict[str, Column] = {}
-
-    def __len__(self) -> int:
-        return len(self._doc_ids) - self._dead
 
     @property
     def row_of(self) -> dict[str, int]:

@@ -77,10 +77,6 @@ class CorrelationReport:
             "unresolved_ratio": self.unresolved_ratio,
         }
 
-    def __repr__(self) -> str:
-        return (f"<CorrelationReport resolved_tags={self.tags_resolved} "
-                f"unresolved_ratio={self.unresolved_ratio:.3f}>")
-
 
 class FilePathCorrelator:
     """Translates file tags into file paths across an event index."""
@@ -111,20 +107,6 @@ class FilePathCorrelator:
                 "dio_correlator_documents_unresolved_total",
                 "Tagged documents left without a file path."),
         }
-
-    def tag_to_path(self, index: str,
-                    session: Optional[str] = None) -> dict[str, str]:
-        """Build the tag -> path mapping from open-family events.
-
-        When the same tag was opened under several paths (rename between
-        opens), the most recent open wins, matching what a user sees in
-        Kibana when sorting by time.  With ``session`` given, only that
-        execution's opens contribute: different machines may produce
-        identical (dev, ino, timestamp) tags, and one session's paths
-        must never resolve another's events.
-        """
-        _, batch = self._session_lanes(index, session)
-        return self._tag_to_path(batch)
 
     def _session_lanes(self, index: str, session: Optional[str]):
         return self.store.lanes(

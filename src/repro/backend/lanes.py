@@ -595,9 +595,6 @@ class Lanes:
     def __len__(self) -> int:
         return self._n
 
-    def __iter__(self) -> Iterator[dict]:
-        return iter(self.to_docs())
-
     def stamped(self, session: str) -> "Lanes":
         """These lanes with ``session`` on every row: in the place of a
         ``session`` lane, or last."""

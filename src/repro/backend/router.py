@@ -300,12 +300,6 @@ class ShardedDocumentStore:
             raise StoreError(f"no such index {index!r}")
         return state
 
-    def create_index(self, name: str,
-                     indexed_fields: Optional[Iterable[str]] = None) -> None:
-        if name in self._states:
-            raise StoreError(f"index {name!r} already exists")
-        self.ensure_index(name, indexed_fields)
-
     def ensure_index(self, name: str,
                      indexed_fields: Optional[Iterable[str]] = None) -> None:
         """Create-or-get on every shard (returns nothing: there is no

@@ -4,10 +4,8 @@ The LSM-flavoured replacement for whole-session JSON-lines
 persistence: acknowledged documents accumulate in a buffer whose
 durable mirror is a :class:`~repro.backend.wal.WriteAheadLog`; when the
 buffer reaches ``flush_events`` rows it is sealed into an *immutable,
-time-sorted segment file* and the WAL is truncated.  Background
-compaction merges contiguous runs of small segments, retention drops
-segments whose newest event fell out of the window, and snapshot /
-restore round-trips the whole directory through a single archive.
+time-sorted segment file* and the WAL is truncated.  Compaction merges
+contiguous runs of small segments.
 
 One segment file (``seg-NNNNNN.dseg``) holds per-field **columnar
 blocks** — dictionary-coded values plus packed ``array('q')`` /
@@ -60,7 +58,6 @@ import json
 import os
 import struct
 import sys
-import zipfile
 import zlib
 from array import array
 from collections import Counter
@@ -725,10 +722,6 @@ class Segment:
                 "blocks_checked": len(self._fields),
                 "ok": not errors, "errors": errors}
 
-    def __repr__(self) -> str:
-        return (f"<Segment {self.path.name} rows={self.rows} "
-                f"session={self.session!r} seq={self.seq}>")
-
 
 _NUMERIC_TAGS = (T_INT, T_FLOAT)
 
@@ -856,7 +849,6 @@ class SegmentStorage:
     """
 
     def __init__(self, root: str | Path, *, flush_events: int = 4096,
-                 retention_ns: Optional[int] = None,
                  clock: Optional[Callable[[], int]] = None,
                  create: bool = True, read_only: bool = False) -> None:
         self.root = Path(root)
@@ -868,7 +860,6 @@ class SegmentStorage:
         if flush_events < 1:
             raise SegmentError("flush_events must be >= 1")
         self.flush_events = flush_events
-        self.retention_ns = retention_ns
         self._clock = clock or (lambda: 0)
         self._segments: list[Segment] = []
         self._buffer: list[dict] = []
@@ -1104,38 +1095,6 @@ class SegmentStorage:
         return {"compactions": len(runs), "segments_merged": merged_names,
                 "rows": merged_rows}
 
-    def retain(self, now_ns: Optional[int] = None,
-               retention_ns: Optional[int] = None) -> dict:
-        """Drop whole segments older than the retention window.
-
-        A segment is dropped when the *newest* event it holds (the
-        ``time`` zone-map max) is older than ``now_ns - retention_ns``
-        — time-based retention at segment granularity, the LSM way.
-        Segments without a numeric time zone are never dropped.
-        """
-        window = retention_ns if retention_ns is not None else self.retention_ns
-        if window is None:
-            return {"segments_dropped": 0, "rows_dropped": 0}
-        self._require_writable("retain")
-        cutoff = (now_ns if now_ns is not None else self._clock()) - window
-        dropped: list[str] = []
-        rows = 0
-        for segment in list(self._segments):
-            span = segment.time_range()
-            if span is not None and span[1] < cutoff:
-                dropped.append(segment.path.name)
-                rows += segment.rows
-        if not dropped:
-            return {"segments_dropped": 0, "rows_dropped": 0}
-        self._manifest["segments"] = [
-            name for name in self._manifest["segments"]
-            if name not in dropped]
-        self._write_manifest()
-        for name in dropped:
-            (self.root / name).unlink(missing_ok=True)
-        self._reload_segments()
-        return {"segments_dropped": len(dropped), "rows_dropped": rows}
-
     def _reload_segments(self) -> None:
         by_name = {seg.path.name: seg for seg in self._segments}
         self._segments = [
@@ -1213,7 +1172,7 @@ class SegmentStorage:
                 return segment.session
         return self._buffer_session or None
 
-    # -- health / snapshot ---------------------------------------------
+    # -- health --------------------------------------------------------
 
     def verify(self) -> dict:
         """Full checksum sweep over every segment plus the WAL state."""
@@ -1247,37 +1206,6 @@ class SegmentStorage:
             total += segment.size_bytes
         return total
 
-    def snapshot(self, path: str | Path) -> dict:
-        """Archive the whole store (manifest, segments, WAL) to one file.
-
-        A read-only store snapshots as-is (buffered rows travel inside
-        the archived WAL); a writable one seals its tail first.
-        """
-        if not self.read_only:
-            self.flush()
-        path = Path(path)
-        names = [MANIFEST_NAME] + list(self._manifest["segments"])
-        if (self.root / WAL_NAME).exists():
-            names.append(WAL_NAME)
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-            for name in names:
-                archive.write(self.root / name, arcname=name)
-        return {"path": str(path), "members": len(names)}
-
-    @classmethod
-    def restore(cls, snapshot_path: str | Path, root: str | Path,
-                **kwargs) -> "SegmentStorage":
-        """Unpack a snapshot into ``root`` and open the store."""
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        with zipfile.ZipFile(snapshot_path) as archive:
-            for member in archive.namelist():
-                if os.path.basename(member) != member:
-                    raise SegmentError(
-                        f"snapshot member escapes the root: {member!r}")
-                archive.extract(member, root)
-        return cls(root, **kwargs)
-
     # -- telemetry ------------------------------------------------------
 
     def bind_telemetry(self, registry) -> None:
@@ -1290,7 +1218,3 @@ class SegmentStorage:
             "dio_segment_wal_pending_docs",
             "Documents durable only in the WAL (buffered, unflushed).",
         ).set_function(lambda: len(self._buffer))
-
-    def __repr__(self) -> str:
-        return (f"<SegmentStorage {self.root} segments="
-                f"{len(self._segments)} buffered={len(self._buffer)}>")

@@ -87,10 +87,6 @@ class TenantStore:
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
 
-    def __repr__(self) -> str:
-        return (f"<TenantStore {self.name!r} docs={self.docs_held()} "
-                f"quota={self.quota_docs}>")
-
 
 class TenantBackend:
     """A fleet of per-tenant stores on disjoint shard sets.
@@ -130,17 +126,8 @@ class TenantBackend:
         self._tenants[name] = tenant
         return tenant
 
-    def get(self, name: str) -> TenantStore:
-        tenant = self._tenants.get(name)
-        if tenant is None:
-            raise StoreError(f"no such tenant {name!r}")
-        return tenant
-
     def tenant_names(self) -> list[str]:
         return sorted(self._tenants)
-
-    def __len__(self) -> int:
-        return len(self._tenants)
 
     def fleet_report(self) -> dict:
         """Per-tenant ``dio health`` rollup, as plain data.

@@ -219,11 +219,6 @@ class WriteAheadLog:
         """
         self._next_id = max(self._next_id, floor)
 
-    @property
-    def size_bytes(self) -> int:
-        """Bytes currently in the log, header included."""
-        return self._size
-
     def append(self, session: str, docs: list[dict]) -> tuple[int, int]:
         """Frame and persist one batch; returns ``(record_id, bytes)``.
 
@@ -268,17 +263,6 @@ class WriteAheadLog:
             finally:
                 self._handle.close()
                 self._handle = None
-
-    def __enter__(self) -> "WriteAheadLog":
-        self.open()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "open" if self._handle is not None else "closed"
-        return f"<WriteAheadLog {self.path} {state} {self._size}B>"
 
 
 def wal_file_size(path: str | Path) -> int:

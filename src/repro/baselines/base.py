@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernel.syscalls import Kernel
 from repro.sim import Environment
 
@@ -26,12 +24,6 @@ class BaselineStats:
         total = self.paths_resolved + self.paths_unresolved
         return self.paths_unresolved / total if total else 0.0
 
-    @property
-    def drop_ratio(self) -> float:
-        """Fraction of offered events that were discarded."""
-        offered = self.events_captured + self.events_dropped
-        return self.events_dropped / offered if offered else 0.0
-
 
 class VanillaTracer:
     """The no-tracing baseline: attaches nothing, costs nothing."""
@@ -44,9 +36,6 @@ class VanillaTracer:
         self.stats = BaselineStats()
 
     def attach(self) -> None:
-        """No-op."""
-
-    def stop(self) -> None:
         """No-op."""
 
     def shutdown(self):

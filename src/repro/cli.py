@@ -659,6 +659,8 @@ def _cmd_dst_repro(args) -> int:
     if result.ok:
         print(f"dst: seed {scenario.seed} passes "
               f"(digest {result.digest[:16]})")
+        if args.save:
+            print(f"dst: nothing to shrink, nothing saved to {args.save}")
         return 0
     print(f"dst: seed {scenario.seed} FAILS:")
     for failure in result.failures:
@@ -909,7 +911,8 @@ def main(argv: list[str] | None = None) -> int:
                     help=f"override the scenario's {axis.field} axis "
                          f"({axis.override_help})")
     p_dst_repro.add_argument("--save", metavar="PATH",
-                             help="write the shrunk scenario to PATH")
+                             help="write the shrunk scenario to PATH "
+                                  "(with --shrink)")
     p_dst_repro.set_defaults(func=_cmd_dst_repro)
 
     p_dst_corpus = dst_sub.add_parser(
@@ -920,6 +923,10 @@ def main(argv: list[str] | None = None) -> int:
     p_dst_corpus.set_defaults(func=_cmd_dst_corpus)
 
     args = parser.parse_args(argv)
+    if args.command == "dst" and args.dst_command == "repro" \
+            and args.save and not args.shrink:
+        p_dst_repro.error("--save writes the shrunk scenario: "
+                          "it needs --shrink")
     return args.func(args)
 
 

@@ -30,8 +30,8 @@ See docs/TESTING.md for the operator's view.
 """
 
 from repro.dst.campaign import CampaignResult, CampaignStats, run_seeds
-from repro.dst.corpus import load_corpus, run_corpus, save_entry
-from repro.dst.runner import RunResult, run_scenario, run_seed
+from repro.dst.corpus import load_corpus, run_corpus
+from repro.dst.runner import RunResult, run_scenario
 from repro.dst.ops import APP_MODELS
 from repro.dst.scenario import AXES, Axis, Scenario, Twin, generate
 from repro.dst.shrink import ShrinkResult, shrink
@@ -49,9 +49,7 @@ __all__ = [
     "generate",
     "load_corpus",
     "run_corpus",
-    "run_seed",
     "run_scenario",
     "run_seeds",
-    "save_entry",
     "shrink",
 ]

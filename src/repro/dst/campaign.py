@@ -65,6 +65,8 @@ class CampaignResult:
             "consumer_crashes": self.stats.consumer_crashes_injected,
             "store_crashes": self.stats.store_crashes_injected,
             "faults_injected": self.stats.faults_injected,
+            "digests": {str(result.seed): result.digest
+                        for result in self.results},
         }
 
 

@@ -13,9 +13,7 @@ JSON with two extra bookkeeping keys (ignored by the loader via
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Optional
 
 from repro.dst.runner import RunResult, run_scenario
 from repro.dst.scenario import Scenario
@@ -31,25 +29,6 @@ def load_corpus(directory=CORPUS_DIR) -> list[tuple[Path, Scenario]]:
     for path in sorted(directory.glob("*.json")):
         entries.append((path, Scenario.load(path)))
     return entries
-
-
-def save_entry(scenario: Scenario, directory=CORPUS_DIR,
-               note: str = "", name: Optional[str] = None,
-               added: str = "") -> Path:
-    """Write one scenario into the corpus; returns its path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    filename = name or f"seed-{scenario.seed}.json"
-    path = directory / filename
-    payload = scenario.to_dict()
-    if note:
-        payload["corpus_note"] = note
-    if added:
-        payload["corpus_added"] = added
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1,
-                               ensure_ascii=False) + "\n",
-                    encoding="utf-8")
-    return path
 
 
 def run_corpus(directory=CORPUS_DIR) -> list[tuple[Path, RunResult]]:

@@ -195,7 +195,3 @@ class CrashingStore:
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
-
-    def __repr__(self) -> str:
-        return (f"<CrashingStore crashes={self.crashes_total} "
-                f"pending={len(self._crash_at)}>")

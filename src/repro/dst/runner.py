@@ -40,7 +40,7 @@ from repro.backend.router import create_store
 from repro.dst import differential, invariants
 from repro.dst.crash import BulkOnlyStore, CrashingStore
 from repro.dst.ops import PATH_POOL, run_ops
-from repro.dst.scenario import AXES, Scenario, generate, stream
+from repro.dst.scenario import AXES, Scenario, stream
 from repro.dst.stages import DASHBOARD_AGGS
 from repro.faults import FaultPlan, FaultWindow, FaultyStore
 from repro.kernel.inode import FileType
@@ -289,8 +289,3 @@ def run_scenario(scenario: Scenario, *, check_determinism: bool = True,
         faults_injected=fast.store.faults_injected,
         scenario=scenario,
     )
-
-
-def run_seed(seed: int, **kwargs) -> RunResult:
-    """Generate and run the scenario for ``seed``."""
-    return run_scenario(generate(seed), **kwargs)

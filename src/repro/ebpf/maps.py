@@ -10,7 +10,7 @@ least recently used entry when created with ``lru=True``, mirroring
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 
 class MapFullError(Exception):
@@ -62,19 +62,9 @@ class BPFHashMap:
         """Remove and return the value for ``key`` (or ``None``)."""
         return self._data.pop(key, None)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
     def items(self) -> Iterator[tuple[Any, Any]]:
         """Iterate over (key, value) pairs (a user-space map dump)."""
         return iter(list(self._data.items()))
-
-    def clear(self) -> None:
-        """Drop all entries."""
-        self._data.clear()
 
 
 class BPFArrayMap:
@@ -98,9 +88,6 @@ class BPFArrayMap:
         if not 0 <= index < self.max_entries:
             raise IndexError(f"index {index} out of range")
         self._data[index] = value
-
-    def __len__(self) -> int:
-        return self.max_entries
 
 
 class PerCPUArray:

@@ -92,7 +92,3 @@ class EBPFProgram:
     def attach_count(self) -> int:
         """Number of tracepoints currently attached to."""
         return len(self._attached)
-
-    def __repr__(self) -> str:
-        return (f"<EBPFProgram {self.name!r} {self.program_type.value} "
-                f"attached={self.attach_count}>")

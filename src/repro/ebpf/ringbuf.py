@@ -47,16 +47,6 @@ class RingBufferStats:
         offered = self.produced + self.dropped
         return self.dropped / offered if offered else 0.0
 
-    def as_dict(self) -> dict:
-        """Counters as a plain dict for reports."""
-        return {
-            "produced": self.produced,
-            "consumed": self.consumed,
-            "dropped": self.dropped,
-            "bytes_produced": self.bytes_produced,
-            "drop_ratio": self.drop_ratio,
-        }
-
 
 class _CPUBuffer:
     """One CPU's contiguous buffer, tracked in bytes."""
@@ -180,8 +170,3 @@ class PerCPURingBuffer:
     def pending_records(self) -> int:
         """Total records queued across CPUs."""
         return sum(len(b.records) for b in self._buffers)
-
-    def __repr__(self) -> str:
-        return (f"<PerCPURingBuffer ncpus={self.ncpus} "
-                f"pending={self.pending_records()} "
-                f"dropped={self.stats.dropped}>")

@@ -213,10 +213,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.windows)
 
-    def __repr__(self) -> str:
-        return (f"<FaultPlan windows={len(self.windows)} "
-                f"outage={self.total_outage_ns}ns>")
-
 
 class FaultyStore:
     """A document store whose write path fails on schedule.
@@ -337,7 +333,3 @@ class FaultyStore:
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
-
-    def __repr__(self) -> str:
-        return (f"<FaultyStore plan={self.plan!r} "
-                f"injected={self.faults_injected}>")

@@ -26,17 +26,6 @@ class BlockDeviceStats:
         self.busy_ns = 0
         self.max_queue_depth = 0
 
-    def as_dict(self) -> dict:
-        """Counters as a plain dict for reports."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "busy_ns": self.busy_ns,
-            "max_queue_depth": self.max_queue_depth,
-        }
-
 
 class BlockDevice:
     """A shared storage device; the contention point of the simulation."""
@@ -62,16 +51,6 @@ class BlockDevice:
         self.max_request_bytes = max_request_bytes
         self._slots = Resource(env, capacity=queue_depth)
         self.stats = BlockDeviceStats()
-
-    @property
-    def queue_depth(self) -> int:
-        """Number of requests currently waiting for a device slot."""
-        return self._slots.queued
-
-    @property
-    def in_flight(self) -> int:
-        """Number of requests currently being serviced."""
-        return self._slots.in_use
 
     def service_time_ns(self, nbytes: int) -> int:
         """Uncontended service time for a single request of ``nbytes``."""

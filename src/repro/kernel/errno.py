@@ -48,6 +48,3 @@ class KernelError(Exception):
     def __init__(self, errno: Errno, message: str = ""):
         self.errno = Errno(errno)
         super().__init__(message or self.errno.name)
-
-    def __repr__(self) -> str:
-        return f"KernelError({self.errno.name}, {self.args[0]!r})"

@@ -100,10 +100,6 @@ class Inode:
         self.size = length
         self.mtime_ns = now_ns
 
-    def __repr__(self) -> str:
-        return (f"<Inode ino={self.ino} dev={self.dev} gen={self.generation} "
-                f"{self.file_type.value} size={self.size}>")
-
 
 class InodeAllocator:
     """Allocates inode numbers, recycling freed ones lowest-first."""
@@ -128,8 +124,3 @@ class InodeAllocator:
     def free(self, ino: int) -> None:
         """Return ``ino`` to the pool for reuse."""
         heapq.heappush(self._free, ino)
-
-    @property
-    def free_count(self) -> int:
-        """Number of recycled inode numbers awaiting reuse."""
-        return len(self._free)

@@ -31,12 +31,6 @@ class PageCacheStats:
         self.bytes_written_back = 0
         self.evictions = 0
 
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of block lookups served from cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class PageCache:
     """LRU cache of ``(ino, block_index)`` entries with dirty tracking."""

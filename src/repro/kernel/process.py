@@ -111,9 +111,6 @@ class Task:
         """The fd table shared across the process's threads."""
         return self.process.fds
 
-    def __repr__(self) -> str:
-        return f"<Task tid={self.tid} pid={self.pid} comm={self.comm!r}>"
-
 
 class IOAccounting:
     """Per-process I/O counters, mirroring ``/proc/<pid>/io``."""
@@ -145,9 +142,6 @@ class KernelProcess:
         self.fds = FileDescriptorTable(max_fds)
         self.threads: list[Task] = []
         self.io = IOAccounting()
-
-    def __repr__(self) -> str:
-        return f"<KernelProcess pid={self.pid} name={self.name!r} threads={len(self.threads)}>"
 
 
 class ProcessTable:

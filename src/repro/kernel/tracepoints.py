@@ -62,10 +62,6 @@ class SyscallContext:
     def comm(self) -> str:
         return self.task.comm
 
-    def __repr__(self) -> str:
-        return (f"<SyscallContext {self.name} tid={self.tid} "
-                f"ret={self.retval}>")
-
 
 def overhead_ns(handlers: Iterable[Handler], ctx: SyscallContext) -> int:
     """Run ``handlers`` on ``ctx``; return their summed overhead in ns."""

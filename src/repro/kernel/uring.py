@@ -115,11 +115,6 @@ class SQE:
     def fsync(cls, fd: int, *, flags: int = 0, user_data: int = 0) -> "SQE":
         return cls(URING_OP_FSYNC, fd, flags=flags, user_data=user_data)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SQE({self.opcode}, fd={self.fd}, nbytes={self.nbytes}, "
-                f"offset={self.offset}, flags={self.flags:#x}, "
-                f"user_data={self.user_data})")
-
 
 class CQE:
     """One completion-queue entry, reaped by the application."""
@@ -130,9 +125,6 @@ class CQE:
         self.user_data = user_data
         self.res = res
         self.flags = flags
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CQE(user_data={self.user_data}, res={self.res})"
 
 
 class IoUring:
@@ -179,7 +171,3 @@ class IoUring:
         budget = len(self.cq) if max_cqes is None else min(max_cqes,
                                                           len(self.cq))
         return [self.cq.popleft() for _ in range(budget)]
-
-    @property
-    def sq_space_left(self) -> int:
-        return self.sq_entries - len(self.sq)

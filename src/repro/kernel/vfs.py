@@ -8,7 +8,7 @@ number recycling (see :mod:`repro.kernel.inode`).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.kernel.errno import Errno, KernelError
 from repro.kernel.inode import FileType, Inode, InodeAllocator
@@ -56,10 +56,6 @@ class VirtualFileSystem:
             if path == prefix or path.startswith(prefix + "/"):
                 return dev
         return self.dev
-
-    def mounted_devices(self) -> list[int]:
-        """All device numbers with a mount (excluding the root device)."""
-        return [dev for _, dev in self._mounts]
 
     def _now(self) -> int:
         return self._clock()

@@ -28,7 +28,7 @@ and skips only the heap.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 #: Priority for events that must fire before ordinary events at the same
 #: timestamp (e.g. interrupts).
@@ -120,11 +120,6 @@ class Event:
         for callback in callbacks:
             callback(self)
 
-    def __repr__(self) -> str:
-        state = "processed" if self._processed else (
-            "triggered" if self._triggered else "pending")
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that fires after a fixed virtual-time delay."""
@@ -159,9 +154,6 @@ class ConditionValue:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.events!r}>"
 
 
 class _Condition(Event):
@@ -276,11 +268,6 @@ class Environment:
             "dio_sim_queue_depth",
             "Events currently scheduled on the engine's queue.",
         ).set_function(lambda: len(self._queue))
-
-    @property
-    def active_process(self):
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     def schedule(self, event: Event, delay: int = 0, priority: int = NORMAL) -> None:
         """Queue ``event`` to fire ``delay`` nanoseconds from now."""

@@ -64,11 +64,6 @@ class Process(Event):
         """``True`` while the generator has not finished."""
         return not self._triggered
 
-    @property
-    def target(self) -> Event | None:
-        """The event this process is waiting on (``None`` while asleep)."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process.
 
@@ -159,7 +154,3 @@ class Process(Event):
             self.fail(exc)
         finally:
             env._active_process = None
-
-    def __repr__(self) -> str:
-        state = "done" if self._triggered else "alive"
-        return f"<Process {self.name!r} {state}>"

@@ -56,11 +56,6 @@ class Semaphore:
         self._value = value
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def value(self) -> int:
-        """Number of available permits."""
-        return self._value
-
     def acquire(self) -> Event:
         """Return an event that fires once a permit is held."""
         event = Event(self.env)
@@ -97,11 +92,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
 
     def put(self, item: Any) -> Event:
         """Enqueue ``item``; the returned event fires once accepted."""
@@ -166,11 +156,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
 
     @property
     def queued(self) -> int:

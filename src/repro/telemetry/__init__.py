@@ -31,8 +31,7 @@ from repro.telemetry.spans import (MAX_FINISHED_SPANS, SPAN_HISTOGRAM, Span,
 from repro.telemetry.health import (HealthReport, PipelineHealth,
                                     STAGE_COUNTERS, STAGE_SPANS, STAGES,
                                     StageHealth)
-from repro.telemetry.export import (parse_prometheus, registry_as_dict,
-                                    to_json, to_prometheus)
+from repro.telemetry.export import registry_as_dict, to_json, to_prometheus
 from repro.telemetry.telemetry import Telemetry
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "StageHealth",
     "Telemetry",
     "TelemetryError",
-    "parse_prometheus",
     "registry_as_dict",
     "to_json",
     "to_prometheus",

@@ -1,9 +1,8 @@
 """Exporters: Prometheus text exposition and JSON.
 
 Both render the *same* registry state — the JSON document and the
-Prometheus text are two serializations of one snapshot, and
-:func:`parse_prometheus` exists so tests (and scrapers without a real
-Prometheus) can verify the round-trip.  Families render sorted by
+Prometheus text are two serializations of one snapshot (the tests read
+the text back to check it).  Families render sorted by
 name and children sorted by label values, so output is byte-identical
 across runs of a deterministic pipeline.
 """
@@ -106,61 +105,3 @@ def to_json(registry: MetricsRegistry, indent: int = 2) -> str:
     """Render the registry snapshot as a JSON document."""
     return json.dumps(registry_as_dict(registry), indent=indent,
                       sort_keys=False)
-
-
-def parse_prometheus(text: str) -> dict[str, dict[tuple, float]]:
-    """Parse exposition text back into ``{name: {label items: value}}``.
-
-    Only the subset :func:`to_prometheus` emits is supported; useful
-    for round-trip tests against the JSON exporter.
-    """
-    out: dict[str, dict[tuple, float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name_part, _, value_part = line.rpartition(" ")
-        labels: dict[str, str] = {}
-        name = name_part
-        if "{" in name_part:
-            name, _, label_part = name_part.partition("{")
-            body = label_part.rstrip("}")
-            for item in _split_labels(body):
-                key, _, raw = item.partition("=")
-                value = (raw[1:-1].replace(r'\"', '"')
-                         .replace(r"\n", "\n").replace(r"\\", "\\"))
-                labels[key] = value
-        if value_part == "+Inf":
-            value = math.inf
-        elif value_part == "-Inf":
-            value = -math.inf
-        else:
-            value = float(value_part)
-        out.setdefault(name, {})[tuple(sorted(labels.items()))] = value
-    return out
-
-
-def _split_labels(body: str) -> list[str]:
-    """Split ``k="v",k2="v2"`` respecting escaped quotes."""
-    items, current, in_quotes, escaped = [], [], False, False
-    for char in body:
-        if escaped:
-            current.append(char)
-            escaped = False
-            continue
-        if char == "\\":
-            current.append(char)
-            escaped = True
-            continue
-        if char == '"':
-            in_quotes = not in_quotes
-            current.append(char)
-            continue
-        if char == "," and not in_quotes:
-            items.append("".join(current))
-            current = []
-            continue
-        current.append(char)
-    if current:
-        items.append("".join(current))
-    return items

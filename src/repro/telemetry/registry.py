@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 class TelemetryError(Exception):
@@ -262,14 +262,6 @@ class MetricFamily:
         """Value of the unlabeled child."""
         return self._solo().value
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Quantile of the unlabeled histogram child."""
-        return self._solo().quantile(q)
-
-    def __repr__(self) -> str:
-        return (f"<MetricFamily {self.kind} {self.name!r} "
-                f"children={len(self._children)}>")
-
 
 class MetricsRegistry:
     """All metric families of one pipeline, registered by name."""
@@ -352,12 +344,3 @@ class MetricsRegistry:
         if child is None:
             return default
         return child.value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._families
-
-    def __len__(self) -> int:
-        return len(self._families)
-
-    def __repr__(self) -> str:
-        return f"<MetricsRegistry families={len(self._families)}>"

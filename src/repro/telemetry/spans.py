@@ -54,21 +54,6 @@ class Span:
         """Virtual nanoseconds the span covered."""
         return self.end_ns - self.start_ns
 
-    def as_dict(self) -> dict:
-        """Span fields as a plain dict."""
-        return {
-            "name": self.name,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "duration_ns": self.duration_ns,
-            "depth": self.depth,
-            "parent": self.parent,
-        }
-
-    def __repr__(self) -> str:
-        return (f"<Span {self.name!r} [{self.start_ns}..{self.end_ns}] "
-                f"depth={self.depth}>")
-
 
 class _ActiveSpan:
     """Context manager for one span activation."""
@@ -135,7 +120,3 @@ class SpanTracer:
             return None
         child = self._histogram._children.get((name,))
         return child.quantile(q) if child is not None else None
-
-    def __repr__(self) -> str:
-        return (f"<SpanTracer finished={len(self.finished)} "
-                f"open={len(self._stack)}>")

@@ -47,6 +47,3 @@ class Telemetry:
     def to_json(self, indent: int = 2) -> str:
         """JSON exposition of the registry."""
         return to_json(self.registry, indent=indent)
-
-    def __repr__(self) -> str:
-        return f"<Telemetry metrics={len(self.registry)}>"

@@ -12,15 +12,16 @@ them to the backend in batches.
 Public entry points:
 
 - :class:`~repro.tracer.config.TracerConfig` — tracing scope, filter,
-  buffer, and shipping parameters (loadable from TOML).
+  buffer, and shipping parameters.
 - :class:`~repro.tracer.tracer.DIOTracer` — attach/run/stop; owns the
   eBPF programs and the consumer process.
-- :class:`~repro.tracer.events.Event` — the parsed JSON event model.
+- :class:`~repro.tracer.batch.RecordBatch` — one ring batch decoded
+  into the lanes the backend indexes.
 """
 
 from repro.tracer.batch import RecordBatch
 from repro.tracer.config import TracerConfig
-from repro.tracer.events import Event, estimate_record_size
+from repro.tracer.events import estimate_record_size
 from repro.tracer.filters import KernelFilter
 from repro.tracer.enrichment import Enricher
 from repro.tracer.resilience import (AdaptiveBatcher, CircuitBreaker,
@@ -32,7 +33,6 @@ from repro.tracer.replay import ReplayReport, TraceReplayer
 __all__ = [
     "TracerConfig",
     "RecordBatch",
-    "Event",
     "estimate_record_size",
     "KernelFilter",
     "Enricher",

@@ -9,7 +9,6 @@ for hardware speed.
 from __future__ import annotations
 
 import dataclasses
-import tomllib
 from typing import Optional
 
 from repro.kernel.syscalls import ALL_SYSCALLS
@@ -194,103 +193,3 @@ class TracerConfig:
         """The syscalls whose tracepoints will be enabled."""
         return (self.syscalls if self.syscalls is not None
                 else frozenset(ALL_SYSCALLS))
-
-    @classmethod
-    def from_toml(cls, text: str) -> "TracerConfig":
-        """Parse a TOML configuration document.
-
-        Example::
-
-            [tracer]
-            syscalls = ["open", "read", "write", "close"]
-            pids = [1001]
-            paths = ["/tmp"]
-            session_name = "run-42"
-
-            [ring_buffer]
-            capacity_mib_per_cpu = 256
-
-            [backend]
-            index = "dio_trace"
-            batch_size = 512
-
-            [resilience]
-            backpressure_policy = "drop"
-            breaker_failure_threshold = 5
-
-            [storage]
-            dir = "/var/lib/dio/run-42"
-            flush_events = 4096
-
-            [sharding]
-            shard_count = 4
-            shard_key = "pid"
-            time_window_ns = 1000000000
-
-        A section or key this parser does not read raises
-        ``ValueError`` naming it.
-        """
-        data = tomllib.loads(text)
-        kwargs: dict = {}
-        for section, entries in data.items():
-            known = _TOML_KEYS.get(section)
-            if known is None or not isinstance(entries, dict):
-                raise ValueError(f"unknown config section [{section}]")
-            for key, value in entries.items():
-                if key not in known:
-                    raise ValueError(
-                        f"unknown config key {key!r} in [{section}]")
-                field, cast = known[key]
-                kwargs[field] = value if cast is None else cast(value)
-        return cls(**kwargs)
-
-
-def _mib(value) -> int:
-    return int(value) * 1024 * 1024
-
-
-#: Every ``[section] key`` :meth:`TracerConfig.from_toml` reads, with
-#: the config field it sets and the cast applied (``None``: as parsed).
-#: Anything else in the document is rejected by name.
-_TOML_KEYS: dict[str, dict[str, tuple]] = {
-    "tracer": {
-        "syscalls": ("syscalls", frozenset),
-        "pids": ("pids", frozenset),
-        "tids": ("tids", frozenset),
-        "paths": ("paths", tuple),
-        "session_name": ("session_name", None),
-        "ring_mode": ("ring_mode", str),
-    },
-    "ring_buffer": {
-        "capacity_mib_per_cpu": ("ring_capacity_bytes_per_cpu", _mib),
-        "policy": ("ring_policy", None),
-    },
-    "backend": {
-        "index": ("index", None),
-        "batch_size": ("batch_size", int),
-        "correlate_on_stop": ("correlate_on_stop", bool),
-    },
-    "storage": {
-        "dir": ("storage_dir", str),
-        "flush_events": ("storage_flush_events", int),
-    },
-    "sharding": {
-        "shard_count": ("shard_count", int),
-        "shard_key": ("shard_key", str),
-        "time_window_ns": ("shard_time_window_ns", int),
-    },
-    "resilience": {
-        key: (key, cast) for key, cast in (
-            ("backoff_cap_ns", int),
-            ("resilience_seed", int),
-            ("breaker_failure_threshold", int),
-            ("breaker_recovery_ns", int),
-            ("max_inflight_events", int),
-            ("backpressure_policy", str),
-            ("batch_min_size", int),
-            ("spill_write_ns_per_event", int),
-            ("spill_replay_failure_budget", int),
-            ("ship_max_retries", int),
-            ("ship_retry_backoff_ns", int))
-    },
-}

@@ -1,22 +1,18 @@
-"""The parsed trace event model.
+"""What the tracer records of a syscall's arguments.
 
-One :class:`Event` corresponds to one syscall invocation with the
-paper's full collected-information set (§II-B):
-
-- request: type, arguments, return value;
-- process: PID, TID, process (thread) name;
-- time: entry and exit timestamps;
-- enrichment: file type, file offset, file tag.
-
-Events serialize to JSON-compatible dicts — the document shape the
-backend indexes.  Buffers in syscall arguments are serialized as their
-*sizes*, never their contents, matching what DIO records.
+One traced event carries the paper's full collected-information set
+(§II-B): request type, arguments and return value; PID, TID and
+process name; entry and exit timestamps; file type, offset and tag.
+:class:`~repro.tracer.batch.RecordBatch` decodes a ring batch of them
+into lanes.  Buffers in syscall arguments are recorded as their
+*sizes*, never their contents, matching what DIO records; this module
+holds that rule, per row (:func:`capture_args`) and per lane
+(:func:`sanitized_lane`).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.backend.lanes import StructLane
 
@@ -118,94 +114,3 @@ def sanitized_lane(raw_args: list[dict]) -> StructLane:
         kept = [key for key, lane in clean.items() if lane is not _DROPPED]
         groups.append((tuple(kept), rows, [clean[key] for key in kept]))
     return StructLane.from_groups(len(raw_args), groups)
-
-
-class Event:
-    """A single traced syscall, ready for indexing."""
-
-    __slots__ = ("syscall", "args", "ret", "pid", "tid", "proc_name",
-                 "time", "time_exit", "file_type", "offset", "file_tag",
-                 "session", "file_path")
-
-    def __init__(self, syscall: str, args: dict[str, Any], ret: int,
-                 pid: int, tid: int, proc_name: str,
-                 time: int, time_exit: int,
-                 file_type: Optional[str] = None,
-                 offset: Optional[int] = None,
-                 file_tag: Optional[str] = None,
-                 session: str = "",
-                 file_path: Optional[str] = None):
-        self.syscall = syscall
-        self.args = _sanitize_args(args)
-        self.ret = ret
-        self.pid = pid
-        self.tid = tid
-        self.proc_name = proc_name
-        self.time = time
-        self.time_exit = time_exit
-        self.file_type = file_type
-        self.offset = offset
-        self.file_tag = file_tag
-        self.session = session
-        self.file_path = file_path
-
-    @property
-    def duration_ns(self) -> int:
-        """Wall time the syscall spent in the kernel."""
-        return self.time_exit - self.time
-
-    def to_doc(self) -> dict[str, Any]:
-        """The backend document for this event (sparse: no null fields)."""
-        doc: dict[str, Any] = {
-            "syscall": self.syscall,
-            "args": self.args,
-            "ret": self.ret,
-            "pid": self.pid,
-            "tid": self.tid,
-            "proc_name": self.proc_name,
-            "time": self.time,
-            "time_exit": self.time_exit,
-            "duration_ns": self.duration_ns,
-            "session": self.session,
-        }
-        if self.file_type is not None:
-            doc["file_type"] = self.file_type
-        if self.offset is not None:
-            doc["offset"] = self.offset
-        if self.file_tag is not None:
-            doc["file_tag"] = self.file_tag
-        if self.file_path is not None:
-            doc["file_path"] = self.file_path
-        return doc
-
-    def to_json(self) -> str:
-        """JSON representation (what the tracer sends over the wire).
-
-        Compact separators, insertion-ordered keys: ``to_doc`` already
-        emits fields in a fixed order, so per-event key sorting bought
-        nothing but CPU on the hottest serialization path.
-        """
-        return json.dumps(self.to_doc(), separators=(",", ":"))
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "Event":
-        """Rebuild an event from a backend document."""
-        return cls(
-            syscall=doc["syscall"],
-            args=dict(doc.get("args", {})),
-            ret=doc["ret"],
-            pid=doc["pid"],
-            tid=doc["tid"],
-            proc_name=doc["proc_name"],
-            time=doc["time"],
-            time_exit=doc["time_exit"],
-            file_type=doc.get("file_type"),
-            offset=doc.get("offset"),
-            file_tag=doc.get("file_tag"),
-            session=doc.get("session", ""),
-            file_path=doc.get("file_path"),
-        )
-
-    def __repr__(self) -> str:
-        return (f"<Event {self.syscall} tid={self.tid} ret={self.ret} "
-                f"t={self.time}>")

@@ -61,10 +61,6 @@ class ReplayReport:
         total = self.matched_returns + self.mismatched_returns
         return self.matched_returns / total if total else 1.0
 
-    def __repr__(self) -> str:
-        return (f"<ReplayReport issued={self.issued} "
-                f"fidelity={self.fidelity:.3f}>")
-
 
 class TraceReplayer:
     """Replays a list of trace event documents on a kernel."""

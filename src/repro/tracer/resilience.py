@@ -125,10 +125,6 @@ class CircuitBreaker:
             self.state = BREAKER_OPEN
             self._opened_at_ns = now_ns
 
-    def __repr__(self) -> str:
-        return (f"<CircuitBreaker {self.state} "
-                f"failures={self._consecutive_failures}>")
-
 
 class AdaptiveBatcher:
     """Multiplicative-decrease / multiplicative-increase batch sizing."""
@@ -158,7 +154,3 @@ class AdaptiveBatcher:
         if new != self.size:
             self.grows += 1
         self.size = new
-
-    def __repr__(self) -> str:
-        return (f"<AdaptiveBatcher size={self.size} "
-                f"[{self.min_size}, {self.max_size}]>")

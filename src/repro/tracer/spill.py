@@ -176,8 +176,3 @@ class SpillWAL:
             "dio_spill_pending_records",
             "Records sitting in the spill WAL awaiting replay.",
         ).set_function(lambda: self.pending_records)
-
-    def __repr__(self) -> str:
-        return (f"<SpillWAL pending={self.pending_records} "
-                f"spilled={self.spilled_records_total} "
-                f"replayed={self.replayed_records_total}>")

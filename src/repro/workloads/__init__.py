@@ -8,9 +8,8 @@ that tests, ablations, and users can compose reproducible traffic
 without hand-writing syscall loops.
 """
 
-from repro.workloads.generators import (bursty_writer, metadata_storm,
-                                        mixed_rw, random_reader,
-                                        sequential_reader,
+from repro.workloads.generators import (metadata_storm, mixed_rw,
+                                        random_reader, sequential_reader,
                                         sequential_writer, small_appender)
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "random_reader",
     "small_appender",
     "metadata_storm",
-    "bursty_writer",
     "mixed_rw",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.kernel import (Kernel, O_APPEND, O_CREAT, O_RDONLY, O_RDWR,
-                          O_WRONLY, SEEK_SET)
+                          O_WRONLY)
 from repro.kernel.process import Task
 
 
@@ -112,28 +112,6 @@ def metadata_storm(kernel: Kernel, task: Task, directory: str,
                                   newpath=path + ".done")
         yield from kernel.syscall(task, "unlink", path=path + ".done")
     return files
-
-
-def bursty_writer(kernel: Kernel, task: Task, path: str,
-                  bursts: int, writes_per_burst: int,
-                  write_bytes: int = 512, gap_ns: int = 10_000_000):
-    """Writes arriving in bursts separated by idle gaps.
-
-    The canonical producer for ring-buffer overflow studies: during a
-    burst the tracer's consumer falls behind; during the gap it drains.
-    """
-    fd = yield from kernel.syscall(task, "open", path=path,
-                                   flags=O_CREAT | O_WRONLY)
-    if fd < 0:
-        raise RuntimeError(f"cannot open {path}: {fd}")
-    for burst in range(bursts):
-        for _ in range(writes_per_burst):
-            yield from kernel.syscall(task, "write", fd=fd,
-                                      data=b"\x00" * write_bytes)
-        if burst != bursts - 1:
-            yield gap_ns
-    yield from kernel.syscall(task, "close", fd=fd)
-    return bursts * writes_per_burst
 
 
 def mixed_rw(kernel: Kernel, task: Task, path: str, rng,

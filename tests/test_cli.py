@@ -207,6 +207,21 @@ class TestDstCommand:
         assert main(["dst", "repro", "--scenario", str(path)]) == 0
         assert "passes" in capsys.readouterr().out
 
+    def test_repro_save_needs_shrink(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["dst", "repro", "3", "--save", str(tmp_path / "p")])
+        assert exc.value.code == 2
+        assert "--save" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_repro_save_on_passing_seed_says_nothing_saved(self, capsys,
+                                                           tmp_path):
+        path = tmp_path / "p"
+        assert main(["dst", "repro", "3", "--shrink",
+                     "--save", str(path)]) == 0
+        assert f"nothing saved to {path}" in capsys.readouterr().out
+        assert not path.exists()
+
     def test_corpus_replays(self, capsys):
         assert main(["dst", "corpus"]) == 0
         out = capsys.readouterr().out

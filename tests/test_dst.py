@@ -14,6 +14,7 @@ Three kinds of evidence that the harness works:
 import dataclasses
 import hashlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -181,6 +182,24 @@ def test_same_seed_runs_are_byte_identical():
     digests = [run_digest(run, [], []) for run in runs]
     assert digests[0] == digests[1]
     assert runs[0].docs == runs[1].docs
+
+
+def test_digests_are_pinned(tmp_path):
+    # The same-outputs oracle: seeds 1..50 through `dio dst run --json`
+    # must reproduce tests/data/dst_digests.json.  A change that means
+    # to move a digest regenerates the file and shows the diff.
+    from repro.cli import main
+
+    summary = tmp_path / "summary.json"
+    assert main(["dst", "run", "--seeds", "50",
+                 "--json", str(summary)]) == 0
+    digests = json.loads(summary.read_text(encoding="utf-8"))["digests"]
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "dst_digests.json").read_text(
+            encoding="utf-8"))
+    assert {seed: digest for seed, digest in digests.items()
+            if digest != pinned.get(seed)} == {}
+    assert digests.keys() == pinned.keys()
 
 
 def test_campaign_smoke():

@@ -67,13 +67,10 @@ class TestFlakyBackend:
         assert store.count("dio_trace") == 52
 
     def test_spilling_is_not_optional(self):
-        """No knob turns the dead-letter WAL off: the field and its
-        TOML key are gone, and asking for either fails by name."""
+        """No knob turns the dead-letter WAL off: the field is gone,
+        and asking for it fails by name."""
         with pytest.raises(TypeError, match="spill_enabled"):
             TracerConfig(spill_enabled=False)
-        with pytest.raises(ValueError,
-                           match=r"'spill_enabled' in \[resilience\]"):
-            TracerConfig.from_toml("[resilience]\nspill_enabled = false\n")
 
     def test_persistent_failure_spills_instead_of_losing(self):
         """A permanently dead backend never crashes the consumer or loses accepted records: every

@@ -20,7 +20,7 @@ from repro.backend import DocumentStore
 from repro.dst import Scenario, generate
 from repro.dst.runner import execute_pipeline
 from repro.tracer import DIOTracer, RecordBatch
-from repro.tracer.events import Event
+from tests.event_oracle import Event
 from tests.test_column_lanes import state as column_state
 from tests.test_ingest import legacy_docs
 
@@ -219,8 +219,8 @@ class TestDifferentialIngest:
             file_type=r.get("file_type"), offset=r.get("offset"),
             file_tag=r.get("file_tag"), session=SESSION,
         ).to_doc() for r in batch]
-        assert list(decoded) == expected
-        assert [list(doc) for doc in decoded] == [
+        assert decoded.to_docs() == expected
+        assert [list(doc) for doc in decoded.to_docs()] == [
             list(doc) for doc in expected]
 
 

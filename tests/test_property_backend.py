@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore, compile_query
 from repro.backend.aggregations import percentile, run_aggregations
-from repro.tracer.events import Event
+from tests.event_oracle import Event
 
 # --- document strategies ----------------------------------------------------
 

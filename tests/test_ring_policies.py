@@ -89,11 +89,3 @@ class TestPolicyValidation:
             TracerConfig(ring_policy="nonsense")
         config = TracerConfig(ring_policy="overwrite-oldest")
         assert config.ring_policy == "overwrite-oldest"
-
-    def test_config_from_toml(self):
-        config = TracerConfig.from_toml("""
-            [ring_buffer]
-            capacity_mib_per_cpu = 1
-            policy = "sample"
-        """)
-        assert config.ring_policy == "sample"

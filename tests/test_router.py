@@ -435,6 +435,18 @@ class TestTenancy:
         report = backend.fleet_report()
         assert report["tenants"]["acme"]["status"] == "rejecting"
 
+    def test_quota_checks_a_single_document_write(self):
+        # A default tenant sits on a router: the quota check comes
+        # first, then the router's own index_doc.
+        backend = TenantBackend(shards_per_tenant=2)
+        tenant = backend.register("acme", quota_docs=2)
+        tenant.bulk(INDEX, make_docs(1))
+        doc_id = tenant.index_doc(INDEX, make_docs(1)[0])
+        assert tenant.get_doc(INDEX, doc_id) is not None
+        with pytest.raises(TenantQuotaExceeded):
+            tenant.index_doc(INDEX, make_docs(1)[0])
+        assert (tenant.docs_held(), tenant.quota_rejections) == (2, 1)
+
     def test_tenants_are_isolated(self):
         backend = TenantBackend(shards_per_tenant=2)
         a = backend.register("a")

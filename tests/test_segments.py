@@ -3,11 +3,10 @@
 Covers the durability contract byte by byte (a segment torn at *any*
 byte is rejected whole; what any cut or bit flip does to the WAL is
 the shared record-log property in ``tests/test_record_logs.py``), the
-maintenance paths (flush, compaction, retention, snapshot and
-restore), zone-map pruning against the query semantics, and the
-persistence facade over the engine.  The adversarial round-trip
-against the JSON-lines oracle lives at the bottom as a Hypothesis
-property.
+maintenance paths (flush, compaction), zone-map pruning against the
+query semantics, and the persistence facade over the engine.  The
+adversarial round-trip against the JSON-lines oracle lives at the
+bottom as a Hypothesis property.
 """
 
 import json
@@ -351,28 +350,6 @@ class TestSegmentStorage:
             (tmp_path / "rows.dseg").read_bytes()
         assert "session" not in merged.schema
 
-    def test_retention_drops_expired_segments(self, tmp_path):
-        engine = SegmentStorage(tmp_path / "store", flush_events=5)
-        fill(engine, 20)                  # times 0..190, 4 segments
-        report = engine.retain(now_ns=500, retention_ns=300)
-        # cutoff 200: segments with max time 40, 90, 140, 190 all expire
-        assert report["segments_dropped"] == 4
-        assert engine.count() == 0
-        engine.close()
-
-    def test_snapshot_restore_round_trip(self, tmp_path):
-        engine = SegmentStorage(tmp_path / "store", flush_events=4)
-        docs = fill(engine, 10)
-        engine.append(DOCS[:2], session="s")   # leave a WAL tail too
-        snap = tmp_path / "snap.zip"
-        engine.snapshot(snap)
-        engine.close()
-
-        restored = SegmentStorage.restore(snap, tmp_path / "restored")
-        assert dumps(restored.all_docs()) == \
-            dumps(sort_docs(docs + DOCS[:2]))
-        restored.close()
-
     def test_torn_segment_dropped_whole_on_open(self, tmp_path):
         engine = SegmentStorage(tmp_path / "store", flush_events=5)
         fill(engine, 15)                  # 3 segments of 5
@@ -518,8 +495,6 @@ class TestSegmentStorage:
             inspector.flush()
         with pytest.raises(SegmentError):
             inspector.compact()
-        with pytest.raises(SegmentError):
-            inspector.retain(now_ns=10, retention_ns=1)
         inspector.close()
         after = {p.name: p.read_bytes() for p in root.iterdir()}
         assert after == before            # not one byte moved
@@ -662,16 +637,13 @@ def test_tracer_persists_acknowledged_batches(tmp_path):
 
 
 def test_tracer_config_rejects_the_retired_storage_mode():
-    """No second engine behind a knob: the field and its TOML key are
-    gone, and asking for either fails by name."""
+    """No second engine behind a knob: the field is gone, and asking
+    for it fails by name."""
     from repro.tracer import TracerConfig
 
     with pytest.raises(TypeError, match="storage_mode"):
         TracerConfig(storage_dir="/tmp/x", storage_mode="jsonl")
-    with pytest.raises(ValueError, match=r"'mode' in \[storage\]"):
-        TracerConfig.from_toml('[storage]\ndir = "/tmp/x"\nmode = "jsonl"\n')
-    config = TracerConfig.from_toml(
-        '[storage]\ndir = "/tmp/x"\nflush_events = 16\n')
+    config = TracerConfig(storage_dir="/tmp/x", storage_flush_events=16)
     assert (config.storage_dir, config.storage_flush_events) == ("/tmp/x", 16)
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from repro.sim import Environment
 from repro.telemetry import (DEFAULT_BUCKETS, Histogram, MetricsRegistry,
-                             Telemetry, TelemetryError, parse_prometheus,
-                             registry_as_dict, to_json, to_prometheus)
+                             Telemetry, TelemetryError, registry_as_dict,
+                             to_json, to_prometheus)
+from tests.prometheus_oracle import parse_prometheus
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "telemetry_golden.prom"
 

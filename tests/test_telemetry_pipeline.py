@@ -9,9 +9,9 @@ from repro.experiments import overhead, run_fluentbit_case
 from repro.experiments.rocksdb_case import RocksDBScale
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
-from repro.telemetry import (STAGES, parse_prometheus, registry_as_dict,
-                             to_prometheus)
+from repro.telemetry import STAGES, registry_as_dict, to_prometheus
 from repro.tracer import DIOTracer, TracerConfig
+from tests.prometheus_oracle import parse_prometheus
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +183,7 @@ class TestHealthTellsTheTruth:
             "consumed": ring.consumed, "bytes": ring.bytes_produced}
 
     def test_telemetry_is_not_optional(self):
-        """No knob turns self-telemetry off: the field and its TOML
-        section are gone, and asking for either fails by name."""
+        """No knob turns self-telemetry off: the field is gone, and
+        asking for it fails by name."""
         with pytest.raises(TypeError, match="telemetry_enabled"):
             TracerConfig(telemetry_enabled=False)
-        with pytest.raises(ValueError,
-                           match=r"unknown config section \[telemetry\]"):
-            TracerConfig.from_toml("[telemetry]\nenabled = false\n")

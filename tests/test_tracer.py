@@ -7,7 +7,8 @@ from repro.kernel import (IORING_ENTER_GETEVENTS, Kernel, O_CREAT, O_RDONLY,
                           O_RDWR, O_WRONLY, SQE)
 from repro.sim import Environment
 from repro.tracer import DIOTracer, TracerConfig
-from repro.tracer.events import SCALAR_ARGS, Event, estimate_record_size
+from repro.tracer.events import SCALAR_ARGS, estimate_record_size
+from tests.event_oracle import Event
 
 
 def make_env(config=None):
@@ -342,44 +343,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TracerConfig(batch_size=0)
 
-    def test_from_toml(self):
-        config = TracerConfig.from_toml("""
-            [tracer]
-            syscalls = ["open", "read", "write", "close"]
-            pids = [42]
-            paths = ["/tmp"]
-            session_name = "run-1"
-
-            [ring_buffer]
-            capacity_mib_per_cpu = 8
-
-            [backend]
-            index = "my_trace"
-            batch_size = 128
-            correlate_on_stop = false
-        """)
-        assert config.enabled_syscalls == {"open", "read", "write", "close"}
-        assert config.pids == {42}
-        assert config.paths == ("/tmp",)
-        assert config.session_name == "run-1"
-        assert config.ring_capacity_bytes_per_cpu == 8 * 1024 * 1024
-        assert config.index == "my_trace"
-        assert config.batch_size == 128
-        assert config.correlate_on_stop is False
-
-    def test_from_toml_rejects_what_it_does_not_read(self):
-        for text, named in [
-            ("[backend]\nbatchsize = 4\n", "'batchsize' in [backend]"),
-            ("[storge]\ndir = '/tmp/x'\n", "[storge]"),
-            # Retired with the per-event consumer path: rejected by
-            # name, not silently parsed to defaults.
-            ("[backend]\ningest_mode = 'legacy'\n",
-             "'ingest_mode' in [backend]"),
-        ]:
-            with pytest.raises(ValueError) as excinfo:
-                TracerConfig.from_toml(text)
-            assert named in str(excinfo.value)
-
     def test_default_enables_all_42(self):
         # The 42 classic syscalls of Table I plus the three io_uring
         # control syscalls.
@@ -393,13 +356,6 @@ class TestConfig:
         assert TracerConfig(ring_mode="ring-aware").ring_mode == "ring-aware"
         with pytest.raises(ValueError):
             TracerConfig(ring_mode="io_uring")
-
-    def test_ring_mode_from_toml(self):
-        config = TracerConfig.from_toml("""
-            [tracer]
-            ring_mode = "ring-aware"
-        """)
-        assert config.ring_mode == "ring-aware"
 
 
 class TestEventModel:

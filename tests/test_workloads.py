@@ -7,9 +7,9 @@ from repro.backend import DocumentStore
 from repro.kernel import Kernel
 from repro.sim import Environment
 from repro.tracer import DIOTracer, TracerConfig
-from repro.workloads import (bursty_writer, metadata_storm, mixed_rw,
-                             random_reader, sequential_reader,
-                             sequential_writer, small_appender)
+from repro.workloads import (metadata_storm, mixed_rw, random_reader,
+                             sequential_reader, sequential_writer,
+                             small_appender)
 
 
 @pytest.fixture()
@@ -105,13 +105,6 @@ class TestSpecialPatterns:
         assert kernel.vfs.listdir("/churn") == []
         assert kernel.syscall_counts["stat"] == 80
         assert kernel.syscall_counts["rename"] == 20
-
-    def test_bursty_writer_gaps(self, setup):
-        env, kernel, task = setup
-        run(env, bursty_writer(kernel, task, "/b", bursts=3,
-                               writes_per_burst=10, gap_ns=50_000_000))
-        assert env.now >= 2 * 50_000_000
-        assert kernel.syscall_counts["write"] == 30
 
 
 class TestWorkloadsUnderTracing:
