@@ -794,6 +794,13 @@ class JoinedBatch:
         out._docs = out._cache = None
         return out
 
+    def join(self) -> None:
+        """Join every lane of the whole batch now, once: its takes then
+        only project (before the fork of a pool that encodes them)."""
+        whole = self if self._whole is None else self._whole
+        if whole._columns is None:
+            whole._columns = whole._join_columns()
+
     def values_for(self, field: str) -> list:
         if self._whole is not None:
             return _project(self._whole.values_for(field), self._rows)

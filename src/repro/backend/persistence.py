@@ -180,8 +180,9 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
                  flush_events: int = 100_000) -> int:
     """Persist one session as a segment store; returns the event count.
 
-    Writes a :class:`~repro.backend.segments.SegmentStorage` directory
-    at ``path``, chunking the time-sorted events into
+    Writes a new :class:`~repro.backend.segments.SegmentStorage`
+    directory at ``path`` (one that already holds a store is refused),
+    chunking the time-sorted events into
     ``flush_events``-sized immutable segments; :func:`load_session`
     rebuilds a store byte-identical to importing an export of the same
     session.  One lane read, one ordering rule
@@ -197,7 +198,8 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
         raise SessionError(
             f"save_session always writes a segment store, not "
             f"{storage_mode!r}; use export_session for a JSON-lines file")
-    from repro.backend.segments import SegmentError, SegmentStorage
+    from repro.backend.segments import (MANIFEST_NAME, WAL_NAME,
+                                        SegmentError, SegmentStorage)
     _, batch = store.lanes(index, {"term": {"session": session}})
     if not len(batch):
         raise SessionError(f"session {session!r} has no events in {index!r}")
@@ -205,6 +207,10 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
     if path.exists() and not path.is_dir():
         raise SessionError(f"{path}: segment stores need a directory, "
                            "not a file")
+    if any((path / name).exists() for name in (MANIFEST_NAME, WAL_NAME)):
+        # Its segments would load as one session, under its first label.
+        raise SessionError(f"{path} already holds a segment store; save "
+                           "each session into a directory of its own")
     try:
         engine = SegmentStorage(path, flush_events=flush_events)
         count = engine.import_batch(time_ordered(batch), session=session)

@@ -30,10 +30,11 @@ before any block is decoded, so a narrow time-range query on a week of
 traces touches one segment, not fifty.
 
 Blocks are written from, and decoded back into, *lanes*
-(:mod:`repro.backend.lanes`): :func:`write_batch` is the one column
-writer — ``save_session`` hands it the lanes a store holds,
-compaction the joined :class:`~repro.backend.lanes.Lanes` of the
-segments it merges, and the WAL flush its rows as a ``DocBatch`` — and
+(:mod:`repro.backend.lanes`): :func:`encode_segment` is the one column
+writer — ``save_session`` hands it the lanes a store holds, chunk by
+chunk and in forked workers when the session is large, compaction the
+joined :class:`~repro.backend.lanes.Lanes` of the segments it merges,
+and the WAL flush its rows as a ``DocBatch`` — and
 :class:`SegmentBatch` is a loaded session's blocks behind the
 lane-batch protocol, so neither a save, a compaction nor a load builds
 a document.
@@ -58,9 +59,11 @@ import json
 import os
 import struct
 import sys
+import threading
 import zlib
 from array import array
 from collections import Counter
+from contextlib import closing
 from copy import deepcopy
 from itertools import chain, compress, repeat
 from operator import is_
@@ -485,19 +488,28 @@ def _in_schema_order(batch: LaneBatch) -> list[LaneColumn]:
             for key in batch.row_keys(row) if key in first_carried[row]]
 
 
-def write_batch(path: str | Path, batch: LaneBatch, *, session: str,
-                seq: int, created_ns: int = 0) -> dict:
-    """Write one immutable segment file; returns its meta summary.
+class EncodedSegment(NamedTuple):
+    """A segment's bytes before it has a name, a session or a place in
+    the manifest: what :func:`encode_segment` makes and
+    :func:`publish` writes."""
 
-    The one column writer: lanes in, blocks out, no document built.
-    Rows are put in stable ``time`` order with the search path's own
-    sort key (:func:`repro.backend.lanes.time_ordered`), so per-segment
-    order matches what a sorted export would emit.  The write is
-    atomic: bytes land in ``path + ".tmp"`` and are ``os.replace``d
-    into place, so a crash can leave a stale temp file but never a
-    half-written ``.dseg`` under the final name.
+    rows: int
+    body: bytes         # header, then every block
+    directory: bytes    # the footer's field entries: offsets, CRCs, zones
+
+
+def encode_segment(batch: LaneBatch) -> EncodedSegment:
+    """The pure half of a segment write: lanes in, bytes out.
+
+    The one column writer — no document built, nothing read but the
+    batch, nothing written.  Rows are put in stable ``time`` order with
+    the search path's own sort key
+    (:func:`repro.backend.lanes.time_ordered`), so per-segment order
+    matches what a sorted export would emit; the header and the blocks
+    follow, and the footer's field directory (each block's offset,
+    length, CRC-32 and zone map).  What only the writer of the file
+    knows — session label, seq, creation time — is :func:`publish`'s.
     """
-    path = Path(path)
     batch = time_ordered(batch)
     rows = len(batch)
     chunks: list[bytes] = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION,
@@ -513,25 +525,47 @@ def write_batch(path: str | Path, batch: LaneBatch, *, session: str,
             struct.pack("<QQI", offset, len(block), zlib.crc32(block)),
             _encode_zone(zone))))
         offset += len(block)
+    return EncodedSegment(rows, b"".join(chunks),
+                          b"".join((_U32.pack(len(entries)), *entries)))
 
+
+def publish(path: str | Path, segment: EncodedSegment, *, session: str,
+            seq: int, created_ns: int = 0) -> dict:
+    """Write an encoded segment as one immutable file; returns its meta
+    summary.
+
+    The footer gets the session label, seq and creation time, then the
+    trailer.  The write is atomic: bytes land in ``path + ".tmp"`` and
+    are ``os.replace``d into place, so a crash can leave a stale temp
+    file but never a half-written ``.dseg`` under the final name.
+    """
+    path = Path(path)
     session_blob = session.encode("utf-8")
     footer = b"".join((
-        _U32.pack(len(entries)), *entries,
+        segment.directory,
         _U16.pack(len(session_blob)), session_blob,
         struct.pack("<IQ", seq, created_ns)))
+    offset = len(segment.body)
     trailer = _TRAILER.pack(offset, len(footer), zlib.crc32(footer),
                             TRAILER_MAGIC)
 
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
+        handle.write(segment.body)
         handle.write(footer)
         handle.write(trailer)
         handle.flush()
     os.replace(tmp, path)
-    return {"path": str(path), "rows": rows, "session": session,
+    return {"path": str(path), "rows": segment.rows, "session": session,
             "seq": seq, "bytes": offset + len(footer) + _TRAILER.size}
+
+
+def write_batch(path: str | Path, batch: LaneBatch, *, session: str,
+                seq: int, created_ns: int = 0) -> dict:
+    """One segment file from a batch: :func:`publish` of
+    :func:`encode_segment` (what compaction writes)."""
+    return publish(path, encode_segment(batch), session=session, seq=seq,
+                   created_ns=created_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +858,80 @@ class SegmentBatch(JoinedBatch):
 
 
 # ---------------------------------------------------------------------------
+# encoding a session's chunks on every CPU
+
+#: Below this many rows an import encodes its chunks in this process:
+#: starting and draining two forked encoders costs about 50 ms, a row
+#: about 6 us to encode, so the pool breaks even near 20k rows
+#: (measured: docs/STORAGE.md, "Saving from a store").
+FORK_MIN_ROWS = 25_000
+
+#: What a forked encoder inherited through ``fork``: ``(batch,
+#: chunks)``, set in the worker by :func:`_inherit`.  Only a chunk
+#: number goes to a worker, only the chunk's bytes come back.
+_INHERITED: Optional[tuple[LaneBatch, list[range]]] = None
+
+
+def _inherit(batch: LaneBatch, chunks: list[range]) -> None:
+    """A forked encoder's initializer (its arguments are not pickled)."""
+    global _INHERITED
+    _INHERITED = (batch, chunks)
+
+
+def _encode_chunk(number: int) -> EncodedSegment:
+    """A forked encoder's task: chunk ``number`` of its batch."""
+    batch, chunks = _INHERITED
+    return encode_segment(batch.take(chunks[number]))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else 1
+
+
+def _pool(workers: int, batch: LaneBatch, chunks: list[range]):
+    """``workers`` forked encoders of ``batch``'s ``chunks``.  Imported
+    here: a process that never forks one does not carry the pool's
+    modules."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit, initargs=(batch, chunks))
+
+
+def _encoded(batch: LaneBatch, chunks: list[range]
+             ) -> Iterator[EncodedSegment]:
+    """Every chunk of ``batch`` encoded, in chunk order.
+
+    By :func:`encode_segment` either way: ``map`` here, or an ordered
+    ``pool.map`` of forked workers, one per CPU, when the import has at
+    least :data:`FORK_MIN_ROWS` rows and more than one chunk, the
+    process more than one CPU and no other thread (a fork copies a lock
+    another thread holds), and the platform ``fork``.  The lanes of a
+    joined batch are joined once, here, before the fork; a worker then
+    only projects its chunks.  A worker that dies raises
+    :class:`SegmentError`.
+    """
+    workers = min(_cpus(), len(chunks))
+    if (workers < 2 or len(batch) < FORK_MIN_ROWS or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        yield from map(encode_segment, map(batch.take, chunks))
+        return
+    from concurrent.futures.process import BrokenProcessPool
+    if isinstance(batch, JoinedBatch):
+        batch.join()
+    pool = _pool(workers, batch, chunks)
+    try:
+        yield from pool.map(_encode_chunk, range(len(chunks)))
+    except BrokenProcessPool as exc:
+        raise SegmentError("a segment encoder process died") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
 # the engine
 
 class SegmentStorage:
@@ -981,22 +1089,28 @@ class SegmentStorage:
         The one chunker: ``flush_events``-row runs of the batch become
         one segment each; the tail shorter than one chunk becomes a
         final (small) segment rather than a WAL entry, so the result is
-        fully sealed.
+        fully sealed.  The chunks are encoded on every CPU a large
+        import may use (:func:`_encoded`); this process alone takes the
+        clock, publishes each file and updates the manifest, in seq
+        order, so a crash leaves what a one-CPU import leaves.
         """
         self._require_writable("import")
         total = len(batch)
-        for start in range(0, total, self.flush_events):
-            self._flush_batch(
-                batch.take(range(start, min(start + self.flush_events,
-                                            total))), session)
+        chunks = [range(start, min(start + self.flush_events, total))
+                  for start in range(0, total, self.flush_events)]
+        with closing(_encoded(batch, chunks)) as encoded:
+            for segment in encoded:
+                self._seal(segment, session)
         return total
 
-    def _flush_batch(self, batch: LaneBatch, session: str,
-                     wal_sealed: int = 0) -> Segment:
+    def _seal(self, encoded: EncodedSegment, session: str,
+              wal_sealed: int = 0) -> Segment:
+        """Publish one encoded segment under the next seq and add it to
+        the manifest."""
         seq = self._manifest["next_seq"]
         name = f"seg-{seq:06d}.dseg"
-        write_batch(self.root / name, batch, session=session,
-                    seq=seq, created_ns=self._clock())
+        publish(self.root / name, encoded, session=session,
+                seq=seq, created_ns=self._clock())
         if self._crash_hook is not None:
             self._crash_hook("flush")
         self._manifest["next_seq"] = seq + 1
@@ -1018,9 +1132,9 @@ class SegmentStorage:
         if not self._buffer:
             return None
         self._require_writable("flush")
-        segment = self._flush_batch(DocBatch(self._buffer),
-                                    self._buffer_session,
-                                    wal_sealed=self._buffer_wal_id)
+        segment = self._seal(encode_segment(DocBatch(self._buffer)),
+                             self._buffer_session,
+                             wal_sealed=self._buffer_wal_id)
         self._buffer = []
         self._buffer_session = ""
         self._buffer_wal_id = 0

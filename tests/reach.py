@@ -4,7 +4,7 @@ A function exists only while something a user runs reaches it: a
 ``dio`` command, a README example, a paper benchmark, an e2e workload.
 This tool runs each entry of :data:`ENTRIES` in its own Python process
 under ``sys.setprofile`` / ``threading.setprofile``, collects every
-code object the process entered, and matches each ``def`` in
+code object the process and the workers it forks entered, and matches each ``def`` in
 ``src/repro`` to one (a decorated function's code object starts at its
 first decorator's line).  A ``def`` no entry entered must be listed in
 ``tests/data/reach_allowlist.txt`` with a reason; an allowlist line
@@ -131,6 +131,11 @@ ENTRIES: list[tuple[str, list[str], dict, int | None]] = [
     *(_e2e(workload) for workload in (
         "rocksdb_e2e", "ingest_replay", "dashboard_serve",
         "live_tail_sharded")),
+    # At full size: a 100,000-event save, past the row count at which
+    # save_session encodes its segments in forked workers.
+    ("e2e ingest_replay (full size)",
+     ["benchmarks/e2e/run.py", "--workload", "ingest_replay", "--seconds",
+      "1", "--trace", "0"], {"PYTHONHASHSEED": "0"}, 0),
     # Not judged: the trajectory gates time the code, and under the
     # profiler it runs several times slower.  The benchmarks' own CI
     # jobs judge them.
@@ -157,7 +162,7 @@ def child(out: str, argv: list[str]) -> None:
         if event == "call":
             entered[id(frame.f_code)] = frame.f_code
 
-    def dump() -> None:
+    def dump(path: str = out) -> None:
         sys.setprofile(None)
         threading.setprofile(None)
         src = str(SRC)
@@ -165,8 +170,19 @@ def child(out: str, argv: list[str]) -> None:
             (os.path.relpath(code.co_filename, SRC), code.co_firstlineno)
             for code in entered.values()
             if os.path.realpath(code.co_filename).startswith(src)})
-        Path(out).write_text(json.dumps(reached), encoding="utf-8")
+        Path(path).write_text(json.dumps(reached), encoding="utf-8")
 
+    # A forked worker (a segment encoder) runs under the profiler it
+    # inherited and leaves through os._exit, never unwinding to the dump
+    # below: it writes its own file on the way out.
+    real_exit = os._exit
+
+    def exit_after_dump(status: int) -> None:
+        dump(f"{out}.{os.getpid()}")
+        real_exit(status)
+
+    os.register_at_fork(
+        after_in_child=lambda: setattr(os, "_exit", exit_after_dump))
     sys.path.insert(0, str(ROOT / "src"))
     threading.setprofile(profile)
     sys.setprofile(profile)
@@ -257,9 +273,9 @@ def run_entries() -> tuple[set, list[str]]:
                 if not ok:
                     failed.append(label)
                     print(proc.stdout[-3000:])
-                if out.exists():
+                for dumped in Path(tmp).glob(out.name + "*"):
                     reached.update(map(tuple, json.loads(
-                        out.read_text(encoding="utf-8"))))
+                        dumped.read_text(encoding="utf-8"))))
         finally:
             for name, blob in saved.items():
                 (ROOT / name).write_bytes(blob)

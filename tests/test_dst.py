@@ -445,11 +445,11 @@ def _zone_maps_over_prune(monkeypatch):
 
 def _flush_forgets_the_wal_watermark(monkeypatch):
     from repro.backend.segments import SegmentStorage
-    real = SegmentStorage._flush_batch
+    real = SegmentStorage._seal
     monkeypatch.setattr(
-        SegmentStorage, "_flush_batch",
-        lambda self, batch, session, wal_sealed=0:
-        real(self, batch, session))
+        SegmentStorage, "_seal",
+        lambda self, encoded, session, wal_sealed=0:
+        real(self, encoded, session))
 
 
 def _restore_drops_a_document(monkeypatch):

@@ -565,6 +565,37 @@ class TestSegmentStorage:
                          "jsonl")
         assert not (tmp_path / "s2.jsonl").exists()
 
+    def test_saving_twice_into_one_store_is_refused(self, tmp_path):
+        store = DocumentStore()
+        store.bulk("dio_trace", [{"time": i, "session": "a"}
+                                 for i in range(10)])
+        seg_root = tmp_path / "segstore"
+        save_session(store, "a", seg_root, flush_events=4)
+        before = {p.name: p.read_bytes() for p in seg_root.iterdir()}
+        with pytest.raises(SessionError, match=str(seg_root)):
+            save_session(store, "a", seg_root, flush_events=4)
+        assert {p.name: p.read_bytes() for p in seg_root.iterdir()} == before
+        loaded = DocumentStore()
+        assert load_session(loaded, seg_root) == "a"
+        assert loaded.count("dio_trace") == 10
+
+    def test_saving_another_session_into_a_store_is_refused(self, tmp_path):
+        store = DocumentStore()
+        store.bulk("dio_trace", [{"time": i, "session": "a"}
+                                 for i in range(10)])
+        store.bulk("dio_trace", [{"time": i, "session": "b"}
+                                 for i in range(5)])
+        seg_root = tmp_path / "segstore"
+        save_session(store, "a", seg_root)
+        with pytest.raises(SessionError, match="already holds"):
+            save_session(store, "b", seg_root)
+        loaded = DocumentStore()
+        assert load_session(loaded, seg_root) == "a"
+        assert loaded.count("dio_trace") == 10
+        save_session(store, "b", tmp_path / "b")
+        assert load_session(loaded, tmp_path / "b") == "b"
+        assert loaded.count("dio_trace", {"term": {"session": "b"}}) == 5
+
     def test_telemetry_gauges_track_state(self, tmp_path):
         from repro.telemetry.registry import MetricsRegistry
         registry = MetricsRegistry()
