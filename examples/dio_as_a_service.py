@@ -23,8 +23,7 @@ from repro.kernel import Kernel
 from repro.sim import Environment
 from repro.tracer import DIOTracer, TracerConfig
 from repro.visualizer import DIODashboards, load_predefined, render_table
-from repro.workloads import (metadata_storm, mixed_rw, sequential_writer,
-                             small_appender)
+from repro.workloads import metadata_storm, mixed_rw, small_appender
 
 
 def machine(session, proc_name, workload_factory, store):

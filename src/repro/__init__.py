@@ -12,12 +12,12 @@ Subpackages
     Simulated POSIX kernel: VFS, page cache, block device, processes,
     the 42 storage syscalls, tracepoints.
 :mod:`repro.ebpf`
-    eBPF runtime: maps, programs, per-CPU ring buffers.
+    eBPF runtime: bounded hash maps, programs, per-CPU ring buffers.
 :mod:`repro.tracer`
     The DIO tracer (the paper's contribution) and a trace replayer.
 :mod:`repro.backend`
-    Elasticsearch-like document store, file-path correlation, and
-    post-mortem session persistence.
+    Elasticsearch-like, append-only document store, file-path
+    correlation, and post-mortem session persistence.
 :mod:`repro.visualizer`
     Kibana-like renderers, predefined and saved dashboards.
 :mod:`repro.baselines`
@@ -26,7 +26,8 @@ Subpackages
     Simulated production applications: Fluent Bit, RocksDB + db_bench,
     and a SQLite-style embedded database.
 :mod:`repro.workloads`
-    Reusable synthetic I/O workload generators.
+    Synthetic I/O workload generators (appends, mixed reads and
+    writes, metadata storms).
 :mod:`repro.analysis`
     Latency series, contention detection, pattern detectors, session
     comparison.

@@ -26,13 +26,12 @@ from repro.analysis.compare import (Divergence, SessionComparison,
 from repro.analysis.blame import (SpikeBlame, ThreadActivity, blame_spikes,
                                   render_blame)
 from repro.analysis.dfg import (DFGComparison, DirectlyFollowsGraph, Phase,
-                                compare_session_dfgs, merged_dfg, mine_dfgs,
-                                mine_phases, segment_phases)
+                                compare_session_dfgs, merged_dfg, mine_phases,
+                                segment_phases)
 from repro.analysis.streaming import (DiagnosisTap, StreamingDetector,
                                       default_streaming_detectors)
 from repro.analysis.diagnose import (DiagnosisReport, RankedFinding,
-                                     diagnose_session, diagnose_store,
-                                     follow_session)
+                                     diagnose_session, follow_session)
 
 __all__ = [
     "LatencyPoint",
@@ -63,7 +62,6 @@ __all__ = [
     "Phase",
     "compare_session_dfgs",
     "merged_dfg",
-    "mine_dfgs",
     "mine_phases",
     "segment_phases",
     "DiagnosisTap",
@@ -72,6 +70,5 @@ __all__ = [
     "DiagnosisReport",
     "RankedFinding",
     "diagnose_session",
-    "diagnose_store",
     "follow_session",
 ]

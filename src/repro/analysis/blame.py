@@ -34,10 +34,6 @@ class SpikeBlame(NamedTuple):
     #: The client threads' own activity in the same window.
     client_syscalls: int
 
-    def top_culprits(self, n: int = 3) -> list[str]:
-        """Names of the busiest background threads in this window."""
-        return [activity.proc_name for activity in self.background[:n]]
-
 
 def _window_activity(store: DocumentStore, index: str, start_ns: int,
                      window_ns: int,

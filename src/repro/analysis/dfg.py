@@ -9,9 +9,9 @@ between the graphs of two runs.
 
 This module mines DFGs from the events DIO stored at the backend:
 
-- :func:`mine_dfgs` — one graph per process or per thread, with nodes
-  either plain syscall names or ``syscall×file-class`` pairs and edges
-  carrying transition counts plus inter-arrival latency statistics;
+- :func:`merged_dfg` — one graph per session, with syscall names as
+  nodes and edges carrying transition counts plus inter-arrival
+  latency statistics;
 - :func:`segment_phases` — split one stream into behaviour phases by
   DFG drift between consecutive event windows;
 - :func:`compare_session_dfgs` — drift score and top diverging edges
@@ -20,18 +20,18 @@ This module mines DFGs from the events DIO stored at the backend:
 
 There is one transition loop, :meth:`DirectlyFollowsGraph.observe_lanes`,
 over three lanes of a batch — the node per event (the ``syscall``
-lane, or ``syscall/file-class``), the chain key (the ``tid`` lane, or
-none) and the ``time`` lane: it bumps a node, finds the previous node
+lane), the chain key (the ``tid`` lane, or none) and the ``time``
+lane: it bumps a node, finds the previous node
 of the event's chain and updates the edge between them.  A whole
 session's graph (:func:`merged_dfg`), the tap's online miner
-(:class:`~repro.analysis.streaming.StreamingDFGMiner`), the per-process
-graphs and the phase windows are all that loop fed different lanes;
+(:class:`~repro.analysis.streaming.StreamingDFGMiner`) and the phase
+windows are all that loop fed different lanes;
 a phase that takes in the next window merges that window's graph
 (:meth:`DirectlyFollowsGraph.absorb`) instead of walking its events
 again.  No document is built.
 
 Everything is deterministic: graphs iterate in sorted order and
-``as_dict`` output is stable, so DFG output can sit inside the DST
+``fingerprint`` output is stable, so DFG output can sit inside the DST
 byte-identical digest.
 """
 
@@ -42,51 +42,11 @@ from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 from repro.analysis.session import SessionEvents, times_of
-from repro.backend.lanes import DocBatch, LaneBatch
+from repro.backend.lanes import LaneBatch
 from repro.backend.store import DocumentStore
 
 #: Start-of-stream pseudo-node (the classic DFG source marker).
 START = "^"
-
-#: File-class buckets for ``node_mode="syscall_fileclass"`` nodes.
-_FILE_CLASSES = (
-    (".log", "log"), (".wal", "wal"), (".sst", "sst"), (".ldb", "sst"),
-    (".db", "db"), (".jsonl", "log"), (".tmp", "tmp"),
-)
-
-
-def file_class(path: Optional[str]) -> str:
-    """Coarse file-purpose class from a path (``other`` when unknown)."""
-    if not path:
-        return "none"
-    lowered = path.lower()
-    for suffix, cls in _FILE_CLASSES:
-        if lowered.endswith(suffix):
-            return cls
-    if "wal" in lowered:
-        return "wal"
-    return "other"
-
-
-def node_lane(batch: LaneBatch, node_mode: str = "syscall") -> list[str]:
-    """One DFG node per row of ``batch``: its ``syscall`` lane as it
-    is, or ``syscall/file-class`` of the row's ``file_path`` (else its
-    ``args.path``).  May be the batch's own lane: never mutate it."""
-    syscalls = batch.values_for("syscall")
-    if node_mode == "syscall":
-        return syscalls
-    classes: dict = {}
-    nodes = []
-    for syscall, path, arg_path in zip(syscalls,
-                                       batch.values_for("file_path"),
-                                       batch.values_for("args.path")):
-        path = path or arg_path
-        cls = classes.get(path)
-        if cls is None:
-            cls = classes[path] = file_class(path)
-        nodes.append(f"{syscall}/{cls}")
-    return nodes
-
 
 class EdgeStats:
     """One DFG edge: transition count + inter-arrival latency stats."""
@@ -99,27 +59,15 @@ class EdgeStats:
         self.gap_min_ns: Optional[int] = None
         self.gap_max_ns = 0
 
-    @property
-    def gap_mean_ns(self) -> float:
-        return self.gap_total_ns / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "gap_mean_ns": round(self.gap_mean_ns, 1),
-            "gap_min_ns": self.gap_min_ns or 0,
-            "gap_max_ns": self.gap_max_ns,
-        }
-
 
 class DirectlyFollowsGraph:
     """A DFG over one stream of syscall events.
 
-    Nodes are strings (syscall names, or ``syscall/file-class``); edges
-    map ``(from, to)`` to :class:`EdgeStats`.  The graph is an *online*
-    structure: feed events in stream order via :meth:`observe_batch`,
-    read it at any point.  Memory is bounded by the node vocabulary
-    squared, which for syscalls is small by construction.
+    Nodes are syscall names; edges map ``(from, to)`` to
+    :class:`EdgeStats`.  The graph is an *online* structure: feed
+    events in stream order via :meth:`observe_batch`, read it at any
+    point.  Memory is bounded by the node vocabulary squared, which for
+    syscalls is small by construction.
 
     With ``per_thread`` every TID is its own transition chain —
     interleaving two threads' events into one chain would invent edges
@@ -129,17 +77,13 @@ class DirectlyFollowsGraph:
     it unbounded).  Without it the whole stream is one chain.
     """
 
-    __slots__ = ("name", "node_mode", "per_thread", "max_threads",
+    __slots__ = ("name", "per_thread", "max_threads",
                  "edges", "node_counts", "events", "first_ns", "last_ns",
                  "_chains", "_following")
 
-    def __init__(self, name: str = "", node_mode: str = "syscall",
-                 per_thread: bool = False,
+    def __init__(self, name: str = "", per_thread: bool = False,
                  max_threads: Optional[int] = None) -> None:
-        if node_mode not in ("syscall", "syscall_fileclass"):
-            raise ValueError(f"unknown node mode {node_mode!r}")
         self.name = name
-        self.node_mode = node_mode
         self.per_thread = per_thread
         self.max_threads = max_threads
         self.edges: dict[tuple[str, str], EdgeStats] = {}
@@ -156,14 +100,10 @@ class DirectlyFollowsGraph:
     # ------------------------------------------------------------------
     # Building
 
-    def observe(self, source: dict) -> str:
-        """Feed one event (a backend document); returns its node."""
-        return self.observe_batch(DocBatch([source]))[0]
-
     def observe_batch(self, batch: LaneBatch) -> list[str]:
         """Feed a batch of events in stream order; returns their nodes,
-        in order (:func:`node_lane`: never mutate them)."""
-        nodes = node_lane(batch, self.node_mode)
+        in order (the batch's own ``syscall`` lane: never mutate it)."""
+        nodes = batch.values_for("syscall")
         self.observe_lanes(
             nodes, batch.values_for("tid") if self.per_thread else None,
             times_of(batch))
@@ -295,57 +235,12 @@ class DirectlyFollowsGraph:
         """Stable summary used to compare runs (and hash reports)."""
         return {
             "name": self.name,
-            "node_mode": self.node_mode,
+            "node_mode": "syscall",
             "events": self.events,
             "nodes": dict(sorted(self.node_counts.items())),
             "edges": {f"{src}->{dst}": stats.count
                       for (src, dst), stats in sorted(self.edges.items())},
         }
-
-    def as_dict(self) -> dict:
-        """Full serialization, deterministic key order."""
-        out = self.fingerprint()
-        out["edge_stats"] = {
-            f"{src}->{dst}": stats.as_dict()
-            for (src, dst), stats in sorted(self.edges.items())}
-        out["window"] = {"start_ns": self.first_ns or 0,
-                         "end_ns": self.last_ns}
-        return out
-
-
-# ----------------------------------------------------------------------
-# Mining from the backend
-
-def mine_dfgs(store: DocumentStore, index: str = "dio_trace",
-              session: Optional[str] = None,
-              per_thread: bool = False,
-              node_mode: str = "syscall",
-              view: Optional[SessionEvents] = None
-              ) -> dict[str, DirectlyFollowsGraph]:
-    """Mine one DFG per process (or per thread) from stored events.
-
-    Keys are ``proc_name`` (or ``proc_name/tid``), sorted on return, so
-    downstream rendering is deterministic.  ``view`` (here and below)
-    is a caller's read of the same session, to share it.
-    """
-    view = view or SessionEvents(store, index, session)
-    keys = view.values("proc_name")
-    if per_thread:
-        keys = [f"{proc}/{tid}" for proc, tid in zip(keys,
-                                                     view.values("tid"))]
-    groups: dict[str, list[int]] = {}
-    for row, key in enumerate(keys):
-        groups.setdefault(key, []).append(row)
-    nodes = node_lane(view.batch, node_mode)
-    times = view.times
-    graphs = {}
-    for key in sorted(groups):
-        rows = groups[key]
-        graphs[key] = DirectlyFollowsGraph(key, node_mode)
-        graphs[key].observe_lanes(list(map(nodes.__getitem__, rows)), None,
-                                  list(map(times.__getitem__, rows)))
-    return graphs
-
 
 # ----------------------------------------------------------------------
 # Phase segmentation by DFG drift
@@ -374,7 +269,6 @@ class Phase(NamedTuple):
 def segment_phases(batch: LaneBatch,
                    window_events: int = 64,
                    drift_threshold: float = 0.4,
-                   node_mode: str = "syscall",
                    name: str = "") -> list[Phase]:
     """Split a time-ordered batch of events into behaviour phases.
 
@@ -386,14 +280,14 @@ def segment_phases(batch: LaneBatch,
     """
     if window_events <= 1:
         raise ValueError(f"window_events must be > 1: {window_events}")
-    nodes = node_lane(batch, node_mode)
+    nodes = batch.values_for("syscall")
     times = times_of(batch)
     phases: list[Phase] = []
     current: Optional[DirectlyFollowsGraph] = None
     prev_drift = 0.0
     for lo in range(0, len(nodes), window_events):
         hi = min(lo + window_events, len(nodes))
-        incoming = DirectlyFollowsGraph(name, node_mode)
+        incoming = DirectlyFollowsGraph(name)
         incoming.observe_lanes(nodes[lo:hi], None, times[lo:hi])
         if current is None:
             current = incoming
@@ -419,7 +313,6 @@ def mine_phases(store: DocumentStore, index: str = "dio_trace",
                 proc_name: Optional[str] = None,
                 window_events: int = 64,
                 drift_threshold: float = 0.4,
-                node_mode: str = "syscall",
                 view: Optional[SessionEvents] = None) -> list[Phase]:
     """Phase-segment one session's (optionally one process's) stream."""
     view = view or SessionEvents(store, index, session)
@@ -429,7 +322,7 @@ def mine_phases(store: DocumentStore, index: str = "dio_trace",
                             in enumerate(view.values("proc_name"))
                             if name == proc_name])
     return segment_phases(batch, window_events, drift_threshold,
-                          node_mode, name=proc_name or session or index)
+                          name=proc_name or session or index)
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +348,6 @@ class DFGComparison(NamedTuple):
 
 
 def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
-               node_mode: str = "syscall",
                view: Optional[SessionEvents] = None
                ) -> DirectlyFollowsGraph:
     """One whole-session DFG (streams interleaved by time, per thread).
@@ -464,19 +356,17 @@ def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
     events into one chain would invent edges neither thread executed —
     and land in a single session graph.
     """
-    graph = DirectlyFollowsGraph(session or index, node_mode,
-                                 per_thread=True)
+    graph = DirectlyFollowsGraph(session or index, per_thread=True)
     graph.observe_batch((view or SessionEvents(store, index, session)).batch)
     return graph
 
 
 def compare_session_dfgs(store: DocumentStore, session_a: str,
                          session_b: str, index: str = "dio_trace",
-                         node_mode: str = "syscall",
                          top: int = 8) -> DFGComparison:
     """Drift between two sessions' DFGs with the top diverging edges."""
-    graph_a = merged_dfg(store, index, session_a, node_mode)
-    graph_b = merged_dfg(store, index, session_b, node_mode)
+    graph_a = merged_dfg(store, index, session_a)
+    graph_b = merged_dfg(store, index, session_b)
     freq_a, freq_b = graph_a.edge_frequencies(), graph_b.edge_frequencies()
     deltas = []
     for edge in set(freq_a) | set(freq_b):

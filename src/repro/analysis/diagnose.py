@@ -24,7 +24,6 @@ the session's lanes, fetched once — and builds no document for a pass.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -100,11 +99,6 @@ class DiagnosisReport:
         return sorted({ranked.finding.detector
                        for ranked in self.findings})
 
-    @property
-    def has_critical(self) -> bool:
-        return any(ranked.finding.severity == "critical"
-                   for ranked in self.findings)
-
     def as_dict(self) -> dict:
         """JSON-ready, deterministic (stable ordering throughout)."""
         return {
@@ -116,9 +110,6 @@ class DiagnosisReport:
             "dfg": self.dfg.fingerprint(),
             "phases": [phase.as_dict() for phase in self.phases],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     # -- rendering -----------------------------------------------------
 
@@ -251,7 +242,6 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
                      tap: Optional[DiagnosisTap] = None,
                      detectors: Sequence[Detector] = DEFAULT_DETECTORS,
                      latency_records: Optional[Sequence] = None,
-                     node_mode: str = "syscall",
                      window_events: int = 64,
                      drift_threshold: float = 0.4) -> DiagnosisReport:
     """Diagnose one session: batch + streaming findings, DFG, phases.
@@ -283,16 +273,8 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
     return DiagnosisReport(
         session=session,
         findings=_merge(batch, tap.findings()),
-        dfg=merged_dfg(store, index, session, node_mode, view),
+        dfg=merged_dfg(store, index, session, view),
         phases=segment_phases(view.batch, window_events, drift_threshold,
-                              node_mode, name=session or index),
+                              name=session or index),
         events=len(view),
     )
-
-
-def diagnose_store(store: DocumentStore, sessions: Sequence[str],
-                   index: str = "dio_trace",
-                   **kwargs) -> list[DiagnosisReport]:
-    """One report per session (for multi-session trace files)."""
-    return [diagnose_session(store, session, index, **kwargs)
-            for session in sessions]

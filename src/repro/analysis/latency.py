@@ -56,39 +56,3 @@ def spikes(series: Iterable[LatencyPoint],
            threshold_ns: float) -> list[LatencyPoint]:
     """Windows whose percentile exceeds ``threshold_ns``."""
     return [point for point in series if point.value_ns > threshold_ns]
-
-
-def latency_summary(operations: Iterable[tuple[int, int, str, int]],
-                    op: Optional[str] = None) -> dict:
-    """Distribution summary of operation latencies.
-
-    Returns count, mean, and the p50/p90/p99/p999/max percentiles in
-    nanoseconds — the numbers a db_bench report prints.
-    """
-    values = np.asarray([latency for _, latency, kind, _ in operations
-                         if op is None or kind == op], dtype=np.int64)
-    if values.size == 0:
-        return {"count": 0}
-    return {
-        "count": int(values.size),
-        "mean_ns": float(values.mean()),
-        "p50_ns": float(np.percentile(values, 50)),
-        "p90_ns": float(np.percentile(values, 90)),
-        "p99_ns": float(np.percentile(values, 99)),
-        "p999_ns": float(np.percentile(values, 99.9)),
-        "max_ns": float(values.max()),
-    }
-
-
-def throughput_series(operations: Iterable[tuple[int, int, str, int]],
-                      window_ns: int) -> list[tuple[int, float]]:
-    """Operations/second per window."""
-    if window_ns <= 0:
-        raise ValueError(f"window must be positive, got {window_ns}")
-    counts: dict[int, int] = {}
-    for start, _, _, _ in operations:
-        window = (start // window_ns) * window_ns
-        counts[window] = counts.get(window, 0) + 1
-    scale = 1e9 / window_ns
-    return [(window, count * scale)
-            for window, count in sorted(counts.items())]

@@ -14,8 +14,7 @@ lane (``values_for``; :func:`rows_of` to visit only the rows it cares
 about), never as documents.  The consumer hands over its
 decoded :class:`~repro.tracer.batch.RecordBatch` without ids, a replay
 (:func:`~repro.analysis.diagnose.follow_session`) hands over stretches
-of the stored session's lanes with their backend ids, and
-``observe(source, event_id)`` is a batch of one document.  Latency
+of the stored session's lanes with their backend ids.  Latency
 records arrive the same way (``observe_latencies(records)``).  The
 detectors:
 
@@ -50,7 +49,7 @@ from typing import Optional, Sequence
 from repro.analysis.detectors import Finding, make_evidence
 from repro.analysis.dfg import DirectlyFollowsGraph
 from repro.analysis.session import times_of
-from repro.backend.lanes import DocBatch, LaneBatch, _groups
+from repro.backend.lanes import LaneBatch, _groups
 
 #: Set membership beats tuple scans in loops that see every event.
 _READS_SET = frozenset({"read", "pread64", "readv"})
@@ -142,18 +141,9 @@ class StreamingDetector:
         """
         raise NotImplementedError
 
-    def observe(self, source: dict,
-                event_id: Optional[str] = None) -> None:
-        """One event: a batch of one."""
-        self.observe_batch(DocBatch([source]), (event_id,))
-
     def observe_latencies(self, records: Sequence) -> None:
         """Optional second feed: ``(start_ns, latency_ns, ...)``
         benchmark/telemetry latency records, in start order."""
-
-    def observe_latency(self, start_ns: int, latency_ns: int) -> None:
-        """One latency record: a batch of one."""
-        self.observe_latencies(((start_ns, latency_ns),))
 
     def finalize(self, now_ns: int = 0) -> None:
         """End of stream: emit whatever is still pending."""
@@ -857,12 +847,10 @@ class StreamingDFGMiner:
     telemetry.
     """
 
-    def __init__(self, node_mode: str = "syscall",
-                 window_events: int = 64,
+    def __init__(self, window_events: int = 64,
                  drift_threshold: float = 0.4,
                  max_threads: int = 4096) -> None:
-        self.graph = DirectlyFollowsGraph("stream", node_mode,
-                                          per_thread=True,
+        self.graph = DirectlyFollowsGraph("stream", per_thread=True,
                                           max_threads=max_threads)
         self.window_events = window_events
         self.drift_threshold = drift_threshold
@@ -875,9 +863,6 @@ class StreamingDFGMiner:
         self._window_count = 0
         self._window_prev = "^"
         self._prev_freq: Optional[dict] = None
-
-    def observe(self, source: dict) -> None:
-        self.observe_batch(DocBatch([source]))
 
     def observe_batch(self, batch: LaneBatch) -> None:
         nodes = self.graph.observe_batch(batch)
@@ -982,11 +967,6 @@ class DiagnosisTap:
                                for key, group in groups.items()]
 
     # -- feed ----------------------------------------------------------
-
-    def observe(self, source: dict,
-                event_id: Optional[str] = None) -> None:
-        """One event: a batch of one."""
-        self.observe_batch(DocBatch([source]), (event_id,))
 
     def observe_batch(self, batch: LaneBatch,
                       ids: Optional[Sequence[str]] = None) -> None:

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.kernel import Kernel, O_RDONLY, SEEK_SET
-from repro.kernel.errno import KernelError
-from repro.kernel.process import KernelProcess, Task
+from repro.kernel.process import Task
 from repro.sim import Interrupt
 
 #: Version identifiers.
@@ -59,9 +58,6 @@ class OffsetDatabase:
             del self._entries[key]
         return len(stale)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class FluentBit:
     """The tail-input plugin as a simulation process."""
@@ -69,10 +65,7 @@ class FluentBit:
     def __init__(self, kernel: Kernel, watch_path: str,
                  version: str = FLUENTBIT_BUGGY,
                  poll_interval_ns: int = 5_000_000_000,
-                 delete_handling_ns: int = 1_000_000,
-                 process: Optional[KernelProcess] = None):
-        """``process`` lets several tails share one fluent-bit process
-        (the directory/glob mode); by default a fresh one is spawned."""
+                 delete_handling_ns: int = 1_000_000):
         if version not in (FLUENTBIT_BUGGY, FLUENTBIT_FIXED):
             raise ValueError(f"unknown Fluent Bit version {version!r}")
         self.kernel = kernel
@@ -82,13 +75,10 @@ class FluentBit:
         self.poll_interval_ns = poll_interval_ns
         self.delete_handling_ns = delete_handling_ns
 
-        shared = process is not None
-        self.process = process or kernel.spawn_process("fluent-bit")
+        self.process = kernel.spawn_process("fluent-bit")
         if version == FLUENTBIT_FIXED:
             self.task: Task = kernel.spawn_thread(self.process,
                                                   comm="flb-pipeline")
-        elif shared:
-            self.task = kernel.spawn_thread(self.process, comm="fluent-bit")
         else:
             self.task = self.process.threads[0]
 
@@ -219,83 +209,3 @@ class FluentBit:
             self._pos += n
             self.db.set(self.watch_path, self._ino, self._pos)
             self.delivered.append((self.env.now, payload))
-
-
-class DirectoryTailer:
-    """Tail every matching file in a directory (the plugin's glob mode).
-
-    The production tail plugin watches path patterns like
-    ``/var/log/*.log``; this class scans ``watch_dir`` on each refresh,
-    spawning one :class:`FluentBit` tail per matching file.  All tails
-    share one process (and, for the fixed version, one pipeline thread
-    name) and one offset database semantics — each per-file tail keeps
-    the version's bug/fix behaviour.
-    """
-
-    def __init__(self, kernel: Kernel, watch_dir: str,
-                 suffix: str = ".log",
-                 version: str = FLUENTBIT_BUGGY,
-                 poll_interval_ns: int = 5_000_000_000):
-        if version not in (FLUENTBIT_BUGGY, FLUENTBIT_FIXED):
-            raise ValueError(f"unknown Fluent Bit version {version!r}")
-        self.kernel = kernel
-        self.env = kernel.env
-        self.watch_dir = watch_dir.rstrip("/")
-        self.suffix = suffix
-        self.version = version
-        self.poll_interval_ns = poll_interval_ns
-        #: The shared fluent-bit process all per-file tails run in.
-        self.process = kernel.spawn_process("fluent-bit")
-        #: path -> the single-file tail handling it.
-        self.tails: dict[str, FluentBit] = {}
-        self._proc = None
-
-    @property
-    def delivered_bytes(self) -> int:
-        """Total bytes forwarded across all tailed files."""
-        return sum(tail.delivered_bytes for tail in self.tails.values())
-
-    def delivered_for(self, path: str) -> int:
-        """Bytes forwarded from one file."""
-        tail = self.tails.get(path)
-        return tail.delivered_bytes if tail else 0
-
-    def start(self) -> None:
-        """Launch the directory scanner."""
-        if self._proc is not None:
-            raise RuntimeError("directory tailer already started")
-        self._proc = self.env.process(self._scan_loop())
-
-    def stop(self) -> None:
-        """Stop the scanner and every per-file tail."""
-        for tail in self.tails.values():
-            tail.stop()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("shutdown")
-
-    def _scan_loop(self):
-        from repro.sim import Interrupt
-
-        while True:
-            try:
-                yield self.poll_interval_ns
-            except Interrupt:
-                break
-            self._discover_new_files()
-
-    def _discover_new_files(self) -> None:
-        try:
-            names = self.kernel.vfs.listdir(self.watch_dir)
-        except KernelError:
-            return
-        for name in names:
-            if not name.endswith(self.suffix):
-                continue
-            path = f"{self.watch_dir}/{name}"
-            if path in self.tails:
-                continue
-            tail = FluentBit(self.kernel, path, version=self.version,
-                             poll_interval_ns=self.poll_interval_ns,
-                             process=self.process)
-            tail.start()
-            self.tails[path] = tail

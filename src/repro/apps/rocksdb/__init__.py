@@ -22,7 +22,7 @@ Fig. 3, Fig. 4 and Table II.
 from repro.apps.rocksdb.options import DBOptions
 from repro.apps.rocksdb.memtable import MemTable
 from repro.apps.rocksdb.sstable import SSTable
-from repro.apps.rocksdb.db import RocksDB, TOMBSTONE
+from repro.apps.rocksdb.db import RocksDB
 from repro.apps.rocksdb.db_bench import DBBench, BenchResult, ZipfianGenerator
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "MemTable",
     "SSTable",
     "RocksDB",
-    "TOMBSTONE",
     "DBBench",
     "BenchResult",
     "ZipfianGenerator",

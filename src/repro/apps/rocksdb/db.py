@@ -32,14 +32,6 @@ from repro.apps.rocksdb.options import DBOptions
 from repro.apps.rocksdb.sstable import SSTable
 
 
-class _Tombstone(bytes):
-    """Sentinel value marking a deleted key (checked by identity)."""
-
-
-#: The deletion marker written by :meth:`RocksDB.delete`.
-TOMBSTONE = _Tombstone()
-
-
 class DBStats:
     """Counters and the background-activity log."""
 
@@ -226,15 +218,6 @@ class RocksDB:
             self._immutable_list.append(full)
             yield self._flush_queue.put(full)
 
-    def delete(self, task: Task, key: str):
-        """Process generator: delete ``key`` (writes a tombstone).
-
-        Like RocksDB, a delete is a write: it goes through the WAL and
-        memtable as a tombstone marker that shadows older versions and
-        is dropped when a compaction reaches the bottom-most level.
-        """
-        yield from self.put(task, key, TOMBSTONE)
-
     # ------------------------------------------------------------------
     # Read path
 
@@ -251,19 +234,17 @@ class RocksDB:
                 break
             best = memtable.get(key)
         if best is not None:
-            return None if best[1] is TOMBSTONE else best[1]
+            return best[1]
 
         # L0 files overlap; scan newest-first, stop at first hit (it has
         # the highest sequence for this key among older files).
         for table in list(self.levels[0]):
             if table.may_contain(key):
-                value = yield from self._read_through_cache(task, table, key)
-                return None if value is TOMBSTONE else value
+                return (yield from self._read_through_cache(task, table, key))
         for level in range(1, len(self.levels)):
             table = self._find_table(level, key)
             if table is not None and table.may_contain(key):
-                value = yield from self._read_through_cache(task, table, key)
-                return None if value is TOMBSTONE else value
+                return (yield from self._read_through_cache(task, table, key))
         return None
 
     def _read_through_cache(self, task: Task, table: SSTable, key: str):
@@ -298,65 +279,6 @@ class RocksDB:
                 yield from self.kernel.syscall(task, "close", fd=fd)
         for table in skipped:
             self._table_cache[table] = None
-
-    def scan(self, task: Task, start_key: str, limit: int):
-        """Process generator: range scan of up to ``limit`` live keys.
-
-        Merges the memtables and every level (newest version wins,
-        tombstones hide keys), reading each touched table's data block
-        range — the YCSB-E operation.
-        """
-        if not self._opened:
-            raise RuntimeError("database is not open")
-        if limit <= 0:
-            raise ValueError(f"limit must be positive, got {limit}")
-        self.stats.gets += 1
-        yield self.options.op_cpu_ns
-
-        # Gather candidate versions per key from every source.
-        candidates: dict[str, tuple[int, bytes]] = {}
-
-        def offer(key, seq, value):
-            current = candidates.get(key)
-            if current is None or seq > current[0]:
-                candidates[key] = (seq, value)
-
-        sources = [self.memtable] + list(self._immutable_list)
-        for memtable in sources:
-            for key, seq, value in memtable.sorted_entries():
-                if key >= start_key:
-                    offer(key, seq, value)
-
-        touched: list[SSTable] = []
-        for table in list(self.levels[0]):
-            if table.largest >= start_key:
-                touched.append(table)
-        for level in range(1, len(self.levels)):
-            for table in self.levels[level]:
-                if table.largest >= start_key:
-                    touched.append(table)
-        for table in touched:
-            for key, seq, value in table.entries_in_range(start_key, None):
-                offer(key, seq, value)
-
-        live = [(key, value) for key, (seq, value)
-                in sorted(candidates.items())
-                if value is not TOMBSTONE][:limit]
-
-        # Charge the I/O: one ranged read per touched table, bounded by
-        # the scan's end key.
-        end_key = live[-1][0] if live else start_key
-        for table in touched:
-            nbytes = table.range_bytes(start_key, end_key + "\x00")
-            if nbytes > 0:
-                yield from self._scan_read(task, table, start_key,
-                                           end_key + "\x00")
-        return live
-
-    def _scan_read(self, task: Task, table: SSTable, lo: str, hi: str):
-        yield from table.read_range(
-            self.kernel, task, lo, hi,
-            self.options.compaction_read_chunk_bytes)
 
     def _find_table(self, level: int, key: str) -> Optional[SSTable]:
         tables = self.levels[level]
@@ -502,10 +424,6 @@ class RocksDB:
 
         entries = [(key, seq, value)
                    for key, (seq, value) in sorted(merged.items())]
-        if next_level == opts.max_level:
-            # Tombstones have shadowed everything below; drop them.
-            entries = [entry for entry in entries
-                       if entry[2] is not TOMBSTONE]
         yield opts.merge_cpu_ns_per_entry * len(entries)
 
         # Write output files at the next level.
@@ -717,31 +635,3 @@ class RocksDB:
                                            opts.write_chunk_bytes)
         self.levels[level] = sorted(self.levels[level] + tables,
                                     key=lambda t: t.smallest)
-
-    # ------------------------------------------------------------------
-    # Introspection
-
-    def level_sizes(self) -> list[tuple[int, int]]:
-        """(file count, total bytes) per level."""
-        return [(len(tables), sum(t.file_size for t in tables))
-                for tables in self.levels]
-
-    def stats_report(self) -> str:
-        """RocksDB-style compaction/level statistics as text."""
-        lines = ["level  files        bytes   target"]
-        for level, (count, size) in enumerate(self.level_sizes()):
-            if level == 0:
-                target = f"{self.options.l0_compaction_trigger} files"
-            else:
-                target = f"{self.options.level_target_bytes(level):,} B"
-            lines.append(f"L{level:<5} {count:>5} {size:>12,}   {target}")
-        stats = self.stats
-        lines.append("")
-        lines.append(f"puts: {stats.puts:,}  gets: {stats.gets:,}  "
-                     f"flushes: {stats.flushes}  "
-                     f"compactions: {stats.compactions}")
-        lines.append(f"compaction I/O: {stats.compaction_bytes_read:,} B "
-                     f"read, {stats.compaction_bytes_written:,} B written")
-        lines.append(f"write stalls: {stats.stall_events} "
-                     f"({stats.stall_ns / 1e6:.1f} ms total)")
-        return "\n".join(lines)

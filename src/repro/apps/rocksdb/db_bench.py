@@ -11,7 +11,6 @@ per-thread aggregation (Fig. 4) distinguishes them from the
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -23,15 +22,6 @@ from repro.apps.rocksdb.db import RocksDB
 
 #: YCSB's default Zipfian skew.
 ZIPFIAN_THETA = 0.99
-
-#: YCSB core-workload read fractions (the rest are updates).
-#: The paper's §III-C methodology uses workload A.
-YCSB_WORKLOADS = {
-    "A": 0.5,    # update heavy: 50/50 read/update
-    "B": 0.95,   # read mostly: 95/5
-    "C": 1.0,    # read only
-}
-
 
 #: Uniform doubles drawn from a generator per refill of a stream.
 DRAW_BLOCK = 1024
@@ -56,10 +46,6 @@ class ZipfianGenerator:
     scattered across the key space instead of clustering at one end —
     matching YCSB's *scrambled* Zipfian and keeping hot keys spread
     over many SSTables.
-
-    :meth:`next` and :meth:`sample` consume one stream of uniform
-    draws in order, so any interleaving of the two yields the items
-    the same number of ``next()`` calls alone would.
     """
 
     def __init__(self, item_count: int, theta: float = ZIPFIAN_THETA,
@@ -86,12 +72,6 @@ class ZipfianGenerator:
     def next(self) -> int:
         """Sample one item id in ``[0, item_count)``."""
         return self._item(next(self._uniforms))
-
-    def sample(self, n: int) -> np.ndarray:
-        """Sample ``n`` item ids at once."""
-        return np.fromiter(map(self._item, islice(self._uniforms, n)),
-                           dtype=np.int64, count=n)
-
 
 class BenchResult:
     """Per-operation latency records from one benchmark run."""
@@ -127,25 +107,6 @@ class BenchResult:
         """All records sorted by start time."""
         return sorted(self.operations)
 
-    def report(self) -> str:
-        """db_bench-style latency report per operation type."""
-        from repro.analysis.latency import latency_summary
-
-        kinds = sorted({kind for _, _, kind, _ in self.operations})
-        lines = [f"{self.op_count:,} operations in "
-                 f"{self.duration_ns / 1e9:.3f} s "
-                 f"({self.throughput_ops_per_sec:,.0f} ops/s)"]
-        for kind in kinds:
-            summary = latency_summary(self.operations, op=kind)
-            lines.append(
-                f"{kind:>8}: count {summary['count']:,}  "
-                f"mean {summary['mean_ns'] / 1e3:.1f} us  "
-                f"p50 {summary['p50_ns'] / 1e3:.1f} us  "
-                f"p99 {summary['p99_ns'] / 1e3:.1f} us  "
-                f"max {summary['max_ns'] / 1e3:.1f} us")
-        return "\n".join(lines)
-
-
 def key_name(index: int) -> str:
     """db_bench-style fixed-width key."""
     return f"user{index:012d}"
@@ -179,19 +140,6 @@ class DBBench:
             else:
                 self.client_tasks.append(
                     kernel.spawn_thread(process, comm=process.name))
-
-    @classmethod
-    def ycsb(cls, kernel: Kernel, db: RocksDB, workload: str = "A",
-             **kwargs) -> "DBBench":
-        """Create a bench configured for a YCSB core workload (A/B/C)."""
-        try:
-            read_fraction = YCSB_WORKLOADS[workload.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown YCSB workload {workload!r}; "
-                f"supported: {sorted(YCSB_WORKLOADS)}") from None
-        kwargs["read_fraction"] = read_fraction
-        return cls(kernel, db, **kwargs)
 
     # ------------------------------------------------------------------
 

@@ -54,10 +54,6 @@ class SSTable:
         #: but (POSIX) the open fd stays valid for in-flight readers.
         self.obsolete = False
 
-    def contains_key_range(self, key: str) -> bool:
-        """Cheap range check (what a fence-pointer lookup answers)."""
-        return self.smallest <= key <= self.largest
-
     def may_contain(self, key: str) -> bool:
         """Bloom-filter stand-in: exact membership, no false positives."""
         return key in self._values

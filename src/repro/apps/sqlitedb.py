@@ -199,15 +199,3 @@ class MiniSQLite:
                                   length=0)
         self._wal_pages = 0
         self.stats.checkpoints += 1
-
-    # ------------------------------------------------------------------
-    # Reads
-
-    def read_page(self, task: Task, page: int):
-        """Process generator: read one database page."""
-        if self._db_fd is None:
-            raise RuntimeError("database is not open")
-        buf = bytearray(PAGE_SIZE)
-        n = yield from self.kernel.syscall(task, "pread64", fd=self._db_fd,
-                                           buf=buf, offset=page * PAGE_SIZE)
-        return bytes(buf[:max(n, 0)])

@@ -179,10 +179,6 @@ class UringLogApp:
 
     # -- entry point ------------------------------------------------
 
-    @property
-    def total_records(self) -> int:
-        return self.batches * self.batch_size
-
     def run(self):
         """Process generator: produce the full log in the chosen mode."""
         if self.mode == "classic":

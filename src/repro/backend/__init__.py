@@ -56,7 +56,7 @@ from repro.backend.planner import QueryPlan, plan_query
 from repro.backend.naive import legacy_correlate, naive_aggregate, naive_scan
 from repro.backend.aggregations import run_aggregations, AggregationError
 from repro.backend.correlation import FilePathCorrelator, CorrelationReport
-from repro.backend.persistence import (SessionError, delete_session,
+from repro.backend.persistence import (SessionError,
                                        export_session, import_session,
                                        list_sessions, load_session,
                                        recover_session, save_session)
@@ -88,7 +88,6 @@ __all__ = [
     "FilePathCorrelator",
     "CorrelationReport",
     "SessionError",
-    "delete_session",
     "export_session",
     "import_session",
     "list_sessions",

@@ -18,7 +18,7 @@ sub-aggregation.  The columnar layer replaces that with flat lanes
     bitmap, plus ``num_kind`` saying which classes it holds — metric
     kernels read a lane instead of walking dicts;
 - :class:`ColumnSet` maintains the columns incrementally on put /
-  delete / in-place refresh: a column is built lazily — from lanes,
+  in-place refresh: a column is built lazily — from lanes,
   hydrating nothing — the first time an aggregation, a query clause or
   a sort touches the field, then kept up to date.
 
@@ -108,7 +108,7 @@ class Column:
     def __init__(self, field: str):
         self.field = field
         #: One code per row into ``table``: ``-1`` where the row holds
-        #: no value (missing, ``None``, deleted), ``-2`` where its value
+        #: no value (missing or ``None``), ``-2`` where its value
         #: is one no code can key (list/dict).
         self.codes: list[int] = []
         self.table: list = []
@@ -270,19 +270,6 @@ class Column:
             if new == len(postings):      # a value first seen just now
                 postings.append([])
             insort(postings[new], row)
-
-    def clear(self, row: int) -> None:
-        """Tombstone one row (document deleted)."""
-        if self.codes[row] == -2:
-            self.unencodable -= 1
-        if self._postings is not None:
-            self._repost(row, self.codes[row], -1)
-        self.codes[row] = -1
-        self.nonnull[row] = 0
-        if self.numeric[row]:
-            self.numeric_count -= 1
-        self.numeric[row] = 0
-        self._order = None
 
     def _set_code(self, row: int, value: Any) -> None:
         old = self.codes[row]
@@ -534,8 +521,6 @@ class ColumnSet:
     def __init__(self) -> None:
         self._row_of: dict[str, int] = {}
         self._doc_ids: list[str] = []
-        self._alive = bytearray()
-        self._dead = 0
         self._columns: dict[str, Column] = {}
 
     @property
@@ -544,18 +529,17 @@ class ColumnSet:
 
     @property
     def doc_ids(self) -> list[str]:
-        """Row -> doc id (a deleted row keeps the id it had)."""
+        """Row -> doc id."""
         return self._doc_ids
 
     # ------------------------------------------------------------------
-    # Lifecycle (called from Index.put / delete / refresh_many)
+    # Lifecycle (called from Index.put / refresh_many)
 
     def note_put(self, doc_id: str, source: dict) -> None:
         row = self._row_of.get(doc_id)
         if row is None:
             self._row_of[doc_id] = len(self._doc_ids)
             self._doc_ids.append(doc_id)
-            self._alive.append(1)
             for field, column in self._columns.items():
                 column.append(get_field(source, field))
         else:
@@ -573,19 +557,9 @@ class ColumnSet:
         """
         base = len(self._doc_ids)
         self._doc_ids.extend(doc_ids)
-        self._alive.extend(b"\x01" * len(doc_ids))
         self._row_of.update(zip(doc_ids, range(base, base + len(doc_ids))))
         for field, column in self._columns.items():
             column.extend(batch.values_for(field))
-
-    def note_delete(self, doc_id: str) -> None:
-        row = self._row_of.pop(doc_id, None)
-        if row is None:
-            return
-        self._alive[row] = 0
-        self._dead += 1
-        for column in self._columns.values():
-            column.clear(row)
 
     def note_refresh(self, doc_id: str, source: dict,
                      fields: Optional[Iterable[str]]) -> None:
@@ -618,7 +592,6 @@ class ColumnSet:
         if column is None:
             column = Column(field)
             lanes = [batch.values_for(field) for batch in pending]
-            # Rows of deleted documents stay missing (``None``).
             values = [None] * (len(self._doc_ids) - sum(map(len, lanes)))
             row_of = self._row_of
             for doc_id, source in docs.items():
@@ -630,11 +603,9 @@ class ColumnSet:
         return column
 
     def all_rows(self) -> Sequence[int]:
-        """Every live row, ascending (= insertion order)."""
-        if self._dead == 0:
-            return range(len(self._doc_ids))
-        alive = self._alive
-        return [row for row in range(len(self._doc_ids)) if alive[row]]
+        """Every row, ascending (= insertion order): an index is
+        append-only, so a row is its document's insertion rank."""
+        return range(len(self._doc_ids))
 
     # ------------------------------------------------------------------
     # Pushdown decision

@@ -286,14 +286,6 @@ class StructLane:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, row: int) -> Optional[dict]:
-        code = self.codes[row]
-        if code < 0:
-            return None
-        at = self._rank_of()[row]
-        return {key: column[at] for key, column
-                in zip(self.shapes[code], self.columns[code])}
-
     def __iter__(self) -> Iterator[Optional[dict]]:
         return iter(self.dicts())
 

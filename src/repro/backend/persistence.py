@@ -307,9 +307,3 @@ def recover_session(store: DocumentStore, path: str | Path,
         _index_docs(store, index, session, list(first_by_key.values()))
     report["imported"] = len(first_by_key)
     return report
-
-
-def delete_session(store: DocumentStore, session: str,
-                   index: str = "dio_trace") -> int:
-    """Remove a session's events; returns how many were deleted."""
-    return store.delete_by_query(index, {"term": {"session": session}})

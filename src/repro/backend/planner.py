@@ -72,10 +72,6 @@ class QueryPlan:
             return PLAN_EXACT
         return PLAN_FULLSCAN if self.rows is None else PLAN_PRUNED
 
-    def __repr__(self) -> str:
-        size = "all" if self.rows is None else len(self.rows)
-        return f"<QueryPlan {self.mode} candidates={size}>"
-
 
 def _intersect(left: Rows, right: Rows) -> Rows:
     """Ascending rows in both; a ``range`` side makes it a slice."""

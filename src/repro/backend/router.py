@@ -341,42 +341,6 @@ class ShardedDocumentStore:
     # ------------------------------------------------------------------
     # Write path
 
-    def index_doc(self, index: str, source: dict,
-                  doc_id: Optional[str] = None) -> str:
-        self.ensure_index(index)
-        state = self._states[index]
-        if doc_id is None:
-            doc_id = str(state.next_id)
-            state.next_id += 1
-        else:
-            try:
-                numeric = int(str(doc_id))
-            except ValueError:
-                pass
-            else:
-                if numeric >= state.next_id:
-                    state.next_id = numeric + 1
-        owner = state.owner.get(doc_id)
-        if owner is None:
-            owner = self._route_source(source)
-            state.owner[doc_id] = owner
-            state.rank[doc_id] = state.next_rank
-            state.next_rank += 1
-        elif self._route_source(source) != owner:
-            # The shard-key value changed under an existing id; the doc
-            # stays put, so key-based query routing is no longer exact.
-            self._routing_exact[index] = False
-        self.shards[owner].index_doc(index, source, doc_id)
-        self.documents_indexed += 1
-        return doc_id
-
-    def get_doc(self, index: str, doc_id: str) -> Optional[dict]:
-        state = self._state(index)
-        owner = state.owner.get(doc_id)
-        if owner is None:
-            return None
-        return self.shards[owner].get_doc(index, doc_id)
-
     def _assign(self, state: _IndexState, n: int) -> list[str]:
         """Fresh global ids for ``n`` new documents, ranked in order."""
         start = state.next_id
@@ -669,17 +633,6 @@ class ShardedDocumentStore:
     # ------------------------------------------------------------------
     # Mutation
 
-    def update_by_query(self, index: str, query: Optional[dict],
-                        update: Callable[[dict], None] | dict) -> int:
-        self._state(index)
-        shards = self._query_shards(index, query)
-        dirty = callable(update) or self.route_field in update
-        updated = sum(self.shards[i].update_by_query(index, query, update)
-                      for i in shards)
-        if dirty and updated:
-            self._routing_exact[index] = False
-        return updated
-
     def update_docs(self, index: str, doc_ids: Iterable[str],
                     fields: dict) -> int:
         state = self._state(index)
@@ -695,23 +648,6 @@ class ShardedDocumentStore:
         if updated and self.route_field in fields:
             self._routing_exact[index] = False
         return updated
-
-    def delete_by_query(self, index: str, query: Optional[dict]) -> int:
-        state = self._state(index)
-        shards = self._query_shards(index, query)
-        removed = 0
-        for i in shards:
-            shard = self.shards[i]
-            target = shard._indices.get(index)
-            if target is None:
-                continue
-            deleted = target.delete_matching(query,
-                                             shard._plan(target, query))
-            for doc_id in deleted:
-                state.rank.pop(doc_id, None)
-                state.owner.pop(doc_id, None)
-            removed += len(deleted)
-        return removed
 
     # ------------------------------------------------------------------
     # Shard lifecycle (DST kill/rebalance stages)

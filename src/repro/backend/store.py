@@ -89,9 +89,10 @@ class Index:
         #: Row numbering plus one typed :class:`Column` per field any
         #: request has touched — the only per-field structure: the
         #: planner, the sort and the aggregation kernels all read it.
-        #: A document's row is its insertion rank among the living.
+        #: An index is append-only: a document's row is its insertion
+        #: rank forever.
         self.columns = ColumnSet()
-        #: Mutation epoch — any put/delete/refresh bumps it, which is
+        #: Mutation epoch — any put/refresh bumps it, which is
         #: what keys cached aggregation results out of existence.
         self.epoch = 0
         self._agg_cache: OrderedDict[tuple, tuple] = OrderedDict()
@@ -227,31 +228,6 @@ class Index:
         self.epoch += 1
         self.columns.note_put(doc_id, source)
         return doc_id
-
-    def delete(self, doc_id: str) -> bool:
-        """Delete by id; returns ``False`` if absent."""
-        self._hydrate()
-        source = self._docs.pop(doc_id, None)
-        if source is None:
-            return False
-        self.epoch += 1
-        self.columns.note_delete(doc_id)
-        return True
-
-    def delete_matching(self, query: Optional[dict],
-                        plan: Optional[QueryPlan] = None) -> list[str]:
-        """Delete every match of ``query``; returns the ids deleted."""
-        rows, _ = self.matching_rows(query, plan)
-        # Copied first: deleting rewrites postings the rows may alias.
-        doc_ids = self._ids(rows)
-        for doc_id in doc_ids:
-            self.delete(doc_id)
-        return doc_ids
-
-    def get(self, doc_id: str) -> Optional[dict]:
-        """Fetch a document source by id."""
-        row = self.columns.row_of.get(doc_id)
-        return None if row is None else self.sources((row,))[0]
 
     def documents(self) -> Iterator[tuple[str, dict]]:
         """All (id, source) pairs in insertion order."""
@@ -751,10 +727,6 @@ class DocumentStore:
         self.documents_indexed += 1
         return doc_id
 
-    def get_doc(self, index: str, doc_id: str) -> Optional[dict]:
-        """Fetch a document source."""
-        return self._index(index).get(doc_id)
-
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
         """Bulk-index documents, one ``put`` each; returns how many.
 
@@ -928,11 +900,6 @@ class DocumentStore:
                     fields: dict) -> int:
         """Set ``fields`` on specific documents by id (delta reindex)."""
         return self._index(index).update_docs(doc_ids, fields)
-
-    def delete_by_query(self, index: str, query: Optional[dict]) -> int:
-        """Delete every matching document; returns how many."""
-        target = self._index(index)
-        return len(target.delete_matching(query, self._plan(target, query)))
 
 
 def check_sources(sources: Iterable[dict]) -> list[dict]:

@@ -41,7 +41,9 @@ class TenantStore:
 
     Everything except the ingest entry points delegates verbatim, so a
     tracer (or the DST pipeline) can use a tenant store wherever it
-    uses a plain one.
+    uses a plain one.  Writes go through ``bulk``/``bulk_columnar``;
+    the single-document ``index_doc`` is refused, never delegated
+    past the quota.
     """
 
     def __init__(self, name: str, inner, quota_docs: Optional[int] = None):
@@ -63,10 +65,6 @@ class TenantStore:
                 f"{_docs_held(self.inner)} held + {incoming} incoming "
                 f"> {quota}")
 
-    def index_doc(self, index: str, source: dict, doc_id=None) -> str:
-        self._admit(1)
-        return self.inner.index_doc(index, source, doc_id)
-
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
         sources = list(sources)
         self._admit(len(sources))
@@ -85,6 +83,10 @@ class TenantStore:
         return self.docs_held() / self.quota_docs
 
     def __getattr__(self, name: str):
+        if name == "index_doc":
+            # A write _admit does not see: passed through to a plain
+            # store, it would index past the quota.
+            raise AttributeError(f"{type(self).__name__} has no index_doc")
         return getattr(self.inner, name)
 
 

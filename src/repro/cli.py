@@ -27,9 +27,25 @@ store directory (docs/STORAGE.md) — the loader auto-detects.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 SECOND = 1_000_000_000
+
+
+def _positive(kind):
+    """The argparse type of a count (``int``) or a duration (``float``):
+    a finite value above zero, else a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return value
+    return parse
 
 
 def _cmd_fluentbit(args) -> int:
@@ -512,7 +528,7 @@ def _add_scenario_arguments(parser) -> None:
     parser.add_argument("--version", choices=("1.4.0", "2.0.5"),
                         default="1.4.0",
                         help="Fluent Bit version (fluentbit scenario)")
-    parser.add_argument("--duration", type=float, default=0.4,
+    parser.add_argument("--duration", type=_positive(float), default=0.4,
                         help="virtual seconds of db_bench load "
                              "(rocksdb/resilience scenarios)")
 
@@ -713,7 +729,7 @@ def main(argv: list[str] | None = None) -> int:
     p_flb.set_defaults(func=_cmd_fluentbit)
 
     p_rdb = sub.add_parser("rocksdb", help="§III-C contention diagnosis")
-    p_rdb.add_argument("--duration", type=float, default=2.0,
+    p_rdb.add_argument("--duration", type=_positive(float), default=2.0,
                        help="virtual seconds of db_bench load")
     p_rdb.add_argument("--export", metavar="PATH",
                        help="save the traced session to a JSON-lines file")
@@ -765,7 +781,7 @@ def main(argv: list[str] | None = None) -> int:
     p_diag.add_argument("--version", choices=("1.4.0", "2.0.5"),
                         default="1.4.0",
                         help="Fluent Bit version (fluentbit scenario)")
-    p_diag.add_argument("--duration", type=float, default=0.4,
+    p_diag.add_argument("--duration", type=_positive(float), default=0.4,
                         help="virtual seconds of db_bench load "
                              "(rocksdb scenario)")
     p_diag.add_argument("--session", metavar="NAME",
@@ -800,16 +816,16 @@ def main(argv: list[str] | None = None) -> int:
     p_dash.set_defaults(func=_cmd_dashboard)
 
     p_ovh = sub.add_parser("overhead", help="Table II tracer comparison")
-    p_ovh.add_argument("--ops", type=int, default=1500,
+    p_ovh.add_argument("--ops", type=_positive(int), default=1500,
                        help="operations per client thread")
     p_ovh.set_defaults(func=_cmd_overhead)
 
     p_uring = sub.add_parser(
         "uring", help="io_uring blind spot: the same log workload "
                       "classic vs ring-aware")
-    p_uring.add_argument("--records", type=int, default=192,
+    p_uring.add_argument("--records", type=_positive(int), default=192,
                          help="log records per deployment (default 192)")
-    p_uring.add_argument("--batch-size", type=int, default=8,
+    p_uring.add_argument("--batch-size", type=_positive(int), default=8,
                          help="records per submission batch (default 8)")
     p_uring.add_argument("--json", action="store_true",
                          help="emit the comparison as JSON")
@@ -819,7 +835,7 @@ def main(argv: list[str] | None = None) -> int:
         "resilience",
         help="trace RocksDB through a scripted backend outage and "
              "check the loss/latency envelopes")
-    p_res.add_argument("--duration", type=float, default=1.0,
+    p_res.add_argument("--duration", type=_positive(float), default=1.0,
                        help="virtual seconds of db_bench load")
     p_res.add_argument("--json", metavar="PATH",
                        help="write the scenario report as JSON")
@@ -850,9 +866,9 @@ def main(argv: list[str] | None = None) -> int:
     p_fleet = sub.add_parser(
         "fleet", help="serve several traced hosts from one sharded "
                       "multi-tenant backend and print per-tenant health")
-    p_fleet.add_argument("--tenants", type=int, default=3,
+    p_fleet.add_argument("--tenants", type=_positive(int), default=3,
                          help="traced hosts to simulate (default: 3)")
-    p_fleet.add_argument("--shards", type=int, default=2,
+    p_fleet.add_argument("--shards", type=_positive(int), default=2,
                          help="shards per tenant (default: 2)")
     p_fleet.add_argument("--quota", type=int, default=None,
                          help="per-tenant document quota "
@@ -870,7 +886,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_dst_run = dst_sub.add_parser(
         "run", help="run a seed campaign through the full harness")
-    p_dst_run.add_argument("--seeds", type=int, default=50,
+    p_dst_run.add_argument("--seeds", type=_positive(int), default=50,
                            help="number of seeds to run (default: 50)")
     p_dst_run.add_argument("--start", type=int, default=1,
                            help="first seed (default: 1)")

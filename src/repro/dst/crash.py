@@ -185,11 +185,6 @@ class CrashingStore:
     # ------------------------------------------------------------------
     # Introspection / delegation
 
-    @property
-    def rebuilds_consistent(self) -> bool:
-        """All post-crash rebuilds matched the pre-crash state."""
-        return all(r["consistent"] for r in self.recovery_reports)
-
     def bind_telemetry(self, registry, clock=None) -> None:
         self.inner.bind_telemetry(registry, clock=clock)
 

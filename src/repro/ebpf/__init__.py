@@ -2,9 +2,8 @@
 
 Provides the kernel-instrumentation substrate DIO's tracer is built on:
 
-- :mod:`repro.ebpf.maps` — BPF map types (hash, array, per-CPU array)
-  with bounded capacity, as used for entry/exit aggregation state and
-  filter sets.
+- :mod:`repro.ebpf.maps` — the bounded BPF hash map, as used for
+  entry/exit pairing state and filter sets.
 - :mod:`repro.ebpf.ringbuf` — fixed-size per-CPU ring buffers between
   kernel producers and the user-space consumer.  When a buffer is full,
   new records are **dropped** and counted; this reproduces the event
@@ -14,14 +13,12 @@ Provides the kernel-instrumentation substrate DIO's tracer is built on:
   thread (the mechanism behind tracing overhead in Table II).
 """
 
-from repro.ebpf.maps import BPFHashMap, BPFArrayMap, PerCPUArray, MapFullError
+from repro.ebpf.maps import BPFHashMap, MapFullError
 from repro.ebpf.ringbuf import PerCPURingBuffer, RingBufferStats
 from repro.ebpf.program import EBPFProgram, ProgramType, VerifierError
 
 __all__ = [
     "BPFHashMap",
-    "BPFArrayMap",
-    "PerCPUArray",
     "MapFullError",
     "PerCPURingBuffer",
     "RingBufferStats",

@@ -87,8 +87,3 @@ class EBPFProgram:
             except ValueError:
                 pass
         self._attached.clear()
-
-    @property
-    def attach_count(self) -> int:
-        """Number of tracepoints currently attached to."""
-        return len(self._attached)

@@ -163,10 +163,6 @@ class PerCPURingBuffer:
             out.extend(self.consume(cpu, max_records_per_cpu))
         return out
 
-    def fill_bytes(self, cpu: int) -> int:
-        """Bytes currently queued on ``cpu``."""
-        return self._buffers[cpu].used
-
     def pending_records(self) -> int:
         """Total records queued across CPUs."""
         return sum(len(b.records) for b in self._buffers)

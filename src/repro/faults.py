@@ -7,10 +7,10 @@ the diagnosis data, this module injects *scripted, reproducible*
 backend failures:
 
 - a :class:`FaultPlan` is a schedule of :class:`FaultWindow`\\ s on the
-  simulation clock.  Plans are either written out explicitly
-  (:meth:`FaultPlan.scripted`, :meth:`FaultPlan.outages`) or generated
-  from a seed (:meth:`FaultPlan.seeded`) — either way two runs with
-  the same plan observe byte-identical failures;
+  simulation clock.  Plans are either written out explicitly (a list
+  of windows) or generated from a seed (:meth:`FaultPlan.seeded`) —
+  either way two runs with the same plan observe byte-identical
+  failures;
 - a :class:`FaultyStore` wraps any :class:`~repro.backend.store.
   DocumentStore` and makes its write APIs fail according to the plan.
 
@@ -135,18 +135,6 @@ class FaultPlan:
     # Constructors
 
     @classmethod
-    def scripted(cls, windows: Sequence[tuple]) -> "FaultPlan":
-        """Build a plan from ``(start_ns, end_ns[, kind])`` tuples."""
-        return cls(FaultWindow(*window) for window in windows)
-
-    @classmethod
-    def outages(cls, starts: Sequence[int], duration_ns: int,
-                kind: str = "error", **params) -> "FaultPlan":
-        """Equal-length outages beginning at each of ``starts``."""
-        return cls(FaultWindow(start, start + duration_ns, kind, **params)
-                   for start in starts)
-
-    @classmethod
     def seeded(cls, seed: int, horizon_ns: int, outages: int = 3,
                mean_outage_ns: int = 100_000_000,
                kinds: Sequence[str] = FAULT_KINDS) -> "FaultPlan":
@@ -186,32 +174,15 @@ class FaultPlan:
             return self.windows[index]
         return None
 
-    def next_change_after(self, now_ns: int) -> Optional[int]:
-        """Next time the fault state flips (window edge), if any."""
-        for window in self.windows:
-            if window.start_ns > now_ns:
-                return window.start_ns
-            if window.active_at(now_ns):
-                return window.end_ns
-        return None
-
     @property
     def total_outage_ns(self) -> int:
         """Sum of all window durations."""
         return sum(window.duration_ns for window in self.windows)
 
-    @property
-    def last_end_ns(self) -> int:
-        """End of the final window (0 for an empty plan)."""
-        return self.windows[-1].end_ns if self.windows else 0
-
     def as_dict(self) -> dict:
         """Plan as plain data."""
         return {"windows": [window.as_dict() for window in self.windows],
                 "total_outage_ns": self.total_outage_ns}
-
-    def __len__(self) -> int:
-        return len(self.windows)
 
 
 class FaultyStore:
@@ -220,14 +191,15 @@ class FaultyStore:
     Wraps (rather than subclasses) the inner store: every attribute it
     does not intercept delegates through ``__getattr__``, so the read
     path, the correlator, and telemetry bindings all reach the real
-    store untouched.  Only ``bulk``, ``index_doc``, and
+    store untouched.  Only ``bulk``/``bulk_columnar`` and
     ``update_docs`` consult the plan — the write APIs the ingestion
-    path and correlator depend on.
+    path and correlator depend on — and the single-document
+    ``index_doc`` is refused rather than passed through unchecked.
     """
 
     def __init__(self, inner, plan: FaultPlan,
                  clock: Callable[[], int],
-                 protect: Sequence[str] = ("bulk", "index_doc")):
+                 protect: Sequence[str] = ("bulk",)):
         for name in protect:
             if not callable(getattr(inner, name, None)):
                 raise FaultError(f"inner store has no method {name!r}")
@@ -300,13 +272,6 @@ class FaultyStore:
             self._check(nominal_ns)
         return self.inner.bulk_columnar(index, batch)
 
-    def index_doc(self, index: str, source: dict,
-                  doc_id: Optional[str] = None) -> str:
-        """Single-document put through the plan."""
-        if "index_doc" in self.protected:
-            self._check()
-        return self.inner.index_doc(index, source, doc_id)
-
     def update_docs(self, index: str, doc_ids, fields: dict) -> int:
         """Targeted update through the plan."""
         if "update_docs" in self.protected:
@@ -332,4 +297,8 @@ class FaultyStore:
         self.inner.bind_telemetry(registry, clock=clock)
 
     def __getattr__(self, name: str):
+        if name == "index_doc":
+            # A write the plan does not gate: passed through, it would
+            # index behind every fault window.
+            raise AttributeError(f"{type(self).__name__} has no index_doc")
         return getattr(self.inner, name)

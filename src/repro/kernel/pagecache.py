@@ -130,6 +130,3 @@ class PageCache:
             return len(self._dirty.get(ino, ()))
         return sum(len(blocks) for blocks in self._dirty.values())
 
-    def cached_blocks(self) -> int:
-        """Total blocks currently cached."""
-        return len(self._blocks)

@@ -72,18 +72,6 @@ class FileDescriptorTable:
             raise KernelError(Errno.EBADF, f"fd {fd}")
         return description
 
-    def dup(self, fd: int) -> int:
-        """Duplicate ``fd`` sharing the same open file description."""
-        description = self.get(fd)
-        return self.install(description)
-
-    def open_fds(self) -> list[int]:
-        """Currently allocated descriptors, sorted."""
-        return sorted(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
 
 class Task:
     """A thread of execution: the unit syscalls are attributed to."""
@@ -126,11 +114,6 @@ class IOAccounting:
         self.syscr = 0
         #: Write-family syscall invocations.
         self.syscw = 0
-
-    def as_dict(self) -> dict:
-        """Counters as a plain dict."""
-        return {"rchar": self.rchar, "wchar": self.wchar,
-                "syscr": self.syscr, "syscw": self.syscw}
 
 
 class KernelProcess:
@@ -176,7 +159,3 @@ class ProcessTable:
         process.threads.append(task)
         self.tasks[tid] = task
         return task
-
-    def pids_by_name(self, name: str) -> list[int]:
-        """PIDs of processes whose name matches ``name`` exactly."""
-        return [pid for pid, proc in self.processes.items() if proc.name == name]

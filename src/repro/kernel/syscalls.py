@@ -118,21 +118,6 @@ URING_SYSCALLS = frozenset({
 ALL_SYSCALLS = SYSCALLS | URING_SYSCALLS
 
 
-def syscall_category(name: str) -> str:
-    """Return the Table I category of ``name``."""
-    if name in DATA_SYSCALLS:
-        return "data"
-    if name in METADATA_SYSCALLS:
-        return "metadata"
-    if name in XATTR_SYSCALLS:
-        return "extended attributes"
-    if name in DIRECTORY_SYSCALLS:
-        return "directory management"
-    if name in URING_SYSCALLS:
-        return "io_uring"
-    raise ValueError(f"unknown syscall {name!r}")
-
-
 class Kernel:
     """The simulated kernel: VFS + page cache + device + syscall ABI."""
 
@@ -196,9 +181,9 @@ class Kernel:
         """Mount ``device`` under ``prefix``; returns its device number.
 
         Files created under ``prefix`` live on (and do I/O against)
-        ``device`` with its own page-cache arena; renames and hard
-        links across the boundary fail with ``EXDEV``.  The mountpoint
-        directory is created if missing.
+        ``device`` with its own page-cache arena; renames across the
+        boundary fail with ``EXDEV``.  The mountpoint directory is
+        created if missing.
         """
         if self.vfs.lookup(prefix) is None:
             self.vfs.mkdir(prefix)

@@ -110,31 +110,8 @@ class TracepointRegistry:
         self._exit[syscall].remove(handler)
         self._changed()
 
-    def detach_all(self) -> None:
-        """Remove every handler (tracer shutdown)."""
-        self._enter.clear()
-        self._exit.clear()
-        self._changed()
-
     def handlers(self, syscall: str) -> tuple[tuple[Handler, ...],
                                               tuple[Handler, ...]]:
         """The entry and exit handlers of ``syscall``, in attach order."""
         return (tuple(self._enter.get(syscall, ())),
                 tuple(self._exit.get(syscall, ())))
-
-    def has_handlers(self, syscall: str) -> bool:
-        """``True`` if any handler is attached to ``syscall``."""
-        return bool(self._enter.get(syscall)) or bool(self._exit.get(syscall))
-
-    def attached_syscalls(self) -> set[str]:
-        """Names of syscalls with at least one handler."""
-        return ({name for name, hs in self._enter.items() if hs}
-                | {name for name, hs in self._exit.items() if hs})
-
-    def fire_enter(self, ctx: SyscallContext) -> int:
-        """Run entry handlers; return their summed overhead in ns."""
-        return overhead_ns(self._enter.get(ctx.name, ()), ctx)
-
-    def fire_exit(self, ctx: SyscallContext) -> int:
-        """Run exit handlers; return their summed overhead in ns."""
-        return overhead_ns(self._exit.get(ctx.name, ()), ctx)

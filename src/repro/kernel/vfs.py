@@ -1,7 +1,7 @@
 """The virtual file system: a directory tree over inodes.
 
 Implements POSIX path semantics at the depth the paper's use cases
-need: path resolution with symlink following, hard-link counts,
+need: path resolution with symlink following, link counts,
 unlink-while-open orphans, rename over existing targets, and inode
 number recycling (see :mod:`repro.kernel.inode`).
 """
@@ -36,7 +36,7 @@ class VirtualFileSystem:
         self.inodes_created = 1
         #: Mount table: path prefix -> device number.  New inodes under
         #: a mounted prefix get that device number; cross-device renames
-        #: and hard links fail with EXDEV, as POSIX requires.
+        #: fail with EXDEV, as POSIX requires.
         self._mounts: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------
@@ -168,21 +168,6 @@ class VirtualFileSystem:
         inode.symlink_target = target
         return inode
 
-    def link(self, existing_path: str, new_path: str) -> Inode:
-        """Create a hard link (directories are rejected)."""
-        inode = self.resolve(existing_path, follow_symlinks=False)
-        if inode.is_dir:
-            raise KernelError(Errno.EPERM, existing_path)
-        if self.dev_for_path(new_path) != inode.dev:
-            raise KernelError(Errno.EXDEV, new_path)
-        parent, name = self._resolve_parent(new_path)
-        if name is None or name in parent.children:
-            raise KernelError(Errno.EEXIST, new_path)
-        parent.children[name] = inode
-        inode.nlink += 1
-        inode.ctime_ns = self._now()
-        return inode
-
     def unlink(self, path: str) -> Inode:
         """Remove a directory entry; the inode survives while open."""
         parent, name = self._resolve_parent(path)
@@ -280,27 +265,3 @@ class VirtualFileSystem:
         if inode.open_count == 0 and inode.ino in self._orphans:
             self._orphans.discard(inode.ino)
             self._allocator.free(inode.ino)
-
-    # ------------------------------------------------------------------
-    # Introspection
-
-    def listdir(self, path: str) -> list[str]:
-        """Names in directory ``path``, sorted for determinism."""
-        inode = self.resolve(path)
-        if not inode.is_dir:
-            raise KernelError(Errno.ENOTDIR, path)
-        return sorted(inode.children)
-
-    def walk(self, path: str = "/") -> Iterable[tuple[str, Inode]]:
-        """Yield ``(path, inode)`` pairs depth-first from ``path``."""
-        inode = self.resolve(path)
-        yield path, inode
-        if inode.is_dir:
-            base = path.rstrip("/")
-            for name in sorted(inode.children):
-                child = inode.children[name]
-                child_path = f"{base}/{name}"
-                if child.is_dir:
-                    yield from self.walk(child_path)
-                else:
-                    yield child_path, child

@@ -8,7 +8,7 @@ engine in the style of SimPy:
   virtual clock and an event queue.
 - :class:`~repro.sim.process.Process` drives Python generators as
   cooperative processes; a process advances by ``yield``-ing events.
-- :mod:`repro.sim.resources` offers locks, semaphores, FIFO stores, and
+- :mod:`repro.sim.resources` offers locks, FIFO stores, and
   capacity-limited resources with fair queueing.
 
 Everything is single-threaded and deterministic: given the same seeds and
@@ -18,7 +18,7 @@ sequences and timestamps.
 
 from repro.sim.engine import Environment, Event, Timeout, AnyOf, AllOf
 from repro.sim.process import Process, Interrupt
-from repro.sim.resources import Lock, Semaphore, Store, Resource
+from repro.sim.resources import Lock, Store, Resource
 
 __all__ = [
     "Environment",
@@ -29,7 +29,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "Lock",
-    "Semaphore",
     "Store",
     "Resource",
 ]

@@ -138,22 +138,12 @@ class Timeout(Event):
 
 
 class ConditionValue:
-    """Mapping of events to values for :class:`AnyOf`/:class:`AllOf`."""
+    """What an :class:`AnyOf`/:class:`AllOf` fires with: its
+    sub-events that had fired (each holds its own ``value``)."""
 
     def __init__(self) -> None:
         self.events: list[Event] = []
 
-    def of(self, event: Event) -> Any:
-        """Return the value ``event`` fired with."""
-        if event not in self.events:
-            raise KeyError(event)
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class _Condition(Event):
@@ -248,11 +238,6 @@ class Environment:
         """
         return self._events_processed
 
-    @property
-    def queue_depth(self) -> int:
-        """Events currently scheduled and not yet fired."""
-        return len(self._queue)
-
     def bind_telemetry(self, registry) -> None:
         """Expose engine health on a telemetry registry.
 
@@ -300,33 +285,26 @@ class Environment:
         """Composite event firing when all of ``events`` fired."""
         return AllOf(self, events)
 
-    def peek(self) -> Optional[int]:
-        """Timestamp of the next scheduled event, or ``None`` if idle."""
-        return self._queue[0][0] if self._queue else None
-
-    def _drive(self, stop_at=_FOREVER, stop_event: Optional[Event] = None,
-               budget: int = -1) -> None:
-        """Pop and fire queue entries — the one body behind step and run.
+    def _drive(self, stop_at=_FOREVER,
+               stop_event: Optional[Event] = None) -> None:
+        """Pop and fire queue entries — the one body behind run.
 
         Stops when the queue drains, the next entry lies beyond
-        ``stop_at``, ``stop_event`` has been processed, or ``budget``
-        entries fired (negative: unbounded).  Only an unbounded drive
-        lets sleeping processes resume inline, and only while nothing
-        else is owed this instant: the waiters of an event with
-        several callbacks must all resume before any of them moves the
-        clock, and whatever the waiters of ``stop_event`` do next
-        belongs to the caller's next ``run``.
+        ``stop_at`` or ``stop_event`` has been processed.  Sleeping
+        processes resume inline, but only while nothing else is owed
+        this instant: the waiters of an event with several callbacks
+        must all resume before any of them moves the clock, and
+        whatever the waiters of ``stop_event`` do next belongs to the
+        caller's next ``run``.
         """
         queue = self._queue
         pop = heapq.heappop
-        inline_to = stop_at if budget < 0 else _NO_INLINE
-        self._horizon = inline_to
+        self._horizon = stop_at
         try:
-            while queue and budget and queue[0][0] <= stop_at:
+            while queue and queue[0][0] <= stop_at:
                 when, _priority, seq, event, sleeper = pop(queue)
                 self._now = when
                 self._events_processed += 1
-                budget -= 1
                 if sleeper is not None:
                     if sleeper._wake == seq:
                         sleeper._advance(True, None)
@@ -337,15 +315,9 @@ class Environment:
                     event._run_callbacks()
                     if event is stop_event:
                         break
-                    self._horizon = inline_to
+                    self._horizon = stop_at
         finally:
             self._horizon = _NO_INLINE
-
-    def step(self) -> None:
-        """Process exactly one queue entry."""
-        if not self._queue:
-            raise SimulationError("no scheduled events")
-        self._drive(budget=1)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -374,12 +346,3 @@ class Environment:
         self._drive(stop_at)
         self._now = stop_at
         return None
-
-    def run_all(self, max_events: int = 50_000_000) -> None:
-        """Run until the queue drains, guarding against runaway loops."""
-        count = 0
-        while self._queue:
-            self.step()
-            count += 1
-            if count >= max_events:
-                raise SimulationError(f"exceeded {max_events} events; runaway simulation?")

@@ -21,11 +21,6 @@ class Lock:
         self._locked = False
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def locked(self) -> bool:
-        """``True`` while some process holds the lock."""
-        return self._locked
-
     def acquire(self) -> Event:
         """Return an event that fires once the lock is held."""
         event = Event(self.env)
@@ -46,34 +41,6 @@ class Lock:
             self._locked = False
 
 
-class Semaphore:
-    """A counting semaphore with FIFO waiters."""
-
-    def __init__(self, env: Environment, value: int = 1):
-        if value < 0:
-            raise ValueError(f"negative initial value {value}")
-        self.env = env
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        """Return an event that fires once a permit is held."""
-        event = Event(self.env)
-        if self._value > 0:
-            self._value -= 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return a permit, waking the next waiter if any."""
-        if self._waiters:
-            self._waiters.popleft().succeed(self)
-        else:
-            self._value += 1
-
-
 class Store:
     """An unbounded-or-bounded FIFO queue of items.
 
@@ -89,9 +56,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> Event:
         """Enqueue ``item``; the returned event fires once accepted."""
@@ -126,14 +90,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get; returns ``(ok, item_or_None)``."""
-        if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
-        return False, None
 
     def _admit_putter(self) -> None:
         if self._putters:

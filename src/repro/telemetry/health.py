@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from repro.telemetry.registry import (MetricsRegistry, REPORT_QUANTILES,
-                                      TelemetryError)
+from repro.telemetry.registry import MetricsRegistry, REPORT_QUANTILES
 from repro.telemetry.spans import SPAN_HISTOGRAM
 
 #: Pipeline stages in data-flow order.
@@ -100,13 +99,6 @@ class HealthReport(NamedTuple):
 
     stages: tuple[StageHealth, ...]
     derived: dict[str, float]
-
-    def stage(self, name: str) -> StageHealth:
-        """Look one stage up by name."""
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise TelemetryError(f"unknown stage {name!r}")
 
     def as_dict(self) -> dict:
         """Report as plain data (what ``dio health --format json`` prints)."""

@@ -77,7 +77,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (optionally callback-backed)."""
+    """A value that can go up and down, read through a callback."""
 
     kind = "gauge"
     __slots__ = ("_value", "_fn")
@@ -85,22 +85,6 @@ class Gauge:
     def __init__(self) -> None:
         self._value = 0
         self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        """Set the gauge to ``value``."""
-        if self._fn is not None:
-            raise TelemetryError("cannot set a callback-backed gauge")
-        self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` to the gauge."""
-        if self._fn is not None:
-            raise TelemetryError("cannot inc a callback-backed gauge")
-        self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self.inc(-amount)
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Read the value through ``fn`` at collect time instead."""
@@ -240,14 +224,6 @@ class MetricFamily:
     def inc(self, amount: int | float = 1) -> None:
         """Increment the unlabeled child."""
         self._solo().inc(amount)
-
-    def set(self, value: float) -> None:
-        """Set the unlabeled gauge child."""
-        self._solo().set(value)
-
-    def dec(self, amount: float = 1) -> None:
-        """Decrement the unlabeled gauge child."""
-        self._solo().dec(amount)
 
     def observe(self, value: float) -> None:
         """Observe into the unlabeled histogram child."""

@@ -106,17 +106,3 @@ class SpanTracer:
             self.dropped += 1
         if self._histogram is not None:
             self._histogram.labels(span=span.name).observe(span.duration_ns)
-
-    # ------------------------------------------------------------------
-    # Read side
-
-    def spans_named(self, name: str) -> list[Span]:
-        """All finished spans called ``name``, in completion order."""
-        return [span for span in self.finished if span.name == name]
-
-    def quantile(self, name: str, q: float) -> Optional[float]:
-        """Histogram-estimated duration quantile for one span name."""
-        if self._histogram is None:
-            return None
-        child = self._histogram._children.get((name,))
-        return child.quantile(q) if child is not None else None

@@ -2,8 +2,9 @@
 
 Mirrors DIO's configuration file (§II-F): which syscalls to enable
 tracepoints for, PID/TID/path filters, ring-buffer sizing, batching,
-and the backend target — plus the simulation cost model that stands in
-for hardware speed.
+and the backend target.  The simulated hardware costs nobody tunes
+(the eBPF programs', a bulk request's, a spill append's) are constants
+of :mod:`repro.tracer.tracer`.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class TracerConfig:
     #: (docs/STORAGE.md).  ``None`` disables local persistence
     #: (backend-only, the default).
     storage_dir: Optional[str] = None
-    #: Buffered events that trigger sealing a segment.
-    storage_flush_events: int = 4096
 
     # -- backend sharding (scatter-gather coordinator) -------------------
     #: Number of backend shards.  ``1`` (default) serves everything
@@ -88,10 +87,6 @@ class TracerConfig:
     poll_interval_ns: int = 200_000
     #: User-space cost to parse one raw record into a JSON event (ns).
     parse_ns_per_event: int = 1_500
-    #: Fixed network+indexing cost per bulk request (ns).
-    ship_base_ns: int = 1_500_000
-    #: Incremental cost per event in a bulk request (ns).
-    ship_ns_per_event: int = 500
     #: Bulk-request attempts before a batch is spilled to the
     #: dead-letter WAL (replayed on recovery).
     ship_max_retries: int = 5
@@ -115,20 +110,9 @@ class TracerConfig:
     #: their own overflow policy); ``"drop"`` keeps draining but sheds
     #: the overflow in user space (counted separately).
     backpressure_policy: str = "block"
-    #: Floor of the adaptive batch size (it halves on failure and
-    #: doubles back on success, between this and ``batch_size``).
-    batch_min_size: int = 16
-    #: Cost of appending one record to the spill WAL (ns).
-    spill_write_ns_per_event: int = 200
     #: Replay failures tolerated *during shutdown* before the consumer
     #: gives up and leaves the remaining segments in the WAL.
     spill_replay_failure_budget: int = 8
-
-    # -- in-kernel cost model (drives Table II overheads) ---------------
-    #: Cost of the sys_enter eBPF program (stash args + timestamp).
-    enter_cost_ns: int = 700
-    #: Cost of the sys_exit eBPF program (pair, filter, enrich, output).
-    exit_cost_ns: int = 3_100
 
     def __post_init__(self) -> None:
         if self.syscalls is not None:
@@ -156,8 +140,12 @@ class TracerConfig:
             raise ValueError(f"unknown ring policy {self.ring_policy!r}")
         if self.batch_size <= 0:
             raise ValueError("batch size must be positive")
-        if self.storage_flush_events < 1:
-            raise ValueError("storage flush threshold must be >= 1")
+        if self.poll_interval_ns < 1:
+            # At 0 the consumer polls forever at one virtual instant; a
+            # negative delay kills it before it ships anything.
+            raise ValueError("poll interval must be >= 1 ns")
+        if self.parse_ns_per_event < 0:
+            raise ValueError("parse cost must be >= 0")
         if not isinstance(self.shard_count, int) or self.shard_count < 1:
             raise ValueError(
                 f"shard count must be a positive int: {self.shard_count!r}")
@@ -181,10 +169,6 @@ class TracerConfig:
             raise ValueError(
                 f"unknown backpressure policy {self.backpressure_policy!r};"
                 " pick 'block' or 'drop'")
-        if self.batch_min_size < 1:
-            raise ValueError("minimum batch size must be >= 1")
-        if self.spill_write_ns_per_event < 0:
-            raise ValueError("spill write cost must be >= 0")
         if self.spill_replay_failure_budget < 0:
             raise ValueError("spill replay failure budget must be >= 0")
 

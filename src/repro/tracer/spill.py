@@ -10,7 +10,7 @@ through again.
 
 The WAL is an in-memory, append-only sequence of immutable
 *segments* (one per spilled batch); writing is charged to the
-simulated clock by the consumer (``spill_write_ns_per_event``), so
+simulated clock by the consumer (``SPILL_WRITE_NS_PER_EVENT``), so
 spilling is cheap-but-not-free exactly like a local disk append.
 Replay is oldest-first and at-least-once-attempted / exactly-once-
 applied: a segment leaves the log only after the backend accepted
@@ -150,11 +150,6 @@ class SpillWAL:
 
     # ------------------------------------------------------------------
     # Introspection
-
-    @property
-    def pending_batches(self) -> int:
-        """Segments awaiting replay."""
-        return len(self._segments)
 
     @property
     def pending_records(self) -> int:

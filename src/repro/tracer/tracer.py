@@ -52,6 +52,22 @@ from repro.tracer.resilience import (AdaptiveBatcher, BREAKER_OPEN,
                                      DecorrelatedJitterBackoff)
 from repro.tracer.spill import SpillWAL
 
+# -- simulated hardware costs (Table II's overheads rest on the first
+# two; DST digests and the paper's virtual times on all of them) ------
+#: Cost of the sys_enter eBPF program (stash args + timestamp), ns.
+ENTER_COST_NS = 700
+#: Cost of the sys_exit eBPF program (pair, filter, enrich, output), ns.
+EXIT_COST_NS = 3_100
+#: Fixed network+indexing cost per bulk request, ns.
+SHIP_BASE_NS = 1_500_000
+#: Incremental cost per event in a bulk request, ns.
+SHIP_NS_PER_EVENT = 500
+#: Cost of appending one record to the spill WAL, ns.
+SPILL_WRITE_NS_PER_EVENT = 200
+#: Floor of the adaptive batch size (it halves on failure and doubles
+#: back on success, between this and ``TracerConfig.batch_size``).
+BATCH_MIN_SIZE = 16
+
 
 class _StagedBatch:
     """One parsed batch awaiting shipment (with its attempt count)."""
@@ -246,7 +262,7 @@ class DIOTracer:
         self._breaker = CircuitBreaker(
             self.config.breaker_failure_threshold,
             self.config.breaker_recovery_ns)
-        self._batcher = AdaptiveBatcher(self.config.batch_min_size,
+        self._batcher = AdaptiveBatcher(BATCH_MIN_SIZE,
                                         self.config.batch_size)
         self._spill = SpillWAL()
         #: Local durable mirror of acknowledged events (the segment
@@ -257,10 +273,8 @@ class DIOTracer:
         self.storage = None
         if self.config.storage_dir is not None:
             from repro.backend.segments import SegmentStorage
-            self.storage = SegmentStorage(
-                self.config.storage_dir,
-                flush_events=self.config.storage_flush_events,
-                clock=lambda: env.now)
+            self.storage = SegmentStorage(self.config.storage_dir,
+                                          clock=lambda: env.now)
         self._staged: deque[_StagedBatch] = deque()
         self._staged_events = 0
         self._next_attempt_ns = 0
@@ -315,10 +329,10 @@ class DIOTracer:
 
         self._enter_prog = EBPFProgram(
             "dio_sys_enter", ProgramType.SYS_ENTER, self._on_enter,
-            cost_ns=self.config.enter_cost_ns)
+            cost_ns=ENTER_COST_NS)
         self._exit_prog = EBPFProgram(
             "dio_sys_exit", ProgramType.SYS_EXIT, self._on_exit,
-            cost_ns=self.config.exit_cost_ns)
+            cost_ns=EXIT_COST_NS)
 
         self._running = False
         self._consumer = None
@@ -560,8 +574,7 @@ class DIOTracer:
         head = self._staged[0]
         docs = head.docs
         with self.telemetry.span("shipper.bulk"):
-            cost = (config.ship_base_ns
-                    + config.ship_ns_per_event * len(docs))
+            cost = SHIP_BASE_NS + SHIP_NS_PER_EVENT * len(docs)
             yield cost
             self._m_attempts.inc()
             try:
@@ -578,7 +591,7 @@ class DIOTracer:
                 self._batcher.on_failure()
                 self._next_attempt_ns = now + self._backoff.next_delay_ns()
                 if head.attempts >= config.ship_max_retries:
-                    write_ns = config.spill_write_ns_per_event * len(docs)
+                    write_ns = SPILL_WRITE_NS_PER_EVENT * len(docs)
                     if write_ns:
                         yield write_ns
                     # The WAL needs JSON-able records: the batch
@@ -599,12 +612,10 @@ class DIOTracer:
 
     def _replay_spill_head(self):
         """One bulk attempt of the oldest spilled segment."""
-        config = self.config
         segment = self._spill.peek()
         docs = list(segment.docs)
         with self.telemetry.span("shipper.replay"):
-            cost = (config.ship_base_ns
-                    + config.ship_ns_per_event * len(docs))
+            cost = SHIP_BASE_NS + SHIP_NS_PER_EVENT * len(docs)
             yield cost
             self._m_attempts.inc()
             try:

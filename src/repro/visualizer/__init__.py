@@ -2,14 +2,13 @@
 
 Renders the predefined visualizations the paper's figures come from —
 tabular file-access views (Fig. 2), per-thread syscall activity over
-time (Fig. 4), latency timelines (Fig. 3) — as plain text and CSV,
-plus generic table/histogram/sparkline primitives for custom
-dashboards.
+time (Fig. 4), latency timelines (Fig. 3) — as plain text, plus
+generic table/histogram/sparkline primitives for custom dashboards.
 """
 
 from repro.visualizer.render import (render_table, render_histogram,
-                                     render_heatmap, render_sparkline_grid,
-                                     render_timeseries, to_csv)
+                                     render_sparkline_grid,
+                                     render_timeseries)
 from repro.visualizer.dashboards import DIODashboards, SelfMonitoringDashboard
 from repro.visualizer.saved import (Dashboard, DashboardError,
                                     PREDEFINED_DASHBOARDS, load_predefined)
@@ -17,10 +16,8 @@ from repro.visualizer.saved import (Dashboard, DashboardError,
 __all__ = [
     "render_table",
     "render_histogram",
-    "render_heatmap",
     "render_sparkline_grid",
     "render_timeseries",
-    "to_csv",
     "DIODashboards",
     "SelfMonitoringDashboard",
     "Dashboard",

@@ -13,9 +13,8 @@ from repro.analysis.contention import syscall_counts_by_thread
 from repro.analysis.latency import percentile_series
 from repro.backend.store import DocumentStore
 
-from repro.visualizer.render import (render_heatmap, render_sparkline_grid,
-                                     render_table, render_timeseries,
-                                     sparkline)
+from repro.visualizer.render import (render_sparkline_grid, render_table,
+                                     render_timeseries, sparkline)
 
 
 def _format_ns(value) -> str:
@@ -247,59 +246,6 @@ class DIODashboards:
         points = [(p.window_start_ns, p.value_ns / 1e6) for p in series]
         title = f"p{percent:g} client latency (ms) per {window_ns / 1e6:.0f} ms window"
         return title + "\n" + render_timeseries(points, unit=" ms")
-
-    # ------------------------------------------------------------------
-    # Offset access map (the enrichment §III-B depends on)
-
-    def offset_events(self, file_path: Optional[str] = None,
-                      file_tag: Optional[str] = None) -> list[dict]:
-        """Data-syscall events with offsets for one file, by time."""
-        extra: list = [
-            {"terms": {"syscall": ["read", "pread64", "readv",
-                                   "write", "pwrite64", "writev"]}},
-            {"exists": {"field": "offset"}},
-        ]
-        if file_path:
-            extra.append({"term": {"file_path": file_path}})
-        if file_tag:
-            extra.append({"term": {"file_tag": file_tag}})
-        response = self.store.search(self.index,
-                                     query=self._base_query(extra),
-                                     sort=["time"], size=None)
-        return [hit["_source"] for hit in response["hits"]["hits"]]
-
-    def offset_heatmap(self, file_path: Optional[str] = None,
-                       file_tag: Optional[str] = None,
-                       time_buckets: int = 60,
-                       offset_buckets: int = 16) -> str:
-        """File-offset-over-time access map (IOscope-style).
-
-        Sequential access renders as a rising diagonal, random access
-        as scatter — making the paper's "costly access patterns"
-        recognizable at a glance.
-        """
-        events = self.offset_events(file_path, file_tag)
-        if not events:
-            return "(no data)"
-        times = [e["time"] for e in events]
-        ends = [e["offset"] + max(e["ret"], 0) for e in events]
-        t_lo, t_hi = min(times), max(times)
-        max_offset = max(ends) or 1
-        t_span = max(t_hi - t_lo, 1)
-        grid = [[0.0] * time_buckets for _ in range(offset_buckets)]
-        for event in events:
-            col = min(int((event["time"] - t_lo) / t_span * (time_buckets - 1)),
-                      time_buckets - 1)
-            row = min(int(event["offset"] / max_offset * (offset_buckets - 1)),
-                      offset_buckets - 1)
-            # Row 0 at the top should be the HIGHEST offset.
-            grid[offset_buckets - 1 - row][col] += 1
-        labels = [f"{max_offset * (offset_buckets - i) // offset_buckets:>9}"
-                  for i in range(offset_buckets)]
-        target = file_path or file_tag or "all files"
-        return render_heatmap(
-            grid, labels,
-            title=f"offset access map for {target} (x: time, y: offset)")
 
     # ------------------------------------------------------------------
     # Summary panels

@@ -8,7 +8,6 @@ output.
 
 from __future__ import annotations
 
-import io
 from typing import Any, Iterable, Optional, Sequence
 
 #: Eight-level block glyphs for sparklines.
@@ -131,43 +130,3 @@ def render_timeseries(points: Iterable[tuple[int, float]],
     lines.extend("".join(row) for row in grid)
     lines.append(f"t: {xs[0]} .. {xs[-1]}")
     return "\n".join(lines)
-
-
-def render_heatmap(grid: Sequence[Sequence[float]],
-                   row_labels: Optional[Sequence[str]] = None,
-                   title: str = "") -> str:
-    """Render a 2-D intensity grid with block glyphs.
-
-    ``grid[row][col]`` is an intensity; rows render top-to-bottom.
-    Used for offset-over-time access maps (random access shows as
-    scatter, sequential access as a diagonal).
-    """
-    rows = [list(row) for row in grid]
-    if not rows or not rows[0]:
-        return "(no data)"
-    top = max((value for row in rows for value in row), default=0)
-    label_width = max((len(label) for label in row_labels or []), default=0)
-    lines = [title] if title else []
-    for index, row in enumerate(rows):
-        label = (row_labels[index] if row_labels and index < len(row_labels)
-                 else "")
-        cells = []
-        for value in row:
-            if top <= 0 or value <= 0:
-                cells.append(_BLOCKS[0] if value <= 0 else _BLOCKS[1])
-            else:
-                cells.append(_BLOCKS[max(1, min(8, round(value / top * 8)))])
-        lines.append(f"{label.rjust(label_width)} |{''.join(cells)}|")
-    return "\n".join(lines)
-
-
-def to_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Serialize a table as CSV (what Kibana's export gives you)."""
-    import csv
-
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_stringify(cell) for cell in row])
-    return out.getvalue()

@@ -12,7 +12,6 @@ Panel types::
     {"type": "syscall_histogram", "size": 20}
     {"type": "process_table"}
     {"type": "thread_sparklines", "window_ms": 100}
-    {"type": "offset_heatmap", "file_path": "/a" | "file_tag": "..."}
 
 The paper's own dashboards ship as :data:`PREDEFINED_DASHBOARDS`.
 """
@@ -29,7 +28,7 @@ from repro.visualizer.render import render_histogram
 
 #: Recognized panel types.
 PANEL_TYPES = ("event_table", "syscall_histogram", "process_table",
-               "thread_sparklines", "offset_heatmap", "process_io",
+               "thread_sparklines", "process_io",
                "diagnosis")
 
 
@@ -46,7 +45,7 @@ class Dashboard:
         self.panels = panels
 
     # ------------------------------------------------------------------
-    # Loading / saving
+    # Loading
 
     @classmethod
     def from_spec(cls, spec: dict | str) -> "Dashboard":
@@ -80,24 +79,11 @@ class Dashboard:
             window = panel.get("window_ms", 100)
             if not isinstance(window, (int, float)) or window <= 0:
                 raise DashboardError(f"bad window_ms {window!r}")
-        if kind == "offset_heatmap":
-            if not panel.get("file_path") and not panel.get("file_tag"):
-                raise DashboardError(
-                    "offset_heatmap needs file_path or file_tag")
         if kind == "diagnosis":
             limit = panel.get("max_findings")
             if limit is not None and (not isinstance(limit, int)
                                       or limit < 0):
                 raise DashboardError(f"bad max_findings {limit!r}")
-
-    def to_spec(self) -> dict:
-        """The JSON-serializable representation."""
-        return {"name": self.name, "title": self.title,
-                "panels": self.panels}
-
-    def to_json(self) -> str:
-        """Serialize for export/import."""
-        return json.dumps(self.to_spec(), indent=2, sort_keys=True)
 
     # ------------------------------------------------------------------
     # Rendering
@@ -136,9 +122,6 @@ class Dashboard:
         elif kind == "thread_sparklines":
             window_ns = int(panel.get("window_ms", 100) * 1_000_000)
             body = dash.syscalls_over_time_chart(window_ns)
-        elif kind == "offset_heatmap":
-            body = dash.offset_heatmap(file_path=panel.get("file_path"),
-                                       file_tag=panel.get("file_tag"))
         elif kind == "diagnosis":
             from repro.analysis.diagnose import diagnose_session
 

@@ -7,9 +7,10 @@ under ``sys.setprofile`` / ``threading.setprofile``, collects every
 code object the process and the workers it forks entered, and matches each ``def`` in
 ``src/repro`` to one (a decorated function's code object starts at its
 first decorator's line).  A ``def`` no entry entered must be listed in
-``tests/data/reach_allowlist.txt`` with a reason; an allowlist line
-that names a reached or missing function is stale.  Either is an
-error (exit 1).  See docs/TESTING.md, "Code a user reaches".
+``tests/data/reach_allowlist.txt`` with a reason that starts with one
+of :data:`TAGS`; an allowlist line that names a reached or missing
+function is stale.  Either is an error (exit 1).  See docs/TESTING.md,
+"Code a user reaches".
 
     python tests/reach.py      # every entry, then the audit
 
@@ -34,6 +35,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 ALLOWLIST = ROOT / "tests" / "data" / "reach_allowlist.txt"
+
+#: The only reasons a def no user path enters may stay: an error path
+#: no well-formed run takes, a check on input from outside (a query,
+#: a path, a config value, a caller's write), an abstract or protocol
+#: declaration, a callback a registry scrape reads, or code that runs
+#: only on a failing DST seed.  Every allowlist reason starts with one.
+TAGS = ("error path:", "outside input:", "declaration:", "scrape:",
+        "failing seed:")
 
 #: The paper benchmarks append to these; an audit run leaves them as
 #: they were.
@@ -237,10 +246,13 @@ def read_allowlist() -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         name, _, reason = line.partition("  # ")
-        if not reason.strip():
-            raise SystemExit(f"{ALLOWLIST.name}:{number}: {name} has no "
-                             f"reason (write `name  # reason`)")
-        entries[name.strip()] = reason.strip()
+        reason = reason.strip()
+        if not reason.startswith(TAGS):
+            raise SystemExit(
+                f"{ALLOWLIST.name}:{number}: {name} needs a reason that "
+                f"starts with one of {', '.join(TAGS)} (write "
+                f"`name  # tag: reason`)")
+        entries[name.strip()] = reason
     return entries
 
 

@@ -6,7 +6,6 @@ from repro.analysis import (classify_file_accesses, detect_contention,
                             find_stale_offset_resumes, percentile_series,
                             small_io_files, spikes,
                             syscall_counts_by_thread)
-from repro.analysis.latency import throughput_series
 from repro.backend import DocumentStore
 
 MS = 1_000_000
@@ -47,12 +46,6 @@ class TestPercentileSeries:
         records = ops((0, 100, "read"), (10, 5000, "read"))
         series = percentile_series(records, 10 * MS)
         assert len(spikes(series, threshold_ns=1_000_000)) == 1
-
-    def test_throughput_series(self):
-        records = ops((0, 1, "read"), (1, 1, "read"), (12, 1, "read"))
-        points = throughput_series(records, 10 * MS)
-        assert points[0] == (0, pytest.approx(200.0))
-        assert points[1] == (10 * MS, pytest.approx(100.0))
 
 
 def seed_rocksdb_trace(store, index="trace"):

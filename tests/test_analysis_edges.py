@@ -7,8 +7,7 @@ sessions.
 
 import pytest
 
-from repro.analysis.blame import (SpikeBlame, ThreadActivity, blame_spikes,
-                                  render_blame)
+from repro.analysis.blame import SpikeBlame, blame_spikes, render_blame
 from repro.analysis.compare import compare_sessions, session_fingerprint
 from repro.analysis.dfg import compare_session_dfgs
 from repro.backend import DocumentStore
@@ -52,7 +51,6 @@ class TestBlameEdgeCases:
         assert len(reports) == 1
         assert reports[0].background == []
         assert reports[0].client_syscalls == 0
-        assert reports[0].top_culprits() == []
 
     def test_render_spike_without_culprits(self):
         report = SpikeBlame(window_start_ns=90 * MS, p99_ns=500.0 * MS,
@@ -61,13 +59,6 @@ class TestBlameEdgeCases:
         assert "spike @ 90 ms" in text
         assert "0 background threads" in text
 
-    def test_top_culprits_ranked_by_bytes(self):
-        report = SpikeBlame(
-            window_start_ns=0, p99_ns=1.0,
-            background=[ThreadActivity("heavy", 2, 1, 9000),
-                        ThreadActivity("light", 3, 50, 10)],
-            client_syscalls=1)
-        assert report.top_culprits(1) == ["heavy"]
 
 
 class TestCompareEdgeCases:
@@ -101,8 +92,8 @@ class TestCompareEdgeCases:
 
     def test_zero_overlapping_files(self):
         # Two sessions touching disjoint files: behaviourally identical
-        # under normalization (same syscall/ret shape), but the
-        # file-class DFG comparison separates them.
+        # under normalization (same syscall/ret shape), and so are their
+        # syscall DFGs.
         store = DocumentStore()
         store.bulk("dio_trace", [
             event("write", 1, session="x", path="/a.log", ret=10),
@@ -112,9 +103,9 @@ class TestCompareEdgeCases:
         ])
         comparison = compare_sessions(store, "x", "y")
         assert comparison.behaviorally_identical
-        dfg = compare_session_dfgs(store, "x", "y",
-                                   node_mode="syscall_fileclass")
-        assert dfg.distance == pytest.approx(1.0)
+        dfg = compare_session_dfgs(store, "x", "y")
+        assert dfg.distance == pytest.approx(0.0)
+        assert dfg.diverging_edges == []
 
     def test_fingerprint_of_missing_session_is_empty(self):
         store = DocumentStore()

@@ -29,8 +29,8 @@ class TestIOAccounting:
             yield from kernel.syscall(task, "close", fd=fd)
 
         env.run(until=env.process(scenario()))
-        io = process.io.as_dict()
-        assert io == {"rchar": 80, "wchar": 150, "syscr": 1, "syscw": 2}
+        io = process.io
+        assert (io.rchar, io.wchar, io.syscr, io.syscw) == (80, 150, 1, 2)
 
     def test_failed_syscalls_counted_without_bytes(self):
         env = Environment()
@@ -102,7 +102,7 @@ class TestBlameSpikes:
         report = reports[0]
         assert report.window_start_ns == 10 * MS
         # Compaction threads top the ranking (most bytes moved).
-        assert report.top_culprits(3) == [
+        assert [a.proc_name for a in report.background[:3]] == [
             "rocksdb:low0", "rocksdb:low1", "rocksdb:low2"]
         assert report.client_syscalls == 5
 
@@ -140,5 +140,6 @@ class TestBlameSpikes:
                                spike_factor=2.0)
         assert reports, "expected at least one spike"
         culprits = {name for report in reports
-                    for name in report.top_culprits(3)}
+                    for name in (a.proc_name
+                                 for a in report.background[:3])}
         assert any(name.startswith("rocksdb:") for name in culprits)

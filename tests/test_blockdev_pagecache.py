@@ -153,7 +153,7 @@ class TestPageCache:
         run(env, scenario())
         assert cache.stats.evictions >= 2
         assert cache.stats.writebacks >= 2
-        assert cache.cached_blocks() <= 4
+        assert len(cache._blocks) <= 4
 
     def test_drop_inode_discards_without_writeback(self, env):
         device, cache = self.make(env)
@@ -185,7 +185,7 @@ class TestPageCache:
 
         run(env, scenario())
         assert cache.stats.hits + cache.stats.misses == 0
-        assert cache.cached_blocks() == 0
+        assert len(cache._blocks) == 0
 
     def test_capacity_validation(self, env):
         device = BlockDevice(env)

@@ -122,6 +122,30 @@ class TestPostMortemCommands:
         assert "write" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["uring", "--batch-size", "0"],
+    ["uring", "--records", "-3"],
+    ["overhead", "--ops", "0"],
+    ["fleet", "--shards", "0"],
+    ["fleet", "--tenants", "-1"],
+    ["resilience", "--duration", "-1"],
+    ["rocksdb", "--duration", "0"],
+    ["rocksdb", "--duration", "nan"],
+    ["diagnose", "--scenario", "rocksdb", "--duration", "-1"],
+    ["metrics", "--scenario", "rocksdb", "--duration", "0"],
+    ["dst", "run", "--seeds", "0"],
+    ["overhead", "--ops", "1.5"],
+])
+def test_counts_and_durations_must_be_positive(argv, capsys):
+    # A usage error (exit 2) before any work: no traceback, no run
+    # that analyses nothing and exits 0.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: dio" in err and "Traceback" not in err
+
+
 def test_no_command_errors():
     with pytest.raises(SystemExit):
         main([])

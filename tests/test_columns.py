@@ -50,8 +50,7 @@ class TestColumn:
         col = Column("f")
         col.append(["a", "b"])
         assert col.unencodable == 1
-        col.clear(0)
-        assert col.unencodable == 0
+        assert col.codes == [-2]
 
     def test_numeric_kind_promotions(self):
         col = Column("f")
@@ -114,14 +113,6 @@ class TestColumn:
         col.append(float("nan"))
         assert not col.num_sorted
 
-    def test_tombstone_clears_row(self):
-        col = Column("f")
-        col.append("a")
-        col.append(7)
-        col.clear(1)
-        assert col.codes[1] == -1
-        assert col.gather_numeric([0, 1]) == []
-
 
 class TestColumnSet:
     def test_lazy_build_then_incremental(self):
@@ -139,9 +130,9 @@ class TestColumnSet:
         cols.note_put("1", {"f": "a"})
         cols.note_put("2", {"f": "b"})
         cols.ensure_column("f", {"1": {"f": "a"}, "2": {"f": "b"}})
-        cols.note_delete("1")
-        assert list(cols.all_rows()) == [1]
         cols.note_put("2", {"f": "c"})
+        # Append-only: an overwrite keeps the row, every row is live.
+        assert cols.all_rows() == range(2)
         col = cols.ensure_column("f", {})
         assert col.table[col.codes[1]] == "c"
 
@@ -318,7 +309,6 @@ class TestKernelEquivalence:
         aggs = {"t": {"terms": {"field": "p"},
                       "aggs": {"s": {"sum": {"field": "n"}}}}}
         store.search("ev", size=0, aggs=aggs)     # builds columns
-        store.delete_by_query("ev", {"term": {"n": 3}})
         store.index_doc("ev", {"p": "b", "n": 100}, doc_id="d5")
         response = store.search("ev", size=0, aggs=aggs)
         expected = naive_aggregate(store._index("ev"), None, aggs)
@@ -350,15 +340,6 @@ class TestAggCache:
                 for b in response["aggregations"]["t"]["buckets"]]
         assert keys == ["a", "b"]
         assert store.agg_stats()["cache_hits"] == 0
-
-    def test_delete_invalidates(self, store):
-        store.bulk("ev", [{"p": "a"}, {"p": "b"}])
-        store.search("ev", size=0, aggs=self.AGGS)
-        store.delete_by_query("ev", {"term": {"p": "a"}})
-        response = store.search("ev", size=0, aggs=self.AGGS)
-        keys = [b["key"]
-                for b in response["aggregations"]["t"]["buckets"]]
-        assert keys == ["b"]
 
     def test_cached_response_is_isolated(self, store):
         store.bulk("ev", [{"p": "a"}])

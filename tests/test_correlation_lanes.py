@@ -18,7 +18,7 @@ from repro.backend import (DocumentStore, FilePathCorrelator, create_store,
                            export_session, import_session, legacy_correlate,
                            load_session, save_session)
 from repro.backend.lanes import Derived, DocBatch
-from repro.faults import FaultPlan, FaultyStore, InjectedFault
+from repro.faults import FaultPlan, FaultWindow, FaultyStore, InjectedFault
 from repro.tracer import RecordBatch
 from tests.test_load_differential import index_state
 
@@ -106,7 +106,9 @@ class Twins:
     """
 
     def __init__(self, fill, make=DocumentStore) -> None:
-        self.store, self.legacy, self.by_rows = make(), make(), make()
+        # The oracle's store is always the plain one: a router takes
+        # its writes lane-wise or by id, never by query.
+        self.store, self.legacy, self.by_rows = make(), DocumentStore(), make()
         for each in self.all():
             fill(each)
 
@@ -256,9 +258,9 @@ def test_an_outage_during_correlation_half_applies_nothing():
     twins = Twins(fed("pending"))
     store = twins.store
     now = [5]
-    faulty = FaultyStore(store, FaultPlan.scripted([(0, 10)]),
+    faulty = FaultyStore(store, FaultPlan([FaultWindow(0, 10)]),
                          clock=lambda: now[0],
-                         protect=("bulk", "index_doc", "update_docs"))
+                         protect=("bulk", "update_docs"))
     index = store._indices[INDEX]
     epoch = index.epoch
     with pytest.raises(InjectedFault):

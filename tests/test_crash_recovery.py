@@ -99,7 +99,7 @@ def test_spill_wal_duplicate_replay_applies_once():
 def test_spill_wal_recovers_empty_file():
     recovered, report = SpillWAL.recover(b"")
     assert not report["header_ok"]
-    assert recovered.pending_batches == 0
+    assert recovered.pending_records == 0
     # The recovered WAL is usable.
     recovered.append([{"x": 1}], now_ns=0)
     assert recovered.pending_records == 1
@@ -114,13 +114,13 @@ def test_spill_wal_rejects_corrupt_header():
     recovered, report = SpillWAL.recover(bad)
     assert not report["header_ok"]
     assert report["torn_bytes_dropped"] == len(bad)
-    assert recovered.pending_batches == 0
+    assert recovered.pending_records == 0
 
 
 def test_spill_wal_header_only_garbage():
     recovered, report = SpillWAL.recover(b"\x00\xff garbage \x7f")
     assert not report["header_ok"]
-    assert recovered.pending_batches == 0
+    assert recovered.pending_records == 0
     recovered.append([{"x": 1}], now_ns=0)
     assert recovered.pending_records == 1
 
@@ -286,7 +286,7 @@ def test_dst_seed_with_consumer_and_store_crashes_is_clean():
     assert scenario.consumer_crashes and scenario.store_crashes
     run = execute_pipeline(scenario)
     assert run.crashing is not None
-    assert run.crashing.rebuilds_consistent
+    assert all(r["consistent"] for r in run.crashing.recovery_reports)
 
 
 def test_store_wal_contains_exactly_stored_docs():

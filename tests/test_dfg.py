@@ -4,8 +4,7 @@ import pytest
 
 from repro.analysis.compare import session_fingerprint
 from repro.analysis.dfg import (DirectlyFollowsGraph, compare_session_dfgs,
-                                file_class, merged_dfg, mine_dfgs,
-                                mine_phases, segment_phases)
+                                merged_dfg, mine_phases, segment_phases)
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
 from repro.backend.lanes import DocBatch
@@ -22,60 +21,31 @@ def event(syscall, time, proc="p", tid=1, ret=0, path=None, session="s"):
     return doc
 
 
-class TestFileClass:
-    def test_known_suffixes(self):
-        assert file_class("/a/app.log") == "log"
-        assert file_class("/db/000001.sst") == "sst"
-        assert file_class("/db/000001.ldb") == "sst"
-        assert file_class("/db/LOG.wal.0002") == "wal"
-        assert file_class("/x/data.db") == "db"
-        assert file_class("/x/out.jsonl") == "log"
-        assert file_class("/x/t.tmp") == "tmp"
-
-    def test_fallbacks(self):
-        assert file_class(None) == "none"
-        assert file_class("/etc/passwd") == "other"
-
-
 class TestDirectlyFollowsGraph:
     def test_edges_and_counts(self):
         graph = DirectlyFollowsGraph("g")
-        for source in [event("open", 10), event("read", 20),
-                       event("read", 30), event("close", 40)]:
-            graph.observe(source)
+        graph.observe_batch(DocBatch([event("open", 10), event("read", 20),
+                                      event("read", 30), event("close", 40)]))
         assert graph.events == 4
         assert graph.node_counts == {"open": 1, "read": 2, "close": 1}
         assert graph.edges[("^", "open")].count == 1
         assert graph.edges[("read", "read")].count == 1
-        assert graph.edges[("read", "read")].gap_mean_ns == 10
-
-    def test_fileclass_nodes(self):
-        graph = DirectlyFollowsGraph("g", node_mode="syscall_fileclass")
-        graph.observe(event("write", 1, path="/a.log"))
-        graph.observe(event("write", 2, path="/b.sst"))
-        assert set(graph.node_counts) == {"write/log", "write/sst"}
-
-    def test_rejects_unknown_node_mode(self):
-        with pytest.raises(ValueError):
-            DirectlyFollowsGraph("g", node_mode="nope")
+        assert graph.edges[("read", "read")].gap_total_ns == 10
 
     def test_distance_bounds(self):
         a = DirectlyFollowsGraph("a")
         b = DirectlyFollowsGraph("b")
-        for source in [event("open", 1), event("read", 2)]:
-            a.observe(source)
-            b.observe(source)
+        for graph in (a, b):
+            graph.observe_batch(DocBatch([event("open", 1), event("read", 2)]))
         assert a.distance(b) == pytest.approx(0.0)
         c = DirectlyFollowsGraph("c")
-        c.observe(event("unlink", 1))
-        c.observe(event("mkdir", 2))
+        c.observe_batch(DocBatch([event("unlink", 1), event("mkdir", 2)]))
         assert a.distance(c) == pytest.approx(1.0)
 
     def test_fingerprint_deterministic(self):
         a = DirectlyFollowsGraph("a")
-        for source in [event("open", 1), event("read", 2),
-                       event("close", 3)]:
-            a.observe(source)
+        a.observe_batch(DocBatch([event("open", 1), event("read", 2),
+                                  event("close", 3)]))
         assert a.fingerprint() == a.fingerprint()
         assert a.fingerprint()["edges"] == {
             "^->open": 1, "open->read": 1, "read->close": 1}
@@ -91,16 +61,6 @@ class TestMining:
             docs.append(event("write", 10 * i + 5, proc="b", tid=2))
         store.bulk("t", docs)
         return store
-
-    def test_mine_per_process(self, store):
-        graphs = mine_dfgs(store, "t", session="s")
-        assert sorted(graphs) == ["a", "b"]
-        assert graphs["a"].events == 10
-        assert graphs["a"].node_counts == {"read": 10}
-
-    def test_mine_per_thread(self, store):
-        graphs = mine_dfgs(store, "t", session="s", per_thread=True)
-        assert sorted(graphs) == ["a/1", "b/2"]
 
     def test_node_totals_agree_with_session_fingerprint(self):
         # compare.session_fingerprint is the count-level oracle: the

@@ -40,7 +40,7 @@ from repro.analysis.detectors import (DEFAULT_DETECTORS,
                                       StaleOffsetDetector, make_evidence,
                                       run_detectors)
 from repro.analysis.dfg import (START, DirectlyFollowsGraph, EdgeStats, Phase,
-                                file_class, merged_dfg, segment_phases)
+                                merged_dfg, segment_phases)
 from repro.analysis.diagnose import diagnose_session, follow_session
 from repro.analysis.patterns import AccessPattern, classify_file_accesses
 from repro.analysis.session import SessionEvents
@@ -62,6 +62,7 @@ from repro.backend.query import compile_query
 from repro.experiments import run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
 from repro.kernel.errno import Errno
+from tests.dfg_oracle import graph_as_dict
 
 INDEX = "dio_trace"
 SESSION = "feed"
@@ -323,8 +324,10 @@ def per_event_replay(events, latency_records, detectors):
         for detector in detectors:
             if kind == "event":
                 detector.observe(second, first)
-            else:
+            elif isinstance(detector, PerEventSpike):
                 detector.observe_latency(first, second)
+            else:
+                detector.observe_latencies(((first, second),))
     for detector in detectors:
         detector.finalize()
     return detectors
@@ -516,7 +519,7 @@ def fed(tap, event_batches, records):
                           [event_id for event_id, _ in batch])
     tap.observe_latencies(records)
     tap.finalize()
-    return (emitted(tap.detectors), tap.dfg.graph.as_dict(),
+    return (emitted(tap.detectors), graph_as_dict(tap.dfg.graph),
             tap.dfg.phases, tap.events_observed, tap.latencies_observed)
 
 
@@ -536,7 +539,7 @@ def test_any_batching_is_one_batch(events, steps, untimed, records, points):
 
     single = tap()
     for event_id, source in pairs:
-        single.observe(source, event_id)
+        single.observe_batch(DocBatch([source]), [event_id])
     assert fed(single, [], records) == whole
 
 
@@ -558,22 +561,13 @@ def edge_observe(stats, gap_ns):
 class OracleGraph(DirectlyFollowsGraph):
     """The single-chain, per-event ``DirectlyFollowsGraph.observe``."""
 
-    def __init__(self, name="", node_mode="syscall"):
-        super().__init__(name, node_mode)
+    def __init__(self, name=""):
+        super().__init__(name)
         self._prev_node = None
         self._prev_ns = 0
 
-    def node_for(self, source):
-        """A document's node, read off the document, as it was."""
-        syscall = source["syscall"]
-        if self.node_mode == "syscall":
-            return syscall
-        cls = file_class(source.get("file_path")
-                         or (source.get("args") or {}).get("path"))
-        return f"{syscall}/{cls}"
-
     def observe(self, source):
-        node = self.node_for(source)
+        node = source["syscall"]
         time_ns = source.get("time", 0)
         self.events += 1
         self.node_counts[node] = self.node_counts.get(node, 0) + 1
@@ -591,15 +585,15 @@ class OracleGraph(DirectlyFollowsGraph):
         return node
 
 
-def oracle_merged_dfg(stream, name, node_mode):
+def oracle_merged_dfg(stream, name):
     """``merged_dfg``, as it was."""
-    merged = OracleGraph(name, node_mode)
+    merged = OracleGraph(name)
     per_thread = {}
     for source in stream:
         tid = source["tid"]
         graph = per_thread.get(tid)
         if graph is None:
-            graph = per_thread[tid] = OracleGraph(str(tid), node_mode)
+            graph = per_thread[tid] = OracleGraph(str(tid))
         graph.observe(source)
     for graph in per_thread.values():
         merged.events += graph.events
@@ -637,43 +631,40 @@ dfg_stream_st = st.lists(st.fixed_dictionaries(
               "file_path": st.sampled_from(("/a.log", "/db/1.sst", "")),
               "args": st.sampled_from((None, {}, {"path": "/x.wal"}))}),
     max_size=60)
-node_modes = st.sampled_from(("syscall", "syscall_fileclass"))
 
 
 @settings(max_examples=300, deadline=None)
-@given(stream=dfg_stream_st, node_mode=node_modes,
-       batch=st.integers(1, 20))
-def test_per_thread_loop_equals_graphs_then_merge(stream, node_mode, batch):
-    oracle = oracle_merged_dfg(stream, "stream", node_mode).as_dict()
-    graph = DirectlyFollowsGraph("stream", node_mode, per_thread=True)
+@given(stream=dfg_stream_st, batch=st.integers(1, 20))
+def test_per_thread_loop_equals_graphs_then_merge(stream, batch):
+    oracle = graph_as_dict(oracle_merged_dfg(stream, "stream"))
+    graph = DirectlyFollowsGraph("stream", per_thread=True)
     graph.observe_batch(DocBatch(stream))
-    assert graph.as_dict() == oracle
+    assert graph_as_dict(graph) == oracle
     view = SimpleNamespace(batch=DocBatch(stream))
-    assert merged_dfg(None, "stream", None, node_mode,
-                      view=view).as_dict() == oracle
-    miner = StreamingDFGMiner(node_mode)
+    assert graph_as_dict(merged_dfg(None, "stream", None,
+                                    view=view)) == oracle
+    miner = StreamingDFGMiner()
     for lo in range(0, len(stream), batch):
         miner.observe_batch(DocBatch(stream[lo:lo + batch]))
-    assert miner.graph.as_dict() == oracle
+    assert graph_as_dict(miner.graph) == oracle
 
 
 @settings(max_examples=300, deadline=None)
-@given(stream=dfg_stream_st, node_mode=node_modes,
-       batch=st.integers(1, 20))
-def test_single_chain_loop_equals_per_event_observe(stream, node_mode,
-                                                    batch):
-    oracle = OracleGraph("g", node_mode)
+@given(stream=dfg_stream_st, batch=st.integers(1, 20))
+def test_single_chain_loop_equals_per_event_observe(stream, batch):
+    oracle = OracleGraph("g")
     nodes = [oracle.observe(source) for source in stream]
-    whole = DirectlyFollowsGraph("g", node_mode)
+    whole = DirectlyFollowsGraph("g")
     assert whole.observe_batch(DocBatch(stream)) == nodes
-    assert whole.as_dict() == oracle.as_dict()
-    pieces = DirectlyFollowsGraph("g", node_mode)
+    assert graph_as_dict(whole) == graph_as_dict(oracle)
+    pieces = DirectlyFollowsGraph("g")
     for lo in range(0, len(stream), batch):
         pieces.observe_batch(DocBatch(stream[lo:lo + batch]))
-    assert pieces.as_dict() == oracle.as_dict()
-    single = DirectlyFollowsGraph("g", node_mode)
-    assert [single.observe(source) for source in stream] == nodes
-    assert single.as_dict() == oracle.as_dict()
+    assert graph_as_dict(pieces) == graph_as_dict(oracle)
+    single = DirectlyFollowsGraph("g")
+    assert [single.observe_batch(DocBatch([source]))[0]
+            for source in stream] == nodes
+    assert graph_as_dict(single) == graph_as_dict(oracle)
 
 
 def test_miner_in_consumer_sized_batches_holds_the_session_graph():
@@ -683,11 +674,11 @@ def test_miner_in_consumer_sized_batches_holds_the_session_graph():
     miner = StreamingDFGMiner()
     for lo in range(0, len(stream), 512):
         miner.observe_batch(DocBatch(stream[lo:lo + 512]))
-    assert miner.graph.as_dict() == oracle_merged_dfg(
-        stream, "stream", "syscall").as_dict()
+    assert graph_as_dict(miner.graph) == graph_as_dict(
+        oracle_merged_dfg(stream, "stream"))
     one_by_one = StreamingDFGMiner()
     for source in stream:
-        one_by_one.observe(source)
+        one_by_one.observe_batch(DocBatch([source]))
     assert one_by_one.phases == miner.phases > 1
 
 
@@ -975,13 +966,13 @@ def doc_run_detectors(store, session, detectors):
     return findings
 
 
-def doc_segment_phases(events, window_events, drift_threshold, node_mode):
+def doc_segment_phases(events, window_events, drift_threshold):
     """``segment_phases`` as it was: a phase takes a window in by
     walking its documents again."""
     phases, current, prev_drift, window = [], None, 0.0, []
 
     def graph_of(batch):
-        graph = OracleGraph("p", node_mode)
+        graph = OracleGraph("p")
         for source in batch:
             graph.observe(source)
         return graph
@@ -1104,15 +1095,14 @@ def test_batch_detectors_on_lanes_say_what_the_document_bodies_said(
 
 
 @settings(max_examples=200, deadline=None)
-@given(stream=dfg_stream_st, node_mode=node_modes,
-       window=st.integers(2, 9), threshold=st.sampled_from((0.0, 0.2, 0.5)))
+@given(stream=dfg_stream_st, window=st.integers(2, 9),
+       threshold=st.sampled_from((0.0, 0.2, 0.5)))
 def test_phases_that_absorb_window_graphs_are_the_phases_that_rewalked(
-        stream, node_mode, window, threshold):
-    got = segment_phases(DocBatch(stream), window, threshold, node_mode,
-                         name="p")
-    want = doc_segment_phases(stream, window, threshold, node_mode)
-    assert [(p.as_dict(), p.dfg.as_dict(), p.drift) for p in got] == \
-        [(p.as_dict(), p.dfg.as_dict(), p.drift) for p in want]
+        stream, window, threshold):
+    got = segment_phases(DocBatch(stream), window, threshold, name="p")
+    want = doc_segment_phases(stream, window, threshold)
+    assert [(p.as_dict(), graph_as_dict(p.dfg), p.drift) for p in got] == \
+        [(p.as_dict(), graph_as_dict(p.dfg), p.drift) for p in want]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1136,7 +1126,7 @@ def test_the_case_studies_on_lanes_say_what_the_document_bodies_said():
     view = SessionEvents(case.store, INDEX, case.session)
     assert [(p.as_dict(), p.drift) for p in segment_phases(view.batch)] == \
         [(p.as_dict(), p.drift)
-         for p in doc_segment_phases(events, 64, 0.4, "syscall")]
+         for p in doc_segment_phases(events, 64, 0.4)]
 
 
 def test_short_lived_evidence_is_in_stored_order():

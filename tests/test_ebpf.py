@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.ebpf import (BPFArrayMap, BPFHashMap, EBPFProgram, PerCPUArray,
-                        PerCPURingBuffer, ProgramType, VerifierError)
+from repro.ebpf import (BPFHashMap, EBPFProgram, PerCPURingBuffer,
+                        ProgramType, VerifierError)
 from repro.kernel.process import KernelProcess, Task
-from repro.kernel.tracepoints import SyscallContext, TracepointRegistry
+from repro.kernel.tracepoints import (SyscallContext, TracepointRegistry,
+                                      overhead_ns)
 
 
 def make_ctx(name="read", tid=1):
@@ -52,37 +53,9 @@ class TestBPFHashMap:
         assert m.pop("k") == 5
         assert m.pop("k") is None
 
-    def test_items_snapshot(self):
-        m = BPFHashMap(max_entries=4)
-        m.update("a", 1)
-        m.update("b", 2)
-        assert dict(m.items()) == {"a": 1, "b": 2}
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             BPFHashMap(max_entries=0)
-
-
-class TestArrayMaps:
-    def test_array_map(self):
-        m = BPFArrayMap(4)
-        m.update(2, "x")
-        assert m.lookup(2) == "x"
-        assert m.lookup(0) is None
-        with pytest.raises(IndexError):
-            m.lookup(4)
-        with pytest.raises(IndexError):
-            m.update(-1, "y")
-
-    def test_percpu_array(self):
-        m = PerCPUArray(ncpus=4)
-        m.add(0, 5)
-        m.add(2, 7)
-        assert m.get(0) == 5
-        assert m.get(1) == 0
-        assert m.sum() == 12
-        m.set(1, 100)
-        assert m.sum() == 112
 
 
 class TestRingBuffer:
@@ -163,20 +136,22 @@ class TestEBPFProgram:
                            func=lambda ctx: None, cost_ns=100)
         prog.attach(registry, "read")
         prog.attach(registry, "write")
-        assert registry.attached_syscalls() == {"read", "write"}
-        overhead = registry.fire_enter(make_ctx("read"))
-        assert overhead == 100
+        assert registry.handlers("read") == registry.handlers("write") \
+            == ((prog,), ())
+        enter, _ = registry.handlers("read")
+        assert overhead_ns(enter, make_ctx("read")) == 100
         prog.detach_all()
-        assert registry.attached_syscalls() == set()
-        assert prog.attach_count == 0
+        assert registry.handlers("read") == registry.handlers("write") \
+            == ((), ())
 
     def test_exit_program_fires_on_exit_only(self):
         registry = TracepointRegistry()
         prog = EBPFProgram("p", ProgramType.SYS_EXIT,
                            func=lambda ctx: None, cost_ns=100)
         prog.attach(registry, "read")
-        assert registry.fire_enter(make_ctx("read")) == 0
-        assert registry.fire_exit(make_ctx("read")) == 100
+        enter, exit_ = registry.handlers("read")
+        assert overhead_ns(enter, make_ctx("read")) == 0
+        assert overhead_ns(exit_, make_ctx("read")) == 100
 
     def test_verifier_rejects_oversized_program(self):
         with pytest.raises(VerifierError):

@@ -46,30 +46,19 @@ class TestFaultPlan:
         assert [w.start_ns for w in plan.windows] == [0, 200]
 
     def test_fault_at(self):
-        plan = FaultPlan.scripted([(100, 200), (300, 400, "timeout")])
+        plan = FaultPlan([FaultWindow(100, 200),
+                          FaultWindow(300, 400, "timeout")])
         assert plan.fault_at(50) is None
         assert plan.fault_at(150).kind == "error"
         assert plan.fault_at(250) is None
         assert plan.fault_at(350).kind == "timeout"
         assert plan.fault_at(400) is None
 
-    def test_next_change_after(self):
-        plan = FaultPlan.scripted([(100, 200)])
-        assert plan.next_change_after(0) == 100
-        assert plan.next_change_after(150) == 200
-        assert plan.next_change_after(500) is None
-
-    def test_outages_constructor(self):
-        plan = FaultPlan.outages([100, 500], duration_ns=50, kind="timeout")
-        assert len(plan) == 2
-        assert plan.total_outage_ns == 100
-        assert all(w.kind == "timeout" for w in plan.windows)
-
     def test_seeded_is_deterministic(self):
         a = FaultPlan.seeded(7, horizon_ns=10**9)
         b = FaultPlan.seeded(7, horizon_ns=10**9)
         assert a.as_dict() == b.as_dict()
-        assert len(a) == 3
+        assert len(a.windows) == 3
 
     def test_seeded_different_seeds_differ(self):
         a = FaultPlan.seeded(1, horizon_ns=10**9)
@@ -84,9 +73,8 @@ class TestFaultPlan:
 
     def test_empty_plan(self):
         plan = FaultPlan()
-        assert len(plan) == 0
+        assert plan.windows == ()
         assert plan.fault_at(0) is None
-        assert plan.last_end_ns == 0
         assert plan.total_outage_ns == 0
 
 
@@ -97,14 +85,14 @@ class TestFaultyStore:
 
     def test_clean_passthrough(self):
         now = [0]
-        inner, faulty = self._store(FaultPlan.scripted([(100, 200)]), now)
+        inner, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
         assert faulty.bulk("idx", [{"a": 1}]) == 1
         assert inner.count("idx") == 1
         assert faulty.faults_injected == 0
 
     def test_error_window_fails_before_mutation(self):
         now = [150]
-        inner, faulty = self._store(FaultPlan.scripted([(100, 200)]), now)
+        inner, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
         with pytest.raises(InjectedFault) as excinfo:
             faulty.bulk("idx", [{"a": 1}])
         assert excinfo.value.kind == "error"
@@ -115,7 +103,7 @@ class TestFaultyStore:
     def test_timeout_window_carries_cost(self):
         now = [150]
         _, faulty = self._store(
-            FaultPlan.scripted([(100, 200, "timeout")]), now)
+            FaultPlan([FaultWindow(100, 200, "timeout")]), now)
         with pytest.raises(InjectedFault) as excinfo:
             faulty.bulk("idx", [{"a": 1}])
         assert excinfo.value.cost_ns == DEFAULT_TIMEOUT_NS
@@ -133,17 +121,19 @@ class TestFaultyStore:
         assert faulty.penalty_ns_total == 3000
 
     def test_index_doc_intercepted(self):
+        # A single-document write the plan does not gate is refused,
+        # never passed through to the inner store behind the window.
         now = [150]
-        inner, faulty = self._store(FaultPlan.scripted([(100, 200)]), now)
-        with pytest.raises(InjectedFault):
-            faulty.index_doc("idx", {"a": 1})
-        now[0] = 300
-        faulty.index_doc("idx", {"a": 1})
-        assert inner.count("idx") == 1
+        inner, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
+        for instant in (150, 300):
+            now[0] = instant
+            with pytest.raises(AttributeError, match="index_doc"):
+                faulty.index_doc("idx", {"a": 1})
+        assert inner.documents_indexed == 0
 
     def test_unprotected_methods_delegate(self):
         now = [150]
-        inner, faulty = self._store(FaultPlan.scripted([(100, 200)]), now)
+        inner, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
         doc_id = inner.index_doc("idx", {"a": 1})
         # Reads are never faulted; update_docs is outside the default
         # protect set.
@@ -159,7 +149,7 @@ class TestFaultyStore:
 
     def test_telemetry_counters(self):
         now = [150]
-        _, faulty = self._store(FaultPlan.scripted([(100, 200)]), now)
+        _, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
         registry = MetricsRegistry()
         faulty.bind_telemetry(registry)
         with pytest.raises(InjectedFault):

@@ -53,7 +53,7 @@ class TestOffsetDatabase:
         db.set("/f", 13, 5)
         db.set("/g", 12, 7)
         assert db.delete_name("/f") == 2
-        assert len(db) == 1
+        assert (db.get("/f", 12), db.get("/f", 13)) == (0, 0)
         assert db.get("/g", 12) == 7
 
 

@@ -23,6 +23,7 @@ from repro.backend.store import copy_json
 from repro.experiments import run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
 from repro.visualizer import DIODashboards
+from tests.doc_reads import get_doc
 
 INDEX = "dio_trace"
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -75,7 +76,7 @@ def test_the_report_is_the_same_on_every_form_of_the_store(saved, rocksdb):
     imported = DocumentStore()
     import_session(imported, saved / "session.jsonl")
     reports = [diagnose_session(store, session,
-                                latency_records=records).to_json()
+                                latency_records=records).as_dict()
                for store in (parked, whole, sharded, imported)]
     assert reports[1:] == reports[:1] * 3
     assert hydrated(parked) == hydrated(sharded) == 0
@@ -122,15 +123,15 @@ def test_a_window_beside_aggregations_builds_only_its_own_rows(saved,
 
 def test_a_row_read_twice_is_the_same_object(saved):
     store, _ = loaded(saved)
-    first = store.get_doc(INDEX, "17")
-    assert store.get_doc(INDEX, "17") is first
+    first = get_doc(store, INDEX, "17")
+    assert get_doc(store, INDEX, "17") is first
     (doc_id, source), *_ = store.scan(INDEX, {"term": {"tid": first["tid"]}})
-    assert store.get_doc(INDEX, doc_id) is source
+    assert get_doc(store, INDEX, doc_id) is source
     (_, source), = [pair for pair in store.scan(INDEX) if pair[0] == "17"]
     assert source is first
     # A write hydrates the rest and keeps the dicts readers hold.
     store.index_doc(INDEX, {"syscall": "late", "session": "x"})
-    assert store.get_doc(INDEX, "17") is first
+    assert get_doc(store, INDEX, "17") is first
     assert store._indices[INDEX].pending_docs == 0
 
 
@@ -138,7 +139,7 @@ def test_a_row_read_twice_is_the_same_object(saved):
 def test_an_update_after_a_row_was_read_is_what_the_next_read_sees(saved,
                                                                   how):
     store, _ = loaded(saved)
-    held = store.get_doc(INDEX, "5")
+    held = get_doc(store, INDEX, "5")
     assert "note" not in held and hydrated(store) == 1
     if how == "update_docs":
         assert store.update_docs(INDEX, ["5", "6"], {"note": "x"}) == 2
@@ -150,8 +151,8 @@ def test_an_update_after_a_row_was_read_is_what_the_next_read_sees(saved,
             INDEX, {"term": {"tid": tid}},
             lambda source: source.update(note="x")) == count
     for doc_id in ("5", "6") if how == "update_docs" else ("5",):
-        assert store.get_doc(INDEX, doc_id)["note"] == "x"
-    assert held["note"] == "x" and store.get_doc(INDEX, "5") is held
+        assert get_doc(store, INDEX, doc_id)["note"] == "x"
+    assert held["note"] == "x" and get_doc(store, INDEX, "5") is held
     assert store.count(INDEX, {"term": {"note": "x"}}) >= 1
     ids = [doc_id for doc_id, _ in store.scan(INDEX,
                                               {"term": {"note": "x"}})]

@@ -1,12 +1,8 @@
-"""Tests for the per-process I/O panel and the LSM stats report."""
+"""Tests for the per-process I/O panel."""
 
 import pytest
 
-from repro.apps.rocksdb import DBOptions, RocksDB
-from repro.apps.rocksdb.db_bench import key_name
 from repro.backend import DocumentStore
-from repro.kernel import Kernel
-from repro.sim import Environment
 from repro.visualizer import DIODashboards, load_predefined
 
 
@@ -59,27 +55,3 @@ class TestProcessIOPanel:
         dashboard = Dashboard.from_spec({
             "name": "io", "title": "io", "panels": [{"type": "process_io"}]})
         assert "reader" in dashboard.render(traced_store, session="s")
-
-
-class TestLSMStatsReport:
-    def test_report_contains_levels_and_counters(self):
-        env = Environment()
-        kernel = Kernel(env)
-        process = kernel.spawn_process("db")
-        db = RocksDB(kernel, process, DBOptions(memtable_bytes=2048,
-                                                l0_compaction_trigger=2))
-        task = process.threads[0]
-
-        def scenario():
-            yield from db.open(task)
-            for i in range(80):
-                yield from db.put(task, key_name(i), b"v" * 64)
-            yield env.timeout(1_000_000_000)
-            db.close()
-
-        env.run(until=env.process(scenario()))
-        report = db.stats_report()
-        assert "L0" in report and "L6" in report
-        assert "flushes:" in report
-        assert f"puts: {db.stats.puts:,}" in report
-        assert "write stalls:" in report

@@ -256,7 +256,7 @@ def test_take_commutes_and_can_be_taken_again(batch, rows):
     assert json.dumps(taken.to_docs()) == json.dumps(
         [docs[row] for row in rows])
     for field in fields_of(batch):
-        whole = batch.values_for(field)
+        whole = list(batch.values_for(field))
         assert tagged(taken.values_for(field)) == tagged(
             whole[row] for row in rows), field
     again = taken.take(list(range(len(rows)))[::-1])
@@ -308,8 +308,7 @@ def test_args_travel_as_a_struct_lane_and_read_as_fresh_dicts(make):
     assert type(lane) is type(column) is StructLane
     for held in (lane, column, column.take(range(40))):
         assert dumps(list(held)) == dumps([doc["args"] for doc in docs])
-        assert dumps([held[row] for row in range(40)]) == dumps(list(held))
-        assert held[3] is not held[3]
+        assert list(held)[3] is not list(held)[3]
         assert all(a is not b for a, b in zip(held, held))
     assert all(held is not doc["args"]
                for held, doc in zip(lane, batch.to_docs()))
@@ -355,7 +354,7 @@ def dumps(docs) -> str:
 def reassembled(batch) -> list[dict]:
     """The documents, rebuilt from ``columns()`` and ``row_keys()`` by
     the one row assembler — one call per distinct row key order."""
-    columns = {field: (values, present)
+    columns = {field: (list(values), present)
                for field, values, present in batch.columns()}
     assert len(columns) == len(batch.columns())
     runs: dict[tuple, list[int]] = {}
@@ -375,6 +374,7 @@ def test_columns_reassemble_into_the_documents_key_order_included(batch):
     docs = batch.to_docs()
     assert dumps(reassembled(batch)) == dumps(docs)
     for field, values, present in batch.columns():
+        values = list(values)
         assert len(values) == len(batch), field
         assert present is None or (len(present) == len(batch)
                                    and 0 in present), field

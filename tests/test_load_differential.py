@@ -158,11 +158,10 @@ def observe(store, sort_keys: bool = False) -> str:
 
 
 def mutate(store) -> None:
-    """``update_docs`` + ``delete``: rows rewritten and tombstoned
-    under columns and postings the requests before have built."""
+    """``update_docs``: rows rewritten under columns and postings the
+    requests before have built."""
     ids = [doc_id for doc_id, _ in store.scan(INDEX)]
     store.update_docs(INDEX, ids[::3], {"file_path": "/moved", "pid": 11})
-    store.delete_by_query(INDEX, {"term": {"syscall": "write"}})
 
 
 def index_state(store: DocumentStore) -> str:
@@ -171,7 +170,7 @@ def index_state(store: DocumentStore) -> str:
     index._hydrate()
     return json.dumps({
         "next_id": index._next_id, "epoch": index.epoch,
-        # Row numbering: who owns which row, and which rows are dead.
+        # Row numbering: who owns which row.
         "rows": index.columns.doc_ids,
         "row_of": list(index.columns.row_of.items()),
         # One structure per field a request touched: codes, numeric

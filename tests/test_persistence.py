@@ -7,9 +7,8 @@ import pytest
 from repro.analysis.compare import compare_sessions, session_fingerprint
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
-from repro.backend.persistence import (SessionError, delete_session,
-                                       export_session, import_session,
-                                       list_sessions)
+from repro.backend.persistence import (SessionError, export_session,
+                                       import_session, list_sessions)
 from repro.experiments import run_fluentbit_case
 
 
@@ -124,15 +123,6 @@ class TestExportImport:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(SessionError):
             import_session(DocumentStore(), path)
-
-    def test_delete_session(self):
-        store = DocumentStore()
-        seed_two_sessions(store)
-        assert delete_session(store, "s1") == 2
-        assert store.count("dio_trace",
-                           {"term": {"session": "s1"}}) == 0
-        assert store.count("dio_trace",
-                           {"term": {"session": "s2"}}) == 3
 
 
 class TestFingerprints:

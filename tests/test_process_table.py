@@ -39,22 +39,11 @@ class TestFileDescriptorTable:
             table.install(make_description())
         assert exc.value.errno == Errno.EMFILE
 
-    def test_dup_shares_description(self):
-        table = FileDescriptorTable()
-        fd = table.install(make_description())
-        dup_fd = table.dup(fd)
-        assert dup_fd != fd
-        assert table.get(dup_fd) is table.get(fd)
-        # Offset is shared through the description, as in POSIX.
-        table.get(fd).offset = 42
-        assert table.get(dup_fd).offset == 42
-
     def test_open_fds_listing(self):
         table = FileDescriptorTable()
-        table.install(make_description())
-        table.install(make_description())
-        assert table.open_fds() == [3, 4]
-        assert len(table) == 2
+        first, second = (make_description(), make_description())
+        assert [table.install(first), table.install(second)] == [3, 4]
+        assert (table.get(3), table.get(4)) == (first, second)
 
 
 class TestProcessTable:
@@ -79,14 +68,6 @@ class TestProcessTable:
         assert thread.comm == "svc"
         named = table.spawn_thread(process, comm="svc:bg0")
         assert named.comm == "svc:bg0"
-
-    def test_pids_by_name(self):
-        table = ProcessTable()
-        a1 = table.spawn_process("dup")
-        table.spawn_process("other")
-        a2 = table.spawn_process("dup")
-        assert sorted(table.pids_by_name("dup")) == sorted([a1.pid, a2.pid])
-        assert table.pids_by_name("ghost") == []
 
     def test_cpu_assignment_spreads_tasks(self):
         table = ProcessTable()

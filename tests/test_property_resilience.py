@@ -16,7 +16,8 @@ from repro.faults import FaultPlan, FaultyStore
 from repro.kernel import Kernel
 from repro.sim import Environment
 from repro.tracer import DIOTracer, TracerConfig
-from repro.workloads import mixed_rw, sequential_writer
+from repro.workloads import mixed_rw
+from tests.workload_generators import sequential_writer
 
 MS = 1_000_000
 

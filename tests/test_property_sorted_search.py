@@ -71,17 +71,15 @@ STORES.update({
     for count in (2, 3) for key in SHARD_KEYS})
 
 
-def fill(store, docs, dead):
-    """Half by ``bulk``, half parked as lanes; some rows rewritten and
-    some tombstoned, so that no column is a dense lane by accident."""
+def fill(store, docs, rewritten):
+    """Half by ``bulk``, half parked as lanes; some rows rewritten, so
+    that no column is a dense lane by accident."""
     half = len(docs) // 2
     store.ensure_index(INDEX)
     store.bulk(INDEX, [dict(doc) for doc in docs[:half]])
     store.bulk_columnar(INDEX, DocBatch([dict(doc) for doc in docs[half:]]))
-    for doc_id in dead:
+    for doc_id in rewritten:
         store.update_docs(INDEX, [doc_id], {"k": "rewritten"})
-    if dead:
-        store.delete_by_query(INDEX, {"term": {"k": "rewritten"}})
 
 
 def recipe(store, query, sort, size, from_):
@@ -108,17 +106,17 @@ def test_sorted_search_is_scan_sort_slice(kind, docs, sort, query, size,
     ids = [str(n) for n in range(1, len(docs) + 1)]
     if trace:
         # What a tracer ships: every row a time, none decreasing, no
-        # row dead — the lane a sort pass may skip (and only while the
-        # rows still are in row order).
+        # row rewritten — the lane a sort pass may skip (and only while
+        # the rows still are in row order).
         times = sorted(doc.get("time", 20) for doc in docs)
         docs = [dict(doc, time=time) for doc, time in zip(docs, times)]
-        dead = []
+        rewritten = []
     else:
-        dead = data.draw(st.lists(st.sampled_from(ids), max_size=3,
-                                  unique=True)) if ids else []
+        rewritten = data.draw(st.lists(st.sampled_from(ids), max_size=3,
+                                       unique=True)) if ids else []
     store, single = STORES[kind](), DocumentStore()
     for each in (store, single):
-        fill(each, docs, dead)
+        fill(each, docs, rewritten)
     total, window = recipe(single, query, sort, size, from_)
     for each in (store, single):
         for _ in range(2):              # columns built, then reused

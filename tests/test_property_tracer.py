@@ -14,9 +14,9 @@ from repro.backend import DocumentStore
 from repro.kernel import Kernel
 from repro.sim import Environment
 from repro.tracer import DIOTracer, TracerConfig
-from repro.workloads import (metadata_storm, mixed_rw, random_reader,
-                             sequential_reader, sequential_writer,
-                             small_appender)
+from repro.workloads import metadata_storm, mixed_rw, small_appender
+from tests.workload_generators import (random_reader, sequential_reader,
+                                       sequential_writer)
 
 workload_plans = st.lists(
     st.tuples(

@@ -60,8 +60,8 @@ class SpillLog:
         wal, report = SpillWAL.recover(blob)
         assert report["duplicates_dropped"] == 0
         assert [s.seq for s in wal._segments] == \
-            list(range(wal.pending_batches))
-        assert wal._next_seq == wal.pending_batches
+            list(range(len(wal._segments)))
+        assert wal._next_seq == len(wal._segments)
         return [doc for s in wal._segments for doc in s.docs], report
 
 

@@ -8,9 +8,9 @@ not just on the happy paths the figure tests exercise.
 
 from repro.analysis.compare import (compare_sessions, session_fingerprint)
 from repro.backend import DocumentStore
-from repro.visualizer.render import (render_heatmap, render_histogram,
-                                     render_sparkline_grid, render_table,
-                                     render_timeseries, sparkline, to_csv)
+from repro.visualizer.render import (render_histogram, render_sparkline_grid,
+                                     render_table, render_timeseries,
+                                     sparkline)
 
 UNICODE_PATH = "/data/журнал-日誌.log"
 
@@ -72,21 +72,6 @@ def test_timeseries_empty_and_single_point():
 def test_timeseries_all_zero():
     out = render_timeseries([(0, 0.0), (1, 0.0)])
     assert "max=" in out
-
-
-def test_heatmap_empty():
-    assert render_heatmap([]) == "(no data)"
-    assert render_heatmap([[]]) == "(no data)"
-
-
-def test_heatmap_single_cell_unicode_label():
-    out = render_heatmap([[1.0]], row_labels=[UNICODE_PATH])
-    assert UNICODE_PATH in out
-
-
-def test_to_csv_unicode_round_trip():
-    out = to_csv(("path", "n"), [(UNICODE_PATH, 1)])
-    assert UNICODE_PATH in out
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ class TestSpillWAL:
         wal = SpillWAL()
         wal.append([{"n": 1}], now_ns=10)
         wal.append([{"n": 2}, {"n": 3}], now_ns=20)
-        assert wal.pending_batches == 2
+        assert len(wal._segments) == 2
         assert wal.pending_records == 3
         head = wal.peek()
         assert head.seq == 0 and head.docs[0]["n"] == 1
@@ -248,7 +248,7 @@ class TestResilienceExperiment:
     def test_short_duration_plan_never_overlaps(self):
         scale = ResilienceScale(duration_ns=100 * MS)
         plan = scale.fault_plan()
-        assert len(plan) == 3
+        assert len(plan.windows) == 3
         for earlier, later in zip(plan.windows, plan.windows[1:]):
             assert earlier.end_ns <= later.start_ns
 
@@ -256,7 +256,7 @@ class TestResilienceExperiment:
         # Too short to fit distinct windows: an empty plan, not a
         # FaultError from three outages all starting at t=0.
         plan = ResilienceScale(duration_ns=3).fault_plan()
-        assert len(plan) == 0
+        assert len(plan.windows) == 0
 
 
 def _smoke_scale() -> ResilienceScale:

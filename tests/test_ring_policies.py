@@ -46,7 +46,7 @@ class TestOverwriteOldest:
         rb = PerCPURingBuffer(1, 128, policy="overwrite-oldest")
         for i in range(50):
             rb.produce(0, i, 13)
-            assert rb.fill_bytes(0) <= 128
+            assert rb._buffers[0].used <= 128
 
 
 class TestSample:

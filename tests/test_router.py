@@ -122,7 +122,8 @@ class TestRouting:
     def test_route_field_mutation_disables_exact_routing(self):
         store = sharded()
         store.bulk(INDEX, make_docs(30))
-        store.update_by_query(INDEX, {"term": {"pid": 1}}, {"pid": 2})
+        ids = [doc_id for doc_id, _ in store.scan(INDEX, {"term": {"pid": 1}})]
+        store.update_docs(INDEX, ids, {"pid": 2})
         # Every pid-1 doc now claims pid 2 but lives on pid-1's shard:
         # routed reads would miss them, so the coordinator must fan out.
         before = store.fanout_queries
@@ -292,7 +293,6 @@ class TestLifecycle:
     def test_kill_then_restore_round_trips(self, tmp_path):
         store = sharded()
         store.bulk(INDEX, make_docs(45))
-        store.delete_by_query(INDEX, {"term": {"tid": 2}})
         store.bulk_columnar(INDEX, DocBatch(make_docs(12, session="late")))
         snapshot = list(store.scan(INDEX))
         newest = store.search(INDEX, sort=[{"time": {"order": "desc"}}],
@@ -370,10 +370,9 @@ class TestLifecycle:
         assert store.search(INDEX, size=0,
                             aggs=aggs)["aggregations"] == agg_before
         assert_rows_in_rank_order(store)
-        # ... and after documents went and came: rows of the new shard
-        # set are numbered afresh, in rank order.
-        store.delete_by_query(INDEX, {"term": {"syscall": "open"}})
-        store.index_doc(INDEX, {"syscall": "open", "pid": 3, "time": 5})
+        # ... and after more documents came: rows of the new shard set
+        # are numbered afresh, in rank order.
+        store.bulk(INDEX, [{"syscall": "open", "pid": 3, "time": 5}])
         snapshot = list(store.scan(INDEX))
         store.rebalance(3)
         assert list(store.scan(INDEX)) == snapshot
@@ -436,16 +435,20 @@ class TestTenancy:
         assert report["tenants"]["acme"]["status"] == "rejecting"
 
     def test_quota_checks_a_single_document_write(self):
-        # A default tenant sits on a router: the quota check comes
-        # first, then the router's own index_doc.
-        backend = TenantBackend(shards_per_tenant=2)
-        tenant = backend.register("acme", quota_docs=2)
-        tenant.bulk(INDEX, make_docs(1))
-        doc_id = tenant.index_doc(INDEX, make_docs(1)[0])
-        assert tenant.get_doc(INDEX, doc_id) is not None
-        with pytest.raises(TenantQuotaExceeded):
-            tenant.index_doc(INDEX, make_docs(1)[0])
-        assert (tenant.docs_held(), tenant.quota_rejections) == (2, 1)
+        # One document goes in as a bulk of one, through the quota
+        # check; the single-document index_doc is refused rather than
+        # delegated — on a plain inner store (one shard) it would
+        # index past the quota.
+        for shards in (1, 2):
+            backend = TenantBackend(shards_per_tenant=shards)
+            tenant = backend.register("acme", quota_docs=2)
+            tenant.bulk(INDEX, make_docs(1))
+            tenant.bulk(INDEX, make_docs(1))
+            with pytest.raises(TenantQuotaExceeded):
+                tenant.bulk(INDEX, make_docs(1))
+            with pytest.raises(AttributeError, match="index_doc"):
+                tenant.index_doc(INDEX, make_docs(1)[0])
+            assert (tenant.docs_held(), tenant.quota_rejections) == (2, 1)
 
     def test_tenants_are_isolated(self):
         backend = TenantBackend(shards_per_tenant=2)

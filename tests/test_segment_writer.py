@@ -36,6 +36,7 @@ from repro.backend.segments import (_BLOCK_HEAD, _HEADER, _I32_CODE, _TRAILER,
                                     _encode_field, _encode_value,
                                     _encode_zone, _lane_bytes, sort_docs)
 from repro.tracer import RecordBatch
+from tests.doc_reads import get_doc
 from tests.test_load_differential import SESSION as LOADED
 from tests.test_load_differential import _ABSENT, _FIELDS, observe
 
@@ -323,7 +324,7 @@ def fill(store, twin, steps) -> None:
             store.bulk_columnar(INDEX, RecordBatch.decode(records, session))
             twin.bulk(INDEX, RecordBatch.decode(records, session).to_docs())
         elif kind == "hydrate":
-            store.get_doc(INDEX, "1")
+            get_doc(store, INDEX, "1")
         else:
             docs, = payload
             if kind == "rows":

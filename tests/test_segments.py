@@ -644,8 +644,7 @@ def test_tracer_persists_acknowledged_batches(tmp_path):
     store = DocumentStore()
     tracer = DIOTracer(env, kernel, store,
                        TracerConfig(session_name="persisted",
-                                    storage_dir=str(tmp_path / "store"),
-                                    storage_flush_events=8))
+                                    storage_dir=str(tmp_path / "store")))
     task = kernel.spawn_process("app").threads[0]
     tracer.attach()
 
@@ -674,8 +673,7 @@ def test_tracer_config_rejects_the_retired_storage_mode():
 
     with pytest.raises(TypeError, match="storage_mode"):
         TracerConfig(storage_dir="/tmp/x", storage_mode="jsonl")
-    config = TracerConfig(storage_dir="/tmp/x", storage_flush_events=16)
-    assert (config.storage_dir, config.storage_flush_events) == ("/tmp/x", 16)
+    assert TracerConfig(storage_dir="/tmp/x").storage_dir == "/tmp/x"
 
 
 # ---------------------------------------------------------------------------

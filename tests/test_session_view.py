@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.compare import _sequence
 from repro.analysis.detectors import DEFAULT_DETECTORS, run_detectors
-from repro.analysis.dfg import merged_dfg, mine_dfgs, mine_phases
+from repro.analysis.dfg import merged_dfg, mine_phases
 from repro.analysis.diagnose import diagnose_session, follow_session
 from repro.analysis.patterns import (classify_file_accesses,
                                      find_stale_offset_resumes)
@@ -27,6 +27,7 @@ from repro.apps.fluentbit import FLUENTBIT_BUGGY
 from repro.backend import create_store
 from repro.experiments import run_fluentbit_case, run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
+from tests.dfg_oracle import graph_as_dict
 
 INDEX = "dio_trace"
 GOLDEN = Path(__file__).parent / "corpus" / "diagnosis" / "golden.json"
@@ -108,9 +109,9 @@ def test_sharded_report_equals_plain(rocksdb):
     plain.bulk(INDEX, [source for _, source in rocksdb.store.scan(INDEX)])
     records = rocksdb.bench.records()
     assert (diagnose_session(sharded_copy(rocksdb.store), rocksdb.session,
-                             latency_records=records).to_json()
+                             latency_records=records).as_dict()
             == diagnose_session(plain, rocksdb.session,
-                                latency_records=records).to_json())
+                                latency_records=records).as_dict())
 
 
 # ----------------------------------------------------------------------
@@ -124,10 +125,8 @@ def entry_points(store, session, view):
     yield "detectors", run_detectors(store, INDEX, session, **extra)
     for detector in DEFAULT_DETECTORS:
         yield detector.name, detector.run(store, INDEX, session, **extra)
-    yield "merged_dfg", merged_dfg(store, INDEX, session,
-                                   **extra).as_dict()
-    yield "mine_dfgs", {key: graph.as_dict() for key, graph in mine_dfgs(
-        store, INDEX, session, per_thread=True, **extra).items()}
+    yield "merged_dfg", graph_as_dict(merged_dfg(store, INDEX, session,
+                                                 **extra))
     yield "phases", [phase.as_dict() for phase in mine_phases(
         store, INDEX, session, **extra)]
     yield "replay", follow_session(store, INDEX, session, **extra).findings()
@@ -214,7 +213,8 @@ def golden_reports(fluentbit, rocksdb) -> dict:
             latency_records=rocksdb.bench.records()),
     }
     return {name: {
-        "sha256": hashlib.sha256(report.to_json().encode()).hexdigest(),
+        "sha256": hashlib.sha256(json.dumps(
+            report.as_dict(), indent=2, sort_keys=True).encode()).hexdigest(),
         "events": report.events,
         "findings": len(report.findings),
         "detectors_fired": report.detectors_fired,

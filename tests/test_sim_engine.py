@@ -255,11 +255,11 @@ def test_any_of_fires_on_first():
         t1 = env.timeout(10, "fast")
         t2 = env.timeout(20, "slow")
         result = yield env.any_of([t1, t2])
-        log.append((env.now, result.of(t1)))
+        log.append((env.now, t1 in result.events, t1.value))
 
     env.process(proc())
     env.run()
-    assert log == [(10, "fast")]
+    assert log == [(10, True, "fast")]
 
 
 def test_all_of_waits_for_all():
@@ -270,7 +270,7 @@ def test_all_of_waits_for_all():
         t1 = env.timeout(10, "a")
         t2 = env.timeout(20, "b")
         result = yield env.all_of([t1, t2])
-        log.append((env.now, len(result)))
+        log.append((env.now, len(result.events)))
 
     env.process(proc())
     env.run()
@@ -364,40 +364,23 @@ def test_run_until_stops_between_inline_sleeps_and_resumes():
     assert trace([20, 20, 41]) == uncut   # a cut exactly on a wake-up
 
 
-def test_step_after_inline_resume_fires_one_entry():
-    env = Environment()
-    seen = []
-
-    def proc():
-        while True:
-            yield 10
-            seen.append(env.now)
-
-    env.process(proc())
-    env.run(until=35)
-    assert seen == [10, 20, 30]
-    processed = env.events_processed
-    env.step()                            # the sleep queued at t=30
-    assert (env.now, seen[-1]) == (40, 40)
-    assert env.events_processed == processed + 1
-    env.step()
-    assert env.now == 50
-
-
 def test_sleepers_are_queue_entries():
     env = Environment()
 
     def proc(delay):
         yield delay
 
+    def queue():
+        """How many entries wait, and when the first is due."""
+        return len(env._queue), min(entry[0] for entry in env._queue)
+
     env.process(proc(7))
     env.process(proc(3))
-    assert (env.queue_depth, env.peek()) == (2, 0)    # two bootstraps
-    env.step()
-    env.step()
-    assert (env.queue_depth, env.peek()) == (2, 3)    # two sleepers
+    assert queue() == (2, 0)              # two bootstraps
+    env.run(until=0)
+    assert queue() == (2, 3)              # two sleepers
     env.run()
-    assert (env.queue_depth, env.peek(), env.now) == (0, None, 7)
+    assert (env._queue, env.now) == ([], 7)
 
 
 def test_equal_wakeups_fire_in_queueing_order():
@@ -459,26 +442,3 @@ def test_run_until_event_leaves_its_waiters_next_sleep_queued():
     assert env.now == 5
     env.run()
     assert env.now == 1_005
-
-
-def test_run_all_guards_against_runaway():
-    env = Environment()
-
-    def forever():
-        while True:
-            yield env.timeout(1)
-
-    env.process(forever())
-    with pytest.raises(SimulationError):
-        env.run_all(max_events=100)
-
-
-def test_peek_returns_next_timestamp():
-    env = Environment()
-    env.process(iter_timeout(env, 7))
-    # bootstrap event at t=0
-    assert env.peek() == 0
-
-
-def iter_timeout(env, delay):
-    yield env.timeout(delay)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Lock, Semaphore, Store, Resource
+from repro.sim import Environment, Lock, Store, Resource
 from repro.sim.engine import SimulationError
 
 
@@ -24,7 +24,7 @@ class TestLock:
         env.process(proc())
         env.run()
         assert log == ["held"]
-        assert not lock.locked
+        assert lock.acquire().triggered     # free again: held at once
 
     def test_mutual_exclusion_and_fifo_order(self, env):
         lock = Lock(env)
@@ -50,30 +50,6 @@ class TestLock:
     def test_release_unlocked_is_error(self, env):
         with pytest.raises(SimulationError):
             Lock(env).release()
-
-
-class TestSemaphore:
-    def test_limits_concurrency(self, env):
-        sem = Semaphore(env, value=2)
-        active = []
-        peak = []
-
-        def proc():
-            yield sem.acquire()
-            active.append(1)
-            peak.append(len(active))
-            yield env.timeout(10)
-            active.pop()
-            sem.release()
-
-        for _ in range(5):
-            env.process(proc())
-        env.run()
-        assert max(peak) == 2
-
-    def test_negative_value_rejected(self, env):
-        with pytest.raises(ValueError):
-            Semaphore(env, value=-1)
 
 
 class TestStore:
@@ -156,12 +132,9 @@ class TestStore:
         store = Store(env, capacity=1)
         assert store.try_put("a") is True
         assert store.try_put("b") is False
-        assert len(store) == 1
-
-    def test_try_get_on_empty(self, env):
-        ok, item = Store(env).try_get()
-        assert not ok
-        assert item is None
+        first = store.get()
+        assert first.triggered and first.value == "a"
+        assert not store.get().triggered    # "b" was never stored
 
     def test_zero_capacity_rejected(self, env):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from repro.analysis.streaming import (MAX_TRACKED_TAGS, DiagnosisTap,
                                       StreamingWriteAmplificationDetector,
                                       default_streaming_detectors)
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
+from repro.backend.lanes import DocBatch
 from repro.experiments import run_fluentbit_case
 
 MS = 1_000_000
@@ -29,13 +30,23 @@ def doc(syscall, time, proc="p", pid=1, tid=1, ret=0, tag=None,
     return out
 
 
+def observe(detector, source, event_id=None):
+    """Feed one event: a batch of one."""
+    detector.observe_batch(DocBatch([source]), (event_id,))
+
+
+def observe_latency(detector, start_ns, latency_ns):
+    """Feed one latency record: a batch of one."""
+    detector.observe_latencies(((start_ns, latency_ns),))
+
+
 class TestStreamingStaleOffset:
     def test_confirms_after_empty_reads(self):
         detector = StreamingStaleOffsetDetector(confirm_after=3)
-        detector.observe(doc("read", 10, proc="fb", tag="7 9 1",
+        observe(detector, doc("read", 10, proc="fb", tag="7 9 1",
                              offset=26, ret=0, path="/app.log"), "e1")
         for i in range(3):
-            detector.observe(doc("read", 20 + i, proc="fb", tag="7 9 1",
+            observe(detector, doc("read", 20 + i, proc="fb", tag="7 9 1",
                                  offset=26, ret=0), f"e{2 + i}")
         assert len(detector.emitted) == 1
         _, finding = detector.emitted[0]
@@ -45,27 +56,27 @@ class TestStreamingStaleOffset:
 
     def test_data_arriving_clears_suspicion(self):
         detector = StreamingStaleOffsetDetector(confirm_after=3)
-        detector.observe(doc("read", 10, tag="t", offset=26, ret=0))
-        detector.observe(doc("read", 20, tag="t", offset=26, ret=99))
+        observe(detector, doc("read", 10, tag="t", offset=26, ret=0))
+        observe(detector, doc("read", 20, tag="t", offset=26, ret=99))
         detector.finalize()
         assert detector.emitted == []
 
     def test_finalize_emits_unconfirmed_suspicions(self):
         detector = StreamingStaleOffsetDetector(confirm_after=99)
-        detector.observe(doc("read", 10, tag="t", offset=26, ret=0))
+        observe(detector, doc("read", 10, tag="t", offset=26, ret=0))
         detector.finalize()
         assert len(detector.emitted) == 1
 
     def test_offset_zero_first_read_is_fine(self):
         detector = StreamingStaleOffsetDetector()
-        detector.observe(doc("read", 10, tag="t", offset=0, ret=0))
+        observe(detector, doc("read", 10, tag="t", offset=0, ret=0))
         detector.finalize()
         assert detector.emitted == []
 
     def test_tag_table_is_bounded(self):
         detector = StreamingStaleOffsetDetector()
         for i in range(MAX_TRACKED_TAGS + 50):
-            detector.observe(doc("read", i, tag=f"tag{i}", offset=0,
+            observe(detector, doc("read", i, tag=f"tag{i}", offset=0,
                                  ret=1))
         assert len(detector._tags) <= MAX_TRACKED_TAGS
 
@@ -74,7 +85,7 @@ class TestStreamingFdLeak:
     def test_watermark_fires_once(self):
         detector = StreamingFdLeakDetector(min_unclosed=4)
         for i in range(6):
-            detector.observe(doc("openat", i, pid=9, ret=3 + i), f"e{i}")
+            observe(detector, doc("openat", i, pid=9, ret=3 + i), f"e{i}")
         assert len(detector.emitted) == 1
         _, finding = detector.emitted[0]
         assert "watermark reached 4" in finding.title
@@ -82,14 +93,14 @@ class TestStreamingFdLeak:
     def test_balanced_process_silent(self):
         detector = StreamingFdLeakDetector(min_unclosed=4)
         for i in range(8):
-            detector.observe(doc("open", 2 * i, pid=1, ret=3))
-            detector.observe(doc("close", 2 * i + 1, pid=1, ret=0))
+            observe(detector, doc("open", 2 * i, pid=1, ret=3))
+            observe(detector, doc("close", 2 * i + 1, pid=1, ret=0))
         assert detector.emitted == []
 
     def test_failed_opens_ignored(self):
         detector = StreamingFdLeakDetector(min_unclosed=2)
         for i in range(10):
-            detector.observe(doc("open", i, pid=1, ret=-2))
+            observe(detector, doc("open", i, pid=1, ret=-2))
         assert detector.emitted == []
 
 
@@ -98,9 +109,9 @@ class TestStreamingWriteAmplification:
         detector = StreamingWriteAmplificationDetector(
             client_comm="db_bench", min_client_bytes=1000)
         for i in range(10):
-            detector.observe(doc("write", i, proc="db_bench", ret=200))
+            observe(detector, doc("write", i, proc="db_bench", ret=200))
         for i in range(40):
-            detector.observe(doc("write", 100 + i,
+            observe(detector, doc("write", 100 + i,
                                  proc="rocksdb:low0", ret=1000))
         detector.finalize()
         assert len(detector.emitted) == 1
@@ -111,14 +122,14 @@ class TestStreamingWriteAmplification:
 
     def test_no_client_writes_no_finding(self):
         detector = StreamingWriteAmplificationDetector()
-        detector.observe(doc("write", 1, proc="rocksdb:low0", ret=4096))
+        observe(detector, doc("write", 1, proc="rocksdb:low0", ret=4096))
         detector.finalize()
         assert detector.emitted == []
 
     def test_finalize_is_one_shot(self):
         detector = StreamingWriteAmplificationDetector(min_client_bytes=1)
-        detector.observe(doc("write", 1, proc="db_bench", ret=10))
-        detector.observe(doc("write", 2, proc="bg", ret=1000))
+        observe(detector, doc("write", 1, proc="db_bench", ret=10))
+        observe(detector, doc("write", 2, proc="bg", ret=1000))
         detector.finalize()
         detector.finalize()
         assert len(detector.emitted) == 1
@@ -157,7 +168,7 @@ def contended_stream(detector, windows=3, calm=3, window_ns=10 * MS):
     feed.append((doc("read", t + 10 * window_ns, proc="db_bench",
                      tid=100, ret=512), None))
     for source, event_id in sorted(feed, key=lambda item: item[0]["time"]):
-        detector.observe(source, event_id)
+        observe(detector, source, event_id)
     detector.finalize()
 
 
@@ -181,7 +192,7 @@ class TestStreamingContention:
     def test_quiet_without_background_bursts(self):
         detector = StreamingContentionDetector(window_ns=10 * MS)
         for i in range(200):
-            detector.observe(doc("read", i * 500_000, proc="db_bench",
+            observe(detector, doc("read", i * 500_000, proc="db_bench",
                                  tid=100 + i % 8, ret=512))
         detector.finalize()
         assert detector.emitted == []
@@ -200,15 +211,15 @@ class TestStreamingSpikeAttributor:
         for w in range(6):
             base = w * 10 * MS
             for i in range(10):
-                detector.observe_latency(base + i * MS, 1 * MS)
+                observe_latency(detector, base + i * MS, 1 * MS)
         spike_base = 6 * 10 * MS
         for i in range(20):
-            detector.observe(doc("pread64", spike_base + i,
+            observe(detector, doc("pread64", spike_base + i,
                                  proc="rocksdb:low0", tid=200,
                                  ret=262_144), f"c{i}")
         for i in range(10):
-            detector.observe_latency(spike_base + i * MS, 10 * MS)
-        detector.observe_latency(spike_base + 50 * 10 * MS, 1 * MS)
+            observe_latency(detector, spike_base + i * MS, 10 * MS)
+        observe_latency(detector, spike_base + 50 * 10 * MS, 1 * MS)
         detector.finalize()
         assert detector.spikes_found == 1
         _, finding = detector.emitted[0]
@@ -220,9 +231,9 @@ class TestStreamingSpikeAttributor:
         detector = StreamingSpikeAttributor(window_ns=10 * MS)
         for w in range(6):
             for i in range(10):
-                detector.observe_latency(w * 10 * MS + i * MS, 1 * MS)
+                observe_latency(detector, w * 10 * MS + i * MS, 1 * MS)
         for i in range(10):
-            detector.observe_latency(60 * MS + i * MS, 50 * MS)
+            observe_latency(detector, 60 * MS + i * MS, 50 * MS)
         detector.finalize()
         assert detector.emitted == []
 
@@ -231,8 +242,8 @@ class TestStreamingDFGMiner:
     def test_counts_match_batch_graph(self):
         miner = StreamingDFGMiner()
         for i in range(50):
-            miner.observe(doc("read", i * 10, tid=1))
-            miner.observe(doc("write", i * 10 + 5, tid=2))
+            miner.observe_batch(DocBatch([doc("read", i * 10, tid=1)]))
+            miner.observe_batch(DocBatch([doc("write", i * 10 + 5, tid=2)]))
         assert miner.nodes == 2
         assert miner.transitions == 100
         # Per-tid chains: no invented read->write edge.
@@ -241,9 +252,9 @@ class TestStreamingDFGMiner:
     def test_phase_counting(self):
         miner = StreamingDFGMiner(window_events=16, drift_threshold=0.4)
         for i in range(64):
-            miner.observe(doc("read", i * 10))
+            miner.observe_batch(DocBatch([doc("read", i * 10)]))
         for i in range(64):
-            miner.observe(doc("write", 640 + i * 10))
+            miner.observe_batch(DocBatch([doc("write", 640 + i * 10)]))
         assert miner.phases >= 2
 
 
@@ -264,7 +275,7 @@ class TestDiagnosisTap:
 
     def test_drain_new_is_incremental(self):
         tap = DiagnosisTap()
-        tap.observe(doc("read", 10, tag="t", offset=26, ret=0), "e1")
+        observe(tap, doc("read", 10, tag="t", offset=26, ret=0), "e1")
         assert tap.drain_new() == []
         tap.finalize()
         fresh = tap.drain_new()

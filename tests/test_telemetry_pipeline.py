@@ -14,6 +14,12 @@ from repro.tracer import DIOTracer, TracerConfig
 from tests.prometheus_oracle import parse_prometheus
 
 
+def stage_of(report, name):
+    """One stage of a health report, by name."""
+    found, = [each for each in report.stages if each.name == name]
+    return found
+
+
 @pytest.fixture(scope="module")
 def case():
     return run_fluentbit_case("1.4.0")
@@ -52,19 +58,19 @@ class TestHealthReport:
 
     def test_counters_are_consistent_across_stages(self, telemetry, case):
         report = telemetry.health_report()
-        ring = report.stage("ring_buffer").counters
-        shipper = report.stage("shipper").counters
-        store = report.stage("store").counters
+        ring = stage_of(report, "ring_buffer").counters
+        shipper = stage_of(report, "shipper").counters
+        store = stage_of(report, "store").counters
         assert ring["produced"] == case.tracer.stats.produced
         assert ring["consumed"] == ring["produced"]   # fully drained
         assert shipper["shipped"] == ring["consumed"]
         assert store["docs_indexed"] == shipper["shipped"]
-        assert report.stage("sim").counters["events"] > 0
+        assert stage_of(report, "sim").counters["events"] > 0
 
     def test_stage_latency_quantiles_present(self, telemetry):
         report = telemetry.health_report()
         for stage in ("consumer", "shipper"):
-            latency = report.stage(stage).latency_ns
+            latency = stage_of(report, stage).latency_ns
             assert latency is not None
             assert set(latency) == {"p50", "p95", "p99"}
             assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
@@ -129,7 +135,8 @@ class TestTracerStatsFacade:
         names = {span.name for span in tracer.telemetry.spans.finished}
         assert {"consumer.batch", "consumer.parse", "shipper.bulk",
                 "correlator.correlate"} <= names
-        parse = tracer.telemetry.spans.spans_named("consumer.parse")[0]
+        parse = [span for span in tracer.telemetry.spans.finished
+                 if span.name == "consumer.parse"][0]
         assert parse.parent == "consumer.batch"
         assert parse.depth == 1
         # The store records its spans straight into the shared
@@ -178,7 +185,7 @@ class TestHealthTellsTheTruth:
     def test_ring_stage_counters_are_the_rings(self, lossy_tracer):
         ring = lossy_tracer.ring.stats
         report = lossy_tracer.telemetry.health_report()
-        assert report.stage("ring_buffer").counters == {
+        assert stage_of(report, "ring_buffer").counters == {
             "produced": ring.produced, "dropped": ring.dropped,
             "consumed": ring.consumed, "bytes": ring.bytes_produced}
 

@@ -357,6 +357,32 @@ class TestConfig:
         with pytest.raises(ValueError):
             TracerConfig(ring_mode="io_uring")
 
+    # A timing value that stalls or kills the consumer is refused: at
+    # poll_interval_ns=0 the consumer polls forever at one virtual
+    # instant (env.run never returns); a negative delay kills it, and
+    # nothing the ring accepted is stored.
+    def test_zero_poll_interval_rejected(self):
+        with pytest.raises(ValueError, match="poll interval"):
+            TracerConfig(poll_interval_ns=0)
+
+    def test_negative_poll_interval_rejected(self):
+        with pytest.raises(ValueError, match="poll interval"):
+            TracerConfig(poll_interval_ns=-5)
+
+    def test_negative_parse_cost_rejected(self):
+        with pytest.raises(ValueError, match="parse cost"):
+            TracerConfig(parse_ns_per_event=-1)
+
+    @pytest.mark.parametrize("knob", [
+        "batch_min_size", "ship_base_ns", "ship_ns_per_event",
+        "spill_write_ns_per_event", "enter_cost_ns", "exit_cost_ns",
+        "storage_flush_events"])
+    def test_simulated_costs_are_not_options(self, knob):
+        # Constants of repro.tracer.tracer (and the segment engine's
+        # own flush threshold), not fields a caller sets.
+        with pytest.raises(TypeError, match=knob):
+            TracerConfig(**{knob: 1})
+
 
 class TestEventModel:
     def test_json_roundtrip(self):

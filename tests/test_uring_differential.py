@@ -123,7 +123,7 @@ class TestPortEquivalence:
         assert "io_uring_enter" in names
         # The blind spot: the app confirmed every record, yet not one
         # write is visible as an event.
-        assert app.records_confirmed == app.total_records
+        assert app.records_confirmed == app.batches * app.batch_size
 
 
 class TestRingAwareRoundTrip:

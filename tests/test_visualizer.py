@@ -3,7 +3,7 @@
 from repro.backend import DocumentStore
 from repro.visualizer import (DIODashboards, render_histogram,
                               render_sparkline_grid, render_table,
-                              render_timeseries, to_csv)
+                              render_timeseries)
 from repro.visualizer.render import sparkline
 
 MS = 1_000_000
@@ -63,10 +63,6 @@ class TestCharts:
 
     def test_timeseries_empty(self):
         assert render_timeseries([]) == "(no data)"
-
-    def test_csv_output(self):
-        csv_text = to_csv(["x", "y"], [[1, "a"], [2, "b"]])
-        assert csv_text.splitlines() == ["x,y", "1,a", "2,b"]
 
 
 def seeded_dashboards():
