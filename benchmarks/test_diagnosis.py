@@ -47,7 +47,7 @@ INDEXED_FIELDS = ("syscall", "proc_name", "pid", "tid", "file_tag",
 _SYSCALLS = ("read", "write", "pread64", "pwrite64", "fsync", "lseek",
              "openat", "close")
 #: Client + background mix so every streaming detector does real work
-#: (contention windows, write-amp tallies, fd watermarks) — this is
+#: (spike windows, write-amp tallies, per-process fd counts) — this is
 #: the tap's worst case, not its best.
 _PROCS = ("db_bench", "db_bench", "rocksdb:low0", "rocksdb:low1",
           "rocksdb:low2", "rocksdb:high0", "wal_writer")

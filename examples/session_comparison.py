@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.compare import compare_sessions, session_fingerprint
-from repro.analysis.detectors import run_detectors
+from repro.analysis.diagnose import diagnose_session
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
 from repro.backend.persistence import (export_session, import_session,
@@ -72,10 +72,10 @@ def main():
     print("new bytes from offset 0.")
     print()
 
-    # And the detector battery agrees about which session is sick.
+    # And the detectors agree about which session is sick.
     for session in (buggy, fixed):
-        findings = run_detectors(store, session=session)
-        verdict = findings[0] if findings else "no issues detected"
+        findings = diagnose_session(store, session).findings
+        verdict = findings[0].finding if findings else "no issues detected"
         print(f"{session}: {verdict}")
 
 

@@ -3,23 +3,26 @@
 The paper's future-work section proposes building *"a collection of
 correlation algorithms that can quickly identify the inefficient
 behaviors observed in the aforementioned applications"*.  This module
-is that collection: each detector runs a correlation over the traced
-events of one session and reports :class:`Finding` objects.
+holds the post-mortem half of that collection: each detector runs a
+correlation over the stored events of one session and reports
+:class:`Finding` objects.  The other half — the stale-offset resume,
+descriptor leaks, latency-spike blame, write amplification and io_uring
+completion lag — are streaming detectors (:mod:`repro.analysis.streaming`)
+that also ride ``--follow`` and the tracer's consumer path.  Every
+finding name belongs to exactly one detector of the two batteries.
 
-Detectors cover the three problem classes of the paper's introduction:
-costly access patterns (small/random I/O, short-lived file churn),
-I/O contention, and erroneous usage (stale offsets, failed syscalls,
-descriptor leaks).
+The post-mortem battery covers costly access patterns (small/random
+I/O, short-lived file churn), failed-syscall clusters and the Fig. 4
+I/O contention correlation.
 """
 
 from __future__ import annotations
 
-from operator import ge, gt, lt
+from operator import gt, lt
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.analysis.contention import detect_contention
-from repro.analysis.patterns import (classify_file_accesses,
-                                     find_stale_offset_resumes)
+from repro.analysis.patterns import classify_file_accesses
 from repro.analysis.session import WRITES, SessionEvents
 from repro.backend.store import DocumentStore
 from repro.kernel.errno import Errno
@@ -99,7 +102,6 @@ def _compares(op: Callable[[Any, Any], bool],
 
 
 _failed = _compares(lt, 0)
-_succeeded = _compares(ge, 0)
 _transferred = _compares(gt, 0)
 
 
@@ -130,34 +132,6 @@ class Detector:
         finding cites (docs/ARCHITECTURE.md).
         """
         raise NotImplementedError
-
-
-class StaleOffsetDetector(Detector):
-    """The §III-B data-loss signature: resume at a stale offset."""
-
-    name = "stale-offset-resume"
-    description = ("first read of a fresh file starts past offset 0 and "
-                   "returns no data: a stale position was applied")
-
-    def detect(self, view):
-        findings = []
-        for resume in find_stale_offset_resumes(
-                view.store, view.index, view.session, view):
-            findings.append(Finding(
-                detector=self.name,
-                severity="critical",
-                title=(f"{resume.proc_name} resumed "
-                       f"{resume.file_path or resume.file_tag} at stale "
-                       f"offset {resume.offset}; content before EOF was "
-                       "never read (possible data loss)"),
-                details={"file_tag": resume.file_tag,
-                         "file_path": resume.file_path,
-                         "offset": resume.offset,
-                         "time": resume.time},
-                evidence=events_evidence(
-                    view, view.by_file_tag[resume.file_tag]),
-            ))
-        return findings
 
 
 class SmallIODetector(Detector):
@@ -265,52 +239,6 @@ class FailedSyscallDetector(Detector):
         return findings
 
 
-class FdLeakDetector(Detector):
-    """Erroneous usage: opened descriptors never closed."""
-
-    name = "fd-leak"
-    description = "processes whose open count far exceeds their closes"
-
-    def __init__(self, min_unclosed: int = 4):
-        self.min_unclosed = min_unclosed
-
-    def detect(self, view):
-        fd_calls = ("open", "openat", "creat", "close")
-        succeeded = [{"terms": {"syscall": list(fd_calls)}},
-                     {"range": {"ret": {"gte": 0}}}]
-        response = view.store.search(
-            view.index, query=view.query(succeeded), size=0,
-            aggs={"by_pid": {
-                "terms": {"field": "pid", "size": 500},
-                "aggs": {"by_syscall": {"terms": {"field": "syscall",
-                                                  "size": 10}}},
-            }})
-        syscalls = view.values("syscall")
-        rets = view.values("ret")
-        findings = []
-        for bucket in response["aggregations"]["by_pid"]["buckets"]:
-            counts = {b["key"]: b["doc_count"]
-                      for b in bucket["by_syscall"]["buckets"]}
-            opens = sum(counts.get(s, 0)
-                        for s in ("open", "openat", "creat"))
-            closes = counts.get("close", 0)
-            if opens - closes >= self.min_unclosed:
-                findings.append(Finding(
-                    detector=self.name,
-                    severity="warning",
-                    title=(f"pid {bucket['key']}: {opens} opens vs "
-                           f"{closes} closes "
-                           f"({opens - closes} descriptors left open)"),
-                    details={"pid": bucket["key"], "opens": opens,
-                             "closes": closes},
-                    evidence=events_evidence(view, [
-                        row for row in view.by_pid[bucket["key"]]
-                        if syscalls[row] in fd_calls
-                        and _succeeded(rets[row])]),
-                ))
-        return findings
-
-
 class ShortLivedFileDetector(Detector):
     """Costly pattern: files written then deleted within the session."""
 
@@ -408,9 +336,7 @@ class ContentionDetector(Detector):
 
 #: The default detector battery, in reporting order.
 DEFAULT_DETECTORS: tuple[Detector, ...] = (
-    StaleOffsetDetector(),
     FailedSyscallDetector(),
-    FdLeakDetector(),
     SmallIODetector(),
     RandomAccessDetector(),
     ShortLivedFileDetector(),

@@ -4,22 +4,25 @@ This is the automatic-diagnosis layer: the paper's two headline
 case studies (Fluent Bit data loss §III-B, RocksDB contention §III-C)
 diagnosed *automatically* instead of by a human reading dashboards.
 
-:func:`diagnose_session` merges two sources of findings —
+:func:`diagnose_session` runs each detector once over the stored
+session.  Every finding name has one detector, in one of two
+batteries:
 
-- the **batch** detector battery (:mod:`repro.analysis.detectors`),
-  which runs backend queries post-mortem, and
-- the **streaming** battery (:mod:`repro.analysis.streaming`), either
-  a live :class:`~repro.analysis.streaming.DiagnosisTap` that rode the
-  tracer's consumer path, or a replay of the stored events through a
-  fresh tap (:func:`follow_session`, which hands the tap what the
-  consumer hands it: lane batches) —
+- the **batch** battery (:mod:`repro.analysis.detectors`), which runs
+  post-mortem correlations over the whole session, and
+- the **streaming** battery (:mod:`repro.analysis.streaming`), run by
+  replaying the stored events through a fresh
+  :class:`~repro.analysis.streaming.DiagnosisTap`
+  (:func:`follow_session`, which hands the tap what the tracer's
+  consumer hands it: lane batches, here with their backend ids).
 
-ranks them by severity and confidence (a finding corroborated by both
-sources outranks one seen by a single source), attaches the mined DFG
-fingerprint and behaviour phases, and renders a deterministic report:
-same events in, byte-identical report out (pinned by the DST digest).
-All of it reads one :class:`~repro.analysis.session.SessionEvents` —
-the session's lanes, fetched once — and builds no document for a pass.
+The report is both batteries' findings ranked by severity and
+confidence (a finding's source is fixed by its detector), with the
+mined DFG fingerprint and behaviour phases, rendered
+deterministically: same events in, byte-identical report out (pinned
+by the DST digest).  All of it reads one
+:class:`~repro.analysis.session.SessionEvents` — the session's lanes,
+fetched once — and builds no document for a pass.
 """
 
 from __future__ import annotations
@@ -36,11 +39,9 @@ from repro.analysis.session import SessionEvents
 from repro.analysis.streaming import DiagnosisTap
 from repro.backend.store import DocumentStore
 
-#: Confidence assigned by provenance: corroborated findings (same
-#: detector surfaced by both the batch and the streaming battery)
-#: outrank single-source ones; batch outranks streaming (it saw the
+#: Confidence by provenance: batch outranks streaming (it saw the
 #: complete stream with the backend's indexes, not a bounded tap).
-CONFIDENCE = {"both": 0.95, "batch": 0.8, "streaming": 0.6}
+CONFIDENCE = {"batch": 0.8, "streaming": 0.6}
 
 
 class RankedFinding:
@@ -51,7 +52,7 @@ class RankedFinding:
     def __init__(self, finding: Finding, source: str,
                  emit_ns: Optional[int] = None) -> None:
         self.finding = finding
-        self.source = source            # "batch" | "streaming" | "both"
+        self.source = source            # "batch" | "streaming"
         self.confidence = CONFIDENCE[source]
         self.emit_ns = emit_ns
 
@@ -154,28 +155,6 @@ class DiagnosisReport:
         return "\n".join(lines)
 
 
-def _merge(batch: Sequence[Finding],
-           streaming: Sequence[tuple[int, Finding]]) -> list[RankedFinding]:
-    """Merge the two batteries, corroborating same-detector findings.
-
-    A detector that fired in both sources yields the batch finding
-    (complete-stream evidence) at "both" confidence; streaming-only
-    findings keep their incremental emit timestamps.
-    """
-    batch_detectors = {finding.detector for finding in batch}
-    stream_detectors = {finding.detector for _, finding in streaming}
-    ranked = [RankedFinding(finding,
-                            "both" if finding.detector in stream_detectors
-                            else "batch")
-              for finding in batch]
-    for emit_ns, finding in streaming:
-        if finding.detector in batch_detectors:
-            continue                     # corroboration, not duplication
-        ranked.append(RankedFinding(finding, "streaming", emit_ns))
-    ranked.sort(key=lambda item: item.sort_key)
-    return ranked
-
-
 def follow_session(store: DocumentStore, index: str,
                    session: Optional[str],
                    tap: Optional[DiagnosisTap] = None,
@@ -239,40 +218,32 @@ def follow_session(store: DocumentStore, index: str,
 
 def diagnose_session(store: DocumentStore, session: Optional[str] = None,
                      index: str = "dio_trace",
-                     tap: Optional[DiagnosisTap] = None,
                      detectors: Sequence[Detector] = DEFAULT_DETECTORS,
                      latency_records: Optional[Sequence] = None,
                      window_events: int = 64,
                      drift_threshold: float = 0.4) -> DiagnosisReport:
-    """Diagnose one session: batch + streaming findings, DFG, phases.
+    """Diagnose one stored session: both batteries, DFG, phases.
 
-    ``tap`` is an already-fed live tap (from the tracer's consumer
-    path); when omitted, the stored events are replayed through a fresh
-    one.  ``latency_records`` (``(start_ns, latency_ns, ...)`` tuples,
-    e.g. ``bench.records()``) additionally feed the spike attributor.
+    ``latency_records`` (``(start_ns, latency_ns, ...)`` tuples, e.g.
+    ``bench.records()``) additionally feed the spike attributor.
 
-    The session is read from the store once: the detectors, the replay,
-    the DFG and the phases all derive from one :class:`SessionEvents`.
+    The session is read from the store once: the batch detectors, the
+    replay, the DFG and the phases all derive from one
+    :class:`SessionEvents`.
     """
     view = SessionEvents(store, index, session)
-    batch = run_detectors(store, index, session, detectors, view)
-    if tap is None:
-        # The report's DFG is mined below, once; the replay's tap need
-        # not mine another.
-        tap = follow_session(store, index, session,
-                             tap=DiagnosisTap(dfg=False),
-                             latency_records=latency_records, view=view)
-    else:
-        if latency_records:
-            # A live tap saw the syscalls during the run; the latency
-            # records only exist afterwards.  Feed them in start order
-            # and re-finalize to close the windows they opened.
-            tap.observe_latencies(sorted(latency_records,
-                                         key=itemgetter(0)))
-        tap.finalize()
+    findings = [RankedFinding(finding, "batch") for finding
+                in run_detectors(store, index, session, detectors, view)]
+    # The report's DFG is mined below, once; the replay's tap need not
+    # mine another.
+    tap = follow_session(store, index, session, tap=DiagnosisTap(dfg=False),
+                         latency_records=latency_records, view=view)
+    findings += [RankedFinding(finding, "streaming", emit_ns)
+                 for emit_ns, finding in tap.findings()]
+    findings.sort(key=lambda ranked: ranked.sort_key)
     return DiagnosisReport(
         session=session,
-        findings=_merge(batch, tap.findings()),
+        findings=findings,
         dfg=merged_dfg(store, index, session, view),
         phases=segment_phases(view.batch, window_events, drift_threshold,
                               name=session or index),

@@ -121,11 +121,6 @@ class SessionEvents:
         return self._grouped("file_tag")
 
     @cached_property
-    def by_pid(self) -> dict[Optional[int], list[int]]:
-        """Rows per ``pid`` (what ``term: pid`` matches)."""
-        return self._grouped("pid")
-
-    @cached_property
     def data_by_file(self) -> dict[str, list[int]]:
         """Rows of data syscalls that carry a file tag, per tag."""
         data = frozenset(READS + WRITES)

@@ -1,32 +1,30 @@
-"""Online, bounded-memory diagnosis detectors (the streaming half).
+"""Online, bounded-memory diagnosis detectors (the streaming battery).
 
-The batch detectors (:mod:`repro.analysis.detectors`) run post-mortem
-queries against the backend.  These are their *streaming* variants:
-they attach as a :class:`DiagnosisTap` on the tracer's consumer path
-(or are replayed over a stored session) and observe each parsed event
-exactly once, in bounded memory, emitting incremental
-:class:`~repro.analysis.detectors.Finding` objects with evidence links
-(event ids when available, time windows always) as the signatures
-develop.  There is one feed shape: ``observe_batch(batch, ids)`` is the
-only place a detector's step is written, whoever calls it — ``batch``
-is a :class:`~repro.backend.lanes.LaneBatch` the step reads lane by
-lane (``values_for``; :func:`rows_of` to visit only the rows it cares
-about), never as documents.  The consumer hands over its
-decoded :class:`~repro.tracer.batch.RecordBatch` without ids, a replay
-(:func:`~repro.analysis.diagnose.follow_session`) hands over stretches
-of the stored session's lanes with their backend ids.  Latency
-records arrive the same way (``observe_latencies(records)``).  The
-detectors:
+These detectors observe each parsed event exactly once, in bounded
+memory, emitting incremental :class:`~repro.analysis.detectors.Finding`
+objects with evidence links (event ids when available, time windows
+always) as the signatures develop.  They run as a :class:`DiagnosisTap`:
+on the tracer's consumer path, and over a stored session
+(:func:`~repro.analysis.diagnose.follow_session`), which is what
+``dio diagnose`` reports and ``--follow`` prints.  Each finding name
+has one detector: these five here, the rest in the post-mortem battery
+(:mod:`repro.analysis.detectors`).  There is one feed shape:
+``observe_batch(batch, ids)`` is the only place a detector's step is
+written, whoever calls it — ``batch`` is a
+:class:`~repro.backend.lanes.LaneBatch` the step reads lane by lane
+(``values_for``; :func:`rows_of` to visit only the rows it cares
+about), never as documents.  The consumer hands over its decoded
+:class:`~repro.tracer.batch.RecordBatch` without ids, a replay hands
+over stretches of the stored session's lanes with their backend ids.
+Latency records arrive the same way (``observe_latencies(records)``).
+The detectors:
 
 - :class:`StreamingStaleOffsetDetector` — the Fluent Bit §III-B
   offset-gap-after-inode-reuse signature;
-- :class:`StreamingContentionDetector` — windows where many concurrent
-  background threads depress the client syscall rate (§III-C);
 - :class:`StreamingSpikeAttributor` — latency spikes attributed to the
   concurrent compaction/flush I/O in the same window (the streaming
   cousin of :mod:`repro.analysis.blame`, after ReLayTracer);
-- :class:`StreamingFdLeakDetector` — per-process open-minus-close
-  watermark;
+- :class:`StreamingFdLeakDetector` — per-process opens minus closes;
 - :class:`StreamingWriteAmplificationDetector` — background bytes
   written per client byte written;
 - :class:`StreamingUringLagDetector` — submission-to-completion lag of
@@ -35,6 +33,8 @@ detectors:
 
 Every per-key table is capped (``MAX_*`` constants); overflowing keys
 are dropped deterministically (oldest first), never resized unbounded.
+The one exception is the fd-leak detector's per-process counters: its
+verdict needs every call a process made (see its docstring).
 The tap also runs an online DFG miner (:class:`StreamingDFGMiner`) so
 ``dio_dfg_*`` telemetry is live during ingest.
 """
@@ -43,10 +43,11 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
 from itertools import chain, compress, repeat
-from operator import eq, sub
+from operator import sub
 from typing import Optional, Sequence
 
-from repro.analysis.detectors import Finding, make_evidence
+from repro.analysis.detectors import (EVIDENCE_ID_CAP, Finding,
+                                      make_evidence)
 from repro.analysis.dfg import DirectlyFollowsGraph
 from repro.analysis.session import times_of
 from repro.backend.lanes import LaneBatch, _groups
@@ -246,16 +247,27 @@ class StreamingStaleOffsetDetector(StreamingDetector):
 
 
 class StreamingFdLeakDetector(StreamingDetector):
-    """Per-process descriptor watermark: opens minus closes, online."""
+    """Opened descriptors never closed: per-process opens minus closes.
+
+    Counts each process's successful opens and closes; at
+    :meth:`finalize`, a process whose opens outnumber its closes by
+    ``min_unclosed`` or more is flagged.  The evidence is the process's
+    first successful descriptor calls and the time span of all of them.
+
+    Unlike the other per-process tables, this one is not capped: the
+    verdict needs every call a process made, and the leaker is often
+    the long-lived process seen first, which an oldest-first eviction
+    would drop.  A process costs one record of two counters, two
+    times and at most ``EVIDENCE_ID_CAP`` ids.
+    """
 
     name = "fd-leak"
-    description = ("a process's open-descriptor watermark exceeded the "
-                   "leak threshold")
+    description = "processes whose open count far exceeds their closes"
 
     def __init__(self, min_unclosed: int = 4) -> None:
         super().__init__()
         self.min_unclosed = min_unclosed
-        self._pids: OrderedDict[int, dict] = OrderedDict()
+        self._pids: dict[int, dict] = {}
 
     def observe_batch(self, batch, ids=None):
         rows = rows_of(batch, _FD_SET)
@@ -269,48 +281,39 @@ class StreamingFdLeakDetector(StreamingDetector):
         for row in rows:
             if rets[row] < 0:
                 continue
-            pid, time_ns = pids[row], times[row]
-            state = tracked.get(pid)
+            time_ns = times[row]
+            state = tracked.get(pids[row])
             if state is None:
-                state = _capped_insert(
-                    tracked, pid,
-                    lambda: {"open": 0, "watermark": 0, "opens": 0,
-                             "closes": 0, "flagged": False, "ids": [],
-                             "first_ns": time_ns, "last_ns": 0},
-                    MAX_TRACKED_PIDS)
-            state["last_ns"] = time_ns
+                state = tracked[pids[row]] = {
+                    "opens": 0, "closes": 0, "ids": [],
+                    "first_ns": time_ns, "last_ns": time_ns}
+            if time_ns < state["first_ns"]:
+                state["first_ns"] = time_ns
+            if time_ns > state["last_ns"]:
+                state["last_ns"] = time_ns
             if syscalls[row] == "close":
                 state["closes"] += 1
-                if state["open"] > 0:
-                    state["open"] -= 1
-                continue
-            state["opens"] += 1
-            state["open"] += 1
+            else:
+                state["opens"] += 1
             if ids is not None and ids[row] is not None \
-                    and len(state["ids"]) < MAX_EVIDENCE_IDS:
+                    and len(state["ids"]) < EVIDENCE_ID_CAP:
                 state["ids"].append(ids[row])
-            if state["open"] > state["watermark"]:
-                state["watermark"] = state["open"]
-                if state["watermark"] >= self.min_unclosed \
-                        and not state["flagged"]:
-                    self._flag(pid, state)
 
-    def _flag(self, pid, state: dict) -> None:
-        state["flagged"] = True
-        self._emit(state["last_ns"], Finding(
-            detector=self.name,
-            severity="warning",
-            title=(f"pid {pid}: descriptor watermark "
-                   f"reached {state['watermark']} "
-                   f"({state['opens']} opens vs "
-                   f"{state['closes']} closes so far)"),
-            details={"pid": pid,
-                     "watermark": state["watermark"],
-                     "opens": state["opens"],
-                     "closes": state["closes"]},
-            evidence=make_evidence(state["ids"], state["first_ns"],
-                                   state["last_ns"]),
-        ))
+    def finalize(self, now_ns=0):
+        for pid, state in self._pids.items():
+            opens, closes = state["opens"], state["closes"]
+            if opens - closes < self.min_unclosed:
+                continue
+            self._emit(state["last_ns"], Finding(
+                detector=self.name,
+                severity="warning",
+                title=(f"pid {pid}: {opens} opens vs {closes} closes "
+                       f"({opens - closes} descriptors left open)"),
+                details={"pid": pid, "opens": opens, "closes": closes},
+                evidence=make_evidence(state["ids"], state["first_ns"],
+                                       state["last_ns"]),
+            ))
+        super().finalize(now_ns)
 
 
 #: The per-op event names the ring-aware tracer emits (one per SQE).
@@ -471,269 +474,30 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
 
 
 class _WindowState:
-    """Per-window scratch shared by the windowed detectors."""
+    """One window's background activity."""
 
-    __slots__ = ("client_count", "bg_tids", "bg_activity", "ids")
+    __slots__ = ("bg_tids", "bg_activity", "ids")
 
     def __init__(self) -> None:
-        self.client_count = 0
         self.bg_tids: set[int] = set()
         #: proc_name -> [syscalls, bytes]; insertion-capped.
         self.bg_activity: dict[str, list] = {}
         self.ids: list[str] = []
 
 
-def _scan_windows(batch, ids, window_ns: int, client: str,
-                  prefix: str) -> tuple[list, int]:
-    """One pass over a batch: fresh per-window aggregates + max time.
-
-    The hot loop of the windowed detectors, factored out so detectors
-    sharing a :attr:`_WindowedDetector.window_key` pay for it once per
-    batch (each then merges via ``absorb_windows``).  Every event opens
-    its window and the client's are counted per window at once; only
-    the background threads' rows are visited one by one.  A window's
-    evidence links are the ids of its first background events.
-    """
-    times = times_of(batch)
-    if not times:
-        return [], 0
-    starts = [time_ns - time_ns % window_ns for time_ns in times]
-    states = {start: _WindowState() for start in dict.fromkeys(starts)}
-    procs = batch.values_for("proc_name")
-    for start, count in Counter(compress(
-            starts, map(eq, procs, repeat(client)))).items():
-        states[start].client_count = count
-    background = {proc: proc != client and proc.startswith(prefix)
-                  for proc in set(procs)}
-    rows = list(compress(range(len(procs)),
-                         map(background.__getitem__, procs)))
-    if rows:
-        rw = _RW_SET
-        tids = batch.values_for("tid")
-        rets = batch.values_for("ret")
-        syscalls = batch.values_for("syscall")
-        for row in rows:
-            state = states[starts[row]]
-            state.bg_tids.add(tids[row])
-            proc = procs[row]
-            activity = state.bg_activity.get(proc)
-            if activity is None:
-                if len(state.bg_activity) < MAX_TRACKED_PROCS:
-                    activity = state.bg_activity[proc] = [0, 0]
-            if activity is not None:
-                activity[0] += 1
-                ret = rets[row]
-                if ret > 0 and syscalls[row] in rw:
-                    activity[1] += ret
-            if ids is not None and ids[row] is not None \
-                    and len(state.ids) < MAX_EVIDENCE_IDS:
-                state.ids.append(ids[row])
-    return list(states.items()), max(0, max(times))
-
-
-class _WindowedDetector(StreamingDetector):
-    """Shared window bookkeeping: assign, watermark-close, finalize."""
-
-    def __init__(self, window_ns: int, client_comm: str,
-                 background_prefix: str) -> None:
-        super().__init__()
-        if window_ns <= 0:
-            raise ValueError(f"window_ns must be positive: {window_ns}")
-        self.window_ns = window_ns
-        self.client_comm = client_comm
-        self.background_prefix = background_prefix
-        self._windows: dict[int, _WindowState] = {}
-        self._max_ns = 0
-
-    @property
-    def window_key(self) -> tuple:
-        """Detectors with equal keys can share one batch window scan."""
-        return (self.window_ns, self.client_comm, self.background_prefix)
-
-    def observe_batch(self, batch, ids=None):
-        # One scan of the batch into per-window aggregates, then one
-        # watermark close (emit timestamps are event-time, so batch
-        # granularity only defers emission within the batch).
-        updates, max_ns = _scan_windows(batch, ids, *self.window_key)
-        self.absorb_windows(updates, max_ns)
-
-    def absorb_windows(self, updates: list, max_ns: int) -> None:
-        """Merge a shared batch scan's per-window aggregates."""
-        windows = self._windows
-        for start, new in updates:
-            state = windows.get(start)
-            if state is None:
-                state = windows[start] = _WindowState()
-            state.client_count += new.client_count
-            if new.bg_tids:
-                state.bg_tids |= new.bg_tids
-                activities = state.bg_activity
-                for proc, pair in new.bg_activity.items():
-                    activity = activities.get(proc)
-                    if activity is None:
-                        if len(activities) < MAX_TRACKED_PROCS:
-                            activities[proc] = [pair[0], pair[1]]
-                    else:
-                        activity[0] += pair[0]
-                        activity[1] += pair[1]
-                state.ids += new.ids[:MAX_EVIDENCE_IDS - len(state.ids)]
-        if max_ns > self._max_ns:
-            self._max_ns = max_ns
-        self._close_ready()
-
-    def _close_ready(self) -> None:
-        """Close windows at least one full window behind the watermark."""
-        horizon = self._max_ns - 2 * self.window_ns
-        if horizon <= 0:
-            return
-        for start in sorted(self._windows):
-            if start + self.window_ns > horizon:
-                break
-            self._close_window(start, self._windows.pop(start))
-
-    def _close_window(self, start: int, state: _WindowState) -> None:
-        raise NotImplementedError
-
-    def finalize(self, now_ns=0):
-        for start in sorted(self._windows):
-            self._close_window(start, self._windows.pop(start))
-        super().finalize(now_ns)
-
-
-class StreamingContentionDetector(_WindowedDetector):
-    """§III-C, online: background bursts depress the client rate.
-
-    Windows close one full window behind the event-time watermark.
-    Each closed window is classified calm/contended by the number of
-    distinct background TIDs; the first few contended windows emit
-    incremental info findings naming the heaviest background thread,
-    and once both regimes have enough windows and the slowdown ratio
-    clears the threshold, one summary warning is emitted.
-    """
-
-    name = "io-contention"
-    description = ("windows with many concurrent background threads "
-                   "coincide with depressed client syscall rates")
-
-    def __init__(self, window_ns: int = 100_000_000,
-                 min_threads: int = 5, min_slowdown: float = 1.1,
-                 min_windows: int = 2,
-                 client_comm: str = "db_bench",
-                 background_prefix: str = "rocksdb:low",
-                 max_window_findings: int = 3) -> None:
-        super().__init__(window_ns, client_comm, background_prefix)
-        self.min_threads = min_threads
-        self.min_slowdown = min_slowdown
-        self.min_windows = min_windows
-        self.max_window_findings = max_window_findings
-        self.calm_windows = 0
-        self.contended_windows = 0
-        self._calm_client_total = 0
-        self._contended_client_total = 0
-        self._window_findings = 0
-        self._summary_emitted = False
-        self._first_contended_ns: Optional[int] = None
-        self._last_contended_ns = 0
-
-    @property
-    def client_rate_calm(self) -> float:
-        return (self._calm_client_total / self.calm_windows
-                if self.calm_windows else 0.0)
-
-    @property
-    def client_rate_contended(self) -> float:
-        return (self._contended_client_total / self.contended_windows
-                if self.contended_windows else 0.0)
-
-    @property
-    def client_slowdown(self) -> float:
-        contended = self.client_rate_contended
-        if contended <= 0:
-            return float("inf") if self.client_rate_calm > 0 else 1.0
-        return self.client_rate_calm / contended
-
-    def _close_window(self, start, state):
-        if len(state.bg_tids) >= self.min_threads:
-            self.contended_windows += 1
-            self._contended_client_total += state.client_count
-            if self._first_contended_ns is None:
-                self._first_contended_ns = start
-            self._last_contended_ns = start + self.window_ns
-            if self._window_findings < self.max_window_findings:
-                self._window_findings += 1
-                top = sorted(state.bg_activity.items(),
-                             key=lambda item: (-item[1][1], -item[1][0],
-                                               item[0]))
-                culprit = top[0][0] if top else "?"
-                self._emit(start + self.window_ns, Finding(
-                    detector=self.name,
-                    severity="info",
-                    title=(f"contended window @ {start / 1e6:.0f} ms: "
-                           f"{len(state.bg_tids)} background threads "
-                           f"active (busiest: {culprit}), client issued "
-                           f"{state.client_count} syscalls"),
-                    details={"window_start_ns": start,
-                             "background_threads": len(state.bg_tids),
-                             "client_syscalls": state.client_count,
-                             "busiest_background": culprit},
-                    evidence=make_evidence(state.ids, start,
-                                           start + self.window_ns),
-                ))
-        else:
-            self.calm_windows += 1
-            self._calm_client_total += state.client_count
-        self._maybe_emit_summary()
-
-    def _maybe_emit_summary(self) -> None:
-        if self._summary_emitted:
-            return
-        if (self.contended_windows >= self.min_windows
-                and self.calm_windows >= self.min_windows
-                and self.client_slowdown >= self.min_slowdown):
-            self._summary_emitted = True
-            self._emit(self._last_contended_ns, Finding(
-                detector=self.name,
-                severity="warning",
-                title=(f"{self.contended_windows} windows with >= "
-                       f"{self.min_threads} {self.background_prefix}* "
-                       f"threads; client syscall rate drops "
-                       f"{self.client_slowdown:.2f}x there"),
-                details={"contended_windows": self.contended_windows,
-                         "calm_windows": self.calm_windows,
-                         "client_rate_calm":
-                             round(self.client_rate_calm, 2),
-                         "client_rate_contended":
-                             round(self.client_rate_contended, 2),
-                         "client_slowdown":
-                             round(self.client_slowdown, 2)},
-                evidence=make_evidence(
-                    start_ns=self._first_contended_ns or 0,
-                    end_ns=self._last_contended_ns),
-            ))
-
-
-class StreamingSpikeAttributor(_WindowedDetector):
+class StreamingSpikeAttributor(StreamingDetector):
     """Latency spikes attributed to concurrent background I/O, online.
 
     Consumes two feeds: syscall events (:meth:`observe_batch`) for
     per-window background activity, and operation latency records
-    (:meth:`observe_latencies`) from the benchmark/telemetry feed.  A
-    window whose p99 exceeds ``spike_factor`` times the running
-    baseline (25th percentile of closed-window p99s) emits a finding
-    naming the heaviest concurrent background threads — the streaming
-    version of :func:`repro.analysis.blame.blame_spikes`.
-
-    On a live tap the two feeds do not arrive together: the syscalls
-    ride the consumer path, the benchmark's latency records exist only
-    after the run, by which time every window has closed with nothing
-    to measure.  A window that closes with background activity but no
-    samples is therefore parked, and attributed against when its
-    samples arrive.  The parking table holds ``MAX_BASELINE_WINDOWS``
-    windows, oldest out first: a live run longer than that many
-    windows (25.6 s at the default width) whose records arrive only
-    afterwards attributes the spikes of its last 256 background-active
-    windows and stays silent about earlier ones.  A replay feeds both
-    in time order and never finds anything parked.
+    (:meth:`observe_latencies`) from the benchmark/telemetry feed.
+    Windows close two widths behind the event-time watermark of both
+    feeds, so the two must arrive together, in time order — as a
+    replay hands them over.  A window whose p99 exceeds
+    ``spike_factor`` times the running baseline (25th percentile of
+    closed-window p99s) emits a finding naming the heaviest concurrent
+    background threads — the streaming version of
+    :func:`repro.analysis.blame.blame_spikes`.
     """
 
     name = "latency-spike-blame"
@@ -744,14 +508,63 @@ class StreamingSpikeAttributor(_WindowedDetector):
                  spike_factor: float = 2.5,
                  client_comm: str = "db_bench",
                  background_prefix: str = "rocksdb:low") -> None:
-        super().__init__(window_ns, client_comm, background_prefix)
+        super().__init__()
+        if window_ns <= 0:
+            raise ValueError(f"window_ns must be positive: {window_ns}")
+        self.window_ns = window_ns
         self.spike_factor = spike_factor
+        self.client_comm = client_comm
+        self.background_prefix = background_prefix
+        self._windows: dict[int, _WindowState] = {}
+        self._max_ns = 0
         self._latencies: dict[int, list[int]] = {}
         self._baseline: deque[float] = deque(maxlen=MAX_BASELINE_WINDOWS)
-        #: Windows closed with background activity but no samples yet.
-        self._parked: OrderedDict[int, _WindowState] = OrderedDict()
         self.spikes_found = 0
         self._culprits: OrderedDict[str, int] = OrderedDict()
+
+    def observe_batch(self, batch, ids=None):
+        # Only the background threads' rows are visited one by one; a
+        # window's evidence links are the ids of its first background
+        # events.
+        times = times_of(batch)
+        if not times:
+            return
+        procs = batch.values_for("proc_name")
+        client, prefix = self.client_comm, self.background_prefix
+        background = {proc: proc != client and proc.startswith(prefix)
+                      for proc in set(procs)}
+        rows = list(compress(range(len(procs)),
+                             map(background.__getitem__, procs)))
+        if rows:
+            window_ns = self.window_ns
+            windows = self._windows
+            rw = _RW_SET
+            tids = batch.values_for("tid")
+            rets = batch.values_for("ret")
+            syscalls = batch.values_for("syscall")
+            for row in rows:
+                start = times[row] - times[row] % window_ns
+                state = windows.get(start)
+                if state is None:
+                    state = windows[start] = _WindowState()
+                state.bg_tids.add(tids[row])
+                proc = procs[row]
+                activity = state.bg_activity.get(proc)
+                if activity is None:
+                    if len(state.bg_activity) < MAX_TRACKED_PROCS:
+                        activity = state.bg_activity[proc] = [0, 0]
+                if activity is not None:
+                    activity[0] += 1
+                    ret = rets[row]
+                    if ret > 0 and syscalls[row] in rw:
+                        activity[1] += ret
+                if ids is not None and ids[row] is not None \
+                        and len(state.ids) < MAX_EVIDENCE_IDS:
+                    state.ids.append(ids[row])
+        latest = max(times)
+        if latest > self._max_ns:
+            self._max_ns = latest
+        self._close_ready()
 
     def observe_latencies(self, records):
         window_ns = self.window_ns
@@ -767,6 +580,7 @@ class StreamingSpikeAttributor(_WindowedDetector):
         self._close_ready()
 
     def _close_ready(self):
+        """Close windows at least one full window behind the watermark."""
         horizon = self._max_ns - 2 * self.window_ns
         if horizon <= 0:
             return
@@ -774,18 +588,13 @@ class StreamingSpikeAttributor(_WindowedDetector):
         for start in ready:
             if start + self.window_ns > horizon:
                 break
-            self._close_window(start,
-                               self._windows.pop(start, _WindowState()))
+            self._close_window(start)
 
-    def _close_window(self, start, state):
+    def _close_window(self, start):
+        state = self._windows.pop(start, None)
         samples = self._latencies.pop(start, None)
         if not samples:
-            if state.bg_tids:
-                _capped_insert(self._parked, start, lambda: state,
-                               MAX_BASELINE_WINDOWS)
             return
-        if not state.bg_tids:
-            state = self._parked.pop(start, state)
         ordered = sorted(samples)
         p99 = float(ordered[min(len(ordered) - 1,
                                 int(round(0.99 * (len(ordered) - 1))))])
@@ -796,7 +605,7 @@ class StreamingSpikeAttributor(_WindowedDetector):
         self._baseline.append(p99)
         if baseline is None or p99 <= self.spike_factor * baseline:
             return
-        if not state.bg_tids:
+        if state is None:
             # A spike with no concurrent background I/O in the window
             # has nothing to attribute — that is a latency problem, not
             # a contention problem; stay silent rather than blame air.
@@ -830,10 +639,8 @@ class StreamingSpikeAttributor(_WindowedDetector):
         ))
 
     def finalize(self, now_ns=0):
-        remaining = sorted(set(self._windows) | set(self._latencies))
-        for start in remaining:
-            self._close_window(start,
-                               self._windows.pop(start, _WindowState()))
+        for start in sorted(set(self._windows) | set(self._latencies)):
+            self._close_window(start)
         super().finalize(now_ns)
 
 
@@ -908,21 +715,13 @@ class StreamingDFGMiner:
         return self.graph.transitions
 
 
-def default_streaming_detectors(client_comm: str = "db_bench",
-                                background_prefix: str = "rocksdb:low",
-                                window_ns: int = 100_000_000
-                                ) -> list[StreamingDetector]:
+def default_streaming_detectors() -> list[StreamingDetector]:
     """The standard streaming battery, in reporting order."""
     return [
         StreamingStaleOffsetDetector(),
         StreamingFdLeakDetector(),
-        StreamingContentionDetector(window_ns=window_ns,
-                                    client_comm=client_comm,
-                                    background_prefix=background_prefix),
-        StreamingSpikeAttributor(window_ns=window_ns,
-                                 client_comm=client_comm,
-                                 background_prefix=background_prefix),
-        StreamingWriteAmplificationDetector(client_comm=client_comm),
+        StreamingSpikeAttributor(),
+        StreamingWriteAmplificationDetector(),
         StreamingUringLagDetector(),
     ]
 
@@ -941,30 +740,15 @@ class DiagnosisTap:
 
     def __init__(self,
                  detectors: Optional[Sequence[StreamingDetector]] = None,
-                 dfg: bool = True,
-                 client_comm: str = "db_bench",
-                 background_prefix: str = "rocksdb:low") -> None:
+                 dfg: bool = True) -> None:
         self.detectors: list[StreamingDetector] = (
             list(detectors) if detectors is not None
-            else default_streaming_detectors(client_comm,
-                                             background_prefix))
+            else default_streaming_detectors())
         self.dfg: Optional[StreamingDFGMiner] = (
             StreamingDFGMiner() if dfg else None)
         self.events_observed = 0
         self.latencies_observed = 0
         self.finalized = False
-        # Batch-path plan: windowed detectors with equal window keys
-        # share one scan per batch; everything else feeds directly.
-        # (Computed once — the detector list is fixed at construction.)
-        groups: dict[tuple, list] = {}
-        self._direct: list[StreamingDetector] = []
-        for detector in self.detectors:
-            if isinstance(detector, _WindowedDetector):
-                groups.setdefault(detector.window_key, []).append(detector)
-            else:
-                self._direct.append(detector)
-        self._window_groups = [(key, group)
-                               for key, group in groups.items()]
 
     # -- feed ----------------------------------------------------------
 
@@ -972,12 +756,8 @@ class DiagnosisTap:
                       ids: Optional[Sequence[str]] = None) -> None:
         batch = _Reads(batch)
         self.events_observed += len(batch)
-        for detector in self._direct:
+        for detector in self.detectors:
             detector.observe_batch(batch, ids)
-        for key, group in self._window_groups:
-            updates, max_ns = _scan_windows(batch, ids, *key)
-            for detector in group:
-                detector.absorb_windows(updates, max_ns)
         if self.dfg is not None:
             self.dfg.observe_batch(batch)
 
@@ -990,19 +770,15 @@ class DiagnosisTap:
 
     @property
     def stretch_ns(self) -> Optional[int]:
-        """The narrowest detector window (``None`` without one): the
-        widest stretch of event time a replay may hand over at once."""
-        return min((key[0] for key, _ in self._window_groups),
+        """The narrowest spike-attribution window (``None`` without
+        one): the widest stretch of event time a replay may hand over
+        at once."""
+        return min((detector.window_ns for detector in self.detectors
+                    if isinstance(detector, StreamingSpikeAttributor)),
                    default=None)
 
     def finalize(self, now_ns: int = 0) -> None:
-        """Flush pending state; safe to call again after more feed.
-
-        The tracer finalizes the tap at shutdown, but latency records
-        (e.g. ``bench.records()``) often only exist *after* the run —
-        a second finalize closes the windows they opened.  Detectors
-        guard their own one-shot emissions.
-        """
+        """End of stream: every detector flushes what is pending."""
         self.finalized = True
         for detector in self.detectors:
             detector.finalize(now_ns)
@@ -1050,7 +826,7 @@ class DiagnosisTap:
             registry.gauge(
                 "dio_dfg_nodes",
                 "Distinct nodes in the online Directly-Follows-Graph "
-                "(syscall types, or syscall x file-class).",
+                "(one per syscall name).",
             ).set_function(lambda: self.dfg.nodes)
             registry.gauge(
                 "dio_dfg_edges",

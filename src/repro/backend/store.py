@@ -500,8 +500,8 @@ _STORE_FAMILIES = (
      "Lane-appended documents (traced batches and loaded sessions) "
      "whose _source dicts were built: one row at a time for the hits "
      "a request returns (and the candidates an inexact plan "
-     "re-checks), the rest when a write needs the documents (a put, a "
-     "delete, an update a lane cannot overlay).  Aggregations, exact "
+     "re-checks), the rest when a write needs the documents (a put, "
+     "an update a lane cannot overlay).  Aggregations, exact "
      "plans, file-path correlation, save_session and diagnosis read "
      "lanes and build nothing."),
     ("gauge", "dio_ingest_pending_docs", "pending_docs",

@@ -204,13 +204,14 @@ def _cmd_sessions(args) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
-    from repro.analysis.detectors import run_detectors
+    from repro.analysis.diagnose import diagnose_session
 
     store, sessions = _load_traces(args.traces)
     exit_code = 0
     results = []
     for session in sessions:
-        findings = run_detectors(store, session=session)
+        findings = [ranked.finding for ranked
+                    in diagnose_session(store, session).findings]
         if any(f.severity == "critical" for f in findings):
             exit_code = 1
         if args.json:
@@ -323,27 +324,22 @@ def _cmd_diagnose(args) -> int:
 
     from repro.analysis.diagnose import diagnose_session, follow_session
 
-    tap_by_session = {}
     latency_by_session = {}
     if args.scenario:
-        from repro.analysis.streaming import DiagnosisTap
-
-        tap = DiagnosisTap()
         if args.scenario == "rocksdb":
             from repro.experiments import run_rocksdb_case
             from repro.experiments.rocksdb_case import RocksDBScale
 
             scale = RocksDBScale(duration_ns=int(args.duration * SECOND))
-            case = run_rocksdb_case(scale, tap=tap)
+            case = run_rocksdb_case(scale)
             store, sessions = case.store, [case.session]
             latency_by_session[case.session] = case.bench.records()
         else:
             from repro.experiments import run_fluentbit_case
 
-            case = run_fluentbit_case(args.version, tap=tap)
+            case = run_fluentbit_case(args.version)
             store = case.store
             sessions = [case.tracer.config.session_name]
-        tap_by_session[sessions[0]] = tap
     elif args.traces:
         store, sessions = _load_traces(args.traces)
     else:
@@ -359,24 +355,16 @@ def _cmd_diagnose(args) -> int:
 
     reports = []
     for session in sessions:
-        tap = tap_by_session.get(session)
         latency = latency_by_session.get(session)
         if args.follow:
             def emit(emit_ns, finding):
                 print(f"[{emit_ns / 1e6:10.1f} ms] {finding}")
 
             print(f"--- streaming findings for session {session!r} ---")
-            if tap is None:
-                tap = follow_session(store, "dio_trace", session,
-                                     latency_records=latency, emit=emit)
-                latency = None      # already fed
-            else:
-                # Live tap: it already rode the consumer path; show the
-                # incremental findings it emitted, with timestamps.
-                for emit_ns, finding in tap.drain_new():
-                    emit(emit_ns, finding)
+            follow_session(store, "dio_trace", session,
+                           latency_records=latency, emit=emit)
             print()
-        reports.append(diagnose_session(store, session, tap=tap,
+        reports.append(diagnose_session(store, session,
                                         latency_records=latency))
 
     if args.json:
@@ -776,8 +764,8 @@ def main(argv: list[str] | None = None) -> int:
     p_diag.add_argument("traces", nargs="*", metavar="TRACE",
                         help="trace files to diagnose post-mortem")
     p_diag.add_argument("--scenario", choices=("fluentbit", "rocksdb"),
-                        help="run a built-in case study live with the "
-                             "streaming tap on the consumer path")
+                        help="run a built-in case study, then diagnose "
+                             "the session it stored")
     p_diag.add_argument("--version", choices=("1.4.0", "2.0.5"),
                         default="1.4.0",
                         help="Fluent Bit version (fluentbit scenario)")

@@ -62,14 +62,9 @@ class FluentBitCaseResult(NamedTuple):
 def run_fluentbit_case(version: str,
                        poll_interval_ns: int = 5 * SECOND,
                        phase_delay_ns: int = 10 * SECOND,
-                       session_name: str | None = None,
-                       tap=None) -> FluentBitCaseResult:
-    """Run the complete §III-B scenario under DIO tracing.
-
-    ``tap`` optionally attaches a streaming-diagnosis tap
-    (:class:`repro.analysis.streaming.DiagnosisTap`) to the tracer's
-    consumer path.
-    """
+                       session_name: str | None = None
+                       ) -> FluentBitCaseResult:
+    """Run the complete §III-B scenario under DIO tracing."""
     env = Environment()
     kernel = Kernel(env, ncpus=2)
     store = DocumentStore()
@@ -85,7 +80,7 @@ def run_fluentbit_case(version: str,
         pids=frozenset({app.process.pid, fluentbit.process.pid}),
         session_name=session,
     )
-    tracer = DIOTracer(env, kernel, store, config, tap=tap)
+    tracer = DIOTracer(env, kernel, store, config)
     tracer.attach()
     fluentbit.start()
 

@@ -107,14 +107,9 @@ def build_kernel(scale: RocksDBScale) -> Kernel:
 def run_rocksdb_case(scale: Optional[RocksDBScale] = None,
                      trace: bool = True,
                      session_name: str = "rocksdb-ycsb-a",
-                     tracer_config: Optional[TracerConfig] = None,
-                     tap=None) -> RocksDBCaseResult:
-    """Run db_bench under (optional) DIO tracing; returns the results.
-
-    ``tap`` optionally attaches a streaming-diagnosis tap
-    (:class:`repro.analysis.streaming.DiagnosisTap`) to the tracer's
-    consumer path.
-    """
+                     tracer_config: Optional[TracerConfig] = None
+                     ) -> RocksDBCaseResult:
+    """Run db_bench under (optional) DIO tracing; returns the results."""
     scale = scale or RocksDBScale()
     kernel = build_kernel(scale)
     env = kernel.env
@@ -137,7 +132,7 @@ def run_rocksdb_case(scale: Optional[RocksDBScale] = None,
             pids=frozenset({process.pid}),
             session_name=session_name,
         )
-        tracer = DIOTracer(env, kernel, store, config, tap=tap)
+        tracer = DIOTracer(env, kernel, store, config)
 
     def main():
         yield from db.open(bench.client_tasks[0])

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from repro.analysis.diagnose import (CONFIDENCE, RankedFinding, _merge,
+from repro.analysis.diagnose import (CONFIDENCE, RankedFinding,
                                      diagnose_session, follow_session)
-from repro.analysis.detectors import Finding
+from repro.analysis.detectors import SEVERITY_ORDER, Finding
 from repro.analysis.streaming import DiagnosisTap
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
+from repro.backend import DocumentStore
 from repro.cli import main
 from repro.experiments import run_fluentbit_case, run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
@@ -25,28 +26,31 @@ def rocksdb_case():
 
 
 class TestMerge:
-    def test_corroborated_detector_becomes_both(self):
-        batch = [Finding("stale-offset", "critical", "batch view", {})]
-        streaming = [(10, Finding("stale-offset", "critical",
-                                  "stream view", {}))]
-        merged = _merge(batch, streaming)
-        assert len(merged) == 1
-        assert merged[0].source == "both"
-        assert merged[0].confidence == CONFIDENCE["both"]
-        assert merged[0].finding.title == "batch view"
+    """The report is both batteries' findings, each detector run once:
+    a finding's source is its detector's battery."""
 
-    def test_streaming_only_keeps_emit_ns(self):
-        merged = _merge([], [(42, Finding("fd-leak", "warning", "t", {}))])
-        assert merged[0].source == "streaming"
-        assert merged[0].emit_ns == 42
+    @pytest.fixture(scope="class")
+    def report(self, rocksdb_case):
+        return diagnose_session(rocksdb_case.store, rocksdb_case.session,
+                                latency_records=rocksdb_case.bench.records())
 
-    def test_ranked_by_severity_then_confidence(self):
-        batch = [Finding("a", "warning", "w", {})]
-        streaming = [(1, Finding("b", "critical", "c", {})),
-                     (2, Finding("c", "info", "i", {}))]
-        merged = _merge(batch, streaming)
-        severities = [r.finding.severity for r in merged]
-        assert severities == ["critical", "warning", "info"]
+    def test_streaming_only_keeps_emit_ns(self, report):
+        assert {ranked.source for ranked in report.findings} == {
+            "batch", "streaming"}
+        for ranked in report.findings:
+            assert (ranked.emit_ns is not None) == (
+                ranked.source == "streaming")
+        sources = {}
+        for ranked in report.findings:
+            assert sources.setdefault(ranked.finding.detector,
+                                      ranked.source) == ranked.source
+
+    def test_ranked_by_severity_then_confidence(self, report):
+        keys = [(SEVERITY_ORDER[ranked.finding.severity], -ranked.confidence)
+                for ranked in report.findings]
+        assert keys == sorted(keys)
+        assert len({key[0] for key in keys}) > 1
+        assert len({key[1] for key in keys}) > 1
 
 
 class TestDiagnoseSession:
@@ -56,10 +60,9 @@ class TestDiagnoseSession:
         assert report.severities.get("critical")
         stale = [r for r in report.findings
                  if "stale" in r.finding.detector]
-        assert stale
-        # Replay corroborates the batch finding: both batteries saw it.
-        assert stale[0].source == "both"
-        assert stale[0].confidence == CONFIDENCE["both"]
+        assert len(stale) == 1
+        assert stale[0].source == "streaming"
+        assert stale[0].confidence == CONFIDENCE["streaming"]
         assert stale[0].finding.evidence["event_ids"]
 
     def test_fluentbit_fixed_is_clean_of_criticals(self):
@@ -73,17 +76,46 @@ class TestDiagnoseSession:
                                   latency_records=rocksdb_case.bench.records())
         contention = [r for r in report.findings
                       if r.finding.detector == "io-contention"]
-        assert contention
-        assert contention[0].source == "both"
+        assert len(contention) == 1
+        assert contention[0].source == "batch"
 
-    def test_live_tap_agrees_with_replay(self, buggy_case):
-        tap = DiagnosisTap()
-        case = run_fluentbit_case(FLUENTBIT_BUGGY, tap=tap)
-        session = case.tracer.config.session_name
-        live = diagnose_session(case.store, session, tap=tap)
-        replay = diagnose_session(case.store, session)
-        assert live.detectors_fired == replay.detectors_fired
-        assert live.severities == replay.severities
+    def test_fd_leak_needs_descriptors_left_open(self):
+        # One process opens four files and closes all four: its
+        # descriptors peaked at four, but none leaked.
+        store = DocumentStore()
+        calls = [("openat", 3 + n) for n in range(4)] + [("close", 0)] * 4
+        store.bulk("dio_trace", [
+            {"syscall": syscall, "ret": ret, "time": time_ns, "pid": 7,
+             "tid": 7, "proc_name": "p", "session": "s"}
+            for time_ns, (syscall, ret) in enumerate(calls)])
+        report = diagnose_session(store, "s")
+        assert "fd-leak" not in report.detectors_fired
+        store.bulk("dio_trace", [
+            {"syscall": "openat", "ret": 3 + n, "time": 10 + n, "pid": 7,
+             "tid": 7, "proc_name": "p", "session": "s"}
+            for n in range(4)])
+        leak, = diagnose_session(store, "s").findings
+        assert str(leak.finding) == ("[warning] fd-leak: pid 7: 8 opens vs "
+                                     "4 closes (4 descriptors left open)")
+
+    def test_live_tap_agrees_with_replay(self, live_tap):
+        tap = live_tap(DiagnosisTap())
+        case = run_fluentbit_case(FLUENTBIT_BUGGY)
+        replay = follow_session(case.store, "dio_trace",
+                                case.tracer.config.session_name)
+
+        def shape(tap):
+            # File paths aside: the consumer path sees events before
+            # the correlator has joined their paths.
+            return sorted((finding.detector, finding.severity,
+                           sorted((key, value) for key, value
+                                  in finding.details.items()
+                                  if key != "file_path"))
+                          for _, finding in tap.findings())
+
+        assert shape(tap) == shape(replay)
+        assert any(detector == "stale-offset-resume"
+                   for detector, _, _ in shape(tap))
 
     def test_report_has_dfg_and_phases(self, buggy_case):
         session = buggy_case.tracer.config.session_name
@@ -107,7 +139,7 @@ class TestDiagnoseSession:
         session = buggy_case.tracer.config.session_name
         text = diagnose_session(buggy_case.store, session).render()
         assert f"=== diagnosis for session {session!r} ===" in text
-        assert "source: both" in text
+        assert "source: streaming" in text
         assert "evidence:" in text
         assert "behaviour:" in text
         assert "phase 1:" in text
@@ -136,6 +168,8 @@ class TestRankedFinding:
     def test_rejects_unknown_source(self):
         with pytest.raises(KeyError):
             RankedFinding(Finding("d", "info", "t", {}), "psychic")
+        with pytest.raises(KeyError):
+            RankedFinding(Finding("d", "info", "t", {}), "both")
 
 
 class TestDiagnoseCLI:
@@ -156,7 +190,7 @@ class TestDiagnoseCLI:
         out = capsys.readouterr().out
         assert "diagnosis for session 'fluentbit-1.4.0'" in out
         assert "stale-offset" in out
-        assert "source: both" in out
+        assert "source: streaming" in out
 
     def test_json_output(self, traces, capsys):
         assert main(["diagnose", str(traces), "--json"]) == 0
@@ -180,13 +214,41 @@ class TestDiagnoseCLI:
         assert main(["diagnose", "--scenario", "fluentbit"]) == 0
         out = capsys.readouterr().out
         assert "stale-offset" in out
-        assert "source: both" in out
+        assert "source: streaming" in out
 
     def test_scenario_rocksdb_live(self, capsys):
         assert main(["diagnose", "--scenario", "rocksdb",
                      "--duration", "0.4"]) == 0
         out = capsys.readouterr().out
         assert "io-contention" in out
+
+    @pytest.mark.parametrize("scenario, export", [
+        (["--scenario", "fluentbit"], ["fluentbit", "--version", "1.4.0"]),
+        (["--scenario", "rocksdb", "--duration", "0.4"],
+         ["rocksdb", "--duration", "0.4"]),
+    ], ids=["fluentbit-1.4.0", "rocksdb-0.4s"])
+    def test_scenario_report_is_its_exports_report(self, scenario, export,
+                                                   tmp_path, capsys):
+        """A ``--scenario`` report is the report of the session it
+        stored: ``diagnose`` of its export says the same, once each
+        report's evidence ids are renumbered in order of appearance."""
+        def report(argv):
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            numbers = {}
+            for finding in payload["findings"]:
+                evidence = finding["evidence"] or {}
+                evidence["event_ids"] = [
+                    numbers.setdefault(event_id, len(numbers))
+                    for event_id in evidence.get("event_ids", ())]
+            return payload
+
+        path = tmp_path / "export.jsonl"
+        assert main([*export, "--export", str(path)]) == 0
+        capsys.readouterr()
+        live = report(["diagnose", *scenario, "--json"])
+        assert live["findings"]
+        assert live == report(["diagnose", str(path), "--json"])
 
 
 class TestAnalyzeCompareJSON:

@@ -22,8 +22,9 @@ keeps one of each; the other is kept here, as it was, as the oracle:
    every window twice, compare walking both sessions' documents —
    which is what the lane-reading bodies must say.
 
-Last, the test the bug fix needs: a live tap that gets its latency
-records after the run reports what the replay of its own store does.
+Last, the streaming ``fd-leak`` and ``stale-offset-resume`` say what
+the batch bodies they replaced said (``tests/detector_oracle.py``),
+and a live tap reports what the replay of its own store does.
 """
 
 import heapq
@@ -33,12 +34,11 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.compare import Divergence, compare_sessions
-from repro.analysis.detectors import (DEFAULT_DETECTORS,
-                                      FailedSyscallDetector, FdLeakDetector,
-                                      Finding, RandomAccessDetector,
+from repro.analysis.detectors import (DEFAULT_DETECTORS, EVIDENCE_ID_CAP,
+                                      FailedSyscallDetector, Finding,
+                                      RandomAccessDetector,
                                       ShortLivedFileDetector, SmallIODetector,
-                                      StaleOffsetDetector, make_evidence,
-                                      run_detectors)
+                                      make_evidence, run_detectors)
 from repro.analysis.dfg import (START, DirectlyFollowsGraph, EdgeStats, Phase,
                                 merged_dfg, segment_phases)
 from repro.analysis.diagnose import diagnose_session, follow_session
@@ -47,7 +47,6 @@ from repro.analysis.session import SessionEvents
 from repro.analysis.streaming import (MAX_EVIDENCE_IDS, MAX_TRACKED_PIDS,
                                       MAX_TRACKED_PROCS, MAX_TRACKED_TAGS,
                                       MAX_WINDOW_SAMPLES, DiagnosisTap,
-                                      StreamingContentionDetector,
                                       StreamingDFGMiner,
                                       StreamingFdLeakDetector,
                                       StreamingSpikeAttributor,
@@ -58,10 +57,13 @@ from repro.analysis.streaming import (MAX_EVIDENCE_IDS, MAX_TRACKED_PIDS,
                                       default_streaming_detectors)
 from repro.backend import DocumentStore
 from repro.backend.lanes import DocBatch
-from repro.backend.query import compile_query
-from repro.experiments import run_rocksdb_case
+from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
+from repro.dst.runner import DST_INDEX, execute_pipeline
+from repro.dst.scenario import generate
+from repro.experiments import run_fluentbit_case, run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
 from repro.kernel.errno import Errno
+from tests.detector_oracle import FdLeakDetector, StaleOffsetDetector
 from tests.dfg_oracle import graph_as_dict
 
 INDEX = "dio_trace"
@@ -117,41 +119,15 @@ class PerEventFdLeak(StreamingFdLeakDetector):
             return
         if source["ret"] < 0:
             return
-        state = _capped_insert(
-            self._pids, source["pid"],
-            lambda: {"open": 0, "watermark": 0, "opens": 0, "closes": 0,
-                     "flagged": False, "ids": [],
-                     "first_ns": source.get("time", 0), "last_ns": 0},
-            MAX_TRACKED_PIDS)
-        state["last_ns"] = source.get("time", 0)
-        if syscall == "close":
-            state["closes"] += 1
-            state["open"] = max(0, state["open"] - 1)
-            return
-        state["opens"] += 1
-        state["open"] += 1
-        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
+        time_ns = source.get("time", 0)
+        state = self._pids.setdefault(
+            source["pid"], {"opens": 0, "closes": 0, "ids": [],
+                            "first_ns": time_ns, "last_ns": time_ns})
+        state["first_ns"] = min(state["first_ns"], time_ns)
+        state["last_ns"] = max(state["last_ns"], time_ns)
+        state["closes" if syscall == "close" else "opens"] += 1
+        if event_id is not None and len(state["ids"]) < EVIDENCE_ID_CAP:
             state["ids"].append(event_id)
-        if state["open"] > state["watermark"]:
-            state["watermark"] = state["open"]
-            if state["watermark"] >= self.min_unclosed \
-                    and not state["flagged"]:
-                state["flagged"] = True
-                self._emit(state["last_ns"], Finding(
-                    detector=self.name,
-                    severity="warning",
-                    title=(f"pid {source['pid']}: descriptor watermark "
-                           f"reached {state['watermark']} "
-                           f"({state['opens']} opens vs "
-                           f"{state['closes']} closes so far)"),
-                    details={"pid": source["pid"],
-                             "watermark": state["watermark"],
-                             "opens": state["opens"],
-                             "closes": state["closes"]},
-                    evidence=make_evidence(state["ids"],
-                                           state["first_ns"],
-                                           state["last_ns"]),
-                ))
 
 
 class PerEventUringLag(StreamingUringLagDetector):
@@ -216,25 +192,21 @@ class PerEventWriteAmplification(StreamingWriteAmplificationDetector):
             self._per_proc[proc] = size
 
 
-class _PerEventWindows:
-    """``_WindowedDetector.observe`` + ``_window_state``, as they were:
-    one event into its window, then a watermark close."""
-
-    def _window_state(self, time_ns):
-        start = (time_ns // self.window_ns) * self.window_ns
-        state = self._windows.get(start)
-        if state is None:
-            state = self._windows[start] = _WindowState()
-        return state
+class PerEventSpike(StreamingSpikeAttributor):
+    """``_WindowedDetector.observe`` + ``_window_state`` and
+    ``observe_latency``, as they were: one item into its window, then a
+    watermark close."""
 
     def observe(self, source, event_id=None):
         time_ns = source.get("time", 0)
         self._max_ns = max(self._max_ns, time_ns)
-        state = self._window_state(time_ns)
         proc = source["proc_name"]
-        if proc == self.client_comm:
-            state.client_count += 1
-        elif proc.startswith(self.background_prefix):
+        if proc != self.client_comm and proc.startswith(
+                self.background_prefix):
+            start = (time_ns // self.window_ns) * self.window_ns
+            state = self._windows.get(start)
+            if state is None:
+                state = self._windows[start] = _WindowState()
             state.bg_tids.add(source["tid"])
             activity = state.bg_activity.get(proc)
             if activity is None:
@@ -249,12 +221,6 @@ class _PerEventWindows:
                 state.ids.append(event_id)
         self._close_ready()
 
-
-class PerEventContention(_PerEventWindows, StreamingContentionDetector):
-    pass
-
-
-class PerEventSpike(_PerEventWindows, StreamingSpikeAttributor):
     def observe_latency(self, start_ns, latency_ns):
         self._max_ns = max(self._max_ns, start_ns)
         start = (start_ns // self.window_ns) * self.window_ns
@@ -266,11 +232,10 @@ class PerEventSpike(_PerEventWindows, StreamingSpikeAttributor):
 
 #: Battery order of ``default_streaming_detectors``.
 PRODUCTION = (StreamingStaleOffsetDetector, StreamingFdLeakDetector,
-              StreamingContentionDetector, StreamingSpikeAttributor,
-              StreamingWriteAmplificationDetector,
+              StreamingSpikeAttributor, StreamingWriteAmplificationDetector,
               StreamingUringLagDetector)
-PER_EVENT = (PerEventStaleOffset, PerEventFdLeak, PerEventContention,
-             PerEventSpike, PerEventWriteAmplification, PerEventUringLag)
+PER_EVENT = (PerEventStaleOffset, PerEventFdLeak, PerEventSpike,
+             PerEventWriteAmplification, PerEventUringLag)
 
 #: Default battery: 100 ms windows, so one tick of a generated stream
 #: is 10 ms and a window is ten ticks.
@@ -282,12 +247,10 @@ def default_battery(classes):
 
 
 def uneven_battery(classes):
-    """The two windowed detectors on different widths, neither a
-    multiple of the other; thresholds low enough that small streams
-    trip them.  One tick is 1 ns."""
-    stale, fd, contention, spike, amplification, lag = classes
+    """The spike attributor on a window of 15 ticks; thresholds low
+    enough that small streams trip every detector.  One tick is 1 ns."""
+    stale, fd, spike, amplification, lag = classes
     return [stale(confirm_after=2), fd(min_unclosed=3),
-            contention(window_ns=10, min_threads=2, min_windows=1),
             spike(window_ns=15, spike_factor=1.5),
             amplification(min_client_bytes=1),
             lag(min_lag_ns=5, baseline_factor=2.0, min_samples=2)]
@@ -337,9 +300,8 @@ def emitted(detectors):
     """Everything a battery said, per detector, in emission order —
     emit time, title, details and evidence ids included — and what its
     windows held when they closed: the spike attributor's p99 of every
-    sampled window in closing order, the contention detector's tallies
-    (a window closed early or twice shows here even when no finding
-    comes of it)."""
+    sampled window in closing order (a window closed early or twice
+    shows here even when no finding comes of it)."""
     said = []
     for detector in detectors:
         state = [(emit_ns, finding.as_dict())
@@ -347,10 +309,6 @@ def emitted(detectors):
         if isinstance(detector, StreamingSpikeAttributor):
             state.append((list(detector._baseline), detector.spikes_found,
                           dict(detector._culprits)))
-        if isinstance(detector, StreamingContentionDetector):
-            state.append((detector.calm_windows, detector.contended_windows,
-                          detector.client_rate_calm,
-                          detector.client_rate_contended))
         said.append((detector.name, state))
     return said
 
@@ -510,10 +468,7 @@ def cut(items, points):
 
 
 def fed(tap, event_batches, records):
-    """The live shape: every event first, then the latency records —
-    as one batch, the way ``diagnose_session`` hands them to a live
-    tap.  (Late records fed one call at a time would each find their
-    window already behind the watermark and close it alone.)"""
+    """Every event first, then the latency records as one call."""
     for batch in event_batches:
         tap.observe_batch(DocBatch([source for _, source in batch]),
                           [event_id for event_id, _ in batch])
@@ -683,37 +638,78 @@ def test_miner_in_consumer_sized_batches_holds_the_session_graph():
 
 
 # ----------------------------------------------------------------------
+# One streaming detector per finding, and the batch bodies it replaced
+
+def streamed(store, detector, index=INDEX, session=SESSION):
+    """What ``detector`` alone says of a stored session, replayed."""
+    tap = follow_session(store, index, session,
+                         tap=DiagnosisTap([detector], dfg=False))
+    return [finding for _, finding in tap.findings()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(events=events_st, steps=steps_st, untimed=st.integers(0, 2),
+       min_unclosed=st.sampled_from((1, 1, 2, 4)))
+def test_fd_leak_is_the_batch_rule(events, steps, untimed, min_unclosed):
+    store = stored(timed(events, steps, untimed, 1))
+    streaming, batch = (
+        sorted(findings, key=lambda finding: finding.title) for findings in (
+            streamed(store, StreamingFdLeakDetector(min_unclosed)),
+            FdLeakDetector(min_unclosed).run(store, INDEX, SESSION)))
+    assert streaming == batch
+
+
+def stale_tags(store, index, session):
+    """The file tags the streaming stale-offset detector flags, after
+    checking they are the ones the batch body flagged."""
+    tags = sorted(finding.details["file_tag"] for finding in streamed(
+        store, StreamingStaleOffsetDetector(), index, session))
+    assert tags == sorted(finding.details["file_tag"] for finding
+                          in StaleOffsetDetector().run(store, index,
+                                                       session))
+    return tags
+
+
+def test_stale_offset_flags_what_the_batch_body_flagged():
+    buggy = run_fluentbit_case(FLUENTBIT_BUGGY)
+    assert len(stale_tags(buggy.store, INDEX,
+                          buggy.tracer.config.session_name)) == 1
+    fixed = run_fluentbit_case(FLUENTBIT_FIXED)
+    assert stale_tags(fixed.store, INDEX,
+                      fixed.tracer.config.session_name) == []
+    rocksdb = run_rocksdb_case(RocksDBScale(duration_ns=400_000_000))
+    assert stale_tags(rocksdb.store, INDEX, rocksdb.session) == []
+    for seed in range(1, 51):
+        run = execute_pipeline(generate(seed))
+        stale_tags(run.inner_store, DST_INDEX, run.session)
+
+
+# ----------------------------------------------------------------------
 # Live tap ≡ replay of its own store (the paper's RocksDB case)
 
-def test_live_tap_reports_what_the_replay_of_its_store_does():
-    """The benchmark's latency records exist only after the run; a
-    live tap must still attribute the spikes the replay finds."""
-    live = DiagnosisTap()
-    case = run_rocksdb_case(RocksDBScale(duration_ns=2_000_000_000),
-                            tap=live)
-    records = case.bench.records()
-    replay = follow_session(case.store, INDEX, case.session,
-                            latency_records=records)
-    diagnose_session(case.store, case.session, tap=live,
-                     latency_records=records)
+def test_live_tap_reports_what_the_replay_of_its_store_does(live_tap):
+    """The tracer's consumer path and a replay of the session it stored
+    run the same detectors and say the same; the report the replay
+    feeds the benchmark's latency records blames the spikes, with
+    evidence ids."""
+    live = live_tap(DiagnosisTap())
+    case = run_rocksdb_case(RocksDBScale(duration_ns=2_000_000_000))
+    replay = follow_session(case.store, INDEX, case.session)
 
-    def shape(tap, detector=None):
-        # Evidence ids aside (nothing is stored yet on the consumer
-        # path); emit_ns aside for fd-leak, whose trigger depends on
-        # arrival order: the consumer drains the per-CPU rings
-        # round-robin, not in time order.
-        return sorted(
-            (finding.detector, finding.severity, finding.title,
-             sorted(finding.details.items()),
-             None if finding.detector == "fd-leak" else emit_ns)
-            for emit_ns, finding in tap.findings()
-            if detector in (None, finding.detector))
+    def shape(tap):
+        # Evidence ids aside: nothing is stored yet on the consumer path.
+        return sorted((finding.detector, finding.severity, finding.title,
+                       sorted(finding.details.items()), emit_ns)
+                      for emit_ns, finding in tap.findings())
 
-    assert len(shape(replay, "latency-spike-blame")) == 5
-    assert (shape(live, "latency-spike-blame")
-            == shape(replay, "latency-spike-blame"))
-    assert len(shape(replay)) == 11
+    assert len(shape(replay)) == 2
     assert shape(live) == shape(replay)
+    report = diagnose_session(case.store, case.session,
+                              latency_records=case.bench.records())
+    spikes = [ranked.finding for ranked in report.findings
+              if ranked.finding.detector == "latency-spike-blame"]
+    assert len(spikes) == 5
+    assert all(finding.evidence["event_ids"] for finding in spikes)
 
 
 # ----------------------------------------------------------------------
@@ -791,29 +787,6 @@ def doc_access_patterns(view):
     return patterns
 
 
-def doc_stale_findings(detector, view):
-    findings = []
-    for tag, events in sorted(view.data_by_file().items()):
-        reads = [e for e in events if e["syscall"] in _READS]
-        if not reads:
-            continue
-        first = reads[0]
-        offset = first.get("offset")
-        if offset is None or offset == 0 or first["ret"] != 0:
-            continue
-        if any(r["ret"] > 0 for r in reads):
-            continue
-        findings.append(Finding(
-            detector.name, "critical",
-            f"{first['proc_name']} resumed {first.get('file_path') or tag} "
-            f"at stale offset {offset}; content before EOF was never read "
-            "(possible data loss)",
-            {"file_tag": tag, "file_path": first.get("file_path"),
-             "offset": offset, "time": first["time"]},
-            doc_evidence(view.grouped("file_tag")[tag])))
-    return findings
-
-
 def doc_small_io_findings(detector, view):
     findings = []
     for pattern in doc_access_patterns(view):
@@ -874,33 +847,6 @@ def doc_failed_findings(detector, view):
     return findings
 
 
-def doc_fd_leak_findings(detector, view):
-    succeeded = [{"terms": {"syscall": ["open", "openat", "creat", "close"]}},
-                 {"range": {"ret": {"gte": 0}}}]
-    matches = compile_query({"bool": {"must": succeeded}})
-    response = view.store.search(
-        view.index, query=view.query(succeeded), size=0,
-        aggs={"by_pid": {"terms": {"field": "pid", "size": 500},
-                         "aggs": {"by_syscall": {"terms": {
-                             "field": "syscall", "size": 10}}}}})
-    findings = []
-    for bucket in response["aggregations"]["by_pid"]["buckets"]:
-        counts = {b["key"]: b["doc_count"]
-                  for b in bucket["by_syscall"]["buckets"]}
-        opens = sum(counts.get(s, 0) for s in _OPENS)
-        closes = counts.get("close", 0)
-        if opens - closes >= detector.min_unclosed:
-            findings.append(Finding(
-                detector.name, "warning",
-                f"pid {bucket['key']}: {opens} opens vs {closes} closes "
-                f"({opens - closes} descriptors left open)",
-                {"pid": bucket["key"], "opens": opens, "closes": closes},
-                doc_evidence([event for event
-                              in view.grouped("pid")[bucket["key"]]
-                              if matches(event[1])])))
-    return findings
-
-
 def doc_short_lived_findings(detector, view):
     store, index = view.store, view.index
     unlinked = store.search(index, query=view.query([
@@ -942,11 +888,9 @@ def doc_short_lived_findings(detector, view):
 
 
 DOC_BODIES = {
-    StaleOffsetDetector: doc_stale_findings,
     SmallIODetector: doc_small_io_findings,
     RandomAccessDetector: doc_random_access_findings,
     FailedSyscallDetector: doc_failed_findings,
-    FdLeakDetector: doc_fd_leak_findings,
     ShortLivedFileDetector: doc_short_lived_findings,
 }
 
@@ -1046,8 +990,7 @@ def doc_compare(store, session_a, session_b, procs):
 
 #: Thresholds low enough that tiny streams trip every batch detector.
 def low_battery():
-    return (StaleOffsetDetector(), FailedSyscallDetector(min_failures=1),
-            FdLeakDetector(min_unclosed=1),
+    return (FailedSyscallDetector(min_failures=1),
             SmallIODetector(threshold_bytes=1 << 16, min_requests=2),
             RandomAccessDetector(max_sequential_fraction=0.9, min_reads=2),
             ShortLivedFileDetector(min_bytes=1, min_files=1))

@@ -11,7 +11,7 @@ a fresh kernel.
 import numpy as np
 import pytest
 
-from repro.analysis import run_detectors
+from repro.analysis import diagnose_session
 from repro.apps.fluentbit import FLUENTBIT_FIXED, FluentBit
 from repro.apps.rocksdb import DBBench, DBOptions, RocksDB
 from repro.backend import DocumentStore, export_session, import_session
@@ -111,9 +111,9 @@ class TestGlobalInvariants:
 
 class TestAnalysisOnSoak:
     def test_detectors_run_clean_of_crashes(self, soak):
-        findings = run_detectors(soak["store"], session="soak")
+        report = diagnose_session(soak["store"], "soak")
         # No data-loss style critical findings in a healthy run.
-        assert all(f.severity != "critical" for f in findings)
+        assert all(r.finding.severity != "critical" for r in report.findings)
 
     def test_session_roundtrip_and_replay(self, soak, tmp_path):
         path = tmp_path / "soak.jsonl"

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.analysis import diagnose_session
 from repro.analysis.detectors import (FailedSyscallDetector,
-                                      ShortLivedFileDetector, run_detectors)
+                                      ShortLivedFileDetector)
 from repro.apps.sqlitedb import (JOURNAL_DELETE, JOURNAL_WAL, MiniSQLite,
                                  PAGE_SIZE)
 from repro.experiments.sqlite_case import run_both_modes, run_sqlite_case
@@ -182,5 +183,6 @@ class TestCaseStudy:
 
     def test_no_critical_findings_either_mode(self, case_study):
         for case in case_study.values():
-            findings = run_detectors(case.store, session=case.session)
-            assert all(f.severity != "critical" for f in findings)
+            report = diagnose_session(case.store, case.session)
+            assert all(r.finding.severity != "critical"
+                       for r in report.findings)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis.streaming import (MAX_TRACKED_TAGS, DiagnosisTap,
-                                      StreamingContentionDetector,
-                                      StreamingDFGMiner,
+from repro.analysis.detectors import DEFAULT_DETECTORS, Detector
+from repro.analysis.streaming import (MAX_TRACKED_PIDS, MAX_TRACKED_TAGS,
+                                      DiagnosisTap,
+                                      StreamingDetector, StreamingDFGMiner,
                                       StreamingFdLeakDetector,
                                       StreamingSpikeAttributor,
                                       StreamingStaleOffsetDetector,
@@ -82,25 +83,51 @@ class TestStreamingStaleOffset:
 
 
 class TestStreamingFdLeak:
-    def test_watermark_fires_once(self):
+    def test_unclosed_descriptors_fire_once_at_finalize(self):
         detector = StreamingFdLeakDetector(min_unclosed=4)
         for i in range(6):
             observe(detector, doc("openat", i, pid=9, ret=3 + i), f"e{i}")
+        observe(detector, doc("close", 6, pid=9, ret=0), "e6")
+        assert detector.emitted == []
+        detector.finalize()
         assert len(detector.emitted) == 1
-        _, finding = detector.emitted[0]
-        assert "watermark reached 4" in finding.title
+        emit_ns, finding = detector.emitted[0]
+        assert emit_ns == 6
+        assert finding.title == ("pid 9: 6 opens vs 1 closes "
+                                 "(5 descriptors left open)")
+        assert finding.evidence == {
+            "event_ids": [f"e{i}" for i in range(7)],
+            "window": {"start_ns": 0, "end_ns": 6}}
+
+    def test_early_leaker_survives_many_later_processes(self):
+        # The leaker is seen first; more short-lived processes follow
+        # than any per-process cap holds.  Its finding must not be lost.
+        detector = StreamingFdLeakDetector(min_unclosed=4)
+        events = [doc("openat", i, pid=1, ret=3 + i) for i in range(5)]
+        for pid in range(2, MAX_TRACKED_PIDS + 100):
+            events.append(doc("openat", 10 * pid, pid=pid, ret=3))
+            events.append(doc("close", 10 * pid + 1, pid=pid, ret=0))
+        events.append(doc("openat", 10 * MAX_TRACKED_PIDS + 5000, pid=1,
+                          ret=9))
+        detector.observe_batch(DocBatch(events))
+        detector.finalize()
+        titles = [finding.title for _, finding in detector.emitted]
+        assert titles == ["pid 1: 6 opens vs 0 closes "
+                          "(6 descriptors left open)"]
 
     def test_balanced_process_silent(self):
         detector = StreamingFdLeakDetector(min_unclosed=4)
         for i in range(8):
             observe(detector, doc("open", 2 * i, pid=1, ret=3))
             observe(detector, doc("close", 2 * i + 1, pid=1, ret=0))
+        detector.finalize()
         assert detector.emitted == []
 
     def test_failed_opens_ignored(self):
         detector = StreamingFdLeakDetector(min_unclosed=2)
         for i in range(10):
             observe(detector, doc("open", i, pid=1, ret=-2))
+        detector.finalize()
         assert detector.emitted == []
 
 
@@ -135,74 +162,11 @@ class TestStreamingWriteAmplification:
         assert len(detector.emitted) == 1
 
 
-def contended_stream(detector, windows=3, calm=3, window_ns=10 * MS):
-    """Alternating calm / contended windows into a windowed detector.
-
-    Events are delivered in event-time order — the watermark semantics
-    of the windowed detectors assume an in-order feed, and that is what
-    the consumer path provides.
-    """
-    feed = []
-    t = 0
-    for w in range(calm):
-        base = w * 2 * window_ns
-        for i in range(20):
-            feed.append((doc("read", base + i * 100_000,
-                             proc="db_bench", tid=100 + i % 8,
-                             ret=512), None))
-        t = base
-    for w in range(windows):
-        base = (2 * w + 1) * window_ns
-        for thread in range(6):
-            for i in range(5):
-                feed.append((doc(
-                    "pread64", base + thread * 100_000 + i,
-                    proc=f"rocksdb:low{thread}", tid=200 + thread,
-                    ret=262_144), f"bg{w}-{thread}-{i}"))
-        for i in range(4):
-            feed.append((doc("read", base + 5 * MS + i,
-                             proc="db_bench", tid=100 + i, ret=512),
-                         None))
-        t = base
-    # Push the watermark far enough that every window closes.
-    feed.append((doc("read", t + 10 * window_ns, proc="db_bench",
-                     tid=100, ret=512), None))
-    for source, event_id in sorted(feed, key=lambda item: item[0]["time"]):
-        observe(detector, source, event_id)
-    detector.finalize()
-
-
-class TestStreamingContention:
-    def test_emits_window_and_summary_findings(self):
-        detector = StreamingContentionDetector(window_ns=10 * MS,
-                                               min_windows=2)
-        contended_stream(detector)
-        severities = [f.severity for _, f in detector.emitted]
-        assert "warning" in severities          # the summary
-        assert "info" in severities             # incremental windows
-        summary = [f for _, f in detector.emitted
-                   if f.severity == "warning"][0]
-        assert "client syscall rate drops" in summary.title
-        assert summary.details["contended_windows"] >= 2
-        window_finding = [f for _, f in detector.emitted
-                          if f.severity == "info"][0]
-        assert "rocksdb:low" in window_finding.title
-        assert window_finding.evidence["event_ids"]
-
-    def test_quiet_without_background_bursts(self):
-        detector = StreamingContentionDetector(window_ns=10 * MS)
-        for i in range(200):
-            observe(detector, doc("read", i * 500_000, proc="db_bench",
-                                 tid=100 + i % 8, ret=512))
-        detector.finalize()
-        assert detector.emitted == []
-
+class TestStreamingSpikeAttributor:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            StreamingContentionDetector(window_ns=0)
+            StreamingSpikeAttributor(window_ns=0)
 
-
-class TestStreamingSpikeAttributor:
     def test_attributes_spike_to_background_io(self):
         detector = StreamingSpikeAttributor(window_ns=10 * MS,
                                             spike_factor=2.5)
@@ -259,18 +223,18 @@ class TestStreamingDFGMiner:
 
 
 class TestDiagnosisTap:
-    def test_live_tap_on_fluentbit_consumer_path(self):
-        tap = DiagnosisTap()
-        case = run_fluentbit_case(FLUENTBIT_BUGGY, tap=tap)
+    def test_live_tap_on_fluentbit_consumer_path(self, live_tap):
+        tap = live_tap(DiagnosisTap())
+        case = run_fluentbit_case(FLUENTBIT_BUGGY)
         assert tap.events_observed == case.store.count("dio_trace")
         assert tap.finalized
         findings = [f for _, f in tap.findings()]
         assert any(f.detector == "stale-offset-resume"
                    and f.severity == "critical" for f in findings)
 
-    def test_live_tap_fixed_version_no_critical(self):
-        tap = DiagnosisTap()
-        run_fluentbit_case(FLUENTBIT_FIXED, tap=tap)
+    def test_live_tap_fixed_version_no_critical(self, live_tap):
+        tap = live_tap(DiagnosisTap())
+        run_fluentbit_case(FLUENTBIT_FIXED)
         assert all(f.severity != "critical" for _, f in tap.findings())
 
     def test_drain_new_is_incremental(self):
@@ -297,8 +261,26 @@ class TestDiagnosisTap:
                 "dio_dfg_phases_total"} <= names
 
     def test_default_battery_composition(self):
-        detectors = default_streaming_detectors()
-        names = [d.name for d in detectors]
-        assert names == ["stale-offset-resume", "fd-leak",
-                         "io-contention", "latency-spike-blame",
-                         "write-amplification", "uring-completion-lag"]
+        """One detector per finding name: the two batteries are
+        disjoint, and together they hold every detector defined in
+        ``repro`` — every name a report can emit."""
+        batch = [detector.name for detector in DEFAULT_DETECTORS]
+        streaming = [detector.name
+                     for detector in default_streaming_detectors()]
+        assert len(set(batch)) == len(batch)
+        assert len(set(streaming)) == len(streaming)
+        assert not set(batch) & set(streaming)
+
+        def defined(base):
+            for cls in base.__subclasses__():
+                if cls.__module__.startswith("repro."):
+                    yield cls.name
+                yield from defined(cls)
+
+        names = [*defined(Detector), *defined(StreamingDetector)]
+        assert len(set(names)) == len(names)
+        assert set(batch) | set(streaming) == set(names) == {
+            "failed-syscalls", "small-io", "random-access",
+            "short-lived-files", "io-contention", "stale-offset-resume",
+            "fd-leak", "latency-spike-blame", "write-amplification",
+            "uring-completion-lag"}
