@@ -16,6 +16,9 @@ setup(
         "behavior through system call observability"
     ),
     python_requires=">=3.11",
+    # The analysis layer (DFG, phases, access patterns, contention), the
+    # latency series and the simulated db_bench compute on arrays.
+    install_requires=["numpy"],
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={"console_scripts": ["dio=repro.cli:main"]},

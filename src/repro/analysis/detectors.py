@@ -309,11 +309,9 @@ class ContentionDetector(Detector):
         self.background_prefix = background_prefix
 
     def detect(self, view):
-        report = detect_contention(view.store, view.index, self.window_ns,
-                                   min_compaction_threads=self.min_threads,
-                                   client_comm=self.client_comm,
-                                   session=view.session,
-                                   background_prefix=self.background_prefix)
+        report = detect_contention(
+            view.store, view.index, self.window_ns, self.min_threads,
+            self.client_comm, view.session, self.background_prefix, view)
         if not report.contended_windows or not report.calm_windows:
             return []
         if report.client_slowdown < self.min_slowdown:

@@ -18,17 +18,16 @@ This module mines DFGs from the events DIO stored at the backend:
   between two sessions (``compare.session_fingerprint`` is the
   count-level oracle: a DFG's node totals must agree with it).
 
-There is one transition loop, :meth:`DirectlyFollowsGraph.observe_lanes`,
-over three lanes of a batch — the node per event (the ``syscall``
-lane), the chain key (the ``tid`` lane, or none) and the ``time``
-lane: it bumps a node, finds the previous node
-of the event's chain and updates the edge between them.  A whole
-session's graph (:func:`merged_dfg`), the tap's online miner
-(:class:`~repro.analysis.streaming.StreamingDFGMiner`) and the phase
-windows are all that loop fed different lanes;
-a phase that takes in the next window merges that window's graph
-(:meth:`DirectlyFollowsGraph.absorb`) instead of walking its events
-again.  No document is built.
+There is one transition computation,
+:meth:`DirectlyFollowsGraph.observe_lanes`, over three lanes of a batch
+— the node per event (the ``syscall`` lane), the chain key (the ``tid``
+lane, or none) and the ``time`` lane: array arithmetic that pairs each
+event with the previous event of its chain and reduces the pairs per
+edge.  A whole session's graph (:func:`merged_dfg`), the tap's online
+miner (:class:`~repro.analysis.streaming.StreamingDFGMiner`) and each
+phase's graph are that computation fed different lanes; the phase
+windows' drift is read off the same transition keys (node code pairs)
+without building a graph per window.  No document is built.
 
 Everything is deterministic: graphs iterate in sorted order and
 ``fingerprint`` output is stable, so DFG output can sit inside the DST
@@ -38,15 +37,32 @@ byte-identical digest.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from itertools import repeat
+from itertools import chain, count
 from typing import NamedTuple, Optional, Sequence
 
-from repro.analysis.session import SessionEvents, times_of
+import numpy as np
+
+from repro.analysis.session import (STEP_ROWS, SessionEvents, Stretch,
+                                    lane_codes, times_of)
 from repro.backend.lanes import LaneBatch
 from repro.backend.store import DocumentStore
 
 #: Start-of-stream pseudo-node (the classic DFG source marker).
 START = "^"
+
+
+def tv_distance(counts: dict, total: int, other: dict,
+                other_total: int) -> float:
+    """Total-variation distance of two count distributions (sums
+    ``total``, ``other_total``), exact in integers and rounded once."""
+    if not total or not other_total:
+        return 0.5 if total or other_total else 0.0
+    gap = total * other_total          # the keys ``other`` lacks, below
+    for key, number in other.items():
+        mine = counts.get(key, 0) * other_total
+        gap += abs(mine - number * total) - mine
+    return gap / (2 * total * other_total)
+
 
 class EdgeStats:
     """One DFG edge: transition count + inter-arrival latency stats."""
@@ -73,13 +89,14 @@ class DirectlyFollowsGraph:
     interleaving two threads' events into one chain would invent edges
     neither thread executed — and the chains share one set of edges;
     ``max_threads`` then bounds the chain table (oldest chain first,
-    for a graph that rides the ingest path; a post-mortem graph leaves
-    it unbounded).  Without it the whole stream is one chain.
+    trimmed after each step of a batch, for a graph that rides the
+    ingest path; a post-mortem graph leaves it unbounded).  Without it
+    the whole stream is one chain.
     """
 
     __slots__ = ("name", "per_thread", "max_threads",
                  "edges", "node_counts", "events", "first_ns", "last_ns",
-                 "_chains", "_following")
+                 "_chains")
 
     def __init__(self, name: str = "", per_thread: bool = False,
                  max_threads: Optional[int] = None) -> None:
@@ -92,10 +109,8 @@ class DirectlyFollowsGraph:
         self.first_ns: Optional[int] = None
         self.last_ns = 0
         #: chain key (TID, or None for the one chain) -> [node, time_ns]
+        #: of the chain's last event
         self._chains: OrderedDict = OrderedDict()
-        #: ``edges`` again, by source then target: a transition looks
-        #: its edge up without building the key.
-        self._following: dict[str, dict[str, EdgeStats]] = {}
 
     # ------------------------------------------------------------------
     # Building
@@ -106,96 +121,108 @@ class DirectlyFollowsGraph:
         nodes = batch.values_for("syscall")
         self.observe_lanes(
             nodes, batch.values_for("tid") if self.per_thread else None,
-            times_of(batch))
+            times_of(batch.values_for("time")))
         return nodes
 
     def observe_lanes(self, nodes: Sequence[str],
-                      chains: Optional[Sequence], times: Sequence) -> None:
-        """The one transition loop: one event per ``nodes[i]``, of the
-        chain ``chains[i]`` (the one chain without ``chains``), at
-        ``times[i]``.
+                      chains: Optional[Sequence], times: Sequence,
+                      codes: Optional[tuple] = None) -> None:
+        """The one transition computation: one event per ``nodes[i]``,
+        of the chain ``chains[i]`` (the one chain without ``chains``),
+        at ``times[i]``; ``codes`` is ``lane_codes(nodes)``, if at hand.
 
-        A chain's first event takes the ``^`` edge with gap 0 and the
-        graph's window starts at the earliest such event; a gap that
-        runs backwards (events of one chain out of time order) counts
-        as 0.
+        Each event's edge runs from the node before it in its chain, or
+        from the tail an earlier call left.  A chain's first event takes
+        the ``^`` edge with gap 0 and the graph's window starts at the
+        earliest such event; a gap that runs backwards (events of one
+        chain out of time order) counts as 0.  Counts and gap sums,
+        minima and maxima are reductions per edge key, and new edges
+        reach the graph in the order their first transitions came.
+        Steps of :data:`STEP_ROWS` rows keep every temporary small;
+        ``max_threads`` trims the chain table after each step.
         """
-        if not nodes:
+        n = len(nodes)
+        if n > STEP_ROWS:
+            for lo in range(0, n, STEP_ROWS):
+                hi = lo + STEP_ROWS
+                self.observe_lanes(
+                    nodes[lo:hi], chains and chains[lo:hi], times[lo:hi],
+                    codes and (codes[0], codes[1][lo:hi]))
             return
-        node_counts = self.node_counts
-        for node, count in Counter(nodes).items():
-            node_counts[node] = node_counts.get(node, 0) + count
-        edges = self.edges
-        following = self._following
-        keys = self._chains
-        max_threads = self.max_threads
-        for node, chain, time_ns in zip(
-                nodes, repeat(None) if chains is None else chains, times):
-            prev = keys.get(chain)
-            if prev is None:
-                if max_threads is not None and len(keys) >= max_threads:
-                    keys.popitem(last=False)
-                keys[chain] = [node, time_ns]
-                if self.first_ns is None or time_ns < self.first_ns:
-                    self.first_ns = time_ns
-                source = START
-                gap = 0
+        if not n:
+            return
+        code, targets = codes or lane_codes(nodes)
+        at = np.asarray(times)
+        if at.dtype.kind != "i":         # beyond int64, or not ints
+            at = np.array(times, object)
+        for node, number in zip(code, np.bincount(
+                targets, minlength=len(code)).tolist()):
+            if number:
+                self.node_counts[node] = self.node_counts.get(node, 0) + number
+        names, order, heads = [None], None, np.zeros(1, np.intp)
+        if chains is not None:
+            # Each row keyed by its chain's first row: a stable sort
+            # lays the chains out in order of appearance.
+            first: dict = {}
+            keys = np.fromiter(map(first.setdefault, chains, count()),
+                               np.intp, n)
+            order = np.argsort(keys, kind="stable")
+            heads = np.flatnonzero(np.diff(keys[order], prepend=-1))
+            names = list(first)
+            targets, at = targets[order], at[order]
+        tails = [self._chains.get(name) for name in names]
+        vocab = list(dict.fromkeys(chain(
+            code, (tail[0] for tail in tails if tail is not None))))
+        width = len(vocab)                 # the code of ``^``
+        sources = np.concatenate(([width], targets[:-1]))
+        gaps = np.diff(at, prepend=at[:1])
+        fresh = []
+        for head, tail in zip(heads.tolist(), tails):
+            if tail is None:
+                fresh.append(head)
             else:
-                source = prev[0]
-                gap = time_ns - prev[1]
-                if gap < 0:
-                    gap = 0
-                prev[0] = node
-                prev[1] = time_ns
-            targets = following.get(source)
-            if targets is None:
-                targets = following[source] = {}
-            stats = targets.get(node)
+                sources[head] = vocab.index(tail[0])
+                gaps[head] = at[head] - tail[1]
+        sources[fresh] = width
+        gaps[fresh] = 0
+        if fresh:
+            start = min(at[fresh].tolist())
+            if self.first_ns is None or start < self.first_ns:
+                self.first_ns = start
+        edge = sources * width + targets
+        del sources, targets, at
+        # One reduction per edge over the events sorted by edge key.
+        by_edge = np.argsort(edge, kind="stable")
+        edge, gaps = edge[by_edge], np.maximum(gaps[by_edge], 0)
+        starts = np.flatnonzero(np.diff(edge, prepend=-1))
+        firsts = np.minimum.reduceat(
+            by_edge if order is None else order[by_edge], starts)
+        for _, key, number, total, low, high in sorted(zip(
+                firsts.tolist(), edge[starts].tolist(),
+                np.diff(starts, append=n).tolist(),
+                np.add.reduceat(gaps, starts).tolist(),
+                np.minimum.reduceat(gaps, starts).tolist(),
+                np.maximum.reduceat(gaps, starts).tolist())):
+            source, target = divmod(key, width)
+            pair = (START if source == width else vocab[source],
+                    vocab[target])
+            stats = self.edges.get(pair)
             if stats is None:
-                stats = targets[node] = edges[source, node] = EdgeStats()
-                stats.gap_min_ns = gap
-            stats.count += 1
-            stats.gap_total_ns += gap
-            if gap < stats.gap_min_ns:
-                stats.gap_min_ns = gap
-            if gap > stats.gap_max_ns:
-                stats.gap_max_ns = gap
-        self.events += len(nodes)
+                stats = self.edges[pair] = EdgeStats()
+                stats.gap_min_ns = low
+            stats.count += number
+            stats.gap_total_ns += total
+            stats.gap_min_ns = min(stats.gap_min_ns, low)
+            stats.gap_max_ns = max(stats.gap_max_ns, high)
+        ends = np.append(heads[1:], n) - 1
+        for name, end in zip(names, (ends if order is None
+                                     else order[ends]).tolist()):
+            self._chains[name] = [nodes[end], times[end]]
+        while self.max_threads is not None \
+                and len(self._chains) > self.max_threads:
+            self._chains.popitem(last=False)
+        self.events += n
         self.last_ns = max(self.last_ns, max(times))
-
-    def absorb(self, later: "DirectlyFollowsGraph") -> None:
-        """Continue this one-chain graph with ``later`` — a one-chain
-        graph of the events that follow, used up by the call — as if
-        its events had been fed here: ``later``'s opening ``^`` edge
-        becomes the transition from this chain's last event, its other
-        edges merge, and this chain ends where ``later``'s does.  Edges
-        reach this graph in the order feeding the events would have
-        added them."""
-        (prev,) = self._chains.values()
-        edges = self.edges
-        for edge, stats in later.edges.items():
-            if edge[0] == START:
-                # The one transition of the ``^`` edge, re-timed.
-                edge = (prev[0], edge[1])
-                gap = max(later.first_ns - prev[1], 0)
-                stats.gap_total_ns = stats.gap_min_ns = stats.gap_max_ns = gap
-            into = edges.get(edge)
-            if into is None:
-                edges[edge] = stats
-                self._following.setdefault(edge[0], {})[edge[1]] = stats
-                continue
-            into.count += stats.count
-            into.gap_total_ns += stats.gap_total_ns
-            if stats.gap_min_ns < into.gap_min_ns:
-                into.gap_min_ns = stats.gap_min_ns
-            if stats.gap_max_ns > into.gap_max_ns:
-                into.gap_max_ns = stats.gap_max_ns
-        node_counts = self.node_counts
-        for node, count in later.node_counts.items():
-            node_counts[node] = node_counts.get(node, 0) + count
-        self.events += later.events
-        self.last_ns = max(self.last_ns, later.last_ns)
-        (self._chains[None],) = later._chains.values()
 
     # ------------------------------------------------------------------
     # Reading
@@ -220,10 +247,10 @@ class DirectlyFollowsGraph:
         is the drift metric phase segmentation and cross-session
         comparison rank by.
         """
-        mine, theirs = self.edge_frequencies(), other.edge_frequencies()
-        keys = set(mine) | set(theirs)
-        return sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0))
-                   for k in keys) / 2.0
+        def counts(graph):
+            return {edge: stats.count for edge, stats in graph.edges.items()}
+        return tv_distance(counts(self), self.transitions,
+                           counts(other), other.transitions)
 
     def top_edges(self, n: int = 8) -> list[tuple[str, str, EdgeStats]]:
         """The ``n`` heaviest edges (by count, then lexicographic)."""
@@ -269,60 +296,68 @@ class Phase(NamedTuple):
 def segment_phases(batch: LaneBatch,
                    window_events: int = 64,
                    drift_threshold: float = 0.4,
-                   name: str = "") -> list[Phase]:
+                   name: str = "",
+                   codes: Optional[tuple] = None) -> list[Phase]:
     """Split a time-ordered batch of events into behaviour phases.
 
-    The stream is chopped into fixed-size windows, one graph each; a
-    new phase starts whenever the TV distance between the running
-    phase's DFG and the next window's DFG exceeds ``drift_threshold``,
-    and otherwise the phase absorbs the window's graph.  A final
-    partial window under half the size is always absorbed.
+    The stream is chopped into fixed-size windows, each one chain of
+    edges from ``^``; a new phase starts whenever the TV distance
+    between the running phase's edge counts and the next window's
+    exceeds ``drift_threshold``, and otherwise the phase continues into
+    the window (its chain runs on, so the joining transition counts
+    instead of the window's ``^`` edge).  A final partial window under
+    half the size is always taken in.  A window's edge counts are a
+    slice of its step's transition keys, so no window builds a graph;
+    ``codes`` is ``lane_codes`` of the ``syscall`` lane, if at hand.
     """
     if window_events <= 1:
         raise ValueError(f"window_events must be > 1: {window_events}")
     nodes = batch.values_for("syscall")
-    times = times_of(batch)
-    phases: list[Phase] = []
-    current: Optional[DirectlyFollowsGraph] = None
-    prev_drift = 0.0
-    for lo in range(0, len(nodes), window_events):
-        hi = min(lo + window_events, len(nodes))
-        incoming = DirectlyFollowsGraph(name)
-        incoming.observe_lanes(nodes[lo:hi], None, times[lo:hi])
-        if current is None:
-            current = incoming
-            continue
-        drift = current.distance(incoming)
-        if drift > drift_threshold and hi - lo >= window_events // 2:
-            phases.append(_phase(current, prev_drift))
-            current, prev_drift = incoming, drift
-        else:
-            current.absorb(incoming)
-    if current is not None:
-        phases.append(_phase(current, prev_drift))
+    times = times_of(batch.values_for("time"))
+    n, (code, lane) = len(nodes), codes or lane_codes(nodes)
+    width = len(code)                  # the code of ``^``
+    step = max(1, STEP_ROWS // window_events) * window_events
+    bounds: list = []                  # (first row, drift) per phase
+    phase: Counter = Counter()
+    total = 0
+    for base in range(0, n, step):
+        # into[r - start - 1]: the edge key of the transition into row r
+        start, top = max(base - 1, 0), min(base + step, n)
+        into = (lane[start:top - 1] * width + lane[start + 1:top]).tolist()
+        for lo in range(base, top, window_events):
+            size = min(window_events, n - lo)
+            edges = Counter(into[lo - start:lo - start + size - 1])
+            edges[width * width + int(lane[lo])] = 1        # from ``^``
+            drift = tv_distance(phase, total, edges, size) if bounds else 0.0
+            if not bounds or (drift > drift_threshold
+                              and size >= window_events // 2):
+                bounds.append((lo, drift))
+                phase, total = edges, size
+            else:       # the window continues the phase's chain
+                phase.update(into[lo - start - 1:lo - start + size - 1])
+                total += size
+    phases = []
+    for (lo, drift), (hi, _) in zip(bounds, bounds[1:] + [(n, None)]):
+        graph = DirectlyFollowsGraph(name)
+        for at in range(lo, hi, STEP_ROWS):     # no phase-long copy
+            end = min(at + STEP_ROWS, hi)
+            graph.observe_lanes(nodes[at:end], None, times[at:end],
+                                (code, lane[at:end]))
+        phases.append(Phase(graph.first_ns or 0, graph.last_ns,
+                            graph.events, graph, drift))
     return phases
-
-
-def _phase(graph: DirectlyFollowsGraph, drift: float) -> Phase:
-    return Phase(graph.first_ns or 0, graph.last_ns, graph.events, graph,
-                 drift)
 
 
 def mine_phases(store: DocumentStore, index: str = "dio_trace",
                 session: Optional[str] = None,
-                proc_name: Optional[str] = None,
                 window_events: int = 64,
                 drift_threshold: float = 0.4,
                 view: Optional[SessionEvents] = None) -> list[Phase]:
-    """Phase-segment one session's (optionally one process's) stream."""
+    """Phase-segment one session's stream."""
     view = view or SessionEvents(store, index, session)
-    batch = view.batch
-    if proc_name is not None:
-        batch = batch.take([row for row, name
-                            in enumerate(view.values("proc_name"))
-                            if name == proc_name])
-    return segment_phases(batch, window_events, drift_threshold,
-                          name=proc_name or session or index)
+    return segment_phases(Stretch(view, 0, len(view)), window_events,
+                          drift_threshold, session or index,
+                          view.codes("syscall"))
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +391,10 @@ def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
     events into one chain would invent edges neither thread executed —
     and land in a single session graph.
     """
+    view = view or SessionEvents(store, index, session)
     graph = DirectlyFollowsGraph(session or index, per_thread=True)
-    graph.observe_batch((view or SessionEvents(store, index, session)).batch)
+    graph.observe_lanes(view.values("syscall"), view.values("tid"),
+                        view.times, view.codes("syscall"))
     return graph
 
 

@@ -14,7 +14,8 @@ batteries:
   replaying the stored events through a fresh
   :class:`~repro.analysis.streaming.DiagnosisTap`
   (:func:`follow_session`, which hands the tap what the tracer's
-  consumer hands it: lane batches, here with their backend ids).
+  consumer hands it: lane batches — here stretches of the session's
+  lanes — with their backend ids).
 
 The report is both batteries' findings ranked by severity and
 confidence (a finding's source is fixed by its detector), with the
@@ -34,8 +35,8 @@ from typing import Optional, Sequence
 from repro.analysis.detectors import (DEFAULT_DETECTORS, SEVERITY_ORDER,
                                       Detector, Finding, run_detectors)
 from repro.analysis.dfg import (DirectlyFollowsGraph, Phase, merged_dfg,
-                                segment_phases)
-from repro.analysis.session import SessionEvents
+                                mine_phases)
+from repro.analysis.session import SessionEvents, Stretch
 from repro.analysis.streaming import DiagnosisTap
 from repro.backend.store import DocumentStore
 
@@ -170,7 +171,8 @@ def follow_session(store: DocumentStore, index: str,
 
     The session is handed over in stretches of event time cut at
     multiples of the narrowest detector window: each stretch's events
-    (they arrive time-sorted; the records are put in start order here)
+    (a :class:`~repro.analysis.session.Stretch` of the view's lanes,
+    time-sorted; the records are put in start order here)
     and then its latency records.  A detector closes a window two of
     its widths behind the watermark, so nothing inside a stretch no
     wider than the narrowest window can close a window that something
@@ -194,7 +196,7 @@ def follow_session(store: DocumentStore, index: str,
                 emit(emit_ns, finding)
 
     view = view or SessionEvents(store, index, session)
-    batch, ids, times = view.batch, view.ids, view.times
+    ids, times = view.ids, view.times
     records = sorted(latency_records or (), key=itemgetter(0))
     starts = [record[0] for record in records]
     width = tap.stretch_ns
@@ -207,7 +209,7 @@ def follow_session(store: DocumentStore, index: str,
             end = (first // width + 1) * width
             hi = bisect_left(times, end, lo)
             to = bisect_left(starts, end, at)
-        tap.observe_batch(batch.take(range(lo, hi)), ids[lo:hi])
+        tap.observe_batch(Stretch(view, lo, hi), ids[lo:hi])
         tap.observe_latencies(records[at:to])
         drain()
         lo, at = hi, to
@@ -245,7 +247,8 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
         session=session,
         findings=findings,
         dfg=merged_dfg(store, index, session, view),
-        phases=segment_phases(view.batch, window_events, drift_threshold,
-                              name=session or index),
+        phases=mine_phases(store, index, session,
+                           window_events=window_events,
+                           drift_threshold=drift_threshold, view=view),
         events=len(view),
     )

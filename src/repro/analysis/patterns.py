@@ -8,9 +8,13 @@ lanes (one :class:`~repro.analysis.session.SessionEvents` read).
 
 from __future__ import annotations
 
+from itertools import chain, compress, groupby, repeat
+from operator import is_not, itemgetter
 from typing import NamedTuple, Optional
 
-from repro.analysis.session import READS as _READS, SessionEvents
+import numpy as np
+
+from repro.analysis.session import READS as _READS, STEP_ROWS, SessionEvents
 from repro.backend.store import DocumentStore
 
 
@@ -44,39 +48,47 @@ def classify_file_accesses(store: DocumentStore, index: str,
 
 
 def _access_patterns(view: SessionEvents) -> list[AccessPattern]:
-    syscalls = view.values("syscall")
-    rets = view.values("ret")
+    """Lane arithmetic over files' data rows, :data:`STEP_ROWS` at a time:
+    an access is sequential if it starts where the file's last ended."""
+    per_file = sorted(view.data_by_file.items())
+    steps = np.cumsum([len(rows) for _, rows in per_file]) // STEP_ROWS
+    return [pattern for _, step in groupby(zip(steps.tolist(), per_file),
+                                           itemgetter(0))
+            for pattern in _step_patterns(view, [item for _, item in step])]
+
+
+def _step_patterns(view: SessionEvents, per_file: list) -> list:
+    lengths = [len(rows) for _, rows in per_file]
+    rows = list(chain.from_iterable(rows for _, rows in per_file))
+    starts = np.cumsum([0] + lengths[:-1])
+    sizes = np.maximum(np.fromiter(map(view.values("ret").__getitem__, rows),
+                                   np.int64, len(rows)), 0)
+    code, codes = view.codes("syscall")
+    is_read = np.zeros(len(code), bool)
+    is_read[[code[name] for name in _READS if name in code]] = True
+    reads = is_read[codes[rows]]
     offsets = view.values("offset")
+    carried = list(map(is_not, map(offsets.__getitem__, rows), repeat(None)))
+    placed = np.flatnonzero(carried)
+    files = np.repeat(np.arange(len(per_file)), lengths)[placed]
+    at = np.fromiter(map(offsets.__getitem__, compress(rows, carried)),
+                     np.int64, len(placed))
+    follows = files[1:] == files[:-1]
+    hits = follows & (at[1:] == (at + sizes[placed])[:-1])
     paths = view.values("file_path")
-    patterns = []
-    for tag, rows in sorted(view.data_by_file.items()):
-        reads = request_bytes = read_bytes = 0
-        sequential = considered = 0
-        expected: Optional[int] = None
-        for row in rows:
-            size = max(rets[row], 0)
-            request_bytes += size
-            if syscalls[row] in _READS:
-                reads += 1
-                read_bytes += size
-            offset = offsets[row]
-            if offset is None:
-                continue
-            if expected is not None:
-                considered += 1
-                if offset == expected:
-                    sequential += 1
-            expected = offset + size
-        patterns.append(AccessPattern(
-            file_tag=tag,
-            file_path=paths[rows[0]],
-            reads=reads,
-            writes=len(rows) - reads,
-            sequential_fraction=(sequential / considered) if considered else 1.0,
-            mean_request_bytes=request_bytes / len(rows),
-            mean_read_bytes=read_bytes / reads if reads else 0.0,
-        ))
-    return patterns
+    return [AccessPattern(
+        file_tag=tag, file_path=paths[file_rows[0]], reads=read_count,
+        writes=len(file_rows) - read_count,
+        sequential_fraction=(in_order / seen) if seen else 1.0,
+        mean_request_bytes=request_bytes / len(file_rows),
+        mean_read_bytes=read_bytes / read_count if read_count else 0.0)
+        for (tag, file_rows), read_count, request_bytes, read_bytes,
+        in_order, seen in zip(
+            per_file, np.add.reduceat(reads, starts, dtype=np.int64).tolist(),
+            np.add.reduceat(sizes, starts).tolist(),
+            np.add.reduceat(sizes * reads, starts).tolist(),
+            np.bincount(files[1:][hits], minlength=len(per_file)).tolist(),
+            np.bincount(files[1:][follows], minlength=len(per_file)).tolist())]
 
 
 def small_io_files(store: DocumentStore, index: str,

@@ -7,7 +7,8 @@ the store for them **once**, as lanes: one public ``lanes`` request
 (``(ids, LaneBatch)`` — no hit envelope, no document — so it works on
 any store-shaped object: sharded, tenant-scoped, proxied), put in time
 order by :func:`~repro.backend.lanes.time_order`.  The analyses read
-the lanes (``values_for``) and the row subsets derived here; a
+the lanes (:meth:`SessionEvents.values`, each read off the batch
+once per view) and the row subsets derived here; a
 document is built only for evidence a finding cites
 (:meth:`SessionEvents.docs`).
 
@@ -23,7 +24,10 @@ nothing is memoised across calls, nothing needs invalidating.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Optional, TypeVar
+from itertools import compress
+from typing import Callable, NamedTuple, Optional, TypeVar
+
+import numpy as np
 
 from repro.backend.lanes import LaneBatch, _dense_int, time_order
 from repro.backend.store import DocumentStore
@@ -35,11 +39,20 @@ WRITES = ("write", "pwrite64", "writev")
 
 T = TypeVar("T")
 
+#: Rows per step of array arithmetic: no whole-session temporary.
+STEP_ROWS = 4096
 
-def times_of(batch: LaneBatch) -> list:
-    """Each row's ``time``, 0 where it has none (``source.get("time",
-    0)`` over the documents)."""
-    times = batch.values_for("time")
+
+def lane_codes(values: list) -> tuple[dict, np.ndarray]:
+    """``(code, codes)``: each distinct value's code, in first-seen
+    order, and one code per row — a lane as array arithmetic reads it."""
+    code = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return code, np.fromiter(map(code.__getitem__, values), np.intp,
+                             len(values))
+
+
+def times_of(times: list) -> list:
+    """A ``time`` lane with 0 where a row has none."""
     if _dense_int(times):
         return times
     return [0 if time_ns is None else time_ns for time_ns in times]
@@ -54,6 +67,8 @@ class SessionEvents:
         self.index = index
         self.session = session
         self._derived: dict = {}
+        self._values: dict[str, list] = {}
+        self._codes: dict[str, tuple] = {}
 
     def query(self, extra: Optional[list] = None) -> dict:
         """``extra`` clauses scoped to this session, for store requests."""
@@ -86,14 +101,27 @@ class SessionEvents:
     def __len__(self) -> int:
         return len(self._read[1])
 
+    def __bool__(self) -> bool:
+        return True         # an empty session's view is still its read
+
     def values(self, field: str) -> list:
-        """One value per event (``get_field`` over the documents)."""
-        return self.batch.values_for(field)
+        """One value per event (``get_field`` over the documents), read
+        off the batch once per view."""
+        values = self._values.get(field)
+        if values is None:
+            values = self._values[field] = self.batch.values_for(field)
+        return values
+
+    def codes(self, field: str) -> tuple[dict, np.ndarray]:
+        """:func:`lane_codes` of a lane, worked out once per view."""
+        if field not in self._codes:
+            self._codes[field] = lane_codes(self.values(field))
+        return self._codes[field]
 
     @cached_property
     def times(self) -> list:
         """Each event's ``time``, 0 where it has none."""
-        return times_of(self.batch)
+        return times_of(self.values("time"))
 
     def in_stored_order(self, rows: list[int]) -> list[int]:
         """``rows`` in the order the store holds them — the order an
@@ -112,7 +140,10 @@ class SessionEvents:
     def _grouped(self, field: str) -> dict:
         groups: dict = {}
         for row, value in enumerate(self.values(field)):
-            groups.setdefault(value, []).append(row)
+            try:
+                groups[value].append(row)
+            except KeyError:
+                groups[value] = [row]
         return groups
 
     @cached_property
@@ -123,13 +154,28 @@ class SessionEvents:
     @cached_property
     def data_by_file(self) -> dict[str, list[int]]:
         """Rows of data syscalls that carry a file tag, per tag."""
-        data = frozenset(READS + WRITES)
+        data = frozenset(READS + WRITES).__contains__
         syscalls = self.values("syscall")
-        per_file: dict[str, list[int]] = {}
-        for tag, rows in self.by_file_tag.items():
-            if tag is None:
-                continue
-            kept = [row for row in rows if syscalls[row] in data]
-            if kept:
-                per_file[tag] = kept
-        return per_file
+        per_file = {tag: list(compress(rows, map(data, map(
+            syscalls.__getitem__, rows))))
+            for tag, rows in self.by_file_tag.items() if tag is not None}
+        return {tag: rows for tag, rows in per_file.items() if rows}
+
+
+class Stretch(NamedTuple):
+    """Rows ``lo:hi`` of a view, as the streaming tap reads a batch."""
+
+    view: SessionEvents
+    lo: int
+    hi: int
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def values_for(self, field: str) -> list:
+        """The view's lane itself for a stretch of every row (never
+        mutate it), else a slice."""
+        values = self.view.values(field)
+        if self.lo == 0 and self.hi == len(values):
+            return values
+        return values[self.lo:self.hi]

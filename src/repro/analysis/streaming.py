@@ -11,7 +11,8 @@ has one detector: these five here, the rest in the post-mortem battery
 (:mod:`repro.analysis.detectors`).  There is one feed shape:
 ``observe_batch(batch, ids)`` is the only place a detector's step is
 written, whoever calls it — ``batch`` is a
-:class:`~repro.backend.lanes.LaneBatch` the step reads lane by lane
+:class:`~repro.backend.lanes.LaneBatch` (or a
+:class:`~repro.analysis.session.Stretch`) the step reads lane by lane
 (``values_for``; :func:`rows_of` to visit only the rows it cares
 about), never as documents.  The consumer hands over its decoded
 :class:`~repro.tracer.batch.RecordBatch` without ids, a replay hands
@@ -42,13 +43,13 @@ The tap also runs an online DFG miner (:class:`StreamingDFGMiner`) so
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
-from itertools import chain, compress, repeat
-from operator import sub
+from itertools import chain, compress, groupby, repeat
+from operator import floordiv, itemgetter
 from typing import Optional, Sequence
 
 from repro.analysis.detectors import (EVIDENCE_ID_CAP, Finding,
                                       make_evidence)
-from repro.analysis.dfg import DirectlyFollowsGraph
+from repro.analysis.dfg import DirectlyFollowsGraph, tv_distance
 from repro.analysis.session import times_of
 from repro.backend.lanes import LaneBatch, _groups
 
@@ -190,7 +191,7 @@ class StreamingStaleOffsetDetector(StreamingDetector):
         offsets = batch.values_for("offset")
         procs = batch.values_for("proc_name")
         paths = batch.values_for("file_path")
-        times = times_of(batch)
+        times = times_of(batch.values_for("time"))
         tracked = self._tags
         for row in rows:
             tag = tags[row]
@@ -276,7 +277,7 @@ class StreamingFdLeakDetector(StreamingDetector):
         syscalls = batch.values_for("syscall")
         rets = batch.values_for("ret")
         pids = batch.values_for("pid")
-        times = times_of(batch)
+        times = times_of(batch.values_for("time"))
         tracked = self._pids
         for row in rows:
             if rets[row] < 0:
@@ -355,7 +356,7 @@ class StreamingUringLagDetector(StreamingDetector):
         lags = batch.values_for("duration_ns")
         pids = batch.values_for("pid")
         syscalls = batch.values_for("syscall")
-        times = times_of(batch)
+        times = times_of(batch.values_for("time"))
         step = self._completion
         for row in rows:
             if lags[row] is not None:
@@ -422,7 +423,7 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
             return
         rets = batch.values_for("ret")
         procs = batch.values_for("proc_name")
-        times = times_of(batch)
+        times = times_of(batch.values_for("time"))
         client = self.client_comm
         per_proc = self._per_proc
         for row in rows:
@@ -526,7 +527,7 @@ class StreamingSpikeAttributor(StreamingDetector):
         # Only the background threads' rows are visited one by one; a
         # window's evidence links are the ids of its first background
         # events.
-        times = times_of(batch)
+        times = times_of(batch.values_for("time"))
         if not times:
             return
         procs = batch.values_for("proc_name")
@@ -567,16 +568,16 @@ class StreamingSpikeAttributor(StreamingDetector):
         self._close_ready()
 
     def observe_latencies(self, records):
-        window_ns = self.window_ns
-        latencies = self._latencies
-        for record in records:
-            start_ns = record[0]
-            if start_ns > self._max_ns:
-                self._max_ns = start_ns
-            samples = latencies.setdefault(
-                (start_ns // window_ns) * window_ns, [])
-            if len(samples) < MAX_WINDOW_SAMPLES:
-                samples.append(record[1])
+        starts = list(map(itemgetter(0), records))
+        self._max_ns = max(self._max_ns, max(starts, default=self._max_ns))
+        at = 0
+        for window, run in groupby(map(floordiv, starts,
+                                       repeat(self.window_ns))):
+            size = len(list(run))
+            samples = self._latencies.setdefault(window * self.window_ns, [])
+            room = max(MAX_WINDOW_SAMPLES - len(samples), 0)
+            samples.extend(map(itemgetter(1), records[at:at + min(size, room)]))
+            at += size
         self._close_ready()
 
     def _close_ready(self):
@@ -649,7 +650,8 @@ class StreamingDFGMiner:
 
     Keeps one merged session DFG (a ``per_thread``
     :class:`~repro.analysis.dfg.DirectlyFollowsGraph` — interleavings
-    never invent edges — with a bounded chain table) plus a drift
+    never invent edges — with a bounded chain table whose tails carry
+    from batch to batch) plus a drift
     detector over fixed-size event windows; powers the ``dio_dfg_*``
     telemetry.
     """
@@ -669,7 +671,8 @@ class StreamingDFGMiner:
         self._window_edges: Counter = Counter()
         self._window_count = 0
         self._window_prev = "^"
-        self._prev_freq: Optional[dict] = None
+        #: the last closed window's ``(edge counts, events)``
+        self._prev: Optional[tuple] = None
 
     def observe_batch(self, batch: LaneBatch) -> None:
         nodes = self.graph.observe_batch(batch)
@@ -687,17 +690,11 @@ class StreamingDFGMiner:
                 self._close_window()
 
     def _close_window(self) -> None:
-        wcount = self._window_count
-        freq = {e: c / wcount for e, c in self._window_edges.items()}
-        prev_freq = self._prev_freq
-        if prev_freq is not None:
-            keys = list(freq.keys() | prev_freq.keys())
-            drift = 0.5 * sum(map(abs, map(
-                sub, map(freq.get, keys, repeat(0.0)),
-                map(prev_freq.get, keys, repeat(0.0)))))
-            if drift > self.drift_threshold:
-                self.phases += 1
-        self._prev_freq = freq
+        window = (self._window_edges, self._window_count)
+        if self._prev is not None and tv_distance(
+                *self._prev, *window) > self.drift_threshold:
+            self.phases += 1
+        self._prev = window
         self._window_edges = Counter()
         self._window_count = 0
         self._window_prev = "^"

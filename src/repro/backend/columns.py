@@ -382,6 +382,10 @@ class Column:
                 if code >= 0:
                     postings[code].append(row)
         held = [postings[code] for code in codes if postings[code]]
+        if sum(map(len, held)) == len(self.codes):
+            # Every row (a session's ``term`` on its own store): the
+            # contiguous range takes the kernels' slice paths.
+            return range(len(self.codes))
         if len(held) == 1:
             return held[0]
         return sorted(chain.from_iterable(held))

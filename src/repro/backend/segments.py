@@ -73,7 +73,8 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 from repro.backend.lanes import (GROUP_SAFE, DocBatch, JoinedBatch,
                                  LaneBatch, LaneColumn, Lanes, StructLane,
                                  sort_key, time_ordered)
-from repro.backend.planner import prune_constraints
+from repro.backend.columns import Column
+from repro.backend.planner import plan_query, prune_constraints
 from repro.backend.query import compile_query
 from repro.backend.store import INDEXED_EVENT_FIELDS
 from repro.backend.wal import WriteAheadLog, wal_file_size
@@ -672,33 +673,64 @@ class Segment:
             return zone[1], zone[2]
         return None
 
-    def _blocks(self) -> Iterator[tuple[str, bytes, int]]:
-        """``(field, block, crc)`` of every block, in schema order,
-        each read from the file by its footer offset."""
+    def _blocks(self, names: Optional[Iterable[str]] = None
+                ) -> Iterator[tuple[str, bytes, int]]:
+        """``(field, block, crc)`` of every block (or of the named
+        fields' that exist), in schema order, each read from the file by
+        its footer offset."""
+        fields = self._fields
+        if names is not None:
+            names = set(names)
+            fields = {name: entry for name, entry in fields.items()
+                      if name in names}
         try:
             handle = self.path.open("rb")
         except OSError as exc:
             raise SegmentError(f"cannot read segment {self.path}") from exc
         with handle:
-            for name, (off, length, crc, _zone) in self._fields.items():
+            for name, (off, length, crc, _zone) in fields.items():
                 handle.seek(off)
                 yield name, handle.read(length), crc
 
-    def lanes(self) -> Lanes:
-        """Every block, checksum-verified and decoded, as lanes in
-        schema order — unstamped: ``session`` is a lane only if the
-        rows carried it.
+    def lanes(self, names: Optional[Iterable[str]] = None) -> Lanes:
+        """Every block (or the named fields'), checksum-verified and
+        decoded, as lanes in schema order — unstamped: ``session`` is a
+        lane only if the rows carried it.
 
         Not memoised: a load hands the lanes on to a
         :class:`SegmentBatch` and keeps nothing here.
         """
         lanes: dict[str, _Lane] = {}
-        for name, block, crc in self._blocks():
+        for name, block, crc in self._blocks(names):
             if zlib.crc32(block) != crc:
                 raise SegmentError(
                     f"{self.path.name}: block {name!r} checksum mismatch")
             lanes[name] = _decode_block(block, self.rows)
         return Lanes(self.rows, lanes)
+
+    def count(self, query: Optional[dict], predicate: Callable) -> int:
+        """Rows matching ``query`` (``predicate`` is its compiled form).
+
+        The store's :class:`~repro.backend.columns.Column` planner runs
+        over columns built from only the blocks the query names (a
+        dotted name reads its root's block); an exact plan is answered
+        with the length of its rows, and any other with the documents.
+        """
+        if self._docs is None:
+            columns: dict[str, Column] = {}
+
+            def lookup(field: str) -> Column:
+                column = columns.get(field)
+                if column is None:
+                    column = columns[field] = Column(field)
+                    column.extend(self.lanes(
+                        (field.split(".", 1)[0],)).values_for(field))
+                return column
+
+            plan = plan_query(query, lookup)
+            if plan.exact:
+                return self.rows if plan.rows is None else len(plan.rows)
+        return sum(1 for doc in self.docs() if predicate(doc))
 
     def docs(self) -> list[dict]:
         """Materialise every row as a document (schema key order)."""
@@ -1230,19 +1262,31 @@ class SegmentStorage:
         compiled predicate per row.
         """
         predicate = compile_query(query)
-        constraints = prune_constraints(query)
         out: list[dict] = []
-        for segment in self._segments:
-            if constraints and not segment.may_match(constraints):
-                self.scan_pruned_total += 1
-                continue
+        for segment in self._surviving(query):
             out.extend(doc for doc in segment.docs() if predicate(doc))
         out.extend(doc for doc in self._buffer if predicate(doc))
         return out
 
+    def _surviving(self, query: Optional[dict]) -> Iterator[Segment]:
+        """Segments whose zone maps leave ``query`` satisfiable, each
+        skipped one counted in ``scan_pruned_total``."""
+        constraints = prune_constraints(query)
+        for segment in self._segments:
+            if constraints and not segment.may_match(constraints):
+                self.scan_pruned_total += 1
+            else:
+                yield segment
+
     def count(self, query: Optional[dict] = None) -> int:
-        """Number of matching documents (same pruning as :meth:`scan`)."""
-        return len(self.scan(query))
+        """Number of matching documents (same pruning as :meth:`scan`):
+        each surviving segment decodes only what its plan reads
+        (:meth:`Segment.count`), and builds no document for an exact
+        plan."""
+        predicate = compile_query(query)
+        return sum(segment.count(query, predicate)
+                   for segment in self._surviving(query)) \
+            + sum(1 for doc in self._buffer if predicate(doc))
 
     def all_docs(self) -> list[dict]:
         """Every stored document in global stable time order."""

@@ -315,6 +315,8 @@ class Index:
         return plan_query(query, self.column)
 
     def _ids(self, rows: Iterable[int]) -> list[str]:
+        if isinstance(rows, range):     # a contiguous plan: one slice
+            return self.columns.doc_ids[rows.start:rows.stop:rows.step]
         return list(map(self.columns.doc_ids.__getitem__, rows))
 
     def sources(self, rows: Sequence[int]) -> list[dict]:

@@ -323,6 +323,7 @@ def _cmd_diagnose(args) -> int:
     import json
 
     from repro.analysis.diagnose import diagnose_session, follow_session
+    from repro.analysis.streaming import DiagnosisTap
 
     latency_by_session = {}
     if args.scenario:
@@ -361,7 +362,9 @@ def _cmd_diagnose(args) -> int:
                 print(f"[{emit_ns / 1e6:10.1f} ms] {finding}")
 
             print(f"--- streaming findings for session {session!r} ---")
+            # The report below mines its own DFG: the tap mines none.
             follow_session(store, "dio_trace", session,
+                           tap=DiagnosisTap(dfg=False),
                            latency_records=latency, emit=emit)
             print()
         reports.append(diagnose_session(store, session,

@@ -1,15 +1,21 @@
-"""The post-mortem bodies of ``stale-offset-resume`` and ``fd-leak``.
+"""Post-mortem bodies the production detectors replaced, as oracles.
 
-Both findings come from one detector each, a streaming one
-(``repro.analysis.streaming``), which serves ``--follow``, the tracer's
-consumer path and the report alike.  The batch bodies they replaced
+``stale-offset-resume`` and ``fd-leak`` come from one detector each, a
+streaming one (``repro.analysis.streaming``), which serves
+``--follow``, the tracer's consumer path and the report alike.  The batch bodies they replaced
 read the whole stored session at once and are kept here, as they were,
 as the oracles the streaming rules must agree with
-(``tests/test_diagnosis_feed.py``).
+(``tests/test_diagnosis_feed.py``).  The per-row access-pattern loop
+and the two-search contention correlation, which lane arithmetic
+replaced, are the oracles of ``tests/test_array_analysis.py``.
 """
 
+import numpy as np
+
+from repro.analysis.contention import (ContentionReport,
+                                       syscall_counts_by_thread)
 from repro.analysis.detectors import Detector, Finding, events_evidence
-from repro.analysis.patterns import find_stale_offset_resumes
+from repro.analysis.patterns import AccessPattern, find_stale_offset_resumes
 
 
 class StaleOffsetDetector(Detector):
@@ -87,3 +93,81 @@ class FdLeakDetector(Detector):
                         and rets[row] >= 0]),
                 ))
         return findings
+
+
+# ----------------------------------------------------------------------
+# Access patterns and contention, as they were before both became lane
+# arithmetic: one loop over every data row, and two store searches.
+
+def loop_access_patterns(view):
+    """``classify_file_accesses`` as a loop over each file's rows."""
+    syscalls = view.values("syscall")
+    rets = view.values("ret")
+    offsets = view.values("offset")
+    paths = view.values("file_path")
+    patterns = []
+    for tag, rows in sorted(view.data_by_file.items()):
+        reads = request_bytes = read_bytes = 0
+        sequential = considered = 0
+        expected = None
+        for row in rows:
+            size = max(rets[row], 0)
+            request_bytes += size
+            if syscalls[row] in ("read", "pread64", "readv"):
+                reads += 1
+                read_bytes += size
+            offset = offsets[row]
+            if offset is None:
+                continue
+            if expected is not None:
+                considered += 1
+                if offset == expected:
+                    sequential += 1
+            expected = offset + size
+        patterns.append(AccessPattern(
+            tag, paths[rows[0]], reads, len(rows) - reads,
+            (sequential / considered) if considered else 1.0,
+            request_bytes / len(rows),
+            read_bytes / reads if reads else 0.0))
+    return patterns
+
+
+def search_active_threads(store, index, window_ns, prefix="rocksdb:low",
+                          session=None):
+    """``active_compaction_threads`` as a wildcard search with a
+    per-window ``cardinality`` of ``tid``."""
+    must = [{"wildcard": {"proc_name": prefix + "*"}}]
+    if session:
+        must.append({"term": {"session": session}})
+    response = store.search(index, query={"bool": {"must": must}}, size=0,
+                            aggs={"over_time": {
+                                "date_histogram": {"field": "time",
+                                                   "fixed_interval": window_ns},
+                                "aggs": {"tids": {"cardinality": {
+                                    "field": "tid"}}}}})
+    return {bucket["key"]: bucket["tids"]["value"]
+            for bucket in response["aggregations"]["over_time"]["buckets"]}
+
+
+def search_contention(store, index, window_ns, min_compaction_threads=5,
+                      client_comm="db_bench", session=None,
+                      background_prefix="rocksdb:low"):
+    """``detect_contention`` as two store searches: the Fig. 4 panel
+    (syscalls per window by thread name) and the active threads."""
+    by_thread = syscall_counts_by_thread(store, index, window_ns, session)
+    active = search_active_threads(store, index, window_ns,
+                                   background_prefix, session)
+    contended, calm, contended_rates, calm_rates = [], [], [], []
+    for window, threads in sorted(by_thread.items()):
+        client_count = threads.get(client_comm, 0)
+        if active.get(window, 0) >= min_compaction_threads:
+            contended.append(window)
+            contended_rates.append(client_count)
+        else:
+            calm.append(window)
+            calm_rates.append(client_count)
+    return ContentionReport(
+        contended, calm,
+        float(np.mean(contended_rates)) if contended_rates else 0.0,
+        float(np.mean(calm_rates)) if calm_rates else 0.0,
+        min_compaction_threads)

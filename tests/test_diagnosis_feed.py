@@ -29,7 +29,6 @@ and a live tap reports what the replay of its own store does.
 
 import heapq
 from operator import itemgetter
-from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -595,7 +594,9 @@ def test_per_thread_loop_equals_graphs_then_merge(stream, batch):
     graph = DirectlyFollowsGraph("stream", per_thread=True)
     graph.observe_batch(DocBatch(stream))
     assert graph_as_dict(graph) == oracle
-    view = SimpleNamespace(batch=DocBatch(stream))
+    # A view whose one read is the stream as it came, unsorted.
+    view = SessionEvents(None, INDEX)
+    view.__dict__["_read"] = ([], DocBatch(stream), None)
     assert graph_as_dict(merged_dfg(None, "stream", None,
                                     view=view)) == oracle
     miner = StreamingDFGMiner()
