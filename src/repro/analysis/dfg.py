@@ -23,9 +23,8 @@ There is one transition computation,
 — the node per event (the ``syscall`` lane), the chain key (the ``tid``
 lane, or none) and the ``time`` lane: array arithmetic that pairs each
 event with the previous event of its chain and reduces the pairs per
-edge.  A whole session's graph (:func:`merged_dfg`), the tap's online
-miner (:class:`~repro.analysis.streaming.StreamingDFGMiner`) and each
-phase's graph are that computation fed different lanes; the phase
+edge.  A whole session's graph (:func:`merged_dfg`) and each phase's
+graph are that computation fed different lanes; the phase
 windows' drift is read off the same transition keys (node code pairs)
 without building a graph per window.  No document is built.
 
@@ -36,7 +35,7 @@ byte-identical digest.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from itertools import chain, count
 from typing import NamedTuple, Optional, Sequence
 
@@ -80,29 +79,23 @@ class DirectlyFollowsGraph:
     """A DFG over one stream of syscall events.
 
     Nodes are syscall names; edges map ``(from, to)`` to
-    :class:`EdgeStats`.  The graph is an *online* structure: feed
-    events in stream order via :meth:`observe_batch`, read it at any
-    point.  Memory is bounded by the node vocabulary squared, which for
-    syscalls is small by construction.
+    :class:`EdgeStats`.  Events are fed in stream order via
+    :meth:`observe_lanes`, in one call or several (each continues the
+    chains the last left).  Memory is bounded by the node vocabulary
+    squared, which for syscalls is small by construction, plus one tail
+    per chain.
 
-    With ``per_thread`` every TID is its own transition chain —
-    interleaving two threads' events into one chain would invent edges
-    neither thread executed — and the chains share one set of edges;
-    ``max_threads`` then bounds the chain table (oldest chain first,
-    trimmed after each step of a batch, for a graph that rides the
-    ingest path; a post-mortem graph leaves it unbounded).  Without it
-    the whole stream is one chain.
+    Fed the ``tid`` lane as chain keys, every TID is its own transition
+    chain — interleaving two threads' events into one chain would
+    invent edges neither thread executed — and the chains share one set
+    of edges.  Without chain keys the whole stream is one chain.
     """
 
-    __slots__ = ("name", "per_thread", "max_threads",
-                 "edges", "node_counts", "events", "first_ns", "last_ns",
-                 "_chains")
+    __slots__ = ("name", "edges", "node_counts", "events", "first_ns",
+                 "last_ns", "_chains")
 
-    def __init__(self, name: str = "", per_thread: bool = False,
-                 max_threads: Optional[int] = None) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.per_thread = per_thread
-        self.max_threads = max_threads
         self.edges: dict[tuple[str, str], EdgeStats] = {}
         self.node_counts: dict[str, int] = {}
         self.events = 0
@@ -110,19 +103,10 @@ class DirectlyFollowsGraph:
         self.last_ns = 0
         #: chain key (TID, or None for the one chain) -> [node, time_ns]
         #: of the chain's last event
-        self._chains: OrderedDict = OrderedDict()
+        self._chains: dict = {}
 
     # ------------------------------------------------------------------
     # Building
-
-    def observe_batch(self, batch: LaneBatch) -> list[str]:
-        """Feed a batch of events in stream order; returns their nodes,
-        in order (the batch's own ``syscall`` lane: never mutate it)."""
-        nodes = batch.values_for("syscall")
-        self.observe_lanes(
-            nodes, batch.values_for("tid") if self.per_thread else None,
-            times_of(batch.values_for("time")))
-        return nodes
 
     def observe_lanes(self, nodes: Sequence[str],
                       chains: Optional[Sequence], times: Sequence,
@@ -138,8 +122,7 @@ class DirectlyFollowsGraph:
         chain out of time order) counts as 0.  Counts and gap sums,
         minima and maxima are reductions per edge key, and new edges
         reach the graph in the order their first transitions came.
-        Steps of :data:`STEP_ROWS` rows keep every temporary small;
-        ``max_threads`` trims the chain table after each step.
+        Steps of :data:`STEP_ROWS` rows keep every temporary small.
         """
         n = len(nodes)
         if n > STEP_ROWS:
@@ -218,9 +201,6 @@ class DirectlyFollowsGraph:
         for name, end in zip(names, (ends if order is None
                                      else order[ends]).tolist()):
             self._chains[name] = [nodes[end], times[end]]
-        while self.max_threads is not None \
-                and len(self._chains) > self.max_threads:
-            self._chains.popitem(last=False)
         self.events += n
         self.last_ns = max(self.last_ns, max(times))
 
@@ -392,7 +372,7 @@ def merged_dfg(store: DocumentStore, index: str, session: Optional[str],
     and land in a single session graph.
     """
     view = view or SessionEvents(store, index, session)
-    graph = DirectlyFollowsGraph(session or index, per_thread=True)
+    graph = DirectlyFollowsGraph(session or index)
     graph.observe_lanes(view.values("syscall"), view.values("tid"),
                         view.times, view.codes("syscall"))
     return graph

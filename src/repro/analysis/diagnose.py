@@ -11,11 +11,9 @@ batteries:
 - the **batch** battery (:mod:`repro.analysis.detectors`), which runs
   post-mortem correlations over the whole session, and
 - the **streaming** battery (:mod:`repro.analysis.streaming`), run by
-  replaying the stored events through a fresh
-  :class:`~repro.analysis.streaming.DiagnosisTap`
-  (:func:`follow_session`, which hands the tap what the tracer's
-  consumer hands it: lane batches — here stretches of the session's
-  lanes — with their backend ids).
+  replaying the stored events through fresh streaming detectors
+  (:func:`follow_session`: row steps of the session's lanes with their
+  backend ids, then the latency records).
 
 The report is both batteries' findings ranked by severity and
 confidence (a finding's source is fixed by its detector), with the
@@ -28,7 +26,7 @@ fetched once — and builds no document for a pass.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -36,12 +34,13 @@ from repro.analysis.detectors import (DEFAULT_DETECTORS, SEVERITY_ORDER,
                                       Detector, Finding, run_detectors)
 from repro.analysis.dfg import (DirectlyFollowsGraph, Phase, merged_dfg,
                                 mine_phases)
-from repro.analysis.session import SessionEvents, Stretch
-from repro.analysis.streaming import DiagnosisTap
+from repro.analysis.session import STEP_ROWS, SessionEvents, Stretch
+from repro.analysis.streaming import (StreamingDetector, _Reads,
+                                      default_streaming_detectors)
 from repro.backend.store import DocumentStore
 
 #: Confidence by provenance: batch outranks streaming (it saw the
-#: complete stream with the backend's indexes, not a bounded tap).
+#: complete stream with the backend's indexes, not bounded tables).
 CONFIDENCE = {"batch": 0.8, "streaming": 0.6}
 
 
@@ -158,64 +157,42 @@ class DiagnosisReport:
 
 def follow_session(store: DocumentStore, index: str,
                    session: Optional[str],
-                   tap: Optional[DiagnosisTap] = None,
+                   detectors: Optional[Sequence[StreamingDetector]] = None,
                    latency_records: Optional[Sequence] = None,
-                   emit=None,
-                   view: Optional[SessionEvents] = None) -> DiagnosisTap:
-    """Feed a stored session through a (fresh) streaming tap.
+                   view: Optional[SessionEvents] = None
+                   ) -> list[tuple[int, Finding]]:
+    """Replay a stored session through the streaming detectors.
 
-    Post-mortem equivalent of riding the consumer path live, through
-    the code the consumer path runs — ``tap.observe_batch`` — with the
-    bonus that stored events carry backend ids, so the streaming
-    findings get real evidence links.
+    ``detectors`` default to a fresh
+    :func:`~repro.analysis.streaming.default_streaming_detectors`
+    battery.  The session's events go in time order, in steps of
+    :data:`~repro.analysis.session.STEP_ROWS` rows (a
+    :class:`~repro.analysis.session.Stretch` of the view's lanes, with
+    the events' backend ids, so the findings get real evidence links),
+    then the latency records in start order, then every detector
+    finalizes.  A detector's findings do not depend on where the steps
+    cut the session.
 
-    The session is handed over in stretches of event time cut at
-    multiples of the narrowest detector window: each stretch's events
-    (a :class:`~repro.analysis.session.Stretch` of the view's lanes,
-    time-sorted; the records are put in start order here)
-    and then its latency records.  A detector closes a window two of
-    its widths behind the watermark, so nothing inside a stretch no
-    wider than the narrowest window can close a window that something
-    else in that stretch still belongs to: every window closes in the
-    same order, holding the same events and samples, as if events and
-    records had been merged by time and fed one at a time, and the
-    findings are that feed's.
-
-    With ``emit`` it is the ``--follow`` mode of ``dio diagnose``:
-    ``emit(emit_ns, finding)`` is called for every incremental finding,
-    stretch by stretch — within a stretch in ``(emit_ns, detector,
-    title)`` order — including those flushed by the final watermark
-    close.
+    Returns every ``(emit_ns, finding)``, in ``(emit_ns, detector,
+    title)`` order — what ``dio diagnose --follow`` prints.
     """
-    if tap is None:
-        tap = DiagnosisTap()
-
-    def drain() -> None:
-        if emit is not None:
-            for emit_ns, finding in tap.drain_new():
-                emit(emit_ns, finding)
-
+    if detectors is None:
+        detectors = default_streaming_detectors()
     view = view or SessionEvents(store, index, session)
-    ids, times = view.ids, view.times
+    ids = view.ids
+    for lo in range(0, len(view), STEP_ROWS):
+        hi = min(lo + STEP_ROWS, len(view))
+        batch = _Reads(Stretch(view, lo, hi))
+        for detector in detectors:
+            detector.observe_batch(batch, ids[lo:hi])
     records = sorted(latency_records or (), key=itemgetter(0))
-    starts = [record[0] for record in records]
-    width = tap.stretch_ns
-    lo = at = 0
-    while lo < len(times) or at < len(records):
-        hi, to = len(times), len(records)
-        if width is not None:
-            # The stretch holding the earliest event or record left.
-            first = min(times[lo:lo + 1] + starts[at:at + 1])
-            end = (first // width + 1) * width
-            hi = bisect_left(times, end, lo)
-            to = bisect_left(starts, end, at)
-        tap.observe_batch(Stretch(view, lo, hi), ids[lo:hi])
-        tap.observe_latencies(records[at:to])
-        drain()
-        lo, at = hi, to
-    tap.finalize()
-    drain()
-    return tap
+    for detector in detectors:
+        detector.observe_latencies(records)
+        detector.finalize()
+    return sorted(chain.from_iterable(detector.emitted
+                                      for detector in detectors),
+                  key=lambda item: (item[0], item[1].detector,
+                                    item[1].title))
 
 
 def diagnose_session(store: DocumentStore, session: Optional[str] = None,
@@ -236,12 +213,10 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
     view = SessionEvents(store, index, session)
     findings = [RankedFinding(finding, "batch") for finding
                 in run_detectors(store, index, session, detectors, view)]
-    # The report's DFG is mined below, once; the replay's tap need not
-    # mine another.
-    tap = follow_session(store, index, session, tap=DiagnosisTap(dfg=False),
-                         latency_records=latency_records, view=view)
     findings += [RankedFinding(finding, "streaming", emit_ns)
-                 for emit_ns, finding in tap.findings()]
+                 for emit_ns, finding in follow_session(
+                     store, index, session,
+                     latency_records=latency_records, view=view)]
     findings.sort(key=lambda ranked: ranked.sort_key)
     return DiagnosisReport(
         session=session,

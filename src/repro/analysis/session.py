@@ -163,14 +163,12 @@ class SessionEvents:
 
 
 class Stretch(NamedTuple):
-    """Rows ``lo:hi`` of a view, as the streaming tap reads a batch."""
+    """Rows ``lo:hi`` of a view, read lane by lane (``values_for``) as
+    a lane batch is."""
 
     view: SessionEvents
     lo: int
     hi: int
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
 
     def values_for(self, field: str) -> list:
         """The view's lane itself for a stretch of every row (never

@@ -1,24 +1,22 @@
 """Online, bounded-memory diagnosis detectors (the streaming battery).
 
-These detectors observe each parsed event exactly once, in bounded
-memory, emitting incremental :class:`~repro.analysis.detectors.Finding`
-objects with evidence links (event ids when available, time windows
-always) as the signatures develop.  They run as a :class:`DiagnosisTap`:
-on the tracer's consumer path, and over a stored session
+These detectors observe each event of a stored session exactly once,
+in time order, emitting incremental
+:class:`~repro.analysis.detectors.Finding` objects with evidence links
+(event ids when available, time windows always) as the signatures
+develop.  Their one caller is the replay of a stored session
 (:func:`~repro.analysis.diagnose.follow_session`), which is what
 ``dio diagnose`` reports and ``--follow`` prints.  Each finding name
 has one detector: these five here, the rest in the post-mortem battery
-(:mod:`repro.analysis.detectors`).  There is one feed shape:
-``observe_batch(batch, ids)`` is the only place a detector's step is
-written, whoever calls it — ``batch`` is a
-:class:`~repro.backend.lanes.LaneBatch` (or a
-:class:`~repro.analysis.session.Stretch`) the step reads lane by lane
-(``values_for``; :func:`rows_of` to visit only the rows it cares
-about), never as documents.  The consumer hands over its decoded
-:class:`~repro.tracer.batch.RecordBatch` without ids, a replay hands
-over stretches of the stored session's lanes with their backend ids.
-Latency records arrive the same way (``observe_latencies(records)``).
-The detectors:
+(:mod:`repro.analysis.detectors`).  A detector's step is
+``observe_batch(batch, ids)``: ``batch`` is a step of the session's
+lanes as :class:`_Reads` shares it between the detectors (each lane
+read once, ``syscall`` grouped once, ``time`` with 0 where a row has
+none), read lane by lane (``values_for``; :func:`rows_of` to visit
+only the rows it cares about), never as documents; ``ids`` are the
+rows' backend ids.  Latency records arrive after every event, in
+start order (``observe_latencies(records)``), and :meth:`finalize`
+ends the stream.  The detectors:
 
 - :class:`StreamingStaleOffsetDetector` — the Fluent Bit §III-B
   offset-gap-after-inode-reuse signature;
@@ -34,22 +32,21 @@ The detectors:
 
 Every per-key table is capped (``MAX_*`` constants); overflowing keys
 are dropped deterministically (oldest first), never resized unbounded.
-The one exception is the fd-leak detector's per-process counters: its
-verdict needs every call a process made (see its docstring).
-The tap also runs an online DFG miner (:class:`StreamingDFGMiner`) so
-``dio_dfg_*`` telemetry is live during ingest.
+The exceptions are the fd-leak detector's per-process counters, whose
+verdict needs every call a process made (see its docstring), and the
+spike attributor's windows, one per window of the session, which all
+close at :meth:`~StreamingDetector.finalize`.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from itertools import chain, compress, groupby, repeat
 from operator import floordiv, itemgetter
 from typing import Optional, Sequence
 
 from repro.analysis.detectors import (EVIDENCE_ID_CAP, Finding,
                                       make_evidence)
-from repro.analysis.dfg import DirectlyFollowsGraph, tv_distance
 from repro.analysis.session import times_of
 from repro.backend.lanes import LaneBatch, _groups
 
@@ -79,12 +76,11 @@ def _capped_insert(table: OrderedDict, key, factory, cap: int):
     return state
 
 
-def rows_of(batch: LaneBatch, syscalls: frozenset) -> Sequence[int]:
+def rows_of(batch: _Reads, syscalls: frozenset) -> Sequence[int]:
     """The rows of ``batch`` whose ``syscall`` is one of ``syscalls``,
-    ascending — off the tap's per-batch groups (:class:`_Reads`) when
-    it has them, so a step never visits a row it ignores.  Never mutate
-    the result."""
-    groups = batch.syscalls if isinstance(batch, _Reads) else None
+    ascending — off the step's groups, so a step never visits a row it
+    ignores.  Never mutate the result."""
+    groups = batch.syscalls
     if groups is None:
         return [row for row, name in enumerate(batch.values_for("syscall"))
                 if name in syscalls]
@@ -95,19 +91,18 @@ def rows_of(batch: LaneBatch, syscalls: frozenset) -> Sequence[int]:
 
 
 class _Reads:
-    """One batch as the tap's readers share it: each lane is read off
-    the batch once, however many detectors ask for it, and ``syscall``
-    is grouped once (``None`` for a lane :func:`_groups` declines)."""
+    """One step of events as the detectors share it: each lane is read
+    off the batch once, however many detectors ask for it, ``syscall``
+    is grouped once (``None`` for a lane :func:`_groups` declines) and
+    ``time`` is read with 0 where a row has none (:func:`times_of`)."""
 
-    __slots__ = ("_batch", "_values", "syscalls")
+    __slots__ = ("_batch", "_values", "syscalls", "times")
 
     def __init__(self, batch: LaneBatch) -> None:
         self._batch = batch
         self._values: dict[str, list] = {}
         self.syscalls = _groups(self.values_for("syscall"))
-
-    def __len__(self) -> int:
-        return len(self._batch)
+        self.times = times_of(self.values_for("time"))
 
     def values_for(self, field: str) -> list:
         values = self._values.get(field)
@@ -125,41 +120,29 @@ class StreamingDetector:
     def __init__(self) -> None:
         #: ``(emit_ns, Finding)`` in emission order.
         self.emitted: list[tuple[int, Finding]] = []
-        self._drained = 0
-        self._finalized = False
 
     # -- feed ----------------------------------------------------------
-    def observe_batch(self, batch: LaneBatch,
-                      ids: Optional[Sequence[str]] = None) -> None:
-        """The detector's step: events in stream order, as lanes.
+    def observe_batch(self, batch: _Reads,
+                      ids: Sequence[Optional[str]]) -> None:
+        """The detector's step: events in time order, as lanes.
 
         ``ids`` are the events' backend ids, one per row of ``batch``
-        (``None`` for an event without one), when they have any: a
-        replay of a stored session has them, the consumer path does
-        not (nothing is stored yet).  Subclasses read the lanes they
-        need and loop over the rows they care about only, so the
-        per-event cost stays within the <10% ingest overhead gate
-        (``benchmarks/test_diagnosis.py``).
+        (``None`` for an event without one).  Subclasses read the lanes
+        they need and loop over the rows they care about only.
         """
         raise NotImplementedError
 
     def observe_latencies(self, records: Sequence) -> None:
         """Optional second feed: ``(start_ns, latency_ns, ...)``
-        benchmark/telemetry latency records, in start order."""
+        benchmark/telemetry latency records, in start order, after
+        every event."""
 
-    def finalize(self, now_ns: int = 0) -> None:
+    def finalize(self) -> None:
         """End of stream: emit whatever is still pending."""
-        self._finalized = True
 
     # -- results -------------------------------------------------------
     def _emit(self, emit_ns: int, finding: Finding) -> None:
         self.emitted.append((emit_ns, finding))
-
-    def drain_new(self) -> list[tuple[int, Finding]]:
-        """Findings emitted since the last drain (for ``--follow``)."""
-        fresh = self.emitted[self._drained:]
-        self._drained = len(self.emitted)
-        return fresh
 
 
 class StreamingStaleOffsetDetector(StreamingDetector):
@@ -182,7 +165,7 @@ class StreamingStaleOffsetDetector(StreamingDetector):
         #: tag -> suspicion state (bounded).
         self._tags: OrderedDict[str, dict] = OrderedDict()
 
-    def observe_batch(self, batch, ids=None):
+    def observe_batch(self, batch, ids):
         rows = rows_of(batch, _READS_SET)
         if not rows:
             return
@@ -191,13 +174,13 @@ class StreamingStaleOffsetDetector(StreamingDetector):
         offsets = batch.values_for("offset")
         procs = batch.values_for("proc_name")
         paths = batch.values_for("file_path")
-        times = times_of(batch.values_for("time"))
+        times = batch.times
         tracked = self._tags
         for row in rows:
             tag = tags[row]
             if tag is None:
                 continue
-            event_id = None if ids is None else ids[row]
+            event_id = ids[row]
             state = tracked.get(tag)
             if state is None:                  # first read of this tag
                 state = _capped_insert(tracked, tag, dict, MAX_TRACKED_TAGS)
@@ -240,11 +223,10 @@ class StreamingStaleOffsetDetector(StreamingDetector):
                                    state["last_ns"]),
         ))
 
-    def finalize(self, now_ns=0):
+    def finalize(self):
         for tag, state in self._tags.items():
             if state.get("suspicious") and not state.get("confirmed"):
                 self._confirm(tag, state)
-        super().finalize(now_ns)
 
 
 class StreamingFdLeakDetector(StreamingDetector):
@@ -270,14 +252,14 @@ class StreamingFdLeakDetector(StreamingDetector):
         self.min_unclosed = min_unclosed
         self._pids: dict[int, dict] = {}
 
-    def observe_batch(self, batch, ids=None):
+    def observe_batch(self, batch, ids):
         rows = rows_of(batch, _FD_SET)
         if not rows:
             return
         syscalls = batch.values_for("syscall")
         rets = batch.values_for("ret")
         pids = batch.values_for("pid")
-        times = times_of(batch.values_for("time"))
+        times = batch.times
         tracked = self._pids
         for row in rows:
             if rets[row] < 0:
@@ -296,11 +278,10 @@ class StreamingFdLeakDetector(StreamingDetector):
                 state["closes"] += 1
             else:
                 state["opens"] += 1
-            if ids is not None and ids[row] is not None \
-                    and len(state["ids"]) < EVIDENCE_ID_CAP:
+            if ids[row] is not None and len(state["ids"]) < EVIDENCE_ID_CAP:
                 state["ids"].append(ids[row])
 
-    def finalize(self, now_ns=0):
+    def finalize(self):
         for pid, state in self._pids.items():
             opens, closes = state["opens"], state["closes"]
             if opens - closes < self.min_unclosed:
@@ -314,7 +295,6 @@ class StreamingFdLeakDetector(StreamingDetector):
                 evidence=make_evidence(state["ids"], state["first_ns"],
                                        state["last_ns"]),
             ))
-        super().finalize(now_ns)
 
 
 #: The per-op event names the ring-aware tracer emits (one per SQE).
@@ -349,19 +329,19 @@ class StreamingUringLagDetector(StreamingDetector):
         self.min_samples = min_samples
         self._pids: OrderedDict[int, dict] = OrderedDict()
 
-    def observe_batch(self, batch, ids=None):
+    def observe_batch(self, batch, ids):
         rows = rows_of(batch, _URING_SET)
         if not rows:
             return
         lags = batch.values_for("duration_ns")
         pids = batch.values_for("pid")
         syscalls = batch.values_for("syscall")
-        times = times_of(batch.values_for("time"))
+        times = batch.times
         step = self._completion
         for row in rows:
             if lags[row] is not None:
                 step(pids[row], syscalls[row], lags[row], times[row],
-                     None if ids is None else ids[row])
+                     ids[row])
 
     def _completion(self, pid, op, lag, now_ns, event_id):
         state = _capped_insert(
@@ -417,13 +397,13 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
         self._first_ns: Optional[int] = None
         self._last_ns = 0
 
-    def observe_batch(self, batch, ids=None):
+    def observe_batch(self, batch, ids):
         rows = rows_of(batch, _WRITES_SET)
         if not rows:
             return
         rets = batch.values_for("ret")
         procs = batch.values_for("proc_name")
-        times = times_of(batch.values_for("time"))
+        times = batch.times
         client = self.client_comm
         per_proc = self._per_proc
         for row in rows:
@@ -450,9 +430,8 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
             return 0.0
         return self.total_bytes / self.client_bytes
 
-    def finalize(self, now_ns=0):
-        if (not self._finalized
-                and self.client_bytes >= self.min_client_bytes
+    def finalize(self):
+        if (self.client_bytes >= self.min_client_bytes
                 and self.amplification >= self.ratio_threshold):
             writers = sorted(self._per_proc.items(),
                              key=lambda item: (-item[1], item[0]))[:5]
@@ -471,7 +450,6 @@ class StreamingWriteAmplificationDetector(StreamingDetector):
                 evidence=make_evidence(start_ns=self._first_ns,
                                        end_ns=self._last_ns),
             ))
-        super().finalize(now_ns)
 
 
 class _WindowState:
@@ -492,12 +470,11 @@ class StreamingSpikeAttributor(StreamingDetector):
     Consumes two feeds: syscall events (:meth:`observe_batch`) for
     per-window background activity, and operation latency records
     (:meth:`observe_latencies`) from the benchmark/telemetry feed.
-    Windows close two widths behind the event-time watermark of both
-    feeds, so the two must arrive together, in time order — as a
-    replay hands them over.  A window whose p99 exceeds
-    ``spike_factor`` times the running baseline (25th percentile of
-    closed-window p99s) emits a finding naming the heaviest concurrent
-    background threads — the streaming version of
+    Every window closes at :meth:`finalize`, in start order, so the
+    two feeds may arrive in any order of each other.  A window whose
+    p99 exceeds ``spike_factor`` times the running baseline (25th
+    percentile of closed-window p99s) emits a finding naming the
+    heaviest concurrent background threads — the streaming version of
     :func:`repro.analysis.blame.blame_spikes`.
     """
 
@@ -517,59 +494,51 @@ class StreamingSpikeAttributor(StreamingDetector):
         self.client_comm = client_comm
         self.background_prefix = background_prefix
         self._windows: dict[int, _WindowState] = {}
-        self._max_ns = 0
         self._latencies: dict[int, list[int]] = {}
         self._baseline: deque[float] = deque(maxlen=MAX_BASELINE_WINDOWS)
         self.spikes_found = 0
         self._culprits: OrderedDict[str, int] = OrderedDict()
 
-    def observe_batch(self, batch, ids=None):
+    def observe_batch(self, batch, ids):
         # Only the background threads' rows are visited one by one; a
         # window's evidence links are the ids of its first background
         # events.
-        times = times_of(batch.values_for("time"))
-        if not times:
-            return
         procs = batch.values_for("proc_name")
         client, prefix = self.client_comm, self.background_prefix
         background = {proc: proc != client and proc.startswith(prefix)
                       for proc in set(procs)}
         rows = list(compress(range(len(procs)),
                              map(background.__getitem__, procs)))
-        if rows:
-            window_ns = self.window_ns
-            windows = self._windows
-            rw = _RW_SET
-            tids = batch.values_for("tid")
-            rets = batch.values_for("ret")
-            syscalls = batch.values_for("syscall")
-            for row in rows:
-                start = times[row] - times[row] % window_ns
-                state = windows.get(start)
-                if state is None:
-                    state = windows[start] = _WindowState()
-                state.bg_tids.add(tids[row])
-                proc = procs[row]
-                activity = state.bg_activity.get(proc)
-                if activity is None:
-                    if len(state.bg_activity) < MAX_TRACKED_PROCS:
-                        activity = state.bg_activity[proc] = [0, 0]
-                if activity is not None:
-                    activity[0] += 1
-                    ret = rets[row]
-                    if ret > 0 and syscalls[row] in rw:
-                        activity[1] += ret
-                if ids is not None and ids[row] is not None \
-                        and len(state.ids) < MAX_EVIDENCE_IDS:
-                    state.ids.append(ids[row])
-        latest = max(times)
-        if latest > self._max_ns:
-            self._max_ns = latest
-        self._close_ready()
+        if not rows:
+            return
+        window_ns = self.window_ns
+        windows = self._windows
+        rw = _RW_SET
+        times = batch.times
+        tids = batch.values_for("tid")
+        rets = batch.values_for("ret")
+        syscalls = batch.values_for("syscall")
+        for row in rows:
+            start = times[row] - times[row] % window_ns
+            state = windows.get(start)
+            if state is None:
+                state = windows[start] = _WindowState()
+            state.bg_tids.add(tids[row])
+            proc = procs[row]
+            activity = state.bg_activity.get(proc)
+            if activity is None:
+                if len(state.bg_activity) < MAX_TRACKED_PROCS:
+                    activity = state.bg_activity[proc] = [0, 0]
+            if activity is not None:
+                activity[0] += 1
+                ret = rets[row]
+                if ret > 0 and syscalls[row] in rw:
+                    activity[1] += ret
+            if ids[row] is not None and len(state.ids) < MAX_EVIDENCE_IDS:
+                state.ids.append(ids[row])
 
     def observe_latencies(self, records):
         starts = list(map(itemgetter(0), records))
-        self._max_ns = max(self._max_ns, max(starts, default=self._max_ns))
         at = 0
         for window, run in groupby(map(floordiv, starts,
                                        repeat(self.window_ns))):
@@ -578,18 +547,6 @@ class StreamingSpikeAttributor(StreamingDetector):
             room = max(MAX_WINDOW_SAMPLES - len(samples), 0)
             samples.extend(map(itemgetter(1), records[at:at + min(size, room)]))
             at += size
-        self._close_ready()
-
-    def _close_ready(self):
-        """Close windows at least one full window behind the watermark."""
-        horizon = self._max_ns - 2 * self.window_ns
-        if horizon <= 0:
-            return
-        ready = sorted(set(self._windows) | set(self._latencies))
-        for start in ready:
-            if start + self.window_ns > horizon:
-                break
-            self._close_window(start)
 
     def _close_window(self, start):
         state = self._windows.pop(start, None)
@@ -639,77 +596,9 @@ class StreamingSpikeAttributor(StreamingDetector):
                                    start + self.window_ns),
         ))
 
-    def finalize(self, now_ns=0):
+    def finalize(self):
         for start in sorted(set(self._windows) | set(self._latencies)):
             self._close_window(start)
-        super().finalize(now_ns)
-
-
-class StreamingDFGMiner:
-    """Online per-thread DFG with drift-based phase counting.
-
-    Keeps one merged session DFG (a ``per_thread``
-    :class:`~repro.analysis.dfg.DirectlyFollowsGraph` — interleavings
-    never invent edges — with a bounded chain table whose tails carry
-    from batch to batch) plus a drift
-    detector over fixed-size event windows; powers the ``dio_dfg_*``
-    telemetry.
-    """
-
-    def __init__(self, window_events: int = 64,
-                 drift_threshold: float = 0.4,
-                 max_threads: int = 4096) -> None:
-        self.graph = DirectlyFollowsGraph("stream", per_thread=True,
-                                          max_threads=max_threads)
-        self.window_events = window_events
-        self.drift_threshold = drift_threshold
-        self.phases = 1
-        # Drift window: edge counts accumulated incrementally (one
-        # global chain restarting at "^" per window) — equivalent to
-        # feeding the window through a fresh graph, without buffering
-        # and re-observing it.
-        self._window_edges: Counter = Counter()
-        self._window_count = 0
-        self._window_prev = "^"
-        #: the last closed window's ``(edge counts, events)``
-        self._prev: Optional[tuple] = None
-
-    def observe_batch(self, batch: LaneBatch) -> None:
-        nodes = self.graph.observe_batch(batch)
-        # Phase drift over fixed windows of the merged stream: the
-        # rest of the open window's edges are counted at once.
-        at = 0
-        while at < len(nodes):
-            chunk = nodes[at:at + self.window_events - self._window_count]
-            self._window_edges.update(zip(chain((self._window_prev,), chunk),
-                                          chunk))
-            self._window_prev = chunk[-1]
-            self._window_count += len(chunk)
-            at += len(chunk)
-            if self._window_count == self.window_events:
-                self._close_window()
-
-    def _close_window(self) -> None:
-        window = (self._window_edges, self._window_count)
-        if self._prev is not None and tv_distance(
-                *self._prev, *window) > self.drift_threshold:
-            self.phases += 1
-        self._prev = window
-        self._window_edges = Counter()
-        self._window_count = 0
-        self._window_prev = "^"
-
-    @property
-    def nodes(self) -> int:
-        return len(self.graph.node_counts)
-
-    @property
-    def edges(self) -> int:
-        return len(self.graph.edges)
-
-    @property
-    def transitions(self) -> int:
-        return self.graph.transitions
 
 
 def default_streaming_detectors() -> list[StreamingDetector]:
@@ -721,121 +610,3 @@ def default_streaming_detectors() -> list[StreamingDetector]:
         StreamingWriteAmplificationDetector(),
         StreamingUringLagDetector(),
     ]
-
-
-class DiagnosisTap:
-    """The streaming battery + DFG miner as one consumer-path tap.
-
-    The tracer calls :meth:`observe_batch` for every decoded batch on
-    the ingest path; a post-mortem replay calls it for every stretch of
-    the stored session's lanes, with the events' ids.  Each lane is
-    read off a batch once for every detector (the DFG miner included),
-    and no document is built — the ingest-overhead benchmark
-    (``benchmarks/test_diagnosis.py``) holds the tap to <10% of the
-    ingest cost.
-    """
-
-    def __init__(self,
-                 detectors: Optional[Sequence[StreamingDetector]] = None,
-                 dfg: bool = True) -> None:
-        self.detectors: list[StreamingDetector] = (
-            list(detectors) if detectors is not None
-            else default_streaming_detectors())
-        self.dfg: Optional[StreamingDFGMiner] = (
-            StreamingDFGMiner() if dfg else None)
-        self.events_observed = 0
-        self.latencies_observed = 0
-        self.finalized = False
-
-    # -- feed ----------------------------------------------------------
-
-    def observe_batch(self, batch: LaneBatch,
-                      ids: Optional[Sequence[str]] = None) -> None:
-        batch = _Reads(batch)
-        self.events_observed += len(batch)
-        for detector in self.detectors:
-            detector.observe_batch(batch, ids)
-        if self.dfg is not None:
-            self.dfg.observe_batch(batch)
-
-    def observe_latencies(self, records: Sequence) -> None:
-        """Latency records (``(start_ns, latency_ns, ...)``) in start
-        order, to every detector that reads them."""
-        self.latencies_observed += len(records)
-        for detector in self.detectors:
-            detector.observe_latencies(records)
-
-    @property
-    def stretch_ns(self) -> Optional[int]:
-        """The narrowest spike-attribution window (``None`` without
-        one): the widest stretch of event time a replay may hand over
-        at once."""
-        return min((detector.window_ns for detector in self.detectors
-                    if isinstance(detector, StreamingSpikeAttributor)),
-                   default=None)
-
-    def finalize(self, now_ns: int = 0) -> None:
-        """End of stream: every detector flushes what is pending."""
-        self.finalized = True
-        for detector in self.detectors:
-            detector.finalize(now_ns)
-
-    # -- results -------------------------------------------------------
-
-    @property
-    def findings_emitted(self) -> int:
-        return sum(len(d.emitted) for d in self.detectors)
-
-    def findings(self) -> list[tuple[int, Finding]]:
-        """All findings so far, ordered by emit time (stable)."""
-        merged = [item for detector in self.detectors
-                  for item in detector.emitted]
-        merged.sort(key=lambda item: (item[0], item[1].detector,
-                                      item[1].title))
-        return merged
-
-    def drain_new(self) -> list[tuple[int, Finding]]:
-        """Findings emitted since the last drain, across detectors."""
-        fresh = [item for detector in self.detectors
-                 for item in detector.drain_new()]
-        fresh.sort(key=lambda item: (item[0], item[1].detector,
-                                     item[1].title))
-        return fresh
-
-    # -- telemetry -----------------------------------------------------
-
-    def bind_telemetry(self, registry) -> None:
-        """Register the ``dio_diagnosis_*`` / ``dio_dfg_*`` families."""
-        registry.counter(
-            "dio_diagnosis_events_observed_total",
-            "Parsed events observed by the streaming diagnosis tap on "
-            "the consumer path.",
-        ).set_function(lambda: self.events_observed)
-        registry.counter(
-            "dio_diagnosis_findings_total",
-            "Incremental findings emitted by the streaming detectors.",
-        ).set_function(lambda: self.findings_emitted)
-        registry.gauge(
-            "dio_diagnosis_detectors",
-            "Streaming detectors attached to the diagnosis tap.",
-        ).set_function(lambda: len(self.detectors))
-        if self.dfg is not None:
-            registry.gauge(
-                "dio_dfg_nodes",
-                "Distinct nodes in the online Directly-Follows-Graph "
-                "(one per syscall name).",
-            ).set_function(lambda: self.dfg.nodes)
-            registry.gauge(
-                "dio_dfg_edges",
-                "Distinct directly-follows edges in the online DFG.",
-            ).set_function(lambda: self.dfg.edges)
-            registry.counter(
-                "dio_dfg_transitions_total",
-                "Syscall-to-syscall transitions observed by the online "
-                "DFG miner.",
-            ).set_function(lambda: self.dfg.transitions)
-            registry.counter(
-                "dio_dfg_phases_total",
-                "Behaviour phases detected by DFG drift over the "
-                "event stream.",
-            ).set_function(lambda: self.dfg.phases)

@@ -322,8 +322,7 @@ def _cmd_compare(args) -> int:
 def _cmd_diagnose(args) -> int:
     import json
 
-    from repro.analysis.diagnose import diagnose_session, follow_session
-    from repro.analysis.streaming import DiagnosisTap
+    from repro.analysis.diagnose import diagnose_session
 
     latency_by_session = {}
     if args.scenario:
@@ -356,19 +355,19 @@ def _cmd_diagnose(args) -> int:
 
     reports = []
     for session in sessions:
-        latency = latency_by_session.get(session)
+        report = diagnose_session(
+            store, session, latency_records=latency_by_session.get(session))
         if args.follow:
-            def emit(emit_ns, finding):
-                print(f"[{emit_ns / 1e6:10.1f} ms] {finding}")
-
             print(f"--- streaming findings for session {session!r} ---")
-            # The report below mines its own DFG: the tap mines none.
-            follow_session(store, "dio_trace", session,
-                           tap=DiagnosisTap(dfg=False),
-                           latency_records=latency, emit=emit)
+            for ranked in sorted(
+                    (ranked for ranked in report.findings
+                     if ranked.source == "streaming"),
+                    key=lambda ranked: (ranked.emit_ns,
+                                        ranked.finding.detector,
+                                        ranked.finding.title)):
+                print(f"[{ranked.emit_ns / 1e6:10.1f} ms] {ranked.finding}")
             print()
-        reports.append(diagnose_session(store, session,
-                                        latency_records=latency))
+        reports.append(report)
 
     if args.json:
         payload = [report.as_dict() for report in reports]
@@ -777,14 +776,14 @@ def main(argv: list[str] | None = None) -> int:
                              "(rocksdb scenario)")
     p_diag.add_argument("--session", metavar="NAME",
                         help="diagnose only this session")
-    p_diag.add_argument("--follow", action="store_true",
-                        help="print streaming findings incrementally, "
-                             "with emission timestamps (a stored session "
-                             "replays in stretches one detector window "
-                             "wide; findings of one stretch print in "
-                             "emission-time, detector, title order)")
-    p_diag.add_argument("--json", action="store_true",
-                        help="emit the diagnosis report as JSON")
+    output = p_diag.add_mutually_exclusive_group()
+    output.add_argument("--follow", action="store_true",
+                        help="before the report, print the streaming "
+                             "findings with their emission timestamps, "
+                             "in emission-time, detector, title order")
+    output.add_argument("--json", action="store_true",
+                        help="emit the diagnosis report as JSON (each "
+                             "streaming finding carries its emit_ns)")
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_replay = sub.add_parser(

@@ -78,15 +78,6 @@ _SECTIONS = (
      ":class:`repro.telemetry.health.PipelineHealth`: the derived "
      "values a test reads as gauges.  ``dio health`` renders all of "
      "them, and more, from the same methods."),
-    ("dio_diagnosis_", "Streaming diagnosis",
-     "The streaming-diagnosis tap (``repro.analysis.streaming``) "
-     "riding the consumer path: bounded-memory detectors emitting "
-     "incremental findings while events are ingested.  See "
-     "``dio diagnose``."),
-    ("dio_dfg_", "Directly-Follows-Graph mining",
-     "The online DFG miner inside the diagnosis tap: syscall "
-     "transition structure and behaviour-phase drift, mined live "
-     "(batch mining lives in ``repro.analysis.dfg``)."),
 )
 
 _HEADER = """# DIO metrics reference
@@ -120,8 +111,6 @@ def build_reference_registry() -> MetricsRegistry:
     from repro.sim import Environment
     from repro.tracer import DIOTracer, TracerConfig
 
-    from repro.analysis.streaming import DiagnosisTap
-
     env = Environment()
     kernel = Kernel(env, ncpus=1)
     faulty = FaultyStore(DocumentStore(), FaultPlan(),
@@ -129,8 +118,7 @@ def build_reference_registry() -> MetricsRegistry:
     with tempfile.TemporaryDirectory() as storage_dir:
         tracer = DIOTracer(env, kernel, faulty,
                            TracerConfig(session_name="reference",
-                                        storage_dir=storage_dir),
-                           tap=DiagnosisTap())
+                                        storage_dir=storage_dir))
         task = kernel.spawn_process("ref").threads[0]
         tracer.attach()
 

@@ -195,18 +195,11 @@ class DIOTracer:
 
     def __init__(self, env: Environment, kernel: Kernel,
                  store: DocumentStore,
-                 config: Optional[TracerConfig] = None,
-                 tap=None):
+                 config: Optional[TracerConfig] = None):
         self.env = env
         self.kernel = kernel
         self.store = store
         self.config = config or TracerConfig()
-        #: Optional streaming-diagnosis tap (repro.analysis.streaming.
-        #: DiagnosisTap): observes every parsed batch on the consumer
-        #: path and is finalized at shutdown.  Charges no virtual time —
-        #: its wall-clock cost is bounded by the ingest-overhead
-        #: benchmark instead.
-        self.tap = tap
 
         self.ring = PerCPURingBuffer(
             ncpus=kernel.ncpus,
@@ -324,8 +317,6 @@ class DIOTracer:
         self.filter.bind_telemetry(registry)
         self.store.bind_telemetry(registry, clock=lambda: env.now)
         env.bind_telemetry(registry)
-        if self.tap is not None:
-            self.tap.bind_telemetry(registry)
 
         self._enter_prog = EBPFProgram(
             "dio_sys_enter", ProgramType.SYS_ENTER, self._on_enter,
@@ -424,8 +415,6 @@ class DIOTracer:
         """Process generator: stop, drain, and correlate (if configured)."""
         self.stop()
         yield from self.drain()
-        if self.tap is not None:
-            self.tap.finalize(self.env.now)
         if self.config.correlate_on_stop:
             correlator = FilePathCorrelator(
                 self.store, registry=self.telemetry.registry)
@@ -676,8 +665,6 @@ class DIOTracer:
             self._m_parsed.inc(count)
             self._m_ingest_batches.inc()
             self._m_ingest_events.inc(count)
-            if self.tap is not None:
-                self.tap.observe_batch(payload)
             self._staged.append(_StagedBatch(payload))
             self._staged_events += count
             if inline_ship:

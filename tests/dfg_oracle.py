@@ -37,6 +37,17 @@ def graph_as_dict(graph):
     return out
 
 
+def observe(graph, batch, per_thread=False):
+    """Feed a batch of events to ``graph`` in stream order — one chain
+    per TID with ``per_thread``, else one chain — and return their
+    nodes, in order (the batch's own ``syscall`` lane)."""
+    nodes = batch.values_for("syscall")
+    graph.observe_lanes(
+        nodes, batch.values_for("tid") if per_thread else None,
+        times_of(batch.values_for("time")))
+    return nodes
+
+
 # ----------------------------------------------------------------------
 # The per-event transition loop and the window-absorbing phases, as
 # they were before both became array arithmetic.
@@ -46,8 +57,8 @@ class LoopGraph(DirectlyFollowsGraph):
     per-event loop it replaced: one chain lookup, one edge lookup and
     one gap update per event."""
 
-    def __init__(self, name="", per_thread=False, max_threads=None):
-        super().__init__(name, per_thread, max_threads)
+    def __init__(self, name=""):
+        super().__init__(name)
         self.following = {}
 
     def observe_lanes(self, nodes, chains, times, codes=None):
@@ -60,9 +71,6 @@ class LoopGraph(DirectlyFollowsGraph):
                 nodes, repeat(None) if chains is None else chains, times):
             prev = keys.get(chain)
             if prev is None:
-                if (self.max_threads is not None
-                        and len(keys) >= self.max_threads):
-                    keys.popitem(last=False)
                 keys[chain] = [node, time_ns]
                 if self.first_ns is None or time_ns < self.first_ns:
                     self.first_ns = time_ns

@@ -22,12 +22,12 @@ from repro.analysis.dfg import (DirectlyFollowsGraph, merged_dfg,
                                 segment_phases)
 from repro.analysis.patterns import classify_file_accesses
 from repro.analysis.session import SessionEvents
-from repro.analysis.streaming import StreamingDFGMiner
 from repro.backend import DocumentStore, SegmentStorage
 from repro.backend.lanes import DocBatch
 from repro.backend.naive import naive_scan
 from tests.detector_oracle import loop_access_patterns, search_contention
-from tests.dfg_oracle import LoopGraph, graph_as_dict, loop_segment_phases
+from tests.dfg_oracle import (LoopGraph, graph_as_dict, loop_segment_phases,
+                              observe)
 
 INDEX = "dio_trace"
 SESSION = "s"
@@ -51,25 +51,20 @@ def full(graph):
 def test_array_dfg_is_the_per_event_loop(stream, batch, step):
     with mock.patch.object(dfg, "STEP_ROWS", step):
         for per_thread in (True, False):
-            whole = DirectlyFollowsGraph("g", per_thread=per_thread)
-            loop = LoopGraph("g", per_thread=per_thread)
-            whole.observe_batch(DocBatch(stream))
-            loop.observe_batch(DocBatch(stream))
+            whole, loop = DirectlyFollowsGraph("g"), LoopGraph("g")
+            observe(whole, DocBatch(stream), per_thread)
+            observe(loop, DocBatch(stream), per_thread)
             assert full(whole) == full(loop)
             # Batch by batch: each continues the chains the last left.
-            pieces = DirectlyFollowsGraph("g", per_thread=per_thread)
+            pieces = DirectlyFollowsGraph("g")
             for lo in range(0, len(stream), batch):
-                pieces.observe_batch(DocBatch(stream[lo:lo + batch]))
+                observe(pieces, DocBatch(stream[lo:lo + batch]), per_thread)
             assert full(pieces) == full(loop)
-        miner = StreamingDFGMiner()
-        for lo in range(0, len(stream), batch):
-            miner.observe_batch(DocBatch(stream[lo:lo + batch]))
-        assert full(miner.graph) == full(_looped(DocBatch(stream), "stream"))
 
 
 def _looped(batch, name):
-    graph = LoopGraph(name, per_thread=True)
-    graph.observe_batch(batch)
+    graph = LoopGraph(name)
+    observe(graph, batch, per_thread=True)
     return graph
 
 
@@ -246,20 +241,29 @@ def test_a_lane_count_is_the_length_of_the_scan(tmp_path_factory, docs,
 
 def test_latency_records_go_in_by_window_runs():
     # More records than a window keeps, in start order (as a replay
-    # hands them over) and cut into batches: the runs keep each window's
-    # first samples, as one record at a time did (``PerEventSpike``),
-    # and close the same windows.
-    from repro.analysis.streaming import StreamingSpikeAttributor
-    from tests.test_diagnosis_feed import PerEventSpike
+    # hands them over) and cut into batches, after the events: the runs
+    # keep each window's first samples, as one item at a time merged by
+    # time did (``PerEventSpike``), and close the same windows with the
+    # same findings.  The last window spikes, with background I/O in it.
+    from repro.analysis.streaming import StreamingSpikeAttributor, _Reads
+    from tests.test_diagnosis_feed import (PerEventSpike, emitted,
+                                           per_event_replay)
 
     records = sorted(((row * 7_919_993) % 450_000_000, row % 97 * 1_000)
                      for row in range(3_000))
-    runs, oracle = StreamingSpikeAttributor(), PerEventSpike()
+    records = [(start, latency if start < 400_000_000 else latency * 10)
+               for start, latency in records]
+    events = [(f"e{n}", {"syscall": "pwrite64", "proc_name": "rocksdb:low0",
+                         "tid": 7, "ret": 4096, "time": n * 50_000_000})
+              for n in range(9)]
+    runs = StreamingSpikeAttributor()
+    runs.observe_batch(_Reads(DocBatch([source for _, source in events])),
+                       [event_id for event_id, _ in events])
     for lo in range(0, len(records), 700):
         runs.observe_latencies(records[lo:lo + 700])
-    for start_ns, latency_ns in records:
-        oracle.observe_latency(start_ns, latency_ns)
     assert max(map(len, runs._latencies.values())) == 512
-    assert runs._latencies == oracle._latencies
+    runs.finalize()
+    oracle, = per_event_replay(events, records, [PerEventSpike()])
+    assert runs.spikes_found == 1
     assert list(runs._baseline) == list(oracle._baseline)
-    assert runs._max_ns == oracle._max_ns
+    assert emitted([runs]) == emitted([oracle])

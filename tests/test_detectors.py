@@ -7,7 +7,7 @@ from repro.analysis.detectors import (ContentionDetector, FailedSyscallDetector,
                                       ShortLivedFileDetector,
                                       SmallIODetector, run_detectors)
 from repro.analysis.diagnose import diagnose_session, follow_session
-from repro.analysis.streaming import (DiagnosisTap, StreamingFdLeakDetector,
+from repro.analysis.streaming import (StreamingFdLeakDetector,
                                       StreamingStaleOffsetDetector)
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
@@ -23,9 +23,8 @@ def store():
 
 def replayed(detector, store, index):
     """What a streaming ``detector`` says of a stored index, replayed."""
-    tap = follow_session(store, index, None,
-                         tap=DiagnosisTap([detector], dfg=False))
-    return [finding for _, finding in tap.findings()]
+    return [finding for _, finding
+            in follow_session(store, index, None, [detector])]
 
 
 class TestStaleOffsetDetector:

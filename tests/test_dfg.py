@@ -9,6 +9,7 @@ from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
 from repro.backend.lanes import DocBatch
 from repro.experiments import run_fluentbit_case
+from tests.dfg_oracle import observe
 
 MS = 1_000_000
 
@@ -24,8 +25,8 @@ def event(syscall, time, proc="p", tid=1, ret=0, path=None, session="s"):
 class TestDirectlyFollowsGraph:
     def test_edges_and_counts(self):
         graph = DirectlyFollowsGraph("g")
-        graph.observe_batch(DocBatch([event("open", 10), event("read", 20),
-                                      event("read", 30), event("close", 40)]))
+        observe(graph, DocBatch([event("open", 10), event("read", 20),
+                                 event("read", 30), event("close", 40)]))
         assert graph.events == 4
         assert graph.node_counts == {"open": 1, "read": 2, "close": 1}
         assert graph.edges[("^", "open")].count == 1
@@ -36,16 +37,16 @@ class TestDirectlyFollowsGraph:
         a = DirectlyFollowsGraph("a")
         b = DirectlyFollowsGraph("b")
         for graph in (a, b):
-            graph.observe_batch(DocBatch([event("open", 1), event("read", 2)]))
+            observe(graph, DocBatch([event("open", 1), event("read", 2)]))
         assert a.distance(b) == pytest.approx(0.0)
         c = DirectlyFollowsGraph("c")
-        c.observe_batch(DocBatch([event("unlink", 1), event("mkdir", 2)]))
+        observe(c, DocBatch([event("unlink", 1), event("mkdir", 2)]))
         assert a.distance(c) == pytest.approx(1.0)
 
     def test_fingerprint_deterministic(self):
         a = DirectlyFollowsGraph("a")
-        a.observe_batch(DocBatch([event("open", 1), event("read", 2),
-                                  event("close", 3)]))
+        observe(a, DocBatch([event("open", 1), event("read", 2),
+                             event("close", 3)]))
         assert a.fingerprint() == a.fingerprint()
         assert a.fingerprint()["edges"] == {
             "^->open": 1, "open->read": 1, "read->close": 1}

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.diagnose import (CONFIDENCE, RankedFinding,
                                      diagnose_session, follow_session)
 from repro.analysis.detectors import SEVERITY_ORDER, Finding
-from repro.analysis.streaming import DiagnosisTap
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
 from repro.cli import main
@@ -98,25 +97,6 @@ class TestDiagnoseSession:
         assert str(leak.finding) == ("[warning] fd-leak: pid 7: 8 opens vs "
                                      "4 closes (4 descriptors left open)")
 
-    def test_live_tap_agrees_with_replay(self, live_tap):
-        tap = live_tap(DiagnosisTap())
-        case = run_fluentbit_case(FLUENTBIT_BUGGY)
-        replay = follow_session(case.store, "dio_trace",
-                                case.tracer.config.session_name)
-
-        def shape(tap):
-            # File paths aside: the consumer path sees events before
-            # the correlator has joined their paths.
-            return sorted((finding.detector, finding.severity,
-                           sorted((key, value) for key, value
-                                  in finding.details.items()
-                                  if key != "file_path"))
-                          for _, finding in tap.findings())
-
-        assert shape(tap) == shape(replay)
-        assert any(detector == "stale-offset-resume"
-                   for detector, _, _ in shape(tap))
-
     def test_report_has_dfg_and_phases(self, buggy_case):
         session = buggy_case.tracer.config.session_name
         report = diagnose_session(buggy_case.store, session)
@@ -148,9 +128,7 @@ class TestDiagnoseSession:
 class TestFollowSession:
     def test_emits_incrementally_in_stream_order(self, buggy_case):
         session = buggy_case.tracer.config.session_name
-        seen = []
-        follow_session(buggy_case.store, "dio_trace", session,
-                       emit=lambda ns, f: seen.append((ns, f)))
+        seen = follow_session(buggy_case.store, "dio_trace", session)
         assert seen
         assert [ns for ns, _ in seen] == sorted(ns for ns, _ in seen)
         assert any(f.detector == "stale-offset-resume" for _, f in seen)
@@ -209,6 +187,16 @@ class TestDiagnoseCLI:
         out = capsys.readouterr().out
         assert "--- streaming findings for session" in out
         assert "ms]" in out
+
+    def test_follow_and_json_are_exclusive(self, traces, capsys):
+        # --follow's lines before the JSON report made stdout non-JSON;
+        # the report's streaming findings carry their emit_ns instead.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diagnose", str(traces), "--follow", "--json"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     def test_scenario_fluentbit_live(self, capsys):
         assert main(["diagnose", "--scenario", "fluentbit"]) == 0

@@ -8,14 +8,16 @@ keeps one of each; the other is kept here, as it was, as the oracle:
 
 1. the **per-event detector bodies** (``PerEvent*``) — what
    ``observe``/``observe_latency`` did to a detector's state, one item
-   at a time, closing windows after every item;
+   at a time, closing windows two widths behind the watermark after
+   every item;
 2. the **merged feed** (:func:`merged_feed`, :func:`per_event_replay`)
    — events and latency records interleaved by time and fed one by one,
-   which is what ``follow_session``'s stretches must equal;
+   which is what ``follow_session``'s row steps (every event, then the
+   records, then a close of every window) must equal;
 3. the **per-thread graphs, then merge** (:class:`OracleGraph`,
    :func:`oracle_merged_dfg`) — one single-chain graph per TID folded
-   edge by edge into a session graph, which is what a ``per_thread``
-   graph's one loop must equal;
+   edge by edge into a session graph, which is what a graph fed the
+   ``tid`` lane as chain keys must equal in its one loop;
 4. the **per-document session read and batch bodies**
    (:class:`DocumentView`, ``doc_*``) — the one sorted ``size=None``
    search, the batch detectors reading its documents, a phase walking
@@ -23,8 +25,7 @@ keeps one of each; the other is kept here, as it was, as the oracle:
    which is what the lane-reading bodies must say.
 
 Last, the streaming ``fd-leak`` and ``stale-offset-resume`` say what
-the batch bodies they replaced said (``tests/detector_oracle.py``),
-and a live tap reports what the replay of its own store does.
+the batch bodies they replaced said (``tests/detector_oracle.py``).
 """
 
 import heapq
@@ -40,19 +41,18 @@ from repro.analysis.detectors import (DEFAULT_DETECTORS, EVIDENCE_ID_CAP,
                                       make_evidence, run_detectors)
 from repro.analysis.dfg import (START, DirectlyFollowsGraph, EdgeStats, Phase,
                                 merged_dfg, segment_phases)
-from repro.analysis.diagnose import diagnose_session, follow_session
+from repro.analysis.diagnose import follow_session
 from repro.analysis.patterns import AccessPattern, classify_file_accesses
 from repro.analysis.session import SessionEvents
 from repro.analysis.streaming import (MAX_EVIDENCE_IDS, MAX_TRACKED_PIDS,
                                       MAX_TRACKED_PROCS, MAX_TRACKED_TAGS,
-                                      MAX_WINDOW_SAMPLES, DiagnosisTap,
-                                      StreamingDFGMiner,
+                                      MAX_WINDOW_SAMPLES,
                                       StreamingFdLeakDetector,
                                       StreamingSpikeAttributor,
                                       StreamingStaleOffsetDetector,
                                       StreamingUringLagDetector,
                                       StreamingWriteAmplificationDetector,
-                                      _capped_insert, _WindowState,
+                                      _capped_insert, _Reads, _WindowState,
                                       default_streaming_detectors)
 from repro.backend import DocumentStore
 from repro.backend.lanes import DocBatch
@@ -63,7 +63,7 @@ from repro.experiments import run_fluentbit_case, run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
 from repro.kernel.errno import Errno
 from tests.detector_oracle import FdLeakDetector, StaleOffsetDetector
-from tests.dfg_oracle import graph_as_dict
+from tests.dfg_oracle import graph_as_dict, observe
 
 INDEX = "dio_trace"
 SESSION = "feed"
@@ -196,6 +196,10 @@ class PerEventSpike(StreamingSpikeAttributor):
     ``observe_latency``, as they were: one item into its window, then a
     watermark close."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._max_ns = 0
+
     def observe(self, source, event_id=None):
         time_ns = source.get("time", 0)
         self._max_ns = max(self._max_ns, time_ns)
@@ -227,6 +231,16 @@ class PerEventSpike(StreamingSpikeAttributor):
         if len(samples) < MAX_WINDOW_SAMPLES:
             samples.append(latency_ns)
         self._close_ready()
+
+    def _close_ready(self):
+        """Close windows at least one full window behind the watermark."""
+        horizon = self._max_ns - 2 * self.window_ns
+        if horizon <= 0:
+            return
+        for start in sorted(set(self._windows) | set(self._latencies)):
+            if start + self.window_ns > horizon:
+                break
+            self._close_window(start)
 
 
 #: Battery order of ``default_streaming_detectors``.
@@ -281,7 +295,8 @@ def merged_feed(events, latency_records):
 
 
 def per_event_replay(events, latency_records, detectors):
-    """``follow_session`` + ``DiagnosisTap.observe``, as they were."""
+    """``follow_session``, as it was: the merged feed, one item at a
+    time to every detector."""
     for kind, first, second in merged_feed(events, latency_records):
         for detector in detectors:
             if kind == "event":
@@ -373,12 +388,12 @@ def check_replay_equals_per_event_merge(stream, records, battery):
     store = stored(stream)
     events = stored_events(store)
     assert [source for _, source in events] == stream
-    tap = follow_session(store, INDEX, SESSION,
-                         tap=DiagnosisTap(battery(PRODUCTION), dfg=False),
-                         latency_records=records)
+    detectors = battery(PRODUCTION)
+    findings = follow_session(store, INDEX, SESSION, detectors,
+                              latency_records=records)
     oracle = per_event_replay(events, records, battery(PER_EVENT))
-    assert emitted(tap.detectors) == emitted(oracle)
-    return tap
+    assert emitted(detectors) == emitted(oracle)
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -445,11 +460,11 @@ def busy_session(tick):
 def test_replay_equals_per_event_merge_when_everything_fires():
     check_replay_equals_per_event_merge(*busy_session(1), uneven_battery)
     stream, records = busy_session(DEFAULT_TICK)
-    tap = check_replay_equals_per_event_merge(stream, records,
-                                              default_battery)
-    fired = {finding.detector for _, finding in tap.findings()}
+    findings = check_replay_equals_per_event_merge(stream, records,
+                                                   default_battery)
+    fired = {finding.detector for _, finding in findings}
     assert fired == {cls.name for cls in PRODUCTION}
-    spikes = [finding for _, finding in tap.findings()
+    spikes = [finding for _, finding in findings
               if finding.detector == "latency-spike-blame"]
     assert len(spikes) == 4
     assert all(len(finding.evidence["event_ids"]) == MAX_EVIDENCE_IDS
@@ -457,7 +472,8 @@ def test_replay_equals_per_event_merge_when_everything_fires():
 
 
 # ----------------------------------------------------------------------
-# (b) any batching is one batch, and observe is a batch of one
+# (b) any batching is one batch, and observe is a batch of one: where
+# the replay's row steps cut a session changes no finding
 
 def cut(items, points):
     """``items`` split at ``points`` (any integers: folded into range)."""
@@ -466,15 +482,18 @@ def cut(items, points):
             for lo, hi in zip([0] + bounds, bounds + [len(items)])]
 
 
-def fed(tap, event_batches, records):
-    """Every event first, then the latency records as one call."""
+def fed(event_batches, records):
+    """A fresh battery fed every event first, as ``follow_session``
+    feeds a step, then the latency records as one call."""
+    detectors = uneven_battery(PRODUCTION)
     for batch in event_batches:
-        tap.observe_batch(DocBatch([source for _, source in batch]),
-                          [event_id for event_id, _ in batch])
-    tap.observe_latencies(records)
-    tap.finalize()
-    return (emitted(tap.detectors), graph_as_dict(tap.dfg.graph),
-            tap.dfg.phases, tap.events_observed, tap.latencies_observed)
+        reads = _Reads(DocBatch([source for _, source in batch]))
+        for detector in detectors:
+            detector.observe_batch(reads, [event_id for event_id, _ in batch])
+    for detector in detectors:
+        detector.observe_latencies(records)
+        detector.finalize()
+    return emitted(detectors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -484,17 +503,9 @@ def test_any_batching_is_one_batch(events, steps, untimed, records, points):
     stream = timed(events, steps, untimed, 1)
     pairs = [(f"id{n}", source) for n, source in enumerate(stream)]
     records = sorted(records, key=itemgetter(0))
-
-    def tap():
-        return DiagnosisTap(uneven_battery(PRODUCTION))
-
-    whole = fed(tap(), [pairs], records)
-    assert fed(tap(), cut(pairs, points), records) == whole
-
-    single = tap()
-    for event_id, source in pairs:
-        single.observe_batch(DocBatch([source]), [event_id])
-    assert fed(single, [], records) == whole
+    whole = fed([pairs], records)
+    assert fed(cut(pairs, points), records) == whole
+    assert fed([[pair] for pair in pairs], records) == whole
 
 
 # ----------------------------------------------------------------------
@@ -591,18 +602,18 @@ dfg_stream_st = st.lists(st.fixed_dictionaries(
 @given(stream=dfg_stream_st, batch=st.integers(1, 20))
 def test_per_thread_loop_equals_graphs_then_merge(stream, batch):
     oracle = graph_as_dict(oracle_merged_dfg(stream, "stream"))
-    graph = DirectlyFollowsGraph("stream", per_thread=True)
-    graph.observe_batch(DocBatch(stream))
+    graph = DirectlyFollowsGraph("stream")
+    observe(graph, DocBatch(stream), per_thread=True)
     assert graph_as_dict(graph) == oracle
     # A view whose one read is the stream as it came, unsorted.
     view = SessionEvents(None, INDEX)
     view.__dict__["_read"] = ([], DocBatch(stream), None)
     assert graph_as_dict(merged_dfg(None, "stream", None,
                                     view=view)) == oracle
-    miner = StreamingDFGMiner()
+    pieces = DirectlyFollowsGraph("stream")
     for lo in range(0, len(stream), batch):
-        miner.observe_batch(DocBatch(stream[lo:lo + batch]))
-    assert graph_as_dict(miner.graph) == oracle
+        observe(pieces, DocBatch(stream[lo:lo + batch]), per_thread=True)
+    assert graph_as_dict(pieces) == oracle
 
 
 @settings(max_examples=300, deadline=None)
@@ -611,14 +622,14 @@ def test_single_chain_loop_equals_per_event_observe(stream, batch):
     oracle = OracleGraph("g")
     nodes = [oracle.observe(source) for source in stream]
     whole = DirectlyFollowsGraph("g")
-    assert whole.observe_batch(DocBatch(stream)) == nodes
+    assert observe(whole, DocBatch(stream)) == nodes
     assert graph_as_dict(whole) == graph_as_dict(oracle)
     pieces = DirectlyFollowsGraph("g")
     for lo in range(0, len(stream), batch):
-        pieces.observe_batch(DocBatch(stream[lo:lo + batch]))
+        observe(pieces, DocBatch(stream[lo:lo + batch]))
     assert graph_as_dict(pieces) == graph_as_dict(oracle)
     single = DirectlyFollowsGraph("g")
-    assert [single.observe_batch(DocBatch([source]))[0]
+    assert [observe(single, DocBatch([source]))[0]
             for source in stream] == nodes
     assert graph_as_dict(single) == graph_as_dict(oracle)
 
@@ -627,15 +638,11 @@ def test_miner_in_consumer_sized_batches_holds_the_session_graph():
     stream, _ = busy_session(DEFAULT_TICK)
     stream = stream * 6                 # time runs backwards five times
     assert len(stream) > 3 * 512
-    miner = StreamingDFGMiner()
+    graph = DirectlyFollowsGraph("stream")
     for lo in range(0, len(stream), 512):
-        miner.observe_batch(DocBatch(stream[lo:lo + 512]))
-    assert graph_as_dict(miner.graph) == graph_as_dict(
+        observe(graph, DocBatch(stream[lo:lo + 512]), per_thread=True)
+    assert graph_as_dict(graph) == graph_as_dict(
         oracle_merged_dfg(stream, "stream"))
-    one_by_one = StreamingDFGMiner()
-    for source in stream:
-        one_by_one.observe_batch(DocBatch([source]))
-    assert one_by_one.phases == miner.phases > 1
 
 
 # ----------------------------------------------------------------------
@@ -643,9 +650,8 @@ def test_miner_in_consumer_sized_batches_holds_the_session_graph():
 
 def streamed(store, detector, index=INDEX, session=SESSION):
     """What ``detector`` alone says of a stored session, replayed."""
-    tap = follow_session(store, index, session,
-                         tap=DiagnosisTap([detector], dfg=False))
-    return [finding for _, finding in tap.findings()]
+    return [finding for _, finding
+            in follow_session(store, index, session, [detector])]
 
 
 @settings(max_examples=400, deadline=None)
@@ -683,34 +689,6 @@ def test_stale_offset_flags_what_the_batch_body_flagged():
     for seed in range(1, 51):
         run = execute_pipeline(generate(seed))
         stale_tags(run.inner_store, DST_INDEX, run.session)
-
-
-# ----------------------------------------------------------------------
-# Live tap ≡ replay of its own store (the paper's RocksDB case)
-
-def test_live_tap_reports_what_the_replay_of_its_store_does(live_tap):
-    """The tracer's consumer path and a replay of the session it stored
-    run the same detectors and say the same; the report the replay
-    feeds the benchmark's latency records blames the spikes, with
-    evidence ids."""
-    live = live_tap(DiagnosisTap())
-    case = run_rocksdb_case(RocksDBScale(duration_ns=2_000_000_000))
-    replay = follow_session(case.store, INDEX, case.session)
-
-    def shape(tap):
-        # Evidence ids aside: nothing is stored yet on the consumer path.
-        return sorted((finding.detector, finding.severity, finding.title,
-                       sorted(finding.details.items()), emit_ns)
-                      for emit_ns, finding in tap.findings())
-
-    assert len(shape(replay)) == 2
-    assert shape(live) == shape(replay)
-    report = diagnose_session(case.store, case.session,
-                              latency_records=case.bench.records())
-    spikes = [ranked.finding for ranked in report.findings
-              if ranked.finding.detector == "latency-spike-blame"]
-    assert len(spikes) == 5
-    assert all(finding.evidence["event_ids"] for finding in spikes)
 
 
 # ----------------------------------------------------------------------

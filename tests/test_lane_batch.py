@@ -237,10 +237,10 @@ def test_dense_int_means_every_value_is_an_exact_int(batch):
 
 
 def test_rows_of_is_the_per_row_filter(batch):
-    # Straight off a batch, through the tap's shared reads (which
-    # group ``syscall`` once) and on a take of either.
+    # Through a step's shared reads (which group ``syscall`` once), of
+    # a batch and of a take of it.
     taken = batch.take([39, 0, 17, 2, 2, 31])
-    for source in (batch, _Reads(batch), taken, _Reads(taken)):
+    for source in (_Reads(batch), _Reads(taken)):
         names = source.values_for("syscall")
         for syscalls in (_READS_SET, _WRITES_SET, _FD_SET, frozenset()):
             assert list(rows_of(source, syscalls)) == [

@@ -129,7 +129,7 @@ def entry_points(store, session, view):
                                                  **extra))
     yield "phases", [phase.as_dict() for phase in mine_phases(
         store, INDEX, session, **extra)]
-    yield "replay", follow_session(store, INDEX, session, **extra).findings()
+    yield "replay", follow_session(store, INDEX, session, **extra)
 
 
 @pytest.mark.parametrize("case_name", ["fluentbit", "rocksdb"])
