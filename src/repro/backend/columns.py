@@ -193,13 +193,16 @@ class Column:
             if code >= 0:
                 postings[code].append(row)
 
-    def _encode_lane(self, cls: type, values: list) -> None:
+    def _encode_lane(self, cls: type, values: list) -> bool:
         """Append ``values``' codes; first-seen order numbers new ones.
+        Returns whether any value is ``None``.
 
         ``None`` is in no code table, so it reads back as ``-1``.
         """
         distinct = dict.fromkeys(values)
-        distinct.pop(None, None)
+        holes = None in distinct
+        if holes:
+            del distinct[None]
         if distinct:
             codes_of = self._code_of.setdefault(cls, {})
             fresh = [v for v in distinct if v not in codes_of] \
@@ -207,10 +210,15 @@ class Column:
             start = len(self.table)
             codes_of.update(zip(fresh, range(start, start + len(fresh))))
             self.table.extend(fresh)
-            self.codes.extend(map(codes_of.get, values, repeat(-1)))
+            if len(distinct) == 1 and not holes:
+                # One value on every row (a stamped session label).
+                self.codes.extend(repeat(codes_of[values[0]], len(values)))
+            else:
+                self.codes.extend(map(codes_of.get, values, repeat(-1)))
         else:
             self.codes.extend(repeat(-1, len(values)))
         self._order = None
+        return holes
 
     def _extend_int(self, values: list) -> None:
         """``extend`` for exact ints onto an int-only column."""
@@ -242,8 +250,9 @@ class Column:
 
     def _extend_str(self, values: list) -> None:
         """``extend`` for exact ``str``/``None`` onto a str-only column."""
-        self._encode_lane(str, values)
-        self.nonnull.extend(bytes(map(is_not, values, repeat(None))))
+        holes = self._encode_lane(str, values)
+        self.nonnull.extend(bytes(map(is_not, values, repeat(None))) if holes
+                            else b"\x01" * len(values))
         # No numeric lane to pad: a numeric value would have opened an
         # int/float code table, and this column has none.
         self.numeric.extend(bytes(len(values)))
@@ -375,6 +384,11 @@ class Column:
         """Ascending rows holding any of the (distinct) ``codes``."""
         if not codes:
             return []
+        if (len(codes) == len(self.table) and not self.unencodable
+                and 0 not in self.nonnull):
+            # Every code, and every row holds one (a session's ``term``
+            # on its own store): every row, without building postings.
+            return range(len(self.codes))
         postings = self._postings
         if postings is None:
             postings = self._postings = [[] for _ in self.table]

@@ -9,17 +9,19 @@ implements with Elasticsearch's query and update APIs: find each tag's
 opening event, then update every event carrying that tag with the
 resolved ``file_path``.
 
-The resolution runs over **lanes**, not documents: one lane read of
-the session (:meth:`DocumentStore.lanes`) hands over the ``syscall``,
-``file_tag``, ``time``, ``args.path`` and ``file_path`` lanes in
-insertion order (the one argument the pass needs — never every row's
-``args``); one pass over the open-family rows builds tag -> path, one pass
-over the tagged rows builds tag -> document ids and the
-tagged/unresolved tallies, and each resolved group takes one
-``update_docs`` — which lands on documents nobody has hydrated as an
-overlay on their batch.  A trace that is correlated and then saved
-never becomes a document.  The pre-planner shape — one
-``update_by_query`` per tag plus two counting queries — survives as
+The resolution is lane arithmetic, not a loop over documents: one lane
+read of the session (:meth:`DocumentStore.lanes`) hands over its rows
+in insertion order; one pass over the ``syscall`` lane picks the
+open-family rows, and ``file_tag``, ``time`` and ``args.path`` are read
+for those rows alone (:meth:`JoinedBatch.values_at` — never every row's
+``args``) to build tag -> path.  One ``map(mapping.get, tags)`` over
+the ``file_tag`` lane then resolves every tagged row, the
+tagged/unresolved tallies are counted off the same lanes, and the
+result lands with **one** ``update_docs`` — each row its own path —
+which writes each parked batch's overlay once, so a trace nobody has
+hydrated stays lanes.  A trace that is correlated and then saved never
+becomes a document.  The pre-planner shape — one ``update_by_query``
+per tag plus two counting queries — survives as
 :func:`repro.backend.naive.legacy_correlate`, the oracle.
 
 Events whose opening syscall was never captured (e.g. discarded at the
@@ -30,6 +32,8 @@ paper compares against Sysdig (≤5% vs 45%, §III-D).
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_not
 from typing import Optional
 
 from repro.backend.lanes import sort_key
@@ -37,6 +41,20 @@ from repro.backend.store import DocumentStore
 
 #: Syscalls whose events carry both a path argument and a file tag.
 PATH_BEARING_SYSCALLS = ("open", "openat", "creat")
+
+_PATH_BEARING = frozenset(PATH_BEARING_SYSCALLS)
+
+
+def _open_rows(syscalls: list) -> list[int]:
+    """The rows whose syscall is one of :data:`PATH_BEARING_SYSCALLS`
+    (a set lookup; ``==`` for a lane holding an unhashable name)."""
+    rows = range(len(syscalls))
+    try:
+        return list(compress(rows, map(_PATH_BEARING.__contains__,
+                                       syscalls)))
+    except TypeError:
+        return [row for row, name in zip(rows, syscalls)
+                if name in PATH_BEARING_SYSCALLS]
 
 
 def path_argument(args) -> Optional[str]:
@@ -113,22 +131,16 @@ class FilePathCorrelator:
             index, {"term": {"session": session}} if session else None)
 
     @staticmethod
-    def _tag_to_path(batch) -> dict[str, str]:
-        tags = batch.values_for("file_tag")
-        times = batch.values_for("time")
-        paths = batch.values_for("args.path")
+    def _tag_to_path(tags: list, times: list, paths: list) -> dict[str, str]:
+        """Tag -> path over the open-family rows' lanes, in insertion
+        order: taking ``>=`` on the time key reproduces "stable sort by
+        time, last hit wins"."""
         mapping: dict[str, str] = {}
         best: dict[str, tuple] = {}
-        # Rows are in insertion order; taking >= on the time key
-        # reproduces "stable sort by time, last hit wins".
-        for row, syscall in enumerate(batch.values_for("syscall")):
-            if syscall not in PATH_BEARING_SYSCALLS:
-                continue
-            tag = tags[row]
-            path = paths[row]
+        for tag, time, path in zip(tags, times, paths):
             if not (path and tag):
                 continue
-            key = sort_key(times[row])
+            key = sort_key(time)
             if tag not in best or key >= best[tag]:
                 best[tag] = key
                 mapping[tag] = path
@@ -138,29 +150,32 @@ class FilePathCorrelator:
                   session: Optional[str] = None) -> CorrelationReport:
         """Run the correlation over ``index`` (optionally one session)."""
         doc_ids, batch = self._session_lanes(index, session)
-        mapping = self._tag_to_path(batch)
+        tags = batch.values_for("file_tag")
+        opens = _open_rows(batch.values_for("syscall"))
+        mapping = self._tag_to_path(list(map(tags.__getitem__, opens)),
+                                    batch.values_at("time", opens),
+                                    batch.values_at("args.path", opens))
 
-        # One grouped pass over the tagged events: documents of resolved
-        # tags are collected for the in-place update, unresolved ones
-        # are tallied on the spot — no per-tag queries, no re-counting.
-        tagged = 0
-        unresolved = 0
-        groups: dict[str, list[str]] = {tag: [] for tag in mapping}
+        # Every tagged row resolved at once; a path is never empty, so
+        # the resolved rows are the truthy ones.
+        resolved = list(map(mapping.get, tags))
+        tagged = len(tags) - tags.count(None)
+        paths = list(filter(None, resolved))
+        unresolved = tagged - len(paths)
         file_paths = batch.values_for("file_path")
-        for row, tag in enumerate(batch.values_for("file_tag")):
-            if tag is None:
-                continue
-            tagged += 1
-            ids = groups.get(tag)
-            if ids is not None:
-                ids.append(doc_ids[row])
-            elif file_paths[row] is None:
-                unresolved += 1
+        if file_paths.count(None) < len(file_paths):
+            # An unresolved tag is no loss on a row that already names
+            # a file.
+            unresolved -= sum(tag is not None and path is None
+                              for tag, path in compress(
+                                  zip(tags, resolved),
+                                  map(is_not, file_paths, repeat(None))))
 
         updated = 0
-        for tag, ids in groups.items():
-            updated += self.store.update_docs(index, ids,
-                                              {"file_path": mapping[tag]})
+        if paths:
+            updated = self.store.update_docs(
+                index, list(compress(doc_ids, resolved)),
+                {"file_path": paths})
 
         report = CorrelationReport(
             tags_resolved=len(mapping),

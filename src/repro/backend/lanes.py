@@ -20,7 +20,8 @@ every producer and consumer shares:
   itself: key tuples stored once, values as one lane per key, a dict
   only for the reader that asks for one.
 - :class:`Overlay` — fields set on some rows after the batch was built
-  (``update_docs`` on documents nobody hydrated yet).
+  (``update_docs`` on documents nobody hydrated yet), one value per
+  row.
 - :func:`time_order` / :func:`time_ordered` — the one row-ordering
   rule, shared by the segment engine's load and save and by the
   diagnosis layer's one session read.
@@ -28,7 +29,7 @@ every producer and consumer shares:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import is_not, le
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
@@ -87,12 +88,14 @@ class LaneBatch(Protocol):
     def row_keys(self, row: int) -> list[str]:
         """The keys of one row, in document order."""
 
-    def overlay(self, rows: list[int], fields: dict) -> bool:
-        """``doc.update(fields)`` on ``rows`` without building a
-        document: every reader above sees the new values, each new key
-        last in its row.  ``False`` — and nothing changed — when the
-        batch cannot say that without its documents (it already has a
-        column for one of the keys), so the caller hydrates instead."""
+    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
+        """``doc.update`` on ``rows`` without building a document:
+        ``fields`` maps each key to one value per row of ``rows``, in
+        their order (a row listed twice takes its last).  Every reader
+        above sees the new values, each new key last in its row.
+        ``False`` — and nothing changed — when the batch cannot say
+        that without its documents (it already has a column for one of
+        the keys), so the caller hydrates instead."""
 
 
 def sort_key(value: Any):
@@ -146,6 +149,14 @@ def transpose(docs: list[dict]) -> list[LaneColumn]:
         out.append((field, [doc.get(field) for doc in docs],
                     present if 0 in present else None))
     return out
+
+
+def ascending(rows) -> bool:
+    """``rows`` never decrease (a ``range`` of positive step, or a list
+    checked pairwise)."""
+    if type(rows) is range:
+        return rows.step > 0
+    return all(map(le, rows, islice(rows, 1, None)))
 
 
 def _dense_int(values: list) -> bool:
@@ -427,7 +438,8 @@ def _concat(lanes, present_of=None):
 
 
 class Overlay:
-    """Fields set on some rows of a lane batch after it was built.
+    """Fields set on some rows of a lane batch after it was built, one
+    value per row.
 
     One *shape* per overlay — the keys of the first update, in its
     order: every row then carries its overlaid keys in that one order,
@@ -442,25 +454,26 @@ class Overlay:
         #: field -> (value per row, 0/1 per row)
         self._fields: dict[str, tuple[list, bytearray]] = {}
 
-    def set(self, rows: Iterable[int], fields: dict,
+    def set(self, rows: list[int], fields: dict[str, list],
             docs: Optional[list[dict]]) -> bool:
-        """Set ``fields`` on ``rows`` — and on ``docs``, the batch's
-        documents if they were built already.  ``False``, and nothing
-        set, for an update of another shape."""
+        """Set ``fields`` — one value per row of ``rows`` for each key —
+        on ``rows``, and on ``docs``, the batch's documents if they
+        were built already.  ``False``, and nothing set, for an update
+        of another shape."""
         if self._fields and list(self._fields) != list(fields):
             return False
-        for field, value in fields.items():
+        for field, lane in fields.items():
             entry = self._fields.get(field)
             if entry is None:
                 entry = self._fields[field] = ([None] * self._n,
                                                bytearray(self._n))
             values, present = entry
-            for row in rows:
+            for row, value in zip(rows, lane):
                 values[row] = value
                 present[row] = 1
-        if docs is not None:
-            for row in rows:
-                docs[row].update(fields)
+            if docs is not None:
+                for row, value in zip(rows, lane):
+                    docs[row][field] = value
         return True
 
     def merged(self, field: str, base: list) -> list:
@@ -676,7 +689,7 @@ class Lanes:
             out._overlay = self._overlay.take(rows)
         return out
 
-    def overlay(self, rows: list[int], fields: dict) -> bool:
+    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
         if not self._lanes.keys().isdisjoint(fields):
             return False
         if self._overlay is None:
@@ -736,9 +749,11 @@ class DocBatch:
     def row_keys(self, row: int) -> list[str]:
         return list(self._docs[row])
 
-    def overlay(self, rows: list[int], fields: dict) -> bool:
-        for row in rows:
-            self._docs[row].update(fields)
+    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
+        docs = self._docs
+        for field, lane in fields.items():
+            for row, value in zip(rows, lane):
+                docs[row][field] = value
         self._cache.clear()
         return True
 
@@ -807,6 +822,35 @@ class JoinedBatch:
             self._cache[field] = cached
         return cached
 
+    def values_at(self, field: str, rows) -> list:
+        """``values_for(field)`` at ``rows`` (a list or a ``range``), in
+        that order.  Ascending rows are read off each part without its
+        other rows — a take of the part, so a dotted name into ``args``
+        walks those rows' arguments alone (the correlator's
+        ``args.path`` of the open-family rows); a field the join has
+        read already is projected.  May alias the batch's storage —
+        never mutate it."""
+        if self._whole is not None:
+            return self._whole.values_at(field, _project(self._rows, rows))
+        if field in self._cache or not ascending(rows):
+            return _project(self.values_for(field), rows)
+        # Each part's run of the rows: one bisect at the part's end.
+        lanes = []
+        at = 0
+        for start, part in zip(self._starts, self._parts):
+            upto = bisect_left(rows, start + len(part), at)
+            if upto > at:
+                local = [row - start for row in rows[at:upto]]
+                lanes.append(part.values_at(field, local)
+                             if isinstance(part, JoinedBatch)
+                             else part.take(local).values_for(field))
+            at = upto
+        out = _concat(lanes, lambda number: bytes(
+            map(is_not, lanes[number], repeat(None))))
+        if self._overlay is not None:
+            out = self._overlay.take(rows).merged(field, out)
+        return out
+
     def to_docs(self) -> list[dict]:
         if self._docs is None:
             if self._whole is not None:
@@ -874,7 +918,7 @@ class JoinedBatch:
             keys = keys + self._overlay.keys_at(row)
         return keys
 
-    def overlay(self, rows: list[int], fields: dict) -> bool:
+    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
         if self._whole is not None:
             return self._whole.overlay(_project(self._rows, rows), fields)
         if self._columns is None:

@@ -47,7 +47,7 @@ import time
 import zlib
 from heapq import merge as heap_merge
 from itertools import islice, repeat
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import ColumnSet
@@ -55,8 +55,8 @@ from repro.backend.lanes import DocBatch, JoinedBatch
 from repro.backend.query import get_field
 from repro.backend.store import (DocumentStore, Index, StoreError,
                                  _response, bind_store_telemetry,
-                                 check_sources, observe_span, parse_sort,
-                                 sort_key, span_start)
+                                 check_sources, check_update, observe_span,
+                                 parse_sort, sort_key, span_start)
 from repro.backend.wal import frame_record, recover_log
 
 #: Supported shard keys (``TracerConfig.shard_key``).
@@ -634,17 +634,21 @@ class ShardedDocumentStore:
     # Mutation
 
     def update_docs(self, index: str, doc_ids: Iterable[str],
-                    fields: dict) -> int:
+                    fields: dict[str, Sequence]) -> int:
+        """One ``update_docs`` per shard holding any of the ids, with
+        its ids' values (missing ids are skipped)."""
         state = self._state(index)
-        owner = state.owner
-        by_shard: dict[int, list[str]] = {}
-        for doc_id in doc_ids:
-            shard = owner.get(doc_id)
-            if shard is None:
-                continue                  # missing ids are skipped
-            by_shard.setdefault(shard, []).append(doc_id)
-        updated = sum(self.shards[i].update_docs(index, ids, fields)
-                      for i, ids in sorted(by_shard.items()))
+        doc_ids = check_update(doc_ids, fields)
+        by_shard: dict[int, list[int]] = {}
+        for at, shard in enumerate(map(state.owner.get, doc_ids)):
+            if shard is not None:
+                by_shard.setdefault(shard, []).append(at)
+        updated = sum(
+            self.shards[i].update_docs(
+                index, list(map(doc_ids.__getitem__, picked)),
+                {field: list(map(lane.__getitem__, picked))
+                 for field, lane in fields.items()})
+            for i, picked in sorted(by_shard.items()))
         if updated and self.route_field in fields:
             self._routing_exact[index] = False
         return updated

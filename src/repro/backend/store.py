@@ -2,8 +2,9 @@
 
 API surface mirrors the slice of Elasticsearch that DIO uses: document
 indexing (including a bulk endpoint the tracer batches into), search
-with query + aggregations + sort + pagination, and update-by-query for
-the correlation algorithm.
+with query + aggregations + sort + pagination, update-by-query (the
+correlation oracle's write) and ``update_docs`` — fields set by id,
+one value per id — which the correlator lands its whole pass with.
 
 Rows are the address of the read path.  Every document owns a row —
 its position in insertion order — and every field a request has
@@ -28,7 +29,8 @@ row only in the columns whose values actually changed.  Documents a
 vectorized bulk parked as lanes (:mod:`repro.backend.lanes`) stay
 parked through the tail of a traced execution and through every read
 of a loaded session: :meth:`DocumentStore.lanes` reads them as lanes,
-:meth:`DocumentStore.update_docs` lands on them as an overlay, and a
+:meth:`DocumentStore.update_docs` lands on them as one overlay per
+parked batch (its rows found by one bisect at each batch's end), and a
 request that returns hits builds the ``_source`` of those rows alone
 (:meth:`Index.sources`), so correlation, ``save_session``, diagnosis
 and a ``size=50`` window build no other dict.  Only a path that mutates
@@ -56,7 +58,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import Column, ColumnSet
-from repro.backend.lanes import DocBatch, JoinedBatch, LaneBatch, sort_key
+from repro.backend.lanes import (DocBatch, JoinedBatch, LaneBatch,
+                                 ascending, sort_key)
 from repro.backend.planner import QueryPlan, plan_query
 from repro.backend.query import compile_query, get_field
 
@@ -250,61 +253,88 @@ class Index:
             if source is not None:
                 self.columns.note_refresh(doc_id, source, fields)
 
-    def update_docs(self, doc_ids: Iterable[str], fields: dict) -> int:
-        """``source.update(fields)`` on the documents that exist;
-        returns how many.
+    def update_docs(self, doc_ids: Iterable[str],
+                    fields: dict[str, Sequence]) -> int:
+        """Set ``fields`` on the documents that exist; returns how many.
 
-        A document still parked as lanes takes the update as an
-        overlay on its batch (:meth:`LaneBatch.overlay`) and stays
-        parked; state after :meth:`_hydrate` is what updating hydrated
-        documents leaves.
+        ``fields`` maps each key to one value per id of ``doc_ids``, in
+        their order: what ``source.update`` of each document with its
+        own values leaves, one id after another (an id listed twice
+        keeps its last).  A document still parked as lanes takes the
+        update as an overlay on its batch (:meth:`LaneBatch.overlay`)
+        and stays parked; state after :meth:`_hydrate` is what updating
+        hydrated documents leaves.
         """
-        row_of = self.columns.row_of
-        updated = [doc_id for doc_id in doc_ids if doc_id in row_of]
-        if not self._overlay(updated, fields):
+        doc_ids = check_update(doc_ids, fields)
+        rows = list(map(self.columns.row_of.get, doc_ids))
+        if None in rows:
+            keep = [at for at, row in enumerate(rows) if row is not None]
+            doc_ids = list(map(doc_ids.__getitem__, keep))
+            rows = list(map(rows.__getitem__, keep))
+            fields = {field: list(map(lane.__getitem__, keep))
+                      for field, lane in fields.items()}
+        if not self._overlay(rows, fields):
             self._hydrate()
             docs = self._docs
-            for doc_id in updated:
-                docs[doc_id].update(fields)
-            self.refresh_many(updated, tuple(fields))
-        return len(updated)
+            for field, lane in fields.items():
+                for doc_id, value in zip(doc_ids, lane):
+                    docs[doc_id][field] = value
+            self.refresh_many(doc_ids, tuple(fields))
+        return len(rows)
 
-    def _overlay(self, doc_ids: list[str], fields: dict) -> bool:
-        """:meth:`update_docs` without hydrating; ``False`` when a
-        batch or a column needs the documents for it (a batch that
-        took the overlay before another refused keeps it: the row path
-        then sets the same values again)."""
+    def _overlay(self, rows: list[int], fields: dict[str, Sequence]) -> bool:
+        """:meth:`update_docs` of ``rows`` without hydrating; ``False``
+        when a batch or a column needs the documents for it (a batch
+        that took the overlay before another refused keeps it: the row
+        path then sets the same values again).
+
+        The rows are taken in ascending order, each parked batch's run
+        of them found by one bisect at its end, and each batch takes
+        its run as one overlay.
+        """
         pending = self._pending
         if not pending:
             return False
         columns = self.columns.affected(fields)
         if not all(held.field in fields for held in columns):
             return False                # a dotted name under a new key
-        row_of = self.columns.row_of
-        starts = [start for start, _ in pending]
-        # The dicts readers already hold take the update too.
-        held: list[dict] = []
-        lane_rows: dict[int, list[int]] = {}
+        ordered, lanes = rows, fields
+        if not ascending(rows):
+            # Stable: an id listed twice keeps its last value.
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            ordered = list(map(rows.__getitem__, order))
+            lanes = {field: list(map(lane.__getitem__, order))
+                     for field, lane in fields.items()}
+        # The dicts readers already hold take the update too: the
+        # hydrated rows before the first parked batch, and the parked
+        # rows built for a reader.
+        at = bisect_left(ordered, pending[0][0])
+        held = [(self._docs[self.columns.doc_ids[row]], position)
+                for position, row in enumerate(ordered[:at])]
         built = self._built
-        for doc_id in doc_ids:
-            row = row_of[doc_id]
-            entry = bisect_right(starts, row) - 1
-            if entry < 0:
-                held.append(self._docs[doc_id])
-            else:
-                lane_rows.setdefault(entry, []).append(row - starts[entry])
-                if row in built:
-                    held.append(built[row])
-        for entry, rows in lane_rows.items():
-            if not pending[entry][1].overlay(rows, fields):
+        for start, batch in pending:
+            upto = bisect_left(ordered, start + len(batch), at)
+            if upto == at:
+                continue
+            if built:
+                held.extend((built[row], position)
+                            for position, row in enumerate(
+                                ordered[at:upto], at) if row in built)
+            if not batch.overlay([row - start for row in ordered[at:upto]],
+                                 {field: lane[at:upto]
+                                  for field, lane in lanes.items()}):
                 return False
-        for source in held:
-            source.update(fields)
+            at = upto
+        for field, lane in lanes.items():
+            for source, position in held:
+                source[field] = lane[position]
         self.epoch += 1
-        for held in columns:
-            value = fields[held.field]
-            for doc_id in doc_ids:
-                held.set(row_of[doc_id], value)
+        for column in columns:
+            # In the ids' order, each row's last value: what the row
+            # path's refresh sets.
+            last = dict(zip(rows, fields[column.field]))
+            for row in rows:
+                column.set(row, last[row])
         return True
 
     # ------------------------------------------------------------------
@@ -368,9 +398,9 @@ class Index:
 
     def lanes(self, query: Optional[dict],
               plan: Optional[QueryPlan] = None
-              ) -> tuple[list[str], LaneBatch]:
+              ) -> tuple[list[str], JoinedBatch]:
         """The matches of :meth:`scan`, in its order, as ``(doc_ids,
-        batch)`` — one lane batch, no document built.
+        batch)`` — one joined lane batch, no document built.
 
         A parked batch is handed over as it is (or taken to its
         matching rows) whether or not a reader has had some of its
@@ -780,10 +810,10 @@ class DocumentStore:
         return target.scan(query, self._plan(target, query))
 
     def lanes(self, index: str, query: Optional[dict] = None
-              ) -> tuple[list[str], LaneBatch]:
+              ) -> tuple[list[str], JoinedBatch]:
         """:meth:`scan` as lanes: ``(doc_ids, batch)`` holding the
         matching documents in scan order as one
-        :class:`~repro.backend.lanes.LaneBatch`.
+        :class:`~repro.backend.lanes.JoinedBatch`.
 
         The read for whoever wants fields, not documents (correlation,
         ``save_session``): documents still parked as lanes stay
@@ -899,8 +929,9 @@ class DocumentStore:
         return len(matches)
 
     def update_docs(self, index: str, doc_ids: Iterable[str],
-                    fields: dict) -> int:
-        """Set ``fields`` on specific documents by id (delta reindex)."""
+                    fields: dict[str, Sequence]) -> int:
+        """Set ``fields`` on specific documents by id (delta reindex):
+        each key maps to one value per id (:meth:`Index.update_docs`)."""
         return self._index(index).update_docs(doc_ids, fields)
 
 
@@ -912,6 +943,18 @@ def check_sources(sources: Iterable[dict]) -> list[dict]:
         if not isinstance(source, dict):
             raise StoreError(f"document source must be a dict: {source!r}")
     return sources
+
+
+def check_update(doc_ids: Iterable[str],
+                 fields: dict[str, Sequence]) -> list[str]:
+    """``doc_ids`` as a list, or :class:`StoreError` for the first key
+    of ``fields`` that does not hold one value per id."""
+    doc_ids = list(doc_ids)
+    for field, lane in fields.items():
+        if len(lane) != len(doc_ids):
+            raise StoreError(f"update of {field!r} has {len(lane)} "
+                             f"values for {len(doc_ids)} ids")
+    return doc_ids
 
 
 def parse_sort(sort: list) -> list[tuple[str, bool]]:

@@ -538,14 +538,16 @@ def _cmd_health(args) -> int:
     from repro.visualizer import SelfMonitoringDashboard
 
     tracer = _run_traced_scenario(args)
+    report = tracer.telemetry.health_report()
     if args.format == "json":
-        print(json.dumps(tracer.telemetry.health_report().as_dict(),
-                         indent=2))
-        return 0
-    print(f"pipeline health for session "
-          f"{tracer.config.session_name!r}\n")
-    print(SelfMonitoringDashboard(tracer.telemetry).render())
-    return 0
+        print(json.dumps(report.as_dict(), indent=2))
+    else:
+        print(f"pipeline health for session "
+              f"{tracer.config.session_name!r}\n")
+        print(SelfMonitoringDashboard(tracer.telemetry).render())
+        print(report.conservation.line())
+    # Events the terms do not account for are a pipeline fault.
+    return 0 if report.conservation.holds else 1
 
 
 def _cmd_fleet(args) -> int:

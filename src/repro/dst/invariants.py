@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 
 from repro.backend.correlation import PATH_BEARING_SYSCALLS
 from repro.kernel.syscalls import O_TRUNC
+from repro.telemetry.health import Conservation
 
 if TYPE_CHECKING:
     from repro.dst.runner import PipelineRun
@@ -105,6 +106,11 @@ def check_conservation(ctx: PipelineRun) -> list[str]:
         failures.append(
             f"storage conservation: store holds {len(ctx.docs)} docs "
             f"but shipped={stats.shipped}")
+
+    # End to end, as `dio health` prints it.
+    identity = Conservation.read(tracer.telemetry.registry)
+    if not identity.holds:
+        failures.append(identity.line())
     return failures
 
 

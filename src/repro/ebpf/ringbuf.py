@@ -19,7 +19,6 @@ paper's §V calls for:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Optional
 
 #: Valid overflow policies.
@@ -49,14 +48,38 @@ class RingBufferStats:
 
 
 class _CPUBuffer:
-    """One CPU's contiguous buffer, tracked in bytes."""
+    """One CPU's contiguous buffer, tracked in bytes.
 
-    __slots__ = ("capacity", "used", "records")
+    ``records[head:]`` are queued, oldest first, and ``sizes[i]`` is
+    the byte size of ``records[i]``: a drain takes a run as one slice,
+    and the taken prefix is dropped once it is half the lists.
+    """
+
+    __slots__ = ("capacity", "used", "sizes", "records", "head")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.used = 0
-        self.records: deque[tuple[int, Any]] = deque()
+        self.sizes: list[int] = []
+        self.records: list[Any] = []
+        self.head = 0
+
+    def __len__(self) -> int:
+        return len(self.records) - self.head
+
+    def release(self, end: int) -> None:
+        """Dequeue the records before position ``end``."""
+        self.used -= sum(self.sizes[self.head:end])
+        if end == len(self.records):
+            self.sizes.clear()
+            self.records.clear()
+            self.head = 0
+        elif end > len(self.records) // 2:
+            del self.sizes[:end]
+            del self.records[:end]
+            self.head = 0
+        else:
+            self.head = end
 
 
 class PerCPURingBuffer:
@@ -126,11 +149,14 @@ class PerCPURingBuffer:
 
         if buffer.used + size_bytes > buffer.capacity:
             if self.policy == "overwrite-oldest":
-                while (buffer.records
-                       and buffer.used + size_bytes > buffer.capacity):
-                    old_size, _ = buffer.records.popleft()
-                    buffer.used -= old_size
-                    self.stats.dropped += 1
+                # Evict from the oldest until the record fits (or the
+                # buffer is empty).
+                end, room = buffer.head, buffer.used + size_bytes
+                while end < len(buffer.records) and room > buffer.capacity:
+                    room -= buffer.sizes[end]
+                    end += 1
+                self.stats.dropped += end - buffer.head
+                buffer.release(end)
                 if buffer.used + size_bytes > buffer.capacity:
                     # Single record larger than the whole buffer.
                     self.stats.dropped += 1
@@ -139,20 +165,22 @@ class PerCPURingBuffer:
                 self.stats.dropped += 1
                 return False
 
-        buffer.records.append((size_bytes, record))
+        buffer.sizes.append(size_bytes)
+        buffer.records.append(record)
         buffer.used += size_bytes
         self.stats.produced += 1
         self.stats.bytes_produced += size_bytes
         return True
 
     def consume(self, cpu: int, max_records: Optional[int] = None) -> list:
-        """Drain up to ``max_records`` records from one CPU buffer."""
+        """Drain up to ``max_records`` records from one CPU buffer, the
+        oldest first, as one run."""
         buffer = self._buffers[cpu]
-        out = []
-        while buffer.records and (max_records is None or len(out) < max_records):
-            size, record = buffer.records.popleft()
-            buffer.used -= size
-            out.append(record)
+        end = len(buffer.records)
+        if max_records is not None:
+            end = min(end, buffer.head + max(max_records, 0))
+        out = buffer.records[buffer.head:end]
+        buffer.release(end)
         self.stats.consumed += len(out)
         return out
 
@@ -165,4 +193,4 @@ class PerCPURingBuffer:
 
     def pending_records(self) -> int:
         """Total records queued across CPUs."""
-        return sum(len(b.records) for b in self._buffers)
+        return sum(map(len, self._buffers))

@@ -273,7 +273,8 @@ class FaultyStore:
         return self.inner.bulk_columnar(index, batch)
 
     def update_docs(self, index: str, doc_ids, fields: dict) -> int:
-        """Targeted update through the plan."""
+        """Targeted update through the plan: one check for the whole
+        call, so a fault lands before any of it does."""
         if "update_docs" in self.protected:
             self._check()
         return self.inner.update_docs(index, doc_ids, fields)

@@ -10,7 +10,10 @@ a single :class:`HealthReport`:
 - per-stage latency quantiles (p50/p95/p99) from the span histogram;
 - *derived gauges* — drop ratio, consumer lag, retry rate, unresolved
   ratio — computed from the underlying counters and also registered as
-  callback gauges (``dio_health_*``) so exporters expose them.
+  callback gauges (``dio_health_*``) so exporters expose them;
+- the *conservation identity* — ``produced = stored + Σ named
+  losses``, one term per site where an event can stop short of the
+  store (:class:`Conservation`).
 
 Everything reads through the registry by metric name, so the health
 layer needs no references into the components themselves.
@@ -79,6 +82,63 @@ STAGE_SPANS: dict[str, str] = {
 }
 
 
+#: The conservation identity: every event the kernel filters accept is
+#: offered to the ring, and ends in the store or at exactly one of the
+#: loss sites — ``(label, metric)`` each.  Under ``overwrite-oldest`` an
+#: evicted record counts once, as dropped (it was produced, then
+#: overwritten), so the identity holds under every ring policy.
+PRODUCED = ("produced", "dio_filter_accepted_total")
+STORED = ("stored", "dio_shipper_events_total")
+LOSSES = (
+    ("ring_dropped", "dio_ring_dropped_total"),        # overflow policy
+    ("ring_pending", "dio_ring_pending_records"),      # never drained
+    ("shed", "dio_consumer_shed_total"),               # backpressure
+    ("staged", "dio_consumer_staged_records"),         # parsed, unshipped
+    ("spill_pending", "dio_spill_pending_records"),    # not yet replayed
+    ("crash_lost", "dio_consumer_crash_lost_total"),   # consumer crash
+)
+
+
+class Conservation(NamedTuple):
+    """``produced = stored + Σ losses``, read off the registry."""
+
+    produced: int
+    stored: int
+    losses: dict[str, int]
+
+    @classmethod
+    def read(cls, registry: MetricsRegistry) -> "Conservation":
+        """The identity's terms as the registry holds them now."""
+        return cls(int(registry.value(PRODUCED[1])),
+                   int(registry.value(STORED[1])),
+                   {label: int(registry.value(metric))
+                    for label, metric in LOSSES})
+
+    @property
+    def unaccounted(self) -> int:
+        """Produced events no term accounts for (negative: over-counted)."""
+        return self.produced - self.stored - sum(self.losses.values())
+
+    @property
+    def holds(self) -> bool:
+        """Whether the terms add up."""
+        return self.unaccounted == 0
+
+    def line(self) -> str:
+        """The identity as one line, with its verdict."""
+        terms = " + ".join(f"{label} {count}" for label, count in (
+            (STORED[0], self.stored), *self.losses.items()))
+        verdict = ("holds" if self.holds
+                   else f"DOES NOT HOLD: off by {self.unaccounted}")
+        return f"conservation: produced {self.produced} = {terms} ({verdict})"
+
+    def as_dict(self) -> dict:
+        """The terms, the verdict and the line as plain data."""
+        return {"produced": self.produced, "stored": self.stored,
+                "losses": dict(self.losses), "holds": self.holds,
+                "line": self.line()}
+
+
 class StageHealth(NamedTuple):
     """Health of one pipeline stage."""
 
@@ -99,11 +159,13 @@ class HealthReport(NamedTuple):
 
     stages: tuple[StageHealth, ...]
     derived: dict[str, float]
+    conservation: Conservation
 
     def as_dict(self) -> dict:
         """Report as plain data (what ``dio health --format json`` prints)."""
         return {"stages": [stage.as_dict() for stage in self.stages],
-                "derived": dict(self.derived)}
+                "derived": dict(self.derived),
+                "conservation": self.conservation.as_dict()}
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -214,4 +276,5 @@ class PipelineHealth:
             for stage in STAGES)
         derived = {method: getattr(self, method)()
                    for method in self.DERIVED}
-        return HealthReport(stages=stages, derived=derived)
+        return HealthReport(stages=stages, derived=derived,
+                            conservation=Conservation.read(self.registry))

@@ -203,6 +203,44 @@ class TestHealthCommand:
         assert "stages" in report and "derived" in report
         assert report["stages"][1]["name"] == "ring_buffer"
 
+    @pytest.mark.parametrize("scenario", ["fluentbit", "rocksdb",
+                                          "resilience"])
+    def test_conservation_identity_holds(self, scenario, capsys):
+        import json
+
+        assert main(["health", "--scenario", scenario]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert main(["health", "--scenario", scenario,
+                     "--format", "json"]) == 0
+        identity = json.loads(capsys.readouterr().out)["conservation"]
+        assert line == identity["line"]
+        assert identity["holds"] and identity["produced"] > 0
+        assert identity["produced"] == identity["stored"] + sum(
+            identity["losses"].values())
+        assert line.startswith(f"conservation: produced "
+                               f"{identity['produced']} = stored ")
+        assert line.endswith("(holds)")
+        assert list(identity["losses"]) == [
+            "ring_dropped", "ring_pending", "shed", "staged",
+            "spill_pending", "crash_lost"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_terms_that_do_not_add_up_exit_1(self, fmt, capsys,
+                                             monkeypatch):
+        import repro.cli
+
+        run = repro.cli._run_traced_scenario
+
+        def miscounted(args):
+            # One accepted event no term accounts for.
+            tracer = run(args)
+            tracer.filter.accepted += 1
+            return tracer
+
+        monkeypatch.setattr(repro.cli, "_run_traced_scenario", miscounted)
+        assert main(["health", "--format", fmt]) == 1
+        assert "DOES NOT HOLD: off by 1" in capsys.readouterr().out
+
 
 class TestDstCommand:
     def test_run_campaign(self, capsys, tmp_path):

@@ -6,13 +6,15 @@ parked batches as overlays; ``legacy_correlate`` — a sorted search, one
 updates documents.  Twin stores fed the same batches must come out the
 same: the bytes of a scan (ids, order, key order, ``file_path`` last),
 the report, the epoch and, once both are hydrated, the row numbering
-and every column slot, postings included.
+and every column slot, postings included — on the sessions below and
+on random ones (the differential at the end).
 """
 
 import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backend import (DocumentStore, FilePathCorrelator, create_store,
                            export_session, import_session, legacy_correlate,
@@ -96,9 +98,9 @@ class Twins:
     ``store`` by :class:`FilePathCorrelator` as it stands (lanes,
     overlays); ``legacy`` by :func:`legacy_correlate`; ``by_rows`` by
     the same correlator after every document was hydrated, so that
-    each update takes the row path (``refresh_many``) in the same
+    its one update takes the row path (``refresh_many``) in the same
     order.  The legacy twin answers for what a reader sees — scan
-    bytes, report, epoch; the row twin for every slot of every
+    bytes, report; the row twin for the epoch and every slot of every
     column, dictionary orders included (the two correlators reach
     the tags in different orders — first open in insertion order,
     first open in time order — so against the legacy twin those orders
@@ -129,11 +131,14 @@ class Twins:
         seen = json.dumps(self.store.scan(INDEX))
         assert seen == json.dumps(self.legacy.scan(INDEX))
         assert seen == json.dumps(self.by_rows.scan(INDEX))
-        if isinstance(self.store, DocumentStore):
-            assert (self.store._indices[INDEX].epoch
-                    == self.legacy._indices[INDEX].epoch
-                    == self.by_rows._indices[INDEX].epoch)
-            assert index_state(self.store) == index_state(self.by_rows)
+        # One write per pass (the legacy flow writes once per tag): the
+        # epoch is the row twin's, shard by shard.
+        for mine, twin in zip(getattr(self.store, "shards", [self.store]),
+                              getattr(self.by_rows, "shards",
+                                      [self.by_rows])):
+            assert (mine._indices[INDEX].epoch
+                    == twin._indices[INDEX].epoch)
+            assert index_state(mine) == index_state(twin)
 
 
 def fed(how: str, indexed=INDEXED):
@@ -227,7 +232,8 @@ def test_an_index_on_file_path_made_before_correlation_is_kept(how):
     rows = index.columns._columns["file_path"].rows_equal(["/data/23"])
     moved = [index.columns.doc_ids[row] for row in rows[:2]]
     for each in twins.all():
-        assert each.update_docs(INDEX, moved, {"file_path": "/moved"}) == 2
+        assert each.update_docs(INDEX, moved,
+                                {"file_path": ["/moved", "/moved"]}) == 2
         assert each.count(INDEX, query) == matched - 2
         assert each.count(INDEX, {"term": {"file_path": "/moved"}}) == 2
     twins.assert_same()
@@ -269,7 +275,7 @@ def test_an_outage_during_correlation_half_applies_nothing():
     assert all(batch._overlay is None for _, batch in index._pending)
     now[0] = 10                                  # the outage is over
     twins.correlate(through=faulty)
-    assert hydrated(store) == 0 and index.epoch == epoch + 4
+    assert hydrated(store) == 0 and index.epoch == epoch + 1
     twins.assert_same()
 
 
@@ -331,7 +337,10 @@ FOREIGN = [
     {"syscall": "openat", "args": {"path": "/known"}, "time": 4,
      "file_tag": "d", "session": SESSION},
     {"syscall": "read", "args": ["fd", 3], "time": 5, "file_tag": "d",
-     "session": SESSION}]
+     "session": SESSION},
+    # A syscall name no set can hold: compared, never hashed.
+    {"syscall": ["openat"], "args": {"path": "/odd"}, "time": 6,
+     "file_tag": "e", "session": SESSION}]
 
 
 @pytest.mark.parametrize("correlate", [
@@ -366,10 +375,10 @@ def test_an_open_without_an_args_object_stays_unresolved(correlate, how,
             assert hydrated(store) == 0
     report = correlate(store)
     assert report.as_dict() == {
-        "tags_resolved": 1, "documents_updated": 2, "documents_tagged": 5,
-        "documents_unresolved": 3, "unresolved_ratio": 0.6}
+        "tags_resolved": 1, "documents_updated": 2, "documents_tagged": 6,
+        "documents_unresolved": 4, "unresolved_ratio": 4 / 6}
     assert [source.get("file_path") for _, source in store.scan(INDEX)] == [
-        None, None, None, "/known", "/known"]
+        None, None, None, "/known", "/known", None]
 
 
 def test_correlation_reads_the_path_argument_not_every_args():
@@ -383,3 +392,91 @@ def test_correlation_reads_the_path_argument_not_every_args():
     parked = [batch for _, batch in store._indices[INDEX]._pending]
     assert len(parked) == 4
     assert all(type(batch._lanes["args"][0]) is Derived for batch in parked)
+
+
+# ---------------------------------------------------------------------------
+# differential: random sessions against legacy_correlate
+
+_event = st.fixed_dictionaries({
+    "syscall": st.sampled_from(["openat", "open", "creat", "read", "write",
+                                "close"]),
+    # Few tags and few times: reopens under a new path at equal and at
+    # later times; t-4 is never opened in most sessions.
+    "tag": st.one_of(st.none(), st.sampled_from(
+        ["t-0", "t-1", "t-2", "t-3", "t-4"])),
+    "path": st.sampled_from(["/a", "/b", "/c", ""]),
+    "time": st.integers(0, 5),
+    "named": st.booleans(),
+})
+_batch = st.fixed_dictionaries({
+    "events": st.lists(_event, min_size=1, max_size=12),
+    "session": st.sampled_from([SESSION, SESSION, "other"]),
+    # ring: a decoded ring batch (lanes, no file_path); docs: parked
+    # documents, some already naming a file; rows: hydrated by bulk.
+    "form": st.sampled_from(["ring", "docs", "rows"]),
+    "hydrate_after": st.booleans(),
+})
+
+
+def _ring_record(event: dict) -> dict:
+    opening = event["syscall"] in ("openat", "open", "creat")
+    record = {"syscall": event["syscall"],
+              "args": {"path": event["path"]} if opening else {"fd": 3},
+              "ret": 3, "pid": 1, "tid": 1, "comm": "app",
+              "enter_ns": event["time"], "exit_ns": event["time"] + 1}
+    if event["tag"] is not None:
+        record["file_tag"] = event["tag"]
+    return record
+
+
+def _document(event: dict, session: str) -> dict:
+    doc = {"syscall": event["syscall"], "args": _ring_record(event)["args"],
+           "time": event["time"], "session": session}
+    if event["tag"] is not None:
+        doc["file_tag"] = event["tag"]
+    if event["named"]:
+        doc["file_path"] = "/named"
+    return doc
+
+
+def _fill(batches: list[dict], built: int):
+    def fill(store):
+        store.ensure_index(INDEX, indexed_fields=INDEXED)
+        for batch in batches:
+            session = batch["session"]
+            if batch["form"] == "ring":
+                store.bulk_columnar(INDEX, RecordBatch.decode(
+                    list(map(_ring_record, batch["events"])), session))
+            else:
+                docs = [_document(event, session)
+                        for event in batch["events"]]
+                if batch["form"] == "docs":
+                    store.bulk_columnar(INDEX, DocBatch(docs))
+                else:
+                    store.bulk(INDEX, docs)
+            if batch["hydrate_after"]:
+                hydrate(store)
+        # A window read builds the first rows' documents.
+        store.search(INDEX, size=built)
+    return fill
+
+
+@SHARDED
+@given(batches=st.lists(_batch, min_size=1, max_size=5),
+       built=st.integers(0, 20), session=st.sampled_from([SESSION, None]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_sessions_correlate_as_legacy_correlate(make, batches, built,
+                                                       session):
+    twins = Twins(_fill(batches, built), make)
+    twins.correlate(session)
+    # What a reader of the file_path column sees, on every twin.
+    aggs = {"paths": {"terms": {"field": "file_path", "size": 20}},
+            "named": {"value_count": {"field": "file_path"}}}
+    answers = [each.search(INDEX, size=0, aggs=aggs)["aggregations"]
+               for each in twins.all()]
+    assert answers[0] == answers[1] == answers[2]
+    for path in ("/a", "/b", "/c", "/named"):
+        query = {"term": {"file_path": path}}
+        assert len({each.count(INDEX, query) for each in twins.all()}) == 1
+    twins.assert_same()

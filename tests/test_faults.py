@@ -140,7 +140,7 @@ class TestFaultyStore:
         assert faulty.count("idx") == 1
         hits = faulty.search("idx")["hits"]["hits"]
         assert len(hits) == 1
-        assert faulty.update_docs("idx", [doc_id], {"b": 2}) == 1
+        assert faulty.update_docs("idx", [doc_id], {"b": [2]}) == 1
 
     def test_protect_requires_real_methods(self):
         with pytest.raises(FaultError):

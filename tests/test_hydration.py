@@ -142,7 +142,8 @@ def test_an_update_after_a_row_was_read_is_what_the_next_read_sees(saved,
     held = get_doc(store, INDEX, "5")
     assert "note" not in held and hydrated(store) == 1
     if how == "update_docs":
-        assert store.update_docs(INDEX, ["5", "6"], {"note": "x"}) == 2
+        assert store.update_docs(INDEX, ["5", "6"],
+                                 {"note": ["x", "x"]}) == 2
         assert hydrated(store) == 1             # an overlay: still parked
     else:
         tid = held["tid"]

@@ -279,9 +279,37 @@ def test_docs_at_builds_those_rows_alone(make, rows):
         id(docs[row]) for row in rows]
 
 
+@pytest.mark.parametrize("rows", [
+    [1, 2, 3], list(range(0, 40, 3)), [39, 0, 17, 2, 2], range(8, 30), [7],
+    []])
+def test_a_join_reads_values_at_those_rows_of_values_for(make, rows):
+    # Any producer as a part of a join (a join of joins included), and
+    # the joined producers themselves, taken ones too.
+    whole = make()
+    joins = [JoinedBatch([make()]), JoinedBatch([make(), make()])]
+    if isinstance(whole, JoinedBatch):
+        joins.append(make())
+    for batch in joins:
+        for field in fields_of(whole):
+            values = list(whole.values_for(field))
+            assert tagged(batch.values_at(field, rows)) == tagged(
+                values[row] for row in rows), field
+
+
+def test_values_at_sees_an_overlay(make):
+    batch, expected = JoinedBatch([make()]), copy.deepcopy(make().to_docs())
+    assert batch.overlay([30, 2, 9], {"file_path": ["/c", "/a", "/b"]})
+    for row, path in ((30, "/c"), (2, "/a"), (9, "/b")):
+        expected[row]["file_path"] = path
+    rows = [1, 2, 9, 30]
+    assert batch.values_at("file_path", rows) == [None, "/a", "/b", "/c"]
+    assert tagged(batch.values_at("syscall", rows)) == tagged(
+        expected[row]["syscall"] for row in rows)
+
+
 def test_docs_at_sees_an_overlay(make):
     batch, expected = make(), copy.deepcopy(make().to_docs())
-    assert batch.overlay([2, 9, 30], FIRST)
+    assert overlay(batch, [2, 9, 30], FIRST)
     for row in (2, 9, 30):
         expected[row].update(FIRST)
     rows = [30, 1, 9, 2]
@@ -401,6 +429,12 @@ FIRST = {"file_path": "/first", "resolved": None}
 SECOND = {"file_path": "/second", "resolved": True}
 
 
+def overlay(batch, rows: list[int], fields: dict) -> bool:
+    """``batch.overlay`` with every row of ``rows`` taking ``fields``."""
+    return batch.overlay(rows, {field: [value] * len(rows)
+                                for field, value in fields.items()})
+
+
 def assert_reads_as(batch, expected: list[dict]) -> None:
     """Every reader of the protocol agrees with ``expected``."""
     for field in list(dict.fromkeys(
@@ -419,8 +453,8 @@ def test_an_overlay_is_dict_update_to_every_reader(make, memoised):
     if memoised:
         batch.to_docs()                 # the tap or the journal built them
         batch.values_for("file_path")   # and a reader cached the lane
-    assert batch.overlay(list(range(0, 40, 3)), FIRST)
-    assert batch.overlay([9, 3, 38], SECOND)    # rows 3 and 9: twice
+    assert overlay(batch, list(range(0, 40, 3)), FIRST)
+    assert overlay(batch, [9, 3, 38], SECOND)    # rows 3 and 9: twice
     for row in range(0, 40, 3):
         expected[row].update(FIRST)
     for row in (9, 3, 38):
@@ -430,6 +464,17 @@ def test_an_overlay_is_dict_update_to_every_reader(make, memoised):
     assert batch.to_docs() is batch.to_docs()
 
 
+def test_each_row_takes_its_own_value_and_a_repeated_row_its_last(make):
+    batch, expected = make(), copy.deepcopy(make().to_docs())
+    rows = [5, 1, 33, 5, 20]
+    assert batch.overlay(rows, {"file_path": ["/a", "/b", "/c", "/d", "/e"],
+                                "resolved": [1, 2, 3, 4, None]})
+    for row, path, resolved in zip(rows, ["/a", "/b", "/c", "/d", "/e"],
+                                   [1, 2, 3, 4, None]):
+        expected[row].update({"file_path": path, "resolved": resolved})
+    assert_reads_as(batch, expected)
+
+
 @pytest.mark.parametrize("order", ["overlay-then-take",
                                    "take-then-overlay"])
 def test_an_overlay_and_take(make, order):
@@ -437,16 +482,16 @@ def test_an_overlay_and_take(make, order):
     expected = [copy.deepcopy(make().to_docs())[row] for row in rows]
     batch = make()
     if order == "overlay-then-take":
-        assert batch.overlay([3, 9, 12], FIRST)
+        assert overlay(batch, [3, 9, 12], FIRST)
         taken = batch.take(rows)
     else:
         taken = batch.take(rows)
-        assert taken.overlay([1, 4], FIRST)
+        assert overlay(taken, [1, 4], FIRST)
     expected[1].update(FIRST)
     expected[4].update(FIRST)
     assert_reads_as(taken, expected)
     again = taken.take(range(1, 4))
-    assert again.overlay([0], SECOND)
+    assert overlay(again, [0], SECOND)
     expected[1].update(SECOND)
     assert_reads_as(again, expected[1:4])
 
@@ -459,10 +504,10 @@ def test_an_overlay_and_take(make, order):
                        "second-shape"])
 def test_an_overlay_the_lanes_cannot_hold_is_refused(make, fields):
     batch, expected = make(), copy.deepcopy(make().to_docs())
-    assert batch.overlay([2, 5], FIRST)
+    assert overlay(batch, [2, 5], FIRST)
     expected[2].update(FIRST)
     expected[5].update(FIRST)
-    accepted = batch.overlay([5, 6], fields)
+    accepted = overlay(batch, [5, 6], fields)
     # Only a batch that *is* its documents can take any update; the
     # others refuse and leave every reader as it was, so the index
     # hydrates and updates rows.
@@ -479,14 +524,14 @@ def test_update_docs_on_a_column_of_the_batch_hydrates_as_before(make):
     oracle.bulk("idx", copy.deepcopy(make().to_docs()))
     index = store._indices["idx"]
     ids = ["3", "9", "40", "nobody"]
-    assert store.update_docs("idx", ids, {"late": 1}) == 3
+    assert store.update_docs("idx", ids, {"late": [1] * 4}) == 3
     assert index.pending_docs == 40 and index.hydrated_docs_total == 0
-    assert store.update_docs("idx", ids, {"syscall": "patched"}) == 3
+    assert store.update_docs("idx", ids, {"syscall": ["patched"] * 4}) == 3
     # (A batch that is its documents has nothing to hydrate for it.)
     hydrated = 0 if make.producer == "docs" else 40
     assert index.hydrated_docs_total == hydrated
     assert index.pending_docs == 40 - hydrated
-    for fields in ({"late": 1}, {"syscall": "patched"}):
+    for fields in ({"late": [1] * 4}, {"syscall": ["patched"] * 4}):
         oracle.update_docs("idx", ids, fields)
     assert dumps(store.scan("idx")) == dumps(oracle.scan("idx"))
     assert index.epoch == oracle._indices["idx"].epoch

@@ -160,8 +160,9 @@ def observe(store, sort_keys: bool = False) -> str:
 def mutate(store) -> None:
     """``update_docs``: rows rewritten under columns and postings the
     requests before have built."""
-    ids = [doc_id for doc_id, _ in store.scan(INDEX)]
-    store.update_docs(INDEX, ids[::3], {"file_path": "/moved", "pid": 11})
+    ids = [doc_id for doc_id, _ in store.scan(INDEX)][::3]
+    store.update_docs(INDEX, ids, {"file_path": ["/moved"] * len(ids),
+                                   "pid": [11] * len(ids)})
 
 
 def index_state(store: DocumentStore) -> str:

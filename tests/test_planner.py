@@ -281,5 +281,6 @@ class TestScanSemantics:
 
     def test_update_docs_refreshes_named_fields(self, store):
         store.bulk("idx", [{"k": 1}, {"k": 2}])
-        assert store.update_docs("idx", ["1", "missing"], {"tag": "hot"}) == 1
+        assert store.update_docs("idx", ["1", "missing"],
+                                 {"tag": ["hot", "hot"]}) == 1
         assert store.count("idx", {"term": {"tag": "hot"}}) == 1

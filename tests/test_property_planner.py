@@ -113,8 +113,8 @@ class TestPlannerEquivalence:
         if docs:
             victim = str(data.draw(st.integers(1, len(docs))))
             store.update_docs("events", [victim],
-                              {"time": data.draw(st.integers(0, 500)),
-                               "path": data.draw(st.sampled_from(_PATHS))})
+                              {"time": [data.draw(st.integers(0, 500))],
+                               "path": [data.draw(st.sampled_from(_PATHS))]})
         assert store.scan("events", query) == naive_scan(index, query)
 
 
@@ -232,14 +232,17 @@ class TestRowsAgainstBothOracles:
         some = st.lists(st.sampled_from(ids), max_size=4, unique=True)
         # An update that lands before the first query: on parked rows
         # it is an overlay, and the column is built with it applied.
-        store.update_docs("events", data.draw(some),
-                          {"late": data.draw(exotic_values)})
+        # Each id takes its own value.
+        picked = data.draw(some)
+        store.update_docs("events", picked, {
+            "late": [data.draw(exotic_values) for _ in picked]})
         _check(store, queries_)
         # Now every touched column (and its postings) exists: rewrite
         # rows under them and append a batch.
-        store.update_docs("events", data.draw(some),
-                          {"a": data.draw(exotic_values),
-                           "late": data.draw(exotic_values)})
+        picked = data.draw(some)
+        store.update_docs("events", picked, {
+            "a": [data.draw(exotic_values) for _ in picked],
+            "late": [data.draw(exotic_values) for _ in picked]})
         for doc_id in data.draw(some):
             store.index_doc("events", dict(data.draw(exotic_docs)), doc_id)
         _check(store, queries_)

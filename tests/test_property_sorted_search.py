@@ -79,7 +79,7 @@ def fill(store, docs, rewritten):
     store.bulk(INDEX, [dict(doc) for doc in docs[:half]])
     store.bulk_columnar(INDEX, DocBatch([dict(doc) for doc in docs[half:]]))
     for doc_id in rewritten:
-        store.update_docs(INDEX, [doc_id], {"k": "rewritten"})
+        store.update_docs(INDEX, [doc_id], {"k": ["rewritten"]})
 
 
 def recipe(store, query, sort, size, from_):

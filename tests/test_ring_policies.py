@@ -1,10 +1,12 @@
 """Tests for ring-buffer overflow policies (§V optimization study)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ebpf.ringbuf import (PerCPURingBuffer, SAMPLE_STRIDE,
+from repro.ebpf.ringbuf import (POLICIES, PerCPURingBuffer, SAMPLE_STRIDE,
                                 SAMPLE_WATERMARK)
 from repro.tracer import TracerConfig
+from tests.ring_oracle import OracleRing
 
 
 class TestDropNew:
@@ -89,3 +91,35 @@ class TestPolicyValidation:
             TracerConfig(ring_policy="nonsense")
         config = TracerConfig(ring_policy="overwrite-oldest")
         assert config.ring_policy == "overwrite-oldest"
+
+
+# ---------------------------------------------------------------------------
+# A drain takes a run: what the per-record ring leaves, under every policy
+
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("produce"), st.integers(0, 1), st.integers(1, 40)),
+    st.tuples(st.just("consume"), st.integers(0, 1),
+              st.one_of(st.none(), st.integers(0, 6)))), max_size=120)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@given(steps=_steps, capacity=st.integers(20, 120))
+@settings(max_examples=150, deadline=None)
+def test_any_interleaving_leaves_what_the_per_record_ring_leaves(
+        policy, steps, capacity):
+    ring = PerCPURingBuffer(2, capacity, policy=policy)
+    oracle = OracleRing(2, capacity, policy)
+    for number, (op, cpu, arg) in enumerate(steps):
+        if op == "produce":
+            assert ring.produce(cpu, number, arg) == oracle.produce(
+                cpu, number, arg)
+        else:
+            assert ring.consume(cpu, arg) == oracle.consume(cpu, arg)
+        assert [buffer.used for buffer in ring._buffers] == oracle.used
+        assert ring.pending_records() == sum(map(len, oracle.queues))
+    stats = ring.stats
+    assert (stats.produced, stats.consumed, stats.dropped,
+            stats.bytes_produced) == (oracle.produced, oracle.consumed,
+                                      oracle.dropped, oracle.bytes_produced)
+    assert ring.consume_all() == [record for cpu in (0, 1)
+                                  for record in oracle.consume(cpu)]

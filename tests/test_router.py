@@ -123,7 +123,7 @@ class TestRouting:
         store = sharded()
         store.bulk(INDEX, make_docs(30))
         ids = [doc_id for doc_id, _ in store.scan(INDEX, {"term": {"pid": 1}})]
-        store.update_docs(INDEX, ids, {"pid": 2})
+        store.update_docs(INDEX, ids, {"pid": [2] * len(ids)})
         # Every pid-1 doc now claims pid 2 but lives on pid-1's shard:
         # routed reads would miss them, so the coordinator must fan out.
         before = store.fanout_queries

@@ -152,12 +152,14 @@ class TestShardedEquivalence:
                                    {"file_path": "/resolved"}),
                                   ({"term": {"tid": 2}}, {"pid": 3})):
                 ids = [doc_id for doc_id, _ in store.scan("idx", query)]
-                store.update_docs("idx", ids, fields)
+                store.update_docs("idx", ids, {
+                    field: [value] * len(ids)
+                    for field, value in fields.items()})
             # update_docs with one id that exists and one that doesn't.
             tail = [doc_id for doc_id, _ in store.scan(
                 "idx", {"term": {"syscall": "late"}})]
             store.update_docs("idx", tail + ["never-there"],
-                              {"flagged": True})
+                              {"flagged": [True] * (len(tail) + 1)})
         assert_observably_identical(single, sharded)
 
     @given(batch_list=st.lists(batches, min_size=2, max_size=3),

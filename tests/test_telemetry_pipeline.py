@@ -9,7 +9,9 @@ from repro.experiments import overhead, run_fluentbit_case
 from repro.experiments.rocksdb_case import RocksDBScale
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
-from repro.telemetry import STAGES, registry_as_dict, to_prometheus
+from repro.telemetry import (STAGES, MetricsRegistry, registry_as_dict,
+                             to_prometheus)
+from repro.telemetry.health import Conservation
 from repro.tracer import DIOTracer, TracerConfig
 from tests.prometheus_oracle import parse_prometheus
 
@@ -92,6 +94,32 @@ class TestHealthReport:
     def test_report_as_dict_is_json_serializable(self, telemetry):
         data = telemetry.health_report().as_dict()
         assert json.loads(json.dumps(data)) == data
+
+
+class TestConservation:
+    def registry(self, **counts):
+        registry = MetricsRegistry()
+        for name, count in counts.items():
+            registry.counter(name, "hand-built").inc(count)
+        return registry
+
+    def test_terms_that_add_up_hold(self):
+        identity = Conservation.read(self.registry(
+            dio_filter_accepted_total=10, dio_shipper_events_total=7,
+            dio_ring_dropped_total=2, dio_consumer_crash_lost_total=1))
+        assert identity.holds
+        assert identity.line() == (
+            "conservation: produced 10 = stored 7 + ring_dropped 2 + "
+            "ring_pending 0 + shed 0 + staged 0 + spill_pending 0 + "
+            "crash_lost 1 (holds)")
+
+    def test_a_hand_built_registry_that_does_not_add_up(self):
+        identity = Conservation.read(self.registry(
+            dio_filter_accepted_total=10, dio_shipper_events_total=7,
+            dio_consumer_shed_total=1))
+        assert not identity.holds
+        assert identity.line().endswith("(DOES NOT HOLD: off by 2)")
+        assert identity.as_dict()["holds"] is False
 
 
 class TestExporterRoundTrip:
@@ -188,6 +216,13 @@ class TestHealthTellsTheTruth:
         assert stage_of(report, "ring_buffer").counters == {
             "produced": ring.produced, "dropped": ring.dropped,
             "consumed": ring.consumed, "bytes": ring.bytes_produced}
+
+    def test_conservation_names_the_ring_loss(self, lossy_tracer):
+        identity = lossy_tracer.telemetry.health_report().conservation
+        dropped = lossy_tracer.stats.dropped
+        assert identity.losses["ring_dropped"] == dropped > 0
+        assert identity.stored == lossy_tracer.stats.shipped
+        assert identity.holds
 
     def test_telemetry_is_not_optional(self):
         """No knob turns self-telemetry off: the field is gone, and
