@@ -17,10 +17,10 @@ sub-aggregation.  The columnar layer replaces that with flat lanes
   - a **numeric lane** of the rows' own numbers with a validity
     bitmap, plus ``num_kind`` saying which classes it holds — metric
     kernels read a lane instead of walking dicts;
-- :class:`ColumnSet` maintains the columns incrementally on put /
-  in-place refresh: a column is built lazily — from lanes,
-  hydrating nothing — the first time an aggregation, a query clause or
-  a sort touches the field, then kept up to date.
+- :class:`ColumnSet` maintains the columns incrementally on append
+  and update: a column is built lazily — from lanes, hydrating
+  nothing — the first time an aggregation, a query clause or a sort
+  touches the field, then kept up to date.
 
 The same column answers the query planner
 (:mod:`repro.backend.planner`), which addresses documents by row too:
@@ -59,7 +59,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
 from repro.backend.lanes import LaneBatch, sort_key
-from repro.backend.query import RANGE_OPS, field_affected, get_field
+from repro.backend.query import RANGE_OPS, field_affected
 
 #: Value classes a ``term``/``terms`` clause can match from the
 #: dictionary (what the planner calls indexable).
@@ -551,27 +551,13 @@ class ColumnSet:
         return self._doc_ids
 
     # ------------------------------------------------------------------
-    # Lifecycle (called from Index.put / refresh_many)
-
-    def note_put(self, doc_id: str, source: dict) -> None:
-        row = self._row_of.get(doc_id)
-        if row is None:
-            self._row_of[doc_id] = len(self._doc_ids)
-            self._doc_ids.append(doc_id)
-            for field, column in self._columns.items():
-                column.append(get_field(source, field))
-        else:
-            for field, column in self._columns.items():
-                column.set(row, get_field(source, field))
+    # Lifecycle (called from Index.bulk_append / update_docs)
 
     def extend_new(self, doc_ids: list[str], batch: LaneBatch) -> None:
-        """Lane-append brand-new documents (vectorized bulk path).
-
-        ``doc_ids`` must be unseen: the row mapping extends with zipped
-        C-speed bulk operations instead of one ``note_put`` per doc.
-        Columns that already exist (those a query, a sort or an
-        aggregation has touched — usually none during ingest) take the
-        batch's lane.
+        """Lane-append brand-new documents: the row mapping extends with
+        zipped C-speed bulk operations, and the columns that already
+        exist (those a query, a sort or an aggregation has touched —
+        usually none during ingest) take the batch's lane.
         """
         base = len(self._doc_ids)
         self._doc_ids.extend(doc_ids)
@@ -579,44 +565,30 @@ class ColumnSet:
         for field, column in self._columns.items():
             column.extend(batch.values_for(field))
 
-    def note_refresh(self, doc_id: str, source: dict,
-                     fields: Optional[Iterable[str]]) -> None:
-        """Re-read column values after an in-place source mutation."""
-        row = self._row_of.get(doc_id)
-        if row is None:
-            return
-        for column in self.affected(fields):
-            column.set(row, get_field(source, column.field))
+    def update(self, rows: list[int], fields: dict[str, Sequence]) -> None:
+        """Set ``fields`` — one value per row of ``rows``, a row listed
+        twice keeping its last — in the columns of those fields.  A
+        column the update reaches only through a dotted name (``args.fd``
+        under ``args``) is dropped: :meth:`ensure_column` builds it
+        again from the lanes."""
+        for field, column in list(self._columns.items()):
+            if field in fields:
+                last = dict(zip(rows, fields[field]))
+                for row in rows:
+                    column.set(row, last[row])
+            elif field_affected(field, fields):
+                del self._columns[field]
 
-    def affected(self, fields: Optional[Iterable[str]]) -> list[Column]:
-        """Columns a change to ``fields`` can invalidate (``None``: all)."""
-        if fields is None:
-            return list(self._columns.values())
-        return [column for field, column in self._columns.items()
-                if field_affected(field, fields)]
-
-    def ensure_column(self, field: str, docs: dict[str, dict],
-                      pending: Sequence[Any] = ()) -> Column:
-        """Build (or fetch) the column for ``field``.
-
-        ``docs`` are the hydrated documents and ``pending`` the
-        lane-appended batches (:class:`repro.backend.lanes.LaneBatch`)
-        still parked, whose rows follow them (only a write hydrates,
-        and it hydrates every parked row), so the parked rows are read
-        straight off the batches' lanes — building a column hydrates
-        nothing.
-        """
+    def ensure_column(self, field: str,
+                      batches: Iterable[LaneBatch]) -> Column:
+        """Build (or fetch) the column for ``field``, reading the rows
+        off ``batches`` — every part of the index, in row order — as
+        lanes: building a column builds no document."""
         column = self._columns.get(field)
         if column is None:
             column = Column(field)
-            lanes = [batch.values_for(field) for batch in pending]
-            values = [None] * (len(self._doc_ids) - sum(map(len, lanes)))
-            row_of = self._row_of
-            for doc_id, source in docs.items():
-                values[row_of[doc_id]] = get_field(source, field)
-            column.extend(values)
-            for lane in lanes:
-                column.extend(lane)
+            for batch in batches:
+                column.extend(batch.values_for(field))
             self._columns[field] = column
         return column
 

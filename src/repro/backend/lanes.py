@@ -20,8 +20,7 @@ every producer and consumer shares:
   itself: key tuples stored once, values as one lane per key, a dict
   only for the reader that asks for one.
 - :class:`Overlay` — fields set on some rows after the batch was built
-  (``update_docs`` on documents nobody hydrated yet), one value per
-  row.
+  (``update_docs`` on an index's parts), one value per row.
 - :func:`time_order` / :func:`time_ordered` — the one row-ordering
   rule, shared by the segment engine's load and save and by the
   diagnosis layer's one session read.
@@ -95,7 +94,8 @@ class LaneBatch(Protocol):
         above sees the new values, each new key last in its row.
         ``False`` — and nothing changed — when the batch cannot say
         that without its documents (it already has a column for one of
-        the keys), so the caller hydrates instead."""
+        the keys), so the index replaces it by a :class:`DocBatch` of
+        its rows and updates that instead."""
 
 
 def sort_key(value: Any):
@@ -716,7 +716,8 @@ class Lanes:
 
 class DocBatch:
     """Documents that already exist, behind the lane-batch protocol:
-    the hydrated prefix of an index, the rows of a WAL flush."""
+    what ``bulk`` and ``index_doc`` append to an index, a part an update
+    replaced with its rows, the rows of a WAL flush."""
 
     __slots__ = ("_docs", "_cache")
 

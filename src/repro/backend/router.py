@@ -7,8 +7,8 @@ shards — each with its own indexes, columns, and (when persisted) its
 own segment directory — and a thin coordinator that:
 
 - **routes writes** deterministically by a configurable shard key
-  (``file_tag`` hash, ``pid``, or ``time`` window; ``TracerConfig
-  [sharding]``), assigning *global* doc ids and insertion ranks and
+  (``file_tag`` hash, ``pid``, or ``time`` window; :func:`create_store`),
+  assigning *global* doc ids and insertion ranks and
   handing each shard its documents in rank order, so shard-local row
   order — every shard-local scan — is already the global order;
 - **partitions bulks** lane-wise: a decoded
@@ -59,7 +59,7 @@ from repro.backend.store import (DocumentStore, Index, StoreError,
                                  parse_sort, sort_key, span_start)
 from repro.backend.wal import frame_record, recover_log
 
-#: Supported shard keys (``TracerConfig.shard_key``).
+#: Supported shard keys (``create_store(shard_key=...)``).
 SHARD_KEYS = ("file_tag", "pid", "time_window")
 
 #: Default time-window width for ``shard_key="time_window"`` (1 s).
@@ -327,15 +327,14 @@ class ShardedDocumentStore:
     def oracle_index(self, name: str) -> Index:
         """A merged, read-only single :class:`Index` view.
 
-        Documents are re-put in global rank order, so naive oracles
-        (``naive_scan``/``naive_aggregate``) see exactly the document
-        sequence a single store would hold.  Mutating the view does
-        not write back; sources are shared by reference.
+        The documents are one part in global rank order, so naive
+        oracles (``naive_scan``/``naive_aggregate``) see exactly the
+        document sequence a single store would hold.  Mutating the view
+        does not write back; sources are shared by reference.
         """
         self._state(name)
         view = Index(name)
-        for doc_id, source in self.scan(name, None):
-            view.put(source, doc_id)
+        _append(view, self.scan(name, None))
         return view
 
     # ------------------------------------------------------------------
@@ -660,10 +659,11 @@ class ShardedDocumentStore:
         """Re-route every document by its current shard-key value.
 
         Optionally changes the shard count.  Ids, ranks, and sources
-        are preserved (sources move by reference, re-put in rank order
-        so every new shard's rows are in rank order), so reads before
-        and after are byte-identical; key-based routing becomes exact
-        again.  Returns the number of documents moved to a new shard.
+        are preserved (sources move by reference, one part per new
+        shard and index, in rank order, so every new shard's rows are
+        in rank order), so reads before and after are byte-identical;
+        key-based routing becomes exact again.  Returns the number of
+        documents moved to a new shard.
         """
         new_count = self.shard_count if shard_count is None else shard_count
         if not isinstance(new_count, int) or new_count < 1:
@@ -682,6 +682,7 @@ class ShardedDocumentStore:
             for shard in self.shards:
                 shard.ensure_index(name, fields)
             previous = old_owner[name]
+            by_shard: dict[int, list[tuple[str, dict]]] = {}
             for doc_id, source in docs:
                 code = self._route_source(source)
                 state.owner[doc_id] = code
@@ -698,7 +699,9 @@ class ShardedDocumentStore:
                                             int(doc_id) + 1)
                     except ValueError:
                         pass
-                self.shards[code].index_doc(name, source, doc_id)
+                by_shard.setdefault(code, []).append((doc_id, source))
+            for code, pairs in by_shard.items():
+                _append(self.shards[code].ensure_index(name), pairs)
         self.rebalances += 1
         return moved
 
@@ -755,8 +758,11 @@ class ShardedDocumentStore:
         A truncated or damaged image restores exactly its intact frame
         prefix and never raises a parser error: the whole image is
         scanned before the first document is applied, and the scan's
-        report is left in :attr:`shard_restore_report`.  Returns the
-        number of documents restored.
+        report is left in :attr:`shard_restore_report`.  An index is
+        append-only, so the first record of an id is applied and any
+        later one — or one of an id the shard holds already — is
+        skipped.  The documents land as one part per index; returns
+        how many.
         """
         from pathlib import Path
         if not 0 <= shard < self.shard_count:
@@ -766,16 +772,21 @@ class ShardedDocumentStore:
         records, self.shard_restore_report = recover_log(
             blob, SHARD_IMAGE_MAGIC, _image_record)
         target_store = self.shards[shard]
-        restored = 0
+        by_index: dict[str, dict[str, dict]] = {}
         for name, doc_id, rank, source in records:
             state = self._states.get(name)
             if state is None:
                 continue
-            target_store.index_doc(name, source, doc_id)
+            pairs = by_index.setdefault(name, {})
+            if (doc_id in pairs or doc_id
+                    in target_store.ensure_index(name).columns.row_of):
+                continue
+            pairs[doc_id] = source
             state.rank.setdefault(doc_id, rank)
             state.owner[doc_id] = shard
-            restored += 1
-        return restored
+        for name, pairs in by_index.items():
+            _append(target_store.ensure_index(name), list(pairs.items()))
+        return sum(map(len, by_index.values()))
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -870,23 +881,22 @@ class ShardedDocumentStore:
 # Factory
 
 
-def create_store(config=None, *, shard_count: Optional[int] = None,
+def _append(index: Index, pairs: list[tuple[str, dict]]) -> None:
+    """``(id, source)`` pairs onto ``index`` as one part."""
+    index.bulk_append(DocBatch([source for _, source in pairs]),
+                      [doc_id for doc_id, _ in pairs])
+
+
+def create_store(*, shard_count: Optional[int] = None,
                  shard_key: Optional[str] = None,
                  time_window_ns: Optional[int] = None):
-    """Build the backend a ``TracerConfig [sharding]`` block asks for.
+    """Build the backend: ``shard_count`` shards routed by
+    ``shard_key`` (default ``"pid"``).
 
     ``shard_count=1`` returns a plain :class:`DocumentStore` — not a
     one-shard router — so the default configuration is *literally*
     today's store: the differential oracle for every sharded run.
     """
-    if config is not None:
-        if shard_count is None:
-            shard_count = getattr(config, "shard_count", 1)
-        if shard_key is None:
-            shard_key = getattr(config, "shard_key", "pid")
-        if time_window_ns is None:
-            time_window_ns = getattr(config, "shard_time_window_ns",
-                                     DEFAULT_TIME_WINDOW_NS)
     shard_count = 1 if shard_count is None else shard_count
     if not isinstance(shard_count, int) or shard_count < 1:
         raise StoreError(f"shard_count must be a positive int: "

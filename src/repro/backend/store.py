@@ -6,6 +6,16 @@ with query + aggregations + sort + pagination, update-by-query (the
 correlation oracle's write) and ``update_docs`` — fields set by id,
 one value per id — which the correlator lands its whole pass with.
 
+An index holds its rows in one form: *parts*, ``(first row,
+LaneBatch)`` pairs in row order (:mod:`repro.backend.lanes`).  There
+is one write path — every write appends a part: ``bulk_columnar`` its
+batch as it came (a decoded ring batch, a loaded session), ``bulk``
+its documents as one :class:`DocBatch`, ``index_doc`` a one-row
+:class:`DocBatch` — and an index is append-only: a trace is written
+once and then annotated, never rewritten.  There is one update path,
+:meth:`Index.update_docs` (``update_by_query`` feeds it its matches'
+ids): each part takes its run of the rows as one overlay.
+
 Rows are the address of the read path.  Every document owns a row —
 its position in insertion order — and every field a request has
 touched owns one typed :class:`~repro.backend.columns.Column`, built
@@ -24,17 +34,16 @@ survivors.  Every plan decision is counted (``plan_counts``) and exposed
 through telemetry as ``dio_store_plan_{exact,pruned,fullscan}_total``
 plus a cumulative pruning-ratio gauge.
 
-Writes are delta-aware: re-putting or refreshing a document moves its
-row only in the columns whose values actually changed.  Documents a
-vectorized bulk parked as lanes (:mod:`repro.backend.lanes`) stay
-parked through the tail of a traced execution and through every read
-of a loaded session: :meth:`DocumentStore.lanes` reads them as lanes,
-:meth:`DocumentStore.update_docs` lands on them as one overlay per
-parked batch (its rows found by one bisect at each batch's end), and a
-request that returns hits builds the ``_source`` of those rows alone
-(:meth:`Index.sources`), so correlation, ``save_session``, diagnosis
-and a ``size=50`` window build no other dict.  Only a path that mutates
-documents hydrates the rest.
+A part stays as it came through the tail of a traced execution and
+through every read of a loaded session: :meth:`DocumentStore.lanes`
+reads the parts as lanes, :meth:`DocumentStore.update_docs` lands on
+them as one overlay per part (its rows found by one bisect at each
+part's end), and a request that returns hits builds the ``_source`` of
+those rows alone (:meth:`Index.sources`), so correlation,
+``save_session``, diagnosis and a ``size=50`` window build no other
+dict.  Only an update a part's lanes cannot hold (a field the batch
+has a lane for) builds the rest of that part, which then becomes a
+:class:`DocBatch` of its rows.
 
 Aggregations are *pushed down* to the columnar kernels
 (:mod:`repro.backend.columns`): the plan's rows are evaluated by
@@ -78,7 +87,14 @@ class StoreError(Exception):
 
 
 class Index:
-    """A named collection of JSON documents, addressed by row."""
+    """A named collection of JSON documents, addressed by row.
+
+    An index is its parts: ``(first row, LaneBatch)`` pairs in row
+    order.  Every write appends one (:meth:`bulk_append`) — a lane-wise
+    bulk its batch as it came, a document bulk or a single document a
+    :class:`DocBatch` — and an index is append-only: a document's row
+    is its insertion rank forever.
+    """
 
     def __init__(self, name: str,
                  indexed_fields: Optional[Iterable[str]] = None):
@@ -87,94 +103,54 @@ class Index:
         builds nothing: a field's column is built from lanes by the
         first query, sort or aggregation that touches it."""
         self.name = name
-        self._docs: dict[str, dict] = {}
         self._next_id = 1
         #: Row numbering plus one typed :class:`Column` per field any
         #: request has touched — the only per-field structure: the
         #: planner, the sort and the aggregation kernels all read it.
-        #: An index is append-only: a document's row is its insertion
-        #: rank forever.
         self.columns = ColumnSet()
-        #: Mutation epoch — any put/refresh bumps it, which is
+        #: Mutation epoch — any append or update bumps it, which is
         #: what keys cached aggregation results out of existence.
         self.epoch = 0
         self._agg_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        #: Lane-wise bulk appends still *parked*: ``(first row,
-        #: LaneBatch)`` pairs, the last rows of the index (``put``
-        #: hydrates them before it inserts), moved into ``_docs`` only
-        #: by a path that mutates documents.
-        self._pending: list[tuple[int, LaneBatch]] = []
-        self._pending_count = 0
-        #: Row -> ``_source`` of the parked rows a reader has asked for,
-        #: built one row at a time (:meth:`sources`): a row reads as
-        #: the same dict until it changes.
+        #: The rows: ``(first row, LaneBatch)`` parts in row order, and
+        #: their first rows alone, for :meth:`_runs` to bisect.
+        self._parts: list[tuple[int, LaneBatch]] = []
+        self._starts: list[int] = []
+        #: Row -> the ``_source`` a reader was handed (:meth:`sources`):
+        #: a row reads as the same dict until it changes.
         self._built: dict[int, dict] = {}
-        #: Documents lazily materialised so far (telemetry).
+        #: Rows of lane parts (any part but a :class:`DocBatch`, whose
+        #: documents exist already) whose ``_source`` no reader has had
+        #: built yet, and the rows built so far (telemetry).
+        self.pending_docs = 0
         self.hydrated_docs_total = 0
 
     def __len__(self) -> int:
-        return len(self._docs) + self._pending_count
-
-    # ------------------------------------------------------------------
-    # Lazy hydration (vectorized bulk path)
-
-    @property
-    def pending_docs(self) -> int:
-        """Documents appended lane-wise whose ``_source`` no reader has
-        asked for yet."""
-        return self._pending_count - len(self._built)
-
-    def _hydrate(self) -> None:
-        """Move every parked row into ``_docs`` — the dicts readers
-        were handed, the rest built batch by batch.
-
-        Called by the paths that mutate documents.  The batches were
-        appended in insertion order and ``put`` hydrates before
-        inserting, so ``_docs`` iteration order always matches row
-        order afterwards.
-        """
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        built, self._built = self._built, {}
-        self.hydrated_docs_total += self._pending_count - len(built)
-        self._pending_count = 0
-        docs = self._docs
-        doc_ids = self.columns.doc_ids
-        for start, batch in pending:
-            rows = range(start, start + len(batch))
-            held = list(map(built.get, rows))
-            if None in held:
-                held = [doc if doc is not None else new
-                        for doc, new in zip(held, batch.to_docs())]
-            docs.update(zip(doc_ids[start:rows.stop], held))
+        return len(self.columns.doc_ids)
 
     def column(self, field: str) -> Column:
-        """``field``'s column, built on first use — the planner's
-        field resolver, so a query pays for the fields it touches and
-        only those.  A first build reads the materialised documents as
-        dicts and the batches still parked as lanes, so planning and
-        aggregating never hydrate."""
+        """``field``'s column, built on first use from the parts' lanes
+        — the planner's field resolver, so a query pays for the fields
+        it touches and only those, and building one builds no
+        document."""
         return self.columns.ensure_column(
-            field, self._docs, [batch for _, batch in self._pending])
+            field, (batch for _, batch in self._parts))
+
+    # ------------------------------------------------------------------
+    # Write path
 
     def bulk_append(self, batch: LaneBatch,
-                    doc_ids: Optional[list[str]] = None) -> int:
-        """Append one :class:`LaneBatch` of brand-new docs.
+                    doc_ids: Optional[list] = None) -> int:
+        """Append one :class:`LaneBatch` of brand-new docs as a part.
 
-        The vectorized twin of ``put`` in a loop: ids and rows are
-        assigned in one pass and no source dict is built — the batch is
-        parked on the pending list until a reader needs sources, and
-        only the columns that already exist take its lanes.  State
-        after this call plus
-        :meth:`_hydrate` is identical to ``len(batch)`` sequential
-        ``put`` calls.
+        Ids and rows are assigned in one pass and no source dict is
+        built; only the columns that already exist take the batch's
+        lanes.
 
         ``doc_ids`` lets a coordinator (the shard router) assign
-        *global* ids; it sends them in global insertion order, so
-        shard-local row order is the global order.  Ids must be
-        brand-new and, when numeric, ascending — the id counter is
-        advanced past the last one.
+        *global* ids, and a restore the ids of an image; they must be
+        brand-new, in any order: the id counter is advanced past the
+        largest numeric one, so no auto id repeats it.
         """
         n = len(batch)
         if n == 0:
@@ -184,74 +160,31 @@ class Index:
             self._next_id = start + n
             doc_ids = list(map(str, range(start, start + n)))
         else:
-            self._claim_id(doc_ids[-1])
+            self._claim_ids(doc_ids)
         self.epoch += n
-        self._pending.append((len(self.columns.doc_ids), batch))
-        self._pending_count += n
+        self._starts.append(len(self.columns.doc_ids))
+        self._parts.append((self._starts[-1], batch))
+        if type(batch) is not DocBatch:
+            self.pending_docs += n
         self.columns.extend_new(doc_ids, batch)
         return n
 
-    # ------------------------------------------------------------------
-    # Write path
-
-    def _generate_id(self) -> str:
-        doc_id = str(self._next_id)
-        self._next_id += 1
-        return doc_id
-
-    def _claim_id(self, doc_id: str) -> None:
-        """Advance the id counter past explicit numeric ids.
-
-        Without this, ``put(source, doc_id="7")`` followed by enough
-        auto-id puts would silently overwrite document ``"7"``.
-        """
+    def _claim_ids(self, doc_ids: list) -> None:
+        """Advance the id counter past every numeric id of
+        ``doc_ids``."""
         try:
-            numeric = int(str(doc_id))
-        except ValueError:
-            return
-        if numeric >= self._next_id:
-            self._next_id = numeric + 1
+            top = max(map(int, doc_ids))
+        except (TypeError, ValueError):
+            # Some id is no number; an auto id can only repeat a
+            # decimal one.
+            top = max((int(doc_id) for doc_id in map(str, doc_ids)
+                       if doc_id.isdecimal()), default=0)
+        if top >= self._next_id:
+            self._next_id = top + 1
 
-    def put(self, source: dict, doc_id: Optional[str] = None) -> str:
-        """Index one document; returns its id.
-
-        Re-putting an existing id keeps its row and is delta-aware:
-        each column moves the row only if the field's value changed,
-        and in-place mutations of the stored source are handled
-        correctly because a column remembers what it holds per row.
-        """
-        if not isinstance(source, dict):
-            raise StoreError(f"document source must be a dict: {source!r}")
-        self._hydrate()                    # keep _docs in insertion order
-        if doc_id is None:
-            doc_id = self._generate_id()
-        else:
-            self._claim_id(doc_id)
-        self._docs[doc_id] = source
-        self.epoch += 1
-        self.columns.note_put(doc_id, source)
-        return doc_id
-
-    def documents(self) -> Iterator[tuple[str, dict]]:
+    def documents(self) -> list[tuple[str, dict]]:
         """All (id, source) pairs in insertion order."""
-        self._hydrate()
-        return iter(self._docs.items())
-
-    def refresh_many(self, doc_ids: Iterable[str],
-                     fields: Optional[Iterable[str]] = None) -> None:
-        """Re-read column values after in-place source mutations.
-
-        ``fields`` narrows the work to columns that can actually have
-        changed (e.g. the correlator only ever sets ``file_path``).
-        """
-        self._hydrate()
-        self.epoch += 1
-        docs = self._docs
-        fields = tuple(fields) if fields is not None else None
-        for doc_id in doc_ids:
-            source = docs.get(doc_id)
-            if source is not None:
-                self.columns.note_refresh(doc_id, source, fields)
+        return self.pairs(self.columns.all_rows())
 
     def update_docs(self, doc_ids: Iterable[str],
                     fields: dict[str, Sequence]) -> int:
@@ -260,44 +193,31 @@ class Index:
         ``fields`` maps each key to one value per id of ``doc_ids``, in
         their order: what ``source.update`` of each document with its
         own values leaves, one id after another (an id listed twice
-        keeps its last).  A document still parked as lanes takes the
-        update as an overlay on its batch (:meth:`LaneBatch.overlay`)
-        and stays parked; state after :meth:`_hydrate` is what updating
-        hydrated documents leaves.
+        keeps its last).  The one update of an index (:meth:`_overlay`).
         """
         doc_ids = check_update(doc_ids, fields)
         rows = list(map(self.columns.row_of.get, doc_ids))
         if None in rows:
             keep = [at for at, row in enumerate(rows) if row is not None]
-            doc_ids = list(map(doc_ids.__getitem__, keep))
             rows = list(map(rows.__getitem__, keep))
             fields = {field: list(map(lane.__getitem__, keep))
                       for field, lane in fields.items()}
-        if not self._overlay(rows, fields):
-            self._hydrate()
-            docs = self._docs
-            for field, lane in fields.items():
-                for doc_id, value in zip(doc_ids, lane):
-                    docs[doc_id][field] = value
-            self.refresh_many(doc_ids, tuple(fields))
+        self.epoch += 1
+        if rows and fields:
+            self._overlay(rows, fields)
         return len(rows)
 
-    def _overlay(self, rows: list[int], fields: dict[str, Sequence]) -> bool:
-        """:meth:`update_docs` of ``rows`` without hydrating; ``False``
-        when a batch or a column needs the documents for it (a batch
-        that took the overlay before another refused keeps it: the row
-        path then sets the same values again).
+    def _overlay(self, rows: list[int], fields: dict[str, Sequence]) -> None:
+        """:meth:`update_docs` of ``rows``: each part takes its run of
+        them (:meth:`_runs`, the rows taken in ascending order) as one
+        overlay (:meth:`LaneBatch.overlay`).
 
-        The rows are taken in ascending order, each parked batch's run
-        of them found by one bisect at its end, and each batch takes
-        its run as one overlay.
+        A part that cannot hold the update as lanes (they hold one of
+        its fields already, or its overlay has another shape) becomes a
+        :class:`DocBatch` of its rows first: the dicts readers hold,
+        the rest built now.  The columns follow
+        (:meth:`ColumnSet.update`).
         """
-        pending = self._pending
-        if not pending:
-            return False
-        columns = self.columns.affected(fields)
-        if not all(held.field in fields for held in columns):
-            return False                # a dotted name under a new key
         ordered, lanes = rows, fields
         if not ascending(rows):
             # Stable: an id listed twice keeps its last value.
@@ -305,37 +225,32 @@ class Index:
             ordered = list(map(rows.__getitem__, order))
             lanes = {field: list(map(lane.__getitem__, order))
                      for field, lane in fields.items()}
-        # The dicts readers already hold take the update too: the
-        # hydrated rows before the first parked batch, and the parked
-        # rows built for a reader.
-        at = bisect_left(ordered, pending[0][0])
-        held = [(self._docs[self.columns.doc_ids[row]], position)
-                for position, row in enumerate(ordered[:at])]
+        # The dicts readers already hold take the update too.
         built = self._built
-        for start, batch in pending:
-            upto = bisect_left(ordered, start + len(batch), at)
-            if upto == at:
-                continue
+        held = []
+        for number, at, upto in self._runs(ordered):
+            start, batch = self._parts[number]
             if built:
                 held.extend((built[row], position)
                             for position, row in enumerate(
                                 ordered[at:upto], at) if row in built)
-            if not batch.overlay([row - start for row in ordered[at:upto]],
-                                 {field: lane[at:upto]
-                                  for field, lane in lanes.items()}):
-                return False
-            at = upto
+            local = [row - start for row in ordered[at:upto]]
+            run = {field: lane[at:upto] for field, lane in lanes.items()}
+            if not batch.overlay(local, run):
+                docs = list(map(built.get, range(start, start + len(batch))))
+                fresh = docs.count(None)
+                if fresh:
+                    docs = [doc if doc is not None else new
+                            for doc, new in zip(docs, batch.to_docs())]
+                    self.pending_docs -= fresh
+                    self.hydrated_docs_total += fresh
+                batch = DocBatch(docs)
+                batch.overlay(local, run)
+                self._parts[number] = (start, batch)
         for field, lane in lanes.items():
             for source, position in held:
                 source[field] = lane[position]
-        self.epoch += 1
-        for column in columns:
-            # In the ids' order, each row's last value: what the row
-            # path's refresh sets.
-            last = dict(zip(rows, fields[column.field]))
-            for row in rows:
-                column.set(row, last[row])
-        return True
+        self.columns.update(rows, fields)
 
     # ------------------------------------------------------------------
     # Read path
@@ -352,40 +267,47 @@ class Index:
     def sources(self, rows: Sequence[int]) -> list[dict]:
         """The ``_source`` of each of ``rows``, in their order.
 
-        A parked row is built from its batch's lanes the first time a
-        reader asks for it — on its own (:meth:`LaneBatch.docs_at`),
-        or with the whole batch when all of it is asked for at once —
-        and is the same dict on every read after, until it changes.
+        A row is built from its part's lanes the first time a reader
+        asks for it — on its own (:meth:`LaneBatch.docs_at`), or with
+        the whole part when all of it is asked for at once — and is the
+        same dict on every read after, until it changes.
         """
-        doc_ids = self.columns.doc_ids
-        docs = self._docs
-        if not self._pending:
-            return [docs[doc_ids[row]] for row in rows]
-        first = self._pending[0][0]
         built = self._built
-        missing = [row for row in rows if row >= first and row not in built]
+        missing = [row for row in rows if row not in built]
         if missing:
             self._build(missing)
-        return [docs[doc_ids[row]] if row < first else built[row]
-                for row in rows]
+        return list(map(built.__getitem__, rows))
 
-    def _build(self, rows: list[int]) -> None:
-        """Build the parked ``rows`` (distinct, none built yet), one
-        batch's run of them at a time."""
-        rows.sort()
-        pending = self._pending
-        starts = [start for start, _ in pending]
-        built = self._built
+    def _runs(self, rows: Sequence[int]
+              ) -> Iterator[tuple[int, int, int]]:
+        """``(part number, at, upto)`` of each part holding some of the
+        ascending ``rows``, in row order: ``rows[at:upto]`` are its
+        rows.  A part is found by one bisect of the parts' first rows,
+        its run by one bisect at its end, so a part no row is in costs
+        nothing."""
+        starts = self._starts
         at = 0
         while at < len(rows):
-            start, batch = pending[bisect_right(starts, rows[at]) - 1]
+            number = bisect_right(starts, rows[at]) - 1
+            start, batch = self._parts[number]
             upto = bisect_left(rows, start + len(batch), at)
+            yield number, at, upto
+            at = upto
+
+    def _build(self, rows: list[int]) -> None:
+        """Build ``rows`` (distinct, none built yet), one part's run of
+        them at a time."""
+        rows.sort()
+        built = self._built
+        for number, at, upto in self._runs(rows):
+            start, batch = self._parts[number]
             need = rows[at:upto]
             built.update(zip(need, batch.to_docs() if len(need) == len(batch)
                              else batch.docs_at([row - start
                                                  for row in need])))
-            at = upto
-        self.hydrated_docs_total += len(rows)
+            if type(batch) is not DocBatch:
+                self.pending_docs -= len(need)
+                self.hydrated_docs_total += len(need)
 
     def pairs(self, rows: Sequence[int]) -> list[tuple[str, dict]]:
         """``(id, source)`` of ``rows``, in their order."""
@@ -402,27 +324,17 @@ class Index:
         """The matches of :meth:`scan`, in its order, as ``(doc_ids,
         batch)`` — one joined lane batch, no document built.
 
-        A parked batch is handed over as it is (or taken to its
-        matching rows) whether or not a reader has had some of its
-        rows built — the lanes and those dicts say the same — and the
-        hydrated documents are the transposing part.
+        A part is handed over as it is (or taken to its matching rows)
+        whether or not a reader has had some of its rows built: the
+        lanes and those dicts say the same.
         """
         rows, _ = self.matching_rows(query, plan)
-        doc_ids = self._ids(rows)
-        pending = self._pending
-        # Hydrated rows first: the parked batches are the last rows.
-        done = bisect_left(rows, pending[0][0]) if pending else len(rows)
-        parts: list[LaneBatch] = [DocBatch(
-            list(map(self._docs.__getitem__, doc_ids[:done])))]
-        for start, batch in pending:
-            upto = bisect_left(rows, start + len(batch), done)
-            if upto - done == len(batch):
-                parts.append(batch)
-            elif upto > done:
-                parts.append(batch.take(
-                    [row - start for row in rows[done:upto]]))
-            done = upto
-        return doc_ids, JoinedBatch(parts)
+        parts: list[LaneBatch] = []
+        for number, at, upto in self._runs(rows):
+            start, batch = self._parts[number]
+            parts.append(batch if upto - at == len(batch) else batch.take(
+                [row - start for row in rows[at:upto]]))
+        return self._ids(rows), JoinedBatch(parts)
 
     def count(self, query: Optional[dict],
               plan: Optional[QueryPlan] = None) -> int:
@@ -532,13 +444,13 @@ _STORE_FAMILIES = (
      "Lane-appended documents (traced batches and loaded sessions) "
      "whose _source dicts were built: one row at a time for the hits "
      "a request returns (and the candidates an inexact plan "
-     "re-checks), the rest when a write needs the documents (a put, "
-     "an update a lane cannot overlay).  Aggregations, exact "
-     "plans, file-path correlation, save_session and diagnosis read "
-     "lanes and build nothing."),
+     "re-checks), the rest of a batch when an update sets a field the "
+     "batch holds as a lane.  Puts, aggregations, exact plans, "
+     "file-path correlation, save_session and diagnosis build "
+     "nothing."),
     ("gauge", "dio_ingest_pending_docs", "pending_docs",
      "Lane-appended documents (traced batches and loaded sessions) "
-     "whose _source no reader has had built yet."),
+     "whose _source no reader or update has had built yet."),
     ("counter", "dio_store_plan_exact_total", "plan_exact",
      "Queries the planner resolved as exact."),
     ("counter", "dio_store_plan_pruned_total", "plan_pruned",
@@ -754,26 +666,31 @@ class DocumentStore:
 
     def index_doc(self, index: str, source: dict,
                   doc_id: Optional[str] = None) -> str:
-        """Index a single document."""
-        doc_id = self.ensure_index(index).put(source, doc_id)
+        """Index a single document, as a one-row :class:`DocBatch`
+        part; returns its id.  An id the index already holds is a
+        :class:`StoreError`: an index is append-only."""
+        target = self.ensure_index(index)
+        if not isinstance(source, dict):
+            raise StoreError(f"document source must be a dict: {source!r}")
+        if doc_id is not None and doc_id in target.columns.row_of:
+            raise StoreError(f"document {doc_id!r} already exists in "
+                             f"{index!r}: an index is append-only")
+        target.bulk_append(DocBatch([source]),
+                           None if doc_id is None else [doc_id])
         self.documents_indexed += 1
-        return doc_id
+        return target.columns.doc_ids[-1]
 
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
-        """Bulk-index documents, one ``put`` each; returns how many.
-
-        A source that is not a dict stores nothing: every source is
-        checked before the first is put.
-        """
+        """Bulk-index documents as one :class:`DocBatch` part; returns
+        how many.  A source that is not a dict stores nothing: every
+        source is checked before any id is assigned."""
         start = span_start(self._telemetry)
-        sources = check_sources(sources)
-        target = self.ensure_index(index)
-        for source in sources:
-            target.put(source)
+        batch = DocBatch(check_sources(sources))
+        count = self.ensure_index(index).bulk_append(batch)
         self.bulk_requests += 1
-        self.documents_indexed += len(sources)
+        self.documents_indexed += count
         observe_span(self._telemetry, "store.bulk", start)
-        return len(sources)
+        return count
 
     def bulk_columnar(self, index: str, batch: LaneBatch,
                       doc_ids: Optional[list[str]] = None) -> int:
@@ -909,24 +826,15 @@ class DocumentStore:
         return _response(index, total, window, aggregations)
 
     def update_by_query(self, index: str, query: Optional[dict],
-                        update: Callable[[dict], None] | dict) -> int:
-        """Apply ``update`` to every matching document.
-
-        ``update`` is either a callable mutating the source in place or
-        a dict of fields to set (the common correlation case).  Returns
-        the number of updated documents.  Re-indexing is delta-aware:
-        for dict updates only the named fields' columns are refreshed.
-        """
+                        fields: dict) -> int:
+        """Set ``fields`` (key -> value) on every document matching
+        ``query``; returns how many — :meth:`update_docs` of the
+        matches' ids."""
         target = self._index(index)
-        matches = target.scan(query, self._plan(target, query))
-        fields = None if callable(update) else tuple(update)
-        for _, source in matches:
-            if callable(update):
-                update(source)
-            else:
-                source.update(update)
-        target.refresh_many((doc_id for doc_id, _ in matches), fields)
-        return len(matches)
+        rows, count = target.matching_rows(query, self._plan(target, query))
+        return target.update_docs(
+            target._ids(rows),
+            {field: [value] * count for field, value in fields.items()})
 
     def update_docs(self, index: str, doc_ids: Iterable[str],
                     fields: dict[str, Sequence]) -> int:

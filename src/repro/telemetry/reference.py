@@ -58,8 +58,7 @@ _SECTIONS = (
      "The sharded backend (``repro.backend.router``): deterministic "
      "key-based routing over N document-store shards, shard-by-shard "
      "scatter-gather reads, and partial-merge aggregation.  Present "
-     "when the ``TracerConfig [sharding]`` section asks for "
-     "``shard_count > 1``."),
+     "when the store is built with ``create_store(shard_count > 1)``."),
     ("dio_tenant_", "Tenancy",
      "Per-tenant isolation on top of the shard router "
      "(``repro.backend.tenancy``): disjoint shard sets, admission-"

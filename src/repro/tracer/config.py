@@ -14,13 +14,6 @@ from typing import Optional
 
 from repro.kernel.syscalls import ALL_SYSCALLS
 
-#: Deterministic shard-routing keys for the sharded backend
-#: (``shard_count > 1``): route by file tag, by pid, or by time
-#: window.  Kept in sync with ``repro.backend.router.SHARD_KEYS``
-#: (asserted in tests) — importing it here would pull the whole
-#: backend into every config parse.
-SHARD_KEYS = ("file_tag", "pid", "time_window")
-
 #: How the tracer sees io_uring traffic: "classic" observes only the
 #: ``io_uring_enter``/``io_uring_setup``/``io_uring_register`` syscalls
 #: (the strace blind spot — one enter event per submitted batch,
@@ -63,16 +56,6 @@ class TracerConfig:
     #: (docs/STORAGE.md).  ``None`` disables local persistence
     #: (backend-only, the default).
     storage_dir: Optional[str] = None
-
-    # -- backend sharding (scatter-gather coordinator) -------------------
-    #: Number of backend shards.  ``1`` (default) serves everything
-    #: from a single ``DocumentStore`` — the differential oracle.
-    #: ``> 1`` routes through ``repro.backend.router.ShardedDocumentStore``.
-    shard_count: int = 1
-    #: Deterministic routing key: "file_tag", "pid", or "time_window".
-    shard_key: str = "pid"
-    #: Window width for ``shard_key="time_window"`` routing (ns).
-    shard_time_window_ns: int = 1_000_000_000
 
     # -- ring buffer (paper §III-D: 256 MiB per CPU core) ---------------
     ring_capacity_bytes_per_cpu: int = 256 * 1024 * 1024
@@ -146,15 +129,6 @@ class TracerConfig:
             raise ValueError("poll interval must be >= 1 ns")
         if self.parse_ns_per_event < 0:
             raise ValueError("parse cost must be >= 0")
-        if not isinstance(self.shard_count, int) or self.shard_count < 1:
-            raise ValueError(
-                f"shard count must be a positive int: {self.shard_count!r}")
-        if self.shard_key not in SHARD_KEYS:
-            raise ValueError(
-                f"unknown shard key {self.shard_key!r};"
-                " pick 'file_tag', 'pid', or 'time_window'")
-        if self.shard_time_window_ns < 1:
-            raise ValueError("shard time window must be >= 1 ns")
         if self.ship_retry_backoff_ns <= 0:
             raise ValueError("retry backoff base must be positive")
         if self.backoff_cap_ns < self.ship_retry_backoff_ns:

@@ -7,6 +7,7 @@ import pytest
 from repro.backend import (DocumentStore, FilePathCorrelator,
                            run_aggregations)
 from repro.backend.aggregations import AggregationError, percentile
+from repro.backend.lanes import DocBatch
 from repro.backend.store import StoreError
 
 
@@ -71,11 +72,15 @@ class TestDocumentAPIs:
         doc_id = store.index_doc("idx", {"k": "v"})
         assert get_doc(store, "idx", doc_id) == {"k": "v"}
 
-    def test_explicit_id_overwrites(self, store):
+    def test_an_id_the_index_holds_is_refused(self, store):
+        # An index is append-only: a second put of an id changes nothing.
         store.index_doc("idx", {"v": 1}, doc_id="x")
-        store.index_doc("idx", {"v": 2}, doc_id="x")
-        assert get_doc(store, "idx", "x") == {"v": 2}
+        epoch = store._indices["idx"].epoch
+        with pytest.raises(StoreError):
+            store.index_doc("idx", {"v": 2}, doc_id="x")
+        assert get_doc(store, "idx", "x") == {"v": 1}
         assert store.count("idx") == 1
+        assert store._indices["idx"].epoch == epoch
 
     def test_bulk_counts(self, store):
         n = store.bulk("idx", [{"i": i} for i in range(5)])
@@ -97,6 +102,14 @@ class TestIdAllocation:
     def test_explicit_int_id_advances_auto_ids(self, store):
         store.index_doc("idx", {"who": "explicit"}, doc_id=3)
         assert store.index_doc("idx", {"who": "auto"}) == "4"
+
+    def test_the_ids_of_an_append_advance_auto_ids_past_the_largest(self,
+                                                                     store):
+        # Ids a restore or a coordinator hands in need not ascend.
+        index = store.ensure_index("idx")
+        index.bulk_append(DocBatch([{"k": 1}, {"k": 2}, {"k": 3}]),
+                          ["9", "alpha", "3"])
+        assert store.index_doc("idx", {"k": 4}) == "10"
 
     def test_non_numeric_ids_leave_sequence_alone(self, store):
         store.index_doc("idx", {"k": 1}, doc_id="alpha")
@@ -185,15 +198,6 @@ class TestSearch:
         response = store.search(
             "events", query={"term": {"file_path": "/tmp/app.log"}}, size=None)
         assert response["hits"]["total"]["value"] == 5
-
-    def test_update_by_query_callable(self, store):
-        seed_events(store)
-        store.update_by_query(
-            "events", {"term": {"syscall": "write"}},
-            lambda src: src.update(double_ret=src["ret"] * 2))
-        doc = store.search("events",
-                           query={"term": {"syscall": "write"}})["hits"]["hits"][0]
-        assert doc["_source"]["double_ret"] == 52
 
     def test_update_refreshes_inverted_index(self, store):
         store.index_doc("idx", {"state": "old"}, doc_id="1")

@@ -6,7 +6,8 @@ per-row ``append`` leaves it: the ``supports()`` gate reads
 ``collisions``/``unencodable``/``simple``/``num_kind`` and the bisect
 bucketiser reads ``num_sorted``, so a wrong flag is a wrong answer, not
 a slow one.  The same comparison covers ``ColumnSet.ensure_column``
-built from pending lanes against one built from hydrated documents.
+built from an index's parts against per-row ``append`` of its
+documents.
 """
 
 import copy
@@ -170,7 +171,15 @@ def test_ints_beyond_int64_stay_exact_ints_and_push_down(small, big, ordered,
 
 
 # ---------------------------------------------------------------------------
-# ensure_column: lanes vs hydrated documents
+# ensure_column: lanes vs documents
+
+def column_of_documents(index, field: str) -> Column:
+    """What per-row ``append`` of the index's documents builds."""
+    column = Column(field)
+    for _, doc in index.documents():
+        column.append(get_field(doc, field))
+    return column
+
 
 def _records(n: int) -> list[dict]:
     return [{"syscall": ("read", "write", "close")[i % 3],
@@ -204,8 +213,7 @@ def test_column_built_from_lanes_equals_column_built_from_docs(
     assert index.pending_docs == 24 - 8 * hydrated_batches
     for field in FIELDS:
         built = index.column(field)
-        oracle = oracle_index.columns.ensure_column(field,
-                                                    oracle_index._docs)
+        oracle = column_of_documents(oracle_index, field)
         assert state(built) == state(oracle), field
     # Building columns read the pending rows as lanes: none hydrated.
     assert index.pending_docs == 24 - 8 * hydrated_batches
@@ -223,11 +231,10 @@ def test_column_built_after_a_put_reads_documents_then_parked_lanes():
     docs = fill(lambda store, batch: store.bulk("idx", batch.to_docs()))
     index, oracle_index = lanes._indices["idx"], docs._indices["idx"]
     column = index.column("time")
-    assert index.pending_docs == 3
+    assert index.pending_docs == 9      # the put built nothing
     assert list(column.nonnull) == [1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
     assert not column.num_sorted        # 150, then 100 again
-    assert state(column) == state(oracle_index.columns.ensure_column(
-        "time", oracle_index._docs))
+    assert state(column) == state(column_of_documents(oracle_index, "time"))
 
 
 def test_args_columns_of_a_loaded_session_are_read_off_the_key_lanes(
@@ -243,8 +250,7 @@ def test_args_columns_of_a_loaded_session_are_read_off_the_key_lanes(
     for field in ("args", "args.path", "args.fd", "args.nope",
                   "args.fd.deeper"):
         built = index.column(field)
-        oracle = oracle_index.columns.ensure_column(field,
-                                                    oracle_index._docs)
+        oracle = column_of_documents(oracle_index, field)
         assert state(built) == state(oracle), field
     assert index.pending_docs == 24 and index.hydrated_docs_total == 0
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.backend import DocumentStore, naive_aggregate, run_aggregations
 from repro.backend.columns import Column, ColumnSet
+from repro.backend.lanes import DocBatch
 from repro.backend.store import StoreError
 
 
@@ -116,43 +117,32 @@ class TestColumn:
 
 class TestColumnSet:
     def test_lazy_build_then_incremental(self):
-        docs = {"1": {"f": "a"}, "2": {"f": "b"}}
+        batch = DocBatch([{"f": "a"}, {"f": "b"}])
         cols = ColumnSet()
-        for doc_id, source in docs.items():
-            cols.note_put(doc_id, source)
-        col = cols.ensure_column("f", docs)
+        cols.extend_new(["1", "2"], batch)
+        col = cols.ensure_column("f", [batch])
         assert [col.table[c] for c in col.codes] == ["a", "b"]
-        cols.note_put("3", {"f": "a"})
+        cols.extend_new(["3"], DocBatch([{"f": "a"}]))
         assert len(col.codes) == 3
 
-    def test_delete_and_overwrite(self):
-        cols = ColumnSet()
-        cols.note_put("1", {"f": "a"})
-        cols.note_put("2", {"f": "b"})
-        cols.ensure_column("f", {"1": {"f": "a"}, "2": {"f": "b"}})
-        cols.note_put("2", {"f": "c"})
-        # Append-only: an overwrite keeps the row, every row is live.
-        assert cols.all_rows() == range(2)
-        col = cols.ensure_column("f", {})
-        assert col.table[col.codes[1]] == "c"
-
-    def test_refresh_respects_field_filter(self):
-        cols = ColumnSet()
-        cols.note_put("1", {"f": "a", "g": 1})
-        docs = {"1": {"f": "a", "g": 1}}
-        f_col = cols.ensure_column("f", docs)
-        g_col = cols.ensure_column("g", docs)
-        source = {"f": "changed", "g": 2}
-        cols.note_refresh("1", source, fields=("g",))
+    def test_refresh_respects_field_filter(self, store):
+        store.index_doc("idx", {"f": "a", "g": 1}, "1")
+        index = store._index("idx")
+        f_col, g_col = index.column("f"), index.column("g")
+        index.update_docs(["1"], {"g": [2]})
         assert f_col.table[f_col.codes[0]] == "a"      # untouched
         assert g_col.gather_numeric([0]) == [2]
+        assert index.column("f") is f_col and index.column("g") is g_col
 
-    def test_dotted_field_prefix_refresh(self):
-        cols = ColumnSet()
-        cols.note_put("1", {"args": {"fd": 3}})
-        col = cols.ensure_column("args.fd", {"1": {"args": {"fd": 3}}})
-        cols.note_refresh("1", {"args": {"fd": 9}}, fields=("args",))
-        assert col.gather_numeric([0]) == [9]
+    def test_dotted_field_prefix_refresh(self, store):
+        # A column the update reaches only through a dotted name is
+        # rebuilt from the lanes.
+        store.index_doc("idx", {"args": {"fd": 3}}, "1")
+        index = store._index("idx")
+        col = index.column("args.fd")
+        index.update_docs(["1"], {"args": [{"fd": 9}]})
+        assert index.column("args.fd") is not col
+        assert index.column("args.fd").gather_numeric([0]) == [9]
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +154,9 @@ class TestSupports:
         """``(columns, lookup)``: the lookup builds a column from the
         documents, as ``Index.column`` does."""
         cols = ColumnSet()
-        docs = {}
-        for i, source in enumerate(sources):
-            doc_id = str(i)
-            docs[doc_id] = source
-            cols.note_put(doc_id, source)
-        return cols, lambda field: cols.ensure_column(field, docs)
+        batch = DocBatch(list(sources))
+        cols.extend_new([str(i) for i in range(len(batch))], batch)
+        return cols, lambda field: cols.ensure_column(field, [batch])
 
     def test_simple_terms_supported(self):
         cols, lookup = self.docs([{"f": "a"}, {"f": "b"}])
@@ -309,7 +296,7 @@ class TestKernelEquivalence:
         aggs = {"t": {"terms": {"field": "p"},
                       "aggs": {"s": {"sum": {"field": "n"}}}}}
         store.search("ev", size=0, aggs=aggs)     # builds columns
-        store.index_doc("ev", {"p": "b", "n": 100}, doc_id="d5")
+        store.update_docs("ev", ["d5"], {"p": ["b"], "n": [100]})
         response = store.search("ev", size=0, aggs=aggs)
         expected = naive_aggregate(store._index("ev"), None, aggs)
         assert canon(response["aggregations"]) == canon(expected)

@@ -81,10 +81,11 @@ def feed(store, how: str) -> None:
 
 
 def hydrate(store) -> None:
-    """Build every document that has arrived, as a write would."""
+    """Build every document that has arrived, as a reader of every row
+    does."""
     for shard in getattr(store, "shards", [store]):
         if INDEX in shard._indices:
-            shard._indices[INDEX]._hydrate()
+            shard._indices[INDEX].documents()
 
 
 def hydrated(store) -> int:
@@ -97,8 +98,8 @@ class Twins:
 
     ``store`` by :class:`FilePathCorrelator` as it stands (lanes,
     overlays); ``legacy`` by :func:`legacy_correlate`; ``by_rows`` by
-    the same correlator after every document was hydrated, so that
-    its one update takes the row path (``refresh_many``) in the same
+    the same correlator after every document was built, so that its
+    one update lands on the dicts readers hold as well, in the same
     order.  The legacy twin answers for what a reader sees — scan
     bytes, report; the row twin for the epoch and every slot of every
     column, dictionary orders included (the two correlators reach
@@ -164,7 +165,7 @@ def test_lane_and_legacy_correlation_leave_the_same_store(make, how,
         assert index.pending_docs == 80
         # The update touched no column: none has been built but the
         # one the lane read planned on.
-        assert len(index._pending) == 4
+        assert len(index._parts) == 4
         assert set(index.columns._columns) <= {"session"}
     paths = {source["file_tag"]: source.get("file_path")
              for _, source in store.scan(INDEX)
@@ -272,7 +273,7 @@ def test_an_outage_during_correlation_half_applies_nothing():
     with pytest.raises(InjectedFault):
         FilePathCorrelator(faulty).correlate(INDEX, session=SESSION)
     assert index.epoch == epoch and hydrated(store) == 0
-    assert all(batch._overlay is None for _, batch in index._pending)
+    assert all(batch._overlay is None for _, batch in index._parts)
     now[0] = 10                                  # the outage is over
     twins.correlate(through=faulty)
     assert hydrated(store) == 0 and index.epoch == epoch + 1
@@ -307,8 +308,9 @@ def test_recorrelating_a_loaded_session_hydrates_and_agrees(make, tmp_path):
     report = twins.correlate()
     assert report.tags_resolved == 7 and report.documents_unresolved == 0
     # The loaded blocks have a file_path column: no overlay can say
-    # "last key of the row", so the rows were built.
-    assert hydrated(store) == 67
+    # "last key of the row", so their 60 rows were built (the 7 new
+    # documents existed already).
+    assert hydrated(store) == 60
     assert {source["file_path"] for _, source in store.scan(INDEX)
             if "file_tag" in source} == {f"/new-{tag}" for tag in range(7)}
     twins.assert_same()
@@ -389,7 +391,7 @@ def test_correlation_reads_the_path_argument_not_every_args():
     fed("parked")(store)
     report = FilePathCorrelator(store).correlate(INDEX, SESSION)
     assert report.tags_resolved == 4
-    parked = [batch for _, batch in store._indices[INDEX]._pending]
+    parked = [batch for _, batch in store._indices[INDEX]._parts]
     assert len(parked) == 4
     assert all(type(batch._lanes["args"][0]) is Derived for batch in parked)
 

@@ -254,10 +254,11 @@ class TestBulkColumnar:
         assert list(built) == ["syscall"]
         assert built["syscall"]._postings is not None
         assert index.pending_docs == 6
-        # A per-document mutation hydrates; the one column that exists
-        # takes the new row and still nothing is built for ``time``.
+        # A put appends a part: nothing is built, the one column that
+        # exists takes the new row and still nothing is built for
+        # ``time``.
         vec.index_doc("idx", {"syscall": "late", "session": SESSION})
-        assert index.pending_docs == 0
+        assert index.pending_docs == 6
         assert list(built) == ["syscall"]
         assert vec.count("idx", {"term": {"syscall": "late"}}) == 1
         # A range on a lane that never decreases needs no postings.
@@ -289,11 +290,26 @@ class TestBulkColumnar:
         assert index.pending_docs == 5
         assert index.hydrated_docs_total == 1
         assert get_doc(vec, "idx", "1") is doc
-        # A write needs the documents: the rest are built, that one kept.
-        vec.index_doc("idx", {"syscall": "late", "session": SESSION})
+        # An update of a lane the batch holds builds the rest, that
+        # one kept.
+        vec.update_docs("idx", ["2"], {"ret": [7]})
         assert index.pending_docs == 0
         assert index.hydrated_docs_total == 6
         assert get_doc(vec, "idx", "1") is doc
+        assert get_doc(vec, "idx", "2")["ret"] == 7
+
+    def test_a_put_after_a_parked_bulk_builds_nothing(self):
+        vec = DocumentStore()
+        vec.bulk_columnar("idx", RecordBatch.decode(make_records(),
+                                                    session=SESSION))
+        index = vec._indices["idx"]
+        get_doc(vec, "idx", "1")
+        assert (index.pending_docs, index.hydrated_docs_total) == (5, 1)
+        # A put appends one part; the parked batch stays as it is.
+        assert vec.index_doc("idx", {"syscall": "late"}) == "7"
+        assert (index.pending_docs, index.hydrated_docs_total) == (5, 1)
+        assert get_doc(vec, "idx", "7") == {"syscall": "late"}
+        assert vec.count("idx") == 7
 
     def test_steady_state_aggregation_stays_lazy(self, tmp_path):
         # Columnar bulks + aggregations never materialise a _source
@@ -359,7 +375,7 @@ class TestBulkColumnar:
         get_doc(vec, "idx", "1")
         assert registry.value("dio_ingest_pending_docs") == 5
         assert registry.value("dio_ingest_docs_hydrated_total") == 1
-        vec.index_doc("idx", {"syscall": "late", "session": SESSION})
+        vec.update_docs("idx", ["2"], {"syscall": ["late"]})
         assert registry.value("dio_ingest_pending_docs") == 0
         assert registry.value("dio_ingest_docs_hydrated_total") == 6
 

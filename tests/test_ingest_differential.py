@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore
+from repro.backend.query import get_field
 from repro.dst import Scenario, generate
 from repro.dst.runner import execute_pipeline
 from repro.tracer import DIOTracer, RecordBatch
@@ -195,17 +196,35 @@ class TestDifferentialIngest:
         legacy = legacy_store([batch])
         vec = vectorized_store([batch])
         syscall = data.draw(syscalls)
-        # Interleave a put and an update-by-query after the bulk: the
-        # hydration barriers must leave both stores observably
-        # identical, not just query-identical.
+        ids = st.sampled_from([str(n) for n in range(1, len(batch) + 2)])
+        # ``ret`` is a lane of the parked batch, ``args`` the root of a
+        # dotted column built below: the parked part becomes its
+        # documents, and the dotted column is rebuilt.
+        rets = data.draw(st.lists(st.tuples(ids, st.integers(-3, 3)),
+                                  max_size=4))
+        fds = data.draw(st.lists(st.tuples(ids, st.integers(0, 3)),
+                                 max_size=4))
+        # Interleave puts and updates after the bulk: both stores must
+        # stay observably identical, not just query-identical.
         extra = {"syscall": "late", "session": SESSION, "time": 1,
                  "pid": 1, "tid": 1, "proc_name": "tail",
                  "args": {}, "ret": 0, "time_exit": 2, "duration_ns": 1}
         for store in (legacy, vec):
+            store.count("idx", {"term": {"args.fd": 1}})
             store.index_doc("idx", dict(extra), doc_id="tail-1")
             store.update_by_query("idx", {"term": {"syscall": syscall}},
                                   {"file_path": "/resolved"})
+            store.update_docs("idx", [doc_id for doc_id, _ in rets],
+                              {"ret": [ret for _, ret in rets]})
+            store.update_docs("idx", [doc_id for doc_id, _ in fds],
+                              {"args": [{"fd": fd} for _, fd in fds]})
+            store.index_doc("idx", dict(extra, time=3), doc_id="tail-2")
+            store.count("idx", {"term": {"args.fd": 1}})
         assert_stores_identical(legacy, vec)
+        assert (legacy.count("idx", {"term": {"args.fd": 1}})
+                == vec.count("idx", {"term": {"args.fd": 1}})
+                == sum(get_field(source, "args.fd") == 1
+                       for _, source in legacy.scan("idx")))
 
     @given(batch=batches)
     @settings(max_examples=40, deadline=None)

@@ -168,7 +168,6 @@ def mutate(store) -> None:
 def index_state(store: DocumentStore) -> str:
     """Everything a plain store's index holds, after the same requests."""
     index = store._indices[INDEX]
-    index._hydrate()
     return json.dumps({
         "next_id": index._next_id, "epoch": index.epoch,
         # Row numbering: who owns which row.
@@ -179,7 +178,7 @@ def index_state(store: DocumentStore) -> str:
         # covers every slot but the caches).
         "columns": {name: column_state(column) for name, column
                     in index.columns._columns.items()},
-        "docs": list(index._docs.items()),
+        "docs": index.documents(),
     }, default=list)
 
 

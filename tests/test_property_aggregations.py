@@ -177,7 +177,8 @@ class TestColumnarEquivalence:
         victim = data.draw(
             st.integers(min_value=0, max_value=len(docs) - 1))
         replacement = data.draw(documents)
-        store.index_doc("ev", dict(replacement), doc_id=f"d{victim}")
+        store.update_docs("ev", [f"d{victim}"],
+                          {key: [value] for key, value in replacement.items()})
         _assert_equivalent(store, None, aggs)
 
     @given(docs=st.lists(documents, max_size=60),

@@ -244,7 +244,9 @@ class TestRowsAgainstBothOracles:
             "a": [data.draw(exotic_values) for _ in picked],
             "late": [data.draw(exotic_values) for _ in picked]})
         for doc_id in data.draw(some):
-            store.index_doc("events", dict(data.draw(exotic_docs)), doc_id)
+            store.update_docs("events", [doc_id], {
+                key: [value]
+                for key, value in data.draw(exotic_docs).items()})
         _check(store, queries_)
         store.bulk_columnar("events",
                             DocBatch([dict(doc) for doc in more]))

@@ -16,6 +16,7 @@ from repro.backend import (DocumentStore, ShardedDocumentStore,
                            create_store, naive_aggregate)
 from repro.backend.lanes import DocBatch
 from repro.backend.store import StoreError
+from repro.backend.wal import frame_record
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.health import PipelineHealth
 
@@ -309,6 +310,28 @@ class TestLifecycle:
         assert_rows_in_rank_order(store)
         assert store.search(INDEX, sort=[{"time": {"order": "desc"}}],
                             size=7)["hits"] == newest
+
+    def test_an_image_holding_an_id_twice_restores_it_once(self, tmp_path):
+        # An index is append-only: the first record of an id is applied,
+        # a later one is skipped and not counted.
+        store = sharded()
+        store.bulk(INDEX, make_docs(45))
+        snapshot = list(store.scan(INDEX))
+        store.save_shards(tmp_path)
+        victim = max(range(3), key=store._shard_docs)
+        held = list(store.shards[victim].scan(INDEX))
+        doc_id, source = held[0]
+        image = tmp_path / f"shard-{victim:02d}" / "router.bin"
+        image.write_bytes(image.read_bytes() + frame_record(
+            [INDEX, doc_id, 0, dict(source, syscall="again")]))
+        store.kill_shard(victim)
+        assert store.restore_shard(victim, tmp_path) == len(held)
+        assert store.shard_restore_report["records_recovered"] == len(held) + 1
+        assert list(store.shards[victim].scan(INDEX)) == held
+        assert list(store.scan(INDEX)) == snapshot
+        # The image's ids came from outside: an auto id is past them all.
+        auto = store.shards[victim].index_doc(INDEX, {})
+        assert int(auto) > max(int(doc_id) for doc_id, _ in held)
 
     def test_kill_bad_shard_rejected(self):
         store = sharded()

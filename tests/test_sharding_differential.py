@@ -196,16 +196,6 @@ class TestFactoryAnchor:
         store = create_store(shard_count=1)
         assert type(store) is DocumentStore
 
-    def test_config_section_round_trips(self):
-        from repro.tracer.config import TracerConfig
-        cfg = TracerConfig(shard_count=3, shard_key="file_tag",
-                           shard_time_window_ns=500)
-        store = create_store(cfg)
-        assert isinstance(store, ShardedDocumentStore)
-        assert store.shard_count == 3
-        assert store.shard_key == "file_tag"
-        assert store.time_window_ns == 500
-
     @pytest.mark.parametrize("kwargs", [
         {"shard_count": 0}, {"shard_count": -2}, {"shard_count": 2.5},
     ])
@@ -213,7 +203,3 @@ class TestFactoryAnchor:
         from repro.backend.store import StoreError
         with pytest.raises(StoreError):
             create_store(**kwargs)
-
-    def test_shard_keys_stay_in_sync_with_config(self):
-        from repro.tracer import config as cfg
-        assert tuple(cfg.SHARD_KEYS) == tuple(SHARD_KEYS)
