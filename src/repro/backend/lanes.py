@@ -716,7 +716,7 @@ class Lanes:
 
 class DocBatch:
     """Documents that already exist, behind the lane-batch protocol:
-    what ``bulk`` and ``index_doc`` append to an index, a part an update
+    what ``bulk`` appends to an index, a part an update
     replaced with its rows, the rows of a WAL flush."""
 
     __slots__ = ("_docs", "_cache")

@@ -7,10 +7,10 @@ shards — each with its own indexes, columns, and (when persisted) its
 own segment directory — and a thin coordinator that:
 
 - **routes writes** deterministically by a configurable shard key
-  (``file_tag`` hash, ``pid``, or ``time`` window; :func:`create_store`),
-  assigning *global* doc ids and insertion ranks and
-  handing each shard its documents in rank order, so shard-local row
-  order — every shard-local scan — is already the global order;
+  (``pid`` or ``time`` window; :func:`create_store`), assigning
+  *global* doc ids — a document's id is its global rank — and handing
+  each shard its documents in id order, so shard-local row order —
+  every shard-local scan — is already the global order;
 - **partitions bulks** lane-wise: a decoded
   :class:`~repro.tracer.batch.RecordBatch` — or a list of documents,
   as a :class:`~repro.backend.lanes.DocBatch` — is split by shard key
@@ -18,7 +18,7 @@ own segment directory — and a thin coordinator that:
 - **fans out reads** shard by shard (serially: the speed-up is the
   smaller per-shard working set, not threads) and merges at the
   coordinator, one plan per search: hits are a k-way heap merge by
-  global rank (an unsorted search merges the matching ids and builds
+  numeric id (an unsorted search merges the matching ids and builds
   the window's documents alone; a sorted search asks each shard for its
   own sorted ``from_ + size`` prefix and merges those by the sort key);
   aggregations are each shard's columnar partial
@@ -33,20 +33,21 @@ own segment directory — and a thin coordinator that:
   documents, query results, aggregations, correlation output, and
   diagnosis reports are identical to the single-store run.
 
-Hash routing uses ``zlib.crc32`` over a normalised value token — never
-Python ``hash()``, which is randomised per process for strings.  The
-normalisation maps equal-comparing values (``3``, ``3.0``, ``True``)
-to the same token so query-time routing can never miss a shard that
-equality-based matching would reach.
+The coordinator keeps no per-document map: a document's rank is its
+id and its owner is the shard whose rows hold it.  Both shard keys
+route by one rule — a field and a width (``pid`` 1, ``time_window``
+``time_window_ns``): a number goes to ``int(value // width) % n``,
+anything else to shard 0 — so equal-comparing values (``3``, ``3.0``,
+``True`` as ``1``) land together and a ``term``, ``terms`` or ``range``
+query on the key can be routed to the shards that may match.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import zlib
 from heapq import merge as heap_merge
-from itertools import islice, repeat
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.backend.aggregations import run_aggregations
@@ -60,13 +61,14 @@ from repro.backend.store import (DocumentStore, Index, StoreError,
 from repro.backend.wal import frame_record, recover_log
 
 #: Supported shard keys (``create_store(shard_key=...)``).
-SHARD_KEYS = ("file_tag", "pid", "time_window")
+SHARD_KEYS = ("pid", "time_window")
 
 #: Default time-window width for ``shard_key="time_window"`` (1 s).
 DEFAULT_TIME_WINDOW_NS = 1_000_000_000
 
 #: Shard recovery image (``shard-NN/router.bin``): magic, then one
-#: ``[index, id, rank, source]`` record frame per document.
+#: ``[index, id, rank, source]`` record frame per document (``rank`` is
+#: written as ``id - 1`` and not read back).
 SHARD_IMAGE_MAGIC = b"DIOSHD01"
 SHARD_IMAGE_NAME = "router.bin"
 
@@ -75,26 +77,10 @@ def _image_record(entry) -> tuple[str, str, int, dict]:
     """One shard-image payload; ``ValueError`` if it is not one."""
     name, doc_id, rank, source = entry
     if not (isinstance(name, str) and isinstance(doc_id, str)
-            and isinstance(rank, int) and isinstance(source, dict)):
+            and doc_id.isdecimal() and isinstance(rank, int)
+            and isinstance(source, dict)):
         raise ValueError("not a shard image record")
     return name, doc_id, rank, source
-
-
-def _route_token(value: Any) -> str:
-    """Equality-stable token for hash routing.
-
-    ``3 == 3.0 == True`` under document matching, so they must route
-    identically; integral numerics collapse to ``repr(int(value))``.
-    """
-    if isinstance(value, (bool, int, float)):
-        try:
-            integral = int(value)
-            if value == integral:
-                return repr(integral)
-        except (OverflowError, ValueError):      # inf / nan
-            pass
-        return repr(float(value))
-    return repr(value)
 
 
 class _RevKey:
@@ -113,17 +99,21 @@ class _RevKey:
 
 
 class _IndexState:
-    """Coordinator-side bookkeeping for one logical index."""
+    """Coordinator-side record of one logical index: no per-document
+    structure — a document's rank is its id, its owner the shard whose
+    rows hold it."""
 
-    __slots__ = ("next_id", "next_rank", "rank", "owner")
+    __slots__ = ("next_id", "fields", "exact")
 
-    def __init__(self) -> None:
+    def __init__(self, fields: Optional[tuple]) -> None:
         self.next_id = 1
-        self.next_rank = 0
-        #: doc id -> global insertion rank (the merge key).
-        self.rank: dict[str, int] = {}
-        #: doc id -> shard number that holds it.
-        self.owner: dict[str, int] = {}
+        #: The fields declared at :meth:`ShardedDocumentStore.ensure_index`.
+        self.fields = fields
+        #: Can queries on the shard key still be routed to a shard
+        #: subset?  Cleared when an update may have changed the
+        #: shard-key field of an existing document (the doc stays on
+        #: its shard, so key-based routing would miss it).
+        self.exact = True
 
 
 class ShardedDocumentStore:
@@ -149,17 +139,12 @@ class ShardedDocumentStore:
         self.shard_count = shard_count
         self.shard_key = shard_key
         self.time_window_ns = time_window_ns
-        #: The document field the shard key reads.
-        self.route_field = {"file_tag": "file_tag", "pid": "pid",
-                            "time_window": "time"}[shard_key]
+        #: The document field the shard key reads, and the width of the
+        #: value windows it routes by.
+        self.route_field, self.route_width = (
+            ("pid", 1) if shard_key == "pid" else ("time", time_window_ns))
         self.shards = [DocumentStore() for _ in range(shard_count)]
         self._states: dict[str, _IndexState] = {}
-        self._indexed_fields: dict[str, Optional[tuple]] = {}
-        #: Per index: can queries on the shard key still be routed to a
-        #: shard subset?  Cleared when an update may have changed the
-        #: shard-key field of an existing document (the doc stays on
-        #: its owner shard, so key-based routing would miss it).
-        self._routing_exact: dict[str, bool] = {}
         # Coordinator-level counters (same names as DocumentStore where
         # the concept matches).
         self.bulk_requests = 0
@@ -187,26 +172,15 @@ class ShardedDocumentStore:
     # Routing
 
     def _route_value(self, value: Any) -> int:
-        """Shard number for one shard-key value (deterministic)."""
-        n = self.shard_count
-        if value is None:
-            return 0
-        if self.shard_key == "time_window":
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                try:
-                    return int(value // self.time_window_ns) % n
-                except (OverflowError, ValueError):   # inf / nan
-                    return 0
-            return 0
-        if self.shard_key == "pid" and isinstance(value, (bool, int, float)):
+        """Shard number for one shard-key value: a number's window
+        ``int(value // width)`` modulo the shard count (a bool is an
+        int); anything else — None, a string, inf, nan — shard 0."""
+        if isinstance(value, (int, float)):
             try:
-                integral = int(value)
-                if value == integral:
-                    return integral % n
-            except (OverflowError, ValueError):
+                return int(value // self.route_width) % self.shard_count
+            except (OverflowError, ValueError):      # inf / nan
                 pass
-        token = _route_token(value)
-        return zlib.crc32(token.encode("utf-8", "backslashreplace")) % n
+        return 0
 
     def _route_source(self, source: dict) -> int:
         return self._route_value(get_field(source, self.route_field))
@@ -215,9 +189,9 @@ class ShardedDocumentStore:
         """Shard subset that must hold every match, or ``None``.
 
         Sound, not complete: any doubt answers ``None`` (fan out).
-        Only ``term``/``terms`` on the shard-key field and — for
-        time-window sharding — ``range`` on ``time`` narrow; ``bool``
-        queries narrow through any one ``must``/``filter`` clause.
+        ``term``, ``terms`` and a bounded ``range`` on the shard-key
+        field narrow by the routing rule; ``bool`` queries narrow
+        through any one ``must``/``filter`` clause.
         """
         if not isinstance(query, dict) or len(query) != 1:
             return None
@@ -235,41 +209,32 @@ class ShardedDocumentStore:
                 if narrowed is not None:
                     return narrowed
             return None
-        if not isinstance(body, dict):
+        if not isinstance(body, dict) or len(body) != 1:
             return None
-        if kind == "term" and len(body) == 1:
-            field, value = next(iter(body.items()))
-            if field == self.route_field and self.shard_key != "time_window":
-                return {self._route_value(value)}
+        field, value = next(iter(body.items()))
+        if field != self.route_field:
             return None
-        if kind == "terms" and len(body) == 1:
-            field, values = next(iter(body.items()))
-            if (field == self.route_field and isinstance(values, (list, tuple))
-                    and self.shard_key != "time_window"):
-                return {self._route_value(v) for v in values}
+        if kind == "term":
+            if isinstance(value, dict) and "value" in value:
+                value = value["value"]          # ES's {"value": v} form
+            return {self._route_value(value)}
+        if kind == "terms" and isinstance(value, (list, tuple)):
+            return set(map(self._route_value, value))
+        if kind != "range" or not isinstance(value, dict):
             return None
-        if (kind == "range" and self.shard_key == "time_window"
-                and len(body) == 1):
-            field, bounds = next(iter(body.items()))
-            if field != "time" or not isinstance(bounds, dict):
-                return None
-            lo = bounds.get("gte", bounds.get("gt"))
-            hi = bounds.get("lte", bounds.get("lt"))
-            if not all(isinstance(b, (int, float)) and not isinstance(b, bool)
-                       for b in (lo, hi)):
-                return None
-            window = self.time_window_ns
-            lo_w, hi_w = int(lo // window), int(hi // window)
-            if hi_w - lo_w + 1 >= self.shard_count:
-                return None
-            shards = {w % self.shard_count for w in range(lo_w, hi_w + 1)}
-            shards.add(0)      # non-numeric time values live on shard 0
-            return shards
-        return None
+        lo = value.get("gte", value.get("gt"))
+        hi = value.get("lte", value.get("lt"))
+        if not all(isinstance(b, (int, float)) for b in (lo, hi)):
+            return None
+        width, n = self.route_width, self.shard_count
+        lo_w, hi_w = int(lo // width), int(hi // width)
+        if hi_w - lo_w + 1 >= n:
+            return None
+        return {w % n for w in range(lo_w, hi_w + 1)}
 
     def _query_shards(self, index: str, query: Any) -> list[int]:
         """Shards a read must consult, ascending."""
-        if self._routing_exact.get(index, True) and query is not None:
+        if self._states[index].exact and query is not None:
             try:
                 narrowed = self._narrow(query)
             except Exception:
@@ -305,18 +270,14 @@ class ShardedDocumentStore:
         """Create-or-get on every shard (returns nothing: there is no
         single :class:`Index` to hand out — see :meth:`oracle_index`)."""
         if name not in self._states:
-            self._states[name] = _IndexState()
-            self._indexed_fields[name] = (tuple(indexed_fields)
-                                          if indexed_fields else None)
-            self._routing_exact[name] = True
+            self._states[name] = _IndexState(
+                tuple(indexed_fields) if indexed_fields else None)
         for shard in self.shards:
             shard.ensure_index(name, indexed_fields)
 
     def delete_index(self, name: str) -> None:
         self._state(name)
         del self._states[name]
-        self._indexed_fields.pop(name, None)
-        self._routing_exact.pop(name, None)
         for shard in self.shards:
             if name in shard._indices:
                 shard.delete_index(name)
@@ -327,7 +288,7 @@ class ShardedDocumentStore:
     def oracle_index(self, name: str) -> Index:
         """A merged, read-only single :class:`Index` view.
 
-        The documents are one part in global rank order, so naive
+        The documents are one part in global id order, so naive
         oracles (``naive_scan``/``naive_aggregate``) see exactly the
         document sequence a single store would hold.  Mutating the view
         does not write back; sources are shared by reference.
@@ -339,16 +300,6 @@ class ShardedDocumentStore:
 
     # ------------------------------------------------------------------
     # Write path
-
-    def _assign(self, state: _IndexState, n: int) -> list[str]:
-        """Fresh global ids for ``n`` new documents, ranked in order."""
-        start = state.next_id
-        state.next_id = start + n
-        doc_ids = list(map(str, range(start, start + n)))
-        state.rank.update(zip(doc_ids, range(state.next_rank,
-                                             state.next_rank + n)))
-        state.next_rank += n
-        return doc_ids
 
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
         """:meth:`bulk_columnar` of the documents as one
@@ -371,10 +322,11 @@ class ShardedDocumentStore:
             self.columnar_bulks += 1
             observe_span(self._telemetry, "store.bulk", start)
             return 0
-        doc_ids = self._assign(state, n)
-        route = self._route_value
-        codes = list(map(route, batch.values_for(self.route_field)))
-        state.owner.update(zip(doc_ids, codes))
+        start_id = state.next_id
+        state.next_id = start_id + n
+        doc_ids = list(map(str, range(start_id, start_id + n)))
+        codes = list(map(self._route_value,
+                         batch.values_for(self.route_field)))
         first = codes[0]
         partitions = 1
         if all(code == first for code in codes):
@@ -413,39 +365,26 @@ class ShardedDocumentStore:
              query: Optional[dict] = None) -> list[tuple[str, dict]]:
         """All matching (id, source) pairs in *global* insertion order."""
         self.queries += 1
-        state = self._state(index)
+        self._state(index)
         shards = self._query_shards(index, query)
-        parts = self._map_shards(shards,
-                                 lambda shard: shard.scan(index, query))
-        return self._merge_by_rank(parts, state)
+        return _merge_by_id(self._map_shards(
+            shards, lambda shard: shard.scan(index, query)))
 
     def lanes(self, index: str, query: Optional[dict] = None):
         """:meth:`DocumentStore.lanes` over the shards: their batches
         joined, then taken into *global* insertion order."""
         self.queries += 1
-        state = self._state(index)
+        self._state(index)
         shards = self._query_shards(index, query)
         parts = self._map_shards(shards,
                                  lambda shard: shard.lanes(index, query))
         if len(parts) == 1:
             return parts[0]
         doc_ids = [doc_id for part_ids, _ in parts for doc_id in part_ids]
-        # Unassigned ids sort last, as in _merge_by_rank.
-        ranks = list(map(state.rank.get, doc_ids, repeat(float("inf"))))
+        ranks = list(map(int, doc_ids))
         order = sorted(range(len(doc_ids)), key=ranks.__getitem__)
         return ([doc_ids[row] for row in order],
                 JoinedBatch([batch for _, batch in parts]).take(order))
-
-    def _merge_by_rank(self, parts: list[list], state: _IndexState) -> list:
-        if len(parts) == 1:
-            return parts[0]
-        rank = state.rank
-        # A doc id the coordinator never assigned (a buggy shard
-        # invented it) sorts last instead of crashing the merge, so
-        # the invariant layer gets to see and flag it.
-        last = float("inf")
-        return list(heap_merge(*parts,
-                               key=lambda pair: rank.get(pair[0], last)))
 
     def search(self, index: str, query: Optional[dict] = None,
                aggs: Optional[dict] = None,
@@ -455,9 +394,9 @@ class ShardedDocumentStore:
         """Scatter-gather search; byte-identical to the single store.
 
         One plan.  Hits are the window alone: :meth:`_window` (matching
-        ids merged by global rank) or, under ``sort``,
+        ids merged by numeric id) or, under ``sort``,
         :meth:`_sorted_window` (each shard's sorted ``from_ + size``
-        prefix merged on the sort key with a rank tie-break, which
+        prefix merged on the sort key with an id tie-break, which
         reproduces the single store's stable multi-pass sort exactly);
         an unsorted ``size=0`` request builds no id list.  Aggregations
         come from :meth:`_aggregate`.
@@ -468,20 +407,19 @@ class ShardedDocumentStore:
             raise StoreError(f"size must be non-negative or None: {size}")
         start = span_start(self._telemetry)
         self.queries += 1
-        state = self._state(index)
+        self._state(index)
         shards = self._query_shards(index, query)
         total: Optional[int] = None
         window: list[tuple[str, dict]] = []
         if sort:
-            total, window = self._sorted_window(index, query, shards, state,
-                                                sort, size, from_)
+            total, window = self._sorted_window(index, query, shards, sort,
+                                                size, from_)
         elif size != 0:
-            total, window = self._window(index, query, shards, state,
-                                         size, from_)
+            total, window = self._window(index, query, shards, size, from_)
         aggregations = None
         if aggs is not None:
             total, aggregations = self._aggregate(index, query, aggs, shards,
-                                                  state, sort)
+                                                  sort)
         elif total is None:
             total = sum(self._map_shards(
                 shards, lambda shard: shard.count(index, query)))
@@ -489,16 +427,16 @@ class ShardedDocumentStore:
         return _response(index, total, window, aggregations)
 
     def _window(self, index: str, query, shards: list[int],
-                state: _IndexState, size: Optional[int],
+                size: Optional[int],
                 from_: int) -> tuple[int, list[tuple[str, dict]]]:
         """``(total, hits[from_:from_ + size])`` of an unsorted search:
-        every shard's matching ids merged by global rank, and a
+        every shard's matching ids merged by numeric id, and a
         document built for the window's rows alone, shard by shard."""
         matched = self._map_shards(
             shards, lambda shard: shard.lanes(index, query)[0])
-        merged = self._merge_by_rank(
+        merged = _merge_by_id(
             [[(doc_id, code) for doc_id in doc_ids]
-             for code, doc_ids in zip(shards, matched)], state)
+             for code, doc_ids in zip(shards, matched)])
         window = merged[from_:None if size is None else from_ + size]
         sources: dict[str, dict] = {}
         for code in shards:
@@ -509,15 +447,15 @@ class ShardedDocumentStore:
         return len(merged), [(doc_id, sources[doc_id])
                              for doc_id, _ in window]
 
-    def _sorted_window(self, index: str, query, shards: list[int],
-                       state: _IndexState, sort, size: Optional[int],
+    def _sorted_window(self, index: str, query, shards: list[int], sort,
+                       size: Optional[int],
                        from_: int) -> tuple[int, list[tuple[str, dict]]]:
         """``(total, hits[from_:from_ + size])`` of a sorted search.
 
         Each shard sorts its own rows and builds only its first
         ``from_ + size`` hits — no hit past that prefix can reach the
-        merged window — and the prefixes merge on the sort key, global
-        rank breaking ties as the single store's stable sort does.
+        merged window — and the prefixes merge on the sort key, the
+        numeric id breaking ties as the single store's stable sort does.
         """
         limit = None if size is None else from_ + size
         responses = self._map_shards(shards, lambda shard: shard.search(
@@ -528,37 +466,34 @@ class ShardedDocumentStore:
                  for hits in responses]
         if len(parts) == 1:
             return total, parts[0][from_:]
-        rank = state.rank
 
         def merge_key(pair):
-            _, source = pair
+            doc_id, source = pair
             key = []
             for field, descending in entries:
                 part_key = sort_key(get_field(source, field))
                 key.append(_RevKey(part_key) if descending else part_key)
-            # Unassigned ids (buggy-shard inventions) break ties last
-            # rather than crashing; see _merge_by_rank.
-            key.append(rank.get(pair[0], float("inf")))
+            key.append(int(doc_id))
             return tuple(key)
 
         merged = heap_merge(*parts, key=merge_key)
         return total, list(islice(merged, from_, limit))
 
     def _aggregate(self, index: str, query, aggs, shards: list[int],
-                   state: _IndexState, sort) -> tuple[int, dict]:
+                   sort) -> tuple[int, dict]:
         """``(total, aggregations)``: the partial merge, or else every
         match gathered through :func:`run_aggregations` in the order the
-        single store's fallback reads — global rank, or the sort order
+        single store's fallback reads — id order, or the sort order
         under ``sort`` (where the single store never pushes down)."""
         if not sort:
             merged = self._try_partial_merge(index, query, aggs, shards)
             if merged is not None:
                 return merged
-            matches = self._merge_by_rank(self._map_shards(
-                shards, lambda shard: shard.scan(index, query)), state)
+            matches = _merge_by_id(self._map_shards(
+                shards, lambda shard: shard.scan(index, query)))
         else:
-            matches = self._sorted_window(index, query, shards, state, sort,
-                                          None, 0)[1]
+            matches = self._sorted_window(index, query, shards, sort, None,
+                                          0)[1]
         self.agg_gathers += 1
         return len(matches), run_aggregations(
             aggs, [source for _, source in matches])
@@ -634,22 +569,23 @@ class ShardedDocumentStore:
 
     def update_docs(self, index: str, doc_ids: Iterable[str],
                     fields: dict[str, Sequence]) -> int:
-        """One ``update_docs`` per shard holding any of the ids, with
-        its ids' values (missing ids are skipped)."""
+        """One ``update_docs`` per shard holding any of the ids — the
+        shard whose rows hold an id — with its ids' values (missing ids
+        are skipped)."""
         state = self._state(index)
         doc_ids = check_update(doc_ids, fields)
-        by_shard: dict[int, list[int]] = {}
-        for at, shard in enumerate(map(state.owner.get, doc_ids)):
-            if shard is not None:
-                by_shard.setdefault(shard, []).append(at)
-        updated = sum(
-            self.shards[i].update_docs(
-                index, list(map(doc_ids.__getitem__, picked)),
-                {field: list(map(lane.__getitem__, picked))
-                 for field, lane in fields.items()})
-            for i, picked in sorted(by_shard.items()))
+        updated = 0
+        for shard in self.shards:
+            row_of = shard._index(index).columns.row_of
+            picked = [at for at, doc_id in enumerate(doc_ids)
+                      if doc_id in row_of]
+            if picked:
+                updated += shard.update_docs(
+                    index, list(map(doc_ids.__getitem__, picked)),
+                    {field: list(map(lane.__getitem__, picked))
+                     for field, lane in fields.items()})
         if updated and self.route_field in fields:
-            self._routing_exact[index] = False
+            state.exact = False
         return updated
 
     # ------------------------------------------------------------------
@@ -658,50 +594,36 @@ class ShardedDocumentStore:
     def rebalance(self, shard_count: Optional[int] = None) -> int:
         """Re-route every document by its current shard-key value.
 
-        Optionally changes the shard count.  Ids, ranks, and sources
-        are preserved (sources move by reference, one part per new
-        shard and index, in rank order, so every new shard's rows are
-        in rank order), so reads before and after are byte-identical;
-        key-based routing becomes exact again.  Returns the number of
-        documents moved to a new shard.
+        Optionally changes the shard count.  Ids and sources are
+        preserved (sources move by reference, one part per new shard and
+        index, in id order, so every new shard's rows are in id order),
+        so reads before and after are byte-identical; key-based routing
+        becomes exact again.  Returns the number of documents moved to
+        a new shard.
         """
         new_count = self.shard_count if shard_count is None else shard_count
         if not isinstance(new_count, int) or new_count < 1:
             raise StoreError(f"shard_count must be a positive int: "
                              f"{shard_count!r}")
         snapshots = {name: self.scan(name, None) for name in self._states}
-        old_owner = {name: dict(state.owner)
-                     for name, state in self._states.items()}
+        old_shards = self.shards
         self.shard_count = new_count
         self.shards = [DocumentStore() for _ in range(new_count)]
         moved = 0
         for name, docs in snapshots.items():
             state = self._states[name]
-            self._routing_exact[name] = True
-            fields = self._indexed_fields.get(name)
+            state.exact = True
             for shard in self.shards:
-                shard.ensure_index(name, fields)
-            previous = old_owner[name]
+                shard.ensure_index(name, state.fields)
             by_shard: dict[int, list[tuple[str, dict]]] = {}
             for doc_id, source in docs:
-                code = self._route_source(source)
-                state.owner[doc_id] = code
-                if previous.get(doc_id) != code:
-                    moved += 1
-                if doc_id not in state.rank:
-                    # A shard held a doc the coordinator never assigned
-                    # (buggy caller grew a batch).  Adopt it: it scans
-                    # last, so adoption order is deterministic.
-                    state.rank[doc_id] = state.next_rank
-                    state.next_rank += 1
-                    try:
-                        state.next_id = max(state.next_id,
-                                            int(doc_id) + 1)
-                    except ValueError:
-                        pass
-                by_shard.setdefault(code, []).append((doc_id, source))
+                by_shard.setdefault(self._route_source(source), []).append(
+                    (doc_id, source))
             for code, pairs in by_shard.items():
                 _append(self.shards[code].ensure_index(name), pairs)
+                held = (old_shards[code]._index(name).columns.row_of
+                        if code < len(old_shards) else {})
+                moved += sum(doc_id not in held for doc_id, _ in pairs)
         self.rebalances += 1
         return moved
 
@@ -710,9 +632,10 @@ class ShardedDocumentStore:
 
         ``shard-NN/router.bin`` holds one ``[index, id, rank,
         source]`` record frame per document in shard scan order (the
-        codec of :mod:`repro.backend.wal`, layout in docs/STORAGE.md) —
-        the session export format cannot be used here because it drops
-        doc ids, which the coordinator's rank/owner maps are keyed by.
+        codec of :mod:`repro.backend.wal`, layout in docs/STORAGE.md;
+        ``rank`` is written as ``id - 1``) — the session export format
+        cannot be used here because it drops doc ids, which order the
+        merged reads.
         """
         from pathlib import Path
         root = Path(root)
@@ -728,18 +651,16 @@ class ShardedDocumentStore:
             shard_dir.mkdir(parents=True, exist_ok=True)
             frames = [SHARD_IMAGE_MAGIC]
             for name in sorted(shard._indices):
-                state = self._states[name]
                 for doc_id, source in shard._indices[name].documents():
-                    # An id the coordinator never assigned scans last.
-                    rank = state.rank.get(doc_id, state.next_rank)
                     frames.append(frame_record(
-                        [name, doc_id, rank, source], default=repr))
+                        [name, doc_id, int(doc_id) - 1, source],
+                        default=repr))
             (shard_dir / SHARD_IMAGE_NAME).write_bytes(b"".join(frames))
 
     def kill_shard(self, shard: int) -> None:
         """Drop one shard's in-memory state (a simulated node loss).
 
-        Coordinator maps are kept, so a subsequent
+        The coordinator's per-index records are kept, so a subsequent
         :meth:`restore_shard` from a :meth:`save_shards` image brings
         the store back byte-identically; until then the shard's
         documents are simply absent from reads.
@@ -747,8 +668,8 @@ class ShardedDocumentStore:
         if not 0 <= shard < self.shard_count:
             raise StoreError(f"no such shard {shard}")
         replacement = DocumentStore()
-        for name, fields in self._indexed_fields.items():
-            replacement.ensure_index(name, fields)
+        for name, state in self._states.items():
+            replacement.ensure_index(name, state.fields)
         self.shards[shard] = replacement
         self.shard_kills += 1
 
@@ -761,8 +682,9 @@ class ShardedDocumentStore:
         report is left in :attr:`shard_restore_report`.  An index is
         append-only, so the first record of an id is applied and any
         later one — or one of an id the shard holds already — is
-        skipped.  The documents land as one part per index; returns
-        how many.
+        skipped.  The documents land as one part per index, and the
+        index's next id moves past the largest applied; returns how
+        many.
         """
         from pathlib import Path
         if not 0 <= shard < self.shard_count:
@@ -773,19 +695,19 @@ class ShardedDocumentStore:
             blob, SHARD_IMAGE_MAGIC, _image_record)
         target_store = self.shards[shard]
         by_index: dict[str, dict[str, dict]] = {}
-        for name, doc_id, rank, source in records:
-            state = self._states.get(name)
-            if state is None:
+        for name, doc_id, _, source in records:
+            if name not in self._states:
                 continue
             pairs = by_index.setdefault(name, {})
             if (doc_id in pairs or doc_id
                     in target_store.ensure_index(name).columns.row_of):
                 continue
             pairs[doc_id] = source
-            state.rank.setdefault(doc_id, rank)
-            state.owner[doc_id] = shard
         for name, pairs in by_index.items():
             _append(target_store.ensure_index(name), list(pairs.items()))
+            state = self._states[name]
+            state.next_id = max(state.next_id,
+                                max(map(int, pairs), default=0) + 1)
         return sum(map(len, by_index.values()))
 
     # ------------------------------------------------------------------
@@ -879,6 +801,14 @@ class ShardedDocumentStore:
 
 # ----------------------------------------------------------------------
 # Factory
+
+
+def _merge_by_id(parts: list[list]) -> list:
+    """``(id, ...)`` runs, each in id order, merged into one: a
+    document's numeric id is its global rank."""
+    if len(parts) == 1:
+        return parts[0]
+    return list(heap_merge(*parts, key=lambda pair: int(pair[0])))
 
 
 def _append(index: Index, pairs: list[tuple[str, dict]]) -> None:

@@ -10,11 +10,11 @@ An index holds its rows in one form: *parts*, ``(first row,
 LaneBatch)`` pairs in row order (:mod:`repro.backend.lanes`).  There
 is one write path — every write appends a part: ``bulk_columnar`` its
 batch as it came (a decoded ring batch, a loaded session), ``bulk``
-its documents as one :class:`DocBatch`, ``index_doc`` a one-row
-:class:`DocBatch` — and an index is append-only: a trace is written
-once and then annotated, never rewritten.  There is one update path,
-:meth:`Index.update_docs` (``update_by_query`` feeds it its matches'
-ids): each part takes its run of the rows as one overlay.
+its documents as one :class:`DocBatch` — and an index is append-only:
+a trace is written once and then annotated, never rewritten.  There
+is one update path, :meth:`Index.update_docs` (``update_by_query``
+feeds it its matches' ids): each part takes its run of the rows as one
+overlay.
 
 Rows are the address of the read path.  Every document owns a row —
 its position in insertion order — and every field a request has
@@ -91,9 +91,9 @@ class Index:
 
     An index is its parts: ``(first row, LaneBatch)`` pairs in row
     order.  Every write appends one (:meth:`bulk_append`) — a lane-wise
-    bulk its batch as it came, a document bulk or a single document a
-    :class:`DocBatch` — and an index is append-only: a document's row
-    is its insertion rank forever.
+    bulk its batch as it came, a document bulk a :class:`DocBatch` —
+    and an index is append-only: a document's row is its insertion rank
+    forever.
     """
 
     def __init__(self, name: str,
@@ -663,22 +663,6 @@ class DocumentStore:
 
     # ------------------------------------------------------------------
     # Document APIs
-
-    def index_doc(self, index: str, source: dict,
-                  doc_id: Optional[str] = None) -> str:
-        """Index a single document, as a one-row :class:`DocBatch`
-        part; returns its id.  An id the index already holds is a
-        :class:`StoreError`: an index is append-only."""
-        target = self.ensure_index(index)
-        if not isinstance(source, dict):
-            raise StoreError(f"document source must be a dict: {source!r}")
-        if doc_id is not None and doc_id in target.columns.row_of:
-            raise StoreError(f"document {doc_id!r} already exists in "
-                             f"{index!r}: an index is append-only")
-        target.bulk_append(DocBatch([source]),
-                           None if doc_id is None else [doc_id])
-        self.documents_indexed += 1
-        return target.columns.doc_ids[-1]
 
     def bulk(self, index: str, sources: Iterable[dict]) -> int:
         """Bulk-index documents as one :class:`DocBatch` part; returns

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.backend.router import ShardedDocumentStore, create_store
-from repro.backend.store import DocumentStore, StoreError
+from repro.backend.store import StoreError
 
 
 class TenantQuotaExceeded(StoreError):
@@ -41,9 +41,7 @@ class TenantStore:
 
     Everything except the ingest entry points delegates verbatim, so a
     tracer (or the DST pipeline) can use a tenant store wherever it
-    uses a plain one.  Writes go through ``bulk``/``bulk_columnar``;
-    the single-document ``index_doc`` is refused, never delegated
-    past the quota.
+    uses a plain one.  Writes go through ``bulk``/``bulk_columnar``.
     """
 
     def __init__(self, name: str, inner, quota_docs: Optional[int] = None):
@@ -83,10 +81,6 @@ class TenantStore:
         return self.docs_held() / self.quota_docs
 
     def __getattr__(self, name: str):
-        if name == "index_doc":
-            # A write _admit does not see: passed through to a plain
-            # store, it would index past the quota.
-            raise AttributeError(f"{type(self).__name__} has no index_doc")
         return getattr(self.inner, name)
 
 
@@ -95,36 +89,26 @@ class TenantBackend:
 
     ``shards_per_tenant`` > 1 gives every tenant its own
     :class:`ShardedDocumentStore`; ``1`` gives each a plain
-    :class:`DocumentStore` (the differential-oracle configuration).
-    Per-tenant quotas default to ``default_quota_docs`` and can be
-    overridden at :meth:`register` time.
+    :class:`DocumentStore` (the differential-oracle configuration),
+    routed by ``pid``.  Every tenant's quota is ``default_quota_docs``.
     """
 
-    def __init__(self, shards_per_tenant: int = 2, shard_key: str = "pid",
-                 time_window_ns: Optional[int] = None,
+    def __init__(self, shards_per_tenant: int = 2,
                  default_quota_docs: Optional[int] = None) -> None:
         if not isinstance(shards_per_tenant, int) or shards_per_tenant < 1:
             raise StoreError(f"shards_per_tenant must be a positive int: "
                              f"{shards_per_tenant!r}")
         self.shards_per_tenant = shards_per_tenant
-        self.shard_key = shard_key
-        self.time_window_ns = time_window_ns
         self.default_quota_docs = default_quota_docs
         self._tenants: dict[str, TenantStore] = {}
 
-    def register(self, name: str, shard_count: Optional[int] = None,
-                 quota_docs: Optional[int] = None) -> TenantStore:
+    def register(self, name: str) -> TenantStore:
         """Create a tenant (error if it exists); returns its store."""
         if name in self._tenants:
             raise StoreError(f"tenant {name!r} already exists")
-        inner = create_store(
-            shard_count=(self.shards_per_tenant if shard_count is None
-                         else shard_count),
-            shard_key=self.shard_key,
-            time_window_ns=self.time_window_ns)
         tenant = TenantStore(
-            name, inner,
-            self.default_quota_docs if quota_docs is None else quota_docs)
+            name, create_store(shard_count=self.shards_per_tenant),
+            self.default_quota_docs)
         self._tenants[name] = tenant
         return tenant
 

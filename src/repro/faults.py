@@ -193,8 +193,7 @@ class FaultyStore:
     path, the correlator, and telemetry bindings all reach the real
     store untouched.  Only ``bulk``/``bulk_columnar`` and
     ``update_docs`` consult the plan — the write APIs the ingestion
-    path and correlator depend on — and the single-document
-    ``index_doc`` is refused rather than passed through unchecked.
+    path and correlator depend on.
     """
 
     def __init__(self, inner, plan: FaultPlan,
@@ -298,8 +297,4 @@ class FaultyStore:
         self.inner.bind_telemetry(registry, clock=clock)
 
     def __getattr__(self, name: str):
-        if name == "index_doc":
-            # A write the plan does not gate: passed through, it would
-            # index behind every fault window.
-            raise AttributeError(f"{type(self).__name__} has no index_doc")
         return getattr(self.inner, name)

@@ -12,11 +12,9 @@ same dict.
 def get_doc(store, index, doc_id):
     """The ``_source`` of ``doc_id`` in ``index`` (``None`` if absent);
     on a shard router, read off the shard that holds the id."""
-    if hasattr(store, "shards"):
-        owner = store._states[index].owner.get(doc_id)
-        if owner is None:
-            return None
-        store = store.shards[owner]
-    target = store._indices[index]
-    row = target.columns.row_of.get(doc_id)
-    return None if row is None else target.sources((row,))[0]
+    for shard in getattr(store, "shards", [store]):
+        target = shard._indices[index]
+        row = target.columns.row_of.get(doc_id)
+        if row is not None:
+            return target.sources((row,))[0]
+    return None

@@ -69,18 +69,8 @@ class TestIndexLifecycle:
 
 class TestDocumentAPIs:
     def test_index_and_get(self, store):
-        doc_id = store.index_doc("idx", {"k": "v"})
-        assert get_doc(store, "idx", doc_id) == {"k": "v"}
-
-    def test_an_id_the_index_holds_is_refused(self, store):
-        # An index is append-only: a second put of an id changes nothing.
-        store.index_doc("idx", {"v": 1}, doc_id="x")
-        epoch = store._indices["idx"].epoch
-        with pytest.raises(StoreError):
-            store.index_doc("idx", {"v": 2}, doc_id="x")
-        assert get_doc(store, "idx", "x") == {"v": 1}
-        assert store.count("idx") == 1
-        assert store._indices["idx"].epoch == epoch
+        store.bulk("idx", [{"k": "v"}])
+        assert get_doc(store, "idx", "1") == {"k": "v"}
 
     def test_bulk_counts(self, store):
         n = store.bulk("idx", [{"i": i} for i in range(5)])
@@ -89,19 +79,25 @@ class TestDocumentAPIs:
         assert store.count("idx") == 5
 
 
+def auto_id(store, source):
+    """The id a one-document ``bulk`` assigns ``source``."""
+    store.bulk("idx", [source])
+    return store._indices["idx"].columns.doc_ids[-1]
+
+
 class TestIdAllocation:
     def test_explicit_numeric_id_advances_auto_ids(self, store):
         # Regression: an explicit numeric id used to leave ``_next_id``
         # behind, so the next auto-id silently overwrote the document.
-        store.index_doc("idx", {"who": "explicit"}, doc_id="7")
-        auto_id = store.index_doc("idx", {"who": "auto"})
-        assert auto_id != "7"
+        store.bulk_columnar("idx", DocBatch([{"who": "explicit"}]), ["7"])
+        auto = auto_id(store, {"who": "auto"})
+        assert auto != "7"
         assert get_doc(store, "idx", "7") == {"who": "explicit"}
-        assert get_doc(store, "idx", auto_id) == {"who": "auto"}
+        assert get_doc(store, "idx", auto) == {"who": "auto"}
 
     def test_explicit_int_id_advances_auto_ids(self, store):
-        store.index_doc("idx", {"who": "explicit"}, doc_id=3)
-        assert store.index_doc("idx", {"who": "auto"}) == "4"
+        store.bulk_columnar("idx", DocBatch([{"who": "explicit"}]), [3])
+        assert auto_id(store, {"who": "auto"}) == "4"
 
     def test_the_ids_of_an_append_advance_auto_ids_past_the_largest(self,
                                                                      store):
@@ -109,11 +105,11 @@ class TestIdAllocation:
         index = store.ensure_index("idx")
         index.bulk_append(DocBatch([{"k": 1}, {"k": 2}, {"k": 3}]),
                           ["9", "alpha", "3"])
-        assert store.index_doc("idx", {"k": 4}) == "10"
+        assert auto_id(store, {"k": 4}) == "10"
 
     def test_non_numeric_ids_leave_sequence_alone(self, store):
-        store.index_doc("idx", {"k": 1}, doc_id="alpha")
-        assert store.index_doc("idx", {"k": 2}) == "1"
+        store.bulk_columnar("idx", DocBatch([{"k": 1}]), ["alpha"])
+        assert auto_id(store, {"k": 2}) == "1"
         assert store.count("idx") == 2
 
 
@@ -200,7 +196,7 @@ class TestSearch:
         assert response["hits"]["total"]["value"] == 5
 
     def test_update_refreshes_inverted_index(self, store):
-        store.index_doc("idx", {"state": "old"}, doc_id="1")
+        store.bulk("idx", [{"state": "old"}])
         # Force the inverted index to exist before the update.
         store.search("idx", query={"term": {"state": "old"}})
         store.update_by_query("idx", {"term": {"state": "old"}},

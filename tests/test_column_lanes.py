@@ -223,7 +223,7 @@ def test_column_built_after_a_put_reads_documents_then_parked_lanes():
     def fill(ingest) -> DocumentStore:
         store = DocumentStore()
         ingest(store, RecordBatch.decode(_records(6), session="s"))
-        store.index_doc("idx", {"syscall": "late"})           # row 6
+        store.bulk("idx", [{"syscall": "late"}])              # row 6
         ingest(store, RecordBatch.decode(_records(3), session="s"))
         return store
 

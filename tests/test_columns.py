@@ -126,7 +126,7 @@ class TestColumnSet:
         assert len(col.codes) == 3
 
     def test_refresh_respects_field_filter(self, store):
-        store.index_doc("idx", {"f": "a", "g": 1}, "1")
+        store.bulk("idx", [{"f": "a", "g": 1}])
         index = store._index("idx")
         f_col, g_col = index.column("f"), index.column("g")
         index.update_docs(["1"], {"g": [2]})
@@ -137,7 +137,7 @@ class TestColumnSet:
     def test_dotted_field_prefix_refresh(self, store):
         # A column the update reaches only through a dotted name is
         # rebuilt from the lanes.
-        store.index_doc("idx", {"args": {"fd": 3}}, "1")
+        store.bulk("idx", [{"args": {"fd": 3}}])
         index = store._index("idx")
         col = index.column("args.fd")
         index.update_docs(["1"], {"args": [{"fd": 9}]})
@@ -291,12 +291,11 @@ class TestKernelEquivalence:
         assert stats["fallbacks"] == 1 and stats["pushdowns"] == 0
 
     def test_pushdown_after_update_and_delete(self, store):
-        for i in range(10):
-            store.index_doc("ev", {"p": "a", "n": i}, doc_id=f"d{i}")
+        store.bulk("ev", [{"p": "a", "n": i} for i in range(10)])
         aggs = {"t": {"terms": {"field": "p"},
                       "aggs": {"s": {"sum": {"field": "n"}}}}}
         store.search("ev", size=0, aggs=aggs)     # builds columns
-        store.update_docs("ev", ["d5"], {"p": ["b"], "n": [100]})
+        store.update_docs("ev", ["6"], {"p": ["b"], "n": [100]})
         response = store.search("ev", size=0, aggs=aggs)
         expected = naive_aggregate(store._index("ev"), None, aggs)
         assert canon(response["aggregations"]) == canon(expected)
@@ -321,7 +320,7 @@ class TestAggCache:
     def test_mutation_invalidates(self, store):
         store.bulk("ev", [{"p": "a"}])
         store.search("ev", size=0, aggs=self.AGGS)
-        store.index_doc("ev", {"p": "b"})
+        store.bulk("ev", [{"p": "b"}])
         response = store.search("ev", size=0, aggs=self.AGGS)
         keys = [b["key"]
                 for b in response["aggregations"]["t"]["buckets"]]

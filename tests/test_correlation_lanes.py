@@ -30,7 +30,7 @@ INDEXED = ("syscall", "file_tag", "session", "time")
 
 
 SHARDED = pytest.mark.parametrize("make", [
-    DocumentStore, lambda: create_store(shard_count=3, shard_key="file_tag")],
+    DocumentStore, lambda: create_store(shard_count=3, shard_key="pid")],
     ids=["plain", "3-shards"])
 
 

@@ -464,14 +464,17 @@ def _restore_drops_a_document(monkeypatch):
 
 
 def _rebalance_reorders_two_documents(monkeypatch):
-    from repro.backend.router import ShardedDocumentStore
+    from repro.backend.router import ShardedDocumentStore, _append
     real = ShardedDocumentStore.rebalance
 
     def swapping(self, shard_count=None):
+        # The fullest shard's first two rows trade places.
         moved = real(self, shard_count)
-        rank = self._states["dio_trace"].rank
-        first, second = list(rank)[:2]
-        rank[first], rank[second] = rank[second], rank[first]
+        shard = max(self.shards, key=lambda s: len(s._index("dio_trace")))
+        pairs = shard.scan("dio_trace")
+        pairs[:2] = pairs[1::-1]
+        shard.delete_index("dio_trace")
+        _append(shard.ensure_index("dio_trace"), pairs)
         return moved
 
     monkeypatch.setattr(ShardedDocumentStore, "rebalance", swapping)

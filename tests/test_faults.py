@@ -120,27 +120,16 @@ class TestFaultyStore:
         assert faulty.consume_penalty_ns() == 0  # claimed once
         assert faulty.penalty_ns_total == 3000
 
-    def test_index_doc_intercepted(self):
-        # A single-document write the plan does not gate is refused,
-        # never passed through to the inner store behind the window.
-        now = [150]
-        inner, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
-        for instant in (150, 300):
-            now[0] = instant
-            with pytest.raises(AttributeError, match="index_doc"):
-                faulty.index_doc("idx", {"a": 1})
-        assert inner.documents_indexed == 0
-
     def test_unprotected_methods_delegate(self):
         now = [150]
         inner, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
-        doc_id = inner.index_doc("idx", {"a": 1})
+        inner.bulk("idx", [{"a": 1}])
         # Reads are never faulted; update_docs is outside the default
         # protect set.
         assert faulty.count("idx") == 1
         hits = faulty.search("idx")["hits"]["hits"]
         assert len(hits) == 1
-        assert faulty.update_docs("idx", [doc_id], {"b": [2]}) == 1
+        assert faulty.update_docs("idx", ["1"], {"b": [2]}) == 1
 
     def test_protect_requires_real_methods(self):
         with pytest.raises(FaultError):

@@ -133,7 +133,7 @@ def test_a_row_read_twice_is_the_same_object(saved):
     # readers hold.
     index = store._indices[INDEX]
     pending = index.pending_docs
-    store.index_doc(INDEX, {"syscall": "late", "session": "x"})
+    store.bulk(INDEX, [{"syscall": "late", "session": "x"}])
     assert get_doc(store, INDEX, "17") is first
     assert index.pending_docs == pending
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.backend import (INDEXED_EVENT_FIELDS, DocumentStore,
                            FilePathCorrelator, save_session)
-from repro.backend.lanes import Derived, StructLane
+from repro.backend.lanes import Derived, DocBatch, StructLane
 from repro.dst.crash import BulkOnlyStore
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.sim import Environment
@@ -257,7 +257,7 @@ class TestBulkColumnar:
         # A put appends a part: nothing is built, the one column that
         # exists takes the new row and still nothing is built for
         # ``time``.
-        vec.index_doc("idx", {"syscall": "late", "session": SESSION})
+        vec.bulk("idx", [{"syscall": "late", "session": SESSION}])
         assert index.pending_docs == 6
         assert list(built) == ["syscall"]
         assert vec.count("idx", {"term": {"syscall": "late"}}) == 1
@@ -306,7 +306,7 @@ class TestBulkColumnar:
         get_doc(vec, "idx", "1")
         assert (index.pending_docs, index.hydrated_docs_total) == (5, 1)
         # A put appends one part; the parked batch stays as it is.
-        assert vec.index_doc("idx", {"syscall": "late"}) == "7"
+        vec.bulk("idx", [{"syscall": "late"}])
         assert (index.pending_docs, index.hydrated_docs_total) == (5, 1)
         assert get_doc(vec, "idx", "7") == {"syscall": "late"}
         assert vec.count("idx") == 7
@@ -355,8 +355,8 @@ class TestBulkColumnar:
         vec = DocumentStore()
         vec.bulk_columnar("idx", RecordBatch.decode(records,
                                                     session=SESSION))
-        vec.index_doc("idx", {"syscall": "late", "session": SESSION},
-                      doc_id="99")
+        vec.bulk_columnar("idx", DocBatch([{"syscall": "late",
+                                            "session": SESSION}]), ["99"])
         docs = [doc_id for doc_id, _ in vec.scan("idx", {"match_all": {}})]
         assert docs == ["1", "2", "3", "4", "5", "6", "99"]
         assert vec.count("idx") == 7

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore
+from repro.backend.lanes import DocBatch
 from repro.backend.query import get_field
 from repro.dst import Scenario, generate
 from repro.dst.runner import execute_pipeline
@@ -211,14 +212,15 @@ class TestDifferentialIngest:
                  "args": {}, "ret": 0, "time_exit": 2, "duration_ns": 1}
         for store in (legacy, vec):
             store.count("idx", {"term": {"args.fd": 1}})
-            store.index_doc("idx", dict(extra), doc_id="tail-1")
+            store.bulk_columnar("idx", DocBatch([dict(extra)]), ["tail-1"])
             store.update_by_query("idx", {"term": {"syscall": syscall}},
                                   {"file_path": "/resolved"})
             store.update_docs("idx", [doc_id for doc_id, _ in rets],
                               {"ret": [ret for _, ret in rets]})
             store.update_docs("idx", [doc_id for doc_id, _ in fds],
                               {"args": [{"fd": fd} for _, fd in fds]})
-            store.index_doc("idx", dict(extra, time=3), doc_id="tail-2")
+            store.bulk_columnar("idx", DocBatch([dict(extra, time=3)]),
+                                ["tail-2"])
             store.count("idx", {"term": {"args.fd": 1}})
         assert_stores_identical(legacy, vec)
         assert (legacy.count("idx", {"term": {"args.fd": 1}})

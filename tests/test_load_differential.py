@@ -287,12 +287,14 @@ def _docs(n: int) -> list[dict]:
 
 def test_a_session_over_the_tenant_quota_lands_no_row(tmp_path):
     written_by_save_session(_docs(12), tmp_path / "store", flush_events=5)
-    tenant = TenantBackend(shards_per_tenant=2).register("t", quota_docs=11)
+    tenant = TenantBackend(shards_per_tenant=2,
+                           default_quota_docs=11).register("t")
     with pytest.raises(TenantQuotaExceeded):
         load_session(tenant, tmp_path / "store")
     assert tenant.docs_held() == 0 and tenant.count(INDEX) == 0
     assert tenant.rejected_docs == 12 and tenant.quota_rejections == 1
-    roomy = TenantBackend(shards_per_tenant=2).register("t", quota_docs=12)
+    roomy = TenantBackend(shards_per_tenant=2,
+                          default_quota_docs=12).register("t")
     load_session(roomy, tmp_path / "store")
     assert roomy.docs_held() == 12
 

@@ -265,7 +265,7 @@ class TestScanSemantics:
         # The pre-planner store left stale postings behind on in-place
         # re-puts and relied on predicate re-checks to hide them; exact
         # plans skip the predicate, so the indexes must be truly clean.
-        store.index_doc("idx", {"state": "old"}, doc_id="1")
+        store.bulk("idx", [{"state": "old"}])
         store.search("idx", query={"term": {"state": "old"}})
         store.update_by_query("idx", {"term": {"state": "old"}},
                               {"state": "new"})

@@ -168,8 +168,8 @@ class TestColumnarEquivalence:
     def test_equivalence_survives_mutation(self, docs, aggs, data):
         """Columns updated in place agree with a fresh oracle scan."""
         store = DocumentStore()
-        for i, doc in enumerate(docs):
-            store.index_doc("ev", dict(doc), doc_id=f"d{i}")
+        for doc in docs:
+            store.bulk("ev", [dict(doc)])
         try:
             store.search("ev", size=0, aggs=aggs)  # build columns
         except Exception:
@@ -177,7 +177,7 @@ class TestColumnarEquivalence:
         victim = data.draw(
             st.integers(min_value=0, max_value=len(docs) - 1))
         replacement = data.draw(documents)
-        store.update_docs("ev", [f"d{victim}"],
+        store.update_docs("ev", [str(victim + 1)],
                           {key: [value] for key, value in replacement.items()})
         _assert_equivalent(store, None, aggs)
 

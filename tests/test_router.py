@@ -72,9 +72,45 @@ class TestRouting:
         assert store._route_value(True) == store._route_value(1)
 
     def test_absent_shard_key_still_routes(self):
-        store = sharded(key="file_tag")
-        store.bulk(INDEX, [{"syscall": "read", "pid": 1, "time": 0}])
+        store = sharded()
+        store.bulk(INDEX, [{"syscall": "read", "time": 0}])
         assert store.count(INDEX) == 1
+
+    def test_a_string_a_float_and_a_missing_pid_route_by_one_rule(self):
+        """A number's window modulo the shard count (a float floors),
+        anything else shard 0; a ``term`` on the key asks the one shard
+        the rule names and finds each document there."""
+        store = sharded()
+        odd = [{"pid": "7", "n": 0}, {"pid": 6.5, "n": 1},
+               {"syscall": "read", "n": 2}, {"pid": float("nan"), "n": 3}]
+        store.bulk(INDEX, [dict(doc) for doc in odd])
+        assert [doc["n"] for _, doc in store.shards[0].scan(INDEX)] == [
+            0, 1, 2, 3]
+        assert store._route_value(7.5) == store._route_value(7) == 1
+        for value, n in (("7", 0), (6.5, 1), (None, 2)):
+            routed = store.routed_queries
+            hits = store.scan(INDEX, {"term": {"pid": value}})
+            assert store.routed_queries == routed + 1
+            assert [doc["n"] for _, doc in hits] == [n]
+            assert hits == single(odd).scan(INDEX, {"term": {"pid": value}})
+
+    def test_a_range_on_the_key_asks_a_subset(self):
+        docs = make_docs(40)
+        store = sharded(count=4)
+        store.bulk(INDEX, [dict(doc) for doc in docs])
+        request = dict(size=None,
+                       aggs={"lat": {"stats": {"field": "duration_ns"}}})
+        # An empty range asks no shard and answers as one store does.
+        for query, asked in (({"range": {"pid": {"gte": 2, "lte": 3}}},
+                              {2, 3}),
+                             ({"range": {"pid": {"gte": 3, "lt": 2}}}, set())):
+            routed = store.routed_queries
+            got = store.search(INDEX, query=query, **request)
+            assert store.routed_queries == routed + 1
+            assert store._narrow(query) == asked
+            assert got == single(docs).search(INDEX, query=query, **request)
+            assert store.lanes(INDEX, query)[0] == single(docs).lanes(
+                INDEX, query)[0]
 
     def test_time_window_groups_neighbouring_events(self):
         store = sharded(key="time_window")
@@ -94,7 +130,7 @@ class TestRouting:
 
     @pytest.mark.parametrize("shard_count", [1, 3])
     def test_a_bulk_with_a_non_dict_source_stores_nothing(self, shard_count):
-        """Every source is checked before an id, a rank or a row is
+        """Every source is checked before an id or a row is
         assigned: no document, no counter, and the next id is 1."""
         store = create_store(shard_count=shard_count)
         with pytest.raises(StoreError):
@@ -103,15 +139,17 @@ class TestRouting:
         assert store.index_names() == []
         assert store.bulk(INDEX, [{"pid": 3}]) == 1
         assert list(store.scan(INDEX)) == [("1", {"pid": 3})]
-        if shard_count > 1:
-            assert store._states[INDEX].rank == {"1": 0}
 
     def test_shard_key_term_query_routes_to_subset(self):
+        docs = make_docs(30)
         store = sharded()
-        store.bulk(INDEX, make_docs(30))
-        before = store.routed_queries
-        store.count(INDEX, {"term": {"pid": 2}})
-        assert store.routed_queries == before + 1
+        store.bulk(INDEX, [dict(doc) for doc in docs])
+        # ES's {"value": v} form routes by v, not by the dict.
+        for query in ({"term": {"pid": 2}}, {"term": {"pid": {"value": 2}}}):
+            before = store.routed_queries
+            assert store.count(INDEX, query) == 6
+            assert store.routed_queries == before + 1
+            assert store.scan(INDEX, query) == single(docs).scan(INDEX, query)
 
     def test_non_key_query_fans_out(self):
         store = sharded()
@@ -135,8 +173,9 @@ class TestRouting:
     def test_invalid_construction_rejected(self):
         with pytest.raises(StoreError):
             ShardedDocumentStore(shard_count=0)
-        with pytest.raises(StoreError):
-            ShardedDocumentStore(shard_key="hostname")
+        for key in ("hostname", "file_tag"):
+            with pytest.raises(StoreError):
+                ShardedDocumentStore(shard_key=key)
         with pytest.raises(StoreError):
             ShardedDocumentStore(time_window_ns=0)
 
@@ -278,13 +317,12 @@ class TestMerges:
 
 
 def assert_rows_in_rank_order(store):
-    """On every shard, row order is global rank order — what lets a
-    shard answer in ascending rows (scan order, the order the kernels
-    aggregate in) with no rank to sort by."""
-    rank = store._states[INDEX].rank
+    """On every shard, row order is global rank order — numeric id
+    order — what lets a shard answer in ascending rows (scan order,
+    the order the kernels aggregate in) with no rank to sort by."""
     for shard in store.shards:
         columns = shard._indices[INDEX].columns
-        ranks = [rank[columns.doc_ids[row]] for row in columns.all_rows()]
+        ranks = [int(columns.doc_ids[row]) for row in columns.all_rows()]
         assert ranks == sorted(ranks)
         assert [doc_id for doc_id, _ in shard.scan(INDEX)] == [
             columns.doc_ids[row] for row in columns.all_rows()]
@@ -330,8 +368,38 @@ class TestLifecycle:
         assert list(store.shards[victim].scan(INDEX)) == held
         assert list(store.scan(INDEX)) == snapshot
         # The image's ids came from outside: an auto id is past them all.
-        auto = store.shards[victim].index_doc(INDEX, {})
+        store.shards[victim].bulk(INDEX, [{}])
+        auto = store.shards[victim]._index(INDEX).columns.doc_ids[-1]
         assert int(auto) > max(int(doc_id) for doc_id, _ in held)
+
+    def test_an_image_record_whose_id_is_no_number_ends_the_restore(
+            self, tmp_path):
+        # Merged reads order documents by their numeric id: a record
+        # with any other id is damage, and recovery stops before it.
+        store = sharded()
+        store.bulk(INDEX, make_docs(45))
+        snapshot = list(store.scan(INDEX))
+        store.save_shards(tmp_path)
+        victim = max(range(3), key=store._shard_docs)
+        held = store._shard_docs(victim)
+        image = tmp_path / f"shard-{victim:02d}" / "router.bin"
+        image.write_bytes(image.read_bytes()
+                          + frame_record([INDEX, "x", 0, {"pid": 1}]))
+        store.kill_shard(victim)
+        assert store.restore_shard(victim, tmp_path) == held
+        assert store.shard_restore_report["torn_bytes_dropped"] > 0
+        assert list(store.scan(INDEX)) == snapshot
+
+    def test_a_fresh_router_restored_from_images_assigns_new_ids(
+            self, tmp_path):
+        store = sharded(count=2)
+        store.bulk(INDEX, make_docs(6))
+        store.save_shards(tmp_path)
+        fresh = sharded(count=2)
+        assert sum(fresh.restore_shard(i, tmp_path) for i in (0, 1)) == 6
+        fresh.bulk(INDEX, make_docs(1))
+        assert [doc_id for doc_id, _ in fresh.scan(INDEX)] == [
+            "1", "2", "3", "4", "5", "6", "7"]
 
     def test_kill_bad_shard_rejected(self):
         store = sharded()
@@ -446,8 +514,8 @@ class TestTelemetry:
 
 class TestTenancy:
     def test_quota_rejects_and_counts(self):
-        backend = TenantBackend(shards_per_tenant=2)
-        tenant = backend.register("acme", quota_docs=10)
+        backend = TenantBackend(shards_per_tenant=2, default_quota_docs=10)
+        tenant = backend.register("acme")
         tenant.ensure_index(INDEX, indexed_fields=INDEXED)
         tenant.bulk(INDEX, make_docs(8))
         with pytest.raises(TenantQuotaExceeded):
@@ -459,18 +527,15 @@ class TestTenancy:
 
     def test_quota_checks_a_single_document_write(self):
         # One document goes in as a bulk of one, through the quota
-        # check; the single-document index_doc is refused rather than
-        # delegated — on a plain inner store (one shard) it would
-        # index past the quota.
+        # check, on a plain inner store (one shard) and a router.
         for shards in (1, 2):
-            backend = TenantBackend(shards_per_tenant=shards)
-            tenant = backend.register("acme", quota_docs=2)
+            backend = TenantBackend(shards_per_tenant=shards,
+                                    default_quota_docs=2)
+            tenant = backend.register("acme")
             tenant.bulk(INDEX, make_docs(1))
             tenant.bulk(INDEX, make_docs(1))
             with pytest.raises(TenantQuotaExceeded):
                 tenant.bulk(INDEX, make_docs(1))
-            with pytest.raises(AttributeError, match="index_doc"):
-                tenant.index_doc(INDEX, make_docs(1)[0])
             assert (tenant.docs_held(), tenant.quota_rejections) == (2, 1)
 
     def test_tenants_are_isolated(self):
@@ -500,8 +565,8 @@ class TestTenancy:
                    for t in report["tenants"].values())
 
     def test_tenant_telemetry_gauges(self):
-        backend = TenantBackend(shards_per_tenant=2)
-        tenant = backend.register("acme", quota_docs=50)
+        backend = TenantBackend(shards_per_tenant=2, default_quota_docs=50)
+        tenant = backend.register("acme")
         tenant.ensure_index(INDEX, indexed_fields=INDEXED)
         tenant.bulk(INDEX, make_docs(5))
         registry = MetricsRegistry()
@@ -533,7 +598,7 @@ class TestFactory:
         assert type(create_store(shard_count=1)) is DocumentStore
 
     def test_create_store_sharded_is_router(self):
-        store = create_store(shard_count=2, shard_key="file_tag")
+        store = create_store(shard_count=2, shard_key="time_window")
         assert isinstance(store, ShardedDocumentStore)
-        assert (store.shard_count, store.shard_key) == (2, "file_tag")
+        assert (store.shard_count, store.shard_key) == (2, "time_window")
         assert all(type(s) is DocumentStore for s in store.shards)

@@ -526,7 +526,7 @@ class TestSegmentStorage:
     def test_load_into_matches_import_session(self, tmp_path):
         store = DocumentStore()
         for doc in sort_docs(DOCS):
-            store.index_doc("dio_trace", dict(doc, session="orig"))
+            store.bulk("dio_trace", [dict(doc, session="orig")])
 
         seg_root = tmp_path / "segstore"
         save_session(store, "orig", seg_root, flush_events=2)
@@ -544,7 +544,7 @@ class TestSegmentStorage:
         """``load_session`` tells a segment store from an export by
         what is on disk; ``save_session`` writes only the former."""
         store = DocumentStore()
-        store.index_doc("dio_trace", {"time": 1, "session": "s"})
+        store.bulk("dio_trace", [{"time": 1, "session": "s"}])
         seg_root = tmp_path / "segstore"
         save_session(store, "s", seg_root)          # segments by default
         assert (seg_root / MANIFEST_NAME).exists()

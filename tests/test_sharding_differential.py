@@ -32,9 +32,10 @@ syscalls = st.sampled_from(["read", "write", "open", "close", "fsync"])
 
 #: Routing-key values deliberately cross type boundaries: 3, 3.0 and
 #: True must land on the same shard (the store treats them as equal
-#: terms, so the router must too).
+#: terms, so the router must too); 2.5 floors to 2's shard and the
+#: string "3" lives on shard 0.
 pids = st.one_of(st.integers(min_value=1, max_value=5),
-                 st.sampled_from([3.0, True]))
+                 st.sampled_from([3.0, True, 2.5, "3"]))
 
 file_tags = st.one_of(st.none(),
                       st.sampled_from(["/a", "/b", "/c/д", "/dev/null"]))
@@ -104,12 +105,22 @@ class TestShardedEquivalence:
                                           shard_key, data):
         single, sharded = build_pair([batch], shard_count, shard_key)
         syscall = data.draw(syscalls)
-        pid = data.draw(pids)
+        # Half the time a pid the batch holds, so a routed term has
+        # matches to miss.
+        pid = data.draw(st.one_of(
+            pids, st.sampled_from([d["pid"] for d in batch] or [1])))
         lo = data.draw(st.integers(min_value=0, max_value=10 ** 10))
+        pid_lo = data.draw(st.integers(min_value=0, max_value=5))
+        time = data.draw(st.sampled_from([d["time"] for d in batch] or [0]))
         queries = [
             None,
             {"term": {"syscall": syscall}},
-            {"term": {"pid": pid}},            # routed on the pid key
+            # Routed on the key they name: one rule for both keys.
+            {"term": {"pid": pid}},
+            {"term": {"pid": {"value": pid}}},
+            {"range": {"pid": {"gte": pid_lo, "lt": pid_lo + 2}}},
+            {"term": {"time": time}},
+            {"range": {"time": {"gte": time - 500, "lte": time + 1_500}}},
             {"range": {"time": {"gte": lo}}},
             {"bool": {"must": [{"term": {"session": SESSION}}],
                       "must_not": [{"term": {"syscall": syscall}}]}},
