@@ -125,8 +125,9 @@ def _lane_store(docs: list[dict]) -> DocumentStore:
 
 
 def _save(make_store, docs: list[dict], root: Path):
-    """Best ``save_session`` time over ``ROUNDS`` fresh stores (a lane
-    store memoises what the first save read); the last directory and
+    """Best ``save_session`` time over ``ROUNDS`` fresh stores (a save
+    derives nothing in a lane store's batches, but a document batch
+    keeps the ``time`` lane the sort read); the last directory and
     store are kept."""
     best = float("inf")
     for round_ in range(ROUNDS):

@@ -765,9 +765,10 @@ class JoinedBatch:
     Lanes are joined field by field, the first time each is asked for.
     :meth:`take` shares the whole batch — its lanes, its documents and
     its overlay — and projects them, so the sub-batches of one join
-    (the sort permutation, a shard's partition, a segment's chunk)
-    never join a lane or assemble a row twice, and an update through
-    one of them is seen through all.
+    (the sort permutation, a shard's partition) never join a lane or
+    assemble a row twice, and an update through one of them is seen
+    through all.  :meth:`gather` shares nothing: a segment's chunk is
+    joined from its parts' own rows alone.
 
     A join reads its parts when asked and memoises what it read: take
     a fresh one (``store.lanes``) after updating the documents under
@@ -802,12 +803,35 @@ class JoinedBatch:
         out._docs = out._cache = None
         return out
 
-    def join(self) -> None:
-        """Join every lane of the whole batch now, once: its takes then
-        only project (before the fork of a pool that encodes them)."""
-        whole = self if self._whole is None else self._whole
-        if whole._columns is None:
-            whole._columns = whole._join_columns()
+    def gather(self, rows) -> "JoinedBatch":
+        """:meth:`take` of ``rows`` as a new join of each part's own
+        take, sharing nothing with this batch, so a part's derived lane
+        is built over ``rows`` alone (a segment's chunk, in its worker).
+        Gathered ascending — a part's run by one bisect, a ``range``
+        when contiguous, a nested join gathered in turn — then put back
+        in ``rows`` order."""
+        if self._whole is not None:
+            return self._whole.gather(_project(self._rows, rows))
+        order = None if ascending(rows) else sorted(
+            range(len(rows)), key=rows.__getitem__)
+        wanted = rows if order is None else _project(rows, order)
+        parts = []
+        at = 0
+        for start, part in zip(self._starts, self._parts):
+            upto = bisect_left(wanted, start + len(part), at)
+            if upto > at:
+                first, last = wanted[at] - start, wanted[upto - 1] - start
+                local = (range(first, last + 1)
+                         if last - first == upto - at - 1
+                         else [row - start for row in wanted[at:upto]])
+                parts.append(part.gather(local) if isinstance(
+                    part, JoinedBatch) else part.take(local))
+            at = upto
+        out = JoinedBatch(parts)
+        if self._overlay is not None:
+            out._overlay = self._overlay.take(wanted)
+        return out if order is None else out.take(      # ``order``'s inverse
+            sorted(range(len(order)), key=order.__getitem__))
 
     def values_for(self, field: str) -> list:
         if self._whole is not None:
@@ -826,7 +850,7 @@ class JoinedBatch:
     def values_at(self, field: str, rows) -> list:
         """``values_for(field)`` at ``rows`` (a list or a ``range``), in
         that order.  Ascending rows are read off each part without its
-        other rows — a take of the part, so a dotted name into ``args``
+        other rows — :meth:`gather`, so a dotted name into ``args``
         walks those rows' arguments alone (the correlator's
         ``args.path`` of the open-family rows); a field the join has
         read already is projected.  May alias the batch's storage —
@@ -835,22 +859,7 @@ class JoinedBatch:
             return self._whole.values_at(field, _project(self._rows, rows))
         if field in self._cache or not ascending(rows):
             return _project(self.values_for(field), rows)
-        # Each part's run of the rows: one bisect at the part's end.
-        lanes = []
-        at = 0
-        for start, part in zip(self._starts, self._parts):
-            upto = bisect_left(rows, start + len(part), at)
-            if upto > at:
-                local = [row - start for row in rows[at:upto]]
-                lanes.append(part.values_at(field, local)
-                             if isinstance(part, JoinedBatch)
-                             else part.take(local).values_for(field))
-            at = upto
-        out = _concat(lanes, lambda number: bytes(
-            map(is_not, lanes[number], repeat(None))))
-        if self._overlay is not None:
-            out = self._overlay.take(rows).merged(field, out)
-        return out
+        return self.gather(rows).values_for(field)
 
     def to_docs(self) -> list[dict]:
         if self._docs is None:

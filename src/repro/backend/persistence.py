@@ -187,8 +187,10 @@ def save_session(store: DocumentStore, session: str, path: str | Path,
     rebuilds a store byte-identical to importing an export of the same
     session.  One lane read, one ordering rule
     (:func:`repro.backend.lanes.time_ordered`, the one a load uses),
-    one column writer: no document is built, and the files are what
-    writing the sorted documents row by row would produce.
+    one column writer: no document is built, no lane of the whole
+    session is joined (each chunk is gathered from the store's parts
+    by the encoder that writes it), and the files are what writing the
+    sorted documents row by row would produce.
     ``storage_mode`` selects nothing: the parameter is kept
     because a positional caller (the end-to-end benchmark) still names
     the layout in that slot, and any value other than ``"segments"``

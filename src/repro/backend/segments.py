@@ -32,7 +32,8 @@ traces touches one segment, not fifty.
 Blocks are written from, and decoded back into, *lanes*
 (:mod:`repro.backend.lanes`): :func:`encode_segment` is the one column
 writer — ``save_session`` hands it the lanes a store holds, chunk by
-chunk and in forked workers when the session is large, compaction the
+chunk, each chunk gathered from the store's own parts (in the forked
+worker that encodes it when the session is large), compaction the
 joined :class:`~repro.backend.lanes.Lanes` of the segments it merges,
 and the WAL flush its rows as a ``DocBatch`` — and
 :class:`SegmentBatch` is a loaded session's blocks behind the
@@ -893,9 +894,9 @@ class SegmentBatch(JoinedBatch):
 # encoding a session's chunks on every CPU
 
 #: Below this many rows an import encodes its chunks in this process:
-#: starting and draining two forked encoders costs about 50 ms, a row
-#: about 6 us to encode, so the pool breaks even near 20k rows
-#: (measured: docs/STORAGE.md, "Saving from a store").
+#: starting and draining two forked encoders costs about 50 ms, so the
+#: pool breaks even between 8k and 16k rows on two free CPUs, and later
+#: on busy ones (measured: docs/STORAGE.md, "Saving from a store").
 FORK_MIN_ROWS = 25_000
 
 #: What a forked encoder inherited through ``fork``: ``(batch,
@@ -910,10 +911,17 @@ def _inherit(batch: LaneBatch, chunks: list[range]) -> None:
     _INHERITED = (batch, chunks)
 
 
+def _encode_rows(batch: LaneBatch, rows: range) -> EncodedSegment:
+    """One chunk's segment, its rows gathered from a joined batch's
+    parts (:meth:`~repro.backend.lanes.JoinedBatch.gather`)."""
+    return encode_segment(batch.gather(rows) if isinstance(
+        batch, JoinedBatch) else batch.take(rows))
+
+
 def _encode_chunk(number: int) -> EncodedSegment:
     """A forked encoder's task: chunk ``number`` of its batch."""
     batch, chunks = _INHERITED
-    return encode_segment(batch.take(chunks[number]))
+    return _encode_rows(batch, chunks[number])
 
 
 def _cpus() -> int:
@@ -941,19 +949,18 @@ def _encoded(batch: LaneBatch, chunks: list[range]
     ``pool.map`` of forked workers, one per CPU, when the import has at
     least :data:`FORK_MIN_ROWS` rows and more than one chunk, the
     process more than one CPU and no other thread (a fork copies a lock
-    another thread holds), and the platform ``fork``.  The lanes of a
-    joined batch are joined once, here, before the fork; a worker then
-    only projects its chunks.  A worker that dies raises
-    :class:`SegmentError`.
+    another thread holds), and the platform ``fork``.  Nothing is
+    joined here: the workers inherit the batch's parts, and each
+    gathers, derives and encodes only its own chunks' rows
+    (:func:`_encode_rows`, the in-process path's function too).  A
+    worker that dies raises :class:`SegmentError`.
     """
     workers = min(_cpus(), len(chunks))
     if (workers < 2 or len(batch) < FORK_MIN_ROWS or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        yield from map(encode_segment, map(batch.take, chunks))
+        yield from (_encode_rows(batch, rows) for rows in chunks)
         return
     from concurrent.futures.process import BrokenProcessPool
-    if isinstance(batch, JoinedBatch):
-        batch.join()
     pool = _pool(workers, batch, chunks)
     try:
         yield from pool.map(_encode_chunk, range(len(chunks)))
@@ -1121,10 +1128,12 @@ class SegmentStorage:
         The one chunker: ``flush_events``-row runs of the batch become
         one segment each; the tail shorter than one chunk becomes a
         final (small) segment rather than a WAL entry, so the result is
-        fully sealed.  The chunks are encoded on every CPU a large
-        import may use (:func:`_encoded`); this process alone takes the
-        clock, publishes each file and updates the manifest, in seq
-        order, so a crash leaves what a one-CPU import leaves.
+        fully sealed.  Each chunk is gathered from the batch's parts and
+        encoded on one of the CPUs a large import may use
+        (:func:`_encoded`), with no join of the whole batch first; this
+        process alone takes the clock, publishes each file, fires the
+        crash hook and updates the manifest, in seq order, so a crash
+        leaves what a one-CPU import leaves.
         """
         self._require_writable("import")
         total = len(batch)
