@@ -58,7 +58,7 @@ from operator import is_not, itemgetter, le
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
-from repro.backend.lanes import LaneBatch, sort_key
+from repro.backend.lanes import LaneBatch, sort_key, stamped_value
 from repro.backend.query import RANGE_OPS, field_affected
 
 #: Value classes a ``term``/``terms`` clause can match from the
@@ -182,6 +182,31 @@ class Column:
                 self.append(value)
             return
         self._post_lane(base)
+
+    def extend_repeated(self, value: Any, rows: int) -> None:
+        """``extend([value] * rows)`` without the list: onto a column
+        that holds no class but ``str``, a ``str`` is one code
+        repeated (a stamped session label); anything else is
+        :meth:`extend`."""
+        if not rows or type(value) is not str \
+                or not self._code_of.keys() <= {str}:
+            self.extend([value] * rows)
+            return
+        base = len(self.codes)
+        codes_of = self._code_of.setdefault(str, {})
+        code = codes_of.get(value)
+        if code is None:
+            code = codes_of[value] = len(self.table)
+            self.table.append(value)
+        self.codes.extend(repeat(code, rows))
+        self.nonnull.extend(b"\x01" * rows)
+        self.numeric.extend(bytes(rows))
+        self._order = None
+        postings = self._postings
+        if postings is not None:
+            postings.extend([] for _ in range(len(self.table)
+                                              - len(postings)))
+            postings[code].extend(range(base, base + rows))
 
     def _post_lane(self, base: int) -> None:
         """Add the rows from ``base`` on to postings that exist."""
@@ -527,6 +552,16 @@ class Column:
                         map(self.codes.__getitem__, rows)))
 
 
+def _extend(column: Column, batch: LaneBatch, field: str) -> None:
+    """``column`` extended by ``field``'s lane of ``batch``: a stamped
+    lane as one value repeated, its list never built."""
+    stamped = stamped_value(batch, field)
+    if stamped is None:
+        column.extend(batch.values_for(field))
+    else:
+        column.extend_repeated(stamped[0], len(batch))
+
+
 class ColumnSet:
     """All columns of one index plus the doc-id ↔ row mapping.
 
@@ -563,7 +598,7 @@ class ColumnSet:
         self._doc_ids.extend(doc_ids)
         self._row_of.update(zip(doc_ids, range(base, base + len(doc_ids))))
         for field, column in self._columns.items():
-            column.extend(batch.values_for(field))
+            _extend(column, batch, field)
 
     def update(self, rows: list[int], fields: dict[str, Sequence]) -> None:
         """Set ``fields`` — one value per row of ``rows``, a row listed
@@ -588,7 +623,7 @@ class ColumnSet:
         if column is None:
             column = Column(field)
             for batch in batches:
-                column.extend(batch.values_for(field))
+                _extend(column, batch, field)
             self._columns[field] = column
         return column
 

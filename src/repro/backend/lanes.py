@@ -551,10 +551,55 @@ class Derived(NamedTuple):
     peek: Optional[Callable[..., Optional[list]]] = None
 
 
+class Repeated:
+    """The ``build`` of a stamped lane: ``value`` on every row.  Two
+    are equal when their values are of one class and equal, so a join
+    of stamped parts is one stamp (:func:`_fused`)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def __call__(self, rows: int) -> list:
+        return [self.value] * rows
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is Repeated
+                and type(other.value) is type(self.value)
+                and other.value == self.value)
+
+    __hash__ = None
+
+
 def stamp(value: Any) -> tuple[Derived, None]:
     """A lane entry holding ``value`` on every row, built on first
-    read (a session label)."""
-    return Derived(lambda rows: [value] * rows), None
+    read (a session label, a segment's constant block)."""
+    return Derived(Repeated(value)), None
+
+
+def stamped_value(batch: LaneBatch, field: str) -> Optional[tuple]:
+    """``(value,)`` when ``field`` of ``batch`` is an unbuilt stamp —
+    ``value`` on every row, no list of it built yet — else ``None``.
+    What a column takes as one code repeated (:meth:`Column.
+    extend_repeated`)."""
+    if isinstance(batch, Lanes):
+        entry = batch._lanes.get(field)
+        if (entry is not None and type(entry[0]) is Derived
+                and type(entry[0].build) is Repeated and entry[1] is None):
+            return (entry[0].build.value,)
+        return None
+    if not isinstance(batch, JoinedBatch):
+        return None
+    if batch._whole is not None:
+        return stamped_value(batch._whole, field)
+    if not batch._parts:
+        return None
+    builds = [stamped_value(part, field) for part in batch._parts]
+    if None in builds or any(Repeated(value) != Repeated(builds[0][0])
+                             for (value,) in builds):
+        return None
+    return builds[0]
 
 
 def _present(rows: int, values: list) -> Optional[bytes]:
@@ -578,7 +623,7 @@ class Lanes:
     built on first read and kept.  Producers:
     :meth:`repro.tracer.batch.RecordBatch.decode` (ring records) and
     :meth:`repro.backend.segments.Segment.lanes` (a segment's decoded
-    blocks, which :meth:`stamped` labels with a load's session).
+    blocks, and what a reader rebuilds from them).
 
     Reads follow ``get_field``: a dotted name walks its root lane, and
     a row's own dotted key wins over the walk.  ``to_docs`` builds the
@@ -599,11 +644,6 @@ class Lanes:
 
     def __len__(self) -> int:
         return self._n
-
-    def stamped(self, session: str) -> "Lanes":
-        """These lanes with ``session`` on every row: in the place of a
-        ``session`` lane, or last."""
-        return type(self)(self._n, {**self._lanes, "session": stamp(session)})
 
     def _lane(self, field: str) -> tuple[Any, Optional[bytes]]:
         lane = self._lanes[field]
@@ -803,13 +843,15 @@ class JoinedBatch:
         out._docs = out._cache = None
         return out
 
-    def gather(self, rows) -> "JoinedBatch":
+    def gather(self, rows) -> LaneBatch:
         """:meth:`take` of ``rows`` as a new join of each part's own
         take, sharing nothing with this batch, so a part's derived lane
         is built over ``rows`` alone (a segment's chunk, in its worker).
         Gathered ascending — a part's run by one bisect, a ``range``
         when contiguous, a nested join gathered in turn — then put back
-        in ``rows`` order."""
+        in ``rows`` order.  Parts that are lanes of one layout join as
+        one :class:`Lanes` (:func:`_fused`): a lane every part derives
+        alike is derived once, over ``rows`` in their final order."""
         if self._whole is not None:
             return self._whole.gather(_project(self._rows, rows))
         order = None if ascending(rows) else sorted(
@@ -827,9 +869,11 @@ class JoinedBatch:
                 parts.append(part.gather(local) if isinstance(
                     part, JoinedBatch) else part.take(local))
             at = upto
-        out = JoinedBatch(parts)
-        if self._overlay is not None:
-            out._overlay = self._overlay.take(wanted)
+        out = None if self._overlay is not None else _fused(parts)
+        if out is None:
+            out = JoinedBatch(parts)
+            if self._overlay is not None:
+                out._overlay = self._overlay.take(wanted)
         return out if order is None else out.take(      # ``order``'s inverse
             sorted(range(len(order)), key=order.__getitem__))
 
@@ -941,3 +985,74 @@ class JoinedBatch:
             return False
         self._cache.clear()
         return True
+
+
+def _fused(parts: list) -> Optional[Lanes]:
+    """``parts`` back to back as one :class:`Lanes`, or ``None`` unless
+    every part is one with the same fields in the same order and no two
+    overlays of different shapes.
+
+    A half of a field (its values or its presence bits) that every
+    part holds as an unbuilt :class:`Derived` of one ``build`` (and
+    ``peek``) stays one, over its parts' inputs joined; plain lists
+    join as they are; a field of any other mix is built per part and
+    joined.  A list several lanes share is joined once, so a take of
+    the result projects it once.
+    """
+    if not parts or not all(isinstance(part, Lanes) for part in parts):
+        return None
+    if len(parts) == 1:
+        return parts[0]
+    fields = list(parts[0]._lanes)
+    shapes = {tuple(part._overlay._fields) for part in parts
+              if part._overlay is not None and part._overlay._fields}
+    if len(shapes) > 1 or any(list(part._lanes) != fields
+                              for part in parts[1:]):
+        return None
+    lengths = list(map(len, parts))
+    joined: dict[tuple, Any] = {}
+
+    def join(lanes: list) -> Any:
+        key = tuple(map(id, lanes))
+        if key not in joined:
+            joined[key] = _concat(lanes)
+        return joined[key]
+
+    def fuse(halves: tuple) -> Any:
+        """The joined half, ``None`` for none, ``False`` for a mix."""
+        first = halves[0]
+        if type(first) is Derived:
+            if not all(type(half) is Derived and half.build == first.build
+                       and half.peek is first.peek
+                       and len(half.inputs) == len(first.inputs)
+                       for half in halves):
+                return False
+            return first._replace(inputs=tuple(
+                map(join, map(list, zip(*(half.inputs for half in halves))))))
+        if all(half is None for half in halves):
+            return None
+        return all(type(half) is list for half in halves) and join(
+            list(halves))
+
+    lanes = {}
+    for field in fields:
+        entry = tuple(map(fuse, zip(*(part._lanes[field] for part in parts))))
+        if any(half is False for half in entry):
+            entry = _join_column([part._lane(field) for part in parts],
+                                 lengths)
+        lanes[field] = entry
+    out = Lanes(sum(lengths), lanes)
+    if shapes:
+        (shape,) = shapes
+        out._overlay = overlay = Overlay(out._n)
+        for field in shape:
+            held = [part._overlay._fields.get(field)
+                    if part._overlay is not None else None for part in parts]
+            overlay._fields[field] = (
+                list(chain.from_iterable(
+                    [None] * n if entry is None else entry[0]
+                    for entry, n in zip(held, lengths))),
+                bytearray().join(
+                    bytes(n) if entry is None else entry[1]
+                    for entry, n in zip(held, lengths)))
+    return out

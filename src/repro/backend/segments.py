@@ -12,7 +12,9 @@ blocks** — dictionary-coded values plus packed ``array('q')`` /
 ``array('d')`` lanes, the same encodings
 :class:`repro.backend.columns.Column` uses in memory, and struct
 blocks for a field of objects (``args``: key tuples once, one lane per
-key) — a **footer**
+key), and blocks that store no row because a reader can rebuild it (a
+constant, ``time_exit`` as ``time + duration_ns``, ``file_path`` by
+``file_tag``) — a **footer**
 directory with per-block CRC-32 checksums and per-field min/max **zone
 maps**, and a fixed-size **trailer** so a reader finds the footer in
 one seek.  Opening a store therefore costs O(segment index): only
@@ -66,14 +68,15 @@ from array import array
 from collections import Counter
 from contextlib import closing
 from copy import deepcopy
+from functools import partial
 from itertools import chain, compress, repeat
-from operator import is_
+from operator import add, is_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from repro.backend.lanes import (GROUP_SAFE, DocBatch, JoinedBatch,
+from repro.backend.lanes import (GROUP_SAFE, Derived, DocBatch, JoinedBatch,
                                  LaneBatch, LaneColumn, Lanes, StructLane,
-                                 sort_key, time_ordered)
+                                 _dense_int, sort_key, stamp, time_ordered)
 from repro.backend.columns import Column
 from repro.backend.planner import plan_query, prune_constraints
 from repro.backend.query import compile_query
@@ -82,10 +85,11 @@ from repro.backend.wal import WriteAheadLog, wal_file_size
 
 #: Segment file magic (offset 0) and format version.
 SEGMENT_MAGIC = b"DSEG"
-SEGMENT_VERSION = 2
-#: Versions a reader opens: 2 added block kind 4 and changed nothing
-#: else, so a version 1 file reads as a version 2 file without one.
-READABLE_VERSIONS = (1, 2)
+SEGMENT_VERSION = 3
+#: Versions a reader opens: 2 added block kind 4 and 3 kinds 5–7, and
+#: neither changed anything else, so an older file reads as a newer one
+#: without them.
+READABLE_VERSIONS = (1, 2, 3)
 #: Trailer magic — the last 8 bytes of every intact segment file.
 TRAILER_MAGIC = b"DIOSEGFT"
 
@@ -99,6 +103,20 @@ K_DICT = 1        # dictionary codes + value table
 K_I64 = 2         # presence bytes + packed int64 lane
 K_F64 = 3         # presence bytes + packed float64 lane
 K_STRUCT = 4      # shape table + shape codes + one block per shape and key
+K_CONST = 5       # one value-table entry: the value of every row
+K_SUM = 6         # no payload: ``time`` + ``duration_ns`` on every row
+K_BY_TAG = 7      # a value per distinct ``file_tag``: a row holds its tag's
+
+#: The kinds a reader rebuilds from other fields' lanes, and the fields
+#: each reads: a writer uses one only for the field it is named for
+#: (``time_exit``, ``file_path``), and only when it gives back every
+#: row of the segment exactly.
+DERIVED_FROM = {K_SUM: ("time", "duration_ns"), K_BY_TAG: ("file_tag",)}
+
+#: What ``dio segments --json`` calls each kind.
+KIND_NAMES = {K_DICT: "dict", K_I64: "int64", K_F64: "float64",
+              K_STRUCT: "struct", K_CONST: "constant", K_SUM: "sum",
+              K_BY_TAG: "by-tag"}
 
 #: Block flag bits.
 F_ZLIB = 1        # payload is zlib-compressed
@@ -243,14 +261,15 @@ def _encode_field(present: Optional[bytes], values: list,
     the per-segment min/max the planner prunes with.
     """
     kind, payload, zone = _field_payload(present, values)
-    flags = 0
+    return _block(kind, payload, deflate), zone
+
+
+def _block(kind: int, payload: bytes, deflate: bool = True) -> bytes:
+    """Block head and body: the payload deflated when that saves bytes."""
     deflated = zlib.compress(payload, DEFLATE_LEVEL) if deflate else payload
     if len(deflated) < len(payload):
-        flags |= F_ZLIB
-        body = deflated
-    else:
-        body = payload
-    return _BLOCK_HEAD.pack(kind, flags, len(payload)) + body, zone
+        return _BLOCK_HEAD.pack(kind, F_ZLIB, len(payload)) + deflated
+    return _BLOCK_HEAD.pack(kind, 0, len(payload)) + payload
 
 
 def _field_payload(present: Optional[bytes], values
@@ -270,13 +289,11 @@ def _field_payload(present: Optional[bytes], values
     holes = type(None) in classes
     live_classes = classes - {type(None)}
     zone: Optional[tuple] = None
-    if len(live_classes) == 1 and live_classes <= {int, float, str}:
+    if live_classes in ({int}, {float}):
         live = [v for v in values if v is not None] if holes else values
         lo, hi = min(live), max(live)
         if live_classes == {int}:
             zone = (T_INT, lo, hi)
-        elif live_classes == {str}:
-            zone = (T_STR, lo, hi)
         elif lo == lo and hi == hi:     # NaN poisons comparisons
             zone = (T_FLOAT, lo, hi)
 
@@ -300,9 +317,14 @@ def _field_payload(present: Optional[bytes], values
     if classes <= GROUP_SAFE:
         table = dict.fromkeys(values if present is None
                               else compress(values, present))
+        if live_classes == {str}:       # the zone of the distinct values
+            distinct = [v for v in table if v is not None] if holes else table
+            zone = (T_STR, min(distinct), max(distinct))
         code_of = dict(zip(table, range(len(table))))
         if present is None:
             codes = array(_I32_CODE, map(code_of.__getitem__, values))
+        elif None not in code_of:       # then a ``None`` is an absence
+            codes = array(_I32_CODE, map(code_of.get, values, repeat(-1)))
         else:
             codes = array(_I32_CODE, [
                 code_of[value] if has else -1
@@ -324,6 +346,102 @@ def _field_payload(present: Optional[bytes], values
             codes.append(code)
     return K_DICT, b"".join((_U32.pack(len(entries)), *entries,
                              _lane_bytes(codes))), zone
+
+
+#: Value classes a constant block holds: one table entry is then the
+#: very value of every row (no float: ``0.0 == -0.0``, and a ``nan``
+#: is not equal to itself).
+_CONSTANT_CLASSES = frozenset((str, int, bool, type(None)))
+
+
+def _top_block(field: str, values, present: Optional[bytes],
+               lanes: dict[str, tuple]) -> tuple[bytes, Optional[tuple]]:
+    """A top-level field's block and zone: one that stores nothing a
+    reader can rebuild — a constant, ``time_exit`` as ``time +
+    duration_ns``, ``file_path`` by ``file_tag`` — when it gives back
+    every row exactly, else :func:`_encode_field`'s.  ``lanes`` holds
+    the segment's other columns, ``present`` is ``None`` when every row
+    carries the field."""
+    if type(values) is not StructLane:
+        derive = _DERIVES.get(field)
+        derived = _constant(values, present) or (
+            derive is not None and derive(values, present, lanes))
+        if derived:
+            kind, payload, zone = derived
+            return _block(kind, payload), zone
+    return _encode_field(present, values)
+
+
+def _constant(values: list, present: Optional[bytes]
+              ) -> Optional[tuple[int, bytes, Optional[tuple]]]:
+    """Kind 5 when every row holds one and the same value."""
+    if present is not None or not values:
+        return None
+    first = values[0]
+    cls = type(first)
+    if (cls not in _CONSTANT_CLASSES or values.count(first) != len(values)
+            or cls in (int, bool) and set(map(type, values)) != {cls}):
+        return None
+    zone = (T_INT if cls is int else T_STR, first, first) if cls in (
+        int, str) else None
+    return K_CONST, _table_entry(first), zone
+
+
+def _time_exit(values: list, present: Optional[bytes], lanes: dict
+               ) -> Optional[tuple[int, bytes, tuple]]:
+    """Kind 6 when every row's ``time_exit`` is its ``time +
+    duration_ns``, all three exact ints."""
+    time, duration = lanes.get("time"), lanes.get("duration_ns")
+    if (present is not None or time is None or duration is None
+            or time[1] is not None or duration[1] is not None
+            or not _dense_int(values) or not _dense_int(time[0])
+            or not _dense_int(duration[0])
+            or list(map(add, time[0], duration[0])) != values):
+        return None
+    return K_SUM, b"", (T_INT, min(values), max(values))
+
+
+def _file_path(values: list, present: Optional[bytes], lanes: dict
+               ) -> Optional[tuple[int, bytes, Optional[tuple]]]:
+    """Kind 7 when every row's ``file_path`` is a function of its
+    ``file_tag``: no tag with two paths, no tagged row without its
+    tag's path, no path on a row without a tag.  The table is keyed by
+    the tags in the order the rows first show them, so no tag is
+    stored twice."""
+    tags = lanes.get("file_tag")
+    if tags is None or type(tags[0]) is StructLane:
+        return None
+    tags = tags[0]
+    if not (set(map(type, tags)) <= GROUP_SAFE
+            and set(map(type, values)) <= GROUP_SAFE):
+        return None
+    table = dict(zip(tags, values) if present is None else
+                 zip(compress(tags, present), compress(values, present)))
+    if (None in table or list(map(table.get, tags)) != values
+            or bytes(map(table.__contains__, tags))
+            != (present or b"\x01" * len(values))):
+        return None
+    paths = set(table.values()) - {None}
+    zone = None
+    if len(set(map(type, paths))) == 1:
+        zone = (T_STR if type(next(iter(paths))) is str else T_INT,
+                min(paths), max(paths))
+    keys = _distinct_tags(tags)
+    return K_BY_TAG, b"".join((_U32.pack(len(keys)), *(
+        b"\x01" + _table_entry(table[tag]) if tag in table else b"\x00"
+        for tag in keys))), zone
+
+
+def _distinct_tags(tags: list) -> list:
+    """The tags a kind-7 table is keyed by: every value of the tag lane
+    but ``None``, in the order the rows first show them."""
+    keys = dict.fromkeys(tags)
+    keys.pop(None, None)
+    return list(keys)
+
+
+#: The derivation each field may be written as.
+_DERIVES = {"time_exit": _time_exit, "file_path": _file_path}
 
 
 def _struct_payload(lane: StructLane) -> Optional[bytes]:
@@ -353,8 +471,9 @@ class _Lane(NamedTuple):
     present: Optional[bytes]    # 0/1 per row; None = every row has it
 
 
-def _decode_block(blob: bytes, rows: int) -> _Lane:
-    """Inverse of :func:`_encode_field`, checked against ``rows``."""
+def _block_payload(blob: bytes) -> tuple[int, bytes]:
+    """``(kind, payload)`` of a block, inflated and checked against its
+    head."""
     if len(blob) < _BLOCK_HEAD.size:
         raise SegmentError("block shorter than its header")
     kind, flags, raw_len = _BLOCK_HEAD.unpack_from(blob, 0)
@@ -367,6 +486,18 @@ def _decode_block(blob: bytes, rows: int) -> _Lane:
     if len(payload) != raw_len:
         raise SegmentError(
             f"block payload is {len(payload)}B, header says {raw_len}B")
+    return kind, payload
+
+
+def _decode_block(blob: bytes, rows: int) -> _Lane:
+    """Inverse of :func:`_encode_field`, checked against ``rows``."""
+    return _decode_payload(*_block_payload(blob), rows)
+
+
+def _decode_payload(kind: int, payload: bytes, rows: int) -> _Lane:
+    """A block that reads no other field's lane, by its kind."""
+    if kind == K_CONST:
+        return _Lane([_constant_value(payload)] * rows, None)
     if kind == K_I64 or kind == K_F64:
         if len(payload) != rows + rows * 8:
             raise SegmentError("numeric block size mismatch")
@@ -386,20 +517,94 @@ def _decode_block(blob: bytes, rows: int) -> _Lane:
         raise SegmentError(f"kind-{kind} block fails to parse") from exc
 
 
-def _decode_dict(payload: bytes, rows: int) -> _Lane:
-    """A kind-1 payload: one table entry per row, by its code."""
-    (n_table,) = _U32.unpack_from(payload, 0)
-    pos = _U32.size
-    table: list[Any] = []
-    mutable: set[int] = set()
-    for code in range(n_table):
+def _table(payload: bytes, pos: int, entries: int
+           ) -> tuple[list[tuple[int, Any]], int]:
+    """``entries`` value-table entries from ``pos``: ``(tag, value)``
+    each, and the position after them."""
+    table = []
+    for _ in range(entries):
         tag = payload[pos]
         (length,) = _U32.unpack_from(payload, pos + 1)
         start = pos + 1 + _U32.size
-        table.append(_decode_value(tag, payload[start:start + length]))
-        if tag == T_JSON:
-            mutable.add(code)
+        if start + length > len(payload):
+            raise SegmentError("value-table entry is torn")
+        table.append((tag, _decode_value(tag, payload[start:start + length])))
         pos = start + length
+    return table, pos
+
+
+def _constant_value(payload: bytes) -> Any:
+    """The value of a kind-5 payload: one entry, never a JSON one (a
+    list or a dict would be one object on every row)."""
+    try:
+        ((tag, value),), end = _table(payload, 0, 1)
+    except (struct.error, IndexError, ValueError) as exc:
+        raise SegmentError("kind-5 block fails to parse") from exc
+    if tag == T_JSON or end != len(payload):
+        raise SegmentError("kind-5 block holds no single plain value")
+    return value
+
+
+def _by_tag_table(payload: bytes, tags: list) -> dict:
+    """The ``file_tag -> value`` dict of a kind-7 payload over the
+    segment's tag lane."""
+    keys = _distinct_tags(tags)
+    table = {}
+    try:
+        (n_tags,) = _U32.unpack_from(payload, 0)
+        pos = _U32.size
+        for tag in keys[:n_tags]:
+            has = payload[pos]
+            pos += 1
+            if has:
+                ((kind, value),), pos = _table(payload, pos, 1)
+                if has != 1 or kind == T_JSON:
+                    raise SegmentError("kind-7 block holds no plain value")
+                table[tag] = value
+    except (struct.error, IndexError, ValueError) as exc:
+        raise SegmentError("kind-7 block fails to parse") from exc
+    if n_tags != len(keys) or pos != len(payload):
+        raise SegmentError("kind-7 block disagrees with its tag lane")
+    return table
+
+
+def _sum_of(rows: int, time: list, duration: list) -> list:
+    return list(map(add, time, duration))
+
+
+def _looked_up(table: dict, rows: int, tags: list) -> list:
+    return list(map(table.get, tags))
+
+
+def _held(table: dict, rows: int, tags: list) -> Optional[bytes]:
+    present = bytes(map(table.__contains__, tags))
+    return present if 0 in present else None
+
+
+def _rebuilt(kind: int, payload: bytes, inputs: list[_Lane]) -> tuple:
+    """The lane entry of a kind-6 or kind-7 block over the lanes it
+    reads, derived on first read."""
+    if kind == K_SUM:
+        time, duration = (lane.values for lane in inputs)
+        if payload or not (_dense_int(time) and _dense_int(duration)):
+            raise SegmentError("kind-6 block over a lane that is not "
+                               "an int on every row")
+        return Derived(_sum_of, (time, duration)), None
+    (tags,) = (lane.values for lane in inputs)
+    if not set(map(type, tags)) <= GROUP_SAFE:
+        raise SegmentError("kind-7 block over a tag that is no key")
+    table = _by_tag_table(payload, tags)
+    return (Derived(partial(_looked_up, table), (tags,)),
+            Derived(partial(_held, table), (tags,)))
+
+
+def _decode_dict(payload: bytes, rows: int) -> _Lane:
+    """A kind-1 payload: one table entry per row, by its code."""
+    (n_table,) = _U32.unpack_from(payload, 0)
+    entries, pos = _table(payload, _U32.size, n_table)
+    table = [value for _, value in entries]
+    mutable = {code for code, (tag, _) in enumerate(entries)
+               if tag == T_JSON}
     codes = _lane_from(_I32_CODE, payload[pos:])
     if len(codes) != rows:
         raise SegmentError("dictionary code lane length mismatch")
@@ -509,8 +714,10 @@ def encode_segment(batch: LaneBatch) -> EncodedSegment:
     (:func:`repro.backend.lanes.time_ordered`), so per-segment order
     matches what a sorted export would emit; the header and the blocks
     follow, and the footer's field directory (each block's offset,
-    length, CRC-32 and zone map).  What only the writer of the file
-    knows — session label, seq, creation time — is :func:`publish`'s.
+    length, CRC-32 and zone map).  A field a reader can rebuild from
+    the others is written as the kind that says how
+    (:func:`_top_block`).  What only the writer of the file knows —
+    session label, seq, creation time — is :func:`publish`'s.
     """
     batch = time_ordered(batch)
     rows = len(batch)
@@ -518,8 +725,11 @@ def encode_segment(batch: LaneBatch) -> EncodedSegment:
                                         0, rows)]
     offset = _HEADER.size
     entries: list[bytes] = []
-    for field, values, present in _in_schema_order(batch):
-        block, zone = _encode_field(present, values)
+    lanes = {field: (values, None if present is None or 0 not in present
+                     else present)
+             for field, values, present in _in_schema_order(batch)}
+    for field, (values, present) in lanes.items():
+        block, zone = _top_block(field, values, present, lanes)
         chunks.append(block)
         name = field.encode("utf-8")
         entries.append(b"".join((
@@ -696,18 +906,85 @@ class Segment:
     def lanes(self, names: Optional[Iterable[str]] = None) -> Lanes:
         """Every block (or the named fields'), checksum-verified and
         decoded, as lanes in schema order — unstamped: ``session`` is a
-        lane only if the rows carried it.
+        lane only if the rows carried it.  A constant, ``time_exit`` as
+        a sum and ``file_path`` by tag are :class:`~repro.backend.
+        lanes.Derived`, rebuilt on first read (the fields they read are
+        decoded, named or not).
 
         Not memoised: a load hands the lanes on to a
         :class:`SegmentBatch` and keeps nothing here.
         """
-        lanes: dict[str, _Lane] = {}
+        return Lanes(self.rows, self._entries(names))
+
+    def _stamped(self, session: str) -> Lanes:
+        """:meth:`lanes` with ``session`` on every row, in the place of
+        the segment's ``session`` field or last; that field's block is
+        checksum-verified, not decoded."""
+        entries = self._entries(None, session)
+        entries.setdefault("session", stamp(session))
+        return Lanes(self.rows, entries)
+
+    def _entries(self, names: Optional[Iterable[str]],
+                 session: Optional[str] = None) -> dict[str, tuple]:
+        """The lane entries of :meth:`lanes`, ``session`` a stamp of
+        ``session`` when one is given."""
+        if names is not None:
+            names = set(names)
+            names = [name for name in self.schema if name in names]
+        blocks = dict(self._checked(names))
+        reads = {name for block in blocks.values()
+                 for name in DERIVED_FROM.get(block[0], ())} - blocks.keys()
+        if reads:
+            blocks.update(self._checked(reads))
+        decoded: dict[str, _Lane] = {}
+
+        def decode(name: str) -> _Lane:
+            if name not in decoded:
+                if name not in blocks or blocks[name][0] in DERIVED_FROM:
+                    raise SegmentError(f"{self.path.name}: a derived block "
+                                       f"reads {name!r}, no stored field")
+                decoded[name] = _decode_payload(*_block_payload(
+                    blocks[name]), self.rows)
+            return decoded[name]
+
+        entries: dict[str, tuple] = {}
+        for name in self.schema if names is None else names:
+            kind = blocks[name][0]
+            if name == "session" and session is not None:
+                entries[name] = stamp(session)
+            elif kind == K_CONST:
+                entries[name] = stamp(_constant_value(
+                    _block_payload(blocks[name])[1]))
+            elif kind in DERIVED_FROM:
+                entries[name] = _rebuilt(
+                    kind, _block_payload(blocks[name])[1],
+                    list(map(decode, DERIVED_FROM[kind])))
+            else:
+                entries[name] = decode(name)
+        return entries
+
+    def _checked(self, names: Optional[Iterable[str]]
+                 ) -> Iterator[tuple[str, bytes]]:
+        """``(field, block)`` of :meth:`_blocks`, each checksum-verified
+        and at least a block head long."""
         for name, block, crc in self._blocks(names):
             if zlib.crc32(block) != crc:
                 raise SegmentError(
                     f"{self.path.name}: block {name!r} checksum mismatch")
-            lanes[name] = _decode_block(block, self.rows)
-        return Lanes(self.rows, lanes)
+            if len(block) < _BLOCK_HEAD.size:
+                raise SegmentError(f"{self.path.name}: block {name!r} is "
+                                   "shorter than its header")
+            yield name, block
+
+    def kinds(self) -> dict[str, tuple[int, int]]:
+        """``field -> (block kind, stored bytes)`` in schema order, read
+        off each block's head."""
+        out = {}
+        with self.path.open("rb") as handle:
+            for name, (off, length, _crc, _zone) in self._fields.items():
+                handle.seek(off)
+                out[name] = (handle.read(1)[0], length)
+        return out
 
     def count(self, query: Optional[dict], predicate: Callable) -> int:
         """Rows matching ``query`` (``predicate`` is its compiled form).
@@ -775,14 +1052,20 @@ class Segment:
         return True
 
     def verify(self) -> dict:
-        """Recompute every checksum; returns ``{"ok": ..., "errors": [...]}``."""
+        """Recompute every checksum and decode every block — a derived
+        one rebuilt from what it reads; returns ``{"ok": ...,
+        "errors": [...]}``."""
         errors: list[str] = []
         for name, block, crc in self._blocks():
             if zlib.crc32(block) != crc:
                 errors.append(f"block {name!r}: checksum mismatch")
                 continue
             try:
-                _decode_block(block, self.rows)
+                kind, payload = _block_payload(block)
+                if kind in DERIVED_FROM:
+                    self.lanes((name,)).columns()
+                else:
+                    _decode_payload(kind, payload, self.rows)
             except SegmentError as exc:
                 errors.append(f"block {name!r}: {exc}")
         return {"path": str(self.path), "rows": self.rows,
@@ -876,15 +1159,15 @@ class SegmentBatch(JoinedBatch):
     per-segment schema key order; a tail row keeps its own).  Every
     row carries ``session``, stamped: in a segment, in the place of its
     ``session`` column, or last when it has none.  Construction
-    verifies and decodes every block.
+    verifies every block and decodes every stored one but ``session``'s;
+    a derived lane is rebuilt when it is first read.
     """
 
     __slots__ = ()
 
     def __init__(self, segments: Iterable["Segment"], tail: list[dict],
                  session: str) -> None:
-        parts: list = [segment.lanes().stamped(session)
-                       for segment in segments]
+        parts: list = [segment._stamped(session) for segment in segments]
         parts.append(DocBatch([{**doc, "session": session}
                                for doc in tail]))
         super().__init__(parts)
@@ -1358,7 +1641,11 @@ class SegmentStorage:
                          "bytes": segment.size_bytes,
                          "time_min": span[0] if span else None,
                          "time_max": span[1] if span else None,
-                         "zone_fields": sorted(segment.zones)})
+                         "zone_fields": sorted(segment.zones),
+                         "fields": {name: {"kind": KIND_NAMES.get(kind, kind),
+                                           "bytes": length}
+                                    for name, (kind, length)
+                                    in segment.kinds().items()}})
         return {"root": str(self.root), "segments": segs,
                 "rows": sum(s["rows"] for s in segs) + len(self._buffer),
                 "buffer_docs": len(self._buffer),

@@ -122,6 +122,7 @@ def _load_traces(paths):
 
 def _cmd_segments(args) -> int:
     import json
+    from collections import Counter
 
     from repro.backend.segments import SegmentError, SegmentStorage
     from repro.visualizer import render_table
@@ -163,6 +164,19 @@ def _cmd_segments(args) -> int:
     print(f"\nrows: {stats['rows']}  (buffered in WAL: "
           f"{stats['buffer_docs']})  on disk: "
           f"{stats['disk_bytes'] / 1024:.1f} KiB")
+    # What each field costs, summed over the segments.
+    kinds: dict[str, Counter] = {}
+    sizes: Counter = Counter()
+    for seg in stats["segments"]:
+        for field, block in seg["fields"].items():
+            kinds.setdefault(field, Counter())[block["kind"]] += 1
+            sizes[field] += block["bytes"]
+    if kinds:
+        print()
+        print(render_table(["field", "blocks", "bytes"], [
+            [field, ", ".join(f"{count} {kind}" for kind, count
+                              in kinds[field].items()), sizes[field]]
+            for field in kinds]))
     if engine.open_report["segments_dropped"]:
         dropped = engine.open_report["dropped"]
         verb = ("detected" if engine.read_only else "quarantined")

@@ -314,3 +314,38 @@ class TestDstCommand:
         assert "dio dst repro 1" in out
         assert (tmp_path / "fails" / "seed-1.json").exists()
         assert (tmp_path / "fails" / "seed-1.failures.txt").exists()
+
+
+class TestSegmentsCommand:
+    def test_json_reports_each_fields_block_kind_and_bytes(self, capsys,
+                                                          tmp_path):
+        import json
+
+        from repro.backend import DocumentStore, save_session
+        from repro.backend.segments import Segment
+
+        store = DocumentStore()
+        store.bulk("dio_trace", [
+            {"session": "s", "time": 10 * i, "time_exit": 10 * i + 3,
+             "duration_ns": 3, "ret": i, "file_tag": "7 1 1",
+             "file_path": "/f"} for i in range(6)])
+        save_session(store, "s", tmp_path / "store", flush_events=4)
+        assert main(["segments", str(tmp_path / "store"), "--json"]) == 0
+        segments = json.loads(capsys.readouterr().out)["stats"]["segments"]
+        assert [seg["fields"]["time_exit"]["kind"] for seg in segments] \
+            == ["sum", "sum"]
+        assert {seg["fields"]["session"]["kind"] for seg in segments} \
+            == {"constant"}
+        assert [seg["fields"]["time"]["kind"] for seg in segments] \
+            == ["int64", "int64"]
+        first = Segment(tmp_path / "store" / segments[0]["name"])
+        assert {field: block["bytes"] for field, block
+                in segments[0]["fields"].items()} == {
+            field: entry[1] for field, entry in first._fields.items()}
+        # The text view sums each field's bytes over the segments.
+        assert main(["segments", str(tmp_path / "store")]) == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines()
+                    if line.startswith("time "))
+        assert line.split()[-3:] == ["2", "int64", str(sum(
+            seg["fields"]["time"]["bytes"] for seg in segments))]

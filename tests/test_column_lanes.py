@@ -121,6 +121,61 @@ def test_chunks_that_switch_class_or_break_monotonicity(chunks):
     assert state(by_extend(chunks)) == state(by_append(flat))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.one_of(strs, ints, st.none(),
+                                                    st.just(True)),
+                          st.integers(0, 4)), max_size=6),
+       st.booleans())
+def test_a_repeated_value_is_the_list_of_it(runs, posted):
+    # ``extend_repeated`` (a stamped lane: one code repeated) leaves
+    # every slot as ``extend`` of the list would, postings included.
+    repeated, listed = Column("f"), Column("f")
+    for number, (stamped, value, rows) in enumerate(runs):
+        if posted and number == 1:
+            for column in (repeated, listed):
+                column.rows_equal(["a"])
+        if stamped:
+            repeated.extend_repeated(value, rows)
+        else:
+            repeated.extend([value] * rows)
+        listed.extend([value] * rows)
+    assert state(repeated) == state(listed)
+
+
+def test_a_stamped_session_enters_its_column_unbuilt(monkeypatch, tmp_path):
+    # A one-session store's ``session`` term (the correlator's and the
+    # save's) learns that the column holds every row without building
+    # one stamp list — over ring batches and over a loaded session —
+    # and answers as the column built from the documents does.
+    import repro.backend.lanes as lanes_module
+
+    def built(self, rows):
+        raise AssertionError("a stamp list was built")
+
+    batches = [RecordBatch.decode(_records(24)[start:start + 8],
+                                  session="s") for start in range(0, 24, 8)]
+    rings = DocumentStore()
+    for batch in batches:
+        rings.bulk_columnar("idx", batch)
+    docs = DocumentStore()
+    docs.bulk("idx", RecordBatch.decode(_records(24), session="s").to_docs())
+    save_session(rings, "s", tmp_path / "store", index="idx",
+                 flush_events=10)
+    loaded = DocumentStore()
+    load_session(loaded, tmp_path / "store", index="idx")
+    monkeypatch.setattr(lanes_module.Repeated, "__call__", built)
+    query = {"term": {"session": "s"}}
+    for store in (rings, loaded):
+        assert store.count("idx", query) == 24
+        assert store.lanes("idx", query)[0] == docs.lanes("idx", query)[0]
+        column = store._indices["idx"].column("session")
+        oracle = column_of_documents(docs._indices["idx"], "session")
+        assert state(column) == state(oracle)
+        # A later batch extends the column as one code repeated too.
+        store.bulk_columnar("idx", RecordBatch.decode(_records(3), "s"))
+        assert store.count("idx", query) == 27
+
+
 def test_sorted_flag_freezes_at_the_first_decrease():
     # The bisect bucketiser trusts ``num_sorted``: a decreasing chunk
     # after a monotone one must drop it, and the frontier must stop on

@@ -33,8 +33,10 @@ from repro.backend import (INDEXED_EVENT_FIELDS, SHARD_KEYS, DocumentStore,
                            TenantQuotaExceeded, create_store,
                            export_session, import_session, load_session,
                            save_session)
+from repro.backend.lanes import DocBatch
 from repro.backend.segments import (_BLOCK_HEAD, _TRAILER, F_ZLIB, K_STRUCT,
-                                    TRAILER_MAGIC, Segment)
+                                    K_SUM, TRAILER_MAGIC, Segment,
+                                    encode_segment, publish)
 from tests.test_column_lanes import state as column_state
 
 INDEX = "dio_trace"
@@ -280,7 +282,10 @@ def test_rows_with_equal_args_do_not_share_one_object(tmp_path, make_store,
 # admission and damage: all or nothing, and at load time
 
 def _docs(n: int) -> list[dict]:
-    return [{"syscall": "read", "args": {"fd": 3}, "ret": i, "pid": 10,
+    # ``syscall`` varies, so it is a dictionary block; ``proc_name`` is
+    # a constant one and ``time_exit`` a sum.
+    return [{"syscall": ("read", "write", "pread64")[i % 3],
+             "args": {"fd": 3}, "ret": i, "pid": 10,
              "tid": 20, "proc_name": "app", "time": 10 * i,
              "time_exit": 10 * i + 1, "duration_ns": 1} for i in range(n)]
 
@@ -355,6 +360,7 @@ def _flip_a_byte(path, field: str) -> None:
 
 
 @pytest.mark.parametrize("damage", [
+    lambda path: _flip_a_byte(path, "syscall"),
     lambda path: _flip_a_byte(path, "proc_name"),
     lambda path: _flip_a_byte(path, "ret"),
     # A payload cut short behind valid checksums: inflate / length.
@@ -375,10 +381,17 @@ def _flip_a_byte(path, field: str) -> None:
         "<i", payload, 14 + 4 * (rows // 2), 1)),
     _edit_struct(lambda payload, rows: struct.pack_into(
         "<i", payload, 14, -1)),
-], ids=["flipped-dict-block", "flipped-int-block", "truncated-deflate",
-        "raw-length-mismatch", "dictionary-code-out-of-range",
-        "flipped-struct-block", "torn-key-lane",
-        "shape-code-out-of-range", "key-lane-longer-than-its-shape"])
+    # A constant block holding a JSON entry (one object on every row),
+    # and a sum block that carries a payload.
+    _edit_payload("proc_name", lambda payload: payload.__setitem__(0, 5)),
+    lambda path: _rewrite_block(path, "time_exit", lambda b: _BLOCK_HEAD.pack(
+        K_SUM, 0, 4) + b"\x00" * 4),
+], ids=["flipped-dict-block", "flipped-constant-block", "flipped-int-block",
+        "truncated-deflate", "raw-length-mismatch",
+        "dictionary-code-out-of-range", "flipped-struct-block",
+        "torn-key-lane", "shape-code-out-of-range",
+        "key-lane-longer-than-its-shape", "constant-holds-json",
+        "sum-with-a-payload"])
 @pytest.mark.parametrize("make_store", [
     DocumentStore, lambda: create_store(shard_count=4)],
     ids=["plain", "sharded"])
@@ -464,43 +477,112 @@ def test_a_version_1_store_opens_verifies_loads_and_compacts(tmp_path):
                                  for doc in docs])
         export_session(store, "v1-fixture", out / "twin.jsonl")
     """
+    _an_old_store_opens_verifies_loads_and_compacts(V1_FIXTURE, 1,
+                                                    tmp_path)
+
+
+def _loaded_from(path) -> str:
+    store = DocumentStore()
+    assert load_session(store, path, index=INDEX,
+                        rename_to=SESSION) == SESSION
+    return observe(store, sort_keys=True)
+
+
+def _versions(engine) -> list[int]:
+    return [struct.unpack_from("<H", segment.path.read_bytes(), 4)[0]
+            for segment in engine.segments()]
+
+
+def _an_old_store_opens_verifies_loads_and_compacts(fixture, version,
+                                                    tmp_path) -> None:
     before = {entry.name: entry.read_bytes()
-              for entry in (V1_FIXTURE / "store").iterdir()}
+              for entry in (fixture / "store").iterdir()}
     assert sorted(before) == ["MANIFEST.json", "seg-000001.dseg",
                               "seg-000002.dseg", "wal.bin"]
-    engine = SegmentStorage(V1_FIXTURE / "store", create=False,
+    engine = SegmentStorage(fixture / "store", create=False,
                             read_only=True)
-    assert [struct.unpack_from("<H", segment.path.read_bytes(), 4)[0]
-            for segment in engine.segments()] == [1, 1]
+    assert _versions(engine) == [version, version]
     assert engine.open_report["segments_dropped"] == 0
     assert engine.open_report["wal_docs_recovered"] == 2
     report = engine.verify()
     assert report["ok"] and report["buffer_docs"] == 2
     engine.close()
 
-    def loaded_from(path) -> str:
-        store = DocumentStore()
-        assert load_session(store, path, index=INDEX,
-                            rename_to=SESSION) == SESSION
-        return observe(store, sort_keys=True)
-
-    twin = loaded_from(V1_FIXTURE / "twin.jsonl")
-    assert loaded_from(V1_FIXTURE / "store") == twin
+    twin = _loaded_from(fixture / "twin.jsonl")
+    assert _loaded_from(fixture / "store") == twin
     # Looking changed nothing on disk.
     assert before == {entry.name: entry.read_bytes()
-                      for entry in (V1_FIXTURE / "store").iterdir()}
+                      for entry in (fixture / "store").iterdir()}
 
-    # A writable copy compacts into version 2 files that load the same.
-    shutil.copytree(V1_FIXTURE / "store", tmp_path / "store")
+    # A writable copy compacts into version 3 files that load the same.
+    shutil.copytree(fixture / "store", tmp_path / "store")
     engine = SegmentStorage(tmp_path / "store", flush_events=4)
-    engine.flush()                      # the WAL tail: a v2 segment
+    engine.flush()                      # the WAL tail: a v3 segment
     assert engine.compact(small_rows=5)["segments_merged"] == 3
-    assert [struct.unpack_from("<H", segment.path.read_bytes(), 4)[0]
-            for segment in engine.segments()] == [2]
+    assert _versions(engine) == [3]
     assert engine.segments()[0].path.read_bytes()[
         engine.segments()[0]._fields["args"][0]] == K_STRUCT
+    assert engine.verify()["ok"]
     engine.close()
-    assert loaded_from(tmp_path / "store") == twin
+    assert _loaded_from(tmp_path / "store") == twin
+    # ... and a version 3 store compacts to version 3.
+    engine = SegmentStorage(tmp_path / "store", flush_events=4)
+    engine.append([json.loads(
+        (fixture / "twin.jsonl").read_text().splitlines()[-1])])
+    engine.flush()
+    assert engine.compact(small_rows=20)["segments_merged"] == 2
+    assert _versions(engine) == [3] and engine.verify()["ok"]
+    engine.close()
+
+
+V2_FIXTURE = Path(__file__).parent / "corpus" / "segments-v2"
+
+def test_a_version_2_store_opens_verifies_loads_and_compacts(tmp_path):
+    """``tests/corpus/segments-v2`` was written once by the commit
+    before format v3 (96194bd: ``SEGMENT_VERSION == 2``; every field a
+    block of kinds 1–4, ``session`` among them), from a checkout of
+    that commit, with ``docs`` the ten documents of the v1 recipe
+    above::
+
+        store = DocumentStore()
+        store.bulk("dio_trace", [{**doc, "session": "v2-fixture"}
+                                 for doc in docs[:8]])
+        save_session(store, "v2-fixture", out / "store", flush_events=4)
+        engine = SegmentStorage(out / "store", flush_events=4)
+        engine.append([{**doc, "session": "v2-fixture"}
+                       for doc in docs[8:]], session="v2-fixture")
+        engine.close()                  # rows 8 and 9 stay in the WAL
+        store.bulk("dio_trace", [{**doc, "session": "v2-fixture"}
+                                 for doc in docs[8:]])
+        export_session(store, "v2-fixture", out / "twin.jsonl")
+    """
+    _an_old_store_opens_verifies_loads_and_compacts(V2_FIXTURE, 2,
+                                                    tmp_path)
+
+
+def test_version_3_keeps_every_stored_block_of_version_2(tmp_path):
+    # An oracle that needs no version 2 writer: re-encode the v2
+    # corpus's documents; every field version 3 still stores as a
+    # block of kinds 1–4 has the very bytes the corpus holds for it,
+    # and the fields it does not store are the ones it can rebuild.
+    rebuilt = {}
+    for old in SegmentStorage(V2_FIXTURE / "store", create=False,
+                              read_only=True).segments():
+        path = tmp_path / old.path.name
+        publish(path, encode_segment(DocBatch(copy.deepcopy(old.docs()))),
+                session=old.session, seq=old.seq)
+        new = Segment(path)
+        assert new.schema == old.schema and new.zones == old.zones
+        assert new.docs() == old.docs()
+        old_blocks = {name: block for name, block, _ in old._blocks()}
+        for name, block, _ in new._blocks():
+            if block[0] <= K_STRUCT:
+                assert block == old_blocks[name], name
+            else:
+                rebuilt.setdefault(name, set()).add(block[0])
+    assert rebuilt == {"session": {5}, "pid": {5}, "proc_name": {5},
+                       "duration_ns": {5}, "time_exit": {K_SUM},
+                       "file_tag": {5}}
 
 
 def test_a_saved_store_exports_the_bytes_the_original_exports(tmp_path):

@@ -4,7 +4,9 @@
 each block per lane (``array(values)``, ``dict.fromkeys``, a struct
 lane's key lanes) instead of per row.  The row writer is kept here as
 the oracle — a per-row ``_encode_field`` (one value, one shape, one
-table entry at a time; it learnt block kind 4 with format v2) and
+table entry at a time; it learnt block kind 4 with format v2, and with
+format v3 the kinds a reader rebuilds: a constant, ``time_exit`` as a
+sum, ``file_path`` by ``file_tag``, each decided row by row) and
 ``write_segment(sort_docs(docs))`` over the hits of a time-sorted
 search — and the two must agree on every byte: block by block over
 adversarial lanes, and file by file over stores held as lanes, as rows
@@ -28,8 +30,9 @@ from repro.backend import (SHARD_KEYS, DocumentStore, FilePathCorrelator,
                            legacy_correlate, load_session, save_session)
 from repro.backend.lanes import DocBatch
 from repro.backend.segments import (_BLOCK_HEAD, _HEADER, _I32_CODE, _TRAILER,
-                                    _U16, _U32, DEFLATE_LEVEL, F_ZLIB, K_DICT,
-                                    K_F64, K_I64, K_STRUCT,
+                                    _U16, _U32, DEFLATE_LEVEL, F_ZLIB,
+                                    K_BY_TAG, K_CONST, K_DICT, K_F64, K_I64,
+                                    K_STRUCT, K_SUM,
                                     MANIFEST_FORMAT, MANIFEST_NAME,
                                     SEGMENT_MAGIC, SEGMENT_VERSION, T_FLOAT,
                                     T_INT, T_STR, TRAILER_MAGIC, SegmentError,
@@ -126,7 +129,10 @@ def rows_encode_field(present: list[int], values: list, deflate=True):
         payload = b"".join((_U32.pack(len(table)), *table,
                             _lane_bytes(codes)))
         kind = K_DICT
+    return rows_block(kind, payload, deflate), zone
 
+
+def rows_block(kind: int, payload: bytes, deflate=True) -> bytes:
     flags = 0
     deflated = zlib.compress(payload, DEFLATE_LEVEL) if deflate else payload
     if len(deflated) < len(payload):
@@ -134,7 +140,64 @@ def rows_encode_field(present: list[int], values: list, deflate=True):
         body = deflated
     else:
         body = payload
-    return _BLOCK_HEAD.pack(kind, flags, len(payload)) + body, zone
+    return _BLOCK_HEAD.pack(kind, flags, len(payload)) + body
+
+
+def rows_entry(value) -> bytes:
+    tag, blob = _encode_value(value)
+    return bytes((tag,)) + _U32.pack(len(blob)) + blob
+
+
+def rows_top_block(field: str, docs: list[dict]):
+    """One top-level field's block, one row at a time: kind 5 when every
+    row holds one value (no float, no list, no dict), kind 6 for a
+    ``time_exit`` that is ``time + duration_ns`` on every row, kind 7
+    for a ``file_path`` that is a function of ``file_tag`` — else the
+    block ``rows_encode_field`` writes."""
+    present = [1 if field in doc else 0 for doc in docs]
+    values = [doc.get(field) for doc in docs]
+    first = values[0]
+    if all(present) and type(first) in (str, int, bool, type(None)) and all(
+            type(value) is type(first) and value == first
+            for value in values):
+        zone = ((T_INT if type(first) is int else T_STR), first, first) \
+            if type(first) in (int, str) else None
+        return rows_block(K_CONST, rows_entry(first)), zone
+    if field == "time_exit" and all(
+            type(doc.get(key)) is int
+            for doc in docs for key in ("time", "duration_ns", "time_exit")
+    ) and all(doc["time_exit"] == doc["time"] + doc["duration_ns"]
+              for doc in docs):
+        return rows_block(K_SUM, b""), (T_INT, min(values), max(values))
+    if field == "file_path" and any("file_tag" in doc for doc in docs):
+        table: dict = {}
+        plain = (str, int, type(None))
+        holds = True
+        for doc in docs:
+            tag = doc.get("file_tag")
+            if type(tag) not in plain or type(doc.get(field)) not in plain:
+                holds = False
+            elif field in doc:
+                if tag is None or table.get(tag, doc[field]) != doc[field]:
+                    holds = False
+                table[tag] = doc[field]
+        if holds and not any(field not in doc and doc.get("file_tag") in table
+                             for doc in docs):
+            paths = {path for path in table.values() if path is not None}
+            zone = None
+            if len({type(path) for path in paths}) == 1:
+                zone = (T_STR if type(min(paths)) is str else T_INT,
+                        min(paths), max(paths))
+            tags = []
+            for doc in docs:
+                if doc.get("file_tag") is not None \
+                        and doc["file_tag"] not in tags:
+                    tags.append(doc["file_tag"])
+            return rows_block(K_BY_TAG, b"".join(
+                [_U32.pack(len(tags))]
+                + [b"\x01" + rows_entry(table[tag]) if tag in table
+                   else b"\x00" for tag in tags])), zone
+    return rows_encode_field(present, values)
 
 
 def rows_write_segment(path: Path, docs: list[dict], *, session: str,
@@ -145,9 +208,7 @@ def rows_write_segment(path: Path, docs: list[dict], *, session: str,
     offset = _HEADER.size
     entries = []
     for field in dict.fromkeys(field for doc in docs for field in doc):
-        block, zone = rows_encode_field(
-            [1 if field in doc else 0 for doc in docs],
-            [doc.get(field) for doc in docs])
+        block, zone = rows_top_block(field, docs)
         chunks.append(block)
         name = field.encode("utf-8")
         entries.append(b"".join((

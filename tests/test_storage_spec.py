@@ -78,12 +78,17 @@ def _literal(rows: list[dict], field: str) -> str:
 
 SPEC_DOCS = [
     {"time": 0, "syscall": "write", "ret": 0, "path": "/f0",
-     "args": {"fd": 3, "buf": 512}},
+     "args": {"fd": 3, "buf": 512}, "duration_ns": 3, "time_exit": 3,
+     "file_tag": "7 1 1", "file_path": "/f0"},
     {"time": 5, "syscall": "write", "ret": 1, "path": "/f1",
-     "args": {"buf": None, "fd": 4, "iov": {"base": 1 << 70, "len": [8]}}},
-    {"time": 10, "syscall": "write", "ret": 2, "path": "/f0", "args": {}},
+     "args": {"buf": None, "fd": 4, "iov": {"base": 1 << 70, "len": [8]}},
+     "duration_ns": 1, "time_exit": 6, "file_tag": "7 2 1",
+     "file_path": "/f1"},
+    {"time": 10, "syscall": "write", "ret": 2, "path": "/f0", "args": {},
+     "duration_ns": 2, "time_exit": 12},
     {"time": 15, "syscall": "write", "ret": 3, "path": "/f1",
-     "args": {"fd": 5, "buf": 4096}},
+     "args": {"fd": 5, "buf": 4096}, "duration_ns": 4, "time_exit": 19,
+     "file_tag": "7 2 1", "file_path": "/f1"},
 ]
 
 
@@ -178,6 +183,13 @@ class TestSegmentFromSpec:
             block = blob[block_off:block_off + block_len]
             assert zlib.crc32(block) == block_crc
             decoded[name] = _block_per_spec(block, n_rows)
+        # Kinds 6 and 7 read the fields the spec's table names.
+        reads = _rebuilt_reads()
+        for name, lane in decoded.items():
+            if type(lane) is tuple:
+                kind, payload = lane
+                decoded[name] = _rebuilt_per_spec(
+                    kind, payload, [decoded[field] for field in reads[kind]])
 
         # The spec-driven parse reproduces the documents the engine
         # itself reads back.
@@ -185,6 +197,13 @@ class TestSegmentFromSpec:
         assert decoded["ret"] == [0, 1, 2, 3]
         assert decoded["syscall"] == ["write"] * 4
         assert decoded["path"] == ["/f0", "/f1", "/f0", "/f1"]
+        assert decoded["time_exit"] == [3, 6, 12, 19]
+        assert decoded["file_path"] == ["/f0", "/f1", None, "/f1"]
+        # ... through the kinds that store no row.
+        kinds = {name: kind for name, (kind, _) in
+                 Segment(next(store_dir.glob("*.dseg"))).kinds().items()}
+        assert (kinds["syscall"], kinds["time_exit"], kinds["file_path"]) \
+            == (5, 6, 7)
         # ``args`` is a kind-4 block: three shapes (one of them the
         # empty object), an explicit null, an object inside an object.
         assert decoded["args"] == [doc["args"] for doc in SPEC_DOCS]
@@ -218,6 +237,16 @@ def _block_per_spec(block: bytes, n_rows: int) -> list:
     if head["flags"] & 1:
         payload = zlib.decompress(payload)
     assert len(payload) == head["raw_len"]
+    if head["kind"] == 5:
+        types = _field_types("Payload, kind 5 (constant)")
+        (tag,) = struct.unpack_from(types["tag"], payload, 0)
+        at = struct.calcsize(types["tag"])
+        (length,) = struct.unpack_from(types["len"], payload, at)
+        at += struct.calcsize(types["len"])
+        assert at + length == len(payload) and tag != 5
+        return [_decode_tag(tag, payload[at:])] * n_rows
+    if head["kind"] in _rebuilt_reads():
+        return head["kind"], payload      # read with the fields it reads
     if head["kind"] in (2, 3):
         present = list(payload[:n_rows])
         fmt = "q" if head["kind"] == 2 else "d"
@@ -275,6 +304,50 @@ def _block_per_spec(block: bytes, n_rows: int) -> list:
                        for name in shapes[code]})
         seen[code] += 1
     return values
+
+
+def _rebuilt_reads() -> dict[int, list[str]]:
+    """``kind -> the fields it reads``, from the spec's table."""
+    reads = {}
+    for line in _section(
+            "Payload, kinds 6 and 7 (rebuilt from other fields)").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit():
+            reads[int(cells[0])] = re.findall(r"`(\w+)`", cells[1])
+    assert sorted(reads) == [6, 7]
+    return reads
+
+
+def _rebuilt_per_spec(kind: int, payload: bytes, lanes: list) -> list:
+    """A kind-6 or kind-7 field over the lanes it reads."""
+    if kind == 6:
+        assert payload == b""
+        time, duration = lanes
+        return [t + d for t, d in zip(time, duration)]
+    types = _field_types("Payload, kinds 6 and 7 (rebuilt from other fields)")
+    pos = 0
+
+    def read(field: str) -> int:
+        nonlocal pos
+        (value,) = struct.unpack_from(types[field], payload, pos)
+        pos += struct.calcsize(types[field])
+        return value
+
+    (tags,) = lanes
+    keys = []
+    for tag in tags:
+        if tag is not None and tag not in keys:
+            keys.append(tag)
+    table = {}
+    assert read("n_tags") == len(keys)
+    for key in keys:
+        if read("has"):
+            tag = read("tag")
+            length = read("len")
+            table[key] = _decode_tag(tag, payload[pos:pos + length])
+            pos += length
+    assert pos == len(payload)
+    return [table.get(tag) for tag in tags]
 
 
 def _decode_tag(tag: int, raw: bytes):
