@@ -9,8 +9,14 @@ worktree add --detach`` (no network step); the working tree, with its
 uncommitted changes, is the change.  Each pair runs one fresh child of
 the benchmark's own command (``BENCHMARK.json``'s ``command``, with
 ``--workload W --seed S --seconds T --trace 0``) in each tree, and the
-side that goes first alternates from pair to pair.  Each child's last
-output line is its JSON result.
+side that goes first alternates from pair to pair.  Before the first
+pair, one child runs in each tree and is not counted: the first child
+of a series reads far slower than the rest (cold caches, a fresh
+tree's first imports), which would widen the base's quartiles.  Each
+child's last output line is its JSON result; its
+``harness.raw_wall_s`` line is recorded beside ``wall_s`` (the figure
+before host-speed normalisation, which a forking workload needs read
+beside it).
 
 For every end-to-end metric of ``BENCHMARK.json`` (whose ``better``
 gives the direction) it prints both medians and quartiles, the base's
@@ -38,6 +44,8 @@ from statistics import median, quantiles
 ROOT = Path(__file__).resolve().parent.parent
 CONTRACT = ROOT / "BENCHMARK.json"
 OUT = ROOT / "benchmarks" / "out"
+#: The harness line recorded beside the end-to-end metrics.
+RAW_WALL = "harness.raw_wall_s"
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -89,7 +97,35 @@ def run_child(tree: Path, command: list[str], argv: list[str]) -> dict:
               " ".join(command + argv))
         print(done.stdout[-2000:], done.stderr[-2000:], sep="\n")
         raise SystemExit(1)
+    for line in lines:
+        if line.split()[:1] == [RAW_WALL]:
+            result["metrics"][RAW_WALL] = {
+                "value": float(line.split()[1].replace(",", ""))}
     return result
+
+
+def run_pairs(trees: dict[str, Path], command: list[str], argv: list[str],
+              count: int) -> list[dict]:
+    """``count`` alternating pairs of children in ``trees`` (``base``,
+    ``change``) after one unmeasured child in each: per pair, which
+    side went first and each side's metric values."""
+    for side in ("base", "change"):
+        run_child(trees[side], command, argv)
+    pairs = []
+    for number in range(count):
+        order = ("base", "change") if number % 2 == 0 else ("change",
+                                                            "base")
+        runs = {side: run_child(trees[side], command, argv)
+                for side in order}
+        pairs.append({"first": order[0], **{
+            side: {name: value["value"] for name, value
+                   in runs[side]["metrics"].items()}
+            for side in ("base", "change")}})
+        print(f"pair {number + 1}/{count} ({order[0]} first): "
+              + "  ".join(f"{name} {pairs[-1]['base'][name]:.4g} -> "
+                          f"{pairs[-1]['change'][name]:.4g}"
+                          for name in pairs[-1]["base"]), flush=True)
+    return pairs
 
 
 def _spread(row: dict, side: str) -> str:
@@ -118,31 +154,17 @@ def main(argv=None) -> int:
     contract = json.loads(CONTRACT.read_text(encoding="utf-8"))
     seconds = args.seconds or contract["run_seconds"]
     metrics = contract["end_to_end"]
-    names = [metric["name"] for metric in metrics]
     child_argv = ["--workload", args.workload, "--seed", str(args.seed),
                   "--seconds", str(seconds), "--trace", "0"]
     commit = subprocess.run(
         ["git", "rev-parse", "--verify", args.base + "^{commit}"], cwd=ROOT,
         check=True, capture_output=True, text=True).stdout.strip()
     worktree = Path(tempfile.mkdtemp(prefix="pairs-base-"))
-    pairs = []
     try:
         subprocess.run(["git", "worktree", "add", "--detach", str(worktree),
                         commit], cwd=ROOT, check=True, capture_output=True)
-        for number in range(args.pairs):
-            order = ("base", "change") if number % 2 == 0 else ("change",
-                                                                "base")
-            runs = {side: run_child(worktree if side == "base" else ROOT,
-                                    contract["command"], child_argv)
-                    for side in order}
-            pairs.append({"first": order[0], **{
-                side: {name: value["value"] for name, value
-                       in runs[side]["metrics"].items()}
-                for side in ("base", "change")}})
-            print(f"pair {number + 1}/{args.pairs} ({order[0]} first): "
-                  + "  ".join(f"{name} {pairs[-1]['base'][name]:.4g} -> "
-                              f"{pairs[-1]['change'][name]:.4g}"
-                              for name in names), flush=True)
+        pairs = run_pairs({"base": worktree, "change": ROOT},
+                          contract["command"], child_argv, args.pairs)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force",
                         str(worktree)], cwd=ROOT, capture_output=True)

@@ -5,7 +5,8 @@ file-path correlation algorithm with ES's query/update APIs.  This
 package is an in-process substitute exposing the same operations:
 
 - :mod:`repro.backend.store` — indices of JSON documents, bulk
-  indexing, search, and update-by-query.
+  indexing, search, and a session's ``file_tag -> file_path`` table
+  kept where ES would update by query.
 - :mod:`repro.backend.query` — a dict-shaped query DSL (``bool``,
   ``term``, ``terms``, ``range``, ``exists``, ``wildcard``, ``prefix``,
   ``match_all``) compiled to predicates.
@@ -14,7 +15,7 @@ package is an in-process substitute exposing the same operations:
   numbers read off the columns, skipping predicate evaluation
   entirely when the plan is exact.
 - :mod:`repro.backend.naive` — pre-planner reference implementations
-  (full-scan search, per-tag correlation) used as benchmark baselines
+  (full-scan search, correlation on documents) used as benchmark baselines
   and property-test oracles.
 - :mod:`repro.backend.aggregations` — ``terms``, ``histogram``,
   ``date_histogram``, ``percentiles``, ``stats`` (and friends), with

@@ -18,9 +18,9 @@ sub-aggregation.  The columnar layer replaces that with flat lanes
     bitmap, plus ``num_kind`` saying which classes it holds — metric
     kernels read a lane instead of walking dicts;
 - :class:`ColumnSet` maintains the columns incrementally on append
-  and update: a column is built lazily — from lanes, hydrating
-  nothing — the first time an aggregation, a query clause or a sort
-  touches the field, then kept up to date.
+  (a path table drops ``file_path``'s): a column is built lazily —
+  from lanes, hydrating nothing — the first time an aggregation, a
+  query clause or a sort touches the field, then kept up to date.
 
 The same column answers the query planner
 (:mod:`repro.backend.planner`), which addresses documents by row too:
@@ -59,7 +59,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.backend.aggregations import percentile
 from repro.backend.lanes import LaneBatch, sort_key, stamped_value
-from repro.backend.query import RANGE_OPS, field_affected
+from repro.backend.query import RANGE_OPS
 
 #: Value classes a ``term``/``terms`` clause can match from the
 #: dictionary (what the planner calls indexable).
@@ -586,7 +586,7 @@ class ColumnSet:
         return self._doc_ids
 
     # ------------------------------------------------------------------
-    # Lifecycle (called from Index.bulk_append / update_docs)
+    # Lifecycle (called from Index.bulk_append / set_paths)
 
     def extend_new(self, doc_ids: list[str], batch: LaneBatch) -> None:
         """Lane-append brand-new documents: the row mapping extends with
@@ -600,19 +600,12 @@ class ColumnSet:
         for field, column in self._columns.items():
             _extend(column, batch, field)
 
-    def update(self, rows: list[int], fields: dict[str, Sequence]) -> None:
-        """Set ``fields`` — one value per row of ``rows``, a row listed
-        twice keeping its last — in the columns of those fields.  A
-        column the update reaches only through a dotted name (``args.fd``
-        under ``args``) is dropped: :meth:`ensure_column` builds it
-        again from the lanes."""
-        for field, column in list(self._columns.items()):
-            if field in fields:
-                last = dict(zip(rows, fields[field]))
-                for row in rows:
-                    column.set(row, last[row])
-            elif field_affected(field, fields):
-                del self._columns[field]
+    def drop(self, field: str) -> None:
+        """Forget the column of ``field`` and of every dotted name under
+        it: :meth:`ensure_column` builds them again from the lanes."""
+        for name in [name for name in self._columns
+                     if name == field or name.startswith(field + ".")]:
+            del self._columns[name]
 
     def ensure_column(self, field: str,
                       batches: Iterable[LaneBatch]) -> Column:

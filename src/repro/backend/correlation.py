@@ -6,8 +6,10 @@ fd-based syscalls (``read``, ``close``, ...) never see a path.  The
 path **is** visible in the ``open``/``openat``/``creat`` event that
 produced the fd.  This module performs the translation the paper
 implements with Elasticsearch's query and update APIs: find each tag's
-opening event, then update every event carrying that tag with the
-resolved ``file_path``.
+opening event, then give every event carrying that tag the resolved
+``file_path``.  The paper writes the path onto each event; here the
+store keeps what the correlation found, the session's tag -> path
+table, and each event reads its path off its own tag.
 
 The resolution is lane arithmetic, not a loop over documents: one lane
 read of the session (:meth:`DocumentStore.lanes`) hands over its rows
@@ -15,13 +17,13 @@ in insertion order; one pass over the ``syscall`` lane picks the
 open-family rows, and ``file_tag``, ``time`` and ``args.path`` are read
 for those rows alone (:meth:`JoinedBatch.values_at` — never every row's
 ``args``) to build tag -> path.  One ``map(mapping.get, tags)`` over
-the ``file_tag`` lane then resolves every tagged row, the
-tagged/unresolved tallies are counted off the same lanes, and the
-result lands with **one** ``update_docs`` — each row its own path —
-which writes each parked batch's overlay once, so a trace nobody has
-hydrated stays lanes.  A trace that is correlated and then saved never
-becomes a document.  The pre-planner shape — one ``update_by_query``
-per tag plus two counting queries — survives as
+the ``file_tag`` lane then resolves every tagged row for the
+tagged/unresolved tallies, and the table lands with **one**
+:meth:`DocumentStore.set_paths`, which gives each parked batch a
+``file_path`` lane derived from its ``file_tag`` lane, so a trace
+nobody has hydrated stays lanes.  A trace that is correlated and then
+saved never becomes a document.  The paper's flow — every event of a
+tag updated by query — survives spelled out on documents as
 :func:`repro.backend.naive.legacy_correlate`, the oracle.
 
 Events whose opening syscall was never captured (e.g. discarded at the
@@ -126,10 +128,6 @@ class FilePathCorrelator:
                 "Tagged documents left without a file path."),
         }
 
-    def _session_lanes(self, index: str, session: Optional[str]):
-        return self.store.lanes(
-            index, {"term": {"session": session}} if session else None)
-
     @staticmethod
     def _tag_to_path(tags: list, times: list, paths: list) -> dict[str, str]:
         """Tag -> path over the open-family rows' lanes, in insertion
@@ -149,19 +147,19 @@ class FilePathCorrelator:
     def correlate(self, index: str,
                   session: Optional[str] = None) -> CorrelationReport:
         """Run the correlation over ``index`` (optionally one session)."""
-        doc_ids, batch = self._session_lanes(index, session)
+        _, batch = self.store.lanes(
+            index, {"term": {"session": session}} if session else None)
         tags = batch.values_for("file_tag")
         opens = _open_rows(batch.values_for("syscall"))
         mapping = self._tag_to_path(list(map(tags.__getitem__, opens)),
                                     batch.values_at("time", opens),
                                     batch.values_at("args.path", opens))
 
-        # Every tagged row resolved at once; a path is never empty, so
-        # the resolved rows are the truthy ones.
+        # Every tagged row resolved at once, for the tallies.
         resolved = list(map(mapping.get, tags))
         tagged = len(tags) - tags.count(None)
-        paths = list(filter(None, resolved))
-        unresolved = tagged - len(paths)
+        named = len(resolved) - resolved.count(None)
+        unresolved = tagged - named
         file_paths = batch.values_for("file_path")
         if file_paths.count(None) < len(file_paths):
             # An unresolved tag is no loss on a row that already names
@@ -171,15 +169,12 @@ class FilePathCorrelator:
                                   zip(tags, resolved),
                                   map(is_not, file_paths, repeat(None))))
 
-        updated = 0
-        if paths:
-            updated = self.store.update_docs(
-                index, list(compress(doc_ids, resolved)),
-                {"file_path": paths})
+        if mapping:
+            self.store.set_paths(index, mapping, session)
 
         report = CorrelationReport(
             tags_resolved=len(mapping),
-            documents_updated=updated,
+            documents_updated=named,
             documents_tagged=tagged,
             documents_unresolved=unresolved,
         )

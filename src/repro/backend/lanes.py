@@ -19,8 +19,9 @@ every producer and consumer shares:
 - :class:`StructLane` — a lane of ``dict``s (``args``) held as lanes
   itself: key tuples stored once, values as one lane per key, a dict
   only for the reader that asks for one.
-- :class:`Overlay` — fields set on some rows after the batch was built
-  (``update_docs`` on an index's parts), one value per row.
+- :class:`Lookup` — a lane read off another through a table (a
+  session's ``file_tag -> file_path``), and :func:`derive_lane`, which
+  gives a batch such a lane without building a row.
 - :func:`time_order` / :func:`time_ordered` — the one row-ordering
   rule, shared by the segment engine's load and save and by the
   diagnosis layer's one session read.
@@ -29,6 +30,7 @@ every producer and consumer shares:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import is_not, le
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
@@ -86,16 +88,6 @@ class LaneBatch(Protocol):
 
     def row_keys(self, row: int) -> list[str]:
         """The keys of one row, in document order."""
-
-    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
-        """``doc.update`` on ``rows`` without building a document:
-        ``fields`` maps each key to one value per row of ``rows``, in
-        their order (a row listed twice takes its last).  Every reader
-        above sees the new values, each new key last in its row.
-        ``False`` — and nothing changed — when the batch cannot say
-        that without its documents (it already has a column for one of
-        the keys), so the index replaces it by a :class:`DocBatch` of
-        its rows and updates that instead."""
 
 
 def sort_key(value: Any):
@@ -437,78 +429,6 @@ def _concat(lanes, present_of=None):
     return list(chain.from_iterable(lanes))
 
 
-class Overlay:
-    """Fields set on some rows of a lane batch after it was built, one
-    value per row.
-
-    One *shape* per overlay — the keys of the first update, in its
-    order: every row then carries its overlaid keys in that one order,
-    which is where ``dict.update`` puts them whichever rows an update
-    reaches first.  An update of another shape is refused.
-    """
-
-    __slots__ = ("_n", "_fields")
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        #: field -> (value per row, 0/1 per row)
-        self._fields: dict[str, tuple[list, bytearray]] = {}
-
-    def set(self, rows: list[int], fields: dict[str, list],
-            docs: Optional[list[dict]]) -> bool:
-        """Set ``fields`` — one value per row of ``rows`` for each key —
-        on ``rows``, and on ``docs``, the batch's documents if they
-        were built already.  ``False``, and nothing set, for an update
-        of another shape."""
-        if self._fields and list(self._fields) != list(fields):
-            return False
-        for field, lane in fields.items():
-            entry = self._fields.get(field)
-            if entry is None:
-                entry = self._fields[field] = ([None] * self._n,
-                                               bytearray(self._n))
-            values, present = entry
-            for row, value in zip(rows, lane):
-                values[row] = value
-                present[row] = 1
-            if docs is not None:
-                for row, value in zip(rows, lane):
-                    docs[row][field] = value
-        return True
-
-    def merged(self, field: str, base: list) -> list:
-        """``base`` with the overlaid rows of ``field`` on top."""
-        entry = self._fields.get(field)
-        if entry is None:
-            return base
-        values, present = entry
-        return [own if has else under
-                for has, own, under in zip(present, values, base)]
-
-    def columns(self) -> list[LaneColumn]:
-        return [(field, values, bytes(present))
-                for field, (values, present) in self._fields.items()]
-
-    def apply(self, docs: list[dict]) -> None:
-        """Land the overlay on freshly built documents."""
-        for field, (values, present) in self._fields.items():
-            for doc, value in zip(compress(docs, present),
-                                  compress(values, present)):
-                doc[field] = value
-
-    def keys_at(self, row: int) -> list[str]:
-        return [field for field, (_, present) in self._fields.items()
-                if present[row]]
-
-    def take(self, rows) -> "Overlay":
-        out = Overlay(len(rows))
-        out._fields = {
-            field: (_project(values, rows),
-                    bytearray(_project(present, rows)))
-            for field, (values, present) in self._fields.items()}
-        return out
-
-
 def _assemble_rows(rows: int, columns: list[LaneColumn]) -> list[dict]:
     """One document per row from lane columns.
 
@@ -613,14 +533,73 @@ def sparse(values: list) -> tuple[list, Derived]:
     return values, Derived(_present, (values,))
 
 
+def _looked_up(table: dict, rows: int, keys: list) -> list:
+    return list(map(table.get, keys))
+
+
+def _held(table: dict, rows: int, keys: list) -> Optional[bytes]:
+    present = bytes(map(table.__contains__, keys))
+    return present if 0 in present else None
+
+
+class Lookup:
+    """A lane read off another through a table: a row holds
+    ``table[key]`` for its key, and lacks the field where the table
+    has no entry for it (a kind-7 segment block, a session's resolved
+    file paths).  One per table: every batch derived from it shares its
+    two builds, so a join of them derives the lane once
+    (:func:`_fused`), and the takes of one join — a router's shards of
+    a loaded session — share one derived join (:func:`derive_lane`)."""
+
+    __slots__ = ("table", "values", "present", "_joins")
+
+    def __init__(self, table: dict) -> None:
+        self.table = table
+        self.values = partial(_looked_up, table)
+        self.present = partial(_held, table)
+        #: ``id(join) -> (join, derived join)`` of the joins taken from.
+        self._joins: dict[int, tuple] = {}
+
+    def entry(self, keys: list) -> tuple[Derived, Derived]:
+        """The lane entry over one batch's ``keys`` lane."""
+        return Derived(self.values, (keys,)), Derived(self.present, (keys,))
+
+
+def derive_lane(batch: LaneBatch, field: str, key: str,
+                lookup: Lookup) -> Optional[LaneBatch]:
+    """``batch`` with ``field`` read off its ``key`` lane through
+    ``lookup``, last in each row that has it — a new batch sharing the
+    old one's lanes, nothing built: a :class:`Lanes` gains the lane, a
+    join each of its parts.  ``None`` for documents, and for a batch
+    with a lane of ``field`` already: only their rows can say where the
+    key goes."""
+    if isinstance(batch, Lanes):
+        if field in batch._lanes:
+            return None
+        keys = batch._lanes.get(key, (None,))[0]
+        if type(keys) is not list:
+            keys = batch.values_for(key)
+        return type(batch)(len(batch), {**batch._lanes,
+                                        field: lookup.entry(keys)})
+    if not isinstance(batch, JoinedBatch):
+        return None
+    if batch._whole is not None:
+        held = lookup._joins.get(id(batch._whole))
+        if held is None:
+            held = lookup._joins[id(batch._whole)] = (
+                batch._whole, derive_lane(batch._whole, field, key, lookup))
+        return None if held[1] is None else held[1].take(batch._rows)
+    parts = [derive_lane(part, field, key, lookup) for part in batch._parts]
+    return None if any(part is None for part in parts) else JoinedBatch(parts)
+
+
 class Lanes:
     """Named lanes plus presence bits: the one concrete lane batch.
 
     ``lanes`` maps each field to ``(values, present)`` — a
     :data:`LaneColumn` without its name — in document key order: a
-    row's keys are the fields it carries, in that order, then any
-    :class:`Overlay` ones.  Either half may be a :class:`Derived`,
-    built on first read and kept.  Producers:
+    row's keys are the fields it carries, in that order.  Either half
+    may be a :class:`Derived`, built on first read and kept.  Producers:
     :meth:`repro.tracer.batch.RecordBatch.decode` (ring records) and
     :meth:`repro.backend.segments.Segment.lanes` (a segment's decoded
     blocks, and what a reader rebuilds from them).
@@ -631,7 +610,7 @@ class Lanes:
     them.
     """
 
-    __slots__ = ("_n", "_lanes", "_docs", "_cache", "_overlay")
+    __slots__ = ("_n", "_lanes", "_docs", "_cache")
 
     def __init__(self, rows: int,
                  lanes: dict[str, tuple[Any, Optional[bytes]]]) -> None:
@@ -640,7 +619,6 @@ class Lanes:
         self._docs: Optional[list[dict]] = None
         #: What a read of a name that is no lane of the batch built.
         self._cache: dict[str, list] = {}
-        self._overlay: Optional[Overlay] = None
 
     def __len__(self) -> int:
         return self._n
@@ -658,10 +636,7 @@ class Lanes:
             return self._lane(field)[0]
         out = self._cache.get(field)
         if out is None:
-            out = self._read(field)
-            if self._overlay is not None:
-                out = self._overlay.merged(field, out)
-            self._cache[field] = out
+            out = self._cache[field] = self._read(field)
         return out
 
     def _read(self, field: str) -> list:
@@ -686,22 +661,16 @@ class Lanes:
                 for has, value, under in zip(present, values, walked)]
 
     def columns(self) -> list[LaneColumn]:
-        out = [(field, *self._lane(field)) for field in self._lanes]
-        if self._overlay is not None:
-            out.extend(self._overlay.columns())
-        return out
+        return [(field, *self._lane(field)) for field in self._lanes]
 
     def row_keys(self, row: int) -> list[str]:
-        keys = [field for field in self._lanes
+        return [field for field in self._lanes
                 if (present := self._lane(field)[1]) is None or present[row]]
-        if self._overlay is not None:
-            keys.extend(self._overlay.keys_at(row))
-        return keys
 
     def take(self, rows) -> "Lanes":
         """The sub-batch of ``rows``: every lane projected once (a
-        derived lane's inputs instead, so nothing is derived), the
-        overlay along; nothing memoised is shared."""
+        derived lane's inputs instead, so nothing is derived); nothing
+        memoised is shared."""
         projected: dict[int, Any] = {}
 
         def project(values):
@@ -724,20 +693,7 @@ class Lanes:
                 present = bytes(_project(present, rows))
                 present = present if 0 in present else None
             lanes[field] = (values, present)
-        out = type(self)(len(rows), lanes)
-        if self._overlay is not None:
-            out._overlay = self._overlay.take(rows)
-        return out
-
-    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
-        if not self._lanes.keys().isdisjoint(fields):
-            return False
-        if self._overlay is None:
-            self._overlay = Overlay(self._n)
-        if not self._overlay.set(rows, fields, self._docs):
-            return False
-        self._cache.clear()
-        return True
+        return type(self)(len(rows), lanes)
 
     def docs_at(self, rows) -> list[dict]:
         if self._docs is not None:
@@ -746,18 +702,14 @@ class Lanes:
 
     def to_docs(self) -> list[dict]:
         if self._docs is None:
-            docs = _assemble_rows(self._n, [(field, *self._lane(field))
-                                           for field in self._lanes])
-            if self._overlay is not None:
-                self._overlay.apply(docs)
-            self._docs = docs
+            self._docs = _assemble_rows(self._n, self.columns())
         return self._docs
 
 
 class DocBatch:
     """Documents that already exist, behind the lane-batch protocol:
-    what ``bulk`` appends to an index, a part an update
-    replaced with its rows, the rows of a WAL flush."""
+    what ``bulk`` appends to an index, a part the path write replaced
+    with its rows, the rows of a WAL flush."""
 
     __slots__ = ("_docs", "_cache")
 
@@ -790,33 +742,23 @@ class DocBatch:
     def row_keys(self, row: int) -> list[str]:
         return list(self._docs[row])
 
-    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
-        docs = self._docs
-        for field, lane in fields.items():
-            for row, value in zip(rows, lane):
-                docs[row][field] = value
-        self._cache.clear()
-        return True
-
 
 class JoinedBatch:
     """Lane batches back to back, as one :class:`LaneBatch`.
 
     Lanes are joined field by field, the first time each is asked for.
-    :meth:`take` shares the whole batch — its lanes, its documents and
-    its overlay — and projects them, so the sub-batches of one join
-    (the sort permutation, a shard's partition) never join a lane or
-    assemble a row twice, and an update through one of them is seen
-    through all.  :meth:`gather` shares nothing: a segment's chunk is
+    :meth:`take` shares the whole batch — its lanes and its documents —
+    and projects them, so the sub-batches of one join (the sort
+    permutation, a shard's partition) never join a lane or assemble a
+    row twice.  :meth:`gather` shares nothing: a segment's chunk is
     joined from its parts' own rows alone.
 
     A join reads its parts when asked and memoises what it read: take
-    a fresh one (``store.lanes``) after updating the documents under
-    it.
+    a fresh one (``store.lanes``) after a write to the index under it.
     """
 
     __slots__ = ("_parts", "_starts", "_n", "_whole", "_rows", "_docs",
-                 "_cache", "_columns", "_overlay")
+                 "_cache", "_columns")
 
     def __init__(self, parts: Iterable[LaneBatch]) -> None:
         self._parts = [part for part in parts if len(part)]
@@ -828,14 +770,13 @@ class JoinedBatch:
         self._docs: Optional[list[dict]] = None
         self._cache: dict[str, list] = {}
         self._columns: Optional[list[LaneColumn]] = None
-        self._overlay: Optional[Overlay] = None
 
     def __len__(self) -> int:
         return self._n
 
     def take(self, rows) -> "JoinedBatch":
         out = object.__new__(type(self))
-        out._parts = out._starts = out._columns = out._overlay = None
+        out._parts = out._starts = out._columns = None
         out._n = len(rows)
         out._whole = self if self._whole is None else self._whole
         out._rows = (rows if self._rows is None
@@ -869,11 +810,9 @@ class JoinedBatch:
                 parts.append(part.gather(local) if isinstance(
                     part, JoinedBatch) else part.take(local))
             at = upto
-        out = None if self._overlay is not None else _fused(parts)
+        out = _fused(parts)
         if out is None:
             out = JoinedBatch(parts)
-            if self._overlay is not None:
-                out._overlay = self._overlay.take(wanted)
         return out if order is None else out.take(      # ``order``'s inverse
             sorted(range(len(order)), key=order.__getitem__))
 
@@ -884,11 +823,8 @@ class JoinedBatch:
         if cached is None:
             lanes = [part.values_for(field) for part in self._parts]
             # A ``None`` read off a lane is an absence to a struct join.
-            cached = _concat(lanes, lambda number: bytes(
+            cached = self._cache[field] = _concat(lanes, lambda number: bytes(
                 map(is_not, lanes[number], repeat(None))))
-            if self._overlay is not None:
-                cached = self._overlay.merged(field, cached)
-            self._cache[field] = cached
         return cached
 
     def values_at(self, field: str, rows) -> list:
@@ -912,8 +848,6 @@ class JoinedBatch:
             else:
                 self._docs = list(chain.from_iterable(
                     part.to_docs() for part in self._parts))
-                if self._overlay is not None:
-                    self._overlay.apply(self._docs)
         return self._docs
 
     def docs_at(self, rows) -> list[dict]:
@@ -934,8 +868,6 @@ class JoinedBatch:
         for number, (slots, local) in wanted.items():
             for at, doc in zip(slots, self._parts[number].docs_at(local)):
                 out[at] = doc
-        if self._overlay is not None:
-            self._overlay.take(rows).apply(out)
         return out
 
     def columns(self) -> list[LaneColumn]:
@@ -946,8 +878,6 @@ class JoinedBatch:
                     for field, values, present in self._whole.columns()]
         if self._columns is None:
             self._columns = self._join_columns()
-        if self._overlay is not None:
-            return self._columns + self._overlay.columns()
         return self._columns
 
     def _join_columns(self) -> list[LaneColumn]:
@@ -967,30 +897,12 @@ class JoinedBatch:
         if self._whole is not None:
             return self._whole.row_keys(self._rows[row])
         number = bisect_right(self._starts, row) - 1
-        keys = self._parts[number].row_keys(row - self._starts[number])
-        if self._overlay is not None:
-            keys = keys + self._overlay.keys_at(row)
-        return keys
-
-    def overlay(self, rows: list[int], fields: dict[str, list]) -> bool:
-        if self._whole is not None:
-            return self._whole.overlay(_project(self._rows, rows), fields)
-        if self._columns is None:
-            self._columns = self._join_columns()
-        if any(field in fields for field, _, _ in self._columns):
-            return False
-        if self._overlay is None:
-            self._overlay = Overlay(self._n)
-        if not self._overlay.set(rows, fields, self._docs):
-            return False
-        self._cache.clear()
-        return True
+        return self._parts[number].row_keys(row - self._starts[number])
 
 
 def _fused(parts: list) -> Optional[Lanes]:
     """``parts`` back to back as one :class:`Lanes`, or ``None`` unless
-    every part is one with the same fields in the same order and no two
-    overlays of different shapes.
+    every part is one with the same fields in the same order.
 
     A half of a field (its values or its presence bits) that every
     part holds as an unbuilt :class:`Derived` of one ``build`` (and
@@ -1004,10 +916,7 @@ def _fused(parts: list) -> Optional[Lanes]:
     if len(parts) == 1:
         return parts[0]
     fields = list(parts[0]._lanes)
-    shapes = {tuple(part._overlay._fields) for part in parts
-              if part._overlay is not None and part._overlay._fields}
-    if len(shapes) > 1 or any(list(part._lanes) != fields
-                              for part in parts[1:]):
+    if any(list(part._lanes) != fields for part in parts[1:]):
         return None
     lengths = list(map(len, parts))
     joined: dict[tuple, Any] = {}
@@ -1041,18 +950,4 @@ def _fused(parts: list) -> Optional[Lanes]:
             entry = _join_column([part._lane(field) for part in parts],
                                  lengths)
         lanes[field] = entry
-    out = Lanes(sum(lengths), lanes)
-    if shapes:
-        (shape,) = shapes
-        out._overlay = overlay = Overlay(out._n)
-        for field in shape:
-            held = [part._overlay._fields.get(field)
-                    if part._overlay is not None else None for part in parts]
-            overlay._fields[field] = (
-                list(chain.from_iterable(
-                    [None] * n if entry is None else entry[0]
-                    for entry, n in zip(held, lengths))),
-                bytearray().join(
-                    bytes(n) if entry is None else entry[1]
-                    for entry, n in zip(held, lengths)))
-    return out
+    return Lanes(sum(lengths), lanes)

@@ -9,10 +9,12 @@ have an honest oracle:
   :func:`repro.backend.aggregations.run_aggregations`.  The oracle for
   columnar-kernel equivalence property tests: no planner, no columns,
   no cache anywhere in the path.
-- :func:`legacy_correlate` — the original §II-C flow: a sorted search
-  to build the tag -> path mapping, one ``update_by_query`` per tag,
-  then two counting queries for the fidelity tallies.  The oracle the
-  single-pass correlator is cross-checked against.
+- :func:`legacy_correlate` — the paper's §II-C flow spelled out on
+  documents: a sorted search of the session, tag -> path with the last
+  open winning, the path set on every document of a resolved tag, and
+  the fidelity tallies counted off the same documents.  The oracle the
+  lane correlator, which keeps the table instead, is cross-checked
+  against.
 """
 
 from __future__ import annotations
@@ -42,55 +44,34 @@ def naive_aggregate(index: Index, query: Optional[dict],
     return run_aggregations(aggs, sources)
 
 
-def legacy_tag_to_path(store: DocumentStore, index: str,
-                       session: Optional[str] = None) -> dict[str, str]:
-    """Tag -> path mapping via a sorted search (pre-planner shape)."""
-    must: list = [
-        {"terms": {"syscall": list(PATH_BEARING_SYSCALLS)}},
-        {"exists": {"field": "file_tag"}},
-    ]
-    if session:
-        must.append({"term": {"session": session}})
-    response = store.search(
-        index,
-        query={"bool": {"must": must}},
-        sort=["time"],
-        size=None,
-    )
-    mapping: dict[str, str] = {}
-    for hit in response["hits"]["hits"]:
-        source = hit["_source"]
-        path = path_argument(source.get("args"))
-        tag = source.get("file_tag")
-        if path and tag:
-            mapping[tag] = path
-    return mapping
-
-
 def legacy_correlate(store: DocumentStore, index: str,
                      session: Optional[str] = None) -> CorrelationReport:
-    """One ``update_by_query`` per tag plus two counting queries."""
-    mapping = legacy_tag_to_path(store, index, session)
-
+    """Correlate the documents ``store`` hands a reader: every document
+    of ``session`` (of the index, for ``None``) whose tag an open
+    resolved takes the path as ``file_path`` — on the very dicts a scan
+    of the store returns, not through a store write."""
+    query = {"term": {"session": session}} if session else None
+    docs = [hit["_source"] for hit in store.search(
+        index, query=query, sort=["time"], size=None)["hits"]["hits"]]
+    opens = compile_query({"bool": {"must": [
+        {"terms": {"syscall": list(PATH_BEARING_SYSCALLS)}},
+        {"exists": {"field": "file_tag"}}]}})
+    mapping: dict = {}
+    for doc in filter(opens, docs):
+        path = path_argument(doc.get("args"))
+        tag = doc.get("file_tag")
+        if path and tag:
+            mapping[tag] = path
+    tagged = [doc for doc in docs if doc.get("file_tag") is not None]
     updated = 0
-    for tag, path in mapping.items():
-        query: dict = {"bool": {"must": [{"term": {"file_tag": tag}}]}}
-        if session:
-            query["bool"]["must"].append({"term": {"session": session}})
-        updated += store.update_by_query(index, query, {"file_path": path})
-
-    tagged_query: dict = {"bool": {"must": [{"exists": {"field": "file_tag"}}]}}
-    unresolved_query: dict = {"bool": {
-        "must": [{"exists": {"field": "file_tag"}}],
-        "must_not": [{"exists": {"field": "file_path"}}],
-    }}
-    if session:
-        tagged_query["bool"]["must"].append({"term": {"session": session}})
-        unresolved_query["bool"]["must"].append({"term": {"session": session}})
-
+    for doc in tagged:
+        if doc["file_tag"] in mapping:
+            doc["file_path"] = mapping[doc["file_tag"]]
+            updated += 1
     return CorrelationReport(
         tags_resolved=len(mapping),
         documents_updated=updated,
-        documents_tagged=store.count(index, tagged_query),
-        documents_unresolved=store.count(index, unresolved_query),
+        documents_tagged=len(tagged),
+        documents_unresolved=sum(doc.get("file_path") is None
+                                 for doc in tagged),
     )

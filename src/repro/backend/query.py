@@ -46,13 +46,6 @@ def walk_field(current: Any, parts: Iterable[str]) -> Any:
     return current
 
 
-def field_affected(field: str, changed: Iterable[str]) -> bool:
-    """Can setting the keys ``changed`` alter what :func:`get_field`
-    reads for ``field``?  (The key itself, or a dotted name under it.)"""
-    return any(field == key or field.startswith(key + ".")
-               for key in changed)
-
-
 def _single_entry(clause: dict, kind: str) -> tuple[str, Any]:
     if not isinstance(clause, dict) or len(clause) != 1:
         raise QueryError(f"{kind} clause must have exactly one field: {clause!r}")

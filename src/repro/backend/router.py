@@ -48,15 +48,15 @@ import json
 import time
 from heapq import merge as heap_merge
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import ColumnSet
-from repro.backend.lanes import DocBatch, JoinedBatch
+from repro.backend.lanes import DocBatch, JoinedBatch, Lookup
 from repro.backend.query import get_field
 from repro.backend.store import (DocumentStore, Index, StoreError,
                                  _response, bind_store_telemetry,
-                                 check_sources, check_update, observe_span,
+                                 check_sources, observe_span,
                                  parse_sort, sort_key, span_start)
 from repro.backend.wal import frame_record, recover_log
 
@@ -103,24 +103,19 @@ class _IndexState:
     structure — a document's rank is its id, its owner the shard whose
     rows hold it."""
 
-    __slots__ = ("next_id", "fields", "exact")
+    __slots__ = ("next_id", "fields")
 
     def __init__(self, fields: Optional[tuple]) -> None:
         self.next_id = 1
         #: The fields declared at :meth:`ShardedDocumentStore.ensure_index`.
         self.fields = fields
-        #: Can queries on the shard key still be routed to a shard
-        #: subset?  Cleared when an update may have changed the
-        #: shard-key field of an existing document (the doc stays on
-        #: its shard, so key-based routing would miss it).
-        self.exact = True
 
 
 class ShardedDocumentStore:
     """N document-store shards behind a scatter-gather coordinator.
 
     API-compatible with :class:`DocumentStore` for every surface the
-    pipeline uses (tracer bulks, correlator lane reads and updates,
+    pipeline uses (tracer bulks, correlator lane reads and path tables,
     persistence exports, diagnosis queries, telemetry binding), with
     byte-identical results for any shard count.
     """
@@ -234,7 +229,7 @@ class ShardedDocumentStore:
 
     def _query_shards(self, index: str, query: Any) -> list[int]:
         """Shards a read must consult, ascending."""
-        if self._states[index].exact and query is not None:
+        if query is not None:
             try:
                 narrowed = self._narrow(query)
             except Exception:
@@ -565,28 +560,17 @@ class ShardedDocumentStore:
         return entry
 
     # ------------------------------------------------------------------
-    # Mutation
+    # Path table
 
-    def update_docs(self, index: str, doc_ids: Iterable[str],
-                    fields: dict[str, Sequence]) -> int:
-        """One ``update_docs`` per shard holding any of the ids — the
-        shard whose rows hold an id — with its ids' values (missing ids
-        are skipped)."""
-        state = self._state(index)
-        doc_ids = check_update(doc_ids, fields)
-        updated = 0
+    def set_paths(self, index: str, table: dict,
+                  session: Optional[str] = None) -> None:
+        """:meth:`DocumentStore.set_paths` on every shard: each names
+        its own rows through one :class:`Lookup`, so the shards' takes
+        of one loaded session share one derived join."""
+        self._state(index)
+        lookup = Lookup(dict(table))
         for shard in self.shards:
-            row_of = shard._index(index).columns.row_of
-            picked = [at for at, doc_id in enumerate(doc_ids)
-                      if doc_id in row_of]
-            if picked:
-                updated += shard.update_docs(
-                    index, list(map(doc_ids.__getitem__, picked)),
-                    {field: list(map(lane.__getitem__, picked))
-                     for field, lane in fields.items()})
-        if updated and self.route_field in fields:
-            state.exact = False
-        return updated
+            shard._index(index).set_paths(lookup, session)
 
     # ------------------------------------------------------------------
     # Shard lifecycle (DST kill/rebalance stages)
@@ -597,9 +581,8 @@ class ShardedDocumentStore:
         Optionally changes the shard count.  Ids and sources are
         preserved (sources move by reference, one part per new shard and
         index, in id order, so every new shard's rows are in id order),
-        so reads before and after are byte-identical; key-based routing
-        becomes exact again.  Returns the number of documents moved to
-        a new shard.
+        so reads before and after are byte-identical.  Returns the
+        number of documents moved to a new shard.
         """
         new_count = self.shard_count if shard_count is None else shard_count
         if not isinstance(new_count, int) or new_count < 1:
@@ -612,7 +595,6 @@ class ShardedDocumentStore:
         moved = 0
         for name, docs in snapshots.items():
             state = self._states[name]
-            state.exact = True
             for shard in self.shards:
                 shard.ensure_index(name, state.fields)
             by_shard: dict[int, list[tuple[str, dict]]] = {}

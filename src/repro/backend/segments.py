@@ -68,14 +68,14 @@ from array import array
 from collections import Counter
 from contextlib import closing
 from copy import deepcopy
-from functools import partial
 from itertools import chain, compress, repeat
 from operator import add, is_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.backend.lanes import (GROUP_SAFE, Derived, DocBatch, JoinedBatch,
-                                 LaneBatch, LaneColumn, Lanes, StructLane,
+                                 LaneBatch, LaneColumn, Lanes, Lookup,
+                                 StructLane,
                                  _dense_int, sort_key, stamp, time_ordered)
 from repro.backend.columns import Column
 from repro.backend.planner import plan_query, prune_constraints
@@ -572,15 +572,6 @@ def _sum_of(rows: int, time: list, duration: list) -> list:
     return list(map(add, time, duration))
 
 
-def _looked_up(table: dict, rows: int, tags: list) -> list:
-    return list(map(table.get, tags))
-
-
-def _held(table: dict, rows: int, tags: list) -> Optional[bytes]:
-    present = bytes(map(table.__contains__, tags))
-    return present if 0 in present else None
-
-
 def _rebuilt(kind: int, payload: bytes, inputs: list[_Lane]) -> tuple:
     """The lane entry of a kind-6 or kind-7 block over the lanes it
     reads, derived on first read."""
@@ -594,8 +585,7 @@ def _rebuilt(kind: int, payload: bytes, inputs: list[_Lane]) -> tuple:
     if not set(map(type, tags)) <= GROUP_SAFE:
         raise SegmentError("kind-7 block over a tag that is no key")
     table = _by_tag_table(payload, tags)
-    return (Derived(partial(_looked_up, table), (tags,)),
-            Derived(partial(_held, table), (tags,)))
+    return Lookup(table).entry(tags)
 
 
 def _decode_dict(payload: bytes, rows: int) -> _Lane:

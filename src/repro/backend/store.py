@@ -1,20 +1,22 @@
-"""The document store: indices, search, bulk and update APIs.
+"""The document store: indices, search and bulk APIs.
 
 API surface mirrors the slice of Elasticsearch that DIO uses: document
-indexing (including a bulk endpoint the tracer batches into), search
-with query + aggregations + sort + pagination, update-by-query (the
-correlation oracle's write) and ``update_docs`` — fields set by id,
-one value per id — which the correlator lands its whole pass with.
+indexing (including a bulk endpoint the tracer batches into) and
+search with query + aggregations + sort + pagination.  Where the paper
+annotates a trace with update-by-query — every event of a file tag
+takes the path its ``open`` named — the store keeps the correlation's
+result instead: :meth:`DocumentStore.set_paths` hands an index a
+session's ``file_tag -> file_path`` table, and each row's path is read
+off its tag.
 
 An index holds its rows in one form: *parts*, ``(first row,
 LaneBatch)`` pairs in row order (:mod:`repro.backend.lanes`).  There
 is one write path — every write appends a part: ``bulk_columnar`` its
 batch as it came (a decoded ring batch, a loaded session), ``bulk``
 its documents as one :class:`DocBatch` — and an index is append-only:
-a trace is written once and then annotated, never rewritten.  There
-is one update path, :meth:`Index.update_docs` (``update_by_query``
-feeds it its matches' ids): each part takes its run of the rows as one
-overlay.
+a trace is written once and then annotated, never rewritten.  The one
+annotation is the path table (:meth:`Index.set_paths`): a lane part
+gains ``file_path`` as a lane derived from its ``file_tag`` lane.
 
 Rows are the address of the read path.  Every document owns a row —
 its position in insertion order — and every field a request has
@@ -36,14 +38,14 @@ plus a cumulative pruning-ratio gauge.
 
 A part stays as it came through the tail of a traced execution and
 through every read of a loaded session: :meth:`DocumentStore.lanes`
-reads the parts as lanes, :meth:`DocumentStore.update_docs` lands on
-them as one overlay per part (its rows found by one bisect at each
-part's end), and a request that returns hits builds the ``_source`` of
-those rows alone (:meth:`Index.sources`), so correlation,
-``save_session``, diagnosis and a ``size=50`` window build no other
-dict.  Only an update a part's lanes cannot hold (a field the batch
-has a lane for) builds the rest of that part, which then becomes a
-:class:`DocBatch` of its rows.
+reads the parts as lanes, :meth:`DocumentStore.set_paths` gives each
+of a session's parts one derived lane, and a request that returns hits
+builds the ``_source`` of those rows alone (:meth:`Index.sources`), so
+correlation, ``save_session``, diagnosis and a ``size=50`` window
+build no other dict.  Only a part whose lanes cannot state where the
+path goes (it has a ``file_path`` lane already, or holds rows of
+another session) is built whole, and becomes a :class:`DocBatch` of
+its rows.
 
 Aggregations are *pushed down* to the columnar kernels
 (:mod:`repro.backend.columns`): the plan's rows are evaluated by
@@ -67,8 +69,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.backend.aggregations import run_aggregations
 from repro.backend.columns import Column, ColumnSet
-from repro.backend.lanes import (DocBatch, JoinedBatch, LaneBatch,
-                                 ascending, sort_key)
+from repro.backend.lanes import (DocBatch, JoinedBatch, LaneBatch, Lookup,
+                                 derive_lane, sort_key)
 from repro.backend.planner import QueryPlan, plan_query
 from repro.backend.query import compile_query, get_field
 
@@ -108,7 +110,7 @@ class Index:
         #: request has touched — the only per-field structure: the
         #: planner, the sort and the aggregation kernels all read it.
         self.columns = ColumnSet()
-        #: Mutation epoch — any append or update bumps it, which is
+        #: Mutation epoch — any append or path table bumps it, which is
         #: what keys cached aggregation results out of existence.
         self.epoch = 0
         self._agg_cache: OrderedDict[tuple, tuple] = OrderedDict()
@@ -186,71 +188,57 @@ class Index:
         """All (id, source) pairs in insertion order."""
         return self.pairs(self.columns.all_rows())
 
-    def update_docs(self, doc_ids: Iterable[str],
-                    fields: dict[str, Sequence]) -> int:
-        """Set ``fields`` on the documents that exist; returns how many.
+    def set_paths(self, lookup: Lookup, session: Optional[str]) -> None:
+        """Name the rows of ``session`` (every row, for ``None``) by
+        their ``file_tag``: a row whose tag the lookup's table holds
+        takes that path as ``file_path``, its last key; any other stays
+        without.
 
-        ``fields`` maps each key to one value per id of ``doc_ids``, in
-        their order: what ``source.update`` of each document with its
-        own values leaves, one id after another (an id listed twice
-        keeps its last).  The one update of an index (:meth:`_overlay`).
+        A lane part whose rows are all the session's gains the field as
+        a lane derived from its ``file_tag`` lane (:func:`derive_lane`,
+        one :class:`Lookup` for every part, so a save's chunk of
+        several parts derives it once).  Any other part names its
+        documents: a :class:`DocBatch` its own, and a lane part its
+        rows built for the purpose (:meth:`_documents`).  The dicts
+        readers hold take the path too, and the ``file_path`` column
+        goes: the next read builds it from the parts.
         """
-        doc_ids = check_update(doc_ids, fields)
-        rows = list(map(self.columns.row_of.get, doc_ids))
-        if None in rows:
-            keep = [at for at, row in enumerate(rows) if row is not None]
-            rows = list(map(rows.__getitem__, keep))
-            fields = {field: list(map(lane.__getitem__, keep))
-                      for field, lane in fields.items()}
-        self.epoch += 1
-        if rows and fields:
-            self._overlay(rows, fields)
-        return len(rows)
-
-    def _overlay(self, rows: list[int], fields: dict[str, Sequence]) -> None:
-        """:meth:`update_docs` of ``rows``: each part takes its run of
-        them (:meth:`_runs`, the rows taken in ascending order) as one
-        overlay (:meth:`LaneBatch.overlay`).
-
-        A part that cannot hold the update as lanes (they hold one of
-        its fields already, or its overlay has another shape) becomes a
-        :class:`DocBatch` of its rows first: the dicts readers hold,
-        the rest built now.  The columns follow
-        (:meth:`ColumnSet.update`).
-        """
-        ordered, lanes = rows, fields
-        if not ascending(rows):
-            # Stable: an id listed twice keeps its last value.
-            order = sorted(range(len(rows)), key=rows.__getitem__)
-            ordered = list(map(rows.__getitem__, order))
-            lanes = {field: list(map(lane.__getitem__, order))
-                     for field, lane in fields.items()}
-        # The dicts readers already hold take the update too.
+        rows, _ = self.matching_rows(
+            {"term": {"session": session}} if session else None)
+        table = lookup.table
         built = self._built
-        held = []
-        for number, at, upto in self._runs(ordered):
+        for number, at, upto in self._runs(rows):
             start, batch = self._parts[number]
-            if built:
-                held.extend((built[row], position)
-                            for position, row in enumerate(
-                                ordered[at:upto], at) if row in built)
-            local = [row - start for row in ordered[at:upto]]
-            run = {field: lane[at:upto] for field, lane in lanes.items()}
-            if not batch.overlay(local, run):
-                docs = list(map(built.get, range(start, start + len(batch))))
-                fresh = docs.count(None)
-                if fresh:
-                    docs = [doc if doc is not None else new
-                            for doc, new in zip(docs, batch.to_docs())]
-                    self.pending_docs -= fresh
-                    self.hydrated_docs_total += fresh
-                batch = DocBatch(docs)
-                batch.overlay(local, run)
-                self._parts[number] = (start, batch)
-        for field, lane in lanes.items():
-            for source, position in held:
-                source[field] = lane[position]
-        self.columns.update(rows, fields)
+            derived = (derive_lane(batch, "file_path", "file_tag", lookup)
+                       if upto - at == len(batch) else None)
+            if derived is None:
+                derived = self._documents(number)
+                docs = derived.docs_at([row - start for row in rows[at:upto]])
+            else:
+                docs = [built[row] for row in rows[at:upto]
+                        if row in built] if built else []
+            for doc in docs:
+                tag = doc.get("file_tag")
+                if tag in table:
+                    doc["file_path"] = table[tag]
+            self._parts[number] = (start, derived)
+        self.epoch += 1
+        self.columns.drop("file_path")
+
+    def _documents(self, number: int) -> DocBatch:
+        """Part ``number`` as a :class:`DocBatch` of its rows: the dicts
+        readers hold, the rest built now."""
+        start, batch = self._parts[number]
+        if type(batch) is DocBatch:
+            return DocBatch(batch.to_docs())
+        docs = list(map(self._built.get, range(start, start + len(batch))))
+        fresh = docs.count(None)
+        if fresh:
+            docs = [doc if doc is not None else new
+                    for doc, new in zip(docs, batch.to_docs())]
+            self.pending_docs -= fresh
+            self.hydrated_docs_total += fresh
+        return DocBatch(docs)
 
     # ------------------------------------------------------------------
     # Read path
@@ -718,7 +706,7 @@ class DocumentStore:
 
         The read for whoever wants fields, not documents (correlation,
         ``save_session``): documents still parked as lanes stay
-        parked.  It is a snapshot — read it, then update; take a fresh
+        parked.  It is a snapshot — read it, then write; take a fresh
         one afterwards.
         """
         self.queries += 1
@@ -809,22 +797,13 @@ class DocumentStore:
             target.agg_cache_put(cache_key, (total, copy_json(aggregations)))
         return _response(index, total, window, aggregations)
 
-    def update_by_query(self, index: str, query: Optional[dict],
-                        fields: dict) -> int:
-        """Set ``fields`` (key -> value) on every document matching
-        ``query``; returns how many — :meth:`update_docs` of the
-        matches' ids."""
-        target = self._index(index)
-        rows, count = target.matching_rows(query, self._plan(target, query))
-        return target.update_docs(
-            target._ids(rows),
-            {field: [value] * count for field, value in fields.items()})
-
-    def update_docs(self, index: str, doc_ids: Iterable[str],
-                    fields: dict[str, Sequence]) -> int:
-        """Set ``fields`` on specific documents by id (delta reindex):
-        each key maps to one value per id (:meth:`Index.update_docs`)."""
-        return self._index(index).update_docs(doc_ids, fields)
+    def set_paths(self, index: str, table: dict,
+                  session: Optional[str] = None) -> None:
+        """The correlation's one write: ``table`` maps file tags to
+        paths, and every row of ``session`` (of the index, for
+        ``None``) whose tag it holds reads that path as ``file_path``
+        (:meth:`Index.set_paths`; the caller's dict is copied)."""
+        self._index(index).set_paths(Lookup(dict(table)), session)
 
 
 def check_sources(sources: Iterable[dict]) -> list[dict]:
@@ -835,18 +814,6 @@ def check_sources(sources: Iterable[dict]) -> list[dict]:
         if not isinstance(source, dict):
             raise StoreError(f"document source must be a dict: {source!r}")
     return sources
-
-
-def check_update(doc_ids: Iterable[str],
-                 fields: dict[str, Sequence]) -> list[str]:
-    """``doc_ids`` as a list, or :class:`StoreError` for the first key
-    of ``fields`` that does not hold one value per id."""
-    doc_ids = list(doc_ids)
-    for field, lane in fields.items():
-        if len(lane) != len(doc_ids):
-            raise StoreError(f"update of {field!r} has {len(lane)} "
-                             f"values for {len(doc_ids)} ids")
-    return doc_ids
 
 
 def parse_sort(sort: list) -> list[tuple[str, bool]]:

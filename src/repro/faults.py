@@ -192,7 +192,7 @@ class FaultyStore:
     does not intercept delegates through ``__getattr__``, so the read
     path, the correlator, and telemetry bindings all reach the real
     store untouched.  Only ``bulk``/``bulk_columnar`` and
-    ``update_docs`` consult the plan — the write APIs the ingestion
+    ``set_paths`` consult the plan — the write APIs the ingestion
     path and correlator depend on.
     """
 
@@ -271,12 +271,12 @@ class FaultyStore:
             self._check(nominal_ns)
         return self.inner.bulk_columnar(index, batch)
 
-    def update_docs(self, index: str, doc_ids, fields: dict) -> int:
-        """Targeted update through the plan: one check for the whole
-        call, so a fault lands before any of it does."""
-        if "update_docs" in self.protected:
+    def set_paths(self, index: str, table: dict, session=None) -> None:
+        """The correlator's path table through the plan: one check for
+        the whole call, so a fault lands before any of it does."""
+        if "set_paths" in self.protected:
             self._check()
-        return self.inner.update_docs(index, doc_ids, fields)
+        self.inner.set_paths(index, table, session)
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -185,24 +185,22 @@ class TestSearch:
         response = store.search("events", query=query, size=None)
         assert response["hits"]["total"]["value"] == 2
 
-    def test_update_by_query_dict(self, store):
+    def test_set_paths_names_every_row_of_a_tag(self, store):
         seed_events(store)
-        updated = store.update_by_query(
-            "events", {"term": {"file_tag": "7 12 50"}},
-            {"file_path": "/tmp/app.log"})
-        assert updated == 5
+        store.set_paths("events", {"7 12 50": "/tmp/app.log"})
         response = store.search(
             "events", query={"term": {"file_path": "/tmp/app.log"}}, size=None)
         assert response["hits"]["total"]["value"] == 5
+        # The untagged row stays without the field.
+        assert "file_path" not in store.scan("events")[5][1]
 
     def test_update_refreshes_inverted_index(self, store):
-        store.bulk("idx", [{"state": "old"}])
+        store.bulk("idx", [{"file_tag": "t", "file_path": "old"}])
         # Force the inverted index to exist before the update.
-        store.search("idx", query={"term": {"state": "old"}})
-        store.update_by_query("idx", {"term": {"state": "old"}},
-                              {"state": "new"})
-        assert store.count("idx", {"term": {"state": "new"}}) == 1
-        assert store.count("idx", {"term": {"state": "old"}}) == 0
+        store.search("idx", query={"term": {"file_path": "old"}})
+        store.set_paths("idx", {"t": "new"})
+        assert store.count("idx", {"term": {"file_path": "new"}}) == 1
+        assert store.count("idx", {"term": {"file_path": "old"}}) == 0
 
 
 class TestAggregations:

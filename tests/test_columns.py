@@ -126,23 +126,25 @@ class TestColumnSet:
         assert len(col.codes) == 3
 
     def test_refresh_respects_field_filter(self, store):
-        store.bulk("idx", [{"f": "a", "g": 1}])
+        store.bulk("idx", [{"f": "a", "file_tag": "t", "file_path": "/a"}])
         index = store._index("idx")
-        f_col, g_col = index.column("f"), index.column("g")
-        index.update_docs(["1"], {"g": [2]})
+        f_col, path_col = index.column("f"), index.column("file_path")
+        store.set_paths("idx", {"t": "/b"})
         assert f_col.table[f_col.codes[0]] == "a"      # untouched
-        assert g_col.gather_numeric([0]) == [2]
-        assert index.column("f") is f_col and index.column("g") is g_col
+        assert index.column("f") is f_col
+        # The path column is built again from the parts.
+        path = index.column("file_path")
+        assert path is not path_col and path.table[path.codes[0]] == "/b"
 
     def test_dotted_field_prefix_refresh(self, store):
-        # A column the update reaches only through a dotted name is
+        # A column the path table reaches only through a dotted name is
         # rebuilt from the lanes.
-        store.bulk("idx", [{"args": {"fd": 3}}])
+        store.bulk("idx", [{"file_tag": "t", "file_path": {"fd": 3}}])
         index = store._index("idx")
-        col = index.column("args.fd")
-        index.update_docs(["1"], {"args": [{"fd": 9}]})
-        assert index.column("args.fd") is not col
-        assert index.column("args.fd").gather_numeric([0]) == [9]
+        col = index.column("file_path.fd")
+        store.set_paths("idx", {"t": "/b"})
+        assert index.column("file_path.fd") is not col
+        assert index.column("file_path.fd").gather_numeric([0]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +293,12 @@ class TestKernelEquivalence:
         assert stats["fallbacks"] == 1 and stats["pushdowns"] == 0
 
     def test_pushdown_after_update_and_delete(self, store):
-        store.bulk("ev", [{"p": "a", "n": i} for i in range(10)])
-        aggs = {"t": {"terms": {"field": "p"},
+        store.bulk("ev", [{"file_tag": f"t{i % 3}", "n": i}
+                          for i in range(10)])
+        aggs = {"t": {"terms": {"field": "file_path"},
                       "aggs": {"s": {"sum": {"field": "n"}}}}}
         store.search("ev", size=0, aggs=aggs)     # builds columns
-        store.update_docs("ev", ["6"], {"p": ["b"], "n": [100]})
+        store.set_paths("ev", {"t1": "/b", "t2": "/c"})
         response = store.search("ev", size=0, aggs=aggs)
         expected = naive_aggregate(store._index("ev"), None, aggs)
         assert canon(response["aggregations"]) == canon(expected)

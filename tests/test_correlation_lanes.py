@@ -1,13 +1,17 @@
 """Correlation on lanes is correlation.
 
-``FilePathCorrelator`` reads a session as lanes and its updates land on
-parked batches as overlays; ``legacy_correlate`` — a sorted search, one
-``update_by_query`` per tag, two counts — hydrates everything and
-updates documents.  Twin stores fed the same batches must come out the
-same: the bytes of a scan (ids, order, key order, ``file_path`` last),
-the report, the epoch and, once both are hydrated, the row numbering
-and every column slot, postings included — on the sessions below and
-on random ones (the differential at the end).
+``FilePathCorrelator`` reads a session as lanes and hands the store its
+tag -> path table, which parked batches keep as a ``file_path`` lane
+derived from ``file_tag``; ``legacy_correlate`` — a sorted search of
+the session, the path set on every document of a resolved tag, the
+tallies counted off those documents — is the dict oracle.  Twin stores
+fed the same batches must come out the same: the bytes of a scan (ids,
+order, key order, ``file_path`` last), the report, the epoch and, once
+both are hydrated, the row numbering and every column slot, postings
+included — on the sessions below and on random ones (the differential
+at the end, which also asks what a reader asks of ``file_path``:
+queries, an aggregation and a sort, before and after a save and a
+load).
 """
 
 import copy
@@ -19,7 +23,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.backend import (DocumentStore, FilePathCorrelator, create_store,
                            export_session, import_session, legacy_correlate,
                            load_session, save_session)
-from repro.backend.lanes import Derived, DocBatch
+from repro.backend.aggregations import run_aggregations
+from repro.backend.lanes import Derived, DocBatch, sort_key
+from repro.backend.query import compile_query
 from repro.faults import FaultPlan, FaultWindow, FaultyStore, InjectedFault
 from repro.tracer import RecordBatch
 from tests.test_load_differential import index_state
@@ -97,15 +103,14 @@ class Twins:
     """Three stores filled alike, correlated three ways.
 
     ``store`` by :class:`FilePathCorrelator` as it stands (lanes,
-    overlays); ``legacy`` by :func:`legacy_correlate`; ``by_rows`` by
-    the same correlator after every document was built, so that its
-    one update lands on the dicts readers hold as well, in the same
-    order.  The legacy twin answers for what a reader sees — scan
-    bytes, report; the row twin for the epoch and every slot of every
-    column, dictionary orders included (the two correlators reach
-    the tags in different orders — first open in insertion order,
-    first open in time order — so against the legacy twin those orders
-    would differ for no fault of the lanes).
+    derived path lanes); ``legacy`` by :func:`legacy_correlate`, which
+    names the documents a scan of it returns and writes nothing to the
+    store, so only those documents (:meth:`oracle`) answer for it;
+    ``by_rows`` by the same correlator after every document was built,
+    so that its path table lands on the dicts readers hold as well.
+    The legacy twin answers for what a reader sees — scan bytes,
+    report, every query; the row twin for the epoch and every slot of
+    every column, dictionary orders included.
     """
 
     def __init__(self, fill, make=DocumentStore) -> None:
@@ -117,6 +122,10 @@ class Twins:
 
     def all(self):
         return self.store, self.legacy, self.by_rows
+
+    def oracle(self) -> list[dict]:
+        """The legacy twin's documents, in row order."""
+        return [source for _, source in self.legacy.scan(INDEX)]
 
     def correlate(self, session=SESSION, through=None):
         hydrate(self.by_rows)
@@ -210,8 +219,9 @@ def test_same_time_opens_resolve_to_the_last_in_insertion_order():
 @pytest.mark.parametrize("how", ["pending", "mixed"])
 def test_an_index_on_file_path_made_before_correlation_is_kept(how):
     # A query on file_path before correlation builds its column from
-    # the lanes (every row missing); the update then lands on that
-    # column row by row and the documents stay parked.
+    # the lanes (every row missing); the path table drops it, and the
+    # next query builds it again from the derived lanes while the
+    # documents stay parked.
     query = {"term": {"file_path": "/data/23"}}
     named = {"exists": {"field": "file_path"}}
 
@@ -220,23 +230,17 @@ def test_an_index_on_file_path_made_before_correlation_is_kept(how):
         assert store.count(INDEX, query) == store.count(INDEX, named) == 0
 
     twins = Twins(fill)
-    store, legacy = twins.store, twins.legacy
+    store = twins.store
     twins.correlate()
     index = store._indices[INDEX]
-    assert "file_path" in index.columns._columns
+    assert "file_path" not in index.columns._columns
+    docs = twins.oracle()
+    for each in (store, twins.by_rows):
+        assert each.count(INDEX, query) == sum(
+            map(compile_query(query), docs)) > 0
+        assert each.count(INDEX, named) == sum(
+            "file_path" in source for source in docs)
     assert hydrated(store) == (0 if how == "pending" else 40)
-    matched = store.count(INDEX, query)
-    assert matched == legacy.count(INDEX, query) > 0
-    assert store.count(INDEX, named) == sum(
-        "file_path" in source for _, source in legacy.scan(INDEX))
-    # The postings exist now: a second update moves rows between them.
-    rows = index.columns._columns["file_path"].rows_equal(["/data/23"])
-    moved = [index.columns.doc_ids[row] for row in rows[:2]]
-    for each in twins.all():
-        assert each.update_docs(INDEX, moved,
-                                {"file_path": ["/moved", "/moved"]}) == 2
-        assert each.count(INDEX, query) == matched - 2
-        assert each.count(INDEX, {"term": {"file_path": "/moved"}}) == 2
     twins.assert_same()
 
 
@@ -251,13 +255,16 @@ def test_a_file_path_column_built_before_correlation_is_kept(how):
             "aggregations"]["named"]["value"] == 0
 
     twins = Twins(fill)
-    store, legacy = twins.store, twins.legacy
+    store = twins.store
     twins.correlate()
     assert hydrated(store) == (0 if how == "pending" else 40)
-    answer = store.search(INDEX, size=0, aggs=aggs)["aggregations"]
-    assert answer == legacy.search(INDEX, size=0, aggs=aggs)["aggregations"]
-    assert answer["named"]["value"] > 0
-    assert store.agg_stats()["pushdowns"] == legacy.agg_stats()["pushdowns"]
+    for each in (store, twins.by_rows):
+        answer = each.search(INDEX, size=0, aggs=aggs)["aggregations"]
+        assert answer == run_aggregations(aggs, twins.oracle())
+        assert answer["named"]["value"] > 0
+        # Both answers came off the columns.
+        assert each.agg_stats()["pushdowns"] == 2
+        assert each.agg_stats()["fallbacks"] == 0
     twins.assert_same()
 
 
@@ -267,13 +274,13 @@ def test_an_outage_during_correlation_half_applies_nothing():
     now = [5]
     faulty = FaultyStore(store, FaultPlan([FaultWindow(0, 10)]),
                          clock=lambda: now[0],
-                         protect=("bulk", "update_docs"))
+                         protect=("bulk", "set_paths"))
     index = store._indices[INDEX]
     epoch = index.epoch
     with pytest.raises(InjectedFault):
         FilePathCorrelator(faulty).correlate(INDEX, session=SESSION)
     assert index.epoch == epoch and hydrated(store) == 0
-    assert all(batch._overlay is None for _, batch in index._parts)
+    assert all("file_path" not in batch._lanes for _, batch in index._parts)
     now[0] = 10                                  # the outage is over
     twins.correlate(through=faulty)
     assert hydrated(store) == 0 and index.epoch == epoch + 1
@@ -307,7 +314,7 @@ def test_recorrelating_a_loaded_session_hydrates_and_agrees(make, tmp_path):
     assert hydrated(store) == 0
     report = twins.correlate()
     assert report.tags_resolved == 7 and report.documents_unresolved == 0
-    # The loaded blocks have a file_path column: no overlay can say
+    # The loaded blocks have a file_path lane: no derived lane can say
     # "last key of the row", so their 60 rows were built (the 7 new
     # documents existed already).
     assert hydrated(store) == 60
@@ -319,11 +326,17 @@ def test_recorrelating_a_loaded_session_hydrates_and_agrees(make, tmp_path):
 @SHARDED
 def test_a_loaded_session_that_was_never_correlated_takes_the_overlay(
         make, tmp_path):
+    # Its blocks have no file_path: each loaded part takes the derived
+    # lane, and no row is built.
     path = saved(tmp_path, correlated=False)
     twins = Twins(lambda store: load_session(store, path, index=INDEX), make)
     report = twins.correlate()
     assert report.tags_resolved == 4
     assert hydrated(twins.store) == 0
+    # A router's shards hold takes of one loaded join, and still do.
+    parts = [batch for shard in getattr(twins.store, "shards", [])
+             for _, batch in shard._indices[INDEX]._parts]
+    assert len({id(batch._whole) for batch in parts}) <= 1
     twins.assert_same()
 
 
@@ -458,9 +471,52 @@ def _fill(batches: list[dict], built: int):
                     store.bulk(INDEX, docs)
             if batch["hydrate_after"]:
                 hydrate(store)
+        # Another session over the same tags, with an open of its own.
+        store.bulk_columnar(INDEX, RecordBatch.decode(
+            list(map(_ring_record, OTHER)), "other"))
         # A window read builds the first rows' documents.
         store.search(INDEX, size=built)
     return fill
+
+
+OTHER = [{"syscall": syscall, "tag": f"t-{n}", "path": "/o", "time": n}
+         for n, syscall in enumerate(["read", "write", "read", "close",
+                                      "openat"])]
+
+#: What a reader asks of ``file_path``.
+READS = [*({"term": {"file_path": path}}
+           for path in ("/a", "/b", "/c", "/o", "/named")),
+         {"prefix": {"file_path": "/n"}}, {"wildcard": {"file_path": "*a*"}},
+         {"wildcard": {"file_path": "/?"}}, {"exists": {"field": "file_path"}}]
+READ_AGGS = {"paths": {"terms": {"field": "file_path", "size": 20}},
+             "named": {"value_count": {"field": "file_path"}}}
+
+
+def assert_reads_as(store, docs: list[dict]) -> None:
+    """``store`` answers every read of ``file_path`` as ``docs``, the
+    oracle's documents in the store's row order, do."""
+    for query in READS:
+        expected = list(filter(compile_query(query), docs))
+        assert [source for _, source in store.scan(INDEX, query)] == (
+            expected), query
+        assert store.count(INDEX, query) == len(expected), query
+    assert store.search(INDEX, size=0, aggs=READ_AGGS)[
+        "aggregations"] == run_aggregations(READ_AGGS, docs)
+    hits = store.search(INDEX, sort=["file_path"], size=None)["hits"]["hits"]
+    assert [hit["_source"] for hit in hits] == sorted(
+        docs, key=lambda doc: sort_key(doc.get("file_path")))
+
+
+def round_trip(store, make, root) -> tuple:
+    """Every session of ``store`` saved, then loaded into a new store
+    in that order: ``(loaded store, sessions)``."""
+    sessions = dict.fromkeys(source["session"]
+                             for _, source in store.scan(INDEX))
+    loaded = make()
+    for number, session in enumerate(sessions):
+        save_session(store, session, root / str(number), index=INDEX)
+        load_session(loaded, root / str(number), index=INDEX)
+    return loaded, list(sessions)
 
 
 @SHARDED
@@ -469,16 +525,20 @@ def _fill(batches: list[dict], built: int):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_random_sessions_correlate_as_legacy_correlate(make, batches, built,
-                                                       session):
+                                                       session,
+                                                       tmp_path_factory):
     twins = Twins(_fill(batches, built), make)
     twins.correlate(session)
-    # What a reader of the file_path column sees, on every twin.
-    aggs = {"paths": {"terms": {"field": "file_path", "size": 20}},
-            "named": {"value_count": {"field": "file_path"}}}
-    answers = [each.search(INDEX, size=0, aggs=aggs)["aggregations"]
-               for each in twins.all()]
-    assert answers[0] == answers[1] == answers[2]
-    for path in ("/a", "/b", "/c", "/named"):
-        query = {"term": {"file_path": path}}
-        assert len({each.count(INDEX, query) for each in twins.all()}) == 1
+    docs = twins.oracle()
+    # What a reader of file_path sees, on the twins that keep tables.
+    for each in (twins.store, twins.by_rows):
+        assert_reads_as(each, docs)
     twins.assert_same()
+    # ... and once the sessions were saved and loaded back: each one's
+    # rows in stable time order.
+    loaded, sessions = round_trip(twins.store, make,
+                                  tmp_path_factory.mktemp("trip"))
+    assert_reads_as(loaded, [
+        doc for name in sessions for doc in sorted(
+            (doc for doc in docs if doc["session"] == name),
+            key=lambda doc: sort_key(doc.get("time")))])

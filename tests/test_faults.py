@@ -124,12 +124,12 @@ class TestFaultyStore:
         now = [150]
         inner, faulty = self._store(FaultPlan([FaultWindow(100, 200)]), now)
         inner.bulk("idx", [{"a": 1}])
-        # Reads are never faulted; update_docs is outside the default
+        # Reads are never faulted; set_paths is outside the default
         # protect set.
         assert faulty.count("idx") == 1
         hits = faulty.search("idx")["hits"]["hits"]
         assert len(hits) == 1
-        assert faulty.update_docs("idx", ["1"], {"b": [2]}) == 1
+        faulty.set_paths("idx", {"t": "/p"})
 
     def test_protect_requires_real_methods(self):
         with pytest.raises(FaultError):

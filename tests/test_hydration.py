@@ -138,28 +138,35 @@ def test_a_row_read_twice_is_the_same_object(saved):
     assert index.pending_docs == pending
 
 
+# The cases keep the names of the two updates the test was written for;
+# both are ``set_paths`` now.  "update_docs" names the loaded session's
+# rows; "update_by_query" names every row of the index after a bulk put
+# a document of another session beside them, in a part of its own.
 @pytest.mark.parametrize("how", ["update_docs", "update_by_query"])
 def test_an_update_after_a_row_was_read_is_what_the_next_read_sees(saved,
                                                                   how):
-    store, _ = loaded(saved)
-    held = get_doc(store, INDEX, "5")
-    assert "note" not in held and hydrated(store) == 1
+    store, session = loaded(saved)
+    ids, batch = store.lanes(INDEX)
+    tags = batch.values_for("file_tag")
+    doc_id, tag = next((doc_id, tag) for doc_id, tag in zip(ids, tags)
+                       if tag is not None)
+    held = get_doc(store, INDEX, doc_id)
+    assert held.get("file_path") != "/x" and hydrated(store) == 1
+    named = [doc_id for doc_id, each in zip(ids, tags) if each == tag]
     if how == "update_docs":
-        assert store.update_docs(INDEX, ["5", "6"],
-                                 {"note": ["x", "x"]}) == 2
-        assert hydrated(store) == 1             # an overlay: still parked
+        store.set_paths(INDEX, {tag: "/x"}, session)
     else:
-        tid = held["tid"]
-        count = store.count(INDEX, {"term": {"tid": tid}})
-        assert store.update_by_query(
-            INDEX, {"term": {"tid": tid}}, {"note": "x"}) == count
-    for doc_id in ("5", "6") if how == "update_docs" else ("5",):
-        assert get_doc(store, INDEX, doc_id)["note"] == "x"
-    assert held["note"] == "x" and get_doc(store, INDEX, "5") is held
-    assert store.count(INDEX, {"term": {"note": "x"}}) >= 1
-    ids = [doc_id for doc_id, _ in store.scan(INDEX,
-                                              {"term": {"note": "x"}})]
-    assert "5" in ids
+        store.bulk(INDEX, [{"syscall": "late", "session": "other",
+                            "file_tag": tag}])
+        late, = store.lanes(INDEX)[0][len(ids):]
+        named.append(late)
+        store.set_paths(INDEX, {tag: "/x"})
+        assert get_doc(store, INDEX, late)["file_path"] == "/x"
+    assert held["file_path"] == "/x"
+    assert get_doc(store, INDEX, doc_id) is held
+    assert store.count(INDEX, {"term": {"file_path": "/x"}}) == len(named)
+    assert [doc_id for doc_id, _ in store.scan(
+        INDEX, {"term": {"file_path": "/x"}})] == named
 
 
 # ----------------------------------------------------------------------

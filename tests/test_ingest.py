@@ -290,13 +290,18 @@ class TestBulkColumnar:
         assert index.pending_docs == 5
         assert index.hydrated_docs_total == 1
         assert get_doc(vec, "idx", "1") is doc
-        # An update of a lane the batch holds builds the rest, that
-        # one kept.
-        vec.update_docs("idx", ["2"], {"ret": [7]})
+        # A path table derives a lane: nothing built, and the dict a
+        # reader holds names the file too.
+        vec.set_paths("idx", {"/data/a": "/a"})
+        assert index.pending_docs == 5
+        assert doc["file_path"] == "/a"
+        # A second one meets that lane and builds the rest, that one
+        # kept.
+        vec.set_paths("idx", {"/data/a": "/b"})
         assert index.pending_docs == 0
         assert index.hydrated_docs_total == 6
         assert get_doc(vec, "idx", "1") is doc
-        assert get_doc(vec, "idx", "2")["ret"] == 7
+        assert get_doc(vec, "idx", "2")["file_path"] == "/b"
 
     def test_a_put_after_a_parked_bulk_builds_nothing(self):
         vec = DocumentStore()
@@ -316,8 +321,8 @@ class TestBulkColumnar:
         # dict: the first aggregation builds its column from the
         # batch's lanes, later bulks extend it lane-wise.  Nor does the
         # tail of every traced execution: correlation reads lanes and
-        # its updates land as overlays, save_session writes blocks
-        # from lanes.
+        # its path table lands as a derived lane, save_session writes
+        # blocks from lanes.
         records = make_records()
         vec = DocumentStore()
         vec.ensure_index("idx", indexed_fields=INDEXED_EVENT_FIELDS)
@@ -343,7 +348,7 @@ class TestBulkColumnar:
         assert index.hydrated_docs_total == 0
         assert index.pending_docs == 12
         # A request that returns a hit builds that hit's row alone —
-        # and the hit carries what the overlay said.
+        # and the hit carries the path its tag names.
         hit, = vec.search("idx", size=1)["hits"]["hits"]
         assert hit["_source"]["file_path"] == "/data/a"
         assert list(hit["_source"])[-1] == "file_path"
@@ -375,7 +380,9 @@ class TestBulkColumnar:
         get_doc(vec, "idx", "1")
         assert registry.value("dio_ingest_pending_docs") == 5
         assert registry.value("dio_ingest_docs_hydrated_total") == 1
-        vec.update_docs("idx", ["2"], {"syscall": ["late"]})
+        vec.set_paths("idx", {"/data/a": "/a"})
+        assert registry.value("dio_ingest_pending_docs") == 5
+        vec.set_paths("idx", {"/data/a": "/b"})
         assert registry.value("dio_ingest_pending_docs") == 0
         assert registry.value("dio_ingest_docs_hydrated_total") == 6
 

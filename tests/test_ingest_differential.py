@@ -196,29 +196,24 @@ class TestDifferentialIngest:
     def test_mutations_after_ingest_agree(self, batch, data):
         legacy = legacy_store([batch])
         vec = vectorized_store([batch])
-        syscall = data.draw(syscalls)
-        ids = st.sampled_from([str(n) for n in range(1, len(batch) + 2)])
-        # ``ret`` is a lane of the parked batch, ``args`` the root of a
-        # dotted column built below: the parked part becomes its
-        # documents, and the dotted column is rebuilt.
-        rets = data.draw(st.lists(st.tuples(ids, st.integers(-3, 3)),
-                                  max_size=4))
-        fds = data.draw(st.lists(st.tuples(ids, st.integers(0, 3)),
-                                 max_size=4))
-        # Interleave puts and updates after the bulk: both stores must
-        # stay observably identical, not just query-identical.
+        tags = sorted({record["file_tag"] for record in batch
+                       if record.get("file_tag") is not None}, key=str)
+        tables = st.dictionaries(st.sampled_from(tags or ["none"]),
+                                 st.sampled_from(["/a", "/b"]))
+        first, second = data.draw(tables), data.draw(tables)
+        # Interleave puts and path tables after the bulk: both stores
+        # must stay observably identical, not just query-identical.  The
+        # second table meets the parked part's derived lane: the part
+        # becomes its documents.
         extra = {"syscall": "late", "session": SESSION, "time": 1,
                  "pid": 1, "tid": 1, "proc_name": "tail",
                  "args": {}, "ret": 0, "time_exit": 2, "duration_ns": 1}
         for store in (legacy, vec):
             store.count("idx", {"term": {"args.fd": 1}})
             store.bulk_columnar("idx", DocBatch([dict(extra)]), ["tail-1"])
-            store.update_by_query("idx", {"term": {"syscall": syscall}},
-                                  {"file_path": "/resolved"})
-            store.update_docs("idx", [doc_id for doc_id, _ in rets],
-                              {"ret": [ret for _, ret in rets]})
-            store.update_docs("idx", [doc_id for doc_id, _ in fds],
-                              {"args": [{"fd": fd} for _, fd in fds]})
+            store.set_paths("idx", first, SESSION)
+            store.count("idx", {"term": {"file_path": "/a"}})
+            store.set_paths("idx", second, SESSION)
             store.bulk_columnar("idx", DocBatch([dict(extra, time=3)]),
                                 ["tail-2"])
             store.count("idx", {"term": {"args.fd": 1}})

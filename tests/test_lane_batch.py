@@ -11,7 +11,8 @@ every test here runs against each, on
 a plain event-shaped batch and on one built to tempt the unsafe
 shortcuts (``True``/``1``/``1.0`` in one lane, sparse and
 explicitly-``None`` fields, a row order that needs the sort
-permutation) — and a join of mixed parts also after a ``take``.
+permutation) — and a join of mixed parts also after a ``take``, and
+one of lanes alone (what ``derive_lane`` gives a derived lane).
 """
 
 import copy
@@ -24,9 +25,9 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import DocumentStore, SegmentBatch, SegmentStorage
 from repro.analysis.streaming import (_FD_SET, _READS_SET, _WRITES_SET,
                                      _Reads, rows_of)
-from repro.backend.lanes import (DocBatch, JoinedBatch, Lanes, StructLane,
-                                 _assemble_rows, _dense_int, _groups, sort_key,
-                                 time_ordered)
+from repro.backend.lanes import (DocBatch, JoinedBatch, Lanes, Lookup,
+                                 StructLane, _assemble_rows, _dense_int,
+                                 _groups, derive_lane, sort_key, time_ordered)
 from repro.backend.query import get_field
 from repro.backend.segments import Segment, write_batch
 from repro.tracer import RecordBatch
@@ -125,6 +126,15 @@ def _segment(tricky: bool, root) -> Lanes:
     return lanes
 
 
+def _joined_lanes(root) -> JoinedBatch:
+    """A ring batch, a loaded session with no tail taken in order, and
+    a ring batch: lanes all the way down."""
+    loaded = _loaded(_ring(False, slice(12, 36)).to_docs(), root)
+    return JoinedBatch([_ring(False, slice(0, 12)),
+                        loaded.take(list(range(24))),
+                        _ring(False, slice(36, 40))])
+
+
 def _joined(tricky: bool, root) -> JoinedBatch:
     """A ring batch, documents and a loaded session, back to back."""
     docs = _ring(tricky, slice(12, 25)).to_docs()
@@ -138,7 +148,8 @@ def _joined(tricky: bool, root) -> JoinedBatch:
 
 @pytest.fixture(params=["ring", "ring-tricky", "segment", "segment-tricky",
                         "segments", "segments-tricky", "docs", "docs-tricky",
-                        "joined", "joined-tricky", "joined-taken"])
+                        "joined", "joined-tricky", "joined-taken",
+                        "joined-lanes"])
 def make(request, tmp_path):
     """A builder: every call returns a new, equal batch of 40 rows."""
     producer, _, variant = request.param.partition("-")
@@ -156,6 +167,8 @@ def make(request, tmp_path):
             docs = _ring(tricky).to_docs()
             return DocBatch(_tricky_docs(docs) if tricky else docs)
         root = next(roots)
+        if variant == "lanes":
+            return _joined_lanes(root)
         if variant != "taken":
             return _joined(tricky, root)
         # 40 of a join's 52 rows, out of order, through two takes.
@@ -165,6 +178,8 @@ def make(request, tmp_path):
             [row for row in range(52) if row % 13 != 5][::-1][:40][::-1])
 
     build.producer = producer
+    #: Lanes all the way down, no document among them.
+    build.lanes_only = producer in ("ring", "segment") or variant == "lanes"
     return build
 
 
@@ -297,27 +312,27 @@ def test_a_join_reads_values_at_those_rows_of_values_for(make, rows):
 
 
 def test_values_at_sees_an_overlay(make):
-    batch, expected = JoinedBatch([make()]), copy.deepcopy(make().to_docs())
-    assert batch.overlay([30, 2, 9], {"file_path": ["/c", "/a", "/b"]})
-    for row, path in ((30, "/c"), (2, "/a"), (9, "/b")):
-        expected[row]["file_path"] = path
-    rows = [1, 2, 9, 30]
-    assert batch.values_at("file_path", rows) == [None, "/a", "/b", "/c"]
+    # The path lane derived over a part is read like any other.
+    batch = JoinedBatch([with_paths(make(), TABLE)])
+    expected = named(copy.deepcopy(make().to_docs()), TABLE)
+    rows = [1, 2, 4, 9, 30, 38]
+    paths = [expected[row].get("file_path") for row in rows]
+    assert set(paths) == {None, "/zero"}
+    assert batch.values_at("file_path", rows) == paths
     assert tagged(batch.values_at("syscall", rows)) == tagged(
         expected[row]["syscall"] for row in rows)
 
 
 def test_docs_at_sees_an_overlay(make):
-    batch, expected = make(), copy.deepcopy(make().to_docs())
-    assert overlay(batch, [2, 9, 30], FIRST)
-    for row in (2, 9, 30):
-        expected[row].update(FIRST)
-    rows = [30, 1, 9, 2]
+    batch = with_paths(make(), TABLE)
+    expected = named(copy.deepcopy(make().to_docs()), TABLE)
+    rows = [30, 1, 9, 2, 38]
     assert dumps(batch.docs_at(rows)) == dumps([expected[row]
                                                 for row in rows])
     taken = batch.take(list(range(39, -1, -1)))
-    assert dumps(taken.docs_at([9, 37])) == dumps([expected[30],
-                                                   expected[2]])
+    assert dumps(taken.docs_at([9, 37, 1])) == dumps([expected[30],
+                                                      expected[2],
+                                                      expected[38]])
 
 
 def test_args_travel_as_a_struct_lane_and_read_as_fresh_dicts(make):
@@ -425,16 +440,37 @@ def test_take_commutes_with_columns(batch, rows):
 
 
 # ---------------------------------------------------------------------------
-# overlay(): update_docs on rows nobody hydrated
+# derive_lane(): a path table laid over rows nobody hydrated
+#
+# An *overlay* below is that table laid over a batch: the derived
+# ``file_path`` lane of a batch of lanes, the key set on the documents
+# of any other.
 
-FIRST = {"file_path": "/first", "resolved": None}
-SECOND = {"file_path": "/second", "resolved": True}
+#: A session's ``file_tag -> file_path`` tables: ``tag-1`` rows stay
+#: without a path under the first, and no row holds ``tag-9``.
+TABLE = {"tag-0": "/zero", "tag-9": "/nowhere"}
+SECOND = {"tag-0": "/again", "tag-1": "/one"}
 
 
-def overlay(batch, rows: list[int], fields: dict) -> bool:
-    """``batch.overlay`` with every row of ``rows`` taking ``fields``."""
-    return batch.overlay(rows, {field: [value] * len(rows)
-                                for field, value in fields.items()})
+def with_paths(batch, table: dict, field: str = "file_path"):
+    """What ``Index.set_paths`` makes of a part whose rows are all the
+    session's: the part with a lane derived from ``file_tag`` — or,
+    where only its rows can say where the key goes, its documents with
+    the key set."""
+    derived = derive_lane(batch, field, "file_tag", Lookup(table))
+    if derived is not None:
+        return derived
+    return DocBatch(named(batch.to_docs(), table, field))
+
+
+def named(docs: list[dict], table: dict,
+          field: str = "file_path") -> list[dict]:
+    """``docs``, each whose tag ``table`` holds given ``field``: the
+    oracle, ``dict.__setitem__``."""
+    for doc in docs:
+        if doc.get("file_tag") in table:
+            doc[field] = table[doc["file_tag"]]
+    return docs
 
 
 def assert_reads_as(batch, expected: list[dict]) -> None:
@@ -452,92 +488,82 @@ def assert_reads_as(batch, expected: list[dict]) -> None:
                          ids=["lanes", "docs-built"])
 def test_an_overlay_is_dict_update_to_every_reader(make, memoised):
     batch, expected = make(), copy.deepcopy(make().to_docs())
+    before = copy.deepcopy(expected)
     if memoised:
         batch.to_docs()                 # the tap or the journal built them
         batch.values_for("file_path")   # and a reader cached the lane
-    assert overlay(batch, list(range(0, 40, 3)), FIRST)
-    assert overlay(batch, [9, 3, 38], SECOND)    # rows 3 and 9: twice
-    for row in range(0, 40, 3):
-        expected[row].update(FIRST)
-    for row in (9, 3, 38):
-        expected[row].update(SECOND)
-    assert_reads_as(batch, expected)
-    # The very dicts the store will hold, updated in place.
-    assert batch.to_docs() is batch.to_docs()
+    derived = with_paths(batch, TABLE)
+    assert_reads_as(derived, named(expected, TABLE))
+    assert derived.to_docs() is derived.to_docs()
+    if type(derived) is not DocBatch:
+        # A new batch: the one it was derived from reads as before.
+        assert_reads_as(batch, before)
 
 
 def test_each_row_takes_its_own_value_and_a_repeated_row_its_last(make):
+    # A second table over rows named already: a lane batch has the
+    # field as a lane now, so its documents take the key — where the
+    # first table put it — and the last path.
     batch, expected = make(), copy.deepcopy(make().to_docs())
-    rows = [5, 1, 33, 5, 20]
-    assert batch.overlay(rows, {"file_path": ["/a", "/b", "/c", "/d", "/e"],
-                                "resolved": [1, 2, 3, 4, None]})
-    for row, path, resolved in zip(rows, ["/a", "/b", "/c", "/d", "/e"],
-                                   [1, 2, 3, 4, None]):
-        expected[row].update({"file_path": path, "resolved": resolved})
-    assert_reads_as(batch, expected)
+    again = with_paths(with_paths(batch, TABLE), SECOND)
+    assert type(again) is DocBatch
+    assert_reads_as(again, named(named(expected, TABLE), SECOND))
 
 
 @pytest.mark.parametrize("order", ["overlay-then-take",
                                    "take-then-overlay"])
 def test_an_overlay_and_take(make, order):
     rows = [30, 3, 4, 21, 9]
-    expected = [copy.deepcopy(make().to_docs())[row] for row in rows]
+    expected = named([copy.deepcopy(make().to_docs())[row] for row in rows],
+                     TABLE)
     batch = make()
     if order == "overlay-then-take":
-        assert overlay(batch, [3, 9, 12], FIRST)
-        taken = batch.take(rows)
+        taken = with_paths(batch, TABLE).take(rows)
     else:
-        taken = batch.take(rows)
-        assert overlay(taken, [1, 4], FIRST)
-    expected[1].update(FIRST)
-    expected[4].update(FIRST)
+        taken = with_paths(batch.take(rows), TABLE)
     assert_reads_as(taken, expected)
     again = taken.take(range(1, 4))
-    assert overlay(again, [0], SECOND)
-    expected[1].update(SECOND)
-    assert_reads_as(again, expected[1:4])
+    assert_reads_as(with_paths(again, SECOND), named(expected[1:4], SECOND))
 
 
-@pytest.mark.parametrize("fields", [
-    {"syscall": "patched"},                     # a column of the batch
-    {"args": {"fd": 99}},                       # the struct lane is one
-    {"file_path": "/x", "offset": 1},           # one of two is
-    {"late": 1}], ids=["own-column", "args-column", "half-own",
-                       "second-shape"])
-def test_an_overlay_the_lanes_cannot_hold_is_refused(make, fields):
-    batch, expected = make(), copy.deepcopy(make().to_docs())
-    assert overlay(batch, [2, 5], FIRST)
-    expected[2].update(FIRST)
-    expected[5].update(FIRST)
-    accepted = overlay(batch, [5, 6], fields)
-    # Only a batch that *is* its documents can take any update; the
-    # others refuse and leave every reader as it was, so the index
-    # replaces the part by a DocBatch of its rows and updates that.
-    assert accepted == (make.producer == "docs")
-    if accepted:
-        expected[5].update(fields)
-        expected[6].update(fields)
-    assert_reads_as(batch, expected)
+@pytest.mark.parametrize("field", ["syscall", "args", "file_tag", "late"],
+                         ids=["own-column", "args-column", "half-own",
+                              "second-shape"])
+def test_an_overlay_the_lanes_cannot_hold_is_refused(make, field):
+    # Only lanes take a derived lane, and only of a field they have no
+    # lane for; a second one lands after the first.  Anything else is
+    # refused and the index names the part's documents instead.
+    batch, expected = make(), named(copy.deepcopy(make().to_docs()), TABLE)
+    derived = derive_lane(batch, "file_path", "file_tag", Lookup(TABLE))
+    assert (derived is not None) == make.lanes_only
+    if derived is None:
+        return
+    assert_reads_as(derived, expected)
+    again = derive_lane(derived, field, "file_tag", Lookup(SECOND))
+    assert (again is not None) == (field == "late")
+    if again is not None:
+        assert_reads_as(again, named(expected, SECOND, "late"))
 
 
-def test_update_docs_on_a_column_of_the_batch_hydrates_as_before(make):
+def test_a_path_table_on_a_part_with_a_path_lane_hydrates_it(make):
     store, oracle = DocumentStore(), DocumentStore()
     store.bulk_columnar("idx", make())
     oracle.bulk("idx", copy.deepcopy(make().to_docs()))
     index = store._indices["idx"]
-    ids = ["3", "9", "40", "nobody"]
-    # (A batch that is its documents has nothing to hydrate for it.)
+    # (A batch that is its documents has nothing to hydrate.)
     parked = 0 if make.producer == "docs" else 40
-    assert store.update_docs("idx", ids, {"late": [1] * 4}) == 3
-    assert index.pending_docs == parked and index.hydrated_docs_total == 0
-    assert store.update_docs("idx", ids, {"syscall": ["patched"] * 4}) == 3
-    # The part becomes a DocBatch of its rows, built now.
+    store.set_paths("idx", TABLE)
+    built = 0 if make.lanes_only else parked
+    assert index.hydrated_docs_total == built
+    assert index.pending_docs == parked - built
+    # The part has a path lane now: the next table builds its rows.
+    store.set_paths("idx", SECOND)
     assert index.hydrated_docs_total == parked
     assert index.pending_docs == 0
-    for fields in ({"late": [1] * 4}, {"syscall": ["patched"] * 4}):
-        oracle.update_docs("idx", ids, fields)
+    for table in (TABLE, SECOND):
+        oracle.set_paths("idx", table)
     assert dumps(store.scan("idx")) == dumps(oracle.scan("idx"))
-    assert index.epoch == oracle._indices["idx"].epoch
+    assert index.epoch == oracle._indices["idx"].epoch == 40 + 2
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ def exported(docs, path) -> None:
 QUERIES = (None, {"term": {"syscall": "read"}}, {"term": {"pid": 1}},
            {"range": {"time": {"gte": 5, "lt": 30}}},
            {"bool": {"must": [{"term": {"session": SESSION}}],
-                     "must_not": [{"exists": {"field": "file_tag"}}]}})
+                     "must_not": [{"exists": {"field": "file_tag"}}]}},
+           {"term": {"file_path": "/moved"}})
 FIG4 = {"over_time": {
     "date_histogram": {"field": "time", "fixed_interval": 10},
     "aggs": {"by_thread": {"terms": {"field": "proc_name", "size": 50}}}}}
@@ -160,11 +161,10 @@ def observe(store, sort_keys: bool = False) -> str:
 
 
 def mutate(store) -> None:
-    """``update_docs``: rows rewritten under columns and postings the
-    requests before have built."""
-    ids = [doc_id for doc_id, _ in store.scan(INDEX)][::3]
-    store.update_docs(INDEX, ids, {"file_path": ["/moved"] * len(ids),
-                                   "pid": [11] * len(ids)})
+    """A path table: rows named under columns and postings the requests
+    before have built — a derived lane on a part without ``file_path``,
+    the documents of one with it (the second time, every part)."""
+    store.set_paths(INDEX, {"7 1 1": "/moved"}, SESSION)
 
 
 def index_state(store: DocumentStore) -> str:

@@ -87,3 +87,25 @@ def test_every_win_inside_the_iqr_is_noise(pairs, better):
     assert row["verdict"] == "noise"
     assert pairs.verdict(nudged, BASE, better)["verdict"] == "noise"
 
+
+
+def test_each_tree_runs_one_unmeasured_child_first(pairs, monkeypatch,
+                                                   capsys):
+    # The first child of each tree reads 100 s; none of it may reach a
+    # pair, and every later child is counted exactly once.
+    calls = []
+
+    def run_child(tree, command, argv):
+        calls.append(tree)
+        first = calls.count(tree) == 1
+        return {"metrics": {"wall_s": {"value": 100.0 if first else 1.0}}}
+
+    monkeypatch.setattr(pairs, "run_child", run_child)
+    trees = {"base": Path("base"), "change": Path("change")}
+    counted = pairs.run_pairs(trees, ["true"], [], 3)
+    assert calls[:2] == [trees["base"], trees["change"]]
+    assert len(calls) == 2 + 2 * 3
+    assert [pair["first"] for pair in counted] == ["base", "change", "base"]
+    assert all(pair[side] == {"wall_s": 1.0}
+               for pair in counted for side in ("base", "change"))
+    assert "pair 3/3" in capsys.readouterr().out

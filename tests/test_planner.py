@@ -265,22 +265,15 @@ class TestScanSemantics:
         # The pre-planner store left stale postings behind on in-place
         # re-puts and relied on predicate re-checks to hide them; exact
         # plans skip the predicate, so the indexes must be truly clean.
-        store.bulk("idx", [{"state": "old"}])
-        store.search("idx", query={"term": {"state": "old"}})
-        store.update_by_query("idx", {"term": {"state": "old"}},
-                              {"state": "new"})
-        assert store.count("idx", {"term": {"state": "old"}}) == 0
-        assert store.count("idx", {"term": {"state": "new"}}) == 1
-        assert store.count("idx", {"exists": {"field": "state"}}) == 1
+        store.bulk("idx", [{"file_tag": "t", "file_path": "old"}])
+        store.search("idx", query={"term": {"file_path": "old"}})
+        store.set_paths("idx", {"t": "new"})
+        assert store.count("idx", {"term": {"file_path": "old"}}) == 0
+        assert store.count("idx", {"term": {"file_path": "new"}}) == 1
+        assert store.count("idx", {"exists": {"field": "file_path"}}) == 1
 
     def test_stream_matches_scan(self, store):
         # A pruned scan is the stream of all documents, filtered.
         store.bulk("idx", [{"k": i % 3} for i in range(30)])
         assert store.scan("idx", {"term": {"k": 1}}) == [
             pair for pair in store.scan("idx") if pair[1]["k"] == 1]
-
-    def test_update_docs_refreshes_named_fields(self, store):
-        store.bulk("idx", [{"k": 1}, {"k": 2}])
-        assert store.update_docs("idx", ["1", "missing"],
-                                 {"tag": ["hot", "hot"]}) == 1
-        assert store.count("idx", {"term": {"tag": "hot"}}) == 1

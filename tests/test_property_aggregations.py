@@ -60,7 +60,8 @@ documents = st.fixed_dictionaries(
 
 # --- aggregation strategies -------------------------------------------------
 
-_fields = st.sampled_from(["group", "n", "time", "messy", "absent"])
+_fields = st.sampled_from(["group", "n", "time", "messy", "absent",
+                           "file_path"])
 
 _metric = st.one_of(
     st.fixed_dictionaries({
@@ -166,19 +167,17 @@ class TestColumnarEquivalence:
            aggs=simple_requests, data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_equivalence_survives_mutation(self, docs, aggs, data):
-        """Columns updated in place agree with a fresh oracle scan."""
+        """Columns built before a path table agree with a fresh oracle
+        scan after it."""
         store = DocumentStore()
-        for doc in docs:
-            store.bulk("ev", [dict(doc)])
+        for at, doc in enumerate(docs):
+            store.bulk("ev", [dict(doc, file_tag=f"t{at % 3}")])
         try:
             store.search("ev", size=0, aggs=aggs)  # build columns
         except Exception:
             pass                                   # oracle-shaped error
-        victim = data.draw(
-            st.integers(min_value=0, max_value=len(docs) - 1))
-        replacement = data.draw(documents)
-        store.update_docs("ev", [str(victim + 1)],
-                          {key: [value] for key, value in replacement.items()})
+        store.set_paths("ev", data.draw(st.dictionaries(
+            st.sampled_from(["t0", "t1"]), _messy_values)))
         _assert_equivalent(store, None, aggs)
 
     @given(docs=st.lists(documents, max_size=60),

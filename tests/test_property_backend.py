@@ -100,16 +100,6 @@ class TestStoreProperties:
             offset += page_size
         assert collected == sorted(d["time"] for d in docs)
 
-    @given(docs=st.lists(documents, max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_update_by_query_touches_exactly_the_matches(self, docs):
-        store = DocumentStore()
-        store.bulk("idx", [dict(d) for d in docs])
-        updated = store.update_by_query(
-            "idx", {"term": {"syscall": "read"}}, {"flagged": True})
-        assert updated == sum(1 for d in docs if d["syscall"] == "read")
-        assert store.count("idx", {"term": {"flagged": True}}) == updated
-
 
 class TestAggregationProperties:
     @given(values=st.lists(st.integers(min_value=-10_000, max_value=10_000),

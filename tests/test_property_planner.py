@@ -104,19 +104,6 @@ class TestPlannerEquivalence:
         assert store.scan("events", query) == oracle
         assert store.count("events", query) == len(oracle)
 
-    @given(docs=st.lists(documents, max_size=25), query=queries,
-           data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_equivalence_survives_updates_and_deletes(self, docs, query, data):
-        store = _loaded(docs)
-        index = store._index("events")
-        if docs:
-            victim = str(data.draw(st.integers(1, len(docs))))
-            store.update_docs("events", [victim],
-                              {"time": [data.draw(st.integers(0, 500))],
-                               "path": [data.draw(st.sampled_from(_PATHS))]})
-        assert store.scan("events", query) == naive_scan(index, query)
-
 
 # --- rows vs both oracles, on the values that tempt a shortcut --------------
 #
@@ -130,7 +117,7 @@ _EXOTIC = [1, 1.0, True, 0, 0.0, -0.0, False, 2, 2.5, "1", "a", "ab",
            (1, 2), (1.0, 2), ("a",), [1], [1, 2], {"k": 1}, None, NAN]
 exotic_values = st.one_of(st.sampled_from(_EXOTIC),
                           st.builds(float, st.just("nan")))
-_EXOTIC_FIELDS = ["a", "b", "n.x", "late"]
+_EXOTIC_FIELDS = ["a", "b", "n.x", "file_path"]
 
 
 def _exotic_doc(a, b, x):
@@ -222,31 +209,24 @@ class TestRowsAgainstBothOracles:
     def test_plans_match_naive_scan_and_field_index(self, docs, more,
                                                     queries_, parked, data):
         store = DocumentStore()
+        docs = [dict(doc) for doc in docs]
+        for doc in docs:
+            tag = data.draw(st.sampled_from(["t0", "t1", None]))
+            if tag is not None:
+                doc["file_tag"] = tag
         if parked:
-            # Lanes with the overlay machinery under them.
-            store.bulk_columnar("events", JoinedBatch([DocBatch(
-                [dict(doc) for doc in docs])]))
+            store.bulk_columnar("events", JoinedBatch([DocBatch(docs)]))
         else:
-            store.bulk("events", [dict(doc) for doc in docs])
-        ids = [str(n) for n in range(1, len(docs) + 1)]
-        some = st.lists(st.sampled_from(ids), max_size=4, unique=True)
-        # An update that lands before the first query: on parked rows
-        # it is an overlay, and the column is built with it applied.
-        # Each id takes its own value.
-        picked = data.draw(some)
-        store.update_docs("events", picked, {
-            "late": [data.draw(exotic_values) for _ in picked]})
+            store.bulk("events", docs)
+        tables = st.dictionaries(st.sampled_from(["t0", "t1"]),
+                                 exotic_values, max_size=2)
+        # A path table before the first query: the column is built
+        # with it applied.
+        store.set_paths("events", data.draw(tables))
         _check(store, queries_)
-        # Now every touched column (and its postings) exists: rewrite
-        # rows under them and append a batch.
-        picked = data.draw(some)
-        store.update_docs("events", picked, {
-            "a": [data.draw(exotic_values) for _ in picked],
-            "late": [data.draw(exotic_values) for _ in picked]})
-        for doc_id in data.draw(some):
-            store.update_docs("events", [doc_id], {
-                key: [value]
-                for key, value in data.draw(exotic_docs).items()})
+        # Now every touched column (and its postings) exists: name the
+        # rows again and append a batch.
+        store.set_paths("events", data.draw(tables))
         _check(store, queries_)
         store.bulk_columnar("events",
                             DocBatch([dict(doc) for doc in more]))

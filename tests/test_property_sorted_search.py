@@ -46,7 +46,8 @@ docs_ = st.builds(
     st.sampled_from(_K),
     st.one_of(st.none(), st.integers(0, 3), st.sampled_from(["u", "v"])))
 
-_SORT_FIELDS = ["time", "time", "pid", "file_tag", "k", "n.x", "absent"]
+_SORT_FIELDS = ["time", "time", "pid", "file_tag", "file_path", "k", "n.x",
+                "absent"]
 sort_entries = st.builds(
     lambda field, form: {"asc": field,
                          "asc-dict": {field: {"order": "asc"}},
@@ -71,15 +72,15 @@ STORES.update({
     for count in (2, 3) for key in SHARD_KEYS})
 
 
-def fill(store, docs, rewritten):
-    """Half by ``bulk``, half parked as lanes; some rows rewritten, so
-    that no column is a dense lane by accident."""
+def fill(store, docs, paths):
+    """Half by ``bulk``, half parked as lanes; then a path table, when
+    there is one, so that rows are named by their tags."""
     half = len(docs) // 2
     store.ensure_index(INDEX)
     store.bulk(INDEX, [dict(doc) for doc in docs[:half]])
     store.bulk_columnar(INDEX, DocBatch([dict(doc) for doc in docs[half:]]))
-    for doc_id in rewritten:
-        store.update_docs(INDEX, [doc_id], {"k": ["rewritten"]})
+    if paths is not None:
+        store.set_paths(INDEX, paths)
 
 
 def recipe(store, query, sort, size, from_):
@@ -103,20 +104,17 @@ def recipe(store, query, sort, size, from_):
        from_=st.integers(0, 6), trace=st.booleans(), data=st.data())
 def test_sorted_search_is_scan_sort_slice(kind, docs, sort, query, size,
                                           from_, trace, data):
-    ids = [str(n) for n in range(1, len(docs) + 1)]
     if trace:
-        # What a tracer ships: every row a time, none decreasing, no
-        # row rewritten — the lane a sort pass may skip (and only while
-        # the rows still are in row order).
+        # What a tracer ships: every row a time, none decreasing — the
+        # lane a sort pass may skip (and only while the rows still are
+        # in row order).
         times = sorted(doc.get("time", 20) for doc in docs)
         docs = [dict(doc, time=time) for doc, time in zip(docs, times)]
-        rewritten = []
-    else:
-        rewritten = data.draw(st.lists(st.sampled_from(ids), max_size=3,
-                                       unique=True)) if ids else []
+    paths = data.draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(["/a", "/b", "/c"]), st.sampled_from(_K))))
     store, single = STORES[kind](), DocumentStore()
     for each in (store, single):
-        fill(each, docs, rewritten)
+        fill(each, docs, paths)
     total, window = recipe(single, query, sort, size, from_)
     for each in (store, single):
         for _ in range(2):              # columns built, then reused

@@ -158,18 +158,6 @@ class TestRouting:
         store.count(INDEX, {"term": {"syscall": "read"}})
         assert store.fanout_queries == before + 1
 
-    def test_route_field_mutation_disables_exact_routing(self):
-        store = sharded()
-        store.bulk(INDEX, make_docs(30))
-        ids = [doc_id for doc_id, _ in store.scan(INDEX, {"term": {"pid": 1}})]
-        store.update_docs(INDEX, ids, {"pid": [2] * len(ids)})
-        # Every pid-1 doc now claims pid 2 but lives on pid-1's shard:
-        # routed reads would miss them, so the coordinator must fan out.
-        before = store.fanout_queries
-        assert store.count(INDEX, {"term": {"pid": 2}}) == store.count(
-            INDEX, {"term": {"pid": 2}})
-        assert store.fanout_queries > before
-
     def test_invalid_construction_rejected(self):
         with pytest.raises(StoreError):
             ShardedDocumentStore(shard_count=0)

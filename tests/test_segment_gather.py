@@ -6,7 +6,7 @@ part's own take (nested joins — a shard router's shards, a loaded
 ``SegmentBatch`` — gathered in turn), so a forked encoder joins and
 derives only its chunk's lanes and the parent joins nothing.  It must
 encode to the same bytes as the take it replaces, whatever the parts
-(ring batches, documents, correlated ``file_path`` overlays), however
+(ring batches, documents, correlated ``file_path`` lanes), however
 the rows were permuted (``time_ordered``, the router's rank merge),
 and whatever ``time`` holds (ties, ``None``, not an ``int``, beyond
 int64); and a pooled save must leave the store's ring batches as

@@ -112,12 +112,18 @@ class TestShardedEquivalence:
         lo = data.draw(st.integers(min_value=0, max_value=10 ** 10))
         pid_lo = data.draw(st.integers(min_value=0, max_value=5))
         time = data.draw(st.sampled_from([d["time"] for d in batch] or [0]))
+        # Every pid the batch holds, too, in both term forms: on a
+        # pid-keyed router each has matches on the shard it routes to.
+        held = list(dict.fromkeys(
+            (type(d["pid"]), d["pid"]) for d in batch))
         queries = [
             None,
             {"term": {"syscall": syscall}},
             # Routed on the key they name: one rule for both keys.
             {"term": {"pid": pid}},
             {"term": {"pid": {"value": pid}}},
+            *({"term": {"pid": value}} for _, value in held),
+            *({"term": {"pid": {"value": value}}} for _, value in held),
             {"range": {"pid": {"gte": pid_lo, "lt": pid_lo + 2}}},
             {"term": {"time": time}},
             {"range": {"time": {"gte": time - 500, "lte": time + 1_500}}},
@@ -150,28 +156,21 @@ class TestShardedEquivalence:
     def test_mutations_and_deletes_agree(self, batch, shard_count,
                                          shard_key, data):
         single, sharded = build_pair([batch], shard_count, shard_key)
-        syscall = data.draw(syscalls)
+        tables = st.dictionaries(file_tags, st.sampled_from(
+            ["/resolved", "/moved"]))
+        first, second = data.draw(tables), data.draw(tables)
         extra = {"syscall": "late", "session": SESSION, "time": 1,
                  "pid": 1, "tid": 1, "proc_name": "tail",
-                 "duration_ns": 5, "ret": 0}
-        # An index is append-only: the mutations are patches by id.
+                 "duration_ns": 5, "ret": 0, "file_tag": "/a"}
+        # An index is append-only: its one annotation is the path
+        # table, which every shard applies to its own rows.
         for store in (single, sharded):
             store.bulk("idx", [dict(extra)])
-            # A field patch, then one of the very field the router
-            # routes on — this clears exact routing.
-            for query, fields in (({"term": {"syscall": syscall}},
-                                   {"file_path": "/resolved"}),
-                                  ({"term": {"tid": 2}}, {"pid": 3})):
-                ids = [doc_id for doc_id, _ in store.scan("idx", query)]
-                store.update_docs("idx", ids, {
-                    field: [value] * len(ids)
-                    for field, value in fields.items()})
-            # update_docs with one id that exists and one that doesn't.
-            tail = [doc_id for doc_id, _ in store.scan(
-                "idx", {"term": {"syscall": "late"}})]
-            store.update_docs("idx", tail + ["never-there"],
-                              {"flagged": [True] * (len(tail) + 1)})
-        assert_observably_identical(single, sharded)
+            store.set_paths("idx", first, SESSION)
+            store.set_paths("idx", second)
+        assert_observably_identical(single, sharded, [
+            None, {"term": {"file_path": "/resolved"}},
+            {"exists": {"field": "file_path"}}])
 
     @given(batch_list=st.lists(batches, min_size=2, max_size=3),
            shard_count=shard_counts, shard_key=shard_keys,
