@@ -9,8 +9,8 @@ one batch of them, not the trace.  Batch DFG mining and phase
 segmentation over the stored trace get a budget against that ingest
 cost, and what a post-mortem ``dio diagnose`` spends is held to the
 trajectory: ``replay_s``
-(:func:`~repro.analysis.diagnose.follow_session`, the streaming
-detectors' replay of the stored trace) and ``diagnose_s`` (the whole
+(:func:`~repro.analysis.diagnose.follow_session`, the battery's
+``streaming`` detectors over the stored trace) and ``diagnose_s`` (the whole
 :func:`diagnose_session`), both within 20% of the best same-size
 entry.  The stored trace is what the feed leaves: batches parked as
 lanes.
@@ -40,9 +40,9 @@ INDEXED_FIELDS = ("syscall", "proc_name", "pid", "tid", "file_tag",
 
 _SYSCALLS = ("read", "write", "pread64", "pwrite64", "fsync", "lseek",
              "openat", "close")
-#: Client + background mix so every streaming detector does real work
-#: (spike windows, write-amp tallies, per-process fd counts) — the
-#: replay's worst case, not its best.
+#: Client + background mix so every stamping detector does real work
+#: (spike windows, write-amp tallies, per-process fd counts) — their
+#: worst case, not their best.
 _PROCS = ("db_bench", "db_bench", "rocksdb:low0", "rocksdb:low1",
           "rocksdb:low2", "rocksdb:high0", "wal_writer")
 

@@ -28,8 +28,6 @@ from repro.analysis.blame import (SpikeBlame, ThreadActivity, blame_spikes,
 from repro.analysis.dfg import (DFGComparison, DirectlyFollowsGraph, Phase,
                                 compare_session_dfgs, merged_dfg, mine_phases,
                                 segment_phases)
-from repro.analysis.streaming import (StreamingDetector,
-                                      default_streaming_detectors)
 from repro.analysis.diagnose import (DiagnosisReport, RankedFinding,
                                      diagnose_session, follow_session)
 
@@ -64,8 +62,6 @@ __all__ = [
     "merged_dfg",
     "mine_phases",
     "segment_phases",
-    "StreamingDetector",
-    "default_streaming_detectors",
     "DiagnosisReport",
     "RankedFinding",
     "diagnose_session",

@@ -41,8 +41,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.session import (STEP_ROWS, SessionEvents, Stretch,
-                                    lane_codes, times_of)
+from repro.analysis.session import (STEP_ROWS, SessionEvents, lane_codes,
+                                    times_of)
 from repro.backend.lanes import LaneBatch
 from repro.backend.store import DocumentStore
 
@@ -335,9 +335,8 @@ def mine_phases(store: DocumentStore, index: str = "dio_trace",
                 view: Optional[SessionEvents] = None) -> list[Phase]:
     """Phase-segment one session's stream."""
     view = view or SessionEvents(store, index, session)
-    return segment_phases(Stretch(view, 0, len(view)), window_events,
-                          drift_threshold, session or index,
-                          view.codes("syscall"))
+    return segment_phases(view, window_events, drift_threshold,
+                          session or index, view.codes("syscall"))
 
 
 # ----------------------------------------------------------------------

@@ -4,20 +4,15 @@ This is the automatic-diagnosis layer: the paper's two headline
 case studies (Fluent Bit data loss §III-B, RocksDB contention §III-C)
 diagnosed *automatically* instead of by a human reading dashboards.
 
-:func:`diagnose_session` runs each detector once over the stored
-session.  Every finding name has one detector, in one of two
-batteries:
+:func:`diagnose_session` runs one battery of detectors
+(:data:`~repro.analysis.detectors.DEFAULT_DETECTORS`) once each over
+the stored session.  Every finding name has one detector; a finding's
+provenance label (``batch`` or ``streaming``) and its emission time
+come from that detector.  :func:`follow_session` is the same pass
+over the detectors that stamp their findings, in emission order.
 
-- the **batch** battery (:mod:`repro.analysis.detectors`), which runs
-  post-mortem correlations over the whole session, and
-- the **streaming** battery (:mod:`repro.analysis.streaming`), run by
-  replaying the stored events through fresh streaming detectors
-  (:func:`follow_session`: row steps of the session's lanes with their
-  backend ids, then the latency records).
-
-The report is both batteries' findings ranked by severity and
-confidence (a finding's source is fixed by its detector), with the
-mined DFG fingerprint and behaviour phases, rendered
+The report is the findings ranked by severity and confidence, with
+the mined DFG fingerprint and behaviour phases, rendered
 deterministically: same events in, byte-identical report out (pinned
 by the DST digest).  All of it reads one
 :class:`~repro.analysis.session.SessionEvents` — the session's lanes,
@@ -26,21 +21,18 @@ fetched once — and builds no document for a pass.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from repro.analysis.detectors import (DEFAULT_DETECTORS, SEVERITY_ORDER,
-                                      Detector, Finding, run_detectors)
+                                      Detector, Finding)
 from repro.analysis.dfg import (DirectlyFollowsGraph, Phase, merged_dfg,
                                 mine_phases)
-from repro.analysis.session import STEP_ROWS, SessionEvents, Stretch
-from repro.analysis.streaming import (StreamingDetector, _Reads,
-                                      default_streaming_detectors)
+from repro.analysis.session import SessionEvents
 from repro.backend.store import DocumentStore
 
-#: Confidence by provenance: batch outranks streaming (it saw the
-#: complete stream with the backend's indexes, not bounded tables).
+#: Confidence by provenance label (``Detector.source``).  The labels
+#: and numbers are the report's since five detectors ran online, and
+#: stay byte-identical: ``batch`` outranks ``streaming``.
 CONFIDENCE = {"batch": 0.8, "streaming": 0.6}
 
 
@@ -60,7 +52,7 @@ class RankedFinding:
     def sort_key(self) -> tuple:
         return (SEVERITY_ORDER.get(self.finding.severity, 9),
                 -self.confidence, self.finding.detector,
-                self.finding.title)
+                self.finding.title, self.emit_ns or 0)
 
     def as_dict(self) -> dict:
         out = self.finding.as_dict()
@@ -157,40 +149,26 @@ class DiagnosisReport:
 
 def follow_session(store: DocumentStore, index: str,
                    session: Optional[str],
-                   detectors: Optional[Sequence[StreamingDetector]] = None,
+                   detectors: Optional[Sequence[Detector]] = None,
                    latency_records: Optional[Sequence] = None,
                    view: Optional[SessionEvents] = None
                    ) -> list[tuple[int, Finding]]:
-    """Replay a stored session through the streaming detectors.
+    """The stamped findings of one stored session, in emission order.
 
-    ``detectors`` default to a fresh
-    :func:`~repro.analysis.streaming.default_streaming_detectors`
-    battery.  The session's events go in time order, in steps of
-    :data:`~repro.analysis.session.STEP_ROWS` rows (a
-    :class:`~repro.analysis.session.Stretch` of the view's lanes, with
-    the events' backend ids, so the findings get real evidence links),
-    then the latency records in start order, then every detector
-    finalizes.  A detector's findings do not depend on where the steps
-    cut the session.
+    ``detectors`` default to the battery's ``streaming`` ones, each of
+    which stamps every finding with the event time it is settled at.
+    ``latency_records`` (``(start_ns, latency_ns, ...)`` tuples) go on
+    the view this builds; a caller's ``view`` carries its own.
 
     Returns every ``(emit_ns, finding)``, in ``(emit_ns, detector,
     title)`` order — what ``dio diagnose --follow`` prints.
     """
     if detectors is None:
-        detectors = default_streaming_detectors()
-    view = view or SessionEvents(store, index, session)
-    ids = view.ids
-    for lo in range(0, len(view), STEP_ROWS):
-        hi = min(lo + STEP_ROWS, len(view))
-        batch = _Reads(Stretch(view, lo, hi))
-        for detector in detectors:
-            detector.observe_batch(batch, ids[lo:hi])
-    records = sorted(latency_records or (), key=itemgetter(0))
-    for detector in detectors:
-        detector.observe_latencies(records)
-        detector.finalize()
-    return sorted(chain.from_iterable(detector.emitted
-                                      for detector in detectors),
+        detectors = [detector for detector in DEFAULT_DETECTORS
+                     if detector.source == "streaming"]
+    view = view or SessionEvents(store, index, session, latency_records)
+    return sorted((pair for detector in detectors
+                   for pair in detector.detect(view)),
                   key=lambda item: (item[0], item[1].detector,
                                     item[1].title))
 
@@ -201,23 +179,19 @@ def diagnose_session(store: DocumentStore, session: Optional[str] = None,
                      latency_records: Optional[Sequence] = None,
                      window_events: int = 64,
                      drift_threshold: float = 0.4) -> DiagnosisReport:
-    """Diagnose one stored session: both batteries, DFG, phases.
+    """Diagnose one stored session: the detector battery, DFG, phases.
 
     ``latency_records`` (``(start_ns, latency_ns, ...)`` tuples, e.g.
     ``bench.records()``) additionally feed the spike attributor.
 
-    The session is read from the store once: the batch detectors, the
-    replay, the DFG and the phases all derive from one
-    :class:`SessionEvents`.
+    The session is read from the store once: the detectors, the DFG
+    and the phases all derive from one :class:`SessionEvents`.
     """
-    view = SessionEvents(store, index, session)
-    findings = [RankedFinding(finding, "batch") for finding
-                in run_detectors(store, index, session, detectors, view)]
-    findings += [RankedFinding(finding, "streaming", emit_ns)
-                 for emit_ns, finding in follow_session(
-                     store, index, session,
-                     latency_records=latency_records, view=view)]
-    findings.sort(key=lambda ranked: ranked.sort_key)
+    view = SessionEvents(store, index, session, latency_records)
+    findings = sorted((RankedFinding(finding, detector.source, emit_ns)
+                       for detector in detectors
+                       for emit_ns, finding in detector.detect(view)),
+                      key=lambda ranked: ranked.sort_key)
     return DiagnosisReport(
         session=session,
         findings=findings,

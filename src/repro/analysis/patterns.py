@@ -118,39 +118,59 @@ class StaleOffsetResume(NamedTuple):
     time: int
 
 
-def find_stale_offset_resumes(store: DocumentStore, index: str,
-                              session: Optional[str] = None,
-                              view: Optional[SessionEvents] = None
-                              ) -> list[StaleOffsetResume]:
-    """Detect the Fluent Bit signature (§III-B, Fig. 2a step 5).
+def stale_offset_polls(view: SessionEvents,
+                       confirm_after: int = 3) -> list[list[int]]:
+    """The Fluent Bit signature (§III-B, Fig. 2a step 5), as read rows.
 
     For some file tag, the *first* read ever issued against the file
     starts at an offset > 0 and returns 0 bytes: the reader resumed
     from a position that belongs to a previous file that had the same
-    name and inode.  Every later read of that tag returning data would
-    clear the suspicion; a tag whose reads never returned data past
-    that offset is flagged.
+    name and inode.  The tag is flagged once ``confirm_after`` more
+    reads of it returned no data, or at the session's end if none of
+    its later reads returned data; a read that returns data first
+    clears it.  Data arriving after the confirmation changes nothing:
+    the bytes before the stale offset were skipped either way.
+
+    Returns each flagged tag's first read row and the empty reads after
+    it (up to the confirming one), in the order a pass in time order
+    settles them: confirmed tags as their confirming read goes by, then
+    the rest at the end, by first read.
     """
-    view = view or SessionEvents(store, index, session)
-    syscalls = view.values("syscall")
+    tags = view.values("file_tag")
     rets = view.values("ret")
     offsets = view.values("offset")
-    findings = []
-    for tag, rows in sorted(view.data_by_file.items()):
-        reads = [row for row in rows if syscalls[row] in _READS]
-        if not reads:
-            continue
+    per_tag: dict = {}
+    for row in view.syscall_rows(_READS):
+        if tags[row] is not None:
+            per_tag.setdefault(tags[row], []).append(row)
+    confirmed, pending = [], []
+    for reads in per_tag.values():
         first = reads[0]
         offset = offsets[first]
-        if offset is None or offset == 0 or rets[first] != 0:
+        if not (offset is not None and offset > 0 and rets[first] == 0):
             continue
-        if any(rets[row] > 0 for row in reads):
-            continue
-        findings.append(StaleOffsetResume(
-            file_tag=tag,
-            file_path=view.values("file_path")[first],
-            proc_name=view.values("proc_name")[first],
-            offset=offset,
-            time=view.values("time")[first],
-        ))
-    return findings
+        polls = [first]
+        for row in reads[1:]:
+            if rets[row] > 0:                   # data arrived: all clear
+                break
+            polls.append(row)
+            if len(polls) > confirm_after:
+                confirmed.append(polls)
+                break
+        else:
+            pending.append(polls)
+    confirmed.sort(key=itemgetter(-1))
+    return confirmed + pending
+
+
+def find_stale_offset_resumes(store: DocumentStore, index: str,
+                              session: Optional[str] = None,
+                              view: Optional[SessionEvents] = None
+                              ) -> list[StaleOffsetResume]:
+    """The tags :func:`stale_offset_polls` flags, by tag, each as its
+    first read (the stale-offset detector's rule)."""
+    view = view or SessionEvents(store, index, session)
+    lanes = [view.values(field) for field in StaleOffsetResume._fields]
+    return sorted((StaleOffsetResume(*(values[polls[0]] for values in lanes))
+                   for polls in stale_offset_polls(view)),
+                  key=itemgetter(0))

@@ -1,9 +1,9 @@
 """One read of a stored session, shared by everything that analyses it.
 
-Every post-mortem analysis — the batch detectors, the streaming
-replay, DFG mining, phase segmentation, session comparison — is a pass
-over one session's events in time order.  :class:`SessionEvents` asks
-the store for them **once**, as lanes: one public ``lanes`` request
+Every post-mortem analysis — the detector battery, DFG mining, phase
+segmentation, session comparison — is a pass over one session's events
+in time order.  :class:`SessionEvents` asks the store for them
+**once**, as lanes: one public ``lanes`` request
 (``(ids, LaneBatch)`` — no hit envelope, no document — so it works on
 any store-shaped object: sharded, tenant-scoped, proxied), put in time
 order by :func:`~repro.backend.lanes.time_order`.  The analyses read
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import Callable, NamedTuple, Optional, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -59,13 +59,20 @@ def times_of(times: list) -> list:
 
 
 class SessionEvents:
-    """The time-ordered events of one session (or of a whole index)."""
+    """The time-ordered events of one session (or of a whole index).
+
+    ``latencies`` are the benchmark's operation latency records of the
+    same run (``(start_ns, latency_ns, ...)`` tuples, any order), for a
+    detector that reads them beside the events.
+    """
 
     def __init__(self, store: DocumentStore, index: str,
-                 session: Optional[str] = None) -> None:
+                 session: Optional[str] = None,
+                 latencies: Optional[Sequence] = None) -> None:
         self.store = store
         self.index = index
         self.session = session
+        self.latencies = latencies or ()
         self._derived: dict = {}
         self._values: dict[str, list] = {}
         self._codes: dict[str, tuple] = {}
@@ -112,11 +119,22 @@ class SessionEvents:
             values = self._values[field] = self.batch.values_for(field)
         return values
 
+    #: A view reads as a lane batch does (``dfg.segment_phases`` takes
+    #: either), off the same per-view reads.
+    values_for = values
+
     def codes(self, field: str) -> tuple[dict, np.ndarray]:
         """:func:`lane_codes` of a lane, worked out once per view."""
         if field not in self._codes:
             self._codes[field] = lane_codes(self.values(field))
         return self._codes[field]
+
+    def syscall_rows(self, names: Sequence[str]) -> list[int]:
+        """The rows whose ``syscall`` is one of ``names``, in time
+        order (off the ``syscall`` codes)."""
+        code, codes = self.codes("syscall")
+        wanted = [code[name] for name in names if name in code]
+        return np.flatnonzero(np.isin(codes, wanted)).tolist()
 
     @cached_property
     def times(self) -> list:
@@ -160,20 +178,3 @@ class SessionEvents:
             syscalls.__getitem__, rows))))
             for tag, rows in self.by_file_tag.items() if tag is not None}
         return {tag: rows for tag, rows in per_file.items() if rows}
-
-
-class Stretch(NamedTuple):
-    """Rows ``lo:hi`` of a view, read lane by lane (``values_for``) as
-    a lane batch is."""
-
-    view: SessionEvents
-    lo: int
-    hi: int
-
-    def values_for(self, field: str) -> list:
-        """The view's lane itself for a stretch of every row (never
-        mutate it), else a slice."""
-        values = self.view.values(field)
-        if self.lo == 0 and self.hi == len(values):
-            return values
-        return values[self.lo:self.hi]

@@ -1,10 +1,11 @@
 """Post-mortem bodies the production detectors replaced, as oracles.
 
-``stale-offset-resume`` and ``fd-leak`` come from one detector each, a
-streaming one (``repro.analysis.streaming``), which serves
-``--follow``, the tracer's consumer path and the report alike.  The batch bodies they replaced
-read the whole stored session at once and are kept here, as they were,
-as the oracles the streaming rules must agree with
+``stale-offset-resume`` and ``fd-leak`` come from one detector each in
+the battery (``repro.analysis.detectors``), which serves ``--follow``
+and the report alike.  The earlier bodies of both — an aggregation
+for the descriptor counts, and ``patterns.find_stale_offset_resumes``
+as it was before it answered from the detector's rule — are kept here,
+as they were, as the oracles those rules must agree with
 (``tests/test_diagnosis_feed.py``).  The per-row access-pattern loop
 and the two-search contention correlation, which lane arithmetic
 replaced, are the oracles of ``tests/test_array_analysis.py``.
@@ -14,16 +15,58 @@ import numpy as np
 
 from repro.analysis.contention import (ContentionReport,
                                        syscall_counts_by_thread)
-from repro.analysis.detectors import Detector, Finding, events_evidence
-from repro.analysis.patterns import AccessPattern, find_stale_offset_resumes
+from repro.analysis.detectors import Finding, events_evidence
+from repro.analysis.patterns import AccessPattern, StaleOffsetResume
+from repro.analysis.session import READS as _READS, SessionEvents
 
 
-class StaleOffsetDetector(Detector):
+def find_stale_offset_resumes(store, index, session=None, view=None):
+    """Detect the Fluent Bit signature (§III-B, Fig. 2a step 5).
+
+    For some file tag, the *first* read ever issued against the file
+    starts at an offset > 0 and returns 0 bytes: the reader resumed
+    from a position that belongs to a previous file that had the same
+    name and inode.  Every later read of that tag returning data would
+    clear the suspicion; a tag whose reads never returned data past
+    that offset is flagged.
+    """
+    view = view or SessionEvents(store, index, session)
+    syscalls = view.values("syscall")
+    rets = view.values("ret")
+    offsets = view.values("offset")
+    findings = []
+    for tag, rows in sorted(view.data_by_file.items()):
+        reads = [row for row in rows if syscalls[row] in _READS]
+        if not reads:
+            continue
+        first = reads[0]
+        offset = offsets[first]
+        if offset is None or offset == 0 or rets[first] != 0:
+            continue
+        if any(rets[row] > 0 for row in reads):
+            continue
+        findings.append(StaleOffsetResume(
+            file_tag=tag,
+            file_path=view.values("file_path")[first],
+            proc_name=view.values("proc_name")[first],
+            offset=offset,
+            time=view.values("time")[first],
+        ))
+    return findings
+
+
+class _Oracle:
+    """A post-mortem body over one session read: ``run`` returns its
+    findings."""
+
+    def run(self, store, index, session=None):
+        return self.detect(SessionEvents(store, index, session))
+
+
+class StaleOffsetOracle(_Oracle):
     """The §III-B data-loss signature: resume at a stale offset."""
 
     name = "stale-offset-resume"
-    description = ("first read of a fresh file starts past offset 0 and "
-                   "returns no data: a stale position was applied")
 
     def detect(self, view):
         findings = []
@@ -46,11 +89,10 @@ class StaleOffsetDetector(Detector):
         return findings
 
 
-class FdLeakDetector(Detector):
+class FdLeakOracle(_Oracle):
     """Erroneous usage: opened descriptors never closed."""
 
     name = "fd-leak"
-    description = "processes whose open count far exceeds their closes"
 
     def __init__(self, min_unclosed: int = 4):
         self.min_unclosed = min_unclosed

@@ -240,30 +240,32 @@ def test_a_lane_count_is_the_length_of_the_scan(tmp_path_factory, docs,
 
 
 def test_latency_records_go_in_by_window_runs():
-    # More records than a window keeps, in start order (as a replay
-    # hands them over) and cut into batches, after the events: the runs
-    # keep each window's first samples, as one item at a time merged by
-    # time did (``PerEventSpike``), and close the same windows with the
-    # same findings.  The last window spikes, with background I/O in it.
-    from repro.analysis.streaming import StreamingSpikeAttributor, _Reads
-    from tests.test_diagnosis_feed import (PerEventSpike, emitted,
-                                           per_event_replay)
+    # More records than a window keeps, in no order: sorted by start,
+    # each window keeps its first samples, as one item at a time merged
+    # by time did (``PerEventSpike``), and closes with the same
+    # findings.  The last window spikes, with background I/O in it.
+    from repro.analysis.detectors import (MAX_WINDOW_SAMPLES,
+                                          SpikeBlameDetector)
+    from tests.test_diagnosis_feed import (PerEventSpike, detected,
+                                           emitted, per_event_replay)
 
-    records = sorted(((row * 7_919_993) % 450_000_000, row % 97 * 1_000)
-                     for row in range(3_000))
+    records = [((row * 7_919_993) % 450_000_000, row % 97 * 1_000)
+               for row in range(3_000)]
     records = [(start, latency if start < 400_000_000 else latency * 10)
                for start, latency in records]
-    events = [(f"e{n}", {"syscall": "pwrite64", "proc_name": "rocksdb:low0",
-                         "tid": 7, "ret": 4096, "time": n * 50_000_000})
+    events = [{"syscall": "pwrite64", "proc_name": "rocksdb:low0",
+               "tid": 7, "ret": 4096, "time": n * 50_000_000}
               for n in range(9)]
-    runs = StreamingSpikeAttributor()
-    runs.observe_batch(_Reads(DocBatch([source for _, source in events])),
-                       [event_id for event_id, _ in events])
-    for lo in range(0, len(records), 700):
-        runs.observe_latencies(records[lo:lo + 700])
-    assert max(map(len, runs._latencies.values())) == 512
-    runs.finalize()
-    oracle, = per_event_replay(events, records, [PerEventSpike()])
-    assert runs.spikes_found == 1
-    assert list(runs._baseline) == list(oracle._baseline)
-    assert emitted([runs]) == emitted([oracle])
+    store = DocumentStore()
+    store.bulk(INDEX, [dict(event, session=SESSION) for event in events])
+    detector = SpikeBlameDetector()
+    samples = detector._samples(SessionEvents(store, INDEX, SESSION,
+                                              records))
+    assert max(map(len, samples.values())) == MAX_WINDOW_SAMPLES
+    oracle, = per_event_replay([(str(n), event) for n, event
+                                in enumerate(events, 1)], records,
+                               [PerEventSpike()])
+    said = detected([detector], SessionEvents(store, INDEX, SESSION,
+                                              records))
+    assert len(said[0][1]) == 1
+    assert said == emitted([oracle])

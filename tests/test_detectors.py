@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis.detectors import (ContentionDetector, FailedSyscallDetector,
-                                      Finding, RandomAccessDetector,
+                                      FdLeakDetector, Finding,
+                                      RandomAccessDetector,
                                       ShortLivedFileDetector,
-                                      SmallIODetector, run_detectors)
+                                      SmallIODetector, StaleOffsetDetector,
+                                      run_detectors)
 from repro.analysis.diagnose import diagnose_session, follow_session
-from repro.analysis.streaming import (StreamingFdLeakDetector,
-                                      StreamingStaleOffsetDetector)
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
 from repro.backend import DocumentStore
 from repro.experiments import run_fluentbit_case
@@ -22,7 +22,8 @@ def store():
 
 
 def replayed(detector, store, index):
-    """What a streaming ``detector`` says of a stored index, replayed."""
+    """What a stamping ``detector`` says of a stored index, in
+    emission order."""
     return [finding for _, finding
             in follow_session(store, index, None, [detector])]
 
@@ -30,7 +31,7 @@ def replayed(detector, store, index):
 class TestStaleOffsetDetector:
     def test_fires_on_buggy_fluentbit(self):
         case = run_fluentbit_case(FLUENTBIT_BUGGY)
-        findings = replayed(StreamingStaleOffsetDetector(), case.store,
+        findings = replayed(StaleOffsetDetector(), case.store,
                             "dio_trace")
         assert len(findings) == 1
         assert findings[0].severity == "critical"
@@ -38,7 +39,7 @@ class TestStaleOffsetDetector:
 
     def test_silent_on_fixed_fluentbit(self):
         case = run_fluentbit_case(FLUENTBIT_FIXED)
-        assert replayed(StreamingStaleOffsetDetector(), case.store,
+        assert replayed(StaleOffsetDetector(), case.store,
                         "dio_trace") == []
 
 
@@ -68,7 +69,7 @@ class TestFdLeakDetector:
                      "proc_name": "leaky", "pid": 9, "tid": 9,
                      "args": {"fd": 3}})
         store.bulk("t", docs)
-        findings = replayed(StreamingFdLeakDetector(min_unclosed=4), store,
+        findings = replayed(FdLeakDetector(min_unclosed=4), store,
                             "t")
         assert len(findings) == 1
         assert "5 descriptors left open" in findings[0].title
@@ -83,14 +84,14 @@ class TestFdLeakDetector:
                          "proc_name": "ok", "pid": 1, "tid": 1,
                          "args": {"fd": 3}})
         store.bulk("t", docs)
-        assert replayed(StreamingFdLeakDetector(min_unclosed=4), store,
+        assert replayed(FdLeakDetector(min_unclosed=4), store,
                         "t") == []
 
     def test_failed_opens_not_counted(self, store):
         store.bulk("t", [{"syscall": "open", "ret": -2, "time": i,
                           "proc_name": "x", "pid": 1, "tid": 1,
                           "args": {"path": "/nope"}} for i in range(10)])
-        assert replayed(StreamingFdLeakDetector(min_unclosed=4), store,
+        assert replayed(FdLeakDetector(min_unclosed=4), store,
                         "t") == []
 
 
@@ -189,12 +190,14 @@ class TestContentionDetectorWrapper:
 class TestRunDetectors:
     def test_battery_on_buggy_fluentbit(self):
         case = run_fluentbit_case(FLUENTBIT_BUGGY)
-        # The post-mortem battery leaves the stale offset to the
-        # streaming one; the report runs both, critical findings first.
-        assert all(finding.detector != "stale-offset-resume"
-                   for finding in run_detectors(case.store, "dio_trace"))
+        # One battery: run_detectors says what the report says, and the
+        # report ranks the critical finding first.
+        session = case.tracer.config.session_name
         findings = [ranked.finding for ranked in diagnose_session(
-            case.store, case.tracer.config.session_name).findings]
+            case.store, session).findings]
+        assert sorted(map(str, run_detectors(case.store, "dio_trace",
+                                             session))) == \
+            sorted(map(str, findings))
         assert findings[0].severity == "critical"
         assert findings[0].detector == "stale-offset-resume"
 

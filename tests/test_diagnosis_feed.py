@@ -1,4 +1,4 @@
-"""One feed and one transition loop are the paths they replaced.
+"""One pass per detector and one transition loop are the paths they replaced.
 
 The diagnosis layer used to walk a session with two of everything: a
 per-event ``observe`` body beside every detector's per-batch body, a
@@ -9,11 +9,13 @@ keeps one of each; the other is kept here, as it was, as the oracle:
 1. the **per-event detector bodies** (``PerEvent*``) — what
    ``observe``/``observe_latency`` did to a detector's state, one item
    at a time, closing windows two widths behind the watermark after
-   every item;
+   every item.  They keep their own state, emission and confirmation,
+   and import nothing from the detectors they check;
 2. the **merged feed** (:func:`merged_feed`, :func:`per_event_replay`)
    — events and latency records interleaved by time and fed one by one,
-   which is what ``follow_session``'s row steps (every event, then the
-   records, then a close of every window) must equal;
+   which is what each detector's one pass over the session view (every
+   event and every latency record at hand, windows closed in start
+   order) must equal;
 3. the **per-thread graphs, then merge** (:class:`OracleGraph`,
    :func:`oracle_merged_dfg`) — one single-chain graph per TID folded
    edge by edge into a session graph, which is what a graph fed the
@@ -24,36 +26,32 @@ keeps one of each; the other is kept here, as it was, as the oracle:
    every window twice, compare walking both sessions' documents —
    which is what the lane-reading bodies must say.
 
-Last, the streaming ``fd-leak`` and ``stale-offset-resume`` say what
-the batch bodies they replaced said (``tests/detector_oracle.py``).
+Last, ``fd-leak`` and ``stale-offset-resume`` say what the post-mortem
+bodies they replaced said (``tests/detector_oracle.py``).
 """
 
 import heapq
+from collections import deque
 from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.compare import Divergence, compare_sessions
 from repro.analysis.detectors import (DEFAULT_DETECTORS, EVIDENCE_ID_CAP,
-                                      FailedSyscallDetector, Finding,
-                                      RandomAccessDetector,
-                                      ShortLivedFileDetector, SmallIODetector,
+                                      MAX_EVIDENCE_IDS,
+                                      FailedSyscallDetector, FdLeakDetector,
+                                      Finding, RandomAccessDetector,
+                                      ShortLivedFileDetector,
+                                      SmallIODetector, SpikeBlameDetector,
+                                      StaleOffsetDetector, UringLagDetector,
+                                      WriteAmplificationDetector,
                                       make_evidence, run_detectors)
 from repro.analysis.dfg import (START, DirectlyFollowsGraph, EdgeStats, Phase,
                                 merged_dfg, segment_phases)
 from repro.analysis.diagnose import follow_session
-from repro.analysis.patterns import AccessPattern, classify_file_accesses
+from repro.analysis.patterns import (AccessPattern, classify_file_accesses,
+                                     find_stale_offset_resumes)
 from repro.analysis.session import SessionEvents
-from repro.analysis.streaming import (MAX_EVIDENCE_IDS, MAX_TRACKED_PIDS,
-                                      MAX_TRACKED_PROCS, MAX_TRACKED_TAGS,
-                                      MAX_WINDOW_SAMPLES,
-                                      StreamingFdLeakDetector,
-                                      StreamingSpikeAttributor,
-                                      StreamingStaleOffsetDetector,
-                                      StreamingUringLagDetector,
-                                      StreamingWriteAmplificationDetector,
-                                      _capped_insert, _Reads, _WindowState,
-                                      default_streaming_detectors)
 from repro.backend import DocumentStore
 from repro.backend.lanes import DocBatch
 from repro.apps.fluentbit import FLUENTBIT_BUGGY, FLUENTBIT_FIXED
@@ -62,7 +60,8 @@ from repro.dst.scenario import generate
 from repro.experiments import run_fluentbit_case, run_rocksdb_case
 from repro.experiments.rocksdb_case import RocksDBScale
 from repro.kernel.errno import Errno
-from tests.detector_oracle import FdLeakDetector, StaleOffsetDetector
+from tests import detector_oracle
+from tests.detector_oracle import FdLeakOracle, StaleOffsetOracle
 from tests.dfg_oracle import graph_as_dict, observe
 
 INDEX = "dio_trace"
@@ -73,45 +72,106 @@ _WRITES = ("write", "pwrite64", "writev")
 _OPENS = ("open", "openat", "creat")
 _URING = ("uring_read", "uring_write", "uring_fsync")
 
+#: What the per-event bodies kept: ids per finding, process names per
+#: table, latency samples per window, windows in the spike baseline and
+#: spike findings per session.
+IDS_KEPT = 8
+PROCS_KEPT = 64
+SAMPLES_KEPT = 512
+BASELINE_KEPT = 256
+SPIKES_REPORTED = 5
+
 
 # ----------------------------------------------------------------------
 # Oracle 1: the per-event detector bodies, as they were
 
-class PerEventStaleOffset(StreamingStaleOffsetDetector):
+class PerEvent:
+    """One item at a time into a detector's state; ``emitted`` holds
+    ``(emit_ns, Finding)`` in emission order."""
+
+    def __init__(self):
+        self.emitted = []
+
+    def observe_latency(self, start_ns, latency_ns):
+        """Only the spike attributor reads latency records."""
+
+    def finalize(self):
+        """End of stream: emit whatever is still pending."""
+
+    def _emit(self, emit_ns, finding):
+        self.emitted.append((emit_ns, finding))
+
+
+class PerEventStaleOffset(PerEvent):
+    name = "stale-offset-resume"
+
+    def __init__(self, confirm_after=3):
+        super().__init__()
+        self.confirm_after = confirm_after
+        self._tags = {}
+
     def observe(self, source, event_id=None):
         if source["syscall"] not in _READS:
             return
         tag = source.get("file_tag")
         if tag is None:
             return
-        state = _capped_insert(self._tags, tag, dict, MAX_TRACKED_TAGS)
-        if not state:                      # first read of this tag
+        state = self._tags.get(tag)
+        if state is None:                  # first read of this tag
             offset = source.get("offset")
             suspicious = (offset is not None and offset > 0
                           and source["ret"] == 0)
-            state.update(suspicious=suspicious, confirmed=False,
-                         empty_reads=0, offset=offset,
-                         proc_name=source["proc_name"],
-                         file_path=source.get("file_path"),
-                         first_ns=source.get("time", 0),
-                         last_ns=source.get("time", 0), ids=[])
+            state = self._tags[tag] = dict(
+                suspicious=suspicious, confirmed=False, empty_reads=0,
+                offset=offset, proc_name=source["proc_name"],
+                file_path=source.get("file_path"),
+                first_ns=source.get("time", 0),
+                last_ns=source.get("time", 0), ids=[])
             if suspicious and event_id is not None:
                 state["ids"].append(event_id)
             return
-        if not state.get("suspicious") or state.get("confirmed"):
+        if not state["suspicious"] or state["confirmed"]:
             return
         state["last_ns"] = source.get("time", 0)
         if source["ret"] > 0:              # data arrived: all clear
             state["suspicious"] = False
             return
         state["empty_reads"] += 1
-        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
+        if event_id is not None and len(state["ids"]) < IDS_KEPT:
             state["ids"].append(event_id)
         if state["empty_reads"] >= self.confirm_after:
-            self._confirm(source.get("file_tag"), state)
+            self._confirm(tag, state)
+
+    def _confirm(self, tag, state):
+        state["confirmed"] = True
+        self._emit(state["last_ns"], Finding(
+            detector=self.name,
+            severity="critical",
+            title=(f"{state['proc_name']} resumed "
+                   f"{state['file_path'] or tag} at stale offset "
+                   f"{state['offset']}; content before EOF was never "
+                   "read (possible data loss)"),
+            details={"file_tag": tag, "file_path": state["file_path"],
+                     "offset": state["offset"],
+                     "empty_reads": state["empty_reads"]},
+            evidence=make_evidence(state["ids"], state["first_ns"],
+                                   state["last_ns"]),
+        ))
+
+    def finalize(self):
+        for tag, state in self._tags.items():
+            if state["suspicious"] and not state["confirmed"]:
+                self._confirm(tag, state)
 
 
-class PerEventFdLeak(StreamingFdLeakDetector):
+class PerEventFdLeak(PerEvent):
+    name = "fd-leak"
+
+    def __init__(self, min_unclosed=4):
+        super().__init__()
+        self.min_unclosed = min_unclosed
+        self._pids = {}
+
     def observe(self, source, event_id=None):
         syscall = source["syscall"]
         if syscall not in _OPENS + ("close",):
@@ -128,22 +188,44 @@ class PerEventFdLeak(StreamingFdLeakDetector):
         if event_id is not None and len(state["ids"]) < EVIDENCE_ID_CAP:
             state["ids"].append(event_id)
 
+    def finalize(self):
+        for pid, state in self._pids.items():
+            opens, closes = state["opens"], state["closes"]
+            if opens - closes < self.min_unclosed:
+                continue
+            self._emit(state["last_ns"], Finding(
+                detector=self.name,
+                severity="warning",
+                title=(f"pid {pid}: {opens} opens vs {closes} closes "
+                       f"({opens - closes} descriptors left open)"),
+                details={"pid": pid, "opens": opens, "closes": closes},
+                evidence=make_evidence(state["ids"], state["first_ns"],
+                                       state["last_ns"]),
+            ))
 
-class PerEventUringLag(StreamingUringLagDetector):
+
+class PerEventUringLag(PerEvent):
+    name = "uring-completion-lag"
+
+    def __init__(self, min_lag_ns=5_000_000, baseline_factor=8.0,
+                 min_samples=16):
+        super().__init__()
+        self.min_lag_ns = min_lag_ns
+        self.baseline_factor = baseline_factor
+        self.min_samples = min_samples
+        self._pids = {}
+
     def observe(self, source, event_id=None):
         if source["syscall"] not in _URING:
             return
         lag = source.get("duration_ns")
         if lag is None:
             return
-        state = _capped_insert(
-            self._pids, source["pid"],
-            lambda: {"count": 0, "total_lag": 0, "max_lag": 0,
-                     "flagged": False, "ids": [],
-                     "first_ns": source.get("time", 0)},
-            MAX_TRACKED_PIDS)
         now_ns = source.get("time", 0)
-        if event_id is not None and len(state["ids"]) < MAX_EVIDENCE_IDS:
+        state = self._pids.setdefault(
+            source["pid"], {"count": 0, "total_lag": 0, "flagged": False,
+                            "ids": [], "first_ns": now_ns})
+        if event_id is not None and len(state["ids"]) < IDS_KEPT:
             state["ids"].append(event_id)
         if state["count"] >= self.min_samples and not state["flagged"]:
             mean = state["total_lag"] / state["count"]
@@ -167,11 +249,22 @@ class PerEventUringLag(StreamingUringLagDetector):
                 ))
         state["count"] += 1
         state["total_lag"] += lag
-        if lag > state["max_lag"]:
-            state["max_lag"] = lag
 
 
-class PerEventWriteAmplification(StreamingWriteAmplificationDetector):
+class PerEventWriteAmplification(PerEvent):
+    name = "write-amplification"
+
+    def __init__(self, client_comm="db_bench", ratio_threshold=2.0,
+                 min_client_bytes=64 * 1024):
+        super().__init__()
+        self.client_comm = client_comm
+        self.ratio_threshold = ratio_threshold
+        self.min_client_bytes = min_client_bytes
+        self._client_bytes = self._total_bytes = 0
+        self._per_proc = {}
+        self._first_ns = None
+        self._last_ns = 0
+
     def observe(self, source, event_id=None):
         if source["syscall"] not in _WRITES or source["ret"] <= 0:
             return
@@ -180,24 +273,59 @@ class PerEventWriteAmplification(StreamingWriteAmplificationDetector):
             self._first_ns = time_ns
         self._last_ns = max(self._last_ns, time_ns)
         size = source["ret"]
-        self.total_bytes += size
+        self._total_bytes += size
         proc = source["proc_name"]
         if proc == self.client_comm:
-            self.client_bytes += size
+            self._client_bytes += size
             return
         if proc in self._per_proc:
             self._per_proc[proc] += size
-        elif len(self._per_proc) < MAX_TRACKED_PROCS:
+        elif len(self._per_proc) < PROCS_KEPT:
             self._per_proc[proc] = size
 
+    def finalize(self):
+        amplification = (self._total_bytes / self._client_bytes
+                         if self._client_bytes else 0.0)
+        if (self._client_bytes < self.min_client_bytes
+                or amplification < self.ratio_threshold):
+            return
+        writers = sorted(self._per_proc.items(),
+                         key=lambda item: (-item[1], item[0]))[:5]
+        self._emit(self._last_ns, Finding(
+            detector=self.name,
+            severity="warning",
+            title=(f"{self._total_bytes:,} B written for "
+                   f"{self._client_bytes:,} client bytes "
+                   f"({amplification:.1f}x write amplification)"),
+            details={"total_bytes": self._total_bytes,
+                     "client_bytes": self._client_bytes,
+                     "amplification": round(amplification, 2),
+                     "top_writers": [[name, size]
+                                     for name, size in writers]},
+            evidence=make_evidence(start_ns=self._first_ns,
+                                   end_ns=self._last_ns),
+        ))
 
-class PerEventSpike(StreamingSpikeAttributor):
+
+class PerEventSpike(PerEvent):
     """``_WindowedDetector.observe`` + ``_window_state`` and
     ``observe_latency``, as they were: one item into its window, then a
-    watermark close."""
+    watermark close; a window closes once, and what it held decides."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    name = "latency-spike-blame"
+
+    def __init__(self, window_ns=100_000_000, spike_factor=2.5,
+                 client_comm="db_bench", background_prefix="rocksdb:low"):
+        super().__init__()
+        self.window_ns = window_ns
+        self.spike_factor = spike_factor
+        self.client_comm = client_comm
+        self.background_prefix = background_prefix
+        #: window start -> [tids, {proc: [syscalls, bytes]}, ids]
+        self._windows = {}
+        self._latencies = {}
+        self._baseline = deque(maxlen=BASELINE_KEPT)
+        self._spikes = 0
         self._max_ns = 0
 
     def observe(self, source, event_id=None):
@@ -207,28 +335,24 @@ class PerEventSpike(StreamingSpikeAttributor):
         if proc != self.client_comm and proc.startswith(
                 self.background_prefix):
             start = (time_ns // self.window_ns) * self.window_ns
-            state = self._windows.get(start)
-            if state is None:
-                state = self._windows[start] = _WindowState()
-            state.bg_tids.add(source["tid"])
-            activity = state.bg_activity.get(proc)
-            if activity is None:
-                if len(state.bg_activity) < MAX_TRACKED_PROCS:
-                    activity = state.bg_activity[proc] = [0, 0]
-            if activity is not None:
-                activity[0] += 1
+            tids, activity, ids = self._windows.setdefault(
+                start, (set(), {}, []))
+            tids.add(source["tid"])
+            if proc in activity or len(activity) < PROCS_KEPT:
+                counts = activity.setdefault(proc, [0, 0])
+                counts[0] += 1
                 if source["ret"] > 0 and source["syscall"] in (
                         _READS + _WRITES):
-                    activity[1] += source["ret"]
-            if event_id is not None and len(state.ids) < MAX_EVIDENCE_IDS:
-                state.ids.append(event_id)
+                    counts[1] += source["ret"]
+            if event_id is not None and len(ids) < IDS_KEPT:
+                ids.append(event_id)
         self._close_ready()
 
     def observe_latency(self, start_ns, latency_ns):
         self._max_ns = max(self._max_ns, start_ns)
         start = (start_ns // self.window_ns) * self.window_ns
         samples = self._latencies.setdefault(start, [])
-        if len(samples) < MAX_WINDOW_SAMPLES:
+        if len(samples) < SAMPLES_KEPT:
             samples.append(latency_ns)
         self._close_ready()
 
@@ -242,11 +366,54 @@ class PerEventSpike(StreamingSpikeAttributor):
                 break
             self._close_window(start)
 
+    def _close_window(self, start):
+        window = self._windows.pop(start, None)
+        samples = self._latencies.pop(start, None)
+        if not samples:
+            return
+        ordered = sorted(samples)
+        p99 = float(ordered[min(len(ordered) - 1,
+                                int(round(0.99 * (len(ordered) - 1))))])
+        baseline = None
+        if len(self._baseline) >= 4:
+            ranked = sorted(self._baseline)
+            baseline = ranked[len(ranked) // 4]
+        self._baseline.append(p99)
+        if baseline is None or p99 <= self.spike_factor * baseline:
+            return
+        if window is None:
+            return
+        self._spikes += 1
+        if self._spikes > SPIKES_REPORTED:
+            return
+        tids, activity, ids = window
+        top = sorted(activity.items(),
+                     key=lambda item: (-item[1][1], -item[1][0], item[0]))
+        culprits = [name for name, _ in top[:3]]
+        self._emit(start + self.window_ns, Finding(
+            detector=self.name,
+            severity="warning",
+            title=(f"p99 spike @ {start / 1e6:.0f} ms "
+                   f"({p99 / 1e6:.2f} ms vs baseline "
+                   f"{baseline / 1e6:.2f} ms) with "
+                   f"{len(tids)} background threads active"
+                   + (f"; busiest: {', '.join(culprits)}"
+                      if culprits else "")),
+            details={"window_start_ns": start, "p99_ns": p99,
+                     "baseline_ns": baseline,
+                     "background_threads": len(tids),
+                     "culprits": culprits},
+            evidence=make_evidence(ids, start, start + self.window_ns),
+        ))
 
-#: Battery order of ``default_streaming_detectors``.
-PRODUCTION = (StreamingStaleOffsetDetector, StreamingFdLeakDetector,
-              StreamingSpikeAttributor, StreamingWriteAmplificationDetector,
-              StreamingUringLagDetector)
+    def finalize(self):
+        for start in sorted(set(self._windows) | set(self._latencies)):
+            self._close_window(start)
+
+
+#: The battery's stamped detectors, in battery order, and their oracles.
+PRODUCTION = (StaleOffsetDetector, FdLeakDetector, SpikeBlameDetector,
+              WriteAmplificationDetector, UringLagDetector)
 PER_EVENT = (PerEventStaleOffset, PerEventFdLeak, PerEventSpike,
              PerEventWriteAmplification, PerEventUringLag)
 
@@ -270,11 +437,13 @@ def uneven_battery(classes):
 
 
 def test_the_default_twin_is_the_default_battery():
-    for ours, default in zip(default_battery(PRODUCTION),
-                             default_streaming_detectors()):
-        assert type(ours) is type(default)
-        assert ({k: v for k, v in vars(ours).items() if k[0] != "_"}
-                == {k: v for k, v in vars(default).items() if k[0] != "_"})
+    stamped = [detector for detector in DEFAULT_DETECTORS
+               if detector.source == "streaming"]
+    assert [type(detector) for detector in stamped] == list(PRODUCTION)
+    for ours, default in zip(default_battery(PER_EVENT), stamped):
+        assert ours.name == default.name
+        assert ({k: v for k, v in vars(ours).items()
+                 if k[0] != "_" and k != "emitted"} == vars(default))
 
 
 # ----------------------------------------------------------------------
@@ -301,30 +470,26 @@ def per_event_replay(events, latency_records, detectors):
         for detector in detectors:
             if kind == "event":
                 detector.observe(second, first)
-            elif isinstance(detector, PerEventSpike):
-                detector.observe_latency(first, second)
             else:
-                detector.observe_latencies(((first, second),))
+                detector.observe_latency(first, second)
     for detector in detectors:
         detector.finalize()
     return detectors
 
 
 def emitted(detectors):
-    """Everything a battery said, per detector, in emission order —
-    emit time, title, details and evidence ids included — and what its
-    windows held when they closed: the spike attributor's p99 of every
-    sampled window in closing order (a window closed early or twice
-    shows here even when no finding comes of it)."""
-    said = []
-    for detector in detectors:
-        state = [(emit_ns, finding.as_dict())
-                 for emit_ns, finding in detector.emitted]
-        if isinstance(detector, StreamingSpikeAttributor):
-            state.append((list(detector._baseline), detector.spikes_found,
-                          dict(detector._culprits)))
-        said.append((detector.name, state))
-    return said
+    """Everything an oracle battery said, per detector, in emission
+    order — emit time, title, details and evidence ids included."""
+    return [(detector.name, [(emit_ns, finding.as_dict())
+                             for emit_ns, finding in detector.emitted])
+            for detector in detectors]
+
+
+def detected(detectors, view):
+    """The same, of production detectors' one pass over ``view``."""
+    return [(detector.name, [(emit_ns, finding.as_dict())
+                             for emit_ns, finding in detector.detect(view)])
+            for detector in detectors]
 
 
 # ----------------------------------------------------------------------
@@ -389,15 +554,19 @@ def check_replay_equals_per_event_merge(stream, records, battery):
     events = stored_events(store)
     assert [source for _, source in events] == stream
     detectors = battery(PRODUCTION)
+    oracle = per_event_replay(events, records, battery(PER_EVENT))
+    view = SessionEvents(store, INDEX, SESSION, records)
+    assert detected(detectors, view) == emitted(oracle)
     findings = follow_session(store, INDEX, SESSION, detectors,
                               latency_records=records)
-    oracle = per_event_replay(events, records, battery(PER_EVENT))
-    assert emitted(detectors) == emitted(oracle)
+    assert findings == sorted(
+        (pair for detector in oracle for pair in detector.emitted),
+        key=lambda item: (item[0], item[1].detector, item[1].title))
     return findings
 
 
 # ----------------------------------------------------------------------
-# (a) follow_session is the per-event merged replay
+# (a) each detector's one pass is the per-event merged replay
 
 @settings(max_examples=150, deadline=None)
 @given(events=events_st, steps=steps_st, untimed=st.integers(0, 2),
@@ -471,41 +640,34 @@ def test_replay_equals_per_event_merge_when_everything_fires():
                for finding in spikes)
 
 
-# ----------------------------------------------------------------------
-# (b) any batching is one batch, and observe is a batch of one: where
-# the replay's row steps cut a session changes no finding
+def test_findings_settle_in_the_order_the_stream_settled_them():
+    # A detector returns its findings in the order the item-by-item
+    # feed emitted them: a confirmed stale offset as its confirming
+    # read goes by, then the pending ones by first read, and each
+    # io_uring lag at its own completion, not in the order the pids
+    # first appeared.
+    def event(time_ns, syscall, pid=1, ret=0, **extra):
+        return dict(syscall=syscall, proc_name="fb", pid=pid, tid=pid,
+                    ret=ret, time=time_ns, session=SESSION, **extra)
 
-def cut(items, points):
-    """``items`` split at ``points`` (any integers: folded into range)."""
-    bounds = sorted({point % (len(items) + 1) for point in points})
-    return [items[lo:hi]
-            for lo, hi in zip([0] + bounds, bounds + [len(items)])]
-
-
-def fed(event_batches, records):
-    """A fresh battery fed every event first, as ``follow_session``
-    feeds a step, then the latency records as one call."""
-    detectors = uneven_battery(PRODUCTION)
-    for batch in event_batches:
-        reads = _Reads(DocBatch([source for _, source in batch]))
-        for detector in detectors:
-            detector.observe_batch(reads, [event_id for event_id, _ in batch])
-    for detector in detectors:
-        detector.observe_latencies(records)
-        detector.finalize()
-    return emitted(detectors)
-
-
-@settings(max_examples=150, deadline=None)
-@given(events=events_st, steps=steps_st, untimed=st.integers(0, 2),
-       records=records_st, points=st.lists(st.integers(0, 200), max_size=8))
-def test_any_batching_is_one_batch(events, steps, untimed, records, points):
-    stream = timed(events, steps, untimed, 1)
-    pairs = [(f"id{n}", source) for n, source in enumerate(stream)]
-    records = sorted(records, key=itemgetter(0))
-    whole = fed([pairs], records)
-    assert fed(cut(pairs, points), records) == whole
-    assert fed([[pair] for pair in pairs], records) == whole
+    stream = [event(1, "uring_read", 2, duration_ns=1),
+              event(2, "uring_read", 2, duration_ns=1),
+              event(3, "uring_read", 3, duration_ns=1),
+              event(4, "uring_read", 3, duration_ns=1),
+              event(5, "uring_read", 3, duration_ns=10),
+              event(6, "read", file_tag="7 1 1", offset=26),
+              event(7, "read", file_tag="7 2 1", offset=26),
+              event(8, "read", file_tag="7 2 1", offset=26),
+              event(9, "read", file_tag="7 2 1", offset=26),
+              event(10, "read", file_tag="7 3 1", offset=4096),
+              event(20, "uring_read", 2, duration_ns=10)]
+    findings = check_replay_equals_per_event_merge(stream, [],
+                                                   uneven_battery)
+    assert [(emit_ns, finding.detector) for emit_ns, finding
+            in findings] == [
+        (5, "uring-completion-lag"), (6, "stale-offset-resume"),
+        (9, "stale-offset-resume"), (10, "stale-offset-resume"),
+        (20, "uring-completion-lag")]
 
 
 # ----------------------------------------------------------------------
@@ -646,10 +808,10 @@ def test_miner_in_consumer_sized_batches_holds_the_session_graph():
 
 
 # ----------------------------------------------------------------------
-# One streaming detector per finding, and the batch bodies it replaced
+# One detector per finding, and the post-mortem bodies it replaced
 
 def streamed(store, detector, index=INDEX, session=SESSION):
-    """What ``detector`` alone says of a stored session, replayed."""
+    """What ``detector`` alone says of a stored session."""
     return [finding for _, finding
             in follow_session(store, index, session, [detector])]
 
@@ -659,22 +821,43 @@ def streamed(store, detector, index=INDEX, session=SESSION):
        min_unclosed=st.sampled_from((1, 1, 2, 4)))
 def test_fd_leak_is_the_batch_rule(events, steps, untimed, min_unclosed):
     store = stored(timed(events, steps, untimed, 1))
-    streaming, batch = (
+    ours, batch = (
         sorted(findings, key=lambda finding: finding.title) for findings in (
-            streamed(store, StreamingFdLeakDetector(min_unclosed)),
-            FdLeakDetector(min_unclosed).run(store, INDEX, SESSION)))
-    assert streaming == batch
+            streamed(store, FdLeakDetector(min_unclosed)),
+            FdLeakOracle(min_unclosed).run(store, INDEX, SESSION)))
+    assert ours == batch
 
 
 def stale_tags(store, index, session):
-    """The file tags the streaming stale-offset detector flags, after
-    checking they are the ones the batch body flagged."""
+    """The file tags the stale-offset detector flags, after checking
+    that ``find_stale_offset_resumes`` names the same and that they are
+    the ones the batch body flagged."""
     tags = sorted(finding.details["file_tag"] for finding in streamed(
-        store, StreamingStaleOffsetDetector(), index, session))
+        store, StaleOffsetDetector(), index, session))
+    assert tags == [resume.file_tag for resume
+                    in find_stale_offset_resumes(store, index, session)]
     assert tags == sorted(finding.details["file_tag"] for finding
-                          in StaleOffsetDetector().run(store, index,
-                                                       session))
+                          in StaleOffsetOracle().run(store, index, session))
     return tags
+
+
+def test_data_after_the_confirmation_leaves_the_resume_flagged():
+    # The one input the two stale-offset rules part on: a tag whose
+    # data arrives after ``confirm_after`` empty polls.  The bytes
+    # before the stale offset were skipped either way, so the
+    # detector's rule holds — flagged at the third empty poll — where
+    # the body it replaced cleared the tag once any read returned data.
+    store = stored([dict(syscall="read", proc_name="fluent-bit", pid=3,
+                         tid=3, ret=ret, time=time_ns, file_tag="7 9 1",
+                         offset=26, file_path="/app.log", session=SESSION)
+                    for time_ns, ret in enumerate((0, 0, 0, 0, 64))])
+    finding, = streamed(store, StaleOffsetDetector())
+    assert finding.details["empty_reads"] == 3
+    assert finding.evidence["window"] == {"start_ns": 0, "end_ns": 3}
+    resume, = find_stale_offset_resumes(store, INDEX, SESSION)
+    assert (resume.file_tag, resume.offset, resume.time) == ("7 9 1", 26, 0)
+    assert detector_oracle.find_stale_offset_resumes(
+        store, INDEX, SESSION) == []
 
 
 def test_stale_offset_flags_what_the_batch_body_flagged():

@@ -23,8 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import DocumentStore, SegmentBatch, SegmentStorage
-from repro.analysis.streaming import (_FD_SET, _READS_SET, _WRITES_SET,
-                                     _Reads, rows_of)
+from repro.analysis.session import READS, WRITES, SessionEvents
 from repro.backend.lanes import (DocBatch, JoinedBatch, Lanes, Lookup,
                                  StructLane, _assemble_rows, _dense_int,
                                  _groups, derive_lane, sort_key, time_ordered)
@@ -252,13 +251,16 @@ def test_dense_int_means_every_value_is_an_exact_int(batch):
 
 
 def test_rows_of_is_the_per_row_filter(batch):
-    # Through a step's shared reads (which group ``syscall`` once), of
-    # a batch and of a take of it.
+    # The rows a detector visits for a set of syscalls, off the codes of
+    # a view whose one read is a batch, or a take of it.
     taken = batch.take([39, 0, 17, 2, 2, 31])
-    for source in (_Reads(batch), _Reads(taken)):
+    for source in (batch, taken):
+        view = SessionEvents(None, "i")
+        view.__dict__["_read"] = ([], source, None)
         names = source.values_for("syscall")
-        for syscalls in (_READS_SET, _WRITES_SET, _FD_SET, frozenset()):
-            assert list(rows_of(source, syscalls)) == [
+        for syscalls in (READS, WRITES, ("open", "openat", "creat", "close"),
+                         ()):
+            assert view.syscall_rows(syscalls) == [
                 row for row, name in enumerate(names) if name in syscalls]
 
 
