@@ -445,9 +445,12 @@ class UringLagDetector(Detector):
     linked chains or competing I/O, without any syscall getting
     slower.  A process's first completion that exceeds both an
     absolute floor and a multiple of the mean lag of its completions
-    before it (at least ``min_samples`` of them) is flagged.  Only
-    ``uring_*`` events count, so a classic-mode trace (the blind spot)
-    cannot produce this finding — which is itself diagnostic.
+    before it (at least ``min_samples`` of them) is flagged.  A zero
+    mean (every earlier completion took 0 ns) is no baseline to divide
+    by: a lag over the floor is flagged, and its title says "no
+    baseline" where a ratio would stand.  Only ``uring_*`` events
+    count, so a classic-mode trace (the blind spot) cannot produce this
+    finding — which is itself diagnostic.
     """
 
     name = "uring-completion-lag"
@@ -489,10 +492,11 @@ class UringLagDetector(Detector):
             detector=self.name,
             severity="warning",
             title=(f"pid {pid}: io_uring completion "
-                   f"lag {lags[row] / 1e6:.2f} ms is "
-                   f"{lags[row] / mean:.0f}x the baseline "
-                   f"{mean / 1e6:.3f} ms over "
-                   f"{len(seen) - 1} completions"),
+                   f"lag {lags[row] / 1e6:.2f} ms "
+                   + (f"is {lags[row] / mean:.0f}x the baseline "
+                      f"{mean / 1e6:.3f} ms" if mean else
+                      "has no baseline: 0 ms")
+                   + f" over {len(seen) - 1} completions"),
             details={"pid": pid,
                      "lag_ns": int(lags[row]),
                      "baseline_ns": int(mean),

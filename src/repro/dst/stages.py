@@ -402,8 +402,8 @@ def ring_twin_checks(fast, twin) -> list[str]:
     for path in PATH_POOL:
         fast_inode = fast.kernel.vfs.lookup(path)
         twin_inode = twin.kernel.vfs.lookup(path)
-        fast_data = None if fast_inode is None else bytes(fast_inode.data)
-        twin_data = None if twin_inode is None else bytes(twin_inode.data)
+        fast_data = None if fast_inode is None else fast_inode.contents()
+        twin_data = None if twin_inode is None else twin_inode.contents()
         if fast_data != twin_data:
             failures.append(
                 f"ring twin: {path} diverged (ring-aware "

@@ -161,7 +161,7 @@ def _run_one(deployment: str, scale: UringScale) -> UringCaseRun:
     elapsed = env.run(until=env.process(main()))
 
     inode = kernel.vfs.resolve(app.path)
-    data = bytes(inode.data)
+    data = inode.contents()
     cache = kernel._cache_for(inode)
     return UringCaseRun(
         name=deployment,

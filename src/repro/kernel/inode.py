@@ -32,6 +32,17 @@ class Inode:
     ``generation`` distinguishes successive files that reuse the same
     inode number (as real filesystems do via ``i_generation``); the
     tracer's file tag relies on it to tell recycled inodes apart.
+
+    A regular file's contents live in ``data``, a ``bytearray``, or in
+    nothing at all: ``data is None`` means the file is ``size`` zero
+    bytes.  A file stays in that zero form while every byte ever
+    written to it is zero (the simulated RocksDB's SSTs and WALs,
+    tens of MiB per run), so such a file costs a length, not a
+    buffer; the first non-zero byte materialises ``bytearray(size)``,
+    and ``truncate(0)`` returns any file to the zero form.  Reads,
+    sizes and offsets are the same either way.  Only this class reads
+    ``data``; everything else reads through :meth:`read_bytes` or
+    :meth:`contents`.
     """
 
     __slots__ = (
@@ -48,9 +59,8 @@ class Inode:
         self.generation = generation
         self.nlink = 1
         self.size = 0
-        #: Regular-file contents.  A plain ``bytearray`` keeps semantics
-        #: simple; workloads in this repo stay in the MiB range.
-        self.data = bytearray() if file_type is FileType.REGULAR else None
+        #: Regular-file contents; ``None`` is ``size`` zero bytes.
+        self.data: Optional[bytearray] = None
         #: name -> Inode mapping for directories.
         self.children: Optional[dict] = {} if file_type is FileType.DIRECTORY else None
         self.symlink_target: Optional[str] = None
@@ -75,17 +85,30 @@ class Inode:
             raise TypeError(f"read from non-regular inode {self.ino}")
         if offset >= self.size or count <= 0:
             return b""
+        if self.data is None:
+            return bytes(min(count, self.size - offset))
         return bytes(self.data[offset:offset + count])
+
+    def contents(self) -> bytes:
+        """The whole file, as bytes."""
+        return self.read_bytes(0, self.size)
 
     def write_bytes(self, offset: int, payload: bytes, now_ns: int) -> int:
         """Write ``payload`` at ``offset``, zero-filling any hole."""
         if not self.is_regular:
             raise TypeError(f"write to non-regular inode {self.ino}")
-        if offset > len(self.data):
-            self.data.extend(b"\x00" * (offset - len(self.data)))
         end = offset + len(payload)
-        self.data[offset:end] = payload
-        self.size = len(self.data)
+        # The zero test is a compare (a memcmp); counting zeros would be
+        # an order of magnitude slower.
+        if self.data is None and payload == bytes(len(payload)):
+            self.size = max(self.size, end)
+        else:
+            if self.data is None:
+                self.data = bytearray(self.size)
+            if offset > len(self.data):
+                self.data.extend(bytes(offset - len(self.data)))
+            self.data[offset:end] = payload
+            self.size = len(self.data)
         self.mtime_ns = now_ns
         return len(payload)
 
@@ -93,10 +116,13 @@ class Inode:
         """Grow or shrink the file to ``length`` bytes."""
         if not self.is_regular:
             raise TypeError(f"truncate of non-regular inode {self.ino}")
-        if length < len(self.data):
-            del self.data[length:]
-        else:
-            self.data.extend(b"\x00" * (length - len(self.data)))
+        if length == 0:
+            self.data = None
+        elif self.data is not None:
+            if length < len(self.data):
+                del self.data[length:]
+            else:
+                self.data.extend(bytes(length - len(self.data)))
         self.size = length
         self.mtime_ns = now_ns
 

@@ -1,10 +1,12 @@
 """Property-based tests: VFS semantics and LSM-store correctness."""
 
+import gc
+
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule)
 
 from repro.apps.rocksdb import DBOptions, RocksDB
-from repro.kernel import Kernel, O_CREAT, O_RDWR
+from repro.kernel import Kernel, O_CREAT, O_RDWR, O_TRUNC, SEEK_SET
 from repro.kernel.errno import KernelError
 from repro.kernel.vfs import VirtualFileSystem
 from repro.sim import Environment
@@ -72,6 +74,22 @@ TestVFSModel.settings = settings(max_examples=40, stateful_step_count=30,
                                  deadline=None)
 
 
+#: Zero payloads drawn as often as arbitrary ones.
+payloads = st.one_of(st.integers(min_value=0, max_value=300).map(bytes),
+                     st.binary(max_size=300))
+lengths = st.integers(min_value=0, max_value=700)
+file_ops = st.one_of(
+    st.tuples(st.just("write"), payloads),
+    st.tuples(st.just("pwrite64"), lengths, payloads),
+    st.tuples(st.sampled_from(["truncate", "ftruncate"]), lengths),
+    st.tuples(st.just("reopen"), st.booleans()),
+    st.tuples(st.just("lseek"), lengths),
+    st.tuples(st.just("read"), st.integers(min_value=0, max_value=300)),
+    st.tuples(st.just("pread64"), lengths,
+              st.integers(min_value=0, max_value=300)),
+)
+
+
 class TestFileDataProperties:
     @given(chunks=st.lists(
         st.tuples(st.integers(min_value=0, max_value=2_000),
@@ -99,6 +117,90 @@ class TestFileDataProperties:
                                           offset=0)
             assert n == len(model)
             assert bytes(buf[:n]) == bytes(model)
+
+        env.run(until=env.process(scenario()))
+
+    @given(ops=st.lists(file_ops, min_size=1, max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_zero_form_matches_bytearray_model(self, ops):
+        """Files written mostly with zeros read as a bytearray would,
+        and one never given a non-zero byte holds no buffer."""
+        env = Environment()
+        kernel = Kernel(env)
+        task = kernel.spawn_process("app").threads[0]
+        model = bytearray()
+
+        def put(offset, payload):
+            if offset > len(model):
+                model.extend(bytes(offset - len(model)))
+            model[offset:offset + len(payload)] = payload
+
+        def resize(length):
+            del model[length:]
+            model.extend(bytes(length - len(model)))
+
+        def scenario():
+            call = kernel.syscall
+            fd = yield from call(task, "open", path="/f",
+                                 flags=O_CREAT | O_RDWR)
+            position = 0
+            nonzero = False     # a non-zero byte since the last cut to 0
+            for op, *args in ops:
+                if op == "write":
+                    payload, = args
+                    n = yield from call(task, "write", fd=fd, data=payload)
+                    put(position, payload)
+                    position += n
+                elif op == "pwrite64":
+                    offset, payload = args
+                    yield from call(task, "pwrite64", fd=fd, data=payload,
+                                    offset=offset)
+                    put(offset, payload)
+                elif op in ("truncate", "ftruncate"):
+                    length, = args
+                    yield from (call(task, "truncate", path="/f",
+                                     length=length) if op == "truncate"
+                                else call(task, "ftruncate", fd=fd,
+                                          length=length))
+                    resize(length)
+                elif op == "reopen":
+                    trunc, = args
+                    yield from call(task, "close", fd=fd)
+                    fd = yield from call(
+                        task, "open", path="/f",
+                        flags=O_RDWR | (O_TRUNC if trunc else 0))
+                    position = 0
+                    if trunc:
+                        resize(0)
+                elif op == "lseek":
+                    position = yield from call(task, "lseek", fd=fd,
+                                               offset=args[0],
+                                               whence=SEEK_SET)
+                elif op == "read":
+                    buf = bytearray(args[0])
+                    n = yield from call(task, "read", fd=fd, buf=buf)
+                    assert bytes(buf[:n]) == bytes(
+                        model[position:position + args[0]])
+                    position += n
+                else:
+                    offset, count = args
+                    buf = bytearray(count)
+                    n = yield from call(task, "pread64", fd=fd, buf=buf,
+                                        offset=offset)
+                    assert bytes(buf[:n]) == bytes(
+                        model[offset:offset + count])
+                if op in ("write", "pwrite64") and any(args[-1]):
+                    nonzero = True
+                elif not model:
+                    nonzero = False
+                inode = kernel.vfs.resolve("/f")
+                assert inode.size == len(model)
+                assert inode.contents() == bytes(model)
+                if not nonzero:
+                    # The buffer is private to the inode, so the zero
+                    # form is read as memory: no bytearray hangs off it.
+                    assert not any(isinstance(ref, bytearray)
+                                   for ref in gc.get_referents(inode))
 
         env.run(until=env.process(scenario()))
 

@@ -1,12 +1,15 @@
 """Tests for the RocksDB simulation and db_bench harness."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.apps.rocksdb import (DBBench, DBOptions, MemTable, RocksDB,
                                 SSTable, ZipfianGenerator)
 from repro.apps.rocksdb.db_bench import key_name, uniform_stream
-from repro.kernel import Kernel
+from repro.experiments.rocksdb_case import RocksDBScale, build_kernel
+from repro.kernel import O_RDONLY, Kernel
 from repro.sim import Environment
 
 MS = 1_000_000
@@ -414,3 +417,60 @@ class TestDBBench:
 
         result = run(env, scenario())
         assert {op for _, _, op, _ in result.operations} == {"read"}
+
+
+class TestZeroFiles:
+    def test_live_tables_and_wal_hold_no_bytes(self):
+        """RocksDB writes only zeros, so every live SST and WAL stays a
+        length: the inode references no buffer, and ``fstat`` still
+        reports every byte written to it."""
+        scale = RocksDBScale(duration_ns=40 * MS, client_threads=2,
+                             key_count=2_000, memtable_bytes=64 * 1024)
+        kernel = build_kernel(scale)
+        env = kernel.env
+        process = kernel.spawn_process("db_bench")
+        db = RocksDB(kernel, process, scale.db_options())
+        bench = DBBench(kernel, db, client_threads=scale.client_threads,
+                        key_count=scale.key_count,
+                        value_size=scale.value_size, seed=scale.seed)
+        written: dict = {}
+        syscall = kernel.syscall
+
+        def counting(task, name, /, **args):
+            if name != "write":
+                return (yield from syscall(task, name, **args))
+            inode = task.fds.get(args["fd"]).inode
+            ret = yield from syscall(task, name, **args)
+            written[inode] = written.get(inode, 0) + ret
+            return ret
+
+        kernel.syscall = counting
+        task = bench.client_tasks[0]
+
+        def scenario():
+            yield from db.open(task)
+            yield from bench.load()
+            handle = bench.run(duration_ns=scale.duration_ns)
+            yield from handle.wait()
+            sizes = {}
+            for name in sorted(kernel.vfs.resolve(db.options.db_path)
+                               .children):
+                path = f"{db.options.db_path}/{name}"
+                fd = yield from syscall(task, "open", path=path,
+                                        flags=O_RDONLY)
+                statbuf: dict = {}
+                yield from syscall(task, "fstat", fd=fd, statbuf=statbuf)
+                yield from syscall(task, "close", fd=fd)
+                sizes[name] = (kernel.vfs.resolve(path), statbuf["st_size"])
+            db.close()
+            return sizes
+
+        sizes = run(env, scenario())
+        assert any(name.endswith(".sst") for name in sizes)
+        assert any(".wal." in name for name in sizes)
+        for name, (inode, st_size) in sizes.items():
+            assert st_size == written[inode] > 0, name
+            # The buffer is private to the inode, so the zero form is
+            # read as memory: no bytearray hangs off it.
+            assert not any(isinstance(ref, bytearray)
+                           for ref in gc.get_referents(inode)), name

@@ -14,7 +14,7 @@ from repro.analysis.detectors import (DEFAULT_DETECTORS, Detector,
                                       FdLeakDetector, SpikeBlameDetector,
                                       StaleOffsetDetector,
                                       WriteAmplificationDetector)
-from repro.analysis.diagnose import follow_session
+from repro.analysis.diagnose import diagnose_session, follow_session
 from repro.analysis.session import SessionEvents
 from repro.backend import DocumentStore
 
@@ -141,6 +141,26 @@ class TestStreamingUringLag:
         assert finding.details["completions"] == 16
         assert finding.evidence["event_ids"] == [str(n)
                                                  for n in range(1, 9)]
+
+    def test_a_zero_baseline_is_no_baseline(self):
+        # Sixteen completions that took 0 ns give a mean of 0: the 6 ms
+        # lag is over the floor and over any multiple of it, so it is
+        # flagged, with no ratio to divide out.
+        docs = [doc("uring_read", n, pid=7, ret=4096, duration_ns=0)
+                for n in range(16)]
+        docs.append(doc("uring_read", 100, pid=7, ret=4096,
+                        duration_ns=6 * MS))
+        (emit_ns, finding), = follow_session(stored(docs), INDEX, None)
+        assert emit_ns == 100
+        assert finding.title == ("pid 7: io_uring completion lag 6.00 ms "
+                                 "has no baseline: 0 ms over 16 "
+                                 "completions")
+        assert finding.details["baseline_ns"] == 0
+        assert finding.details["completions"] == 16
+        report = diagnose_session(stored(docs), index=INDEX)
+        assert [ranked.finding.title for ranked in report.findings
+                if ranked.finding.detector == "uring-completion-lag"] == [
+                    finding.title]
 
 
 class TestStreamingWriteAmplification:

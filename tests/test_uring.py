@@ -240,7 +240,7 @@ class TestRegistration:
 
         cqes = run(env, go())
         assert [cqe.res for cqe in cqes] == [6]
-        assert bytes(kernel.vfs.resolve("/f").data) == b"pinned"
+        assert kernel.vfs.resolve("/f").contents() == b"pinned"
 
     def test_unregister_files_never_registered(self, setup):
         env, kernel, task = setup

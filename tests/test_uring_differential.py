@@ -59,7 +59,7 @@ def _run(mode, shape, ring_mode=None):
 def _state(kernel, app):
     """The logical-effect fingerprint both ports must agree on."""
     inode = kernel.vfs.resolve(app.path)
-    data = bytes(inode.data)
+    data = inode.contents()
     return {
         "sha256": hashlib.sha256(data).hexdigest(),
         "size": len(data),
